@@ -1,0 +1,607 @@
+//! The one front door: accept loop, admission, session loop and stop.
+//!
+//! [`crate::server::FrameServer`] and [`crate::router::FrameRouter`]
+//! answer the same protocol with different state behind it, so both hand
+//! a [`Handler`] — shared state, a `respond` function, a table of
+//! counter names — to a [`FrontDoor`], which owns everything between the
+//! listening socket and that function:
+//!
+//! - **Accept.** One thread polls the non-blocking listener next to a
+//!   self-pipe [`Waker`]; repeated `accept(2)` failures (fd exhaustion)
+//!   are counted and cooled down with [`AcceptBackoff`] instead of
+//!   hot-spinning.
+//! - **Admission.** One OS thread per admitted connection, at most
+//!   [`DoorConfig::max_connections`] of them. Past the cap — or when the
+//!   OS refuses a thread — the arrival is counted and handed to a small
+//!   bounded pool that answers one in-band `ERR_BUSY` and closes, so a
+//!   connect flood cannot mint threads.
+//! - **Session.** Read request → shutdown check → in-flight guard →
+//!   `catch_unwind(respond)` → counters → latency histogram. A panicking
+//!   handler costs its client one `ERR_INTERNAL`; the connection and the
+//!   listener survive. Malformed framing gets `ERR_BAD_REQUEST`, then a
+//!   close (stream sync is gone).
+//! - **Stop.** Flag, wake, join the acceptor, then wait (bounded by
+//!   [`DRAIN_TIMEOUT`]) for replies already being computed or written.
+
+use crate::error::ServeError;
+use crate::fault::{FaultScript, FaultyTransport};
+use crate::poll::{poll, AcceptBackoff, Waker};
+use crate::protocol::{
+    read_request, write_response, write_response_v, Request, Response, ERR_BAD_REQUEST, ERR_BUSY,
+    ERR_INTERNAL,
+};
+use crate::wire::V1;
+use accelviz_trace::registry::Registry;
+use std::io::{self, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::unix::io::AsRawFd;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
+
+/// How long [`FrontDoor::close`] waits for in-flight replies to finish.
+const DRAIN_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// The in-band message a shed connection gets with its `ERR_BUSY`.
+const SHED_CONNECTION_MSG: &str = "server at connection capacity; retry after ~100 ms";
+
+/// The registry keys a door counts under — one table per handler, so the
+/// server's sessions land on `serve.*` and the router's on `router.*`.
+pub(crate) struct CounterNames {
+    pub(crate) requests: &'static str,
+    pub(crate) bytes_sent: &'static str,
+    pub(crate) frames_served: &'static str,
+    pub(crate) shed_connections: &'static str,
+    pub(crate) accept_errors: &'static str,
+    pub(crate) handler_panics: &'static str,
+    /// Histogram of request service time.
+    pub(crate) latency: &'static str,
+}
+
+/// What stands behind a door: the state every session shares and the
+/// function that answers one request from it.
+pub(crate) trait Handler: Send + Sync + 'static {
+    /// Where this handler's sessions are counted.
+    const NAMES: CounterNames;
+
+    /// The registry [`Handler::NAMES`] index into.
+    fn metrics(&self) -> &Registry;
+
+    /// Serves one request; returns (wire bytes written, was a frame
+    /// reply). `session_version` is the connection's negotiated protocol
+    /// version — `Hello` updates it, every reply is framed with it. An
+    /// `Err` means the client went away mid-reply.
+    fn respond<S: Write>(
+        self: &Arc<Self>,
+        req: Request,
+        stream: &mut S,
+        session_version: &mut u16,
+    ) -> crate::error::Result<(u64, bool)>;
+}
+
+/// The per-listener settings a door enforces.
+pub(crate) struct DoorConfig {
+    /// Bound on any single blocking read from a client; `None` waits
+    /// forever.
+    pub(crate) read_timeout: Option<Duration>,
+    /// Same bound for writes.
+    pub(crate) write_timeout: Option<Duration>,
+    /// Connections (and so session threads) served concurrently.
+    pub(crate) max_connections: usize,
+    /// Chaos hook: when set, every admitted connection is wrapped in a
+    /// [`FaultyTransport`] drawing from this script.
+    pub(crate) faults: Option<Arc<FaultScript>>,
+}
+
+/// Decrements a shared gauge on drop, panic or not.
+pub(crate) struct CountGuard<'a>(pub(crate) &'a AtomicUsize);
+
+impl<'a> CountGuard<'a> {
+    fn enter(gauge: &'a AtomicUsize) -> CountGuard<'a> {
+        gauge.fetch_add(1, Ordering::SeqCst);
+        CountGuard(gauge)
+    }
+}
+
+impl Drop for CountGuard<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// What the acceptor, the shed pool and every session thread share.
+struct Door<H> {
+    handler: Arc<H>,
+    config: DoorConfig,
+    shutdown: AtomicBool,
+    active_connections: AtomicUsize,
+    inflight_requests: AtomicUsize,
+}
+
+/// A bound, accepting listener serving `H`. Dropping it (or calling
+/// [`FrontDoor::close`]) stops it.
+pub(crate) struct FrontDoor<H: Handler> {
+    door: Arc<Door<H>>,
+    addr: SocketAddr,
+    waker: Arc<Waker>,
+    accept: Option<JoinHandle<()>>,
+}
+
+impl<H: Handler> FrontDoor<H> {
+    /// Binds `addr` and starts accepting clients for `handler`.
+    pub(crate) fn open(addr: &str, handler: Arc<H>, config: DoorConfig) -> io::Result<Self> {
+        let listener = TcpListener::bind(addr)?;
+        let addr = listener.local_addr()?;
+        // A blocking listener would wedge the poll loop and make stop
+        // wait for the next connection; refuse to start instead.
+        listener.set_nonblocking(true)?;
+        let waker = Arc::new(Waker::new()?);
+        let door = Arc::new(Door {
+            handler,
+            config,
+            shutdown: AtomicBool::new(false),
+            active_connections: AtomicUsize::new(0),
+            inflight_requests: AtomicUsize::new(0),
+        });
+        let accept = {
+            let (door, waker) = (Arc::clone(&door), Arc::clone(&waker));
+            std::thread::Builder::new().spawn(move || accept_loop(door, listener, waker))?
+        };
+        Ok(FrontDoor {
+            door,
+            addr,
+            waker,
+            accept: Some(accept),
+        })
+    }
+
+    /// The address clients connect to.
+    pub(crate) fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// The state behind the door.
+    pub(crate) fn handler(&self) -> &H {
+        &self.door.handler
+    }
+
+    /// Stops accepting, joins the acceptor, and lets replies already
+    /// being computed or written reach their clients (bounded by
+    /// [`DRAIN_TIMEOUT`]). Requests that arrive after the flag is up are
+    /// dropped at the request boundary. Idempotent.
+    pub(crate) fn close(&mut self) {
+        let Some(accept) = self.accept.take() else {
+            return;
+        };
+        self.door.shutdown.store(true, Ordering::SeqCst);
+        // The acceptor polls the self-pipe next to the listener, so an
+        // idle door stops now, not at the next connection.
+        self.waker.wake();
+        let _ = accept.join();
+        let deadline = Instant::now() + DRAIN_TIMEOUT;
+        while self.door.inflight_requests.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+}
+
+impl<H: Handler> Drop for FrontDoor<H> {
+    fn drop(&mut self) {
+        self.close();
+    }
+}
+
+/// The bounded pool that answers shed connections: a fixed worker count
+/// and a bounded queue, so the cap being enforced cannot be defeated by
+/// a thread per shed socket. When the queue overflows the connection is
+/// dropped (the shed was already counted, and under a real flood a
+/// silent close is the correct degraded answer).
+struct ShedPool {
+    tx: Option<mpsc::SyncSender<TcpStream>>,
+    workers: Vec<JoinHandle<()>>,
+}
+
+impl ShedPool {
+    const WORKERS: usize = 2;
+    const QUEUE: usize = 32;
+    /// Cap on how long a shed worker waits for the client's Hello (a
+    /// real client sends it immediately); keeps a mute flood from
+    /// pinning the pool and bounds how long stop can block on it.
+    const MAX_WAIT: Duration = Duration::from_secs(1);
+
+    fn start<H: Handler>(door: &Arc<Door<H>>) -> ShedPool {
+        let (tx, rx) = mpsc::sync_channel::<TcpStream>(Self::QUEUE);
+        let rx = Arc::new(Mutex::new(rx));
+        let workers = (0..Self::WORKERS)
+            .filter_map(|_| {
+                let rx = Arc::clone(&rx);
+                let door = Arc::clone(door);
+                // A refused worker thread only thins the pool: offers
+                // still queue for the workers that did start, or drop.
+                std::thread::Builder::new()
+                    .spawn(move || loop {
+                        let next = match rx.lock() {
+                            Ok(guard) => guard.recv(),
+                            Err(_) => break,
+                        };
+                        let Ok(stream) = next else { break };
+                        if door.shutdown.load(Ordering::SeqCst) {
+                            continue; // stopping: just close it
+                        }
+                        answer_shed(&door.config, stream);
+                    })
+                    .ok()
+            })
+            .collect();
+        ShedPool {
+            tx: Some(tx),
+            workers,
+        }
+    }
+
+    /// Hands a shed connection to the pool; drops it (closing the
+    /// socket) when the queue is full.
+    fn offer(&self, stream: TcpStream) {
+        if let Some(tx) = &self.tx {
+            let _ = tx.try_send(stream);
+        }
+    }
+}
+
+impl Drop for ShedPool {
+    fn drop(&mut self) {
+        self.tx = None;
+        for handle in self.workers.drain(..) {
+            let _ = handle.join();
+        }
+    }
+}
+
+/// Answers one shed connection in-band: consume the client's first
+/// request (its Hello) so the close after the reply is clean — closing
+/// with unread inbound data would RST the socket and the client would
+/// never see the reply — then send `ERR_BUSY` and drop the stream.
+fn answer_shed(config: &DoorConfig, mut stream: TcpStream) {
+    let cap = |t: Option<Duration>| Some(t.unwrap_or(ShedPool::MAX_WAIT).min(ShedPool::MAX_WAIT));
+    let _ = stream.set_read_timeout(cap(config.read_timeout));
+    let _ = stream.set_write_timeout(cap(config.write_timeout));
+    let _ = read_request(&mut stream);
+    let _ = write_response(
+        &mut stream,
+        &Response::Error {
+            code: ERR_BUSY,
+            message: SHED_CONNECTION_MSG.to_string(),
+        },
+    );
+}
+
+/// Admits one accepted connection onto its own session thread, or sheds
+/// it: at the connection cap, and when the OS refuses the thread (EAGAIN
+/// under `pids.max` / `RLIMIT_NPROC`) — `std::thread::spawn` would panic
+/// there and take the acceptor with it.
+fn admit<H: Handler>(door: &Arc<Door<H>>, shed: &ShedPool, stream: TcpStream) {
+    let shed_connections = H::NAMES.shed_connections;
+    if door.active_connections.load(Ordering::SeqCst) >= door.config.max_connections {
+        door.handler.metrics().add(shed_connections, 1);
+        shed.offer(stream);
+        return;
+    }
+    door.active_connections.fetch_add(1, Ordering::SeqCst);
+    // The stream rides in a slot so a refused spawn, which drops its
+    // closure, still leaves it here to be answered.
+    let slot = Arc::new(Mutex::new(Some(stream)));
+    let (session_door, session_slot) = (Arc::clone(door), Arc::clone(&slot));
+    let spawned = std::thread::Builder::new().spawn(move || {
+        let _guard = CountGuard(&session_door.active_connections);
+        let stream = session_slot.lock().ok().and_then(|mut s| s.take());
+        if let Some(stream) = stream {
+            serve_connection(&session_door, stream);
+        }
+    });
+    if spawned.is_err() {
+        door.active_connections.fetch_sub(1, Ordering::SeqCst);
+        door.handler.metrics().add(shed_connections, 1);
+        if let Some(stream) = slot.lock().ok().and_then(|mut s| s.take()) {
+            shed.offer(stream);
+        }
+    }
+}
+
+/// The accept loop: the listener polled alongside the stop self-pipe,
+/// with exponential backoff (and a count) on repeated `accept(2)`
+/// failures.
+fn accept_loop<H: Handler>(door: Arc<Door<H>>, listener: TcpListener, waker: Arc<Waker>) {
+    let shed = ShedPool::start(&door);
+    let mut backoff = AcceptBackoff::new();
+    let mut cooldown: Option<Instant> = None;
+    loop {
+        if door.shutdown.load(Ordering::SeqCst) {
+            break;
+        }
+        // During an error-backoff cooldown the listener is left out of
+        // the poll set: the whole point is to stop re-trying accept (and
+        // burning CPU) until the pause elapses.
+        let now = Instant::now();
+        let listener_armed = match cooldown {
+            Some(until) if until > now => false,
+            _ => {
+                cooldown = None;
+                true
+            }
+        };
+        let timeout = cooldown.map(|until| until.saturating_duration_since(now));
+        let fds = [waker.fd(), listener.as_raw_fd()];
+        let ready = match poll(&fds[..1 + usize::from(listener_armed)], timeout) {
+            Ok(ready) => ready,
+            Err(_) => {
+                std::thread::sleep(Duration::from_millis(1));
+                continue;
+            }
+        };
+        if ready[0].readable {
+            waker.drain();
+        }
+        if door.shutdown.load(Ordering::SeqCst) {
+            break;
+        }
+        if listener_armed && !ready[1].is_empty() {
+            // Drain the whole accept backlog while it's hot.
+            loop {
+                match listener.accept() {
+                    Ok((stream, _)) => {
+                        backoff.on_success();
+                        // Session threads do blocking I/O; undo the
+                        // non-blocking flag inherited on some platforms.
+                        let _ = stream.set_nonblocking(false);
+                        admit(&door, &shed, stream);
+                    }
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                    Err(_) => {
+                        // EMFILE and friends: count it and cool down
+                        // instead of hot-spinning on a failing accept.
+                        door.handler.metrics().add(H::NAMES.accept_errors, 1);
+                        cooldown = Some(Instant::now() + backoff.on_error());
+                        break;
+                    }
+                }
+            }
+        }
+    }
+    // ShedPool::drop joins its workers (bounded by MAX_WAIT).
+}
+
+fn serve_connection<H: Handler>(door: &Door<H>, stream: TcpStream) {
+    let _ = stream.set_nodelay(true);
+    // A stalled or byte-dribbling client must not pin this thread
+    // forever: a timed-out read/write surfaces as an Io error in the
+    // session and the connection is dropped.
+    let _ = stream.set_read_timeout(door.config.read_timeout);
+    let _ = stream.set_write_timeout(door.config.write_timeout);
+    match &door.config.faults {
+        Some(script) => session(door, FaultyTransport::new(stream, Arc::clone(script))),
+        None => session(door, stream),
+    }
+}
+
+/// One connection's strict request/reply loop.
+fn session<H: Handler, S: Read + Write>(door: &Door<H>, mut stream: S) {
+    let metrics = door.handler.metrics();
+    // Until a `Hello` negotiates otherwise, the session speaks v1: a
+    // pre-v2 client that skips the handshake gets exactly the byte
+    // stream it always did.
+    let mut session_version = V1;
+    loop {
+        let req = match read_request(&mut stream) {
+            Ok(req) => req,
+            // A clean disconnect shows up as EOF at an envelope boundary.
+            Err(ServeError::Truncated { got: 0, .. }) | Err(ServeError::Io(_)) => return,
+            Err(e) => {
+                // Malformed framing: answer in-band, then drop the
+                // connection — stream sync is gone.
+                let reply = Response::Error {
+                    code: ERR_BAD_REQUEST,
+                    message: e.to_string(),
+                };
+                let _ = write_response_v(&mut stream, session_version, &reply);
+                return;
+            }
+        };
+        // Graceful stop: requests already being processed drain to their
+        // replies, but nothing *new* is admitted once the flag is up.
+        if door.shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        let t0 = Instant::now();
+        let _inflight = CountGuard::enter(&door.inflight_requests);
+        // Panic isolation: a poisoned request must not take the
+        // connection (let alone the listener) down with it.
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            door.handler.respond(req, &mut stream, &mut session_version)
+        }));
+        let (bytes, served_frame) = match outcome {
+            Ok(Ok(r)) => r,
+            Ok(Err(_)) => return, // client went away mid-reply
+            Err(_panic) => {
+                metrics.add(H::NAMES.handler_panics, 1);
+                let reply = Response::Error {
+                    code: ERR_INTERNAL,
+                    message: "internal error serving this request; the connection survives"
+                        .to_string(),
+                };
+                match write_response_v(&mut stream, session_version, &reply) {
+                    Ok(bytes) => (bytes, false),
+                    Err(_) => return,
+                }
+            }
+        };
+        metrics.add(H::NAMES.requests, 1);
+        metrics.add(H::NAMES.bytes_sent, bytes);
+        if served_frame {
+            metrics.add(H::NAMES.frames_served, 1);
+        }
+        metrics.record_seconds(H::NAMES.latency, t0.elapsed().as_secs_f64());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::{read_response, write_request};
+    use crate::stats::ServerStats;
+
+    /// A handler with no data behind it: `Hello` is acknowledged,
+    /// `ListFrames` panics, and `Stats` reports that it has entered and
+    /// then parks until the test lets it answer.
+    struct Fake {
+        metrics: Registry,
+        entered: Mutex<mpsc::Sender<()>>,
+        gate: Mutex<mpsc::Receiver<()>>,
+    }
+
+    impl Handler for Fake {
+        const NAMES: CounterNames = CounterNames {
+            requests: "fake.requests",
+            bytes_sent: "fake.bytes_sent",
+            frames_served: "fake.frames_served",
+            shed_connections: "fake.shed_connections",
+            accept_errors: "fake.accept_errors",
+            handler_panics: "fake.handler_panics",
+            latency: "fake.request_latency",
+        };
+
+        fn metrics(&self) -> &Registry {
+            &self.metrics
+        }
+
+        fn respond<S: Write>(
+            self: &Arc<Self>,
+            req: Request,
+            stream: &mut S,
+            session_version: &mut u16,
+        ) -> crate::error::Result<(u64, bool)> {
+            let reply = match req {
+                Request::Hello { version } => Response::HelloAck {
+                    version,
+                    frame_count: 0,
+                },
+                Request::ListFrames => panic!("scripted handler panic"),
+                Request::Stats => {
+                    self.entered.lock().unwrap().send(()).unwrap();
+                    self.gate.lock().unwrap().recv().unwrap();
+                    Response::Stats(ServerStats::default())
+                }
+                _ => Response::FrameList(Vec::new()),
+            };
+            Ok((write_response_v(stream, *session_version, &reply)?, false))
+        }
+    }
+
+    /// An open door over a [`Fake`], the receiver of its "Stats entered"
+    /// signal, and the sender that lets a parked `Stats` answer.
+    fn open(max_connections: usize) -> (FrontDoor<Fake>, mpsc::Receiver<()>, mpsc::Sender<()>) {
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (gate_tx, gate_rx) = mpsc::channel();
+        let fake = Arc::new(Fake {
+            metrics: Registry::new(),
+            entered: Mutex::new(entered_tx),
+            gate: Mutex::new(gate_rx),
+        });
+        let config = DoorConfig {
+            read_timeout: Some(Duration::from_secs(10)),
+            write_timeout: Some(Duration::from_secs(10)),
+            max_connections,
+            faults: None,
+        };
+        let door = FrontDoor::open("127.0.0.1:0", fake, config).unwrap();
+        (door, entered_rx, gate_tx)
+    }
+
+    fn connect(door: &FrontDoor<Fake>) -> TcpStream {
+        let stream = TcpStream::connect(door.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        stream
+    }
+
+    fn ask(stream: &mut TcpStream, req: Request) -> crate::error::Result<Response> {
+        write_request(stream, &req)?;
+        read_response(stream).map(|(reply, _)| reply)
+    }
+
+    fn error_code(reply: Response) -> u16 {
+        match reply {
+            Response::Error { code, .. } => code,
+            other => panic!("expected an in-band error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn arrivals_past_the_cap_get_err_busy_in_band_and_are_all_counted() {
+        let (door, _entered, _gate) = open(1);
+        let mut admitted = connect(&door);
+        // A served request proves the only slot is held.
+        ask(&mut admitted, Request::Hello { version: 1 }).unwrap();
+        for _ in 0..5 {
+            let mut shed = connect(&door);
+            let reply = ask(&mut shed, Request::Hello { version: 1 }).unwrap();
+            assert_eq!(error_code(reply), ERR_BUSY);
+        }
+        let metrics = door.handler().metrics();
+        assert_eq!(metrics.counter(Fake::NAMES.shed_connections), 5);
+        ask(&mut admitted, Request::Hello { version: 1 }).unwrap();
+    }
+
+    #[test]
+    fn a_handler_panic_costs_one_err_internal_and_the_connection_serves_on() {
+        let (door, _entered, _gate) = open(4);
+        let mut stream = connect(&door);
+        let reply = ask(&mut stream, Request::ListFrames).unwrap();
+        assert_eq!(error_code(reply), ERR_INTERNAL);
+        let reply = ask(&mut stream, Request::Hello { version: 1 }).unwrap();
+        assert!(matches!(reply, Response::HelloAck { version: 1, .. }));
+        let metrics = door.handler().metrics();
+        assert_eq!(metrics.counter(Fake::NAMES.handler_panics), 1);
+    }
+
+    #[test]
+    fn malformed_framing_gets_err_bad_request_then_a_close() {
+        let (door, _entered, _gate) = open(4);
+        let mut stream = connect(&door);
+        stream.write_all(b"GET / HTTP/1.1\r\n").unwrap(); // 16 bytes, bad magic
+        let (reply, _) = read_response(&mut stream).unwrap();
+        assert_eq!(error_code(reply), ERR_BAD_REQUEST);
+        let mut rest = Vec::new();
+        assert_eq!(stream.read_to_end(&mut rest).unwrap(), 0, "then EOF");
+    }
+
+    #[test]
+    fn an_idle_door_closes_without_waiting_for_a_connection() {
+        let (mut door, _entered, _gate) = open(4);
+        let t0 = Instant::now();
+        door.close();
+        assert!(t0.elapsed() < Duration::from_secs(2), "{:?}", t0.elapsed());
+    }
+
+    #[test]
+    fn a_request_in_flight_at_close_still_gets_its_reply() {
+        let (mut door, entered, gate) = open(4);
+        let state = Arc::clone(&door.door);
+        let mut stream = connect(&door);
+        write_request(&mut stream, &Request::Stats).unwrap();
+        entered.recv().unwrap(); // the handler is inside respond
+        let closer = std::thread::spawn(move || door.close());
+        // Let the handler answer only once close has raised the flag.
+        while !state.shutdown.load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
+        gate.send(()).unwrap();
+        let (reply, _) = read_response(&mut stream).unwrap();
+        assert!(matches!(reply, Response::Stats(_)));
+        closer.join().unwrap();
+        // Nothing new is admitted on the drained connection.
+        assert!(ask(&mut stream, Request::Hello { version: 1 }).is_err());
+    }
+}

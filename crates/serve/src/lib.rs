@@ -21,12 +21,14 @@
 //!   the record framing in `accelviz_store::progressive`.
 //! - [`cache`] — the server's shared LRU extraction cache, keyed by
 //!   `(frame, threshold)`.
-//! - [`server`] — [`server::FrameServer`] with two selectable connection
-//!   backends ([`server::ServeBackend`]): an event-driven `poll(2)`
-//!   reactor over a fixed worker pool (the unix default) and the
-//!   thread-per-connection baseline.
-//! - [`poll`] — the hand-rolled readiness primitives under the reactor:
-//!   a `poll(2)` wrapper, a self-pipe waker, and accept-error backoff.
+//! - [`server`] — [`server::FrameServer`]: the extraction cache, the
+//!   `serve.*` counters and the request handler behind one front door.
+//! - `frontdoor` — the connection lifecycle the server and the router
+//!   share: one accept loop, admission with in-band shedding, one
+//!   thread-per-connection session loop, one stop (DESIGN.md §13).
+//! - [`poll`] — the hand-rolled readiness primitives under the accept
+//!   loop: a `poll(2)` wrapper, a self-pipe waker, and accept-error
+//!   backoff.
 //! - [`client`] — [`client::Client`] and [`client::RemoteFrames`], a
 //!   [`accelviz_core::viewer::FrameSource`] so a `ViewerSession` runs
 //!   unmodified against a remote server.
@@ -66,13 +68,11 @@ pub mod cache;
 pub mod client;
 pub mod error;
 pub mod fault;
+mod frontdoor;
 pub mod health;
 pub mod lod;
-#[cfg(unix)]
 pub mod poll;
 pub mod protocol;
-#[cfg(unix)]
-mod reactor;
 pub mod retry;
 pub mod router;
 pub mod server;
@@ -96,5 +96,5 @@ pub use health::HealthConfig;
 pub use lru::LruOrder;
 pub use retry::RetryPolicy;
 pub use router::{FrameRouter, HedgeConfig, RouterConfig, ShardMap, ShardedFrameService};
-pub use server::{FrameServer, ServeBackend, ServerConfig};
+pub use server::{FrameServer, ServerConfig};
 pub use stats::ServerStats;

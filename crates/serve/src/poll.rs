@@ -1,4 +1,4 @@
-//! Readiness primitives for the event-driven server backend.
+//! Readiness primitives for the front door's accept loop.
 //!
 //! This is the `mio`-shaped corner of the crate, hand-rolled because the
 //! workspace vendors everything: a safe wrapper over `poll(2)` (via the
@@ -7,22 +7,16 @@
 //! deterministically, and the [`AcceptBackoff`] schedule that keeps an
 //! accept loop from hot-spinning when `accept(2)` itself fails
 //! repeatedly (fd exhaustion being the classic case).
-//!
-//! Unix-only, like the reactor built on it; on other platforms the
-//! server falls back to the threaded backend.
 
 use std::io;
 use std::os::unix::io::RawFd;
 use std::time::Duration;
 
-/// Readiness interest / result flags, a safe mirror of `POLLIN`-family
-/// bits.
+/// Readiness result flags, a safe mirror of the `POLLIN`-family bits.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Readiness {
     /// The fd can be read without blocking (or has pending EOF).
     pub readable: bool,
-    /// The fd can be written without blocking.
-    pub writable: bool,
     /// The fd is in an error/hangup/invalid state and should be closed.
     pub error: bool,
 }
@@ -30,32 +24,20 @@ pub struct Readiness {
 impl Readiness {
     /// Nothing reported.
     pub fn is_empty(&self) -> bool {
-        !(self.readable || self.writable || self.error)
+        !(self.readable || self.error)
     }
 }
 
-/// One fd with its requested interest, the input row of [`poll`].
-#[derive(Clone, Copy, Debug)]
-pub struct PollEntry {
-    /// The descriptor to watch.
-    pub fd: RawFd,
-    /// Wait for readability.
-    pub read: bool,
-    /// Wait for writability.
-    pub write: bool,
-}
-
-/// Polls `entries` until at least one is ready or `timeout` passes
-/// (`None` waits indefinitely). Returns per-entry [`Readiness`] in input
-/// order; on timeout every entry is empty. `EINTR` is retried
+/// Polls `fds` for readability until at least one is ready or `timeout`
+/// passes (`None` waits indefinitely). Returns per-fd [`Readiness`] in
+/// input order; on timeout every entry is empty. `EINTR` is retried
 /// internally.
-pub fn poll(entries: &[PollEntry], timeout: Option<Duration>) -> io::Result<Vec<Readiness>> {
-    let mut fds: Vec<libc::pollfd> = entries
+pub fn poll(fds: &[RawFd], timeout: Option<Duration>) -> io::Result<Vec<Readiness>> {
+    let mut fds: Vec<libc::pollfd> = fds
         .iter()
-        .map(|e| libc::pollfd {
-            fd: e.fd,
-            events: (if e.read { libc::POLLIN } else { 0 })
-                | (if e.write { libc::POLLOUT } else { 0 }),
+        .map(|&fd| libc::pollfd {
+            fd,
+            events: libc::POLLIN,
             revents: 0,
         })
         .collect();
@@ -75,7 +57,6 @@ pub fn poll(entries: &[PollEntry], timeout: Option<Duration>) -> io::Result<Vec<
                 .iter()
                 .map(|f| Readiness {
                     readable: f.revents & libc::POLLIN != 0,
-                    writable: f.revents & libc::POLLOUT != 0,
                     error: f.revents & (libc::POLLERR | libc::POLLHUP | libc::POLLNVAL) != 0,
                 })
                 .collect());
@@ -88,7 +69,7 @@ pub fn poll(entries: &[PollEntry], timeout: Option<Duration>) -> io::Result<Vec<
 }
 
 /// A self-pipe that wakes a thread blocked in [`poll`]: include
-/// [`Waker::fd`] in the entry set with read interest, and any thread may
+/// [`Waker::fd`] in the polled set, and any thread may
 /// call [`Waker::wake`] to make that poll return immediately. Closing is
 /// handled by `Drop`.
 pub struct Waker {
@@ -114,7 +95,7 @@ impl Waker {
         })
     }
 
-    /// The fd to include (with read interest) in the poll set.
+    /// The fd to include in the poll set.
     pub fn fd(&self) -> RawFd {
         self.read_fd
     }
@@ -206,11 +187,7 @@ mod tests {
     #[test]
     fn poll_times_out_empty_and_reports_the_waker() {
         let waker = Waker::new().unwrap();
-        let entries = [PollEntry {
-            fd: waker.fd(),
-            read: true,
-            write: false,
-        }];
+        let entries = [waker.fd()];
         let ready = poll(&entries, Some(Duration::from_millis(5))).unwrap();
         assert!(ready[0].is_empty(), "no wake yet: {:?}", ready[0]);
 
@@ -231,11 +208,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(20));
             w.wake();
         });
-        let entries = [PollEntry {
-            fd: waker.fd(),
-            read: true,
-            write: false,
-        }];
+        let entries = [waker.fd()];
         let ready = poll(&entries, Some(Duration::from_secs(30))).unwrap();
         assert!(ready[0].readable);
         assert!(

@@ -10,8 +10,8 @@
 use crate::error::{Result, ServeError};
 use crate::stats::{LatencyHistogram, ServerStats, LATENCY_BUCKETS};
 use crate::wire::{
-    decode_frame, decode_frame_v2, encode_frame, encode_frame_v2, read_envelope, write_envelope,
-    write_envelope_v, PayloadReader, PayloadWriter, V1, V2,
+    decode_frame, decode_frame_v2, encode_frame, encode_frame_v2, read_envelope,
+    read_envelope_within, write_envelope, write_envelope_v, PayloadReader, PayloadWriter, V1, V2,
 };
 use accelviz_core::hybrid::HybridFrame;
 use std::io::{Read, Write};
@@ -61,6 +61,13 @@ pub const ERR_BAD_THRESHOLD: u16 = 4;
 /// extraction limit reached). The message carries a retry-after hint;
 /// this is the one in-band error a client should retry with backoff.
 pub const ERR_BUSY: u16 = 5;
+
+/// Largest payload a *request* envelope may declare. Every request this
+/// protocol defines fits in 20 bytes ([`Request::RequestFrameProgressive`]);
+/// a header claiming more is rejected before its payload is awaited, so a
+/// 16-byte header can neither reserve memory nor park a session thread
+/// for a read timeout.
+pub const MAX_REQUEST_PAYLOAD: u64 = 64;
 
 /// One catalog entry in a [`Response::FrameList`].
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -162,9 +169,10 @@ pub fn write_request<W: Write>(w: &mut W, req: &Request) -> Result<u64> {
     write_envelope(w, kind, &p.into_bytes())
 }
 
-/// Reads one request envelope and decodes it.
+/// Reads one request envelope (payload bounded by
+/// [`MAX_REQUEST_PAYLOAD`]) and decodes it.
 pub fn read_request<R: Read>(r: &mut R) -> Result<Request> {
-    let env = read_envelope(r)?;
+    let env = read_envelope_within(r, MAX_REQUEST_PAYLOAD)?;
     let mut p = PayloadReader::new(&env.payload);
     let req = match env.kind {
         REQ_HELLO => Request::Hello { version: p.u16()? },

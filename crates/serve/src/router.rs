@@ -2,9 +2,9 @@
 //!
 //! The paper's remote pipeline pairs one server with one viewer; scaling
 //! one terascale run to many concurrent dashboards means spreading the
-//! frame catalog over N shard servers ([`crate::server::FrameServer`]s,
-//! any backend) and putting a router in front that clients cannot tell
-//! from a single big server:
+//! frame catalog over N shard servers ([`crate::server::FrameServer`]s)
+//! and putting a router in front that clients cannot tell from a single
+//! big server — the same `crate::frontdoor` serves both:
 //!
 //! - `Hello` negotiates a protocol version locally, exactly like a
 //!   direct server — the client's session version is independent of the
@@ -41,17 +41,17 @@
 use crate::breaker::{Admission, BreakerConfig, BreakerState, CircuitBreaker, Transition};
 use crate::cache::CacheKey;
 use crate::client::{Client, ClientConfig};
-use crate::error::ServeError;
+use crate::frontdoor::{CounterNames, DoorConfig, FrontDoor, Handler};
 use crate::health::{HealthConfig, Prober};
 use crate::lru::LruOrder;
 use crate::protocol::{
-    read_request, write_response_v, FrameInfo, Request, Response, ERR_BAD_REQUEST,
-    ERR_BAD_THRESHOLD, ERR_INTERNAL, ERR_NO_SUCH_FRAME, RESP_FRAME,
+    write_response_v, FrameInfo, Request, Response, ERR_BAD_REQUEST, ERR_BAD_THRESHOLD,
+    ERR_INTERNAL, ERR_NO_SUCH_FRAME, RESP_FRAME,
 };
 use crate::retry::RetryPolicy;
-use crate::server::{CountGuard, FrameServer, ServerConfig};
+use crate::server::{FrameServer, ServerConfig};
 use crate::stats::ServerStats;
-use crate::wire::{encode_frame, encode_frame_v2, write_envelope_v, V1, V2, VERSION};
+use crate::wire::{encode_frame, encode_frame_v2, write_envelope_v, V2, VERSION};
 use accelviz_core::hybrid::HybridFrame;
 use accelviz_core::shard::ShardSpec;
 use accelviz_octree::sorted_store::PartitionedData;
@@ -59,11 +59,10 @@ use accelviz_store::ResidentRun;
 use accelviz_trace::registry::Registry;
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::io::{self, Write};
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Registry counter: requests the router handled, across all clients
@@ -93,10 +92,9 @@ pub const CTR_ROUTER_UPSTREAM_RETRIES: &str = "router.upstream_retries";
 /// upstream retry policy — each one became an in-band `ERR_INTERNAL`
 /// (for frames) or a zero contribution (for stats aggregation).
 pub const CTR_ROUTER_UPSTREAM_ERRORS: &str = "router.upstream_errors";
-/// Registry counter: connections closed at the router's connection cap.
-/// Unlike the shard servers (which answer `ERR_BUSY` in-band from a
-/// bounded pool), the thin router sheds by closing: the client's retry
-/// classifier sees the reset as transient and backs off the same way.
+/// Registry counter: connections shed at the router's connection cap —
+/// answered one in-band `ERR_BUSY` from a bounded pool and closed,
+/// exactly as a shard server sheds.
 pub const CTR_ROUTER_SHED_CONNECTIONS: &str = "router.shed_connections";
 /// Registry counter: `accept(2)` failures on the router listener.
 pub const CTR_ROUTER_ACCEPT_ERRORS: &str = "router.accept_errors";
@@ -301,7 +299,8 @@ pub struct RouterConfig {
     /// Same bound for writes.
     pub write_timeout: Option<Duration>,
     /// Client connections served concurrently; past this, new arrivals
-    /// are counted under `router.shed_connections` and closed.
+    /// are counted under `router.shed_connections`, answered one in-band
+    /// `ERR_BUSY`, and closed.
     pub max_connections: usize,
     /// The resilience knobs for the pooled upstream connections to the
     /// shards — retry/backoff on this leg is what turns a shard blip
@@ -626,7 +625,7 @@ impl UpstreamPool {
     }
 }
 
-/// The state the accept loop and every connection handler share.
+/// The state every session of one router shares.
 struct RouterShared {
     map: ShardMap,
     catalog: Vec<FrameInfo>,
@@ -637,9 +636,31 @@ struct RouterShared {
     cache: FetchCache,
     config: RouterConfig,
     metrics: Registry,
-    shutdown: AtomicBool,
-    active_connections: AtomicUsize,
-    inflight_requests: AtomicUsize,
+}
+
+impl Handler for RouterShared {
+    const NAMES: CounterNames = CounterNames {
+        requests: CTR_ROUTER_REQUESTS,
+        bytes_sent: CTR_ROUTER_BYTES_SENT,
+        frames_served: CTR_ROUTER_FRAMES_SERVED,
+        shed_connections: CTR_ROUTER_SHED_CONNECTIONS,
+        accept_errors: CTR_ROUTER_ACCEPT_ERRORS,
+        handler_panics: CTR_ROUTER_HANDLER_PANICS,
+        latency: HIST_ROUTER_LATENCY,
+    };
+
+    fn metrics(&self) -> &Registry {
+        &self.metrics
+    }
+
+    fn respond<S: Write>(
+        self: &Arc<Self>,
+        req: Request,
+        stream: &mut S,
+        session_version: &mut u16,
+    ) -> crate::error::Result<(u64, bool)> {
+        respond_router(self, req, stream, session_version)
+    }
 }
 
 /// Lands a breaker state transition on the `router.breaker_*` counters.
@@ -702,12 +723,8 @@ fn note_transition(metrics: &Registry, transition: Option<Transition>) {
 /// b.shutdown();
 /// ```
 pub struct FrameRouter {
-    shared: Arc<RouterShared>,
-    addr: SocketAddr,
-    accept: Option<JoinHandle<()>>,
+    door: FrontDoor<RouterShared>,
     prober: Option<Prober>,
-    #[cfg(unix)]
-    waker: Arc<crate::poll::Waker>,
 }
 
 impl FrameRouter {
@@ -755,8 +772,6 @@ impl FrameRouter {
             .map(|_| CircuitBreaker::new(config.breaker))
             .collect();
         let catalog = merge_catalogs(&map, &pools)?;
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
         let shared = Arc::new(RouterShared {
             map,
             catalog,
@@ -765,13 +780,20 @@ impl FrameRouter {
             cache: FetchCache::new(config.cache_bytes.max(1)),
             config,
             metrics: Registry::new(),
-            shutdown: AtomicBool::new(false),
-            active_connections: AtomicUsize::new(0),
-            inflight_requests: AtomicUsize::new(0),
         });
+        let door = FrontDoor::open(
+            addr,
+            Arc::clone(&shared),
+            DoorConfig {
+                read_timeout: config.read_timeout,
+                write_timeout: config.write_timeout,
+                max_connections: config.max_connections,
+                faults: None,
+            },
+        )?;
         let prober = {
             let addrs = Arc::clone(&shared);
-            let verdicts = Arc::clone(&shared);
+            let verdicts = shared;
             Prober::spawn(
                 config.health,
                 shard_count,
@@ -787,45 +809,26 @@ impl FrameRouter {
                 },
             )
         };
-        #[cfg(unix)]
-        {
-            let waker = Arc::new(crate::poll::Waker::new()?);
-            let (s, w) = (Arc::clone(&shared), Arc::clone(&waker));
-            let accept = std::thread::spawn(move || accept_loop(s, listener, w));
-            Ok(FrameRouter {
-                shared,
-                addr: local,
-                accept: Some(accept),
-                prober,
-                waker,
-            })
-        }
-        #[cfg(not(unix))]
-        {
-            let s = Arc::clone(&shared);
-            let accept = std::thread::spawn(move || blocking_accept_loop(s, listener));
-            Ok(FrameRouter {
-                shared,
-                addr: local,
-                accept: Some(accept),
-                prober,
-            })
-        }
+        Ok(FrameRouter { door, prober })
+    }
+
+    fn shared(&self) -> &RouterShared {
+        self.door.handler()
     }
 
     /// The address clients connect to.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.door.addr()
     }
 
     /// Shards this router routes over.
     pub fn shard_count(&self) -> usize {
-        self.shared.map.shard_count()
+        self.shared().map.shard_count()
     }
 
     /// The merged catalog served to `ListFrames`, in global frame order.
     pub fn catalog(&self) -> &[FrameInfo] {
-        &self.shared.catalog
+        &self.shared().catalog
     }
 
     /// The router's private metrics registry — every `router.*` counter
@@ -833,7 +836,7 @@ impl FrameRouter {
     /// `Stats` reply carries the *summed shard* counters instead,
     /// because its shape is frozen.
     pub fn metrics(&self) -> &Registry {
-        &self.shared.metrics
+        &self.shared().metrics
     }
 
     /// Repoints shard `shard`'s upstream pool at `addr` — the failover
@@ -845,10 +848,13 @@ impl FrameRouter {
     /// merged catalog is kept, so the replacement must serve the same
     /// frame slice. Errors when `shard` is out of range.
     pub fn set_shard_addr(&self, shard: usize, addr: SocketAddr) -> io::Result<()> {
-        match self.shared.pools.get(shard) {
+        match self.shared().pools.get(shard) {
             Some(pool) => {
                 pool.set_addr(addr);
-                note_transition(&self.shared.metrics, self.shared.breakers[shard].reset());
+                note_transition(
+                    &self.shared().metrics,
+                    self.shared().breakers[shard].reset(),
+                );
                 Ok(())
             }
             None => Err(io::Error::new(
@@ -861,12 +867,11 @@ impl FrameRouter {
     /// Shard `shard`'s current circuit-breaker state, for dashboards
     /// and tests. Panics when `shard` is out of range.
     pub fn breaker_state(&self, shard: usize) -> BreakerState {
-        self.shared.breakers[shard].state()
+        self.shared().breakers[shard].state()
     }
 
-    /// Stops accepting, joins the accept thread, and drains in-flight
-    /// replies (bounded by one second, mirroring the server's default
-    /// drain).
+    /// Stops accepting, joins the acceptor, and drains in-flight replies
+    /// for at most a second — the same stop a server runs.
     pub fn shutdown(mut self) {
         self.stop();
     }
@@ -877,22 +882,7 @@ impl FrameRouter {
         if let Some(mut prober) = self.prober.take() {
             prober.shutdown();
         }
-        let Some(accept) = self.accept.take() else {
-            return;
-        };
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        #[cfg(unix)]
-        self.waker.wake();
-        #[cfg(not(unix))]
-        {
-            let _ = TcpStream::connect(self.addr);
-        }
-        let _ = accept.join();
-        let deadline = Instant::now() + Duration::from_secs(1);
-        while self.shared.inflight_requests.load(Ordering::SeqCst) > 0 && Instant::now() < deadline
-        {
-            std::thread::sleep(Duration::from_millis(2));
-        }
+        self.door.close();
     }
 }
 
@@ -946,176 +936,6 @@ fn merge_catalogs(map: &ShardMap, pools: &[UpstreamPool]) -> io::Result<Vec<Fram
         });
     }
     Ok(merged)
-}
-
-/// The router accept loop: non-blocking listener polled alongside the
-/// shutdown self-pipe, connections past the cap counted and closed.
-#[cfg(unix)]
-fn accept_loop(shared: Arc<RouterShared>, listener: TcpListener, waker: Arc<crate::poll::Waker>) {
-    use crate::poll::{poll, AcceptBackoff, PollEntry};
-    use std::os::unix::io::AsRawFd;
-
-    if listener.set_nonblocking(true).is_err() {
-        return blocking_accept_loop(shared, listener);
-    }
-    let mut backoff = AcceptBackoff::new();
-    let mut cooldown: Option<Instant> = None;
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let now = Instant::now();
-        let listener_armed = match cooldown {
-            Some(until) if until > now => false,
-            _ => {
-                cooldown = None;
-                true
-            }
-        };
-        let timeout = cooldown.map(|until| until.saturating_duration_since(now));
-        let mut entries = vec![PollEntry {
-            fd: waker.fd(),
-            read: true,
-            write: false,
-        }];
-        if listener_armed {
-            entries.push(PollEntry {
-                fd: listener.as_raw_fd(),
-                read: true,
-                write: false,
-            });
-        }
-        let ready = match poll(&entries, timeout) {
-            Ok(ready) => ready,
-            Err(_) => {
-                std::thread::sleep(Duration::from_millis(1));
-                continue;
-            }
-        };
-        if ready[0].readable {
-            waker.drain();
-        }
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        if listener_armed && !ready[1].is_empty() {
-            loop {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        backoff.on_success();
-                        let _ = stream.set_nonblocking(false);
-                        admit(&shared, stream);
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        shared.metrics.add(CTR_ROUTER_ACCEPT_ERRORS, 1);
-                        cooldown = Some(Instant::now() + backoff.on_error());
-                        break;
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Blocking fallback (and the whole story on non-unix builds): shutdown
-/// wake relies on the next connection arriving.
-fn blocking_accept_loop(shared: Arc<RouterShared>, listener: TcpListener) {
-    let mut error_pause = Duration::from_millis(1);
-    for stream in listener.incoming() {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        match stream {
-            Ok(stream) => {
-                error_pause = Duration::from_millis(1);
-                admit(&shared, stream);
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                shared.metrics.add(CTR_ROUTER_ACCEPT_ERRORS, 1);
-                std::thread::sleep(error_pause);
-                error_pause = (error_pause * 2).min(Duration::from_millis(100));
-            }
-        }
-    }
-}
-
-/// Admits or sheds one accepted connection. Past the cap the stream is
-/// counted and dropped without spawning anything — a connect flood must
-/// not mint router threads.
-fn admit(shared: &Arc<RouterShared>, stream: TcpStream) {
-    if shared.active_connections.load(Ordering::SeqCst) >= shared.config.max_connections {
-        shared.metrics.add(CTR_ROUTER_SHED_CONNECTIONS, 1);
-        return; // dropping the stream closes it
-    }
-    shared.active_connections.fetch_add(1, Ordering::SeqCst);
-    let conn = Arc::clone(shared);
-    std::thread::spawn(move || {
-        let _guard = CountGuard(&conn.active_connections);
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_read_timeout(conn.config.read_timeout);
-        let _ = stream.set_write_timeout(conn.config.write_timeout);
-        client_loop(&conn, stream);
-    });
-}
-
-/// The per-connection request/reply loop — the same session shape as the
-/// server's `serve_loop`, with the shard hop inside `respond_router`.
-/// Takes the `Arc` (not a plain borrow) because a hedged fetch spawns a
-/// helper thread that must co-own the shared state.
-fn client_loop<S: Read + Write>(shared: &Arc<RouterShared>, mut stream: S) {
-    let mut session_version = V1;
-    loop {
-        let req = match read_request(&mut stream) {
-            Ok(req) => req,
-            Err(ServeError::Truncated { got: 0, .. }) | Err(ServeError::Io(_)) => return,
-            Err(e) => {
-                let reply = Response::Error {
-                    code: ERR_BAD_REQUEST,
-                    message: e.to_string(),
-                };
-                let _ = write_response_v(&mut stream, session_version, &reply);
-                return;
-            }
-        };
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let t0 = Instant::now();
-        let _inflight = CountGuard({
-            shared.inflight_requests.fetch_add(1, Ordering::SeqCst);
-            &shared.inflight_requests
-        });
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            respond_router(shared, req, &mut stream, &mut session_version)
-        }));
-        let (bytes, served_frame) = match outcome {
-            Ok(Ok(r)) => r,
-            Ok(Err(_)) => return, // client went away mid-reply
-            Err(_panic) => {
-                shared.metrics.add(CTR_ROUTER_HANDLER_PANICS, 1);
-                let reply = Response::Error {
-                    code: ERR_INTERNAL,
-                    message: "internal error routing this request; the connection survives"
-                        .to_string(),
-                };
-                match write_response_v(&mut stream, session_version, &reply) {
-                    Ok(bytes) => (bytes, false),
-                    Err(_) => return,
-                }
-            }
-        };
-        shared.metrics.add(CTR_ROUTER_REQUESTS, 1);
-        shared.metrics.add(CTR_ROUTER_BYTES_SENT, bytes);
-        if served_frame {
-            shared.metrics.add(CTR_ROUTER_FRAMES_SERVED, 1);
-        }
-        shared
-            .metrics
-            .record_seconds(HIST_ROUTER_LATENCY, t0.elapsed().as_secs_f64());
-    }
 }
 
 /// Serves one request at the router; returns (wire bytes written, was a

@@ -1,44 +1,29 @@
 //! The multi-client frame server.
 //!
-//! Two interchangeable connection backends sit behind one
-//! [`FrameServer`] front:
-//!
-//! - [`ServeBackend::Threaded`] — the original topology: one acceptor
-//!   thread, one handler thread per admitted connection running a strict
-//!   request/reply loop.
-//! - [`ServeBackend::Reactor`] — the event-driven topology (unix only):
-//!   one reactor thread multiplexes *all* connections through
-//!   per-connection state machines over non-blocking sockets and a
-//!   `poll(2)` readiness loop ([`crate::poll`]), and a small fixed pool
-//!   of worker threads runs the actual request handlers. Thread count is
-//!   `workers + 1`, independent of how many clients connect.
-//!
-//! Both backends share everything below the accept layer: one
+//! A [`FrameServer`] is the state behind one `crate::frontdoor`: one
 //! [`ExtractionCache`], one per-server metrics [`Registry`] (counters
-//! under the `serve.*` names in [`crate::stats`]), and the single
-//! `respond` request handler — so the wire behavior, the `Stats`
-//! shape, and every served byte are identical across backends. The
-//! server owns the *partitioned* data — the density-sorted stores
-//! produced by preprocessing — and extracts hybrid frames on demand at
-//! whatever threshold a client dials, which is exactly the paper's
-//! split: preprocessing near the simulation, compact hybrid frames
-//! shipped to the desktop.
+//! under the `serve.*` names in [`crate::stats`]), and the `respond`
+//! request handler. The door owns the connection lifecycle — one
+//! acceptor thread, one session thread per admitted connection running a
+//! strict request/reply loop. The server owns the *partitioned* data —
+//! the density-sorted stores produced by preprocessing — and extracts
+//! hybrid frames on demand at whatever threshold a client dials, which
+//! is exactly the paper's split: preprocessing near the simulation,
+//! compact hybrid frames shipped to the desktop.
 //!
 //! Protection: the server sheds rather than degrades. Past
 //! [`ServerConfig::max_connections`] a new connection gets one in-band
-//! `ERR_BUSY` (with a retry-after hint) and is closed — answered from a
-//! small bounded pool (threaded) or inline in the reactor loop, never
-//! from per-connection threads, so a connect flood cannot mint threads.
-//! Past [`ServerConfig::max_inflight_extractions`] a frame request that
-//! would start a *new* extraction gets `ERR_BUSY` on its live connection
+//! `ERR_BUSY` (with a retry-after hint) from a small bounded pool and is
+//! closed, so a connect flood cannot mint threads. Past
+//! [`ServerConfig::max_inflight_extractions`] a frame request that would
+//! start a *new* extraction gets `ERR_BUSY` on its live connection
 //! (cached and coalescing requests are always admitted — they are
 //! cheap). A panicking request handler is isolated: the client gets
 //! `ERR_INTERNAL`, the connection and the listener survive. Repeated
 //! `accept(2)` failures (fd exhaustion) back off exponentially and are
 //! counted under `serve.accept_errors` instead of hot-spinning. Shutdown
 //! wakes the acceptor deterministically through a self-pipe and drains
-//! in-flight replies before returning, bounded by
-//! [`ServerConfig::drain_timeout`].
+//! in-flight replies (for at most a second) before returning.
 //!
 //! Scale-out: N of these servers can sit behind one
 //! [`crate::router::FrameRouter`], each owning a rendezvous-hashed slice
@@ -46,65 +31,29 @@
 //! and cannot tell the difference (`crate::router`).
 
 use crate::cache::{CacheKey, ExtractionCache, Probe};
-use crate::error::ServeError;
-use crate::fault::{FaultScript, FaultyTransport};
+use crate::fault::FaultScript;
+use crate::frontdoor::{CountGuard, CounterNames, DoorConfig, FrontDoor, Handler};
 use crate::protocol::{
-    write_response, write_response_v, FrameInfo, Request, Response, ERR_BAD_REQUEST,
-    ERR_BAD_THRESHOLD, ERR_BUSY, ERR_INTERNAL, ERR_NO_SUCH_FRAME, RESP_FRAME,
+    write_response_v, FrameInfo, Request, Response, ERR_BAD_REQUEST, ERR_BAD_THRESHOLD, ERR_BUSY,
+    ERR_INTERNAL, ERR_NO_SUCH_FRAME, RESP_FRAME,
 };
 use crate::stats::{
-    ServerStats, CTR_BYTES_SENT, CTR_CACHE_HITS, CTR_CACHE_MISSES, CTR_FRAMES_SERVED,
-    CTR_FRAME_BYTES_RAW, CTR_FRAME_BYTES_WIRE, CTR_HANDLER_PANICS, CTR_LOD_BYTES_WIRE,
-    CTR_LOD_CHUNKS, CTR_LOD_REQUESTS, CTR_REQUESTS, CTR_SHED_CONNECTIONS, CTR_SHED_EXTRACTIONS,
-    HIST_LATENCY,
+    ServerStats, CTR_ACCEPT_ERRORS, CTR_BYTES_SENT, CTR_CACHE_HITS, CTR_CACHE_MISSES,
+    CTR_FRAMES_SERVED, CTR_FRAME_BYTES_RAW, CTR_FRAME_BYTES_WIRE, CTR_HANDLER_PANICS,
+    CTR_LOD_BYTES_WIRE, CTR_LOD_CHUNKS, CTR_LOD_REQUESTS, CTR_REQUESTS, CTR_SHED_CONNECTIONS,
+    CTR_SHED_EXTRACTIONS, HIST_LATENCY,
 };
-use crate::wire::{encode_frame, encode_frame_v2, write_envelope_v, V1, V2, VERSION};
+use crate::wire::{encode_frame, encode_frame_v2, write_envelope_v, V2, VERSION};
 use accelviz_core::hybrid::HybridFrame;
 use accelviz_octree::extraction::{threshold_for_budget, threshold_for_budget_tree};
 use accelviz_octree::sorted_store::PartitionedData;
 use accelviz_store::ResidentRun;
 use accelviz_trace::registry::Registry;
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
-
-/// Which connection machinery a [`FrameServer`] runs. The wire protocol,
-/// shedding behavior, and `Stats` shape are identical either way; only
-/// the threading topology differs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ServeBackend {
-    /// One OS thread per admitted connection (the original topology).
-    /// The only backend on non-unix platforms.
-    Threaded,
-    /// One reactor thread multiplexing all connections over `poll(2)`
-    /// plus a fixed pool of [`ServerConfig::worker_threads`] request
-    /// workers. Unix only; falls back to [`ServeBackend::Threaded`]
-    /// elsewhere.
-    Reactor,
-}
-
-impl ServeBackend {
-    /// The backend chosen by the `ACCELVIZ_SERVE_BACKEND` environment
-    /// variable (`"threaded"` / `"reactor"`), defaulting to the reactor
-    /// on unix and the threaded backend elsewhere. This is what
-    /// [`ServerConfig::default`] uses, so the whole test suite (and the
-    /// CI backend matrix) can steer every server in the process.
-    pub fn from_env() -> ServeBackend {
-        ServeBackend::from_env_value(std::env::var("ACCELVIZ_SERVE_BACKEND").ok().as_deref())
-    }
-
-    fn from_env_value(value: Option<&str>) -> ServeBackend {
-        match value {
-            Some("threaded") => ServeBackend::Threaded,
-            Some("reactor") => ServeBackend::Reactor,
-            _ if cfg!(unix) => ServeBackend::Reactor,
-            _ => ServeBackend::Threaded,
-        }
-    }
-}
+use std::io::{self, Write};
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
 
 /// Server tuning knobs.
 #[derive(Clone, Copy, Debug)]
@@ -115,11 +64,10 @@ pub struct ServerConfig {
     pub volume_dims: [usize; 3],
     /// Point budget behind the catalog's suggested threshold.
     pub point_budget: usize,
-    /// How long a worker blocks reading a request before the connection
+    /// How long a session blocks reading a request before the connection
     /// is dropped; `None` waits forever. Without a bound, a client that
-    /// connects and goes silent (or dribbles bytes) pins its
-    /// thread-per-connection worker — or its reactor connection slot —
-    /// indefinitely.
+    /// connects and goes silent (or dribbles bytes) pins its session
+    /// thread indefinitely.
     pub read_timeout: Option<Duration>,
     /// Same bound for writes (a client that stops draining its socket).
     pub write_timeout: Option<Duration>,
@@ -131,15 +79,6 @@ pub struct ServerConfig {
     /// past this they are shed with `ERR_BUSY` on their live connection.
     /// Cached and coalescing requests are always admitted.
     pub max_inflight_extractions: usize,
-    /// How long shutdown waits for in-flight replies to finish.
-    pub drain_timeout: Duration,
-    /// Which connection backend to run; defaults from
-    /// [`ServeBackend::from_env`].
-    pub backend: ServeBackend,
-    /// Request-handler threads the reactor backend runs (clamped to at
-    /// least 1). The threaded backend ignores this — its handler count
-    /// is its connection count.
-    pub worker_threads: usize,
 }
 
 impl Default for ServerConfig {
@@ -152,9 +91,6 @@ impl Default for ServerConfig {
             write_timeout: Some(Duration::from_secs(30)),
             max_connections: 64,
             max_inflight_extractions: 8,
-            drain_timeout: Duration::from_secs(1),
-            backend: ServeBackend::from_env(),
-            worker_threads: 4,
         }
     }
 }
@@ -165,7 +101,7 @@ impl Default for ServerConfig {
 /// [`ResidentRun`]'s byte budget. The request handlers are written
 /// against this enum, so an out-of-core server speaks the identical
 /// protocol and serves bit-identical frames.
-pub(crate) enum Backend {
+enum Backend {
     /// Every frame's partitioned store held in memory.
     Resident(Vec<PartitionedData>),
     /// Frames fetched on demand from an `accelviz-store` run file.
@@ -206,91 +142,47 @@ impl Backend {
     }
 }
 
-/// The state both backends (and every handler) share.
-pub(crate) struct Shared {
-    pub(crate) backend: Backend,
-    pub(crate) config: ServerConfig,
-    pub(crate) cache: ExtractionCache,
-    pub(crate) metrics: Registry,
-    pub(crate) shutdown: AtomicBool,
-    pub(crate) active_connections: AtomicUsize,
-    pub(crate) inflight_requests: AtomicUsize,
-    pub(crate) building_extractions: AtomicUsize,
-    /// Server-side chaos hook: when set, every accepted connection is
-    /// wrapped in a [`FaultyTransport`] drawing from this script.
-    /// Production servers leave it `None` and pay nothing.
-    pub(crate) faults: Option<Arc<FaultScript>>,
+/// The state every session of one server shares.
+struct Shared {
+    backend: Backend,
+    config: ServerConfig,
+    cache: ExtractionCache,
+    metrics: Registry,
+    building_extractions: AtomicUsize,
 }
 
-/// The in-band message a shed connection gets with its `ERR_BUSY`.
-pub(crate) const SHED_CONNECTION_MSG: &str = "server at connection capacity; retry after ~100 ms";
+impl Handler for Shared {
+    const NAMES: CounterNames = CounterNames {
+        requests: CTR_REQUESTS,
+        bytes_sent: CTR_BYTES_SENT,
+        frames_served: CTR_FRAMES_SERVED,
+        shed_connections: CTR_SHED_CONNECTIONS,
+        accept_errors: CTR_ACCEPT_ERRORS,
+        handler_panics: CTR_HANDLER_PANICS,
+        latency: HIST_LATENCY,
+    };
 
-/// Decrements a shared gauge on drop, panic or not. Shared with the
-/// router (`crate::router`), whose connection and in-flight gauges
-/// follow the same discipline.
-pub(crate) struct CountGuard<'a>(pub(crate) &'a AtomicUsize);
+    fn metrics(&self) -> &Registry {
+        &self.metrics
+    }
 
-impl Drop for CountGuard<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::SeqCst);
+    fn respond<S: Write>(
+        self: &Arc<Self>,
+        req: Request,
+        stream: &mut S,
+        session_version: &mut u16,
+    ) -> crate::error::Result<(u64, bool)> {
+        let _span = accelviz_trace::span("serve.request");
+        respond(self, req, stream, session_version)
     }
 }
 
 /// A running frame server. Dropping it (or calling
-/// [`FrameServer::shutdown`]) stops the accept machinery — woken
+/// [`FrameServer::shutdown`]) stops the acceptor — woken
 /// deterministically through a self-pipe, so an *idle* server shuts down
-/// promptly too — then drains in-flight replies (bounded by
-/// [`ServerConfig::drain_timeout`]).
+/// promptly too — then drains in-flight replies for at most a second.
 pub struct FrameServer {
-    shared: Arc<Shared>,
-    addr: SocketAddr,
-    engine: Option<Engine>,
-}
-
-/// The running accept machinery, one variant per [`ServeBackend`].
-enum Engine {
-    #[cfg(unix)]
-    Threaded {
-        accept: Option<JoinHandle<()>>,
-        waker: Arc<crate::poll::Waker>,
-    },
-    #[cfg(not(unix))]
-    Threaded { accept: Option<JoinHandle<()>> },
-    #[cfg(unix)]
-    Reactor(crate::reactor::ReactorEngine),
-}
-
-impl Engine {
-    fn start(listener: TcpListener, shared: Arc<Shared>) -> io::Result<Engine> {
-        #[cfg(unix)]
-        {
-            match shared.config.backend {
-                ServeBackend::Reactor => Ok(Engine::Reactor(crate::reactor::ReactorEngine::spawn(
-                    listener, shared,
-                )?)),
-                ServeBackend::Threaded => {
-                    let waker = Arc::new(crate::poll::Waker::new()?);
-                    let accept_waker = Arc::clone(&waker);
-                    let accept = std::thread::spawn(move || {
-                        threaded_accept_loop(shared, listener, accept_waker)
-                    });
-                    Ok(Engine::Threaded {
-                        accept: Some(accept),
-                        waker,
-                    })
-                }
-            }
-        }
-        #[cfg(not(unix))]
-        {
-            // No poll(2) shim here: always the threaded backend, woken
-            // at shutdown by a throwaway connection (best effort).
-            let accept = std::thread::spawn(move || blocking_accept_loop(shared, listener));
-            Ok(Engine::Threaded {
-                accept: Some(accept),
-            })
-        }
-    }
+    door: FrontDoor<Shared>,
 }
 
 impl FrameServer {
@@ -351,420 +243,48 @@ impl FrameServer {
         config: ServerConfig,
         faults: Option<Arc<FaultScript>>,
     ) -> io::Result<FrameServer> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
         let shared = Arc::new(Shared {
             backend,
             config,
             cache: ExtractionCache::new(config.cache_capacity),
             metrics: Registry::new(),
-            shutdown: AtomicBool::new(false),
-            active_connections: AtomicUsize::new(0),
-            inflight_requests: AtomicUsize::new(0),
             building_extractions: AtomicUsize::new(0),
-            faults,
         });
-        let engine = Engine::start(listener, Arc::clone(&shared))?;
-        Ok(FrameServer {
+        let door = FrontDoor::open(
+            addr,
             shared,
-            addr: local,
-            engine: Some(engine),
-        })
+            DoorConfig {
+                read_timeout: config.read_timeout,
+                write_timeout: config.write_timeout,
+                max_connections: config.max_connections,
+                faults,
+            },
+        )?;
+        Ok(FrameServer { door })
     }
 
     /// The address clients connect to.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// The backend this server is actually running (the configured one,
-    /// except on non-unix platforms where it is always
-    /// [`ServeBackend::Threaded`]).
-    pub fn backend(&self) -> ServeBackend {
-        match self.engine {
-            #[cfg(unix)]
-            Some(Engine::Reactor(_)) => ServeBackend::Reactor,
-            _ => ServeBackend::Threaded,
-        }
+        self.door.addr()
     }
 
     /// A local snapshot of the statistics (the same data a client gets
     /// from [`Request::Stats`]).
     pub fn stats(&self) -> ServerStats {
-        ServerStats::from_registry(&self.shared.metrics)
+        ServerStats::from_registry(self.metrics())
     }
 
     /// This server's private metrics registry — the source the wire
     /// `Stats` snapshot is assembled from. Exposed so tests (and embedding
     /// applications) can assert on individual counters.
     pub fn metrics(&self) -> &Registry {
-        &self.shared.metrics
+        &self.door.handler().metrics
     }
 
-    /// Stops accepting connections, joins the accept machinery, and
-    /// drains in-flight replies (bounded by
-    /// [`ServerConfig::drain_timeout`]).
+    /// Stops accepting connections, joins the acceptor, and drains
+    /// in-flight replies for at most a second.
     pub fn shutdown(mut self) {
-        self.stop();
-    }
-
-    fn stop(&mut self) {
-        let Some(engine) = self.engine.take() else {
-            return;
-        };
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        match engine {
-            #[cfg(unix)]
-            Engine::Threaded { accept, waker } => {
-                // Deterministic wake: the acceptor polls the self-pipe
-                // alongside the listener, so an idle server exits its
-                // accept loop immediately instead of waiting for the
-                // next connection to happen by.
-                waker.wake();
-                if let Some(handle) = accept {
-                    let _ = handle.join();
-                }
-                self.drain_inflight();
-            }
-            #[cfg(not(unix))]
-            Engine::Threaded { accept } => {
-                // Best-effort wake on platforms without the poll shim.
-                let _ = TcpStream::connect(self.addr);
-                if let Some(handle) = accept {
-                    let _ = handle.join();
-                }
-                self.drain_inflight();
-            }
-            #[cfg(unix)]
-            Engine::Reactor(mut reactor) => {
-                // The reactor drains its own connections (bounded by
-                // drain_timeout) before its thread exits.
-                reactor.stop();
-            }
-        }
-    }
-
-    /// Graceful drain for the threaded backend: let replies already
-    /// being computed or written reach their clients before the process
-    /// moves on.
-    fn drain_inflight(&self) {
-        let deadline = Instant::now() + self.shared.config.drain_timeout;
-        while self.shared.inflight_requests.load(Ordering::SeqCst) > 0 && Instant::now() < deadline
-        {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-    }
-}
-
-impl Drop for FrameServer {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
-/// The bounded pool that answers shed connections for the threaded
-/// backend. The old design spawned one OS thread per shed connection —
-/// which let a connect flood mint unbounded threads, defeating the very
-/// cap being enforced. This pool has a fixed worker count and a bounded
-/// queue; when the queue overflows, the connection is simply dropped
-/// (the shed was already counted, and under a real flood a silent close
-/// is the correct degraded answer).
-struct ShedPool {
-    tx: Option<mpsc::SyncSender<TcpStream>>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-impl ShedPool {
-    const WORKERS: usize = 2;
-    const QUEUE: usize = 32;
-    /// Cap on how long a shed worker waits for the client's Hello (a
-    /// real client sends it immediately); keeps a mute flood from
-    /// pinning the pool and bounds how long shutdown can block on it.
-    const MAX_WAIT: Duration = Duration::from_secs(1);
-
-    fn start(shared: &Arc<Shared>) -> ShedPool {
-        let (tx, rx) = mpsc::sync_channel::<TcpStream>(Self::QUEUE);
-        let rx = Arc::new(Mutex::new(rx));
-        let workers = (0..Self::WORKERS)
-            .map(|_| {
-                let rx = Arc::clone(&rx);
-                let shared = Arc::clone(shared);
-                std::thread::spawn(move || loop {
-                    let next = match rx.lock() {
-                        Ok(guard) => guard.recv(),
-                        Err(_) => break,
-                    };
-                    let Ok(stream) = next else { break };
-                    if shared.shutdown.load(Ordering::SeqCst) {
-                        continue; // shutting down: just close it
-                    }
-                    answer_shed(&shared, stream);
-                })
-            })
-            .collect();
-        ShedPool {
-            tx: Some(tx),
-            workers,
-        }
-    }
-
-    /// Hands a shed connection to the pool; drops it (closing the
-    /// socket) when the queue is full.
-    fn offer(&self, stream: TcpStream) {
-        if let Some(tx) = &self.tx {
-            let _ = tx.try_send(stream);
-        }
-    }
-}
-
-impl Drop for ShedPool {
-    fn drop(&mut self) {
-        self.tx = None;
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// Answers one shed connection in-band: consume the client's first
-/// request (its Hello) so the close after the reply is clean — closing
-/// with unread inbound data would RST the socket and the client would
-/// never see the reply — then send `ERR_BUSY` and drop the stream.
-fn answer_shed(shared: &Shared, mut stream: TcpStream) {
-    let cap = |t: Option<Duration>| Some(t.unwrap_or(ShedPool::MAX_WAIT).min(ShedPool::MAX_WAIT));
-    let _ = stream.set_read_timeout(cap(shared.config.read_timeout));
-    let _ = stream.set_write_timeout(cap(shared.config.write_timeout));
-    let _ = crate::protocol::read_request(&mut stream);
-    let _ = write_response(
-        &mut stream,
-        &Response::Error {
-            code: ERR_BUSY,
-            message: SHED_CONNECTION_MSG.to_string(),
-        },
-    );
-}
-
-/// Admits or sheds one accepted connection (threaded backend).
-fn admit(shared: &Arc<Shared>, shed: &ShedPool, stream: TcpStream) {
-    // Connection cap: shed with one in-band ERR_BUSY from the bounded
-    // pool rather than spawning a handler thread.
-    if shared.active_connections.load(Ordering::SeqCst) >= shared.config.max_connections {
-        shared.metrics.add(CTR_SHED_CONNECTIONS, 1);
-        shed.offer(stream);
-        return;
-    }
-    shared.active_connections.fetch_add(1, Ordering::SeqCst);
-    let conn_shared = Arc::clone(shared);
-    std::thread::spawn(move || {
-        let _guard = CountGuard(&conn_shared.active_connections);
-        handle_connection(&conn_shared, stream);
-    });
-}
-
-/// The threaded backend's accept loop: a non-blocking listener polled
-/// alongside the shutdown self-pipe, with exponential backoff (and a
-/// `serve.accept_errors` count) on repeated `accept(2)` failures.
-#[cfg(unix)]
-fn threaded_accept_loop(
-    shared: Arc<Shared>,
-    listener: TcpListener,
-    waker: Arc<crate::poll::Waker>,
-) {
-    use crate::poll::{poll, AcceptBackoff, PollEntry};
-    use crate::stats::CTR_ACCEPT_ERRORS;
-    use std::os::unix::io::AsRawFd;
-
-    if listener.set_nonblocking(true).is_err() {
-        // Without a non-blocking listener the poll loop would wedge;
-        // fall back to the classic blocking loop (still with the shed
-        // pool and error backoff, but shutdown wake is best-effort).
-        return blocking_accept_fallback(shared, listener);
-    }
-    let shed = ShedPool::start(&shared);
-    let mut backoff = AcceptBackoff::new();
-    let mut cooldown: Option<Instant> = None;
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        // During an error-backoff cooldown the listener is left out of
-        // the poll set: the whole point is to stop re-trying accept (and
-        // burning CPU) until the pause elapses.
-        let now = Instant::now();
-        let listener_armed = match cooldown {
-            Some(until) if until > now => false,
-            _ => {
-                cooldown = None;
-                true
-            }
-        };
-        let timeout = cooldown.map(|until| until.saturating_duration_since(now));
-        let mut entries = vec![PollEntry {
-            fd: waker.fd(),
-            read: true,
-            write: false,
-        }];
-        if listener_armed {
-            entries.push(PollEntry {
-                fd: listener.as_raw_fd(),
-                read: true,
-                write: false,
-            });
-        }
-        let ready = match poll(&entries, timeout) {
-            Ok(ready) => ready,
-            Err(_) => {
-                std::thread::sleep(Duration::from_millis(1));
-                continue;
-            }
-        };
-        if ready[0].readable {
-            waker.drain();
-        }
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        if listener_armed && !ready[1].is_empty() {
-            // Drain the whole accept backlog while it's hot.
-            loop {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        backoff.on_success();
-                        // Handler threads do blocking I/O; undo the
-                        // non-blocking flag inherited on some platforms.
-                        let _ = stream.set_nonblocking(false);
-                        admit(&shared, &shed, stream);
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        // EMFILE and friends: count it and cool down
-                        // instead of hot-spinning on a failing accept.
-                        shared.metrics.add(CTR_ACCEPT_ERRORS, 1);
-                        cooldown = Some(Instant::now() + backoff.on_error());
-                        break;
-                    }
-                }
-            }
-        }
-    }
-    // ShedPool::drop joins its workers (bounded by MAX_WAIT).
-}
-
-/// Blocking accept loop used when the listener can't go non-blocking
-/// (and as the whole story on non-unix builds): keeps the shed pool,
-/// the accept-error counter, and a sleep-based backoff, but shutdown
-/// wake relies on the next connection arriving.
-#[cfg(unix)]
-fn blocking_accept_fallback(shared: Arc<Shared>, listener: TcpListener) {
-    blocking_accept_body(shared, listener)
-}
-
-#[cfg(not(unix))]
-fn blocking_accept_loop(shared: Arc<Shared>, listener: TcpListener) {
-    blocking_accept_body(shared, listener)
-}
-
-fn blocking_accept_body(shared: Arc<Shared>, listener: TcpListener) {
-    use crate::stats::CTR_ACCEPT_ERRORS;
-    let shed = ShedPool::start(&shared);
-    let mut error_pause = Duration::from_millis(1);
-    for stream in listener.incoming() {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        match stream {
-            Ok(stream) => {
-                error_pause = Duration::from_millis(1);
-                admit(&shared, &shed, stream);
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                shared.metrics.add(CTR_ACCEPT_ERRORS, 1);
-                std::thread::sleep(error_pause);
-                error_pause = (error_pause * 2).min(Duration::from_millis(100));
-            }
-        }
-    }
-}
-
-fn handle_connection(shared: &Shared, stream: TcpStream) {
-    let _ = stream.set_nodelay(true);
-    // A stalled or byte-dribbling client must not pin this worker forever:
-    // a timed-out read/write surfaces as an Io error below and the
-    // connection is dropped.
-    let _ = stream.set_read_timeout(shared.config.read_timeout);
-    let _ = stream.set_write_timeout(shared.config.write_timeout);
-    match &shared.faults {
-        Some(script) => serve_loop(shared, FaultyTransport::new(stream, Arc::clone(script))),
-        None => serve_loop(shared, stream),
-    }
-}
-
-fn serve_loop<S: Read + Write>(shared: &Shared, mut stream: S) {
-    // Until a `Hello` negotiates otherwise, the session speaks v1: a
-    // pre-v2 client that skips the handshake gets exactly the byte
-    // stream it always did.
-    let mut session_version = V1;
-    loop {
-        let req = match crate::protocol::read_request(&mut stream) {
-            Ok(req) => req,
-            // A clean disconnect shows up as EOF at an envelope boundary.
-            Err(ServeError::Truncated { got: 0, .. }) | Err(ServeError::Io(_)) => return,
-            Err(e) => {
-                // Malformed framing: answer in-band, then drop the
-                // connection — stream sync is gone.
-                let reply = Response::Error {
-                    code: ERR_BAD_REQUEST,
-                    message: e.to_string(),
-                };
-                let _ = write_response_v(&mut stream, session_version, &reply);
-                return;
-            }
-        };
-        // Graceful shutdown: requests already being processed drain to
-        // their replies, but nothing *new* is admitted once the flag is
-        // up — the connection is dropped at the request boundary.
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let t0 = Instant::now();
-        let span = accelviz_trace::span("serve.request");
-        let _inflight = CountGuard({
-            shared.inflight_requests.fetch_add(1, Ordering::SeqCst);
-            &shared.inflight_requests
-        });
-        // Panic isolation: a poisoned request must not take the
-        // connection (let alone the listener) down with it. The client
-        // gets ERR_INTERNAL and the request/reply loop continues.
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            respond(shared, req, &mut stream, &mut session_version)
-        }));
-        let (bytes, served_frame) = match outcome {
-            Ok(Ok(r)) => r,
-            Ok(Err(_)) => return, // client went away mid-reply
-            Err(_panic) => {
-                shared.metrics.add(CTR_HANDLER_PANICS, 1);
-                let reply = Response::Error {
-                    code: ERR_INTERNAL,
-                    message: "internal error serving this request; the connection survives"
-                        .to_string(),
-                };
-                match write_response_v(&mut stream, session_version, &reply) {
-                    Ok(bytes) => (bytes, false),
-                    Err(_) => return,
-                }
-            }
-        };
-        drop(span);
-        shared.metrics.add(CTR_REQUESTS, 1);
-        shared.metrics.add(CTR_BYTES_SENT, bytes);
-        if served_frame {
-            shared.metrics.add(CTR_FRAMES_SERVED, 1);
-        }
-        shared
-            .metrics
-            .record_seconds(HIST_LATENCY, t0.elapsed().as_secs_f64());
+        self.door.close();
     }
 }
 
@@ -787,10 +307,8 @@ fn try_extraction_permit(shared: &Shared) -> Option<CountGuard<'_>> {
 
 /// Serves one request; returns (wire bytes written, was a frame reply).
 /// `session_version` is the connection's negotiated protocol version —
-/// `Hello` updates it, every reply is framed with it. `stream` is any
-/// writer: the live socket for the threaded backend, a staging buffer
-/// for the reactor (which flushes it under write readiness).
-pub(crate) fn respond<S: Write>(
+/// `Hello` updates it, every reply is framed with it.
+fn respond<S: Write>(
     shared: &Shared,
     req: Request,
     stream: &mut S,
@@ -1041,77 +559,6 @@ fn build_frame(
     }
 }
 
-/// Handles one decoded-or-failed request for the reactor backend: the
-/// same `read_request` → `respond` → counters path as [`serve_loop`],
-/// but over an in-memory request slice and a staging buffer instead of
-/// a live socket. Returns `(reply_bytes, new_session_version,
-/// close_after_reply)`; an empty reply means "just close".
-#[cfg(unix)]
-pub(crate) fn process_request_bytes(
-    shared: &Shared,
-    request: &[u8],
-    session_version: u16,
-    t0: Instant,
-) -> (Vec<u8>, u16, bool) {
-    let mut version = session_version;
-    let mut reply = Vec::new();
-    let req = match crate::protocol::read_request(&mut &request[..]) {
-        Ok(req) => req,
-        Err(e) => {
-            // Malformed framing: answer in-band, then drop the
-            // connection — stream sync is gone. (Mirrors serve_loop.)
-            let _ = write_response_v(
-                &mut reply,
-                version,
-                &Response::Error {
-                    code: ERR_BAD_REQUEST,
-                    message: e.to_string(),
-                },
-            );
-            return (reply, version, true);
-        }
-    };
-    if shared.shutdown.load(Ordering::SeqCst) {
-        return (Vec::new(), version, true);
-    }
-    let span = accelviz_trace::span("serve.request");
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        respond(shared, req, &mut reply, &mut version)
-    }));
-    let (bytes, served_frame) = match outcome {
-        // Writing into a Vec cannot fail, so Ok(Err(_)) is unreachable
-        // in practice; treat it as a close for completeness.
-        Ok(Ok(r)) => r,
-        Ok(Err(_)) => return (Vec::new(), version, true),
-        Err(_panic) => {
-            shared.metrics.add(CTR_HANDLER_PANICS, 1);
-            reply.clear();
-            match write_response_v(
-                &mut reply,
-                version,
-                &Response::Error {
-                    code: ERR_INTERNAL,
-                    message: "internal error serving this request; the connection survives"
-                        .to_string(),
-                },
-            ) {
-                Ok(bytes) => (bytes, false),
-                Err(_) => return (Vec::new(), version, true),
-            }
-        }
-    };
-    drop(span);
-    shared.metrics.add(CTR_REQUESTS, 1);
-    shared.metrics.add(CTR_BYTES_SENT, bytes);
-    if served_frame {
-        shared.metrics.add(CTR_FRAMES_SERVED, 1);
-    }
-    shared
-        .metrics
-        .record_seconds(HIST_LATENCY, t0.elapsed().as_secs_f64());
-    (reply, version, false)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1143,43 +590,6 @@ mod tests {
     }
 
     #[test]
-    fn both_backends_spawn_and_report_themselves() {
-        for backend in [ServeBackend::Threaded, ServeBackend::Reactor] {
-            let config = ServerConfig {
-                backend,
-                ..ServerConfig::default()
-            };
-            let server = FrameServer::spawn_loopback(stores(1), config).unwrap();
-            if cfg!(unix) {
-                assert_eq!(server.backend(), backend);
-            } else {
-                assert_eq!(server.backend(), ServeBackend::Threaded);
-            }
-            server.shutdown();
-        }
-    }
-
-    #[test]
-    fn backend_env_values_parse_with_a_platform_default() {
-        assert_eq!(
-            ServeBackend::from_env_value(Some("threaded")),
-            ServeBackend::Threaded
-        );
-        assert_eq!(
-            ServeBackend::from_env_value(Some("reactor")),
-            ServeBackend::Reactor
-        );
-        let default = ServeBackend::from_env_value(None);
-        let garbage = ServeBackend::from_env_value(Some("epoll"));
-        assert_eq!(default, garbage, "unknown values fall to the default");
-        if cfg!(unix) {
-            assert_eq!(default, ServeBackend::Reactor);
-        } else {
-            assert_eq!(default, ServeBackend::Threaded);
-        }
-    }
-
-    #[test]
     fn extraction_permits_are_bounded_and_returned() {
         let config = ServerConfig {
             max_inflight_extractions: 2,
@@ -1190,11 +600,7 @@ mod tests {
             config,
             cache: ExtractionCache::new(2),
             metrics: Registry::new(),
-            shutdown: AtomicBool::new(false),
-            active_connections: AtomicUsize::new(0),
-            inflight_requests: AtomicUsize::new(0),
             building_extractions: AtomicUsize::new(0),
-            faults: None,
         };
         let a = try_extraction_permit(&shared);
         let b = try_extraction_permit(&shared);

@@ -45,6 +45,9 @@ pub const CHECKSUM_BYTES: u64 = 8;
 /// paper's ~100 MB frames but small enough to reject garbage lengths
 /// before allocating.
 pub const MAX_PAYLOAD: u64 = 1 << 30;
+/// What [`read_envelope`] reserves for a payload up front, whatever the
+/// header declares; beyond it the buffer grows as bytes arrive.
+const PAYLOAD_FIRST_RESERVE: u64 = 64 << 10;
 
 /// FNV-1a 64-bit hash — the envelope checksum.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -134,6 +137,15 @@ fn read_exact_or_truncated<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<()> {
 /// Reads and validates one envelope: magic, version, length bound, and
 /// checksum, in that order.
 pub fn read_envelope<R: Read>(r: &mut R) -> Result<Envelope> {
+    read_envelope_within(r, MAX_PAYLOAD)
+}
+
+/// [`read_envelope`] with a caller-chosen payload bound: a header that
+/// declares more than `max_payload` bytes is [`ServeError::Corrupt`]
+/// before a single payload byte is read. The server side reads requests
+/// through this with a request-sized bound
+/// ([`crate::protocol::MAX_REQUEST_PAYLOAD`]).
+pub fn read_envelope_within<R: Read>(r: &mut R, max_payload: u64) -> Result<Envelope> {
     let mut header = [0u8; 16];
     read_exact_or_truncated(r, &mut header)?;
 
@@ -147,14 +159,23 @@ pub fn read_envelope<R: Read>(r: &mut R) -> Result<Envelope> {
     }
     let kind = header[6];
     let len = u64::from_le_bytes(header[8..16].try_into().unwrap());
-    if len > MAX_PAYLOAD {
+    if len > max_payload {
         return Err(ServeError::Corrupt(format!(
-            "declared payload of {len} bytes exceeds the {MAX_PAYLOAD} limit"
+            "declared payload of {len} bytes exceeds the {max_payload} limit"
         )));
     }
 
-    let mut payload = vec![0u8; len as usize];
-    read_exact_or_truncated(r, &mut payload)?;
+    // The declared length is the peer's claim, not yet its bytes: the
+    // buffer grows with what actually arrives, so a 16-byte header
+    // cannot buy a gigabyte of zeroed memory.
+    let mut payload = Vec::with_capacity(len.min(PAYLOAD_FIRST_RESERVE) as usize);
+    let got = r.by_ref().take(len).read_to_end(&mut payload)? as u64;
+    if got < len {
+        return Err(ServeError::Truncated {
+            needed: len - got,
+            got,
+        });
+    }
     let mut trailer = [0u8; 8];
     read_exact_or_truncated(r, &mut trailer)?;
     let expected = u64::from_le_bytes(trailer);

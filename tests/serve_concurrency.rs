@@ -1,10 +1,9 @@
-//! Concurrency acceptance for the frame service, run against *both*
-//! connection backends: a 200-client storm must come back bit-identical
-//! with the reactor's OS-thread count bounded by its fixed worker pool,
-//! a connect flood past the connection cap must be answered in-band
-//! without spawning a thread per shed socket, shutdown of an idle server
-//! must complete in bounded time without waiting for a next connection,
-//! and the server-side chaos hook must be survivable on either backend.
+//! Concurrency acceptance for the frame service: a 200-client storm
+//! must come back bit-identical, a connect flood past the connection cap
+//! must be answered in-band without spawning a thread per shed socket,
+//! shutdown of an idle server must complete in bounded time without
+//! waiting for a next connection, and the server-side chaos hook must be
+//! survivable.
 
 use accelviz::beam::distribution::Distribution;
 use accelviz::octree::builder::{partition, BuildParams};
@@ -13,9 +12,7 @@ use accelviz::octree::sorted_store::PartitionedData;
 use accelviz::serve::fault::{FaultDirection, FaultEvent, FaultKind};
 use accelviz::serve::protocol::{read_response, write_request, Request, Response, ERR_BUSY};
 use accelviz::serve::stats::{CTR_HANDLER_PANICS, CTR_SHED_CONNECTIONS};
-use accelviz::serve::{
-    Client, ClientConfig, FaultPlan, FrameServer, RetryPolicy, ServeBackend, ServerConfig,
-};
+use accelviz::serve::{Client, ClientConfig, FaultPlan, FrameServer, RetryPolicy, ServerConfig};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -29,14 +26,6 @@ fn stores(n: usize) -> Vec<PartitionedData> {
             partition(&ps, PlotType::XYZ, BuildParams::default())
         })
         .collect()
-}
-
-fn backends() -> Vec<ServeBackend> {
-    if cfg!(unix) {
-        vec![ServeBackend::Threaded, ServeBackend::Reactor]
-    } else {
-        vec![ServeBackend::Threaded]
-    }
 }
 
 /// Live OS threads in this process, when the platform exposes them.
@@ -57,92 +46,53 @@ fn snapshot_when_parked(done: &AtomicUsize, target: usize) -> Option<usize> {
     live_threads()
 }
 
-/// Tentpole acceptance: ≥200 simultaneous loopback clients against a
-/// small fixed worker pool, every frame bit-identical to an uncontended
-/// fetch — and, on the reactor, no thread-per-connection anywhere: the
-/// process grows by exactly the client threads the test itself spawned.
+/// ≥200 simultaneous loopback sessions, all held open at once, every
+/// frame bit-identical to an uncontended fetch.
 #[test]
 fn two_hundred_clients_fetch_bit_identical_frames() {
     const CLIENTS: usize = 200;
     let data = stores(2);
-    for backend in backends() {
-        let config = ServerConfig {
-            backend,
-            worker_threads: 3,
-            max_connections: 256,
-            ..ServerConfig::default()
-        };
-        let before_server = live_threads();
-        let server = FrameServer::spawn_loopback(data.clone(), config).unwrap();
-        assert_eq!(server.backend(), backend);
+    let config = ServerConfig {
+        max_connections: 256,
+        ..ServerConfig::default()
+    };
+    let server = FrameServer::spawn_loopback(data.clone(), config).unwrap();
 
-        if backend == ServeBackend::Reactor {
-            if let (Some(before), Some(after)) = (before_server, live_threads()) {
-                // One reactor loop + the fixed pool, nothing else.
-                assert!(
-                    after <= before + config.worker_threads + 2,
-                    "reactor spawned {} threads, want <= pool {} + loop",
-                    after - before,
-                    config.worker_threads
-                );
-            }
-        }
-
-        // The uncontended reference fetch, per frame.
-        let mut reference = Vec::new();
-        let mut probe = Client::connect_with(server.addr(), ClientConfig::no_retry()).unwrap();
-        for frame in 0..data.len() as u32 {
-            reference.push(probe.fetch(frame, f64::INFINITY).unwrap().0);
-        }
-        drop(probe);
-
-        let reference = Arc::new(reference);
-        let baseline = live_threads();
-        let parked = Arc::new(AtomicUsize::new(0));
-        let release = Arc::new(Barrier::new(CLIENTS + 1));
-        let addr = server.addr();
-        let workers: Vec<_> = (0..CLIENTS)
-            .map(|i| {
-                let reference = Arc::clone(&reference);
-                let parked = Arc::clone(&parked);
-                let release = Arc::clone(&release);
-                std::thread::spawn(move || {
-                    let mut client = Client::connect_with(addr, ClientConfig::no_retry()).unwrap();
-                    let frame = (i % reference.len()) as u32;
-                    let (got, _) = client.fetch(frame, f64::INFINITY).unwrap();
-                    let identical = got == reference[frame as usize];
-                    // Hold the connection open until everyone is in, so
-                    // the snapshot sees all 200 sessions live at once.
-                    parked.fetch_add(1, Ordering::SeqCst);
-                    release.wait();
-                    identical
-                })
-            })
-            .collect();
-
-        let during = snapshot_when_parked(&parked, CLIENTS);
-        if backend == ServeBackend::Reactor {
-            if let (Some(baseline), Some(during)) = (baseline, during) {
-                // The only growth is the 200 client threads this test
-                // spawned; a thread-per-connection server would add
-                // ~200 more on top.
-                assert!(
-                    during <= baseline + CLIENTS + 4,
-                    "{during} threads during the storm against a baseline of \
-                     {baseline}: the reactor must not spawn per-connection threads"
-                );
-            }
-        }
-        release.wait();
-        for handle in workers {
-            assert!(
-                handle.join().expect("client thread must not panic"),
-                "a storm client saw a frame differing from the reference"
-            );
-        }
-        assert_eq!(server.metrics().counter(CTR_HANDLER_PANICS), 0);
-        server.shutdown();
+    // The uncontended reference fetch, per frame.
+    let mut reference = Vec::new();
+    let mut probe = Client::connect_with(server.addr(), ClientConfig::no_retry()).unwrap();
+    for frame in 0..data.len() as u32 {
+        reference.push(probe.fetch(frame, f64::INFINITY).unwrap().0);
     }
+    drop(probe);
+
+    let reference = Arc::new(reference);
+    // Every client holds its connection open until all are in, so the
+    // server carries all 200 sessions live at once.
+    let release = Arc::new(Barrier::new(CLIENTS));
+    let addr = server.addr();
+    let workers: Vec<_> = (0..CLIENTS)
+        .map(|i| {
+            let reference = Arc::clone(&reference);
+            let release = Arc::clone(&release);
+            std::thread::spawn(move || {
+                let mut client = Client::connect_with(addr, ClientConfig::no_retry()).unwrap();
+                let frame = (i % reference.len()) as u32;
+                let (got, _) = client.fetch(frame, f64::INFINITY).unwrap();
+                let identical = got == reference[frame as usize];
+                release.wait();
+                identical
+            })
+        })
+        .collect();
+    for handle in workers {
+        assert!(
+            handle.join().expect("client thread must not panic"),
+            "a storm client saw a frame differing from the reference"
+        );
+    }
+    assert_eq!(server.metrics().counter(CTR_HANDLER_PANICS), 0);
+    server.shutdown();
 }
 
 /// Regression for the shed path: a connect flood past the connection cap
@@ -154,69 +104,66 @@ fn two_hundred_clients_fetch_bit_identical_frames() {
 fn connect_flood_past_the_cap_is_shed_without_thread_growth() {
     const FLOOD: usize = 48;
     let data = stores(1);
-    for backend in backends() {
-        let config = ServerConfig {
-            backend,
-            max_connections: 1,
-            ..ServerConfig::default()
-        };
-        let server = FrameServer::spawn_loopback(data.clone(), config).unwrap();
+    let config = ServerConfig {
+        max_connections: 1,
+        ..ServerConfig::default()
+    };
+    let server = FrameServer::spawn_loopback(data, config).unwrap();
 
-        // Occupy the only slot, and prove it is actually held.
-        let mut admitted = Client::connect_with(server.addr(), ClientConfig::no_retry()).unwrap();
-        admitted.fetch(0, f64::INFINITY).unwrap();
+    // Occupy the only slot, and prove it is actually held.
+    let mut admitted = Client::connect_with(server.addr(), ClientConfig::no_retry()).unwrap();
+    admitted.fetch(0, f64::INFINITY).unwrap();
 
-        let baseline = live_threads();
-        let parked = Arc::new(AtomicUsize::new(0));
-        let release = Arc::new(Barrier::new(FLOOD + 1));
-        let addr = server.addr();
-        let floods: Vec<_> = (0..FLOOD)
-            .map(|_| {
-                let parked = Arc::clone(&parked);
-                let release = Arc::clone(&release);
-                std::thread::spawn(move || {
-                    let stream = TcpStream::connect(addr).unwrap();
-                    // Park *before* sending anything: the old shed path
-                    // blocked one fresh thread per connection right here,
-                    // waiting for this request to arrive.
-                    parked.fetch_add(1, Ordering::SeqCst);
-                    release.wait();
-                    probe_shed_outcome(stream)
-                })
+    let baseline = live_threads();
+    let parked = Arc::new(AtomicUsize::new(0));
+    let release = Arc::new(Barrier::new(FLOOD + 1));
+    let addr = server.addr();
+    let floods: Vec<_> = (0..FLOOD)
+        .map(|_| {
+            let parked = Arc::clone(&parked);
+            let release = Arc::clone(&release);
+            std::thread::spawn(move || {
+                let stream = TcpStream::connect(addr).unwrap();
+                // Park *before* sending anything: the old shed path
+                // blocked one fresh thread per connection right here,
+                // waiting for this request to arrive.
+                parked.fetch_add(1, Ordering::SeqCst);
+                release.wait();
+                probe_shed_outcome(stream)
             })
-            .collect();
+        })
+        .collect();
 
-        let during = snapshot_when_parked(&parked, FLOOD);
-        if let (Some(baseline), Some(during)) = (baseline, during) {
-            assert!(
-                during <= baseline + FLOOD + 4,
-                "{during} threads during a {FLOOD}-connection flood against a \
-                 baseline of {baseline}: shed connections must not each get a thread"
-            );
-        }
-        release.wait();
-        let mut busy = 0usize;
-        let mut closed = 0usize;
-        for handle in floods {
-            match handle.join().expect("flood thread must not panic") {
-                ShedOutcome::Busy => busy += 1,
-                ShedOutcome::Closed => closed += 1,
-            }
-        }
-        assert_eq!(busy + closed, FLOOD, "every flood socket is accounted for");
-        assert!(busy >= 1, "at least some arrivals get the in-band ERR_BUSY");
-        // Counted, not silently dropped — every arrival shows on the shed
-        // counter even when the bounded answer queue was full.
-        assert_eq!(
-            server.metrics().counter(CTR_SHED_CONNECTIONS),
-            FLOOD as u64,
-            "every shed arrival must be counted"
+    let during = snapshot_when_parked(&parked, FLOOD);
+    if let (Some(baseline), Some(during)) = (baseline, during) {
+        assert!(
+            during <= baseline + FLOOD + 4,
+            "{during} threads during a {FLOOD}-connection flood against a \
+             baseline of {baseline}: shed connections must not each get a thread"
         );
-
-        // The admitted session never noticed the flood.
-        admitted.fetch(0, f64::INFINITY).unwrap();
-        server.shutdown();
     }
+    release.wait();
+    let mut busy = 0usize;
+    let mut closed = 0usize;
+    for handle in floods {
+        match handle.join().expect("flood thread must not panic") {
+            ShedOutcome::Busy => busy += 1,
+            ShedOutcome::Closed => closed += 1,
+        }
+    }
+    assert_eq!(busy + closed, FLOOD, "every flood socket is accounted for");
+    assert!(busy >= 1, "at least some arrivals get the in-band ERR_BUSY");
+    // Counted, not silently dropped — every arrival shows on the shed
+    // counter even when the bounded answer queue was full.
+    assert_eq!(
+        server.metrics().counter(CTR_SHED_CONNECTIONS),
+        FLOOD as u64,
+        "every shed arrival must be counted"
+    );
+
+    // The admitted session never noticed the flood.
+    admitted.fetch(0, f64::INFINITY).unwrap();
+    server.shutdown();
 }
 
 enum ShedOutcome {
@@ -255,34 +202,28 @@ fn probe_shed_outcome(mut stream: TcpStream) -> ShedOutcome {
 
 /// Regression for the acceptor wake: shutting down an idle server used to
 /// block until `listener.incoming()` happened to yield one more
-/// connection. Both backends must now observe shutdown deterministically.
+/// connection. The acceptor must observe shutdown deterministically.
 #[test]
 fn idle_server_shutdown_latency_is_bounded() {
     let data = stores(1);
-    for backend in backends() {
-        let config = ServerConfig {
-            backend,
-            ..ServerConfig::default()
-        };
-        let server = FrameServer::spawn_loopback(data.clone(), config).unwrap();
-        // Fully idle: nobody connected, nobody will.
-        std::thread::sleep(Duration::from_millis(50));
-        let t0 = Instant::now();
-        server.shutdown();
-        let latency = t0.elapsed();
-        assert!(
-            latency < Duration::from_secs(2),
-            "idle {backend:?} shutdown took {latency:?}; the acceptor was not woken"
-        );
-    }
+    let server = FrameServer::spawn_loopback(data, ServerConfig::default()).unwrap();
+    // Fully idle: nobody connected, nobody will.
+    std::thread::sleep(Duration::from_millis(50));
+    let t0 = Instant::now();
+    server.shutdown();
+    let latency = t0.elapsed();
+    assert!(
+        latency < Duration::from_secs(2),
+        "idle shutdown took {latency:?}; the acceptor was not woken"
+    );
 }
 
-/// The server-side chaos hook on both backends: a session whose *server*
-/// end suffers scripted delays, reply truncation, and disconnects in both
+/// The server-side chaos hook: a session whose *server* end suffers
+/// scripted delays, reply truncation, and disconnects in both
 /// directions still delivers every frame bit-identical to a fault-free
 /// run, through client retries alone, with zero handler panics.
 #[test]
-fn server_side_chaos_is_survivable_on_both_backends() {
+fn server_side_chaos_is_survivable() {
     let data = stores(3);
 
     // Fault-free reference, served once from a clean server.
@@ -294,59 +235,54 @@ fn server_side_chaos_is_survivable_on_both_backends() {
     drop(probe);
     clean.shutdown();
 
-    for backend in backends() {
-        let config = ServerConfig {
-            backend,
-            ..ServerConfig::default()
-        };
-        // Server-side lanes: Read faults hit requests, Write faults hit
-        // replies. The trio every chaos plan must carry — a delay, a
-        // truncated reply, disconnects both ways — placed inside the
-        // first frame's reply volume so a completed run provably
-        // survived them all.
-        let plan = FaultPlan::new(vec![
-            FaultEvent {
-                direction: FaultDirection::Write,
-                at_byte: 64,
-                kind: FaultKind::Delay(Duration::from_millis(5)),
-            },
-            FaultEvent {
-                direction: FaultDirection::Write,
-                at_byte: 3_000,
-                kind: FaultKind::Truncate,
-            },
-            FaultEvent {
-                direction: FaultDirection::Write,
-                at_byte: 9_000,
-                kind: FaultKind::Disconnect,
-            },
-            FaultEvent {
-                direction: FaultDirection::Read,
-                at_byte: 400,
-                kind: FaultKind::Disconnect,
-            },
-        ]);
-        let script = plan.script();
-        let server = FrameServer::spawn_chaos(data.clone(), config, Arc::clone(&script)).unwrap();
+    // Server-side lanes: Read faults hit requests, Write faults hit
+    // replies. The trio every chaos plan must carry — a delay, a
+    // truncated reply, disconnects both ways — placed inside the
+    // first frame's reply volume so a completed run provably
+    // survived them all.
+    let plan = FaultPlan::new(vec![
+        FaultEvent {
+            direction: FaultDirection::Write,
+            at_byte: 64,
+            kind: FaultKind::Delay(Duration::from_millis(5)),
+        },
+        FaultEvent {
+            direction: FaultDirection::Write,
+            at_byte: 3_000,
+            kind: FaultKind::Truncate,
+        },
+        FaultEvent {
+            direction: FaultDirection::Write,
+            at_byte: 9_000,
+            kind: FaultKind::Disconnect,
+        },
+        FaultEvent {
+            direction: FaultDirection::Read,
+            at_byte: 400,
+            kind: FaultKind::Disconnect,
+        },
+    ]);
+    let script = plan.script();
+    let server =
+        FrameServer::spawn_chaos(data, ServerConfig::default(), Arc::clone(&script)).unwrap();
 
-        let retry = ClientConfig {
-            retry: Some(RetryPolicy::fast(20_260_807)),
-            ..ClientConfig::default()
-        };
-        let mut client = Client::connect_with(server.addr(), retry).unwrap();
-        for (i, want) in reference.iter().enumerate() {
-            let (got, _) = client.fetch(i as u32, f64::INFINITY).unwrap();
-            assert_eq!(
-                &got, want,
-                "frame {i} over a faulted {backend:?} server differs from clean run"
-            );
-        }
-
-        let fired = script.stats();
-        assert!(fired.delays >= 1, "no delay fired: {fired:?}");
-        assert!(fired.truncations >= 1, "no truncation fired: {fired:?}");
-        assert!(fired.disconnects >= 1, "no disconnect fired: {fired:?}");
-        assert_eq!(server.metrics().counter(CTR_HANDLER_PANICS), 0);
-        server.shutdown();
+    let retry = ClientConfig {
+        retry: Some(RetryPolicy::fast(20_260_807)),
+        ..ClientConfig::default()
+    };
+    let mut client = Client::connect_with(server.addr(), retry).unwrap();
+    for (i, want) in reference.iter().enumerate() {
+        let (got, _) = client.fetch(i as u32, f64::INFINITY).unwrap();
+        assert_eq!(
+            &got, want,
+            "frame {i} over a faulted server differs from clean run"
+        );
     }
+
+    let fired = script.stats();
+    assert!(fired.delays >= 1, "no delay fired: {fired:?}");
+    assert!(fired.truncations >= 1, "no truncation fired: {fired:?}");
+    assert!(fired.disconnects >= 1, "no disconnect fired: {fired:?}");
+    assert_eq!(server.metrics().counter(CTR_HANDLER_PANICS), 0);
+    server.shutdown();
 }

@@ -6,9 +6,6 @@
 //! background prober both discovers death without client traffic and
 //! reinstates a shard that comes back on its old address with no
 //! operator in the loop.
-//!
-//! Runs against whichever serve backend `ACCELVIZ_SERVE_BACKEND`
-//! selects, like the other serve suites — CI matrixes it over both.
 
 use accelviz::beam::distribution::Distribution;
 use accelviz::core::shard::ShardSpec;

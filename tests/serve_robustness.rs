@@ -7,8 +7,11 @@ use accelviz::beam::distribution::Distribution;
 use accelviz::octree::builder::{partition, BuildParams};
 use accelviz::octree::plots::PlotType;
 use accelviz::octree::sorted_store::PartitionedData;
-use accelviz::serve::protocol::{ERR_BAD_THRESHOLD, ERR_INTERNAL};
+use accelviz::serve::protocol::{
+    read_response, Response, ERR_BAD_REQUEST, ERR_BAD_THRESHOLD, ERR_INTERNAL,
+};
 use accelviz::serve::stats::CTR_HANDLER_PANICS;
+use accelviz::serve::wire::{MAGIC, V1};
 use accelviz::serve::{Client, ClientConfig, FrameServer, ServeError, ServerConfig};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -87,6 +90,29 @@ fn byte_dribbling_client_cannot_pin_a_worker() {
 
     let client = Client::connect(server.addr()).unwrap();
     assert_eq!(client.frame_count(), 1);
+    server.shutdown();
+}
+
+/// A 16-byte header may not buy memory or a session thread: a request
+/// header declaring far more than any request carries is rejected on
+/// the header alone — default (30 s) read timeout, no payload ever sent.
+#[test]
+fn oversized_request_declaration_is_rejected_before_its_payload() {
+    let server = FrameServer::spawn_loopback(stores(1), ServerConfig::default()).unwrap();
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(1)))
+        .unwrap();
+    let mut header = [0u8; 16];
+    header[0..4].copy_from_slice(&MAGIC);
+    header[4..6].copy_from_slice(&V1.to_le_bytes());
+    header[6] = 0x03; // REQ_FRAME
+    header[8..16].copy_from_slice(&(1u64 << 20).to_le_bytes());
+    stream.write_all(&header).unwrap();
+    match read_response(&mut stream) {
+        Ok((Response::Error { code, .. }, _)) => assert_eq!(code, ERR_BAD_REQUEST),
+        other => panic!("expected ERR_BAD_REQUEST within 1 s, got {other:?}"),
+    }
     server.shutdown();
 }
 

@@ -11,10 +11,10 @@ use accelviz::core::viewer::FrameSource;
 use accelviz::octree::builder::{partition, BuildParams};
 use accelviz::octree::plots::PlotType;
 use accelviz::octree::sorted_store::PartitionedData;
-use accelviz::serve::protocol::{ERR_BAD_THRESHOLD, ERR_NO_SUCH_FRAME};
+use accelviz::serve::protocol::{ERR_BAD_THRESHOLD, ERR_BUSY, ERR_NO_SUCH_FRAME};
 use accelviz::serve::router::{
     CTR_ROUTER_CACHE_HITS, CTR_ROUTER_CACHE_MISSES, CTR_ROUTER_COALESCED,
-    CTR_ROUTER_UPSTREAM_ERRORS, CTR_ROUTER_UPSTREAM_FETCHES,
+    CTR_ROUTER_SHED_CONNECTIONS, CTR_ROUTER_UPSTREAM_ERRORS, CTR_ROUTER_UPSTREAM_FETCHES,
 };
 use accelviz::serve::stats::{CTR_CACHE_MISSES, CTR_FRAMES_SERVED};
 use accelviz::serve::wire::{V1, V2};
@@ -381,6 +381,32 @@ fn router_rejects_bad_requests_in_band() {
     // The connection survived both rejections.
     let (frame, _) = client.fetch(0, f64::INFINITY).unwrap();
     assert_eq!(frame.step, 0);
+    service.shutdown();
+}
+
+/// A router at its connection cap sheds exactly like a server: the
+/// arrival is counted and answered `ERR_BUSY` in-band, and the admitted
+/// session never notices.
+#[test]
+fn router_at_its_connection_cap_answers_err_busy_in_band() {
+    let config = RouterConfig {
+        max_connections: 1,
+        ..RouterConfig::default()
+    };
+    let service =
+        ShardedFrameService::spawn_loopback(stores(2), 2, ServerConfig::default(), config).unwrap();
+    let mut admitted = Client::connect_with(service.addr(), ClientConfig::no_retry()).unwrap();
+    admitted.fetch(0, f64::INFINITY).unwrap();
+
+    match Client::connect_with(service.addr(), ClientConfig::no_retry()) {
+        Err(ServeError::Remote { code, .. }) => assert_eq!(code, ERR_BUSY),
+        Err(other) => panic!("expected in-band ERR_BUSY, got {other:?}"),
+        Ok(_) => panic!("the second client was admitted past the cap"),
+    }
+    let router = service.router().metrics();
+    assert_eq!(router.counter(CTR_ROUTER_SHED_CONNECTIONS), 1);
+
+    admitted.fetch(1, f64::INFINITY).unwrap();
     service.shutdown();
 }
 
