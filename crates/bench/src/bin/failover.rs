@@ -79,7 +79,10 @@ fn service(data: &[PartitionedData], replication: usize, seed: u64) -> ShardedFr
     // availability here must measure the shards, not the router cache.
     let router_config = RouterConfig {
         cache_bytes: 1,
-        upstream_retry: Some(RetryPolicy::fast(seed)),
+        upstream: ClientConfig {
+            retry: Some(RetryPolicy::fast(seed)),
+            ..ClientConfig::default()
+        },
         breaker: BreakerConfig {
             failure_threshold: 1,
             open_cooldown: Duration::from_millis(150),

@@ -132,7 +132,11 @@ fn score(frame: u32, shard: usize) -> u64 {
     splitmix64(f ^ s)
 }
 
-fn splitmix64(mut x: u64) -> u64 {
+/// SplitMix64's output function: `x` advanced by the golden-ratio
+/// increment, then avalanched. The workspace's one seed mixer — the
+/// rendezvous scores here, and every seeded schedule in `accelviz-serve`
+/// (retry jitter, probe jitter, per-dial seeds, chaos plans).
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

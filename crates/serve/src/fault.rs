@@ -83,11 +83,9 @@ pub struct FaultPlan {
 /// SplitMix64 — the plan generator's only randomness, fully determined
 /// by the seed.
 fn splitmix64(state: &mut u64) -> u64 {
+    let out = accelviz_core::shard::splitmix64(*state);
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    out
 }
 
 impl FaultPlan {

@@ -1,10 +1,11 @@
-//! The one front door: accept loop, admission, session loop and stop.
+//! The one front door: accept loop, admission, session loop, protocol
+//! dispatch and stop.
 //!
 //! [`crate::server::FrameServer`] and [`crate::router::FrameRouter`]
-//! answer the same protocol with different state behind it, so both hand
-//! a [`Handler`] — shared state, a `respond` function, a table of
-//! counter names — to a [`FrontDoor`], which owns everything between the
-//! listening socket and that function:
+//! answer the same protocol and differ only in where a frame comes from,
+//! so both hand a [`Handler`] — a frame origin plus a table of counter
+//! names — to a [`FrontDoor`], which owns everything between the
+//! listening socket and that origin:
 //!
 //! - **Accept.** One thread polls the non-blocking listener next to a
 //!   self-pipe [`Waker`]; repeated `accept(2)` failures (fd exhaustion)
@@ -16,10 +17,15 @@
 //!   bounded pool that answers one in-band `ERR_BUSY` and closes, so a
 //!   connect flood cannot mint threads.
 //! - **Session.** Read request → shutdown check → in-flight guard →
-//!   `catch_unwind(respond)` → counters → latency histogram. A panicking
+//!   `catch_unwind(dispatch)` → counters → latency histogram. A panicking
 //!   handler costs its client one `ERR_INTERNAL`; the connection and the
 //!   listener survive. Malformed framing gets `ERR_BAD_REQUEST`, then a
 //!   close (stream sync is gone).
+//! - **Protocol.** [`dispatch`] is the only code that answers a
+//!   [`Request`]: version negotiation, validation, both frame encoders,
+//!   the progressive gate and chunk loop, and the byte counters and spans
+//!   that go with them — so a client cannot tell a router from a server,
+//!   by construction.
 //! - **Stop.** Flag, wake, join the acceptor, then wait (bounded by
 //!   [`DRAIN_TIMEOUT`]) for replies already being computed or written.
 
@@ -27,10 +33,13 @@ use crate::error::ServeError;
 use crate::fault::{FaultScript, FaultyTransport};
 use crate::poll::{poll, AcceptBackoff, Waker};
 use crate::protocol::{
-    read_request, write_response, write_response_v, Request, Response, ERR_BAD_REQUEST, ERR_BUSY,
-    ERR_INTERNAL,
+    read_request, write_chunk, write_response, write_response_v, FrameInfo, Refusal, Request,
+    Response, ERR_BAD_REQUEST, ERR_BAD_THRESHOLD, ERR_BUSY, ERR_INTERNAL, ERR_NO_SUCH_FRAME,
+    RESP_FRAME,
 };
-use crate::wire::V1;
+use crate::stats::ServerStats;
+use crate::wire::{encode_frame, encode_frame_v2, write_envelope_v, V1, V2, VERSION};
+use accelviz_core::hybrid::HybridFrame;
 use accelviz_trace::registry::Registry;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -46,8 +55,9 @@ const DRAIN_TIMEOUT: Duration = Duration::from_secs(1);
 /// The in-band message a shed connection gets with its `ERR_BUSY`.
 const SHED_CONNECTION_MSG: &str = "server at connection capacity; retry after ~100 ms";
 
-/// The registry keys a door counts under — one table per handler, so the
-/// server's sessions land on `serve.*` and the router's on `router.*`.
+/// The registry keys and span names a door counts under — one table per
+/// handler, so the server's sessions land on `serve.*` and the router's
+/// on `router.*`.
 pub(crate) struct CounterNames {
     pub(crate) requests: &'static str,
     pub(crate) bytes_sent: &'static str,
@@ -57,10 +67,24 @@ pub(crate) struct CounterNames {
     pub(crate) handler_panics: &'static str,
     /// Histogram of request service time.
     pub(crate) latency: &'static str,
+    /// What served frames would occupy as raw v1 payloads.
+    pub(crate) frame_bytes_raw: &'static str,
+    /// Frame payload bytes actually written.
+    pub(crate) frame_bytes_wire: &'static str,
+    pub(crate) lod_requests: &'static str,
+    pub(crate) lod_chunks: &'static str,
+    pub(crate) lod_bytes_wire: &'static str,
+    /// Span around one dispatched request.
+    pub(crate) span_request: &'static str,
+    /// Span around encoding and writing one full frame.
+    pub(crate) span_send: &'static str,
+    /// Span around planning one progressive stream.
+    pub(crate) span_lod_send: &'static str,
 }
 
-/// What stands behind a door: the state every session shares and the
-/// function that answers one request from it.
+/// What stands behind a door: a frame origin. The door owns the protocol
+/// ([`dispatch`]); a handler only says what frames exist and produces one
+/// on demand.
 pub(crate) trait Handler: Send + Sync + 'static {
     /// Where this handler's sessions are counted.
     const NAMES: CounterNames;
@@ -68,16 +92,19 @@ pub(crate) trait Handler: Send + Sync + 'static {
     /// The registry [`Handler::NAMES`] index into.
     fn metrics(&self) -> &Registry;
 
-    /// Serves one request; returns (wire bytes written, was a frame
-    /// reply). `session_version` is the connection's negotiated protocol
-    /// version — `Hello` updates it, every reply is framed with it. An
-    /// `Err` means the client went away mid-reply.
-    fn respond<S: Write>(
-        self: &Arc<Self>,
-        req: Request,
-        stream: &mut S,
-        session_version: &mut u16,
-    ) -> crate::error::Result<(u64, bool)>;
+    /// Frames in the catalog; requests for an index at or past this are
+    /// refused before [`Handler::frame`] is asked.
+    fn frame_count(&self) -> usize;
+
+    /// The catalog a `ListFrames` reply carries.
+    fn catalog(&self) -> Vec<FrameInfo>;
+
+    /// Frame `frame < frame_count()` at a non-NaN `threshold`, or why it
+    /// cannot be had right now. Hit/miss accounting is the origin's.
+    fn frame(&self, frame: u32, threshold: f64) -> Result<Arc<HybridFrame>, Refusal>;
+
+    /// The snapshot a `Stats` reply carries.
+    fn stats(&self) -> ServerStats;
 }
 
 /// The per-listener settings a door enforces.
@@ -418,7 +445,7 @@ fn session<H: Handler, S: Read + Write>(door: &Door<H>, mut stream: S) {
         // Panic isolation: a poisoned request must not take the
         // connection (let alone the listener) down with it.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            door.handler.respond(req, &mut stream, &mut session_version)
+            dispatch(&*door.handler, req, &mut stream, &mut session_version)
         }));
         let (bytes, served_frame) = match outcome {
             Ok(Ok(r)) => r,
@@ -445,19 +472,161 @@ fn session<H: Handler, S: Read + Write>(door: &Door<H>, mut stream: S) {
     }
 }
 
+/// Answers one request from `handler`'s frames; returns (wire bytes
+/// written, was a frame reply). `session_version` is the connection's
+/// negotiated protocol version — `Hello` updates it, every reply is
+/// framed with it. An `Err` means the client went away mid-reply.
+fn dispatch<H: Handler, S: Write>(
+    handler: &H,
+    req: Request,
+    stream: &mut S,
+    session_version: &mut u16,
+) -> crate::error::Result<(u64, bool)> {
+    let _span = accelviz_trace::span(H::NAMES.span_request);
+    let reply = match req {
+        Request::Hello { version: 0 } => Response::from(Refusal::new(
+            ERR_BAD_REQUEST,
+            "protocol version must be at least 1, client sent 0",
+        )),
+        Request::Hello { version } => {
+            // Speak the older of the two sides: a v1 client keeps its
+            // byte-identical session, a v2 (or future) client gets the
+            // newest encoding this build knows.
+            *session_version = version.min(VERSION);
+            Response::HelloAck {
+                version: *session_version,
+                frame_count: handler.frame_count() as u32,
+            }
+        }
+        Request::ListFrames => Response::FrameList(handler.catalog()),
+        Request::Stats => Response::Stats(handler.stats()),
+        Request::RequestFrame { frame, threshold } => {
+            match checked_frame(handler, frame, threshold) {
+                Ok(frame) => return send_frame(handler, &frame, stream, *session_version),
+                Err(refusal) => refusal.into(),
+            }
+        }
+        // The chunk records ride v2 envelopes and splice back into a
+        // frame the v2 trailer can verify; a v1 session has neither, so
+        // the request is a protocol error there — and pre-v2 clients
+        // never send it, keeping their byte streams frozen.
+        Request::RequestFrameProgressive { .. } if *session_version < V2 => {
+            Response::from(Refusal::new(
+                ERR_BAD_REQUEST,
+                "progressive streaming requires a v2 session; send Hello with version >= 2 first",
+            ))
+        }
+        Request::RequestFrameProgressive {
+            frame,
+            threshold,
+            chunk_bytes,
+        } => match checked_frame(handler, frame, threshold) {
+            Ok(frame) => return send_chunks(handler, &frame, chunk_bytes, stream),
+            Err(refusal) => refusal.into(),
+        },
+    };
+    Ok((write_response_v(stream, *session_version, &reply)?, false))
+}
+
+/// Validates a frame request and asks the origin for the frame. A
+/// progressive and a plain request for the same `(frame, threshold)`
+/// resolve to the same cached frame; only the wire shape differs after.
+fn checked_frame<H: Handler>(
+    handler: &H,
+    frame: u32,
+    threshold: f64,
+) -> Result<Arc<HybridFrame>, Refusal> {
+    if threshold.is_nan() {
+        // NaN has no place in the density order: extraction's
+        // partition_point would silently return an empty prefix, and the
+        // many NaN bit patterns would each occupy their own cache slot.
+        // (±Inf stay valid dials: +Inf is the catalog's own "serve
+        // everything" sentinel, -Inf is an empty extraction.)
+        return Err(Refusal::new(
+            ERR_BAD_THRESHOLD,
+            format!("threshold must not be NaN, got {threshold}"),
+        ));
+    }
+    let available = handler.frame_count();
+    if frame as usize >= available {
+        return Err(Refusal::new(
+            ERR_NO_SUCH_FRAME,
+            format!("frame {frame} requested, {available} available"),
+        ));
+    }
+    handler.frame(frame, threshold)
+}
+
+/// Writes one full frame reply, encoded straight from the shared `Arc` at
+/// the session's version. Both codecs are deterministic, so a router's
+/// bytes match what a direct server of the same data writes. Raw and wire
+/// sizes are both counted so the stats expose the live compression ratio.
+fn send_frame<H: Handler, S: Write>(
+    handler: &H,
+    frame: &HybridFrame,
+    stream: &mut S,
+    session_version: u16,
+) -> crate::error::Result<(u64, bool)> {
+    let mut span = accelviz_trace::span(H::NAMES.span_send);
+    let (payload, raw_len) = if session_version >= V2 {
+        encode_frame_v2(frame)
+    } else {
+        let payload = encode_frame(frame);
+        let raw_len = payload.len() as u64;
+        (payload, raw_len)
+    };
+    let metrics = handler.metrics();
+    metrics.add(H::NAMES.frame_bytes_raw, raw_len);
+    metrics.add(H::NAMES.frame_bytes_wire, payload.len() as u64);
+    let bytes = write_envelope_v(stream, session_version, RESP_FRAME, &payload)?;
+    span.arg("bytes", bytes as f64);
+    Ok((bytes, true))
+}
+
+/// Streams one frame coarse-to-fine. The planner is a pure function of
+/// (frame, budget), so the records a routed session sees are identical to
+/// a direct server's.
+fn send_chunks<H: Handler, S: Write>(
+    handler: &H,
+    frame: &HybridFrame,
+    chunk_bytes: u64,
+    stream: &mut S,
+) -> crate::error::Result<(u64, bool)> {
+    let records = {
+        let mut span = accelviz_trace::span(H::NAMES.span_lod_send);
+        let records = crate::lod::plan_frame_chunks(frame, crate::lod::chunk_budget(chunk_bytes));
+        span.arg("chunks", records.len() as f64);
+        records
+    };
+    let mut bytes = 0u64;
+    for record in &records {
+        bytes += write_chunk(stream, record)?;
+    }
+    let metrics = handler.metrics();
+    metrics.add(H::NAMES.lod_requests, 1);
+    metrics.add(H::NAMES.lod_chunks, records.len() as u64);
+    metrics.add(H::NAMES.lod_bytes_wire, bytes);
+    Ok((bytes, true))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::{CacheKey, CoalescingCache};
     use crate::protocol::{read_response, write_request};
-    use crate::stats::ServerStats;
+    use accelviz_beam::distribution::Distribution;
+    use accelviz_octree::builder::{partition, BuildParams};
+    use accelviz_octree::plots::PlotType;
 
-    /// A handler with no data behind it: `Hello` is acknowledged,
-    /// `ListFrames` panics, and `Stats` reports that it has entered and
-    /// then parks until the test lets it answer.
+    /// An origin of one frame behind the shared cache: the catalog
+    /// panics, `Stats` reports that it has entered and then parks until
+    /// the test lets it answer, and the first fetch of the frame panics.
     struct Fake {
         metrics: Registry,
         entered: Mutex<mpsc::Sender<()>>,
         gate: Mutex<mpsc::Receiver<()>>,
+        cache: CoalescingCache,
+        fetched_before: AtomicBool,
     }
 
     impl Handler for Fake {
@@ -469,32 +638,49 @@ mod tests {
             accept_errors: "fake.accept_errors",
             handler_panics: "fake.handler_panics",
             latency: "fake.request_latency",
+            frame_bytes_raw: "fake.frame_bytes_raw",
+            frame_bytes_wire: "fake.frame_bytes_wire",
+            lod_requests: "fake.lod_requests",
+            lod_chunks: "fake.lod_chunks",
+            lod_bytes_wire: "fake.lod_bytes_wire",
+            span_request: "fake.request",
+            span_send: "fake.send",
+            span_lod_send: "fake.lod_send",
         };
 
         fn metrics(&self) -> &Registry {
             &self.metrics
         }
 
-        fn respond<S: Write>(
-            self: &Arc<Self>,
-            req: Request,
-            stream: &mut S,
-            session_version: &mut u16,
-        ) -> crate::error::Result<(u64, bool)> {
-            let reply = match req {
-                Request::Hello { version } => Response::HelloAck {
-                    version,
-                    frame_count: 0,
-                },
-                Request::ListFrames => panic!("scripted handler panic"),
-                Request::Stats => {
-                    self.entered.lock().unwrap().send(()).unwrap();
-                    self.gate.lock().unwrap().recv().unwrap();
-                    Response::Stats(ServerStats::default())
+        fn frame_count(&self) -> usize {
+            1
+        }
+
+        fn catalog(&self) -> Vec<FrameInfo> {
+            panic!("scripted handler panic")
+        }
+
+        fn frame(&self, frame: u32, threshold: f64) -> Result<Arc<HybridFrame>, Refusal> {
+            let fetch = || {
+                if !self.fetched_before.swap(true, Ordering::SeqCst) {
+                    panic!("scripted fetch panic");
                 }
-                _ => Response::FrameList(Vec::new()),
+                let ps = Distribution::default_beam().sample(50, 1);
+                let data = partition(&ps, PlotType::XYZ, BuildParams::default());
+                let dims = [2, 2, 2];
+                Ok(Arc::new(HybridFrame::from_partition(
+                    &data, 0, threshold, dims,
+                )))
             };
-            Ok((write_response_v(stream, *session_version, &reply)?, false))
+            self.cache
+                .get_or_fetch(CacheKey::new(frame, threshold), fetch)
+                .0
+        }
+
+        fn stats(&self) -> ServerStats {
+            self.entered.lock().unwrap().send(()).unwrap();
+            self.gate.lock().unwrap().recv().unwrap();
+            ServerStats::default()
         }
     }
 
@@ -507,6 +693,8 @@ mod tests {
             metrics: Registry::new(),
             entered: Mutex::new(entered_tx),
             gate: Mutex::new(gate_rx),
+            cache: CoalescingCache::new(4, |_| 1),
+            fetched_before: AtomicBool::new(false),
         });
         let config = DoorConfig {
             read_timeout: Some(Duration::from_secs(10)),
@@ -566,6 +754,25 @@ mod tests {
         assert_eq!(metrics.counter(Fake::NAMES.handler_panics), 1);
     }
 
+    /// No wedge: a fetch that panics inside the cache costs its client
+    /// one `ERR_INTERNAL`; the next request for the same key is answered,
+    /// not parked behind the dead fetch.
+    #[test]
+    fn a_panicking_fetch_does_not_wedge_its_key() {
+        let (door, _entered, _gate) = open(4);
+        let wanted = Request::RequestFrame {
+            frame: 0,
+            threshold: 1.0,
+        };
+        let mut first = connect(&door);
+        assert_eq!(error_code(ask(&mut first, wanted).unwrap()), ERR_INTERNAL);
+        let mut second = connect(&door);
+        let reply = ask(&mut second, wanted).unwrap();
+        assert!(matches!(reply, Response::Frame(_)), "got {reply:?}");
+        let metrics = door.handler().metrics();
+        assert_eq!(metrics.counter(Fake::NAMES.handler_panics), 1);
+    }
+
     #[test]
     fn malformed_framing_gets_err_bad_request_then_a_close() {
         let (door, _entered, _gate) = open(4);
@@ -591,7 +798,7 @@ mod tests {
         let state = Arc::clone(&door.door);
         let mut stream = connect(&door);
         write_request(&mut stream, &Request::Stats).unwrap();
-        entered.recv().unwrap(); // the handler is inside respond
+        entered.recv().unwrap(); // the handler is inside stats()
         let closer = std::thread::spawn(move || door.close());
         // Let the handler answer only once close has raised the flag.
         while !state.shutdown.load(Ordering::SeqCst) {

@@ -20,6 +20,7 @@
 
 use crate::client::{Client, ClientConfig};
 use crate::wire::VERSION;
+use accelviz_core::shard::splitmix64;
 use std::net::SocketAddr;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -52,13 +53,6 @@ impl Default for HealthConfig {
             probe_seed: 0,
         }
     }
-}
-
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 impl HealthConfig {

@@ -19,13 +19,16 @@
 //!   coarse-to-fine chunk planner ([`lod::plan_frame_chunks`]) and the
 //!   verifying reassembler ([`lod::ProgressiveAssembler`]), on top of
 //!   the record framing in `accelviz_store::progressive`.
-//! - [`cache`] — the server's shared LRU extraction cache, keyed by
-//!   `(frame, threshold)`.
-//! - [`server`] — [`server::FrameServer`]: the extraction cache, the
-//!   `serve.*` counters and the request handler behind one front door.
-//! - `frontdoor` — the connection lifecycle the server and the router
-//!   share: one accept loop, admission with in-band shedding, one
-//!   thread-per-connection session loop, one stop (DESIGN.md §13).
+//! - [`cache`] — the one coalescing LRU frame cache, keyed by
+//!   `(frame, threshold)`: a server's extractions, a router's fetched
+//!   frames.
+//! - [`server`] — [`server::FrameServer`]: the frame origin that
+//!   extracts from partitioned stores, and the `serve.*` counters,
+//!   behind one front door.
+//! - `frontdoor` — everything the server and the router share: one
+//!   accept loop, admission with in-band shedding, one
+//!   thread-per-connection session loop, one protocol dispatcher, one
+//!   stop (DESIGN.md §13).
 //! - [`poll`] — the hand-rolled readiness primitives under the accept
 //!   loop: a `poll(2)` wrapper, a self-pipe waker, and accept-error
 //!   backoff.
@@ -50,8 +53,8 @@
 //!   reconnect-and-replay resilience.
 //! - [`fault`] — seeded, scheduled fault injection for chaos testing
 //!   (delays, disconnects, truncations, bit flips at byte offsets).
-//! - [`lru`] — the O(log n) recency order shared by the server's
-//!   extraction cache, the client's resident set, and the out-of-core
+//! - [`lru`] — the O(log n) recency order shared by the frame cache,
+//!   the client's resident set, and the out-of-core
 //!   run store's residency window (the type now lives in
 //!   `accelviz-store` and is re-exported here unchanged).
 //!

@@ -140,6 +140,36 @@ pub enum Response {
     },
 }
 
+/// A request declined in-band: the content of a [`Response::Error`]
+/// before it is framed. The one error value both services' frame origins
+/// return and the coalescing cache shares with a failed fetch's waiters.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Refusal {
+    /// One of the `ERR_*` codes.
+    pub code: u16,
+    /// Human-readable cause.
+    pub message: String,
+}
+
+impl Refusal {
+    /// A refusal with `code` and `message`.
+    pub fn new(code: u16, message: impl Into<String>) -> Refusal {
+        Refusal {
+            code,
+            message: message.into(),
+        }
+    }
+}
+
+impl From<Refusal> for Response {
+    fn from(refusal: Refusal) -> Response {
+        Response::Error {
+            code: refusal.code,
+            message: refusal.message,
+        }
+    }
+}
+
 /// Writes one request; returns wire bytes written.
 pub fn write_request<W: Write>(w: &mut W, req: &Request) -> Result<u64> {
     let mut p = PayloadWriter::new();

@@ -6,6 +6,7 @@
 //! does in [`crate::fault`] — a chaos run that retried its way to
 //! success (or failure) must be replayable byte for byte.
 
+use accelviz_core::shard::splitmix64;
 use std::time::Duration;
 
 /// When and how often the client retries a failed request.
@@ -51,13 +52,6 @@ impl Default for RetryPolicy {
             budget: Duration::from_secs(30),
         }
     }
-}
-
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 impl RetryPolicy {

@@ -4,30 +4,30 @@
 //! one terascale run to many concurrent dashboards means spreading the
 //! frame catalog over N shard servers ([`crate::server::FrameServer`]s)
 //! and putting a router in front that clients cannot tell from a single
-//! big server — the same `crate::frontdoor` serves both:
+//! big server. The same `crate::frontdoor` serves both, protocol
+//! included, so the router is only a different frame *origin* and this
+//! module is routing only:
 //!
-//! - `Hello` negotiates a protocol version locally, exactly like a
-//!   direct server — the client's session version is independent of the
-//!   (always newest) version the router speaks to its shards.
-//! - `ListFrames` answers with the merged catalog: every shard's local
-//!   catalog stitched back into global frame order at spawn time.
-//! - `RequestFrame` routes to the owning shard (the [`ShardMap`] built
-//!   from an [`ShardSpec`] rendezvous layout) over a pooled upstream
-//!   [`crate::client::Client`] — so the proxy leg inherits the client
-//!   layer's reconnect-and-replay retry machinery unchanged.
+//! - the catalog is the merged one: every shard's local catalog stitched
+//!   back into global frame order at spawn time;
+//! - a frame comes from the owning shard (the [`ShardMap`] built from a
+//!   [`ShardSpec`] rendezvous layout) over one `Upstream` per shard — a
+//!   small pool of [`crate::client::Client`]s, so the proxy leg inherits
+//!   the client layer's reconnect-and-replay retry machinery and always
+//!   speaks the newest version whatever the client negotiated, plus the
+//!   circuit breaker every path that talks to the shard reports to;
 //! - `Stats` sums every shard's counters into one wire-shaped
 //!   [`ServerStats`]; the router's own `router.*` counters live in its
 //!   private registry ([`FrameRouter::metrics`]) because the `Stats`
 //!   wire shape is frozen.
 //!
-//! Herd coalescing: the router keeps its own small LRU of decoded frames
-//! keyed `(global frame, threshold bits)`, with the same
-//! collapse-identical-requests discipline as the server's extraction
-//! cache — a thundering herd of M clients on one cold frame costs one
-//! upstream fetch (and therefore at most one extraction on the owning
-//! shard). Upstream *failures* are shared with every coalesced waiter
-//! but never cached, so a shard coming back is observed on the very next
-//! request.
+//! Herd coalescing: decoded frames sit in the same
+//! [`crate::cache::CoalescingCache`] a server keeps its extractions in,
+//! budgeted in bytes — a thundering herd of M clients on one cold frame
+//! costs one upstream fetch (and therefore at most one extraction on the
+//! owning shard), and an upstream *failure* is shared with every
+//! coalesced waiter but never cached, so a shard coming back is observed
+//! on the very next request.
 //!
 //! Failure semantics (the PR 5 degradation model, one hop out): when a
 //! shard dies mid-session the router retries per its upstream policy,
@@ -36,33 +36,30 @@
 //! client ([`crate::client::RemoteFrames`]) turns that into a
 //! flagged-stale degraded frame instead of a dead session; when the
 //! shard returns (or [`FrameRouter::set_shard_addr`] repoints its pool
-//! at a replacement), the same requests simply succeed again.
+//! at a replacement), the same requests simply succeed again. A shard
+//! that answers `ERR_BUSY` is *alive*: its breaker hears a success, the
+//! walk moves on to the next replica, and when every replica is busy the
+//! client receives the `ERR_BUSY` its retry policy acts on.
 
 use crate::breaker::{Admission, BreakerConfig, BreakerState, CircuitBreaker, Transition};
-use crate::cache::CacheKey;
+use crate::cache::{CacheKey, CoalescingCache, Fetched, Lookup};
 use crate::client::{Client, ClientConfig};
+use crate::error::ServeError;
 use crate::frontdoor::{CounterNames, DoorConfig, FrontDoor, Handler};
 use crate::health::{HealthConfig, Prober};
-use crate::lru::LruOrder;
-use crate::protocol::{
-    write_response_v, FrameInfo, Request, Response, ERR_BAD_REQUEST, ERR_BAD_THRESHOLD,
-    ERR_INTERNAL, ERR_NO_SUCH_FRAME, RESP_FRAME,
-};
-use crate::retry::RetryPolicy;
+use crate::protocol::{FrameInfo, Refusal, ERR_BUSY, ERR_INTERNAL};
 use crate::server::{FrameServer, ServerConfig};
 use crate::stats::ServerStats;
-use crate::wire::{encode_frame, encode_frame_v2, write_envelope_v, V2, VERSION};
 use accelviz_core::hybrid::HybridFrame;
-use accelviz_core::shard::ShardSpec;
+use accelviz_core::shard::{splitmix64, ShardSpec};
 use accelviz_octree::sorted_store::PartitionedData;
 use accelviz_store::ResidentRun;
 use accelviz_trace::registry::Registry;
 use parking_lot::Mutex;
-use std::collections::HashMap;
-use std::io::{self, Write};
+use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 /// Registry counter: requests the router handled, across all clients
@@ -90,7 +87,8 @@ pub const CTR_ROUTER_UPSTREAM_FETCHES: &str = "router.upstream_fetches";
 pub const CTR_ROUTER_UPSTREAM_RETRIES: &str = "router.upstream_retries";
 /// Registry counter: upstream operations that failed even after the
 /// upstream retry policy — each one became an in-band `ERR_INTERNAL`
-/// (for frames) or a zero contribution (for stats aggregation).
+/// (for frames; a busy shard's `ERR_BUSY` passes through as itself) or a
+/// zero contribution (for stats aggregation).
 pub const CTR_ROUTER_UPSTREAM_ERRORS: &str = "router.upstream_errors";
 /// Registry counter: connections shed at the router's connection cap —
 /// answered one in-band `ERR_BUSY` from a bounded pool and closed,
@@ -109,6 +107,16 @@ pub const HIST_ROUTER_LATENCY: &str = "router.request_latency";
 pub const CTR_ROUTER_LOD_REQUESTS: &str = "router.lod_requests";
 /// Registry counter: progressive chunk records the router wrote.
 pub const CTR_ROUTER_LOD_CHUNKS: &str = "router.lod_chunks";
+/// Registry counter: wire bytes of the progressive chunk envelopes the
+/// router wrote.
+pub const CTR_ROUTER_LOD_BYTES_WIRE: &str = "router.lod_bytes_wire";
+/// Registry counter: what the frames the router served would have
+/// occupied as raw v1 payloads (the twin of `serve.frame_bytes_raw`, on
+/// the client-facing leg).
+pub const CTR_ROUTER_FRAME_BYTES_RAW: &str = "router.frame_bytes_raw";
+/// Registry counter: frame payload bytes the router actually wrote to
+/// clients (compressed under AVWF v2).
+pub const CTR_ROUTER_FRAME_BYTES_WIRE: &str = "router.frame_bytes_wire";
 /// Registry counter: breaker trips (Closed or HalfOpen → Open) — a
 /// shard was ejected from routing until it proves itself again.
 pub const CTR_ROUTER_BREAKER_OPEN: &str = "router.breaker_open";
@@ -306,16 +314,13 @@ pub struct RouterConfig {
     /// shards — retry/backoff on this leg is what turns a shard blip
     /// into a blip instead of a failed client request. `max_version` is
     /// honored, so a `wire::V1`-capped upstream config forces
-    /// uncompressed shard hops.
+    /// uncompressed shard hops. The retry policy's seed is only a
+    /// *base*: every fresh upstream dial derives its own jitter seed
+    /// from `(base seed, shard, dial count)`, so a shard restart does
+    /// not march every pooled connection through identical backoff
+    /// schedules (a synchronized retry storm), while any fixed base
+    /// seed still replays exactly.
     pub upstream: ClientConfig,
-    /// Overrides `upstream.retry` when set — the knob operators tune
-    /// without rebuilding a whole [`ClientConfig`]. Whichever policy
-    /// wins, its seed is only a *base*: every fresh upstream dial
-    /// derives its own jitter seed from `(base seed, shard, dial
-    /// count)`, so a shard restart does not march every pooled
-    /// connection through identical backoff schedules (a synchronized
-    /// retry storm), while any fixed base seed still replays exactly.
-    pub upstream_retry: Option<RetryPolicy>,
     /// Idle upstream connections kept pooled per shard.
     pub upstream_idle: usize,
     /// When a shard's circuit breaker trips and how long it cools down.
@@ -339,7 +344,6 @@ impl Default for RouterConfig {
             write_timeout: Some(Duration::from_secs(30)),
             max_connections: 256,
             upstream: ClientConfig::default(),
-            upstream_retry: None,
             upstream_idle: 4,
             breaker: BreakerConfig::default(),
             health: HealthConfig::default(),
@@ -388,200 +392,70 @@ impl HedgeConfig {
     }
 }
 
-/// How a router frame fetch was satisfied.
-enum FetchOutcome {
-    /// Already decoded and resident in the router cache.
-    Hit,
-    /// Joined an upstream fetch another request had in flight.
-    Coalesced,
-    /// Went upstream (and the result, success or failure, was shared
-    /// with any waiters that arrived meanwhile).
-    Fetched,
-}
-
-/// In-flight upstream fetch of one key. Waiters block on `cv` until
-/// `done` holds the shared outcome; unlike the extraction cache's
-/// pending slot this carries a `Result`, because an upstream fetch can
-/// *fail* (dead shard) and that failure must be delivered to every
-/// coalesced waiter — never panicked across threads, never cached.
-struct FetchPending {
-    done: StdMutex<Option<Result<Arc<HybridFrame>, String>>>,
-    cv: Condvar,
-}
-
-enum FetchEntry {
-    Ready(Arc<HybridFrame>),
-    Fetching(Arc<FetchPending>),
-}
-
-struct FetchInner {
-    /// Byte budget over resident decoded frames
-    /// ([`HybridFrame::total_bytes`] each).
-    budget: u64,
-    /// Bytes currently resident under `Ready` entries.
-    resident_bytes: u64,
-    /// LRU over *ready* keys only; in-flight fetches cannot be evicted.
-    order: LruOrder<CacheKey>,
-    entries: HashMap<CacheKey, FetchEntry>,
-}
-
-/// The router's frame cache: LRU over decoded frames plus the
-/// same-key coalescing that collapses a thundering herd into one
-/// upstream fetch. Failures are shared with waiters but vacated, not
-/// cached — the next request after a shard recovers goes upstream.
-///
-/// Capacity is a *byte* budget, not an entry count: frames vary by
-/// orders of magnitude with threshold and grid dims, so an entry count
-/// either wastes the budget on small frames or blows it on large ones.
-/// A frame larger than the whole budget is still admitted (and becomes
-/// the next eviction victim) — the just-fetched frame must be resident
-/// to serve its coalesced waiters.
-struct FetchCache {
-    inner: Mutex<FetchInner>,
-}
-
-impl FetchCache {
-    fn new(budget: u64) -> FetchCache {
-        assert!(budget > 0, "router cache needs a positive byte budget");
-        FetchCache {
-            inner: Mutex::new(FetchInner {
-                budget,
-                resident_bytes: 0,
-                order: LruOrder::new(),
-                entries: HashMap::new(),
-            }),
-        }
-    }
-
-    /// Returns the frame for `key`, fetching it with `fetch` when it is
-    /// neither cached nor already in flight. Concurrent calls with the
-    /// same key run `fetch` once and share its outcome.
-    fn get_or_fetch(
-        &self,
-        key: CacheKey,
-        fetch: impl FnOnce() -> Result<Arc<HybridFrame>, String>,
-    ) -> (Result<Arc<HybridFrame>, String>, FetchOutcome) {
-        let pending = {
-            let mut g = self.inner.lock();
-            match g.entries.get(&key) {
-                Some(FetchEntry::Ready(frame)) => {
-                    let frame = Arc::clone(frame);
-                    g.order.touch(key);
-                    return (Ok(frame), FetchOutcome::Hit);
-                }
-                Some(FetchEntry::Fetching(p)) => Arc::clone(p),
-                None => {
-                    let p = Arc::new(FetchPending {
-                        done: StdMutex::new(None),
-                        cv: Condvar::new(),
-                    });
-                    g.entries.insert(key, FetchEntry::Fetching(Arc::clone(&p)));
-                    drop(g);
-                    return (self.run_fetch(key, p, fetch), FetchOutcome::Fetched);
-                }
-            }
-        };
-        // Coalesced: wait outside every lock for the in-flight fetch and
-        // share its outcome, failure included.
-        let mut d = pending.done.lock().unwrap_or_else(|e| e.into_inner());
-        while d.is_none() {
-            d = pending.cv.wait(d).unwrap_or_else(|e| e.into_inner());
-        }
-        let outcome = d.clone().expect("outcome present");
-        (outcome, FetchOutcome::Coalesced)
-    }
-
-    /// Runs `fetch` for a key this thread just marked in flight, then
-    /// publishes the outcome to the map (success only) and to every
-    /// coalesced waiter (success or failure).
-    fn run_fetch(
-        &self,
-        key: CacheKey,
-        pending: Arc<FetchPending>,
-        fetch: impl FnOnce() -> Result<Arc<HybridFrame>, String>,
-    ) -> Result<Arc<HybridFrame>, String> {
-        let outcome = fetch();
-        {
-            let mut g = self.inner.lock();
-            match &outcome {
-                Ok(frame) => {
-                    // Make room by bytes: evict oldest Ready frames
-                    // until the newcomer fits (or nothing is left to
-                    // evict — an oversized frame is admitted anyway and
-                    // is simply the next victim). The newcomer is not
-                    // in `order` yet, so it can never evict itself.
-                    let incoming = frame.total_bytes();
-                    while g.resident_bytes + incoming > g.budget {
-                        let Some(victim) = g.order.pop_oldest() else {
-                            break;
-                        };
-                        if let Some(FetchEntry::Ready(evicted)) = g.entries.remove(&victim) {
-                            g.resident_bytes -= evicted.total_bytes();
-                        }
-                    }
-                    g.order.touch(key);
-                    g.resident_bytes += incoming;
-                    g.entries.insert(key, FetchEntry::Ready(Arc::clone(frame)));
-                }
-                // A failed fetch vacates the key so recovery is observed
-                // on the very next request.
-                Err(_) => {
-                    g.entries.remove(&key);
-                }
-            }
-        }
-        *pending.done.lock().unwrap_or_else(|e| e.into_inner()) = Some(outcome.clone());
-        pending.cv.notify_all();
-        outcome
-    }
-}
-
-/// SplitMix64 — the workspace's stock seed mixer, used here to derive
-/// decorrelated per-connection retry seeds.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// One shard's pooled upstream connections. Checked-out clients that
-/// finish their operation cleanly go back to the idle pool (up to
-/// `max_idle`); any failure drops the connection instead — its stream
-/// may be mid-envelope, and the next checkout dials fresh.
-struct UpstreamPool {
+/// One shard as the router sees it: where it is, a small pool of
+/// connections to it, and the circuit breaker that every path talking to
+/// it — frame fetches, `Stats` hops, the background prober, an operator
+/// repoint — reports to, so "is this shard alive" is decided and counted
+/// in one place.
+struct Upstream {
     shard: usize,
     addr: Mutex<SocketAddr>,
+    /// Clients that finished their last operation cleanly, at most
+    /// `max_idle`. Any failure drops the connection instead — its stream
+    /// may be mid-envelope, and the next checkout dials fresh.
     idle: Mutex<Vec<Client>>,
     config: ClientConfig,
     /// Fresh dials so far — the per-connection retry seed counter.
     dialed: AtomicU64,
     max_idle: usize,
+    breaker: CircuitBreaker,
+    /// The router's registry (`router.*`).
+    metrics: Arc<Registry>,
 }
 
-impl UpstreamPool {
-    fn new(shard: usize, addr: SocketAddr, config: ClientConfig, max_idle: usize) -> UpstreamPool {
-        UpstreamPool {
-            shard,
-            addr: Mutex::new(addr),
-            idle: Mutex::new(Vec::new()),
-            config,
-            dialed: AtomicU64::new(0),
-            max_idle,
-        }
-    }
-
-    /// Where this pool currently dials — the address the health prober
-    /// pings, so `set_shard_addr` repoints probing too.
-    fn addr(&self) -> SocketAddr {
-        *self.addr.lock()
-    }
-
-    /// Repoints the pool (shard restarted elsewhere); idle connections
-    /// to the old address are dropped.
+impl Upstream {
+    /// Repoints at a shard restarted elsewhere (dialing and health
+    /// probing both follow `addr`): idle connections to the old address
+    /// are dropped and the breaker is forced Closed — a replacement must
+    /// not inherit the dead shard's verdict.
     fn set_addr(&self, addr: SocketAddr) {
         *self.addr.lock() = addr;
         self.idle.lock().clear();
+        self.note(self.breaker.reset());
+    }
+
+    /// Lands a breaker state transition on the `router.breaker_*`
+    /// counters.
+    fn note(&self, transition: Option<Transition>) {
+        let counter = match transition {
+            Some(Transition::Opened) => CTR_ROUTER_BREAKER_OPEN,
+            Some(Transition::HalfOpened) => CTR_ROUTER_BREAKER_HALF_OPEN,
+            Some(Transition::Closed) => CTR_ROUTER_BREAKER_CLOSED,
+            None => return,
+        };
+        self.metrics.add(counter, 1);
+    }
+
+    /// Tells the breaker whether the shard just proved alive.
+    fn report(&self, alive: bool) {
+        self.note(if alive {
+            self.breaker.on_success()
+        } else {
+            self.breaker.on_failure()
+        });
+    }
+
+    /// Whether the breaker lets one call through right now; a refusal is
+    /// a counted fast-fail that cost microseconds, no dial, no retry
+    /// budget. Separate from [`Upstream::call`] because a hedged walk
+    /// admits on its own thread and calls on a helper.
+    fn admit(&self) -> bool {
+        let (admission, transition) = self.breaker.admit();
+        self.note(transition);
+        if admission == Admission::FastFail {
+            self.metrics.add(CTR_ROUTER_BREAKER_FAST_FAILS, 1);
+        }
+        admission != Admission::FastFail
     }
 
     /// The config for one fresh dial: the shared policy with a retry
@@ -599,43 +473,149 @@ impl UpstreamPool {
         config
     }
 
-    /// Runs `op` on a pooled (or freshly dialed) client. Returns the
-    /// result plus the retries the client burned inside the call — the
-    /// upstream leg's resilience cost, surfaced for `router.*` counters.
-    fn with<T>(
+    /// One admitted operation against the shard: `op` on a pooled (or
+    /// freshly dialed) client, then the verdict to the breaker and the
+    /// cost to the counters — the retries the client burned inside a
+    /// call that succeeded, or one upstream error. A well-formed
+    /// `ERR_BUSY` is an error for the caller but a *live* shard for the
+    /// breaker (it also releases a half-open trial slot): load must not
+    /// eject a healthy shard and move its load onto its replicas.
+    fn call<T>(
         &self,
         op: impl FnOnce(&mut Client) -> crate::error::Result<T>,
-    ) -> crate::error::Result<(T, u64)> {
-        let mut client = match self.idle.lock().pop() {
-            Some(c) => c,
-            None => Client::connect_with(self.addr(), self.dial_config())?,
-        };
-        let before = client.client_stats().retries;
-        match op(&mut client) {
-            Ok(v) => {
-                let retries = client.client_stats().retries - before;
-                let mut idle = self.idle.lock();
-                if idle.len() < self.max_idle {
-                    idle.push(client);
-                }
-                Ok((v, retries))
+    ) -> crate::error::Result<T> {
+        // Each lock is released before dialing: a dial can take a whole
+        // retry budget, and must block neither the pool nor a repoint.
+        let pooled = self.idle.lock().pop();
+        let addr = *self.addr.lock();
+        let client = pooled.map_or_else(|| Client::connect_with(addr, self.dial_config()), Ok);
+        let result = client.and_then(|mut client| {
+            let before = client.client_stats().retries;
+            let value = op(&mut client)?;
+            let retries = client.client_stats().retries - before;
+            self.metrics.add(CTR_ROUTER_UPSTREAM_RETRIES, retries);
+            let mut idle = self.idle.lock();
+            if idle.len() < self.max_idle {
+                idle.push(client);
             }
-            Err(e) => Err(e),
+            Ok(value)
+        });
+        match &result {
+            Ok(_) => self.report(true),
+            Err(e) => {
+                self.metrics.add(CTR_ROUTER_UPSTREAM_ERRORS, 1);
+                self.report(is_busy(e));
+            }
+        }
+        result
+    }
+
+    /// One admitted frame fetch, timed into the histogram the hedge
+    /// delay is read from (frame fetches only — `Stats` hops would skew
+    /// it). The decoded frame is relabeled with its *global* step index:
+    /// a sliced shard only knows its local frame numbering, and the
+    /// run-wide convention (what a direct server of the unsliced data
+    /// bakes into the frame, and what the merged catalog advertises) is
+    /// `step == global index`.
+    fn fetch(&self, local: u32, global: u32, threshold: f64) -> Fetched {
+        self.metrics.add(CTR_ROUTER_UPSTREAM_FETCHES, 1);
+        let t0 = Instant::now();
+        let result = self.call(|c| c.fetch(local, threshold));
+        self.metrics
+            .record_seconds(HIST_ROUTER_UPSTREAM_LATENCY, t0.elapsed().as_secs_f64());
+        match result {
+            Ok((mut frame, _metrics)) => {
+                frame.step = global as usize;
+                Ok(Arc::new(frame))
+            }
+            Err(e) => {
+                let code = if is_busy(&e) { ERR_BUSY } else { ERR_INTERNAL };
+                let shard = self.shard;
+                let why = format!("shard {shard} failed serving its frame {local}: {e}");
+                Err(Refusal::new(code, why))
+            }
         }
     }
+}
+
+/// A well-formed in-band `ERR_BUSY`: the shard is shedding load, not down.
+fn is_busy(e: &ServeError) -> bool {
+    matches!(e, ServeError::Remote { code: ERR_BUSY, .. })
+}
+
+/// One step of a replica walk: the replica's position in the frame's
+/// preference list, its (already admitting) shard, and the frame's local
+/// index there.
+type Candidate<'a> = (usize, &'a Arc<Upstream>, u32);
+
+/// One fetch attempt with a hedge: the primary runs on a helper thread;
+/// if it has not answered within the quantile-derived hedge delay, the
+/// next admissible replica is raced against it and the first genuine
+/// reply wins. The loser is not cancelled — it finishes on its thread
+/// and reports its own outcome to its breaker and counters, it just
+/// cannot win. Returns the frame plus the preference index of the
+/// replica that served it.
+fn hedged_fetch<'a>(
+    metrics: &Registry,
+    hedge: HedgeConfig,
+    primary: Candidate<'a>,
+    rest: &mut impl Iterator<Item = Candidate<'a>>,
+    global: u32,
+    threshold: f64,
+) -> Result<(Arc<HybridFrame>, usize), Refusal> {
+    let (tx, rx) = mpsc::channel();
+    let spawn_attempt = |(idx, upstream, local): Candidate<'a>| {
+        let (upstream, tx) = (Arc::clone(upstream), tx.clone());
+        std::thread::spawn(move || {
+            // A send after the winner returned just goes nowhere.
+            let _ = tx.send((idx, upstream.fetch(local, global, threshold)));
+        });
+    };
+    let delay = hedge.delay_from(metrics);
+    let primary_idx = primary.0;
+    spawn_attempt(primary);
+    let mut in_flight = 1usize;
+    let mut hedge_launched = false;
+    let mut last_err: Option<Refusal> = None;
+    while in_flight > 0 {
+        let (idx, outcome) = if hedge_launched {
+            rx.recv().expect("tx is owned by this frame until return")
+        } else {
+            match rx.recv_timeout(delay) {
+                Ok(msg) => msg,
+                Err(_slow_primary) => {
+                    hedge_launched = true;
+                    if let Some(candidate) = rest.next() {
+                        metrics.add(CTR_ROUTER_HEDGED_REQUESTS, 1);
+                        spawn_attempt(candidate);
+                        in_flight += 1;
+                    }
+                    continue;
+                }
+            }
+        };
+        in_flight -= 1;
+        match outcome {
+            Ok(frame) => {
+                if idx != primary_idx && in_flight > 0 {
+                    metrics.add(CTR_ROUTER_HEDGED_WINS, 1);
+                }
+                return Ok((frame, idx));
+            }
+            Err(e) => last_err = Some(e),
+        }
+    }
+    Err(last_err.expect("at least the primary attempt completed"))
 }
 
 /// The state every session of one router shares.
 struct RouterShared {
     map: ShardMap,
     catalog: Vec<FrameInfo>,
-    pools: Vec<UpstreamPool>,
-    /// One circuit breaker per shard, fed by upstream fetches, stats
-    /// hops, and the background prober alike.
-    breakers: Vec<CircuitBreaker>,
-    cache: FetchCache,
-    config: RouterConfig,
-    metrics: Registry,
+    upstreams: Vec<Arc<Upstream>>,
+    cache: CoalescingCache,
+    hedge: Option<HedgeConfig>,
+    metrics: Arc<Registry>,
 }
 
 impl Handler for RouterShared {
@@ -647,35 +627,125 @@ impl Handler for RouterShared {
         accept_errors: CTR_ROUTER_ACCEPT_ERRORS,
         handler_panics: CTR_ROUTER_HANDLER_PANICS,
         latency: HIST_ROUTER_LATENCY,
+        frame_bytes_raw: CTR_ROUTER_FRAME_BYTES_RAW,
+        frame_bytes_wire: CTR_ROUTER_FRAME_BYTES_WIRE,
+        lod_requests: CTR_ROUTER_LOD_REQUESTS,
+        lod_chunks: CTR_ROUTER_LOD_CHUNKS,
+        lod_bytes_wire: CTR_ROUTER_LOD_BYTES_WIRE,
+        span_request: "router.request",
+        span_send: "router.send",
+        span_lod_send: "router.lod_send",
     };
 
     fn metrics(&self) -> &Registry {
         &self.metrics
     }
 
-    fn respond<S: Write>(
-        self: &Arc<Self>,
-        req: Request,
-        stream: &mut S,
-        session_version: &mut u16,
-    ) -> crate::error::Result<(u64, bool)> {
-        respond_router(self, req, stream, session_version)
+    fn frame_count(&self) -> usize {
+        self.catalog.len()
+    }
+
+    fn catalog(&self) -> Vec<FrameInfo> {
+        self.catalog.clone()
+    }
+
+    /// Resolves the decoded frame through the router cache: one upstream
+    /// fetch per herd, always a *full* frame — a progressive request is
+    /// re-chunked by the door from the same cached frame a plain one
+    /// encodes.
+    fn frame(&self, frame: u32, threshold: f64) -> Fetched {
+        let key = CacheKey::new(frame, threshold);
+        let (fetched, lookup) = self
+            .cache
+            .get_or_fetch(key, || self.fetch_replicated(frame, threshold));
+        match lookup {
+            Lookup::Hit => self.metrics.add(CTR_ROUTER_CACHE_HITS, 1),
+            Lookup::Coalesced => {
+                self.metrics.add(CTR_ROUTER_CACHE_HITS, 1);
+                self.metrics.add(CTR_ROUTER_COALESCED, 1)
+            }
+            Lookup::Fetched => self.metrics.add(CTR_ROUTER_CACHE_MISSES, 1),
+        };
+        fetched
+    }
+
+    /// Sums every reachable shard's `Stats` snapshot into one wire-shaped
+    /// total; a shard that cannot answer contributes zeros (and an
+    /// `router.upstream_errors` count) instead of failing the reply, and
+    /// a shard whose breaker is open is skipped outright (a
+    /// `router.breaker_fast_fails` count) — one dead shard must not add
+    /// its full retry budget to every `Stats` round trip. Stats hops feed
+    /// the breakers like any other upstream traffic, so a `Stats` poll
+    /// doubles as a half-open trial once the cooldown elapses.
+    fn stats(&self) -> ServerStats {
+        let mut total = ServerStats::default();
+        for upstream in self.upstreams.iter().filter(|u| u.admit()) {
+            if let Ok(snapshot) = upstream.call(|c| c.stats()) {
+                total.absorb(&snapshot);
+            }
+        }
+        total
     }
 }
 
-/// Lands a breaker state transition on the `router.breaker_*` counters.
-fn note_transition(metrics: &Registry, transition: Option<Transition>) {
-    match transition {
-        Some(Transition::Opened) => {
-            metrics.add(CTR_ROUTER_BREAKER_OPEN, 1);
+impl RouterShared {
+    /// One logical frame fetch, resolved across the frame's replica set:
+    /// walk the preference order, skip replicas whose breaker fast-fails
+    /// (microseconds each), attempt the rest in turn — optionally hedged
+    /// — and stop at the first success. Only when every replica has
+    /// either fast-failed or genuinely failed does the fetch fail, which
+    /// the client sees as an in-band refusal; with replication ≥ 2 a
+    /// single dead shard therefore costs zero degraded frames.
+    fn fetch_replicated(&self, frame: u32, threshold: f64) -> Fetched {
+        let replicas = self.map.replicas(frame);
+        let replicas = replicas.expect("the door refuses frames outside the catalog");
+        // Admission is lazy — a half-open trial slot is only claimed
+        // when the walk is actually about to use it.
+        let mut admitted = replicas
+            .iter()
+            .enumerate()
+            .filter_map(|(idx, &(shard, local))| {
+                let upstream = &self.upstreams[shard as usize];
+                upstream.admit().then_some((idx, upstream, local))
+            });
+        let mut refusal: Option<Refusal> = None;
+        while let Some(candidate) = admitted.next() {
+            let outcome = match self.hedge {
+                Some(hedge) => hedged_fetch(
+                    &self.metrics,
+                    hedge,
+                    candidate,
+                    &mut admitted,
+                    frame,
+                    threshold,
+                ),
+                None => {
+                    let (idx, upstream, local) = candidate;
+                    upstream.fetch(local, frame, threshold).map(|f| (f, idx))
+                }
+            };
+            match outcome {
+                Ok((decoded, served_idx)) => {
+                    if served_idx > 0 {
+                        self.metrics.add(CTR_ROUTER_REPLICA_FAILOVERS, 1);
+                    }
+                    return Ok(decoded);
+                }
+                // A busy replica is alive, so the client's retry can
+                // succeed: its `ERR_BUSY` outranks a dead replica's error.
+                Err(e) => {
+                    if refusal.as_ref().is_none_or(|kept| kept.code != ERR_BUSY) {
+                        refusal = Some(e);
+                    }
+                }
+            }
         }
-        Some(Transition::HalfOpened) => {
-            metrics.add(CTR_ROUTER_BREAKER_HALF_OPEN, 1);
-        }
-        Some(Transition::Closed) => {
-            metrics.add(CTR_ROUTER_BREAKER_CLOSED, 1);
-        }
-        None => {}
+        Err(refusal.unwrap_or_else(|| {
+            let n = replicas.len();
+            let why =
+                format!("every replica's circuit breaker is open for frame {frame} ({n} replicas)");
+            Refusal::new(ERR_INTERNAL, why)
+        }))
     }
 }
 
@@ -756,30 +826,31 @@ impl FrameRouter {
                 ),
             ));
         }
-        // The operator override wins over the full upstream config; the
-        // winner's seed is re-derived per dial inside the pool.
-        let mut upstream = config.upstream;
-        if let Some(retry) = config.upstream_retry {
-            upstream.retry = Some(retry);
-        }
-        let shard_count = shards.len();
-        let pools: Vec<UpstreamPool> = shards
+        let metrics = Arc::new(Registry::new());
+        let upstreams: Vec<Arc<Upstream>> = shards
             .into_iter()
             .enumerate()
-            .map(|(i, a)| UpstreamPool::new(i, a, upstream, config.upstream_idle))
+            .map(|(shard, addr)| {
+                Arc::new(Upstream {
+                    shard,
+                    addr: Mutex::new(addr),
+                    idle: Mutex::new(Vec::new()),
+                    config: config.upstream,
+                    dialed: AtomicU64::new(0),
+                    max_idle: config.upstream_idle,
+                    breaker: CircuitBreaker::new(config.breaker),
+                    metrics: Arc::clone(&metrics),
+                })
+            })
             .collect();
-        let breakers = (0..shard_count)
-            .map(|_| CircuitBreaker::new(config.breaker))
-            .collect();
-        let catalog = merge_catalogs(&map, &pools)?;
+        let catalog = merge_catalogs(&map, &upstreams)?;
         let shared = Arc::new(RouterShared {
             map,
             catalog,
-            pools,
-            breakers,
-            cache: FetchCache::new(config.cache_bytes.max(1)),
-            config,
-            metrics: Registry::new(),
+            upstreams,
+            cache: CoalescingCache::new(config.cache_bytes.max(1), HybridFrame::total_bytes),
+            hedge: config.hedge,
+            metrics,
         });
         let door = FrontDoor::open(
             addr,
@@ -796,16 +867,16 @@ impl FrameRouter {
             let verdicts = shared;
             Prober::spawn(
                 config.health,
-                shard_count,
-                move |i| addrs.pools[i].addr(),
+                verdicts.upstreams.len(),
+                move |i| *addrs.upstreams[i].addr.lock(),
                 move |i, ok| {
-                    if ok {
-                        verdicts.metrics.add(CTR_ROUTER_PROBE_OK, 1);
-                        note_transition(&verdicts.metrics, verdicts.breakers[i].on_success());
+                    let counter = if ok {
+                        CTR_ROUTER_PROBE_OK
                     } else {
-                        verdicts.metrics.add(CTR_ROUTER_PROBE_FAIL, 1);
-                        note_transition(&verdicts.metrics, verdicts.breakers[i].on_failure());
-                    }
+                        CTR_ROUTER_PROBE_FAIL
+                    };
+                    verdicts.metrics.add(counter, 1);
+                    verdicts.upstreams[i].report(ok);
                 },
             )
         };
@@ -848,26 +919,18 @@ impl FrameRouter {
     /// merged catalog is kept, so the replacement must serve the same
     /// frame slice. Errors when `shard` is out of range.
     pub fn set_shard_addr(&self, shard: usize, addr: SocketAddr) -> io::Result<()> {
-        match self.shared().pools.get(shard) {
-            Some(pool) => {
-                pool.set_addr(addr);
-                note_transition(
-                    &self.shared().metrics,
-                    self.shared().breakers[shard].reset(),
-                );
-                Ok(())
-            }
-            None => Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("shard {shard} out of range ({} shards)", self.shard_count()),
-            )),
-        }
+        let upstream = self.shared().upstreams.get(shard).ok_or_else(|| {
+            let why = format!("shard {shard} out of range ({} shards)", self.shard_count());
+            io::Error::new(io::ErrorKind::InvalidInput, why)
+        })?;
+        upstream.set_addr(addr);
+        Ok(())
     }
 
     /// Shard `shard`'s current circuit-breaker state, for dashboards
     /// and tests. Panics when `shard` is out of range.
     pub fn breaker_state(&self, shard: usize) -> BreakerState {
-        self.shared().breakers[shard].state()
+        self.shared().upstreams[shard].breaker.state()
     }
 
     /// Stops accepting, joins the acceptor, and drains in-flight replies
@@ -899,10 +962,10 @@ impl Drop for FrameRouter {
 /// replica's local index is validated against its shard's catalog too —
 /// a replica that cannot actually serve its frames would otherwise only
 /// be discovered during a failover, the worst possible moment.
-fn merge_catalogs(map: &ShardMap, pools: &[UpstreamPool]) -> io::Result<Vec<FrameInfo>> {
-    let mut shard_catalogs = Vec::with_capacity(pools.len());
-    for (i, pool) in pools.iter().enumerate() {
-        let (catalog, _retries) = pool.with(|c| c.list_frames()).map_err(|e| {
+fn merge_catalogs(map: &ShardMap, upstreams: &[Arc<Upstream>]) -> io::Result<Vec<FrameInfo>> {
+    let mut shard_catalogs = Vec::with_capacity(upstreams.len());
+    for (i, upstream) in upstreams.iter().enumerate() {
+        let catalog = upstream.call(|c| c.list_frames()).map_err(|e| {
             io::Error::new(
                 io::ErrorKind::ConnectionRefused,
                 format!("shard {i} catalog fetch failed: {e}"),
@@ -936,399 +999,6 @@ fn merge_catalogs(map: &ShardMap, pools: &[UpstreamPool]) -> io::Result<Vec<Fram
         });
     }
     Ok(merged)
-}
-
-/// Serves one request at the router; returns (wire bytes written, was a
-/// frame reply). Mirrors the server's `respond` contract so a client
-/// cannot tell the difference.
-fn respond_router<S: Write>(
-    shared: &Arc<RouterShared>,
-    req: Request,
-    stream: &mut S,
-    session_version: &mut u16,
-) -> crate::error::Result<(u64, bool)> {
-    match req {
-        Request::Hello { version } => {
-            let reply = if version == 0 {
-                Response::Error {
-                    code: ERR_BAD_REQUEST,
-                    message: format!("protocol version must be at least 1, client sent {version}"),
-                }
-            } else {
-                let negotiated = version.min(VERSION);
-                *session_version = negotiated;
-                Response::HelloAck {
-                    version: negotiated,
-                    frame_count: shared.catalog.len() as u32,
-                }
-            };
-            Ok((write_response_v(stream, *session_version, &reply)?, false))
-        }
-        Request::ListFrames => {
-            let frames = shared.catalog.clone();
-            Ok((
-                write_response_v(stream, *session_version, &Response::FrameList(frames))?,
-                false,
-            ))
-        }
-        Request::RequestFrame { frame, threshold } => {
-            let frame = match route_frame(shared, frame, threshold, stream, *session_version)? {
-                Ok(frame) => frame,
-                Err(reply_written) => return Ok(reply_written),
-            };
-            // Re-encode at the *client's* negotiated version, straight
-            // from the cached Arc — both codecs are deterministic, so the
-            // bytes match what a direct server of the same data writes.
-            let payload = if *session_version >= V2 {
-                encode_frame_v2(&frame).0
-            } else {
-                encode_frame(&frame)
-            };
-            let bytes = write_envelope_v(stream, *session_version, RESP_FRAME, &payload)?;
-            Ok((bytes, true))
-        }
-        Request::RequestFrameProgressive {
-            frame,
-            threshold,
-            chunk_bytes,
-        } => {
-            // Same v2-session gate as a direct server: the chunk records
-            // only exist on the v2 wire.
-            if *session_version < V2 {
-                let reply = Response::Error {
-                    code: ERR_BAD_REQUEST,
-                    message: "progressive streaming requires a v2 session; \
-                              send Hello with version >= 2 first"
-                        .to_string(),
-                };
-                return Ok((write_response_v(stream, *session_version, &reply)?, false));
-            }
-            let frame = match route_frame(shared, frame, threshold, stream, *session_version)? {
-                Ok(frame) => frame,
-                Err(reply_written) => return Ok(reply_written),
-            };
-            // The upstream hop stays a *full* fetch through the shared
-            // cache (coalescing with plain requests for the same key);
-            // the router re-chunks locally with the same planner the
-            // shards run, which is a pure function of (frame, budget) —
-            // so the record bytes a sharded session sees are identical
-            // to a direct server's.
-            let records =
-                crate::lod::plan_frame_chunks(&frame, crate::lod::chunk_budget(chunk_bytes));
-            let mut bytes = 0u64;
-            for record in &records {
-                bytes += crate::protocol::write_chunk(stream, record)?;
-            }
-            shared.metrics.add(CTR_ROUTER_LOD_REQUESTS, 1);
-            shared
-                .metrics
-                .add(CTR_ROUTER_LOD_CHUNKS, records.len() as u64);
-            Ok((bytes, true))
-        }
-        Request::Stats => {
-            let snapshot = aggregate_stats(shared);
-            Ok((
-                write_response_v(stream, *session_version, &Response::Stats(snapshot))?,
-                false,
-            ))
-        }
-    }
-}
-
-/// The shared routing path behind both frame request kinds: validates
-/// the threshold, locates the frame's replica set, and resolves the
-/// decoded frame through the router cache (one upstream fetch per
-/// herd). On a policy or upstream failure the in-band error reply is
-/// already written and the inner `Err` carries `respond_router`'s
-/// return value; the outer `Err` is a dead client connection.
-fn route_frame<S: Write>(
-    shared: &Arc<RouterShared>,
-    frame: u32,
-    threshold: f64,
-    stream: &mut S,
-    session_version: u16,
-) -> crate::error::Result<std::result::Result<Arc<HybridFrame>, (u64, bool)>> {
-    if threshold.is_nan() {
-        let reply = Response::Error {
-            code: ERR_BAD_THRESHOLD,
-            message: format!("threshold must not be NaN, got {threshold}"),
-        };
-        return Ok(Err((
-            write_response_v(stream, session_version, &reply)?,
-            false,
-        )));
-    }
-    if shared.map.replicas(frame).is_none() {
-        let reply = Response::Error {
-            code: ERR_NO_SUCH_FRAME,
-            message: format!(
-                "frame {frame} requested, {} available",
-                shared.catalog.len()
-            ),
-        };
-        return Ok(Err((
-            write_response_v(stream, session_version, &reply)?,
-            false,
-        )));
-    }
-    let key = CacheKey::new(frame, threshold);
-    let global = frame as usize;
-    let (result, outcome) = shared
-        .cache
-        .get_or_fetch(key, || fetch_replicated(shared, frame, global, threshold));
-    match outcome {
-        FetchOutcome::Hit => {
-            shared.metrics.add(CTR_ROUTER_CACHE_HITS, 1);
-        }
-        FetchOutcome::Coalesced => {
-            shared.metrics.add(CTR_ROUTER_CACHE_HITS, 1);
-            shared.metrics.add(CTR_ROUTER_COALESCED, 1);
-        }
-        FetchOutcome::Fetched => {
-            shared.metrics.add(CTR_ROUTER_CACHE_MISSES, 1);
-        }
-    }
-    match result {
-        Ok(frame) => Ok(Ok(frame)),
-        Err(why) => {
-            // Upstream retries exhausted: degrade this frame
-            // in-band, keep the session. A resilient client turns
-            // this into a flagged stale frame (PR 5 model).
-            let reply = Response::Error {
-                code: ERR_INTERNAL,
-                message: why,
-            };
-            Ok(Err((
-                write_response_v(stream, session_version, &reply)?,
-                false,
-            )))
-        }
-    }
-}
-
-/// One upstream frame fetch attempt against shard `shard`, through its
-/// pool, with the shard's breaker told the outcome. The decoded frame
-/// is relabeled with its *global* step index: a sliced shard only knows
-/// its local frame numbering, and the run-wide convention (what a
-/// direct server of the unsliced data bakes into the frame, and what
-/// the merged catalog advertises) is `step == global index`.
-fn attempt_fetch(
-    shared: &RouterShared,
-    shard: usize,
-    local: u32,
-    global: usize,
-    threshold: f64,
-) -> Result<Arc<HybridFrame>, String> {
-    shared.metrics.add(CTR_ROUTER_UPSTREAM_FETCHES, 1);
-    let t0 = Instant::now();
-    let result = shared.pools[shard].with(|c| c.fetch(local, threshold));
-    shared
-        .metrics
-        .record_seconds(HIST_ROUTER_UPSTREAM_LATENCY, t0.elapsed().as_secs_f64());
-    match result {
-        Ok(((mut frame, _metrics), retries)) => {
-            shared.metrics.add(CTR_ROUTER_UPSTREAM_RETRIES, retries);
-            note_transition(&shared.metrics, shared.breakers[shard].on_success());
-            frame.step = global;
-            Ok(Arc::new(frame))
-        }
-        Err(e) => {
-            shared.metrics.add(CTR_ROUTER_UPSTREAM_ERRORS, 1);
-            note_transition(&shared.metrics, shared.breakers[shard].on_failure());
-            Err(format!(
-                "shard {shard} failed serving its frame {local}: {e}"
-            ))
-        }
-    }
-}
-
-/// Advances `cursor` to the next replica whose breaker admits an
-/// attempt, counting fast-fails along the way. Returns the replica's
-/// position in the preference list plus its `(shard, local)` target, or
-/// `None` when every remaining replica fast-failed. Admission is lazy —
-/// a half-open trial slot is only claimed when the fetch is actually
-/// about to use it.
-fn next_candidate(
-    shared: &RouterShared,
-    replicas: &[(u32, u32)],
-    cursor: &mut usize,
-) -> Option<(usize, usize, u32)> {
-    while *cursor < replicas.len() {
-        let idx = *cursor;
-        *cursor += 1;
-        let (shard, local) = (replicas[idx].0 as usize, replicas[idx].1);
-        let (admission, transition) = shared.breakers[shard].admit();
-        note_transition(&shared.metrics, transition);
-        match admission {
-            Admission::FastFail => {
-                shared.metrics.add(CTR_ROUTER_BREAKER_FAST_FAILS, 1);
-            }
-            Admission::Allow | Admission::Trial => return Some((idx, shard, local)),
-        }
-    }
-    None
-}
-
-/// One logical frame fetch, resolved across the frame's replica set:
-/// walk the preference order, skip replicas whose breaker fast-fails
-/// (microseconds each), attempt the rest in turn — optionally hedged —
-/// and stop at the first success. Only when every replica has either
-/// fast-failed or genuinely failed does the fetch fail, which the
-/// caller turns into the in-band `ERR_INTERNAL` degraded path; with
-/// replication ≥ 2 a single dead shard therefore costs zero degraded
-/// frames.
-fn fetch_replicated(
-    shared: &Arc<RouterShared>,
-    frame: u32,
-    global: usize,
-    threshold: f64,
-) -> Result<Arc<HybridFrame>, String> {
-    let replicas = shared
-        .map
-        .replicas(frame)
-        .expect("caller checked the frame exists")
-        .to_vec();
-    let mut cursor = 0usize;
-    let mut last_err: Option<String> = None;
-    while let Some((idx, shard, local)) = next_candidate(shared, &replicas, &mut cursor) {
-        let outcome = match shared.config.hedge {
-            Some(hedge) => hedged_attempt(
-                shared,
-                &replicas,
-                &mut cursor,
-                idx,
-                shard,
-                local,
-                global,
-                threshold,
-                hedge,
-            ),
-            None => attempt_fetch(shared, shard, local, global, threshold).map(|f| (f, idx)),
-        };
-        match outcome {
-            Ok((decoded, served_idx)) => {
-                if served_idx > 0 {
-                    shared.metrics.add(CTR_ROUTER_REPLICA_FAILOVERS, 1);
-                }
-                return Ok(decoded);
-            }
-            Err(e) => last_err = Some(e),
-        }
-    }
-    Err(last_err.unwrap_or_else(|| {
-        format!(
-            "every replica's circuit breaker is open for frame {global} \
-             ({} replicas)",
-            replicas.len()
-        )
-    }))
-}
-
-/// One fetch attempt with a hedge: the primary runs on a helper thread;
-/// if it has not answered within the quantile-derived hedge delay, the
-/// next admissible replica is raced against it and the first genuine
-/// reply wins. The loser is not cancelled — it finishes on its thread
-/// and reports its own outcome to its breaker and counters, it just
-/// cannot win. Returns the frame plus the preference index of the
-/// replica that served it.
-#[allow(clippy::too_many_arguments)]
-fn hedged_attempt(
-    shared: &Arc<RouterShared>,
-    replicas: &[(u32, u32)],
-    cursor: &mut usize,
-    primary_idx: usize,
-    shard: usize,
-    local: u32,
-    global: usize,
-    threshold: f64,
-    hedge: HedgeConfig,
-) -> Result<(Arc<HybridFrame>, usize), String> {
-    use std::sync::mpsc;
-    let (tx, rx) = mpsc::channel();
-    let spawn_attempt = |idx: usize, shard: usize, local: u32| {
-        let s = Arc::clone(shared);
-        let tx = tx.clone();
-        std::thread::spawn(move || {
-            let outcome = attempt_fetch(&s, shard, local, global, threshold);
-            // A send after the winner returned just goes nowhere.
-            let _ = tx.send((idx, outcome));
-        });
-    };
-    let delay = hedge.delay_from(&shared.metrics);
-    spawn_attempt(primary_idx, shard, local);
-    let mut in_flight = 1usize;
-    let mut hedge_launched = false;
-    let mut last_err: Option<String> = None;
-    while in_flight > 0 {
-        let (idx, outcome) = if hedge_launched {
-            rx.recv().expect("tx is owned by this frame until return")
-        } else {
-            match rx.recv_timeout(delay) {
-                Ok(msg) => msg,
-                Err(_slow_primary) => {
-                    hedge_launched = true;
-                    if let Some((idx2, shard2, local2)) = next_candidate(shared, replicas, cursor) {
-                        shared.metrics.add(CTR_ROUTER_HEDGED_REQUESTS, 1);
-                        spawn_attempt(idx2, shard2, local2);
-                        in_flight += 1;
-                    }
-                    continue;
-                }
-            }
-        };
-        in_flight -= 1;
-        match outcome {
-            Ok(frame) => {
-                if idx != primary_idx && in_flight > 0 {
-                    shared.metrics.add(CTR_ROUTER_HEDGED_WINS, 1);
-                }
-                return Ok((frame, idx));
-            }
-            Err(e) => last_err = Some(e),
-        }
-    }
-    Err(last_err.expect("at least the primary attempt completed"))
-}
-
-/// Sums every reachable shard's `Stats` snapshot into one wire-shaped
-/// total; a shard that cannot answer contributes zeros (and an
-/// `router.upstream_errors` count) instead of failing the reply, and a
-/// shard whose breaker is open is skipped outright (a
-/// `router.breaker_fast_fails` count) — one dead shard must not add its
-/// full retry budget to every `Stats` round trip. Stats hops feed the
-/// breakers like any other upstream traffic, so a `Stats` poll doubles
-/// as a half-open trial once the cooldown elapses.
-fn aggregate_stats(shared: &RouterShared) -> ServerStats {
-    let mut total = ServerStats::default();
-    for (shard, pool) in shared.pools.iter().enumerate() {
-        let (admission, transition) = shared.breakers[shard].admit();
-        note_transition(&shared.metrics, transition);
-        if admission == Admission::FastFail {
-            shared.metrics.add(CTR_ROUTER_BREAKER_FAST_FAILS, 1);
-            continue;
-        }
-        match pool.with(|c| c.stats()) {
-            Ok((s, retries)) => {
-                shared.metrics.add(CTR_ROUTER_UPSTREAM_RETRIES, retries);
-                note_transition(&shared.metrics, shared.breakers[shard].on_success());
-                total.requests += s.requests;
-                total.frames_served += s.frames_served;
-                total.bytes_sent += s.bytes_sent;
-                total.cache_hits += s.cache_hits;
-                total.cache_misses += s.cache_misses;
-                total.frame_bytes_raw += s.frame_bytes_raw;
-                total.frame_bytes_wire += s.frame_bytes_wire;
-                for (t, c) in total.latency.counts.iter_mut().zip(s.latency.counts.iter()) {
-                    *t += c;
-                }
-            }
-            Err(_) => {
-                shared.metrics.add(CTR_ROUTER_UPSTREAM_ERRORS, 1);
-                note_transition(&shared.metrics, shared.breakers[shard].on_failure());
-            }
-        }
-    }
-    total
 }
 
 /// A whole sharded deployment in one handle: N loopback shard servers,
@@ -1567,17 +1237,7 @@ impl ShardedFrameService {
     pub fn stats(&self) -> ServerStats {
         let mut total = ServerStats::default();
         for shard in self.shards.iter().flatten() {
-            let s = shard.stats();
-            total.requests += s.requests;
-            total.frames_served += s.frames_served;
-            total.bytes_sent += s.bytes_sent;
-            total.cache_hits += s.cache_hits;
-            total.cache_misses += s.cache_misses;
-            total.frame_bytes_raw += s.frame_bytes_raw;
-            total.frame_bytes_wire += s.frame_bytes_wire;
-            for (t, c) in total.latency.counts.iter_mut().zip(s.latency.counts.iter()) {
-                *t += c;
-            }
+            total.absorb(&shard.stats());
         }
         total
     }
@@ -1604,20 +1264,6 @@ fn spawn_shard(source: &ShardSource, config: ServerConfig) -> io::Result<FrameSe
 #[cfg(test)]
 mod tests {
     use super::*;
-    use accelviz_beam::distribution::Distribution;
-    use accelviz_octree::builder::{partition, BuildParams};
-    use accelviz_octree::plots::PlotType;
-
-    fn tiny_frame(step: usize) -> Arc<HybridFrame> {
-        let ps = Distribution::default_beam().sample(100, step as u64 + 1);
-        let data = partition(&ps, PlotType::XYZ, BuildParams::default());
-        Arc::new(HybridFrame::from_partition(
-            &data,
-            step,
-            f64::INFINITY,
-            [2, 2, 2],
-        ))
-    }
 
     #[test]
     fn sliced_map_ranks_local_indices_per_shard() {
@@ -1645,111 +1291,5 @@ mod tests {
             assert_eq!(local, g);
         }
         assert!(map.locate(10).is_none());
-    }
-
-    #[test]
-    fn fetch_cache_coalesces_and_shares_failures_without_caching_them() {
-        use std::sync::atomic::AtomicU64;
-        use std::sync::Barrier;
-
-        let cache = Arc::new(FetchCache::new(1 << 20));
-        let key = CacheKey::new(0, 1.0);
-        let calls = Arc::new(AtomicU64::new(0));
-        let gate = Arc::new(Barrier::new(2));
-
-        // First wave: the fetch fails; a waiter that arrives mid-fetch
-        // shares the failure.
-        let waiter = {
-            let (cache, gate) = (Arc::clone(&cache), Arc::clone(&gate));
-            std::thread::spawn(move || {
-                gate.wait(); // fetcher is inside its fetch
-                cache
-                    .get_or_fetch(key, || panic!("waiter must coalesce, not fetch"))
-                    .0
-            })
-        };
-        let (first, _) = cache.get_or_fetch(key, || {
-            calls.fetch_add(1, Ordering::SeqCst);
-            gate.wait();
-            // Give the waiter time to register on the pending slot.
-            std::thread::sleep(Duration::from_millis(50));
-            Err("shard down".to_string())
-        });
-        assert_eq!(first.unwrap_err(), "shard down");
-        assert_eq!(waiter.join().unwrap().unwrap_err(), "shard down");
-
-        // The failure was not cached: the next call fetches again and a
-        // success is then served from cache.
-        let frame = tiny_frame(0);
-        let served = Arc::clone(&frame);
-        let fetch_calls = Arc::clone(&calls);
-        let (second, _) = cache.get_or_fetch(key, move || {
-            fetch_calls.fetch_add(1, Ordering::SeqCst);
-            Ok(served)
-        });
-        assert!(Arc::ptr_eq(&second.unwrap(), &frame));
-        assert_eq!(calls.load(Ordering::SeqCst), 2);
-        let (third, _) = cache.get_or_fetch(key, || panic!("cached now"));
-        assert!(Arc::ptr_eq(&third.unwrap(), &frame));
-    }
-
-    #[test]
-    fn fetch_cache_evicts_lru_by_bytes() {
-        // A budget of exactly two frames: the third insert must evict
-        // the least recently used resident frame.
-        let frame_bytes = tiny_frame(0).total_bytes();
-        let cache = FetchCache::new(2 * frame_bytes);
-        let keys: Vec<CacheKey> = (0..3).map(|f| CacheKey::new(f, 1.0)).collect();
-        for (i, &k) in keys[..2].iter().enumerate() {
-            let (r, _) = cache.get_or_fetch(k, || Ok(tiny_frame(i)));
-            r.unwrap();
-        }
-        // Touch key 0 so key 1 is the LRU victim.
-        cache
-            .get_or_fetch(keys[0], || panic!("resident"))
-            .0
-            .unwrap();
-        cache.get_or_fetch(keys[2], || Ok(tiny_frame(2))).0.unwrap();
-        cache
-            .get_or_fetch(keys[0], || panic!("survived"))
-            .0
-            .unwrap();
-        let mut refetched = false;
-        cache
-            .get_or_fetch(keys[1], || {
-                refetched = true;
-                Ok(tiny_frame(1))
-            })
-            .0
-            .unwrap();
-        assert!(refetched, "key 1 was the LRU victim");
-    }
-
-    #[test]
-    fn fetch_cache_admits_frames_larger_than_the_whole_budget() {
-        let cache = FetchCache::new(1);
-        let key = CacheKey::new(0, 1.0);
-        let frame = tiny_frame(0);
-        let served = Arc::clone(&frame);
-        let (r, _) = cache.get_or_fetch(key, move || Ok(served));
-        assert!(Arc::ptr_eq(&r.unwrap(), &frame));
-        // Still resident: the just-inserted frame is never its own
-        // eviction victim, so its coalesced waiters are served.
-        let (again, _) = cache.get_or_fetch(key, || panic!("resident"));
-        assert!(Arc::ptr_eq(&again.unwrap(), &frame));
-        // The next distinct insert evicts it.
-        cache
-            .get_or_fetch(CacheKey::new(1, 1.0), || Ok(tiny_frame(1)))
-            .0
-            .unwrap();
-        let mut refetched = false;
-        cache
-            .get_or_fetch(key, || {
-                refetched = true;
-                Ok(tiny_frame(0))
-            })
-            .0
-            .unwrap();
-        assert!(refetched, "the oversized frame was the next victim");
     }
 }

@@ -1,15 +1,16 @@
 //! The multi-client frame server.
 //!
-//! A [`FrameServer`] is the state behind one `crate::frontdoor`: one
-//! [`ExtractionCache`], one per-server metrics [`Registry`] (counters
-//! under the `serve.*` names in [`crate::stats`]), and the `respond`
-//! request handler. The door owns the connection lifecycle — one
+//! A [`FrameServer`] is the frame origin behind one `crate::frontdoor`:
+//! one [`CoalescingCache`] of extractions and one per-server metrics
+//! [`Registry`] (counters under the `serve.*` names in [`crate::stats`]).
+//! The door owns the connection lifecycle and the protocol — one
 //! acceptor thread, one session thread per admitted connection running a
-//! strict request/reply loop. The server owns the *partitioned* data —
-//! the density-sorted stores produced by preprocessing — and extracts
-//! hybrid frames on demand at whatever threshold a client dials, which
-//! is exactly the paper's split: preprocessing near the simulation,
-//! compact hybrid frames shipped to the desktop.
+//! strict request/reply loop, one dispatcher answering every request.
+//! The server owns the *partitioned* data — the density-sorted stores
+//! produced by preprocessing — and extracts hybrid frames on demand at
+//! whatever threshold a client dials, which is exactly the paper's
+//! split: preprocessing near the simulation, compact hybrid frames
+//! shipped to the desktop.
 //!
 //! Protection: the server sheds rather than degrades. Past
 //! [`ServerConfig::max_connections`] a new connection gets one in-band
@@ -30,26 +31,22 @@
 //! of the catalog — clients speak the identical protocol to the router
 //! and cannot tell the difference (`crate::router`).
 
-use crate::cache::{CacheKey, ExtractionCache, Probe};
+use crate::cache::{CacheKey, CoalescingCache, Fetched, Lookup};
 use crate::fault::FaultScript;
 use crate::frontdoor::{CountGuard, CounterNames, DoorConfig, FrontDoor, Handler};
-use crate::protocol::{
-    write_response_v, FrameInfo, Request, Response, ERR_BAD_REQUEST, ERR_BAD_THRESHOLD, ERR_BUSY,
-    ERR_INTERNAL, ERR_NO_SUCH_FRAME, RESP_FRAME,
-};
+use crate::protocol::{FrameInfo, Refusal, ERR_BUSY, ERR_INTERNAL};
 use crate::stats::{
     ServerStats, CTR_ACCEPT_ERRORS, CTR_BYTES_SENT, CTR_CACHE_HITS, CTR_CACHE_MISSES,
     CTR_FRAMES_SERVED, CTR_FRAME_BYTES_RAW, CTR_FRAME_BYTES_WIRE, CTR_HANDLER_PANICS,
     CTR_LOD_BYTES_WIRE, CTR_LOD_CHUNKS, CTR_LOD_REQUESTS, CTR_REQUESTS, CTR_SHED_CONNECTIONS,
     CTR_SHED_EXTRACTIONS, HIST_LATENCY,
 };
-use crate::wire::{encode_frame, encode_frame_v2, write_envelope_v, V2, VERSION};
 use accelviz_core::hybrid::HybridFrame;
 use accelviz_octree::extraction::{threshold_for_budget, threshold_for_budget_tree};
 use accelviz_octree::sorted_store::PartitionedData;
 use accelviz_store::ResidentRun;
 use accelviz_trace::registry::Registry;
-use std::io::{self, Write};
+use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -98,9 +95,8 @@ impl Default for ServerConfig {
 /// Where the server's frames live: fully resident in memory (the
 /// original topology — every partitioned store loaded up front), or
 /// backed by an on-disk run whose particle data pages in and out under
-/// [`ResidentRun`]'s byte budget. The request handlers are written
-/// against this enum, so an out-of-core server speaks the identical
-/// protocol and serves bit-identical frames.
+/// [`ResidentRun`]'s byte budget. The frame origin is written against
+/// this enum, so an out-of-core server serves bit-identical frames.
 enum Backend {
     /// Every frame's partitioned store held in memory.
     Resident(Vec<PartitionedData>),
@@ -146,7 +142,7 @@ impl Backend {
 struct Shared {
     backend: Backend,
     config: ServerConfig,
-    cache: ExtractionCache,
+    cache: CoalescingCache,
     metrics: Registry,
     building_extractions: AtomicUsize,
 }
@@ -160,20 +156,82 @@ impl Handler for Shared {
         accept_errors: CTR_ACCEPT_ERRORS,
         handler_panics: CTR_HANDLER_PANICS,
         latency: HIST_LATENCY,
+        frame_bytes_raw: CTR_FRAME_BYTES_RAW,
+        frame_bytes_wire: CTR_FRAME_BYTES_WIRE,
+        lod_requests: CTR_LOD_REQUESTS,
+        lod_chunks: CTR_LOD_CHUNKS,
+        lod_bytes_wire: CTR_LOD_BYTES_WIRE,
+        span_request: "serve.request",
+        span_send: "serve.send",
+        span_lod_send: "serve.lod_send",
     };
 
     fn metrics(&self) -> &Registry {
         &self.metrics
     }
 
-    fn respond<S: Write>(
-        self: &Arc<Self>,
-        req: Request,
-        stream: &mut S,
-        session_version: &mut u16,
-    ) -> crate::error::Result<(u64, bool)> {
-        let _span = accelviz_trace::span("serve.request");
-        respond(self, req, stream, session_version)
+    fn frame_count(&self) -> usize {
+        self.backend.frame_count()
+    }
+
+    fn catalog(&self) -> Vec<FrameInfo> {
+        self.backend.frame_infos(self.config.point_budget)
+    }
+
+    fn frame(&self, frame: u32, threshold: f64) -> Fetched {
+        let mut span = accelviz_trace::span("serve.extract");
+        span.arg("frame", frame as f64);
+        span.arg("threshold", threshold);
+        let key = CacheKey::new(frame, threshold);
+        let (fetched, lookup) = self
+            .cache
+            .get_or_fetch(key, || self.extract(frame, threshold));
+        span.arg("cache_hit", (lookup != Lookup::Fetched) as u64 as f64);
+        // A refusal served nothing: it is counted where it was refused
+        // (`serve.shed_extractions`), never as a hit or a miss.
+        if fetched.is_ok() {
+            let served_from = match lookup {
+                Lookup::Fetched => CTR_CACHE_MISSES,
+                Lookup::Hit | Lookup::Coalesced => CTR_CACHE_HITS,
+            };
+            self.metrics.add(served_from, 1);
+        }
+        fetched
+    }
+
+    fn stats(&self) -> ServerStats {
+        ServerStats::from_registry(&self.metrics)
+    }
+}
+
+impl Shared {
+    /// The cache's fetch: one fresh extraction. It runs on a miss only,
+    /// so load shedding and the stored backend's page-in never touch a
+    /// request the cache can answer or coalesce — those are cheap and
+    /// always admitted, and serving them must not churn the residency
+    /// window.
+    fn extract(&self, frame: u32, threshold: f64) -> Fetched {
+        let Some(_permit) = try_extraction_permit(self) else {
+            self.metrics.add(CTR_SHED_EXTRACTIONS, 1);
+            return Err(Refusal::new(
+                ERR_BUSY,
+                "extraction capacity reached; retry after ~100 ms",
+            ));
+        };
+        let (index, dims) = (frame as usize, self.config.volume_dims);
+        let extracted = match &self.backend {
+            Backend::Resident(data) => {
+                HybridFrame::from_partition(&data[index], index, threshold, dims)
+            }
+            Backend::Stored(run) => {
+                let paged_in = run.fetch(index).map_err(|e| {
+                    let why = format!("run store failed loading frame {frame}: {e}");
+                    Refusal::new(ERR_INTERNAL, why)
+                })?;
+                HybridFrame::from_partition(&paged_in.data, index, threshold, dims)
+            }
+        };
+        Ok(Arc::new(extracted))
     }
 }
 
@@ -246,7 +304,7 @@ impl FrameServer {
         let shared = Arc::new(Shared {
             backend,
             config,
-            cache: ExtractionCache::new(config.cache_capacity),
+            cache: CoalescingCache::new(config.cache_capacity as u64, |_| 1),
             metrics: Registry::new(),
             building_extractions: AtomicUsize::new(0),
         });
@@ -269,9 +327,9 @@ impl FrameServer {
     }
 
     /// A local snapshot of the statistics (the same data a client gets
-    /// from [`Request::Stats`]).
+    /// from a `Stats` request).
     pub fn stats(&self) -> ServerStats {
-        ServerStats::from_registry(self.metrics())
+        self.door.handler().stats()
     }
 
     /// This server's private metrics registry — the source the wire
@@ -301,260 +359,6 @@ fn try_extraction_permit(shared: &Shared) -> Option<CountGuard<'_>> {
         match gauge.compare_exchange(current, current + 1, Ordering::SeqCst, Ordering::SeqCst) {
             Ok(_) => return Some(CountGuard(gauge)),
             Err(actual) => current = actual,
-        }
-    }
-}
-
-/// Serves one request; returns (wire bytes written, was a frame reply).
-/// `session_version` is the connection's negotiated protocol version —
-/// `Hello` updates it, every reply is framed with it.
-fn respond<S: Write>(
-    shared: &Shared,
-    req: Request,
-    stream: &mut S,
-    session_version: &mut u16,
-) -> crate::error::Result<(u64, bool)> {
-    match req {
-        Request::Hello { version } => {
-            let reply = if version == 0 {
-                Response::Error {
-                    code: ERR_BAD_REQUEST,
-                    message: format!("protocol version must be at least 1, client sent {version}"),
-                }
-            } else {
-                // Speak the older of the two sides: a v1 client keeps its
-                // byte-identical session, a v2 (or future) client gets
-                // the newest encoding this build knows.
-                let negotiated = version.min(VERSION);
-                *session_version = negotiated;
-                Response::HelloAck {
-                    version: negotiated,
-                    frame_count: shared.backend.frame_count() as u32,
-                }
-            };
-            Ok((write_response_v(stream, *session_version, &reply)?, false))
-        }
-        Request::ListFrames => {
-            let frames = shared.backend.frame_infos(shared.config.point_budget);
-            Ok((
-                write_response_v(stream, *session_version, &Response::FrameList(frames))?,
-                false,
-            ))
-        }
-        Request::RequestFrame { frame, threshold } => {
-            let extracted = match acquire_frame(shared, frame, threshold, stream, *session_version)?
-            {
-                Ok(frame) => frame,
-                Err(reply_written) => return Ok(reply_written),
-            };
-            // Encode straight from the cached Arc — no frame clone. The
-            // session version picks the payload encoding; both are
-            // counted so the stats expose the live compression ratio.
-            let bytes = {
-                let mut span = accelviz_trace::span("serve.send");
-                let (payload, raw_len) = if *session_version >= V2 {
-                    encode_frame_v2(&extracted)
-                } else {
-                    let payload = encode_frame(&extracted);
-                    let raw_len = payload.len() as u64;
-                    (payload, raw_len)
-                };
-                shared.metrics.add(CTR_FRAME_BYTES_RAW, raw_len);
-                shared
-                    .metrics
-                    .add(CTR_FRAME_BYTES_WIRE, payload.len() as u64);
-                let bytes = write_envelope_v(stream, *session_version, RESP_FRAME, &payload)?;
-                span.arg("bytes", bytes as f64);
-                bytes
-            };
-            Ok((bytes, true))
-        }
-        Request::RequestFrameProgressive {
-            frame,
-            threshold,
-            chunk_bytes,
-        } => {
-            // The chunk records ride v2 envelopes and splice back into a
-            // frame the v2 trailer can verify; a v1 session has neither,
-            // so the request is a protocol error there — and pre-v2
-            // clients never send it, keeping their byte streams frozen.
-            if *session_version < V2 {
-                let reply = Response::Error {
-                    code: ERR_BAD_REQUEST,
-                    message: "progressive streaming requires a v2 session; \
-                              send Hello with version >= 2 first"
-                        .to_string(),
-                };
-                return Ok((write_response_v(stream, *session_version, &reply)?, false));
-            }
-            let extracted = match acquire_frame(shared, frame, threshold, stream, *session_version)?
-            {
-                Ok(frame) => frame,
-                Err(reply_written) => return Ok(reply_written),
-            };
-            // Same cache entry as a plain fetch — a progressive and a
-            // full request for the same (frame, threshold) coalesce on
-            // one extraction; only the wire shape differs from here on.
-            let records = {
-                let mut span = accelviz_trace::span("serve.lod_send");
-                let records = crate::lod::plan_frame_chunks(
-                    &extracted,
-                    crate::lod::chunk_budget(chunk_bytes),
-                );
-                span.arg("chunks", records.len() as f64);
-                records
-            };
-            let mut bytes = 0u64;
-            for record in &records {
-                bytes += crate::protocol::write_chunk(stream, record)?;
-            }
-            shared.metrics.add(CTR_LOD_REQUESTS, 1);
-            shared.metrics.add(CTR_LOD_CHUNKS, records.len() as u64);
-            shared.metrics.add(CTR_LOD_BYTES_WIRE, bytes);
-            Ok((bytes, true))
-        }
-        Request::Stats => {
-            let snapshot = ServerStats::from_registry(&shared.metrics);
-            Ok((
-                write_response_v(stream, *session_version, &Response::Stats(snapshot))?,
-                false,
-            ))
-        }
-    }
-}
-
-/// The shared admission-and-build path behind both frame request kinds:
-/// validates the threshold and frame index, applies extraction-limit
-/// shedding, pages the frame in on the stored backend, and resolves the
-/// extraction through the cache. On a policy failure the in-band error
-/// reply is already written and the inner `Err` carries `respond`'s
-/// return value for it; the outer `Err` is a dead client connection.
-fn acquire_frame<S: Write>(
-    shared: &Shared,
-    frame: u32,
-    threshold: f64,
-    stream: &mut S,
-    session_version: u16,
-) -> crate::error::Result<std::result::Result<Arc<HybridFrame>, (u64, bool)>> {
-    if threshold.is_nan() {
-        // NaN has no place in the density order: extraction's
-        // partition_point would silently return an empty prefix,
-        // and the many NaN bit patterns would each occupy their
-        // own cache slot. Reject in-band. (±Inf stay valid dials:
-        // +Inf is the catalog's own "serve everything" sentinel,
-        // -Inf is an empty extraction.)
-        let reply = Response::Error {
-            code: ERR_BAD_THRESHOLD,
-            message: format!("threshold must not be NaN, got {threshold}"),
-        };
-        return Ok(Err((
-            write_response_v(stream, session_version, &reply)?,
-            false,
-        )));
-    }
-    if frame as usize >= shared.backend.frame_count() {
-        let reply = Response::Error {
-            code: ERR_NO_SUCH_FRAME,
-            message: format!(
-                "frame {frame} requested, {} available",
-                shared.backend.frame_count()
-            ),
-        };
-        return Ok(Err((
-            write_response_v(stream, session_version, &reply)?,
-            false,
-        )));
-    }
-    let key = CacheKey::new(frame, threshold);
-    // Load shedding at the extraction limit: only requests that
-    // would start a *new* extraction are shed — cached frames and
-    // coalescing waiters are cheap and always admitted. The probe
-    // is advisory (the entry may change before get_or_build), so
-    // the limit is a strong bound, not a hard invariant.
-    let probe = shared.cache.probe(&key);
-    let _permit = match probe {
-        Probe::Vacant => match try_extraction_permit(shared) {
-            Some(p) => Some(p),
-            None => {
-                shared.metrics.add(CTR_SHED_EXTRACTIONS, 1);
-                let reply = Response::Error {
-                    code: ERR_BUSY,
-                    message: "extraction capacity reached; retry after ~100 ms".to_string(),
-                };
-                return Ok(Err((
-                    write_response_v(stream, session_version, &reply)?,
-                    false,
-                )));
-            }
-        },
-        Probe::Ready | Probe::Building => None,
-    };
-    // The stored backend pages the frame's particles in *before*
-    // committing to build, so a disk failure is an in-band
-    // ERR_INTERNAL instead of a panic. A Ready probe skips the
-    // fetch — serving a cached extraction must not churn the
-    // residency window.
-    let part: Option<Arc<PartitionedData>> = match &shared.backend {
-        Backend::Stored(run) if probe != Probe::Ready => match run.fetch(frame as usize) {
-            Ok(fetch) => Some(fetch.data),
-            Err(e) => {
-                let reply = Response::Error {
-                    code: ERR_INTERNAL,
-                    message: format!("run store failed loading frame {frame}: {e}"),
-                };
-                return Ok(Err((
-                    write_response_v(stream, session_version, &reply)?,
-                    false,
-                )));
-            }
-        },
-        _ => None,
-    };
-    let (extracted, hit) = {
-        let mut span = accelviz_trace::span("serve.extract");
-        span.arg("frame", frame as f64);
-        span.arg("threshold", threshold);
-        let (extracted, hit) = shared
-            .cache
-            .get_or_build(CacheKey::new(frame, threshold), || {
-                build_frame(shared, part.as_deref(), frame as usize, threshold)
-            });
-        span.arg("cache_hit", hit as u64 as f64);
-        (extracted, hit)
-    };
-    shared.metrics.add(
-        if hit {
-            CTR_CACHE_HITS
-        } else {
-            CTR_CACHE_MISSES
-        },
-        1,
-    );
-    Ok(Ok(extracted))
-}
-
-/// Builds one frame for the extraction cache. `part` is the paged-in
-/// partition for the stored backend (`None` for the resident backend, or
-/// in the rare race where a Ready probe was evicted before the build —
-/// then the fetch reruns here, and a disk failure panics into the
-/// handler's isolation instead of silently serving nothing).
-fn build_frame(
-    shared: &Shared,
-    part: Option<&PartitionedData>,
-    frame: usize,
-    threshold: f64,
-) -> HybridFrame {
-    let dims = shared.config.volume_dims;
-    match (&shared.backend, part) {
-        (Backend::Resident(data), _) => {
-            HybridFrame::from_partition(&data[frame], frame, threshold, dims)
-        }
-        (Backend::Stored(_), Some(p)) => HybridFrame::from_partition(p, frame, threshold, dims),
-        (Backend::Stored(run), None) => {
-            let fetch = run
-                .fetch(frame)
-                .unwrap_or_else(|e| panic!("run store failed loading frame {frame}: {e}"));
-            HybridFrame::from_partition(&fetch.data, frame, threshold, dims)
         }
     }
 }
@@ -598,7 +402,7 @@ mod tests {
         let shared = Shared {
             backend: Backend::Resident(Vec::new()),
             config,
-            cache: ExtractionCache::new(2),
+            cache: CoalescingCache::new(2, |_| 1),
             metrics: Registry::new(),
             building_extractions: AtomicUsize::new(0),
         };

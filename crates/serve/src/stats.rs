@@ -98,6 +98,22 @@ impl ServerStats {
         }
     }
 
+    /// Adds `other`'s counts into `self`, field by field — the one sum
+    /// behind the router's aggregated `Stats` reply and
+    /// [`crate::router::ShardedFrameService::stats`].
+    pub fn absorb(&mut self, other: &ServerStats) {
+        self.requests += other.requests;
+        self.frames_served += other.frames_served;
+        self.bytes_sent += other.bytes_sent;
+        self.cache_hits += other.cache_hits;
+        self.cache_misses += other.cache_misses;
+        self.frame_bytes_raw += other.frame_bytes_raw;
+        self.frame_bytes_wire += other.frame_bytes_wire;
+        for (t, c) in self.latency.counts.iter_mut().zip(&other.latency.counts) {
+            *t += c;
+        }
+    }
+
     /// Raw-to-wire compression ratio of served frames; 1.0 when nothing
     /// has been served (or the session is all-v1, where wire == raw).
     pub fn compression_ratio(&self) -> f64 {
@@ -205,6 +221,35 @@ mod tests {
         assert!(s.summary().contains("4.00x"));
         assert_eq!(s.latency.total(), 1);
         assert_eq!(s.latency.counts[2], 1);
+    }
+
+    #[test]
+    fn absorbing_two_snapshots_equals_the_snapshot_of_the_merged_counts() {
+        // (counter, value in a, value in b); latency samples land in
+        // different buckets so the histogram sum is checked per bucket.
+        let counts = [
+            (CTR_REQUESTS, 5, 7),
+            (CTR_FRAMES_SERVED, 3, 4),
+            (CTR_BYTES_SENT, 9_000, 1_000),
+            (CTR_CACHE_HITS, 2, 6),
+            (CTR_CACHE_MISSES, 1, 0),
+            (CTR_FRAME_BYTES_RAW, 8_000, 500),
+            (CTR_FRAME_BYTES_WIRE, 2_000, 250),
+        ];
+        let (a, b, merged) = (Registry::new(), Registry::new(), Registry::new());
+        for (name, in_a, in_b) in counts {
+            a.add(name, in_a);
+            b.add(name, in_b);
+            merged.add(name, in_a + in_b);
+        }
+        for (reg, seconds) in [(&a, 0.002), (&b, 0.002), (&b, 2.0)] {
+            reg.record_seconds(HIST_LATENCY, seconds);
+            merged.record_seconds(HIST_LATENCY, seconds);
+        }
+        let mut total = ServerStats::from_registry(&a);
+        total.absorb(&ServerStats::from_registry(&b));
+        assert_eq!(total, ServerStats::from_registry(&merged));
+        assert_eq!(total.latency.total(), 3);
     }
 
     #[test]

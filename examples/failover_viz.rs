@@ -23,7 +23,7 @@ use accelviz::serve::router::{
     CTR_ROUTER_BREAKER_FAST_FAILS, CTR_ROUTER_BREAKER_OPEN, CTR_ROUTER_REPLICA_FAILOVERS,
 };
 use accelviz::serve::{
-    BreakerConfig, BreakerState, Client, RetryPolicy, RouterConfig, ServerConfig,
+    BreakerConfig, BreakerState, Client, ClientConfig, RetryPolicy, RouterConfig, ServerConfig,
     ShardedFrameService,
 };
 use std::time::Duration;
@@ -51,7 +51,7 @@ fn main() {
     // A hair-trigger breaker and a fast upstream retry make the failover
     // visible in a short example; production defaults are gentler. The
     // 1-byte router cache forces every fetch to the shards — otherwise
-    // the second pass would be absorbed by the router's FetchCache and
+    // the second pass would be absorbed by the router's frame cache and
     // the outage would never reach the breaker at all.
     let service = ShardedFrameService::spawn_loopback_replicated(
         data,
@@ -60,7 +60,10 @@ fn main() {
         ServerConfig::default(),
         RouterConfig {
             cache_bytes: 1,
-            upstream_retry: Some(RetryPolicy::fast(7)),
+            upstream: ClientConfig {
+                retry: Some(RetryPolicy::fast(7)),
+                ..ClientConfig::default()
+            },
             breaker: BreakerConfig {
                 failure_threshold: 1,
                 open_cooldown: Duration::from_secs(60),

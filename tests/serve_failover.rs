@@ -13,7 +13,7 @@ use accelviz::core::viewer::FrameSource;
 use accelviz::octree::builder::{partition, BuildParams};
 use accelviz::octree::plots::PlotType;
 use accelviz::octree::sorted_store::PartitionedData;
-use accelviz::serve::protocol::ERR_INTERNAL;
+use accelviz::serve::protocol::{ERR_BUSY, ERR_INTERNAL};
 use accelviz::serve::router::{
     CTR_ROUTER_BREAKER_CLOSED, CTR_ROUTER_BREAKER_FAST_FAILS, CTR_ROUTER_BREAKER_OPEN,
     CTR_ROUTER_PROBE_FAIL, CTR_ROUTER_PROBE_OK, CTR_ROUTER_REPLICA_FAILOVERS,
@@ -63,7 +63,10 @@ fn reference_frames(data: &[PartitionedData]) -> Vec<accelviz::core::hybrid::Hyb
 fn chaos_router(seed: u64) -> RouterConfig {
     RouterConfig {
         cache_bytes: 1,
-        upstream_retry: Some(RetryPolicy::fast(seed)),
+        upstream: ClientConfig {
+            retry: Some(RetryPolicy::fast(seed)),
+            ..ClientConfig::default()
+        },
         breaker: BreakerConfig {
             failure_threshold: 1,
             open_cooldown: Duration::from_secs(120),
@@ -264,6 +267,41 @@ fn replication_one_fast_fails_to_the_degraded_path_once_tripped() {
     service.shutdown();
 }
 
+/// A shard that answers `ERR_BUSY` is alive. Its extraction-limit sheds
+/// must not count toward tripping its breaker — that would eject a
+/// healthy, merely loaded shard for a cooldown — and the client must
+/// receive the one code its retry policy acts on, not a flattened
+/// `ERR_INTERNAL`.
+#[test]
+fn a_busy_shard_passes_err_busy_through_and_keeps_its_breaker_closed() {
+    // Limit 0: the shard sheds every fresh extraction, deterministically.
+    let busy = ServerConfig {
+        max_inflight_extractions: 0,
+        ..ServerConfig::default()
+    };
+    let router = RouterConfig {
+        upstream: ClientConfig::no_retry(),
+        ..RouterConfig::default()
+    };
+    let service = ShardedFrameService::spawn_loopback(stores(2), 1, busy, router).unwrap();
+    let mut client = Client::connect_with(service.addr(), ClientConfig::no_retry()).unwrap();
+    // More sheds than the default failure threshold (3).
+    for _ in 0..5 {
+        match client.fetch(0, f64::INFINITY) {
+            Err(ServeError::Remote { code, message }) => {
+                assert_eq!(code, ERR_BUSY, "{message}");
+                assert!(message.contains("retry"), "hint missing: {message}");
+            }
+            other => panic!("expected the shard's ERR_BUSY, got {other:?}"),
+        }
+    }
+    assert_eq!(service.router().breaker_state(0), BreakerState::Closed);
+    let metrics = service.router().metrics();
+    assert_eq!(metrics.counter(CTR_ROUTER_BREAKER_OPEN), 0);
+    assert_eq!(metrics.counter(CTR_ROUTER_UPSTREAM_ERRORS), 5);
+    service.shutdown();
+}
+
 /// The background prober discovers a dead shard with **no client
 /// traffic at all**: its failed `Stats` pings trip the breaker, so the
 /// first real request after the death fast-fails instead of paying the
@@ -278,7 +316,10 @@ fn prober_trips_the_breaker_without_client_traffic() {
         ServerConfig::default(),
         RouterConfig {
             cache_bytes: 1,
-            upstream_retry: Some(RetryPolicy::fast(404)),
+            upstream: ClientConfig {
+                retry: Some(RetryPolicy::fast(404)),
+                ..ClientConfig::default()
+            },
             breaker: BreakerConfig {
                 failure_threshold: 2,
                 open_cooldown: Duration::from_secs(120),
@@ -337,7 +378,10 @@ fn prober_reinstates_a_shard_that_returns_on_its_old_address() {
         map,
         RouterConfig {
             cache_bytes: 1,
-            upstream_retry: Some(RetryPolicy::fast(505)),
+            upstream: ClientConfig {
+                retry: Some(RetryPolicy::fast(505)),
+                ..ClientConfig::default()
+            },
             breaker: BreakerConfig {
                 failure_threshold: 1,
                 // Short cooldown: recovery may also arrive via a

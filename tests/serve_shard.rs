@@ -11,7 +11,8 @@ use accelviz::core::viewer::FrameSource;
 use accelviz::octree::builder::{partition, BuildParams};
 use accelviz::octree::plots::PlotType;
 use accelviz::octree::sorted_store::PartitionedData;
-use accelviz::serve::protocol::{ERR_BAD_THRESHOLD, ERR_BUSY, ERR_NO_SUCH_FRAME};
+use accelviz::serve::lod::ProgressiveAssembler;
+use accelviz::serve::protocol::{write_request, Request, ERR_BUSY, RESP_FRAME_CHUNK};
 use accelviz::serve::router::{
     CTR_ROUTER_CACHE_HITS, CTR_ROUTER_CACHE_MISSES, CTR_ROUTER_COALESCED,
     CTR_ROUTER_SHED_CONNECTIONS, CTR_ROUTER_UPSTREAM_ERRORS, CTR_ROUTER_UPSTREAM_FETCHES,
@@ -22,7 +23,8 @@ use accelviz::serve::{
     Client, ClientConfig, FrameRouter, FrameServer, RemoteFrames, RetryPolicy, RouterConfig,
     ServeError, ServerConfig, ShardMap, ShardedFrameService,
 };
-use std::io;
+use std::io::{self, Read};
+use std::net::TcpStream;
 use std::sync::{Arc, Barrier};
 
 /// The fig-1 frame set this suite serves (same convention as the other
@@ -357,31 +359,77 @@ fn stats_through_the_router_aggregate_the_shards() {
     service.shutdown();
 }
 
-/// The router answers catalog misses and NaN thresholds in-band, exactly
-/// like a direct server — the session survives the rejection.
+/// Sends `req` and returns the raw bytes of the whole reply, read off
+/// the socket by the envelope layout alone (16-byte header — magic,
+/// version, kind at byte 6, reserved, `u64` payload length — then the
+/// payload and an 8-byte checksum). Only an accepted progressive stream
+/// spans several envelopes; it ends when an assembler has its final
+/// record.
+fn raw_reply(stream: &mut TcpStream, req: Request) -> Vec<u8> {
+    write_request(stream, &req).unwrap();
+    let mut reply = Vec::new();
+    let mut assembler = ProgressiveAssembler::new();
+    loop {
+        let mut header = [0u8; 16];
+        stream.read_exact(&mut header).unwrap();
+        let len = u64::from_le_bytes(header[8..].try_into().unwrap()) as usize;
+        let mut rest = vec![0u8; len + 8];
+        stream.read_exact(&mut rest).unwrap();
+        reply.extend_from_slice(&header);
+        reply.extend_from_slice(&rest);
+        if header[6] != RESP_FRAME_CHUNK || assembler.accept(&rest[..len]).unwrap() {
+            return reply;
+        }
+    }
+}
+
+/// The contract, once: a client cannot tell the router from a server.
+/// One scripted session — every negotiation outcome, the catalog, a
+/// frame at both wire versions, every in-band rejection, a progressive
+/// stream — runs against a direct server and against a router over one
+/// shard of the same data, and the reply *bytes* match request by
+/// request.
 #[test]
-fn router_rejects_bad_requests_in_band() {
-    let service = ShardedFrameService::spawn_loopback(
+fn router_and_server_answer_the_same_session_with_identical_bytes() {
+    let progressive = |frame| Request::RequestFrameProgressive {
+        frame,
+        threshold: f64::INFINITY,
+        chunk_bytes: 2_048,
+    };
+    let fetch = |frame, threshold| Request::RequestFrame { frame, threshold };
+    let script = [
+        ("hello 0 is refused", Request::Hello { version: 0 }),
+        ("hello 1", Request::Hello { version: 1 }),
+        ("catalog", Request::ListFrames),
+        ("fetch on v1", fetch(1, f64::INFINITY)),
+        ("progressive on v1 is refused", progressive(1)),
+        ("hello 2", Request::Hello { version: 2 }),
+        ("fetch on v2", fetch(1, f64::INFINITY)),
+        ("NaN threshold is refused", fetch(0, f64::NAN)),
+        ("frame out of range is refused", fetch(99, f64::INFINITY)),
+        ("progressive out of range is refused", progressive(99)),
+        ("progressive on v2", progressive(0)),
+    ];
+    let direct = FrameServer::spawn_loopback(stores(2), ServerConfig::default()).unwrap();
+    let routed = ShardedFrameService::spawn_loopback(
         stores(2),
-        2,
+        1,
         ServerConfig::default(),
         RouterConfig::default(),
     )
     .unwrap();
-    let mut client = Client::connect_with(service.addr(), ClientConfig::no_retry()).unwrap();
-
-    match client.fetch(99, f64::INFINITY) {
-        Err(ServeError::Remote { code, .. }) => assert_eq!(code, ERR_NO_SUCH_FRAME),
-        other => panic!("expected ERR_NO_SUCH_FRAME, got {other:?}"),
+    let mut to_server = TcpStream::connect(direct.addr()).unwrap();
+    let mut to_router = TcpStream::connect(routed.addr()).unwrap();
+    for (what, req) in script {
+        let from_server = raw_reply(&mut to_server, req);
+        assert!(from_server.len() >= 24, "{what}: at least one envelope");
+        assert_eq!(from_server, raw_reply(&mut to_router, req), "{what}");
     }
-    match client.fetch(0, f64::NAN) {
-        Err(ServeError::Remote { code, .. }) => assert_eq!(code, ERR_BAD_THRESHOLD),
-        other => panic!("expected ERR_BAD_THRESHOLD, got {other:?}"),
-    }
-    // The connection survived both rejections.
-    let (frame, _) = client.fetch(0, f64::INFINITY).unwrap();
-    assert_eq!(frame.step, 0);
-    service.shutdown();
+    // Both sessions survived every rejection.
+    let alive = raw_reply(&mut to_server, Request::ListFrames);
+    assert_eq!(alive, raw_reply(&mut to_router, Request::ListFrames));
+    routed.shutdown();
+    direct.shutdown();
 }
 
 /// A router at its connection cap sheds exactly like a server: the
