@@ -1,9 +1,9 @@
 //! Per-shard circuit breakers for the router's upstream leg.
 //!
-//! Without a breaker, every request routed to a dead shard burns the
-//! full upstream retry budget (seconds) before degrading — the
-//! availability cliff the PR 5 model was meant to smooth over. A
-//! breaker makes the *knowledge* that a shard is down cheap to reuse:
+//! Without a breaker, every request routed to a dead shard pays for
+//! finding that out again — a refused dial at best, a connect timeout
+//! at worst — before degrading. A breaker makes the *knowledge* that a
+//! shard is down cheap to reuse:
 //! after `failure_threshold` consecutive upstream failures the shard's
 //! breaker trips [`BreakerState::Open`] and subsequent requests
 //! fast-fail in microseconds (skipping straight to the next replica, or
@@ -65,7 +65,7 @@ pub enum Admission {
     /// `on_success`/`on_failure` report decides the next state.
     Trial,
     /// Breaker open (or a trial is already in flight): fail fast
-    /// without spending the upstream retry budget.
+    /// without touching the shard.
     FastFail,
 }
 
@@ -114,13 +114,14 @@ impl CircuitBreaker {
         }
     }
 
-    /// Decides whether one request may proceed. Open breakers past
-    /// their cooldown admit exactly one [`Admission::Trial`]; a trial
-    /// whose owner never reports back (e.g. an isolated panic) is
-    /// abandoned after another cooldown so the breaker cannot wedge in
-    /// HalfOpen forever.
-    pub fn admit(&self) -> (Admission, Option<Transition>) {
-        let now = Instant::now();
+    /// Decides whether one request arriving at `now` may proceed. Open
+    /// breakers at or past their cooldown admit exactly one
+    /// [`Admission::Trial`]; a trial whose owner never reports back
+    /// (e.g. an isolated panic) is abandoned once *more* than another
+    /// cooldown has passed, so the breaker cannot wedge in HalfOpen
+    /// forever. The caller supplies the clock, so the state machine is
+    /// a pure function of the instants it is shown.
+    pub fn admit(&self, now: Instant) -> (Admission, Option<Transition>) {
         let mut state = self.state.lock();
         match *state {
             State::Closed { .. } => (Admission::Allow, None),
@@ -162,12 +163,11 @@ impl CircuitBreaker {
         }
     }
 
-    /// Reports a failed upstream operation. Closed breakers count it
-    /// (and trip at the threshold); a failed half-open trial re-opens;
-    /// a failure reported while already Open (a request admitted before
-    /// the trip) refreshes the cooldown window.
-    pub fn on_failure(&self) -> Option<Transition> {
-        let now = Instant::now();
+    /// Reports an upstream operation that failed at `now`. Closed
+    /// breakers count it (and trip at the threshold); a failed half-open
+    /// trial re-opens; a failure reported while already Open (a request
+    /// admitted before the trip) refreshes the cooldown window.
+    pub fn on_failure(&self, now: Instant) -> Option<Transition> {
         let mut state = self.state.lock();
         match *state {
             State::Closed {
@@ -222,110 +222,127 @@ impl CircuitBreaker {
 mod tests {
     use super::*;
 
+    const COOLDOWN: Duration = Duration::from_millis(30);
+    const NS: Duration = Duration::from_nanos(1);
+
     fn fast() -> BreakerConfig {
         BreakerConfig {
             failure_threshold: 3,
-            open_cooldown: Duration::from_millis(30),
+            open_cooldown: COOLDOWN,
         }
+    }
+
+    /// A breaker whose third consecutive failure landed at `t0`, so it
+    /// is Open until exactly `t0 + COOLDOWN`.
+    fn tripped(t0: Instant) -> CircuitBreaker {
+        let b = CircuitBreaker::new(fast());
+        for _ in 0..3 {
+            b.on_failure(t0);
+        }
+        assert_eq!(b.state(), BreakerState::Open);
+        b
     }
 
     #[test]
     fn trips_open_after_consecutive_failures_and_fast_fails() {
+        let t0 = Instant::now();
         let b = CircuitBreaker::new(fast());
         assert_eq!(b.state(), BreakerState::Closed);
-        assert_eq!(b.on_failure(), None);
-        assert_eq!(b.on_failure(), None);
-        assert_eq!(b.on_failure(), Some(Transition::Opened));
+        assert_eq!(b.on_failure(t0), None);
+        assert_eq!(b.on_failure(t0), None);
+        assert_eq!(b.on_failure(t0), Some(Transition::Opened));
         assert_eq!(b.state(), BreakerState::Open);
-        let (admission, t) = b.admit();
-        assert_eq!(admission, Admission::FastFail);
-        assert_eq!(t, None);
+        assert_eq!(b.admit(t0), (Admission::FastFail, None));
     }
 
     #[test]
     fn one_success_resets_the_failure_count() {
+        let t0 = Instant::now();
         let b = CircuitBreaker::new(fast());
-        b.on_failure();
-        b.on_failure();
+        b.on_failure(t0);
+        b.on_failure(t0);
         assert_eq!(b.on_success(), None, "closed stays closed");
         // The count restarted: two more failures do not trip.
-        b.on_failure();
-        assert_eq!(b.on_failure(), None);
+        b.on_failure(t0);
+        assert_eq!(b.on_failure(t0), None);
         assert_eq!(b.state(), BreakerState::Closed);
     }
 
     #[test]
     fn cooldown_admits_one_trial_then_success_closes() {
-        let b = CircuitBreaker::new(fast());
-        for _ in 0..3 {
-            b.on_failure();
-        }
-        std::thread::sleep(Duration::from_millis(40));
-        let (admission, t) = b.admit();
-        assert_eq!(admission, Admission::Trial);
-        assert_eq!(t, Some(Transition::HalfOpened));
+        let t0 = Instant::now();
+        let b = tripped(t0);
+        let later = t0 + COOLDOWN + NS;
+        assert_eq!(
+            b.admit(later),
+            (Admission::Trial, Some(Transition::HalfOpened))
+        );
         // A second arrival while the trial is in flight fast-fails.
-        assert_eq!(b.admit().0, Admission::FastFail);
+        assert_eq!(b.admit(later).0, Admission::FastFail);
         assert_eq!(b.on_success(), Some(Transition::Closed));
         assert_eq!(b.state(), BreakerState::Closed);
-        assert_eq!(b.admit().0, Admission::Allow);
+        assert_eq!(b.admit(later).0, Admission::Allow);
+    }
+
+    #[test]
+    fn the_cooldown_ends_exactly_at_its_boundary() {
+        let t0 = Instant::now();
+        let b = tripped(t0);
+        assert_eq!(b.admit(t0 + COOLDOWN - NS).0, Admission::FastFail);
+        assert_eq!(b.admit(t0 + COOLDOWN).0, Admission::Trial);
     }
 
     #[test]
     fn failed_trial_reopens_for_another_cooldown() {
-        let b = CircuitBreaker::new(fast());
-        for _ in 0..3 {
-            b.on_failure();
-        }
-        std::thread::sleep(Duration::from_millis(40));
-        assert_eq!(b.admit().0, Admission::Trial);
-        assert_eq!(b.on_failure(), Some(Transition::Opened));
+        let t0 = Instant::now();
+        let b = tripped(t0);
+        let trial = t0 + COOLDOWN;
+        assert_eq!(b.admit(trial).0, Admission::Trial);
+        assert_eq!(b.on_failure(trial), Some(Transition::Opened));
         assert_eq!(b.state(), BreakerState::Open);
-        assert_eq!(b.admit().0, Admission::FastFail);
+        assert_eq!(b.admit(trial + COOLDOWN - NS).0, Admission::FastFail);
         // ...and the next cooldown admits a fresh trial.
-        std::thread::sleep(Duration::from_millis(40));
-        assert_eq!(b.admit().0, Admission::Trial);
+        assert_eq!(b.admit(trial + COOLDOWN).0, Admission::Trial);
     }
 
     #[test]
-    fn abandoned_trial_is_reclaimed_after_a_cooldown() {
-        let b = CircuitBreaker::new(fast());
-        for _ in 0..3 {
-            b.on_failure();
-        }
-        std::thread::sleep(Duration::from_millis(40));
-        assert_eq!(b.admit().0, Admission::Trial);
-        // The trial's owner vanishes without reporting. After another
-        // cooldown the slot is reclaimed instead of wedging HalfOpen.
-        std::thread::sleep(Duration::from_millis(40));
-        assert_eq!(b.admit().0, Admission::Trial);
+    fn abandoned_trial_is_reclaimed_only_past_a_full_cooldown() {
+        let t0 = Instant::now();
+        let b = tripped(t0);
+        let trial = t0 + COOLDOWN;
+        assert_eq!(b.admit(trial).0, Admission::Trial);
+        // The trial's owner vanishes without reporting. A full cooldown
+        // later the slot is still its own; one nanosecond past that it is
+        // reclaimed instead of wedging HalfOpen.
+        assert_eq!(b.admit(trial + COOLDOWN).0, Admission::FastFail);
+        assert_eq!(
+            b.admit(trial + COOLDOWN + NS),
+            (Admission::Trial, None),
+            "a reclaimed slot is not a second Open → HalfOpen transition"
+        );
+        assert_eq!(b.state(), BreakerState::HalfOpen);
     }
 
     #[test]
     fn reset_closes_from_any_state() {
-        let b = CircuitBreaker::new(fast());
-        for _ in 0..3 {
-            b.on_failure();
-        }
-        assert_eq!(b.state(), BreakerState::Open);
+        let t0 = Instant::now();
+        let b = tripped(t0);
         assert_eq!(b.reset(), Some(Transition::Closed));
         assert_eq!(b.state(), BreakerState::Closed);
         assert_eq!(b.reset(), None, "already closed");
-        assert_eq!(b.admit().0, Admission::Allow);
+        assert_eq!(b.admit(t0).0, Admission::Allow);
     }
 
     #[test]
     fn open_failure_refreshes_the_cooldown() {
-        let b = CircuitBreaker::new(fast());
-        for _ in 0..3 {
-            b.on_failure();
-        }
-        std::thread::sleep(Duration::from_millis(20));
-        // A straggler admitted before the trip reports its failure now:
-        // the cooldown restarts, so 20 ms later the breaker is still
-        // fully open rather than half-open.
-        assert_eq!(b.on_failure(), None);
-        std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(b.admit().0, Admission::FastFail);
+        let t0 = Instant::now();
+        let b = tripped(t0);
+        // A straggler admitted before the trip reports its failure two
+        // thirds of the way through: the cooldown restarts from there, so
+        // at the original deadline the breaker is still fully open.
+        let straggler = t0 + Duration::from_millis(20);
+        assert_eq!(b.on_failure(straggler), None);
+        assert_eq!(b.admit(t0 + COOLDOWN).0, Admission::FastFail);
+        assert_eq!(b.admit(straggler + COOLDOWN).0, Admission::Trial);
     }
 }

@@ -40,12 +40,12 @@
 //! - [`router`] — the scale-out layer: [`router::ShardedFrameService`]
 //!   and [`router::FrameRouter`], one AVWF front door over N shard
 //!   servers with rendezvous-hashed (optionally replicated) frame
-//!   ownership, pooled retrying upstream connections, cross-shard herd
-//!   coalescing, replica failover with optional hedged reads, and
+//!   ownership, pooled upstream connections, cross-shard herd
+//!   coalescing, one retry loop whose body is the replica walk, and
 //!   aggregated `Stats`.
 //! - [`breaker`] — per-shard circuit breakers on the upstream leg, so a
-//!   dead shard fast-fails in microseconds instead of burning the retry
-//!   budget per request.
+//!   dead shard fast-fails in microseconds instead of costing a dial per
+//!   request.
 //! - [`health`] — the background prober that pings every shard with
 //!   cheap `Stats` round trips on a seeded-jitter interval and
 //!   reinstates recovered shards with no operator in the loop.
@@ -98,6 +98,6 @@ pub use fault::{FaultDirection, FaultEvent, FaultKind, FaultPlan, FaultScript, F
 pub use health::HealthConfig;
 pub use lru::LruOrder;
 pub use retry::RetryPolicy;
-pub use router::{FrameRouter, HedgeConfig, RouterConfig, ShardMap, ShardedFrameService};
+pub use router::{FrameRouter, RouterConfig, ShardMap, ShardedFrameService};
 pub use server::{FrameServer, ServerConfig};
 pub use stats::ServerStats;

@@ -1,4 +1,5 @@
-//! Retry scheduling for the frame-service client.
+//! Retry scheduling for the frame-service client and for the router's
+//! replica walk (the two retry loops in the crate, one per leg).
 //!
 //! The policy is a pure function of `(seed, attempt)`: exponential
 //! backoff with deterministic jitter, capped per-delay and bounded by a

@@ -12,10 +12,10 @@
 //!   back into global frame order at spawn time;
 //! - a frame comes from the owning shard (the [`ShardMap`] built from a
 //!   [`ShardSpec`] rendezvous layout) over one `Upstream` per shard — a
-//!   small pool of [`crate::client::Client`]s, so the proxy leg inherits
-//!   the client layer's reconnect-and-replay retry machinery and always
-//!   speaks the newest version whatever the client negotiated, plus the
-//!   circuit breaker every path that talks to the shard reports to;
+//!   small pool of non-retrying [`crate::client::Client`]s, so the proxy
+//!   leg always speaks the newest version whatever the client
+//!   negotiated, plus the circuit breaker every path that talks to the
+//!   shard reports to;
 //! - `Stats` sums every shard's counters into one wire-shaped
 //!   [`ServerStats`]; the router's own `router.*` counters live in its
 //!   private registry ([`FrameRouter::metrics`]) because the `Stats`
@@ -29,17 +29,19 @@
 //! coalesced waiter but never cached, so a shard coming back is observed
 //! on the very next request.
 //!
-//! Failure semantics (the PR 5 degradation model, one hop out): when a
-//! shard dies mid-session the router retries per its upstream policy,
-//! then answers that frame with an in-band `ERR_INTERNAL` while the
-//! catalog and every other shard's frames keep serving. A resilient
-//! client ([`crate::client::RemoteFrames`]) turns that into a
-//! flagged-stale degraded frame instead of a dead session; when the
-//! shard returns (or [`FrameRouter::set_shard_addr`] repoints its pool
-//! at a replacement), the same requests simply succeed again. A shard
-//! that answers `ERR_BUSY` is *alive*: its breaker hears a success, the
-//! walk moves on to the next replica, and when every replica is busy the
-//! client receives the `ERR_BUSY` its retry policy acts on.
+//! Failure semantics (the PR 5 degradation model, one hop out): the
+//! router owns the only retry loop on this leg and the replica walk is
+//! its body, bounded by [`RouterConfig::upstream`]'s retry policy
+//! (DESIGN.md §16 has the whole failure order). When that is spent the
+//! frame is answered with an in-band `ERR_INTERNAL` while the catalog and
+//! every other shard's frames keep serving. A resilient client
+//! ([`crate::client::RemoteFrames`]) turns that into a flagged-stale
+//! degraded frame instead of a dead session; when the shard returns (or
+//! [`FrameRouter::set_shard_addr`] repoints its pool at a replacement),
+//! the same requests simply succeed again. A shard that answers
+//! `ERR_BUSY` is *alive*: its breaker hears a success, the walk moves on
+//! to the next replica, and when every replica stays busy the client
+//! receives the `ERR_BUSY` its retry policy acts on.
 
 use crate::breaker::{Admission, BreakerConfig, BreakerState, CircuitBreaker, Transition};
 use crate::cache::{CacheKey, CoalescingCache, Fetched, Lookup};
@@ -48,6 +50,7 @@ use crate::error::ServeError;
 use crate::frontdoor::{CounterNames, DoorConfig, FrontDoor, Handler};
 use crate::health::{HealthConfig, Prober};
 use crate::protocol::{FrameInfo, Refusal, ERR_BUSY, ERR_INTERNAL};
+use crate::retry::RetryPolicy;
 use crate::server::{FrameServer, ServerConfig};
 use crate::stats::ServerStats;
 use accelviz_core::hybrid::HybridFrame;
@@ -58,8 +61,7 @@ use accelviz_trace::registry::Registry;
 use parking_lot::Mutex;
 use std::io;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Registry counter: requests the router handled, across all clients
@@ -82,13 +84,15 @@ pub const CTR_ROUTER_COALESCED: &str = "router.coalesced_fetches";
 /// Registry counter: upstream fetches the router started (each one
 /// costs the owning shard at most one extraction).
 pub const CTR_ROUTER_UPSTREAM_FETCHES: &str = "router.upstream_fetches";
-/// Registry counter: retries the pooled upstream clients burned against
-/// shards (transient shard failures absorbed by the proxy leg).
+/// Registry counter: re-walks — times a frame's replica walk came back
+/// without a frame and the router backed off and walked again (transient
+/// shard failures absorbed by the proxy leg).
 pub const CTR_ROUTER_UPSTREAM_RETRIES: &str = "router.upstream_retries";
-/// Registry counter: upstream operations that failed even after the
-/// upstream retry policy — each one became an in-band `ERR_INTERNAL`
-/// (for frames; a busy shard's `ERR_BUSY` passes through as itself) or a
-/// zero contribution (for stats aggregation).
+/// Registry counter: attempts against a shard that failed (one dial or
+/// one request, nothing retried inside). For a frame the walk moves on
+/// to the next replica and only an exhausted retry loop answers in-band
+/// (`ERR_INTERNAL`, or a busy shard's `ERR_BUSY` as itself); for stats
+/// aggregation it is a zero contribution.
 pub const CTR_ROUTER_UPSTREAM_ERRORS: &str = "router.upstream_errors";
 /// Registry counter: connections shed at the router's connection cap —
 /// answered one in-band `ERR_BUSY` from a bounded pool and closed,
@@ -127,8 +131,8 @@ pub const CTR_ROUTER_BREAKER_HALF_OPEN: &str = "router.breaker_half_open";
 /// Closed), whether from a successful trial, a successful probe, or a
 /// `set_shard_addr` reset.
 pub const CTR_ROUTER_BREAKER_CLOSED: &str = "router.breaker_closed";
-/// Registry counter: fetch attempts an open breaker rejected in
-/// microseconds instead of burning the upstream retry budget.
+/// Registry counter: attempts an open breaker rejected in microseconds
+/// instead of dialing a shard it already knows is down.
 pub const CTR_ROUTER_BREAKER_FAST_FAILS: &str = "router.breaker_fast_fails";
 /// Registry counter: background health probes a shard answered.
 pub const CTR_ROUTER_PROBE_OK: &str = "router.probe_ok";
@@ -137,15 +141,8 @@ pub const CTR_ROUTER_PROBE_FAIL: &str = "router.probe_fail";
 /// Registry counter: frame fetches ultimately served by a replica other
 /// than the frame's primary owner — the redundancy at work.
 pub const CTR_ROUTER_REPLICA_FAILOVERS: &str = "router.replica_failovers";
-/// Registry counter: fetches where the hedge delay elapsed and a second
-/// replica was raced against the slow primary.
-pub const CTR_ROUTER_HEDGED_REQUESTS: &str = "router.hedged_requests";
-/// Registry counter: hedged fetches where the raced replica answered
-/// first (with the primary still in flight).
-pub const CTR_ROUTER_HEDGED_WINS: &str = "router.hedged_wins";
-/// Registry histogram: one upstream fetch attempt against a shard,
-/// retries included — the distribution the hedge delay quantile is
-/// derived from.
+/// Registry histogram: one upstream fetch attempt against one shard —
+/// a single dial-or-reuse plus request, no retries inside.
 pub const HIST_ROUTER_UPSTREAM_LATENCY: &str = "router.upstream_latency";
 
 /// Where every global frame lives: which shards hold a replica of it
@@ -310,16 +307,16 @@ pub struct RouterConfig {
     /// are counted under `router.shed_connections`, answered one in-band
     /// `ERR_BUSY`, and closed.
     pub max_connections: usize,
-    /// The resilience knobs for the pooled upstream connections to the
-    /// shards — retry/backoff on this leg is what turns a shard blip
-    /// into a blip instead of a failed client request. `max_version` is
-    /// honored, so a `wire::V1`-capped upstream config forces
-    /// uncompressed shard hops. The retry policy's seed is only a
-    /// *base*: every fresh upstream dial derives its own jitter seed
-    /// from `(base seed, shard, dial count)`, so a shard restart does
-    /// not march every pooled connection through identical backoff
-    /// schedules (a synchronized retry storm), while any fixed base
-    /// seed still replays exactly.
+    /// The upstream leg: timeouts and `max_version` for the pooled
+    /// connections to the shards (a `wire::V1`-capped config forces
+    /// uncompressed shard hops), and in `retry` the router's one failure
+    /// policy. The connections themselves never retry; the router backs
+    /// off and re-walks a frame's replicas per this policy, and its
+    /// `budget` is the single deadline a routed fetch draws on (`None`
+    /// walks once). The seed is only a *base*: each request jitters from
+    /// `(base seed, frame, threshold)`, so a shard restart does not march
+    /// every waiting request through one backoff schedule (a
+    /// synchronized retry storm), while a fixed base seed still replays.
     pub upstream: ClientConfig,
     /// Idle upstream connections kept pooled per shard.
     pub upstream_idle: usize,
@@ -328,12 +325,6 @@ pub struct RouterConfig {
     /// The background health prober's pacing (zero interval disables
     /// it).
     pub health: HealthConfig,
-    /// Hedged upstream reads: `None` (the default) never hedges;
-    /// `Some` races the next replica when the primary is slower than a
-    /// latency quantile says it should be. Only meaningful with
-    /// replicated shard maps — with one replica per frame there is
-    /// nothing to race.
-    pub hedge: Option<HedgeConfig>,
 }
 
 impl Default for RouterConfig {
@@ -347,48 +338,7 @@ impl Default for RouterConfig {
             upstream_idle: 4,
             breaker: BreakerConfig::default(),
             health: HealthConfig::default(),
-            hedge: None,
         }
-    }
-}
-
-/// When and how aggressively to hedge a slow upstream fetch with a
-/// request to the next replica.
-#[derive(Clone, Copy, Debug)]
-pub struct HedgeConfig {
-    /// The latency quantile of `router.upstream_latency` that sets the
-    /// hedge delay: a primary slower than this is raced. `0.95` hedges
-    /// roughly the slowest 5% of fetches.
-    pub quantile: f64,
-    /// Floor on the derived delay — hedging below this would duplicate
-    /// upstream work on healthy fetch jitter.
-    pub min_delay: Duration,
-    /// Ceiling on the derived delay, and the delay used while the
-    /// latency histogram is still empty (or the quantile lands in its
-    /// unbounded overflow bucket).
-    pub max_delay: Duration,
-}
-
-impl Default for HedgeConfig {
-    fn default() -> HedgeConfig {
-        HedgeConfig {
-            quantile: 0.95,
-            min_delay: Duration::from_millis(1),
-            max_delay: Duration::from_secs(2),
-        }
-    }
-}
-
-impl HedgeConfig {
-    /// The hedge delay derived from the observed upstream latency
-    /// distribution, clamped to `[min_delay, max_delay]`.
-    fn delay_from(&self, metrics: &Registry) -> Duration {
-        metrics
-            .histogram(HIST_ROUTER_UPSTREAM_LATENCY)
-            .and_then(|h| h.quantile_upper_bound(self.quantile))
-            .map(Duration::from_secs_f64)
-            .unwrap_or(self.max_delay)
-            .clamp(self.min_delay, self.max_delay)
     }
 }
 
@@ -398,15 +348,13 @@ impl HedgeConfig {
 /// repoint — reports to, so "is this shard alive" is decided and counted
 /// in one place.
 struct Upstream {
-    shard: usize,
     addr: Mutex<SocketAddr>,
     /// Clients that finished their last operation cleanly, at most
-    /// `max_idle`. Any failure drops the connection instead — its stream
-    /// may be mid-envelope, and the next checkout dials fresh.
+    /// `max_idle`; emptied whenever the shard is reported down.
     idle: Mutex<Vec<Client>>,
+    /// `RouterConfig::upstream` with `retry: None` — the router's retry
+    /// loop is the only one on this leg.
     config: ClientConfig,
-    /// Fresh dials so far — the per-connection retry seed counter.
-    dialed: AtomicU64,
     max_idle: usize,
     breaker: CircuitBreaker,
     /// The router's registry (`router.*`).
@@ -414,16 +362,6 @@ struct Upstream {
 }
 
 impl Upstream {
-    /// Repoints at a shard restarted elsewhere (dialing and health
-    /// probing both follow `addr`): idle connections to the old address
-    /// are dropped and the breaker is forced Closed — a replacement must
-    /// not inherit the dead shard's verdict.
-    fn set_addr(&self, addr: SocketAddr) {
-        *self.addr.lock() = addr;
-        self.idle.lock().clear();
-        self.note(self.breaker.reset());
-    }
-
     /// Lands a breaker state transition on the `router.breaker_*`
     /// counters.
     fn note(&self, transition: Option<Transition>) {
@@ -436,70 +374,62 @@ impl Upstream {
         self.metrics.add(counter, 1);
     }
 
-    /// Tells the breaker whether the shard just proved alive.
+    /// Tells the breaker whether the shard just proved alive. A shard
+    /// that failed — an attempt or a probe — took every idle connection
+    /// with it: they are dropped now rather than found dead one request
+    /// at a time.
     fn report(&self, alive: bool) {
         self.note(if alive {
             self.breaker.on_success()
         } else {
-            self.breaker.on_failure()
+            self.idle.lock().clear();
+            self.breaker.on_failure(Instant::now())
         });
     }
 
-    /// Whether the breaker lets one call through right now; a refusal is
-    /// a counted fast-fail that cost microseconds, no dial, no retry
-    /// budget. Separate from [`Upstream::call`] because a hedged walk
-    /// admits on its own thread and calls on a helper.
-    fn admit(&self) -> bool {
-        let (admission, transition) = self.breaker.admit();
+    /// One attempt against the shard: `None` when its breaker refuses
+    /// (a counted fast-fail that cost microseconds and no dial), else
+    /// `op` on a pooled or freshly dialed client — once, no backoff
+    /// inside — then the verdict to the breaker and, on failure, one
+    /// upstream error to the counters. A well-formed `ERR_BUSY` is an
+    /// error for the caller but a *live* shard for the breaker (it also
+    /// releases a half-open trial slot): load must not eject a healthy
+    /// shard and move its load onto its replicas.
+    fn call<T>(
+        &self,
+        op: impl Fn(&mut Client) -> crate::error::Result<T>,
+    ) -> Option<crate::error::Result<T>> {
+        let (admission, transition) = self.breaker.admit(Instant::now());
         self.note(transition);
         if admission == Admission::FastFail {
             self.metrics.add(CTR_ROUTER_BREAKER_FAST_FAILS, 1);
+            return None;
         }
-        admission != Admission::FastFail
-    }
-
-    /// The config for one fresh dial: the shared policy with a retry
-    /// seed derived from `(base seed, shard, dial count)`. Each
-    /// connection jitters its backoff on its own schedule — a shard
-    /// restart must not turn N pooled connections into N synchronized
-    /// retry volleys — while a fixed base seed keeps the whole pattern
-    /// replayable.
-    fn dial_config(&self) -> ClientConfig {
-        let mut config = self.config;
-        if let Some(retry) = &mut config.retry {
-            let dial = self.dialed.fetch_add(1, Ordering::Relaxed);
-            retry.seed = splitmix64(retry.seed ^ ((self.shard as u64) << 32) ^ dial);
-        }
-        config
-    }
-
-    /// One admitted operation against the shard: `op` on a pooled (or
-    /// freshly dialed) client, then the verdict to the breaker and the
-    /// cost to the counters — the retries the client burned inside a
-    /// call that succeeded, or one upstream error. A well-formed
-    /// `ERR_BUSY` is an error for the caller but a *live* shard for the
-    /// breaker (it also releases a half-open trial slot): load must not
-    /// eject a healthy shard and move its load onto its replicas.
-    fn call<T>(
-        &self,
-        op: impl FnOnce(&mut Client) -> crate::error::Result<T>,
-    ) -> crate::error::Result<T> {
-        // Each lock is released before dialing: a dial can take a whole
-        // retry budget, and must block neither the pool nor a repoint.
-        let pooled = self.idle.lock().pop();
-        let addr = *self.addr.lock();
-        let client = pooled.map_or_else(|| Client::connect_with(addr, self.dial_config()), Ok);
-        let result = client.and_then(|mut client| {
-            let before = client.client_stats().retries;
+        // Each lock is released before dialing: a dial to an unroutable
+        // shard can take a whole connect timeout, and must block neither
+        // the pool nor a repoint.
+        let dial = || {
+            let addr = *self.addr.lock();
+            Client::connect_with(addr, self.config)
+        };
+        let run = |mut client: Client| -> crate::error::Result<T> {
             let value = op(&mut client)?;
-            let retries = client.client_stats().retries - before;
-            self.metrics.add(CTR_ROUTER_UPSTREAM_RETRIES, retries);
             let mut idle = self.idle.lock();
             if idle.len() < self.max_idle {
                 idle.push(client);
             }
             Ok(value)
-        });
+        };
+        let pooled = self.idle.lock().pop();
+        let reused = pooled.is_some();
+        let mut result = pooled.map_or_else(dial, Ok).and_then(run);
+        // A pooled connection the shard hung up on while it sat idle (its
+        // `read_timeout`, or a restart on the same address) is no verdict
+        // on the shard: drop its equally old siblings and redial once.
+        if reused && result.as_ref().is_err_and(hung_up) {
+            self.idle.lock().clear();
+            result = dial().and_then(run);
+        }
         match &result {
             Ok(_) => self.report(true),
             Err(e) => {
@@ -507,34 +437,7 @@ impl Upstream {
                 self.report(is_busy(e));
             }
         }
-        result
-    }
-
-    /// One admitted frame fetch, timed into the histogram the hedge
-    /// delay is read from (frame fetches only — `Stats` hops would skew
-    /// it). The decoded frame is relabeled with its *global* step index:
-    /// a sliced shard only knows its local frame numbering, and the
-    /// run-wide convention (what a direct server of the unsliced data
-    /// bakes into the frame, and what the merged catalog advertises) is
-    /// `step == global index`.
-    fn fetch(&self, local: u32, global: u32, threshold: f64) -> Fetched {
-        self.metrics.add(CTR_ROUTER_UPSTREAM_FETCHES, 1);
-        let t0 = Instant::now();
-        let result = self.call(|c| c.fetch(local, threshold));
-        self.metrics
-            .record_seconds(HIST_ROUTER_UPSTREAM_LATENCY, t0.elapsed().as_secs_f64());
-        match result {
-            Ok((mut frame, _metrics)) => {
-                frame.step = global as usize;
-                Ok(Arc::new(frame))
-            }
-            Err(e) => {
-                let code = if is_busy(&e) { ERR_BUSY } else { ERR_INTERNAL };
-                let shard = self.shard;
-                let why = format!("shard {shard} failed serving its frame {local}: {e}");
-                Err(Refusal::new(code, why))
-            }
-        }
+        Some(result)
     }
 }
 
@@ -543,69 +446,19 @@ fn is_busy(e: &ServeError) -> bool {
     matches!(e, ServeError::Remote { code: ERR_BUSY, .. })
 }
 
-/// One step of a replica walk: the replica's position in the frame's
-/// preference list, its (already admitting) shard, and the frame's local
-/// index there.
-type Candidate<'a> = (usize, &'a Arc<Upstream>, u32);
-
-/// One fetch attempt with a hedge: the primary runs on a helper thread;
-/// if it has not answered within the quantile-derived hedge delay, the
-/// next admissible replica is raced against it and the first genuine
-/// reply wins. The loser is not cancelled — it finishes on its thread
-/// and reports its own outcome to its breaker and counters, it just
-/// cannot win. Returns the frame plus the preference index of the
-/// replica that served it.
-fn hedged_fetch<'a>(
-    metrics: &Registry,
-    hedge: HedgeConfig,
-    primary: Candidate<'a>,
-    rest: &mut impl Iterator<Item = Candidate<'a>>,
-    global: u32,
-    threshold: f64,
-) -> Result<(Arc<HybridFrame>, usize), Refusal> {
-    let (tx, rx) = mpsc::channel();
-    let spawn_attempt = |(idx, upstream, local): Candidate<'a>| {
-        let (upstream, tx) = (Arc::clone(upstream), tx.clone());
-        std::thread::spawn(move || {
-            // A send after the winner returned just goes nowhere.
-            let _ = tx.send((idx, upstream.fetch(local, global, threshold)));
-        });
-    };
-    let delay = hedge.delay_from(metrics);
-    let primary_idx = primary.0;
-    spawn_attempt(primary);
-    let mut in_flight = 1usize;
-    let mut hedge_launched = false;
-    let mut last_err: Option<Refusal> = None;
-    while in_flight > 0 {
-        let (idx, outcome) = if hedge_launched {
-            rx.recv().expect("tx is owned by this frame until return")
-        } else {
-            match rx.recv_timeout(delay) {
-                Ok(msg) => msg,
-                Err(_slow_primary) => {
-                    hedge_launched = true;
-                    if let Some(candidate) = rest.next() {
-                        metrics.add(CTR_ROUTER_HEDGED_REQUESTS, 1);
-                        spawn_attempt(candidate);
-                        in_flight += 1;
-                    }
-                    continue;
-                }
-            }
-        };
-        in_flight -= 1;
-        match outcome {
-            Ok(frame) => {
-                if idx != primary_idx && in_flight > 0 {
-                    metrics.add(CTR_ROUTER_HEDGED_WINS, 1);
-                }
-                return Ok((frame, idx));
-            }
-            Err(e) => last_err = Some(e),
-        }
+/// The peer closed the connection before a single reply byte. Not a
+/// timeout: that is the shard being slow, not the connection being old.
+fn hung_up(e: &ServeError) -> bool {
+    use io::ErrorKind::{TimedOut, WouldBlock};
+    match e {
+        ServeError::Io(e) => !matches!(e.kind(), TimedOut | WouldBlock),
+        ServeError::Truncated { got: 0, .. } => true,
+        _ => false,
     }
-    Err(last_err.expect("at least the primary attempt completed"))
+}
+
+fn invalid_input(why: impl Into<String>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidInput, why.into())
 }
 
 /// The state every session of one router shares.
@@ -614,7 +467,8 @@ struct RouterShared {
     catalog: Vec<FrameInfo>,
     upstreams: Vec<Arc<Upstream>>,
     cache: CoalescingCache,
-    hedge: Option<HedgeConfig>,
+    /// The one retry policy of the upstream leg (`None` walks once).
+    retry: Option<RetryPolicy>,
     metrics: Arc<Registry>,
 }
 
@@ -674,13 +528,13 @@ impl Handler for RouterShared {
     /// `router.upstream_errors` count) instead of failing the reply, and
     /// a shard whose breaker is open is skipped outright (a
     /// `router.breaker_fast_fails` count) — one dead shard must not add
-    /// its full retry budget to every `Stats` round trip. Stats hops feed
-    /// the breakers like any other upstream traffic, so a `Stats` poll
+    /// a connect timeout to every `Stats` round trip. Stats hops feed the
+    /// breakers like any other upstream traffic, so a `Stats` poll
     /// doubles as a half-open trial once the cooldown elapses.
     fn stats(&self) -> ServerStats {
         let mut total = ServerStats::default();
-        for upstream in self.upstreams.iter().filter(|u| u.admit()) {
-            if let Ok(snapshot) = upstream.call(|c| c.stats()) {
+        for upstream in &self.upstreams {
+            if let Some(Ok(snapshot)) = upstream.call(|c| c.stats()) {
                 total.absorb(&snapshot);
             }
         }
@@ -689,69 +543,101 @@ impl Handler for RouterShared {
 }
 
 impl RouterShared {
-    /// One logical frame fetch, resolved across the frame's replica set:
-    /// walk the preference order, skip replicas whose breaker fast-fails
-    /// (microseconds each), attempt the rest in turn — optionally hedged
-    /// — and stop at the first success. Only when every replica has
-    /// either fast-failed or genuinely failed does the fetch fail, which
-    /// the client sees as an in-band refusal; with replication ≥ 2 a
-    /// single dead shard therefore costs zero degraded frames.
+    /// One logical frame fetch — the only retry loop on the upstream
+    /// leg, with the replica walk as its body. Only a walk that
+    /// attempted a replica and came back empty-handed draws on the retry
+    /// policy: one jittered delay, bounded by attempts and by the budget
+    /// measured from the start of *this request*, then the walk again. A
+    /// walk in which every breaker fast-failed is answered immediately;
+    /// waiting would only hold the client off its own degradation ladder.
     fn fetch_replicated(&self, frame: u32, threshold: f64) -> Fetched {
         let replicas = self.map.replicas(frame);
         let replicas = replicas.expect("the door refuses frames outside the catalog");
-        // Admission is lazy — a half-open trial slot is only claimed
-        // when the walk is actually about to use it.
-        let mut admitted = replicas
-            .iter()
-            .enumerate()
-            .filter_map(|(idx, &(shard, local))| {
-                let upstream = &self.upstreams[shard as usize];
-                upstream.admit().then_some((idx, upstream, local))
-            });
-        let mut refusal: Option<Refusal> = None;
-        while let Some(candidate) = admitted.next() {
-            let outcome = match self.hedge {
-                Some(hedge) => hedged_fetch(
-                    &self.metrics,
-                    hedge,
-                    candidate,
-                    &mut admitted,
-                    frame,
-                    threshold,
-                ),
-                None => {
-                    let (idx, upstream, local) = candidate;
-                    upstream.fetch(local, frame, threshold).map(|f| (f, idx))
+        // Per-request jitter: requests parked on one dead shard must not
+        // wake in lockstep when it returns.
+        let retry = self.retry.map(|policy| RetryPolicy {
+            seed: splitmix64(splitmix64(policy.seed ^ u64::from(frame)) ^ threshold.to_bits()),
+            ..policy
+        });
+        let started = Instant::now();
+        let mut rewalks = 0u32;
+        loop {
+            let (shard, local, e) = match self.walk(frame, replicas, threshold) {
+                Ok(decoded) => return Ok(decoded),
+                Err(Some(failed)) => failed,
+                Err(None) => {
+                    let n = replicas.len();
+                    let why = format!(
+                        "every replica's circuit breaker is open for frame {frame} ({n} replicas)"
+                    );
+                    return Err(Refusal::new(ERR_INTERNAL, why));
                 }
             };
-            match outcome {
-                Ok((decoded, served_idx)) => {
-                    if served_idx > 0 {
+            let backoff = retry
+                .filter(|_| e.is_transient())
+                .and_then(|policy| policy.next_delay(rewalks, started.elapsed()));
+            let Some(delay) = backoff else {
+                let code = if is_busy(&e) { ERR_BUSY } else { ERR_INTERNAL };
+                let why = format!("shard {shard} failed serving its frame {local}: {e}");
+                return Err(Refusal::new(code, why));
+            };
+            self.metrics.add(CTR_ROUTER_UPSTREAM_RETRIES, 1);
+            std::thread::sleep(delay);
+            rewalks += 1;
+        }
+    }
+
+    /// One pass over the frame's replicas in preference order: a breaker
+    /// that fast-fails is skipped in microseconds, a failed attempt
+    /// (transport or `ERR_BUSY`) falls through to the next replica at
+    /// once, the first frame wins — so with replication ≥ 2 a single
+    /// dead shard costs zero degraded frames and no backoff. `Err` is
+    /// the failed attempt the client should hear about — `(shard, local
+    /// frame, error)`, `None` when no breaker admitted one. A busy
+    /// replica is alive, so the client's own retry can succeed: its
+    /// `ERR_BUSY` outranks a dead replica's error.
+    fn walk(
+        &self,
+        frame: u32,
+        replicas: &[(u32, u32)],
+        threshold: f64,
+    ) -> Result<Arc<HybridFrame>, Option<(u32, u32, ServeError)>> {
+        let mut failed = None;
+        for (idx, &(shard, local)) in replicas.iter().enumerate() {
+            let t0 = Instant::now();
+            let upstream = &self.upstreams[shard as usize];
+            let Some(result) = upstream.call(|c| c.fetch(local, threshold)) else {
+                continue;
+            };
+            self.metrics.add(CTR_ROUTER_UPSTREAM_FETCHES, 1);
+            self.metrics
+                .record_seconds(HIST_ROUTER_UPSTREAM_LATENCY, t0.elapsed().as_secs_f64());
+            match result {
+                Ok((mut decoded, _metrics)) => {
+                    if idx > 0 {
                         self.metrics.add(CTR_ROUTER_REPLICA_FAILOVERS, 1);
                     }
-                    return Ok(decoded);
+                    // A sliced shard only knows its local numbering; the
+                    // run-wide convention (what a direct server of the
+                    // unsliced data bakes in, and what the merged catalog
+                    // advertises) is `step == global index`.
+                    decoded.step = frame as usize;
+                    return Ok(Arc::new(decoded));
                 }
-                // A busy replica is alive, so the client's retry can
-                // succeed: its `ERR_BUSY` outranks a dead replica's error.
                 Err(e) => {
-                    if refusal.as_ref().is_none_or(|kept| kept.code != ERR_BUSY) {
-                        refusal = Some(e);
+                    if failed.as_ref().is_none_or(|(_, _, kept)| !is_busy(kept)) {
+                        failed = Some((shard, local, e));
                     }
                 }
             }
         }
-        Err(refusal.unwrap_or_else(|| {
-            let n = replicas.len();
-            let why =
-                format!("every replica's circuit breaker is open for frame {frame} ({n} replicas)");
-            Refusal::new(ERR_INTERNAL, why)
-        }))
+        Err(failed)
     }
 }
 
 /// A running shard router: binds its own listener, speaks the unchanged
 /// AVWF protocol to clients, and proxies frame requests to the owning
-/// shard over pooled, retrying upstream connections. See the
+/// shard (or its replicas) over pooled upstream connections. See the
 /// [module docs](self) for the full semantics.
 ///
 /// ```
@@ -802,8 +688,9 @@ impl FrameRouter {
     /// `shards[i]` must be the server owning every `(i, local)` entry of
     /// `map`. Fails fast — with an error, not a degraded catalog — when
     /// the shard set is empty, its length disagrees with the map, any
-    /// shard is unreachable at spawn, or a shard advertises fewer frames
-    /// than the map routes to it.
+    /// shard is unreachable at spawn (one attempt each, whatever the retry
+    /// policy: shards come up before their router), or a shard advertises
+    /// fewer frames than the map routes to it.
     pub fn spawn(
         addr: &str,
         shards: Vec<SocketAddr>,
@@ -811,32 +698,28 @@ impl FrameRouter {
         config: RouterConfig,
     ) -> io::Result<FrameRouter> {
         if shards.is_empty() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "a router needs at least one shard",
-            ));
+            return Err(invalid_input("a router needs at least one shard"));
         }
         if shards.len() != map.shard_count() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!(
-                    "shard map routes over {} shards but {} addresses were given",
-                    map.shard_count(),
-                    shards.len()
-                ),
-            ));
+            return Err(invalid_input(format!(
+                "shard map routes over {} shards but {} addresses were given",
+                map.shard_count(),
+                shards.len()
+            )));
         }
         let metrics = Arc::new(Registry::new());
+        // A router that never had to re-walk reports 0, not an absent key.
+        metrics.add(CTR_ROUTER_UPSTREAM_RETRIES, 0);
         let upstreams: Vec<Arc<Upstream>> = shards
             .into_iter()
-            .enumerate()
-            .map(|(shard, addr)| {
+            .map(|addr| {
                 Arc::new(Upstream {
-                    shard,
                     addr: Mutex::new(addr),
                     idle: Mutex::new(Vec::new()),
-                    config: config.upstream,
-                    dialed: AtomicU64::new(0),
+                    config: ClientConfig {
+                        retry: None,
+                        ..config.upstream
+                    },
                     max_idle: config.upstream_idle,
                     breaker: CircuitBreaker::new(config.breaker),
                     metrics: Arc::clone(&metrics),
@@ -849,7 +732,7 @@ impl FrameRouter {
             catalog,
             upstreams,
             cache: CoalescingCache::new(config.cache_bytes.max(1), HybridFrame::total_bytes),
-            hedge: config.hedge,
+            retry: config.upstream.retry,
             metrics,
         });
         let door = FrontDoor::open(
@@ -920,10 +803,14 @@ impl FrameRouter {
     /// frame slice. Errors when `shard` is out of range.
     pub fn set_shard_addr(&self, shard: usize, addr: SocketAddr) -> io::Result<()> {
         let upstream = self.shared().upstreams.get(shard).ok_or_else(|| {
-            let why = format!("shard {shard} out of range ({} shards)", self.shard_count());
-            io::Error::new(io::ErrorKind::InvalidInput, why)
+            invalid_input(format!(
+                "shard {shard} out of range ({} shards)",
+                self.shard_count()
+            ))
         })?;
-        upstream.set_addr(addr);
+        *upstream.addr.lock() = addr;
+        upstream.idle.lock().clear();
+        upstream.note(upstream.breaker.reset());
         Ok(())
     }
 
@@ -965,28 +852,25 @@ impl Drop for FrameRouter {
 fn merge_catalogs(map: &ShardMap, upstreams: &[Arc<Upstream>]) -> io::Result<Vec<FrameInfo>> {
     let mut shard_catalogs = Vec::with_capacity(upstreams.len());
     for (i, upstream) in upstreams.iter().enumerate() {
-        let catalog = upstream.call(|c| c.list_frames()).map_err(|e| {
-            io::Error::new(
-                io::ErrorKind::ConnectionRefused,
-                format!("shard {i} catalog fetch failed: {e}"),
-            )
-        })?;
-        shard_catalogs.push(catalog);
+        let fetched = upstream.call(|c| c.list_frames());
+        let catalog = fetched.expect("a breaker nothing has reported to yet admits");
+        shard_catalogs.push(catalog.map_err(|e| {
+            let why = format!("shard {i} catalog fetch failed: {e}");
+            io::Error::new(io::ErrorKind::ConnectionRefused, why)
+        })?);
     }
     let mut merged = Vec::with_capacity(map.frame_count());
     for g in 0..map.frame_count() {
         let replicas = map.replicas(g as u32).expect("g < frame_count");
         for &(shard, local) in replicas {
             let (shard, local) = (shard as usize, local as usize);
-            if local >= shard_catalogs[shard].len() {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "shard {shard} advertises {} frames but the map routes global frame {g} \
-                         to its local index {local}",
-                        shard_catalogs[shard].len()
-                    ),
-                ));
+            let advertised = shard_catalogs[shard].len();
+            if local >= advertised {
+                let why = format!(
+                    "shard {shard} advertises {advertised} frames but the map routes global \
+                     frame {g} to its local index {local}"
+                );
+                return Err(io::Error::new(io::ErrorKind::InvalidData, why));
             }
         }
         let (shard, local) = (replicas[0].0 as usize, replicas[0].1 as usize);
@@ -1139,14 +1023,10 @@ impl ShardedFrameService {
 
     fn validated_spec(shards: usize, replication: usize) -> io::Result<ShardSpec> {
         if shards == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "a sharded service needs at least one shard",
-            ));
+            return Err(invalid_input("a sharded service needs at least one shard"));
         }
         if replication == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
+            return Err(invalid_input(
                 "a sharded service needs a replication factor of at least 1",
             ));
         }
@@ -1202,7 +1082,7 @@ impl ShardedFrameService {
     /// Kills shard `i`: shuts the server down and drops its handle, so
     /// every connection to it — pooled upstream connections included —
     /// starts failing. The router is told nothing; discovering the
-    /// death (retries, breaker trip, probe failures) and surviving it
+    /// death (failed attempts, breaker trip, probe failures) and surviving it
     /// (replica fall-through) is exactly what this hook exists to
     /// exercise. A no-op when the shard is already dead.
     pub fn kill_shard(&mut self, i: usize) {

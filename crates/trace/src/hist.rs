@@ -47,8 +47,8 @@ impl LogHistogram {
     /// An upper bound, in seconds, on the `q`-quantile of the recorded
     /// samples: the upper edge of the bucket the quantile falls in.
     /// Coarse by construction (the buckets are decades), but exactly the
-    /// right shape for deriving a hedge delay — "no slower than the
-    /// bucket p95 landed in". Returns `None` when the histogram is empty
+    /// right shape for a conservative bound — "no slower than the bucket
+    /// p95 landed in". Returns `None` when the histogram is empty
     /// or the quantile lands in the unbounded overflow bucket, so
     /// callers fall back to their own ceiling. `q` is clamped to
     /// `[0, 1]`.

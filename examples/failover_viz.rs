@@ -48,7 +48,7 @@ fn main() {
         println!("  frame {frame} -> shards {:?}", spec.owners(frame, 2));
     }
 
-    // A hair-trigger breaker and a fast upstream retry make the failover
+    // A hair-trigger breaker and a fast re-walk policy make the failover
     // visible in a short example; production defaults are gentler. The
     // 1-byte router cache forces every fetch to the shards — otherwise
     // the second pass would be absorbed by the router's frame cache and

@@ -1,11 +1,14 @@
 //! Acceptance for the self-healing shard layer: replicated ownership
 //! keeps a session bit-identical through shard kills (zero degraded
-//! frames at replication 2), circuit breakers turn a dead shard's cost
-//! from a retry budget into microseconds at replication 1, breaker and
-//! failover transitions land on the router's counters, and the
-//! background prober both discovers death without client traffic and
-//! reinstates a shard that comes back on its old address with no
-//! operator in the loop.
+//! frames at replication 2, under shipping defaults too), circuit
+//! breakers turn a dead shard's cost from a retry budget into
+//! microseconds at replication 1, a failed walk is retried once the
+//! walk — not one connection — is exhausted, a pooled connection gone
+//! stale (restart on the old port, shard idle timeout) is redialed
+//! without a verdict, breaker and failover transitions land on the
+//! router's counters, and the background prober both discovers death
+//! without client traffic and reinstates a shard that comes back on its
+//! old address with no operator in the loop.
 
 use accelviz::beam::distribution::Distribution;
 use accelviz::core::shard::ShardSpec;
@@ -13,17 +16,21 @@ use accelviz::core::viewer::FrameSource;
 use accelviz::octree::builder::{partition, BuildParams};
 use accelviz::octree::plots::PlotType;
 use accelviz::octree::sorted_store::PartitionedData;
+use accelviz::serve::client::{CTR_CLIENT_RECONNECTS, CTR_CLIENT_RETRIES};
 use accelviz::serve::protocol::{ERR_BUSY, ERR_INTERNAL};
 use accelviz::serve::router::{
     CTR_ROUTER_BREAKER_CLOSED, CTR_ROUTER_BREAKER_FAST_FAILS, CTR_ROUTER_BREAKER_OPEN,
     CTR_ROUTER_PROBE_FAIL, CTR_ROUTER_PROBE_OK, CTR_ROUTER_REPLICA_FAILOVERS,
-    CTR_ROUTER_UPSTREAM_ERRORS,
+    CTR_ROUTER_UPSTREAM_ERRORS, CTR_ROUTER_UPSTREAM_RETRIES,
 };
+use accelviz::serve::stats::{CTR_FRAMES_SERVED, CTR_REQUESTS};
 use accelviz::serve::{
     BreakerConfig, BreakerState, Client, ClientConfig, FrameRouter, FrameServer, HealthConfig,
     RemoteFrames, RetryPolicy, RouterConfig, ServeError, ServerConfig, ShardMap,
     ShardedFrameService,
 };
+use std::net::SocketAddr;
+use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 /// The 10-frame session the chaos scenarios walk (same convention as
@@ -54,9 +61,9 @@ fn reference_frames(data: &[PartitionedData]) -> Vec<accelviz::core::hybrid::Hyb
 }
 
 /// The chaos-test router tuning: a 1-byte cache so every request pays
-/// the upstream hop (nothing hides behind the router cache), fast
-/// seeded upstream retries so a dead-shard attempt costs milliseconds,
-/// a hair-trigger breaker with a cooldown longer than any test phase
+/// the upstream hop (nothing hides behind the router cache), a fast
+/// seeded retry policy so a re-walk costs milliseconds, a hair-trigger
+/// breaker with a cooldown longer than any test phase
 /// (no half-open trial fires mid-scenario unless a test wants one), and
 /// the prober off for deterministic counters — the prober gets its own
 /// tests.
@@ -86,6 +93,19 @@ fn frame_with_primary(spec: &ShardSpec, shard: usize) -> u32 {
         .expect("every shard should primary-own a frame in a 10-frame catalog")
 }
 
+/// Respawns a shard on the very port it died on — rebinding can lose a
+/// race against the OS releasing it, so retry briefly.
+fn respawn_on(addr: SocketAddr, slice: &[PartitionedData]) -> FrameServer {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        match FrameServer::spawn(&addr.to_string(), slice.to_vec(), ServerConfig::default()) {
+            Ok(server) => return server,
+            Err(e) if Instant::now() >= deadline => panic!("the old port never came back: {e}"),
+            Err(_) => std::thread::sleep(Duration::from_millis(50)),
+        }
+    }
+}
+
 /// The headline acceptance: at replication 2, killing a shard mid-
 /// session costs **zero** degraded frames — every fetch falls through
 /// to the surviving replica and arrives bit-identical to a direct
@@ -104,6 +124,9 @@ fn replicated_kill_mid_session_yields_zero_degraded_frames() {
     .unwrap();
     let spec = ShardSpec::new(3);
     let victim = spec.owner_of(0);
+    let global = accelviz::trace::global();
+    let viewer_retries_before = global.counter(CTR_CLIENT_RETRIES);
+    let viewer_reconnects_before = global.counter(CTR_CLIENT_RECONNECTS);
 
     let client = Client::connect_with(service.addr(), ClientConfig::no_retry()).unwrap();
     let mut remote = RemoteFrames::new(client, f64::INFINITY, 2);
@@ -139,6 +162,67 @@ fn replicated_kill_mid_session_yields_zero_degraded_frames() {
         "the dead shard's breaker must trip"
     );
     assert_eq!(service.router().breaker_state(victim), BreakerState::Open);
+    // `client.*` on the global registry is the *viewer's* ledger: what
+    // the router does on its own upstream leg must not land there. (No
+    // viewer in this binary retries or loses its router, so concurrent
+    // tests add nothing.)
+    let viewer = remote.client().client_stats();
+    assert_eq!(
+        global.counter(CTR_CLIENT_RETRIES) - viewer_retries_before,
+        viewer.retries,
+        "router internals leaked into the viewer-side client.retries"
+    );
+    assert_eq!(
+        global.counter(CTR_CLIENT_RECONNECTS) - viewer_reconnects_before,
+        viewer.reconnects,
+        "router internals leaked into the viewer-side client.reconnects"
+    );
+    service.shutdown();
+}
+
+/// Failover is fast under *shipping* defaults — no tuned breaker, no
+/// fast retry policy, the prober left on: a dead primary costs its
+/// replica walk one refused dial, not a retry schedule, so every fetch
+/// returns genuine in well under a probe interval and the third one has
+/// tripped the default breaker.
+#[test]
+fn default_config_failover_is_fast_and_never_backs_off() {
+    let data = stores(FRAMES);
+    let reference = reference_frames(&data);
+    let mut service = ShardedFrameService::spawn_loopback_replicated(
+        data,
+        3,
+        2,
+        ServerConfig::default(),
+        RouterConfig::default(),
+    )
+    .unwrap();
+    // Ten frames over three shards: some shard is primary for three.
+    let spec = ShardSpec::new(3);
+    let primaries = |shard| (0..FRAMES as u32).filter(move |&f| spec.owner_of(f) == shard);
+    let victim = (0..3).max_by_key(|&s| primaries(s).count()).unwrap();
+    let doomed: Vec<u32> = primaries(victim).take(3).collect();
+    assert_eq!(doomed.len(), 3);
+
+    let client = Client::connect_with(service.addr(), ClientConfig::no_retry()).unwrap();
+    let mut remote = RemoteFrames::new(client, f64::INFINITY, FRAMES);
+    service.kill_shard(victim);
+    for &f in &doomed {
+        let t0 = Instant::now();
+        let (got, load) = remote.load(f as usize).unwrap();
+        let elapsed = t0.elapsed();
+        assert!(!load.degraded, "frame {f} degraded despite its replica");
+        assert_eq!(&*got, &reference[f as usize], "frame {f} differs");
+        assert!(
+            elapsed < Duration::from_millis(250),
+            "frame {f} took {elapsed:?} to fail over under default config"
+        );
+    }
+    assert_eq!(remote.degraded_loads, 0);
+    assert_eq!(service.router().breaker_state(victim), BreakerState::Open);
+    let rm = service.router().metrics();
+    assert_eq!(rm.counter(CTR_ROUTER_REPLICA_FAILOVERS), 3);
+    assert_eq!(rm.counter(CTR_ROUTER_UPSTREAM_RETRIES), 0);
     service.shutdown();
 }
 
@@ -300,6 +384,251 @@ fn a_busy_shard_passes_err_busy_through_and_keeps_its_breaker_closed() {
     assert_eq!(metrics.counter(CTR_ROUTER_BREAKER_OPEN), 0);
     assert_eq!(metrics.counter(CTR_ROUTER_UPSTREAM_ERRORS), 5);
     service.shutdown();
+
+    // With a replica to go to, a busy primary is simply left for it —
+    // at once, although this router *has* a retry policy (the default,
+    // 100 ms first delay): backoff is for an exhausted walk, not for
+    // one replica's refusal.
+    let data = stores(2);
+    let reference = reference_frames(&data);
+    let spec = ShardSpec::new(2);
+    let primary = spec.owner_of(0);
+    let shards: Vec<FrameServer> = (0..2)
+        .map(|s| {
+            let config = if s == primary {
+                busy
+            } else {
+                ServerConfig::default()
+            };
+            FrameServer::spawn_loopback(data.clone(), config).unwrap()
+        })
+        .collect();
+    let router = FrameRouter::spawn(
+        "127.0.0.1:0",
+        shards.iter().map(|s| s.addr()).collect(),
+        ShardMap::shared_replicated(&spec, 2, 2),
+        RouterConfig::default(),
+    )
+    .unwrap();
+    let mut client = Client::connect_with(router.addr(), ClientConfig::no_retry()).unwrap();
+    let (frame, _) = client.fetch(0, f64::INFINITY).unwrap();
+    assert_eq!(frame, reference[0]);
+    let metrics = router.metrics();
+    assert_eq!(metrics.counter(CTR_ROUTER_UPSTREAM_ERRORS), 1);
+    assert_eq!(metrics.counter(CTR_ROUTER_REPLICA_FAILOVERS), 1);
+    assert_eq!(metrics.counter(CTR_ROUTER_UPSTREAM_RETRIES), 0);
+    assert_eq!(router.breaker_state(primary), BreakerState::Closed);
+    drop(client);
+    router.shutdown();
+    for shard in shards {
+        shard.shutdown();
+    }
+}
+
+/// A two-shard, replication-1 deployment the test holds by its parts, so
+/// shard 1 can die and come back on the very port it had.
+struct RestartRig {
+    reference: Vec<accelviz::core::hybrid::HybridFrame>,
+    slice1: Vec<PartitionedData>,
+    shard0: FrameServer,
+    shard1: FrameServer,
+    router: FrameRouter,
+    victim_frame: u32,
+}
+
+/// Prober off and default breaker; `retry` is the router's re-walk
+/// policy.
+fn restart_rig(retry: RetryPolicy) -> RestartRig {
+    let data = stores(4);
+    let reference = reference_frames(&data);
+    let spec = ShardSpec::new(2);
+    let mut slices: Vec<Vec<PartitionedData>> = vec![Vec::new(), Vec::new()];
+    for (g, d) in data.iter().enumerate() {
+        slices[spec.owner_of(g as u32)].push(d.clone());
+    }
+    let shard0 = FrameServer::spawn_loopback(slices[0].clone(), ServerConfig::default()).unwrap();
+    let shard1 = FrameServer::spawn_loopback(slices[1].clone(), ServerConfig::default()).unwrap();
+    let router = FrameRouter::spawn(
+        "127.0.0.1:0",
+        vec![shard0.addr(), shard1.addr()],
+        ShardMap::sliced(&spec, 4),
+        RouterConfig {
+            health: HealthConfig {
+                probe_interval: Duration::ZERO,
+                ..HealthConfig::default()
+            },
+            upstream: ClientConfig {
+                retry: Some(retry),
+                ..ClientConfig::default()
+            },
+            ..RouterConfig::default()
+        },
+    )
+    .unwrap();
+    RestartRig {
+        reference,
+        slice1: slices.swap_remove(1),
+        shard0,
+        shard1,
+        router,
+        victim_frame: frame_with_primary(&spec, 1),
+    }
+}
+
+/// The walk-then-retry order at replication 1: the shard is down for the
+/// first walk and back for a later one. Only the exhausted walk consults
+/// the retry policy — one backoff per failed walk — and the client sees
+/// a genuine frame, never the in-band `ERR_INTERNAL`.
+#[test]
+fn a_failed_walk_is_retried_once_the_shard_is_back() {
+    // A first delay long enough to restart a shard in.
+    let rig = restart_rig(RetryPolicy {
+        base_delay: Duration::from_millis(300),
+        max_delay: Duration::from_millis(300),
+        ..RetryPolicy::fast(808)
+    });
+    let victim_addr = rig.shard1.addr();
+    let mut viewer = Client::connect_with(rig.router.addr(), ClientConfig::no_retry()).unwrap();
+    rig.shard1.shutdown();
+
+    let rm = rig.router.metrics();
+    let (revived, fetched) = std::thread::scope(|scope| {
+        // The restart waits for the router to have started backing off.
+        let revived = scope.spawn(|| {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while rm.counter(CTR_ROUTER_UPSTREAM_RETRIES) == 0 && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            respawn_on(victim_addr, &rig.slice1)
+        });
+        let fetched = viewer.fetch(rig.victim_frame, f64::INFINITY);
+        (revived.join().unwrap(), fetched)
+    });
+    let (frame, _) = fetched.expect("the re-walk must reach the restarted shard");
+    assert_eq!(frame, rig.reference[rig.victim_frame as usize]);
+    // One re-walk when the restart beat the first delay (it is 300 ms).
+    let rewalks = rm.counter(CTR_ROUTER_UPSTREAM_RETRIES);
+    assert!((1..=2).contains(&rewalks), "{rewalks} re-walks");
+    assert_eq!(
+        rm.counter(CTR_ROUTER_UPSTREAM_ERRORS),
+        rewalks,
+        "one refused dial per failed walk, one backoff per failed walk"
+    );
+    assert_eq!(rm.counter(CTR_ROUTER_BREAKER_OPEN), 0);
+    assert_eq!(rig.router.breaker_state(1), BreakerState::Closed);
+
+    drop(viewer);
+    rig.router.shutdown();
+    rig.shard0.shutdown();
+    revived.shutdown();
+}
+
+/// The stale-pool regression: a shard restarted on its old address
+/// behind a router that was told nothing. Every idle connection belongs
+/// to the dead incarnation — three of them would be three consecutive
+/// failures, a tripped default breaker on a healthy shard. Instead the
+/// first one found hung up empties the pool and the same attempt redials:
+/// a genuine frame, no error counted, no backoff, no verdict.
+#[test]
+fn a_stale_pool_does_not_eject_a_restarted_shard() {
+    let rig = restart_rig(RetryPolicy::fast(909));
+    let victim_addr = rig.shard1.addr();
+
+    // Warm the pool. Every connection the router ever dialed to the
+    // victim said one `Hello`, and with fewer than `upstream_idle` (4)
+    // of them none was dropped — so the shard's own ledger counts the
+    // pool: requests − frames − the one catalog fetch at spawn. Herds of
+    // concurrent fetches at fresh thresholds (no cache hit, no
+    // coalescing) force overlapping upstream calls, hence more dials.
+    let pooled = || {
+        let m = rig.shard1.metrics();
+        m.counter(CTR_REQUESTS) - m.counter(CTR_FRAMES_SERVED) - 1
+    };
+    const HERD: usize = 6;
+    let mut viewers: Vec<Client> = (0..HERD)
+        .map(|_| Client::connect_with(rig.router.addr(), ClientConfig::no_retry()).unwrap())
+        .collect();
+    for round in 0..200 {
+        if pooled() >= 3 {
+            break;
+        }
+        let gun = Barrier::new(HERD);
+        std::thread::scope(|scope| {
+            for (i, viewer) in viewers.iter_mut().enumerate() {
+                let gun = &gun;
+                scope.spawn(move || {
+                    gun.wait();
+                    let threshold = 1.0 + (round * HERD + i) as f64;
+                    viewer.fetch(rig.victim_frame, threshold).unwrap();
+                });
+            }
+        });
+    }
+    assert!(pooled() >= 3, "could not warm 3 pooled connections");
+
+    rig.shard1.shutdown();
+    let revived = respawn_on(victim_addr, &rig.slice1);
+
+    let (frame, _) = viewers[0].fetch(rig.victim_frame, f64::INFINITY).unwrap();
+    assert_eq!(frame, rig.reference[rig.victim_frame as usize]);
+    let rm = rig.router.metrics();
+    assert_eq!(rm.counter(CTR_ROUTER_UPSTREAM_RETRIES), 0);
+    assert_eq!(rm.counter(CTR_ROUTER_UPSTREAM_ERRORS), 0);
+    assert_eq!(rm.counter(CTR_ROUTER_BREAKER_OPEN), 0);
+    assert_eq!(rig.router.breaker_state(1), BreakerState::Closed);
+
+    drop(viewers);
+    rig.router.shutdown();
+    rig.shard0.shutdown();
+    revived.shutdown();
+}
+
+/// Pooled connections also go stale with no restart at all: a shard
+/// closes any connection idle past its `read_timeout`. A quiet period
+/// must cost the next operation a silent redial — not a zeroed `Stats`
+/// total, not an upstream error, and (threshold 1: one charged failure
+/// would trip it) nothing on a healthy shard's breaker.
+#[test]
+fn an_idle_gap_is_redialed_without_an_error_or_a_verdict() {
+    let impatient = ServerConfig {
+        read_timeout: Some(Duration::from_millis(200)),
+        ..ServerConfig::default()
+    };
+    let router = RouterConfig {
+        breaker: BreakerConfig {
+            failure_threshold: 1,
+            ..BreakerConfig::default()
+        },
+        health: HealthConfig {
+            probe_interval: Duration::ZERO,
+            ..HealthConfig::default()
+        },
+        ..RouterConfig::default()
+    };
+    let service = ShardedFrameService::spawn_loopback(stores(6), 3, impatient, router).unwrap();
+    let mut viewer = Client::connect_with(service.addr(), ClientConfig::no_retry()).unwrap();
+    for f in 0..6 {
+        viewer.fetch(f, f64::INFINITY).unwrap();
+    }
+    let idle = Duration::from_millis(600);
+
+    std::thread::sleep(idle);
+    let polled = viewer.stats().unwrap();
+    assert_eq!(polled.frames_served, 6, "a shard was polled as zeros");
+    assert_eq!(polled.frames_served, service.stats().frames_served);
+
+    std::thread::sleep(idle);
+    // A fresh threshold: the router cache cannot answer this one.
+    viewer.fetch(0, 1.0).unwrap();
+
+    let rm = service.router().metrics();
+    assert_eq!(rm.counter(CTR_ROUTER_UPSTREAM_ERRORS), 0);
+    assert_eq!(rm.counter(CTR_ROUTER_BREAKER_OPEN), 0);
+    for shard in 0..3 {
+        assert_eq!(service.router().breaker_state(shard), BreakerState::Closed);
+    }
+    drop(viewer);
+    service.shutdown();
 }
 
 /// The background prober discovers a dead shard with **no client
@@ -409,21 +738,8 @@ fn prober_reinstates_a_shard_that_returns_on_its_old_address() {
     }
     assert_eq!(router.breaker_state(1), BreakerState::Open);
 
-    // The shard returns on the very same port — rebinding can lose a
-    // race against the OS releasing it, so retry briefly.
-    let mut revived = None;
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while revived.is_none() && Instant::now() < deadline {
-        match FrameServer::spawn(
-            &victim_addr.to_string(),
-            slices[1].clone(),
-            ServerConfig::default(),
-        ) {
-            Ok(server) => revived = Some(server),
-            Err(_) => std::thread::sleep(Duration::from_millis(50)),
-        }
-    }
-    let revived = revived.expect("the old port must become bindable again");
+    // The shard returns on the very same port.
+    let revived = respawn_on(victim_addr, &slices[1]);
 
     // No operator action: probing (or a half-open trial fed by it)
     // must reinstate the shard on its own.
@@ -446,58 +762,6 @@ fn prober_reinstates_a_shard_that_returns_on_its_old_address() {
     router.shutdown();
     shard0.shutdown();
     revived.shutdown();
-}
-
-/// Hedged reads stay correct: with an aggressive hedge delay every
-/// fetch may race two replicas, and the session is still bit-identical
-/// with no duplicate replies — the first genuine answer wins, the loser
-/// is discarded by the channel, and the cache sees one result per key.
-#[test]
-fn hedged_reads_stay_bit_identical_and_are_counted() {
-    use accelviz::serve::HedgeConfig;
-
-    let data = stores(FRAMES);
-    let reference = reference_frames(&data);
-    let mut service = ShardedFrameService::spawn_loopback_replicated(
-        data,
-        3,
-        2,
-        ServerConfig::default(),
-        RouterConfig {
-            hedge: Some(HedgeConfig {
-                quantile: 0.95,
-                // Zero floor: with an empty histogram the delay starts at
-                // max_delay, then collapses toward the observed latency —
-                // so later fetches hedge aggressively.
-                min_delay: Duration::ZERO,
-                max_delay: Duration::from_millis(5),
-            }),
-            ..chaos_router(606)
-        },
-    )
-    .unwrap();
-    let spec = ShardSpec::new(3);
-    let victim = spec.owner_of(0);
-
-    let client = Client::connect_with(service.addr(), ClientConfig::no_retry()).unwrap();
-    let mut remote = RemoteFrames::new(client, f64::INFINITY, 2);
-    for round in 0..3 {
-        for (f, want) in reference.iter().enumerate() {
-            let (got, load) = remote.load(f).unwrap();
-            assert!(!load.degraded, "round {round} frame {f}");
-            assert_eq!(&*got, want, "round {round} frame {f} differs");
-        }
-    }
-    // And hedging composes with failover: kill a shard, the session
-    // still never degrades.
-    service.kill_shard(victim);
-    for (f, want) in reference.iter().enumerate() {
-        let (got, load) = remote.load(f).unwrap();
-        assert!(!load.degraded, "post-kill frame {f} degraded");
-        assert_eq!(&*got, want);
-    }
-    assert_eq!(remote.degraded_loads, 0);
-    service.shutdown();
 }
 
 /// `spawn_loopback_replicated` provisioning is sound: at replication 2

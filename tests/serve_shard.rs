@@ -97,6 +97,30 @@ fn empty_shard_set_is_rejected_at_construction() {
     lone.shutdown();
 }
 
+/// Shards come up before their router: the spawn-time catalog fetch is
+/// one attempt per shard, outside the retry loop (which belongs to frame
+/// fetches), so a shard that is not accepting yet fails the spawn at once
+/// with `ConnectionRefused` — whatever retry policy the config carries.
+#[test]
+fn a_shard_not_yet_listening_fails_the_spawn_at_once() {
+    let vacant = {
+        let probe = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        probe.local_addr().unwrap()
+    };
+    let t0 = std::time::Instant::now();
+    let err = FrameRouter::spawn(
+        "127.0.0.1:0",
+        vec![vacant],
+        ShardMap::shared(&ShardSpec::new(1), 3),
+        RouterConfig::default(),
+    )
+    .map(|_| ())
+    .unwrap_err();
+    assert_eq!(err.kind(), io::ErrorKind::ConnectionRefused);
+    // The default policy's first backoff alone is 100 ms.
+    assert!(t0.elapsed() < std::time::Duration::from_millis(100));
+}
+
 /// A one-shard service is the degenerate deployment: every request
 /// proxies to the single shard, and the bytes a client receives — frame
 /// payloads included — are identical to talking to that server directly,
