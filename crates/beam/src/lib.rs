@@ -25,6 +25,8 @@
 //! - [`io`] — the fixed binary snapshot format whose byte counts back the
 //!   paper's storage arithmetic (100 M particles ⇒ ~5 GB per step).
 
+#![forbid(unsafe_code)]
+
 pub mod diagnostics;
 pub mod distribution;
 pub mod io;

@@ -156,8 +156,7 @@ fn main() {
     });
     let rs = run.stats();
     println!(
-        "store fetch ({}): cold {:.1} us, warm {:.2} us ({} cold loads, {} evictions)",
-        if run.is_mapped() { "mmap" } else { "pread" },
+        "store fetch: cold {:.1} us, warm {:.2} us ({} cold loads, {} evictions)",
         cold_s * 1e6,
         warm_s * 1e6,
         rs.cold_loads,
@@ -172,7 +171,7 @@ fn main() {
     }
 
     let json = format!(
-        "{{\n  \"bench\": \"wire_compression\",\n  \"workload\": {{\"figure\": 1, \"particles\": {}, \"cells\": {}, \"seed\": {seed}, \"point_budget\": {budget}, \"grid\": [{}, {}, {}], \"halo_points\": {}}},\n  \"v1_frame_bytes\": {},\n  \"v2_frame_bytes\": {},\n  \"compression_ratio\": {ratio:.3},\n  \"encode_mib_s\": {:.1},\n  \"decode_mib_s\": {:.1},\n  \"wide_area_raw_s\": {t_raw:.4},\n  \"wide_area_v2_s\": {t_wire:.4},\n  \"store\": {{\"backend\": \"{}\", \"cold_fetch_us\": {:.1}, \"warm_fetch_us\": {:.2}, \"frame_bytes\": {frame_bytes}}}\n}}\n",
+        "{{\n  \"bench\": \"wire_compression\",\n  \"workload\": {{\"figure\": 1, \"particles\": {}, \"cells\": {}, \"seed\": {seed}, \"point_budget\": {budget}, \"grid\": [{}, {}, {}], \"halo_points\": {}}},\n  \"v1_frame_bytes\": {},\n  \"v2_frame_bytes\": {},\n  \"compression_ratio\": {ratio:.3},\n  \"encode_mib_s\": {:.1},\n  \"decode_mib_s\": {:.1},\n  \"wide_area_raw_s\": {t_raw:.4},\n  \"wide_area_v2_s\": {t_wire:.4},\n  \"store\": {{\"cold_fetch_us\": {:.1}, \"warm_fetch_us\": {:.2}, \"frame_bytes\": {frame_bytes}}}\n}}\n",
         s.particles,
         s.cells,
         s.grid[0],
@@ -183,7 +182,6 @@ fn main() {
         wire.len(),
         mib / encode_s,
         mib / decode_s,
-        if run.is_mapped() { "mmap" } else { "pread" },
         cold_s * 1e6,
         warm_s * 1e6,
     );

@@ -6,5 +6,7 @@
 //! `EXPERIMENTS.md`; the Criterion benches in `benches/` time the same
 //! workloads.
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 pub mod workloads;

@@ -19,6 +19,8 @@
 //! - [`pipeline`] — end-to-end orchestration: simulate → partition →
 //!   extract → view.
 
+#![forbid(unsafe_code)]
+
 pub mod hybrid;
 pub mod pipeline;
 pub mod remote;

@@ -24,6 +24,8 @@
 //! - [`io`] — field snapshot size accounting (the 80 MB/step, 26 TB
 //!   total storage arithmetic).
 
+#![forbid(unsafe_code)]
+
 pub mod cavity;
 pub mod courant;
 pub mod energy;

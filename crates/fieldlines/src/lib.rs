@@ -26,6 +26,8 @@
 //! - [`temporal`] — time-varying line animation with parallel
 //!   pre-integration (§3.4).
 
+#![forbid(unsafe_code)]
+
 pub mod compact;
 pub mod illuminated;
 pub mod integrate;

@@ -12,6 +12,8 @@
 //! mirrors the double-precision simulation / single-precision framebuffer
 //! split of the original system.
 
+#![forbid(unsafe_code)]
+
 pub mod aabb;
 pub mod color;
 pub mod interp;

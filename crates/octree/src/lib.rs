@@ -26,6 +26,8 @@
 //! - [`parallel`] — the multi-node (domain-decomposed) partitioning path
 //!   the paper runs when a time step exceeds one node's memory.
 
+#![forbid(unsafe_code)]
+
 pub mod builder;
 pub mod density;
 pub mod extraction;

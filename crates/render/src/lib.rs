@@ -25,6 +25,8 @@
 //!   upload costs) backing the viewer's "already in video memory" path.
 //! - [`image`] — PPM output for the examples.
 
+#![forbid(unsafe_code)]
+
 pub mod camera;
 pub mod displaylist;
 pub mod framebuffer;

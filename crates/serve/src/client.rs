@@ -323,9 +323,9 @@ impl Client {
     /// then refinement records, reassembled and verified against the
     /// frame's v1 trailer — the returned frame is bit-identical to what
     /// [`Client::fetch`] returns for the same request. `chunk_bytes` is
-    /// the requested chunk budget (0 lets the server choose, honoring
-    /// its `ACCELVIZ_LOD_BUDGET`). Requires a v2 session; a v1-capped
-    /// client gets the server's in-band rejection.
+    /// the requested chunk budget (0 lets the server choose). Requires a
+    /// v2 session; a v1-capped client gets the server's in-band
+    /// rejection.
     ///
     /// Resilience: a mid-stream transport failure reconnects and
     /// replays the request; the server restarts from the first record

@@ -7,10 +7,9 @@
 //! names — to a [`FrontDoor`], which owns everything between the
 //! listening socket and that origin:
 //!
-//! - **Accept.** One thread polls the non-blocking listener next to a
-//!   self-pipe [`Waker`]; repeated `accept(2)` failures (fd exhaustion)
-//!   are counted and cooled down with [`AcceptBackoff`] instead of
-//!   hot-spinning.
+//! - **Accept.** One thread blocks in `accept`; repeated failures (fd
+//!   exhaustion) are counted and cooled down with [`AcceptBackoff`]
+//!   instead of hot-spinning.
 //! - **Admission.** One OS thread per admitted connection, at most
 //!   [`DoorConfig::max_connections`] of them. Past the cap — or when the
 //!   OS refuses a thread — the arrival is counted and handed to a small
@@ -26,12 +25,13 @@
 //!   the progressive gate and chunk loop, and the byte counters and spans
 //!   that go with them — so a client cannot tell a router from a server,
 //!   by construction.
-//! - **Stop.** Flag, wake, join the acceptor, then wait (bounded by
-//!   [`DRAIN_TIMEOUT`]) for replies already being computed or written.
+//! - **Stop.** Flag, unpark, one connection to the door's own address
+//!   (so a blocked `accept` returns and sees the flag), join the
+//!   acceptor, then wait (bounded by [`DRAIN_TIMEOUT`]) for replies
+//!   already being computed or written.
 
 use crate::error::ServeError;
 use crate::fault::{FaultScript, FaultyTransport};
-use crate::poll::{poll, AcceptBackoff, Waker};
 use crate::protocol::{
     read_request, write_chunk, write_response, write_response_v, FrameInfo, Refusal, Request,
     Response, ERR_BAD_REQUEST, ERR_BAD_THRESHOLD, ERR_BUSY, ERR_INTERNAL, ERR_NO_SUCH_FRAME,
@@ -42,8 +42,7 @@ use crate::wire::{encode_frame, encode_frame_v2, write_envelope_v, V1, V2, VERSI
 use accelviz_core::hybrid::HybridFrame;
 use accelviz_trace::registry::Registry;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::unix::io::AsRawFd;
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
@@ -51,6 +50,9 @@ use std::time::{Duration, Instant};
 
 /// How long [`FrontDoor::close`] waits for in-flight replies to finish.
 const DRAIN_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// Bound on [`FrontDoor::close`]'s connection to its own listener.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// The in-band message a shed connection gets with its `ERR_BUSY`.
 const SHED_CONNECTION_MSG: &str = "server at connection capacity; retry after ~100 ms";
@@ -151,7 +153,6 @@ struct Door<H> {
 pub(crate) struct FrontDoor<H: Handler> {
     door: Arc<Door<H>>,
     addr: SocketAddr,
-    waker: Arc<Waker>,
     accept: Option<JoinHandle<()>>,
 }
 
@@ -160,10 +161,6 @@ impl<H: Handler> FrontDoor<H> {
     pub(crate) fn open(addr: &str, handler: Arc<H>, config: DoorConfig) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        // A blocking listener would wedge the poll loop and make stop
-        // wait for the next connection; refuse to start instead.
-        listener.set_nonblocking(true)?;
-        let waker = Arc::new(Waker::new()?);
         let door = Arc::new(Door {
             handler,
             config,
@@ -172,13 +169,12 @@ impl<H: Handler> FrontDoor<H> {
             inflight_requests: AtomicUsize::new(0),
         });
         let accept = {
-            let (door, waker) = (Arc::clone(&door), Arc::clone(&waker));
-            std::thread::Builder::new().spawn(move || accept_loop(door, listener, waker))?
+            let door = Arc::clone(&door);
+            std::thread::Builder::new().spawn(move || accept_loop(door, listener))?
         };
         Ok(FrontDoor {
             door,
             addr,
-            waker,
             accept: Some(accept),
         })
     }
@@ -202,9 +198,21 @@ impl<H: Handler> FrontDoor<H> {
             return;
         };
         self.door.shutdown.store(true, Ordering::SeqCst);
-        // The acceptor polls the self-pipe next to the listener, so an
-        // idle door stops now, not at the next connection.
-        self.waker.wake();
+        // The acceptor is in one of two waits and each gets its wake, so
+        // an idle door stops now, not at the next connection. An error
+        // cooldown ends at the unpark. A blocked `accept` returns the
+        // connection below, which the loop drops on seeing the flag; if
+        // that connection cannot be made the process is out of fds, so
+        // `accept` is failing fast as well and the unpark reaches it.
+        accept.thread().unpark();
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let _ = TcpStream::connect_timeout(&wake, WAKE_TIMEOUT);
         let _ = accept.join();
         let deadline = Instant::now() + DRAIN_TIMEOUT;
         while self.door.inflight_requests.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
@@ -335,64 +343,60 @@ fn admit<H: Handler>(door: &Arc<Door<H>>, shed: &ShedPool, stream: TcpStream) {
     }
 }
 
-/// The accept loop: the listener polled alongside the stop self-pipe,
-/// with exponential backoff (and a count) on repeated `accept(2)`
-/// failures.
-fn accept_loop<H: Handler>(door: Arc<Door<H>>, listener: TcpListener, waker: Arc<Waker>) {
+/// Exponential backoff for a failing accept loop.
+///
+/// `accept(2)` failing is not like a connection failing: the listener is
+/// shared, the error usually reflects process-wide pressure (EMFILE,
+/// ENFILE, ENOBUFS), and the naive `continue` turns the accept thread
+/// into a 100%-CPU spin until the pressure clears. Each consecutive
+/// failure doubles the pause (from [`AcceptBackoff::FIRST`] up to
+/// [`AcceptBackoff::MAX`]); any successful accept resets it.
+#[derive(Default)]
+struct AcceptBackoff {
+    consecutive_errors: u32,
+}
+
+impl AcceptBackoff {
+    /// Pause after the first failure.
+    const FIRST: Duration = Duration::from_millis(1);
+    /// Ceiling on the pause, however long the error streak.
+    const MAX: Duration = Duration::from_millis(100);
+
+    /// Records one accept failure; returns how long to pause before
+    /// retrying.
+    fn on_error(&mut self) -> Duration {
+        let shift = self.consecutive_errors.min(16);
+        self.consecutive_errors = self.consecutive_errors.saturating_add(1);
+        Self::FIRST.saturating_mul(1u32 << shift).min(Self::MAX)
+    }
+
+    /// Records a successful accept, resetting the schedule.
+    fn on_success(&mut self) {
+        self.consecutive_errors = 0;
+    }
+}
+
+/// The accept loop: block in `accept`, look at the stop flag, admit. The
+/// connection [`FrontDoor::close`] makes to end the block is dropped at
+/// the flag, before admission, so it is neither a session nor a shed.
+fn accept_loop<H: Handler>(door: Arc<Door<H>>, listener: TcpListener) {
     let shed = ShedPool::start(&door);
-    let mut backoff = AcceptBackoff::new();
-    let mut cooldown: Option<Instant> = None;
+    let mut backoff = AcceptBackoff::default();
     loop {
+        let accepted = listener.accept();
         if door.shutdown.load(Ordering::SeqCst) {
             break;
         }
-        // During an error-backoff cooldown the listener is left out of
-        // the poll set: the whole point is to stop re-trying accept (and
-        // burning CPU) until the pause elapses.
-        let now = Instant::now();
-        let listener_armed = match cooldown {
-            Some(until) if until > now => false,
-            _ => {
-                cooldown = None;
-                true
+        match accepted {
+            Ok((stream, _)) => {
+                backoff.on_success();
+                admit(&door, &shed, stream);
             }
-        };
-        let timeout = cooldown.map(|until| until.saturating_duration_since(now));
-        let fds = [waker.fd(), listener.as_raw_fd()];
-        let ready = match poll(&fds[..1 + usize::from(listener_armed)], timeout) {
-            Ok(ready) => ready,
             Err(_) => {
-                std::thread::sleep(Duration::from_millis(1));
-                continue;
-            }
-        };
-        if ready[0].readable {
-            waker.drain();
-        }
-        if door.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        if listener_armed && !ready[1].is_empty() {
-            // Drain the whole accept backlog while it's hot.
-            loop {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        backoff.on_success();
-                        // Session threads do blocking I/O; undo the
-                        // non-blocking flag inherited on some platforms.
-                        let _ = stream.set_nonblocking(false);
-                        admit(&door, &shed, stream);
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        // EMFILE and friends: count it and cool down
-                        // instead of hot-spinning on a failing accept.
-                        door.handler.metrics().add(H::NAMES.accept_errors, 1);
-                        cooldown = Some(Instant::now() + backoff.on_error());
-                        break;
-                    }
-                }
+                // EMFILE and friends: count it and cool down instead of
+                // hot-spinning on a failing accept. `close` unparks.
+                door.handler.metrics().add(H::NAMES.accept_errors, 1);
+                std::thread::park_timeout(backoff.on_error());
             }
         }
     }
@@ -687,6 +691,13 @@ mod tests {
     /// An open door over a [`Fake`], the receiver of its "Stats entered"
     /// signal, and the sender that lets a parked `Stats` answer.
     fn open(max_connections: usize) -> (FrontDoor<Fake>, mpsc::Receiver<()>, mpsc::Sender<()>) {
+        open_at("127.0.0.1:0", max_connections)
+    }
+
+    fn open_at(
+        addr: &str,
+        max_connections: usize,
+    ) -> (FrontDoor<Fake>, mpsc::Receiver<()>, mpsc::Sender<()>) {
         let (entered_tx, entered_rx) = mpsc::channel();
         let (gate_tx, gate_rx) = mpsc::channel();
         let fake = Arc::new(Fake {
@@ -702,7 +713,7 @@ mod tests {
             max_connections,
             faults: None,
         };
-        let door = FrontDoor::open("127.0.0.1:0", fake, config).unwrap();
+        let door = FrontDoor::open(addr, fake, config).unwrap();
         (door, entered_rx, gate_tx)
     }
 
@@ -790,6 +801,73 @@ mod tests {
         let t0 = Instant::now();
         door.close();
         assert!(t0.elapsed() < Duration::from_secs(2), "{:?}", t0.elapsed());
+    }
+
+    #[test]
+    fn a_door_bound_to_the_wildcard_address_closes_promptly() {
+        let (mut door, _entered, _gate) = open_at("0.0.0.0:0", 4);
+        assert!(door.addr().ip().is_unspecified());
+        let t0 = Instant::now();
+        door.close();
+        assert!(t0.elapsed() < Duration::from_secs(2), "{:?}", t0.elapsed());
+    }
+
+    /// The connection `close` makes to end the blocked `accept` is
+    /// counted as nothing: a door at its cap, every session parked in
+    /// the handler, closes with the shed and request counters unmoved.
+    #[test]
+    fn a_full_door_closes_and_the_wake_connection_is_not_a_shed() {
+        let (mut door, entered, _gate) = open(2);
+        let mut parked: Vec<TcpStream> = (0..2).map(|_| connect(&door)).collect();
+        for stream in &mut parked {
+            write_request(stream, &Request::Stats).unwrap();
+            entered.recv().unwrap(); // this session is inside stats()
+        }
+        let counters = |door: &FrontDoor<Fake>| {
+            let metrics = door.handler().metrics();
+            (
+                metrics.counter(Fake::NAMES.shed_connections),
+                metrics.counter(Fake::NAMES.requests),
+            )
+        };
+        let before = counters(&door);
+        let t0 = Instant::now();
+        door.close();
+        // Nothing answers while parked, so close waits out the drain.
+        assert!(t0.elapsed() < DRAIN_TIMEOUT + Duration::from_secs(2));
+        assert_eq!(counters(&door), before);
+    }
+
+    #[test]
+    fn accept_backoff_doubles_caps_and_resets() {
+        let mut b = AcceptBackoff::default();
+        let first = b.on_error();
+        assert_eq!(first, AcceptBackoff::FIRST);
+        let mut prev = first;
+        let mut saw_cap = false;
+        for _ in 0..20 {
+            let d = b.on_error();
+            assert!(d >= prev, "backoff must be non-decreasing");
+            assert!(d <= AcceptBackoff::MAX);
+            saw_cap |= d == AcceptBackoff::MAX;
+            prev = d;
+        }
+        assert!(saw_cap, "20 consecutive failures must reach the cap");
+        b.on_success();
+        assert_eq!(b.on_error(), AcceptBackoff::FIRST, "success resets");
+    }
+
+    #[test]
+    fn a_hundred_failures_sleep_long_enough_to_not_spin() {
+        // The regression the schedule exists for: a persistent accept
+        // error (EMFILE) must not become a hot loop. 100 consecutive
+        // failures must schedule well over a second of cumulative pause.
+        let mut b = AcceptBackoff::default();
+        let total: Duration = (0..100).map(|_| b.on_error()).sum();
+        assert!(
+            total >= Duration::from_secs(5),
+            "100 failures only paused {total:?}"
+        );
     }
 
     #[test]

@@ -26,12 +26,9 @@
 //!   extracts from partitioned stores, and the `serve.*` counters,
 //!   behind one front door.
 //! - `frontdoor` — everything the server and the router share: one
-//!   accept loop, admission with in-band shedding, one
-//!   thread-per-connection session loop, one protocol dispatcher, one
-//!   stop (DESIGN.md §13).
-//! - [`poll`] — the hand-rolled readiness primitives under the accept
-//!   loop: a `poll(2)` wrapper, a self-pipe waker, and accept-error
-//!   backoff.
+//!   blocking accept loop with accept-error backoff, admission with
+//!   in-band shedding, one thread-per-connection session loop, one
+//!   protocol dispatcher, one stop (DESIGN.md §13).
 //! - [`client`] — [`client::Client`] and [`client::RemoteFrames`], a
 //!   [`accelviz_core::viewer::FrameSource`] so a `ViewerSession` runs
 //!   unmodified against a remote server.
@@ -64,6 +61,7 @@
 //!
 //! [`HybridFrame`]: accelviz_core::hybrid::HybridFrame
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod breaker;
@@ -74,7 +72,6 @@ pub mod fault;
 mod frontdoor;
 pub mod health;
 pub mod lod;
-pub mod poll;
 pub mod protocol;
 pub mod retry;
 pub mod router;

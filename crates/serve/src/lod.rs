@@ -54,7 +54,7 @@ use accelviz_store::progressive::{
 };
 
 /// Default refinement-chunk budget in bytes when the client asks for the
-/// server default and `ACCELVIZ_LOD_BUDGET` is unset.
+/// server default.
 pub const DEFAULT_CHUNK_BYTES: u64 = 64 * 1024;
 /// Smallest honored chunk budget: below this the per-record framing
 /// overhead dominates the payload.
@@ -68,21 +68,12 @@ pub const COARSE_GRID_FACTOR: usize = 4;
 /// budget: six `f64` coordinates plus the `f64` density, uncompressed.
 const POINT_WIRE_BYTES: u64 = 56;
 
-/// The chunk budget from the environment: `ACCELVIZ_LOD_BUDGET` in
-/// bytes, `None` when unset or unparsable.
-pub fn lod_budget_from_env() -> Option<u64> {
-    std::env::var("ACCELVIZ_LOD_BUDGET")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-}
-
 /// Resolves a request's `chunk_bytes` into the budget the planner uses:
-/// `0` means "server default" (the `ACCELVIZ_LOD_BUDGET` environment
-/// knob, else [`DEFAULT_CHUNK_BYTES`]), and everything is clamped to
-/// `[MIN_CHUNK_BYTES, MAX_CHUNK_BYTES]`.
+/// `0` means "server default" ([`DEFAULT_CHUNK_BYTES`]), and everything
+/// is clamped to `[MIN_CHUNK_BYTES, MAX_CHUNK_BYTES]`.
 pub fn chunk_budget(requested: u64) -> u64 {
     let raw = if requested == 0 {
-        lod_budget_from_env().unwrap_or(DEFAULT_CHUNK_BYTES)
+        DEFAULT_CHUNK_BYTES
     } else {
         requested
     };
@@ -608,10 +599,6 @@ mod tests {
         assert_eq!(chunk_budget(4096), 4096);
         assert_eq!(chunk_budget(1), MIN_CHUNK_BYTES);
         assert_eq!(chunk_budget(u64::MAX), MAX_CHUNK_BYTES);
-        // 0 falls back to the default (the env knob is exercised in the
-        // e2e suite, where the process environment is controlled).
-        if lod_budget_from_env().is_none() {
-            assert_eq!(chunk_budget(0), DEFAULT_CHUNK_BYTES);
-        }
+        assert_eq!(chunk_budget(0), DEFAULT_CHUNK_BYTES);
     }
 }

@@ -109,8 +109,7 @@ pub enum Request {
         /// Absolute extraction threshold (leaf density).
         threshold: f64,
         /// Requested refinement-chunk size in bytes; the server clamps
-        /// it (and 0 means "server default", which honors
-        /// `ACCELVIZ_LOD_BUDGET`).
+        /// it (and 0 means "server default").
         chunk_bytes: u64,
     },
 }

@@ -23,8 +23,9 @@
 //! `ERR_INTERNAL`, the connection and the listener survive. Repeated
 //! `accept(2)` failures (fd exhaustion) back off exponentially and are
 //! counted under `serve.accept_errors` instead of hot-spinning. Shutdown
-//! wakes the acceptor deterministically through a self-pipe and drains
-//! in-flight replies (for at most a second) before returning.
+//! ends the acceptor's blocked `accept` with one connection to its own
+//! address and drains in-flight replies (for at most a second) before
+//! returning.
 //!
 //! Scale-out: N of these servers can sit behind one
 //! [`crate::router::FrameRouter`], each owning a rendezvous-hashed slice
@@ -236,9 +237,9 @@ impl Shared {
 }
 
 /// A running frame server. Dropping it (or calling
-/// [`FrameServer::shutdown`]) stops the acceptor — woken
-/// deterministically through a self-pipe, so an *idle* server shuts down
-/// promptly too — then drains in-flight replies for at most a second.
+/// [`FrameServer::shutdown`]) stops the acceptor — woken by a connection
+/// to its own address, so an *idle* server shuts down promptly too — then
+/// drains in-flight replies for at most a second.
 pub struct FrameServer {
     door: FrontDoor<Shared>,
 }

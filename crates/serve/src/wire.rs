@@ -25,7 +25,11 @@ use accelviz_math::{Aabb, Vec3};
 use accelviz_octree::density::DensityGrid;
 use accelviz_octree::plots::PlotType;
 use accelviz_store::codec::{decode_f32s, decode_f64s, encode_f32s, encode_f64s};
+use accelviz_store::fnv1a64_update;
 use std::io::{Read, Write};
+
+/// FNV-1a 64-bit hash — the envelope checksum, and the store's.
+pub use accelviz_store::fnv1a64;
 
 /// Envelope magic: "accelviz wire format".
 pub const MAGIC: [u8; 4] = *b"AVWF";
@@ -48,16 +52,6 @@ pub const MAX_PAYLOAD: u64 = 1 << 30;
 /// What [`read_envelope`] reserves for a payload up front, whatever the
 /// header declares; beyond it the buffer grows as bytes arrive.
 const PAYLOAD_FIRST_RESERVE: u64 = 64 << 10;
-
-/// FNV-1a 64-bit hash — the envelope checksum.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// One framed message: its version, kind byte, and raw payload.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -100,13 +94,8 @@ pub fn write_envelope_v<W: Write>(
     header[7] = 0;
     header[8..16].copy_from_slice(&(payload.len() as u64).to_le_bytes());
 
-    let mut hash = fnv1a64(&header);
-    // Continue the FNV chain over the payload without concatenating.
-    for &b in payload {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    // fnv1a64(header ++ payload) computed incrementally above.
+    // fnv1a64(header ++ payload), chained without concatenating.
+    let hash = fnv1a64_update(fnv1a64(&header), payload);
     w.write_all(&header)?;
     w.write_all(payload)?;
     w.write_all(&hash.to_le_bytes())?;
@@ -180,11 +169,7 @@ pub fn read_envelope_within<R: Read>(r: &mut R, max_payload: u64) -> Result<Enve
     read_exact_or_truncated(r, &mut trailer)?;
     let expected = u64::from_le_bytes(trailer);
 
-    let mut actual = fnv1a64(&header);
-    for &b in &payload {
-        actual ^= b as u64;
-        actual = actual.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let actual = fnv1a64_update(fnv1a64(&header), &payload);
     if actual != expected {
         return Err(ServeError::ChecksumMismatch { expected, actual });
     }
@@ -655,14 +640,6 @@ pub fn decode_frame_v2(payload: &[u8]) -> Result<HybridFrame> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fnv_matches_reference_vectors() {
-        // Known FNV-1a 64 values.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
-    }
 
     #[test]
     fn envelope_roundtrips() {

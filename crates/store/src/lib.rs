@@ -1,4 +1,4 @@
-//! Compressed frame codecs and an out-of-core, memory-mapped run store.
+//! Compressed frame codecs and an out-of-core run store.
 //!
 //! The paper's terascale premise is that the data does not fit: a single
 //! time step of the primary simulation is 5 GB raw, and the visualization
@@ -11,22 +11,27 @@
 //!   bitpacking for halo point columns, raw passthrough as the safety
 //!   net. The serve layer's AVWF v2 frame encoding is built from these
 //!   blocks.
-//! - [`run`] / [`mmap`] / [`resident`] / [`source`] — the on-disk run
-//!   format (chunked, checksummed, one file per time series), a
-//!   hand-rolled memory map with a pread fallback, an LRU-budgeted
-//!   residency layer, and a `FrameSource` adapter so a viewer or frame
-//!   server can serve a run larger than RAM.
+//! - [`run`] / [`resident`] / [`source`] — the on-disk run format
+//!   (chunked, checksummed, one file per time series) read through
+//!   bounds-checked positioned reads, an LRU-budgeted residency layer,
+//!   and a `FrameSource` adapter so a viewer or frame server can serve a
+//!   run larger than RAM.
 //! - [`progressive`] — the chunk/delta record framing under progressive
 //!   (coarse-to-fine) frame streaming: checksummed records and the
 //!   strict in-order [`progressive::RecordAssembler`] grammar.
 //! - [`lru`] — the recency-order structure shared by this crate's
 //!   residency layer and the serve layer's caches (re-exported there).
+//!
+//! [`fnv1a64`] / [`fnv1a64_update`] at the crate root are the one
+//! checksum every layer uses — run-file chunks and node blobs,
+//! progressive records, and the serve layer's wire envelopes — so
+//! bit-identity arguments compose across store and wire.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod codec;
 pub mod lru;
-pub mod mmap;
 pub mod progressive;
 pub mod resident;
 pub mod run;
@@ -36,3 +41,31 @@ pub use lru::LruOrder;
 pub use resident::{Fetch, ResidentRun, ResidentStats};
 pub use run::{RunStore, DEFAULT_CHUNK_BYTES};
 pub use source::StoredRunSource;
+
+/// FNV-1a over 64 bits of `bytes`.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    fnv1a64_update(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continues an FNV-1a 64 chain: `fnv1a64_update(fnv1a64(a), b)` is
+/// `fnv1a64(a ++ b)` without the concatenation.
+pub fn fnv1a64_update(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fnv_matches_reference_vectors() {
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+        assert_eq!(fnv1a64_update(fnv1a64(b"foo"), b"bar"), fnv1a64(b"foobar"));
+    }
+}

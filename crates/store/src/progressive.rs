@@ -29,6 +29,7 @@
 //! is what lets a client skip records it already applied.
 
 use crate::codec::{CodecError, Result};
+use crate::fnv1a64;
 
 /// Record kind: the stream head — frame header, coarse volume, and the
 /// first point slice. Always seq 0.
@@ -44,18 +45,6 @@ pub const RECORD_FINAL: u8 = 3;
 pub const RECORD_HEADER_BYTES: usize = 17;
 /// Record checksum trailer size in bytes.
 pub const RECORD_CHECKSUM_BYTES: usize = 8;
-
-/// FNV-1a 64-bit hash — the same function the AVWF envelope uses, so a
-/// record checksum and an envelope checksum disagree only on scope,
-/// never on algorithm.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// One record of a progressive stream: its kind, position, the stream
 /// length it claims, and the still-encoded payload.

@@ -121,11 +121,6 @@ impl ResidentRun {
             .sum()
     }
 
-    /// Whether the underlying file is served through a memory map.
-    pub fn is_mapped(&self) -> bool {
-        self.store.is_mapped()
-    }
-
     /// Fetches frame `i`, reading and checksum-verifying its chunks if it
     /// is not resident, then evicting least-recently-used frames until
     /// the residency budget holds again. The just-fetched frame is never
@@ -133,7 +128,11 @@ impl ResidentRun {
     /// serves (the budget is then transiently exceeded).
     pub fn fetch(&self, i: usize) -> io::Result<Fetch> {
         let key = u32::try_from(i)
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame index out of range"))?;
+            .ok()
+            .filter(|_| i < self.frame_count())
+            .ok_or_else(|| {
+                io::Error::new(io::ErrorKind::InvalidInput, "frame index out of range")
+            })?;
         let mut g = self.state.lock();
         if let Some(data) = g.resident.get(&key) {
             let data = Arc::clone(data);
@@ -263,6 +262,18 @@ mod tests {
         let s = run.stats();
         assert_eq!(s.resident_frames, 1);
         assert_eq!(s.evictions, 1);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn fetch_past_the_end_is_an_error_not_a_panic() {
+        let path = run_file("past-end", 2, 100);
+        let run = ResidentRun::open(&path, u64::MAX).unwrap();
+        for i in [run.frame_count(), usize::MAX] {
+            let err = run.fetch(i).err().expect("no such frame");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "fetch({i})");
+        }
+        assert_eq!(run.stats().cold_loads, 0, "the store was never touched");
         let _ = std::fs::remove_file(&path);
     }
 

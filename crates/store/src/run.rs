@@ -22,18 +22,18 @@
 //!
 //! The split layout exists for out-of-core serving: directories and node
 //! blobs are small and read eagerly; particle chunks — the bulk — are
-//! fetched on demand through a [`ChunkSource`] (memory map or positioned
-//! reads), so a run much larger than RAM never has to be resident at
-//! once. Chunk size is always a multiple of the 48-byte particle record
-//! so a record never straddles chunks.
+//! fetched on demand with bounds-checked positioned reads, so a run much
+//! larger than RAM never has to be resident at once. Chunk size is always
+//! a multiple of the 48-byte particle record so a record never straddles
+//! chunks.
 
-use crate::mmap::ChunkSource;
 use accelviz_beam::io::BYTES_PER_PARTICLE;
 use accelviz_beam::particle::Particle;
 use accelviz_octree::node::Octree;
 use accelviz_octree::plots::PlotType;
 use accelviz_octree::sorted_store::PartitionedData;
 use accelviz_octree::store_io::{read_node_file, write_node_file};
+use std::fs::File;
 use std::io::{self, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -51,16 +51,7 @@ const CHUNK_DIR_BYTES: u64 = 24;
 /// Upper bound on plausible frame/chunk counts (header-corruption guard).
 const MAX_TABLE_ENTRIES: u64 = 1 << 28;
 
-/// FNV-1a over 64 bits — the same checksum the wire envelope uses, so
-/// bit-identity arguments compose across the store and serve layers.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
+pub use crate::fnv1a64;
 
 /// Rounds a requested chunk size up to a positive multiple of the
 /// 48-byte particle record.
@@ -184,7 +175,7 @@ pub fn write_run_file(
     frames: &[PartitionedData],
     chunk_bytes: u64,
 ) -> io::Result<u64> {
-    let mut f = std::fs::File::create(path)?;
+    let mut f = File::create(path)?;
     let n = write_run(&mut f, frames, chunk_bytes)?;
     f.flush()?;
     Ok(n)
@@ -196,6 +187,59 @@ fn bad(msg: impl Into<String>) -> io::Error {
 
 fn u64_at(buf: &[u8], off: usize) -> u64 {
     u64::from_le_bytes(buf[off..off + 8].try_into().unwrap())
+}
+
+/// Random-access bytes of an open run file. The length is captured at
+/// open and every read is checked against it before anything is
+/// allocated or read, so an offset or length taken from the file's own
+/// tables can cost an error, never a short read or a huge buffer.
+struct ChunkSource {
+    file: File,
+    len: u64,
+}
+
+impl ChunkSource {
+    fn open(path: &Path) -> io::Result<ChunkSource> {
+        let file = File::open(path)?;
+        let len = file.metadata()?.len();
+        Ok(ChunkSource { file, len })
+    }
+
+    fn check(&self, off: u64, len: usize) -> io::Result<()> {
+        match off.checked_add(len as u64) {
+            Some(end) if end <= self.len => Ok(()),
+            _ => Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                format!("read of {len} bytes at {off} runs past end ({})", self.len),
+            )),
+        }
+    }
+
+    /// Fills `buf` from byte offset `off` — the one read.
+    fn read_into(&self, off: u64, buf: &mut [u8]) -> io::Result<()> {
+        self.check(off, buf.len())?;
+        #[cfg(unix)]
+        {
+            std::os::unix::fs::FileExt::read_exact_at(&self.file, buf, off)
+        }
+        #[cfg(not(unix))]
+        {
+            // No positioned-read primitive: seek + read on a duplicated
+            // handle so `&self` reads stay possible.
+            use std::io::{Read, Seek, SeekFrom};
+            let mut f = self.file.try_clone()?;
+            f.seek(SeekFrom::Start(off))?;
+            f.read_exact(buf)
+        }
+    }
+
+    /// Reads exactly `len` bytes at byte offset `off` into a fresh buffer.
+    fn read_at(&self, off: u64, len: usize) -> io::Result<Vec<u8>> {
+        self.check(off, len)?;
+        let mut buf = vec![0u8; len];
+        self.read_into(off, &mut buf)?;
+        Ok(buf)
+    }
 }
 
 /// An open run file: parsed directories plus on-demand chunk access.
@@ -212,10 +256,10 @@ pub struct RunStore {
 
 impl RunStore {
     /// Opens and validates a run file. The directories are read eagerly;
-    /// the data region stays on disk behind a [`ChunkSource`].
+    /// the data region stays on disk until a frame is loaded.
     pub fn open(path: &Path) -> io::Result<RunStore> {
         let src = ChunkSource::open(path)?;
-        let file_len = src.len();
+        let file_len = src.len;
         let header = src.read_at(0, HEADER_BYTES as usize)?;
         if header[..8] != RUN_MAGIC {
             return Err(bad("bad run-file magic"));
@@ -329,12 +373,10 @@ impl RunStore {
         self.frames[i].particle_count * BYTES_PER_PARTICLE
     }
 
-    /// Whether the data region is served through a memory map.
-    pub fn is_mapped(&self) -> bool {
-        self.src.is_mapped()
-    }
-
-    /// `(chunks_read, bytes_read)` so far, including directory reads.
+    /// `(chunks_read, bytes_read)` so far: the particle chunks
+    /// [`RunStore::load_particles`] has read, and their bytes plus the
+    /// node blobs [`RunStore::read_tree`] has read. The header and tables
+    /// read once by [`RunStore::open`] are not counted.
     pub fn io_stats(&self) -> (u64, u64) {
         (
             self.chunks_read.load(Ordering::Relaxed),
@@ -358,14 +400,20 @@ impl RunStore {
     /// Reads and checksum-verifies all particle chunks of frame `i`.
     pub fn load_particles(&self, i: usize) -> io::Result<Vec<Particle>> {
         let d = &self.frames[i];
+        let first = d.first_chunk as usize;
+        let chunks = &self.chunks[first..first + d.n_chunks as usize];
+        // One scratch buffer per frame load, sized from this frame's own
+        // table entries (each checked against the file length at open) —
+        // never from the header's `chunk_bytes`, which is only a claim.
+        let largest = chunks.iter().map(|c| c.len).max().unwrap_or(0);
+        let mut scratch = vec![0u8; largest as usize];
         let mut particles = Vec::with_capacity(d.particle_count as usize);
-        for ci in d.first_chunk..d.first_chunk + d.n_chunks {
-            let c = &self.chunks[ci as usize];
-            let bytes = self.src.read_at(c.off, c.len as usize)?;
+        for (ci, c) in (first..).zip(chunks) {
+            let bytes = &mut scratch[..c.len as usize];
+            self.src.read_into(c.off, bytes)?;
             self.chunks_read.fetch_add(1, Ordering::Relaxed);
-            self.bytes_read
-                .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-            if fnv1a64(&bytes) != c.fnv {
+            self.bytes_read.fetch_add(c.len, Ordering::Relaxed);
+            if fnv1a64(bytes) != c.fnv {
                 return Err(bad(format!("chunk {ci} of frame {i} failed checksum")));
             }
             for rec in bytes.chunks_exact(BYTES_PER_PARTICLE as usize) {
@@ -495,9 +543,57 @@ mod tests {
     }
 
     #[test]
-    fn fnv_matches_the_wire_reference_vectors() {
-        // Same constants as the serve wire layer: checksums compose.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+    fn a_terabyte_chunk_size_claim_costs_no_memory() {
+        // One short chunk per frame under a header that claims 1 TiB
+        // chunks: legal, and sizing the read buffer from that claim
+        // instead of the chunk table would abort on allocation.
+        let frames = build_frames(2, 300);
+        let path = scratch("tib");
+        write_run_file(&path, &frames, 1 << 40).unwrap();
+        let store = RunStore::open(&path).unwrap();
+        assert!(store.chunk_bytes() >= 1 << 40);
+        for (i, data) in frames.iter().enumerate() {
+            assert_eq!(store.load_particles(i).unwrap(), data.particles());
+        }
+        assert_eq!(store.io_stats().0, 2, "one chunk per frame");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    fn source_over(name: &str, bytes: &[u8]) -> (ChunkSource, std::path::PathBuf) {
+        let path = scratch(name);
+        std::fs::write(&path, bytes).unwrap();
+        (ChunkSource::open(&path).unwrap(), path)
+    }
+
+    #[test]
+    fn positioned_reads_return_the_files_bytes() {
+        let payload: Vec<u8> = (0..10_000u32).map(|i| (i % 255) as u8).collect();
+        let (src, path) = source_over("src-bytes", &payload);
+        for (off, len) in [(0u64, 16usize), (9_984, 16), (123, 4_096), (0, 10_000)] {
+            assert_eq!(
+                src.read_at(off, len).unwrap(),
+                payload[off as usize..off as usize + len]
+            );
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn out_of_range_reads_are_errors_not_panics() {
+        let (src, path) = source_over("src-oob", &[1, 2, 3, 4]);
+        assert!(src.read_at(0, 5).is_err());
+        assert!(src.read_at(4, 1).is_err());
+        assert!(src.read_at(u64::MAX, 1).is_err());
+        assert_eq!(src.read_at(4, 0).unwrap(), Vec::<u8>::new());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn empty_files_are_servable() {
+        let (src, path) = source_over("src-empty", &[]);
+        assert_eq!(src.len, 0);
+        assert_eq!(src.read_at(0, 0).unwrap(), Vec::<u8>::new());
+        assert!(src.read_at(0, 1).is_err());
+        let _ = std::fs::remove_file(&path);
     }
 }

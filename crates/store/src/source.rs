@@ -4,9 +4,9 @@
 //! [`StoredRunSource`] closes the loop the paper's §2.5 opens: the
 //! viewer steps through frames, warm frames display instantaneously, and
 //! cold frames stream from disk — except here the disk path is real
-//! (checksum-verified chunk reads through a memory map or pread), not a
-//! latency model. Residency is delegated to [`ResidentRun`]; this
-//! adapter only converts fetches into hybrid frames and load reports.
+//! (checksum-verified positioned chunk reads), not a latency model.
+//! Residency is delegated to [`ResidentRun`]; this adapter only converts
+//! fetches into hybrid frames and load reports.
 
 use crate::resident::ResidentRun;
 use accelviz_core::hybrid::HybridFrame;

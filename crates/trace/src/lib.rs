@@ -55,6 +55,7 @@
 //! println!("{}", accelviz_trace::report::summary(&reg));
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod chrome;

@@ -16,9 +16,6 @@
 //! everything is.
 //!
 //! Run: `cargo run --release --example progressive_viz`
-//!
-//! Knobs: `ACCELVIZ_LOD_BUDGET` overrides the chunk byte budget when the
-//! request leaves it at 0 (see OPERATIONS.md).
 
 use accelviz::beam::simulation::{BeamConfig, BeamSimulation};
 use accelviz::core::hybrid::HybridFrame;

@@ -24,8 +24,8 @@
 //!   router speaking the same protocol over N rendezvous-hashed shard
 //!   servers ([`serve::router`]).
 //! - [`store`] — compressed frame codecs (the wire's AVWF v2 encoding is
-//!   built from them) and the out-of-core, memory-mapped run store that
-//!   lets a viewer or server work through a run larger than RAM.
+//!   built from them) and the out-of-core run store that lets a viewer
+//!   or server work through a run larger than RAM.
 //! - [`trace`] — spans, counters, and Chrome trace-event export; set
 //!   `ACCELVIZ_TRACE=trace.json` before running any example or benchmark
 //!   to capture a whole-pipeline trace, then call [`trace::flush`] (the
@@ -84,6 +84,8 @@
 //! );
 //! assert!(stats.volume_samples > 0);
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub use accelviz_beam as beam;
 pub use accelviz_core as core;

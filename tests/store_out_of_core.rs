@@ -156,32 +156,21 @@ fn v1_pinned_clients_get_identical_frames_from_a_stored_server() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// The pread fallback path (`ACCELVIZ_STORE_NO_MMAP=1`, as CI forces it)
-/// serves byte-identical frames; this guards the non-mmap half without
-/// relying on the environment.
+/// With no residency pressure at all, every frame paged in from the run
+/// file extracts to exactly what the in-memory partition does.
 #[test]
-fn pread_fallback_serves_identical_frames() {
+fn an_unbudgeted_open_serves_frames_identical_to_memory() {
     let frames = build_frames();
-    let path = run_path("pread");
+    let path = run_path("unbudgeted");
     write_run_file(&path, &frames, 4_096).unwrap();
 
-    // Env-var forcing is process-global, so instead of setting it here
-    // (racing other tests) this compares a mapped and an unmapped open
-    // only when the environment already picked one; the store's own unit
-    // tests cover forcing. What must hold either way: open succeeds and
-    // frames match memory.
     let run = Arc::new(ResidentRun::open(&path, u64::MAX).unwrap());
     let dims = [16, 16, 16];
     for (i, data) in frames.iter().enumerate() {
         let fetch = run.fetch(i).unwrap();
         let got = HybridFrame::from_partition(&fetch.data, i, f64::INFINITY, dims);
         let want = HybridFrame::from_partition(data, i, f64::INFINITY, dims);
-        assert_eq!(
-            got,
-            want,
-            "frame {i} via {}",
-            if run.is_mapped() { "mmap" } else { "pread" }
-        );
+        assert_eq!(got, want, "frame {i}");
     }
     let _ = std::fs::remove_file(&path);
 }
