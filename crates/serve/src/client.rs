@@ -16,7 +16,6 @@
 use crate::error::{Result, ServeError};
 use crate::fault::{FaultScript, FaultyTransport};
 use crate::lod::ProgressiveAssembler;
-use crate::lru::LruOrder;
 use crate::protocol::{
     read_chunk_reply, read_response, write_request, ChunkReply, FrameInfo, Request, Response,
 };
@@ -25,7 +24,7 @@ use crate::stats::ServerStats;
 use crate::wire::VERSION;
 use accelviz_core::hybrid::HybridFrame;
 use accelviz_core::viewer::{FrameLoad, FrameSource};
-use std::collections::HashMap;
+use accelviz_store::cache::Cache;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
@@ -556,10 +555,12 @@ fn response_name(r: &Response) -> &'static str {
 pub struct RemoteFrames {
     client: Client,
     threshold: f64,
-    /// Frames the client may hold before evicting, LRU.
-    max_resident: usize,
-    resident: LruOrder<u32>,
-    frames: HashMap<u32, Arc<HybridFrame>>,
+    /// Up to `max_resident` frames by index, LRU; filled by `get` + `insert`
+    /// (a failed fetch carries a partial frame and a non-`Clone` error).
+    resident: Cache<u32, HybridFrame, ()>,
+    /// The frame `load` last returned in full (the most recently used
+    /// resident one): the stale fallback.
+    last: Option<Arc<HybridFrame>>,
     /// `Some(chunk budget)` switches cold loads to progressive fetches
     /// (0 = server default); the degradation ladder then prefers a
     /// partial rendition of the requested frame over a stale one.
@@ -582,9 +583,8 @@ impl RemoteFrames {
         RemoteFrames {
             client,
             threshold,
-            max_resident,
-            resident: LruOrder::new(),
-            frames: HashMap::new(),
+            resident: Cache::new(max_resident as u64, |_| 1),
+            last: None,
             progressive: None,
             bytes_fetched: 0,
             degraded_loads: 0,
@@ -611,8 +611,7 @@ impl RemoteFrames {
 
     /// The stale-frame fallback: most recently used resident frame.
     fn fallback(&mut self) -> Option<(Arc<HybridFrame>, FrameLoad)> {
-        let key = *self.resident.newest()?;
-        let frame = Arc::clone(self.frames.get(&key)?);
+        let frame = self.last.clone()?;
         self.degraded_loads += 1;
         accelviz_trace::global().add(CTR_CLIENT_DEGRADED, 1);
         Some((
@@ -636,8 +635,8 @@ impl FrameSource for RemoteFrames {
 
     fn load(&mut self, index: usize) -> io::Result<(Arc<HybridFrame>, FrameLoad)> {
         let key = index as u32;
-        if let Some(frame) = self.frames.get(&key).cloned() {
-            self.resident.touch(key);
+        if let Some(frame) = self.resident.get(&key) {
+            self.last = Some(Arc::clone(&frame));
             let load = FrameLoad {
                 cache_hit: true,
                 bytes_loaded: 0,
@@ -694,13 +693,8 @@ impl FrameSource for RemoteFrames {
             }
         };
         let frame = Arc::new(frame);
-        while self.resident.len() >= self.max_resident {
-            if let Some(victim) = self.resident.pop_oldest() {
-                self.frames.remove(&victim);
-            }
-        }
-        self.resident.touch(key);
-        self.frames.insert(key, Arc::clone(&frame));
+        self.resident.insert(key, Arc::clone(&frame));
+        self.last = Some(Arc::clone(&frame));
         self.bytes_fetched += metrics.wire_bytes;
         let load = FrameLoad {
             cache_hit: false,

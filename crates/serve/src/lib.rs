@@ -19,9 +19,9 @@
 //!   coarse-to-fine chunk planner ([`lod::plan_frame_chunks`]) and the
 //!   verifying reassembler ([`lod::ProgressiveAssembler`]), on top of
 //!   the record framing in `accelviz_store::progressive`.
-//! - [`cache`] — the one coalescing LRU frame cache, keyed by
-//!   `(frame, threshold)`: a server's extractions, a router's fetched
-//!   frames.
+//! - [`cache`] — the frame cache key `(frame, threshold)` over
+//!   `accelviz-store`'s one coalescing LRU: a server's extractions, a
+//!   router's fetched frames.
 //! - [`server`] — [`server::FrameServer`]: the frame origin that
 //!   extracts from partitioned stores, and the `serve.*` counters,
 //!   behind one front door.
@@ -50,10 +50,6 @@
 //!   reconnect-and-replay resilience.
 //! - [`fault`] — seeded, scheduled fault injection for chaos testing
 //!   (delays, disconnects, truncations, bit flips at byte offsets).
-//! - [`lru`] — the O(log n) recency order shared by the frame cache,
-//!   the client's resident set, and the out-of-core
-//!   run store's residency window (the type now lives in
-//!   `accelviz-store` and is re-exported here unchanged).
 //!
 //! The failure model — which faults exist, why replay is idempotent, when
 //! the server sheds, and how the viewer degrades — is written up in
@@ -79,12 +75,6 @@ pub mod server;
 pub mod stats;
 pub mod wire;
 
-// The recency-order structure moved into `accelviz-store` (its residency
-// layer needs it below this crate in the dependency graph); re-exported
-// under its historical path so `accelviz_serve::lru::LruOrder` keeps
-// resolving for every existing caller.
-pub use accelviz_store::lru;
-
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use client::{
     Client, ClientConfig, ClientStats, Connector, FaultyConnector, FetchMetrics, RemoteFrames,
@@ -93,7 +83,6 @@ pub use client::{
 pub use error::{Result, ServeError};
 pub use fault::{FaultDirection, FaultEvent, FaultKind, FaultPlan, FaultScript, FaultyTransport};
 pub use health::HealthConfig;
-pub use lru::LruOrder;
 pub use retry::RetryPolicy;
 pub use router::{FrameRouter, RouterConfig, ShardMap, ShardedFrameService};
 pub use server::{FrameServer, ServerConfig};

@@ -292,11 +292,11 @@ impl ShardMap {
 pub struct RouterConfig {
     /// Byte budget for the router's decoded-frame cache (the
     /// herd-coalescing layer), LRU by resident frame bytes
-    /// ([`HybridFrame::total_bytes`] per frame); must be positive.
-    /// Frames vary by orders of magnitude with threshold and grid
-    /// dims, so the budget counts bytes rather than entries; a frame
-    /// larger than the whole budget is still admitted (to serve its
-    /// coalesced waiters) and becomes the next eviction victim.
+    /// ([`HybridFrame::total_bytes`] per frame). Frames vary by orders
+    /// of magnitude with threshold and grid dims, so the budget counts
+    /// bytes rather than entries; a frame larger than the whole budget
+    /// is still admitted (to serve its coalesced waiters) and becomes
+    /// the next eviction victim, so 0 holds the newest frame only.
     pub cache_bytes: u64,
     /// Bound on any single blocking read from a client; `None` waits
     /// forever.
@@ -731,7 +731,7 @@ impl FrameRouter {
             map,
             catalog,
             upstreams,
-            cache: CoalescingCache::new(config.cache_bytes.max(1), HybridFrame::total_bytes),
+            cache: CoalescingCache::new(config.cache_bytes, HybridFrame::total_bytes),
             retry: config.upstream.retry,
             metrics,
         });

@@ -326,6 +326,13 @@ fn delta_varint_decode_f32(payload: &[u8], count: usize) -> Result<Vec<f32>> {
         .first()
         .ok_or(CodecError::Truncated { needed: 1, at: 0 })?;
     pos += 1;
+    // `count` is the peer's word; a varint is at least a byte per value.
+    if count > payload.len() - 1 {
+        return Err(CodecError::Corrupt(format!(
+            "{count} varints cannot fit in {} bytes",
+            payload.len() - 1
+        )));
+    }
     let mut values = Vec::with_capacity(count);
     let mut prev: i64 = 0;
     for _ in 0..count {
@@ -462,7 +469,6 @@ fn bitpack_encode_f64(values: &[f64]) -> Vec<u8> {
 }
 
 fn bitpack_decode_f64(payload: &[u8], count: usize) -> Result<Vec<f64>> {
-    let mut values = Vec::with_capacity(count);
     let mut pos = 0usize;
     if count == 0 {
         if !payload.is_empty() {
@@ -470,8 +476,18 @@ fn bitpack_decode_f64(payload: &[u8], count: usize) -> Result<Vec<f64>> {
                 "bytes in an empty packed stream".into(),
             ));
         }
-        return Ok(values);
+        return Ok(Vec::new());
     }
+    // `count` is the peer's word; past the raw first value every block
+    // of 64 costs at least its width byte.
+    let width_bytes = payload.len().saturating_sub(8);
+    if count - 1 > width_bytes.saturating_mul(PACK_BLOCK) {
+        return Err(CodecError::Corrupt(format!(
+            "{count} packed values cannot fit in {} bytes",
+            payload.len()
+        )));
+    }
+    let mut values = Vec::with_capacity(count);
     let first_bytes = payload.get(..8).ok_or(CodecError::Truncated {
         needed: 8usize.saturating_sub(payload.len()),
         at: 0,
@@ -728,6 +744,27 @@ mod tests {
         let mut pos = 0;
         assert!(matches!(
             decode_f64s(&enc, &mut pos, 3),
+            Err(CodecError::Corrupt(_))
+        ));
+    }
+
+    /// The count is the peer's word: the largest count a payload can
+    /// honestly hold still decodes, one more is refused unallocated.
+    #[test]
+    fn a_count_the_payload_cannot_hold_is_rejected_at_the_exact_boundary() {
+        // 8 raw bytes + one zero-width byte: 65 constant values.
+        let mut packed = 7.5f64.to_le_bytes().to_vec();
+        packed.push(0);
+        assert_eq!(bitpack_decode_f64(&packed, 65).unwrap(), vec![7.5; 65]);
+        assert!(matches!(
+            bitpack_decode_f64(&packed, 66),
+            Err(CodecError::Corrupt(_))
+        ));
+        // Mode byte + one zero-delta byte per value.
+        let varints = [MODE_INT, 0, 0, 0];
+        assert_eq!(delta_varint_decode_f32(&varints, 3).unwrap(), vec![0.0; 3]);
+        assert!(matches!(
+            delta_varint_decode_f32(&varints, 4),
             Err(CodecError::Corrupt(_))
         ));
     }

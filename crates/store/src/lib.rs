@@ -13,14 +13,14 @@
 //!   blocks.
 //! - [`run`] / [`resident`] / [`source`] — the on-disk run format
 //!   (chunked, checksummed, one file per time series) read through
-//!   bounds-checked positioned reads, an LRU-budgeted residency layer,
+//!   bounds-checked positioned reads, a byte-budgeted residency window,
 //!   and a `FrameSource` adapter so a viewer or frame server can serve a
 //!   run larger than RAM.
 //! - [`progressive`] — the chunk/delta record framing under progressive
 //!   (coarse-to-fine) frame streaming: checksummed records and the
 //!   strict in-order [`progressive::RecordAssembler`] grammar.
-//! - [`lru`] — the recency-order structure shared by this crate's
-//!   residency layer and the serve layer's caches (re-exported there).
+//! - [`cache`] — the one coalescing LRU cache: the residency window
+//!   here, and the serve layer's frame caches and remote resident set.
 //!
 //! [`fnv1a64`] / [`fnv1a64_update`] at the crate root are the one
 //! checksum every layer uses — run-file chunks and node blobs,
@@ -30,14 +30,13 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+pub mod cache;
 pub mod codec;
-pub mod lru;
 pub mod progressive;
 pub mod resident;
 pub mod run;
 pub mod source;
 
-pub use lru::LruOrder;
 pub use resident::{Fetch, ResidentRun, ResidentStats};
 pub use run::{RunStore, DEFAULT_CHUNK_BYTES};
 pub use source::StoredRunSource;

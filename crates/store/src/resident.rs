@@ -4,24 +4,24 @@
 //! tiny — 88 bytes per node — and reading them eagerly doubles as a
 //! fail-fast checksum pass over all directory metadata) while particle
 //! arrays, the bulk of a run, page in on demand and page out under an
-//! explicit byte budget. Recency is tracked by the same
-//! [`LruOrder`] the serve layer's caches use, so
-//! the whole pipeline shares one eviction policy.
+//! explicit byte budget. The window is a [`Cache`] keyed by frame index
+//! and weighed in particle bytes, so the whole pipeline shares one
+//! eviction policy.
 //!
-//! Loads happen under the residency lock: a simplification that trades
-//! concurrent cold loads for the guarantee that a frame is never fetched
-//! twice in a race. The serve layer already bounds concurrent extraction
-//! work above this layer, so the serialization is not the bottleneck.
+//! Loads run outside every lock: distinct cold frames page in
+//! concurrently, a warm hit never waits behind another frame's disk
+//! read, and concurrent fetches of the *same* cold frame coalesce onto
+//! one load. A fetch that joined another caller's load read nothing
+//! itself and reports `warm: true, bytes_loaded: 0`.
 
-use crate::lru::LruOrder;
+use crate::cache::{Cache, Lookup};
 use crate::run::RunStore;
 use accelviz_octree::node::Octree;
 use accelviz_octree::plots::PlotType;
 use accelviz_octree::sorted_store::PartitionedData;
-use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::io;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A run file plus an in-memory residency window over its frames.
@@ -30,23 +30,19 @@ pub struct ResidentRun {
     /// Every frame's octree and plot type, always resident.
     trees: Vec<(Octree, PlotType)>,
     budget_bytes: u64,
-    state: Mutex<Residency>,
-}
-
-struct Residency {
-    lru: LruOrder<u32>,
-    resident: HashMap<u32, Arc<PartitionedData>>,
-    resident_bytes: u64,
-    cold_loads: u64,
-    warm_hits: u64,
-    evictions: u64,
+    /// Resident particle data by frame index. A failed load travels to
+    /// its coalesced waiters as the `io::Error`'s kind and message.
+    resident: Cache<u32, PartitionedData, (io::ErrorKind, String)>,
+    cold_loads: AtomicU64,
+    warm_hits: AtomicU64,
 }
 
 /// Result of fetching one frame's partitioned data.
 pub struct Fetch {
     /// The frame, shared with whatever else holds it resident.
     pub data: Arc<PartitionedData>,
-    /// Whether the frame was already resident (no disk I/O).
+    /// Whether this fetch read nothing from disk: the frame was resident,
+    /// or another caller's in-flight load of it was joined.
     pub warm: bool,
     /// Bytes read from disk for this fetch (0 when warm).
     pub bytes_loaded: u64,
@@ -87,14 +83,9 @@ impl ResidentRun {
             store,
             trees,
             budget_bytes,
-            state: Mutex::new(Residency {
-                lru: LruOrder::new(),
-                resident: HashMap::new(),
-                resident_bytes: 0,
-                cold_loads: 0,
-                warm_hits: 0,
-                evictions: 0,
-            }),
+            resident: Cache::new(budget_bytes, PartitionedData::particle_file_bytes),
+            cold_loads: AtomicU64::new(0),
+            warm_hits: AtomicU64::new(0),
         })
     }
 
@@ -122,10 +113,10 @@ impl ResidentRun {
     }
 
     /// Fetches frame `i`, reading and checksum-verifying its chunks if it
-    /// is not resident, then evicting least-recently-used frames until
-    /// the residency budget holds again. The just-fetched frame is never
-    /// evicted, so a single frame larger than the whole budget still
-    /// serves (the budget is then transiently exceeded).
+    /// is not resident, after evicting least-recently-used frames until
+    /// the residency budget has room for it. The just-fetched frame is
+    /// never evicted, so a single frame larger than the whole budget
+    /// still serves (the budget is then transiently exceeded).
     pub fn fetch(&self, i: usize) -> io::Result<Fetch> {
         let key = u32::try_from(i)
             .ok()
@@ -133,55 +124,42 @@ impl ResidentRun {
             .ok_or_else(|| {
                 io::Error::new(io::ErrorKind::InvalidInput, "frame index out of range")
             })?;
-        let mut g = self.state.lock();
-        if let Some(data) = g.resident.get(&key) {
-            let data = Arc::clone(data);
-            g.lru.touch(key);
-            g.warm_hits += 1;
-            return Ok(Fetch {
-                data,
-                warm: true,
-                bytes_loaded: 0,
-            });
-        }
-
-        let particles = self.store.load_particles(i)?;
-        let (tree, plot) = &self.trees[i];
-        let data = PartitionedData::from_sorted_parts(tree.clone(), particles, *plot)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        let data = Arc::new(data);
-        let bytes = self.store.frame_bytes(i);
-        g.resident.insert(key, Arc::clone(&data));
-        g.lru.touch(key);
-        g.resident_bytes += bytes;
-        g.cold_loads += 1;
-        while g.resident_bytes > self.budget_bytes && g.resident.len() > 1 {
-            // The most-recently-touched key is the frame just loaded, so
-            // pop_oldest can never pick it while anything else remains.
-            let victim = g.lru.pop_oldest().expect("resident set is non-empty");
-            if let Some(evicted) = g.resident.remove(&victim) {
-                g.resident_bytes -= evicted.particle_file_bytes();
-                g.evictions += 1;
-            }
-        }
+        let (loaded, lookup) = self.resident.get_or_fetch(key, || {
+            let particles = self
+                .store
+                .load_particles(i)
+                .map_err(|e| (e.kind(), e.to_string()))?;
+            let (tree, plot) = &self.trees[i];
+            PartitionedData::from_sorted_parts(tree.clone(), particles, *plot)
+                .map(Arc::new)
+                .map_err(|e| (io::ErrorKind::InvalidData, e))
+        });
+        let data = loaded.map_err(|(kind, message)| io::Error::new(kind, message))?;
+        let warm = lookup != Lookup::Fetched;
+        let (counter, bytes_loaded) = if warm {
+            (&self.warm_hits, 0)
+        } else {
+            (&self.cold_loads, data.particle_file_bytes())
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
         Ok(Fetch {
             data,
-            warm: false,
-            bytes_loaded: bytes,
+            warm,
+            bytes_loaded,
         })
     }
 
     /// Current residency counters.
     pub fn stats(&self) -> ResidentStats {
-        let g = self.state.lock();
+        let held = self.resident.stats();
         let (chunks_read, bytes_read) = self.store.io_stats();
         ResidentStats {
-            resident_frames: g.resident.len(),
-            resident_bytes: g.resident_bytes,
+            resident_frames: held.entries,
+            resident_bytes: held.weight,
             budget_bytes: self.budget_bytes,
-            cold_loads: g.cold_loads,
-            warm_hits: g.warm_hits,
-            evictions: g.evictions,
+            cold_loads: self.cold_loads.load(Ordering::Relaxed),
+            warm_hits: self.warm_hits.load(Ordering::Relaxed),
+            evictions: held.evictions,
             chunks_read,
             bytes_read,
         }
@@ -194,17 +172,21 @@ mod tests {
     use crate::run::write_run_file;
     use accelviz_beam::distribution::Distribution;
     use accelviz_octree::builder::{partition, BuildParams};
+    use std::sync::Barrier;
 
-    fn run_file(name: &str, n_frames: usize, particles_each: usize) -> std::path::PathBuf {
-        let frames: Vec<PartitionedData> = (0..n_frames)
+    fn frames(n_frames: usize, particles_each: usize) -> Vec<PartitionedData> {
+        (0..n_frames)
             .map(|i| {
                 let ps = Distribution::default_beam().sample(particles_each, i as u64 + 1);
                 partition(&ps, PlotType::X_PX_Y, BuildParams::default())
             })
-            .collect();
+            .collect()
+    }
+
+    fn run_file(name: &str, n_frames: usize, particles_each: usize) -> std::path::PathBuf {
         let path =
             std::env::temp_dir().join(format!("accelviz-resident-{name}-{}", std::process::id()));
-        write_run_file(&path, &frames, 4_096).unwrap();
+        write_run_file(&path, &frames(n_frames, particles_each), 4_096).unwrap();
         path
     }
 
@@ -251,17 +233,20 @@ mod tests {
     #[test]
     fn a_frame_bigger_than_the_budget_still_serves() {
         let path = run_file("oversize", 2, 500);
-        let run = ResidentRun::open(&path, 1).unwrap();
-        let f = run.fetch(0).unwrap();
-        assert!(!f.warm);
-        assert_eq!(f.data.particles().len(), 500);
-        // The oversize frame stays (never evict the just-loaded frame)…
-        assert_eq!(run.stats().resident_frames, 1);
-        // …until the next fetch displaces it.
-        run.fetch(1).unwrap();
-        let s = run.stats();
-        assert_eq!(s.resident_frames, 1);
-        assert_eq!(s.evictions, 1);
+        // A zero budget is the same rule: hold the newest frame only.
+        for budget in [1, 0] {
+            let run = ResidentRun::open(&path, budget).unwrap();
+            let f = run.fetch(0).unwrap();
+            assert!(!f.warm);
+            assert_eq!(f.data.particles().len(), 500);
+            // The oversize frame stays (never evict the just-loaded frame)…
+            assert_eq!(run.stats().resident_frames, 1);
+            // …until the next fetch displaces it.
+            run.fetch(1).unwrap();
+            let s = run.stats();
+            assert_eq!(s.resident_frames, 1);
+            assert_eq!(s.evictions, 1);
+        }
         let _ = std::fs::remove_file(&path);
     }
 
@@ -290,6 +275,63 @@ mod tests {
             "recently touched frame survives"
         );
         assert!(!run.fetch(1).unwrap().warm, "LRU frame was evicted");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_herd_on_one_cold_frame_reads_it_from_disk_once() {
+        let path = run_file("herd", 2, 800);
+        let run = ResidentRun::open(&path, u64::MAX).unwrap();
+        let read_at_open = run.stats().bytes_read;
+        let start = Barrier::new(8);
+        let fetched: Vec<Fetch> = std::thread::scope(|s| {
+            let herd: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        run.fetch(1).unwrap()
+                    })
+                })
+                .collect();
+            herd.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let s = run.stats();
+        assert_eq!((s.cold_loads, s.cold_loads + s.warm_hits), (1, 8));
+        assert_eq!(s.bytes_read - read_at_open, 800 * 48, "one frame's bytes");
+        for f in &fetched {
+            assert!(Arc::ptr_eq(&f.data, &fetched[0].data), "one shared Arc");
+        }
+        let loaded: Vec<u64> = fetched.iter().map(|f| f.bytes_loaded).collect();
+        assert_eq!(loaded.iter().sum::<u64>(), 800 * 48, "{loaded:?}");
+        assert_eq!(fetched.iter().filter(|f| !f.warm).count(), 1);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn concurrent_fetches_of_distinct_frames_stay_correct_and_under_budget() {
+        let in_memory = frames(6, 300);
+        let path = run_file("distinct", 6, 300);
+        let run = ResidentRun::open(&path, 2 * 300 * 48).unwrap();
+        std::thread::scope(|s| {
+            for t in 0..4 {
+                let (run, in_memory) = (&run, &in_memory);
+                s.spawn(move || {
+                    // Each thread walks the run from its own offset.
+                    for i in (0..6).map(|k| (k + t) % 6) {
+                        let got = run.fetch(i).unwrap().data;
+                        assert_eq!(got.particles(), in_memory[i].particles(), "frame {i}");
+                    }
+                });
+            }
+        });
+        let s = run.stats();
+        assert!(s.resident_bytes <= s.budget_bytes, "{s:?}");
+        assert_eq!(
+            s.cold_loads - s.evictions,
+            s.resident_frames as u64,
+            "{s:?}"
+        );
+        assert_eq!(s.cold_loads + s.warm_hits, 4 * 6);
         let _ = std::fs::remove_file(&path);
     }
 }

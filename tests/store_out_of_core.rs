@@ -15,7 +15,7 @@ use accelviz::serve::{Client, ClientConfig, FrameServer, ServerConfig};
 use accelviz::store::run::write_run_file;
 use accelviz::store::ResidentRun;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 const FRAMES: usize = 6;
 const PARTICLES: usize = 900;
@@ -151,6 +151,42 @@ fn v1_pinned_clients_get_identical_frames_from_a_stored_server() {
     assert_eq!(stats.frame_bytes_raw, 0);
     assert_eq!(stats.frame_bytes_wire, 0);
     assert!(stats.requests > 0, "the rest of the stats still flow");
+
+    server.shutdown();
+    let _ = std::fs::remove_file(&path);
+}
+
+/// Four sessions ask for the same cold frame at four thresholds at once:
+/// four distinct extraction-cache keys, so nothing above the residency
+/// window can coalesce them — the window itself pages the frame in once.
+#[test]
+fn four_thresholds_of_one_cold_frame_page_it_in_once() {
+    let frames = build_frames();
+    let path = run_path("herd");
+    write_run_file(&path, &frames, 4_096).unwrap();
+
+    let run = Arc::new(ResidentRun::open(&path, u64::MAX).unwrap());
+    let config = ServerConfig::default();
+    let dims = config.volume_dims;
+    let server = FrameServer::spawn_stored_loopback(Arc::clone(&run), config).unwrap();
+
+    let thresholds = [f64::INFINITY, 2.5, 1.0, 0.25];
+    let start = Barrier::new(thresholds.len());
+    std::thread::scope(|s| {
+        for &threshold in &thresholds {
+            let (server, start, frames) = (&server, &start, &frames);
+            s.spawn(move || {
+                let mut client =
+                    Client::connect_with(server.addr(), ClientConfig::no_retry()).unwrap();
+                start.wait();
+                let (got, _) = client.fetch(3, threshold).unwrap();
+                let want = HybridFrame::from_partition(&frames[3], 3, threshold, dims);
+                assert_eq!(got, want, "threshold {threshold}");
+            });
+        }
+    });
+    let rs = run.stats();
+    assert_eq!((rs.cold_loads, rs.warm_hits), (1, 3), "{rs:?}");
 
     server.shutdown();
     let _ = std::fs::remove_file(&path);
