@@ -120,7 +120,9 @@ pub fn read_node_file<R: Read>(r: &mut R) -> io::Result<(Octree, PlotType)> {
         ],
     };
     let bounds = aabb_from_bytes(&header[24..72])?;
-    let mut nodes = Vec::with_capacity(n_nodes as usize);
+    // `n_nodes` is only the header's claim: reserve one I/O chunk and let
+    // the vector grow with the records that actually arrive.
+    let mut nodes = Vec::with_capacity((n_nodes as usize).min(IO_CHUNK_NODES));
     let mut buf = vec![0u8; (n_nodes as usize).min(IO_CHUNK_NODES) * NODE_RECORD_BYTES];
     let mut remaining = n_nodes as usize;
     while remaining > 0 {
@@ -205,13 +207,17 @@ pub fn extract_from_files<R1: Read, R2: Read>(
         ));
     }
     const CHUNK: u64 = 16_384;
-    let mut particles = Vec::with_capacity(prefix as usize);
+    // `prefix` and `total` are both claims (the node file's and the
+    // particle header's): room is made one I/O chunk at a time, for
+    // records that have arrived.
+    let mut particles = Vec::new();
     let mut buf = vec![0u8; (prefix.min(CHUNK) * BYTES_PER_PARTICLE) as usize];
     let mut remaining = prefix;
     while remaining > 0 {
         let n = remaining.min(CHUNK);
         let bytes = &mut buf[..(n * BYTES_PER_PARTICLE) as usize];
         particle_r.read_exact(bytes)?;
+        particles.reserve(n as usize);
         for rec in bytes.chunks_exact(BYTES_PER_PARTICLE as usize) {
             let mut a = [0.0f64; 6];
             for (i, c) in a.iter_mut().enumerate() {

@@ -1,22 +1,29 @@
 //! The frame cache behind both services: `accelviz-store`'s coalescing
-//! LRU [`Cache`], keyed by `(frame, threshold)`.
+//! LRU [`Cache`], keyed by `(frame, threshold)`, holding frames in the
+//! form they go out in.
 //!
 //! Producing a frame is the expensive part of answering a frame request:
 //! an extraction on a server (walk the density-sorted store, bin the
-//! volume), an upstream fetch on the router. Clients stepping through
-//! the same animation ask for the same `(frame, threshold)` pairs over
-//! and over, so each service keeps its most recent frames keyed exactly
-//! that way, LRU under a weight budget — "1 per entry" on the server
-//! (`ServerConfig::cache_capacity`), resident bytes on the router
-//! (`RouterConfig::cache_bytes`). Coalescing, the budget rule and what a
-//! refused or panicking fetch leaves behind are the cache's own rules
-//! ([`accelviz_store::cache`]); here the error a fetch shares with its
-//! waiters is a [`Refusal`].
+//! volume), an upstream fetch on the router — and then its encoding, which
+//! costs more than the extraction. Clients stepping through the same
+//! animation ask for the same `(frame, threshold)` pairs over and over,
+//! so each service keeps its most recent frames keyed exactly that way,
+//! each as a [`Served`]: the frame beside the wire bytes already made
+//! from it, so a hit is a write, not an encode. LRU under a weight budget
+//! — "1 per entry" on the server (`ServerConfig::cache_capacity`), bytes
+//! held on the router (`RouterConfig::cache_bytes`). Coalescing, the
+//! budget rule and what a refused or panicking fetch leaves behind are
+//! the cache's own rules ([`accelviz_store::cache`]); here the error a
+//! fetch shares with its waiters is a [`Refusal`].
 
+use crate::frontdoor::Shape;
+use crate::lod::{chunk_budget, plan_frame_chunks};
 use crate::protocol::Refusal;
+use crate::wire::{encode_frame_v2, V2};
 use accelviz_core::hybrid::HybridFrame;
 use accelviz_store::cache::Cache;
-use std::sync::Arc;
+use std::borrow::Cow;
+use std::sync::{Arc, OnceLock};
 
 pub use accelviz_store::cache::Lookup;
 
@@ -44,11 +51,93 @@ impl CacheKey {
     }
 }
 
-/// What a frame lookup yields: the shared frame, or why there is none.
-pub type Fetched = Result<Arc<HybridFrame>, Refusal>;
+/// One cached frame and the encodings already made from it. Every
+/// session that sends this entry — coalesced on its fetch or hitting it
+/// later — shares them, so a frame costs one extraction *and* one
+/// encoding per shape however many clients ask. Both encoders are
+/// deterministic: the bytes held are the bytes a fresh encode would give.
+pub struct Served {
+    frame: HybridFrame,
+    /// `encode_frame_v2(frame)`: the payload and the raw (v1) length it
+    /// stands for.
+    v2: OnceLock<(Vec<u8>, u64)>,
+    /// The chunk records of the first budget a progressive session asked
+    /// for, with that budget.
+    chunks: OnceLock<(u64, Vec<Vec<u8>>)>,
+}
+
+impl Served {
+    /// `frame`, nothing encoded yet.
+    pub fn new(frame: HybridFrame) -> Served {
+        Served {
+            frame,
+            v2: OnceLock::new(),
+            chunks: OnceLock::new(),
+        }
+    }
+
+    /// The frame itself.
+    pub fn frame(&self) -> &HybridFrame {
+        &self.frame
+    }
+
+    /// The frame's v2 payload and raw length, encoded by the first
+    /// caller and shared from then on.
+    pub fn v2(&self) -> &(Vec<u8>, u64) {
+        self.v2.get_or_init(|| encode_frame_v2(&self.frame))
+    }
+
+    /// The frame's progressive records under `budget` (already resolved
+    /// by [`chunk_budget`]). The first budget asked for is planned once
+    /// and kept; any other is planned for its caller alone.
+    pub fn chunks(&self, budget: u64) -> Cow<'_, [Vec<u8>]> {
+        let (kept_budget, kept) = self.kept_chunks(budget);
+        if *kept_budget == budget {
+            Cow::Borrowed(kept)
+        } else {
+            Cow::Owned(plan_frame_chunks(&self.frame, budget))
+        }
+    }
+
+    /// The records this entry keeps and their budget: `budget`'s, planned
+    /// here, when nobody asked before.
+    fn kept_chunks(&self, budget: u64) -> &(u64, Vec<Vec<u8>>) {
+        let plan = || (budget, plan_frame_chunks(&self.frame, budget));
+        self.chunks.get_or_init(plan)
+    }
+
+    /// Fills whichever encoding this entry keeps for a reply of `shape`,
+    /// unless it is filled already. A v1 frame is encoded per send and
+    /// has nothing to fill.
+    pub(crate) fn prefill(&self, shape: Shape) {
+        match shape {
+            Shape::Plain { version } if version >= V2 => {
+                self.v2();
+            }
+            Shape::Plain { .. } => {}
+            Shape::Progressive { chunk_bytes } => {
+                self.kept_chunks(chunk_budget(chunk_bytes));
+            }
+        }
+    }
+
+    /// Bytes this entry holds right now: the frame plus whatever has
+    /// been encoded from it. A router weighs its entries with this, after
+    /// filling the v2 payload.
+    pub fn held_bytes(&self) -> u64 {
+        let payload = self.v2.get().map_or(0, |(payload, _)| payload.len());
+        let records = self.chunks.get().map_or(0, |(_, records)| {
+            records.iter().map(|record| record.len()).sum()
+        });
+        self.frame.total_bytes() + (payload + records) as u64
+    }
+}
+
+/// What a frame lookup yields: the shared entry, or why there is none.
+pub type Fetched = Result<Arc<Served>, Refusal>;
 
 /// The frame cache of one service, shared by all its session threads.
-pub type CoalescingCache = Cache<CacheKey, HybridFrame, Refusal>;
+pub type CoalescingCache = Cache<CacheKey, Served, Refusal>;
 
 #[cfg(test)]
 mod tests {
@@ -58,15 +147,14 @@ mod tests {
     use accelviz_octree::builder::{partition, BuildParams};
     use accelviz_octree::plots::PlotType;
 
-    fn frame(step: usize) -> Arc<HybridFrame> {
-        let ps = Distribution::default_beam().sample(100, step as u64 + 1);
+    fn hybrid(step: usize, particles: usize) -> HybridFrame {
+        let ps = Distribution::default_beam().sample(particles, step as u64 + 1);
         let data = partition(&ps, PlotType::XYZ, BuildParams::default());
-        Arc::new(HybridFrame::from_partition(
-            &data,
-            step,
-            f64::INFINITY,
-            [2, 2, 2],
-        ))
+        HybridFrame::from_partition(&data, step, f64::INFINITY, [4, 4, 4])
+    }
+
+    fn frame(step: usize) -> Arc<Served> {
+        Arc::new(Served::new(hybrid(step, 100)))
     }
 
     /// The server's weighing: a budget of `n` is `n` entries.
@@ -110,5 +198,77 @@ mod tests {
             Lookup::Hit,
             "-0.0 and 0.0 request the same extraction"
         );
+    }
+
+    /// Eight sessions sending one entry at once encode it once: every
+    /// caller gets the same allocation, and it is what a fresh encode
+    /// gives.
+    #[test]
+    fn concurrent_senders_of_one_entry_share_one_encoding() {
+        let served = Served::new(hybrid(0, 2_000));
+        let start = std::sync::Barrier::new(8);
+        let payloads: Vec<&(Vec<u8>, u64)> = std::thread::scope(|s| {
+            let senders: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        served.v2()
+                    })
+                })
+                .collect();
+            senders.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for payload in &payloads {
+            assert!(std::ptr::eq(*payload, payloads[0]), "one shared encoding");
+        }
+        assert_eq!(*payloads[0], encode_frame_v2(served.frame()));
+    }
+
+    #[test]
+    fn the_first_chunk_budget_is_kept_and_any_other_is_planned_per_call() {
+        let served = Served::new(hybrid(0, 2_000));
+        let (small, large) = (2_048, 16_384);
+        let first = served.chunks(small);
+        assert!(matches!(first, Cow::Borrowed(_)));
+        assert_eq!(*first, plan_frame_chunks(served.frame(), small)[..]);
+        let again = served.chunks(small);
+        assert!(std::ptr::eq(first.as_ptr(), again.as_ptr()), "kept");
+        let other = served.chunks(large);
+        assert!(matches!(other, Cow::Owned(_)), "not kept");
+        assert_eq!(*other, plan_frame_chunks(served.frame(), large)[..]);
+        assert_ne!(first.len(), other.len());
+    }
+
+    #[test]
+    fn prefill_fills_the_shapes_slot_once_and_nothing_for_v1() {
+        let served = Served::new(hybrid(0, 500));
+        let bare = served.held_bytes();
+        served.prefill(Shape::Plain { version: 1 });
+        assert_eq!(served.held_bytes(), bare, "v1 is encoded per send");
+        served.prefill(Shape::Plain { version: V2 });
+        let with_payload = served.held_bytes();
+        assert_eq!(with_payload, bare + served.v2().0.len() as u64);
+        // 0 is "server default", resolved before planning.
+        served.prefill(Shape::Progressive { chunk_bytes: 0 });
+        let default_plan = plan_frame_chunks(served.frame(), chunk_budget(0));
+        assert!(
+            matches!(served.chunks(chunk_budget(0)), Cow::Borrowed(kept) if *kept == default_plan[..])
+        );
+        // A second budget is nobody's to keep: nothing is planned for it.
+        let full = served.held_bytes();
+        served.prefill(Shape::Progressive { chunk_bytes: 2_048 });
+        assert_eq!(served.held_bytes(), full);
+        assert!(matches!(served.chunks(2_048), Cow::Owned(_)));
+    }
+
+    #[test]
+    fn held_bytes_grow_by_exactly_what_is_encoded() {
+        let served = Served::new(hybrid(0, 500));
+        let bare = served.held_bytes();
+        assert_eq!(bare, served.frame().total_bytes());
+        let payload = served.v2().0.len() as u64;
+        assert_eq!(served.held_bytes(), bare + payload);
+        let records: usize = served.chunks(4_096).iter().map(Vec::len).sum();
+        assert_eq!(served.held_bytes(), bare + payload + records as u64);
     }
 }

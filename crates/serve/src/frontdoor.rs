@@ -21,25 +21,33 @@
 //!   listener survive. Malformed framing gets `ERR_BAD_REQUEST`, then a
 //!   close (stream sync is gone).
 //! - **Protocol.** [`dispatch`] is the only code that answers a
-//!   [`Request`]: version negotiation, validation, both frame encoders,
-//!   the progressive gate and chunk loop, and the byte counters and spans
+//!   [`Request`]: version negotiation, validation, one send path per
+//!   reply shape (each ships what the cached [`Served`] entry holds), the
+//!   progressive gate and chunk loop, and the byte counters and spans
 //!   that go with them — so a client cannot tell a router from a server,
 //!   by construction.
+//! - **Read-ahead.** The door sees each session's request stream, so it
+//!   is the one place that can tell a viewer is stepping: a frame request
+//!   for `n` that follows one for `n − 1` at the same threshold hands the
+//!   origin a [`ReadAhead`] hint for `n + 1` *before* `n` is sent.
+//!   What an origin does with it is its own business
+//!   ([`Handler::read_ahead`]).
 //! - **Stop.** Flag, unpark, one connection to the door's own address
 //!   (so a blocked `accept` returns and sees the flag), join the
 //!   acceptor, then wait (bounded by [`DRAIN_TIMEOUT`]) for replies
 //!   already being computed or written.
 
+use crate::cache::{CacheKey, Fetched, Served};
 use crate::error::ServeError;
 use crate::fault::{FaultScript, FaultyTransport};
+use crate::lod::chunk_budget;
 use crate::protocol::{
     read_request, write_chunk, write_response, write_response_v, FrameInfo, Refusal, Request,
     Response, ERR_BAD_REQUEST, ERR_BAD_THRESHOLD, ERR_BUSY, ERR_INTERNAL, ERR_NO_SUCH_FRAME,
     RESP_FRAME,
 };
 use crate::stats::ServerStats;
-use crate::wire::{encode_frame, encode_frame_v2, write_envelope_v, V1, V2, VERSION};
-use accelviz_core::hybrid::HybridFrame;
+use crate::wire::{encode_frame, write_envelope_v, V1, V2, VERSION};
 use accelviz_trace::registry::Registry;
 use std::io::{self, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
@@ -84,6 +92,36 @@ pub(crate) struct CounterNames {
     pub(crate) span_lod_send: &'static str,
 }
 
+/// How a service starts a thread it can run without:
+/// `std::thread::Builder::spawn` ([`spawn_thread`]) in production; a test
+/// passes one that refuses, which is how the OS under `pids.max` /
+/// `RLIMIT_NPROC` behaves and `std::thread::spawn` would panic on.
+pub(crate) type Spawn = fn(Box<dyn FnOnce() + Send>) -> io::Result<JoinHandle<()>>;
+
+/// The production [`Spawn`].
+pub(crate) fn spawn_thread(body: Box<dyn FnOnce() + Send>) -> io::Result<JoinHandle<()>> {
+    std::thread::Builder::new().spawn(body)
+}
+
+/// The reply shape a frame request asked for — what a read-ahead should
+/// have encoded by the time the session asks for the successor.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Shape {
+    /// One full frame at the session's protocol version.
+    Plain { version: u16 },
+    /// The chunked stream under the request's `chunk_bytes`.
+    Progressive { chunk_bytes: u64 },
+}
+
+/// A stepping session's probable next request: frame `frame` at
+/// `threshold`, to be sent as `shape`.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) struct ReadAhead {
+    pub(crate) frame: u32,
+    pub(crate) threshold: f64,
+    pub(crate) shape: Shape,
+}
+
 /// What stands behind a door: a frame origin. The door owns the protocol
 /// ([`dispatch`]); a handler only says what frames exist and produces one
 /// on demand.
@@ -103,7 +141,13 @@ pub(crate) trait Handler: Send + Sync + 'static {
 
     /// Frame `frame < frame_count()` at a non-NaN `threshold`, or why it
     /// cannot be had right now. Hit/miss accounting is the origin's.
-    fn frame(&self, frame: u32, threshold: f64) -> Result<Arc<HybridFrame>, Refusal>;
+    fn frame(&self, frame: u32, threshold: f64) -> Fetched;
+
+    /// The session about to be answered is stepping and will probably
+    /// ask for `hint` next. Called on the session's thread, with the
+    /// current frame in hand and its reply not yet written, so it must
+    /// not block; an origin with nothing to overlap ignores it.
+    fn read_ahead(&self, _hint: ReadAhead) {}
 
     /// The snapshot a `Stats` reply carries.
     fn stats(&self) -> ServerStats;
@@ -121,6 +165,8 @@ pub(crate) struct DoorConfig {
     /// Chaos hook: when set, every admitted connection is wrapped in a
     /// [`FaultyTransport`] drawing from this script.
     pub(crate) faults: Option<Arc<FaultScript>>,
+    /// Starts each session thread; a refusal sheds the connection.
+    pub(crate) spawn: Spawn,
 }
 
 /// Decrements a shared gauge on drop, panic or not.
@@ -314,7 +360,7 @@ fn answer_shed(config: &DoorConfig, mut stream: TcpStream) {
 /// Admits one accepted connection onto its own session thread, or sheds
 /// it: at the connection cap, and when the OS refuses the thread (EAGAIN
 /// under `pids.max` / `RLIMIT_NPROC`) — `std::thread::spawn` would panic
-/// there and take the acceptor with it.
+/// there and take the acceptor with it, hence [`DoorConfig::spawn`].
 fn admit<H: Handler>(door: &Arc<Door<H>>, shed: &ShedPool, stream: TcpStream) {
     let shed_connections = H::NAMES.shed_connections;
     if door.active_connections.load(Ordering::SeqCst) >= door.config.max_connections {
@@ -327,13 +373,13 @@ fn admit<H: Handler>(door: &Arc<Door<H>>, shed: &ShedPool, stream: TcpStream) {
     // closure, still leaves it here to be answered.
     let slot = Arc::new(Mutex::new(Some(stream)));
     let (session_door, session_slot) = (Arc::clone(door), Arc::clone(&slot));
-    let spawned = std::thread::Builder::new().spawn(move || {
+    let spawned = (door.config.spawn)(Box::new(move || {
         let _guard = CountGuard(&session_door.active_connections);
         let stream = session_slot.lock().ok().and_then(|mut s| s.take());
         if let Some(stream) = stream {
             serve_connection(&session_door, stream);
         }
-    });
+    }));
     if spawned.is_err() {
         door.active_connections.fetch_sub(1, Ordering::SeqCst);
         door.handler.metrics().add(shed_connections, 1);
@@ -416,13 +462,35 @@ fn serve_connection<H: Handler>(door: &Door<H>, stream: TcpStream) {
     }
 }
 
+/// What one connection's requests leave behind for its next one.
+struct Session {
+    /// The negotiated protocol version: `Hello` updates it, every reply
+    /// is framed with it. Until a `Hello` negotiates otherwise the
+    /// session speaks v1: a pre-v2 client that skips the handshake gets
+    /// exactly the byte stream it always did.
+    version: u16,
+    /// The session's last frame request (plain or progressive), unless
+    /// it was malformed: what the next one is a successor of, or not.
+    last_frame: Option<CacheKey>,
+}
+
+/// The frame a session that asked for `last` and now asks for `now` will
+/// probably ask for next: `now + 1` when `now` is `last + 1` at the same
+/// threshold, indices modulo the catalog (a looping playback steps from
+/// the last frame to frame 0). Forward, stride 1 only.
+fn successor(last: Option<CacheKey>, now: CacheKey, frame_count: usize) -> Option<u32> {
+    let count = u32::try_from(frame_count).ok().filter(|&count| count > 1)?;
+    let last = last.filter(|last| last.threshold_bits == now.threshold_bits)?;
+    ((last.frame + 1) % count == now.frame).then_some((now.frame + 1) % count)
+}
+
 /// One connection's strict request/reply loop.
 fn session<H: Handler, S: Read + Write>(door: &Door<H>, mut stream: S) {
     let metrics = door.handler.metrics();
-    // Until a `Hello` negotiates otherwise, the session speaks v1: a
-    // pre-v2 client that skips the handshake gets exactly the byte
-    // stream it always did.
-    let mut session_version = V1;
+    let mut session = Session {
+        version: V1,
+        last_frame: None,
+    };
     loop {
         let req = match read_request(&mut stream) {
             Ok(req) => req,
@@ -435,7 +503,7 @@ fn session<H: Handler, S: Read + Write>(door: &Door<H>, mut stream: S) {
                     code: ERR_BAD_REQUEST,
                     message: e.to_string(),
                 };
-                let _ = write_response_v(&mut stream, session_version, &reply);
+                let _ = write_response_v(&mut stream, session.version, &reply);
                 return;
             }
         };
@@ -449,7 +517,7 @@ fn session<H: Handler, S: Read + Write>(door: &Door<H>, mut stream: S) {
         // Panic isolation: a poisoned request must not take the
         // connection (let alone the listener) down with it.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            dispatch(&*door.handler, req, &mut stream, &mut session_version)
+            dispatch(&*door.handler, req, &mut stream, &mut session)
         }));
         let (bytes, served_frame) = match outcome {
             Ok(Ok(r)) => r,
@@ -461,7 +529,7 @@ fn session<H: Handler, S: Read + Write>(door: &Door<H>, mut stream: S) {
                     message: "internal error serving this request; the connection survives"
                         .to_string(),
                 };
-                match write_response_v(&mut stream, session_version, &reply) {
+                match write_response_v(&mut stream, session.version, &reply) {
                     Ok(bytes) => (bytes, false),
                     Err(_) => return,
                 }
@@ -477,14 +545,13 @@ fn session<H: Handler, S: Read + Write>(door: &Door<H>, mut stream: S) {
 }
 
 /// Answers one request from `handler`'s frames; returns (wire bytes
-/// written, was a frame reply). `session_version` is the connection's
-/// negotiated protocol version — `Hello` updates it, every reply is
-/// framed with it. An `Err` means the client went away mid-reply.
+/// written, was a frame reply). An `Err` means the client went away
+/// mid-reply.
 fn dispatch<H: Handler, S: Write>(
     handler: &H,
     req: Request,
     stream: &mut S,
-    session_version: &mut u16,
+    session: &mut Session,
 ) -> crate::error::Result<(u64, bool)> {
     let _span = accelviz_trace::span(H::NAMES.span_request);
     let reply = match req {
@@ -496,17 +563,19 @@ fn dispatch<H: Handler, S: Write>(
             // Speak the older of the two sides: a v1 client keeps its
             // byte-identical session, a v2 (or future) client gets the
             // newest encoding this build knows.
-            *session_version = version.min(VERSION);
+            session.version = version.min(VERSION);
             Response::HelloAck {
-                version: *session_version,
+                version: session.version,
                 frame_count: handler.frame_count() as u32,
             }
         }
         Request::ListFrames => Response::FrameList(handler.catalog()),
         Request::Stats => Response::Stats(handler.stats()),
         Request::RequestFrame { frame, threshold } => {
-            match checked_frame(handler, frame, threshold) {
-                Ok(frame) => return send_frame(handler, &frame, stream, *session_version),
+            let version = session.version;
+            let shape = Shape::Plain { version };
+            match checked_frame(handler, session, frame, threshold, shape) {
+                Ok(served) => return send_frame(handler, &served, stream, version),
                 Err(refusal) => refusal.into(),
             }
         }
@@ -514,7 +583,7 @@ fn dispatch<H: Handler, S: Write>(
         // frame the v2 trailer can verify; a v1 session has neither, so
         // the request is a protocol error there — and pre-v2 clients
         // never send it, keeping their byte streams frozen.
-        Request::RequestFrameProgressive { .. } if *session_version < V2 => {
+        Request::RequestFrameProgressive { .. } if session.version < V2 => {
             Response::from(Refusal::new(
                 ERR_BAD_REQUEST,
                 "progressive streaming requires a v2 session; send Hello with version >= 2 first",
@@ -524,22 +593,30 @@ fn dispatch<H: Handler, S: Write>(
             frame,
             threshold,
             chunk_bytes,
-        } => match checked_frame(handler, frame, threshold) {
-            Ok(frame) => return send_chunks(handler, &frame, chunk_bytes, stream),
-            Err(refusal) => refusal.into(),
-        },
+        } => {
+            let shape = Shape::Progressive { chunk_bytes };
+            match checked_frame(handler, session, frame, threshold, shape) {
+                Ok(served) => return send_chunks(handler, &served, chunk_bytes, stream),
+                Err(refusal) => refusal.into(),
+            }
+        }
     };
-    Ok((write_response_v(stream, *session_version, &reply)?, false))
+    Ok((write_response_v(stream, session.version, &reply)?, false))
 }
 
-/// Validates a frame request and asks the origin for the frame. A
-/// progressive and a plain request for the same `(frame, threshold)`
-/// resolve to the same cached frame; only the wire shape differs after.
+/// Validates a frame request, tells the origin when it continues a step
+/// sequence, and asks it for the frame. A progressive and a plain request
+/// for the same `(frame, threshold)` resolve to the same cached entry;
+/// only the wire shape differs after.
 fn checked_frame<H: Handler>(
     handler: &H,
+    session: &mut Session,
     frame: u32,
     threshold: f64,
-) -> Result<Arc<HybridFrame>, Refusal> {
+    shape: Shape,
+) -> Fetched {
+    // A refused request is no step: the sequence starts over after it.
+    let last_frame = session.last_frame.take();
     if threshold.is_nan() {
         // NaN has no place in the density order: extraction's
         // partition_point would silently return an empty prefix, and the
@@ -558,52 +635,71 @@ fn checked_frame<H: Handler>(
             format!("frame {frame} requested, {available} available"),
         ));
     }
-    handler.frame(frame, threshold)
+    let key = CacheKey::new(frame, threshold);
+    session.last_frame = Some(key);
+    let served = handler.frame(frame, threshold)?;
+    // The hint goes out with this frame in hand — whatever producing the
+    // successor evicts, it is not what this request is about to read —
+    // and before it is sent, so the successor is produced while this
+    // frame is written, decoded and drawn.
+    if let Some(next) = successor(last_frame, key, available) {
+        handler.read_ahead(ReadAhead {
+            frame: next,
+            threshold,
+            shape,
+        });
+    }
+    Ok(served)
 }
 
-/// Writes one full frame reply, encoded straight from the shared `Arc` at
-/// the session's version. Both codecs are deterministic, so a router's
-/// bytes match what a direct server of the same data writes. Raw and wire
-/// sizes are both counted so the stats expose the live compression ratio.
+/// Writes one full frame reply: the v2 payload the cached entry holds
+/// (encoded by whoever needed it first — a read-ahead, a coalesced
+/// neighbour, or this send), or a v1 payload encoded here (cheap, no
+/// checksum, and only pre-v2 clients ask). Both codecs are deterministic,
+/// so a router's bytes match what a direct server of the same data
+/// writes. Raw and wire sizes are both counted, per send, so the stats
+/// expose the live compression ratio.
 fn send_frame<H: Handler, S: Write>(
     handler: &H,
-    frame: &HybridFrame,
+    served: &Served,
     stream: &mut S,
     session_version: u16,
 ) -> crate::error::Result<(u64, bool)> {
     let mut span = accelviz_trace::span(H::NAMES.span_send);
+    let v1;
     let (payload, raw_len) = if session_version >= V2 {
-        encode_frame_v2(frame)
+        let (payload, raw_len) = served.v2();
+        (payload.as_slice(), *raw_len)
     } else {
-        let payload = encode_frame(frame);
-        let raw_len = payload.len() as u64;
-        (payload, raw_len)
+        v1 = encode_frame(served.frame());
+        (v1.as_slice(), v1.len() as u64)
     };
     let metrics = handler.metrics();
     metrics.add(H::NAMES.frame_bytes_raw, raw_len);
     metrics.add(H::NAMES.frame_bytes_wire, payload.len() as u64);
-    let bytes = write_envelope_v(stream, session_version, RESP_FRAME, &payload)?;
+    let bytes = write_envelope_v(stream, session_version, RESP_FRAME, payload)?;
     span.arg("bytes", bytes as f64);
     Ok((bytes, true))
 }
 
 /// Streams one frame coarse-to-fine. The planner is a pure function of
 /// (frame, budget), so the records a routed session sees are identical to
-/// a direct server's.
+/// a direct server's — and the records the cached entry keeps are the
+/// ones a fresh plan would give.
 fn send_chunks<H: Handler, S: Write>(
     handler: &H,
-    frame: &HybridFrame,
+    served: &Served,
     chunk_bytes: u64,
     stream: &mut S,
 ) -> crate::error::Result<(u64, bool)> {
     let records = {
         let mut span = accelviz_trace::span(H::NAMES.span_lod_send);
-        let records = crate::lod::plan_frame_chunks(frame, crate::lod::chunk_budget(chunk_bytes));
+        let records = served.chunks(chunk_budget(chunk_bytes));
         span.arg("chunks", records.len() as f64);
         records
     };
     let mut bytes = 0u64;
-    for record in &records {
+    for record in records.iter() {
         bytes += write_chunk(stream, record)?;
     }
     let metrics = handler.metrics();
@@ -616,11 +712,19 @@ fn send_chunks<H: Handler, S: Write>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::{CacheKey, CoalescingCache};
+    use crate::cache::CoalescingCache;
     use crate::protocol::{read_response, write_request};
     use accelviz_beam::distribution::Distribution;
+    use accelviz_core::hybrid::HybridFrame;
     use accelviz_octree::builder::{partition, BuildParams};
     use accelviz_octree::plots::PlotType;
+
+    fn tiny_frame(threshold: f64) -> Arc<Served> {
+        let ps = Distribution::default_beam().sample(50, 1);
+        let data = partition(&ps, PlotType::XYZ, BuildParams::default());
+        let frame = HybridFrame::from_partition(&data, 0, threshold, [2, 2, 2]);
+        Arc::new(Served::new(frame))
+    }
 
     /// An origin of one frame behind the shared cache: the catalog
     /// panics, `Stats` reports that it has entered and then parks until
@@ -664,17 +768,12 @@ mod tests {
             panic!("scripted handler panic")
         }
 
-        fn frame(&self, frame: u32, threshold: f64) -> Result<Arc<HybridFrame>, Refusal> {
+        fn frame(&self, frame: u32, threshold: f64) -> Fetched {
             let fetch = || {
                 if !self.fetched_before.swap(true, Ordering::SeqCst) {
                     panic!("scripted fetch panic");
                 }
-                let ps = Distribution::default_beam().sample(50, 1);
-                let data = partition(&ps, PlotType::XYZ, BuildParams::default());
-                let dims = [2, 2, 2];
-                Ok(Arc::new(HybridFrame::from_partition(
-                    &data, 0, threshold, dims,
-                )))
+                Ok(tiny_frame(threshold))
             };
             self.cache
                 .get_or_fetch(CacheKey::new(frame, threshold), fetch)
@@ -691,12 +790,13 @@ mod tests {
     /// An open door over a [`Fake`], the receiver of its "Stats entered"
     /// signal, and the sender that lets a parked `Stats` answer.
     fn open(max_connections: usize) -> (FrontDoor<Fake>, mpsc::Receiver<()>, mpsc::Sender<()>) {
-        open_at("127.0.0.1:0", max_connections)
+        open_at("127.0.0.1:0", max_connections, spawn_thread)
     }
 
     fn open_at(
         addr: &str,
         max_connections: usize,
+        spawn: Spawn,
     ) -> (FrontDoor<Fake>, mpsc::Receiver<()>, mpsc::Sender<()>) {
         let (entered_tx, entered_rx) = mpsc::channel();
         let (gate_tx, gate_rx) = mpsc::channel();
@@ -712,6 +812,7 @@ mod tests {
             write_timeout: Some(Duration::from_secs(10)),
             max_connections,
             faults: None,
+            spawn,
         };
         let door = FrontDoor::open(addr, fake, config).unwrap();
         (door, entered_rx, gate_tx)
@@ -751,6 +852,22 @@ mod tests {
         let metrics = door.handler().metrics();
         assert_eq!(metrics.counter(Fake::NAMES.shed_connections), 5);
         ask(&mut admitted, Request::Hello { version: 1 }).unwrap();
+    }
+
+    /// The OS refusing a session thread sheds that connection — in-band
+    /// `ERR_BUSY`, counted, the slot returned — and costs nothing else.
+    #[test]
+    fn a_refused_session_thread_sheds_its_connection_in_band() {
+        let refuse: Spawn = |_body| Err(io::Error::from(io::ErrorKind::WouldBlock));
+        let (door, _entered, _gate) = open_at("127.0.0.1:0", 4, refuse);
+        for shed_so_far in 1..=3 {
+            let mut stream = connect(&door);
+            let reply = ask(&mut stream, Request::Hello { version: 1 }).unwrap();
+            assert_eq!(error_code(reply), ERR_BUSY);
+            let metrics = door.handler().metrics();
+            assert_eq!(metrics.counter(Fake::NAMES.shed_connections), shed_so_far);
+        }
+        assert_eq!(door.door.active_connections.load(Ordering::SeqCst), 0);
     }
 
     #[test]
@@ -805,7 +922,7 @@ mod tests {
 
     #[test]
     fn a_door_bound_to_the_wildcard_address_closes_promptly() {
-        let (mut door, _entered, _gate) = open_at("0.0.0.0:0", 4);
+        let (mut door, _entered, _gate) = open_at("0.0.0.0:0", 4, spawn_thread);
         assert!(door.addr().ip().is_unspecified());
         let t0 = Instant::now();
         door.close();
@@ -836,6 +953,131 @@ mod tests {
         // Nothing answers while parked, so close waits out the drain.
         assert!(t0.elapsed() < DRAIN_TIMEOUT + Duration::from_secs(2));
         assert_eq!(counters(&door), before);
+    }
+
+    /// An origin of [`Stepper::FRAMES`] frames that records the hints it
+    /// is handed.
+    #[derive(Default)]
+    struct Stepper {
+        metrics: Registry,
+        hints: Mutex<Vec<ReadAhead>>,
+    }
+
+    impl Stepper {
+        const FRAMES: u32 = 5;
+    }
+
+    impl Handler for Stepper {
+        const NAMES: CounterNames = Fake::NAMES;
+
+        fn metrics(&self) -> &Registry {
+            &self.metrics
+        }
+
+        fn frame_count(&self) -> usize {
+            Stepper::FRAMES as usize
+        }
+
+        fn catalog(&self) -> Vec<FrameInfo> {
+            Vec::new()
+        }
+
+        fn frame(&self, _frame: u32, threshold: f64) -> Fetched {
+            Ok(tiny_frame(threshold))
+        }
+
+        fn read_ahead(&self, hint: ReadAhead) {
+            self.hints.lock().unwrap().push(hint);
+        }
+
+        fn stats(&self) -> ServerStats {
+            ServerStats::default()
+        }
+    }
+
+    /// The hints one v2 session's `requests` produce, in order.
+    fn hints_of(requests: &[Request]) -> Vec<ReadAhead> {
+        let origin = Stepper::default();
+        let mut session = Session {
+            version: V2,
+            last_frame: None,
+        };
+        for &req in requests {
+            dispatch(&origin, req, &mut io::sink(), &mut session).unwrap();
+        }
+        origin.hints.into_inner().unwrap()
+    }
+
+    fn plain(frame: u32, threshold: f64) -> Request {
+        Request::RequestFrame { frame, threshold }
+    }
+
+    #[test]
+    fn a_step_forward_at_one_threshold_hints_its_successor() {
+        let shape = Shape::Plain { version: V2 };
+        let hint = |frame| ReadAhead {
+            frame,
+            threshold: 0.5,
+            shape,
+        };
+        let steps = [plain(0, 0.5), plain(1, 0.5), plain(2, 0.5)];
+        assert_eq!(hints_of(&steps), [hint(2), hint(3)]);
+        // A looping playback: the last frame's successor is frame 0, and
+        // stepping onto frame 0 from the last frame is a step.
+        let last = Stepper::FRAMES - 1;
+        let wrap = [plain(last - 1, 0.5), plain(last, 0.5), plain(0, 0.5)];
+        assert_eq!(hints_of(&wrap), [hint(0), hint(1)]);
+        // Another request in between does not break the sequence.
+        let polled = [plain(0, 0.5), Request::Stats, plain(1, 0.5)];
+        assert_eq!(hints_of(&polled), [hint(2)]);
+        // -0.0 and 0.0 are one dial.
+        assert_eq!(hints_of(&[plain(0, 0.0), plain(1, -0.0)]).len(), 1);
+    }
+
+    #[test]
+    fn the_hint_carries_the_requests_shape() {
+        let progressive = |frame| Request::RequestFrameProgressive {
+            frame,
+            threshold: 0.5,
+            chunk_bytes: 4_096,
+        };
+        let hints = hints_of(&[progressive(2), progressive(3)]);
+        let shape = Shape::Progressive { chunk_bytes: 4_096 };
+        let want = ReadAhead {
+            frame: 4,
+            threshold: 0.5,
+            shape,
+        };
+        assert_eq!(hints, [want]);
+        // A plain step after a progressive one is still a step.
+        let mixed = hints_of(&[progressive(2), plain(3, 0.5)]);
+        assert_eq!(mixed[0].shape, Shape::Plain { version: V2 });
+    }
+
+    #[test]
+    fn anything_but_a_forward_step_at_one_threshold_hints_nothing() {
+        let none: [ReadAhead; 0] = [];
+        let out_of_range = Stepper::FRAMES;
+        for requests in [
+            vec![plain(0, 0.5)],                                    // one fetch per session
+            vec![plain(0, 0.5), plain(2, 0.5)],                     // a stride
+            vec![plain(1, 0.5), plain(0, 0.5)],                     // backward
+            vec![plain(1, 0.5), plain(1, 0.5)],                     // a repeat
+            vec![plain(0, 0.5), plain(1, 0.25)],                    // two thresholds
+            vec![plain(0, f64::NAN), plain(1, f64::NAN)],           // refused: NaN
+            vec![plain(0, 0.5), plain(1, f64::NAN), plain(1, 0.5)], // a refusal in between
+            vec![plain(out_of_range - 1, 0.5), plain(out_of_range, 0.5)], // refused: no such frame
+        ] {
+            assert_eq!(hints_of(&requests), none, "{requests:?}");
+        }
+    }
+
+    #[test]
+    fn a_catalog_of_one_frame_has_no_successor() {
+        let key = CacheKey::new(0, 0.5);
+        assert_eq!(successor(Some(key), key, 1), None);
+        assert_eq!(successor(Some(key), CacheKey::new(1, 0.5), 2), Some(0));
+        assert_eq!(successor(None, key, 2), None);
     }
 
     #[test]

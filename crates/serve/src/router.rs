@@ -23,11 +23,13 @@
 //!
 //! Herd coalescing: decoded frames sit in the same
 //! [`crate::cache::CoalescingCache`] a server keeps its extractions in,
-//! budgeted in bytes — a thundering herd of M clients on one cold frame
-//! costs one upstream fetch (and therefore at most one extraction on the
-//! owning shard), and an upstream *failure* is shared with every
+//! each beside its re-encoded v2 payload and budgeted by the bytes of
+//! both — a thundering herd of M clients on one cold frame costs one
+//! upstream fetch (and therefore at most one extraction on the owning
+//! shard) and one encode, and an upstream *failure* is shared with every
 //! coalesced waiter but never cached, so a shard coming back is observed
-//! on the very next request.
+//! on the very next request. The router ignores the door's read-ahead
+//! hints: its upstream failure policy is settled for demand traffic only.
 //!
 //! Failure semantics (the PR 5 degradation model, one hop out): the
 //! router owns the only retry loop on this leg and the replica walk is
@@ -44,10 +46,10 @@
 //! receives the `ERR_BUSY` its retry policy acts on.
 
 use crate::breaker::{Admission, BreakerConfig, BreakerState, CircuitBreaker, Transition};
-use crate::cache::{CacheKey, CoalescingCache, Fetched, Lookup};
+use crate::cache::{CacheKey, CoalescingCache, Fetched, Lookup, Served};
 use crate::client::{Client, ClientConfig};
 use crate::error::ServeError;
-use crate::frontdoor::{CounterNames, DoorConfig, FrontDoor, Handler};
+use crate::frontdoor::{spawn_thread, CounterNames, DoorConfig, FrontDoor, Handler};
 use crate::health::{HealthConfig, Prober};
 use crate::protocol::{FrameInfo, Refusal, ERR_BUSY, ERR_INTERNAL};
 use crate::retry::RetryPolicy;
@@ -290,13 +292,14 @@ impl ShardMap {
 /// Router tuning knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct RouterConfig {
-    /// Byte budget for the router's decoded-frame cache (the
-    /// herd-coalescing layer), LRU by resident frame bytes
-    /// ([`HybridFrame::total_bytes`] per frame). Frames vary by orders
-    /// of magnitude with threshold and grid dims, so the budget counts
-    /// bytes rather than entries; a frame larger than the whole budget
-    /// is still admitted (to serve its coalesced waiters) and becomes
-    /// the next eviction victim, so 0 holds the newest frame only.
+    /// Byte budget for the router's frame cache (the herd-coalescing
+    /// layer), LRU by the bytes each entry holds on admission: the
+    /// decoded frame ([`HybridFrame::total_bytes`]) plus its v2 payload.
+    /// Frames vary by orders of magnitude with threshold and grid dims,
+    /// so the budget counts bytes rather than entries; a frame larger
+    /// than the whole budget is still admitted (to serve its coalesced
+    /// waiters) and becomes the next eviction victim, so 0 holds the
+    /// newest frame only.
     pub cache_bytes: u64,
     /// Bound on any single blocking read from a client; `None` waits
     /// forever.
@@ -506,12 +509,16 @@ impl Handler for RouterShared {
     /// Resolves the decoded frame through the router cache: one upstream
     /// fetch per herd, always a *full* frame — a progressive request is
     /// re-chunked by the door from the same cached frame a plain one
-    /// encodes.
+    /// sends. The v2 payload is encoded inside the fetch, before
+    /// admission, so the entry is weighed with it and
+    /// [`RouterConfig::cache_bytes`] bounds what the cache really holds.
     fn frame(&self, frame: u32, threshold: f64) -> Fetched {
         let key = CacheKey::new(frame, threshold);
-        let (fetched, lookup) = self
-            .cache
-            .get_or_fetch(key, || self.fetch_replicated(frame, threshold));
+        let (fetched, lookup) = self.cache.get_or_fetch(key, || {
+            let served = Served::new(self.fetch_replicated(frame, threshold)?);
+            served.v2();
+            Ok(Arc::new(served))
+        });
         match lookup {
             Lookup::Hit => self.metrics.add(CTR_ROUTER_CACHE_HITS, 1),
             Lookup::Coalesced => {
@@ -550,7 +557,7 @@ impl RouterShared {
     /// measured from the start of *this request*, then the walk again. A
     /// walk in which every breaker fast-failed is answered immediately;
     /// waiting would only hold the client off its own degradation ladder.
-    fn fetch_replicated(&self, frame: u32, threshold: f64) -> Fetched {
+    fn fetch_replicated(&self, frame: u32, threshold: f64) -> Result<HybridFrame, Refusal> {
         let replicas = self.map.replicas(frame);
         let replicas = replicas.expect("the door refuses frames outside the catalog");
         // Per-request jitter: requests parked on one dead shard must not
@@ -601,7 +608,7 @@ impl RouterShared {
         frame: u32,
         replicas: &[(u32, u32)],
         threshold: f64,
-    ) -> Result<Arc<HybridFrame>, Option<(u32, u32, ServeError)>> {
+    ) -> Result<HybridFrame, Option<(u32, u32, ServeError)>> {
         let mut failed = None;
         for (idx, &(shard, local)) in replicas.iter().enumerate() {
             let t0 = Instant::now();
@@ -622,7 +629,7 @@ impl RouterShared {
                     // unsliced data bakes in, and what the merged catalog
                     // advertises) is `step == global index`.
                     decoded.step = frame as usize;
-                    return Ok(Arc::new(decoded));
+                    return Ok(decoded);
                 }
                 Err(e) => {
                     if failed.as_ref().is_none_or(|(_, _, kept)| !is_busy(kept)) {
@@ -731,7 +738,7 @@ impl FrameRouter {
             map,
             catalog,
             upstreams,
-            cache: CoalescingCache::new(config.cache_bytes, HybridFrame::total_bytes),
+            cache: CoalescingCache::new(config.cache_bytes, Served::held_bytes),
             retry: config.upstream.retry,
             metrics,
         });
@@ -743,6 +750,7 @@ impl FrameRouter {
                 write_timeout: config.write_timeout,
                 max_connections: config.max_connections,
                 faults: None,
+                spawn: spawn_thread,
             },
         )?;
         let prober = {

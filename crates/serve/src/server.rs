@@ -27,30 +27,47 @@
 //! address and drains in-flight replies (for at most a second) before
 //! returning.
 //!
+//! Read-ahead: when the door reports that a session is stepping through
+//! the series (`frontdoor::ReadAhead`), one helper thread per server
+//! produces the successor — page-in, extraction, and the encoding that
+//! session will ask for — through the same cache lookup a demand request
+//! uses, while the current frame is still being sent, decoded and drawn.
+//! It is speculation and gives way to everything: a 1-slot queue whose
+//! overflow is dropped, a `try` extraction permit, no read-ahead at all
+//! when the run's residency budget cannot hold the current frame and the
+//! next together, and its own `serve.readahead_*` counters so that
+//! `serve.cache_hits` / `serve.cache_misses` keep counting *requests*.
+//!
 //! Scale-out: N of these servers can sit behind one
 //! [`crate::router::FrameRouter`], each owning a rendezvous-hashed slice
 //! of the catalog — clients speak the identical protocol to the router
 //! and cannot tell the difference (`crate::router`).
 
-use crate::cache::{CacheKey, CoalescingCache, Fetched, Lookup};
+use crate::cache::{CacheKey, CoalescingCache, Fetched, Lookup, Served};
 use crate::fault::FaultScript;
-use crate::frontdoor::{CountGuard, CounterNames, DoorConfig, FrontDoor, Handler};
+use crate::frontdoor::{
+    spawn_thread, CountGuard, CounterNames, DoorConfig, FrontDoor, Handler, ReadAhead, Spawn,
+};
 use crate::protocol::{FrameInfo, Refusal, ERR_BUSY, ERR_INTERNAL};
 use crate::stats::{
     ServerStats, CTR_ACCEPT_ERRORS, CTR_BYTES_SENT, CTR_CACHE_HITS, CTR_CACHE_MISSES,
     CTR_FRAMES_SERVED, CTR_FRAME_BYTES_RAW, CTR_FRAME_BYTES_WIRE, CTR_HANDLER_PANICS,
-    CTR_LOD_BYTES_WIRE, CTR_LOD_CHUNKS, CTR_LOD_REQUESTS, CTR_REQUESTS, CTR_SHED_CONNECTIONS,
+    CTR_LOD_BYTES_WIRE, CTR_LOD_CHUNKS, CTR_LOD_REQUESTS, CTR_READAHEAD_DROPPED,
+    CTR_READAHEAD_FETCHES, CTR_READAHEAD_HINTS, CTR_REQUESTS, CTR_SHED_CONNECTIONS,
     CTR_SHED_EXTRACTIONS, HIST_LATENCY,
 };
+use accelviz_beam::io::BYTES_PER_PARTICLE;
 use accelviz_core::hybrid::HybridFrame;
 use accelviz_octree::extraction::{threshold_for_budget, threshold_for_budget_tree};
 use accelviz_octree::sorted_store::PartitionedData;
 use accelviz_store::ResidentRun;
 use accelviz_trace::registry::Registry;
+use parking_lot::Mutex;
 use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Server tuning knobs.
@@ -137,15 +154,35 @@ impl Backend {
                 .collect(),
         }
     }
+
+    /// Whether producing frame `next < frame_count()` may page it in
+    /// beside its predecessor — the frame being served while a read-ahead
+    /// runs — without the residency window evicting either. Resident
+    /// data has no window to disturb.
+    fn holds_with_predecessor(&self, next: usize) -> bool {
+        match self {
+            Backend::Resident(_) => true,
+            Backend::Stored(run) => {
+                let current = (next + run.frame_count() - 1) % run.frame_count();
+                let bytes = |i| run.particle_count(i).saturating_mul(BYTES_PER_PARTICLE);
+                bytes(current).saturating_add(bytes(next)) <= run.stats().budget_bytes
+            }
+        }
+    }
 }
 
-/// The state every session of one server shares.
+/// The state every session of one server, and its read-ahead helper,
+/// share.
 struct Shared {
     backend: Backend,
     config: ServerConfig,
     cache: CoalescingCache,
     metrics: Registry,
     building_extractions: AtomicUsize,
+    /// The helper's queue: one slot, so a hint finds room or is dropped.
+    /// `None` once the server is stopping — which is also how the helper
+    /// learns of it.
+    hints: Mutex<Option<mpsc::SyncSender<ReadAhead>>>,
 }
 
 impl Handler for Shared {
@@ -183,13 +220,12 @@ impl Handler for Shared {
         let mut span = accelviz_trace::span("serve.extract");
         span.arg("frame", frame as f64);
         span.arg("threshold", threshold);
-        let key = CacheKey::new(frame, threshold);
-        let (fetched, lookup) = self
-            .cache
-            .get_or_fetch(key, || self.extract(frame, threshold));
+        let (fetched, lookup) = self.lookup(frame, threshold, None);
         span.arg("cache_hit", (lookup != Lookup::Fetched) as u64 as f64);
         // A refusal served nothing: it is counted where it was refused
-        // (`serve.shed_extractions`), never as a hit or a miss.
+        // (`serve.shed_extractions`), never as a hit or a miss. A request
+        // answered from an entry the helper produced, or is producing,
+        // is a hit.
         if fetched.is_ok() {
             let served_from = match lookup {
                 Lookup::Fetched => CTR_CACHE_MISSES,
@@ -200,25 +236,92 @@ impl Handler for Shared {
         fetched
     }
 
+    /// Queues the hint for the helper, or drops it: the session that
+    /// brought it is waiting for its own frame.
+    fn read_ahead(&self, hint: ReadAhead) {
+        self.metrics.add(CTR_READAHEAD_HINTS, 1);
+        let hints = self.hints.lock();
+        if hints.as_ref().is_none_or(|tx| tx.try_send(hint).is_err()) {
+            self.metrics.add(CTR_READAHEAD_DROPPED, 1);
+        }
+    }
+
     fn stats(&self) -> ServerStats {
         ServerStats::from_registry(&self.metrics)
     }
 }
 
 impl Shared {
-    /// The cache's fetch: one fresh extraction. It runs on a miss only,
-    /// so load shedding and the stored backend's page-in never touch a
-    /// request the cache can answer or coalesce — those are cheap and
-    /// always admitted, and serving them must not churn the residency
-    /// window.
-    fn extract(&self, frame: u32, threshold: f64) -> Fetched {
-        let Some(_permit) = try_extraction_permit(self) else {
-            self.metrics.add(CTR_SHED_EXTRACTIONS, 1);
-            return Err(Refusal::new(
-                ERR_BUSY,
-                "extraction capacity reached; retry after ~100 ms",
-            ));
+    /// The shared state and, unless `spawn_helper` refuses, its running
+    /// read-ahead helper. A refused helper takes the queue's receiving
+    /// end with it, so every hint finds the queue closed and is dropped.
+    fn start(
+        backend: Backend,
+        config: ServerConfig,
+        spawn_helper: Spawn,
+    ) -> (Arc<Shared>, Option<JoinHandle<()>>) {
+        let (tx, rx) = mpsc::sync_channel(1);
+        let shared = Arc::new(Shared {
+            backend,
+            config,
+            cache: CoalescingCache::new(config.cache_capacity as u64, |_| 1),
+            metrics: Registry::new(),
+            building_extractions: AtomicUsize::new(0),
+            hints: Mutex::new(Some(tx)),
+        });
+        let helper = {
+            let shared = Arc::clone(&shared);
+            spawn_helper(Box::new(move || read_ahead_loop(&shared, rx))).ok()
         };
+        (shared, helper)
+    }
+
+    /// Closes the hint queue and joins the helper: the hint it is running
+    /// finishes (a fetch others may have coalesced onto is never
+    /// abandoned), a queued one is discarded.
+    fn stop_helper(&self, helper: Option<JoinHandle<()>>) {
+        *self.hints.lock() = None;
+        if let Some(helper) = helper {
+            let _ = helper.join();
+        }
+    }
+
+    /// The one cache lookup, for demand and speculative callers alike.
+    /// On a miss the fetch is one fresh extraction under an extraction
+    /// permit — so load shedding and the stored backend's page-in never
+    /// touch a request the cache can answer or coalesce; those are cheap
+    /// and always admitted, and serving them must not churn the
+    /// residency window. A demand caller passes no permit and takes one
+    /// there, or is shed; the helper brings its own, taken *before* the
+    /// key can be marked in flight, so a demand request never coalesces
+    /// onto a fetch that is then dropped for want of one.
+    fn lookup(
+        &self,
+        frame: u32,
+        threshold: f64,
+        permit: Option<CountGuard<'_>>,
+    ) -> (Fetched, Lookup) {
+        self.cache
+            .get_or_fetch(CacheKey::new(frame, threshold), || {
+                let speculative = permit.is_some();
+                let Some(_permit) = permit.or_else(|| try_extraction_permit(self)) else {
+                    self.metrics.add(CTR_SHED_EXTRACTIONS, 1);
+                    return Err(Refusal::new(
+                        ERR_BUSY,
+                        "extraction capacity reached; retry after ~100 ms",
+                    ));
+                };
+                let served = self.extract(frame, threshold)?;
+                // Counted before the entry is published: whoever is served
+                // from it can already read that it was fetched ahead.
+                if speculative {
+                    self.metrics.add(CTR_READAHEAD_FETCHES, 1);
+                }
+                Ok(served)
+            })
+    }
+
+    fn extract(&self, frame: u32, threshold: f64) -> Fetched {
         let (index, dims) = (frame as usize, self.config.volume_dims);
         let extracted = match &self.backend {
             Backend::Resident(data) => {
@@ -232,16 +335,59 @@ impl Shared {
                 HybridFrame::from_partition(&paged_in.data, index, threshold, dims)
             }
         };
-        Ok(Arc::new(extracted))
+        Ok(Arc::new(Served::new(extracted)))
+    }
+
+    /// One hint, on the helper's thread: produce the frame unless it is
+    /// resident, then fill the encoding the session will ask for. Never
+    /// at a demand request's expense — without a free extraction permit,
+    /// or room in the residency window for this frame beside the one
+    /// being served, the hint is dropped.
+    fn speculate(&self, hint: ReadAhead) {
+        let _span = accelviz_trace::span("serve.readahead");
+        let ReadAhead {
+            frame,
+            threshold,
+            shape,
+        } = hint;
+        if let Some(resident) = self.cache.get(&CacheKey::new(frame, threshold)) {
+            return resident.prefill(shape);
+        }
+        let room = self.backend.holds_with_predecessor(frame as usize);
+        let Some(permit) = room.then(|| try_extraction_permit(self)).flatten() else {
+            self.metrics.add(CTR_READAHEAD_DROPPED, 1);
+            return;
+        };
+        if let (Ok(served), _) = self.lookup(frame, threshold, Some(permit)) {
+            served.prefill(shape);
+        }
+    }
+}
+
+/// The helper thread: runs queued hints until the queue closes. A
+/// panicking fetch has vacated its key by the time it unwinds to here
+/// (the cache's rule) and costs that one hint, not the helper.
+fn read_ahead_loop(shared: &Shared, hints: mpsc::Receiver<ReadAhead>) {
+    while let Ok(hint) = hints.recv() {
+        // Stopping: what is still queued is nobody's next frame.
+        if shared.hints.lock().is_none() {
+            break;
+        }
+        let run = std::panic::AssertUnwindSafe(|| shared.speculate(hint));
+        let _ = std::panic::catch_unwind(run);
     }
 }
 
 /// A running frame server. Dropping it (or calling
 /// [`FrameServer::shutdown`]) stops the acceptor — woken by a connection
-/// to its own address, so an *idle* server shuts down promptly too — then
-/// drains in-flight replies for at most a second.
+/// to its own address, so an *idle* server shuts down promptly too —
+/// drains in-flight replies for at most a second, then joins the
+/// read-ahead helper.
 pub struct FrameServer {
     door: FrontDoor<Shared>,
+    /// The read-ahead helper; `None` when the OS refused the thread (the
+    /// server then serves without read-ahead) and once it is joined.
+    helper: Option<JoinHandle<()>>,
 }
 
 impl FrameServer {
@@ -261,7 +407,7 @@ impl FrameServer {
         data: Vec<PartitionedData>,
         config: ServerConfig,
     ) -> io::Result<FrameServer> {
-        FrameServer::spawn_inner(addr, Backend::Resident(data), config, None)
+        FrameServer::spawn_inner(addr, Backend::Resident(data), config, None, spawn_thread)
     }
 
     /// Binds a loopback server over an out-of-core run: frames come from
@@ -280,7 +426,7 @@ impl FrameServer {
         run: Arc<ResidentRun>,
         config: ServerConfig,
     ) -> io::Result<FrameServer> {
-        FrameServer::spawn_inner(addr, Backend::Stored(run), config, None)
+        FrameServer::spawn_inner(addr, Backend::Stored(run), config, None, spawn_thread)
     }
 
     /// A loopback server whose every connection is faulted by `script` —
@@ -293,33 +439,38 @@ impl FrameServer {
         config: ServerConfig,
         script: Arc<FaultScript>,
     ) -> io::Result<FrameServer> {
-        FrameServer::spawn_inner("127.0.0.1:0", Backend::Resident(data), config, Some(script))
+        let backend = Backend::Resident(data);
+        FrameServer::spawn_inner("127.0.0.1:0", backend, config, Some(script), spawn_thread)
     }
 
+    /// `spawn_helper` starts the read-ahead helper; a refusal costs
+    /// read-ahead, not the server.
     fn spawn_inner(
         addr: &str,
         backend: Backend,
         config: ServerConfig,
         faults: Option<Arc<FaultScript>>,
+        spawn_helper: Spawn,
     ) -> io::Result<FrameServer> {
-        let shared = Arc::new(Shared {
-            backend,
-            config,
-            cache: CoalescingCache::new(config.cache_capacity as u64, |_| 1),
-            metrics: Registry::new(),
-            building_extractions: AtomicUsize::new(0),
-        });
+        let (shared, helper) = Shared::start(backend, config, spawn_helper);
         let door = FrontDoor::open(
             addr,
-            shared,
+            Arc::clone(&shared),
             DoorConfig {
                 read_timeout: config.read_timeout,
                 write_timeout: config.write_timeout,
                 max_connections: config.max_connections,
                 faults,
+                spawn: spawn_thread,
             },
-        )?;
-        Ok(FrameServer { door })
+        );
+        match door {
+            Ok(door) => Ok(FrameServer { door, helper }),
+            Err(e) => {
+                shared.stop_helper(helper);
+                Err(e)
+            }
+        }
     }
 
     /// The address clients connect to.
@@ -340,10 +491,17 @@ impl FrameServer {
         &self.door.handler().metrics
     }
 
-    /// Stops accepting connections, joins the acceptor, and drains
-    /// in-flight replies for at most a second.
-    pub fn shutdown(mut self) {
+    /// Stops accepting connections, joins the acceptor, drains in-flight
+    /// replies for at most a second, and joins the read-ahead helper.
+    pub fn shutdown(self) {
+        drop(self);
+    }
+}
+
+impl Drop for FrameServer {
+    fn drop(&mut self) {
         self.door.close();
+        self.door.handler().stop_helper(self.helper.take());
     }
 }
 
@@ -367,6 +525,9 @@ fn try_extraction_permit(shared: &Shared) -> Option<CountGuard<'_>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::Client;
+    use crate::frontdoor::Shape;
+    use crate::wire::{encode_frame_v2, V2};
     use accelviz_beam::distribution::Distribution;
     use accelviz_octree::builder::{partition, BuildParams};
     use accelviz_octree::plots::PlotType;
@@ -394,19 +555,33 @@ mod tests {
         drop(server); // Drop runs stop() after an explicit-path exercise elsewhere
     }
 
+    /// Shared state over `stores(frames)` with a running helper, no door.
+    fn started(frames: usize, config: ServerConfig) -> (Arc<Shared>, Option<JoinHandle<()>>) {
+        Shared::start(Backend::Resident(stores(frames)), config, spawn_thread)
+    }
+
+    fn hint(frame: u32) -> ReadAhead {
+        ReadAhead {
+            frame,
+            threshold: f64::INFINITY,
+            shape: Shape::Plain { version: V2 },
+        }
+    }
+
+    /// Spins until `done`: a wait on a counter, not on the clock.
+    fn wait_until(done: impl Fn() -> bool) {
+        while !done() {
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
     fn extraction_permits_are_bounded_and_returned() {
         let config = ServerConfig {
             max_inflight_extractions: 2,
             ..ServerConfig::default()
         };
-        let shared = Shared {
-            backend: Backend::Resident(Vec::new()),
-            config,
-            cache: CoalescingCache::new(2, |_| 1),
-            metrics: Registry::new(),
-            building_extractions: AtomicUsize::new(0),
-        };
+        let (shared, helper) = started(0, config);
         let a = try_extraction_permit(&shared);
         let b = try_extraction_permit(&shared);
         assert!(a.is_some() && b.is_some());
@@ -416,5 +591,157 @@ mod tests {
             try_extraction_permit(&shared).is_some(),
             "a dropped permit frees a slot"
         );
+        shared.stop_helper(helper);
+    }
+
+    #[test]
+    fn a_speculative_fetch_is_encoded_ahead_and_then_hit() {
+        let (shared, helper) = started(3, ServerConfig::default());
+        let count = |name| shared.metrics.counter(name);
+        shared.speculate(hint(1));
+        assert_eq!(count(CTR_READAHEAD_FETCHES), 1);
+        assert_eq!(building(&shared), 0, "the permit came back");
+        let served = shared.frame(1, f64::INFINITY).unwrap();
+        let encoded_ahead = served.held_bytes() - served.frame().total_bytes();
+        assert_eq!(
+            encoded_ahead,
+            encode_frame_v2(served.frame()).0.len() as u64
+        );
+        // The request is a hit; the speculative fetch was never a miss.
+        assert_eq!((count(CTR_CACHE_HITS), count(CTR_CACHE_MISSES)), (1, 0));
+        // A hint for a resident frame fetches nothing and drops nothing.
+        shared.speculate(hint(1));
+        assert_eq!(
+            (count(CTR_READAHEAD_FETCHES), count(CTR_READAHEAD_DROPPED)),
+            (1, 0)
+        );
+        // The same through the queue, on the helper's thread.
+        shared.read_ahead(hint(2));
+        wait_until(|| count(CTR_READAHEAD_FETCHES) == 2);
+        assert_eq!(
+            (count(CTR_READAHEAD_HINTS), count(CTR_READAHEAD_DROPPED)),
+            (1, 0)
+        );
+        shared.stop_helper(helper);
+    }
+
+    fn building(shared: &Shared) -> usize {
+        shared.building_extractions.load(Ordering::SeqCst)
+    }
+
+    #[test]
+    fn with_every_permit_held_a_hint_is_dropped_not_shed() {
+        let config = ServerConfig {
+            max_inflight_extractions: 2,
+            ..ServerConfig::default()
+        };
+        let (shared, helper) = started(2, config);
+        let held = [
+            try_extraction_permit(&shared),
+            try_extraction_permit(&shared),
+        ];
+        assert!(held.iter().all(Option::is_some));
+        shared.read_ahead(hint(1));
+        let count = |name| shared.metrics.counter(name);
+        wait_until(|| count(CTR_READAHEAD_DROPPED) == 1);
+        assert_eq!(count(CTR_READAHEAD_FETCHES), 0);
+        assert_eq!(count(CTR_SHED_EXTRACTIONS), 0, "nothing was refused");
+        drop(held);
+        // The demand request for the same frame is served, as a miss.
+        assert!(shared.frame(1, f64::INFINITY).is_ok());
+        assert_eq!((count(CTR_CACHE_HITS), count(CTR_CACHE_MISSES)), (0, 1));
+        shared.stop_helper(helper);
+    }
+
+    /// A fetch that panics on the helper's thread (here: a frame past the
+    /// catalog, which the door never hints) vacates its key and costs
+    /// that hint only.
+    #[test]
+    fn a_panicking_speculative_fetch_takes_down_neither_the_helper_nor_the_key() {
+        let (shared, helper) = started(2, ServerConfig::default());
+        shared.read_ahead(hint(7));
+        // Queued behind the doomed hint once the helper has taken that.
+        wait_until(|| {
+            shared.read_ahead(hint(1));
+            shared.metrics.counter(CTR_READAHEAD_FETCHES) == 1
+        });
+        assert_eq!(building(&shared), 0, "the doomed fetch's permit came back");
+        let doomed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = shared.frame(7, f64::INFINITY);
+        }));
+        assert!(
+            doomed.is_err(),
+            "the key is vacant: a demand fetch runs, and panics itself"
+        );
+        shared.stop_helper(helper);
+    }
+
+    /// Stop with one hint in flight and one queued: the one in flight
+    /// finishes (here it has coalesced onto a fetch this test holds open),
+    /// the queued one is discarded, and the helper is gone on return.
+    #[test]
+    fn stop_finishes_the_hint_in_flight_and_discards_the_queued_one() {
+        let (shared, helper) = started(3, ServerConfig::default());
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        std::thread::scope(|s| {
+            // A demand-side fetch of frame 1, parked inside its fetch.
+            let shared = &*shared;
+            s.spawn(move || {
+                let key = CacheKey::new(1, f64::INFINITY);
+                let _ = shared.cache.get_or_fetch(key, || {
+                    entered_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                    shared.extract(1, f64::INFINITY)
+                });
+            });
+            entered_rx.recv().unwrap();
+            shared.read_ahead(hint(1)); // in flight: coalesces onto the parked fetch
+            let count = |name| shared.metrics.counter(name);
+            // Once a second hint finds the slot free the helper has taken
+            // the first; a third then finds the slot full.
+            wait_until(|| {
+                shared.read_ahead(hint(2));
+                count(CTR_READAHEAD_HINTS) - count(CTR_READAHEAD_DROPPED) == 2
+            });
+            let stopper = s.spawn(move || shared.stop_helper(helper));
+            wait_until(|| shared.hints.lock().is_none());
+            release_tx.send(()).unwrap();
+            stopper.join().unwrap();
+            assert_eq!(count(CTR_READAHEAD_FETCHES), 0, "frame 2 was never fetched");
+            assert!(shared.cache.get(&CacheKey::new(2, f64::INFINITY)).is_none());
+        });
+        assert_eq!(Arc::strong_count(&shared), 1, "the helper thread is gone");
+    }
+
+    /// The OS refusing the helper thread costs read-ahead, not the
+    /// server: a stepping session is served bit-identically, every hint
+    /// counted as dropped.
+    #[test]
+    fn a_refused_helper_thread_costs_read_ahead_not_the_server() {
+        let refuse: Spawn = |_body| Err(io::Error::from(io::ErrorKind::WouldBlock));
+        let data = stores(4);
+        let config = ServerConfig::default();
+        let backend = Backend::Resident(data.clone());
+        let server = FrameServer::spawn_inner("127.0.0.1:0", backend, config, None, refuse)
+            .expect("the server starts without its helper");
+        assert!(server.helper.is_none());
+        let mut client = Client::connect(server.addr()).unwrap();
+        for (i, d) in data.iter().enumerate() {
+            let (got, _) = client.fetch(i as u32, f64::INFINITY).unwrap();
+            let want = HybridFrame::from_partition(d, i, f64::INFINITY, config.volume_dims);
+            assert_eq!(got, want, "frame {i}");
+        }
+        let count = |name| server.metrics().counter(name);
+        assert_eq!(
+            (count(CTR_READAHEAD_HINTS), count(CTR_READAHEAD_DROPPED)),
+            (3, 3)
+        );
+        assert_eq!(
+            (count(CTR_READAHEAD_FETCHES), count(CTR_CACHE_MISSES)),
+            (0, 4)
+        );
+        drop(client);
+        server.shutdown();
     }
 }

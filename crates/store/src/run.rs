@@ -52,6 +52,10 @@ const CHUNK_DIR_BYTES: u64 = 24;
 const MAX_TABLE_ENTRIES: u64 = 1 << 28;
 
 pub use crate::fnv1a64;
+use crate::fnv1a64_x4;
+
+/// Chunks [`RunStore::load_particles`] reads and verifies per group.
+const CHECKSUM_LANES: usize = 4;
 
 /// Rounds a requested chunk size up to a positive multiple of the
 /// 48-byte particle record.
@@ -397,31 +401,50 @@ impl RunStore {
         read_node_file(&mut blob.as_slice())
     }
 
-    /// Reads and checksum-verifies all particle chunks of frame `i`.
+    /// Reads and checksum-verifies all particle chunks of frame `i`,
+    /// four chunks to a group: read the group, hash its chunks side by
+    /// side ([`fnv1a64_x4`]), compare every hash with its table entry,
+    /// and only then decode the group's records.
     pub fn load_particles(&self, i: usize) -> io::Result<Vec<Particle>> {
         let d = &self.frames[i];
         let first = d.first_chunk as usize;
         let chunks = &self.chunks[first..first + d.n_chunks as usize];
-        // One scratch buffer per frame load, sized from this frame's own
-        // table entries (each checked against the file length at open) —
-        // never from the header's `chunk_bytes`, which is only a claim.
+        // One scratch buffer per frame load, one group wide, sized from
+        // this frame's own table entries (each checked against the file
+        // length at open) — never from the header's `chunk_bytes`, which
+        // is only a claim.
         let largest = chunks.iter().map(|c| c.len).max().unwrap_or(0);
-        let mut scratch = vec![0u8; largest as usize];
+        let mut scratch = vec![0u8; CHECKSUM_LANES * largest as usize];
         let mut particles = Vec::with_capacity(d.particle_count as usize);
-        for (ci, c) in (first..).zip(chunks) {
-            let bytes = &mut scratch[..c.len as usize];
-            self.src.read_into(c.off, bytes)?;
-            self.chunks_read.fetch_add(1, Ordering::Relaxed);
-            self.bytes_read.fetch_add(c.len, Ordering::Relaxed);
-            if fnv1a64(bytes) != c.fnv {
-                return Err(bad(format!("chunk {ci} of frame {i} failed checksum")));
+        for (group, ci) in chunks
+            .chunks(CHECKSUM_LANES)
+            .zip((first..).step_by(CHECKSUM_LANES))
+        {
+            // A ragged last group leaves its spare lanes empty.
+            let mut lanes: [&[u8]; CHECKSUM_LANES] = [&[]; CHECKSUM_LANES];
+            let mut free = scratch.as_mut_slice();
+            for (lane, c) in lanes.iter_mut().zip(group) {
+                let (bytes, rest) = free.split_at_mut(c.len as usize);
+                free = rest;
+                self.src.read_into(c.off, bytes)?;
+                self.chunks_read.fetch_add(1, Ordering::Relaxed);
+                self.bytes_read.fetch_add(c.len, Ordering::Relaxed);
+                *lane = bytes;
             }
-            for rec in bytes.chunks_exact(BYTES_PER_PARTICLE as usize) {
-                let mut a = [0.0f64; 6];
-                for (k, v) in a.iter_mut().enumerate() {
-                    *v = f64::from_le_bytes(rec[k * 8..(k + 1) * 8].try_into().unwrap());
+            let hashes = fnv1a64_x4(lanes);
+            for ((ci, c), hash) in (ci..).zip(group).zip(hashes) {
+                if hash != c.fnv {
+                    return Err(bad(format!("chunk {ci} of frame {i} failed checksum")));
                 }
-                particles.push(Particle::from_array(a));
+            }
+            for bytes in &lanes[..group.len()] {
+                for rec in bytes.chunks_exact(BYTES_PER_PARTICLE as usize) {
+                    let mut a = [0.0f64; 6];
+                    for (k, v) in a.iter_mut().enumerate() {
+                        *v = f64::from_le_bytes(rec[k * 8..(k + 1) * 8].try_into().unwrap());
+                    }
+                    particles.push(Particle::from_array(a));
+                }
             }
         }
         Ok(particles)
@@ -490,6 +513,70 @@ mod tests {
         let store = RunStore::open(&path).unwrap();
         let err = store.load_particles(0).unwrap_err();
         assert!(err.to_string().contains("checksum"), "{err}");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// 10-record chunks over frames of 85, 95 and 105 particles: 9, 10
+    /// and 11 chunks, so every ragged last group (one, two and three
+    /// lanes in use) occurs, each ending in a short chunk.
+    fn ragged_frames() -> Vec<PartitionedData> {
+        [85, 95, 105]
+            .iter()
+            .map(|&n| {
+                let ps = Distribution::default_beam().sample(n, n as u64);
+                partition(&ps, PlotType::X_PX_Y, BuildParams::default())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn ragged_last_groups_roundtrip() {
+        let frames = ragged_frames();
+        let path = scratch("ragged");
+        write_run_file(&path, &frames, 480).unwrap();
+        let store = RunStore::open(&path).unwrap();
+        for (i, data) in frames.iter().enumerate() {
+            let n_chunks = store.frames[i].n_chunks as usize;
+            assert_eq!(n_chunks % CHECKSUM_LANES, i + 1, "frame {i}");
+            let last = &store.chunks[store.frames[i].first_chunk as usize + n_chunks - 1];
+            assert!(last.len < store.chunk_bytes(), "short last chunk");
+            assert_eq!(store.load_particles(i).unwrap(), data.particles());
+        }
+        assert_eq!(store.io_stats().0, 9 + 10 + 11, "every chunk read once");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_bitflip_in_any_lane_names_that_lanes_chunk() {
+        let frames = ragged_frames();
+        let path = scratch("lane-flip");
+        write_run_file(&path, &frames, 480).unwrap();
+        let clean = std::fs::read(&path).unwrap();
+        let frame = 2;
+        let (first, offsets) = {
+            let store = RunStore::open(&path).unwrap();
+            let d = store.frames[frame];
+            let (first, n) = (d.first_chunk as usize, d.n_chunks as usize);
+            let table = &store.chunks[first..first + n];
+            (
+                first,
+                table.iter().map(|c| c.off as usize).collect::<Vec<_>>(),
+            )
+        };
+        // Every chunk of the frame in turn: each lane of the two full
+        // groups, then each used lane of the ragged last one.
+        for (ci, off) in (first..).zip(offsets) {
+            let mut bytes = clean.clone();
+            bytes[off + 17] ^= 0x04;
+            std::fs::write(&path, &bytes).unwrap();
+            let store = RunStore::open(&path).unwrap();
+            let err = store.load_particles(frame).unwrap_err().to_string();
+            let named = format!("chunk {ci} of frame {frame} failed checksum");
+            assert_eq!(err, named);
+            // The other frames' chunks are untouched and still verify.
+            assert_eq!(store.load_particles(0).unwrap(), frames[0].particles());
+            std::fs::write(&path, &clean).unwrap();
+        }
         let _ = std::fs::remove_file(&path);
     }
 

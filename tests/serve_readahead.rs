@@ -1,0 +1,256 @@
+//! Acceptance for server-side read-ahead: a session stepping through the
+//! series finds every frame after its second already extracted and
+//! encoded, the bytes it receives are exactly what a cold server sends,
+//! `serve.cache_hits` / `serve.cache_misses` keep counting requests, and a
+//! run whose residency budget cannot hold two frames is never read ahead.
+//!
+//! No test here waits on the clock: ordering comes from the
+//! `serve.readahead_*` counters (`serve.readahead_fetches` moves before a
+//! speculative entry is published, so whoever observes the count can rely
+//! on the fetch having started).
+
+mod common;
+
+use accelviz::beam::distribution::Distribution;
+use accelviz::core::hybrid::HybridFrame;
+use accelviz::octree::builder::{partition, BuildParams};
+use accelviz::octree::plots::PlotType;
+use accelviz::octree::sorted_store::PartitionedData;
+use accelviz::serve::protocol::{Request, RESP_ERROR};
+use accelviz::serve::stats::{
+    CTR_CACHE_HITS, CTR_CACHE_MISSES, CTR_READAHEAD_DROPPED, CTR_READAHEAD_FETCHES,
+    CTR_READAHEAD_HINTS, CTR_SHED_EXTRACTIONS,
+};
+use accelviz::serve::wire::{V1, V2};
+use accelviz::serve::{Client, ClientConfig, FrameServer, ServerConfig};
+use accelviz::store::run::write_run_file;
+use accelviz::store::ResidentRun;
+use common::raw_reply;
+use std::net::TcpStream;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+const FRAMES: usize = 6;
+const PARTICLES: usize = 1_500;
+
+fn stores() -> Vec<PartitionedData> {
+    (0..FRAMES)
+        .map(|i| {
+            let ps = Distribution::default_beam().sample(PARTICLES, i as u64 + 1);
+            partition(&ps, PlotType::XYZ, BuildParams::default())
+        })
+        .collect()
+}
+
+fn count(server: &FrameServer, name: &str) -> u64 {
+    server.metrics().counter(name)
+}
+
+/// Spins until `name` reaches `value`: a wait on the helper's progress.
+fn wait_for(server: &FrameServer, name: &str, value: u64) {
+    while count(server, name) < value {
+        std::thread::yield_now();
+    }
+}
+
+/// A session that steps through the whole series is a miss twice — the
+/// frame it starts on and the one that makes it a sequence — and a hit
+/// from then on, every frame bit-identical to local extraction, each
+/// extracted exactly once.
+#[test]
+fn a_stepping_session_misses_twice_and_then_hits_read_ahead_entries() {
+    let data = stores();
+    let config = ServerConfig::default();
+    let server = FrameServer::spawn_loopback(data.clone(), config).unwrap();
+    let mut client = Client::connect_with(server.addr(), ClientConfig::no_retry()).unwrap();
+    for (k, d) in data.iter().enumerate() {
+        if k >= 2 {
+            // The hint for `k` went out before `k - 1` was answered; its
+            // fetch is running or done, so this request coalesces or hits.
+            wait_for(&server, CTR_READAHEAD_FETCHES, k as u64 - 1);
+        }
+        let (got, _) = client.fetch(k as u32, 2.5).unwrap();
+        let want = HybridFrame::from_partition(d, k, 2.5, config.volume_dims);
+        assert_eq!(got, want, "frame {k}");
+    }
+    let n = FRAMES as u64;
+    assert_eq!(count(&server, CTR_CACHE_MISSES), 2);
+    assert_eq!(count(&server, CTR_CACHE_HITS), n - 2);
+    assert_eq!(count(&server, CTR_READAHEAD_FETCHES), n - 2);
+    // Each hint found the helper's one slot free: the helper had taken
+    // the one before it.
+    assert_eq!(count(&server, CTR_READAHEAD_DROPPED), 0);
+    assert_eq!(count(&server, CTR_SHED_EXTRACTIONS), 0);
+    // Looping on is a step too, and its successors (frames 0 and 1) are
+    // resident: hinted, never fetched again.
+    client.fetch(0, 2.5).unwrap();
+    assert_eq!(count(&server, CTR_READAHEAD_HINTS), n);
+    assert_eq!(count(&server, CTR_READAHEAD_FETCHES), n - 2);
+    // The frozen `Stats` reply counts the same requests.
+    let wire = client.stats().unwrap();
+    assert_eq!((wire.cache_hits, wire.cache_misses), (n - 1, 2));
+    drop(client);
+    server.shutdown();
+}
+
+/// Sessions that do not step forward one frame at a time at one
+/// threshold never reach the helper.
+#[test]
+fn sessions_that_do_not_step_hint_nothing() {
+    let server = FrameServer::spawn_loopback(stores(), ServerConfig::default()).unwrap();
+    let connect = || Client::connect_with(server.addr(), ClientConfig::no_retry()).unwrap();
+    // One fetch per session, as connection-churning clients do.
+    for frame in 0..3 {
+        connect().fetch(frame, 2.5).unwrap();
+    }
+    // A fresh threshold per step, a stride, a step backward.
+    let mut client = connect();
+    for (frame, threshold) in [(0, 1.0), (1, 1.5), (3, 1.5), (2, 1.5)] {
+        client.fetch(frame, threshold).unwrap();
+    }
+    assert_eq!(count(&server, CTR_READAHEAD_HINTS), 0);
+    assert_eq!(count(&server, CTR_CACHE_MISSES), 7);
+    drop(client);
+    server.shutdown();
+}
+
+/// A stored server reads ahead only when the run's residency budget
+/// holds the frame being served and its successor together.
+#[test]
+fn a_residency_budget_of_one_frame_is_never_read_ahead() {
+    let path = std::env::temp_dir().join(format!("accelviz-readahead-{}", std::process::id()));
+    write_run_file(&path, &stores(), 4_096).unwrap();
+    let frame_bytes = PARTICLES as u64 * 48;
+    // One extraction at a time in the cache, so every step needs its
+    // frame's particles.
+    let config = ServerConfig {
+        cache_capacity: 1,
+        ..ServerConfig::default()
+    };
+    // Every hint is settled before the next request: taken up (the fetch
+    // has started) or dropped.
+    let settled = |reads_ahead| match reads_ahead {
+        true => CTR_READAHEAD_FETCHES,
+        false => CTR_READAHEAD_DROPPED,
+    };
+    for (budget, reads_ahead) in [(frame_bytes, false), (2 * frame_bytes, true)] {
+        let run = Arc::new(ResidentRun::open(&path, budget).unwrap());
+        let server = FrameServer::spawn_stored_loopback(Arc::clone(&run), config).unwrap();
+        let mut client = Client::connect_with(server.addr(), ClientConfig::no_retry()).unwrap();
+        for k in 0..FRAMES as u64 {
+            if k >= 2 {
+                wait_for(&server, settled(reads_ahead), k - 1);
+            }
+            client.fetch(k as u32, 2.5).unwrap();
+        }
+        // The last step's hint as well: its successor is frame 0, which
+        // the one-entry cache no longer holds.
+        let n = FRAMES as u64;
+        wait_for(&server, settled(reads_ahead), n - 1);
+        let (ahead, misses) = if reads_ahead { (n - 1, 2) } else { (0, n) };
+        assert_eq!(count(&server, CTR_READAHEAD_FETCHES), ahead, "{budget}");
+        assert_eq!(count(&server, CTR_CACHE_MISSES), misses, "{budget}");
+        // One page-in per extraction, whoever ran it: read-ahead moves
+        // page-ins ahead of their requests, it does not add any. Without
+        // it, page-ins are requests.
+        let stats = run.stats();
+        assert_eq!(stats.cold_loads, misses + ahead, "{budget}: {stats:?}");
+        assert!(stats.resident_bytes <= budget, "{budget}: {stats:?}");
+        drop(client);
+        server.shutdown();
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+fn session(server: &FrameServer, version: u16) -> TcpStream {
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    raw_reply(&mut stream, Request::Hello { version });
+    stream
+}
+
+/// Byte parity: whatever shape a session asks in, the reply it gets from
+/// an entry the helper produced (and encoded) ahead of it is, byte for
+/// byte, the reply a fresh server gives the same request cold.
+#[test]
+fn replies_from_read_ahead_entries_equal_cold_replies_byte_for_byte() {
+    let plain = |frame| Request::RequestFrame {
+        frame,
+        threshold: 2.5,
+    };
+    let progressive = |chunk_bytes| {
+        move |frame| Request::RequestFrameProgressive {
+            frame,
+            threshold: 2.5,
+            chunk_bytes,
+        }
+    };
+    // (session version, the shape it steps in, another shape asked of the
+    // same entry afterwards).
+    type Shape = Box<dyn Fn(u32) -> Request>;
+    let cases: Vec<(u16, Shape, Shape)> = vec![
+        (V1, Box::new(plain), Box::new(plain)),
+        (V2, Box::new(plain), Box::new(progressive(2_048))),
+        // The stepped budget is the one the entry keeps; the other is
+        // planned for its request alone.
+        (
+            V2,
+            Box::new(progressive(2_048)),
+            Box::new(progressive(8_192)),
+        ),
+        (V2, Box::new(progressive(0)), Box::new(plain)),
+    ];
+    let data = stores();
+    for (i, (version, stepped, other)) in cases.iter().enumerate() {
+        let ahead = FrameServer::spawn_loopback(data.clone(), ServerConfig::default()).unwrap();
+        let mut stepping = session(&ahead, *version);
+        raw_reply(&mut stepping, stepped(0));
+        raw_reply(&mut stepping, stepped(1));
+        wait_for(&ahead, CTR_READAHEAD_FETCHES, 1);
+        let misses = count(&ahead, CTR_CACHE_MISSES);
+        let from_ahead = [
+            raw_reply(&mut stepping, stepped(2)),
+            raw_reply(&mut stepping, other(2)),
+        ];
+        assert_eq!(
+            count(&ahead, CTR_CACHE_MISSES),
+            misses,
+            "case {i}: frame 2 came from the read-ahead entry"
+        );
+
+        let cold = FrameServer::spawn_loopback(data.clone(), ServerConfig::default()).unwrap();
+        let mut fresh = session(&cold, *version);
+        let from_cold = [
+            raw_reply(&mut fresh, stepped(2)),
+            raw_reply(&mut fresh, other(2)),
+        ];
+        assert_eq!(count(&cold, CTR_READAHEAD_HINTS), 0);
+        assert_ne!(
+            from_ahead[0][6], RESP_ERROR,
+            "case {i}: a frame, not an error"
+        );
+        assert!(from_ahead == from_cold, "case {i}: reply bytes differ");
+
+        drop((stepping, fresh));
+        ahead.shutdown();
+        cold.shutdown();
+    }
+}
+
+/// Stopping a server whose helper is busy and whose queue is occupied is
+/// as bounded as stopping an idle one (the deterministic version, with
+/// the in-flight fetch held open, is a unit test beside the helper).
+#[test]
+fn shutdown_mid_step_is_prompt() {
+    let server = FrameServer::spawn_loopback(stores(), ServerConfig::default()).unwrap();
+    let mut client = Client::connect_with(server.addr(), ClientConfig::no_retry()).unwrap();
+    for frame in 0..3 {
+        client.fetch(frame, 2.5).unwrap();
+    }
+    let t0 = Instant::now();
+    server.shutdown();
+    assert!(t0.elapsed() < Duration::from_secs(2), "{:?}", t0.elapsed());
+    assert!(client.fetch(4, 2.5).is_err(), "the server is gone");
+}
