@@ -70,7 +70,7 @@ pub fn read_snapshot<R: Read>(r: &mut R) -> io::Result<(u64, Vec<Particle>)> {
     }
     let step = u64::from_le_bytes(header[8..16].try_into().unwrap());
     let count = u64::from_le_bytes(header[16..24].try_into().unwrap());
-    // Guard against absurd counts from corrupt headers before allocating.
+    // Refuse absurd counts from corrupt headers before reading anything.
     const MAX_REASONABLE: u64 = 1 << 33;
     if count > MAX_REASONABLE {
         return Err(io::Error::new(
@@ -78,13 +78,16 @@ pub fn read_snapshot<R: Read>(r: &mut R) -> io::Result<(u64, Vec<Particle>)> {
             format!("implausible particle count {count}"),
         ));
     }
-    let mut particles = Vec::with_capacity(count as usize);
+    // `count` is only the header's claim: the vector grows by one I/O chunk
+    // at a time, each reserved after its bytes have arrived.
+    let mut particles = Vec::new();
     let mut buf = vec![0u8; (count as usize).min(IO_CHUNK_PARTICLES) * BYTES_PER_PARTICLE as usize];
     let mut remaining = count as usize;
     while remaining > 0 {
         let n = remaining.min(IO_CHUNK_PARTICLES);
         let bytes = &mut buf[..n * BYTES_PER_PARTICLE as usize];
         r.read_exact(bytes)?;
+        particles.reserve(n);
         for rec in bytes.chunks_exact(BYTES_PER_PARTICLE as usize) {
             let mut a = [0.0f64; 6];
             for (i, c) in a.iter_mut().enumerate() {

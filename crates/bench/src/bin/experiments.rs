@@ -39,7 +39,7 @@ fn main() {
         }
     }
     // With ACCELVIZ_TRACE set, the experiment run leaves a Chrome trace
-    // artifact next to the BENCH_*.json files.
+    // artifact at that path.
     if let Ok(Some(path)) = accelviz_trace::flush() {
         println!("wrote pipeline trace to {}", path.display());
     }

@@ -782,8 +782,7 @@ pub fn fig10(res: usize, n_lines: usize) {
     );
 }
 
-/// FIG1-adjacent: volume-only rendering cost across texture resolutions
-/// (used by the Criterion bench too).
+/// FIG1-adjacent: volume-only rendering cost across texture resolutions.
 pub fn volume_resolution_sweep(n_particles: usize) {
     header(
         "VOLSWEEP",

@@ -3,8 +3,8 @@
 //!
 //! The `experiments` binary (`cargo run -p accelviz-bench --release --bin
 //! experiments -- all`) prints the paper-vs-measured rows recorded in
-//! `EXPERIMENTS.md`; the Criterion benches in `benches/` time the same
-//! workloads.
+//! `EXPERIMENTS.md`; the `pipeline` binary (`src/bin/pipeline/`) is the only
+//! source of a performance number.
 
 #![forbid(unsafe_code)]
 

@@ -1,5 +1,5 @@
-//! Shared workload builders used by both the `experiments` binary and the
-//! Criterion benches, so every figure is regenerated from the same data.
+//! Shared workload builders, so every figure of the `experiments` binary
+//! is regenerated from the same data.
 
 use accelviz_beam::simulation::{BeamConfig, BeamSimulation, Snapshot};
 use accelviz_core::hybrid::HybridFrame;
@@ -65,18 +65,12 @@ pub fn frame_camera(frame: &HybridFrame, aspect: f64) -> Camera {
     )
 }
 
-/// A driven 3-cell cavity simulation advanced to a ringing state.
-/// `res` = grid cells across the cavity diameter.
-pub fn driven_three_cell(res: usize, warmup_steps: usize) -> FdtdSim {
+/// The electric-field snapshot of a driven 3-cell cavity advanced to a
+/// ringing state. `res` = grid cells across the cavity diameter.
+pub fn three_cell_e_field(res: usize, warmup_steps: usize) -> FieldSampler {
     let geometry = CavityGeometry::new(CavitySpec::three_cell());
     let mut sim = FdtdSim::new(FdtdSpec::for_geometry(geometry, res));
     sim.run(warmup_steps);
-    sim
-}
-
-/// The electric-field snapshot of a driven 3-cell cavity.
-pub fn three_cell_e_field(res: usize, warmup_steps: usize) -> FieldSampler {
-    let sim = driven_three_cell(res, warmup_steps);
     FieldSampler::capture(&sim, FieldKind::Electric)
 }
 

@@ -16,6 +16,10 @@ pub const MAGIC: [u8; 8] = *b"AVIZLINE";
 /// Bytes per stored line vertex: 3 × f32 position + f32 magnitude.
 pub const BYTES_PER_VERTEX: u64 = 16;
 
+/// Most lines the reader reserves room for on the strength of the header
+/// alone; a longer set grows as its lines arrive.
+const RESERVE_LINES: usize = 1_024;
+
 /// Exact serialized size of a line set.
 pub fn compact_bytes(lines: &[FieldLine]) -> u64 {
     let header = 8 + 8; // magic + line count
@@ -68,7 +72,9 @@ pub fn deserialize_lines<R: Read>(r: &mut R) -> io::Result<Vec<FieldLine>> {
         r.read_exact(&mut f32b)?;
         Ok(f32::from_le_bytes(f32b))
     };
-    let mut out = Vec::with_capacity(n_lines as usize);
+    // `n_lines` is only the header's claim: reserve a bounded number of
+    // lines and grow as lines (and, inside each, vertices) actually arrive.
+    let mut out = Vec::with_capacity((n_lines as usize).min(RESERVE_LINES));
     for _ in 0..n_lines {
         let mut u32b = [0u8; 4];
         r.read_exact(&mut u32b)?;

@@ -1,60 +1,16 @@
 //! A two-part-store reader's memory is bounded by the records that
 //! arrived, not by a count a header declared. Alone in its test binary,
 //! one read at a time, so the counting allocator sees only the read
-//! under test (the same instrument as `accelviz-serve`'s
-//! `bounded_reads.rs`).
+//! under test (`tests/common/alloc.rs`, the same instrument as
+//! `accelviz-serve`'s `bounded_reads.rs`).
 
 use accelviz_beam::io::{HEADER_BYTES, MAGIC};
 use accelviz_octree::store_io::{extract_from_files, read_node_file, NODE_MAGIC};
-use std::alloc::{GlobalAlloc, Layout, System};
+use alloc::peak_of;
 use std::io::ErrorKind;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
-/// The system allocator, tracking live bytes and their high-water mark.
-struct Counting;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-fn grew(by: usize) {
-    let live = LIVE.fetch_add(by, Ordering::Relaxed) + by;
-    PEAK.fetch_max(live, Ordering::Relaxed);
-}
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the counters touch no allocator state.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        grew(layout.size());
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        grew(new_size);
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-/// Runs `read` alone and returns its outcome with the bytes of
-/// allocation it peaked at.
-fn peak_of<T>(read: impl FnOnce() -> T) -> (T, usize) {
-    static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
-    let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
-    let before = LIVE.load(Ordering::Relaxed);
-    PEAK.store(before, Ordering::Relaxed);
-    let outcome = read();
-    (outcome, PEAK.load(Ordering::Relaxed).saturating_sub(before))
-}
+#[path = "../../../tests/common/alloc.rs"]
+mod alloc;
 
 /// A valid node-file header over the unit cube declaring `n_nodes`.
 fn node_header(n_nodes: u64) -> Vec<u8> {

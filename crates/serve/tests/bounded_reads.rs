@@ -5,54 +5,10 @@
 use accelviz_serve::wire::{decode_frame_v2, read_envelope, PayloadWriter, MAGIC, MAX_PAYLOAD, V2};
 use accelviz_serve::ServeError;
 use accelviz_store::codec::{put_uvarint, CODEC_BITPACK};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use alloc::peak_of;
 
-/// The system allocator, tracking live bytes and their high-water mark.
-struct Counting;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-fn grew(by: usize) {
-    let live = LIVE.fetch_add(by, Ordering::Relaxed) + by;
-    PEAK.fetch_max(live, Ordering::Relaxed);
-}
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the counters touch no allocator state.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        grew(layout.size());
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        grew(new_size);
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-/// Runs `read` alone and returns its outcome with the bytes of
-/// allocation it peaked at.
-fn peak_of<T>(read: impl FnOnce() -> T) -> (T, usize) {
-    static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
-    let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
-    let before = LIVE.load(Ordering::Relaxed);
-    PEAK.store(before, Ordering::Relaxed);
-    let outcome = read();
-    (outcome, PEAK.load(Ordering::Relaxed).saturating_sub(before))
-}
+#[path = "../../../tests/common/alloc.rs"]
+mod alloc;
 
 #[test]
 fn a_header_declaring_a_gibibyte_then_eof_allocates_under_a_mebibyte() {

@@ -12,6 +12,7 @@ use accelviz::octree::plots::PlotType;
 use accelviz::octree::sorted_store::PartitionedData;
 use accelviz::serve::{Client, FrameServer, RemoteFrames, ServeError, ServerConfig};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Deterministic beam snapshots: the same seeds give the server and the
 /// local reference byte-identical partitioned stores.
@@ -22,6 +23,17 @@ fn stores(n: usize, particles: usize) -> Vec<PartitionedData> {
             partition(&ps, PlotType::XYZ, BuildParams::default())
         })
         .collect()
+}
+
+/// Waits, up to a deadline, until the server has counted `n` served
+/// frames. The door counts a frame *after* writing its reply, on the
+/// serving connection's thread, so any other thread can hold the reply
+/// before the count; the assertion that follows still decides the test.
+fn wait_for_frames_served(server: &FrameServer, n: u64) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.stats().frames_served < n && Instant::now() < deadline {
+        std::thread::yield_now();
+    }
 }
 
 #[test]
@@ -161,6 +173,7 @@ fn concurrent_clients_share_the_extraction_cache() {
 
     // 5 clients x 4 pairs, only 4 distinct extractions: the shared cache
     // must have absorbed the overlap.
+    wait_for_frames_served(&server, (n_clients * 4) as u64);
     let stats = server.stats();
     assert_eq!(stats.frames_served, (n_clients * 4) as u64);
     assert_eq!(stats.cache_misses, 4, "one extraction per distinct pair");
@@ -182,6 +195,7 @@ fn stats_counters_are_shared_across_connections() {
     let mut b = Client::connect(server.addr()).unwrap();
     a.fetch(0, t).unwrap();
     b.fetch(0, t).unwrap(); // second connection, same pair: a cache hit
+    wait_for_frames_served(&server, 2);
     let stats = b.stats().unwrap();
     assert_eq!(stats.frames_served, 2);
     assert_eq!(stats.cache_hits, 1);

@@ -55,7 +55,7 @@ fn fast_retry(seed: u64) -> ClientConfig {
     }
 }
 
-/// The acceptance criterion: a 5-frame session under a seeded plan with
+/// The acceptance bar: a 5-frame session under a seeded plan with
 /// ≥1 disconnect, ≥1 truncation, and ≥1 delay completes with every frame
 /// bit-identical to the fault-free run, visible in the fault and client
 /// counters, with zero handler panics server-side.

@@ -10,6 +10,7 @@
 //! "panicked at" — the chaos job greps for that string.
 
 use accelviz::beam::distribution::Distribution;
+use accelviz::beam::simulation::{BeamConfig, BeamSimulation};
 use accelviz::core::hybrid::HybridFrame;
 use accelviz::core::session::{SessionOp, ViewerSession};
 use accelviz::core::viewer::FrameSource;
@@ -22,7 +23,7 @@ use accelviz::serve::fault::{FaultDirection, FaultEvent, FaultKind, FaultPlan};
 use accelviz::serve::lod;
 use accelviz::serve::protocol::{write_response_v, Response, ERR_BAD_REQUEST};
 use accelviz::serve::stats::{CTR_LOD_CHUNKS, CTR_LOD_REQUESTS};
-use accelviz::serve::wire::{encode_frame_v2, V1, V2};
+use accelviz::serve::wire::{encode_frame, encode_frame_v2, V1, V2};
 use accelviz::serve::{
     Client, ClientConfig, FrameServer, RemoteFrames, RetryPolicy, RouterConfig, ServeError,
     ServerConfig, ShardedFrameService,
@@ -81,10 +82,10 @@ fn progressive_refines_bit_identical_to_full_fetch_direct() {
     }
 
     // The coarse head alone is a fraction of the full v2 payload: the
-    // time-to-first-pixel claim. (The <25%-at-default-budget acceptance
-    // number is measured by the lod_stream bench on the fig-1 workload,
-    // which is much larger than one chunk; this frame is not, so pin a
-    // budget well under the frame size.)
+    // time-to-first-pixel claim. (The <25%-at-default-budget bar is
+    // asserted on a fig-1-shaped frame, much larger than one chunk, in
+    // `fig1_frame_compresses_2x_and_leads_with_under_a_quarter`; this
+    // frame is not, so pin a budget well under the frame size.)
     let threshold = threshold_for_budget(&local[0], 1_200);
     let reference = HybridFrame::from_partition(&local[0], 0, threshold, config.volume_dims);
     let records = lod::plan_frame_chunks(&reference, 4 * 1024);
@@ -107,6 +108,50 @@ fn progressive_refines_bit_identical_to_full_fetch_direct() {
         "progressive refetches must hit the same cache entries: {stats:?}"
     );
     server.shutdown();
+}
+
+/// The two size bars of the compressed wire and the progressive stream,
+/// on a figure-1-shaped frame: a halo beam in `X_PX_Y`, a 64³ grid, one
+/// particle in 25 kept as points. The v2 frame is at least 2× smaller than
+/// v1, and at the server's default chunk budget the first progressive
+/// chunk is under a quarter of the full v2 frame. The grid compresses and
+/// the points barely do, so both bars tighten as particles are added
+/// (ratio 3.79 at 10 000, 3.19 at 50 000, 2.76 at 100 000), and the test
+/// uses the 100 000 of the harness's fig-1 beams, which record the same
+/// two numbers as `wire.v2_ratio` and `lod.first_chunk_fraction`. The halo
+/// develops for 10 cells instead of the harness's 40: the bars move by
+/// under 1 % and a debug build takes 1.4 s instead of 4.3 s.
+#[test]
+fn fig1_frame_compresses_2x_and_leads_with_under_a_quarter() {
+    const PARTICLES: usize = 100_000;
+    const CELLS: usize = 10;
+    let mut sim = BeamSimulation::new(BeamConfig::halo_study(PARTICLES, 11));
+    for _ in 0..32 * CELLS {
+        sim.step();
+    }
+    let data = partition(sim.particles(), PlotType::X_PX_Y, BuildParams::default());
+    let threshold = threshold_for_budget(&data, PARTICLES / 25);
+    let frame = HybridFrame::from_partition(&data, 0, threshold, [64, 64, 64]);
+
+    let v1 = encode_frame(&frame);
+    let (v2, _) = encode_frame_v2(&frame);
+    let ratio = v1.len() as f64 / v2.len() as f64;
+    assert!(
+        ratio >= 2.0,
+        "v2 frame {} B vs v1 {} B: {ratio:.2}x",
+        v2.len(),
+        v1.len()
+    );
+
+    let records = lod::plan_frame_chunks(&frame, lod::DEFAULT_CHUNK_BYTES);
+    let fraction = records[0].len() as f64 / v2.len() as f64;
+    assert!(
+        fraction < 0.25,
+        "first chunk {} B is {:.1}% of the {} B v2 frame",
+        records[0].len(),
+        100.0 * fraction,
+        v2.len()
+    );
 }
 
 /// Sharded sessions: the router proxies a progressive request by

@@ -34,7 +34,7 @@ fn run_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("accelviz-ooc-{tag}-{}", std::process::id()))
 }
 
-/// The acceptance criterion for the store tentpole: the served run's
+/// The acceptance bar for the store tentpole: the served run's
 /// particle bytes exceed the residency budget, yet every frame a client
 /// fetches is bit-identical to extracting from the in-memory partition.
 #[test]
