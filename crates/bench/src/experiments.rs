@@ -8,7 +8,7 @@ use accelviz_beam::io::snapshot_bytes;
 use accelviz_core::hybrid::HybridFrame;
 use accelviz_core::remote::TransferReport;
 use accelviz_core::scene::{
-    render_hybrid_frame, render_line_set, GridField, LineRepresentation, RenderMode,
+    grid_view, render_hybrid_frame, render_line_set, LineRepresentation, RenderMode,
 };
 use accelviz_core::transfer::TransferFunctionPair;
 use accelviz_core::viewer::FrameCache;
@@ -796,23 +796,23 @@ pub fn volume_resolution_sweep(n_particles: usize) {
         let cam = workloads::frame_camera(&frame, 1.0);
         let tfs = TransferFunctionPair::linked_at(0.03, 0.01);
         let mut fb = Framebuffer::new(256, 256);
-        let field = GridField(&frame.grid);
-        let vtf = tfs.volume;
         let t0 = Instant::now();
-        let samples = render_volume(
+        let cost = render_volume(
             &mut fb,
             &cam,
-            &field,
-            &move |d| vtf.sample(d),
+            &grid_view(&frame.grid),
+            &tfs.volume,
             &VolumeStyle {
                 steps: res.max(48),
                 ..Default::default()
             },
         );
         println!(
-            "{res:3}³ texture ({:6.2} MB): {:7.1} ms, {samples} samples",
+            "{res:3}³ texture ({:6.2} MB): {:7.1} ms, {} samples, {} evaluated",
             frame.volume_bytes() as f64 / 1e6,
-            ms(t0)
+            ms(t0),
+            cost.samples,
+            cost.evaluated
         );
     }
 }

@@ -33,7 +33,7 @@ pub mod viewer;
 pub use hybrid::HybridFrame;
 pub use pipeline::{process_run, PipelineParams};
 pub use remote::TransferModel;
-pub use scene::{render_hybrid_frame, GridField, RenderMode, SceneStats};
+pub use scene::{render_hybrid_frame, RenderMode, SceneStats};
 pub use session::{SessionOp, ViewerSession};
 pub use shard::ShardSpec;
 pub use transfer::{PointTransferFunction, TransferFunctionPair, VolumeTransferFunction};

@@ -8,7 +8,7 @@ use accelviz_fieldlines::line::FieldLine;
 use accelviz_fieldlines::sos::{sos_strip, SosParams};
 use accelviz_fieldlines::style::LineStyle;
 use accelviz_fieldlines::tube::{tube_triangles, TubeParams};
-use accelviz_math::{Aabb, Rgba, Vec3};
+use accelviz_math::Rgba;
 use accelviz_octree::density::DensityGrid;
 use accelviz_render::camera::Camera;
 use accelviz_render::framebuffer::Framebuffer;
@@ -17,19 +17,7 @@ use accelviz_render::rasterizer::{draw_triangle, draw_triangle_strip, RasterOpti
 use accelviz_render::shading::{shade_tube_fragment, Material};
 use accelviz_render::texture::tube_bump_map;
 use accelviz_render::transparency::TransparentQueue;
-use accelviz_render::volume::{render_volume, ScalarField3, VolumeStyle};
-
-/// Adapter: a [`DensityGrid`] as the volume renderer's scalar field.
-pub struct GridField<'a>(pub &'a DensityGrid);
-
-impl ScalarField3 for GridField<'_> {
-    fn bounds(&self) -> Aabb {
-        *self.0.bounds()
-    }
-    fn sample(&self, p: Vec3) -> f64 {
-        self.0.sample_normalized(p)
-    }
-}
+use accelviz_render::volume::{render_volume, GridView, VolumeStyle};
 
 /// Which part of the hybrid image to render (Figure 4 shows all three).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -45,7 +33,9 @@ pub enum RenderMode {
 /// Cost counters of a rendered scene.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SceneStats {
-    /// Field samples taken by the volume ray-caster (fill-rate proxy).
+    /// Ray steps the volume ray-caster took through the volume (the
+    /// fill-rate proxy: what a texture-slicing GPU pays for the image).
+    /// Steps it skipped as provably transparent still count.
     pub volume_samples: u64,
     /// Points actually splatted.
     pub points_drawn: usize,
@@ -53,6 +43,18 @@ pub struct SceneStats {
     pub triangles: usize,
     /// Fragments written by triangle rasterization.
     pub fragments: usize,
+}
+
+/// The volume pass's view of a density grid, with the grid's own slot for
+/// the empty-space bound.
+pub fn grid_view(g: &DensityGrid) -> GridView<'_> {
+    GridView::new(
+        g.data(),
+        g.dims(),
+        *g.bounds(),
+        g.max_value(),
+        g.volume_bound(),
+    )
 }
 
 /// Renders a hybrid frame. The volume pass uses the pair's volume TF; the
@@ -72,16 +74,15 @@ pub fn render_hybrid_frame(
     let mut stats = SceneStats::default();
 
     if mode != RenderMode::PointsOnly {
-        let field = GridField(&frame.grid);
-        let vtf = tfs.volume;
-        let transfer = move |d: f64| vtf.sample(d);
-        stats.volume_samples = render_volume(fb, camera, &field, &transfer, volume_style);
+        let grid = grid_view(&frame.grid);
+        stats.volume_samples = render_volume(fb, camera, &grid, &tfs.volume, volume_style).samples;
     }
 
     if mode != RenderMode::VolumeOnly {
         let mut span = accelviz_trace::span("render.points_pass");
         let positions = frame.point_positions();
         let (w, h) = (fb.width(), fb.height());
+        let projector = camera.projector(w, h);
         for (i, &p) in positions.iter().enumerate() {
             let fraction = tfs.point.fraction(frame.point_densities[i]);
             // Also honor any global subsample in the style.
@@ -89,7 +90,7 @@ pub fn render_hybrid_frame(
             if keep < 1.0 && !keep_point(i as u64, keep) {
                 continue;
             }
-            let Some((px, py, z)) = camera.project_to_pixel(p, w, h) else {
+            let Some((px, py, z)) = projector.to_pixel(p) else {
                 continue;
             };
             if !(-1.0..=1.0).contains(&z) {
@@ -195,9 +196,10 @@ pub fn render_points_by_attribute(
         });
     let span = (hi - lo).max(1e-300);
     let (w, h) = (fb.width(), fb.height());
+    let projector = camera.projector(w, h);
     let mut drawn = 0;
     for (i, &pos) in positions.iter().enumerate() {
-        let Some((px, py, z)) = camera.project_to_pixel(pos, w, h) else {
+        let Some((px, py, z)) = projector.to_pixel(pos) else {
             continue;
         };
         if !(-1.0..=1.0).contains(&z) {
@@ -496,6 +498,7 @@ pub fn render_focus_context(
 mod tests {
     use super::*;
     use accelviz_beam::distribution::Distribution;
+    use accelviz_math::Vec3;
     use accelviz_octree::builder::{partition, BuildParams};
     use accelviz_octree::extraction::threshold_for_budget;
     use accelviz_octree::plots::PlotType;

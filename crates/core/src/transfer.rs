@@ -18,6 +18,7 @@
 //! volume- and the point-rendered regions."
 
 use accelviz_math::{smoothstep, Rgba};
+use accelviz_render::volume::VolumeTransfer;
 
 /// The volume transfer function: a step at `threshold` with a smooth ramp
 /// of width `ramp_width`, topping out at `max_opacity` (kept low "so that
@@ -67,6 +68,19 @@ impl VolumeTransferFunction {
         self.low_color
             .lerp(self.high_color, t)
             .with_alpha(self.max_opacity * w as f32)
+    }
+}
+
+/// What lets the volume pass skip empty space: the ramp's lower edge.
+/// Below it smoothstep is 0 (with `ramp_width > 0` it is 0 *at* the edge
+/// too); with `ramp_width == 0` the edge is the threshold itself, which is
+/// visible — so the level is exclusive.
+impl VolumeTransfer for VolumeTransferFunction {
+    fn transparent_below(&self) -> f64 {
+        self.threshold - self.ramp_width
+    }
+    fn sample(&self, d: f64) -> Rgba {
+        VolumeTransferFunction::sample(self, d)
     }
 }
 
@@ -213,6 +227,29 @@ mod tests {
         };
         assert_eq!(tf.weight(tf.threshold - 1e-9), 0.0);
         assert_eq!(tf.weight(tf.threshold + 1e-9), 1.0);
+    }
+
+    #[test]
+    fn volume_tf_is_transparent_strictly_below_its_level() {
+        for (threshold, ramp_width) in [(0.05, 0.02), (0.3, 0.0), (0.0, 0.0), (1.0, 0.5)] {
+            let tf = VolumeTransferFunction {
+                threshold,
+                ramp_width,
+                ..Default::default()
+            };
+            let level = tf.transparent_below();
+            for d in [level - 1.0, level - 1e-9, level.next_down(), -0.0] {
+                if d < level {
+                    assert_eq!(tf.sample(d).a, 0.0, "{tf:?} visible at {d}");
+                }
+            }
+        }
+        // A hard step is visible at its threshold: the level is exclusive.
+        let step = VolumeTransferFunction {
+            ramp_width: 0.0,
+            ..Default::default()
+        };
+        assert!(step.sample(step.transparent_below()).a > 0.0);
     }
 
     #[test]

@@ -12,9 +12,9 @@
 
 use crate::hybrid::HybridFrame;
 use accelviz_render::texmem::TextureMemory;
-use parking_lot::Mutex;
 use std::io;
 use std::sync::Arc;
+use std::sync::{Mutex, MutexGuard};
 
 /// Result of stepping the viewer to a frame.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -157,22 +157,22 @@ impl FrameCache {
 
     /// Number of frames the cache knows about.
     pub fn frame_count(&self) -> usize {
-        self.inner.lock().frames.len()
+        lock(&self.inner).frames.len()
     }
 
     /// Number of frames currently resident in main memory.
     pub fn resident_count(&self) -> usize {
-        self.inner.lock().resident.len()
+        lock(&self.inner).resident.len()
     }
 
     /// Cache hits so far.
     pub fn hits(&self) -> u64 {
-        self.inner.lock().hits
+        lock(&self.inner).hits
     }
 
     /// Cache misses so far.
     pub fn misses(&self) -> u64 {
-        self.inner.lock().misses
+        lock(&self.inner).misses
     }
 
     /// Prefetches the frames around `current` (the keyboard-stepping
@@ -208,7 +208,7 @@ impl FrameCache {
     }
 
     fn step_to_internal(&self, frame: usize, prefetch: bool) -> FrameLoad {
-        let mut g = self.inner.lock();
+        let mut g = lock(&self.inner);
         assert!(frame < g.frames.len(), "frame {frame} out of range");
         let (total, tex) = g.frames[frame];
 
@@ -259,6 +259,12 @@ impl FrameCache {
             partial: false,
         }
     }
+}
+
+/// Locks, ignoring poison: a panicked holder leaves nothing half-updated
+/// that the next holder could trip over.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 #[cfg(test)]

@@ -1,6 +1,9 @@
 //! Scalar interpolation kernels shared by the transfer functions, the
 //! volume sampler, and the field interpolators.
 
+use crate::aabb::Aabb;
+use crate::vec3::Vec3;
+
 /// Linear interpolation `a + t (b - a)`.
 #[inline]
 pub fn lerp(a: f64, b: f64, t: f64) -> f64 {
@@ -32,6 +35,44 @@ pub fn trilinear(c: &[f64; 8], u: f64, v: f64, w: f64) -> f64 {
     let y0 = lerp(x00, x10, v);
     let y1 = lerp(x01, x11, v);
     lerp(y0, y1, w)
+}
+
+/// Trilinearly interpolated, cell-centred value of an x-fastest `dims`
+/// grid over `bounds` at `p`, divided by `max`: 0 outside the bounds or
+/// when `max <= 0`. The "3-D texture fetch" of the volume renderer; the
+/// octree's `DensityGrid` and the renderer's grid view both sample
+/// through it, so they cannot disagree by a bit.
+#[inline]
+pub fn sample_grid(data: &[f32], dims: [usize; 3], bounds: &Aabb, max: f32, p: Vec3) -> f64 {
+    if max <= 0.0 {
+        return 0.0;
+    }
+    let t = bounds.normalized_coords(p);
+    if !(0.0..=1.0).contains(&t.x) || !(0.0..=1.0).contains(&t.y) || !(0.0..=1.0).contains(&t.z) {
+        return 0.0;
+    }
+    let fx = (t.x * dims[0] as f64 - 0.5).clamp(0.0, (dims[0] - 1) as f64);
+    let fy = (t.y * dims[1] as f64 - 0.5).clamp(0.0, (dims[1] - 1) as f64);
+    let fz = (t.z * dims[2] as f64 - 0.5).clamp(0.0, (dims[2] - 1) as f64);
+    // Clamped non-negative, so truncation is the floor (without a libm call).
+    let (x0, y0, z0) = (fx as usize, fy as usize, fz as usize);
+    let (x1, y1, z1) = (
+        (x0 + 1).min(dims[0] - 1),
+        (y0 + 1).min(dims[1] - 1),
+        (z0 + 1).min(dims[2] - 1),
+    );
+    let at = |x: usize, y: usize, z: usize| data[x + dims[0] * (y + dims[1] * z)] as f64;
+    let c = [
+        at(x0, y0, z0),
+        at(x1, y0, z0),
+        at(x0, y1, z0),
+        at(x1, y1, z0),
+        at(x0, y0, z1),
+        at(x1, y0, z1),
+        at(x0, y1, z1),
+        at(x1, y1, z1),
+    ];
+    trilinear(&c, fx - x0 as f64, fy - y0 as f64, fz - z0 as f64) / max as f64
 }
 
 /// Centripetal-flavoured Catmull-Rom interpolation through `p1`..`p2` with

@@ -26,7 +26,7 @@ pub mod vec4;
 
 pub use aabb::Aabb;
 pub use color::Rgba;
-pub use interp::{catmull_rom, lerp, smoothstep, trilinear};
+pub use interp::{catmull_rom, lerp, sample_grid, smoothstep, trilinear};
 pub use mat4::Mat4;
 pub use quat::Quat;
 pub use ray::Ray;

@@ -8,11 +8,12 @@
 
 use crate::plots::PlotType;
 use accelviz_beam::particle::Particle;
-use accelviz_math::{trilinear, Aabb, Vec3};
+use accelviz_math::{sample_grid, Aabb, Vec3};
 use rayon::prelude::*;
+use std::sync::OnceLock;
 
 /// A regular 3-D grid of particle density over a bounding box.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 pub struct DensityGrid {
     dims: [usize; 3],
     bounds: Aabb,
@@ -20,6 +21,19 @@ pub struct DensityGrid {
     /// in particles per cell.
     data: Vec<f32>,
     max_value: f32,
+    /// See [`DensityGrid::volume_bound`].
+    volume_bound: OnceLock<Vec<f32>>,
+}
+
+/// Equality is over what the grid *is* — dims, bounds, cells (and the max
+/// derived from them) — never over the renderer's cached bound.
+impl PartialEq for DensityGrid {
+    fn eq(&self, other: &DensityGrid) -> bool {
+        self.dims == other.dims
+            && self.bounds == other.bounds
+            && self.data == other.data
+            && self.max_value == other.max_value
+    }
 }
 
 impl DensityGrid {
@@ -65,24 +79,12 @@ impl DensityGrid {
                     a
                 },
             );
-        let max_value = data.iter().copied().fold(0.0f32, f32::max);
-        DensityGrid {
-            dims,
-            bounds,
-            data,
-            max_value,
-        }
+        DensityGrid::from_raw(bounds, dims, data)
     }
 
     /// An all-zero grid (useful for incremental accumulation in tests).
     pub fn zeros(bounds: Aabb, dims: [usize; 3]) -> DensityGrid {
-        assert!(dims.iter().all(|&d| d > 0));
-        DensityGrid {
-            dims,
-            bounds,
-            data: vec![0.0; dims[0] * dims[1] * dims[2]],
-            max_value: 0.0,
-        }
+        DensityGrid::from_raw(bounds, dims, vec![0.0; dims.iter().product()])
     }
 
     /// Reconstructs a grid from previously computed cell values, e.g. when
@@ -102,6 +104,7 @@ impl DensityGrid {
             bounds,
             data,
             max_value,
+            volume_bound: OnceLock::new(),
         }
     }
 
@@ -142,39 +145,16 @@ impl DensityGrid {
     /// point (0 outside the grid, in [0, 1] inside). This is the "3-D
     /// texture fetch" of the software volume renderer.
     pub fn sample_normalized(&self, p: Vec3) -> f64 {
-        if self.max_value <= 0.0 {
-            return 0.0;
-        }
-        let t = self.bounds.normalized_coords(p);
-        if !(0.0..=1.0).contains(&t.x) || !(0.0..=1.0).contains(&t.y) || !(0.0..=1.0).contains(&t.z)
-        {
-            return 0.0;
-        }
-        // Cell-centered sampling.
-        let fx = (t.x * self.dims[0] as f64 - 0.5).clamp(0.0, (self.dims[0] - 1) as f64);
-        let fy = (t.y * self.dims[1] as f64 - 0.5).clamp(0.0, (self.dims[1] - 1) as f64);
-        let fz = (t.z * self.dims[2] as f64 - 0.5).clamp(0.0, (self.dims[2] - 1) as f64);
-        let (x0, y0, z0) = (
-            fx.floor() as usize,
-            fy.floor() as usize,
-            fz.floor() as usize,
-        );
-        let (x1, y1, z1) = (
-            (x0 + 1).min(self.dims[0] - 1),
-            (y0 + 1).min(self.dims[1] - 1),
-            (z0 + 1).min(self.dims[2] - 1),
-        );
-        let c = [
-            self.at(x0, y0, z0) as f64,
-            self.at(x1, y0, z0) as f64,
-            self.at(x0, y1, z0) as f64,
-            self.at(x1, y1, z0) as f64,
-            self.at(x0, y0, z1) as f64,
-            self.at(x1, y0, z1) as f64,
-            self.at(x0, y1, z1) as f64,
-            self.at(x1, y1, z1) as f64,
-        ];
-        trilinear(&c, fx - x0 as f64, fy - y0 as f64, fz - z0 as f64) / self.max_value as f64
+        sample_grid(&self.data, self.dims, &self.bounds, self.max_value, p)
+    }
+
+    /// The grid's slot for the volume renderer's empty-space bound
+    /// (`accelviz_render::volume::GridView`): filled on the first render
+    /// and kept as long as the grid, so an orbiting camera never rebuilds
+    /// it. Derived from the cells alone, it is not part of equality, the
+    /// wire format or a cache weight.
+    pub fn volume_bound(&self) -> &OnceLock<Vec<f32>> {
+        &self.volume_bound
     }
 
     /// Size of this grid as a 3-D texture: one byte per voxel after the

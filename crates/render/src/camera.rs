@@ -1,6 +1,6 @@
 //! Perspective camera and the world → pixel transform pipeline.
 
-use accelviz_math::{Mat4, Vec3};
+use accelviz_math::{Mat4, Vec3, Vec4};
 
 /// A right-handed perspective camera.
 #[derive(Clone, Copy, Debug)]
@@ -71,25 +71,14 @@ impl Camera {
         (self.target - self.eye).normalized_or(-Vec3::UNIT_Z)
     }
 
-    /// Projects a world point to pixel coordinates + NDC depth for a
-    /// `width`×`height` viewport. Returns `None` for points behind the
-    /// near plane or at infinity.
-    pub fn project_to_pixel(
-        &self,
-        p: Vec3,
-        width: usize,
-        height: usize,
-    ) -> Option<(f64, f64, f64)> {
-        let clip = self
-            .view_projection()
-            .mul_vec4(accelviz_math::Vec4::from_point(p));
-        if clip.w <= 0.0 {
-            return None; // behind the eye
+    /// The world → pixel transform for a `width`×`height` viewport, with
+    /// the view-projection matrix built once for a whole pass.
+    pub fn projector(&self, width: usize, height: usize) -> Projector {
+        Projector {
+            view_projection: self.view_projection(),
+            width: width as f64,
+            height: height as f64,
         }
-        let ndc = clip.project()?;
-        let x = (ndc.x * 0.5 + 0.5) * width as f64;
-        let y = (1.0 - (ndc.y * 0.5 + 0.5)) * height as f64;
-        Some((x, y, ndc.z))
     }
 
     /// The approximate projected size in pixels of a world-space length
@@ -99,6 +88,31 @@ impl Camera {
     pub fn pixels_per_world_unit(&self, dist: f64, height: usize) -> f64 {
         let view_height = 2.0 * dist.max(self.near) * (self.fovy / 2.0).tan();
         height as f64 / view_height
+    }
+}
+
+/// A camera's world → pixel transform for one viewport
+/// ([`Camera::projector`]).
+#[derive(Clone, Copy, Debug)]
+pub struct Projector {
+    view_projection: Mat4,
+    width: f64,
+    height: f64,
+}
+
+impl Projector {
+    /// Projects a world point to pixel coordinates + NDC depth. Returns
+    /// `None` for points behind the near plane or at infinity.
+    #[inline]
+    pub fn to_pixel(&self, p: Vec3) -> Option<(f64, f64, f64)> {
+        let clip = self.view_projection.mul_vec4(Vec4::from_point(p));
+        if clip.w <= 0.0 {
+            return None; // behind the eye
+        }
+        let ndc = clip.project()?;
+        let x = (ndc.x * 0.5 + 0.5) * self.width;
+        let y = (1.0 - (ndc.y * 0.5 + 0.5)) * self.height;
+        Some((x, y, ndc.z))
     }
 }
 
@@ -112,7 +126,7 @@ mod tests {
 
     #[test]
     fn target_projects_to_viewport_center() {
-        let (x, y, z) = cam().project_to_pixel(Vec3::ZERO, 200, 100).unwrap();
+        let (x, y, z) = cam().projector(200, 100).to_pixel(Vec3::ZERO).unwrap();
         assert!((x - 100.0).abs() < 1e-9);
         assert!((y - 50.0).abs() < 1e-9);
         assert!(z > -1.0 && z < 1.0);
@@ -120,33 +134,24 @@ mod tests {
 
     #[test]
     fn points_behind_eye_are_rejected() {
-        assert!(cam()
-            .project_to_pixel(Vec3::new(0.0, 0.0, 10.0), 100, 100)
-            .is_none());
+        let p = cam().projector(100, 100);
+        assert!(p.to_pixel(Vec3::new(0.0, 0.0, 10.0)).is_none());
     }
 
     #[test]
     fn right_is_right_up_is_up() {
-        let c = cam();
-        let (xr, _, _) = c
-            .project_to_pixel(Vec3::new(1.0, 0.0, 0.0), 100, 100)
-            .unwrap();
-        let (_, yu, _) = c
-            .project_to_pixel(Vec3::new(0.0, 1.0, 0.0), 100, 100)
-            .unwrap();
+        let p = cam().projector(100, 100);
+        let (xr, _, _) = p.to_pixel(Vec3::new(1.0, 0.0, 0.0)).unwrap();
+        let (_, yu, _) = p.to_pixel(Vec3::new(0.0, 1.0, 0.0)).unwrap();
         assert!(xr > 50.0, "world +x must land right of center");
         assert!(yu < 50.0, "world +y must land above center (row 0 is top)");
     }
 
     #[test]
     fn nearer_points_have_smaller_depth() {
-        let c = cam();
-        let (_, _, z_near) = c
-            .project_to_pixel(Vec3::new(0.0, 0.0, 2.0), 100, 100)
-            .unwrap();
-        let (_, _, z_far) = c
-            .project_to_pixel(Vec3::new(0.0, 0.0, -2.0), 100, 100)
-            .unwrap();
+        let p = cam().projector(100, 100);
+        let (_, _, z_near) = p.to_pixel(Vec3::new(0.0, 0.0, 2.0)).unwrap();
+        let (_, _, z_far) = p.to_pixel(Vec3::new(0.0, 0.0, -2.0)).unwrap();
         assert!(z_near < z_far);
     }
 
@@ -155,7 +160,7 @@ mod tests {
         let c = Camera::orbit(Vec3::new(1.0, 2.0, 3.0), 10.0, 0.7, 0.3, 1.5);
         assert!((c.eye.distance(Vec3::new(1.0, 2.0, 3.0)) - 10.0).abs() < 1e-9);
         assert_eq!(c.target, Vec3::new(1.0, 2.0, 3.0));
-        let (x, y, _) = c.project_to_pixel(c.target, 100, 100).unwrap();
+        let (x, y, _) = c.projector(100, 100).to_pixel(c.target).unwrap();
         assert!((x - 50.0).abs() < 1e-6 && (y - 50.0).abs() < 1e-6);
     }
 

@@ -80,8 +80,9 @@ impl DisplayList {
             frags += f;
         }
         let (w, h) = (fb.width(), fb.height());
+        let projector = camera.projector(w, h);
         for &(pos, color) in &self.points {
-            if let Some((px, py, z)) = camera.project_to_pixel(pos, w, h) {
+            if let Some((px, py, z)) = projector.to_pixel(pos) {
                 if !(-1.0..=1.0).contains(&z) {
                     continue;
                 }

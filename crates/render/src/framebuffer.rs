@@ -77,10 +77,8 @@ impl Framebuffer {
             return;
         }
         self.color[i] = c.over(self.color[i]);
-        if write_depth && c.a > 0.999 {
-            self.depth[i] = z;
-        } else if write_depth {
-            // Partial coverage still occludes in the hardware pipeline when
+        if write_depth {
+            // Partial coverage occludes too in the hardware pipeline when
             // depth writes are on.
             self.depth[i] = z;
         }

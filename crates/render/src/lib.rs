@@ -11,7 +11,7 @@
 //! - [`camera`] — perspective camera and the world → pixel pipeline.
 //! - [`rasterizer`] — z-buffered, perspective-correct triangle and
 //!   triangle-strip rasterization (the fixed-function geometry path).
-//! - [`volume`] — ray-cast volume rendering through a scalar field with a
+//! - [`volume`] — ray-cast volume rendering of a density grid through a
 //!   transfer function (the 3-D-texture volume rendering path).
 //! - [`points`] — point splatting with transfer-function-driven
 //!   subsampling (the point-rendering path of the hybrid method).
@@ -49,4 +49,4 @@ pub use texmem::TextureMemory;
 pub use texture::Texture2;
 pub use trackball::Trackball;
 pub use transparency::TransparentQueue;
-pub use volume::{render_volume, ScalarField3, VolumeStyle};
+pub use volume::{render_volume, GridView, VolumeCost, VolumeStyle, VolumeTransfer};

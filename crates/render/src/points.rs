@@ -64,13 +64,14 @@ pub fn splat_points(
     points: &[Vec3],
     style: &PointStyle,
 ) -> usize {
-    let (w, h) = (fb.width(), fb.height());
+    let h = fb.height();
+    let projector = camera.projector(fb.width(), h);
     let mut drawn = 0usize;
     for (i, &p) in points.iter().enumerate() {
         if style.fraction < 1.0 && !keep_point(i as u64, style.fraction) {
             continue;
         }
-        let Some((px, py, z)) = camera.project_to_pixel(p, w, h) else {
+        let Some((px, py, z)) = projector.to_pixel(p) else {
             continue;
         };
         if !(-1.0..=1.0).contains(&z) {

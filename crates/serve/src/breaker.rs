@@ -21,7 +21,7 @@
 //! transition is surfaced as a [`Transition`] so the router can land it
 //! on the `router.breaker_*` counters.
 
-use parking_lot::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// When a shard's breaker trips and how long it stays tripped.
@@ -107,7 +107,7 @@ impl CircuitBreaker {
 
     /// The current state, for gauges and tests.
     pub fn state(&self) -> BreakerState {
-        match *self.state.lock() {
+        match *lock(&self.state) {
             State::Closed { .. } => BreakerState::Closed,
             State::Open { .. } => BreakerState::Open,
             State::HalfOpen { .. } => BreakerState::HalfOpen,
@@ -122,7 +122,7 @@ impl CircuitBreaker {
     /// forever. The caller supplies the clock, so the state machine is
     /// a pure function of the instants it is shown.
     pub fn admit(&self, now: Instant) -> (Admission, Option<Transition>) {
-        let mut state = self.state.lock();
+        let mut state = lock(&self.state);
         match *state {
             State::Closed { .. } => (Admission::Allow, None),
             State::Open { until } if now >= until => {
@@ -151,7 +151,7 @@ impl CircuitBreaker {
     /// Reports a successful upstream operation (request or probe): the
     /// breaker closes from any state and the failure count resets.
     pub fn on_success(&self) -> Option<Transition> {
-        let mut state = self.state.lock();
+        let mut state = lock(&self.state);
         let was_closed = matches!(*state, State::Closed { .. });
         *state = State::Closed {
             consecutive_failures: 0,
@@ -168,7 +168,7 @@ impl CircuitBreaker {
     /// trial re-opens; a failure reported while already Open (a request
     /// admitted before the trip) refreshes the cooldown window.
     pub fn on_failure(&self, now: Instant) -> Option<Transition> {
-        let mut state = self.state.lock();
+        let mut state = lock(&self.state);
         match *state {
             State::Closed {
                 consecutive_failures,
@@ -205,7 +205,7 @@ impl CircuitBreaker {
     /// `set_shard_addr` operator override: a pool repointed at a
     /// replacement shard must not inherit the dead one's verdict.
     pub fn reset(&self) -> Option<Transition> {
-        let mut state = self.state.lock();
+        let mut state = lock(&self.state);
         let was_closed = matches!(*state, State::Closed { .. });
         *state = State::Closed {
             consecutive_failures: 0,
@@ -216,6 +216,12 @@ impl CircuitBreaker {
             Some(Transition::Closed)
         }
     }
+}
+
+/// Locks, ignoring poison: a panicked holder leaves nothing half-updated
+/// that the next holder could trip over.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 #[cfg(test)]

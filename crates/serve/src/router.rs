@@ -60,10 +60,10 @@ use accelviz_core::shard::{splitmix64, ShardSpec};
 use accelviz_octree::sorted_store::PartitionedData;
 use accelviz_store::ResidentRun;
 use accelviz_trace::registry::Registry;
-use parking_lot::Mutex;
 use std::io;
 use std::net::SocketAddr;
 use std::sync::Arc;
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Registry counter: requests the router handled, across all clients
@@ -385,7 +385,7 @@ impl Upstream {
         self.note(if alive {
             self.breaker.on_success()
         } else {
-            self.idle.lock().clear();
+            lock(&self.idle).clear();
             self.breaker.on_failure(Instant::now())
         });
     }
@@ -412,25 +412,25 @@ impl Upstream {
         // shard can take a whole connect timeout, and must block neither
         // the pool nor a repoint.
         let dial = || {
-            let addr = *self.addr.lock();
+            let addr = *lock(&self.addr);
             Client::connect_with(addr, self.config)
         };
         let run = |mut client: Client| -> crate::error::Result<T> {
             let value = op(&mut client)?;
-            let mut idle = self.idle.lock();
+            let mut idle = lock(&self.idle);
             if idle.len() < self.max_idle {
                 idle.push(client);
             }
             Ok(value)
         };
-        let pooled = self.idle.lock().pop();
+        let pooled = lock(&self.idle).pop();
         let reused = pooled.is_some();
         let mut result = pooled.map_or_else(dial, Ok).and_then(run);
         // A pooled connection the shard hung up on while it sat idle (its
         // `read_timeout`, or a restart on the same address) is no verdict
         // on the shard: drop its equally old siblings and redial once.
         if reused && result.as_ref().is_err_and(hung_up) {
-            self.idle.lock().clear();
+            lock(&self.idle).clear();
             result = dial().and_then(run);
         }
         match &result {
@@ -759,7 +759,7 @@ impl FrameRouter {
             Prober::spawn(
                 config.health,
                 verdicts.upstreams.len(),
-                move |i| *addrs.upstreams[i].addr.lock(),
+                move |i| *lock(&addrs.upstreams[i].addr),
                 move |i, ok| {
                     let counter = if ok {
                         CTR_ROUTER_PROBE_OK
@@ -816,8 +816,8 @@ impl FrameRouter {
                 self.shard_count()
             ))
         })?;
-        *upstream.addr.lock() = addr;
-        upstream.idle.lock().clear();
+        *lock(&upstream.addr) = addr;
+        lock(&upstream.idle).clear();
         upstream.note(upstream.breaker.reset());
         Ok(())
     }
@@ -1147,6 +1147,12 @@ fn spawn_shard(source: &ShardSource, config: ServerConfig) -> io::Result<FrameSe
         ShardSource::Sliced(slice) => FrameServer::spawn_loopback(slice.clone(), config),
         ShardSource::Stored(run) => FrameServer::spawn_stored_loopback(Arc::clone(run), config),
     }
+}
+
+/// Locks, ignoring poison: a panicked holder leaves nothing half-updated
+/// that the next holder could trip over.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 #[cfg(test)]

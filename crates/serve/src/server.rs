@@ -62,11 +62,11 @@ use accelviz_octree::extraction::{threshold_for_budget, threshold_for_budget_tre
 use accelviz_octree::sorted_store::PartitionedData;
 use accelviz_store::ResidentRun;
 use accelviz_trace::registry::Registry;
-use parking_lot::Mutex;
 use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
+use std::sync::{Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -240,7 +240,7 @@ impl Handler for Shared {
     /// brought it is waiting for its own frame.
     fn read_ahead(&self, hint: ReadAhead) {
         self.metrics.add(CTR_READAHEAD_HINTS, 1);
-        let hints = self.hints.lock();
+        let hints = lock(&self.hints);
         if hints.as_ref().is_none_or(|tx| tx.try_send(hint).is_err()) {
             self.metrics.add(CTR_READAHEAD_DROPPED, 1);
         }
@@ -280,7 +280,7 @@ impl Shared {
     /// finishes (a fetch others may have coalesced onto is never
     /// abandoned), a queued one is discarded.
     fn stop_helper(&self, helper: Option<JoinHandle<()>>) {
-        *self.hints.lock() = None;
+        *lock(&self.hints) = None;
         if let Some(helper) = helper {
             let _ = helper.join();
         }
@@ -370,7 +370,7 @@ impl Shared {
 fn read_ahead_loop(shared: &Shared, hints: mpsc::Receiver<ReadAhead>) {
     while let Ok(hint) = hints.recv() {
         // Stopping: what is still queued is nobody's next frame.
-        if shared.hints.lock().is_none() {
+        if lock(&shared.hints).is_none() {
             break;
         }
         let run = std::panic::AssertUnwindSafe(|| shared.speculate(hint));
@@ -520,6 +520,12 @@ fn try_extraction_permit(shared: &Shared) -> Option<CountGuard<'_>> {
             Err(actual) => current = actual,
         }
     }
+}
+
+/// Locks, ignoring poison: a panicked holder leaves nothing half-updated
+/// that the next holder could trip over.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 #[cfg(test)]
@@ -705,7 +711,7 @@ mod tests {
                 count(CTR_READAHEAD_HINTS) - count(CTR_READAHEAD_DROPPED) == 2
             });
             let stopper = s.spawn(move || shared.stop_helper(helper));
-            wait_until(|| shared.hints.lock().is_none());
+            wait_until(|| lock(&shared.hints).is_none());
             release_tx.send(()).unwrap();
             stopper.join().unwrap();
             assert_eq!(count(CTR_READAHEAD_FETCHES), 0, "frame 2 was never fetched");

@@ -25,10 +25,9 @@
 //! next eviction victim. A zero budget is that rule applied to every
 //! value: the cache holds exactly the newest one.
 
-use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// How [`Cache::get_or_fetch`] answered a lookup.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -64,7 +63,7 @@ enum Settled<V, E> {
 /// In-flight fetch of one key. Waiters block on `cv` until `settled` is
 /// filled.
 struct Pending<V, E> {
-    settled: StdMutex<Option<Settled<V, E>>>,
+    settled: Mutex<Option<Settled<V, E>>>,
     cv: Condvar,
     /// Waiters that have taken the `settled` lock: the fetcher publishes
     /// under that lock, so a fetch still running that counts `n` here
@@ -137,7 +136,7 @@ impl<K: Clone + Eq + Hash, V, E: Clone> Cache<K, V, E> {
 
     /// Current occupancy and evictions so far.
     pub fn stats(&self) -> CacheStats {
-        let g = self.inner.lock();
+        let g = lock(&self.inner);
         CacheStats {
             entries: g.order.len(),
             weight: g.weight,
@@ -147,13 +146,13 @@ impl<K: Clone + Eq + Hash, V, E: Clone> Cache<K, V, E> {
 
     /// The resident value under `key`, marked most recently used.
     pub fn get(&self, key: &K) -> Option<Arc<V>> {
-        self.inner.lock().touch(key)
+        lock(&self.inner).touch(key)
     }
 
     /// Makes `value` the resident, most recently used value under `key`,
     /// evicting least recently used values until the budget holds.
     pub fn insert(&self, key: K, value: Arc<V>) {
-        self.admit(&mut self.inner.lock(), key, value);
+        self.admit(&mut lock(&self.inner), key, value);
     }
 
     /// Returns the value for `key`, running `fetch` when it is neither
@@ -167,7 +166,7 @@ impl<K: Clone + Eq + Hash, V, E: Clone> Cache<K, V, E> {
     ) -> (Result<Arc<V>, E>, Lookup) {
         loop {
             let pending = {
-                let mut g = self.inner.lock();
+                let mut g = lock(&self.inner);
                 if let Some(value) = g.touch(&key) {
                     return (Ok(value), Lookup::Hit);
                 }
@@ -175,7 +174,7 @@ impl<K: Clone + Eq + Hash, V, E: Clone> Cache<K, V, E> {
                     Some(Entry::Fetching(p)) => Arc::clone(p),
                     _ => {
                         let p = Arc::new(Pending {
-                            settled: StdMutex::new(None),
+                            settled: Mutex::new(None),
                             cv: Condvar::new(),
                             #[cfg(test)]
                             parked: Default::default(),
@@ -188,7 +187,7 @@ impl<K: Clone + Eq + Hash, V, E: Clone> Cache<K, V, E> {
                 }
             };
             // Wait outside every lock for the in-flight fetch.
-            let mut settled = pending.settled.lock().unwrap_or_else(|e| e.into_inner());
+            let mut settled = lock(&pending.settled);
             #[cfg(test)]
             pending
                 .parked
@@ -214,7 +213,7 @@ impl<K: Clone + Eq + Hash, V, E: Clone> Cache<K, V, E> {
     ) -> Result<Arc<V>, E> {
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(fetch));
         {
-            let mut g = self.inner.lock();
+            let mut g = lock(&self.inner);
             match &outcome {
                 Ok(Ok(value)) => self.admit(&mut g, key, Arc::clone(value)),
                 // Failed or panicked: vacate the key, cache nothing.
@@ -227,7 +226,7 @@ impl<K: Clone + Eq + Hash, V, E: Clone> Cache<K, V, E> {
             Ok(fetched) => Settled::Done(fetched.clone()),
             Err(_panic) => Settled::Abandoned,
         };
-        *pending.settled.lock().unwrap_or_else(|e| e.into_inner()) = Some(settled);
+        *lock(&pending.settled) = Some(settled);
         pending.cv.notify_all();
         outcome.unwrap_or_else(|panic| std::panic::resume_unwind(panic))
     }
@@ -263,6 +262,12 @@ impl<K: Clone + Eq + Hash, V, E: Clone> Cache<K, V, E> {
             },
         );
     }
+}
+
+/// Locks, ignoring poison: a panicked holder leaves nothing half-updated
+/// that the next holder could trip over.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 #[cfg(test)]
@@ -301,7 +306,7 @@ mod tests {
 
     /// Waiters parked on `key`'s in-flight fetch.
     fn parked(cache: &TestCache, key: u32) -> usize {
-        match cache.inner.lock().entries.get(&key) {
+        match lock(&cache.inner).entries.get(&key) {
             Some(Entry::Fetching(p)) => p.parked.load(Ordering::SeqCst),
             _ => 0,
         }
@@ -348,7 +353,7 @@ mod tests {
             if model.len() > 8 {
                 model.remove(0);
             }
-            let order: Vec<u32> = cache.inner.lock().order.values().copied().collect();
+            let order: Vec<u32> = lock(&cache.inner).order.values().copied().collect();
             assert_eq!(order, model);
         }
     }

@@ -282,7 +282,7 @@ impl Registry {
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
         // Metrics must survive a panicking recorder (the serve cache
         // intentionally panics through instrumented paths in tests), so
-        // poisoning is ignored like parking_lot would.
+        // poisoning is ignored, as every lock in the workspace does.
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
