@@ -13,7 +13,7 @@ use accelviz_octree::density::DensityGrid;
 use accelviz_render::camera::Camera;
 use accelviz_render::framebuffer::Framebuffer;
 use accelviz_render::points::{keep_point, PointStyle};
-use accelviz_render::rasterizer::{draw_triangle, draw_triangle_strip, RasterOptions};
+use accelviz_render::rasterizer::{draw_triangle_strips, flat_shader, RasterOptions};
 use accelviz_render::shading::{shade_tube_fragment, Material};
 use accelviz_render::texture::tube_bump_map;
 use accelviz_render::transparency::TransparentQueue;
@@ -272,6 +272,14 @@ pub fn render_line_set(
         ..Default::default()
     };
 
+    let opaque = RasterOptions::default();
+    // Each representation's strips are built one line at a time, as the
+    // rasterizer pulls them.
+    let styled = || {
+        lines
+            .iter()
+            .map(|line| style.styled_strip(line, eye, &sos_params))
+    };
     match representation {
         LineRepresentation::FlatLines | LineRepresentation::Illuminated => {
             // Line primitives: rendered as thin (sub-pixel-ish) strips so
@@ -279,12 +287,13 @@ pub fn render_line_set(
             // recorded as segments → 2 triangles each (the hardware would
             // use GL_LINES; the *comparative* counts in FIG6 use the
             // analytic segment counts, not these).
-            for line in lines {
+            let height = fb.height();
+            let strips = lines.iter().map(|line| {
                 // GL_LINES rasterizes at a 1-pixel minimum; give the thin
                 // strip at least ~1 px of world-space width at the line's
                 // distance so it cannot vanish between pixel centers.
                 let dist = line.points.first().map(|p| p.distance(eye)).unwrap_or(1.0);
-                let px_world = 1.0 / camera.pixels_per_world_unit(dist, fb.height()).max(1e-9);
+                let px_world = 1.0 / camera.pixels_per_world_unit(dist, height).max(1e-9);
                 let thin = SosParams {
                     half_width: (half_width * 0.25).max(0.6 * px_world),
                     ..sos_params
@@ -308,78 +317,57 @@ pub fn render_line_set(
                         }
                     }
                 }
-                let shader = |_u: f64, _v: f64, c: Rgba| Some(c);
-                let (t, f) =
-                    draw_triangle_strip(fb, camera, &verts, &shader, RasterOptions::default());
-                stats.triangles += t;
-                stats.fragments += f;
-            }
+                verts
+            });
+            (stats.triangles, stats.fragments) =
+                draw_triangle_strips(fb, camera, strips, &flat_shader, opaque);
         }
         LineRepresentation::Streamtubes => {
-            for line in lines {
+            let tris = lines.iter().flat_map(|line| {
                 let params = TubeParams {
                     radius: half_width,
                     sides: 12,
                     color: style.color_for(line.mean_magnitude()),
                 };
-                let tris = tube_triangles(line, eye, &params);
-                let shader = |_u: f64, _v: f64, c: Rgba| Some(c);
-                for tri in &tris {
-                    stats.fragments +=
-                        draw_triangle(fb, camera, tri, &shader, RasterOptions::default());
-                }
-                stats.triangles += tris.len();
-            }
+                tube_triangles(line, eye, &params)
+            });
+            (stats.triangles, stats.fragments) =
+                draw_triangle_strips(fb, camera, tris, &flat_shader, opaque);
         }
         LineRepresentation::SelfOrientingSurfaces => {
-            for line in lines {
-                let verts = style.styled_strip(line, eye, &sos_params);
-                let shader = |_u: f64, v: f64, c: Rgba| shade_tube_fragment(&bump, &material, c, v);
-                let (t, f) =
-                    draw_triangle_strip(fb, camera, &verts, &shader, RasterOptions::default());
-                stats.triangles += t;
-                stats.fragments += f;
-            }
+            let shader = |_u: f64, v: f64, c: Rgba| shade_tube_fragment(&bump, &material, c, v);
+            (stats.triangles, stats.fragments) =
+                draw_triangle_strips(fb, camera, styled(), &shader, opaque);
         }
         LineRepresentation::EnhancedLighting => {
             // Figure 6(f): the offset second light varies thin strips
             // across their width; same geometry, pure texture math.
-            for line in lines {
-                let verts = style.styled_strip(line, eye, &sos_params);
-                let shader = |_u: f64, v: f64, c: Rgba| {
-                    accelviz_render::shading::shade_tube_fragment_enhanced(&bump, &material, c, v)
-                };
-                let (t, f) =
-                    draw_triangle_strip(fb, camera, &verts, &shader, RasterOptions::default());
-                stats.triangles += t;
-                stats.fragments += f;
-            }
+            let shader = |_u: f64, v: f64, c: Rgba| {
+                accelviz_render::shading::shade_tube_fragment_enhanced(&bump, &material, c, v)
+            };
+            (stats.triangles, stats.fragments) =
+                draw_triangle_strips(fb, camera, styled(), &shader, opaque);
         }
         LineRepresentation::HaloedSos => {
             // §3.3.2: a dark rim around the lit tube core clarifies the
             // ordering of overlapping lines. The halo map modulates the
             // bump-shaded fragment.
             let halo = accelviz_render::texture::halo_map(64, 0.3);
-            for line in lines {
-                let verts = style.styled_strip(line, eye, &sos_params);
-                let shader = |_u: f64, v: f64, c: Rgba| {
-                    let lit = shade_tube_fragment(&bump, &material, c, v)?;
-                    let rim = halo.sample(0.0, v);
-                    if rim.a < 0.5 {
-                        return None;
-                    }
-                    Some(Rgba::new(
-                        lit.r * rim.r,
-                        lit.g * rim.g,
-                        lit.b * rim.b,
-                        lit.a,
-                    ))
-                };
-                let (t, f) =
-                    draw_triangle_strip(fb, camera, &verts, &shader, RasterOptions::default());
-                stats.triangles += t;
-                stats.fragments += f;
-            }
+            let shader = |_u: f64, v: f64, c: Rgba| {
+                let lit = shade_tube_fragment(&bump, &material, c, v)?;
+                let rim = halo.sample(0.0, v);
+                if rim.a < 0.5 {
+                    return None;
+                }
+                Some(Rgba::new(
+                    lit.r * rim.r,
+                    lit.g * rim.g,
+                    lit.b * rim.b,
+                    lit.a,
+                ))
+            };
+            (stats.triangles, stats.fragments) =
+                draw_triangle_strips(fb, camera, styled(), &shader, opaque);
         }
         LineRepresentation::Ribbons => {
             // Figure 6(e): few, wide strips; strand count textured by the
@@ -397,33 +385,32 @@ pub fn render_line_set(
                 max_strands: 8,
                 max_magnitude: max_mag,
             };
-            for line in lines {
+            // One density texture per strand count, sampled by v.
+            let maps: Vec<_> = (1..=8)
+                .map(|s| accelviz_render::texture::ribbon_density_map(64, s))
+                .collect();
+            let strips = lines.iter().map(|line| {
                 let (mut verts, strands) =
                     accelviz_fieldlines::ribbon::ribbon_strip(line, eye, &ribbon_params);
                 style.restyle_strip(line, &mut verts);
-                // One density texture per strand count, sampled by v.
-                let maps: Vec<_> = (1..=8)
-                    .map(|s| accelviz_render::texture::ribbon_density_map(64, s))
-                    .collect();
                 // Encode the strand count into the u texture coordinate so
                 // the shader can pick the right map (the hardware would
                 // bind per-segment textures).
                 for (v, &s) in verts.iter_mut().zip(&strands) {
                     v.uv.0 = s as f64;
                 }
-                let shader = |u: f64, v: f64, c: Rgba| {
-                    let s = (u.round() as usize).clamp(1, 8);
-                    let tex = maps[s - 1].sample(0.0, v);
-                    if tex.a < 0.5 {
-                        return None;
-                    }
-                    Some(c)
-                };
-                let (t, f) =
-                    draw_triangle_strip(fb, camera, &verts, &shader, RasterOptions::default());
-                stats.triangles += t;
-                stats.fragments += f;
-            }
+                verts
+            });
+            let shader = |u: f64, v: f64, c: Rgba| {
+                let s = (u.round() as usize).clamp(1, 8);
+                let tex = maps[s - 1].sample(0.0, v);
+                if tex.a < 0.5 {
+                    return None;
+                }
+                Some(c)
+            };
+            (stats.triangles, stats.fragments) =
+                draw_triangle_strips(fb, camera, strips, &shader, opaque);
         }
         LineRepresentation::TransparentSos => {
             // §3.3.3: transparency disables bump mapping; triangles are

@@ -74,8 +74,9 @@ pub struct FdtdSim {
     ex_mask: Vec<bool>,
     ey_mask: Vec<bool>,
     ez_mask: Vec<bool>,
-    /// Per-node damping factor (1 = no absorption).
-    sponge: Vec<f64>,
+    /// The port sponges: each absorbing node with its damping factor
+    /// (< 1) per step, in node order.
+    damped: Vec<(usize, f64)>,
     /// Node indices receiving the drive current (Ez component).
     drive_nodes: Vec<usize>,
     time: f64,
@@ -156,7 +157,7 @@ impl FdtdSim {
 
         // Sponge: absorb in the outer 35% of the port channels (top/bottom
         // of the domain in y), emulating matched waveguide terminations.
-        let mut sponge = vec![1.0; n_nodes];
+        let mut damped = Vec::new();
         if spec.geometry.spec.with_ports && spec.sponge_strength > 0.0 {
             let y_top = b.max.y;
             let y_bot = b.min.y;
@@ -167,11 +168,9 @@ impl FdtdSim {
                     let d_top = (y - (y_top - depth)).max(0.0) / depth;
                     let d_bot = ((y_bot + depth) - y).max(0.0) / depth;
                     let d = d_top.max(d_bot).min(1.0);
-                    if d > 0.0 {
-                        let f = (-spec.sponge_strength * d * d).exp();
-                        for i in 0..=nx {
-                            sponge[nidx(i, j, k)] = f;
-                        }
+                    let f = (-spec.sponge_strength * d * d).exp();
+                    if f < 1.0 {
+                        damped.extend((0..=nx).map(|i| (nidx(i, j, k), f)));
                     }
                 }
             }
@@ -222,7 +221,7 @@ impl FdtdSim {
             ex_mask,
             ey_mask,
             ez_mask,
-            sponge,
+            damped,
             drive_nodes,
             time: 0.0,
             steps: 0,
@@ -303,6 +302,21 @@ impl FdtdSim {
     /// Advances one time step: H half-update from ∇×E, E update from ∇×H
     /// with PEC masks, sponge damping, and the port drive.
     pub fn step(&mut self) {
+        self.update_curls();
+        for &(n, s) in &self.damped {
+            self.ex[n] *= s;
+            self.ey[n] *= s;
+            self.ez[n] *= s;
+            self.hx[n] *= s;
+            self.hy[n] *= s;
+            self.hz[n] *= s;
+        }
+        self.drive_and_advance();
+    }
+
+    /// The leapfrog of a step: H from ∇×E, then E from ∇×H with the PEC
+    /// masks.
+    fn update_curls(&mut self) {
         let (nx, ny, nz) = (self.nx, self.ny, self.nz);
         let stride_j = nx + 1;
         let stride_k = (nx + 1) * (ny + 1);
@@ -404,30 +418,11 @@ impl FdtdSim {
                     }
                 });
         }
+    }
 
-        // --- Sponge damping ---
-        if self.spec.sponge_strength > 0.0 {
-            let sponge = &self.sponge;
-            for field in [
-                &mut self.ex,
-                &mut self.ey,
-                &mut self.ez,
-                &mut self.hx,
-                &mut self.hy,
-                &mut self.hz,
-            ] {
-                field
-                    .par_iter_mut()
-                    .zip(sponge.par_iter())
-                    .for_each(|(f, &s)| {
-                        if s < 1.0 {
-                            *f *= s;
-                        }
-                    });
-            }
-        }
-
-        // --- Port drive (soft source on Ez) ---
+    /// The end of a step: the port drive (a soft source on Ez), then the
+    /// clock.
+    fn drive_and_advance(&mut self) {
         if !self.drive_nodes.is_empty() && self.spec.drive_amplitude != 0.0 {
             let omega = self.spec.drive_frequency;
             let t = self.time + self.dt;
@@ -704,6 +699,94 @@ mod tests {
             closed_kept > 0.85,
             "closed structure must conserve: {closed_kept:.3}"
         );
+    }
+
+    /// The reference sponge: a damping factor for every node (1 = none),
+    /// built as the solver once built it.
+    fn dense_sponge(sim: &FdtdSim) -> Vec<f64> {
+        let spec = &sim.spec;
+        let b = spec.geometry.bounds;
+        let (nx, ny, nz, dy) = (sim.nx, sim.ny, sim.nz, sim.dy);
+        let mut sponge = vec![1.0; (nx + 1) * (ny + 1) * (nz + 1)];
+        if spec.geometry.spec.with_ports && spec.sponge_strength > 0.0 {
+            let y_top = b.max.y;
+            let y_bot = b.min.y;
+            let depth = 0.35 * spec.geometry.spec.cavity_radius;
+            for k in 0..=nz {
+                for j in 0..=ny {
+                    let y = b.min.y + j as f64 * dy;
+                    let d_top = (y - (y_top - depth)).max(0.0) / depth;
+                    let d_bot = ((y_bot + depth) - y).max(0.0) / depth;
+                    let d = d_top.max(d_bot).min(1.0);
+                    if d > 0.0 {
+                        let f = (-spec.sponge_strength * d * d).exp();
+                        for i in 0..=nx {
+                            sponge[sim.nidx(i, j, k)] = f;
+                        }
+                    }
+                }
+            }
+        }
+        sponge
+    }
+
+    /// The reference step: the sponge applied by six parallel passes over
+    /// whole fields.
+    fn six_pass_step(sim: &mut FdtdSim, sponge: &[f64]) {
+        sim.update_curls();
+        if sim.spec.sponge_strength > 0.0 {
+            for field in [
+                &mut sim.ex,
+                &mut sim.ey,
+                &mut sim.ez,
+                &mut sim.hx,
+                &mut sim.hy,
+                &mut sim.hz,
+            ] {
+                field
+                    .par_iter_mut()
+                    .zip(sponge.par_iter())
+                    .for_each(|(f, &s)| {
+                        if s < 1.0 {
+                            *f *= s;
+                        }
+                    });
+            }
+        }
+        sim.drive_and_advance();
+    }
+
+    #[test]
+    fn damped_node_list_is_bit_identical_to_the_six_pass_sponge() {
+        let geometry = CavityGeometry::new(CavitySpec::three_cell());
+        let spec = FdtdSpec::for_geometry(geometry, 10);
+        let mut sim = FdtdSim::new(spec.clone());
+        let mut reference = FdtdSim::new(spec);
+        let sponge = dense_sponge(&reference);
+        let absorbing = sponge.iter().filter(|&&s| s < 1.0).count();
+        assert_eq!(sim.damped.len(), absorbing);
+        assert!(absorbing > 0);
+        for _ in 0..200 {
+            sim.step();
+            six_pass_step(&mut reference, &sponge);
+        }
+        let bits = |f: &[f64]| f.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (got, want) in [
+            (&sim.ex, &reference.ex),
+            (&sim.ey, &reference.ey),
+            (&sim.ez, &reference.ez),
+            (&sim.hx, &reference.hx),
+            (&sim.hy, &reference.hy),
+            (&sim.hz, &reference.hz),
+        ] {
+            assert!(
+                bits(got) == bits(want),
+                "a field differs from the reference"
+            );
+        }
+        assert_eq!(sim.time().to_bits(), reference.time().to_bits());
+        // The comparison saw the sponge at work: the wave reached it.
+        assert!(sim.damped.iter().any(|&(n, _)| sim.ez[n] != 0.0));
     }
 
     #[test]

@@ -104,12 +104,6 @@ impl FieldSampler {
             .map(|(v, _)| v.length())
             .fold(0.0, f64::max)
     }
-
-    fn component(&self, c: usize, i: usize, j: usize, k: usize) -> f64 {
-        let [nx, ny, nz] = self.dims;
-        let v = self.vectors[i.min(nx - 1) + nx * (j.min(ny - 1) + ny * k.min(nz - 1))];
-        v[c]
-    }
 }
 
 impl VectorField3 for FieldSampler {
@@ -117,6 +111,7 @@ impl VectorField3 for FieldSampler {
         self.bounds
     }
 
+    #[inline]
     fn sample(&self, p: Vec3) -> Vec3 {
         let t = self.bounds.normalized_coords(p);
         if !(0.0..=1.0).contains(&t.x) || !(0.0..=1.0).contains(&t.y) || !(0.0..=1.0).contains(&t.z)
@@ -127,32 +122,33 @@ impl VectorField3 for FieldSampler {
         let fx = (t.x * nx as f64 - 0.5).clamp(0.0, (nx - 1) as f64);
         let fy = (t.y * ny as f64 - 0.5).clamp(0.0, (ny - 1) as f64);
         let fz = (t.z * nz as f64 - 0.5).clamp(0.0, (nz - 1) as f64);
-        let (x0, y0, z0) = (
-            fx.floor() as usize,
-            fy.floor() as usize,
-            fz.floor() as usize,
-        );
+        // The clamp keeps every coordinate ≥ 0, where truncation is the
+        // floor.
+        let (x0, y0, z0) = (fx as usize, fy as usize, fz as usize);
         let (x1, y1, z1) = (
             (x0 + 1).min(nx - 1),
             (y0 + 1).min(ny - 1),
             (z0 + 1).min(nz - 1),
         );
         let (u, v, w) = (fx - x0 as f64, fy - y0 as f64, fz - z0 as f64);
-        let mut out = Vec3::ZERO;
-        for c in 0..3 {
+        let at = |i: usize, j: usize, k: usize| self.vectors[i + nx * (j + ny * k)];
+        let c = [
+            at(x0, y0, z0),
+            at(x1, y0, z0),
+            at(x0, y1, z0),
+            at(x1, y1, z0),
+            at(x0, y0, z1),
+            at(x1, y0, z1),
+            at(x0, y1, z1),
+            at(x1, y1, z1),
+        ];
+        let component = |a: usize| {
             let corners = [
-                self.component(c, x0, y0, z0),
-                self.component(c, x1, y0, z0),
-                self.component(c, x0, y1, z0),
-                self.component(c, x1, y1, z0),
-                self.component(c, x0, y0, z1),
-                self.component(c, x1, y0, z1),
-                self.component(c, x0, y1, z1),
-                self.component(c, x1, y1, z1),
+                c[0][a], c[1][a], c[2][a], c[3][a], c[4][a], c[5][a], c[6][a], c[7][a],
             ];
-            out[c] = trilinear(&corners, u, v, w);
-        }
-        out
+            trilinear(&corners, u, v, w)
+        };
+        Vec3::new(component(0), component(1), component(2))
     }
 }
 

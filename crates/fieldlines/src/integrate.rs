@@ -32,19 +32,20 @@ impl Default for TraceParams {
 }
 
 /// One RK4 step along the *normalized* field (arc-length parameterization,
-/// so step size is geometric regardless of field strength).
-fn rk4_step(field: &dyn VectorField3, p: Vec3, h: f64) -> Option<Vec3> {
+/// so step size is geometric regardless of field strength), from `p`
+/// whose normalized field `k1` the caller has already sampled.
+fn rk4_step<F: VectorField3 + ?Sized>(field: &F, p: Vec3, k1: Vec3, h: f64) -> Option<Vec3> {
     let dir = |q: Vec3| -> Option<Vec3> { field.sample(q).normalized() };
-    let k1 = dir(p)?;
     let k2 = dir(p + k1 * (h / 2.0))?;
     let k3 = dir(p + k2 * (h / 2.0))?;
     let k4 = dir(p + k3 * h)?;
     Some(p + (k1 + k2 * 2.0 + k3 * 2.0 + k4) * (h / 6.0))
 }
 
-/// Traces a single direction from `seed` (sign of `h` selects direction).
-fn trace_direction(
-    field: &dyn VectorField3,
+/// Traces a single direction from `seed` (sign of `h` selects direction):
+/// four field samples per vertex.
+fn trace_direction<F: VectorField3 + ?Sized>(
+    field: &F,
     seed: Vec3,
     h: f64,
     params: &TraceParams,
@@ -60,7 +61,9 @@ fn trace_direction(
         }
         let t = f / mag * h.signum();
         line.push(p, t, mag);
-        match rk4_step(field, p, h) {
+        // `normalized` divides by the same length, so this is the first
+        // RK4 stage at `p`.
+        match f.normalized().and_then(|k1| rk4_step(field, p, k1, h)) {
             Some(next) => {
                 if next.distance(p) < 1e-3 * h.abs() {
                     break; // stagnation point
@@ -76,7 +79,7 @@ fn trace_direction(
 /// Traces a field line through `seed`. With `bidirectional`, the backward
 /// trace is reversed and joined with the forward trace so the result runs
 /// tail → head along the field direction.
-pub fn trace(field: &dyn VectorField3, seed: Vec3, params: &TraceParams) -> FieldLine {
+pub fn trace<F: VectorField3 + ?Sized>(field: &F, seed: Vec3, params: &TraceParams) -> FieldLine {
     assert!(params.step > 0.0, "step must be positive");
     let forward = trace_direction(field, seed, params.step, params);
     if !params.bidirectional {

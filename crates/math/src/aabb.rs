@@ -103,6 +103,7 @@ impl Aabb {
     }
 
     /// Closed containment test (both faces inclusive).
+    #[inline]
     pub fn contains(&self, p: Vec3) -> bool {
         p.x >= self.min.x
             && p.x <= self.max.x
@@ -193,6 +194,7 @@ impl Aabb {
 
     /// Normalized coordinates of `p` inside the box, each in \[0,1\] when the
     /// point is inside. Degenerate axes map to 0.
+    #[inline]
     pub fn normalized_coords(&self, p: Vec3) -> Vec3 {
         let s = self.size();
         let safe = |num: f64, den: f64| if den.abs() < 1e-300 { 0.0 } else { num / den };

@@ -27,6 +27,7 @@ pub fn smoothstep(e0: f64, e1: f64, x: f64) -> f64 {
 /// `c[i]` uses the same bit convention as `Aabb::octant_index`: bit 0 = x
 /// high, bit 1 = y high, bit 2 = z high. `(u, v, w)` are the fractional
 /// coordinates in \[0,1\].
+#[inline]
 pub fn trilinear(c: &[f64; 8], u: f64, v: f64, w: f64) -> f64 {
     let x00 = lerp(c[0], c[1], u);
     let x10 = lerp(c[2], c[3], u);

@@ -9,7 +9,7 @@
 
 use crate::camera::Camera;
 use crate::framebuffer::Framebuffer;
-use crate::rasterizer::{draw_triangle_strip, FragmentShader, RasterOptions, Vertex};
+use crate::rasterizer::{draw_triangle_strips, FragmentShader, RasterOptions, Vertex};
 use accelviz_math::{Rgba, Vec3};
 
 /// A compiled display list: triangle strips plus point sprites.
@@ -72,13 +72,7 @@ impl DisplayList {
         opts: RasterOptions,
         point_size_px: f64,
     ) -> (usize, usize) {
-        let mut tris = 0;
-        let mut frags = 0;
-        for strip in &self.strips {
-            let (t, f) = draw_triangle_strip(fb, camera, strip, shader, opts);
-            tris += t;
-            frags += f;
-        }
+        let (tris, mut frags) = draw_triangle_strips(fb, camera, &self.strips, shader, opts);
         let (w, h) = (fb.width(), fb.height());
         let projector = camera.projector(w, h);
         for &(pos, color) in &self.points {
@@ -136,10 +130,10 @@ mod tests {
     fn replay_matches_direct_rendering() {
         let verts = strip();
         let mut direct = Framebuffer::new(64, 64);
-        draw_triangle_strip(
+        draw_triangle_strips(
             &mut direct,
             &cam(),
-            &verts,
+            [&verts],
             &flat_shader,
             RasterOptions::default(),
         );

@@ -1,6 +1,8 @@
 //! RGBA + depth framebuffer and image-difference metrics.
 
 use accelviz_math::Rgba;
+use rayon::prelude::*;
+use std::ops::Range;
 
 /// A software framebuffer: linear RGBA color plus a depth buffer.
 ///
@@ -73,15 +75,7 @@ impl Framebuffer {
     #[inline]
     pub fn blend_fragment(&mut self, x: usize, y: usize, z: f32, c: Rgba, write_depth: bool) {
         let i = self.idx(x, y);
-        if z > self.depth[i] {
-            return;
-        }
-        self.color[i] = c.over(self.color[i]);
-        if write_depth {
-            // Partial coverage occludes too in the hardware pipeline when
-            // depth writes are on.
-            self.depth[i] = z;
-        }
+        blend(&mut self.color[i], &mut self.depth[i], z, c, write_depth);
     }
 
     /// Raw color pixels, row-major top row first.
@@ -93,6 +87,27 @@ impl Framebuffer {
     /// owns disjoint rows).
     pub(crate) fn pixels_mut(&mut self) -> &mut [Rgba] {
         &mut self.color
+    }
+
+    /// Runs `f` on bands of `rows` rows (the last may be shorter) in
+    /// parallel and sums what it returns; one band of every row runs on
+    /// the calling thread.
+    pub(crate) fn par_bands(&mut self, rows: usize, f: impl Fn(Band<'_>) -> usize + Sync) -> usize {
+        let (width, height) = (self.width, self.height);
+        self.color
+            .par_chunks_mut(rows * width)
+            .zip(self.depth.par_chunks_mut(rows * width))
+            .enumerate()
+            .map(|(i, (color, depth))| {
+                f(Band {
+                    width,
+                    height,
+                    y0: i * rows,
+                    color,
+                    depth,
+                })
+            })
+            .sum()
     }
 
     /// Mean squared error against another framebuffer of the same size
@@ -140,6 +155,58 @@ impl Framebuffer {
             }
         }
         stats.variance()
+    }
+}
+
+/// The depth test and source-over blend of one fragment into one pixel.
+#[inline]
+fn blend(color: &mut Rgba, depth: &mut f32, z: f32, c: Rgba, write_depth: bool) {
+    if z > *depth {
+        return;
+    }
+    *color = c.over(*color);
+    if write_depth {
+        // Partial coverage occludes too in the hardware pipeline when
+        // depth writes are on.
+        *depth = z;
+    }
+}
+
+/// Consecutive whole rows of a framebuffer, borrowed for writing: what one
+/// parallel task of a pass owns.
+pub(crate) struct Band<'a> {
+    width: usize,
+    height: usize,
+    y0: usize,
+    color: &'a mut [Rgba],
+    depth: &'a mut [f32],
+}
+
+impl Band<'_> {
+    /// Width and height of the whole framebuffer.
+    pub(crate) fn frame_size(&self) -> (usize, usize) {
+        (self.width, self.height)
+    }
+
+    /// The framebuffer rows this band holds.
+    pub(crate) fn rows(&self) -> Range<usize> {
+        self.y0..self.y0 + self.color.len() / self.width
+    }
+
+    /// [`Framebuffer::blend_fragment`] at framebuffer coordinates, for a
+    /// pixel in [`Band::rows`].
+    #[inline]
+    pub(crate) fn blend_fragment(
+        &mut self,
+        x: usize,
+        y: usize,
+        z: f32,
+        c: Rgba,
+        write_depth: bool,
+    ) {
+        debug_assert!(x < self.width && self.rows().contains(&y));
+        let i = (y - self.y0) * self.width + x;
+        blend(&mut self.color[i], &mut self.depth[i], z, c, write_depth);
     }
 }
 

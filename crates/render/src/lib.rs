@@ -9,8 +9,9 @@
 //!
 //! - [`framebuffer`] — RGBA + depth buffers, image-difference metrics.
 //! - [`camera`] — perspective camera and the world → pixel pipeline.
-//! - [`rasterizer`] — z-buffered, perspective-correct triangle and
-//!   triangle-strip rasterization (the fixed-function geometry path).
+//! - [`rasterizer`] — z-buffered, perspective-correct triangle-strip
+//!   rasterization in parallel row bands (the fixed-function geometry
+//!   path).
 //! - [`volume`] — ray-cast volume rendering of a density grid through a
 //!   transfer function (the 3-D-texture volume rendering path).
 //! - [`points`] — point splatting with transfer-function-driven
@@ -44,7 +45,7 @@ pub use camera::Camera;
 pub use displaylist::DisplayList;
 pub use framebuffer::Framebuffer;
 pub use points::{splat_points, PointStyle};
-pub use rasterizer::{draw_triangle, draw_triangle_strip, Vertex};
+pub use rasterizer::{draw_triangle, draw_triangle_strips, Vertex};
 pub use texmem::TextureMemory;
 pub use texture::Texture2;
 pub use trackball::Trackball;

@@ -1,9 +1,18 @@
 //! Z-buffered, perspective-correct triangle rasterization — the
 //! fixed-function geometry path of the modeled hardware.
+//!
+//! One raster core draws everything. [`draw_triangle_strips`] builds the
+//! view-projection once, transforms and projects each strip vertex once,
+//! and gathers the triangles into batches of [`STRIP_BATCH`] vertices. A
+//! batch is filled over bands of rows in parallel: every band walks the
+//! batch's triangles in input order and writes only its own rows. A pixel
+//! lies in one band and receives its fragments in input order, so images,
+//! depths and fragment counts are bit-identical at every pool size to
+//! drawing the triangles one at a time (DESIGN.md §18).
 
 use crate::camera::Camera;
-use crate::framebuffer::Framebuffer;
-use accelviz_math::{Rgba, Vec3};
+use crate::framebuffer::{Band, Framebuffer};
+use accelviz_math::{Mat4, Rgba, Vec3, Vec4};
 
 /// A vertex: world position, texture coordinates, and vertex color.
 #[derive(Clone, Copy, Debug)]
@@ -42,8 +51,13 @@ impl Default for RasterOptions {
 
 /// The per-fragment shader: receives perspective-correct (u, v) and the
 /// interpolated vertex color; returns the fragment color or `None` to
-/// discard (texture-silhouette kill, as the bump-mapped strips do).
-pub type FragmentShader<'a> = &'a dyn Fn(f64, f64, Rgba) -> Option<Rgba>;
+/// discard (texture-silhouette kill, as the bump-mapped strips do). Bands
+/// of rows call it from several threads.
+pub type FragmentShader<'a> = &'a (dyn Fn(f64, f64, Rgba) -> Option<Rgba> + Sync);
+
+/// Vertices per strip batch. A batch's transformed vertices and triangle
+/// set-ups take about 0.6 MB; a frame's strips are never held all at once.
+pub const STRIP_BATCH: usize = 4096;
 
 /// Projected vertex: pixel x/y, NDC depth, 1/w for perspective correction.
 #[derive(Clone, Copy)]
@@ -57,7 +71,7 @@ struct Projected {
 /// A clip-space vertex carried through near-plane clipping.
 #[derive(Clone, Copy)]
 struct ClipVertex {
-    clip: accelviz_math::Vec4,
+    clip: Vec4,
     uv: (f64, f64),
     color: Rgba,
 }
@@ -79,24 +93,27 @@ impl ClipVertex {
 const W_CLIP: f64 = 1e-6;
 
 /// Sutherland–Hodgman clip of a triangle against the plane `w > W_CLIP`.
-/// Returns 0, 3, or 4 vertices.
-fn clip_near(tri: [ClipVertex; 3]) -> Vec<ClipVertex> {
-    let mut out = Vec::with_capacity(4);
+/// Returns the polygon's vertices and their number: 0, 3, or 4.
+fn clip_near(tri: [ClipVertex; 3]) -> ([ClipVertex; 4], usize) {
+    let mut out = [tri[0]; 4];
+    let mut n = 0;
     for i in 0..3 {
         let a = tri[i];
         let b = tri[(i + 1) % 3];
         let a_in = a.clip.w > W_CLIP;
         let b_in = b.clip.w > W_CLIP;
         if a_in {
-            out.push(a);
+            out[n] = a;
+            n += 1;
         }
         if a_in != b_in {
             // Intersection at w = W_CLIP along the edge.
             let t = (W_CLIP - a.clip.w) / (b.clip.w - a.clip.w);
-            out.push(a.lerp(&b, t.clamp(0.0, 1.0)));
+            out[n] = a.lerp(&b, t.clamp(0.0, 1.0));
+            n += 1;
         }
     }
-    out
+    (out, n)
 }
 
 fn to_screen(v: &ClipVertex, w: usize, h: usize) -> Projected {
@@ -109,96 +126,98 @@ fn to_screen(v: &ClipVertex, w: usize, h: usize) -> Projected {
     }
 }
 
-/// Rasterizes one triangle with perspective-correct attribute
-/// interpolation and near-plane clipping (triangles straddling the eye
-/// plane render their visible part, as the hardware pipeline does).
-/// Returns the number of fragments written (the fill-rate accounting used
-/// by the benchmarks).
-pub fn draw_triangle(
-    fb: &mut Framebuffer,
-    camera: &Camera,
-    verts: &[Vertex; 3],
-    shader: FragmentShader<'_>,
-    opts: RasterOptions,
-) -> usize {
-    let vp = camera.view_projection();
-    let clip_tri = [
-        ClipVertex {
-            clip: vp.mul_vec4(accelviz_math::Vec4::from_point(verts[0].pos)),
-            uv: verts[0].uv,
-            color: verts[0].color,
-        },
-        ClipVertex {
-            clip: vp.mul_vec4(accelviz_math::Vec4::from_point(verts[1].pos)),
-            uv: verts[1].uv,
-            color: verts[1].color,
-        },
-        ClipVertex {
-            clip: vp.mul_vec4(accelviz_math::Vec4::from_point(verts[2].pos)),
-            uv: verts[2].uv,
-            color: verts[2].color,
-        },
-    ];
-    let poly = clip_near(clip_tri);
-    if poly.len() < 3 {
-        return 0;
-    }
-    let mut written = 0;
-    // Fan-triangulate the clipped polygon (3 or 4 vertices).
-    for i in 1..poly.len() - 1 {
-        written += raster_clipped(fb, [poly[0], poly[i], poly[i + 1]], shader, opts);
-    }
-    written
+/// A vertex transformed once: clip space, and its screen position (which
+/// means something only in front of the near plane).
+#[derive(Clone, Copy)]
+struct Transformed {
+    clip: ClipVertex,
+    screen: Projected,
 }
 
-/// Rasterizes one fully-in-front clip-space triangle.
-fn raster_clipped(
-    fb: &mut Framebuffer,
-    tri: [ClipVertex; 3],
+fn transform(vp: &Mat4, v: &Vertex, w: usize, h: usize) -> Transformed {
+    let clip = ClipVertex {
+        clip: vp.mul_vec4(Vec4::from_point(v.pos)),
+        uv: v.uv,
+        color: v.color,
+    };
+    Transformed {
+        screen: to_screen(&clip, w, h),
+        clip,
+    }
+}
+
+/// A screen triangle ready to scan: its doubled signed area and the pixel
+/// box it can cover, clamped to the framebuffer.
+#[derive(Clone, Copy)]
+struct Setup {
+    area: f64,
+    min_x: usize,
+    max_x: usize,
+    min_y: usize,
+    max_y: usize,
+}
+
+/// `v.floor().max(0.0) as usize` without the floor, which the baseline
+/// x86-64 target calls out of line: truncation is the floor at and above
+/// 0, and the clamp to 0 comes first.
+#[inline]
+fn floor_to_usize(v: f64) -> usize {
+    v.max(0.0) as usize
+}
+
+/// `v.ceil() as isize`, likewise: truncation is one short of the ceiling
+/// exactly when it lands below `v`.
+#[inline]
+fn ceil_to_isize(v: f64) -> isize {
+    let t = v as isize;
+    if (t as f64) < v {
+        t.saturating_add(1)
+    } else {
+        t
+    }
+}
+
+/// `None` for a degenerate triangle or one that covers no pixel box.
+fn setup(p: &[Projected; 3], w: usize, h: usize) -> Option<Setup> {
+    let area = edge(&p[0], &p[1], p[2].x, p[2].y);
+    if area.abs() < 1e-12 {
+        return None; // degenerate
+    }
+
+    let min_x = floor_to_usize(p.iter().map(|q| q.x).fold(f64::INFINITY, f64::min));
+    let max_x =
+        ceil_to_isize(p.iter().map(|q| q.x).fold(f64::NEG_INFINITY, f64::max)).min(w as isize - 1);
+    let min_y = floor_to_usize(p.iter().map(|q| q.y).fold(f64::INFINITY, f64::min));
+    let max_y =
+        ceil_to_isize(p.iter().map(|q| q.y).fold(f64::NEG_INFINITY, f64::max)).min(h as isize - 1);
+    if max_x < min_x as isize || max_y < min_y as isize {
+        return None;
+    }
+    Some(Setup {
+        area,
+        min_x,
+        max_x: max_x as usize,
+        min_y,
+        max_y: max_y as usize,
+    })
+}
+
+/// The raster core: scan-converts the rows of a set-up triangle that lie
+/// in `band`. Returns the number of fragments written (the fill-rate
+/// accounting used by the benchmarks).
+fn raster(
+    band: &mut Band<'_>,
+    p: &[Projected; 3],
+    verts: [&ClipVertex; 3],
+    s: &Setup,
     shader: FragmentShader<'_>,
     opts: RasterOptions,
 ) -> usize {
-    let (w, h) = (fb.width(), fb.height());
-    let p: Vec<Projected> = tri.iter().map(|v| to_screen(v, w, h)).collect();
-    let verts = &tri;
-
-    // Screen-space edge setup.
-    let area = edge(&p[0], &p[1], p[2].x, p[2].y);
-    if area.abs() < 1e-12 {
-        return 0; // degenerate
-    }
-
-    let min_x = p
-        .iter()
-        .map(|q| q.x)
-        .fold(f64::INFINITY, f64::min)
-        .floor()
-        .max(0.0) as usize;
-    let max_x = (p
-        .iter()
-        .map(|q| q.x)
-        .fold(f64::NEG_INFINITY, f64::max)
-        .ceil() as isize)
-        .min(w as isize - 1);
-    let min_y = p
-        .iter()
-        .map(|q| q.y)
-        .fold(f64::INFINITY, f64::min)
-        .floor()
-        .max(0.0) as usize;
-    let max_y = (p
-        .iter()
-        .map(|q| q.y)
-        .fold(f64::NEG_INFINITY, f64::max)
-        .ceil() as isize)
-        .min(h as isize - 1);
-    if max_x < min_x as isize || max_y < min_y as isize {
-        return 0;
-    }
-
+    let rows = band.rows();
+    let area = s.area;
     let mut written = 0usize;
-    for y in min_y..=(max_y as usize) {
-        for x in min_x..=(max_x as usize) {
+    for y in s.min_y.max(rows.start)..=s.max_y.min(rows.end - 1) {
+        for x in s.min_x..=s.max_x {
             let (px, py) = (x as f64 + 0.5, y as f64 + 0.5);
             let w0 = edge(&p[1], &p[2], px, py) / area;
             let w1 = edge(&p[2], &p[0], px, py) / area;
@@ -240,7 +259,7 @@ fn raster_clipped(
             );
             let z = (w0 * p[0].z + w1 * p[1].z + w2 * p[2].z) as f32;
             if let Some(out) = shader(u, v, color) {
-                fb.blend_fragment(x, y, z, out, opts.write_depth);
+                band.blend_fragment(x, y, z, out, opts.write_depth);
                 written += 1;
             }
         }
@@ -253,26 +272,152 @@ fn edge(a: &Projected, b: &Projected, px: f64, py: f64) -> f64 {
     (b.x - a.x) * (py - a.y) - (b.y - a.y) * (px - a.x)
 }
 
-/// Rasterizes a triangle strip (vertices 0-1-2, 1-2-3, …). Returns
-/// `(triangles_drawn, fragments_written)`.
-pub fn draw_triangle_strip(
+/// The triangle of vertices `first`, `first + 1`, `first + 2` of a batch.
+#[derive(Clone, Copy)]
+enum Prim {
+    /// In front of the near plane: set up once, scanned by each band it
+    /// reaches.
+    Front { first: usize, setup: Setup },
+    /// Straddles the near plane: every band clips it and draws the visible
+    /// part, as the hardware pipeline does.
+    Straddling { first: usize },
+}
+
+impl Prim {
+    /// `None` when nothing of the triangle can be drawn: behind the near
+    /// plane, degenerate, or off screen.
+    fn of(verts: &[Transformed], first: usize, w: usize, h: usize) -> Option<Prim> {
+        let t = &verts[first..first + 3];
+        match t.iter().filter(|v| v.clip.clip.w > W_CLIP).count() {
+            0 => None,
+            3 => setup(&[t[0].screen, t[1].screen, t[2].screen], w, h)
+                .map(|setup| Prim::Front { first, setup }),
+            _ => Some(Prim::Straddling { first }),
+        }
+    }
+
+    /// Draws the part of the triangle that lies in `band`.
+    fn draw(
+        &self,
+        band: &mut Band<'_>,
+        verts: &[Transformed],
+        shader: FragmentShader<'_>,
+        opts: RasterOptions,
+    ) -> usize {
+        match *self {
+            Prim::Front { first, setup } => {
+                let rows = band.rows();
+                if setup.max_y < rows.start || setup.min_y >= rows.end {
+                    return 0;
+                }
+                let t = &verts[first..first + 3];
+                let p = [t[0].screen, t[1].screen, t[2].screen];
+                raster(
+                    band,
+                    &p,
+                    [&t[0].clip, &t[1].clip, &t[2].clip],
+                    &setup,
+                    shader,
+                    opts,
+                )
+            }
+            Prim::Straddling { first } => {
+                let t = &verts[first..first + 3];
+                let (poly, n) = clip_near([t[0].clip, t[1].clip, t[2].clip]);
+                let (w, h) = band.frame_size();
+                let mut written = 0;
+                // Fan-triangulate the clipped polygon (3 or 4 vertices).
+                for i in 1..n.saturating_sub(1) {
+                    let tri = [poly[0], poly[i], poly[i + 1]];
+                    let p = tri.map(|v| to_screen(&v, w, h));
+                    if let Some(s) = setup(&p, w, h) {
+                        written += raster(band, &p, [&tri[0], &tri[1], &tri[2]], &s, shader, opts);
+                    }
+                }
+                written
+            }
+        }
+    }
+}
+
+/// Rasterizes one triangle with perspective-correct attribute
+/// interpolation and near-plane clipping (triangles straddling the eye
+/// plane render their visible part, as the hardware pipeline does): the
+/// raster core over one band that covers every row. Returns the number of
+/// fragments written.
+pub fn draw_triangle(
     fb: &mut Framebuffer,
     camera: &Camera,
-    verts: &[Vertex],
+    verts: &[Vertex; 3],
+    shader: FragmentShader<'_>,
+    opts: RasterOptions,
+) -> usize {
+    let (w, h) = (fb.width(), fb.height());
+    let vp = camera.view_projection();
+    let t = verts.map(|v| transform(&vp, &v, w, h));
+    Prim::of(&t, 0, w, h).map_or(0, |prim| {
+        fb.par_bands(h, |mut band| prim.draw(&mut band, &t, shader, opts))
+    })
+}
+
+/// Rasterizes triangle strips (vertices 0-1-2, 1-2-3, … of each strip; a
+/// triangle list is a set of 3-vertex strips), in order, as if each
+/// triangle were drawn by [`draw_triangle`]. Strips of fewer than three
+/// vertices draw nothing. Returns `(triangles_drawn, fragments_written)`.
+pub fn draw_triangle_strips<S: AsRef<[Vertex]>>(
+    fb: &mut Framebuffer,
+    camera: &Camera,
+    strips: impl IntoIterator<Item = S>,
     shader: FragmentShader<'_>,
     opts: RasterOptions,
 ) -> (usize, usize) {
-    if verts.len() < 3 {
-        return (0, 0);
+    let (w, h) = (fb.width(), fb.height());
+    let vp = camera.view_projection();
+    let mut verts: Vec<Transformed> = Vec::with_capacity(STRIP_BATCH);
+    let mut prims: Vec<Prim> = Vec::with_capacity(STRIP_BATCH);
+    let (mut tris, mut frags) = (0, 0);
+    for strip in strips {
+        let strip = strip.as_ref();
+        if strip.len() < 3 {
+            continue;
+        }
+        tris += strip.len() - 2;
+        for (i, v) in strip.iter().enumerate() {
+            if verts.len() == STRIP_BATCH {
+                frags += fill(fb, &verts, &prims, shader, opts);
+                prims.clear();
+                // The strip's next triangle needs its last two vertices.
+                verts.drain(..STRIP_BATCH - i.min(2));
+            }
+            verts.push(transform(&vp, v, w, h));
+            if i >= 2 {
+                prims.extend(Prim::of(&verts, verts.len() - 3, w, h));
+            }
+        }
     }
-    let mut tris = 0;
-    let mut frags = 0;
-    for i in 0..verts.len() - 2 {
-        let tri = [verts[i], verts[i + 1], verts[i + 2]];
-        frags += draw_triangle(fb, camera, &tri, shader, opts);
-        tris += 1;
+    (tris, frags + fill(fb, &verts, &prims, shader, opts))
+}
+
+/// Draws a batch's triangles in order over parallel bands of rows, one
+/// band per pool thread: every band walks all of the batch's triangles, and
+/// four bands a thread measured slower than one on a 2-vCPU host.
+fn fill(
+    fb: &mut Framebuffer,
+    verts: &[Transformed],
+    prims: &[Prim],
+    shader: FragmentShader<'_>,
+    opts: RasterOptions,
+) -> usize {
+    if prims.is_empty() {
+        return 0;
     }
-    (tris, frags)
+    let rows = fb.height().div_ceil(rayon::current_num_threads());
+    fb.par_bands(rows, |mut band| {
+        prims
+            .iter()
+            .map(|prim| prim.draw(&mut band, verts, shader, opts))
+            .sum()
+    })
 }
 
 /// The pass-through shader: vertex color only.
@@ -485,6 +630,45 @@ mod tests {
     }
 
     #[test]
+    fn truncating_bounds_equal_floor_and_ceil() {
+        let mut values = vec![
+            0.0,
+            -0.0,
+            0.5,
+            -0.5,
+            1.0,
+            -1.0,
+            383.999_999,
+            384.0,
+            -1.5,
+            2f64.powi(52) + 0.5,
+            2f64.powi(53),
+            2f64.powi(63),
+            -(2f64.powi(63)),
+            1e19,
+            -1e19,
+            f64::MAX,
+            f64::MIN,
+            f64::MIN_POSITIVE,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        let mut x = 0x2545_f491_4f6c_dd1d_u64;
+        for _ in 0..10_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            values.push(f64::from_bits(x));
+            values.push((x >> 11) as f64 / (1u64 << 40) as f64 - 4096.0);
+        }
+        for v in values {
+            assert_eq!(floor_to_usize(v), v.floor().max(0.0) as usize, "{v}");
+            assert_eq!(ceil_to_isize(v), v.ceil() as isize, "{v}");
+        }
+    }
+
+    #[test]
     fn strip_draws_n_minus_2_triangles() {
         let mut fb = Framebuffer::new(64, 64);
         let verts: Vec<Vertex> = (0..6)
@@ -494,20 +678,20 @@ mod tests {
                 Vertex::colored(Vec3::new(x, y, 0.0), Rgba::WHITE)
             })
             .collect();
-        let (tris, frags) = draw_triangle_strip(
+        let (tris, frags) = draw_triangle_strips(
             &mut fb,
             &cam(),
-            &verts,
+            [&verts],
             &flat_shader,
             RasterOptions::default(),
         );
         assert_eq!(tris, 4);
         assert!(frags > 0);
         // Short strips are no-ops.
-        let (t0, f0) = draw_triangle_strip(
+        let (t0, f0) = draw_triangle_strips(
             &mut fb,
             &cam(),
-            &verts[..2],
+            [&verts[..2], &verts[..0]],
             &flat_shader,
             RasterOptions::default(),
         );

@@ -9,7 +9,7 @@
 
 use crate::camera::Camera;
 use crate::framebuffer::Framebuffer;
-use crate::rasterizer::{draw_triangle, RasterOptions, Vertex};
+use crate::rasterizer::{draw_triangle_strips, flat_shader, RasterOptions, Vertex};
 
 /// A queue of translucent triangles, flushed in back-to-front order.
 #[derive(Default)]
@@ -58,13 +58,9 @@ impl TransparentQueue {
     pub fn flush(&mut self, fb: &mut Framebuffer, camera: &Camera) -> usize {
         self.tris
             .sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
-        let mut frags = 0;
         let opts = RasterOptions { write_depth: false };
-        let shader = |_u: f64, _v: f64, c: accelviz_math::Rgba| Some(c);
-        for (_, tri) in self.tris.drain(..) {
-            frags += draw_triangle(fb, camera, &tri, &shader, opts);
-        }
-        frags
+        let tris = self.tris.drain(..).map(|(_, tri)| tri);
+        draw_triangle_strips(fb, camera, tris, &flat_shader, opts).1
     }
 }
 
