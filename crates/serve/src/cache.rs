@@ -19,7 +19,7 @@
 use crate::frontdoor::Shape;
 use crate::lod::{chunk_budget, plan_frame_chunks};
 use crate::protocol::Refusal;
-use crate::wire::{encode_frame_v2, V2};
+use crate::wire::encode_frame_v2;
 use accelviz_core::hybrid::HybridFrame;
 use accelviz_store::cache::Cache;
 use std::borrow::Cow;
@@ -107,14 +107,12 @@ impl Served {
     }
 
     /// Fills whichever encoding this entry keeps for a reply of `shape`,
-    /// unless it is filled already. A v1 frame is encoded per send and
-    /// has nothing to fill.
+    /// unless it is filled already.
     pub(crate) fn prefill(&self, shape: Shape) {
         match shape {
-            Shape::Plain { version } if version >= V2 => {
+            Shape::Plain => {
                 self.v2();
             }
-            Shape::Plain { .. } => {}
             Shape::Progressive { chunk_bytes } => {
                 self.kept_chunks(chunk_budget(chunk_bytes));
             }
@@ -240,12 +238,10 @@ mod tests {
     }
 
     #[test]
-    fn prefill_fills_the_shapes_slot_once_and_nothing_for_v1() {
+    fn prefill_fills_the_shapes_slot_once() {
         let served = Served::new(hybrid(0, 500));
         let bare = served.held_bytes();
-        served.prefill(Shape::Plain { version: 1 });
-        assert_eq!(served.held_bytes(), bare, "v1 is encoded per send");
-        served.prefill(Shape::Plain { version: V2 });
+        served.prefill(Shape::Plain);
         let with_payload = served.held_bytes();
         assert_eq!(with_payload, bare + served.v2().0.len() as u64);
         // 0 is "server default", resolved before planning.

@@ -21,7 +21,7 @@ use crate::protocol::{
 };
 use crate::retry::RetryPolicy;
 use crate::stats::ServerStats;
-use crate::wire::VERSION;
+use crate::wire::V2;
 use accelviz_core::hybrid::HybridFrame;
 use accelviz_core::viewer::{FrameLoad, FrameSource};
 use accelviz_store::cache::Cache;
@@ -95,11 +95,6 @@ pub struct ClientConfig {
     /// How transient failures are retried; `None` fails fast on the
     /// first error (the pre-resilience behavior).
     pub retry: Option<RetryPolicy>,
-    /// The newest protocol version this client offers at `Hello`. The
-    /// server answers with `min(max_version, its own newest)`; set this
-    /// to `wire::V1` to force an uncompressed v1 session against any
-    /// server.
-    pub max_version: u16,
 }
 
 impl Default for ClientConfig {
@@ -109,7 +104,6 @@ impl Default for ClientConfig {
             read_timeout: Some(Duration::from_secs(30)),
             write_timeout: Some(Duration::from_secs(30)),
             retry: Some(RetryPolicy::default()),
-            max_version: VERSION,
         }
     }
 }
@@ -224,9 +218,6 @@ pub struct Client {
     config: ClientConfig,
     transport: Option<Box<dyn Transport>>,
     frame_count: u32,
-    /// The protocol version the server granted at the most recent
-    /// handshake (0 before any handshake succeeds).
-    negotiated: u16,
     stats: ClientStats,
     ever_connected: bool,
     /// Wire bytes of the most recent successful reply (attempts that
@@ -255,7 +246,6 @@ impl Client {
             config,
             transport: None,
             frame_count: 0,
-            negotiated: 0,
             stats: ClientStats::default(),
             ever_connected: false,
             last_wire_bytes: 0,
@@ -269,13 +259,6 @@ impl Client {
     /// Frames the server advertised at the (most recent) handshake.
     pub fn frame_count(&self) -> usize {
         self.frame_count as usize
-    }
-
-    /// The protocol version the server granted at the most recent
-    /// handshake: `wire::V2` against a current server, `wire::V1` when
-    /// either side capped the session at the uncompressed encoding.
-    pub fn negotiated_version(&self) -> u16 {
-        self.negotiated
     }
 
     /// What the resilience layer has done so far.
@@ -322,9 +305,7 @@ impl Client {
     /// then refinement records, reassembled and verified against the
     /// frame's v1 trailer — the returned frame is bit-identical to what
     /// [`Client::fetch`] returns for the same request. `chunk_bytes` is
-    /// the requested chunk budget (0 lets the server choose). Requires a
-    /// v2 session; a v1-capped client gets the server's in-band
-    /// rejection.
+    /// the requested chunk budget (0 lets the server choose).
     ///
     /// Resilience: a mid-stream transport failure reconnects and
     /// replays the request; the server restarts from the first record
@@ -437,23 +418,18 @@ impl Client {
         Ok(resp)
     }
 
-    /// Opens a fresh transport and re-runs the `Hello` handshake.
+    /// Opens a fresh transport and re-runs the `Hello` handshake. An ack
+    /// at any version but [`V2`] is a protocol error.
     fn establish(&mut self) -> Result<Box<dyn Transport>> {
         let mut t = self.connector.connect()?;
-        write_request(
-            &mut t,
-            &Request::Hello {
-                version: self.config.max_version,
-            },
-        )?;
+        write_request(&mut t, &Request::Hello { version: V2 })?;
         let (resp, _) = read_response(&mut t)?;
         match resp {
             Response::HelloAck {
-                version,
+                version: V2,
                 frame_count,
             } => {
                 self.frame_count = frame_count;
-                self.negotiated = version;
                 if self.ever_connected {
                     self.stats.reconnects += 1;
                     accelviz_trace::global().add(CTR_CLIENT_RECONNECTS, 1);
@@ -461,6 +437,9 @@ impl Client {
                 self.ever_connected = true;
                 Ok(t)
             }
+            Response::HelloAck { version, .. } => Err(ServeError::Protocol(format!(
+                "server acked protocol version {version}, this client speaks {V2}"
+            ))),
             other => Err(unexpected("HelloAck", &other)),
         }
     }
@@ -598,7 +577,6 @@ impl RemoteFrames {
     /// session above are unaffected — but when a stream dies past its
     /// renderable head, the viewer gets the requested frame at partial
     /// refinement ([`FrameLoad::partial`]) instead of a stale one.
-    /// Requires the session to have negotiated v2.
     pub fn progressive(mut self, chunk_bytes: u64) -> RemoteFrames {
         self.progressive = Some(chunk_bytes);
         self

@@ -21,9 +21,9 @@
 //!   listener survive. Malformed framing gets `ERR_BAD_REQUEST`, then a
 //!   close (stream sync is gone).
 //! - **Protocol.** [`dispatch`] is the only code that answers a
-//!   [`Request`]: version negotiation, validation, one send path per
-//!   reply shape (each ships what the cached [`Served`] entry holds), the
-//!   progressive gate and chunk loop, and the byte counters and spans
+//!   [`Request`]: the version check, validation, one send path per reply
+//!   shape (each ships what the cached [`Served`] entry holds), the chunk
+//!   loop, and the byte counters and spans
 //!   that go with them — so a client cannot tell a router from a server,
 //!   by construction.
 //! - **Read-ahead.** The door sees each session's request stream, so it
@@ -42,12 +42,11 @@ use crate::error::ServeError;
 use crate::fault::{FaultScript, FaultyTransport};
 use crate::lod::chunk_budget;
 use crate::protocol::{
-    read_request, write_chunk, write_response, write_response_v, FrameInfo, Refusal, Request,
-    Response, ERR_BAD_REQUEST, ERR_BAD_THRESHOLD, ERR_BUSY, ERR_INTERNAL, ERR_NO_SUCH_FRAME,
-    RESP_FRAME,
+    read_request, write_chunk, write_response, FrameInfo, Refusal, Request, Response,
+    ERR_BAD_REQUEST, ERR_BAD_THRESHOLD, ERR_BUSY, ERR_INTERNAL, ERR_NO_SUCH_FRAME, RESP_FRAME,
 };
 use crate::stats::ServerStats;
-use crate::wire::{encode_frame, write_envelope_v, V1, V2, VERSION};
+use crate::wire::{write_envelope, V2};
 use accelviz_trace::registry::Registry;
 use std::io::{self, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
@@ -107,8 +106,8 @@ pub(crate) fn spawn_thread(body: Box<dyn FnOnce() + Send>) -> io::Result<JoinHan
 /// have encoded by the time the session asks for the successor.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Shape {
-    /// One full frame at the session's protocol version.
-    Plain { version: u16 },
+    /// One full frame.
+    Plain,
     /// The chunked stream under the request's `chunk_bytes`.
     Progressive { chunk_bytes: u64 },
 }
@@ -464,11 +463,6 @@ fn serve_connection<H: Handler>(door: &Door<H>, stream: TcpStream) {
 
 /// What one connection's requests leave behind for its next one.
 struct Session {
-    /// The negotiated protocol version: `Hello` updates it, every reply
-    /// is framed with it. Until a `Hello` negotiates otherwise the
-    /// session speaks v1: a pre-v2 client that skips the handshake gets
-    /// exactly the byte stream it always did.
-    version: u16,
     /// The session's last frame request (plain or progressive), unless
     /// it was malformed: what the next one is a successor of, or not.
     last_frame: Option<CacheKey>,
@@ -487,10 +481,7 @@ fn successor(last: Option<CacheKey>, now: CacheKey, frame_count: usize) -> Optio
 /// One connection's strict request/reply loop.
 fn session<H: Handler, S: Read + Write>(door: &Door<H>, mut stream: S) {
     let metrics = door.handler.metrics();
-    let mut session = Session {
-        version: V1,
-        last_frame: None,
-    };
+    let mut session = Session { last_frame: None };
     loop {
         let req = match read_request(&mut stream) {
             Ok(req) => req,
@@ -503,7 +494,7 @@ fn session<H: Handler, S: Read + Write>(door: &Door<H>, mut stream: S) {
                     code: ERR_BAD_REQUEST,
                     message: e.to_string(),
                 };
-                let _ = write_response_v(&mut stream, session.version, &reply);
+                let _ = write_response(&mut stream, &reply);
                 return;
             }
         };
@@ -529,7 +520,7 @@ fn session<H: Handler, S: Read + Write>(door: &Door<H>, mut stream: S) {
                     message: "internal error serving this request; the connection survives"
                         .to_string(),
                 };
-                match write_response_v(&mut stream, session.version, &reply) {
+                match write_response(&mut stream, &reply) {
                     Ok(bytes) => (bytes, false),
                     Err(_) => return,
                 }
@@ -555,39 +546,23 @@ fn dispatch<H: Handler, S: Write>(
 ) -> crate::error::Result<(u64, bool)> {
     let _span = accelviz_trace::span(H::NAMES.span_request);
     let reply = match req {
-        Request::Hello { version: 0 } => Response::from(Refusal::new(
+        // Every reply is framed at v2 from the first byte; a client
+        // that cannot speak it is told so in-band and may say Hello again.
+        Request::Hello { version } if version < V2 => Response::from(Refusal::new(
             ERR_BAD_REQUEST,
-            "protocol version must be at least 1, client sent 0",
+            format!("protocol version 2 required, client sent {version}"),
         )),
-        Request::Hello { version } => {
-            // Speak the older of the two sides: a v1 client keeps its
-            // byte-identical session, a v2 (or future) client gets the
-            // newest encoding this build knows.
-            session.version = version.min(VERSION);
-            Response::HelloAck {
-                version: session.version,
-                frame_count: handler.frame_count() as u32,
-            }
-        }
+        Request::Hello { .. } => Response::HelloAck {
+            version: V2,
+            frame_count: handler.frame_count() as u32,
+        },
         Request::ListFrames => Response::FrameList(handler.catalog()),
         Request::Stats => Response::Stats(handler.stats()),
         Request::RequestFrame { frame, threshold } => {
-            let version = session.version;
-            let shape = Shape::Plain { version };
-            match checked_frame(handler, session, frame, threshold, shape) {
-                Ok(served) => return send_frame(handler, &served, stream, version),
+            match checked_frame(handler, session, frame, threshold, Shape::Plain) {
+                Ok(served) => return send_frame(handler, &served, stream),
                 Err(refusal) => refusal.into(),
             }
-        }
-        // The chunk records ride v2 envelopes and splice back into a
-        // frame the v2 trailer can verify; a v1 session has neither, so
-        // the request is a protocol error there — and pre-v2 clients
-        // never send it, keeping their byte streams frozen.
-        Request::RequestFrameProgressive { .. } if session.version < V2 => {
-            Response::from(Refusal::new(
-                ERR_BAD_REQUEST,
-                "progressive streaming requires a v2 session; send Hello with version >= 2 first",
-            ))
         }
         Request::RequestFrameProgressive {
             frame,
@@ -601,7 +576,7 @@ fn dispatch<H: Handler, S: Write>(
             }
         }
     };
-    Ok((write_response_v(stream, session.version, &reply)?, false))
+    Ok((write_response(stream, &reply)?, false))
 }
 
 /// Validates a frame request, tells the origin when it continues a step
@@ -652,32 +627,23 @@ fn checked_frame<H: Handler>(
     Ok(served)
 }
 
-/// Writes one full frame reply: the v2 payload the cached entry holds
-/// (encoded by whoever needed it first — a read-ahead, a coalesced
-/// neighbour, or this send), or a v1 payload encoded here (cheap, no
-/// checksum, and only pre-v2 clients ask). Both codecs are deterministic,
-/// so a router's bytes match what a direct server of the same data
-/// writes. Raw and wire sizes are both counted, per send, so the stats
-/// expose the live compression ratio.
+/// Writes one full frame reply: the v2 payload the cached entry holds,
+/// encoded by whoever needed it first — a read-ahead, a coalesced
+/// neighbour, or this send. The codec is deterministic, so a router's
+/// bytes match what a direct server of the same data writes. Raw and
+/// wire sizes are both counted, per send, so the stats expose the live
+/// compression ratio.
 fn send_frame<H: Handler, S: Write>(
     handler: &H,
     served: &Served,
     stream: &mut S,
-    session_version: u16,
 ) -> crate::error::Result<(u64, bool)> {
     let mut span = accelviz_trace::span(H::NAMES.span_send);
-    let v1;
-    let (payload, raw_len) = if session_version >= V2 {
-        let (payload, raw_len) = served.v2();
-        (payload.as_slice(), *raw_len)
-    } else {
-        v1 = encode_frame(served.frame());
-        (v1.as_slice(), v1.len() as u64)
-    };
+    let (payload, raw_len) = served.v2();
     let metrics = handler.metrics();
-    metrics.add(H::NAMES.frame_bytes_raw, raw_len);
+    metrics.add(H::NAMES.frame_bytes_raw, *raw_len);
     metrics.add(H::NAMES.frame_bytes_wire, payload.len() as u64);
-    let bytes = write_envelope_v(stream, session_version, RESP_FRAME, payload)?;
+    let bytes = write_envelope(stream, RESP_FRAME, payload)?;
     span.arg("bytes", bytes as f64);
     Ok((bytes, true))
 }
@@ -843,15 +809,15 @@ mod tests {
         let (door, _entered, _gate) = open(1);
         let mut admitted = connect(&door);
         // A served request proves the only slot is held.
-        ask(&mut admitted, Request::Hello { version: 1 }).unwrap();
+        ask(&mut admitted, Request::Hello { version: 2 }).unwrap();
         for _ in 0..5 {
             let mut shed = connect(&door);
-            let reply = ask(&mut shed, Request::Hello { version: 1 }).unwrap();
+            let reply = ask(&mut shed, Request::Hello { version: 2 }).unwrap();
             assert_eq!(error_code(reply), ERR_BUSY);
         }
         let metrics = door.handler().metrics();
         assert_eq!(metrics.counter(Fake::NAMES.shed_connections), 5);
-        ask(&mut admitted, Request::Hello { version: 1 }).unwrap();
+        ask(&mut admitted, Request::Hello { version: 2 }).unwrap();
     }
 
     /// The OS refusing a session thread sheds that connection — in-band
@@ -862,7 +828,7 @@ mod tests {
         let (door, _entered, _gate) = open_at("127.0.0.1:0", 4, refuse);
         for shed_so_far in 1..=3 {
             let mut stream = connect(&door);
-            let reply = ask(&mut stream, Request::Hello { version: 1 }).unwrap();
+            let reply = ask(&mut stream, Request::Hello { version: 2 }).unwrap();
             assert_eq!(error_code(reply), ERR_BUSY);
             let metrics = door.handler().metrics();
             assert_eq!(metrics.counter(Fake::NAMES.shed_connections), shed_so_far);
@@ -876,8 +842,8 @@ mod tests {
         let mut stream = connect(&door);
         let reply = ask(&mut stream, Request::ListFrames).unwrap();
         assert_eq!(error_code(reply), ERR_INTERNAL);
-        let reply = ask(&mut stream, Request::Hello { version: 1 }).unwrap();
-        assert!(matches!(reply, Response::HelloAck { version: 1, .. }));
+        let reply = ask(&mut stream, Request::Hello { version: 2 }).unwrap();
+        assert!(matches!(reply, Response::HelloAck { version: V2, .. }));
         let metrics = door.handler().metrics();
         assert_eq!(metrics.counter(Fake::NAMES.handler_panics), 1);
     }
@@ -995,13 +961,10 @@ mod tests {
         }
     }
 
-    /// The hints one v2 session's `requests` produce, in order.
+    /// The hints one session's `requests` produce, in order.
     fn hints_of(requests: &[Request]) -> Vec<ReadAhead> {
         let origin = Stepper::default();
-        let mut session = Session {
-            version: V2,
-            last_frame: None,
-        };
+        let mut session = Session { last_frame: None };
         for &req in requests {
             dispatch(&origin, req, &mut io::sink(), &mut session).unwrap();
         }
@@ -1014,11 +977,10 @@ mod tests {
 
     #[test]
     fn a_step_forward_at_one_threshold_hints_its_successor() {
-        let shape = Shape::Plain { version: V2 };
         let hint = |frame| ReadAhead {
             frame,
             threshold: 0.5,
-            shape,
+            shape: Shape::Plain,
         };
         let steps = [plain(0, 0.5), plain(1, 0.5), plain(2, 0.5)];
         assert_eq!(hints_of(&steps), [hint(2), hint(3)]);
@@ -1051,7 +1013,7 @@ mod tests {
         assert_eq!(hints, [want]);
         // A plain step after a progressive one is still a step.
         let mixed = hints_of(&[progressive(2), plain(3, 0.5)]);
-        assert_eq!(mixed[0].shape, Shape::Plain { version: V2 });
+        assert_eq!(mixed[0].shape, Shape::Plain);
     }
 
     #[test]
@@ -1129,6 +1091,6 @@ mod tests {
         assert!(matches!(reply, Response::Stats(_)));
         closer.join().unwrap();
         // Nothing new is admitted on the drained connection.
-        assert!(ask(&mut stream, Request::Hello { version: 1 }).is_err());
+        assert!(ask(&mut stream, Request::Hello { version: 2 }).is_err());
     }
 }

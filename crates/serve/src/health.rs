@@ -19,7 +19,6 @@
 //! [`crate::retry`], and just as replayable.
 
 use crate::client::{Client, ClientConfig};
-use crate::wire::VERSION;
 use accelviz_core::shard::splitmix64;
 use std::net::SocketAddr;
 use std::sync::{Arc, Condvar, Mutex};
@@ -78,7 +77,6 @@ pub fn probe(addr: SocketAddr, timeout: Duration) -> bool {
         read_timeout: Some(timeout),
         write_timeout: Some(timeout),
         retry: None,
-        max_version: VERSION,
     };
     match Client::connect_with(addr, config) {
         Ok(mut client) => client.stats().is_ok(),

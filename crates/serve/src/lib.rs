@@ -10,9 +10,10 @@
 //! extracts hybrid frames on demand, and serves them to many concurrent
 //! viewers over a versioned, checksummed wire format.
 //!
-//! - [`wire`] — the envelope framing and the [`HybridFrame`] codecs:
-//!   the raw v1 encoding and the compressed AVWF v2 encoding built from
-//!   `accelviz-store`'s codec blocks, negotiated per session at `Hello`.
+//! - [`wire`] — the envelope framing and the one [`HybridFrame`] codec:
+//!   the compressed AVWF v2 encoding every session speaks, built from
+//!   `accelviz-store`'s codec blocks, and the raw v1 encoding its
+//!   trailer hashes.
 //! - [`protocol`] — `Hello` / `ListFrames` / `RequestFrame` / `Stats`
 //!   requests and their replies, including structured errors.
 //! - [`lod`] — progressive multi-resolution streaming: the

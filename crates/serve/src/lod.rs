@@ -39,15 +39,13 @@
 
 use crate::error::{Result, ServeError};
 use crate::wire::{
-    coord_code, coord_from_code, encode_frame, fnv1a64, put_aabb, read_aabb, read_f64_block,
-    PayloadReader, PayloadWriter, MAX_PAYLOAD,
+    put_columns, put_grid, put_trailer, read_columns, read_grid, verify_trailer, Cells,
+    FrameHeader, PayloadReader, PayloadWriter,
 };
 use accelviz_beam::particle::Particle;
 use accelviz_core::hybrid::HybridFrame;
 use accelviz_octree::density::DensityGrid;
 use accelviz_octree::extraction::align_cuts;
-use accelviz_octree::plots::PlotType;
-use accelviz_store::codec::{decode_f32s, encode_f32s, encode_f64s};
 use accelviz_store::progressive::{
     decode_record, encode_record, Record, RecordAssembler, RECORD_COARSE, RECORD_DELTA,
     RECORD_FINAL,
@@ -99,53 +97,11 @@ fn density_runs(densities: &[f64]) -> Vec<usize> {
 }
 
 /// Encodes one contiguous point range `[start, start + len)` of the
-/// frame: start, length, six coordinate-column codec blocks, and the
-/// density block.
+/// frame: start, length, then its columns.
 fn put_point_slice(w: &mut PayloadWriter, frame: &HybridFrame, start: usize, len: usize) {
     w.put_u64(start as u64);
     w.put_u64(len as u64);
-    let slice = &frame.points[start..start + len];
-    let mut col = vec![0.0f64; len];
-    for c in 0..6 {
-        for (slot, p) in col.iter_mut().zip(slice) {
-            *slot = p.to_array()[c];
-        }
-        w.put_bytes(&encode_f64s(&col));
-    }
-    w.put_bytes(&encode_f64s(&frame.point_densities[start..start + len]));
-}
-
-/// Encodes a grid: dims, bounds, one `f32` codec block.
-fn put_grid(w: &mut PayloadWriter, grid: &DensityGrid) {
-    for d in grid.dims() {
-        w.put_u64(d as u64);
-    }
-    put_aabb(w, grid.bounds());
-    w.put_bytes(&encode_f32s(grid.data()));
-}
-
-/// Decodes a grid written by [`put_grid`] with the same count bounds as
-/// the v2 frame decoder.
-fn read_grid(r: &mut PayloadReader<'_>) -> Result<DensityGrid> {
-    let dims = [r.u64()? as usize, r.u64()? as usize, r.u64()? as usize];
-    let n_cells = dims[0]
-        .checked_mul(dims[1])
-        .and_then(|n| n.checked_mul(dims[2]))
-        .ok_or_else(|| ServeError::Corrupt("grid dims overflow".into()))?;
-    if dims.contains(&0) {
-        return Err(ServeError::Corrupt("grid dims must be positive".into()));
-    }
-    if n_cells as u64 > MAX_PAYLOAD / 4 {
-        return Err(ServeError::Corrupt(format!(
-            "declared grid of {n_cells} cells exceeds the decoded-payload limit"
-        )));
-    }
-    let bounds = read_aabb(r)?;
-    let mut pos = 0;
-    let data =
-        decode_f32s(r.rest(), &mut pos, n_cells).map_err(|e| ServeError::Corrupt(e.to_string()))?;
-    r.advance(pos)?;
-    Ok(DensityGrid::from_raw(bounds, dims, data))
+    put_columns(w, frame, start..start + len);
 }
 
 /// Plans the chunk sequence for `frame` under a `chunk_bytes` budget
@@ -159,21 +115,17 @@ pub fn plan_frame_chunks(frame: &HybridFrame, chunk_bytes: u64) -> Vec<Vec<u8>> 
     let cuts = align_cuts(&runs, chunk_points);
     debug_assert_eq!(cuts.last().copied(), Some(frame.points.len()));
 
-    let raw = encode_frame(frame);
     let total = (cuts.len() + 1) as u32;
     let mut records = Vec::with_capacity(total as usize);
 
     // Coarse head: header, downsampled grid, first point slice.
     let mut w = PayloadWriter::new();
-    w.put_u64(frame.step as u64);
-    for c in frame.plot.coords {
-        w.put_u8(coord_code(c));
-    }
-    put_aabb(&mut w, &frame.bounds);
-    w.put_f64(frame.threshold);
-    w.put_u64(frame.discarded);
-    w.put_u64(frame.points.len() as u64);
-    put_grid(&mut w, &frame.grid.downsample(COARSE_GRID_FACTOR));
+    FrameHeader::put(&mut w, frame);
+    put_grid(
+        &mut w,
+        &frame.grid.downsample(COARSE_GRID_FACTOR),
+        Cells::Packed,
+    );
     put_point_slice(&mut w, frame, 0, cuts[0]);
     records.push(encode_record(&Record {
         kind: RECORD_COARSE,
@@ -196,9 +148,8 @@ pub fn plan_frame_chunks(frame: &HybridFrame, chunk_bytes: u64) -> Vec<Vec<u8>> 
 
     // Final tail: the full-resolution grid and the v1 trailer.
     let mut w = PayloadWriter::new();
-    put_grid(&mut w, &frame.grid);
-    w.put_u64(raw.len() as u64);
-    w.put_u64(fnv1a64(&raw));
+    put_grid(&mut w, &frame.grid, Cells::Packed);
+    put_trailer(&mut w, frame);
     records.push(encode_record(&Record {
         kind: RECORD_FINAL,
         seq: total - 1,
@@ -206,15 +157,6 @@ pub fn plan_frame_chunks(frame: &HybridFrame, chunk_bytes: u64) -> Vec<Vec<u8>> 
         payload: w.into_bytes(),
     }));
     records
-}
-
-/// The fixed header fields carried by the coarse head.
-struct PartialHeader {
-    step: usize,
-    plot: PlotType,
-    bounds: accelviz_math::Aabb,
-    threshold: f64,
-    discarded: u64,
 }
 
 /// Reassembles a progressive stream into a [`HybridFrame`], exposing a
@@ -233,8 +175,8 @@ struct PartialHeader {
 /// [`next_seq`]: ProgressiveAssembler::next_seq
 pub struct ProgressiveAssembler {
     records: RecordAssembler,
-    header: Option<PartialHeader>,
-    total_points: usize,
+    /// The coarse head's frame header.
+    header: Option<FrameHeader>,
     points: Vec<Particle>,
     point_densities: Vec<f64>,
     coarse_grid: Option<DensityGrid>,
@@ -253,7 +195,6 @@ impl ProgressiveAssembler {
         ProgressiveAssembler {
             records: RecordAssembler::new(),
             header: None,
-            total_points: 0,
             points: Vec::new(),
             point_densities: Vec::new(),
             coarse_grid: None,
@@ -281,7 +222,7 @@ impl ProgressiveAssembler {
 
     /// Points the complete frame will hold (0 before the coarse head).
     pub fn total_points(&self) -> usize {
-        self.total_points
+        self.header.map_or(0, |h| h.points)
     }
 
     /// Validates and applies one encoded record. Returns `true` when the
@@ -295,73 +236,33 @@ impl ProgressiveAssembler {
         let mut r = PayloadReader::new(&rec.payload);
         match rec.kind {
             RECORD_COARSE => {
-                let step = r.u64()? as usize;
-                let plot = PlotType {
-                    coords: [
-                        coord_from_code(r.u8()?)?,
-                        coord_from_code(r.u8()?)?,
-                        coord_from_code(r.u8()?)?,
-                    ],
-                };
-                let bounds = read_aabb(&mut r)?;
-                let threshold = r.f64()?;
-                let discarded = r.u64()?;
-                let n_points = r.u64()?;
-                if n_points > MAX_PAYLOAD / 48 {
-                    return Err(ServeError::Corrupt(format!(
-                        "declared point count {n_points} exceeds the decoded-payload limit"
-                    )));
-                }
-                self.header = Some(PartialHeader {
-                    step,
-                    plot,
-                    bounds,
-                    threshold,
-                    discarded,
-                });
-                self.total_points = n_points as usize;
-                self.coarse_grid = Some(read_grid(&mut r)?);
+                self.header = Some(FrameHeader::read(&mut r)?);
+                self.coarse_grid = Some(read_grid(&mut r, Cells::Packed)?);
                 self.apply_slice(&mut r)?;
             }
             RECORD_DELTA => {
                 self.apply_slice(&mut r)?;
             }
             RECORD_FINAL => {
-                if self.points.len() != self.total_points {
+                let header = self
+                    .header
+                    .ok_or_else(|| ServeError::Corrupt("final record before header".into()))?;
+                if self.points.len() != header.points {
                     return Err(ServeError::Corrupt(format!(
                         "final record with {} of {} points resident",
                         self.points.len(),
-                        self.total_points
+                        header.points
                     )));
                 }
-                let grid = read_grid(&mut r)?;
-                let raw_len = r.u64()?;
-                let raw_fnv = r.u64()?;
-                let header = self
-                    .header
-                    .take()
-                    .ok_or_else(|| ServeError::Corrupt("final record before header".into()))?;
-                let frame = HybridFrame {
-                    step: header.step,
-                    plot: header.plot,
-                    bounds: header.bounds,
-                    points: std::mem::take(&mut self.points),
-                    point_densities: std::mem::take(&mut self.point_densities),
+                let grid = read_grid(&mut r, Cells::Packed)?;
+                let frame = header.frame(
+                    std::mem::take(&mut self.points),
+                    std::mem::take(&mut self.point_densities),
                     grid,
-                    threshold: header.threshold,
-                    discarded: header.discarded,
-                };
+                );
                 // The splice-correctness proof: the reassembled frame's
                 // v1 encoding must be the exact bytes the planner hashed.
-                let reencoded = encode_frame(&frame);
-                if reencoded.len() as u64 != raw_len || fnv1a64(&reencoded) != raw_fnv {
-                    return Err(ServeError::Corrupt(format!(
-                        "reassembled frame re-encodes to {} bytes (fnv {:#018x}), trailer \
-                         promised {raw_len} (fnv {raw_fnv:#018x})",
-                        reencoded.len(),
-                        fnv1a64(&reencoded)
-                    )));
-                }
+                verify_trailer(&mut r, &frame)?;
                 self.final_frame = Some(frame);
             }
             _ => unreachable!("RecordAssembler admits only known kinds"),
@@ -382,23 +283,9 @@ impl ProgressiveAssembler {
                 self.points.len()
             )));
         }
-        if start + len > self.total_points {
-            return Err(ServeError::Corrupt(format!(
-                "point range [{start}, {}) exceeds the declared {} points",
-                start + len,
-                self.total_points
-            )));
-        }
-        let mut cols = Vec::with_capacity(6);
-        for _ in 0..6 {
-            cols.push(read_f64_block(r, len)?);
-        }
-        self.points.extend((0..len).map(|i| {
-            Particle::from_array([
-                cols[0][i], cols[1][i], cols[2][i], cols[3][i], cols[4][i], cols[5][i],
-            ])
-        }));
-        self.point_densities.extend(read_f64_block(r, len)?);
+        let (points, densities) = read_columns(r, start, len, self.total_points())?;
+        self.points.extend(points);
+        self.point_densities.extend(densities);
         Ok(())
     }
 
@@ -411,16 +298,11 @@ impl ProgressiveAssembler {
         }
         let header = self.header.as_ref()?;
         let grid = self.coarse_grid.as_ref()?;
-        Some(HybridFrame {
-            step: header.step,
-            plot: header.plot,
-            bounds: header.bounds,
-            points: self.points.clone(),
-            point_densities: self.point_densities.clone(),
-            grid: grid.clone(),
-            threshold: header.threshold,
-            discarded: header.discarded,
-        })
+        Some(header.frame(
+            self.points.clone(),
+            self.point_densities.clone(),
+            grid.clone(),
+        ))
     }
 
     /// The verified final frame, consuming the assembler. `None` until
@@ -435,6 +317,7 @@ mod tests {
     use super::*;
     use crate::wire::encode_frame_v2;
     use accelviz_math::{Aabb, Vec3};
+    use accelviz_octree::plots::PlotType;
 
     fn sample_frame(n_points: usize, dims: [usize; 3]) -> HybridFrame {
         let bounds = Aabb {

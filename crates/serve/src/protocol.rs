@@ -8,10 +8,10 @@
 //! kill an interactive session.
 
 use crate::error::{Result, ServeError};
-use crate::stats::{LatencyHistogram, ServerStats, LATENCY_BUCKETS};
+use crate::stats::{ServerStats, LATENCY_BUCKETS};
 use crate::wire::{
-    decode_frame, decode_frame_v2, encode_frame, encode_frame_v2, read_envelope,
-    read_envelope_within, write_envelope, write_envelope_v, PayloadReader, PayloadWriter, V1, V2,
+    decode_frame_v2, encode_frame_v2, read_envelope, read_envelope_within, write_envelope,
+    PayloadReader, PayloadWriter,
 };
 use accelviz_core::hybrid::HybridFrame;
 use std::io::{Read, Write};
@@ -26,8 +26,7 @@ pub const REQ_FRAME: u8 = 0x03;
 pub const REQ_STATS: u8 = 0x04;
 /// Request kind: one frame streamed progressively (coarse-to-fine). The
 /// one request answered by *multiple* envelopes: a sequence of
-/// [`RESP_FRAME_CHUNK`]s. Valid only on a v2 session — a v1 session gets
-/// [`ERR_BAD_REQUEST`], so pre-LOD clients stay byte-identical.
+/// [`RESP_FRAME_CHUNK`]s.
 pub const REQ_FRAME_PROGRESSIVE: u8 = 0x05;
 
 /// Response kind: handshake acknowledgment.
@@ -87,7 +86,8 @@ pub struct FrameInfo {
 pub enum Request {
     /// Opens the session; carries the client's protocol version.
     Hello {
-        /// The envelope version the client speaks.
+        /// The protocol version the client speaks; below
+        /// [`crate::wire::V2`] it is refused.
         version: u16,
     },
     /// Asks for the frame catalog.
@@ -119,7 +119,7 @@ pub enum Request {
 pub enum Response {
     /// Handshake accepted.
     HelloAck {
-        /// The version the server will speak.
+        /// The version the server speaks: always [`crate::wire::V2`].
         version: u16,
         /// Frames available.
         frame_count: u32,
@@ -222,17 +222,10 @@ pub fn read_request<R: Read>(r: &mut R) -> Result<Request> {
     Ok(req)
 }
 
-/// Writes one response at protocol version 1 — the shape every peer
-/// understood before v2 existed.
+/// Writes one response; returns wire bytes written. Frame payloads go
+/// out compressed and the stats payload carries the raw/wire byte
+/// counters.
 pub fn write_response<W: Write>(w: &mut W, resp: &Response) -> Result<u64> {
-    write_response_v(w, V1, resp)
-}
-
-/// Writes one response at the session's negotiated protocol version;
-/// returns wire bytes written. At `V1` the bytes are identical to what
-/// the pre-v2 server produced; at `V2` frame payloads are compressed and
-/// the stats payload carries the raw/wire byte counters.
-pub fn write_response_v<W: Write>(w: &mut W, version: u16, resp: &Response) -> Result<u64> {
     let mut p = PayloadWriter::new();
     let kind = match resp {
         Response::HelloAck {
@@ -254,11 +247,8 @@ pub fn write_response_v<W: Write>(w: &mut W, version: u16, resp: &Response) -> R
             RESP_LIST
         }
         Response::Frame(frame) => {
-            if version >= V2 {
-                let (payload, _raw) = encode_frame_v2(frame);
-                return write_envelope_v(w, V2, RESP_FRAME, &payload);
-            }
-            return write_envelope(w, RESP_FRAME, &encode_frame(frame));
+            let (payload, _raw) = encode_frame_v2(frame);
+            return write_envelope(w, RESP_FRAME, &payload);
         }
         Response::Stats(s) => {
             p.put_u64(s.requests);
@@ -269,10 +259,8 @@ pub fn write_response_v<W: Write>(w: &mut W, version: u16, resp: &Response) -> R
             for &c in &s.latency.counts {
                 p.put_u64(c);
             }
-            if version >= V2 {
-                p.put_u64(s.frame_bytes_raw);
-                p.put_u64(s.frame_bytes_wire);
-            }
+            p.put_u64(s.frame_bytes_raw);
+            p.put_u64(s.frame_bytes_wire);
             RESP_STATS
         }
         Response::Error { code, message } => {
@@ -281,7 +269,7 @@ pub fn write_response_v<W: Write>(w: &mut W, version: u16, resp: &Response) -> R
             RESP_ERROR
         }
     };
-    write_envelope_v(w, version, kind, &p.into_bytes())
+    write_envelope(w, kind, &p.into_bytes())
 }
 
 /// Reads one response envelope and decodes it. An in-band
@@ -310,12 +298,7 @@ pub fn read_response<R: Read>(r: &mut R) -> Result<(Response, u64)> {
             Response::FrameList(frames)
         }
         RESP_FRAME => {
-            // The envelope's version says how the payload was encoded.
-            let frame = if env.version >= V2 {
-                decode_frame_v2(&env.payload)?
-            } else {
-                decode_frame(&env.payload)?
-            };
+            let frame = decode_frame_v2(&env.payload)?;
             return Ok((Response::Frame(frame), wire_bytes));
         }
         RESP_STATS => {
@@ -325,17 +308,13 @@ pub fn read_response<R: Read>(r: &mut R) -> Result<(Response, u64)> {
                 bytes_sent: p.u64()?,
                 cache_hits: p.u64()?,
                 cache_misses: p.u64()?,
-                latency: LatencyHistogram::default(),
-                frame_bytes_raw: 0,
-                frame_bytes_wire: 0,
+                ..ServerStats::default()
             };
             for i in 0..LATENCY_BUCKETS {
                 s.latency.counts[i] = p.u64()?;
             }
-            if env.version >= V2 {
-                s.frame_bytes_raw = p.u64()?;
-                s.frame_bytes_wire = p.u64()?;
-            }
+            s.frame_bytes_raw = p.u64()?;
+            s.frame_bytes_wire = p.u64()?;
             Response::Stats(s)
         }
         RESP_ERROR => Response::Error {
@@ -364,10 +343,9 @@ pub enum ChunkReply {
     },
 }
 
-/// Writes one progressive chunk envelope (always framed at v2 — chunks
-/// only exist on v2 sessions); returns wire bytes written.
+/// Writes one progressive chunk envelope; returns wire bytes written.
 pub fn write_chunk<W: Write>(w: &mut W, record: &[u8]) -> Result<u64> {
-    write_envelope_v(w, V2, RESP_FRAME_CHUNK, record)
+    write_envelope(w, RESP_FRAME_CHUNK, record)
 }
 
 /// Reads one reply envelope of a progressive stream; returns the reply
@@ -394,6 +372,7 @@ pub fn read_chunk_reply<R: Read>(r: &mut R) -> Result<(ChunkReply, u64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::LatencyHistogram;
 
     fn roundtrip_request(req: Request) -> Request {
         let mut buf = Vec::new();
@@ -410,7 +389,7 @@ mod tests {
     #[test]
     fn requests_roundtrip() {
         for req in [
-            Request::Hello { version: 1 },
+            Request::Hello { version: 2 },
             Request::ListFrames,
             Request::RequestFrame {
                 frame: 7,
@@ -455,7 +434,7 @@ mod tests {
         write_response(
             &mut buf,
             &Response::HelloAck {
-                version: 1,
+                version: 2,
                 frame_count: 0,
             },
         )
@@ -489,16 +468,13 @@ mod tests {
             cache_hits: 2,
             cache_misses: 2,
             latency: LatencyHistogram::default(),
-            // A v1 stats payload has no slots for the byte counters, so a
-            // roundtrip through it can only preserve zeros; the v2 test
-            // below carries real values.
-            frame_bytes_raw: 0,
-            frame_bytes_wire: 0,
+            frame_bytes_raw: 1_000_000,
+            frame_bytes_wire: 250_000,
         };
         stats.latency.record(0.002);
         for resp in [
             Response::HelloAck {
-                version: 1,
+                version: 2,
                 frame_count: 3,
             },
             list,
@@ -509,36 +485,6 @@ mod tests {
             },
         ] {
             assert_eq!(roundtrip_response(&resp), resp);
-        }
-    }
-
-    #[test]
-    fn v2_stats_carry_the_byte_counters_and_v1_drops_them() {
-        let stats = ServerStats {
-            requests: 3,
-            frames_served: 3,
-            frame_bytes_raw: 1_000_000,
-            frame_bytes_wire: 250_000,
-            ..ServerStats::default()
-        };
-        let mut buf = Vec::new();
-        write_response_v(&mut buf, V2, &Response::Stats(stats.clone())).unwrap();
-        match read_response(&mut buf.as_slice()).unwrap().0 {
-            Response::Stats(back) => assert_eq!(back, stats),
-            other => panic!("expected Stats, got {other:?}"),
-        }
-
-        // The same snapshot through a v1 session: byte-compatible shape,
-        // counters legitimately absent on the wire.
-        let mut buf = Vec::new();
-        write_response(&mut buf, &Response::Stats(stats.clone())).unwrap();
-        match read_response(&mut buf.as_slice()).unwrap().0 {
-            Response::Stats(back) => {
-                assert_eq!(back.frame_bytes_raw, 0);
-                assert_eq!(back.frame_bytes_wire, 0);
-                assert_eq!(back.requests, stats.requests);
-            }
-            other => panic!("expected Stats, got {other:?}"),
         }
     }
 

@@ -12,10 +12,8 @@
 //!   back into global frame order at spawn time;
 //! - a frame comes from the owning shard (the [`ShardMap`] built from a
 //!   [`ShardSpec`] rendezvous layout) over one `Upstream` per shard — a
-//!   small pool of non-retrying [`crate::client::Client`]s, so the proxy
-//!   leg always speaks the newest version whatever the client
-//!   negotiated, plus the circuit breaker every path that talks to the
-//!   shard reports to;
+//!   small pool of non-retrying [`crate::client::Client`]s, plus the
+//!   circuit breaker every path that talks to the shard reports to;
 //! - `Stats` sums every shard's counters into one wire-shaped
 //!   [`ServerStats`]; the router's own `router.*` counters live in its
 //!   private registry ([`FrameRouter::metrics`]) because the `Stats`
@@ -310,9 +308,8 @@ pub struct RouterConfig {
     /// are counted under `router.shed_connections`, answered one in-band
     /// `ERR_BUSY`, and closed.
     pub max_connections: usize,
-    /// The upstream leg: timeouts and `max_version` for the pooled
-    /// connections to the shards (a `wire::V1`-capped config forces
-    /// uncompressed shard hops), and in `retry` the router's one failure
+    /// The upstream leg: timeouts for the pooled connections to the
+    /// shards, and in `retry` the router's one failure
     /// policy. The connections themselves never retry; the router backs
     /// off and re-walks a frame's replicas per this policy, and its
     /// `budget` is the single deadline a routed fetch draws on (`None`

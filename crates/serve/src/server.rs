@@ -533,7 +533,7 @@ mod tests {
     use super::*;
     use crate::client::Client;
     use crate::frontdoor::Shape;
-    use crate::wire::{encode_frame_v2, V2};
+    use crate::wire::encode_frame_v2;
     use accelviz_beam::distribution::Distribution;
     use accelviz_octree::builder::{partition, BuildParams};
     use accelviz_octree::plots::PlotType;
@@ -570,7 +570,7 @@ mod tests {
         ReadAhead {
             frame,
             threshold: f64::INFINITY,
-            shape: Shape::Plain { version: V2 },
+            shape: Shape::Plain,
         }
     }
 

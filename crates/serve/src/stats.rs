@@ -59,7 +59,7 @@ pub const CTR_HANDLER_PANICS: &str = "serve.handler_panics";
 /// payloads — the numerator of the compression ratio.
 pub const CTR_FRAME_BYTES_RAW: &str = "serve.frame_bytes_raw";
 /// Registry counter: frame payload bytes actually written to the wire
-/// (compressed under AVWF v2, identical to raw for v1 sessions).
+/// (compressed under AVWF v2).
 pub const CTR_FRAME_BYTES_WIRE: &str = "serve.frame_bytes_wire";
 /// Registry counter: progressive (LOD) frame requests served. Each also
 /// counts once under `serve.frames_served`; this isolates the
@@ -88,11 +88,9 @@ pub struct ServerStats {
     pub cache_misses: u64,
     /// Request service-time distribution.
     pub latency: LatencyHistogram,
-    /// What served frames would have occupied as raw v1 payloads. Only a
-    /// v2 stats reply carries this on the wire; a v1 session reads zero.
+    /// What served frames would have occupied as raw v1 payloads.
     pub frame_bytes_raw: u64,
-    /// Frame payload bytes actually written (compressed under v2). Only
-    /// carried by a v2 stats reply.
+    /// Frame payload bytes actually written (compressed under v2).
     pub frame_bytes_wire: u64,
 }
 
@@ -128,7 +126,7 @@ impl ServerStats {
     }
 
     /// Raw-to-wire compression ratio of served frames; 1.0 when nothing
-    /// has been served (or the session is all-v1, where wire == raw).
+    /// has been served.
     pub fn compression_ratio(&self) -> f64 {
         if self.frame_bytes_wire == 0 {
             1.0

@@ -5,7 +5,7 @@
 //! ```text
 //! offset size  field
 //! 0      4    magic "AVWF"
-//! 4      2    protocol version, little-endian u16
+//! 4      2    protocol version, little-endian u16: always `V2`
 //! 6      1    message kind (see `protocol`)
 //! 7      1    reserved, must be 0
 //! 8      8    payload length, little-endian u64
@@ -27,20 +27,16 @@ use accelviz_octree::plots::PlotType;
 use accelviz_store::codec::{decode_f32s, decode_f64s, encode_f32s, encode_f64s};
 use accelviz_store::fnv1a64_update;
 use std::io::{Read, Write};
+use std::ops::Range;
 
 /// FNV-1a 64-bit hash — the envelope checksum, and the store's.
 pub use accelviz_store::fnv1a64;
 
 /// Envelope magic: "accelviz wire format".
 pub const MAGIC: [u8; 4] = *b"AVWF";
-/// Protocol version 1: every payload in its raw fixed-width encoding.
-pub const V1: u16 = 1;
-/// Protocol version 2: frame payloads compressed with the
-/// `accelviz-store` codecs, stats extended with byte counters.
+/// The protocol version every envelope carries: frame payloads
+/// compressed with the `accelviz-store` codecs, stats with byte counters.
 pub const V2: u16 = 2;
-/// The newest protocol version this build speaks. Peers negotiate down
-/// to the older of the two sides at `Hello` time.
-pub const VERSION: u16 = V2;
 /// Envelope header size in bytes (before the payload).
 pub const HEADER_BYTES: u64 = 16;
 /// Checksum trailer size in bytes (after the payload).
@@ -53,12 +49,9 @@ pub const MAX_PAYLOAD: u64 = 1 << 30;
 /// header declares; beyond it the buffer grows as bytes arrive.
 const PAYLOAD_FIRST_RESERVE: u64 = 64 << 10;
 
-/// One framed message: its version, kind byte, and raw payload.
+/// One framed message: its kind byte and raw payload.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Envelope {
-    /// The protocol version the envelope was framed with — payload
-    /// decoding dispatches on it (a v2 `RESP_FRAME` is compressed).
-    pub version: u16,
     /// Message kind (request kinds are `0x0_`, responses `0x8_`).
     pub kind: u8,
     /// The message payload, still encoded.
@@ -72,15 +65,14 @@ impl Envelope {
     }
 }
 
-/// Writes one envelope at protocol version 1 — the framing every peer
-/// speaks before (and unless) a `Hello` negotiates higher. Requests and
-/// pre-v2 sessions stay byte-identical through this path.
+/// Writes one envelope at [`V2`]; returns the wire bytes written.
 pub fn write_envelope<W: Write>(w: &mut W, kind: u8, payload: &[u8]) -> Result<u64> {
-    write_envelope_v(w, V1, kind, payload)
+    write_envelope_v(w, V2, kind, payload)
 }
 
-/// Writes one envelope at an explicit protocol version; returns the wire
-/// bytes written.
+/// Writes one envelope stamped with `version`; returns the wire bytes
+/// written. Readers accept only [`V2`]: any other version is an envelope
+/// the peer refuses.
 pub fn write_envelope_v<W: Write>(
     w: &mut W,
     version: u16,
@@ -123,8 +115,8 @@ fn read_exact_or_truncated<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<()> {
     Ok(())
 }
 
-/// Reads and validates one envelope: magic, version, length bound, and
-/// checksum, in that order.
+/// Reads and validates one envelope: magic, version ([`V2`] only),
+/// length bound, and checksum, in that order.
 pub fn read_envelope<R: Read>(r: &mut R) -> Result<Envelope> {
     read_envelope_within(r, MAX_PAYLOAD)
 }
@@ -143,7 +135,7 @@ pub fn read_envelope_within<R: Read>(r: &mut R, max_payload: u64) -> Result<Enve
         return Err(ServeError::BadMagic(magic));
     }
     let version = u16::from_le_bytes(header[4..6].try_into().unwrap());
-    if version == 0 || version > VERSION {
+    if version != V2 {
         return Err(ServeError::UnsupportedVersion(version));
     }
     let kind = header[6];
@@ -173,11 +165,7 @@ pub fn read_envelope_within<R: Read>(r: &mut R, max_payload: u64) -> Result<Enve
     if actual != expected {
         return Err(ServeError::ChecksumMismatch { expected, actual });
     }
-    Ok(Envelope {
-        version,
-        kind,
-        payload,
-    })
+    Ok(Envelope { kind, payload })
 }
 
 /// Little-endian payload builder.
@@ -322,22 +310,6 @@ impl<'a> PayloadReader<'a> {
         self.take(n).map(|_| ())
     }
 
-    /// A `count` sanity bound: rejects lengths that could not fit in the
-    /// remaining payload even at one byte per element.
-    pub fn bounded_count(&mut self, elem_bytes: usize) -> Result<usize> {
-        let count = self.u64()? as usize;
-        let remaining = self.buf.len() - self.pos;
-        if count
-            .checked_mul(elem_bytes)
-            .is_none_or(|total| total > remaining)
-        {
-            return Err(ServeError::Corrupt(format!(
-                "declared count {count} x {elem_bytes} B exceeds remaining {remaining} B"
-            )));
-        }
-        Ok(count)
-    }
-
     /// Errors unless every payload byte was consumed.
     pub fn finish(self) -> Result<()> {
         if self.pos != self.buf.len() {
@@ -351,7 +323,7 @@ impl<'a> PayloadReader<'a> {
 }
 
 /// Phase-coordinate wire code, matching `store_io`'s on-disk codes.
-pub(crate) fn coord_code(c: PhaseCoord) -> u8 {
+fn coord_code(c: PhaseCoord) -> u8 {
     match c {
         PhaseCoord::X => 0,
         PhaseCoord::Px => 1,
@@ -362,7 +334,7 @@ pub(crate) fn coord_code(c: PhaseCoord) -> u8 {
     }
 }
 
-pub(crate) fn coord_from_code(b: u8) -> Result<PhaseCoord> {
+fn coord_from_code(b: u8) -> Result<PhaseCoord> {
     Ok(match b {
         0 => PhaseCoord::X,
         1 => PhaseCoord::Px,
@@ -378,7 +350,7 @@ pub(crate) fn coord_from_code(b: u8) -> Result<PhaseCoord> {
     })
 }
 
-pub(crate) fn put_aabb(w: &mut PayloadWriter, b: &Aabb) {
+fn put_aabb(w: &mut PayloadWriter, b: &Aabb) {
     for v in [b.min, b.max] {
         w.put_f64(v.x);
         w.put_f64(v.y);
@@ -386,24 +358,242 @@ pub(crate) fn put_aabb(w: &mut PayloadWriter, b: &Aabb) {
     }
 }
 
-pub(crate) fn read_aabb(r: &mut PayloadReader<'_>) -> Result<Aabb> {
+fn read_aabb(r: &mut PayloadReader<'_>) -> Result<Aabb> {
     let min = Vec3::new(r.f64()?, r.f64()?, r.f64()?);
     let max = Vec3::new(r.f64()?, r.f64()?, r.f64()?);
     Ok(Aabb { min, max })
 }
 
-/// Encodes a [`HybridFrame`] payload (kind `RESP_FRAME` carries one).
+fn le_f64(bytes: &[u8]) -> f64 {
+    f64::from_le_bytes(bytes[..8].try_into().unwrap())
+}
+
+// The frame codec. A hybrid frame goes out in three shapes — the v1
+// payload (the trailer's hash input), the v2 payload, and the progressive
+// records — and all three are sequences of the pieces below: a header,
+// point columns, a grid, and the trailer that proves the decoded frame.
+
+/// The fields every encoding of a frame opens with: step, plot codes,
+/// bounds, threshold, discarded, and the point count.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct FrameHeader {
+    step: usize,
+    plot: PlotType,
+    bounds: Aabb,
+    threshold: f64,
+    discarded: u64,
+    /// Points the whole frame holds.
+    pub(crate) points: usize,
+}
+
+impl FrameHeader {
+    /// Writes `frame`'s header.
+    pub(crate) fn put(w: &mut PayloadWriter, frame: &HybridFrame) {
+        w.put_u64(frame.step as u64);
+        for c in frame.plot.coords {
+            w.put_u8(coord_code(c));
+        }
+        put_aabb(w, &frame.bounds);
+        w.put_f64(frame.threshold);
+        w.put_u64(frame.discarded);
+        w.put_u64(frame.points.len() as u64);
+    }
+
+    /// Reads a header. A compressed payload can be far smaller than the
+    /// points it carries, so the point count is capped by what the
+    /// *decoded* frame could occupy, not by the bytes left.
+    pub(crate) fn read(r: &mut PayloadReader<'_>) -> Result<FrameHeader> {
+        let step = r.u64()? as usize;
+        let plot = PlotType {
+            coords: [
+                coord_from_code(r.u8()?)?,
+                coord_from_code(r.u8()?)?,
+                coord_from_code(r.u8()?)?,
+            ],
+        };
+        let bounds = read_aabb(r)?;
+        let threshold = r.f64()?;
+        let discarded = r.u64()?;
+        let points = r.u64()?;
+        if points > MAX_PAYLOAD / 48 {
+            return Err(ServeError::Corrupt(format!(
+                "declared point count {points} exceeds the decoded-payload limit"
+            )));
+        }
+        Ok(FrameHeader {
+            step,
+            plot,
+            bounds,
+            threshold,
+            discarded,
+            points: points as usize,
+        })
+    }
+
+    /// The frame this header opens, around its points and grid.
+    pub(crate) fn frame(
+        &self,
+        points: Vec<Particle>,
+        point_densities: Vec<f64>,
+        grid: DensityGrid,
+    ) -> HybridFrame {
+        HybridFrame {
+            step: self.step,
+            plot: self.plot,
+            bounds: self.bounds,
+            points,
+            point_densities,
+            grid,
+            threshold: self.threshold,
+            discarded: self.discarded,
+        }
+    }
+}
+
+/// Writes points `range` of `frame` column by column: the six coordinate
+/// columns, then the densities, each one `f64` codec block.
+pub(crate) fn put_columns(w: &mut PayloadWriter, frame: &HybridFrame, range: Range<usize>) {
+    let points = &frame.points[range.clone()];
+    let mut col = vec![0.0f64; points.len()];
+    for c in 0..6 {
+        for (slot, p) in col.iter_mut().zip(points) {
+            *slot = p.to_array()[c];
+        }
+        w.put_bytes(&encode_f64s(&col));
+    }
+    w.put_bytes(&encode_f64s(&frame.point_densities[range]));
+}
+
+/// Reads one codec block of `expect` `f64`s from the reader's tail.
+fn read_f64_block(r: &mut PayloadReader<'_>, expect: usize) -> Result<Vec<f64>> {
+    let mut pos = 0;
+    let values =
+        decode_f64s(r.rest(), &mut pos, expect).map_err(|e| ServeError::Corrupt(e.to_string()))?;
+    r.advance(pos)?;
+    Ok(values)
+}
+
+/// Reads the column blocks of points `[start, start + len)` of a frame
+/// of `total` points, written by [`put_columns`]. A range that does not
+/// fit in `total` is refused before any block is decoded.
+pub(crate) fn read_columns(
+    r: &mut PayloadReader<'_>,
+    start: usize,
+    len: usize,
+    total: usize,
+) -> Result<(Vec<Particle>, Vec<f64>)> {
+    if start.checked_add(len).is_none_or(|end| end > total) {
+        return Err(ServeError::Corrupt(format!(
+            "point range of {len} from {start} exceeds the declared {total} points"
+        )));
+    }
+    let mut cols = Vec::with_capacity(6);
+    for _ in 0..6 {
+        cols.push(read_f64_block(r, len)?);
+    }
+    let densities = read_f64_block(r, len)?;
+    let points = (0..len)
+        .map(|i| {
+            Particle::from_array([
+                cols[0][i], cols[1][i], cols[2][i], cols[3][i], cols[4][i], cols[5][i],
+            ])
+        })
+        .collect();
+    Ok((points, densities))
+}
+
+/// How a grid's cells follow its dims and bounds.
+#[derive(Clone, Copy)]
+pub(crate) enum Cells {
+    /// One raw little-endian `f32` per cell (the v1 payload).
+    Raw,
+    /// One `f32` codec block (the v2 payload and the progressive records).
+    Packed,
+}
+
+/// Writes a grid: dims, bounds, then its cells as `cells` says.
+pub(crate) fn put_grid(w: &mut PayloadWriter, grid: &DensityGrid, cells: Cells) {
+    for d in grid.dims() {
+        w.put_u64(d as u64);
+    }
+    put_aabb(w, grid.bounds());
+    match cells {
+        Cells::Raw => {
+            for &v in grid.data() {
+                w.put_f32(v);
+            }
+        }
+        Cells::Packed => w.put_bytes(&encode_f32s(grid.data())),
+    }
+}
+
+/// Reads a grid written by [`put_grid`]. The cell count is capped by what
+/// the decoded grid could occupy before anything is sized from it.
+pub(crate) fn read_grid(r: &mut PayloadReader<'_>, cells: Cells) -> Result<DensityGrid> {
+    let dims = [r.u64()? as usize, r.u64()? as usize, r.u64()? as usize];
+    if dims.contains(&0) {
+        return Err(ServeError::Corrupt("grid dims must be positive".into()));
+    }
+    let n_cells = dims[0]
+        .checked_mul(dims[1])
+        .and_then(|n| n.checked_mul(dims[2]))
+        .filter(|&n| n as u64 <= MAX_PAYLOAD / 4)
+        .ok_or_else(|| {
+            ServeError::Corrupt(format!(
+                "declared grid {dims:?} exceeds the decoded-payload limit"
+            ))
+        })?;
+    let bounds = read_aabb(r)?;
+    let data = match cells {
+        Cells::Raw => r
+            .take(n_cells * 4)?
+            .chunks_exact(4)
+            .map(|b| f32::from_le_bytes(b.try_into().unwrap()))
+            .collect(),
+        Cells::Packed => {
+            let mut pos = 0;
+            let values = decode_f32s(r.rest(), &mut pos, n_cells)
+                .map_err(|e| ServeError::Corrupt(e.to_string()))?;
+            r.advance(pos)?;
+            values
+        }
+    };
+    Ok(DensityGrid::from_raw(bounds, dims, data))
+}
+
+/// Writes the trailer: the length and FNV-1a 64 of `frame`'s v1
+/// encoding. Returns that length.
+pub(crate) fn put_trailer(w: &mut PayloadWriter, frame: &HybridFrame) -> u64 {
+    let raw = encode_frame(frame);
+    w.put_u64(raw.len() as u64);
+    w.put_u64(fnv1a64(&raw));
+    raw.len() as u64
+}
+
+/// Reads a trailer and checks `frame` against it: the decoded frame's v1
+/// encoding must be exactly the bytes the encoder hashed, so a codec or
+/// splice defect fails loudly instead of rendering subtly wrong.
+pub(crate) fn verify_trailer(r: &mut PayloadReader<'_>, frame: &HybridFrame) -> Result<()> {
+    let raw_len = r.u64()?;
+    let raw_fnv = r.u64()?;
+    let reencoded = encode_frame(frame);
+    let fnv = fnv1a64(&reencoded);
+    if reencoded.len() as u64 != raw_len || fnv != raw_fnv {
+        return Err(ServeError::Corrupt(format!(
+            "frame re-encodes to {} bytes (fnv {fnv:#018x}), trailer promised {raw_len} \
+             (fnv {raw_fnv:#018x})",
+            reencoded.len()
+        )));
+    }
+    Ok(())
+}
+
+/// Encodes a [`HybridFrame`] as the v1 payload: the header, every point
+/// as six raw `f64`s, the raw `f64` densities, and the grid with raw
+/// cells. No session sends it; it is what the v2 trailer hashes.
 pub fn encode_frame(frame: &HybridFrame) -> Vec<u8> {
     let mut w = PayloadWriter::new();
-    w.put_u64(frame.step as u64);
-    for c in frame.plot.coords {
-        w.put_u8(coord_code(c));
-    }
-    put_aabb(&mut w, &frame.bounds);
-    w.put_f64(frame.threshold);
-    w.put_u64(frame.discarded);
-
-    w.put_u64(frame.points.len() as u64);
+    FrameHeader::put(&mut w, frame);
     for p in &frame.points {
         for v in p.to_array() {
             w.put_f64(v);
@@ -412,228 +602,61 @@ pub fn encode_frame(frame: &HybridFrame) -> Vec<u8> {
     for &d in &frame.point_densities {
         w.put_f64(d);
     }
-
-    let dims = frame.grid.dims();
-    for d in dims {
-        w.put_u64(d as u64);
-    }
-    put_aabb(&mut w, frame.grid.bounds());
-    for &v in frame.grid.data() {
-        w.put_f32(v);
-    }
+    put_grid(&mut w, &frame.grid, Cells::Raw);
     w.into_bytes()
 }
 
-/// Decodes a [`HybridFrame`] payload. The result compares equal
-/// (bit-identical fields) to the frame that was encoded.
+/// Decodes a v1 payload. The result compares equal (bit-identical
+/// fields) to the frame that was encoded.
 pub fn decode_frame(payload: &[u8]) -> Result<HybridFrame> {
     let mut r = PayloadReader::new(payload);
-    let step = r.u64()? as usize;
-    let plot = PlotType {
-        coords: [
-            coord_from_code(r.u8()?)?,
-            coord_from_code(r.u8()?)?,
-            coord_from_code(r.u8()?)?,
-        ],
-    };
-    let bounds = read_aabb(&mut r)?;
-    let threshold = r.f64()?;
-    let discarded = r.u64()?;
-
-    // Points carry 48 B each plus an 8 B density; bound the count by the
-    // point part alone so a hostile count fails fast.
-    let n_points = r.bounded_count(48)?;
-    let mut points = Vec::with_capacity(n_points);
-    for _ in 0..n_points {
-        let mut a = [0.0f64; 6];
-        for v in &mut a {
-            *v = r.f64()?;
-        }
-        points.push(Particle::from_array(a));
-    }
-    let mut point_densities = Vec::with_capacity(n_points);
-    for _ in 0..n_points {
-        point_densities.push(r.f64()?);
-    }
-
-    let dims = [r.u64()? as usize, r.u64()? as usize, r.u64()? as usize];
-    let n_cells = dims[0]
-        .checked_mul(dims[1])
-        .and_then(|n| n.checked_mul(dims[2]))
-        .ok_or_else(|| ServeError::Corrupt("grid dims overflow".into()))?;
-    if dims.contains(&0) {
-        return Err(ServeError::Corrupt("grid dims must be positive".into()));
-    }
-    let grid_bounds = read_aabb(&mut r)?;
-    let remaining = r.buf.len() - r.pos;
-    if n_cells * 4 != remaining {
-        return Err(ServeError::Corrupt(format!(
-            "grid of {n_cells} cells needs {} B, payload has {remaining}",
-            n_cells * 4
-        )));
-    }
-    let mut data = Vec::with_capacity(n_cells);
-    for _ in 0..n_cells {
-        data.push(r.f32()?);
-    }
+    let header = FrameHeader::read(&mut r)?;
+    let n = header.points;
+    let points = r
+        .take(n * 48)?
+        .chunks_exact(48)
+        .map(|p| Particle::from_array(std::array::from_fn(|c| le_f64(&p[8 * c..]))))
+        .collect();
+    let point_densities = r.take(n * 8)?.chunks_exact(8).map(le_f64).collect();
+    let grid = read_grid(&mut r, Cells::Raw)?;
     r.finish()?;
-
-    Ok(HybridFrame {
-        step,
-        plot,
-        bounds,
-        points,
-        point_densities,
-        grid: DensityGrid::from_raw(grid_bounds, dims, data),
-        threshold,
-        discarded,
-    })
+    Ok(header.frame(points, point_densities, grid))
 }
 
 /// Encodes a [`HybridFrame`] as the AVWF v2 compressed payload.
 ///
-/// Layout: the v1 header fields verbatim (step, plot codes, bounds,
-/// threshold, discarded), then a point count followed by seven
-/// self-describing codec blocks (six `f64` point columns and the point
-/// densities), the grid dims and bounds, one `f32` codec block for the
-/// grid cells, and finally the length and FNV-1a 64 checksum of the
-/// frame's *v1 encoding*. The trailing checksum is over the decoded
-/// content, not the compressed bytes: [`decode_frame_v2`] re-encodes
-/// what it decoded and must land on these exact bytes, so any codec
-/// defect is caught end-to-end rather than trusted.
+/// Layout: the frame header (step, plot codes, bounds, threshold,
+/// discarded, point count), seven self-describing codec blocks (six
+/// `f64` point columns and the point densities), the grid dims and
+/// bounds, one `f32` codec block for the grid cells, and finally the
+/// trailer: length and FNV-1a 64 of the frame's *v1 encoding*. The
+/// trailer is over the decoded content, not the compressed bytes:
+/// [`decode_frame_v2`] re-encodes what it decoded and must land on these
+/// exact bytes, so any codec defect is caught end-to-end rather than
+/// trusted.
 ///
 /// Returns `(payload, raw_len)` where `raw_len` is the size the same
 /// frame occupies under [`encode_frame`] — the numerator of the
 /// compression ratio the server's stats report.
 pub fn encode_frame_v2(frame: &HybridFrame) -> (Vec<u8>, u64) {
-    let raw = encode_frame(frame);
-    let raw_fnv = fnv1a64(&raw);
-
     let mut w = PayloadWriter::new();
-    w.put_u64(frame.step as u64);
-    for c in frame.plot.coords {
-        w.put_u8(coord_code(c));
-    }
-    put_aabb(&mut w, &frame.bounds);
-    w.put_f64(frame.threshold);
-    w.put_u64(frame.discarded);
-
-    let n = frame.points.len();
-    w.put_u64(n as u64);
-    let mut col = vec![0.0f64; n];
-    for c in 0..6 {
-        for (slot, p) in col.iter_mut().zip(&frame.points) {
-            *slot = p.to_array()[c];
-        }
-        w.put_bytes(&encode_f64s(&col));
-    }
-    w.put_bytes(&encode_f64s(&frame.point_densities));
-
-    let dims = frame.grid.dims();
-    for d in dims {
-        w.put_u64(d as u64);
-    }
-    put_aabb(&mut w, frame.grid.bounds());
-    w.put_bytes(&encode_f32s(frame.grid.data()));
-
-    w.put_u64(raw.len() as u64);
-    w.put_u64(raw_fnv);
-    (w.into_bytes(), raw.len() as u64)
+    FrameHeader::put(&mut w, frame);
+    put_columns(&mut w, frame, 0..frame.points.len());
+    put_grid(&mut w, &frame.grid, Cells::Packed);
+    let raw_len = put_trailer(&mut w, frame);
+    (w.into_bytes(), raw_len)
 }
 
-/// Reads one codec block of `expect` `f64`s from the reader's tail.
-pub(crate) fn read_f64_block(r: &mut PayloadReader<'_>, expect: usize) -> Result<Vec<f64>> {
-    let mut pos = 0;
-    let values =
-        decode_f64s(r.rest(), &mut pos, expect).map_err(|e| ServeError::Corrupt(e.to_string()))?;
-    r.advance(pos)?;
-    Ok(values)
-}
-
-/// Decodes an AVWF v2 frame payload, then verifies it by re-encoding:
-/// the decoded frame's v1 bytes must match the length and checksum the
-/// encoder stamped into the trailer.
+/// Decodes an AVWF v2 frame payload, then verifies it against its
+/// trailer.
 pub fn decode_frame_v2(payload: &[u8]) -> Result<HybridFrame> {
     let mut r = PayloadReader::new(payload);
-    let step = r.u64()? as usize;
-    let plot = PlotType {
-        coords: [
-            coord_from_code(r.u8()?)?,
-            coord_from_code(r.u8()?)?,
-            coord_from_code(r.u8()?)?,
-        ],
-    };
-    let bounds = read_aabb(&mut r)?;
-    let threshold = r.f64()?;
-    let discarded = r.u64()?;
-
-    // A compressed payload can be far smaller than the data it carries,
-    // so the v1 remaining-bytes bound does not apply; cap counts against
-    // what the *decoded* frame would occupy instead.
-    let n_points = r.u64()?;
-    if n_points > MAX_PAYLOAD / 48 {
-        return Err(ServeError::Corrupt(format!(
-            "declared point count {n_points} exceeds the decoded-payload limit"
-        )));
-    }
-    let n_points = n_points as usize;
-    let mut cols = Vec::with_capacity(6);
-    for _ in 0..6 {
-        cols.push(read_f64_block(&mut r, n_points)?);
-    }
-    let points: Vec<Particle> = (0..n_points)
-        .map(|i| {
-            Particle::from_array([
-                cols[0][i], cols[1][i], cols[2][i], cols[3][i], cols[4][i], cols[5][i],
-            ])
-        })
-        .collect();
-    let point_densities = read_f64_block(&mut r, n_points)?;
-
-    let dims = [r.u64()? as usize, r.u64()? as usize, r.u64()? as usize];
-    let n_cells = dims[0]
-        .checked_mul(dims[1])
-        .and_then(|n| n.checked_mul(dims[2]))
-        .ok_or_else(|| ServeError::Corrupt("grid dims overflow".into()))?;
-    if dims.contains(&0) {
-        return Err(ServeError::Corrupt("grid dims must be positive".into()));
-    }
-    if n_cells as u64 > MAX_PAYLOAD / 4 {
-        return Err(ServeError::Corrupt(format!(
-            "declared grid of {n_cells} cells exceeds the decoded-payload limit"
-        )));
-    }
-    let grid_bounds = read_aabb(&mut r)?;
-    let data = {
-        let mut pos = 0;
-        let values = decode_f32s(r.rest(), &mut pos, n_cells)
-            .map_err(|e| ServeError::Corrupt(e.to_string()))?;
-        r.advance(pos)?;
-        values
-    };
-    let raw_len = r.u64()?;
-    let raw_fnv = r.u64()?;
+    let header = FrameHeader::read(&mut r)?;
+    let (points, point_densities) = read_columns(&mut r, 0, header.points, header.points)?;
+    let grid = read_grid(&mut r, Cells::Packed)?;
+    let frame = header.frame(points, point_densities, grid);
+    verify_trailer(&mut r, &frame)?;
     r.finish()?;
-
-    let frame = HybridFrame {
-        step,
-        plot,
-        bounds,
-        points,
-        point_densities,
-        grid: DensityGrid::from_raw(grid_bounds, dims, data),
-        threshold,
-        discarded,
-    };
-    let reencoded = encode_frame(&frame);
-    if reencoded.len() as u64 != raw_len || fnv1a64(&reencoded) != raw_fnv {
-        return Err(ServeError::Corrupt(format!(
-            "decoded frame re-encodes to {} bytes (fnv {:#018x}), trailer promised {raw_len} \
-             (fnv {raw_fnv:#018x})",
-            reencoded.len(),
-            fnv1a64(&reencoded)
-        )));
-    }
     Ok(frame)
 }
 
@@ -692,27 +715,13 @@ mod tests {
     }
 
     #[test]
-    fn both_live_versions_read_back_and_report_themselves() {
-        for version in [V1, V2] {
-            let mut buf = Vec::new();
-            write_envelope_v(&mut buf, version, 0x03, b"payload").unwrap();
-            let env = read_envelope(&mut buf.as_slice()).unwrap();
-            assert_eq!(env.version, version);
-            assert_eq!(env.payload, b"payload");
-        }
-        // The legacy writer still frames at v1: requests and pre-v2
-        // sessions are byte-identical to what they always were.
+    fn only_v2_envelopes_are_read() {
         let mut buf = Vec::new();
-        write_envelope(&mut buf, 0x01, b"x").unwrap();
-        assert_eq!(u16::from_le_bytes(buf[4..6].try_into().unwrap()), V1);
-    }
-
-    #[test]
-    fn version_zero_and_future_versions_are_rejected() {
-        for bad in [0u16, VERSION + 1, 99] {
+        write_envelope(&mut buf, 0x03, b"payload").unwrap();
+        assert_eq!(u16::from_le_bytes(buf[4..6].try_into().unwrap()), V2);
+        for bad in [0u16, 1, V2 + 1, 99] {
             let mut buf = Vec::new();
-            write_envelope(&mut buf, 0x01, b"x").unwrap();
-            buf[4..6].copy_from_slice(&bad.to_le_bytes());
+            write_envelope_v(&mut buf, bad, 0x01, b"x").unwrap();
             match read_envelope(&mut buf.as_slice()) {
                 Err(ServeError::UnsupportedVersion(v)) => assert_eq!(v, bad),
                 other => panic!("version {bad} gave {other:?}"),

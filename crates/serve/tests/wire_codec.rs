@@ -9,9 +9,9 @@ use accelviz_math::{Aabb, Vec3};
 use accelviz_octree::density::DensityGrid;
 use accelviz_octree::plots::PlotType;
 use accelviz_serve::error::ServeError;
-use accelviz_serve::protocol::{read_response, write_response, write_response_v, Response};
+use accelviz_serve::protocol::{read_response, write_response, Response};
 use accelviz_serve::wire::{
-    decode_frame, decode_frame_v2, encode_frame, encode_frame_v2, read_envelope, write_envelope, V2,
+    decode_frame, decode_frame_v2, encode_frame, encode_frame_v2, read_envelope, write_envelope,
 };
 use proptest::prelude::*;
 
@@ -107,19 +107,6 @@ proptest! {
         prop_assert_eq!(raw_len as usize, encode_frame(&frame).len());
         let decoded = decode_frame_v2(&payload).expect("well-formed v2 payload must decode");
         prop_assert_eq!(decoded, frame);
-    }
-
-    #[test]
-    fn v2_frame_responses_roundtrip_through_envelopes(frame in arb_frame()) {
-        let mut buf = Vec::new();
-        let written = write_response_v(&mut buf, V2, &Response::Frame(frame.clone())).unwrap();
-        prop_assert_eq!(written as usize, buf.len());
-        let (resp, wire_bytes) = read_response(&mut buf.as_slice()).unwrap();
-        prop_assert_eq!(wire_bytes as usize, buf.len());
-        match resp {
-            Response::Frame(decoded) => prop_assert_eq!(decoded, frame),
-            other => return Err(TestCaseError::fail(format!("expected Frame, got {other:?}"))),
-        }
     }
 
     #[test]

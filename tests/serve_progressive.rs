@@ -2,9 +2,8 @@
 //! refine to a frame bit-identical to a full fetch — through a direct
 //! server, through the shard router, and under a seeded chaos plan with
 //! reconnect-and-replay mid-stream — while the first chunk alone is a
-//! renderable partial frame at a fraction of the full wire bytes. v1
-//! sessions must reject the request in-band and stay byte-identical to
-//! their pre-LOD behavior.
+//! renderable partial frame at a fraction of the full wire bytes. Every
+//! session speaks v2: a client offering less is refused in-band.
 //!
 //! NOTE for CI: no test in this file may legitimately print
 //! "panicked at" — the chaos job greps for that string.
@@ -21,14 +20,19 @@ use accelviz::octree::sorted_store::PartitionedData;
 use accelviz::serve::client::{FaultyConnector, TcpConnector};
 use accelviz::serve::fault::{FaultDirection, FaultEvent, FaultKind, FaultPlan};
 use accelviz::serve::lod;
-use accelviz::serve::protocol::{write_response_v, Response, ERR_BAD_REQUEST};
+use accelviz::serve::protocol::{
+    read_request, read_response, write_request, write_response, Request, Response, ERR_BAD_REQUEST,
+    REQ_HELLO,
+};
 use accelviz::serve::stats::{CTR_LOD_CHUNKS, CTR_LOD_REQUESTS};
-use accelviz::serve::wire::{encode_frame, encode_frame_v2, V1, V2};
+use accelviz::serve::wire::{encode_frame, encode_frame_v2, write_envelope_v, V2};
 use accelviz::serve::{
     Client, ClientConfig, FrameServer, RemoteFrames, RetryPolicy, RouterConfig, ServeError,
     ServerConfig, ShardedFrameService,
 };
+use std::net::TcpStream;
 use std::sync::Arc;
+use std::time::Duration;
 
 fn stores(n: usize, particles: usize) -> Vec<PartitionedData> {
     (0..n)
@@ -55,7 +59,6 @@ fn progressive_refines_bit_identical_to_full_fetch_direct() {
     let server = FrameServer::spawn_loopback(stores(2, 2_000), config).unwrap();
     let local = stores(2, 2_000);
     let mut client = Client::connect(server.addr()).unwrap();
-    assert_eq!(client.negotiated_version(), V2);
 
     for (frame_idx, data) in local.iter().enumerate() {
         for budget in [300usize, 1_200] {
@@ -172,7 +175,6 @@ fn sharded_progressive_matches_full_fetch_and_direct_extraction() {
     .unwrap();
 
     let mut client = Client::connect(service.addr()).unwrap();
-    assert_eq!(client.negotiated_version(), V2);
     for (g, frame_data) in data.iter().enumerate() {
         let (full, _) = client.fetch(g as u32, f64::INFINITY).unwrap();
         let (refined, _) = client
@@ -259,9 +261,8 @@ fn midstream_failure_degrades_to_a_partial_of_the_requested_frame() {
     // completes. Envelope overhead is 16 B header + 8 B checksum.
     let hello_bytes = {
         let mut buf = Vec::new();
-        write_response_v(
+        write_response(
             &mut buf,
-            V2,
             &Response::HelloAck {
                 version: V2,
                 frame_count: 1,
@@ -307,32 +308,58 @@ fn midstream_failure_degrades_to_a_partial_of_the_requested_frame() {
     server.shutdown();
 }
 
-/// A v1-capped session must get an in-band rejection for progressive
-/// requests (the chunk wire only exists under v2) and keep serving
-/// plain v1 fetches on the same connection — the frozen-byte-stream
-/// guarantee for pre-v2 clients.
+/// One wire version. A `Hello` below v2 is refused in-band, and the same
+/// connection then handshakes at v2 and serves the frame any client
+/// gets. A request envelope framed at version 1 is not read at all.
 #[test]
-fn v1_sessions_reject_progressive_in_band_and_keep_serving() {
+fn hello_below_v2_is_refused_in_band_and_the_connection_serves_on() {
     let server = FrameServer::spawn_loopback(stores(1, 800), ServerConfig::default()).unwrap();
-    let mut client = Client::connect_with(
-        server.addr(),
-        ClientConfig {
-            max_version: V1,
-            ..ClientConfig::no_retry()
-        },
-    )
-    .unwrap();
-    assert_eq!(client.negotiated_version(), V1);
-    let err = client.fetch_progressive(0, f64::INFINITY, 0).unwrap_err();
-    match err {
-        ServeError::Remote { code, message } => {
+    let connect = || {
+        let stream = TcpStream::connect(server.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        stream
+    };
+    let ask = |stream: &mut TcpStream, req: Request| {
+        write_request(stream, &req).unwrap();
+        read_response(stream).unwrap().0
+    };
+
+    let mut stream = connect();
+    match ask(&mut stream, Request::Hello { version: 1 }) {
+        Response::Error { code, message } => {
             assert_eq!(code, ERR_BAD_REQUEST);
-            assert!(message.contains("v2"), "{message}");
+            assert!(message.contains("protocol version 2 required"), "{message}");
         }
-        other => panic!("expected an in-band rejection, got {other}"),
+        other => panic!("expected an in-band refusal, got {other:?}"),
     }
-    // The connection survives the rejection and serves v1 fetches.
-    let (frame, _) = client.fetch(0, f64::INFINITY).unwrap();
-    assert_eq!(frame.step, 0);
+    let ack = ask(&mut stream, Request::Hello { version: V2 });
+    assert_eq!(
+        ack,
+        Response::HelloAck {
+            version: V2,
+            frame_count: 1
+        }
+    );
+    let fetch = Request::RequestFrame {
+        frame: 0,
+        threshold: f64::INFINITY,
+    };
+    let Response::Frame(raw) = ask(&mut stream, fetch) else {
+        panic!("expected a frame");
+    };
+    let (via_client, _) = Client::connect(server.addr())
+        .unwrap()
+        .fetch(0, f64::INFINITY)
+        .unwrap();
+    assert_eq!(encode_frame(&raw), encode_frame(&via_client));
+
+    let mut v1_hello = Vec::new();
+    write_envelope_v(&mut v1_hello, 1, REQ_HELLO, &1u16.to_le_bytes()).unwrap();
+    assert!(matches!(
+        read_request(&mut v1_hello.as_slice()),
+        Err(ServeError::UnsupportedVersion(1))
+    ));
     server.shutdown();
 }

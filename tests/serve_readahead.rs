@@ -21,7 +21,7 @@ use accelviz::serve::stats::{
     CTR_CACHE_HITS, CTR_CACHE_MISSES, CTR_READAHEAD_DROPPED, CTR_READAHEAD_FETCHES,
     CTR_READAHEAD_HINTS, CTR_SHED_EXTRACTIONS,
 };
-use accelviz::serve::wire::{V1, V2};
+use accelviz::serve::wire::V2;
 use accelviz::serve::{Client, ClientConfig, FrameServer, ServerConfig};
 use accelviz::store::run::write_run_file;
 use accelviz::store::ResidentRun;
@@ -162,12 +162,12 @@ fn a_residency_budget_of_one_frame_is_never_read_ahead() {
     let _ = std::fs::remove_file(&path);
 }
 
-fn session(server: &FrameServer, version: u16) -> TcpStream {
+fn session(server: &FrameServer) -> TcpStream {
     let mut stream = TcpStream::connect(server.addr()).unwrap();
     stream
         .set_read_timeout(Some(Duration::from_secs(30)))
         .unwrap();
-    raw_reply(&mut stream, Request::Hello { version });
+    raw_reply(&mut stream, Request::Hello { version: V2 });
     stream
 }
 
@@ -187,25 +187,20 @@ fn replies_from_read_ahead_entries_equal_cold_replies_byte_for_byte() {
             chunk_bytes,
         }
     };
-    // (session version, the shape it steps in, another shape asked of the
-    // same entry afterwards).
+    // (the shape a session steps in, another shape asked of the same
+    // entry afterwards).
     type Shape = Box<dyn Fn(u32) -> Request>;
-    let cases: Vec<(u16, Shape, Shape)> = vec![
-        (V1, Box::new(plain), Box::new(plain)),
-        (V2, Box::new(plain), Box::new(progressive(2_048))),
+    let cases: Vec<(Shape, Shape)> = vec![
+        (Box::new(plain), Box::new(progressive(2_048))),
         // The stepped budget is the one the entry keeps; the other is
         // planned for its request alone.
-        (
-            V2,
-            Box::new(progressive(2_048)),
-            Box::new(progressive(8_192)),
-        ),
-        (V2, Box::new(progressive(0)), Box::new(plain)),
+        (Box::new(progressive(2_048)), Box::new(progressive(8_192))),
+        (Box::new(progressive(0)), Box::new(plain)),
     ];
     let data = stores();
-    for (i, (version, stepped, other)) in cases.iter().enumerate() {
+    for (i, (stepped, other)) in cases.iter().enumerate() {
         let ahead = FrameServer::spawn_loopback(data.clone(), ServerConfig::default()).unwrap();
-        let mut stepping = session(&ahead, *version);
+        let mut stepping = session(&ahead);
         raw_reply(&mut stepping, stepped(0));
         raw_reply(&mut stepping, stepped(1));
         wait_for(&ahead, CTR_READAHEAD_FETCHES, 1);
@@ -221,7 +216,7 @@ fn replies_from_read_ahead_entries_equal_cold_replies_byte_for_byte() {
         );
 
         let cold = FrameServer::spawn_loopback(data.clone(), ServerConfig::default()).unwrap();
-        let mut fresh = session(&cold, *version);
+        let mut fresh = session(&cold);
         let from_cold = [
             raw_reply(&mut fresh, stepped(2)),
             raw_reply(&mut fresh, other(2)),

@@ -11,7 +11,7 @@ use accelviz::serve::protocol::{
     read_response, Response, ERR_BAD_REQUEST, ERR_BAD_THRESHOLD, ERR_INTERNAL,
 };
 use accelviz::serve::stats::CTR_HANDLER_PANICS;
-use accelviz::serve::wire::{MAGIC, V1};
+use accelviz::serve::wire::{MAGIC, V2};
 use accelviz::serve::{Client, ClientConfig, FrameServer, ServeError, ServerConfig};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -105,7 +105,7 @@ fn oversized_request_declaration_is_rejected_before_its_payload() {
         .unwrap();
     let mut header = [0u8; 16];
     header[0..4].copy_from_slice(&MAGIC);
-    header[4..6].copy_from_slice(&V1.to_le_bytes());
+    header[4..6].copy_from_slice(&V2.to_le_bytes());
     header[6] = 0x03; // REQ_FRAME
     header[8..16].copy_from_slice(&(1u64 << 20).to_le_bytes());
     stream.write_all(&header).unwrap();

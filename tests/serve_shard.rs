@@ -1,6 +1,6 @@
 //! Acceptance for the shard/router layer: a sharded service is
 //! indistinguishable from one big server (bit-identical frames and
-//! catalog, both wire versions), a thundering herd collapses to one
+//! catalog), a thundering herd collapses to one
 //! upstream extraction per shard, a dead shard degrades per the PR 5
 //! model and recovers on restart, and `Stats` through the router is the
 //! sum of the shards.
@@ -19,7 +19,6 @@ use accelviz::serve::router::{
     CTR_ROUTER_SHED_CONNECTIONS, CTR_ROUTER_UPSTREAM_ERRORS, CTR_ROUTER_UPSTREAM_FETCHES,
 };
 use accelviz::serve::stats::{CTR_CACHE_MISSES, CTR_FRAMES_SERVED};
-use accelviz::serve::wire::{V1, V2};
 use accelviz::serve::{
     Client, ClientConfig, FrameRouter, FrameServer, RemoteFrames, RetryPolicy, RouterConfig,
     ServeError, ServerConfig, ShardMap, ShardedFrameService,
@@ -53,13 +52,6 @@ fn fast_upstream(seed: u64) -> RouterConfig {
             ..ClientConfig::default()
         },
         ..RouterConfig::default()
-    }
-}
-
-fn pinned(version: u16) -> ClientConfig {
-    ClientConfig {
-        max_version: version,
-        ..ClientConfig::no_retry()
     }
 }
 
@@ -125,8 +117,7 @@ fn a_shard_not_yet_listening_fails_the_spawn_at_once() {
 
 /// A one-shard service is the degenerate deployment: every request
 /// proxies to the single shard, and the bytes a client receives — frame
-/// payloads included — are identical to talking to that server directly,
-/// under both wire versions.
+/// payloads included — are identical to talking to that server directly.
 #[test]
 fn one_shard_service_is_bit_identical_to_a_direct_server() {
     let data = stores(FRAMES);
@@ -139,29 +130,25 @@ fn one_shard_service_is_bit_identical_to_a_direct_server() {
     )
     .unwrap();
 
-    for version in [V1, V2] {
-        let mut a = Client::connect_with(direct.addr(), pinned(version)).unwrap();
-        let mut b = Client::connect_with(service.addr(), pinned(version)).unwrap();
-        assert_eq!(a.negotiated_version(), version);
-        assert_eq!(b.negotiated_version(), version);
-        assert_eq!(a.list_frames().unwrap(), b.list_frames().unwrap());
-        for frame in 0..FRAMES as u32 {
-            let (fa, ma) = a.fetch(frame, f64::INFINITY).unwrap();
-            let (fb, mb) = b.fetch(frame, f64::INFINITY).unwrap();
-            assert_eq!(fa, fb, "frame {frame} differs at version {version}");
-            assert_eq!(
-                ma.wire_bytes, mb.wire_bytes,
-                "frame {frame} wire bytes differ at version {version}"
-            );
-        }
+    let mut a = Client::connect_with(direct.addr(), ClientConfig::no_retry()).unwrap();
+    let mut b = Client::connect_with(service.addr(), ClientConfig::no_retry()).unwrap();
+    assert_eq!(a.list_frames().unwrap(), b.list_frames().unwrap());
+    for frame in 0..FRAMES as u32 {
+        let (fa, ma) = a.fetch(frame, f64::INFINITY).unwrap();
+        let (fb, mb) = b.fetch(frame, f64::INFINITY).unwrap();
+        assert_eq!(fa, fb, "frame {frame} differs");
+        assert_eq!(
+            ma.wire_bytes, mb.wire_bytes,
+            "frame {frame} wire bytes differ"
+        );
     }
     direct.shutdown();
     service.shutdown();
 }
 
 /// The headline acceptance: a 2-shard loopback service serves every
-/// fig-1 frame bit-identical to a single-server run, at both wire
-/// versions, and its merged catalog equals the direct catalog.
+/// fig-1 frame bit-identical to a single-server run, and its merged
+/// catalog equals the direct catalog.
 #[test]
 fn two_shard_service_serves_every_frame_bit_identical_to_one_server() {
     let data = stores(FRAMES);
@@ -181,16 +168,14 @@ fn two_shard_service_serves_every_frame_bit_identical_to_one_server() {
         "5 frames over 2 shards must populate both: {owners:?}"
     );
 
-    for version in [V1, V2] {
-        let mut a = Client::connect_with(direct.addr(), pinned(version)).unwrap();
-        let mut b = Client::connect_with(service.addr(), pinned(version)).unwrap();
-        assert_eq!(a.list_frames().unwrap(), b.list_frames().unwrap());
-        for frame in 0..FRAMES as u32 {
-            let (fa, ma) = a.fetch(frame, f64::INFINITY).unwrap();
-            let (fb, mb) = b.fetch(frame, f64::INFINITY).unwrap();
-            assert_eq!(fa, fb, "frame {frame} differs at version {version}");
-            assert_eq!(ma.wire_bytes, mb.wire_bytes);
-        }
+    let mut a = Client::connect_with(direct.addr(), ClientConfig::no_retry()).unwrap();
+    let mut b = Client::connect_with(service.addr(), ClientConfig::no_retry()).unwrap();
+    assert_eq!(a.list_frames().unwrap(), b.list_frames().unwrap());
+    for frame in 0..FRAMES as u32 {
+        let (fa, ma) = a.fetch(frame, f64::INFINITY).unwrap();
+        let (fb, mb) = b.fetch(frame, f64::INFINITY).unwrap();
+        assert_eq!(fa, fb, "frame {frame} differs");
+        assert_eq!(ma.wire_bytes, mb.wire_bytes);
     }
     direct.shutdown();
     service.shutdown();
@@ -399,9 +384,9 @@ fn stats_through_the_router_aggregate_the_shards() {
 }
 
 /// The contract, once: a client cannot tell the router from a server.
-/// One scripted session — every negotiation outcome, the catalog, a
-/// frame at both wire versions, every in-band rejection, a progressive
-/// stream — runs against a direct server and against a router over one
+/// One scripted session — every handshake outcome, the catalog before
+/// any `Hello`, a frame, every in-band rejection, a progressive stream —
+/// runs against a direct server and against a router over one
 /// shard of the same data, and the reply *bytes* match request by
 /// request.
 #[test]
@@ -414,16 +399,14 @@ fn router_and_server_answer_the_same_session_with_identical_bytes() {
     let fetch = |frame, threshold| Request::RequestFrame { frame, threshold };
     let script = [
         ("hello 0 is refused", Request::Hello { version: 0 }),
-        ("hello 1", Request::Hello { version: 1 }),
+        ("hello 1 is refused", Request::Hello { version: 1 }),
         ("catalog", Request::ListFrames),
-        ("fetch on v1", fetch(1, f64::INFINITY)),
-        ("progressive on v1 is refused", progressive(1)),
         ("hello 2", Request::Hello { version: 2 }),
-        ("fetch on v2", fetch(1, f64::INFINITY)),
+        ("fetch", fetch(1, f64::INFINITY)),
         ("NaN threshold is refused", fetch(0, f64::NAN)),
         ("frame out of range is refused", fetch(99, f64::INFINITY)),
         ("progressive out of range is refused", progressive(99)),
-        ("progressive on v2", progressive(0)),
+        ("progressive", progressive(0)),
     ];
     let direct = FrameServer::spawn_loopback(stores(2), ServerConfig::default()).unwrap();
     let routed = ShardedFrameService::spawn_loopback(

@@ -10,7 +10,7 @@ use accelviz::core::hybrid::HybridFrame;
 use accelviz::octree::builder::{partition, BuildParams};
 use accelviz::octree::plots::PlotType;
 use accelviz::octree::sorted_store::PartitionedData;
-use accelviz::serve::wire::{V1, V2};
+use accelviz::serve::wire::{encode_frame, CHECKSUM_BYTES, HEADER_BYTES};
 use accelviz::serve::{Client, ClientConfig, FrameServer, ServerConfig};
 use accelviz::store::run::write_run_file;
 use accelviz::store::ResidentRun;
@@ -20,6 +20,8 @@ use std::sync::{Arc, Barrier};
 const FRAMES: usize = 6;
 const PARTICLES: usize = 900;
 const PARTICLE_BYTES: u64 = 48;
+/// An envelope's bytes around its payload: the header and the checksum.
+const ENVELOPE_FRAMING: u64 = HEADER_BYTES + CHECKSUM_BYTES;
 
 fn build_frames() -> Vec<PartitionedData> {
     (0..FRAMES)
@@ -62,7 +64,6 @@ fn stored_server_serves_a_run_bigger_than_its_residency_budget() {
     let dims = config.volume_dims;
     let server = FrameServer::spawn_stored_loopback(Arc::clone(&run), config).unwrap();
     let mut client = Client::connect_with(server.addr(), ClientConfig::no_retry()).unwrap();
-    assert_eq!(client.negotiated_version(), V2);
 
     // The catalog answers from directory metadata alone — correct
     // counts, no particle I/O beyond what opening already did.
@@ -114,13 +115,13 @@ fn stored_server_serves_a_run_bigger_than_its_residency_budget() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// A client pinned to protocol v1 talks to the same stored-backend
-/// server over the uncompressed encoding and gets the same frames —
-/// the compatibility half of the AVWF v2 rollout.
+/// A stored server's byte counters are what its clients received: the
+/// v2 payload bytes are the reply envelopes minus their framing, and the
+/// raw bytes are the frames' v1 encodings (the trailer's hash input).
 #[test]
-fn v1_pinned_clients_get_identical_frames_from_a_stored_server() {
+fn stored_server_counts_the_v2_bytes_its_clients_receive() {
     let frames = build_frames();
-    let path = run_path("v1");
+    let path = run_path("counters");
     write_run_file(&path, &frames, 4_096).unwrap();
 
     let budget = 2 * PARTICLES as u64 * PARTICLE_BYTES;
@@ -128,29 +129,21 @@ fn v1_pinned_clients_get_identical_frames_from_a_stored_server() {
     let config = ServerConfig::default();
     let dims = config.volume_dims;
     let server = FrameServer::spawn_stored_loopback(run, config).unwrap();
+    let mut client = Client::connect_with(server.addr(), ClientConfig::no_retry()).unwrap();
 
-    let mut old = Client::connect_with(
-        server.addr(),
-        ClientConfig {
-            max_version: V1,
-            ..ClientConfig::no_retry()
-        },
-    )
-    .unwrap();
-    assert_eq!(old.negotiated_version(), V1, "a v1 cap must stick");
-
+    let (mut wire, mut raw) = (0, 0);
     for (i, data) in frames.iter().enumerate() {
-        let (got, _) = old.fetch(i as u32, f64::INFINITY).unwrap();
+        let (got, metrics) = client.fetch(i as u32, f64::INFINITY).unwrap();
         let want = HybridFrame::from_partition(data, i, f64::INFINITY, dims);
-        assert_eq!(got, want, "frame {i} over the v1 wire");
+        assert_eq!(got, want, "frame {i}");
+        wire += metrics.wire_bytes - ENVELOPE_FRAMING;
+        raw += encode_frame(&got).len() as u64;
     }
 
-    // A v1 stats reply has no byte-counter extension; the fields read
-    // back zero even though the server is counting.
-    let stats = old.stats().unwrap();
-    assert_eq!(stats.frame_bytes_raw, 0);
-    assert_eq!(stats.frame_bytes_wire, 0);
-    assert!(stats.requests > 0, "the rest of the stats still flow");
+    let stats = client.stats().unwrap();
+    assert_eq!(stats.frame_bytes_wire, wire);
+    assert_eq!(stats.frame_bytes_raw, raw);
+    assert_eq!(stats.frames_served, FRAMES as u64);
 
     server.shutdown();
     let _ = std::fs::remove_file(&path);
