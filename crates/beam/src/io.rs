@@ -43,9 +43,7 @@ pub fn write_snapshot<W: Write>(w: &mut W, step: u64, particles: &[Particle]) ->
     for chunk in particles.chunks(IO_CHUNK_PARTICLES) {
         buf.clear();
         for p in chunk {
-            for c in p.to_array() {
-                buf.extend_from_slice(&c.to_le_bytes());
-            }
+            buf.extend_from_slice(&p.to_le_bytes());
         }
         w.write_all(&buf)?;
     }
@@ -87,14 +85,7 @@ pub fn read_snapshot<R: Read>(r: &mut R) -> io::Result<(u64, Vec<Particle>)> {
         let n = remaining.min(IO_CHUNK_PARTICLES);
         let bytes = &mut buf[..n * BYTES_PER_PARTICLE as usize];
         r.read_exact(bytes)?;
-        particles.reserve(n);
-        for rec in bytes.chunks_exact(BYTES_PER_PARTICLE as usize) {
-            let mut a = [0.0f64; 6];
-            for (i, c) in a.iter_mut().enumerate() {
-                *c = f64::from_le_bytes(rec[i * 8..(i + 1) * 8].try_into().unwrap());
-            }
-            particles.push(Particle::from_array(a));
-        }
+        particles.extend(bytes.as_chunks().0.iter().map(Particle::from_le_bytes));
         remaining -= n;
     }
     Ok((step, particles))

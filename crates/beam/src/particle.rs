@@ -51,6 +51,18 @@ impl PhaseCoord {
     pub fn is_momentum(self) -> bool {
         matches!(self, PhaseCoord::Px | PhaseCoord::Py | PhaseCoord::Pz)
     }
+
+    /// The one-byte code a plot type's coordinates are stored and shipped
+    /// as (node files, wire frame headers): the index in
+    /// [`PhaseCoord::ALL`].
+    pub fn code(self) -> u8 {
+        self as u8
+    }
+
+    /// The coordinate a [`PhaseCoord::code`] names; `None` past the six.
+    pub fn from_code(code: u8) -> Option<PhaseCoord> {
+        PhaseCoord::ALL.get(usize::from(code)).copied()
+    }
 }
 
 /// A single macro-particle in 6-D phase space.
@@ -137,6 +149,27 @@ impl Particle {
         }
     }
 
+    /// The 48-byte storage record: the storage-order coordinates as
+    /// little-endian `f64`s.
+    #[inline]
+    pub fn to_le_bytes(&self) -> [u8; 48] {
+        let mut rec = [0u8; 48];
+        for (field, c) in rec.as_chunks_mut::<8>().0.iter_mut().zip(self.to_array()) {
+            *field = c.to_le_bytes();
+        }
+        rec
+    }
+
+    /// Particle from a 48-byte storage record.
+    #[inline]
+    pub fn from_le_bytes(rec: &[u8; 48]) -> Particle {
+        let mut a = [0.0f64; 6];
+        for (c, field) in a.iter_mut().zip(rec.as_chunks::<8>().0) {
+            *c = f64::from_le_bytes(*field);
+        }
+        Particle::from_array(a)
+    }
+
     /// `true` when every coordinate is finite.
     #[inline]
     pub fn is_finite(&self) -> bool {
@@ -175,6 +208,30 @@ mod tests {
     fn array_roundtrip() {
         let a = [0.1, -0.2, 0.3, -0.4, 0.5, -0.6];
         assert_eq!(Particle::from_array(a).to_array(), a);
+    }
+
+    #[test]
+    fn record_roundtrip_is_six_little_endian_doubles() {
+        let p = Particle::from_array([0.1, -0.2, f64::MAX, -0.0, 5e-324, f64::NAN]);
+        let rec = p.to_le_bytes();
+        for (k, c) in p.to_array().iter().enumerate() {
+            assert_eq!(rec[k * 8..(k + 1) * 8], c.to_le_bytes(), "coordinate {k}");
+        }
+        let back = Particle::from_le_bytes(&rec);
+        assert_eq!(
+            back.to_array().map(f64::to_bits),
+            p.to_array().map(f64::to_bits)
+        );
+    }
+
+    #[test]
+    fn coord_codes_are_storage_order_indices() {
+        for (i, c) in PhaseCoord::ALL.into_iter().enumerate() {
+            assert_eq!(c.code(), i as u8);
+            assert_eq!(PhaseCoord::from_code(c.code()), Some(c));
+        }
+        assert_eq!(PhaseCoord::from_code(6), None);
+        assert_eq!(PhaseCoord::from_code(u8::MAX), None);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! to the output; no computation is necessary for the particles, and
 //! discarded particles are never read from disk."
 
-use crate::node::{Node, Octree};
+use crate::node::Octree;
 use crate::sorted_store::PartitionedData;
 use accelviz_beam::io::BYTES_PER_PARTICLE;
 use accelviz_beam::particle::Particle;
@@ -95,10 +95,15 @@ pub fn extract(data: &PartitionedData, threshold: f64) -> HybridExtract<'_> {
 /// parameter ... allows the user to balance file size and visual
 /// accuracy".
 pub fn threshold_for_budget(data: &PartitionedData, max_particles: usize) -> f64 {
-    let leaves = data.sorted_leaves();
+    budget_threshold(data.tree(), data.sorted_leaves(), max_particles)
+}
+
+/// The density of the first leaf, in store order, whose group would take
+/// the kept count past `max_particles`; `+∞` when every group fits.
+fn budget_threshold(tree: &Octree, store_order: &[u32], max_particles: usize) -> f64 {
     let mut kept = 0u64;
-    for &li in leaves {
-        let n = &data.tree().nodes[li as usize];
+    for &li in store_order {
+        let n = &tree.nodes[li as usize];
         if kept + n.len > max_particles as u64 {
             return n.density;
         }
@@ -158,24 +163,31 @@ pub fn progressive_cuts(data: &PartitionedData, threshold: f64, chunk_points: us
 }
 
 /// [`threshold_for_budget`] from the octree alone, without the particle
-/// array. The density order is recovered from the leaf offsets (the
-/// store invariant: groups appear in ascending density), exactly as the
-/// disk-read path does — so an out-of-core server can answer "what
-/// threshold fits this budget?" for a frame whose particles are not
-/// resident, reading only the node file.
+/// array. The density order is recovered from the leaf offsets
+/// ([`Octree::leaves_in_store_order`]; the store invariant is that groups
+/// appear in ascending density) — so an out-of-core server can answer
+/// "what threshold fits this budget?" for a frame whose particles are not
+/// resident, reading only the node blob.
 pub fn threshold_for_budget_tree(tree: &Octree, max_particles: usize) -> f64 {
-    let mut leaves: Vec<&Node> = tree.nodes.iter().filter(|n| n.is_leaf()).collect();
-    // Empty groups share offset 0 with the first real group; order them
-    // first, matching `PartitionedData::from_disk`.
-    leaves.sort_by_key(|a| (a.offset, a.len > 0));
+    budget_threshold(tree, &tree.leaves_in_store_order(), max_particles)
+}
+
+/// How many particles [`extract`] keeps at `threshold`, from the octree
+/// alone: the end of the last group, in store order, before the first
+/// leaf at or above the threshold. This is the length of the prefix of
+/// the particle store to read — "discarded particles are never read from
+/// disk" — and equals `extract(data, threshold).particles.len()`.
+pub fn kept_prefix_tree(tree: &Octree, threshold: f64) -> u64 {
     let mut kept = 0u64;
-    for n in leaves {
-        if kept + n.len > max_particles as u64 {
-            return n.density;
+    for li in tree.leaves_in_store_order() {
+        let n = &tree.nodes[li as usize];
+        if n.density < threshold {
+            kept = n.offset.saturating_add(n.len);
+        } else {
+            break;
         }
-        kept += n.len;
     }
-    f64::INFINITY
+    kept
 }
 
 #[cfg(test)]
@@ -288,6 +300,38 @@ mod tests {
                 threshold_for_budget(&data, budget).to_bits(),
                 "budget {budget}"
             );
+        }
+    }
+
+    #[test]
+    fn tree_only_kept_prefix_equals_the_extraction_length() {
+        // Seeded frames of varied size, plot and tree shape; thresholds at
+        // every leaf density, between each neighbouring pair, and at the
+        // special values.
+        let plots = PlotType::FIGURE2;
+        for seed in 0..12u64 {
+            let ps = Distribution::default_beam().sample(200 + 700 * seed as usize, seed);
+            let params = BuildParams {
+                max_depth: 2 + (seed % 5) as u32,
+                leaf_capacity: 8 << (seed % 4),
+                gradient_refinement: None,
+            };
+            let data = partition(&ps, plots[seed as usize % plots.len()], params);
+            let mut densities: Vec<f64> = data
+                .sorted_leaves()
+                .iter()
+                .map(|&li| data.tree().nodes[li as usize].density)
+                .collect();
+            densities.dedup();
+            let mids: Vec<f64> = densities.windows(2).map(|w| 0.5 * (w[0] + w[1])).collect();
+            let special = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+            for t in densities.iter().chain(&mids).chain(&special).copied() {
+                assert_eq!(
+                    kept_prefix_tree(data.tree(), t),
+                    extract(&data, t).particles.len() as u64,
+                    "seed {seed}, threshold {t}"
+                );
+            }
         }
     }
 

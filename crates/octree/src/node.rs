@@ -92,6 +92,19 @@ impl Octree {
             .map(|(i, _)| i)
     }
 
+    /// Leaf indices in the order their groups appear in the density-sorted
+    /// particle store, recovered from the leaf offsets alone. Empty groups
+    /// share offset 0 with the first real group; they come first (they
+    /// occupy zero bytes there), then ties go by index.
+    pub fn leaves_in_store_order(&self) -> Vec<u32> {
+        let mut leaves: Vec<u32> = self.leaf_indices().map(|i| i as u32).collect();
+        leaves.sort_unstable_by_key(|&li| {
+            let n = &self.nodes[li as usize];
+            (n.offset, n.len > 0, li)
+        });
+        leaves
+    }
+
     /// Number of leaves.
     pub fn leaf_count(&self) -> usize {
         self.nodes.iter().filter(|n| n.is_leaf()).count()
@@ -138,5 +151,27 @@ mod tests {
         };
         assert_eq!(t.node_file_bytes(), 9 * 88);
         assert_eq!(t.leaf_count(), 9);
+    }
+
+    #[test]
+    fn store_order_puts_empty_groups_first_then_follows_offsets() {
+        let b = Aabb::new(Vec3::ZERO, Vec3::ONE);
+        let group = |offset, len| Node {
+            offset,
+            len,
+            ..Node::leaf(b, 1)
+        };
+        let mut root = Node::leaf(b, 0);
+        root.set_children(1);
+        // Index: 0 root, then leaves holding [5, 7), [0, 3), empty,
+        // [3, 5), empty, [7, 8), empty, empty.
+        let mut nodes = vec![root, group(5, 2), group(0, 3), group(0, 0), group(3, 2)];
+        nodes.extend([group(0, 0), group(7, 1), group(0, 0), group(0, 0)]);
+        let t = Octree {
+            nodes,
+            bounds: b,
+            max_depth: 1,
+        };
+        assert_eq!(t.leaves_in_store_order(), vec![3, 5, 7, 8, 2, 4, 1, 6]);
     }
 }

@@ -87,50 +87,27 @@ impl PartitionedData {
         }
     }
 
-    /// Reassembles a store from deserialized parts (the disk-read path):
-    /// the sorted-leaf order is recovered from the leaf offsets, and the
-    /// store invariants are checked before anything is returned.
-    pub(crate) fn from_disk(
-        tree: Octree,
-        particles: Vec<Particle>,
-        plot: PlotType,
-    ) -> Result<PartitionedData, String> {
-        let mut sorted_leaves: Vec<u32> = tree
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.is_leaf())
-            .map(|(i, _)| i as u32)
-            .collect();
-        // Empty groups share offset 0 with the first real group: order
-        // them first (they "occupy" zero bytes there), then by offset.
-        sorted_leaves.sort_by_key(|&li| {
-            let n = &tree.nodes[li as usize];
-            (n.offset, n.len > 0, li)
-        });
-        let data = PartitionedData {
-            tree,
-            particles,
-            sorted_leaves,
-            plot,
-        };
-        data.validate()?;
-        Ok(data)
-    }
-
     /// Reassembles a store from parts that are *already* in the sorted
     /// layout — a deserialized octree plus its density-ordered particle
-    /// array. This is the public entry point for external storage
-    /// formats (the run store in `accelviz-store` decodes particle
-    /// chunks and rebuilds frames through it); the store invariants are
-    /// validated before anything is returned, so corrupt inputs fail
-    /// here rather than during extraction.
+    /// array (the run store in `accelviz-store` decodes particle chunks
+    /// and rebuilds frames through it). The sorted-leaf order is
+    /// recovered from the leaf offsets ([`Octree::leaves_in_store_order`])
+    /// and the store invariants are validated before anything is
+    /// returned, so corrupt inputs fail here rather than during
+    /// extraction.
     pub fn from_sorted_parts(
         tree: Octree,
         particles: Vec<Particle>,
         plot: PlotType,
     ) -> Result<PartitionedData, String> {
-        PartitionedData::from_disk(tree, particles, plot)
+        let data = PartitionedData {
+            sorted_leaves: tree.leaves_in_store_order(),
+            tree,
+            particles,
+            plot,
+        };
+        data.validate()?;
+        Ok(data)
     }
 
     /// The octree ("node file").
@@ -280,6 +257,33 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&s| s));
+    }
+
+    #[test]
+    fn reassembling_from_the_tree_alone_recovers_the_store() {
+        let data = build(3_000);
+        let back = PartitionedData::from_sorted_parts(
+            data.tree().clone(),
+            data.particles().to_vec(),
+            data.plot(),
+        )
+        .unwrap();
+        // The recovered order may permute the empty groups at offset 0;
+        // every leaf with particles sits where the build put it.
+        let groups = |d: &PartitionedData| -> Vec<u32> {
+            d.sorted_leaves()
+                .iter()
+                .copied()
+                .filter(|&li| d.tree().nodes[li as usize].len > 0)
+                .collect()
+        };
+        assert_eq!(groups(&back), groups(&data));
+        assert_eq!(back.sorted_leaves().len(), data.sorted_leaves().len());
+        // Particles that do not match the tree are refused.
+        let short = data.particles()[..100].to_vec();
+        assert!(
+            PartitionedData::from_sorted_parts(data.tree().clone(), short, data.plot()).is_err()
+        );
     }
 
     #[test]

@@ -1,19 +1,17 @@
-//! On-disk serialization of the two-part partitioned layout (§2.3).
+//! The node-blob codec (§2.3's "octree nodes" part).
 //!
 //! "This octree is written out to disk in two parts: one part contains
 //! all the particles of the simulation, the other contains the octree
-//! nodes themselves." The particle file reuses the raw snapshot layout
-//! (partitioning reorders, never grows, the data); the node file stores
-//! 88 bytes per node. [`extract_from_files`] demonstrates the headline
-//! property with real reads: it consumes the node file plus exactly the
-//! kept prefix of the particle file — "discarded particles are never read
-//! from disk".
+//! nodes themselves." The run store (`accelviz-store`'s `AVRUNST1`)
+//! holds both parts per frame: it embeds this codec's output as each
+//! frame's node blob beside the density-sorted particle chunks, and reads
+//! the kept prefix of those chunks. A node blob is a 72-byte header
+//! followed by 88 bytes per node.
 
 use crate::node::{Node, Octree};
 use crate::plots::PlotType;
 use crate::sorted_store::PartitionedData;
-use accelviz_beam::io::{read_snapshot, write_snapshot, BYTES_PER_PARTICLE, HEADER_BYTES};
-use accelviz_beam::particle::{Particle, PhaseCoord};
+use accelviz_beam::particle::PhaseCoord;
 use accelviz_math::{Aabb, Vec3};
 use std::io::{self, Read, Write};
 
@@ -39,7 +37,7 @@ pub fn write_node_file<W: Write>(data: &PartitionedData, w: &mut W) -> io::Resul
     buf.extend_from_slice(&tree.max_depth.to_le_bytes());
     // Plot type as three coordinate indices.
     for c in data.plot().coords {
-        buf.push(coord_code(c));
+        buf.push(c.code());
     }
     buf.push(0u8); // padding
     for v in [tree.bounds.min, tree.bounds.max] {
@@ -68,23 +66,6 @@ pub fn write_node_file<W: Write>(data: &PartitionedData, w: &mut W) -> io::Resul
         w.write_all(&buf)?;
     }
     Ok(())
-}
-
-/// Writes the particle file (the density-sorted particle array in the raw
-/// snapshot layout).
-pub fn write_particle_file<W: Write>(data: &PartitionedData, w: &mut W) -> io::Result<()> {
-    write_snapshot(w, 0, data.particles())
-}
-
-/// Reads both files back into a [`PartitionedData`].
-pub fn read_partitioned<R1: Read, R2: Read>(
-    node_r: &mut R1,
-    particle_r: &mut R2,
-) -> io::Result<PartitionedData> {
-    let (tree, plot) = read_node_file(node_r)?;
-    let (_, particles) = read_snapshot(particle_r)?;
-    PartitionedData::from_disk(tree, particles, plot)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
 /// Reads the node file: the octree plus the plot type.
@@ -161,100 +142,9 @@ pub fn read_node_file<R: Read>(r: &mut R) -> io::Result<(Octree, PlotType)> {
     ))
 }
 
-/// Result of a disk-model extraction.
-#[derive(Clone, Debug)]
-pub struct DiskExtract {
-    /// The kept particles (the low-density prefix).
-    pub particles: Vec<Particle>,
-    /// Bytes read from the particle file (header + prefix only).
-    pub particle_bytes_read: u64,
-    /// Particles that were *not* read.
-    pub skipped: u64,
-}
-
-/// Extraction straight from the two files: parses the node file, finds the
-/// threshold prefix, and reads exactly that many particles from the
-/// particle file — the paper's "discarded particles are never read from
-/// disk", executed literally.
-pub fn extract_from_files<R1: Read, R2: Read>(
-    node_r: &mut R1,
-    particle_r: &mut R2,
-    threshold: f64,
-) -> io::Result<DiskExtract> {
-    let (tree, _plot) = read_node_file(node_r)?;
-    // Leaves sorted by offset are the density order (the store invariant).
-    let mut leaves: Vec<&Node> = tree.nodes.iter().filter(|n| n.is_leaf()).collect();
-    leaves.sort_by_key(|n| n.offset);
-    let mut prefix = 0u64;
-    for n in &leaves {
-        if n.density < threshold {
-            prefix = prefix.max(n.offset + n.len);
-        } else {
-            break;
-        }
-    }
-    // Read header + exactly `prefix` particles. The reads are chunked
-    // (up to ~760 KiB each) but never sized past the prefix boundary:
-    // the headline claim is that discarded particles are *never read*,
-    // so a buffered reader that over-reads would falsify it.
-    let mut header = [0u8; HEADER_BYTES as usize];
-    particle_r.read_exact(&mut header)?;
-    let total = u64::from_le_bytes(header[16..24].try_into().unwrap());
-    if prefix > total {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "prefix exceeds file",
-        ));
-    }
-    const CHUNK: u64 = 16_384;
-    // `prefix` and `total` are both claims (the node file's and the
-    // particle header's): room is made one I/O chunk at a time, for
-    // records that have arrived.
-    let mut particles = Vec::new();
-    let mut buf = vec![0u8; (prefix.min(CHUNK) * BYTES_PER_PARTICLE) as usize];
-    let mut remaining = prefix;
-    while remaining > 0 {
-        let n = remaining.min(CHUNK);
-        let bytes = &mut buf[..(n * BYTES_PER_PARTICLE) as usize];
-        particle_r.read_exact(bytes)?;
-        particles.reserve(n as usize);
-        for rec in bytes.chunks_exact(BYTES_PER_PARTICLE as usize) {
-            let mut a = [0.0f64; 6];
-            for (i, c) in a.iter_mut().enumerate() {
-                *c = f64::from_le_bytes(rec[i * 8..(i + 1) * 8].try_into().unwrap());
-            }
-            particles.push(Particle::from_array(a));
-        }
-        remaining -= n;
-    }
-    Ok(DiskExtract {
-        particles,
-        particle_bytes_read: HEADER_BYTES + prefix * BYTES_PER_PARTICLE,
-        skipped: total - prefix,
-    })
-}
-
-fn coord_code(c: PhaseCoord) -> u8 {
-    match c {
-        PhaseCoord::X => 0,
-        PhaseCoord::Px => 1,
-        PhaseCoord::Y => 2,
-        PhaseCoord::Py => 3,
-        PhaseCoord::Z => 4,
-        PhaseCoord::Pz => 5,
-    }
-}
-
 fn coord_from_code(b: u8) -> io::Result<PhaseCoord> {
-    Ok(match b {
-        0 => PhaseCoord::X,
-        1 => PhaseCoord::Px,
-        2 => PhaseCoord::Y,
-        3 => PhaseCoord::Py,
-        4 => PhaseCoord::Z,
-        5 => PhaseCoord::Pz,
-        _ => return Err(io::Error::new(io::ErrorKind::InvalidData, "bad coord code")),
-    })
+    PhaseCoord::from_code(b)
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad coord code"))
 }
 
 fn aabb_from_bytes(b: &[u8]) -> io::Result<Aabb> {
@@ -272,42 +162,10 @@ fn aabb_from_bytes(b: &[u8]) -> io::Result<Aabb> {
     ))
 }
 
-/// A reader wrapper counting consumed bytes and read calls (used by
-/// tests to prove the prefix-only read and that reads are chunked, not
-/// per-record — each call here is what a syscall would be on a real fd).
-pub struct CountingReader<R> {
-    inner: R,
-    /// Bytes read so far.
-    pub bytes: u64,
-    /// Number of `read` calls that reached the underlying reader.
-    pub reads: u64,
-}
-
-impl<R: Read> CountingReader<R> {
-    /// Wraps a reader.
-    pub fn new(inner: R) -> CountingReader<R> {
-        CountingReader {
-            inner,
-            bytes: 0,
-            reads: 0,
-        }
-    }
-}
-
-impl<R: Read> Read for CountingReader<R> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        self.bytes += n as u64;
-        self.reads += 1;
-        Ok(n)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::{partition, BuildParams};
-    use crate::extraction::{extract, threshold_for_budget};
     use accelviz_beam::distribution::Distribution;
 
     fn build(n: usize) -> PartitionedData {
@@ -315,25 +173,21 @@ mod tests {
         partition(&ps, PlotType::X_PX_Y, BuildParams::default())
     }
 
-    #[test]
-    fn two_part_roundtrip() {
-        let data = build(3_000);
-        let mut node_file = Vec::new();
-        let mut particle_file = Vec::new();
-        write_node_file(&data, &mut node_file).unwrap();
-        write_particle_file(&data, &mut particle_file).unwrap();
-        let back =
-            read_partitioned(&mut node_file.as_slice(), &mut particle_file.as_slice()).unwrap();
-        back.validate().unwrap();
-        assert_eq!(back.particles(), data.particles());
-        assert_eq!(back.plot(), data.plot());
-        assert_eq!(back.tree().nodes.len(), data.tree().nodes.len());
-        // Extraction from the roundtripped store matches.
-        let t = threshold_for_budget(&data, 500);
-        assert_eq!(
-            extract(&back, t).particles.len(),
-            extract(&data, t).particles.len()
-        );
+    /// A reader wrapper counting consumed bytes and read calls — each
+    /// call here is what a syscall would be on a real fd.
+    struct CountingReader<R> {
+        inner: R,
+        bytes: u64,
+        reads: u64,
+    }
+
+    impl<R: Read> Read for CountingReader<R> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.inner.read(buf)?;
+            self.bytes += n as u64;
+            self.reads += 1;
+            Ok(n)
+        }
     }
 
     #[test]
@@ -346,48 +200,17 @@ mod tests {
     }
 
     #[test]
-    fn disk_extraction_reads_only_the_prefix() {
-        let data = build(5_000);
-        let mut node_file = Vec::new();
-        let mut particle_file = Vec::new();
-        write_node_file(&data, &mut node_file).unwrap();
-        write_particle_file(&data, &mut particle_file).unwrap();
-
-        let t = threshold_for_budget(&data, 700);
-        let expected = extract(&data, t);
-
-        let mut counting = CountingReader::new(particle_file.as_slice());
-        let result = extract_from_files(&mut node_file.as_slice(), &mut counting, t).unwrap();
-        assert_eq!(result.particles.as_slice(), expected.particles);
-        assert_eq!(result.skipped, expected.discarded);
-        // The headline claim, verified on real reads: bytes consumed =
-        // header + prefix, nothing else.
-        assert_eq!(
-            counting.bytes,
-            HEADER_BYTES + expected.particles.len() as u64 * BYTES_PER_PARTICLE
-        );
-        assert!(
-            counting.bytes < particle_file.len() as u64 / 2,
-            "most of the particle file must remain unread"
-        );
-        // …and in a handful of sized reads, not one syscall per particle:
-        // header + at most one chunked read per 16 Ki records.
-        assert!(
-            counting.reads <= 3,
-            "prefix read used {} calls for {} particles",
-            counting.reads,
-            expected.particles.len()
-        );
-    }
-
-    #[test]
     fn node_file_reads_are_chunked_and_exact() {
         let data = build(5_000);
         let mut node_file = Vec::new();
         write_node_file(&data, &mut node_file).unwrap();
         // Trailing bytes that belong to "someone else" in a container.
         node_file.extend_from_slice(b"TRAILERDATA");
-        let mut counting = CountingReader::new(node_file.as_slice());
+        let mut counting = CountingReader {
+            inner: node_file.as_slice(),
+            bytes: 0,
+            reads: 0,
+        };
         let (tree, _) = read_node_file(&mut counting).unwrap();
         assert_eq!(tree.nodes.len(), data.tree().nodes.len());
         // Exact consumption: the trailer is untouched.
@@ -455,18 +278,11 @@ mod tests {
             swapped.swap(24 + i, 24 + 24 + i);
         }
         assert!(read_node_file(&mut swapped.as_slice()).is_err());
-    }
-
-    #[test]
-    fn mismatched_particle_count_is_rejected() {
-        let data = build(500);
-        let mut node_file = Vec::new();
-        write_node_file(&data, &mut node_file).unwrap();
-        // Particle file with too few particles.
-        let mut particle_file = Vec::new();
-        write_snapshot(&mut particle_file, 0, &data.particles()[..100]).unwrap();
-        assert!(
-            read_partitioned(&mut node_file.as_slice(), &mut particle_file.as_slice()).is_err()
-        );
+        // A plot code past the six coordinates.
+        let mut plot = node_file.clone();
+        plot[21] = 6;
+        let err = read_node_file(&mut plot.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(err.to_string(), "bad coord code");
     }
 }

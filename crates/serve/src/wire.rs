@@ -13,10 +13,11 @@
 //! 16+n   8    FNV-1a 64 checksum over header + payload
 //! ```
 //!
-//! All integers are little-endian, matching the on-disk formats in
-//! `accelviz-octree::store_io` and `accelviz-beam::io`. Payload decoding
-//! is strict: trailing bytes, overruns, and out-of-range enum codes are
-//! [`ServeError::Corrupt`], never panics.
+//! All integers are little-endian, matching the on-disk formats
+//! (`accelviz-store`'s run file and `accelviz-beam::io`), and plot types
+//! travel as [`PhaseCoord::code`] bytes, as node blobs store them.
+//! Payload decoding is strict: trailing bytes, overruns, and out-of-range
+//! enum codes are [`ServeError::Corrupt`], never panics.
 
 use crate::error::{Result, ServeError};
 use accelviz_beam::particle::{Particle, PhaseCoord};
@@ -322,32 +323,10 @@ impl<'a> PayloadReader<'a> {
     }
 }
 
-/// Phase-coordinate wire code, matching `store_io`'s on-disk codes.
-fn coord_code(c: PhaseCoord) -> u8 {
-    match c {
-        PhaseCoord::X => 0,
-        PhaseCoord::Px => 1,
-        PhaseCoord::Y => 2,
-        PhaseCoord::Py => 3,
-        PhaseCoord::Z => 4,
-        PhaseCoord::Pz => 5,
-    }
-}
-
+/// The phase coordinate a plot-code byte names.
 fn coord_from_code(b: u8) -> Result<PhaseCoord> {
-    Ok(match b {
-        0 => PhaseCoord::X,
-        1 => PhaseCoord::Px,
-        2 => PhaseCoord::Y,
-        3 => PhaseCoord::Py,
-        4 => PhaseCoord::Z,
-        5 => PhaseCoord::Pz,
-        other => {
-            return Err(ServeError::Corrupt(format!(
-                "invalid phase-coord code {other}"
-            )))
-        }
-    })
+    PhaseCoord::from_code(b)
+        .ok_or_else(|| ServeError::Corrupt(format!("invalid phase-coord code {b}")))
 }
 
 fn put_aabb(w: &mut PayloadWriter, b: &Aabb) {
@@ -391,7 +370,7 @@ impl FrameHeader {
     pub(crate) fn put(w: &mut PayloadWriter, frame: &HybridFrame) {
         w.put_u64(frame.step as u64);
         for c in frame.plot.coords {
-            w.put_u8(coord_code(c));
+            w.put_u8(c.code());
         }
         put_aabb(w, &frame.bounds);
         w.put_f64(frame.threshold);

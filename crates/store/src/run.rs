@@ -1,10 +1,10 @@
 //! The chunked, checksummed on-disk run format (`AVRUNST1`).
 //!
-//! A *run* is a whole time series in one file, extending the two-part
-//! layout of `accelviz_octree::store_io` to many frames: per frame, the
-//! node file becomes an embedded *node blob* (byte-identical to
-//! [`write_node_file`] output) and the density-sorted particle array is
-//! split into fixed-size *chunks* of raw 48-byte records. Every blob and
+//! A *run* is a whole time series in one file, and the one on-disk
+//! layout of partitioned particles (§2.3's two parts, per frame): each
+//! frame's octree is an embedded *node blob* ([`write_node_file`] output)
+//! and its density-sorted particle array is split into fixed-size
+//! *chunks* of 48-byte records ([`Particle::to_le_bytes`]). Every blob and
 //! every chunk carries an FNV-1a-64 checksum that is verified on each
 //! read, so a flipped bit anywhere in the data region surfaces as a
 //! structured I/O error, never as silently wrong particles.
@@ -25,7 +25,9 @@
 //! fetched on demand with bounds-checked positioned reads, so a run much
 //! larger than RAM never has to be resident at once. Chunk size is always
 //! a multiple of the 48-byte particle record so a record never straddles
-//! chunks.
+//! chunks, and [`RunStore::load_prefix`] reads only the chunks covering a
+//! threshold extraction's kept prefix: "discarded particles are never
+//! read from disk".
 
 use accelviz_beam::io::BYTES_PER_PARTICLE;
 use accelviz_beam::particle::Particle;
@@ -84,9 +86,7 @@ struct ChunkDir {
 fn particle_bytes(particles: &[Particle]) -> Vec<u8> {
     let mut out = Vec::with_capacity(particles.len() * BYTES_PER_PARTICLE as usize);
     for p in particles {
-        for c in p.to_array() {
-            out.extend_from_slice(&c.to_le_bytes());
-        }
+        out.extend_from_slice(&p.to_le_bytes());
     }
     out
 }
@@ -339,7 +339,7 @@ impl RunStore {
                 .iter()
                 .map(|c| c.len)
                 .sum();
-            if covered != f.particle_count * BYTES_PER_PARTICLE {
+            if f.particle_count.checked_mul(BYTES_PER_PARTICLE) != Some(covered) {
                 return Err(bad(format!(
                     "frame {i} chunks cover {covered} bytes for {} particles",
                     f.particle_count
@@ -378,7 +378,7 @@ impl RunStore {
     }
 
     /// `(chunks_read, bytes_read)` so far: the particle chunks
-    /// [`RunStore::load_particles`] has read, and their bytes plus the
+    /// [`RunStore::load_prefix`] has read, and their bytes plus the
     /// node blobs [`RunStore::read_tree`] has read. The header and tables
     /// read once by [`RunStore::open`] are not counted.
     pub fn io_stats(&self) -> (u64, u64) {
@@ -401,21 +401,52 @@ impl RunStore {
         read_node_file(&mut blob.as_slice())
     }
 
-    /// Reads and checksum-verifies all particle chunks of frame `i`,
-    /// four chunks to a group: read the group, hash its chunks side by
-    /// side ([`fnv1a64_x4`]), compare every hash with its table entry,
-    /// and only then decode the group's records.
+    /// Reads and checksum-verifies all particle chunks of frame `i`:
+    /// [`RunStore::load_prefix`] of the whole frame.
     pub fn load_particles(&self, i: usize) -> io::Result<Vec<Particle>> {
+        self.load_prefix(i, self.particle_count(i))
+    }
+
+    /// Frame `i`'s first `n` particles — the kept prefix of a threshold
+    /// extraction when `n` is
+    /// [`kept_prefix_tree`](accelviz_octree::extraction::kept_prefix_tree)
+    /// of the frame's tree. Only the chunks covering those records are
+    /// read, four to a group: read the group, hash its chunks side by side
+    /// ([`fnv1a64_x4`]), compare every hash with its table entry, and only
+    /// then decode the group's records. An `n` past the frame's particle
+    /// count is `InvalidInput`, refused before anything is sized.
+    pub fn load_prefix(&self, i: usize, n: u64) -> io::Result<Vec<Particle>> {
         let d = &self.frames[i];
+        if n > d.particle_count {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "prefix of {n} records asked of frame {i}'s {}",
+                    d.particle_count
+                ),
+            ));
+        }
+        // Bytes of records still to decode. The frame's chunks cover
+        // exactly its `particle_count` records (checked at open), so the
+        // walk to the first chunk that reaches `want` stays in the table.
+        let mut want = n * BYTES_PER_PARTICLE;
         let first = d.first_chunk as usize;
-        let chunks = &self.chunks[first..first + d.n_chunks as usize];
-        // One scratch buffer per frame load, one group wide, sized from
-        // this frame's own table entries (each checked against the file
-        // length at open) — never from the header's `chunk_bytes`, which
-        // is only a claim.
+        let mut end = first;
+        let mut reached = 0;
+        while reached < want {
+            reached += self.chunks[end].len;
+            end += 1;
+        }
+        let chunks = &self.chunks[first..end];
+        // One scratch buffer per load, one group wide, sized from these
+        // chunks' own table entries (each checked against the file length
+        // at open) — never from the header's `chunk_bytes`, which is only
+        // a claim.
         let largest = chunks.iter().map(|c| c.len).max().unwrap_or(0);
         let mut scratch = vec![0u8; CHECKSUM_LANES * largest as usize];
-        let mut particles = Vec::with_capacity(d.particle_count as usize);
+        // Room for the `n` records those entries hold, and never more than
+        // the file could: two entries may name the same bytes.
+        let mut particles = Vec::with_capacity(n.min(self.src.len / BYTES_PER_PARTICLE) as usize);
         for (group, ci) in chunks
             .chunks(CHECKSUM_LANES)
             .zip((first..).step_by(CHECKSUM_LANES))
@@ -437,14 +468,11 @@ impl RunStore {
                     return Err(bad(format!("chunk {ci} of frame {i} failed checksum")));
                 }
             }
+            // The last chunk read may run past the prefix.
             for bytes in &lanes[..group.len()] {
-                for rec in bytes.chunks_exact(BYTES_PER_PARTICLE as usize) {
-                    let mut a = [0.0f64; 6];
-                    for (k, v) in a.iter_mut().enumerate() {
-                        *v = f64::from_le_bytes(rec[k * 8..(k + 1) * 8].try_into().unwrap());
-                    }
-                    particles.push(Particle::from_array(a));
-                }
+                let kept = &bytes[..bytes.len().min(want as usize)];
+                want -= kept.len() as u64;
+                particles.extend(kept.as_chunks().0.iter().map(Particle::from_le_bytes));
             }
         }
         Ok(particles)
@@ -456,6 +484,7 @@ mod tests {
     use super::*;
     use accelviz_beam::distribution::Distribution;
     use accelviz_octree::builder::{partition, BuildParams};
+    use accelviz_octree::extraction::{extract, kept_prefix_tree, threshold_for_budget_tree};
 
     fn build_frames(n_frames: usize, particles_each: usize) -> Vec<PartitionedData> {
         (0..n_frames)
@@ -616,6 +645,117 @@ mod tests {
         assert_eq!(store.frame_count(), 1);
         assert_eq!(store.particle_count(0), 0);
         assert!(store.load_particles(0).unwrap().is_empty());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn write_run_bytes_are_pinned() {
+        // The digest of this seeded 3-frame run as `AVRUNST1` v1 has
+        // always written it: a change to any byte of the format fails here.
+        let frames = build_frames(3, 1_000);
+        let mut bytes = Vec::new();
+        let written = write_run(&mut bytes, &frames, 4_096).unwrap();
+        assert_eq!((written, bytes.len()), (147_632, 147_632));
+        assert_eq!(fnv1a64(&bytes), 0xf8f4_a25b_a52b_c5d4);
+    }
+
+    #[test]
+    fn a_directory_particle_count_that_overflows_its_bytes_is_rejected() {
+        // 10 + 2^60 records claim (10 + 2^60) · 48 bytes, which wraps to
+        // exactly the 480 the frame's one chunk covers.
+        let frames = build_frames(1, 10);
+        let path = scratch("count-overflow");
+        write_run_file(&path, &frames, 480).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let claimed = 10u64 + (1 << 60);
+        // Frame 0's `particle_count`: header 24 + five u64 fields.
+        bytes[64..72].copy_from_slice(&claimed.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let err = match RunStore::open(&path) {
+            Err(e) => e,
+            Ok(store) => store
+                .load_particles(0)
+                .expect_err("a count the chunks do not hold"),
+        };
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn extraction_reads_only_the_kept_prefix_of_a_frame() {
+        // §2.3: "discarded particles are never read from disk". The kept
+        // count comes from the frame's tree alone; the prefix read from
+        // the run is the extraction, and it costs exactly the chunks that
+        // hold it.
+        let frames = build_frames(1, 5_000);
+        let path = scratch("prefix-proof");
+        write_run_file(&path, &frames, 4_096).unwrap();
+        let store = RunStore::open(&path).unwrap();
+        let (tree, _) = store.read_tree(0).unwrap();
+        let t = threshold_for_budget_tree(&tree, 700);
+        let kept = kept_prefix_tree(&tree, t);
+        let expected = extract(&frames[0], t);
+        assert!(kept > 0 && kept <= 700, "kept {kept}");
+
+        let (chunks_before, bytes_before) = store.io_stats();
+        let prefix = store.load_prefix(0, kept).unwrap();
+        let (chunks_after, bytes_after) = store.io_stats();
+        assert_eq!(prefix, expected.particles);
+        let chunks = (kept * BYTES_PER_PARTICLE).div_ceil(store.chunk_bytes());
+        assert_eq!(chunks_after - chunks_before, chunks);
+        let read = bytes_after - bytes_before;
+        assert_eq!(
+            read,
+            chunks * store.chunk_bytes(),
+            "whole chunks, none past the prefix"
+        );
+        assert!(
+            read < store.frame_bytes(0) / 2,
+            "read {read} of the frame's {} particle bytes",
+            store.frame_bytes(0)
+        );
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn prefix_reads_stop_at_the_chunk_that_holds_the_last_record() {
+        // 4_128-byte chunks hold 86 records; 1_000 particles end in a
+        // ragged 12th chunk of 54.
+        let frames = build_frames(1, 1_000);
+        let path = scratch("prefix-edges");
+        write_run_file(&path, &frames, 4_096).unwrap();
+        let store = RunStore::open(&path).unwrap();
+        let all = frames[0].particles();
+        let per_chunk = store.chunk_bytes() / BYTES_PER_PARTICLE;
+        assert_eq!(per_chunk, 86);
+        for (n, chunks) in [
+            (0, 0),
+            (1, 1),
+            (per_chunk, 1),
+            (per_chunk + 1, 2),
+            (4 * per_chunk, 4),
+            (5 * per_chunk, 5),
+            (11 * per_chunk + 1, 12),
+            (999, 12),
+            (1_000, 12),
+        ] {
+            let before = store.io_stats().0;
+            let prefix = store.load_prefix(0, n).unwrap();
+            assert_eq!(prefix, &all[..n as usize], "n = {n}");
+            assert_eq!(
+                store.io_stats().0 - before,
+                chunks,
+                "chunks read for n = {n}"
+            );
+        }
+        assert_eq!(
+            store.load_prefix(0, 1_000).unwrap(),
+            store.load_particles(0).unwrap()
+        );
+        for n in [1_001, 1 << 40, u64::MAX] {
+            let err = store.load_prefix(0, n).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "n = {n}");
+        }
         let _ = std::fs::remove_file(&path);
     }
 

@@ -1,4 +1,4 @@
-//! Integration tests of the interactive session and the on-disk two-part
+//! Integration tests of the interactive session and the on-disk run
 //! store, crossing the full stack through real files.
 
 use accelviz::beam::simulation::{BeamConfig, BeamSimulation};
@@ -6,14 +6,12 @@ use accelviz::core::hybrid::HybridFrame;
 use accelviz::core::scene::RenderMode;
 use accelviz::core::session::{SessionOp, ViewerSession};
 use accelviz::octree::builder::{partition, BuildParams};
-use accelviz::octree::extraction::{extract, threshold_for_budget};
+use accelviz::octree::extraction::{extract, kept_prefix_tree, threshold_for_budget};
 use accelviz::octree::plots::PlotType;
-use accelviz::octree::store_io::{
-    extract_from_files, read_partitioned, write_node_file, write_particle_file, CountingReader,
-};
 use accelviz::render::framebuffer::Framebuffer;
+use accelviz::store::resident::ResidentRun;
+use accelviz::store::run::{write_run_file, RunStore};
 use std::fs;
-use std::io::BufReader;
 
 fn frames(n: usize) -> Vec<HybridFrame> {
     let mut sim = BeamSimulation::new(BeamConfig::zero_current(2_000, 3));
@@ -71,44 +69,30 @@ fn two_part_store_roundtrips_through_the_filesystem() {
     let snap = sim.snapshot(1);
     let data = partition(&snap.particles, PlotType::X_PX_Y, BuildParams::default());
 
-    let dir = std::env::temp_dir().join(format!("accelviz_store_{}", std::process::id()));
-    fs::create_dir_all(&dir).unwrap();
-    let node_path = dir.join("frame.nodes");
-    let particle_path = dir.join("frame.particles");
-    {
-        let mut nf = fs::File::create(&node_path).unwrap();
-        let mut pf = fs::File::create(&particle_path).unwrap();
-        write_node_file(&data, &mut nf).unwrap();
-        write_particle_file(&data, &mut pf).unwrap();
-    }
+    let path = std::env::temp_dir().join(format!("accelviz_store_{}", std::process::id()));
+    write_run_file(&path, std::slice::from_ref(&data), 4_096).unwrap();
+    let store = RunStore::open(&path).unwrap();
 
-    // Full read-back.
-    let back = read_partitioned(
-        &mut BufReader::new(fs::File::open(&node_path).unwrap()),
-        &mut BufReader::new(fs::File::open(&particle_path).unwrap()),
-    )
-    .unwrap();
-    assert_eq!(back.particles(), data.particles());
+    // Full read-back: the tree and every particle.
+    let (tree, plot) = store.read_tree(0).unwrap();
+    assert_eq!(plot, data.plot());
+    assert_eq!(store.load_particles(0).unwrap(), data.particles());
 
-    // Prefix-only extraction from disk: bytes read < file size.
+    // Prefix-only extraction from disk: the kept count from the tree, and
+    // less than half the frame's particle bytes read.
     let t = threshold_for_budget(&data, 400);
     let expected = extract(&data, t);
-    let mut counting = CountingReader::new(BufReader::new(fs::File::open(&particle_path).unwrap()));
-    let result = extract_from_files(
-        &mut BufReader::new(fs::File::open(&node_path).unwrap()),
-        &mut counting,
-        t,
-    )
-    .unwrap();
-    assert_eq!(result.particles.as_slice(), expected.particles);
-    let file_size = fs::metadata(&particle_path).unwrap().len();
+    let before = store.io_stats().1;
+    let prefix = store.load_prefix(0, kept_prefix_tree(&tree, t)).unwrap();
+    assert_eq!(prefix, expected.particles);
+    let read = store.io_stats().1 - before;
     assert!(
-        counting.bytes < file_size / 2,
-        "prefix read {} of {file_size} bytes",
-        counting.bytes
+        read < store.frame_bytes(0) / 2,
+        "prefix read {read} of {} bytes",
+        store.frame_bytes(0)
     );
 
-    fs::remove_dir_all(&dir).ok();
+    fs::remove_file(&path).ok();
 }
 
 #[test]
@@ -121,12 +105,11 @@ fn session_over_reloaded_frames_matches_original() {
     let data = partition(&snap.particles, PlotType::XYZ, BuildParams::default());
     let t = threshold_for_budget(&data, 500);
 
-    let mut node_file = Vec::new();
-    let mut particle_file = Vec::new();
-    write_node_file(&data, &mut node_file).unwrap();
-    write_particle_file(&data, &mut particle_file).unwrap();
-    let reloaded =
-        read_partitioned(&mut node_file.as_slice(), &mut particle_file.as_slice()).unwrap();
+    let path = std::env::temp_dir().join(format!("accelviz_reload_{}", std::process::id()));
+    write_run_file(&path, std::slice::from_ref(&data), 4_096).unwrap();
+    let run = ResidentRun::open(&path, u64::MAX).unwrap();
+    let reloaded = run.fetch(0).unwrap().data;
+    fs::remove_file(&path).ok();
 
     let frame_a = HybridFrame::from_partition(&data, 1, t, [16, 16, 16]);
     let frame_b = HybridFrame::from_partition(&reloaded, 1, t, [16, 16, 16]);
