@@ -252,7 +252,7 @@ impl Client {
         };
         // The initial connect gets the same retry treatment as any later
         // operation: a server still coming up is a transient condition.
-        client.retry_loop(|_t| Ok(()))?;
+        client.retry_loop(config.retry, |_t| Ok(()))?;
         Ok(client)
     }
 
@@ -341,15 +341,13 @@ impl Client {
         // the renderable partial.
         let mut asm = ProgressiveAssembler::new();
         let mut wire_bytes = 0u64;
-        let result = self.retry_loop(|t| {
-            write_request(
-                t,
-                &Request::RequestFrameProgressive {
-                    frame,
-                    threshold,
-                    chunk_bytes,
-                },
-            )?;
+        let req = Request::RequestFrameProgressive {
+            frame,
+            threshold,
+            chunk_bytes,
+        };
+        let result = self.retry_loop(self.retry_for(&req), |t| {
+            write_request(t, &req)?;
             loop {
                 let (reply, bytes) = read_chunk_reply(t)?;
                 let record = match reply {
@@ -365,7 +363,7 @@ impl Client {
                 if rec.seq < asm.next_seq() {
                     continue;
                 }
-                let done = asm.accept(&record)?;
+                let done = asm.accept_record(rec)?;
                 wire_bytes += bytes;
                 accelviz_trace::global().add(CTR_CLIENT_REFINE_CHUNKS, 1);
                 if done {
@@ -406,7 +404,7 @@ impl Client {
     /// `ERR_BUSY` is retried with backoff like any transient failure;
     /// non-retryable remote errors pass straight through.
     fn call(&mut self, req: Request) -> Result<Response> {
-        let (resp, wire_bytes) = self.retry_loop(move |t| {
+        let (resp, wire_bytes) = self.retry_loop(self.retry_for(&req), move |t| {
             write_request(t, &req)?;
             let (resp, wire_bytes) = read_response(t)?;
             if let Response::Error { code, message } = resp {
@@ -444,11 +442,26 @@ impl Client {
         }
     }
 
+    /// The retry policy for `req`; a frame request's policy jitters per
+    /// `(seed, frame, threshold)`, so the requests one dead shard fails
+    /// together (directly or through a router) do not retry in lockstep.
+    fn retry_for(&self, req: &Request) -> Option<RetryPolicy> {
+        match *req {
+            Request::RequestFrame { frame, threshold }
+            | Request::RequestFrameProgressive {
+                frame, threshold, ..
+            } => self.config.retry.map(|p| p.for_request(frame, threshold)),
+            _ => self.config.retry,
+        }
+    }
+
     /// Runs `op` against a live transport, reconnecting and replaying on
-    /// transient failures as the retry policy allows. The idempotence of
-    /// every protocol request is what makes blind replay correct.
+    /// transient failures as `policy` allows — the one loop in the crate
+    /// that sleeps between attempts. The idempotence of every protocol
+    /// request is what makes blind replay correct.
     fn retry_loop<T>(
         &mut self,
+        policy: Option<RetryPolicy>,
         mut op: impl FnMut(&mut Box<dyn Transport>) -> Result<T>,
     ) -> Result<T> {
         let start = Instant::now();
@@ -479,7 +492,7 @@ impl Client {
                 Ok(()) => continue, // transport established; run op next
                 Err(e) => e,
             };
-            let delay = match &self.config.retry {
+            let delay = match &policy {
                 Some(policy) if err.is_transient() => policy.next_delay(attempt, start.elapsed()),
                 _ => None,
             };
@@ -491,7 +504,7 @@ impl Client {
                     attempt += 1;
                 }
                 None => {
-                    if self.config.retry.is_some() && err.is_transient() {
+                    if policy.is_some() && err.is_transient() {
                         self.stats.giveups += 1;
                     }
                     return Err(err);

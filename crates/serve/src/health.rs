@@ -19,7 +19,7 @@
 //! [`crate::retry`], and just as replayable.
 
 use crate::client::{Client, ClientConfig};
-use accelviz_core::shard::splitmix64;
+use crate::retry::unit_draw;
 use std::net::SocketAddr;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -58,8 +58,7 @@ impl HealthConfig {
     /// The jittered pause before probe round `tick`: pure in
     /// `(probe_seed, tick)`, so a probing schedule is replayable.
     pub fn interval_for(&self, tick: u64) -> Duration {
-        let bits = splitmix64(self.probe_seed ^ tick.wrapping_mul(0xA24B_AED4_963E_E407));
-        let u = (bits >> 11) as f64 / (1u64 << 53) as f64;
+        let u = unit_draw(self.probe_seed, tick);
         Duration::from_secs_f64(
             self.probe_interval.as_secs_f64() * (1.0 + self.probe_jitter.max(0.0) * u),
         )

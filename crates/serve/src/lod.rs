@@ -230,6 +230,12 @@ impl ProgressiveAssembler {
     /// v1 trailer).
     pub fn accept(&mut self, record_bytes: &[u8]) -> Result<bool> {
         let rec = decode_record(record_bytes).map_err(|e| ServeError::Corrupt(e.to_string()))?;
+        self.accept_record(rec)
+    }
+
+    /// [`accept`](ProgressiveAssembler::accept) for a record the caller
+    /// already decoded (and checksummed) — e.g. to read its `seq` first.
+    pub fn accept_record(&mut self, rec: Record) -> Result<bool> {
         self.records
             .accept(&rec)
             .map_err(|e| ServeError::Corrupt(e.to_string()))?;

@@ -1,5 +1,6 @@
-//! Retry scheduling for the frame-service client and for the router's
-//! replica walk (the two retry loops in the crate, one per leg).
+//! Retry scheduling for the frame-service client: the one retry loop in
+//! the crate, and behind a router (which walks once and hands a failed
+//! walk back as `ERR_BUSY`) still the only backoff and the only deadline.
 //!
 //! The policy is a pure function of `(seed, attempt)`: exponential
 //! backoff with deterministic jitter, capped per-delay and bounded by a
@@ -9,6 +10,14 @@
 
 use accelviz_core::shard::splitmix64;
 use std::time::Duration;
+
+/// Draw `n` of the jitter sequence seeded `seed`: u ∈ [0, 1) from the
+/// top 53 bits of a SplitMix64 draw. The retry backoff and the health
+/// prober's interval both jitter with it.
+pub(crate) fn unit_draw(seed: u64, n: u64) -> f64 {
+    let bits = splitmix64(seed ^ n.wrapping_mul(0xA24B_AED4_963E_E407));
+    (bits >> 11) as f64 / (1u64 << 53) as f64
+}
 
 /// When and how often the client retries a failed request.
 ///
@@ -85,10 +94,19 @@ impl RetryPolicy {
         let exp = self.base_delay.as_secs_f64().max(0.0)
             * self.multiplier.max(1.0).powi(attempt.min(64) as i32);
         let capped = exp.min(self.max_delay.as_secs_f64());
-        // u ∈ [0, 1) from the top 53 bits of a SplitMix64 draw.
-        let bits = splitmix64(self.seed ^ u64::from(attempt).wrapping_mul(0xA24B_AED4_963E_E407));
-        let u = (bits >> 11) as f64 / (1u64 << 53) as f64;
+        let u = unit_draw(self.seed, u64::from(attempt));
         Duration::from_secs_f64(capped * (1.0 + self.jitter.max(0.0) * u))
+    }
+
+    /// This policy reseeded for one request for `frame` at `threshold`:
+    /// the jitter is a pure function of `(seed, frame, threshold)`, so
+    /// requests that fail together (every viewer parked on one dead
+    /// shard) do not retry in lockstep, while a fixed seed still replays.
+    pub(crate) fn for_request(self, frame: u32, threshold: f64) -> RetryPolicy {
+        RetryPolicy {
+            seed: splitmix64(splitmix64(self.seed ^ u64::from(frame)) ^ threshold.to_bits()),
+            ..self
+        }
     }
 
     /// Decides whether to retry after a transient failure: `attempt` is
@@ -178,5 +196,19 @@ mod tests {
         let c = RetryPolicy::seeded(43).schedule();
         assert_eq!(a, b);
         assert_ne!(a, c, "different seeds must jitter differently");
+    }
+
+    #[test]
+    fn per_request_jitter_is_pure_in_seed_frame_and_threshold() {
+        let p = RetryPolicy::seeded(42);
+        let a = p.for_request(3, 0.5).schedule();
+        assert_eq!(a, p.for_request(3, 0.5).schedule());
+        assert_ne!(a, p.for_request(4, 0.5).schedule(), "frames in lockstep");
+        assert_ne!(
+            a,
+            p.for_request(3, 0.25).schedule(),
+            "thresholds in lockstep"
+        );
+        assert_ne!(a, RetryPolicy::seeded(43).for_request(3, 0.5).schedule());
     }
 }

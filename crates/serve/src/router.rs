@@ -30,18 +30,19 @@
 //! hints: its upstream failure policy is settled for demand traffic only.
 //!
 //! Failure semantics (the PR 5 degradation model, one hop out): the
-//! router owns the only retry loop on this leg and the replica walk is
-//! its body, bounded by [`RouterConfig::upstream`]'s retry policy
-//! (DESIGN.md §16 has the whole failure order). When that is spent the
-//! frame is answered with an in-band `ERR_INTERNAL` while the catalog and
-//! every other shard's frames keep serving. A resilient client
-//! ([`crate::client::RemoteFrames`]) turns that into a flagged-stale
-//! degraded frame instead of a dead session; when the shard returns (or
+//! router walks a frame's replicas once per request and never sleeps;
+//! the client's retry policy is the one backoff and the one deadline
+//! (DESIGN.md §16 has the whole failure order). A failed walk a replay
+//! may fix is answered `ERR_BUSY`, which the client's ladder replays
+//! through the coalescing cache; one it cannot fix (every replica
+//! ejected, or a non-transient error) `ERR_INTERNAL`, while the catalog
+//! and every other shard's frames keep serving. A resilient client
+//! ([`crate::client::RemoteFrames`]) turns either into a flagged-stale
+//! degraded frame once its ladder is spent; when the shard returns (or
 //! [`FrameRouter::set_shard_addr`] repoints its pool at a replacement),
 //! the same requests simply succeed again. A shard that answers
-//! `ERR_BUSY` is *alive*: its breaker hears a success, the walk moves on
-//! to the next replica, and when every replica stays busy the client
-//! receives the `ERR_BUSY` its retry policy acts on.
+//! `ERR_BUSY` is *alive*: its breaker hears a success and the walk moves
+//! on to the next replica.
 
 use crate::breaker::{Admission, BreakerConfig, BreakerState, CircuitBreaker, Transition};
 use crate::cache::{CacheKey, CoalescingCache, Fetched, Lookup, Served};
@@ -50,11 +51,10 @@ use crate::error::ServeError;
 use crate::frontdoor::{spawn_thread, CounterNames, DoorConfig, FrontDoor, Handler};
 use crate::health::{HealthConfig, Prober};
 use crate::protocol::{FrameInfo, Refusal, ERR_BUSY, ERR_INTERNAL};
-use crate::retry::RetryPolicy;
 use crate::server::{FrameServer, ServerConfig};
 use crate::stats::ServerStats;
 use accelviz_core::hybrid::HybridFrame;
-use accelviz_core::shard::{splitmix64, ShardSpec};
+use accelviz_core::shard::ShardSpec;
 use accelviz_octree::sorted_store::PartitionedData;
 use accelviz_store::ResidentRun;
 use accelviz_trace::registry::Registry;
@@ -84,15 +84,16 @@ pub const CTR_ROUTER_COALESCED: &str = "router.coalesced_fetches";
 /// Registry counter: upstream fetches the router started (each one
 /// costs the owning shard at most one extraction).
 pub const CTR_ROUTER_UPSTREAM_FETCHES: &str = "router.upstream_fetches";
-/// Registry counter: re-walks — times a frame's replica walk came back
-/// without a frame and the router backed off and walked again (transient
-/// shard failures absorbed by the proxy leg).
+/// Registry counter: failed walks handed back to the client as an
+/// in-band `ERR_BUSY` for its retry policy to replay — a frame's replica
+/// walk came back without a frame while some replica could still serve
+/// it.
 pub const CTR_ROUTER_UPSTREAM_RETRIES: &str = "router.upstream_retries";
 /// Registry counter: attempts against a shard that failed (one dial or
 /// one request, nothing retried inside). For a frame the walk moves on
-/// to the next replica and only an exhausted retry loop answers in-band
-/// (`ERR_INTERNAL`, or a busy shard's `ERR_BUSY` as itself); for stats
-/// aggregation it is a zero contribution.
+/// to the next replica and only a walk that found no frame answers
+/// in-band (`ERR_BUSY` or `ERR_INTERNAL`); for stats aggregation it is a
+/// zero contribution.
 pub const CTR_ROUTER_UPSTREAM_ERRORS: &str = "router.upstream_errors";
 /// Registry counter: connections shed at the router's connection cap —
 /// answered one in-band `ERR_BUSY` from a bounded pool and closed,
@@ -144,6 +145,9 @@ pub const CTR_ROUTER_REPLICA_FAILOVERS: &str = "router.replica_failovers";
 /// Registry histogram: one upstream fetch attempt against one shard —
 /// a single dial-or-reuse plus request, no retries inside.
 pub const HIST_ROUTER_UPSTREAM_LATENCY: &str = "router.upstream_latency";
+
+/// Idle upstream connections kept pooled per shard.
+const UPSTREAM_IDLE: usize = 4;
 
 /// Where every global frame lives: which shards hold a replica of it
 /// (preference-ordered, primary first) and which *local* index each of
@@ -308,18 +312,6 @@ pub struct RouterConfig {
     /// are counted under `router.shed_connections`, answered one in-band
     /// `ERR_BUSY`, and closed.
     pub max_connections: usize,
-    /// The upstream leg: timeouts for the pooled connections to the
-    /// shards, and in `retry` the router's one failure
-    /// policy. The connections themselves never retry; the router backs
-    /// off and re-walks a frame's replicas per this policy, and its
-    /// `budget` is the single deadline a routed fetch draws on (`None`
-    /// walks once). The seed is only a *base*: each request jitters from
-    /// `(base seed, frame, threshold)`, so a shard restart does not march
-    /// every waiting request through one backoff schedule (a
-    /// synchronized retry storm), while a fixed base seed still replays.
-    pub upstream: ClientConfig,
-    /// Idle upstream connections kept pooled per shard.
-    pub upstream_idle: usize,
     /// When a shard's circuit breaker trips and how long it cools down.
     pub breaker: BreakerConfig,
     /// The background health prober's pacing (zero interval disables
@@ -334,8 +326,6 @@ impl Default for RouterConfig {
             read_timeout: Some(Duration::from_secs(30)),
             write_timeout: Some(Duration::from_secs(30)),
             max_connections: 256,
-            upstream: ClientConfig::default(),
-            upstream_idle: 4,
             breaker: BreakerConfig::default(),
             health: HealthConfig::default(),
         }
@@ -350,12 +340,8 @@ impl Default for RouterConfig {
 struct Upstream {
     addr: Mutex<SocketAddr>,
     /// Clients that finished their last operation cleanly, at most
-    /// `max_idle`; emptied whenever the shard is reported down.
+    /// [`UPSTREAM_IDLE`]; emptied whenever the shard is reported down.
     idle: Mutex<Vec<Client>>,
-    /// `RouterConfig::upstream` with `retry: None` — the router's retry
-    /// loop is the only one on this leg.
-    config: ClientConfig,
-    max_idle: usize,
     breaker: CircuitBreaker,
     /// The router's registry (`router.*`).
     metrics: Arc<Registry>,
@@ -410,12 +396,12 @@ impl Upstream {
         // the pool nor a repoint.
         let dial = || {
             let addr = *lock(&self.addr);
-            Client::connect_with(addr, self.config)
+            Client::connect_with(addr, ClientConfig::no_retry())
         };
         let run = |mut client: Client| -> crate::error::Result<T> {
             let value = op(&mut client)?;
             let mut idle = lock(&self.idle);
-            if idle.len() < self.max_idle {
+            if idle.len() < UPSTREAM_IDLE {
                 idle.push(client);
             }
             Ok(value)
@@ -467,8 +453,6 @@ struct RouterShared {
     catalog: Vec<FrameInfo>,
     upstreams: Vec<Arc<Upstream>>,
     cache: CoalescingCache,
-    /// The one retry policy of the upstream leg (`None` walks once).
-    retry: Option<RetryPolicy>,
     metrics: Arc<Registry>,
 }
 
@@ -547,65 +531,20 @@ impl Handler for RouterShared {
 }
 
 impl RouterShared {
-    /// One logical frame fetch — the only retry loop on the upstream
-    /// leg, with the replica walk as its body. Only a walk that
-    /// attempted a replica and came back empty-handed draws on the retry
-    /// policy: one jittered delay, bounded by attempts and by the budget
-    /// measured from the start of *this request*, then the walk again. A
-    /// walk in which every breaker fast-failed is answered immediately;
-    /// waiting would only hold the client off its own degradation ladder.
+    /// One logical frame fetch: one walk over the frame's replicas in
+    /// preference order, never a wait. A breaker that fast-fails is
+    /// skipped in microseconds, a failed attempt (transport or `ERR_BUSY`)
+    /// falls through to the next replica at once, the first frame wins —
+    /// so with replication ≥ 2 a single dead shard costs zero degraded
+    /// frames. A walk that found no frame is answered at once:
+    /// `ERR_INTERNAL` when a replay cannot help (no breaker admitted an
+    /// attempt, every replica's breaker ended `Open`, or the error is not
+    /// transient), else `ERR_BUSY`, the one code a client's ladder — the
+    /// one backoff and the one deadline — replays. A busy replica is
+    /// alive, so its `ERR_BUSY` outranks a dead replica's error.
     fn fetch_replicated(&self, frame: u32, threshold: f64) -> Result<HybridFrame, Refusal> {
         let replicas = self.map.replicas(frame);
         let replicas = replicas.expect("the door refuses frames outside the catalog");
-        // Per-request jitter: requests parked on one dead shard must not
-        // wake in lockstep when it returns.
-        let retry = self.retry.map(|policy| RetryPolicy {
-            seed: splitmix64(splitmix64(policy.seed ^ u64::from(frame)) ^ threshold.to_bits()),
-            ..policy
-        });
-        let started = Instant::now();
-        let mut rewalks = 0u32;
-        loop {
-            let (shard, local, e) = match self.walk(frame, replicas, threshold) {
-                Ok(decoded) => return Ok(decoded),
-                Err(Some(failed)) => failed,
-                Err(None) => {
-                    let n = replicas.len();
-                    let why = format!(
-                        "every replica's circuit breaker is open for frame {frame} ({n} replicas)"
-                    );
-                    return Err(Refusal::new(ERR_INTERNAL, why));
-                }
-            };
-            let backoff = retry
-                .filter(|_| e.is_transient())
-                .and_then(|policy| policy.next_delay(rewalks, started.elapsed()));
-            let Some(delay) = backoff else {
-                let code = if is_busy(&e) { ERR_BUSY } else { ERR_INTERNAL };
-                let why = format!("shard {shard} failed serving its frame {local}: {e}");
-                return Err(Refusal::new(code, why));
-            };
-            self.metrics.add(CTR_ROUTER_UPSTREAM_RETRIES, 1);
-            std::thread::sleep(delay);
-            rewalks += 1;
-        }
-    }
-
-    /// One pass over the frame's replicas in preference order: a breaker
-    /// that fast-fails is skipped in microseconds, a failed attempt
-    /// (transport or `ERR_BUSY`) falls through to the next replica at
-    /// once, the first frame wins — so with replication ≥ 2 a single
-    /// dead shard costs zero degraded frames and no backoff. `Err` is
-    /// the failed attempt the client should hear about — `(shard, local
-    /// frame, error)`, `None` when no breaker admitted one. A busy
-    /// replica is alive, so the client's own retry can succeed: its
-    /// `ERR_BUSY` outranks a dead replica's error.
-    fn walk(
-        &self,
-        frame: u32,
-        replicas: &[(u32, u32)],
-        threshold: f64,
-    ) -> Result<HybridFrame, Option<(u32, u32, ServeError)>> {
         let mut failed = None;
         for (idx, &(shard, local)) in replicas.iter().enumerate() {
             let t0 = Instant::now();
@@ -635,7 +574,21 @@ impl RouterShared {
                 }
             }
         }
-        Err(failed)
+        let Some((shard, local, e)) = failed else {
+            let n = replicas.len();
+            let why =
+                format!("every replica's circuit breaker is open for frame {frame} ({n} replicas)");
+            return Err(Refusal::new(ERR_INTERNAL, why));
+        };
+        let why = format!("shard {shard} failed serving its frame {local}: {e}");
+        let ejected = replicas
+            .iter()
+            .all(|&(s, _)| self.upstreams[s as usize].breaker.state() == BreakerState::Open);
+        if ejected || !e.is_transient() {
+            return Err(Refusal::new(ERR_INTERNAL, why));
+        }
+        self.metrics.add(CTR_ROUTER_UPSTREAM_RETRIES, 1);
+        Err(Refusal::new(ERR_BUSY, format!("{why}; retry shortly")))
     }
 }
 
@@ -692,8 +645,8 @@ impl FrameRouter {
     /// `shards[i]` must be the server owning every `(i, local)` entry of
     /// `map`. Fails fast — with an error, not a degraded catalog — when
     /// the shard set is empty, its length disagrees with the map, any
-    /// shard is unreachable at spawn (one attempt each, whatever the retry
-    /// policy: shards come up before their router), or a shard advertises
+    /// shard is unreachable at spawn (one attempt each: shards come up
+    /// before their router), or a shard advertises
     /// fewer frames than the map routes to it.
     pub fn spawn(
         addr: &str,
@@ -712,7 +665,8 @@ impl FrameRouter {
             )));
         }
         let metrics = Arc::new(Registry::new());
-        // A router that never had to re-walk reports 0, not an absent key.
+        // A router that never handed a walk back reports 0, not an absent
+        // key.
         metrics.add(CTR_ROUTER_UPSTREAM_RETRIES, 0);
         let upstreams: Vec<Arc<Upstream>> = shards
             .into_iter()
@@ -720,11 +674,6 @@ impl FrameRouter {
                 Arc::new(Upstream {
                     addr: Mutex::new(addr),
                     idle: Mutex::new(Vec::new()),
-                    config: ClientConfig {
-                        retry: None,
-                        ..config.upstream
-                    },
-                    max_idle: config.upstream_idle,
                     breaker: CircuitBreaker::new(config.breaker),
                     metrics: Arc::clone(&metrics),
                 })
@@ -736,7 +685,6 @@ impl FrameRouter {
             catalog,
             upstreams,
             cache: CoalescingCache::new(config.cache_bytes, Served::held_bytes),
-            retry: config.upstream.retry,
             metrics,
         });
         let door = FrontDoor::open(

@@ -21,10 +21,10 @@ use accelviz::octree::builder::{partition, BuildParams};
 use accelviz::octree::plots::PlotType;
 use accelviz::serve::router::{
     CTR_ROUTER_BREAKER_FAST_FAILS, CTR_ROUTER_BREAKER_OPEN, CTR_ROUTER_REPLICA_FAILOVERS,
+    CTR_ROUTER_UPSTREAM_RETRIES,
 };
 use accelviz::serve::{
-    BreakerConfig, BreakerState, Client, ClientConfig, RetryPolicy, RouterConfig, ServerConfig,
-    ShardedFrameService,
+    BreakerConfig, BreakerState, Client, RouterConfig, ServerConfig, ShardedFrameService,
 };
 use std::time::Duration;
 
@@ -48,11 +48,13 @@ fn main() {
         println!("  frame {frame} -> shards {:?}", spec.owners(frame, 2));
     }
 
-    // A hair-trigger breaker and a fast re-walk policy make the failover
-    // visible in a short example; production defaults are gentler. The
-    // 1-byte router cache forces every fetch to the shards — otherwise
-    // the second pass would be absorbed by the router's frame cache and
-    // the outage would never reach the breaker at all.
+    // A hair-trigger breaker makes the failover visible in a short
+    // example; production defaults are gentler. The router walks a
+    // frame's replicas once and never backs off: a dead replica is left
+    // for the next at once. The 1-byte router cache forces every fetch to
+    // the shards — otherwise the second pass would be absorbed by the
+    // router's frame cache and the outage would never reach the breaker
+    // at all.
     let service = ShardedFrameService::spawn_loopback_replicated(
         data,
         3,
@@ -60,10 +62,6 @@ fn main() {
         ServerConfig::default(),
         RouterConfig {
             cache_bytes: 1,
-            upstream: ClientConfig {
-                retry: Some(RetryPolicy::fast(7)),
-                ..ClientConfig::default()
-            },
             breaker: BreakerConfig {
                 failure_threshold: 1,
                 open_cooldown: Duration::from_secs(60),
@@ -112,10 +110,11 @@ fn main() {
     let rm = service.router().metrics();
     println!(
         "\nrouter during the outage: breaker opened {} time(s), {} replica \
-         failovers, {} fast-fails",
+         failovers, {} fast-fails, {} walks handed back for a client retry",
         rm.counter(CTR_ROUTER_BREAKER_OPEN),
         rm.counter(CTR_ROUTER_REPLICA_FAILOVERS),
         rm.counter(CTR_ROUTER_BREAKER_FAST_FAILS),
+        rm.counter(CTR_ROUTER_UPSTREAM_RETRIES),
     );
     println!(
         "shard {victim} breaker state: {:?}",

@@ -2,11 +2,12 @@
 //! keeps a session bit-identical through shard kills (zero degraded
 //! frames at replication 2, under shipping defaults too), circuit
 //! breakers turn a dead shard's cost from a retry budget into
-//! microseconds at replication 1, a failed walk is retried once the
-//! walk — not one connection — is exhausted, a pooled connection gone
-//! stale (restart on the old port, shard idle timeout) is redialed
-//! without a verdict, breaker and failover transitions land on the
-//! router's counters, and the background prober both discovers death
+//! microseconds at replication 1, a failed walk is handed back to the
+//! client's retry policy once the walk — not one connection — is
+//! exhausted, a pooled connection gone stale (restart on the old port,
+//! shard idle timeout) is redialed without a verdict, breaker and
+//! failover transitions land on the router's counters, and the
+//! background prober both discovers death
 //! without client traffic and reinstates a shard that comes back on its
 //! old address with no operator in the loop.
 
@@ -30,7 +31,7 @@ use accelviz::serve::{
     ShardedFrameService,
 };
 use std::net::SocketAddr;
-use std::sync::Barrier;
+use std::sync::{Barrier, Mutex};
 use std::time::{Duration, Instant};
 
 /// The 10-frame session the chaos scenarios walk (same convention as
@@ -61,19 +62,14 @@ fn reference_frames(data: &[PartitionedData]) -> Vec<accelviz::core::hybrid::Hyb
 }
 
 /// The chaos-test router tuning: a 1-byte cache so every request pays
-/// the upstream hop (nothing hides behind the router cache), a fast
-/// seeded retry policy so a re-walk costs milliseconds, a hair-trigger
-/// breaker with a cooldown longer than any test phase
+/// the upstream hop (nothing hides behind the router cache), a
+/// hair-trigger breaker with a cooldown longer than any test phase
 /// (no half-open trial fires mid-scenario unless a test wants one), and
 /// the prober off for deterministic counters — the prober gets its own
 /// tests.
-fn chaos_router(seed: u64) -> RouterConfig {
+fn chaos_router() -> RouterConfig {
     RouterConfig {
         cache_bytes: 1,
-        upstream: ClientConfig {
-            retry: Some(RetryPolicy::fast(seed)),
-            ..ClientConfig::default()
-        },
         breaker: BreakerConfig {
             failure_threshold: 1,
             open_cooldown: Duration::from_secs(120),
@@ -92,6 +88,10 @@ fn frame_with_primary(spec: &ShardSpec, shard: usize) -> u32 {
         .find(|&f| spec.owner_of(f) == shard)
         .expect("every shard should primary-own a frame in a 10-frame catalog")
 }
+
+/// Held by the tests whose viewers touch the global `client.*` ledger —
+/// one asserts on it, one retries — so neither sees the other's counts.
+static VIEWER_LEDGER: Mutex<()> = Mutex::new(());
 
 /// Respawns a shard on the very port it died on — rebinding can lose a
 /// race against the OS releasing it, so retry briefly.
@@ -112,6 +112,7 @@ fn respawn_on(addr: SocketAddr, slice: &[PartitionedData]) -> FrameServer {
 /// server of the unsliced data, counter-asserted.
 #[test]
 fn replicated_kill_mid_session_yields_zero_degraded_frames() {
+    let _ledger = VIEWER_LEDGER.lock().unwrap_or_else(|e| e.into_inner());
     let data = stores(FRAMES);
     let reference = reference_frames(&data);
     let mut service = ShardedFrameService::spawn_loopback_replicated(
@@ -119,7 +120,7 @@ fn replicated_kill_mid_session_yields_zero_degraded_frames() {
         3,
         2,
         ServerConfig::default(),
-        chaos_router(101),
+        chaos_router(),
     )
     .unwrap();
     let spec = ShardSpec::new(3);
@@ -163,9 +164,9 @@ fn replicated_kill_mid_session_yields_zero_degraded_frames() {
     );
     assert_eq!(service.router().breaker_state(victim), BreakerState::Open);
     // `client.*` on the global registry is the *viewer's* ledger: what
-    // the router does on its own upstream leg must not land there. (No
-    // viewer in this binary retries or loses its router, so concurrent
-    // tests add nothing.)
+    // the router does on its own upstream leg must not land there. (The
+    // one viewer in this binary that retries holds `VIEWER_LEDGER` too,
+    // and none loses its router, so concurrent tests add nothing.)
     let viewer = remote.client().client_stats();
     assert_eq!(
         global.counter(CTR_CLIENT_RETRIES) - viewer_retries_before,
@@ -240,7 +241,7 @@ fn flapping_shard_session_stays_bit_identical_with_replication() {
         3,
         2,
         ServerConfig::default(),
-        chaos_router(202),
+        chaos_router(),
     )
     .unwrap();
     let spec = ShardSpec::new(3);
@@ -304,7 +305,7 @@ fn replication_one_fast_fails_to_the_degraded_path_once_tripped() {
         2,
         1,
         ServerConfig::default(),
-        chaos_router(303),
+        chaos_router(),
     )
     .unwrap();
     let spec = ShardSpec::new(2);
@@ -315,8 +316,8 @@ fn replication_one_fast_fails_to_the_degraded_path_once_tripped() {
     let mut client = Client::connect_with(service.addr(), ClientConfig::no_retry()).unwrap();
     service.kill_shard(victim);
 
-    // The first fetch pays the discovery cost (the fast retry policy)
-    // and trips the hair-trigger breaker.
+    // The first fetch pays the discovery cost (one refused dial) and
+    // trips the hair-trigger breaker.
     match client.fetch(doomed, f64::INFINITY) {
         Err(ServeError::Remote { code, .. }) => assert_eq!(code, ERR_INTERNAL),
         other => panic!("expected the in-band degraded path, got {other:?}"),
@@ -363,10 +364,7 @@ fn a_busy_shard_passes_err_busy_through_and_keeps_its_breaker_closed() {
         max_inflight_extractions: 0,
         ..ServerConfig::default()
     };
-    let router = RouterConfig {
-        upstream: ClientConfig::no_retry(),
-        ..RouterConfig::default()
-    };
+    let router = RouterConfig::default();
     let service = ShardedFrameService::spawn_loopback(stores(2), 1, busy, router).unwrap();
     let mut client = Client::connect_with(service.addr(), ClientConfig::no_retry()).unwrap();
     // More sheds than the default failure threshold (3).
@@ -386,9 +384,8 @@ fn a_busy_shard_passes_err_busy_through_and_keeps_its_breaker_closed() {
     service.shutdown();
 
     // With a replica to go to, a busy primary is simply left for it —
-    // at once, although this router *has* a retry policy (the default,
-    // 100 ms first delay): backoff is for an exhausted walk, not for
-    // one replica's refusal.
+    // at once: the walk never backs off, and a walk that found the
+    // frame hands nothing back to the client's retry policy.
     let data = stores(2);
     let reference = reference_frames(&data);
     let spec = ShardSpec::new(2);
@@ -436,9 +433,8 @@ struct RestartRig {
     victim_frame: u32,
 }
 
-/// Prober off and default breaker; `retry` is the router's re-walk
-/// policy.
-fn restart_rig(retry: RetryPolicy) -> RestartRig {
+/// Prober off and default breaker.
+fn restart_rig() -> RestartRig {
     let data = stores(4);
     let reference = reference_frames(&data);
     let spec = ShardSpec::new(2);
@@ -457,10 +453,6 @@ fn restart_rig(retry: RetryPolicy) -> RestartRig {
                 probe_interval: Duration::ZERO,
                 ..HealthConfig::default()
             },
-            upstream: ClientConfig {
-                retry: Some(retry),
-                ..ClientConfig::default()
-            },
             ..RouterConfig::default()
         },
     )
@@ -476,24 +468,31 @@ fn restart_rig(retry: RetryPolicy) -> RestartRig {
 }
 
 /// The walk-then-retry order at replication 1: the shard is down for the
-/// first walk and back for a later one. Only the exhausted walk consults
-/// the retry policy — one backoff per failed walk — and the client sees
-/// a genuine frame, never the in-band `ERR_INTERNAL`.
+/// first walk and back for a later one. The failed walk is handed back
+/// as `ERR_BUSY` and the viewer's retry policy is the one backoff — one
+/// per failed walk — so the client sees a genuine frame, never the
+/// in-band `ERR_INTERNAL`.
 #[test]
 fn a_failed_walk_is_retried_once_the_shard_is_back() {
-    // A first delay long enough to restart a shard in.
-    let rig = restart_rig(RetryPolicy {
-        base_delay: Duration::from_millis(300),
-        max_delay: Duration::from_millis(300),
-        ..RetryPolicy::fast(808)
-    });
+    let _ledger = VIEWER_LEDGER.lock().unwrap_or_else(|e| e.into_inner());
+    let rig = restart_rig();
     let victim_addr = rig.shard1.addr();
-    let mut viewer = Client::connect_with(rig.router.addr(), ClientConfig::no_retry()).unwrap();
+    // A first delay long enough to restart a shard in.
+    let patient = ClientConfig {
+        retry: Some(RetryPolicy {
+            base_delay: Duration::from_millis(300),
+            max_delay: Duration::from_millis(300),
+            ..RetryPolicy::fast(808)
+        }),
+        ..ClientConfig::default()
+    };
+    let mut viewer = Client::connect_with(rig.router.addr(), patient).unwrap();
     rig.shard1.shutdown();
 
     let rm = rig.router.metrics();
     let (revived, fetched) = std::thread::scope(|scope| {
-        // The restart waits for the router to have started backing off.
+        // The restart waits for the router to have handed a failed walk
+        // back to the viewer.
         let revived = scope.spawn(|| {
             let deadline = Instant::now() + Duration::from_secs(10);
             while rm.counter(CTR_ROUTER_UPSTREAM_RETRIES) == 0 && Instant::now() < deadline {
@@ -506,7 +505,8 @@ fn a_failed_walk_is_retried_once_the_shard_is_back() {
     });
     let (frame, _) = fetched.expect("the re-walk must reach the restarted shard");
     assert_eq!(frame, rig.reference[rig.victim_frame as usize]);
-    // One re-walk when the restart beat the first delay (it is 300 ms).
+    // One failed walk when the restart beat the viewer's first delay (it
+    // is 300 ms).
     let rewalks = rm.counter(CTR_ROUTER_UPSTREAM_RETRIES);
     assert!((1..=2).contains(&rewalks), "{rewalks} re-walks");
     assert_eq!(
@@ -531,11 +531,11 @@ fn a_failed_walk_is_retried_once_the_shard_is_back() {
 /// a genuine frame, no error counted, no backoff, no verdict.
 #[test]
 fn a_stale_pool_does_not_eject_a_restarted_shard() {
-    let rig = restart_rig(RetryPolicy::fast(909));
+    let rig = restart_rig();
     let victim_addr = rig.shard1.addr();
 
     // Warm the pool. Every connection the router ever dialed to the
-    // victim said one `Hello`, and with fewer than `upstream_idle` (4)
+    // victim said one `Hello`, and with fewer than the pool's cap (4)
     // of them none was dropped — so the shard's own ledger counts the
     // pool: requests − frames − the one catalog fetch at spawn. Herds of
     // concurrent fetches at fresh thresholds (no cache hit, no
@@ -645,10 +645,6 @@ fn prober_trips_the_breaker_without_client_traffic() {
         ServerConfig::default(),
         RouterConfig {
             cache_bytes: 1,
-            upstream: ClientConfig {
-                retry: Some(RetryPolicy::fast(404)),
-                ..ClientConfig::default()
-            },
             breaker: BreakerConfig {
                 failure_threshold: 2,
                 open_cooldown: Duration::from_secs(120),
@@ -707,10 +703,6 @@ fn prober_reinstates_a_shard_that_returns_on_its_old_address() {
         map,
         RouterConfig {
             cache_bytes: 1,
-            upstream: ClientConfig {
-                retry: Some(RetryPolicy::fast(505)),
-                ..ClientConfig::default()
-            },
             breaker: BreakerConfig {
                 failure_threshold: 1,
                 // Short cooldown: recovery may also arrive via a
@@ -779,7 +771,7 @@ fn replicated_slices_serve_identical_bytes_from_every_replica() {
         3,
         2,
         ServerConfig::default(),
-        chaos_router(707),
+        chaos_router(),
     )
     .unwrap();
 

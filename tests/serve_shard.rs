@@ -41,16 +41,12 @@ fn stores(n: usize) -> Vec<PartitionedData> {
         .collect()
 }
 
-/// Fast upstream retries and a minimal router cache byte budget (only
-/// the most recent frame stays resident), so the kill test exercises
-/// the upstream hop instead of the router's own cache.
-fn fast_upstream(seed: u64) -> RouterConfig {
+/// A minimal router cache byte budget (only the most recent frame stays
+/// resident), so the kill test exercises the upstream hop instead of the
+/// router's own cache.
+fn one_frame_cache() -> RouterConfig {
     RouterConfig {
         cache_bytes: 1,
-        upstream: ClientConfig {
-            retry: Some(RetryPolicy::fast(seed)),
-            ..ClientConfig::default()
-        },
         ..RouterConfig::default()
     }
 }
@@ -92,9 +88,8 @@ fn empty_shard_set_is_rejected_at_construction() {
 }
 
 /// Shards come up before their router: the spawn-time catalog fetch is
-/// one attempt per shard, outside the retry loop (which belongs to frame
-/// fetches), so a shard that is not accepting yet fails the spawn at once
-/// with `ConnectionRefused` — whatever retry policy the config carries.
+/// one attempt per shard (the router never retries), so a shard that is
+/// not accepting yet fails the spawn at once with `ConnectionRefused`.
 #[test]
 fn a_shard_not_yet_listening_fails_the_spawn_at_once() {
     let vacant = {
@@ -264,7 +259,7 @@ fn shard_kill_mid_session_degrades_and_recovers_on_restart() {
         "127.0.0.1:0",
         vec![shard0.addr(), shard1.addr()],
         map,
-        fast_upstream(11),
+        one_frame_cache(),
     )
     .unwrap();
 
