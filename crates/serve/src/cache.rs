@@ -49,6 +49,12 @@ impl CacheKey {
             threshold_bits: threshold.to_bits(),
         }
     }
+
+    /// The threshold this key stands for: what an origin extracts at, so
+    /// a frame's bytes never depend on which of `±0.0` came first.
+    pub(crate) fn threshold(&self) -> f64 {
+        f64::from_bits(self.threshold_bits)
+    }
 }
 
 /// One cached frame and the encodings already made from it. Every

@@ -11,8 +11,9 @@
 //!
 //! Production pays nothing: the wrapper only exists when a test or chaos
 //! harness installs it (via [`crate::client::FaultyConnector`] or
-//! [`crate::server::FrameServer::spawn_chaos`]); the ordinary client and
-//! server speak over bare `TcpStream`s.
+//! [`crate::server::FrameServer::spawn_chaos`], over either
+//! [`crate::server::Origin`]); the ordinary client and server speak over
+//! bare `TcpStream`s.
 //!
 //! Every injected fault is counted in the script's [`FaultStats`] and
 //! mirrored to `fault.*` counters on the global

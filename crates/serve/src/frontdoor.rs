@@ -580,7 +580,8 @@ fn dispatch<H: Handler, S: Write>(
 }
 
 /// Validates a frame request, tells the origin when it continues a step
-/// sequence, and asks it for the frame. A progressive and a plain request
+/// sequence, and asks it for the frame at the threshold its cache key
+/// stands for (`-0.0` is asked as `0.0`). A progressive and a plain request
 /// for the same `(frame, threshold)` resolve to the same cached entry;
 /// only the wire shape differs after.
 fn checked_frame<H: Handler>(
@@ -612,7 +613,7 @@ fn checked_frame<H: Handler>(
     }
     let key = CacheKey::new(frame, threshold);
     session.last_frame = Some(key);
-    let served = handler.frame(frame, threshold)?;
+    let served = handler.frame(frame, key.threshold())?;
     // The hint goes out with this frame in hand — whatever producing the
     // successor evicts, it is not what this request is about to read —
     // and before it is sent, so the successor is produced while this
@@ -620,7 +621,7 @@ fn checked_frame<H: Handler>(
     if let Some(next) = successor(last_frame, key, available) {
         handler.read_ahead(ReadAhead {
             frame: next,
-            threshold,
+            threshold: key.threshold(),
             shape,
         });
     }

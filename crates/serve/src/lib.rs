@@ -23,9 +23,10 @@
 //! - [`cache`] — the frame cache key `(frame, threshold)` over
 //!   `accelviz-store`'s one coalescing LRU: a server's extractions, a
 //!   router's fetched frames.
-//! - [`server`] — [`server::FrameServer`]: the frame origin that
-//!   extracts from partitioned stores, and the `serve.*` counters,
-//!   behind one front door.
+//! - [`server`] — [`server::FrameServer`], which extracts frames from
+//!   one [`server::Origin`] (partitions in memory or a run file), and
+//!   the `serve.*` counters, behind one front door. `Origin::layout` is
+//!   the one place a run is spread across shards.
 //! - `frontdoor` — everything the server and the router share: one
 //!   blocking accept loop with accept-error backoff, admission with
 //!   in-band shedding, one thread-per-connection session loop, one
@@ -39,8 +40,8 @@
 //!   and [`router::FrameRouter`], one AVWF front door over N shard
 //!   servers with rendezvous-hashed (optionally replicated) frame
 //!   ownership, pooled upstream connections, cross-shard herd
-//!   coalescing, one retry loop whose body is the replica walk, and
-//!   aggregated `Stats`.
+//!   coalescing, one walk over a frame's replicas per request (the
+//!   client's retry policy is the only backoff), and aggregated `Stats`.
 //! - [`breaker`] — per-shard circuit breakers on the upstream leg, so a
 //!   dead shard fast-fails in microseconds instead of costing a dial per
 //!   request.
@@ -86,5 +87,5 @@ pub use fault::{FaultDirection, FaultEvent, FaultKind, FaultPlan, FaultScript, F
 pub use health::HealthConfig;
 pub use retry::RetryPolicy;
 pub use router::{FrameRouter, RouterConfig, ShardMap, ShardedFrameService};
-pub use server::{FrameServer, ServerConfig};
+pub use server::{FrameServer, Origin, ServerConfig};
 pub use stats::ServerStats;

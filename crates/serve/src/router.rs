@@ -51,12 +51,10 @@ use crate::error::ServeError;
 use crate::frontdoor::{spawn_thread, CounterNames, DoorConfig, FrontDoor, Handler};
 use crate::health::{HealthConfig, Prober};
 use crate::protocol::{FrameInfo, Refusal, ERR_BUSY, ERR_INTERNAL};
-use crate::server::{FrameServer, ServerConfig};
+use crate::server::{FrameServer, Origin, ServerConfig};
 use crate::stats::ServerStats;
 use accelviz_core::hybrid::HybridFrame;
 use accelviz_core::shard::ShardSpec;
-use accelviz_octree::sorted_store::PartitionedData;
-use accelviz_store::ResidentRun;
 use accelviz_trace::registry::Registry;
 use std::io;
 use std::net::SocketAddr;
@@ -152,15 +150,15 @@ const UPSTREAM_IDLE: usize = 4;
 /// Where every global frame lives: which shards hold a replica of it
 /// (preference-ordered, primary first) and which *local* index each of
 /// those shards knows it by. Built once from a [`ShardSpec`], a frame
-/// count, and a replication factor, then shared by the shard launcher
-/// (to provision the — possibly overlapping — slices) and the router
-/// (to route requests and fall through replicas on failure).
+/// count, and a replication factor — by [`Origin::layout`], which also
+/// provisions the (possibly overlapping) slices from it — then kept by
+/// the router to route requests and fall through replicas on failure.
 ///
 /// ```
 /// use accelviz_core::shard::ShardSpec;
 /// use accelviz_serve::ShardMap;
 ///
-/// let map = ShardMap::sliced(&ShardSpec::new(2), 6);
+/// let map = ShardMap::sliced_replicated(&ShardSpec::new(2), 6, 1);
 /// assert_eq!(map.frame_count(), 6);
 /// assert_eq!(map.replication(), 1);
 /// let (shard, _local) = map.locate(4).expect("frame 4 exists");
@@ -183,21 +181,12 @@ pub struct ShardMap {
 }
 
 impl ShardMap {
-    /// The single-replica sliced layout — identical to the
-    /// pre-replication behavior: each shard holds only the frames it
-    /// primarily owns, packed in ascending global order. Shorthand for
-    /// [`ShardMap::sliced_replicated`] with `replication == 1`.
-    pub fn sliced(spec: &ShardSpec, frame_count: usize) -> ShardMap {
-        ShardMap::sliced_replicated(spec, frame_count, 1)
-    }
-
     /// The layout for *physically sliced* shards at a replication
     /// factor: each shard holds every frame whose top-`replication`
     /// rendezvous owner set includes it, packed in ascending global
     /// order, so global frame `g` is that shard's `rank(g)`-th local
-    /// frame. This is what
-    /// [`ShardedFrameService::spawn_loopback_replicated`] feeds its
-    /// shards. `replication` is clamped to the shard count; zero is
+    /// frame. This is how [`Origin::layout`] spreads partitions held in
+    /// memory. `replication` is clamped to the shard count; zero is
     /// rejected by the underlying [`ShardSpec::owners`].
     pub fn sliced_replicated(spec: &ShardSpec, frame_count: usize, replication: usize) -> ShardMap {
         let mut next_local = vec![0u32; spec.shards()];
@@ -220,18 +209,11 @@ impl ShardMap {
         }
     }
 
-    /// The single-replica shared layout (every shard exposes the full
-    /// catalog); shorthand for [`ShardMap::shared_replicated`] with
-    /// `replication == 1`.
-    pub fn shared(spec: &ShardSpec, frame_count: usize) -> ShardMap {
-        ShardMap::shared_replicated(spec, frame_count, 1)
-    }
-
     /// The layout for shards that all expose the *full* catalog (e.g.
-    /// N stored servers sharing one run file): routing preference still
+    /// N servers sharing one run file): routing preference still
     /// follows the rendezvous replica set, but a frame's local index on
-    /// every replica is its global index. This is what
-    /// [`ShardedFrameService::spawn_stored_loopback_replicated`] uses.
+    /// every replica is its global index. This is how [`Origin::layout`]
+    /// spreads a run.
     pub fn shared_replicated(spec: &ShardSpec, frame_count: usize, replication: usize) -> ShardMap {
         let replicas = (0..frame_count)
             .map(|g| {
@@ -280,7 +262,7 @@ impl ShardMap {
     }
 
     /// The global frames shard `s` holds a replica of (primary or
-    /// fallback), ascending — the slice the shard launcher provisions.
+    /// fallback), ascending — under a sliced map, shard `s`'s slice.
     pub fn frames_owned_by(&self, s: usize) -> Vec<usize> {
         self.replicas
             .iter()
@@ -443,7 +425,7 @@ fn hung_up(e: &ServeError) -> bool {
     }
 }
 
-fn invalid_input(why: impl Into<String>) -> io::Error {
+pub(crate) fn invalid_input(why: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidInput, why.into())
 }
 
@@ -599,30 +581,24 @@ impl RouterShared {
 ///
 /// ```
 /// use accelviz_beam::distribution::Distribution;
-/// use accelviz_core::shard::ShardSpec;
 /// use accelviz_octree::builder::{partition, BuildParams};
 /// use accelviz_octree::plots::PlotType;
-/// use accelviz_serve::{Client, FrameRouter, FrameServer, RouterConfig, ServerConfig, ShardMap};
+/// use accelviz_serve::{Client, FrameRouter, FrameServer, Origin, RouterConfig, ServerConfig};
 ///
-/// // Two shards that each expose the full 3-frame catalog, so the
-/// // shared layout applies (local index == global index).
 /// let data: Vec<_> = (0..3u64)
 ///     .map(|i| {
 ///         let ps = Distribution::default_beam().sample(300, i + 1);
 ///         partition(&ps, PlotType::XYZ, BuildParams::default())
 ///     })
 ///     .collect();
-/// let a = FrameServer::spawn_loopback(data.clone(), ServerConfig::default()).unwrap();
-/// let b = FrameServer::spawn_loopback(data, ServerConfig::default()).unwrap();
-///
-/// let map = ShardMap::shared(&ShardSpec::new(2), 3);
-/// let router = FrameRouter::spawn(
-///     "127.0.0.1:0",
-///     vec![a.addr(), b.addr()],
-///     map,
-///     RouterConfig::default(),
-/// )
-/// .unwrap();
+/// // Three frames sliced over two shards, each frame on one of them.
+/// let (map, origins) = Origin::from(data).layout(2, 1).unwrap();
+/// let shards: Vec<_> = origins
+///     .into_iter()
+///     .map(|origin| FrameServer::spawn_loopback(origin, ServerConfig::default()).unwrap())
+///     .collect();
+/// let addrs = shards.iter().map(|s| s.addr()).collect();
+/// let router = FrameRouter::spawn("127.0.0.1:0", addrs, map, RouterConfig::default()).unwrap();
 ///
 /// // A stock client cannot tell the router from a single server.
 /// let mut client = Client::connect(router.addr()).unwrap();
@@ -632,8 +608,7 @@ impl RouterShared {
 ///
 /// drop(client);
 /// router.shutdown();
-/// a.shutdown();
-/// b.shutdown();
+/// shards.into_iter().for_each(FrameServer::shutdown);
 /// ```
 pub struct FrameRouter {
     door: FrontDoor<RouterShared>,
@@ -644,19 +619,16 @@ impl FrameRouter {
     /// Binds `addr` and starts routing over the given shard addresses.
     /// `shards[i]` must be the server owning every `(i, local)` entry of
     /// `map`. Fails fast — with an error, not a degraded catalog — when
-    /// the shard set is empty, its length disagrees with the map, any
-    /// shard is unreachable at spawn (one attempt each: shards come up
-    /// before their router), or a shard advertises
-    /// fewer frames than the map routes to it.
+    /// the shard set's length disagrees with the map (which has at least
+    /// one shard), any shard is unreachable at spawn (one attempt each:
+    /// shards come up before their router), or a shard advertises fewer
+    /// frames than the map routes to it.
     pub fn spawn(
         addr: &str,
         shards: Vec<SocketAddr>,
         map: ShardMap,
         config: RouterConfig,
     ) -> io::Result<FrameRouter> {
-        if shards.is_empty() {
-            return Err(invalid_input("a router needs at least one shard"));
-        }
         if shards.len() != map.shard_count() {
             return Err(invalid_input(format!(
                 "shard map routes over {} shards but {} addresses were given",
@@ -856,9 +828,10 @@ fn merge_catalogs(map: &ShardMap, upstreams: &[Arc<Upstream>]) -> io::Result<Vec
 ///         partition(&ps, PlotType::XYZ, BuildParams::default())
 ///     })
 ///     .collect();
-/// let service = ShardedFrameService::spawn_loopback(
+/// let service = ShardedFrameService::spawn_loopback_replicated(
 ///     data,
 ///     2,
+///     1,
 ///     ServerConfig::default(),
 ///     RouterConfig::default(),
 /// )
@@ -878,129 +851,36 @@ pub struct ShardedFrameService {
     /// `None` marks a shard killed by [`ShardedFrameService::kill_shard`]
     /// and not yet reinstated.
     shards: Vec<Option<FrameServer>>,
-    /// What each shard serves — retained so a killed shard can be
-    /// respawned bit-identically by
-    /// [`ShardedFrameService::reinstate_shard`].
-    sources: Vec<ShardSource>,
+    /// What the whole service serves, kept so
+    /// [`ShardedFrameService::reinstate_shard`] can rebuild a shard.
+    origin: Origin,
     shard_config: ServerConfig,
     router: FrameRouter,
 }
 
-/// The data a shard was provisioned with, kept for reinstatement.
-enum ShardSource {
-    /// A physically sliced shard's frames, in local-index order.
-    Sliced(Vec<PartitionedData>),
-    /// A stored shard's shared out-of-core run.
-    Stored(Arc<ResidentRun>),
-}
-
 impl ShardedFrameService {
-    /// Spawns `shards` loopback shard servers over `data` sliced by
-    /// rendezvous ownership ([`ShardMap::sliced`]) plus the fronting
-    /// router — the single-replica layout, bit-identical to the
-    /// pre-replication service. Rejects an empty shard set with
-    /// `InvalidInput`.
-    pub fn spawn_loopback(
-        data: Vec<PartitionedData>,
-        shards: usize,
-        shard_config: ServerConfig,
-        router_config: RouterConfig,
-    ) -> io::Result<ShardedFrameService> {
-        Self::spawn_loopback_replicated(data, shards, 1, shard_config, router_config)
-    }
-
-    /// Spawns `shards` loopback shard servers over `data`, each
-    /// provisioned with the (overlapping, when `replication > 1`)
-    /// slice of frames whose rendezvous replica set includes it
-    /// ([`ShardMap::sliced_replicated`]), plus the fronting router.
-    /// With `replication >= 2` every frame lives on at least two shards
-    /// and a single shard kill costs zero degraded frames. Rejects an
-    /// empty shard set or a zero replication factor with
-    /// `InvalidInput`; `replication` above the shard count clamps.
+    /// Spawns `shards` loopback shard servers over `origin` as
+    /// [`Origin::layout`] spreads it at `replication`, plus the fronting
+    /// router, and fails as that does. With `replication >= 2` a single
+    /// shard kill costs zero degraded frames.
     pub fn spawn_loopback_replicated(
-        data: Vec<PartitionedData>,
+        origin: impl Into<Origin>,
         shards: usize,
         replication: usize,
         shard_config: ServerConfig,
         router_config: RouterConfig,
     ) -> io::Result<ShardedFrameService> {
-        let spec = Self::validated_spec(shards, replication)?;
-        let map = ShardMap::sliced_replicated(&spec, data.len(), replication);
-        let mut slices: Vec<Vec<PartitionedData>> = (0..shards).map(|_| Vec::new()).collect();
-        for (g, d) in data.into_iter().enumerate() {
-            let set = map.replicas(g as u32).expect("g is in range");
-            // Ascending-g pushes reproduce each shard's local ranking;
-            // the last replica takes the original, the rest clone.
-            let (last, rest) = set.split_last().expect("replica sets are nonempty");
-            for &(shard, _) in rest {
-                slices[shard as usize].push(d.clone());
-            }
-            slices[last.0 as usize].push(d);
-        }
-        let sources: Vec<ShardSource> = slices.into_iter().map(ShardSource::Sliced).collect();
-        Self::front(sources, map, shard_config, router_config)
-    }
-
-    /// Spawns `shards` loopback shard servers that all read the same
-    /// out-of-core `run` (ownership is logical, [`ShardMap::shared`]),
-    /// plus the fronting router — single-replica routing preference.
-    pub fn spawn_stored_loopback(
-        run: Arc<ResidentRun>,
-        shards: usize,
-        shard_config: ServerConfig,
-        router_config: RouterConfig,
-    ) -> io::Result<ShardedFrameService> {
-        Self::spawn_stored_loopback_replicated(run, shards, 1, shard_config, router_config)
-    }
-
-    /// The replicated twin of
-    /// [`ShardedFrameService::spawn_stored_loopback`]: every shard
-    /// already exposes the full catalog, so replication here is purely
-    /// a routing property ([`ShardMap::shared_replicated`]) — no frame
-    /// is provisioned twice, but each request has `replication` shards
-    /// to fall through.
-    pub fn spawn_stored_loopback_replicated(
-        run: Arc<ResidentRun>,
-        shards: usize,
-        replication: usize,
-        shard_config: ServerConfig,
-        router_config: RouterConfig,
-    ) -> io::Result<ShardedFrameService> {
-        let spec = Self::validated_spec(shards, replication)?;
-        let map = ShardMap::shared_replicated(&spec, run.frame_count(), replication);
-        let sources = (0..shards)
-            .map(|_| ShardSource::Stored(Arc::clone(&run)))
-            .collect();
-        Self::front(sources, map, shard_config, router_config)
-    }
-
-    fn validated_spec(shards: usize, replication: usize) -> io::Result<ShardSpec> {
-        if shards == 0 {
-            return Err(invalid_input("a sharded service needs at least one shard"));
-        }
-        if replication == 0 {
-            return Err(invalid_input(
-                "a sharded service needs a replication factor of at least 1",
-            ));
-        }
-        Ok(ShardSpec::new(shards))
-    }
-
-    fn front(
-        sources: Vec<ShardSource>,
-        map: ShardMap,
-        shard_config: ServerConfig,
-        router_config: RouterConfig,
-    ) -> io::Result<ShardedFrameService> {
-        let servers = sources
-            .iter()
-            .map(|source| spawn_shard(source, shard_config))
+        let origin = origin.into();
+        let (map, origins) = origin.layout(shards, replication)?;
+        let servers = origins
+            .into_iter()
+            .map(|shard| FrameServer::spawn_loopback(shard, shard_config))
             .collect::<io::Result<Vec<_>>>()?;
         let addrs = servers.iter().map(|s| s.addr()).collect();
         let router = FrameRouter::spawn("127.0.0.1:0", addrs, map, router_config)?;
         Ok(ShardedFrameService {
             shards: servers.into_iter().map(Some).collect(),
-            sources,
+            origin,
             shard_config,
             router,
         })
@@ -1019,8 +899,8 @@ impl ShardedFrameService {
     /// Shard `i`'s server handle (its private address, metrics, stats).
     ///
     /// # Panics
-    /// Panics when shard `i` is currently killed — a dead server has no
-    /// handle to return.
+    /// Panics when shard `i` is out of range, or currently killed — a
+    /// dead server has no handle to return.
     pub fn shard(&self, i: usize) -> &FrameServer {
         self.shards[i]
             .as_ref()
@@ -1038,6 +918,9 @@ impl ShardedFrameService {
     /// death (failed attempts, breaker trip, probe failures) and surviving it
     /// (replica fall-through) is exactly what this hook exists to
     /// exercise. A no-op when the shard is already dead.
+    ///
+    /// # Panics
+    /// Panics when shard `i` is out of range.
     pub fn kill_shard(&mut self, i: usize) {
         if let Some(server) = self.shards[i].take() {
             server.shutdown();
@@ -1045,17 +928,22 @@ impl ShardedFrameService {
     }
 
     /// Reinstates a killed shard `i`: respawns a server over the same
-    /// source data (bit-identical frames, fresh address) and repoints
-    /// the router's pool at it — which also resets the shard's breaker,
-    /// per [`FrameRouter::set_shard_addr`]. A no-op when the shard is
-    /// alive.
+    /// frames (bit-identical, fresh address) and repoints the router's
+    /// pool at it — which also resets the shard's breaker, per
+    /// [`FrameRouter::set_shard_addr`]. A no-op when the shard is alive;
+    /// `InvalidInput` when `i` is out of range. Only shard `i`'s own
+    /// origin is rebuilt, from the map the router routes by.
     pub fn reinstate_shard(&mut self, i: usize) -> io::Result<()> {
-        if self.shards[i].is_some() {
+        let n = self.shards.len();
+        let out_of_range = || invalid_input(format!("shard {i} out of range ({n} shards)"));
+        let slot = self.shards.get_mut(i).ok_or_else(out_of_range)?;
+        if slot.is_some() {
             return Ok(());
         }
-        let server = spawn_shard(&self.sources[i], self.shard_config)?;
+        let origin = self.origin.shard(&self.router.shared().map, i);
+        let server = FrameServer::spawn_loopback(origin, self.shard_config)?;
         self.router.set_shard_addr(i, server.addr())?;
-        self.shards[i] = Some(server);
+        *slot = Some(server);
         Ok(())
     }
 
@@ -1086,14 +974,6 @@ impl ShardedFrameService {
     }
 }
 
-/// Spawns one shard server over its retained source.
-fn spawn_shard(source: &ShardSource, config: ServerConfig) -> io::Result<FrameServer> {
-    match source {
-        ShardSource::Sliced(slice) => FrameServer::spawn_loopback(slice.clone(), config),
-        ShardSource::Stored(run) => FrameServer::spawn_stored_loopback(Arc::clone(run), config),
-    }
-}
-
 /// Locks, ignoring poison: a panicked holder leaves nothing half-updated
 /// that the next holder could trip over.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -1107,7 +987,7 @@ mod tests {
     #[test]
     fn sliced_map_ranks_local_indices_per_shard() {
         let spec = ShardSpec::new(3);
-        let map = ShardMap::sliced(&spec, 50);
+        let map = ShardMap::sliced_replicated(&spec, 50, 1);
         let mut seen = [0u32; 3];
         for g in 0..50u32 {
             let (shard, local) = map.locate(g).unwrap();
@@ -1124,7 +1004,7 @@ mod tests {
 
     #[test]
     fn shared_map_uses_global_indices_locally() {
-        let map = ShardMap::shared(&ShardSpec::new(2), 10);
+        let map = ShardMap::shared_replicated(&ShardSpec::new(2), 10, 1);
         for g in 0..10u32 {
             let (_, local) = map.locate(g).unwrap();
             assert_eq!(local, g);

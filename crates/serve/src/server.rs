@@ -7,7 +7,8 @@
 //! acceptor thread, one session thread per admitted connection running a
 //! strict request/reply loop, one dispatcher answering every request.
 //! The server owns the *partitioned* data — the density-sorted stores
-//! produced by preprocessing — and extracts hybrid frames on demand at
+//! produced by preprocessing, in memory or in a run file (one
+//! [`Origin`]) — and extracts hybrid frames on demand at
 //! whatever threshold a client dials, which is exactly the paper's
 //! split: preprocessing near the simulation, compact hybrid frames
 //! shipped to the desktop.
@@ -49,6 +50,7 @@ use crate::frontdoor::{
     spawn_thread, CountGuard, CounterNames, DoorConfig, FrontDoor, Handler, ReadAhead, Spawn,
 };
 use crate::protocol::{FrameInfo, Refusal, ERR_BUSY, ERR_INTERNAL};
+use crate::router::{invalid_input, ShardMap};
 use crate::stats::{
     ServerStats, CTR_ACCEPT_ERRORS, CTR_BYTES_SENT, CTR_CACHE_HITS, CTR_CACHE_MISSES,
     CTR_FRAMES_SERVED, CTR_FRAME_BYTES_RAW, CTR_FRAME_BYTES_WIRE, CTR_HANDLER_PANICS,
@@ -58,6 +60,7 @@ use crate::stats::{
 };
 use accelviz_beam::io::BYTES_PER_PARTICLE;
 use accelviz_core::hybrid::HybridFrame;
+use accelviz_core::shard::ShardSpec;
 use accelviz_octree::extraction::{threshold_for_budget, threshold_for_budget_tree};
 use accelviz_octree::sorted_store::PartitionedData;
 use accelviz_store::ResidentRun;
@@ -110,31 +113,44 @@ impl Default for ServerConfig {
     }
 }
 
-/// Where the server's frames live: fully resident in memory (the
-/// original topology — every partitioned store loaded up front), or
-/// backed by an on-disk run whose particle data pages in and out under
-/// [`ResidentRun`]'s byte budget. The frame origin is written against
-/// this enum, so an out-of-core server serves bit-identical frames.
-enum Backend {
-    /// Every frame's partitioned store held in memory.
-    Resident(Vec<PartitionedData>),
-    /// Frames fetched on demand from an `accelviz-store` run file.
-    Stored(Arc<ResidentRun>),
+/// Where a run's frames live: the preprocessed partitions held in
+/// memory, or an on-disk run whose particle data pages in and out under
+/// [`ResidentRun`]'s byte budget. This is the only code that knows
+/// which, so a server — direct or one shard of many — serves a run
+/// bit-identically to the partitions it was written from.
+#[derive(Clone)]
+pub enum Origin {
+    /// Every frame's partitioned store, in frame order.
+    Memory(Vec<PartitionedData>),
+    /// Frames paged in on demand from an `accelviz-store` run file.
+    Run(Arc<ResidentRun>),
 }
 
-impl Backend {
+impl From<Vec<PartitionedData>> for Origin {
+    fn from(data: Vec<PartitionedData>) -> Origin {
+        Origin::Memory(data)
+    }
+}
+
+impl From<Arc<ResidentRun>> for Origin {
+    fn from(run: Arc<ResidentRun>) -> Origin {
+        Origin::Run(run)
+    }
+}
+
+impl Origin {
     fn frame_count(&self) -> usize {
         match self {
-            Backend::Resident(data) => data.len(),
-            Backend::Stored(run) => run.frame_count(),
+            Origin::Memory(data) => data.len(),
+            Origin::Run(run) => run.frame_count(),
         }
     }
 
-    /// The frame catalog. The stored backend answers from directory
-    /// metadata and the always-resident octrees — no particle I/O.
+    /// The frame catalog. A run answers from directory metadata and the
+    /// always-resident octrees — no particle I/O.
     fn frame_infos(&self, point_budget: usize) -> Vec<FrameInfo> {
         match self {
-            Backend::Resident(data) => data
+            Origin::Memory(data) => data
                 .iter()
                 .enumerate()
                 .map(|(i, d)| FrameInfo {
@@ -144,7 +160,7 @@ impl Backend {
                     default_threshold: threshold_for_budget(d, point_budget),
                 })
                 .collect(),
-            Backend::Stored(run) => (0..run.frame_count())
+            Origin::Run(run) => (0..run.frame_count())
                 .map(|i| FrameInfo {
                     frame: i as u32,
                     step: i as u64,
@@ -157,16 +173,71 @@ impl Backend {
 
     /// Whether producing frame `next < frame_count()` may page it in
     /// beside its predecessor — the frame being served while a read-ahead
-    /// runs — without the residency window evicting either. Resident
-    /// data has no window to disturb.
+    /// runs — without the residency window evicting either. Partitions
+    /// in memory have no window to disturb.
     fn holds_with_predecessor(&self, next: usize) -> bool {
         match self {
-            Backend::Resident(_) => true,
-            Backend::Stored(run) => {
+            Origin::Memory(_) => true,
+            Origin::Run(run) => {
                 let current = (next + run.frame_count() - 1) % run.frame_count();
                 let bytes = |i| run.particle_count(i).saturating_mul(BYTES_PER_PARTICLE);
                 bytes(current).saturating_add(bytes(next)) <= run.stats().budget_bytes
             }
+        }
+    }
+
+    /// Frame `frame` extracted at `threshold` into a `dims` volume.
+    fn extract(&self, frame: u32, threshold: f64, dims: [usize; 3]) -> Fetched {
+        let index = frame as usize;
+        let paged_in;
+        let data = match self {
+            Origin::Memory(data) => &data[index],
+            Origin::Run(run) => {
+                paged_in = run.fetch(index).map_err(|e| {
+                    let why = format!("run store failed loading frame {frame}: {e}");
+                    Refusal::new(ERR_INTERNAL, why)
+                })?;
+                &paged_in.data
+            }
+        };
+        let extracted = HybridFrame::from_partition(data, index, threshold, dims);
+        Ok(Arc::new(Served::new(extracted)))
+    }
+
+    /// Spreads this origin over `shards` shards, each frame on
+    /// `replication` of them: the [`ShardMap`] a router routes by, and
+    /// shard `s`'s own origin at index `s`. Partitions in memory are
+    /// sliced ([`ShardMap::sliced_replicated`]); a run is read whole by
+    /// every shard ([`ShardMap::shared_replicated`]). `InvalidInput` for
+    /// zero shards or zero replication; `replication` above `shards`
+    /// clamps. [`crate::router::FrameRouter`]'s example wires a router.
+    pub fn layout(&self, shards: usize, replication: usize) -> io::Result<(ShardMap, Vec<Origin>)> {
+        if shards == 0 {
+            return Err(invalid_input("a sharded service needs at least one shard"));
+        }
+        if replication == 0 {
+            return Err(invalid_input(
+                "a sharded service needs a replication factor of at least 1",
+            ));
+        }
+        let (spec, count) = (ShardSpec::new(shards), self.frame_count());
+        let map = match self {
+            Origin::Memory(_) => ShardMap::sliced_replicated(&spec, count, replication),
+            Origin::Run(_) => ShardMap::shared_replicated(&spec, count, replication),
+        };
+        let origins = (0..shards).map(|s| self.shard(&map, s)).collect();
+        Ok((map, origins))
+    }
+
+    /// Shard `s`'s origin under a map [`Origin::layout`] made from this
+    /// origin: its frames in local-index order.
+    pub(crate) fn shard(&self, map: &ShardMap, s: usize) -> Origin {
+        match self {
+            Origin::Memory(data) => {
+                let frames = map.frames_owned_by(s).into_iter();
+                Origin::Memory(frames.map(|g| data[g].clone()).collect())
+            }
+            Origin::Run(run) => Origin::Run(Arc::clone(run)),
         }
     }
 }
@@ -174,7 +245,7 @@ impl Backend {
 /// The state every session of one server, and its read-ahead helper,
 /// share.
 struct Shared {
-    backend: Backend,
+    origin: Origin,
     config: ServerConfig,
     cache: CoalescingCache,
     metrics: Registry,
@@ -209,11 +280,11 @@ impl Handler for Shared {
     }
 
     fn frame_count(&self) -> usize {
-        self.backend.frame_count()
+        self.origin.frame_count()
     }
 
     fn catalog(&self) -> Vec<FrameInfo> {
-        self.backend.frame_infos(self.config.point_budget)
+        self.origin.frame_infos(self.config.point_budget)
     }
 
     fn frame(&self, frame: u32, threshold: f64) -> Fetched {
@@ -256,13 +327,13 @@ impl Shared {
     /// read-ahead helper. A refused helper takes the queue's receiving
     /// end with it, so every hint finds the queue closed and is dropped.
     fn start(
-        backend: Backend,
+        origin: Origin,
         config: ServerConfig,
         spawn_helper: Spawn,
     ) -> (Arc<Shared>, Option<JoinHandle<()>>) {
         let (tx, rx) = mpsc::sync_channel(1);
         let shared = Arc::new(Shared {
-            backend,
+            origin,
             config,
             cache: CoalescingCache::new(config.cache_capacity as u64, |_| 1),
             metrics: Registry::new(),
@@ -288,7 +359,7 @@ impl Shared {
 
     /// The one cache lookup, for demand and speculative callers alike.
     /// On a miss the fetch is one fresh extraction under an extraction
-    /// permit — so load shedding and the stored backend's page-in never
+    /// permit — so load shedding and a run's page-in never
     /// touch a request the cache can answer or coalesce; those are cheap
     /// and always admitted, and serving them must not churn the
     /// residency window. A demand caller passes no permit and takes one
@@ -311,7 +382,9 @@ impl Shared {
                         "extraction capacity reached; retry after ~100 ms",
                     ));
                 };
-                let served = self.extract(frame, threshold)?;
+                let served = self
+                    .origin
+                    .extract(frame, threshold, self.config.volume_dims)?;
                 // Counted before the entry is published: whoever is served
                 // from it can already read that it was fetched ahead.
                 if speculative {
@@ -319,23 +392,6 @@ impl Shared {
                 }
                 Ok(served)
             })
-    }
-
-    fn extract(&self, frame: u32, threshold: f64) -> Fetched {
-        let (index, dims) = (frame as usize, self.config.volume_dims);
-        let extracted = match &self.backend {
-            Backend::Resident(data) => {
-                HybridFrame::from_partition(&data[index], index, threshold, dims)
-            }
-            Backend::Stored(run) => {
-                let paged_in = run.fetch(index).map_err(|e| {
-                    let why = format!("run store failed loading frame {frame}: {e}");
-                    Refusal::new(ERR_INTERNAL, why)
-                })?;
-                HybridFrame::from_partition(&paged_in.data, index, threshold, dims)
-            }
-        };
-        Ok(Arc::new(Served::new(extracted)))
     }
 
     /// One hint, on the helper's thread: produce the frame unless it is
@@ -353,7 +409,7 @@ impl Shared {
         if let Some(resident) = self.cache.get(&CacheKey::new(frame, threshold)) {
             return resident.prefill(shape);
         }
-        let room = self.backend.holds_with_predecessor(frame as usize);
+        let room = self.origin.holds_with_predecessor(frame as usize);
         let Some(permit) = room.then(|| try_extraction_permit(self)).flatten() else {
             self.metrics.add(CTR_READAHEAD_DROPPED, 1);
             return;
@@ -391,42 +447,34 @@ pub struct FrameServer {
 }
 
 impl FrameServer {
-    /// Binds a loopback server on an OS-assigned port — the test and
-    /// example topology. The partitioned stores are served in index
-    /// order; frame `i`'s step is `i`.
-    pub fn spawn_loopback(
-        data: Vec<PartitionedData>,
-        config: ServerConfig,
-    ) -> io::Result<FrameServer> {
-        FrameServer::spawn("127.0.0.1:0", data, config)
-    }
-
-    /// Binds `addr` and starts accepting clients.
+    /// Binds `addr` and starts serving `origin`'s frames: partitions in
+    /// memory (`Vec<PartitionedData>`, served in index order; frame `i`'s
+    /// step is `i`), or an out-of-core run (`Arc<ResidentRun>`, of which
+    /// only the run's budget worth of particle data is ever in memory).
     pub fn spawn(
         addr: &str,
-        data: Vec<PartitionedData>,
+        origin: impl Into<Origin>,
         config: ServerConfig,
     ) -> io::Result<FrameServer> {
-        FrameServer::spawn_inner(addr, Backend::Resident(data), config, None, spawn_thread)
+        FrameServer::spawn_inner(addr, origin.into(), config, None, spawn_thread)
     }
 
-    /// Binds a loopback server over an out-of-core run: frames come from
-    /// `run`'s disk file and only [`ResidentRun`]'s budget worth of
-    /// particle data is ever in memory.
+    /// [`FrameServer::spawn`] on an OS-assigned loopback port — the test
+    /// and example topology.
+    pub fn spawn_loopback(
+        origin: impl Into<Origin>,
+        config: ServerConfig,
+    ) -> io::Result<FrameServer> {
+        FrameServer::spawn("127.0.0.1:0", origin, config)
+    }
+
+    /// [`FrameServer::spawn_loopback`] under its older name, kept only
+    /// because the benchmark harness calls it.
     pub fn spawn_stored_loopback(
-        run: Arc<ResidentRun>,
+        origin: impl Into<Origin>,
         config: ServerConfig,
     ) -> io::Result<FrameServer> {
-        FrameServer::spawn_stored("127.0.0.1:0", run, config)
-    }
-
-    /// Binds `addr` over an out-of-core run backend.
-    pub fn spawn_stored(
-        addr: &str,
-        run: Arc<ResidentRun>,
-        config: ServerConfig,
-    ) -> io::Result<FrameServer> {
-        FrameServer::spawn_inner(addr, Backend::Stored(run), config, None, spawn_thread)
+        FrameServer::spawn_loopback(origin, config)
     }
 
     /// A loopback server whose every connection is faulted by `script` —
@@ -435,24 +483,24 @@ impl FrameServer {
     ///
     /// [`spawn`]: FrameServer::spawn
     pub fn spawn_chaos(
-        data: Vec<PartitionedData>,
+        origin: impl Into<Origin>,
         config: ServerConfig,
         script: Arc<FaultScript>,
     ) -> io::Result<FrameServer> {
-        let backend = Backend::Resident(data);
-        FrameServer::spawn_inner("127.0.0.1:0", backend, config, Some(script), spawn_thread)
+        let origin = origin.into();
+        FrameServer::spawn_inner("127.0.0.1:0", origin, config, Some(script), spawn_thread)
     }
 
     /// `spawn_helper` starts the read-ahead helper; a refusal costs
     /// read-ahead, not the server.
     fn spawn_inner(
         addr: &str,
-        backend: Backend,
+        origin: Origin,
         config: ServerConfig,
         faults: Option<Arc<FaultScript>>,
         spawn_helper: Spawn,
     ) -> io::Result<FrameServer> {
-        let (shared, helper) = Shared::start(backend, config, spawn_helper);
+        let (shared, helper) = Shared::start(origin, config, spawn_helper);
         let door = FrontDoor::open(
             addr,
             Arc::clone(&shared),
@@ -563,7 +611,7 @@ mod tests {
 
     /// Shared state over `stores(frames)` with a running helper, no door.
     fn started(frames: usize, config: ServerConfig) -> (Arc<Shared>, Option<JoinHandle<()>>) {
-        Shared::start(Backend::Resident(stores(frames)), config, spawn_thread)
+        Shared::start(stores(frames).into(), config, spawn_thread)
     }
 
     fn hint(frame: u32) -> ReadAhead {
@@ -698,7 +746,8 @@ mod tests {
                 let _ = shared.cache.get_or_fetch(key, || {
                     entered_tx.send(()).unwrap();
                     release_rx.recv().unwrap();
-                    shared.extract(1, f64::INFINITY)
+                    let dims = shared.config.volume_dims;
+                    shared.origin.extract(1, f64::INFINITY, dims)
                 });
             });
             entered_rx.recv().unwrap();
@@ -728,8 +777,8 @@ mod tests {
         let refuse: Spawn = |_body| Err(io::Error::from(io::ErrorKind::WouldBlock));
         let data = stores(4);
         let config = ServerConfig::default();
-        let backend = Backend::Resident(data.clone());
-        let server = FrameServer::spawn_inner("127.0.0.1:0", backend, config, None, refuse)
+        let origin = data.clone().into();
+        let server = FrameServer::spawn_inner("127.0.0.1:0", origin, config, None, refuse)
             .expect("the server starts without its helper");
         assert!(server.helper.is_none());
         let mut client = Client::connect(server.addr()).unwrap();

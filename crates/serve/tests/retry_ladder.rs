@@ -44,8 +44,14 @@ fn a_busy_shard_costs_one_upstream_attempt_per_client_attempt() {
         max_inflight_extractions: 0,
         ..ServerConfig::default()
     };
-    let service =
-        ShardedFrameService::spawn_loopback(stores(2), 1, busy, RouterConfig::default()).unwrap();
+    let service = ShardedFrameService::spawn_loopback_replicated(
+        stores(2),
+        1,
+        1,
+        busy,
+        RouterConfig::default(),
+    )
+    .unwrap();
     let policy = RetryPolicy::fast(30);
     let config = ClientConfig {
         retry: Some(policy),
@@ -71,8 +77,9 @@ fn a_busy_shard_costs_one_upstream_attempt_per_client_attempt() {
 /// succeed on replay and the refusal is `ERR_INTERNAL`, by fast-fail.
 #[test]
 fn a_dead_shard_is_handed_back_busy_until_its_breaker_trips() {
-    let mut service = ShardedFrameService::spawn_loopback(
+    let mut service = ShardedFrameService::spawn_loopback_replicated(
         stores(2),
+        1,
         1,
         ServerConfig::default(),
         RouterConfig::default(),

@@ -43,9 +43,10 @@ fn main() {
         println!("  frame {frame} -> shard {owner}");
     }
 
-    let service = ShardedFrameService::spawn_loopback(
+    let service = ShardedFrameService::spawn_loopback_replicated(
         data,
         2,
+        1,
         ServerConfig::default(),
         RouterConfig::default(),
     )

@@ -20,9 +20,10 @@
 //! - [`core`] — the hybrid rendering pipeline, transfer functions, viewer
 //!   frame cache, and remote-visualization model (paper §2).
 //! - [`serve`] — the multi-client TCP frame service (§2.1's remote
-//!   transfer made real), including the sharded scale-out layer: one
-//!   router speaking the same protocol over N rendezvous-hashed shard
-//!   servers ([`serve::router`]).
+//!   transfer made real) over one frame origin ([`serve::Origin`]:
+//!   partitions in memory or a run file), including the sharded
+//!   scale-out layer: one router speaking the same protocol over N
+//!   rendezvous-hashed shard servers ([`serve::router`]).
 //! - [`store`] — compressed frame codecs (the wire's AVWF v2 encoding is
 //!   built from them) and the out-of-core run store that lets a viewer
 //!   or server work through a run larger than RAM.

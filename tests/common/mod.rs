@@ -1,10 +1,27 @@
-//! Helpers shared by the serving suites that compare replies as raw
-//! bytes (`mod common;` in a test file pulls them in).
+//! Helpers shared by the serving suites (`mod common;` in a test file
+//! pulls them in): the frame data they serve, and replies compared as
+//! raw bytes. A suite may use only some of them.
+#![allow(dead_code)]
 
+use accelviz::beam::distribution::Distribution;
+use accelviz::octree::builder::{partition, BuildParams};
+use accelviz::octree::plots::PlotType;
+use accelviz::octree::sorted_store::PartitionedData;
 use accelviz::serve::lod::ProgressiveAssembler;
 use accelviz::serve::protocol::{write_request, Request, RESP_FRAME_CHUNK};
 use std::io::Read;
 use std::net::TcpStream;
+
+/// `n` frames of the suites' run: frame `i` is the default beam sampled
+/// with `particles` particles at seed `i + 1`, partitioned in `XYZ`.
+pub fn stores(n: usize, particles: usize) -> Vec<PartitionedData> {
+    (0..n)
+        .map(|i| {
+            let ps = Distribution::default_beam().sample(particles, i as u64 + 1);
+            partition(&ps, PlotType::XYZ, BuildParams::default())
+        })
+        .collect()
+}
 
 /// Sends `req` and returns the raw bytes of the whole reply, read off
 /// the socket by the envelope layout alone (16-byte header — magic,

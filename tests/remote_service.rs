@@ -3,28 +3,18 @@
 //! `ViewerSession` must run unmodified over the network source, and
 //! concurrent clients must share the server's extraction cache.
 
-use accelviz::beam::distribution::Distribution;
+mod common;
+
 use accelviz::core::hybrid::HybridFrame;
 use accelviz::core::session::{SessionOp, ViewerSession};
-use accelviz::octree::builder::{partition, BuildParams};
 use accelviz::octree::extraction::threshold_for_budget;
-use accelviz::octree::plots::PlotType;
-use accelviz::octree::sorted_store::PartitionedData;
 use accelviz::serve::{Client, FrameServer, RemoteFrames, ServeError, ServerConfig};
+use common::stores;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Deterministic beam snapshots: the same seeds give the server and the
 /// local reference byte-identical partitioned stores.
-fn stores(n: usize, particles: usize) -> Vec<PartitionedData> {
-    (0..n)
-        .map(|i| {
-            let ps = Distribution::default_beam().sample(particles, i as u64 + 1);
-            partition(&ps, PlotType::XYZ, BuildParams::default())
-        })
-        .collect()
-}
-
 /// Waits, up to a deadline, until the server has counted `n` served
 /// frames. The door counts a frame *after* writing its reply, on the
 /// serving connection's thread, so any other thread can hold the reply

@@ -5,28 +5,18 @@
 //! waiting for a next connection, and the server-side chaos hook must be
 //! survivable.
 
-use accelviz::beam::distribution::Distribution;
-use accelviz::octree::builder::{partition, BuildParams};
-use accelviz::octree::plots::PlotType;
-use accelviz::octree::sorted_store::PartitionedData;
+mod common;
+
 use accelviz::serve::fault::{FaultDirection, FaultEvent, FaultKind};
 use accelviz::serve::protocol::{read_response, write_request, Request, Response, ERR_BUSY};
 use accelviz::serve::stats::{CTR_HANDLER_PANICS, CTR_SHED_CONNECTIONS};
 use accelviz::serve::{Client, ClientConfig, FaultPlan, FrameServer, RetryPolicy, ServerConfig};
+use common::stores;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
-
-fn stores(n: usize) -> Vec<PartitionedData> {
-    (0..n)
-        .map(|i| {
-            let ps = Distribution::default_beam().sample(600, i as u64 + 1);
-            partition(&ps, PlotType::XYZ, BuildParams::default())
-        })
-        .collect()
-}
 
 /// Live OS threads in this process, when the platform exposes them.
 fn live_threads() -> Option<usize> {
@@ -51,7 +41,7 @@ fn snapshot_when_parked(done: &AtomicUsize, target: usize) -> Option<usize> {
 #[test]
 fn two_hundred_clients_fetch_bit_identical_frames() {
     const CLIENTS: usize = 200;
-    let data = stores(2);
+    let data = stores(2, 600);
     let config = ServerConfig {
         max_connections: 256,
         ..ServerConfig::default()
@@ -103,7 +93,7 @@ fn two_hundred_clients_fetch_bit_identical_frames() {
 #[test]
 fn connect_flood_past_the_cap_is_shed_without_thread_growth() {
     const FLOOD: usize = 48;
-    let data = stores(1);
+    let data = stores(1, 600);
     let config = ServerConfig {
         max_connections: 1,
         ..ServerConfig::default()
@@ -205,7 +195,7 @@ fn probe_shed_outcome(mut stream: TcpStream) -> ShedOutcome {
 /// connection. The acceptor must observe shutdown deterministically.
 #[test]
 fn idle_server_shutdown_latency_is_bounded() {
-    let data = stores(1);
+    let data = stores(1, 600);
     let server = FrameServer::spawn_loopback(data, ServerConfig::default()).unwrap();
     // Fully idle: nobody connected, nobody will.
     std::thread::sleep(Duration::from_millis(50));
@@ -224,7 +214,7 @@ fn idle_server_shutdown_latency_is_bounded() {
 /// run, through client retries alone, with zero handler panics.
 #[test]
 fn server_side_chaos_is_survivable() {
-    let data = stores(3);
+    let data = stores(3, 600);
 
     // Fault-free reference, served once from a clean server.
     let clean = FrameServer::spawn_loopback(data.clone(), ServerConfig::default()).unwrap();

@@ -11,11 +11,10 @@
 //! without client traffic and reinstates a shard that comes back on its
 //! old address with no operator in the loop.
 
-use accelviz::beam::distribution::Distribution;
+mod common;
+
 use accelviz::core::shard::ShardSpec;
 use accelviz::core::viewer::FrameSource;
-use accelviz::octree::builder::{partition, BuildParams};
-use accelviz::octree::plots::PlotType;
 use accelviz::octree::sorted_store::PartitionedData;
 use accelviz::serve::client::{CTR_CLIENT_RECONNECTS, CTR_CLIENT_RETRIES};
 use accelviz::serve::protocol::{ERR_BUSY, ERR_INTERNAL};
@@ -27,9 +26,10 @@ use accelviz::serve::router::{
 use accelviz::serve::stats::{CTR_FRAMES_SERVED, CTR_REQUESTS};
 use accelviz::serve::{
     BreakerConfig, BreakerState, Client, ClientConfig, FrameRouter, FrameServer, HealthConfig,
-    RemoteFrames, RetryPolicy, RouterConfig, ServeError, ServerConfig, ShardMap,
+    Origin, RemoteFrames, RetryPolicy, RouterConfig, ServeError, ServerConfig, ShardMap,
     ShardedFrameService,
 };
+use common::stores;
 use std::net::SocketAddr;
 use std::sync::{Barrier, Mutex};
 use std::time::{Duration, Instant};
@@ -38,15 +38,6 @@ use std::time::{Duration, Instant};
 /// the other serve suites: frame `i` is an 800-particle beam seeded
 /// `i + 1`).
 const FRAMES: usize = 10;
-
-fn stores(n: usize) -> Vec<PartitionedData> {
-    (0..n)
-        .map(|i| {
-            let ps = Distribution::default_beam().sample(800, i as u64 + 1);
-            partition(&ps, PlotType::XYZ, BuildParams::default())
-        })
-        .collect()
-}
 
 /// Reference frames from a direct server of the unsliced data — the
 /// bit-identity bar every chaos session is held to.
@@ -95,10 +86,10 @@ static VIEWER_LEDGER: Mutex<()> = Mutex::new(());
 
 /// Respawns a shard on the very port it died on — rebinding can lose a
 /// race against the OS releasing it, so retry briefly.
-fn respawn_on(addr: SocketAddr, slice: &[PartitionedData]) -> FrameServer {
+fn respawn_on(addr: SocketAddr, slice: &Origin) -> FrameServer {
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        match FrameServer::spawn(&addr.to_string(), slice.to_vec(), ServerConfig::default()) {
+        match FrameServer::spawn(&addr.to_string(), slice.clone(), ServerConfig::default()) {
             Ok(server) => return server,
             Err(e) if Instant::now() >= deadline => panic!("the old port never came back: {e}"),
             Err(_) => std::thread::sleep(Duration::from_millis(50)),
@@ -113,7 +104,7 @@ fn respawn_on(addr: SocketAddr, slice: &[PartitionedData]) -> FrameServer {
 #[test]
 fn replicated_kill_mid_session_yields_zero_degraded_frames() {
     let _ledger = VIEWER_LEDGER.lock().unwrap_or_else(|e| e.into_inner());
-    let data = stores(FRAMES);
+    let data = stores(FRAMES, 800);
     let reference = reference_frames(&data);
     let mut service = ShardedFrameService::spawn_loopback_replicated(
         data,
@@ -188,7 +179,7 @@ fn replicated_kill_mid_session_yields_zero_degraded_frames() {
 /// tripped the default breaker.
 #[test]
 fn default_config_failover_is_fast_and_never_backs_off() {
-    let data = stores(FRAMES);
+    let data = stores(FRAMES, 800);
     let reference = reference_frames(&data);
     let mut service = ShardedFrameService::spawn_loopback_replicated(
         data,
@@ -234,7 +225,7 @@ fn default_config_failover_is_fast_and_never_backs_off() {
 /// visible on the counters.
 #[test]
 fn flapping_shard_session_stays_bit_identical_with_replication() {
-    let data = stores(FRAMES);
+    let data = stores(FRAMES, 800);
     let reference = reference_frames(&data);
     let mut service = ShardedFrameService::spawn_loopback_replicated(
         data,
@@ -299,7 +290,7 @@ fn flapping_shard_session_stays_bit_identical_with_replication() {
 /// the upstream retry budget.
 #[test]
 fn replication_one_fast_fails_to_the_degraded_path_once_tripped() {
-    let data = stores(FRAMES);
+    let data = stores(FRAMES, 800);
     let mut service = ShardedFrameService::spawn_loopback_replicated(
         data,
         2,
@@ -365,7 +356,8 @@ fn a_busy_shard_passes_err_busy_through_and_keeps_its_breaker_closed() {
         ..ServerConfig::default()
     };
     let router = RouterConfig::default();
-    let service = ShardedFrameService::spawn_loopback(stores(2), 1, busy, router).unwrap();
+    let service =
+        ShardedFrameService::spawn_loopback_replicated(stores(2, 800), 1, 1, busy, router).unwrap();
     let mut client = Client::connect_with(service.addr(), ClientConfig::no_retry()).unwrap();
     // More sheds than the default failure threshold (3).
     for _ in 0..5 {
@@ -386,7 +378,7 @@ fn a_busy_shard_passes_err_busy_through_and_keeps_its_breaker_closed() {
     // With a replica to go to, a busy primary is simply left for it —
     // at once: the walk never backs off, and a walk that found the
     // frame hands nothing back to the client's retry policy.
-    let data = stores(2);
+    let data = stores(2, 800);
     let reference = reference_frames(&data);
     let spec = ShardSpec::new(2);
     let primary = spec.owner_of(0);
@@ -426,7 +418,7 @@ fn a_busy_shard_passes_err_busy_through_and_keeps_its_breaker_closed() {
 /// shard 1 can die and come back on the very port it had.
 struct RestartRig {
     reference: Vec<accelviz::core::hybrid::HybridFrame>,
-    slice1: Vec<PartitionedData>,
+    slice1: Origin,
     shard0: FrameServer,
     shard1: FrameServer,
     router: FrameRouter,
@@ -435,19 +427,16 @@ struct RestartRig {
 
 /// Prober off and default breaker.
 fn restart_rig() -> RestartRig {
-    let data = stores(4);
+    let data = stores(4, 800);
     let reference = reference_frames(&data);
     let spec = ShardSpec::new(2);
-    let mut slices: Vec<Vec<PartitionedData>> = vec![Vec::new(), Vec::new()];
-    for (g, d) in data.iter().enumerate() {
-        slices[spec.owner_of(g as u32)].push(d.clone());
-    }
+    let (map, mut slices) = Origin::from(data).layout(2, 1).unwrap();
     let shard0 = FrameServer::spawn_loopback(slices[0].clone(), ServerConfig::default()).unwrap();
     let shard1 = FrameServer::spawn_loopback(slices[1].clone(), ServerConfig::default()).unwrap();
     let router = FrameRouter::spawn(
         "127.0.0.1:0",
         vec![shard0.addr(), shard1.addr()],
-        ShardMap::sliced(&spec, 4),
+        map,
         RouterConfig {
             health: HealthConfig {
                 probe_interval: Duration::ZERO,
@@ -605,7 +594,9 @@ fn an_idle_gap_is_redialed_without_an_error_or_a_verdict() {
         },
         ..RouterConfig::default()
     };
-    let service = ShardedFrameService::spawn_loopback(stores(6), 3, impatient, router).unwrap();
+    let service =
+        ShardedFrameService::spawn_loopback_replicated(stores(6, 800), 3, 1, impatient, router)
+            .unwrap();
     let mut viewer = Client::connect_with(service.addr(), ClientConfig::no_retry()).unwrap();
     for f in 0..6 {
         viewer.fetch(f, f64::INFINITY).unwrap();
@@ -637,7 +628,7 @@ fn an_idle_gap_is_redialed_without_an_error_or_a_verdict() {
 /// discovery cost itself.
 #[test]
 fn prober_trips_the_breaker_without_client_traffic() {
-    let data = stores(4);
+    let data = stores(4, 800);
     let mut service = ShardedFrameService::spawn_loopback_replicated(
         data,
         2,
@@ -687,13 +678,9 @@ fn prober_trips_the_breaker_without_client_traffic() {
 /// successful ping, and requests flow again.
 #[test]
 fn prober_reinstates_a_shard_that_returns_on_its_old_address() {
-    let data = stores(4);
+    let data = stores(4, 800);
     let spec = ShardSpec::new(2);
-    let map = ShardMap::sliced(&spec, 4);
-    let mut slices: Vec<Vec<PartitionedData>> = vec![Vec::new(), Vec::new()];
-    for (g, d) in data.iter().enumerate() {
-        slices[spec.owner_of(g as u32)].push(d.clone());
-    }
+    let (map, slices) = Origin::from(data).layout(2, 1).unwrap();
     let shard0 = FrameServer::spawn_loopback(slices[0].clone(), ServerConfig::default()).unwrap();
     let shard1 = FrameServer::spawn_loopback(slices[1].clone(), ServerConfig::default()).unwrap();
     let victim_addr = shard1.addr();
@@ -762,7 +749,7 @@ fn prober_reinstates_a_shard_that_returns_on_its_old_address() {
 /// identical to the primary's.
 #[test]
 fn replicated_slices_serve_identical_bytes_from_every_replica() {
-    let data = stores(6);
+    let data = stores(6, 800);
     let reference = reference_frames(&data);
     let spec = ShardSpec::new(3);
     let map = ShardMap::sliced_replicated(&spec, 6, 2);
@@ -797,7 +784,7 @@ fn replicated_slices_serve_identical_bytes_from_every_replica() {
 
     // Zero replication is rejected up front.
     let err = ShardedFrameService::spawn_loopback_replicated(
-        stores(2),
+        stores(2, 800),
         2,
         0,
         ServerConfig::default(),
@@ -815,5 +802,26 @@ fn replicated_slices_serve_identical_bytes_from_every_replica() {
     service.reinstate_shard(0).unwrap();
     assert!(service.shard_alive(0));
     service.reinstate_shard(0).unwrap(); // idempotent
+    service.shutdown();
+}
+
+/// An out-of-range shard is refused with `InvalidInput` by
+/// `reinstate_shard`, as `FrameRouter::set_shard_addr` refuses it — an
+/// `io::Result` that panics instead is no result.
+#[test]
+fn reinstating_a_shard_out_of_range_is_invalid_input() {
+    let mut service = ShardedFrameService::spawn_loopback_replicated(
+        stores(2, 800),
+        2,
+        1,
+        ServerConfig::default(),
+        chaos_router(),
+    )
+    .unwrap();
+    for shard in [2, usize::MAX] {
+        let err = service.reinstate_shard(shard).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+    }
+    assert!(service.shard_alive(0) && service.shard_alive(1));
     service.shutdown();
 }

@@ -14,11 +14,9 @@
 //! *isolation* (which intentionally panics a handler) is exercised in
 //! `serve_robustness.rs` instead.
 
-use accelviz::beam::distribution::Distribution;
+mod common;
+
 use accelviz::core::session::{SessionOp, ViewerSession};
-use accelviz::octree::builder::{partition, BuildParams};
-use accelviz::octree::plots::PlotType;
-use accelviz::octree::sorted_store::PartitionedData;
 use accelviz::render::framebuffer::Framebuffer;
 use accelviz::serve::client::{FaultyConnector, TcpConnector};
 use accelviz::serve::protocol::ERR_BUSY;
@@ -27,6 +25,7 @@ use accelviz::serve::{
     Client, ClientConfig, FaultPlan, FrameServer, RemoteFrames, RetryPolicy, ServeError,
     ServerConfig,
 };
+use common::stores;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -37,15 +36,6 @@ fn chaos_seed() -> u64 {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(20_260_806)
-}
-
-fn stores(n: usize) -> Vec<PartitionedData> {
-    (0..n)
-        .map(|i| {
-            let ps = Distribution::default_beam().sample(800, i as u64 + 1);
-            partition(&ps, PlotType::XYZ, BuildParams::default())
-        })
-        .collect()
 }
 
 fn fast_retry(seed: u64) -> ClientConfig {
@@ -62,7 +52,7 @@ fn fast_retry(seed: u64) -> ClientConfig {
 #[test]
 fn chaos_session_delivers_frames_bit_identical_to_fault_free_run() {
     let seed = chaos_seed();
-    let server = FrameServer::spawn_loopback(stores(FRAMES), ServerConfig::default()).unwrap();
+    let server = FrameServer::spawn_loopback(stores(FRAMES, 800), ServerConfig::default()).unwrap();
 
     // Fault-free reference run, and the measured reply volume that
     // calibrates the chaos plan's byte span.
@@ -143,9 +133,10 @@ fn sharded_chaos_session_delivers_bit_identical_frames() {
     use accelviz::serve::{RouterConfig, ShardedFrameService};
 
     let seed = chaos_seed();
-    let service = ShardedFrameService::spawn_loopback(
-        stores(FRAMES),
+    let service = ShardedFrameService::spawn_loopback_replicated(
+        stores(FRAMES, 800),
         2,
+        1,
         ServerConfig::default(),
         RouterConfig::default(),
     )
@@ -210,7 +201,7 @@ fn sharded_chaos_session_delivers_bit_identical_frames() {
 #[test]
 fn retries_disabled_fails_fast_like_the_old_client() {
     use accelviz::serve::fault::{FaultDirection, FaultEvent, FaultKind};
-    let server = FrameServer::spawn_loopback(stores(1), ServerConfig::default()).unwrap();
+    let server = FrameServer::spawn_loopback(stores(1, 800), ServerConfig::default()).unwrap();
 
     // One disconnect placed past the HelloAck (~30 bytes) so the
     // handshake succeeds and the first frame read dies.
@@ -244,7 +235,7 @@ fn retries_disabled_fails_fast_like_the_old_client() {
 #[test]
 fn exhausted_retries_degrade_to_a_stale_resident_frame() {
     let seed = chaos_seed();
-    let server = FrameServer::spawn_loopback(stores(3), ServerConfig::default()).unwrap();
+    let server = FrameServer::spawn_loopback(stores(3, 800), ServerConfig::default()).unwrap();
     let addr = server.addr();
 
     // A tight policy so exhaustion takes milliseconds, not seconds.
@@ -306,7 +297,7 @@ fn connection_cap_sheds_with_err_busy_and_serves_the_rest() {
         max_connections: 1,
         ..ServerConfig::default()
     };
-    let server = FrameServer::spawn_loopback(stores(2), config).unwrap();
+    let server = FrameServer::spawn_loopback(stores(2, 800), config).unwrap();
 
     let mut admitted = Client::connect_with(server.addr(), ClientConfig::no_retry()).unwrap();
 
@@ -346,7 +337,7 @@ fn extraction_limit_sheds_fresh_extractions_in_band() {
         max_inflight_extractions: 0,
         ..ServerConfig::default()
     };
-    let server = FrameServer::spawn_loopback(stores(1), config).unwrap();
+    let server = FrameServer::spawn_loopback(stores(1, 800), config).unwrap();
     let mut client = Client::connect_with(server.addr(), ClientConfig::no_retry()).unwrap();
 
     match client.fetch(0, f64::INFINITY) {

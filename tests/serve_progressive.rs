@@ -8,7 +8,8 @@
 //! NOTE for CI: no test in this file may legitimately print
 //! "panicked at" — the chaos job greps for that string.
 
-use accelviz::beam::distribution::Distribution;
+mod common;
+
 use accelviz::beam::simulation::{BeamConfig, BeamSimulation};
 use accelviz::core::hybrid::HybridFrame;
 use accelviz::core::session::{SessionOp, ViewerSession};
@@ -16,7 +17,6 @@ use accelviz::core::viewer::FrameSource;
 use accelviz::octree::builder::{partition, BuildParams};
 use accelviz::octree::extraction::threshold_for_budget;
 use accelviz::octree::plots::PlotType;
-use accelviz::octree::sorted_store::PartitionedData;
 use accelviz::serve::client::{FaultyConnector, TcpConnector};
 use accelviz::serve::fault::{FaultDirection, FaultEvent, FaultKind, FaultPlan};
 use accelviz::serve::lod;
@@ -30,18 +30,10 @@ use accelviz::serve::{
     Client, ClientConfig, FrameServer, RemoteFrames, RetryPolicy, RouterConfig, ServeError,
     ServerConfig, ShardedFrameService,
 };
+use common::stores;
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
-
-fn stores(n: usize, particles: usize) -> Vec<PartitionedData> {
-    (0..n)
-        .map(|i| {
-            let ps = Distribution::default_beam().sample(particles, i as u64 + 1);
-            partition(&ps, PlotType::XYZ, BuildParams::default())
-        })
-        .collect()
-}
 
 fn chaos_seed() -> u64 {
     std::env::var("ACCELVIZ_CHAOS_SEED")
@@ -166,9 +158,10 @@ fn sharded_progressive_matches_full_fetch_and_direct_extraction() {
     let frames = 4usize;
     let data = stores(frames, 1_200);
     let dims = ServerConfig::default().volume_dims;
-    let service = ShardedFrameService::spawn_loopback(
+    let service = ShardedFrameService::spawn_loopback_replicated(
         stores(frames, 1_200),
         2,
+        1,
         ServerConfig::default(),
         RouterConfig::default(),
     )

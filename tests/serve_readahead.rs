@@ -11,11 +11,7 @@
 
 mod common;
 
-use accelviz::beam::distribution::Distribution;
 use accelviz::core::hybrid::HybridFrame;
-use accelviz::octree::builder::{partition, BuildParams};
-use accelviz::octree::plots::PlotType;
-use accelviz::octree::sorted_store::PartitionedData;
 use accelviz::serve::protocol::{Request, RESP_ERROR};
 use accelviz::serve::stats::{
     CTR_CACHE_HITS, CTR_CACHE_MISSES, CTR_READAHEAD_DROPPED, CTR_READAHEAD_FETCHES,
@@ -25,22 +21,13 @@ use accelviz::serve::wire::V2;
 use accelviz::serve::{Client, ClientConfig, FrameServer, ServerConfig};
 use accelviz::store::run::write_run_file;
 use accelviz::store::ResidentRun;
-use common::raw_reply;
+use common::{raw_reply, stores};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const FRAMES: usize = 6;
 const PARTICLES: usize = 1_500;
-
-fn stores() -> Vec<PartitionedData> {
-    (0..FRAMES)
-        .map(|i| {
-            let ps = Distribution::default_beam().sample(PARTICLES, i as u64 + 1);
-            partition(&ps, PlotType::XYZ, BuildParams::default())
-        })
-        .collect()
-}
 
 fn count(server: &FrameServer, name: &str) -> u64 {
     server.metrics().counter(name)
@@ -59,7 +46,7 @@ fn wait_for(server: &FrameServer, name: &str, value: u64) {
 /// extracted exactly once.
 #[test]
 fn a_stepping_session_misses_twice_and_then_hits_read_ahead_entries() {
-    let data = stores();
+    let data = stores(FRAMES, PARTICLES);
     let config = ServerConfig::default();
     let server = FrameServer::spawn_loopback(data.clone(), config).unwrap();
     let mut client = Client::connect_with(server.addr(), ClientConfig::no_retry()).unwrap();
@@ -97,7 +84,8 @@ fn a_stepping_session_misses_twice_and_then_hits_read_ahead_entries() {
 /// threshold never reach the helper.
 #[test]
 fn sessions_that_do_not_step_hint_nothing() {
-    let server = FrameServer::spawn_loopback(stores(), ServerConfig::default()).unwrap();
+    let server =
+        FrameServer::spawn_loopback(stores(FRAMES, PARTICLES), ServerConfig::default()).unwrap();
     let connect = || Client::connect_with(server.addr(), ClientConfig::no_retry()).unwrap();
     // One fetch per session, as connection-churning clients do.
     for frame in 0..3 {
@@ -119,7 +107,7 @@ fn sessions_that_do_not_step_hint_nothing() {
 #[test]
 fn a_residency_budget_of_one_frame_is_never_read_ahead() {
     let path = std::env::temp_dir().join(format!("accelviz-readahead-{}", std::process::id()));
-    write_run_file(&path, &stores(), 4_096).unwrap();
+    write_run_file(&path, &stores(FRAMES, PARTICLES), 4_096).unwrap();
     let frame_bytes = PARTICLES as u64 * 48;
     // One extraction at a time in the cache, so every step needs its
     // frame's particles.
@@ -135,7 +123,7 @@ fn a_residency_budget_of_one_frame_is_never_read_ahead() {
     };
     for (budget, reads_ahead) in [(frame_bytes, false), (2 * frame_bytes, true)] {
         let run = Arc::new(ResidentRun::open(&path, budget).unwrap());
-        let server = FrameServer::spawn_stored_loopback(Arc::clone(&run), config).unwrap();
+        let server = FrameServer::spawn_loopback(Arc::clone(&run), config).unwrap();
         let mut client = Client::connect_with(server.addr(), ClientConfig::no_retry()).unwrap();
         for k in 0..FRAMES as u64 {
             if k >= 2 {
@@ -197,7 +185,7 @@ fn replies_from_read_ahead_entries_equal_cold_replies_byte_for_byte() {
         (Box::new(progressive(2_048)), Box::new(progressive(8_192))),
         (Box::new(progressive(0)), Box::new(plain)),
     ];
-    let data = stores();
+    let data = stores(FRAMES, PARTICLES);
     for (i, (stepped, other)) in cases.iter().enumerate() {
         let ahead = FrameServer::spawn_loopback(data.clone(), ServerConfig::default()).unwrap();
         let mut stepping = session(&ahead);
@@ -239,7 +227,8 @@ fn replies_from_read_ahead_entries_equal_cold_replies_byte_for_byte() {
 /// the in-flight fetch held open, is a unit test beside the helper).
 #[test]
 fn shutdown_mid_step_is_prompt() {
-    let server = FrameServer::spawn_loopback(stores(), ServerConfig::default()).unwrap();
+    let server =
+        FrameServer::spawn_loopback(stores(FRAMES, PARTICLES), ServerConfig::default()).unwrap();
     let mut client = Client::connect_with(server.addr(), ClientConfig::no_retry()).unwrap();
     for frame in 0..3 {
         client.fetch(frame, 2.5).unwrap();

@@ -3,28 +3,20 @@
 //! non-finite thresholds must be rejected in-band without killing the
 //! connection.
 
-use accelviz::beam::distribution::Distribution;
-use accelviz::octree::builder::{partition, BuildParams};
-use accelviz::octree::plots::PlotType;
-use accelviz::octree::sorted_store::PartitionedData;
+mod common;
+
 use accelviz::serve::protocol::{
-    read_response, Response, ERR_BAD_REQUEST, ERR_BAD_THRESHOLD, ERR_INTERNAL,
+    read_response, Request, Response, ERR_BAD_REQUEST, ERR_BAD_THRESHOLD, ERR_INTERNAL,
 };
 use accelviz::serve::stats::CTR_HANDLER_PANICS;
 use accelviz::serve::wire::{MAGIC, V2};
-use accelviz::serve::{Client, ClientConfig, FrameServer, ServeError, ServerConfig};
+use accelviz::serve::{
+    Client, ClientConfig, FrameServer, RouterConfig, ServeError, ServerConfig, ShardedFrameService,
+};
+use common::{raw_reply, stores};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
-
-fn stores(n: usize) -> Vec<PartitionedData> {
-    (0..n)
-        .map(|i| {
-            let ps = Distribution::default_beam().sample(800, i as u64 + 1);
-            partition(&ps, PlotType::XYZ, BuildParams::default())
-        })
-        .collect()
-}
 
 fn short_timeout_config() -> ServerConfig {
     ServerConfig {
@@ -60,7 +52,7 @@ fn peer_closed_within(stream: &mut TcpStream, deadline: Duration) -> bool {
 
 #[test]
 fn silent_client_is_disconnected_by_the_read_timeout() {
-    let server = FrameServer::spawn_loopback(stores(1), short_timeout_config()).unwrap();
+    let server = FrameServer::spawn_loopback(stores(1, 800), short_timeout_config()).unwrap();
 
     // Connect and send nothing at all.
     let mut mute = TcpStream::connect(server.addr()).unwrap();
@@ -78,7 +70,7 @@ fn silent_client_is_disconnected_by_the_read_timeout() {
 
 #[test]
 fn byte_dribbling_client_cannot_pin_a_worker() {
-    let server = FrameServer::spawn_loopback(stores(1), short_timeout_config()).unwrap();
+    let server = FrameServer::spawn_loopback(stores(1, 800), short_timeout_config()).unwrap();
 
     // Send a lone byte — the worker now blocks mid-envelope — then stall.
     let mut dribble = TcpStream::connect(server.addr()).unwrap();
@@ -98,7 +90,7 @@ fn byte_dribbling_client_cannot_pin_a_worker() {
 /// the header alone — default (30 s) read timeout, no payload ever sent.
 #[test]
 fn oversized_request_declaration_is_rejected_before_its_payload() {
-    let server = FrameServer::spawn_loopback(stores(1), ServerConfig::default()).unwrap();
+    let server = FrameServer::spawn_loopback(stores(1, 800), ServerConfig::default()).unwrap();
     let mut stream = TcpStream::connect(server.addr()).unwrap();
     stream
         .set_read_timeout(Some(Duration::from_secs(1)))
@@ -118,7 +110,7 @@ fn oversized_request_declaration_is_rejected_before_its_payload() {
 
 #[test]
 fn nan_thresholds_are_rejected_in_band() {
-    let server = FrameServer::spawn_loopback(stores(1), ServerConfig::default()).unwrap();
+    let server = FrameServer::spawn_loopback(stores(1, 800), ServerConfig::default()).unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
 
     // Both the canonical NaN and an arbitrary payload NaN: each bit
@@ -148,7 +140,7 @@ fn nan_thresholds_are_rejected_in_band() {
 fn infinite_thresholds_remain_valid_dials() {
     // +Inf is the catalog's own unlimited-budget sentinel ("serve
     // everything"); -Inf dials an empty extraction. Neither is an error.
-    let server = FrameServer::spawn_loopback(stores(1), ServerConfig::default()).unwrap();
+    let server = FrameServer::spawn_loopback(stores(1, 800), ServerConfig::default()).unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
     let (all, _) = client.fetch(0, f64::INFINITY).unwrap();
     assert_eq!(all.points.len(), 800, "+Inf serves every particle");
@@ -168,7 +160,7 @@ fn panicking_handler_is_isolated_to_err_internal() {
         volume_dims: [0, 16, 16],
         ..ServerConfig::default()
     };
-    let server = FrameServer::spawn_loopback(stores(1), config).unwrap();
+    let server = FrameServer::spawn_loopback(stores(1, 800), config).unwrap();
     let mut client = Client::connect_with(server.addr(), ClientConfig::no_retry()).unwrap();
 
     match client.fetch(0, f64::INFINITY) {
@@ -187,7 +179,7 @@ fn panicking_handler_is_isolated_to_err_internal() {
 
 #[test]
 fn negative_zero_threshold_hits_the_positive_zero_cache_slot() {
-    let server = FrameServer::spawn_loopback(stores(1), ServerConfig::default()).unwrap();
+    let server = FrameServer::spawn_loopback(stores(1, 800), ServerConfig::default()).unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
     let (a, _) = client.fetch(0, 0.0).unwrap();
     let (b, _) = client.fetch(0, -0.0).unwrap();
@@ -196,4 +188,42 @@ fn negative_zero_threshold_hits_the_positive_zero_cache_slot() {
     assert_eq!(stats.cache_misses, 1, "-0.0 must reuse the 0.0 extraction");
     assert_eq!(stats.cache_hits, 1);
     server.shutdown();
+}
+
+/// `-0.0` and `0.0` share a cache slot, so they must share reply bytes:
+/// a served frame's header (and the trailer hash through it) carries the
+/// threshold the slot stands for, not whichever sign a fresh server or
+/// router happened to be asked first. `PartialEq` on the decoded frames
+/// cannot tell, because `-0.0 == 0.0`.
+#[test]
+fn negative_and_positive_zero_get_byte_identical_replies_from_fresh_origins() {
+    let zero = |threshold: f64| Request::RequestFrame {
+        frame: 0,
+        threshold,
+    };
+    let direct = |threshold: f64| {
+        let server = FrameServer::spawn_loopback(stores(1, 800), ServerConfig::default()).unwrap();
+        let reply = raw_reply(
+            &mut TcpStream::connect(server.addr()).unwrap(),
+            zero(threshold),
+        );
+        server.shutdown();
+        reply
+    };
+    let routed = |threshold: f64| {
+        let (shards, config) = (ServerConfig::default(), RouterConfig::default());
+        let service =
+            ShardedFrameService::spawn_loopback_replicated(stores(1, 800), 1, 1, shards, config)
+                .unwrap();
+        let reply = raw_reply(
+            &mut TcpStream::connect(service.addr()).unwrap(),
+            zero(threshold),
+        );
+        service.shutdown();
+        reply
+    };
+    let want = direct(0.0);
+    assert!(direct(-0.0) == want, "direct server, -0.0 first");
+    assert!(routed(0.0) == want, "router, +0.0 first");
+    assert!(routed(-0.0) == want, "router, -0.0 first");
 }

@@ -7,12 +7,8 @@
 
 mod common;
 
-use accelviz::beam::distribution::Distribution;
 use accelviz::core::shard::ShardSpec;
 use accelviz::core::viewer::FrameSource;
-use accelviz::octree::builder::{partition, BuildParams};
-use accelviz::octree::plots::PlotType;
-use accelviz::octree::sorted_store::PartitionedData;
 use accelviz::serve::protocol::{Request, ERR_BUSY};
 use accelviz::serve::router::{
     CTR_ROUTER_CACHE_HITS, CTR_ROUTER_CACHE_MISSES, CTR_ROUTER_COALESCED,
@@ -20,10 +16,10 @@ use accelviz::serve::router::{
 };
 use accelviz::serve::stats::{CTR_CACHE_MISSES, CTR_FRAMES_SERVED};
 use accelviz::serve::{
-    Client, ClientConfig, FrameRouter, FrameServer, RemoteFrames, RetryPolicy, RouterConfig,
-    ServeError, ServerConfig, ShardMap, ShardedFrameService,
+    Client, ClientConfig, FrameRouter, FrameServer, Origin, RemoteFrames, RetryPolicy,
+    RouterConfig, ServeError, ServerConfig, ShardMap, ShardedFrameService,
 };
-use common::raw_reply;
+use common::{raw_reply, stores};
 use std::io;
 use std::net::TcpStream;
 use std::sync::{Arc, Barrier};
@@ -31,15 +27,6 @@ use std::sync::{Arc, Barrier};
 /// The fig-1 frame set this suite serves (same convention as the other
 /// serve suites: frame `i` is an 800-particle beam seeded `i + 1`).
 const FRAMES: usize = 5;
-
-fn stores(n: usize) -> Vec<PartitionedData> {
-    (0..n)
-        .map(|i| {
-            let ps = Distribution::default_beam().sample(800, i as u64 + 1);
-            partition(&ps, PlotType::XYZ, BuildParams::default())
-        })
-        .collect()
-}
 
 /// A minimal router cache byte budget (only the most recent frame stays
 /// resident), so the kill test exercises the upstream hop instead of the
@@ -53,9 +40,10 @@ fn one_frame_cache() -> RouterConfig {
 
 #[test]
 fn empty_shard_set_is_rejected_at_construction() {
-    let err = ShardedFrameService::spawn_loopback(
-        stores(2),
+    let err = ShardedFrameService::spawn_loopback_replicated(
+        stores(2, 800),
         0,
+        1,
         ServerConfig::default(),
         RouterConfig::default(),
     )
@@ -66,7 +54,7 @@ fn empty_shard_set_is_rejected_at_construction() {
     let err = FrameRouter::spawn(
         "127.0.0.1:0",
         Vec::new(),
-        ShardMap::shared(&ShardSpec::new(1), 3),
+        ShardMap::shared_replicated(&ShardSpec::new(1), 3, 1),
         RouterConfig::default(),
     )
     .map(|_| ())
@@ -74,11 +62,11 @@ fn empty_shard_set_is_rejected_at_construction() {
     assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
 
     // A shard list that disagrees with the map is just as malformed.
-    let lone = FrameServer::spawn_loopback(stores(1), ServerConfig::default()).unwrap();
+    let lone = FrameServer::spawn_loopback(stores(1, 800), ServerConfig::default()).unwrap();
     let err = FrameRouter::spawn(
         "127.0.0.1:0",
         vec![lone.addr()],
-        ShardMap::shared(&ShardSpec::new(2), 3),
+        ShardMap::shared_replicated(&ShardSpec::new(2), 3, 1),
         RouterConfig::default(),
     )
     .map(|_| ())
@@ -100,7 +88,7 @@ fn a_shard_not_yet_listening_fails_the_spawn_at_once() {
     let err = FrameRouter::spawn(
         "127.0.0.1:0",
         vec![vacant],
-        ShardMap::shared(&ShardSpec::new(1), 3),
+        ShardMap::shared_replicated(&ShardSpec::new(1), 3, 1),
         RouterConfig::default(),
     )
     .map(|_| ())
@@ -115,10 +103,11 @@ fn a_shard_not_yet_listening_fails_the_spawn_at_once() {
 /// payloads included — are identical to talking to that server directly.
 #[test]
 fn one_shard_service_is_bit_identical_to_a_direct_server() {
-    let data = stores(FRAMES);
+    let data = stores(FRAMES, 800);
     let direct = FrameServer::spawn_loopback(data.clone(), ServerConfig::default()).unwrap();
-    let service = ShardedFrameService::spawn_loopback(
+    let service = ShardedFrameService::spawn_loopback_replicated(
         data,
+        1,
         1,
         ServerConfig::default(),
         RouterConfig::default(),
@@ -146,11 +135,12 @@ fn one_shard_service_is_bit_identical_to_a_direct_server() {
 /// catalog equals the direct catalog.
 #[test]
 fn two_shard_service_serves_every_frame_bit_identical_to_one_server() {
-    let data = stores(FRAMES);
+    let data = stores(FRAMES, 800);
     let direct = FrameServer::spawn_loopback(data.clone(), ServerConfig::default()).unwrap();
-    let service = ShardedFrameService::spawn_loopback(
+    let service = ShardedFrameService::spawn_loopback_replicated(
         data,
         2,
+        1,
         ServerConfig::default(),
         RouterConfig::default(),
     )
@@ -182,9 +172,10 @@ fn two_shard_service_serves_every_frame_bit_identical_to_one_server() {
 /// on both sides of the hop.
 #[test]
 fn thundering_herd_collapses_to_one_upstream_extraction_per_shard() {
-    let service = ShardedFrameService::spawn_loopback(
-        stores(FRAMES),
+    let service = ShardedFrameService::spawn_loopback_replicated(
+        stores(FRAMES, 800),
         2,
+        1,
         ServerConfig::default(),
         RouterConfig::default(),
     )
@@ -246,13 +237,9 @@ fn thundering_herd_collapses_to_one_upstream_extraction_per_shard() {
 /// restarted shard heals the same requests.
 #[test]
 fn shard_kill_mid_session_degrades_and_recovers_on_restart() {
-    let data = stores(FRAMES);
+    let data = stores(FRAMES, 800);
     let spec = ShardSpec::new(2);
-    let map = ShardMap::sliced(&spec, FRAMES);
-    let mut slices: Vec<Vec<PartitionedData>> = vec![Vec::new(), Vec::new()];
-    for (g, d) in data.iter().enumerate() {
-        slices[spec.owner_of(g as u32)].push(d.clone());
-    }
+    let (map, slices) = Origin::from(data.clone()).layout(2, 1).unwrap();
     let shard0 = FrameServer::spawn_loopback(slices[0].clone(), ServerConfig::default()).unwrap();
     let shard1 = FrameServer::spawn_loopback(slices[1].clone(), ServerConfig::default()).unwrap();
     let router = FrameRouter::spawn(
@@ -333,9 +320,10 @@ fn shard_kill_mid_session_degrades_and_recovers_on_restart() {
 /// local [`ShardedFrameService::stats`] sum agrees with the wire reply.
 #[test]
 fn stats_through_the_router_aggregate_the_shards() {
-    let service = ShardedFrameService::spawn_loopback(
-        stores(FRAMES),
+    let service = ShardedFrameService::spawn_loopback_replicated(
+        stores(FRAMES, 800),
         2,
+        1,
         ServerConfig::default(),
         RouterConfig::default(),
     )
@@ -403,9 +391,10 @@ fn router_and_server_answer_the_same_session_with_identical_bytes() {
         ("progressive out of range is refused", progressive(99)),
         ("progressive", progressive(0)),
     ];
-    let direct = FrameServer::spawn_loopback(stores(2), ServerConfig::default()).unwrap();
-    let routed = ShardedFrameService::spawn_loopback(
-        stores(2),
+    let direct = FrameServer::spawn_loopback(stores(2, 800), ServerConfig::default()).unwrap();
+    let routed = ShardedFrameService::spawn_loopback_replicated(
+        stores(2, 800),
+        1,
         1,
         ServerConfig::default(),
         RouterConfig::default(),
@@ -434,8 +423,14 @@ fn router_at_its_connection_cap_answers_err_busy_in_band() {
         max_connections: 1,
         ..RouterConfig::default()
     };
-    let service =
-        ShardedFrameService::spawn_loopback(stores(2), 2, ServerConfig::default(), config).unwrap();
+    let service = ShardedFrameService::spawn_loopback_replicated(
+        stores(2, 800),
+        2,
+        1,
+        ServerConfig::default(),
+        config,
+    )
+    .unwrap();
     let mut admitted = Client::connect_with(service.addr(), ClientConfig::no_retry()).unwrap();
     admitted.fetch(0, f64::INFINITY).unwrap();
 
@@ -459,16 +454,16 @@ fn stored_sharded_service_matches_a_direct_stored_server() {
     use accelviz::store::run::write_run_file;
     use accelviz::store::ResidentRun;
 
-    let data = stores(4);
+    let data = stores(4, 800);
     let path = std::env::temp_dir().join(format!("accelviz-shard-run-{}", std::process::id()));
     write_run_file(&path, &data, 4_096).unwrap();
     let run = Arc::new(ResidentRun::open(&path, u64::MAX).unwrap());
 
-    let direct =
-        FrameServer::spawn_stored_loopback(Arc::clone(&run), ServerConfig::default()).unwrap();
-    let service = ShardedFrameService::spawn_stored_loopback(
+    let direct = FrameServer::spawn_loopback(Arc::clone(&run), ServerConfig::default()).unwrap();
+    let service = ShardedFrameService::spawn_loopback_replicated(
         Arc::clone(&run),
         2,
+        1,
         ServerConfig::default(),
         RouterConfig::default(),
     )

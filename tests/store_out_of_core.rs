@@ -62,7 +62,7 @@ fn stored_server_serves_a_run_bigger_than_its_residency_budget() {
         ..ServerConfig::default()
     };
     let dims = config.volume_dims;
-    let server = FrameServer::spawn_stored_loopback(Arc::clone(&run), config).unwrap();
+    let server = FrameServer::spawn_loopback(Arc::clone(&run), config).unwrap();
     let mut client = Client::connect_with(server.addr(), ClientConfig::no_retry()).unwrap();
 
     // The catalog answers from directory metadata alone — correct
@@ -128,7 +128,7 @@ fn stored_server_counts_the_v2_bytes_its_clients_receive() {
     let run = Arc::new(ResidentRun::open(&path, budget).unwrap());
     let config = ServerConfig::default();
     let dims = config.volume_dims;
-    let server = FrameServer::spawn_stored_loopback(run, config).unwrap();
+    let server = FrameServer::spawn_loopback(run, config).unwrap();
     let mut client = Client::connect_with(server.addr(), ClientConfig::no_retry()).unwrap();
 
     let (mut wire, mut raw) = (0, 0);
@@ -161,7 +161,7 @@ fn four_thresholds_of_one_cold_frame_page_it_in_once() {
     let run = Arc::new(ResidentRun::open(&path, u64::MAX).unwrap());
     let config = ServerConfig::default();
     let dims = config.volume_dims;
-    let server = FrameServer::spawn_stored_loopback(Arc::clone(&run), config).unwrap();
+    let server = FrameServer::spawn_loopback(Arc::clone(&run), config).unwrap();
 
     let thresholds = [f64::INFINITY, 2.5, 1.0, 0.25];
     let start = Barrier::new(thresholds.len());

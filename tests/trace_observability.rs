@@ -3,25 +3,18 @@
 //! and a trace captured across the whole pipeline must export as valid,
 //! monotonic Chrome trace-event JSON.
 
+mod common;
+
 use accelviz::beam::distribution::Distribution;
 use accelviz::core::hybrid::HybridFrame;
 use accelviz::octree::builder::{partition, BuildParams};
 use accelviz::octree::extraction::threshold_for_budget;
 use accelviz::octree::plots::PlotType;
-use accelviz::octree::sorted_store::PartitionedData;
 use accelviz::serve::stats::{CTR_CACHE_HITS, CTR_CACHE_MISSES, CTR_FRAMES_SERVED, CTR_REQUESTS};
 use accelviz::serve::{Client, FrameServer, ServerConfig};
 use accelviz::trace::chrome::{parse_json, trace_json, Json};
 use accelviz::trace::registry::Registry;
-
-fn stores(n: usize, particles: usize) -> Vec<PartitionedData> {
-    (0..n)
-        .map(|i| {
-            let ps = Distribution::default_beam().sample(particles, i as u64 + 1);
-            partition(&ps, PlotType::XYZ, BuildParams::default())
-        })
-        .collect()
-}
+use common::stores;
 
 #[test]
 fn registry_cache_counts_match_wire_stats_and_cache_counters() {
