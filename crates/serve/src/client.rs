@@ -175,8 +175,10 @@ impl Connector for TcpConnector {
 
 /// A [`TcpConnector`] whose every transport is wrapped in a
 /// [`FaultyTransport`] drawing from one shared [`FaultScript`] — the
-/// chaos-test connector. Byte positions in the script are cumulative
-/// across reconnects, so one seeded plan describes the whole session.
+/// chaos-test connector, and the one place faults enter a session (a
+/// server-side fault is the same plan with its directions swapped). Byte
+/// positions in the script are cumulative across reconnects, so one
+/// seeded plan describes the whole session.
 pub struct FaultyConnector {
     inner: TcpConnector,
     script: Arc<FaultScript>,

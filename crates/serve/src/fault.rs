@@ -9,11 +9,11 @@
 //! bytes flow. The same seed always produces the same plan, so a chaos
 //! run that fails is a chaos run that reproduces.
 //!
-//! Production pays nothing: the wrapper only exists when a test or chaos
-//! harness installs it (via [`crate::client::FaultyConnector`] or
-//! [`crate::server::FrameServer::spawn_chaos`], over either
-//! [`crate::server::Origin`]); the ordinary client and server speak over
-//! bare `TcpStream`s.
+//! Faults enter at one seam, the client's connector: a test or chaos
+//! harness dials through [`crate::client::FaultyConnector`], and servers
+//! and routers only ever speak over bare `TcpStream`s, so production pays
+//! nothing. A fault on the server's side of a link is the same plan with
+//! its directions swapped: what the server writes, the client reads.
 //!
 //! Every injected fault is counted in the script's [`FaultStats`] and
 //! mirrored to `fault.*` counters on the global
@@ -94,11 +94,6 @@ impl FaultPlan {
     pub fn new(mut events: Vec<FaultEvent>) -> FaultPlan {
         events.sort_by_key(|e| e.at_byte);
         FaultPlan { events }
-    }
-
-    /// A plan that injects nothing — the identity wrapper.
-    pub fn none() -> FaultPlan {
-        FaultPlan::default()
     }
 
     /// A seeded chaos mix of `faults >= 3` events spread over a link
@@ -263,6 +258,16 @@ enum Poison {
     Closed,
 }
 
+impl Poison {
+    /// What a write (or flush) on a transport poisoned this way fails with.
+    fn write_error(self) -> io::Error {
+        match self {
+            Poison::Reset => reset_err(),
+            Poison::Closed => broken_err(),
+        }
+    }
+}
+
 /// A `Read + Write` wrapper that fires the faults its shared
 /// [`FaultScript`] schedules. Wrap a `TcpStream` (or an in-memory pipe in
 /// unit tests) and use it wherever the bare stream went.
@@ -389,29 +394,22 @@ impl<S: Read> Read for FaultyTransport<S> {
 
 impl<S: Write> Write for FaultyTransport<S> {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self.poison {
-            Some(Poison::Reset) => return Err(reset_err()),
-            Some(Poison::Closed) => return Err(broken_err()),
-            None => {}
+        if let Some(poison) = self.poison {
+            return Err(poison.write_error());
         }
         if buf.is_empty() {
             return self.inner.write(buf);
         }
         // Decide what this call does while holding the lock, then touch
-        // the inner stream outside it.
-        enum Act {
-            Pass(usize, Duration, Option<(usize, u8)>),
-            Fail(Poison, Duration),
-            PartialThen(usize, Poison, Duration),
-        }
-        let act = {
+        // the inner stream outside it: after `delay`, pass the first `n`
+        // bytes (with one bit flipped, unless a cut fired), then poison
+        // the transport if a disconnect or truncation cut the write.
+        let (n, delay, flip, cut) = {
             let mut g = self.script.lock();
             let pos = g.write.pos;
-            let mut delay = Duration::ZERO;
-            let mut flip: Option<(usize, u8)> = None;
-            let mut act = Act::Pass(buf.len(), Duration::ZERO, None);
-            'events: while let Some(&(at, kind)) = g.write.queue.front() {
-                if at >= pos + buf.len() as u64 {
+            let (mut delay, mut flip, mut cut) = (Duration::ZERO, None, None);
+            while let Some(&(at, kind)) = g.write.queue.front() {
+                if at >= pos + buf.len() as u64 || cut.is_some() {
                     break;
                 }
                 g.write.queue.pop_front();
@@ -421,79 +419,41 @@ impl<S: Write> Write for FaultyTransport<S> {
                 match kind {
                     FaultKind::Delay(d) => delay += d,
                     FaultKind::FlipBit(bit) => flip = Some((idx.min(buf.len() - 1), bit % 8)),
-                    FaultKind::Disconnect => {
-                        act = if idx == 0 {
-                            Act::Fail(Poison::Reset, delay)
-                        } else {
-                            Act::PartialThen(idx, Poison::Reset, delay)
-                        };
-                        break 'events;
-                    }
-                    FaultKind::Truncate => {
-                        act = if idx == 0 {
-                            Act::Fail(Poison::Closed, delay)
-                        } else {
-                            Act::PartialThen(idx, Poison::Closed, delay)
-                        };
-                        break 'events;
-                    }
+                    FaultKind::Disconnect => cut = Some((idx, Poison::Reset)),
+                    FaultKind::Truncate => cut = Some((idx, Poison::Closed)),
                 }
             }
-            if let Act::Pass(n, d, f) = &mut act {
-                *n = buf.len();
-                *d = delay;
-                *f = flip;
-            }
-            let written = match &act {
-                Act::Pass(n, ..) | Act::PartialThen(n, ..) => *n as u64,
-                Act::Fail(..) => 0,
-            };
-            g.write.pos = pos + written;
-            act
+            let n = cut.map_or(buf.len(), |(idx, _)| idx);
+            g.write.pos = pos + n as u64;
+            (n, delay, flip, cut)
         };
-        match act {
-            Act::Pass(n, delay, flip) => {
-                if !delay.is_zero() {
-                    std::thread::sleep(delay);
-                }
-                match flip {
-                    Some((idx, bit)) => {
-                        let mut corrupted = buf[..n].to_vec();
-                        corrupted[idx] ^= 1 << bit;
-                        self.inner.write_all(&corrupted)?;
-                        Ok(n)
-                    }
-                    None => {
-                        self.inner.write_all(&buf[..n])?;
-                        Ok(n)
-                    }
-                }
+        if !delay.is_zero() {
+            std::thread::sleep(delay);
+        }
+        match (flip, cut) {
+            (Some((idx, bit)), None) => {
+                let mut corrupted = buf[..n].to_vec();
+                corrupted[idx] ^= 1 << bit;
+                self.inner.write_all(&corrupted)?;
             }
-            Act::Fail(poison, delay) => {
-                if !delay.is_zero() {
-                    std::thread::sleep(delay);
-                }
+            _ => self.inner.write_all(&buf[..n])?,
+        }
+        match cut {
+            Some((0, poison)) => {
                 self.poison = Some(poison);
-                Err(match poison {
-                    Poison::Reset => reset_err(),
-                    Poison::Closed => broken_err(),
-                })
+                Err(poison.write_error())
             }
-            Act::PartialThen(n, poison, delay) => {
-                if !delay.is_zero() {
-                    std::thread::sleep(delay);
-                }
-                self.inner.write_all(&buf[..n])?;
+            Some((_, poison)) => {
                 self.poison = Some(poison);
                 Ok(n)
             }
+            None => Ok(n),
         }
     }
 
     fn flush(&mut self) -> io::Result<()> {
         match self.poison {
-            Some(Poison::Reset) => Err(reset_err()),
-            Some(Poison::Closed) => Err(broken_err()),
+            Some(poison) => Err(poison.write_error()),
             None => self.inner.flush(),
         }
     }

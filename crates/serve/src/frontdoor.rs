@@ -39,7 +39,6 @@
 
 use crate::cache::{CacheKey, Fetched, Served};
 use crate::error::ServeError;
-use crate::fault::{FaultScript, FaultyTransport};
 use crate::lod::chunk_budget;
 use crate::protocol::{
     read_request, write_chunk, write_response, FrameInfo, Refusal, Request, Response,
@@ -161,9 +160,6 @@ pub(crate) struct DoorConfig {
     pub(crate) write_timeout: Option<Duration>,
     /// Connections (and so session threads) served concurrently.
     pub(crate) max_connections: usize,
-    /// Chaos hook: when set, every admitted connection is wrapped in a
-    /// [`FaultyTransport`] drawing from this script.
-    pub(crate) faults: Option<Arc<FaultScript>>,
     /// Starts each session thread; a refusal sheds the connection.
     pub(crate) spawn: Spawn,
 }
@@ -455,10 +451,7 @@ fn serve_connection<H: Handler>(door: &Door<H>, stream: TcpStream) {
     // session and the connection is dropped.
     let _ = stream.set_read_timeout(door.config.read_timeout);
     let _ = stream.set_write_timeout(door.config.write_timeout);
-    match &door.config.faults {
-        Some(script) => session(door, FaultyTransport::new(stream, Arc::clone(script))),
-        None => session(door, stream),
-    }
+    session(door, stream);
 }
 
 /// What one connection's requests leave behind for its next one.
@@ -680,6 +673,7 @@ fn send_chunks<H: Handler, S: Write>(
 mod tests {
     use super::*;
     use crate::cache::CoalescingCache;
+    use crate::fault::{FaultDirection, FaultEvent, FaultKind, FaultPlan, FaultyTransport};
     use crate::protocol::{read_response, write_request};
     use accelviz_beam::distribution::Distribution;
     use accelviz_core::hybrid::HybridFrame;
@@ -778,7 +772,6 @@ mod tests {
             read_timeout: Some(Duration::from_secs(10)),
             write_timeout: Some(Duration::from_secs(10)),
             max_connections,
-            faults: None,
             spawn,
         };
         let door = FrontDoor::open(addr, fake, config).unwrap();
@@ -877,6 +870,51 @@ mod tests {
         assert_eq!(error_code(reply), ERR_BAD_REQUEST);
         let mut rest = Vec::new();
         assert_eq!(stream.read_to_end(&mut rest).unwrap(), 0, "then EOF");
+    }
+
+    /// A reply write that fails mid-frame ends the session: the frame is
+    /// not counted as served, nothing panics, no request stays in flight,
+    /// and the client has the bytes written before the cut, then EOF.
+    #[test]
+    fn a_reply_write_failing_mid_frame_ends_the_session() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        write_request(&mut client, &Request::Hello { version: V2 }).unwrap();
+        write_request(&mut client, &plain(0, 0.5)).unwrap();
+        let frame_count = Stepper::FRAMES;
+        let ack = Response::HelloAck {
+            version: V2,
+            frame_count,
+        };
+        let cut = write_response(&mut io::sink(), &ack).unwrap() + 20;
+        let door = Door {
+            handler: Arc::new(Stepper::default()),
+            config: DoorConfig {
+                read_timeout: None,
+                write_timeout: None,
+                max_connections: 1,
+                spawn: spawn_thread,
+            },
+            shutdown: AtomicBool::new(false),
+            active_connections: AtomicUsize::new(0),
+            inflight_requests: AtomicUsize::new(0),
+        };
+        let (server, _) = listener.accept().unwrap();
+        let plan = FaultPlan::new(vec![FaultEvent {
+            direction: FaultDirection::Write,
+            at_byte: cut,
+            kind: FaultKind::Truncate,
+        }]);
+        session(&door, FaultyTransport::new(server, plan.script()));
+        let metrics = door.handler.metrics();
+        let count = |name| metrics.counter(name);
+        assert_eq!(count(Fake::NAMES.requests), 1, "the Hello only");
+        assert_eq!(count(Fake::NAMES.frames_served), 0);
+        assert_eq!(count(Fake::NAMES.handler_panics), 0);
+        assert_eq!(door.inflight_requests.load(Ordering::SeqCst), 0);
+        let mut received = Vec::new();
+        client.read_to_end(&mut received).unwrap();
+        assert_eq!(received.len() as u64, cut);
     }
 
     #[test]

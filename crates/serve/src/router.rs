@@ -666,7 +666,6 @@ impl FrameRouter {
                 read_timeout: config.read_timeout,
                 write_timeout: config.write_timeout,
                 max_connections: config.max_connections,
-                faults: None,
                 spawn: spawn_thread,
             },
         )?;
@@ -908,6 +907,9 @@ impl ShardedFrameService {
     }
 
     /// Whether shard `i` is currently live.
+    ///
+    /// # Panics
+    /// Panics when shard `i` is out of range.
     pub fn shard_alive(&self, i: usize) -> bool {
         self.shards[i].is_some()
     }

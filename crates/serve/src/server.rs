@@ -45,7 +45,6 @@
 //! and cannot tell the difference (`crate::router`).
 
 use crate::cache::{CacheKey, CoalescingCache, Fetched, Lookup, Served};
-use crate::fault::FaultScript;
 use crate::frontdoor::{
     spawn_thread, CountGuard, CounterNames, DoorConfig, FrontDoor, Handler, ReadAhead, Spawn,
 };
@@ -456,7 +455,7 @@ impl FrameServer {
         origin: impl Into<Origin>,
         config: ServerConfig,
     ) -> io::Result<FrameServer> {
-        FrameServer::spawn_inner(addr, origin.into(), config, None, spawn_thread)
+        FrameServer::spawn_inner(addr, origin.into(), config, spawn_thread)
     }
 
     /// [`FrameServer::spawn`] on an OS-assigned loopback port — the test
@@ -477,27 +476,12 @@ impl FrameServer {
         FrameServer::spawn_loopback(origin, config)
     }
 
-    /// A loopback server whose every connection is faulted by `script` —
-    /// the server-side chaos hook. Only tests call this; [`spawn`] never
-    /// wraps streams.
-    ///
-    /// [`spawn`]: FrameServer::spawn
-    pub fn spawn_chaos(
-        origin: impl Into<Origin>,
-        config: ServerConfig,
-        script: Arc<FaultScript>,
-    ) -> io::Result<FrameServer> {
-        let origin = origin.into();
-        FrameServer::spawn_inner("127.0.0.1:0", origin, config, Some(script), spawn_thread)
-    }
-
     /// `spawn_helper` starts the read-ahead helper; a refusal costs
     /// read-ahead, not the server.
     fn spawn_inner(
         addr: &str,
         origin: Origin,
         config: ServerConfig,
-        faults: Option<Arc<FaultScript>>,
         spawn_helper: Spawn,
     ) -> io::Result<FrameServer> {
         let (shared, helper) = Shared::start(origin, config, spawn_helper);
@@ -508,7 +492,6 @@ impl FrameServer {
                 read_timeout: config.read_timeout,
                 write_timeout: config.write_timeout,
                 max_connections: config.max_connections,
-                faults,
                 spawn: spawn_thread,
             },
         );
@@ -778,7 +761,7 @@ mod tests {
         let data = stores(4);
         let config = ServerConfig::default();
         let origin = data.clone().into();
-        let server = FrameServer::spawn_inner("127.0.0.1:0", origin, config, None, refuse)
+        let server = FrameServer::spawn_inner("127.0.0.1:0", origin, config, refuse)
             .expect("the server starts without its helper");
         assert!(server.helper.is_none());
         let mut client = Client::connect(server.addr()).unwrap();

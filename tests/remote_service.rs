@@ -27,46 +27,6 @@ fn wait_for_frames_served(server: &FrameServer, n: u64) {
 }
 
 #[test]
-fn served_frames_match_local_extraction_bit_for_bit() {
-    let config = ServerConfig::default();
-    let server = FrameServer::spawn_loopback(stores(2, 2_000), config).unwrap();
-    let local = stores(2, 2_000);
-
-    let mut client = Client::connect(server.addr()).unwrap();
-    assert_eq!(client.frame_count(), 2);
-
-    let catalog = client.list_frames().unwrap();
-    assert_eq!(catalog.len(), 2);
-    assert_eq!(catalog[1].frame, 1);
-    assert_eq!(catalog[0].particles, 2_000);
-
-    // Two frames at two thresholds each: every served frame must equal
-    // the one extracted locally from the same store.
-    for (frame_idx, data) in local.iter().enumerate() {
-        for budget in [300usize, 1_200] {
-            let threshold = threshold_for_budget(data, budget);
-            let (served, metrics) = client.fetch(frame_idx as u32, threshold).unwrap();
-            let reference =
-                HybridFrame::from_partition(data, frame_idx, threshold, config.volume_dims);
-            assert_eq!(served, reference, "frame {frame_idx} at budget {budget}");
-            assert!(metrics.wire_bytes > 0);
-            assert!(metrics.seconds > 0.0);
-        }
-    }
-
-    // Refetching a (frame, threshold) pair hits the server's cache.
-    let t = threshold_for_budget(&local[0], 300);
-    client.fetch(0, t).unwrap();
-    let stats = client.stats().unwrap();
-    assert!(stats.cache_hits >= 1, "repeat fetch must hit: {stats:?}");
-    assert_eq!(stats.frames_served, 5);
-    assert!(stats.bytes_sent > 0);
-    assert_eq!(stats.latency.total(), stats.requests);
-
-    server.shutdown();
-}
-
-#[test]
 fn viewer_session_runs_unmodified_over_the_network() {
     let config = ServerConfig::default();
     let server = FrameServer::spawn_loopback(stores(3, 1_500), config).unwrap();
@@ -193,6 +153,7 @@ fn stats_counters_are_shared_across_connections() {
     // 2 hellos + 2 fetches; the snapshot is taken before the stats
     // request itself is counted.
     assert_eq!(stats.requests, 4);
+    assert_eq!(stats.latency.total(), stats.requests);
     drop(a);
     drop(b);
     server.shutdown();

@@ -195,6 +195,54 @@ fn sharded_chaos_session_delivers_bit_identical_frames() {
     service.shutdown();
 }
 
+/// A server whose end of the link suffers a delay, a truncated reply and
+/// disconnects both ways, placed inside the first frame's reply volume:
+/// the plan a server-side hook once ran, replayed through the client's
+/// connector with each event's direction swapped (what the server writes
+/// is what the client reads). Client retries alone deliver every frame
+/// bit-identical to a fault-free run, with zero handler panics.
+#[test]
+fn server_side_chaos_is_survivable() {
+    use accelviz::serve::fault::{FaultDirection, FaultEvent, FaultKind};
+    let server = FrameServer::spawn_loopback(stores(3, 600), ServerConfig::default()).unwrap();
+    let mut clean = Client::connect_with(server.addr(), ClientConfig::no_retry()).unwrap();
+    let reference: Vec<_> = (0..3)
+        .map(|frame| clean.fetch(frame, f64::INFINITY).unwrap().0)
+        .collect();
+    drop(clean);
+
+    let event = |direction, at_byte, kind| FaultEvent {
+        direction,
+        at_byte,
+        kind,
+    };
+    let delay = FaultKind::Delay(Duration::from_millis(5));
+    let plan = FaultPlan::new(vec![
+        event(FaultDirection::Read, 64, delay),
+        event(FaultDirection::Read, 3_000, FaultKind::Truncate),
+        event(FaultDirection::Read, 9_000, FaultKind::Disconnect),
+        event(FaultDirection::Write, 400, FaultKind::Disconnect),
+    ]);
+    let script = plan.script();
+    let config = fast_retry(20_260_807);
+    let connector = FaultyConnector::new(
+        TcpConnector::new(server.addr(), &config).unwrap(),
+        Arc::clone(&script),
+    );
+    let mut client = Client::connect_via(Box::new(connector), config).unwrap();
+    for (i, want) in reference.iter().enumerate() {
+        let (got, _) = client.fetch(i as u32, f64::INFINITY).unwrap();
+        assert_eq!(&got, want, "frame {i} over a faulted link differs");
+    }
+
+    let fired = script.stats();
+    assert!(fired.delays >= 1, "no delay fired: {fired:?}");
+    assert!(fired.truncations >= 1, "no truncation fired: {fired:?}");
+    assert!(fired.disconnects >= 1, "no disconnect fired: {fired:?}");
+    assert_eq!(server.metrics().counter(CTR_HANDLER_PANICS), 0);
+    server.shutdown();
+}
+
 /// With retries disabled the client behaves like the pre-resilience
 /// code: the first transport fault surfaces as an error, nothing is
 /// retried behind the caller's back.

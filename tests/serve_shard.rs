@@ -1,15 +1,14 @@
-//! Acceptance for the shard/router layer: a sharded service is
-//! indistinguishable from one big server (bit-identical frames and
-//! catalog), a thundering herd collapses to one
-//! upstream extraction per shard, a dead shard degrades per the PR 5
+//! Acceptance for the shard/router layer: a thundering herd collapses to
+//! one upstream extraction per shard, a dead shard degrades per the PR 5
 //! model and recovers on restart, and `Stats` through the router is the
-//! sum of the shards.
+//! sum of the shards. That a sharded service answers byte for byte like
+//! one big server is `serve_origin_parity.rs`'s to assert.
 
 mod common;
 
 use accelviz::core::shard::ShardSpec;
 use accelviz::core::viewer::FrameSource;
-use accelviz::serve::protocol::{Request, ERR_BUSY};
+use accelviz::serve::protocol::ERR_BUSY;
 use accelviz::serve::router::{
     CTR_ROUTER_CACHE_HITS, CTR_ROUTER_CACHE_MISSES, CTR_ROUTER_COALESCED,
     CTR_ROUTER_SHED_CONNECTIONS, CTR_ROUTER_UPSTREAM_ERRORS, CTR_ROUTER_UPSTREAM_FETCHES,
@@ -19,9 +18,8 @@ use accelviz::serve::{
     Client, ClientConfig, FrameRouter, FrameServer, Origin, RemoteFrames, RetryPolicy,
     RouterConfig, ServeError, ServerConfig, ShardMap, ShardedFrameService,
 };
-use common::{raw_reply, stores};
+use common::stores;
 use std::io;
-use std::net::TcpStream;
 use std::sync::{Arc, Barrier};
 
 /// The fig-1 frame set this suite serves (same convention as the other
@@ -96,74 +94,6 @@ fn a_shard_not_yet_listening_fails_the_spawn_at_once() {
     assert_eq!(err.kind(), io::ErrorKind::ConnectionRefused);
     // The default policy's first backoff alone is 100 ms.
     assert!(t0.elapsed() < std::time::Duration::from_millis(100));
-}
-
-/// A one-shard service is the degenerate deployment: every request
-/// proxies to the single shard, and the bytes a client receives — frame
-/// payloads included — are identical to talking to that server directly.
-#[test]
-fn one_shard_service_is_bit_identical_to_a_direct_server() {
-    let data = stores(FRAMES, 800);
-    let direct = FrameServer::spawn_loopback(data.clone(), ServerConfig::default()).unwrap();
-    let service = ShardedFrameService::spawn_loopback_replicated(
-        data,
-        1,
-        1,
-        ServerConfig::default(),
-        RouterConfig::default(),
-    )
-    .unwrap();
-
-    let mut a = Client::connect_with(direct.addr(), ClientConfig::no_retry()).unwrap();
-    let mut b = Client::connect_with(service.addr(), ClientConfig::no_retry()).unwrap();
-    assert_eq!(a.list_frames().unwrap(), b.list_frames().unwrap());
-    for frame in 0..FRAMES as u32 {
-        let (fa, ma) = a.fetch(frame, f64::INFINITY).unwrap();
-        let (fb, mb) = b.fetch(frame, f64::INFINITY).unwrap();
-        assert_eq!(fa, fb, "frame {frame} differs");
-        assert_eq!(
-            ma.wire_bytes, mb.wire_bytes,
-            "frame {frame} wire bytes differ"
-        );
-    }
-    direct.shutdown();
-    service.shutdown();
-}
-
-/// The headline acceptance: a 2-shard loopback service serves every
-/// fig-1 frame bit-identical to a single-server run, and its merged
-/// catalog equals the direct catalog.
-#[test]
-fn two_shard_service_serves_every_frame_bit_identical_to_one_server() {
-    let data = stores(FRAMES, 800);
-    let direct = FrameServer::spawn_loopback(data.clone(), ServerConfig::default()).unwrap();
-    let service = ShardedFrameService::spawn_loopback_replicated(
-        data,
-        2,
-        1,
-        ServerConfig::default(),
-        RouterConfig::default(),
-    )
-    .unwrap();
-    // The rendezvous layout actually split the catalog.
-    let spec = ShardSpec::new(2);
-    let owners: Vec<usize> = spec.assignments(FRAMES);
-    assert!(
-        owners.contains(&0) && owners.contains(&1),
-        "5 frames over 2 shards must populate both: {owners:?}"
-    );
-
-    let mut a = Client::connect_with(direct.addr(), ClientConfig::no_retry()).unwrap();
-    let mut b = Client::connect_with(service.addr(), ClientConfig::no_retry()).unwrap();
-    assert_eq!(a.list_frames().unwrap(), b.list_frames().unwrap());
-    for frame in 0..FRAMES as u32 {
-        let (fa, ma) = a.fetch(frame, f64::INFINITY).unwrap();
-        let (fb, mb) = b.fetch(frame, f64::INFINITY).unwrap();
-        assert_eq!(fa, fb, "frame {frame} differs");
-        assert_eq!(ma.wire_bytes, mb.wire_bytes);
-    }
-    direct.shutdown();
-    service.shutdown();
 }
 
 /// A 32-client thundering herd — 16 on a shard-0 frame, 16 on a shard-1
@@ -366,54 +296,6 @@ fn stats_through_the_router_aggregate_the_shards() {
     service.shutdown();
 }
 
-/// The contract, once: a client cannot tell the router from a server.
-/// One scripted session — every handshake outcome, the catalog before
-/// any `Hello`, a frame, every in-band rejection, a progressive stream —
-/// runs against a direct server and against a router over one
-/// shard of the same data, and the reply *bytes* match request by
-/// request.
-#[test]
-fn router_and_server_answer_the_same_session_with_identical_bytes() {
-    let progressive = |frame| Request::RequestFrameProgressive {
-        frame,
-        threshold: f64::INFINITY,
-        chunk_bytes: 2_048,
-    };
-    let fetch = |frame, threshold| Request::RequestFrame { frame, threshold };
-    let script = [
-        ("hello 0 is refused", Request::Hello { version: 0 }),
-        ("hello 1 is refused", Request::Hello { version: 1 }),
-        ("catalog", Request::ListFrames),
-        ("hello 2", Request::Hello { version: 2 }),
-        ("fetch", fetch(1, f64::INFINITY)),
-        ("NaN threshold is refused", fetch(0, f64::NAN)),
-        ("frame out of range is refused", fetch(99, f64::INFINITY)),
-        ("progressive out of range is refused", progressive(99)),
-        ("progressive", progressive(0)),
-    ];
-    let direct = FrameServer::spawn_loopback(stores(2, 800), ServerConfig::default()).unwrap();
-    let routed = ShardedFrameService::spawn_loopback_replicated(
-        stores(2, 800),
-        1,
-        1,
-        ServerConfig::default(),
-        RouterConfig::default(),
-    )
-    .unwrap();
-    let mut to_server = TcpStream::connect(direct.addr()).unwrap();
-    let mut to_router = TcpStream::connect(routed.addr()).unwrap();
-    for (what, req) in script {
-        let from_server = raw_reply(&mut to_server, req);
-        assert!(from_server.len() >= 24, "{what}: at least one envelope");
-        assert_eq!(from_server, raw_reply(&mut to_router, req), "{what}");
-    }
-    // Both sessions survived every rejection.
-    let alive = raw_reply(&mut to_server, Request::ListFrames);
-    assert_eq!(alive, raw_reply(&mut to_router, Request::ListFrames));
-    routed.shutdown();
-    direct.shutdown();
-}
-
 /// A router at its connection cap sheds exactly like a server: the
 /// arrival is counted and answered `ERR_BUSY` in-band, and the admitted
 /// session never notices.
@@ -444,44 +326,4 @@ fn router_at_its_connection_cap_answers_err_busy_in_band() {
 
     admitted.fetch(1, f64::INFINITY).unwrap();
     service.shutdown();
-}
-
-/// The stored backend shards too: N servers sharing one out-of-core run
-/// file behind a router serve bit-identical frames to a direct stored
-/// server.
-#[test]
-fn stored_sharded_service_matches_a_direct_stored_server() {
-    use accelviz::store::run::write_run_file;
-    use accelviz::store::ResidentRun;
-
-    let data = stores(4, 800);
-    let path = std::env::temp_dir().join(format!("accelviz-shard-run-{}", std::process::id()));
-    write_run_file(&path, &data, 4_096).unwrap();
-    let run = Arc::new(ResidentRun::open(&path, u64::MAX).unwrap());
-
-    let direct = FrameServer::spawn_loopback(Arc::clone(&run), ServerConfig::default()).unwrap();
-    let service = ShardedFrameService::spawn_loopback_replicated(
-        Arc::clone(&run),
-        2,
-        1,
-        ServerConfig::default(),
-        RouterConfig::default(),
-    )
-    .unwrap();
-
-    let mut a = Client::connect_with(direct.addr(), ClientConfig::no_retry()).unwrap();
-    let mut b = Client::connect_with(service.addr(), ClientConfig::no_retry()).unwrap();
-    assert_eq!(a.list_frames().unwrap(), b.list_frames().unwrap());
-    for frame in 0..4u32 {
-        let (fa, ma) = a.fetch(frame, f64::INFINITY).unwrap();
-        let (fb, mb) = b.fetch(frame, f64::INFINITY).unwrap();
-        assert_eq!(fa, fb, "stored frame {frame} differs through the router");
-        assert_eq!(ma.wire_bytes, mb.wire_bytes);
-    }
-    drop(a);
-    drop(b);
-    direct.shutdown();
-    service.shutdown();
-    drop(run);
-    let _ = std::fs::remove_file(&path);
 }
