@@ -26,7 +26,7 @@ use accelviz_math::{Aabb, Vec3};
 use accelviz_octree::density::DensityGrid;
 use accelviz_octree::plots::PlotType;
 use accelviz_store::codec::{decode_f32s, decode_f64s, encode_f32s, encode_f64s};
-use accelviz_store::fnv1a64_update;
+use accelviz_store::{fnv1a64_update, Fnv1a64Sink};
 use std::io::{Read, Write};
 use std::ops::Range;
 
@@ -169,10 +169,31 @@ pub fn read_envelope_within<R: Read>(r: &mut R, max_payload: u64) -> Result<Enve
     Ok(Envelope { kind, payload })
 }
 
-/// Little-endian payload builder.
+/// Where a [`PayloadWriter`]'s bytes go.
+pub trait PayloadSink {
+    /// Appends `bytes`.
+    fn put(&mut self, bytes: &[u8]);
+}
+
+/// The payload itself.
+impl PayloadSink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+/// Only the payload's length and FNV-1a 64: a digest of bytes never held.
+impl PayloadSink for Fnv1a64Sink {
+    fn put(&mut self, bytes: &[u8]) {
+        self.write(bytes);
+    }
+}
+
+/// Little-endian payload builder, over a buffer by default or any
+/// [`PayloadSink`].
 #[derive(Default)]
-pub struct PayloadWriter {
-    buf: Vec<u8>,
+pub struct PayloadWriter<S = Vec<u8>> {
+    sink: S,
 }
 
 impl PayloadWriter {
@@ -183,48 +204,82 @@ impl PayloadWriter {
 
     /// The finished payload bytes.
     pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
+        self.sink
     }
+}
 
+/// Values per batch in [`PayloadWriter::put_f32s`] and
+/// [`PayloadWriter::put_f64s`].
+const PUT_BATCH: usize = 128;
+
+impl<S: PayloadSink> PayloadWriter<S> {
     /// Appends one byte.
     pub fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
+        self.sink.put(&[v]);
     }
 
     /// Appends a `u16`, little-endian.
     pub fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.sink.put(&v.to_le_bytes());
     }
 
     /// Appends a `u32`, little-endian.
     pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.sink.put(&v.to_le_bytes());
     }
 
     /// Appends a `u64`, little-endian.
     pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.sink.put(&v.to_le_bytes());
     }
 
     /// Appends an `f32`, little-endian.
     pub fn put_f32(&mut self, v: f32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.sink.put(&v.to_le_bytes());
     }
 
     /// Appends an `f64`, little-endian.
     pub fn put_f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.sink.put(&v.to_le_bytes());
+    }
+
+    /// Appends `f32`s, little-endian: the bytes of a [`put_f32`] per
+    /// value, handed to the sink a batch at a time.
+    ///
+    /// [`put_f32`]: PayloadWriter::put_f32
+    pub(crate) fn put_f32s(&mut self, vs: &[f32]) {
+        let mut batch = [0u8; 4 * PUT_BATCH];
+        for chunk in vs.chunks(PUT_BATCH) {
+            for (b, v) in batch.chunks_exact_mut(4).zip(chunk) {
+                b.copy_from_slice(&v.to_le_bytes());
+            }
+            self.sink.put(&batch[..4 * chunk.len()]);
+        }
+    }
+
+    /// Appends `f64`s, little-endian: the bytes of a [`put_f64`] per
+    /// value, handed to the sink a batch at a time.
+    ///
+    /// [`put_f64`]: PayloadWriter::put_f64
+    pub(crate) fn put_f64s(&mut self, vs: &[f64]) {
+        let mut batch = [0u8; 8 * PUT_BATCH];
+        for chunk in vs.chunks(PUT_BATCH) {
+            for (b, v) in batch.chunks_exact_mut(8).zip(chunk) {
+                b.copy_from_slice(&v.to_le_bytes());
+            }
+            self.sink.put(&batch[..8 * chunk.len()]);
+        }
     }
 
     /// Length-prefixed UTF-8 string.
     pub fn put_str(&mut self, s: &str) {
         self.put_u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
+        self.sink.put(s.as_bytes());
     }
 
     /// Appends pre-encoded bytes verbatim (self-describing codec blocks).
     pub fn put_bytes(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
+        self.sink.put(bytes);
     }
 }
 
@@ -329,7 +384,7 @@ fn coord_from_code(b: u8) -> Result<PhaseCoord> {
         .ok_or_else(|| ServeError::Corrupt(format!("invalid phase-coord code {b}")))
 }
 
-fn put_aabb(w: &mut PayloadWriter, b: &Aabb) {
+fn put_aabb<S: PayloadSink>(w: &mut PayloadWriter<S>, b: &Aabb) {
     for v in [b.min, b.max] {
         w.put_f64(v.x);
         w.put_f64(v.y);
@@ -367,7 +422,7 @@ pub(crate) struct FrameHeader {
 
 impl FrameHeader {
     /// Writes `frame`'s header.
-    pub(crate) fn put(w: &mut PayloadWriter, frame: &HybridFrame) {
+    pub(crate) fn put<S: PayloadSink>(w: &mut PayloadWriter<S>, frame: &HybridFrame) {
         w.put_u64(frame.step as u64);
         for c in frame.plot.coords {
             w.put_u8(c.code());
@@ -491,17 +546,13 @@ pub(crate) enum Cells {
 }
 
 /// Writes a grid: dims, bounds, then its cells as `cells` says.
-pub(crate) fn put_grid(w: &mut PayloadWriter, grid: &DensityGrid, cells: Cells) {
+pub(crate) fn put_grid<S: PayloadSink>(w: &mut PayloadWriter<S>, grid: &DensityGrid, cells: Cells) {
     for d in grid.dims() {
         w.put_u64(d as u64);
     }
     put_aabb(w, grid.bounds());
     match cells {
-        Cells::Raw => {
-            for &v in grid.data() {
-                w.put_f32(v);
-            }
-        }
+        Cells::Raw => w.put_f32s(grid.data()),
         Cells::Packed => w.put_bytes(&encode_f32s(grid.data())),
     }
 }
@@ -540,13 +591,22 @@ pub(crate) fn read_grid(r: &mut PayloadReader<'_>, cells: Cells) -> Result<Densi
     Ok(DensityGrid::from_raw(bounds, dims, data))
 }
 
+/// `(length, FNV-1a 64)` of `frame`'s v1 encoding, streamed through
+/// [`put_v1`] into a digest: `fnv1a64(&encode_frame(frame))` without the
+/// buffer.
+fn v1_digest(frame: &HybridFrame) -> (u64, u64) {
+    let mut w = PayloadWriter::<Fnv1a64Sink>::default();
+    put_v1(&mut w, frame);
+    w.sink.finish()
+}
+
 /// Writes the trailer: the length and FNV-1a 64 of `frame`'s v1
 /// encoding. Returns that length.
 pub(crate) fn put_trailer(w: &mut PayloadWriter, frame: &HybridFrame) -> u64 {
-    let raw = encode_frame(frame);
-    w.put_u64(raw.len() as u64);
-    w.put_u64(fnv1a64(&raw));
-    raw.len() as u64
+    let (raw_len, raw_fnv) = v1_digest(frame);
+    w.put_u64(raw_len);
+    w.put_u64(raw_fnv);
+    raw_len
 }
 
 /// Reads a trailer and checks `frame` against it: the decoded frame's v1
@@ -555,16 +615,26 @@ pub(crate) fn put_trailer(w: &mut PayloadWriter, frame: &HybridFrame) -> u64 {
 pub(crate) fn verify_trailer(r: &mut PayloadReader<'_>, frame: &HybridFrame) -> Result<()> {
     let raw_len = r.u64()?;
     let raw_fnv = r.u64()?;
-    let reencoded = encode_frame(frame);
-    let fnv = fnv1a64(&reencoded);
-    if reencoded.len() as u64 != raw_len || fnv != raw_fnv {
+    let (len, fnv) = v1_digest(frame);
+    if len != raw_len || fnv != raw_fnv {
         return Err(ServeError::Corrupt(format!(
-            "frame re-encodes to {} bytes (fnv {fnv:#018x}), trailer promised {raw_len} \
-             (fnv {raw_fnv:#018x})",
-            reencoded.len()
+            "frame re-encodes to {len} bytes (fnv {fnv:#018x}), trailer promised {raw_len} \
+             (fnv {raw_fnv:#018x})"
         )));
     }
     Ok(())
+}
+
+/// The v1 layout, written once for both of its consumers: the header,
+/// every point as six raw `f64`s, the raw `f64` densities, and the grid
+/// with raw cells.
+fn put_v1<S: PayloadSink>(w: &mut PayloadWriter<S>, frame: &HybridFrame) {
+    FrameHeader::put(w, frame);
+    for p in &frame.points {
+        w.put_f64s(&p.to_array());
+    }
+    w.put_f64s(&frame.point_densities);
+    put_grid(w, &frame.grid, Cells::Raw);
 }
 
 /// Encodes a [`HybridFrame`] as the v1 payload: the header, every point
@@ -572,16 +642,7 @@ pub(crate) fn verify_trailer(r: &mut PayloadReader<'_>, frame: &HybridFrame) -> 
 /// cells. No session sends it; it is what the v2 trailer hashes.
 pub fn encode_frame(frame: &HybridFrame) -> Vec<u8> {
     let mut w = PayloadWriter::new();
-    FrameHeader::put(&mut w, frame);
-    for p in &frame.points {
-        for v in p.to_array() {
-            w.put_f64(v);
-        }
-    }
-    for &d in &frame.point_densities {
-        w.put_f64(d);
-    }
-    put_grid(&mut w, &frame.grid, Cells::Raw);
+    put_v1(&mut w, frame);
     w.into_bytes()
 }
 
@@ -751,6 +812,38 @@ mod tests {
         );
         let decoded = decode_frame_v2(&payload).unwrap();
         assert_eq!(decoded, frame);
+    }
+
+    #[test]
+    fn a_negative_zero_cell_survives_a_v2_roundtrip() {
+        // Among integral cells, `-0.0` once decoded as `+0.0`: the frame
+        // then failed its own trailer on every client.
+        let mut frame = sample_frame(10);
+        let mut cells = frame.grid.data().to_vec();
+        cells[3] = -0.0;
+        frame.grid = DensityGrid::from_raw(frame.bounds, [8, 8, 8], cells);
+        let (payload, _) = encode_frame_v2(&frame);
+        let decoded = decode_frame_v2(&payload).unwrap();
+        assert_eq!(decoded.grid.data()[3].to_bits(), (-0.0f32).to_bits());
+        assert_eq!(encode_frame(&decoded), encode_frame(&frame));
+    }
+
+    #[test]
+    fn the_v1_digest_is_the_hash_of_the_v1_bytes() {
+        let mut empty = sample_frame(0);
+        empty.grid = DensityGrid::from_raw(empty.bounds, [1, 1, 1], vec![0.0]);
+        let mut dense = sample_frame(300);
+        dense.grid = DensityGrid::from_raw(dense.bounds, [8, 8, 8], vec![3.5; 512]);
+        for frame in [
+            sample_frame(0),
+            sample_frame(1),
+            sample_frame(257),
+            empty,
+            dense,
+        ] {
+            let raw = encode_frame(&frame);
+            assert_eq!(v1_digest(&frame), (raw.len() as u64, fnv1a64(&raw)));
+        }
     }
 
     #[test]

@@ -9,11 +9,12 @@
 //! - [`CODEC_DELTA_VARINT`] — for `f32` density grids: consecutive-cell
 //!   deltas, zigzag-mapped, LEB128-varint coded. Grids are quantized
 //!   particle counts, so an `INT` sub-mode deltas the integer values
-//!   directly (a zero cell costs one byte); anything non-integral — or
-//!   non-finite — uses the `BITS` sub-mode, which deltas the raw IEEE
-//!   bit patterns. No float arithmetic ever touches the values, so
-//!   NaN payloads and ±Inf round-trip bit-exactly instead of poisoning
-//!   the deltas.
+//!   directly (a zero cell costs one byte); anything else — non-integral,
+//!   non-finite, or a negative zero, whose bits are not `+0.0`'s — uses
+//!   the `BITS` sub-mode, which deltas the raw IEEE bit patterns. A cell
+//!   is `INT` only if its bits equal the bits of its integer, so every
+//!   stream round-trips bit-exactly: NaN payloads, ±Inf and `-0.0`
+//!   included.
 //! - [`CODEC_BITPACK`] — for `f64` streams (halo point coordinates and
 //!   the sorted per-point densities): XOR against the previous value's
 //!   bit pattern, then blocks of 64 residuals packed at the block's
@@ -87,7 +88,10 @@ pub type Result<T> = std::result::Result<T, CodecError>;
 // Primitives: varint, zigzag, bit packing.
 // ---------------------------------------------------------------------
 
-/// Appends `v` as an LEB128 varint (1–10 bytes).
+/// Appends `v` as an LEB128 varint (1–10 bytes). Inline: the one-byte
+/// case (every zero cell and small delta of a count grid) is one compare
+/// and one push.
+#[inline]
 pub fn put_uvarint(buf: &mut Vec<u8>, mut v: u64) {
     while v >= 0x80 {
         buf.push((v as u8) | 0x80);
@@ -131,17 +135,31 @@ pub fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-/// LSB-first bit accumulator for the bitpack codec.
-struct BitWriter {
-    buf: Vec<u8>,
+/// Reads an LEB128 varint at `*pos`, advancing it, with the one-byte case
+/// inline. Every verdict is [`get_uvarint`]'s.
+#[inline(always)]
+fn get_uvarint_fast(buf: &[u8], pos: &mut usize) -> Result<u64> {
+    match buf.get(*pos) {
+        Some(&b) if b < 0x80 => {
+            *pos += 1;
+            Ok(u64::from(b))
+        }
+        _ => get_uvarint(buf, pos),
+    }
+}
+
+/// LSB-first bit accumulator for the bitpack codec, appending straight
+/// to the block's output. Between pushes it holds fewer than 64 bits.
+struct BitWriter<'a> {
+    out: &'a mut Vec<u8>,
     acc: u64,
     nbits: u32,
 }
 
-impl BitWriter {
-    fn new() -> BitWriter {
+impl<'a> BitWriter<'a> {
+    fn new(out: &'a mut Vec<u8>) -> BitWriter<'a> {
         BitWriter {
-            buf: Vec::new(),
+            out,
             acc: 0,
             nbits: 0,
         }
@@ -150,39 +168,26 @@ impl BitWriter {
     /// Appends the low `width` bits of `v`.
     fn push(&mut self, v: u64, width: u32) {
         debug_assert!(width <= 64);
-        let mut v = if width == 64 {
-            v
+        let v = v & ones(width);
+        self.acc |= v << self.nbits;
+        let filled = self.nbits + width;
+        if filled < 64 {
+            self.nbits = filled;
         } else {
-            v & ((1u64 << width) - 1)
-        };
-        let mut width = width;
-        while width > 0 {
-            let take = (64 - self.nbits).min(width);
-            self.acc |= (v & ones(take)) << self.nbits;
-            self.nbits += take;
-            v = if take == 64 { 0 } else { v >> take };
-            width -= take;
-            if self.nbits == 64 {
-                self.buf.extend_from_slice(&self.acc.to_le_bytes());
-                self.acc = 0;
-                self.nbits = 0;
-            }
+            self.out.extend_from_slice(&self.acc.to_le_bytes());
+            // The bits of `v` that did not fit (none when it started a
+            // fresh word).
+            self.acc = v.checked_shr(64 - self.nbits).unwrap_or(0);
+            self.nbits = filled - 64;
         }
     }
 
     /// Flushes the partial accumulator to a byte boundary.
-    fn align(&mut self) {
+    fn align(self) {
         if self.nbits > 0 {
             let bytes = self.nbits.div_ceil(8) as usize;
-            self.buf.extend_from_slice(&self.acc.to_le_bytes()[..bytes]);
-            self.acc = 0;
-            self.nbits = 0;
+            self.out.extend_from_slice(&self.acc.to_le_bytes()[..bytes]);
         }
-    }
-
-    fn into_bytes(mut self) -> Vec<u8> {
-        self.align();
-        self.buf
     }
 }
 
@@ -194,10 +199,15 @@ fn ones(n: u32) -> u64 {
     }
 }
 
-/// LSB-first bit cursor over a byte slice.
+/// LSB-first bit cursor over a byte slice. It loads 8 bytes at a time
+/// while at least 8 remain and single bytes at the tail, so it never
+/// reads past the slice, and a stream that ends early fails on the same
+/// missing byte, whichever load reaches it.
 struct BitReader<'a> {
     buf: &'a [u8],
+    /// Bytes loaded so far.
     pos: usize,
+    /// Loaded bits not yet pulled, in the low `nbits` bits.
     acc: u64,
     nbits: u32,
 }
@@ -212,38 +222,50 @@ impl<'a> BitReader<'a> {
         }
     }
 
+    /// Loads the next 8 bytes, or the next byte at the tail.
+    fn refill(&mut self) -> Result<()> {
+        if let Some(word) = self.buf.get(self.pos..self.pos + 8) {
+            self.acc = u64::from_le_bytes(word.try_into().unwrap());
+            self.pos += 8;
+            self.nbits = 64;
+        } else {
+            let b = *self.buf.get(self.pos).ok_or(CodecError::Truncated {
+                needed: 1,
+                at: self.pos,
+            })?;
+            self.pos += 1;
+            self.acc = u64::from(b);
+            self.nbits = 8;
+        }
+        Ok(())
+    }
+
     /// Reads `width` bits, LSB-first.
     fn pull(&mut self, width: u32) -> Result<u64> {
         debug_assert!(width <= 64);
-        let mut v: u64 = 0;
-        let mut got = 0u32;
+        if width <= self.nbits {
+            let v = self.acc & ones(width);
+            self.acc = self.acc.checked_shr(width).unwrap_or(0);
+            self.nbits -= width;
+            return Ok(v);
+        }
+        let mut v = self.acc;
+        let mut got = self.nbits;
         while got < width {
-            if self.nbits == 0 {
-                let b = *self.buf.get(self.pos).ok_or(CodecError::Truncated {
-                    needed: 1,
-                    at: self.pos,
-                })?;
-                self.pos += 1;
-                self.acc = u64::from(b);
-                self.nbits = 8;
-            }
+            self.refill()?;
             let take = self.nbits.min(width - got);
             v |= (self.acc & ones(take)) << got;
-            self.acc >>= take;
+            self.acc = self.acc.checked_shr(take).unwrap_or(0);
             self.nbits -= take;
             got += take;
         }
         Ok(v)
     }
 
-    /// Discards buffered bits so the cursor sits on a byte boundary.
-    fn align(&mut self) {
-        self.acc = 0;
-        self.nbits = 0;
-    }
-
-    fn byte_pos(&self) -> usize {
-        self.pos
+    /// Discards the partly pulled byte: the offset of the first byte no
+    /// pulled bit came from.
+    fn align(self) -> usize {
+        self.pos - (self.nbits / 8) as usize
     }
 }
 
@@ -291,33 +313,72 @@ fn get_block<'a>(buf: &'a [u8], pos: &mut usize, expect: usize) -> Result<(u8, &
 // f32 streams (density grids): delta + zigzag + varint.
 // ---------------------------------------------------------------------
 
+/// The integer an `INT`-mode cell stores, if `v` is one: a non-negative
+/// integer no larger than [`INT_MODE_MAX`] whose bits are exactly the
+/// bits of that integer as an `f32`. `-0.0` is not `+0.0`'s bits, so a
+/// negative zero (like a NaN, ±Inf, a negative or a fraction) is `None`.
+/// Only integer conversions and a bit compare: no rounding call.
+#[inline(always)]
+fn int_cell(v: f32) -> Option<u32> {
+    let bits = v.to_bits();
+    // Sign-clear finite floats order like their bits; everything with
+    // the sign bit set, and every NaN, lies above the bound.
+    if bits > INT_MODE_MAX.to_bits() {
+        return None;
+    }
+    let i = v as u32;
+    ((i as f32).to_bits() == bits).then_some(i)
+}
+
 fn delta_varint_encode_f32(values: &[f32]) -> Vec<u8> {
     // The INT sub-mode applies only when every value is an exact small
     // non-negative integer — the natural state of a count grid. One NaN,
-    // Inf, negative, or fractional cell drops the whole stream to BITS,
-    // where deltas run over bit patterns and nothing is ever rounded.
-    let int_ok = values
-        .iter()
-        .all(|&v| v.is_finite() && (0.0..=INT_MODE_MAX).contains(&v) && v.fract() == 0.0);
-    let mut out = Vec::with_capacity(values.len() / 2 + 1);
-    if int_ok {
-        out.push(MODE_INT);
-        let mut prev: i64 = 0;
-        for &v in values {
-            let iv = v as i64;
-            put_uvarint(&mut out, zigzag(iv - prev));
-            prev = iv;
-        }
-    } else {
-        out.push(MODE_BITS);
-        let mut prev: i64 = 0;
-        for &v in values {
-            let iv = i64::from(v.to_bits());
-            put_uvarint(&mut out, zigzag(iv - prev));
-            prev = iv;
-        }
+    // Inf, negative, negative-zero or fractional cell drops the whole
+    // stream to BITS, where deltas run over bit patterns and nothing is
+    // ever rounded. The stream is written as INT in the same pass that
+    // checks it and rewritten as BITS from the first cell that fails.
+    // Every cell costs at least a byte.
+    let mut out = Vec::with_capacity(values.len() + 1);
+    out.push(MODE_INT);
+    let mut prev: i64 = 0;
+    for &v in values {
+        let Some(i) = int_cell(v) else {
+            out.clear();
+            out.push(MODE_BITS);
+            let mut prev: i64 = 0;
+            for &v in values {
+                let iv = i64::from(v.to_bits());
+                put_uvarint(&mut out, zigzag(iv - prev));
+                prev = iv;
+            }
+            return out;
+        };
+        let iv = i64::from(i);
+        put_uvarint(&mut out, zigzag(iv - prev));
+        prev = iv;
     }
     out
+}
+
+/// Decodes `count` delta varints from `payload[*pos..]`, handing each
+/// running value to `cell`, which turns it into a value or refuses it.
+#[inline(always)]
+fn delta_chain(
+    payload: &[u8],
+    pos: &mut usize,
+    count: usize,
+    values: &mut Vec<f32>,
+    cell: impl Fn(i64) -> Result<f32>,
+) -> Result<()> {
+    let mut prev: i64 = 0;
+    for _ in 0..count {
+        let iv = prev
+            .checked_add(unzigzag(get_uvarint_fast(payload, pos)?))
+            .ok_or_else(|| CodecError::Corrupt("delta chain overflows".into()))?;
+        prev = iv;
+        values.push(cell(iv)?);
+    }
+    Ok(())
 }
 
 fn delta_varint_decode_f32(payload: &[u8], count: usize) -> Result<Vec<f32>> {
@@ -334,35 +395,32 @@ fn delta_varint_decode_f32(payload: &[u8], count: usize) -> Result<Vec<f32>> {
         )));
     }
     let mut values = Vec::with_capacity(count);
-    let mut prev: i64 = 0;
-    for _ in 0..count {
-        let iv = prev
-            .checked_add(unzigzag(get_uvarint(payload, &mut pos)?))
-            .ok_or_else(|| CodecError::Corrupt("delta chain overflows".into()))?;
-        prev = iv;
-        match mode {
-            MODE_INT => {
-                if iv < 0 || iv > INT_MODE_MAX as i64 {
-                    return Err(CodecError::Corrupt(format!(
-                        "INT-mode value {iv} out of range"
-                    )));
-                }
-                values.push(iv as f32);
-            }
-            MODE_BITS => {
-                if iv < 0 || iv > i64::from(u32::MAX) {
-                    return Err(CodecError::Corrupt(format!(
-                        "BITS-mode pattern {iv} exceeds u32"
-                    )));
-                }
-                values.push(f32::from_bits(iv as u32));
-            }
-            other => {
+    match mode {
+        MODE_INT => delta_chain(payload, &mut pos, count, &mut values, |iv| {
+            if iv < 0 || iv > INT_MODE_MAX as i64 {
                 return Err(CodecError::Corrupt(format!(
-                    "unknown delta-varint sub-mode {other}"
-                )))
+                    "INT-mode value {iv} out of range"
+                )));
             }
+            Ok(iv as f32)
+        })?,
+        MODE_BITS => delta_chain(payload, &mut pos, count, &mut values, |iv| {
+            if iv < 0 || iv > i64::from(u32::MAX) {
+                return Err(CodecError::Corrupt(format!(
+                    "BITS-mode pattern {iv} exceeds u32"
+                )));
+            }
+            Ok(f32::from_bits(iv as u32))
+        })?,
+        // The first varint is read (and may fail) before the sub-mode is
+        // refused, as a per-cell check would.
+        other if count > 0 => {
+            get_uvarint(payload, &mut pos)?;
+            return Err(CodecError::Corrupt(format!(
+                "unknown delta-varint sub-mode {other}"
+            )));
         }
+        _ => {}
     }
     if pos != payload.len() {
         return Err(CodecError::Corrupt(format!(
@@ -458,11 +516,11 @@ fn bitpack_encode_f64(values: &[f64]) -> Vec<u8> {
         }
         out.push(width as u8);
         if width > 0 {
-            let mut bw = BitWriter::new();
+            let mut bw = BitWriter::new(&mut out);
             for &x in &residuals[..chunk.len()] {
                 bw.push(x, width);
             }
-            out.extend_from_slice(&bw.into_bytes());
+            bw.align();
         }
     }
     out
@@ -520,8 +578,7 @@ fn bitpack_decode_f64(payload: &[u8], count: usize) -> Result<Vec<f64>> {
                 prev = bits;
                 values.push(f64::from_bits(bits));
             }
-            br.align();
-            pos = br.byte_pos();
+            pos = br.align();
         }
         remaining -= in_block;
     }
@@ -669,6 +726,18 @@ mod tests {
         let mut pos = 0;
         let back = decode_f32s(&enc, &mut pos, weird.len()).unwrap();
         assert_eq!(bits32(&back), bits32(&weird));
+    }
+
+    #[test]
+    fn a_negative_zero_among_integral_cells_roundtrips_bit_exactly() {
+        // `-0.0` passes a range test and has no fraction, but it is not
+        // `+0.0`: it must send the stream to BITS, not decode as `+0.0`.
+        let cells = [1.0f32, -0.0, 2.0];
+        let enc = encode_f32s_as(CODEC_DELTA_VARINT, &cells).unwrap();
+        let mut pos = 0;
+        let back = decode_f32s(&enc, &mut pos, cells.len()).unwrap();
+        assert_eq!(bits32(&back), [0x3f80_0000, 0x8000_0000, 0x4000_0000]);
+        assert_eq!(bits32(&roundtrip_f32(&cells)), bits32(&cells));
     }
 
     #[test]

@@ -27,7 +27,9 @@
 //! progressive records, and the serve layer's wire envelopes — so
 //! bit-identity arguments compose across store and wire.
 //! [`fnv1a64_x4`] is the same function over four inputs at a time, for
-//! the page-in path that has many chunks to verify at once.
+//! the run writer and the page-in path, which have many chunks to hash at
+//! once; [`Fnv1a64Sink`] is the same function over a stream of pieces,
+//! for a digest of bytes that are never assembled in one buffer.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -51,14 +53,114 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     fnv1a64_update(FNV_OFFSET, bytes)
 }
 
-/// Continues an FNV-1a 64 chain: `fnv1a64_update(fnv1a64(a), b)` is
-/// `fnv1a64(a ++ b)` without the concatenation.
-pub fn fnv1a64_update(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
+/// `FNV_PRIME^(2^j)` for `j` in `0..64`: the multipliers that fold a run
+/// of zero bytes (see [`fnv1a64_update`]).
+const PRIME_POW2: [u64; 64] = {
+    let mut table = [0u64; 64];
+    let mut p = FNV_PRIME;
+    let mut j = 0;
+    while j < 64 {
+        table[j] = p;
+        p = p.wrapping_mul(p);
+        j += 1;
+    }
+    table
+};
+
+/// `hash` after `zeros` zero bytes: `hash · FNV_PRIME^zeros`, one
+/// multiply per set bit of `zeros`.
+fn fold_zeros(mut hash: u64, mut zeros: u64) -> u64 {
+    while zeros != 0 {
+        hash = hash.wrapping_mul(PRIME_POW2[zeros.trailing_zeros() as usize]);
+        zeros &= zeros - 1;
     }
     hash
+}
+
+/// Continues an FNV-1a 64 chain: `fnv1a64_update(fnv1a64(a), b)` is
+/// `fnv1a64(a ++ b)` without the concatenation.
+///
+/// Costs what the content costs. A zero byte's step is `h ^ 0 == h`
+/// followed by one multiply by the prime, so a run of `k` zero bytes is
+/// exactly one multiply by `FNV_PRIME^k`. The input is walked 8 bytes at
+/// a time; all-zero words only count, and the count is folded in (at most
+/// popcount(k) multiplies) before the next non-zero word, which runs the
+/// byte loop. Mostly-empty frames — zero density cells, zero padding —
+/// hash at memory speed, and input with no zero word runs the plain byte
+/// loop plus one compare per word.
+pub fn fnv1a64_update(mut hash: u64, bytes: &[u8]) -> u64 {
+    let (words, tail) = bytes.as_chunks::<8>();
+    let mut zeros = 0u64;
+    for word in words {
+        if u64::from_ne_bytes(*word) == 0 {
+            zeros += 8;
+            continue;
+        }
+        hash = fold_zeros(hash, zeros);
+        zeros = 0;
+        for &b in word {
+            hash = (hash ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+        }
+    }
+    hash = fold_zeros(hash, zeros);
+    for &b in tail {
+        hash = (hash ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+    }
+    hash
+}
+
+/// Bytes a [`Fnv1a64Sink`] stages before hashing them.
+const SINK_BYTES: usize = 4096;
+
+/// A streaming [`fnv1a64`] that also counts its input: write any
+/// sequence of pieces, and [`finish`](Fnv1a64Sink::finish) returns the
+/// length and hash of their concatenation without ever holding it.
+/// Pieces are staged in a small buffer and hashed a buffer at a time
+/// through [`fnv1a64_update`], so small writes (one `f32` at a time) still
+/// fold zero runs.
+pub struct Fnv1a64Sink {
+    hash: u64,
+    len: u64,
+    buf: [u8; SINK_BYTES],
+    fill: usize,
+}
+
+impl Default for Fnv1a64Sink {
+    fn default() -> Fnv1a64Sink {
+        Fnv1a64Sink {
+            hash: FNV_OFFSET,
+            len: 0,
+            buf: [0; SINK_BYTES],
+            fill: 0,
+        }
+    }
+}
+
+impl Fnv1a64Sink {
+    /// An empty stream: `finish()` is `(0, fnv1a64(b""))`.
+    pub fn new() -> Fnv1a64Sink {
+        Fnv1a64Sink::default()
+    }
+
+    /// Appends `bytes` to the stream.
+    pub fn write(&mut self, mut bytes: &[u8]) {
+        self.len += bytes.len() as u64;
+        while !bytes.is_empty() {
+            let n = bytes.len().min(SINK_BYTES - self.fill);
+            self.buf[self.fill..self.fill + n].copy_from_slice(&bytes[..n]);
+            self.fill += n;
+            bytes = &bytes[n..];
+            if self.fill == SINK_BYTES {
+                self.hash = fnv1a64_update(self.hash, &self.buf);
+                self.fill = 0;
+            }
+        }
+    }
+
+    /// `(length, fnv1a64)` of everything written.
+    pub fn finish(self) -> (u64, u64) {
+        (self.len, fnv1a64_update(self.hash, &self.buf[..self.fill]))
+    }
 }
 
 /// [`fnv1a64`] of four byte strings at once: `fnv1a64_x4(l)[k] ==

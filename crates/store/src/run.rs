@@ -91,6 +91,19 @@ fn particle_bytes(particles: &[Particle]) -> Vec<u8> {
     out
 }
 
+/// [`fnv1a64`] of every piece, in order, hashed [`CHECKSUM_LANES`] at a
+/// time ([`fnv1a64_x4`]). A ragged last group repeats its first piece in
+/// the spare lanes: an empty lane would end the lanes' common length at
+/// zero and leave every piece to the one-lane tail.
+fn hash_in_lanes(pieces: &[&[u8]]) -> Vec<u64> {
+    let mut hashes = Vec::with_capacity(pieces.len());
+    for group in pieces.chunks(CHECKSUM_LANES) {
+        let lanes = std::array::from_fn(|k| *group.get(k).unwrap_or(&group[0]));
+        hashes.extend_from_slice(&fnv1a64_x4(lanes)[..group.len()]);
+    }
+    hashes
+}
+
 /// Writes `frames` as one run file. Returns the total bytes written.
 /// `chunk_bytes` is rounded up to a whole number of particle records.
 pub fn write_run<W: Write>(
@@ -112,32 +125,36 @@ pub fn write_run<W: Write>(
         payloads.push(particle_bytes(data.particles()));
     }
 
-    let total_chunks: u64 = payloads
+    let chunks: Vec<&[u8]> = payloads
         .iter()
-        .map(|p| (p.len() as u64).div_ceil(chunk_bytes))
-        .sum();
+        .flat_map(|p| p.chunks(chunk_bytes as usize))
+        .collect();
+    let total_chunks = chunks.len() as u64;
+    let mut chunk_fnvs = hash_in_lanes(&chunks).into_iter();
+    let blobs: Vec<&[u8]> = node_blobs.iter().map(Vec::as_slice).collect();
+    let mut blob_fnvs = hash_in_lanes(&blobs).into_iter();
     let mut off =
         HEADER_BYTES + frames.len() as u64 * FRAME_DIR_BYTES + 8 + total_chunks * CHUNK_DIR_BYTES;
 
     let mut frame_dirs = Vec::with_capacity(frames.len());
-    let mut chunk_dirs = Vec::with_capacity(total_chunks as usize);
+    let mut chunk_dirs = Vec::with_capacity(chunks.len());
     for (data, blob) in frames.iter().zip(&node_blobs) {
         let payload = &payloads[frame_dirs.len()];
         let node_off = off;
         off += blob.len() as u64;
         let first_chunk = chunk_dirs.len() as u64;
-        for chunk in payload.chunks(chunk_bytes as usize) {
+        for (chunk, fnv) in payload.chunks(chunk_bytes as usize).zip(&mut chunk_fnvs) {
             chunk_dirs.push(ChunkDir {
                 off,
                 len: chunk.len() as u64,
-                fnv: fnv1a64(chunk),
+                fnv,
             });
             off += chunk.len() as u64;
         }
         frame_dirs.push(FrameDir {
             node_off,
             node_len: blob.len() as u64,
-            node_fnv: fnv1a64(blob),
+            node_fnv: blob_fnvs.next().expect("one hash per blob"),
             first_chunk,
             n_chunks: chunk_dirs.len() as u64 - first_chunk,
             particle_count: data.particles().len() as u64,
