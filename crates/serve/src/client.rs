@@ -20,11 +20,11 @@ use crate::protocol::{
     read_chunk_reply, read_response, write_request, ChunkReply, FrameInfo, Request, Response,
 };
 use crate::retry::RetryPolicy;
-use crate::stats::ServerStats;
 use crate::wire::V2;
 use accelviz_core::hybrid::HybridFrame;
 use accelviz_core::viewer::{FrameLoad, FrameSource};
 use accelviz_store::cache::Cache;
+use accelviz_trace::registry::Snapshot;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
@@ -393,8 +393,9 @@ impl Client {
         }
     }
 
-    /// Fetches the server's statistics snapshot.
-    pub fn stats(&mut self) -> Result<ServerStats> {
+    /// Fetches the service's metrics snapshot: a server's registry, or a
+    /// router's merged with its reachable shards'.
+    pub fn stats(&mut self) -> Result<Snapshot> {
         match self.call(Request::Stats)? {
             Response::Stats(s) => Ok(s),
             other => Err(unexpected("Stats", &other)),

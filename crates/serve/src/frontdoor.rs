@@ -44,9 +44,8 @@ use crate::protocol::{
     read_request, write_chunk, write_response, FrameInfo, Refusal, Request, Response,
     ERR_BAD_REQUEST, ERR_BAD_THRESHOLD, ERR_BUSY, ERR_INTERNAL, ERR_NO_SUCH_FRAME, RESP_FRAME,
 };
-use crate::stats::ServerStats;
 use crate::wire::{write_envelope, V2};
-use accelviz_trace::registry::Registry;
+use accelviz_trace::registry::{Registry, Snapshot};
 use std::io::{self, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -147,8 +146,11 @@ pub(crate) trait Handler: Send + Sync + 'static {
     /// not block; an origin with nothing to overlap ignores it.
     fn read_ahead(&self, _hint: ReadAhead) {}
 
-    /// The snapshot a `Stats` reply carries.
-    fn stats(&self) -> ServerStats;
+    /// The snapshot a `Stats` reply carries: this handler's registry,
+    /// unless the origin has more to add.
+    fn stats(&self) -> Snapshot {
+        self.metrics().snapshot()
+    }
 }
 
 /// The per-listener settings a door enforces.
@@ -741,10 +743,10 @@ mod tests {
                 .0
         }
 
-        fn stats(&self) -> ServerStats {
+        fn stats(&self) -> Snapshot {
             self.entered.lock().unwrap().send(()).unwrap();
             self.gate.lock().unwrap().recv().unwrap();
-            ServerStats::default()
+            Snapshot::default()
         }
     }
 
@@ -993,10 +995,6 @@ mod tests {
 
         fn read_ahead(&self, hint: ReadAhead) {
             self.hints.lock().unwrap().push(hint);
-        }
-
-        fn stats(&self) -> ServerStats {
-            ServerStats::default()
         }
     }
 

@@ -34,8 +34,9 @@
 //! - [`client`] — [`client::Client`] and [`client::RemoteFrames`], a
 //!   [`accelviz_core::viewer::FrameSource`] so a `ViewerSession` runs
 //!   unmodified against a remote server.
-//! - [`stats`] — the per-request counters and latency histogram the
-//!   `Stats` reply carries.
+//! - [`stats`] — the `serve.*` metric names. A `Stats` reply carries
+//!   the answering service's whole registry as one
+//!   [`accelviz_trace::registry::Snapshot`].
 //! - [`router`] — the scale-out layer: [`router::ShardedFrameService`]
 //!   and [`router::FrameRouter`], one AVWF front door over N shard
 //!   servers with rendezvous-hashed (optionally replicated) frame
@@ -88,4 +89,3 @@ pub use health::HealthConfig;
 pub use retry::RetryPolicy;
 pub use router::{FrameRouter, RouterConfig, ShardMap, ShardedFrameService};
 pub use server::{FrameServer, Origin, ServerConfig};
-pub use stats::ServerStats;

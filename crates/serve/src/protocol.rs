@@ -8,12 +8,14 @@
 //! kill an interactive session.
 
 use crate::error::{Result, ServeError};
-use crate::stats::{ServerStats, LATENCY_BUCKETS};
 use crate::wire::{
     decode_frame_v2, encode_frame_v2, read_envelope, read_envelope_within, write_envelope,
     PayloadReader, PayloadWriter,
 };
 use accelviz_core::hybrid::HybridFrame;
+use accelviz_trace::hist::{LogHistogram, LATENCY_BUCKETS};
+use accelviz_trace::registry::Snapshot;
+use std::collections::BTreeMap;
 use std::io::{Read, Write};
 
 /// Request kind: protocol handshake.
@@ -22,7 +24,7 @@ pub const REQ_HELLO: u8 = 0x01;
 pub const REQ_LIST: u8 = 0x02;
 /// Request kind: one frame at one extraction threshold.
 pub const REQ_FRAME: u8 = 0x03;
-/// Request kind: server statistics snapshot.
+/// Request kind: the answering service's metrics snapshot.
 pub const REQ_STATS: u8 = 0x04;
 /// Request kind: one frame streamed progressively (coarse-to-fine). The
 /// one request answered by *multiple* envelopes: a sequence of
@@ -35,7 +37,8 @@ pub const RESP_HELLO_ACK: u8 = 0x81;
 pub const RESP_LIST: u8 = 0x82;
 /// Response kind: an encoded hybrid frame.
 pub const RESP_FRAME: u8 = 0x83;
-/// Response kind: statistics snapshot.
+/// Response kind: metrics snapshot — every counter, then every
+/// histogram, each table sorted by name.
 pub const RESP_STATS: u8 = 0x84;
 /// Response kind: structured error reply.
 pub const RESP_ERROR: u8 = 0x85;
@@ -99,7 +102,7 @@ pub enum Request {
         /// Absolute extraction threshold (leaf density).
         threshold: f64,
     },
-    /// Asks for the server's statistics snapshot.
+    /// Asks for the service's metrics snapshot.
     Stats,
     /// Asks for frame `frame` at `threshold`, streamed coarse-to-fine as
     /// [`RESP_FRAME_CHUNK`] records of roughly `chunk_bytes` each.
@@ -115,6 +118,9 @@ pub enum Request {
 }
 
 /// A server-to-client message.
+// A frame is the reply that matters, moved once to its caller; boxing it
+// would cost every frame an allocation to keep the rarer replies small.
+#[allow(clippy::large_enum_variant)]
 #[derive(Clone, Debug, PartialEq)]
 pub enum Response {
     /// Handshake accepted.
@@ -128,8 +134,9 @@ pub enum Response {
     FrameList(Vec<FrameInfo>),
     /// One hybrid frame.
     Frame(HybridFrame),
-    /// Statistics snapshot.
-    Stats(ServerStats),
+    /// The service's metrics registry: a server's own, or a router's
+    /// merged with every reachable shard's.
+    Stats(Snapshot),
     /// The request failed; the connection stays usable.
     Error {
         /// One of the `ERR_*` codes.
@@ -223,8 +230,7 @@ pub fn read_request<R: Read>(r: &mut R) -> Result<Request> {
 }
 
 /// Writes one response; returns wire bytes written. Frame payloads go
-/// out compressed and the stats payload carries the raw/wire byte
-/// counters.
+/// out compressed.
 pub fn write_response<W: Write>(w: &mut W, resp: &Response) -> Result<u64> {
     let mut p = PayloadWriter::new();
     let kind = match resp {
@@ -250,17 +256,19 @@ pub fn write_response<W: Write>(w: &mut W, resp: &Response) -> Result<u64> {
             let (payload, _raw) = encode_frame_v2(frame);
             return write_envelope(w, RESP_FRAME, &payload);
         }
-        Response::Stats(s) => {
-            p.put_u64(s.requests);
-            p.put_u64(s.frames_served);
-            p.put_u64(s.bytes_sent);
-            p.put_u64(s.cache_hits);
-            p.put_u64(s.cache_misses);
-            for &c in &s.latency.counts {
-                p.put_u64(c);
+        Response::Stats(snapshot) => {
+            p.put_u32(snapshot.counters.len() as u32);
+            for (name, &value) in &snapshot.counters {
+                p.put_str(name);
+                p.put_u64(value);
             }
-            p.put_u64(s.frame_bytes_raw);
-            p.put_u64(s.frame_bytes_wire);
+            p.put_u32(snapshot.histograms.len() as u32);
+            for (name, hist) in &snapshot.histograms {
+                p.put_str(name);
+                for &count in &hist.counts {
+                    p.put_u64(count);
+                }
+            }
             RESP_STATS
         }
         Response::Error { code, message } => {
@@ -301,22 +309,16 @@ pub fn read_response<R: Read>(r: &mut R) -> Result<(Response, u64)> {
             let frame = decode_frame_v2(&env.payload)?;
             return Ok((Response::Frame(frame), wire_bytes));
         }
-        RESP_STATS => {
-            let mut s = ServerStats {
-                requests: p.u64()?,
-                frames_served: p.u64()?,
-                bytes_sent: p.u64()?,
-                cache_hits: p.u64()?,
-                cache_misses: p.u64()?,
-                ..ServerStats::default()
-            };
-            for i in 0..LATENCY_BUCKETS {
-                s.latency.counts[i] = p.u64()?;
-            }
-            s.frame_bytes_raw = p.u64()?;
-            s.frame_bytes_wire = p.u64()?;
-            Response::Stats(s)
-        }
+        RESP_STATS => Response::Stats(Snapshot {
+            counters: read_table(&mut p, 8, PayloadReader::u64)?,
+            histograms: read_table(&mut p, 8 * LATENCY_BUCKETS, |p| {
+                let mut hist = LogHistogram::default();
+                for count in &mut hist.counts {
+                    *count = p.u64()?;
+                }
+                Ok(hist)
+            })?,
+        }),
         RESP_ERROR => Response::Error {
             code: p.u16()?,
             message: p.str()?,
@@ -325,6 +327,40 @@ pub fn read_response<R: Read>(r: &mut R) -> Result<(Response, u64)> {
     };
     p.finish()?;
     Ok((resp, wire_bytes))
+}
+
+/// Reads one name-sorted table of a `Stats` reply: `u32 n`, then `n` ×
+/// (name, value), each value `value_bytes` long. A count the remaining
+/// bytes cannot hold is refused before the first entry is read, and a
+/// name not strictly after its predecessor (unsorted or repeated) is
+/// corrupt: a table decodes to exactly the map that encoded it.
+fn read_table<'a, T>(
+    p: &mut PayloadReader<'a>,
+    value_bytes: usize,
+    mut value: impl FnMut(&mut PayloadReader<'a>) -> Result<T>,
+) -> Result<BTreeMap<String, T>> {
+    let n = p.u32()? as usize;
+    // Every entry is at least a 4-byte name length and its value.
+    if n > p.remaining() / (4 + value_bytes) {
+        return Err(ServeError::Corrupt(format!(
+            "stats table declares {n} entries, {} bytes follow",
+            p.remaining()
+        )));
+    }
+    let mut table: BTreeMap<String, T> = BTreeMap::new();
+    for _ in 0..n {
+        let name = p.str()?;
+        if table
+            .last_key_value()
+            .is_some_and(|(last, _)| *last >= name)
+        {
+            return Err(ServeError::Corrupt(format!(
+                "stats name {name:?} is out of order"
+            )));
+        }
+        table.insert(name, value(p)?);
+    }
+    Ok(table)
 }
 
 /// One streamed reply to a [`Request::RequestFrameProgressive`]: either
@@ -372,7 +408,7 @@ pub fn read_chunk_reply<R: Read>(r: &mut R) -> Result<(ChunkReply, u64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::LatencyHistogram;
+    use accelviz_trace::registry::Registry;
 
     fn roundtrip_request(req: Request) -> Request {
         let mut buf = Vec::new();
@@ -461,24 +497,14 @@ mod tests {
                 default_threshold: 0.25,
             },
         ]);
-        let mut stats = ServerStats {
-            requests: 9,
-            frames_served: 4,
-            bytes_sent: 123_456,
-            cache_hits: 2,
-            cache_misses: 2,
-            latency: LatencyHistogram::default(),
-            frame_bytes_raw: 1_000_000,
-            frame_bytes_wire: 250_000,
-        };
-        stats.latency.record(0.002);
         for resp in [
             Response::HelloAck {
                 version: 2,
                 frame_count: 3,
             },
             list,
-            Response::Stats(stats),
+            Response::Stats(sample_snapshot()),
+            Response::Stats(Snapshot::default()),
             Response::Error {
                 code: ERR_NO_SUCH_FRAME,
                 message: "frame 9 of 3".into(),
@@ -496,5 +522,143 @@ mod tests {
             Err(ServeError::UnknownKind(0x7f)) => {}
             other => panic!("expected UnknownKind, got {other:?}"),
         }
+    }
+
+    /// A registry's snapshot with two counters and two histograms.
+    fn sample_snapshot() -> Snapshot {
+        let reg = Registry::new();
+        reg.add("serve.requests", 9);
+        reg.add("router.upstream_errors", u64::MAX);
+        reg.record_seconds("serve.request_latency", 0.002);
+        reg.record_seconds("router.upstream_latency", 60.0);
+        reg.snapshot()
+    }
+
+    fn stats_envelope(payload: &[u8]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_envelope(&mut buf, RESP_STATS, payload).unwrap();
+        buf
+    }
+
+    fn stats_payload(snapshot: &Snapshot) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_response(&mut buf, &Response::Stats(snapshot.clone())).unwrap();
+        read_envelope(&mut buf.as_slice()).unwrap().payload
+    }
+
+    fn corrupt_message(envelope: &[u8]) -> String {
+        match read_response(&mut &envelope[..]) {
+            Err(ServeError::Corrupt(why)) => why,
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn stats_tables_are_name_sorted_counters_then_histograms() {
+        let mut w = PayloadWriter::new();
+        w.put_u32(2);
+        w.put_str("router.upstream_errors");
+        w.put_u64(u64::MAX);
+        w.put_str("serve.requests");
+        w.put_u64(9);
+        w.put_u32(2);
+        w.put_str("router.upstream_latency");
+        for count in [0, 0, 0, 0, 0, 0, 1] {
+            w.put_u64(count);
+        }
+        w.put_str("serve.request_latency");
+        for count in [0, 0, 1, 0, 0, 0, 0] {
+            w.put_u64(count);
+        }
+        assert_eq!(stats_payload(&sample_snapshot()), w.into_bytes());
+    }
+
+    #[test]
+    fn a_truncated_stats_reply_is_an_error() {
+        let mut full = Vec::new();
+        write_response(&mut full, &Response::Stats(sample_snapshot())).unwrap();
+        for len in 0..full.len() {
+            assert!(
+                read_response(&mut &full[..len]).is_err(),
+                "a {len}-byte prefix of {} decoded",
+                full.len()
+            );
+        }
+        // Truncated inside the payload, framed with a good checksum.
+        let payload = stats_payload(&sample_snapshot());
+        for len in 0..payload.len() {
+            assert!(read_response(&mut stats_envelope(&payload[..len]).as_slice()).is_err());
+        }
+    }
+
+    #[test]
+    fn a_bit_flipped_stats_reply_is_an_error_and_a_reframed_one_never_panics() {
+        let mut full = Vec::new();
+        write_response(&mut full, &Response::Stats(sample_snapshot())).unwrap();
+        let payload = stats_payload(&sample_snapshot());
+        for bit in 0..full.len() * 8 {
+            let mut flipped = full.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert!(
+                read_response(&mut flipped.as_slice()).is_err(),
+                "flip of bit {bit} decoded"
+            );
+        }
+        // Past the checksum, the decoder itself: every flip decodes to an
+        // error or to a snapshot that re-encodes to exactly those bytes.
+        for bit in 0..payload.len() * 8 {
+            let mut flipped = payload.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            if let Ok((Response::Stats(s), _)) =
+                read_response(&mut stats_envelope(&flipped).as_slice())
+            {
+                assert_eq!(stats_payload(&s), flipped, "flip of payload bit {bit}");
+            }
+        }
+    }
+
+    #[test]
+    fn unsorted_or_duplicate_stats_names_are_corrupt() {
+        for names in [["serve.requests", "router.requests"], ["a", "a"]] {
+            let mut w = PayloadWriter::new();
+            w.put_u32(2);
+            for name in names {
+                w.put_str(name);
+                w.put_u64(1);
+            }
+            w.put_u32(0);
+            let why = corrupt_message(&stats_envelope(&w.into_bytes()));
+            assert!(why.contains("out of order"), "{why}");
+        }
+        // The histogram table obeys the same rule.
+        let mut w = PayloadWriter::new();
+        w.put_u32(0);
+        w.put_u32(2);
+        for name in ["b", "a"] {
+            w.put_str(name);
+            for _ in 0..LATENCY_BUCKETS {
+                w.put_u64(0);
+            }
+        }
+        let why = corrupt_message(&stats_envelope(&w.into_bytes()));
+        assert!(why.contains("out of order"), "{why}");
+    }
+
+    #[test]
+    fn a_stats_count_larger_than_the_bytes_that_follow_is_corrupt() {
+        // One counter entry follows, two are declared.
+        let mut w = PayloadWriter::new();
+        w.put_u32(2);
+        w.put_str("a");
+        w.put_u64(1);
+        w.put_u32(0);
+        let why = corrupt_message(&stats_envelope(&w.into_bytes()));
+        assert!(why.contains("declares 2 entries"), "{why}");
+        // A histogram count over an empty tail.
+        let mut w = PayloadWriter::new();
+        w.put_u32(0);
+        w.put_u32(u32::MAX);
+        let why = corrupt_message(&stats_envelope(&w.into_bytes()));
+        assert!(why.contains("entries"), "{why}");
     }
 }

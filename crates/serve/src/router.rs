@@ -14,10 +14,10 @@
 //!   [`ShardSpec`] rendezvous layout) over one `Upstream` per shard — a
 //!   small pool of non-retrying [`crate::client::Client`]s, plus the
 //!   circuit breaker every path that talks to the shard reports to;
-//! - `Stats` sums every shard's counters into one wire-shaped
-//!   [`ServerStats`]; the router's own `router.*` counters live in its
-//!   private registry ([`FrameRouter::metrics`]) because the `Stats`
-//!   wire shape is frozen.
+//! - `Stats` answers with the router's own `router.*` registry
+//!   ([`FrameRouter::metrics`]) merged with every reachable shard's
+//!   `serve.*` snapshot, so one poll of the router reads the whole
+//!   service.
 //!
 //! Herd coalescing: decoded frames sit in the same
 //! [`crate::cache::CoalescingCache`] a server keeps its extractions in,
@@ -52,10 +52,9 @@ use crate::frontdoor::{spawn_thread, CounterNames, DoorConfig, FrontDoor, Handle
 use crate::health::{HealthConfig, Prober};
 use crate::protocol::{FrameInfo, Refusal, ERR_BUSY, ERR_INTERNAL};
 use crate::server::{FrameServer, Origin, ServerConfig};
-use crate::stats::ServerStats;
 use accelviz_core::hybrid::HybridFrame;
 use accelviz_core::shard::ShardSpec;
-use accelviz_trace::registry::Registry;
+use accelviz_trace::registry::{Registry, Snapshot};
 use std::io;
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -493,21 +492,23 @@ impl Handler for RouterShared {
         fetched
     }
 
-    /// Sums every reachable shard's `Stats` snapshot into one wire-shaped
-    /// total; a shard that cannot answer contributes zeros (and an
-    /// `router.upstream_errors` count) instead of failing the reply, and
-    /// a shard whose breaker is open is skipped outright (a
-    /// `router.breaker_fast_fails` count) — one dead shard must not add
-    /// a connect timeout to every `Stats` round trip. Stats hops feed the
-    /// breakers like any other upstream traffic, so a `Stats` poll
-    /// doubles as a half-open trial once the cooldown elapses.
-    fn stats(&self) -> ServerStats {
-        let mut total = ServerStats::default();
+    /// Merges every reachable shard's `Stats` snapshot with the router's
+    /// own, taken after the walk so the reply counts it; a shard that
+    /// cannot answer contributes zeros (and an `router.upstream_errors`
+    /// count) instead of failing the reply, and a shard whose breaker is
+    /// open is skipped outright (a `router.breaker_fast_fails` count) —
+    /// one dead shard must not add a connect timeout to every `Stats`
+    /// round trip. Stats hops feed the breakers like any other upstream
+    /// traffic, so a `Stats` poll doubles as a half-open trial once the
+    /// cooldown elapses.
+    fn stats(&self) -> Snapshot {
+        let mut total = Snapshot::default();
         for upstream in &self.upstreams {
-            if let Some(Ok(snapshot)) = upstream.call(|c| c.stats()) {
-                total.absorb(&snapshot);
+            if let Some(Ok(shard)) = upstream.call(|c| c.stats()) {
+                total.merge(&shard);
             }
         }
+        total.merge(&self.metrics.snapshot());
         total
     }
 }
@@ -710,9 +711,8 @@ impl FrameRouter {
     }
 
     /// The router's private metrics registry — every `router.*` counter
-    /// documented in this module, for tests and embedders. The wire
-    /// `Stats` reply carries the *summed shard* counters instead,
-    /// because its shape is frozen.
+    /// documented in this module. A `Stats` reply carries it merged with
+    /// the shards' snapshots.
     pub fn metrics(&self) -> &Registry {
         &self.shared().metrics
     }
@@ -954,13 +954,13 @@ impl ShardedFrameService {
         &self.router
     }
 
-    /// Sum of every *live* shard's local stats — the same totals a
+    /// The router's registry merged with every *live* shard's — what a
     /// client reads with a `Stats` request through the router (which
-    /// likewise counts a dead shard as zeros).
-    pub fn stats(&self) -> ServerStats {
-        let mut total = ServerStats::default();
+    /// likewise counts a dead shard as zeros), read in process.
+    pub fn stats(&self) -> Snapshot {
+        let mut total = self.router.metrics().snapshot();
         for shard in self.shards.iter().flatten() {
-            total.absorb(&shard.stats());
+            total.merge(&shard.metrics().snapshot());
         }
         total
     }

@@ -51,11 +51,10 @@ use crate::frontdoor::{
 use crate::protocol::{FrameInfo, Refusal, ERR_BUSY, ERR_INTERNAL};
 use crate::router::{invalid_input, ShardMap};
 use crate::stats::{
-    ServerStats, CTR_ACCEPT_ERRORS, CTR_BYTES_SENT, CTR_CACHE_HITS, CTR_CACHE_MISSES,
-    CTR_FRAMES_SERVED, CTR_FRAME_BYTES_RAW, CTR_FRAME_BYTES_WIRE, CTR_HANDLER_PANICS,
-    CTR_LOD_BYTES_WIRE, CTR_LOD_CHUNKS, CTR_LOD_REQUESTS, CTR_READAHEAD_DROPPED,
-    CTR_READAHEAD_FETCHES, CTR_READAHEAD_HINTS, CTR_REQUESTS, CTR_SHED_CONNECTIONS,
-    CTR_SHED_EXTRACTIONS, HIST_LATENCY,
+    CTR_ACCEPT_ERRORS, CTR_BYTES_SENT, CTR_CACHE_HITS, CTR_CACHE_MISSES, CTR_FRAMES_SERVED,
+    CTR_FRAME_BYTES_RAW, CTR_FRAME_BYTES_WIRE, CTR_HANDLER_PANICS, CTR_LOD_BYTES_WIRE,
+    CTR_LOD_CHUNKS, CTR_LOD_REQUESTS, CTR_READAHEAD_DROPPED, CTR_READAHEAD_FETCHES,
+    CTR_READAHEAD_HINTS, CTR_REQUESTS, CTR_SHED_CONNECTIONS, CTR_SHED_EXTRACTIONS, HIST_LATENCY,
 };
 use accelviz_beam::io::BYTES_PER_PARTICLE;
 use accelviz_core::hybrid::HybridFrame;
@@ -315,10 +314,6 @@ impl Handler for Shared {
             self.metrics.add(CTR_READAHEAD_DROPPED, 1);
         }
     }
-
-    fn stats(&self) -> ServerStats {
-        ServerStats::from_registry(&self.metrics)
-    }
 }
 
 impl Shared {
@@ -509,15 +504,8 @@ impl FrameServer {
         self.door.addr()
     }
 
-    /// A local snapshot of the statistics (the same data a client gets
-    /// from a `Stats` request).
-    pub fn stats(&self) -> ServerStats {
-        self.door.handler().stats()
-    }
-
-    /// This server's private metrics registry — the source the wire
-    /// `Stats` snapshot is assembled from. Exposed so tests (and embedding
-    /// applications) can assert on individual counters.
+    /// This server's private metrics registry — what a `Stats` reply
+    /// carries ([`Registry::snapshot`]), read in process.
     pub fn metrics(&self) -> &Registry {
         &self.door.handler().metrics
     }

@@ -8,8 +8,10 @@ use accelviz_math::{Aabb, Vec3};
 use accelviz_octree::density::DensityGrid;
 use accelviz_octree::plots::PlotType;
 use accelviz_serve::lod::{plan_frame_chunks, ProgressiveAssembler, MIN_CHUNK_BYTES};
+use accelviz_serve::protocol::{read_response, RESP_STATS};
 use accelviz_serve::wire::{
-    decode_frame, decode_frame_v2, read_envelope, PayloadWriter, MAGIC, MAX_PAYLOAD, V2,
+    decode_frame, decode_frame_v2, read_envelope, write_envelope, PayloadWriter, MAGIC,
+    MAX_PAYLOAD, V2,
 };
 use accelviz_serve::ServeError;
 use accelviz_store::codec::{put_uvarint, CODEC_BITPACK};
@@ -73,6 +75,20 @@ fn a_frame_declaring_millions_of_points_over_16_bytes_allocates_under_a_mebibyte
         "a {}-byte payload bought {peak} bytes of allocation",
         payload.len()
     );
+}
+
+#[test]
+fn a_stats_reply_declaring_four_billion_counters_then_eof_allocates_under_a_mebibyte() {
+    let mut envelope = Vec::new();
+    write_envelope(&mut envelope, RESP_STATS, &u32::MAX.to_le_bytes()).unwrap();
+
+    let (outcome, peak) = peak_of(|| read_response(&mut envelope.as_slice()));
+
+    match outcome {
+        Err(ServeError::Corrupt(msg)) => assert!(msg.contains("entries"), "{msg}"),
+        other => panic!("expected Corrupt, got {other:?}"),
+    }
+    assert!(peak < 1 << 20, "a hostile count bought {peak} bytes");
 }
 
 /// A v1 frame header for an empty frame: step, plot, bounds, threshold,

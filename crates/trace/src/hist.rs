@@ -1,10 +1,8 @@
 //! Fixed-bucket log-scale histograms.
 //!
-//! The bucket shape is the one `accelviz-serve` has carried on the wire
-//! since its first release (six microsecond-scale edges plus an overflow
-//! bucket); it lives here so every pipeline stage can record latencies
-//! into the same distribution and the serve crate's `Stats` reply keeps
-//! its exact wire layout.
+//! Six microsecond-scale edges plus an overflow bucket, one shape for
+//! every pipeline stage, so any two histograms merge bucket by bucket —
+//! which is how a router sums its shards' `Stats` replies.
 
 /// Upper edges of the log-spaced buckets, in microseconds. A sample falls
 /// in the first bucket whose edge it does not exceed; slower samples land
@@ -32,15 +30,16 @@ impl LogHistogram {
         self.counts[bucket] += 1;
     }
 
-    /// Total samples recorded.
+    /// Total samples recorded (saturating, like [`LogHistogram::merge`]).
     pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
+        self.counts.iter().fold(0, |sum, &c| sum.saturating_add(c))
     }
 
-    /// Adds every bucket of `other` into `self`.
+    /// Adds every bucket of `other` into `self`. Buckets saturate: merged
+    /// counts may come off a socket, and must not wrap.
     pub fn merge(&mut self, other: &LogHistogram) {
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
+            *a = a.saturating_add(*b);
         }
     }
 
@@ -62,7 +61,7 @@ impl LogHistogram {
         let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
         let mut seen = 0u64;
         for (bucket, &count) in self.counts.iter().enumerate() {
-            seen += count;
+            seen = seen.saturating_add(count);
             if seen >= rank {
                 return LATENCY_EDGES_US
                     .get(bucket)

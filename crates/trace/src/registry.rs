@@ -2,8 +2,9 @@
 //!
 //! A [`Registry`] owns named counters, gauges, and log-bucket histograms
 //! plus a buffer of finished [`SpanRecord`]s. Counters and histograms are
-//! always live (they are the substance of `accelviz-serve`'s statistics);
-//! span recording is gated by a per-registry atomic so instrumentation in
+//! always live; [`Registry::snapshot`] copies them out as one
+//! [`Snapshot`], which is what an `accelviz-serve` `Stats` reply carries.
+//! Span recording is gated by a per-registry atomic so instrumentation in
 //! hot paths costs one relaxed load when tracing is off.
 //!
 //! Timing is monotonic: all timestamps are nanoseconds since a
@@ -98,11 +99,47 @@ pub struct SpanRecord {
     pub args: Vec<(&'static str, f64)>,
 }
 
+/// Every counter and every histogram of a [`Registry`] at one instant,
+/// keyed by name — what a server's `Stats` reply carries and what a
+/// router sums over its shards. Gauges are last-write values, not sums,
+/// so they stay out.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Snapshot {
+    /// Counter values by name.
+    pub counters: BTreeMap<String, u64>,
+    /// Histograms by name.
+    pub histograms: BTreeMap<String, LogHistogram>,
+}
+
+impl Snapshot {
+    /// Value of counter `name` (zero if absent).
+    pub fn counter(&self, name: &str) -> u64 {
+        self.counters.get(name).copied().unwrap_or(0)
+    }
+
+    /// Histogram `name`, if present.
+    pub fn histogram(&self, name: &str) -> Option<LogHistogram> {
+        self.histograms.get(name).copied()
+    }
+
+    /// Adds `other` into `self`, name by name. Sums saturate: the values
+    /// may come off a socket, and a peer reporting counters near
+    /// `u64::MAX` must not wrap (or, in debug builds, panic) the sum.
+    pub fn merge(&mut self, other: &Snapshot) {
+        for (name, &value) in &other.counters {
+            let sum = self.counters.entry(name.clone()).or_insert(0);
+            *sum = sum.saturating_add(value);
+        }
+        for (name, hist) in &other.histograms {
+            self.histograms.entry(name.clone()).or_default().merge(hist);
+        }
+    }
+}
+
 #[derive(Default)]
 struct Inner {
-    counters: BTreeMap<String, u64>,
+    metrics: Snapshot,
     gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, LogHistogram>,
     spans: Vec<SpanRecord>,
 }
 
@@ -155,14 +192,14 @@ impl Registry {
     /// Adds `delta` to counter `name` (creating it at zero), returning
     /// the new value.
     pub fn add(&self, name: &str, delta: u64) -> u64 {
-        let mut g = self.lock();
-        match g.counters.get_mut(name) {
+        let counters = &mut self.lock().metrics.counters;
+        match counters.get_mut(name) {
             Some(v) => {
                 *v += delta;
                 *v
             }
             None => {
-                g.counters.insert(name.to_string(), delta);
+                counters.insert(name.to_string(), delta);
                 delta
             }
         }
@@ -170,12 +207,12 @@ impl Registry {
 
     /// Current value of counter `name` (zero if never touched).
     pub fn counter(&self, name: &str) -> u64 {
-        self.lock().counters.get(name).copied().unwrap_or(0)
+        self.lock().metrics.counter(name)
     }
 
     /// Snapshot of all counters.
     pub fn counters(&self) -> BTreeMap<String, u64> {
-        self.lock().counters.clone()
+        self.lock().metrics.counters.clone()
     }
 
     /// Sets gauge `name` to `value` (last write wins).
@@ -201,25 +238,26 @@ impl Registry {
 
     /// Records a duration sample into histogram `name` (creating it).
     pub fn record_seconds(&self, name: &str, seconds: f64) {
-        let mut g = self.lock();
-        match g.histograms.get_mut(name) {
+        let histograms = &mut self.lock().metrics.histograms;
+        match histograms.get_mut(name) {
             Some(h) => h.record(seconds),
             None => {
                 let mut h = LogHistogram::default();
                 h.record(seconds);
-                g.histograms.insert(name.to_string(), h);
+                histograms.insert(name.to_string(), h);
             }
         }
     }
 
     /// Snapshot of histogram `name`, if any samples were recorded.
     pub fn histogram(&self, name: &str) -> Option<LogHistogram> {
-        self.lock().histograms.get(name).copied()
+        self.lock().metrics.histogram(name)
     }
 
-    /// Snapshot of all histograms.
-    pub fn histograms(&self) -> BTreeMap<String, LogHistogram> {
-        self.lock().histograms.clone()
+    /// Every counter and histogram, taken under one lock so they come
+    /// from the same instant.
+    pub fn snapshot(&self) -> Snapshot {
+        self.lock().metrics.clone()
     }
 
     /// Opens a span named `name`, implicitly parented to the calling
@@ -273,9 +311,8 @@ impl Registry {
     /// enabled flag).
     pub fn clear(&self) {
         let mut g = self.lock();
-        g.counters.clear();
+        g.metrics = Snapshot::default();
         g.gauges.clear();
-        g.histograms.clear();
         g.spans.clear();
     }
 
@@ -394,6 +431,61 @@ mod tests {
             reg.histogram("lat").unwrap().total(),
             threads as u64 * per_thread
         );
+    }
+
+    #[test]
+    fn snapshot_holds_every_counter_and_histogram_but_no_gauge() {
+        let reg = Registry::new();
+        reg.add("b", 2);
+        reg.add("a", 1);
+        reg.record_seconds("lat", 0.002);
+        reg.set_gauge("mem", 4.0);
+        let snap = reg.snapshot();
+        assert_eq!(snap.counters, reg.counters());
+        assert_eq!((snap.counter("a"), snap.counter("b")), (1, 2));
+        assert_eq!(snap.counter("absent"), 0);
+        assert_eq!(snap.histogram("lat").unwrap().total(), 1);
+        assert_eq!(snap.histogram("mem"), None);
+        assert_eq!(Registry::new().snapshot(), Snapshot::default());
+    }
+
+    #[test]
+    fn merge_sums_by_name_and_keeps_names_only_one_side_has() {
+        let (a, b) = (Registry::new(), Registry::new());
+        a.add("shared", 5);
+        a.add("only_a", 1);
+        b.add("shared", 7);
+        a.record_seconds("lat", 0.002);
+        b.record_seconds("lat", 2.0);
+        b.record_seconds("only_b", 0.002);
+        let mut total = a.snapshot();
+        total.merge(&b.snapshot());
+        assert_eq!(total.counter("shared"), 12);
+        assert_eq!(total.counter("only_a"), 1);
+        let lat = total.histogram("lat").unwrap();
+        assert_eq!((lat.counts[2], lat.counts[5]), (1, 1));
+        assert_eq!(total.histogram("only_b").unwrap().total(), 1);
+    }
+
+    #[test]
+    fn merge_saturates_counters_and_histogram_buckets() {
+        let near = u64::MAX - 1;
+        let peer = Snapshot {
+            counters: [("serve.requests".to_string(), near)].into(),
+            histograms: [(
+                "serve.request_latency".to_string(),
+                LogHistogram {
+                    counts: [near; crate::hist::LATENCY_BUCKETS],
+                },
+            )]
+            .into(),
+        };
+        let mut total = peer.clone();
+        total.merge(&peer);
+        assert_eq!(total.counter("serve.requests"), u64::MAX);
+        let hist = total.histogram("serve.request_latency").unwrap();
+        assert!(hist.counts.iter().all(|&c| c == u64::MAX));
+        assert_eq!(hist.total(), u64::MAX);
     }
 
     #[test]

@@ -8,22 +8,13 @@
 //! is exactly what the Chrome view cannot show.
 
 use crate::hist::{LogHistogram, LATENCY_BUCKETS};
-use crate::registry::{Registry, SpanRecord};
+use crate::registry::{Registry, Snapshot, SpanRecord};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Renders the whole registry as a human-readable report.
 pub fn summary(reg: &Registry) -> String {
-    let mut out = String::new();
-
-    let counters = reg.counters();
-    if !counters.is_empty() {
-        out.push_str("counters:\n");
-        let width = counters.keys().map(String::len).max().unwrap_or(0);
-        for (name, value) in &counters {
-            let _ = writeln!(out, "  {name:<width$}  {value}");
-        }
-    }
+    let mut out = metrics(&reg.snapshot());
 
     let gauges = reg.gauges();
     if !gauges.is_empty() {
@@ -31,16 +22,6 @@ pub fn summary(reg: &Registry) -> String {
         let width = gauges.keys().map(String::len).max().unwrap_or(0);
         for (name, value) in &gauges {
             let _ = writeln!(out, "  {name:<width$}  {value}");
-        }
-    }
-
-    let histograms = reg.histograms();
-    for (name, hist) in &histograms {
-        let _ = writeln!(out, "histogram {name} ({} samples):", hist.total());
-        for i in 0..LATENCY_BUCKETS {
-            if hist.counts[i] > 0 {
-                let _ = writeln!(out, "  {:<8}  {}", LogHistogram::label(i), hist.counts[i]);
-            }
         }
     }
 
@@ -52,6 +33,29 @@ pub fn summary(reg: &Registry) -> String {
 
     if out.is_empty() {
         out.push_str("(registry is empty)\n");
+    }
+    out
+}
+
+/// Renders a [`Snapshot`] — a registry's own, or one a `Stats` reply
+/// carried — as [`summary`]'s counter table and histogram rows.
+pub fn metrics(snapshot: &Snapshot) -> String {
+    let mut out = String::new();
+    let counters = &snapshot.counters;
+    if !counters.is_empty() {
+        out.push_str("counters:\n");
+        let width = counters.keys().map(String::len).max().unwrap_or(0);
+        for (name, value) in counters {
+            let _ = writeln!(out, "  {name:<width$}  {value}");
+        }
+    }
+    for (name, hist) in &snapshot.histograms {
+        let _ = writeln!(out, "histogram {name} ({} samples):", hist.total());
+        for i in 0..LATENCY_BUCKETS {
+            if hist.counts[i] > 0 {
+                let _ = writeln!(out, "  {:<8}  {}", LogHistogram::label(i), hist.counts[i]);
+            }
+        }
     }
     out
 }

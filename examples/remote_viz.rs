@@ -136,7 +136,10 @@ fn main() {
         warm.seconds
     );
     let stats = client.stats().expect("stats");
-    println!("\nserver stats after this session:\n  {}", stats.summary());
+    print!(
+        "\nserver stats after this session (the whole registry, over the wire):\n{}",
+        accelviz::trace::report::metrics(&stats)
+    );
 
     // A viewer session over the network source — the same session code
     // the local viewer runs, with frames that now arrive over TCP.

@@ -22,7 +22,7 @@ use accelviz::serve::router::{
     CTR_ROUTER_CACHE_HITS, CTR_ROUTER_CACHE_MISSES, CTR_ROUTER_COALESCED, CTR_ROUTER_REQUESTS,
     CTR_ROUTER_UPSTREAM_FETCHES,
 };
-use accelviz::serve::stats::CTR_FRAMES_SERVED;
+use accelviz::serve::stats::{CTR_CACHE_HITS, CTR_CACHE_MISSES, CTR_FRAMES_SERVED};
 use accelviz::serve::{Client, RouterConfig, ServerConfig, ShardedFrameService};
 
 fn main() {
@@ -74,24 +74,28 @@ fn main() {
         );
     }
 
-    // Stats through the router are the sum of the shards; the router's
-    // own registry shows the proxy's bookkeeping.
+    // Stats through the router carry the sum of the shards' `serve.*`
+    // counters beside the router's own `router.*` bookkeeping.
     let merged = client.stats().expect("stats");
-    println!("\nmerged shard stats:\n  {}", merged.summary());
+    println!(
+        "\nmerged shard stats: {} frames served, cache {} hits / {} misses",
+        merged.counter(CTR_FRAMES_SERVED),
+        merged.counter(CTR_CACHE_HITS),
+        merged.counter(CTR_CACHE_MISSES),
+    );
     for s in 0..service.shard_count() {
         println!(
             "  shard {s}: {} frames served",
             service.shard(s).metrics().counter(CTR_FRAMES_SERVED)
         );
     }
-    let rm = service.router().metrics();
     println!(
         "router: {} requests, {} upstream fetches, {} cache hits / {} misses, {} coalesced",
-        rm.counter(CTR_ROUTER_REQUESTS),
-        rm.counter(CTR_ROUTER_UPSTREAM_FETCHES),
-        rm.counter(CTR_ROUTER_CACHE_HITS),
-        rm.counter(CTR_ROUTER_CACHE_MISSES),
-        rm.counter(CTR_ROUTER_COALESCED),
+        merged.counter(CTR_ROUTER_REQUESTS),
+        merged.counter(CTR_ROUTER_UPSTREAM_FETCHES),
+        merged.counter(CTR_ROUTER_CACHE_HITS),
+        merged.counter(CTR_ROUTER_CACHE_MISSES),
+        merged.counter(CTR_ROUTER_COALESCED),
     );
     println!(
         "session moved {:.2} MB over one connection; each shard only \

@@ -605,8 +605,9 @@ fn an_idle_gap_is_redialed_without_an_error_or_a_verdict() {
 
     std::thread::sleep(idle);
     let polled = viewer.stats().unwrap();
-    assert_eq!(polled.frames_served, 6, "a shard was polled as zeros");
-    assert_eq!(polled.frames_served, service.stats().frames_served);
+    let frames_served = polled.counter(CTR_FRAMES_SERVED);
+    assert_eq!(frames_served, 6, "a shard was polled as zeros");
+    assert_eq!(frames_served, service.stats().counter(CTR_FRAMES_SERVED));
 
     std::thread::sleep(idle);
     // A fresh threshold: the router cache cannot answer this one.

@@ -20,7 +20,10 @@ use accelviz::core::session::{SessionOp, ViewerSession};
 use accelviz::render::framebuffer::Framebuffer;
 use accelviz::serve::client::{FaultyConnector, TcpConnector};
 use accelviz::serve::protocol::ERR_BUSY;
-use accelviz::serve::stats::{CTR_HANDLER_PANICS, CTR_SHED_CONNECTIONS, CTR_SHED_EXTRACTIONS};
+use accelviz::serve::stats::{
+    CTR_FRAME_BYTES_RAW, CTR_FRAME_BYTES_WIRE, CTR_HANDLER_PANICS, CTR_REQUESTS,
+    CTR_SHED_CONNECTIONS, CTR_SHED_EXTRACTIONS,
+};
 use accelviz::serve::{
     Client, ClientConfig, FaultPlan, FrameServer, RemoteFrames, RetryPolicy, ServeError,
     ServerConfig,
@@ -92,11 +95,13 @@ fn chaos_session_delivers_frames_bit_identical_to_fault_free_run() {
     // Compression was real: the v2 frame payloads on the wire undercut
     // what the same frames cost raw.
     let stats = remote.client().stats().unwrap();
+    let (wire, raw) = (
+        stats.counter(CTR_FRAME_BYTES_WIRE),
+        stats.counter(CTR_FRAME_BYTES_RAW),
+    );
     assert!(
-        stats.frame_bytes_wire < stats.frame_bytes_raw,
-        "v2 session moved {} wire bytes against {} raw",
-        stats.frame_bytes_wire,
-        stats.frame_bytes_raw
+        wire < raw,
+        "v2 session moved {wire} wire bytes against {raw} raw"
     );
 
     // The plan actually fired its mandatory trio.
@@ -399,6 +404,6 @@ fn extraction_limit_sheds_fresh_extractions_in_band() {
 
     // The same connection keeps serving non-extraction requests.
     assert_eq!(client.list_frames().unwrap().len(), 1);
-    assert!(client.stats().unwrap().requests >= 1);
+    assert!(client.stats().unwrap().counter(CTR_REQUESTS) >= 1);
     server.shutdown();
 }

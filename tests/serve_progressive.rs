@@ -25,7 +25,7 @@ use accelviz::serve::protocol::{
     read_request, read_response, write_request, write_response, Request, Response, ERR_BAD_REQUEST,
     REQ_HELLO,
 };
-use accelviz::serve::stats::{CTR_LOD_CHUNKS, CTR_LOD_REQUESTS};
+use accelviz::serve::stats::{CTR_CACHE_HITS, CTR_LOD_CHUNKS, CTR_LOD_REQUESTS};
 use accelviz::serve::wire::{encode_frame, encode_frame_v2, write_envelope_v, V2};
 use accelviz::serve::{
     Client, ClientConfig, FrameServer, RemoteFrames, RetryPolicy, ServeError, ServerConfig,
@@ -99,7 +99,7 @@ fn progressive_refines_bit_identical_to_full_fetch_direct() {
     assert!(reg.counter(CTR_LOD_CHUNKS) >= 2 * reg.counter(CTR_LOD_REQUESTS));
     let stats = client.stats().unwrap();
     assert!(
-        stats.cache_hits >= 12,
+        stats.counter(CTR_CACHE_HITS) >= 12,
         "progressive refetches must hit the same cache entries: {stats:?}"
     );
     server.shutdown();

@@ -8,7 +8,7 @@ mod common;
 use accelviz::serve::protocol::{
     read_response, Request, Response, ERR_BAD_REQUEST, ERR_BAD_THRESHOLD, ERR_INTERNAL,
 };
-use accelviz::serve::stats::CTR_HANDLER_PANICS;
+use accelviz::serve::stats::{CTR_CACHE_HITS, CTR_CACHE_MISSES, CTR_HANDLER_PANICS, CTR_REQUESTS};
 use accelviz::serve::wire::{MAGIC, V2};
 use accelviz::serve::{
     Client, ClientConfig, FrameServer, RouterConfig, ServeError, ServerConfig, ShardedFrameService,
@@ -132,7 +132,11 @@ fn nan_thresholds_are_rejected_in_band() {
 
     // Rejected requests never reach the extraction cache.
     let stats = client.stats().unwrap();
-    assert_eq!(stats.cache_misses, 1, "only the threshold-1.0 extraction");
+    assert_eq!(
+        stats.counter(CTR_CACHE_MISSES),
+        1,
+        "only the threshold-1.0 extraction"
+    );
     server.shutdown();
 }
 
@@ -173,7 +177,7 @@ fn panicking_handler_is_isolated_to_err_internal() {
     assert_eq!(client.list_frames().unwrap().len(), 1);
     // ...and the listener still admits fresh clients.
     let mut second = Client::connect_with(server.addr(), ClientConfig::no_retry()).unwrap();
-    assert!(second.stats().unwrap().requests >= 1);
+    assert!(second.stats().unwrap().counter(CTR_REQUESTS) >= 1);
     server.shutdown();
 }
 
@@ -185,8 +189,12 @@ fn negative_zero_threshold_hits_the_positive_zero_cache_slot() {
     let (b, _) = client.fetch(0, -0.0).unwrap();
     assert_eq!(a, b);
     let stats = client.stats().unwrap();
-    assert_eq!(stats.cache_misses, 1, "-0.0 must reuse the 0.0 extraction");
-    assert_eq!(stats.cache_hits, 1);
+    assert_eq!(
+        stats.counter(CTR_CACHE_MISSES),
+        1,
+        "-0.0 must reuse the 0.0 extraction"
+    );
+    assert_eq!(stats.counter(CTR_CACHE_HITS), 1);
     server.shutdown();
 }
 

@@ -13,7 +13,10 @@ use accelviz::serve::router::{
     CTR_ROUTER_CACHE_HITS, CTR_ROUTER_CACHE_MISSES, CTR_ROUTER_COALESCED,
     CTR_ROUTER_SHED_CONNECTIONS, CTR_ROUTER_UPSTREAM_ERRORS, CTR_ROUTER_UPSTREAM_FETCHES,
 };
-use accelviz::serve::stats::{CTR_CACHE_MISSES, CTR_FRAMES_SERVED};
+use accelviz::serve::stats::{
+    CTR_BYTES_SENT, CTR_CACHE_MISSES, CTR_FRAMES_SERVED, CTR_FRAME_BYTES_RAW, CTR_FRAME_BYTES_WIRE,
+    CTR_READAHEAD_FETCHES, HIST_LATENCY,
+};
 use accelviz::serve::{
     Client, ClientConfig, FrameRouter, FrameServer, Origin, RemoteFrames, RetryPolicy,
     RouterConfig, ServeError, ServerConfig, ShardMap, ShardedFrameService,
@@ -267,32 +270,27 @@ fn stats_through_the_router_aggregate_the_shards() {
     client.fetch(0, f64::INFINITY).unwrap();
 
     let wire = client.stats().unwrap();
-    assert_eq!(wire.frames_served, FRAMES as u64);
+    assert_eq!(wire.counter(CTR_FRAMES_SERVED), FRAMES as u64);
     // Each frame was extracted once on its shard — for the router's
     // request (a miss), or ahead of it: the router's pooled connection to
     // a shard is one session, and where that shard's local indices
     // ascend one by one the shard reads ahead of the router. Misses count
     // requests, so a read-ahead extraction is counted on its own.
     let read_ahead: u64 = (0..service.shard_count())
-        .map(|i| {
-            service
-                .shard(i)
-                .metrics()
-                .counter("serve.readahead_fetches")
-        })
+        .map(|i| service.shard(i).metrics().counter(CTR_READAHEAD_FETCHES))
         .sum();
-    assert_eq!(wire.cache_misses + read_ahead, FRAMES as u64);
-    assert!(wire.bytes_sent > 0);
-    assert!(wire.latency.total() > 0);
+    assert_eq!(wire.counter(CTR_CACHE_MISSES) + read_ahead, FRAMES as u64);
+    assert!(wire.counter(CTR_BYTES_SENT) > 0);
+    assert!(wire.histogram(HIST_LATENCY).unwrap_or_default().total() > 0);
     assert!(
-        wire.frame_bytes_wire < wire.frame_bytes_raw,
+        wire.counter(CTR_FRAME_BYTES_WIRE) < wire.counter(CTR_FRAME_BYTES_RAW),
         "v2 shard hops must compress"
     );
 
     let local = service.stats();
-    assert_eq!(local.frames_served, wire.frames_served);
-    assert_eq!(local.cache_misses, wire.cache_misses);
-    assert_eq!(local.frame_bytes_raw, wire.frame_bytes_raw);
+    for name in [CTR_FRAMES_SERVED, CTR_CACHE_MISSES, CTR_FRAME_BYTES_RAW] {
+        assert_eq!(local.counter(name), wire.counter(name), "{name}");
+    }
     service.shutdown();
 }
 

@@ -1,20 +1,38 @@
-//! End-to-end observability: the serve metrics registry, the wire `Stats`
-//! reply, and the server's local snapshot must all tell the same story,
-//! and a trace captured across the whole pipeline must export as valid,
-//! monotonic Chrome trace-event JSON.
+//! End-to-end observability: the wire `Stats` reply must be the serve
+//! metrics registry itself, and a trace captured across the whole
+//! pipeline must export as valid, monotonic Chrome trace-event JSON.
 
 mod common;
 
 use accelviz::beam::distribution::Distribution;
 use accelviz::core::hybrid::HybridFrame;
+use accelviz::core::shard::ShardSpec;
 use accelviz::octree::builder::{partition, BuildParams};
 use accelviz::octree::extraction::threshold_for_budget;
 use accelviz::octree::plots::PlotType;
-use accelviz::serve::stats::{CTR_CACHE_HITS, CTR_CACHE_MISSES, CTR_FRAMES_SERVED, CTR_REQUESTS};
-use accelviz::serve::{Client, FrameServer, ServerConfig};
+use accelviz::serve::router::{CTR_ROUTER_BREAKER_OPEN, CTR_ROUTER_UPSTREAM_ERRORS};
+use accelviz::serve::stats::{
+    CTR_CACHE_HITS, CTR_CACHE_MISSES, CTR_FRAMES_SERVED, CTR_READAHEAD_HINTS, CTR_REQUESTS,
+    HIST_LATENCY,
+};
+use accelviz::serve::{
+    Client, ClientConfig, FrameServer, RouterConfig, ServerConfig, ShardedFrameService,
+};
 use accelviz::trace::chrome::{parse_json, trace_json, Json};
 use accelviz::trace::registry::Registry;
 use common::stores;
+use std::time::{Duration, Instant};
+
+/// Waits until `reg` has finished counting `requests` requests: the
+/// latency sample is the last thing a session records for a request, and
+/// it lands just after the reply is on the wire.
+fn settle(reg: &Registry, requests: u64) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while reg.histogram(HIST_LATENCY).unwrap_or_default().total() != requests {
+        assert!(Instant::now() < deadline, "request counters never settled");
+        std::thread::yield_now();
+    }
+}
 
 #[test]
 fn registry_cache_counts_match_wire_stats_and_cache_counters() {
@@ -28,34 +46,25 @@ fn registry_cache_counts_match_wire_stats_and_cache_counters() {
         client.fetch(1, f64::INFINITY).unwrap();
     }
 
-    // The wire-reported snapshot...
-    let wire = client.stats().unwrap();
-    assert_eq!(wire.cache_misses, 2, "two distinct extractions");
-    assert_eq!(wire.cache_hits, 2, "each refetched once");
-    assert_eq!(wire.frames_served, 4);
-
-    // ...must equal the registry the server accumulates into...
+    // Quiescent after the hello and four fetches, the registry...
     let reg = server.metrics();
-    assert_eq!(reg.counter(CTR_CACHE_HITS), wire.cache_hits);
-    assert_eq!(reg.counter(CTR_CACHE_MISSES), wire.cache_misses);
-    assert_eq!(reg.counter(CTR_FRAMES_SERVED), wire.frames_served);
-    // (the Stats request itself lands in the counter only after its reply
-    // is on the wire, so the registry ends up one ahead of the snapshot;
-    // poll briefly since that final bump races with the client's return)
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-    while reg.counter(CTR_REQUESTS) != wire.requests + 1 {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "request counter never settled"
-        );
-        std::thread::yield_now();
-    }
+    settle(reg, 5);
+    let local = reg.snapshot();
+    // ...is exactly what the `Stats` reply carries: the reply is taken
+    // before the Stats request itself is counted.
+    let wire = client.stats().unwrap();
+    assert_eq!(wire, local);
+    assert_eq!(
+        wire.counter(CTR_CACHE_MISSES),
+        2,
+        "two distinct extractions"
+    );
+    assert_eq!(wire.counter(CTR_CACHE_HITS), 2, "each refetched once");
+    assert_eq!(wire.counter(CTR_FRAMES_SERVED), 4);
 
-    // ...and the local stats() accessor is the same snapshot source.
-    let local = server.stats();
-    assert_eq!(local.cache_hits, wire.cache_hits);
-    assert_eq!(local.cache_misses, wire.cache_misses);
-    assert_eq!(local.latency.total(), reg.counter(CTR_REQUESTS));
+    // The Stats request lands in the registry after its reply.
+    settle(reg, 6);
+    assert_eq!(reg.counter(CTR_REQUESTS), wire.counter(CTR_REQUESTS) + 1);
 
     server.shutdown();
 }
@@ -68,17 +77,53 @@ fn two_servers_in_one_process_keep_separate_metrics() {
     ca.fetch(0, f64::INFINITY).unwrap();
     ca.fetch(0, f64::INFINITY).unwrap();
     // The counter bump trails the reply slightly; poll for it.
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-    while a.stats().frames_served != 2 {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "frame counter never settled"
-        );
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while a.metrics().counter(CTR_FRAMES_SERVED) != 2 {
+        assert!(Instant::now() < deadline, "frame counter never settled");
         std::thread::yield_now();
     }
-    assert_eq!(b.stats().frames_served, 0, "server B saw no traffic");
+    assert_eq!(
+        b.metrics().counter(CTR_FRAMES_SERVED),
+        0,
+        "server B saw no traffic"
+    );
     a.shutdown();
     b.shutdown();
+}
+
+/// Counters that once lived only in process are read over the wire: a
+/// router's breaker and upstream-error counts after a shard dies, and a
+/// server's read-ahead hints after a viewer steps.
+#[test]
+fn breaker_and_read_ahead_counters_are_readable_over_the_wire() {
+    let mut service = ShardedFrameService::spawn_loopback_replicated(
+        stores(6, 800),
+        2,
+        1,
+        ServerConfig::default(),
+        RouterConfig::default(),
+    )
+    .unwrap();
+    service.kill_shard(1);
+    let dead = (0..6).find(|&f| ShardSpec::new(2).owner_of(f) == 1);
+    let dead = dead.expect("shard 1 owns a frame");
+    let mut client = Client::connect_with(service.addr(), ClientConfig::no_retry()).unwrap();
+    // The third failed walk trips the breaker.
+    for _ in 0..3 {
+        assert!(client.fetch(dead, f64::INFINITY).is_err());
+    }
+    let wire = client.stats().unwrap();
+    assert!(wire.counter(CTR_ROUTER_BREAKER_OPEN) >= 1, "{wire:?}");
+    assert!(wire.counter(CTR_ROUTER_UPSTREAM_ERRORS) >= 1, "{wire:?}");
+    service.shutdown();
+
+    let server = FrameServer::spawn_loopback(stores(4, 800), ServerConfig::default()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    client.fetch(0, 2.5).unwrap();
+    client.fetch(1, 2.5).unwrap();
+    let wire = client.stats().unwrap();
+    assert!(wire.counter(CTR_READAHEAD_HINTS) > 0, "{wire:?}");
+    server.shutdown();
 }
 
 /// The golden trace test: run partition → extract → hybrid build with
