@@ -5,7 +5,8 @@ use accelviz_beam::io::BYTES_PER_PARTICLE;
 use accelviz_beam::particle::Particle;
 use accelviz_math::{Aabb, Vec3};
 use accelviz_octree::density::DensityGrid;
-use accelviz_octree::extraction::extract;
+use accelviz_octree::extraction::extract_sorted;
+use accelviz_octree::node::Octree;
 use accelviz_octree::plots::PlotType;
 use accelviz_octree::sorted_store::PartitionedData;
 
@@ -35,35 +36,64 @@ pub struct HybridFrame {
 impl HybridFrame {
     /// Builds a hybrid frame from partitioned data: extraction at
     /// `threshold` for the points, plus binning of *all* particles into a
-    /// `volume_dims` grid.
+    /// `volume_dims` grid — [`HybridFrame::from_parts`] with a freshly
+    /// binned grid.
     pub fn from_partition(
         data: &PartitionedData,
         step: usize,
         threshold: f64,
         volume_dims: [usize; 3],
     ) -> HybridFrame {
+        let bounds = data.tree().bounds;
+        let grid = DensityGrid::from_particles(data.particles(), data.plot(), bounds, volume_dims);
+        HybridFrame::from_parts(
+            data.tree(),
+            data.sorted_leaves(),
+            data.plot(),
+            data.particles(),
+            grid,
+            step,
+            threshold,
+        )
+    }
+
+    /// The one extraction: [`extract_sorted`] of `tree`'s leaves in
+    /// `store_order` at `threshold`, taking the points from `prefix` — the
+    /// frame's density-sorted particles, at least the
+    /// [`kept_prefix`](accelviz_octree::extraction::kept_prefix) of them —
+    /// beside `grid`, the whole frame already binned over `tree.bounds`. A
+    /// reader that holds a frame's grid and kept prefix, not its
+    /// particles, extracts with this; `store_order` must satisfy the store
+    /// invariant ([`accelviz_octree::sorted_store::checked_store_order`]).
+    pub fn from_parts(
+        tree: &Octree,
+        store_order: &[u32],
+        plot: PlotType,
+        prefix: &[Particle],
+        grid: DensityGrid,
+        step: usize,
+        threshold: f64,
+    ) -> HybridFrame {
         let mut span = accelviz_trace::span("core.hybrid_frame");
-        let ex = extract(data, threshold);
+        let ex = extract_sorted(tree, store_order, prefix, threshold);
         if span.is_active() {
             span.arg("step", step as f64);
             span.arg("threshold", threshold);
             span.arg("points_kept", ex.particles.len() as f64);
             span.arg("voxelized", ex.discarded as f64);
         }
-        let bounds = data.tree().bounds;
-        let grid = DensityGrid::from_particles(data.particles(), data.plot(), bounds, volume_dims);
+        debug_assert_eq!(grid.bounds(), &tree.bounds, "grid binned over the tree");
 
         // Per-particle normalized node densities (for the point TF): walk
         // the kept leaves in order; their groups tile the kept prefix.
-        let max_density = data
-            .sorted_leaves()
+        let max_density = store_order
             .iter()
-            .map(|&li| data.tree().nodes[li as usize].density)
+            .map(|&li| tree.nodes[li as usize].density)
             .fold(0.0f64, f64::max)
             .max(1e-300);
         let mut point_densities = Vec::with_capacity(ex.particles.len());
-        for &li in data.sorted_leaves().iter().take(ex.leaves_kept) {
-            let n = &data.tree().nodes[li as usize];
+        for &li in store_order.iter().take(ex.leaves_kept) {
+            let n = &tree.nodes[li as usize];
             for _ in 0..n.len {
                 point_densities.push(n.density / max_density);
             }
@@ -72,8 +102,8 @@ impl HybridFrame {
 
         HybridFrame {
             step,
-            plot: data.plot(),
-            bounds,
+            plot,
+            bounds: tree.bounds,
             points: ex.particles.to_vec(),
             point_densities,
             grid,

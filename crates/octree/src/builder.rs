@@ -206,7 +206,7 @@ pub(crate) fn grow_subtree(
 /// Smallest box around the points, padded so that points on the max faces
 /// satisfy the half-open octant convention; degenerate/empty inputs get a
 /// unit box.
-fn padded_bounds(points: &[Vec3]) -> Aabb {
+pub(crate) fn padded_bounds(points: &[Vec3]) -> Aabb {
     let raw = Aabb::from_points(points.iter().copied());
     if raw.is_empty() {
         return Aabb::new(Vec3::ZERO, Vec3::ONE);

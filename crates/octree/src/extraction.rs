@@ -50,34 +50,45 @@ impl<'a> HybridExtract<'a> {
 }
 
 /// Extracts the hybrid point set at `threshold` density from a partitioned
-/// frame.
+/// frame: [`extract_sorted`] over its sorted leaves and particles.
 ///
 /// Runs in O(log L) in the number of leaves (binary search over the sorted
 /// leaf densities) — the extraction itself is a zero-copy prefix borrow,
 /// faithfully modeling "no computation is necessary for the particles".
 pub fn extract(data: &PartitionedData, threshold: f64) -> HybridExtract<'_> {
+    extract_sorted(
+        data.tree(),
+        data.sorted_leaves(),
+        data.particles(),
+        threshold,
+    )
+}
+
+/// The one extraction: `tree`'s leaves, in `store_order`, below
+/// `threshold`, and their particles — the first [`kept_prefix`] records
+/// of `particles`, which need hold only that many. A reader holding a
+/// frame's tree and kept prefix, not its whole particle file, extracts
+/// with this; `store_order` must satisfy the store invariant (groups tile
+/// the particle file in ascending density, as
+/// [`crate::sorted_store::checked_store_order`] checks).
+pub fn extract_sorted<'a>(
+    tree: &Octree,
+    store_order: &[u32],
+    particles: &'a [Particle],
+    threshold: f64,
+) -> HybridExtract<'a> {
     let mut span = accelviz_trace::span("octree.extract");
-    let leaves = data.sorted_leaves();
-    // partition_point: first leaf whose density is >= threshold. The
-    // comparator count is the real number of node visits the binary
-    // search performed — the instrumented evidence for the O(log L)
-    // claim above.
     let visits = std::cell::Cell::new(0u64);
-    let cut = leaves.partition_point(|&li| {
-        visits.set(visits.get() + 1);
-        data.tree().nodes[li as usize].density < threshold
+    let (cut, prefix_len) = kept_cut(tree, store_order, threshold, &visits);
+    let total = store_order.last().map_or(0, |&li| {
+        let last = &tree.nodes[li as usize];
+        last.offset + last.len
     });
-    let prefix_len = if cut == 0 {
-        0
-    } else {
-        let last = &data.tree().nodes[leaves[cut - 1] as usize];
-        (last.offset + last.len) as usize
-    };
     let result = HybridExtract {
-        particles: &data.particles()[..prefix_len],
+        particles: &particles[..prefix_len as usize],
         threshold,
         leaves_kept: cut,
-        discarded: (data.particles().len() - prefix_len) as u64,
+        discarded: total - prefix_len,
     };
     if span.is_active() {
         span.arg("threshold", threshold);
@@ -87,6 +98,40 @@ pub fn extract(data: &PartitionedData, threshold: f64) -> HybridExtract<'_> {
         span.arg("discarded", result.discarded as f64);
     }
     result
+}
+
+/// How many particles [`extract_sorted`] keeps at `threshold`: the end of
+/// the last group, in `store_order`, below the threshold. This is the
+/// length of the prefix of the particle store to read — "discarded
+/// particles are never read from disk".
+pub fn kept_prefix(tree: &Octree, store_order: &[u32], threshold: f64) -> u64 {
+    kept_cut(tree, store_order, threshold, &std::cell::Cell::new(0)).1
+}
+
+/// The kept leaves and the kept prefix length at `threshold`, counting in
+/// `visits` the node visits of the binary search.
+fn kept_cut(
+    tree: &Octree,
+    store_order: &[u32],
+    threshold: f64,
+    visits: &std::cell::Cell<u64>,
+) -> (usize, u64) {
+    // partition_point: first leaf whose density is >= threshold. The
+    // comparator count is the real number of node visits the binary
+    // search performed — the instrumented evidence for the O(log L)
+    // claim on [`extract`].
+    let cut = store_order.partition_point(|&li| {
+        visits.set(visits.get() + 1);
+        tree.nodes[li as usize].density < threshold
+    });
+    let prefix_len = match cut {
+        0 => 0,
+        _ => {
+            let last = &tree.nodes[store_order[cut - 1] as usize];
+            last.offset + last.len
+        }
+    };
+    (cut, prefix_len)
 }
 
 /// Finds the threshold density that keeps (approximately, rounding up to a
@@ -172,22 +217,11 @@ pub fn threshold_for_budget_tree(tree: &Octree, max_particles: usize) -> f64 {
     budget_threshold(tree, &tree.leaves_in_store_order(), max_particles)
 }
 
-/// How many particles [`extract`] keeps at `threshold`, from the octree
-/// alone: the end of the last group, in store order, before the first
-/// leaf at or above the threshold. This is the length of the prefix of
-/// the particle store to read — "discarded particles are never read from
-/// disk" — and equals `extract(data, threshold).particles.len()`.
+/// [`kept_prefix`] from the octree alone, its store order recovered from
+/// the leaf offsets ([`Octree::leaves_in_store_order`]); equals
+/// `extract(data, threshold).particles.len()`.
 pub fn kept_prefix_tree(tree: &Octree, threshold: f64) -> u64 {
-    let mut kept = 0u64;
-    for li in tree.leaves_in_store_order() {
-        let n = &tree.nodes[li as usize];
-        if n.density < threshold {
-            kept = n.offset.saturating_add(n.len);
-        } else {
-            break;
-        }
-    }
-    kept
+    kept_prefix(tree, &tree.leaves_in_store_order(), threshold)
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@
 //! 2. **Extraction** (fast, repeatable): given a threshold density, the
 //!    particles of all nodes below the threshold are exactly a contiguous
 //!    prefix of the sorted particles, so extraction is a straight copy;
-//!    [`extraction::kept_prefix_tree`] sizes that prefix from the nodes
+//!    [`extraction::kept_prefix`] sizes that prefix from the nodes
 //!    alone, and the run store's `load_prefix` reads only it, so
 //!    discarded particles are never read from disk.
 //!

@@ -6,7 +6,7 @@
 //! corresponding node once they are read from disk" (§2.3). Here the
 //! "nodes" are Rayon tasks: projection and octant assignment run as
 //! chunked parallel passes, the root's octants are built independently in
-//! parallel (sharing the serial builder's `grow_subtree` routine, so
+//! parallel (sharing the serial builder's `grow_subtree` and `padded_bounds`, so
 //! splitting and gradient-refinement decisions are identical by
 //! construction), and the pieces are grafted under a common root. The
 //! result is bit-identical to the serial build for the same parameters at
@@ -15,12 +15,12 @@
 //! node layout.
 //!
 
-use crate::builder::{grow_subtree, BuildParams, Subtree};
+use crate::builder::{grow_subtree, padded_bounds, BuildParams, Subtree};
 use crate::node::{Node, Octree};
 use crate::plots::PlotType;
 use crate::sorted_store::PartitionedData;
 use accelviz_beam::particle::Particle;
-use accelviz_math::{Aabb, Vec3};
+use accelviz_math::Vec3;
 use rayon::prelude::*;
 
 /// Partitions a particle dump using the multi-node (domain-decomposed)
@@ -180,20 +180,6 @@ fn partition_parallel_finite(
         max_depth: params.max_depth,
     };
     PartitionedData::from_build(tree, leaf_slots, leaf_items, particles, plot)
-}
-
-fn padded_bounds(points: &[Vec3]) -> Aabb {
-    let raw = Aabb::from_points(points.iter().copied());
-    if raw.is_empty() {
-        return Aabb::new(Vec3::ZERO, Vec3::ONE);
-    }
-    let size = raw.size();
-    let pad = Vec3::new(
-        (size.x * 1e-9).max(1e-12),
-        (size.y * 1e-9).max(1e-12),
-        (size.z * 1e-9).max(1e-12),
-    );
-    Aabb::new(raw.min, raw.max + pad)
 }
 
 #[cfg(test)]

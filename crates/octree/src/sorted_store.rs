@@ -100,14 +100,12 @@ impl PartitionedData {
         particles: Vec<Particle>,
         plot: PlotType,
     ) -> Result<PartitionedData, String> {
-        let data = PartitionedData {
-            sorted_leaves: tree.leaves_in_store_order(),
+        Ok(PartitionedData {
+            sorted_leaves: checked_store_order(&tree, particles.len() as u64)?,
             tree,
             particles,
             plot,
-        };
-        data.validate()?;
-        Ok(data)
+        })
     }
 
     /// The octree ("node file").
@@ -171,36 +169,53 @@ impl PartitionedData {
     /// groups are contiguous, cover the particle array exactly, and appear
     /// in ascending density order.
     pub fn validate(&self) -> Result<(), String> {
-        let mut expected_offset = 0u64;
-        let mut last_density = f64::NEG_INFINITY;
-        for &li in &self.sorted_leaves {
-            let n = &self.tree.nodes[li as usize];
-            if !n.is_leaf() {
-                return Err(format!("sorted leaf {li} is not a leaf"));
-            }
-            if n.offset != expected_offset {
-                return Err(format!(
-                    "group of leaf {li} starts at {} expected {expected_offset}",
-                    n.offset
-                ));
-            }
-            if n.density < last_density {
-                return Err(format!(
-                    "density order violated at leaf {li}: {} after {last_density}",
-                    n.density
-                ));
-            }
-            last_density = n.density;
-            expected_offset += n.len;
+        check_groups(&self.tree, &self.sorted_leaves, self.particles.len() as u64)
+    }
+}
+
+/// `tree`'s leaves in store order ([`Octree::leaves_in_store_order`]),
+/// checked as [`PartitionedData::validate`] checks a store: their groups
+/// tile `particles` records in ascending density. What lets a reader that
+/// holds only a prefix of the particles trust the tree to say how long
+/// the kept prefix is.
+pub fn checked_store_order(tree: &Octree, particles: u64) -> Result<Vec<u32>, String> {
+    let order = tree.leaves_in_store_order();
+    check_groups(tree, &order, particles)?;
+    Ok(order)
+}
+
+fn check_groups(tree: &Octree, order: &[u32], particles: u64) -> Result<(), String> {
+    let mut expected_offset = 0u64;
+    let mut last_density = f64::NEG_INFINITY;
+    for &li in order {
+        let n = &tree.nodes[li as usize];
+        if !n.is_leaf() {
+            return Err(format!("sorted leaf {li} is not a leaf"));
         }
-        if expected_offset != self.particles.len() as u64 {
+        if n.offset != expected_offset {
             return Err(format!(
-                "groups cover {expected_offset} of {} particles",
-                self.particles.len()
+                "group of leaf {li} starts at {} expected {expected_offset}",
+                n.offset
             ));
         }
-        Ok(())
+        // A NaN density is out of order: nothing sorts it.
+        if n.density.is_nan() || n.density < last_density {
+            return Err(format!(
+                "density order violated at leaf {li}: {} after {last_density}",
+                n.density
+            ));
+        }
+        last_density = n.density;
+        expected_offset = expected_offset
+            .checked_add(n.len)
+            .ok_or_else(|| format!("group of leaf {li} overflows the store"))?;
     }
+    if expected_offset != particles {
+        return Err(format!(
+            "groups cover {expected_offset} of {particles} particles"
+        ));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -284,6 +299,31 @@ mod tests {
         assert!(
             PartitionedData::from_sorted_parts(data.tree().clone(), short, data.plot()).is_err()
         );
+    }
+
+    #[test]
+    fn a_nan_density_breaks_the_store_order() {
+        let data = build(3_000);
+        let n = data.particles().len() as u64;
+        assert_eq!(
+            checked_store_order(data.tree(), n).unwrap(),
+            data.tree().leaves_in_store_order()
+        );
+        // NaN compares false both ways, so `NaN < last` alone lets it pass
+        // and the leaves after it would no longer form a prefix.
+        for at in [
+            0,
+            data.sorted_leaves().len() / 2,
+            data.sorted_leaves().len() - 1,
+        ] {
+            let mut tree = data.tree().clone();
+            tree.nodes[data.sorted_leaves()[at] as usize].density = f64::NAN;
+            let err = checked_store_order(&tree, n).unwrap_err();
+            assert!(err.contains("density order"), "leaf {at}: {err}");
+            let parts =
+                PartitionedData::from_sorted_parts(tree, data.particles().to_vec(), data.plot());
+            assert!(parts.is_err(), "leaf {at}");
+        }
     }
 
     #[test]

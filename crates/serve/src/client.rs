@@ -393,7 +393,8 @@ impl Client {
         }
     }
 
-    /// Fetches the service's metrics snapshot: a server's registry, or a
+    /// Fetches the service's metrics snapshot: a server's registry (a
+    /// stored server's with its run's `store.resident_*` counters), or a
     /// router's merged with its reachable shards'.
     pub fn stats(&mut self) -> Result<Snapshot> {
         match self.call(Request::Stats)? {

@@ -35,9 +35,10 @@
 //! uses, while the current frame is still being sent, decoded and drawn.
 //! It is speculation and gives way to everything: a 1-slot queue whose
 //! overflow is dropped, a `try` extraction permit, no read-ahead at all
-//! when the run's residency budget cannot hold the current frame and the
-//! next together, and its own `serve.readahead_*` counters so that
-//! `serve.cache_hits` / `serve.cache_misses` keep counting *requests*.
+//! when the run's residency budget cannot hold the particles of the
+//! current frame and the next together, and its own `serve.readahead_*`
+//! counters so that `serve.cache_hits` / `serve.cache_misses` keep
+//! counting *requests*.
 //!
 //! Scale-out: N of these servers can sit behind one
 //! [`crate::router::FrameRouter`], each owning a rendezvous-hashed slice
@@ -62,7 +63,7 @@ use accelviz_core::shard::ShardSpec;
 use accelviz_octree::extraction::{threshold_for_budget, threshold_for_budget_tree};
 use accelviz_octree::sorted_store::PartitionedData;
 use accelviz_store::ResidentRun;
-use accelviz_trace::registry::Registry;
+use accelviz_trace::registry::{Registry, Snapshot};
 use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -112,8 +113,8 @@ impl Default for ServerConfig {
 }
 
 /// Where a run's frames live: the preprocessed partitions held in
-/// memory, or an on-disk run whose particle data pages in and out under
-/// [`ResidentRun`]'s byte budget. This is the only code that knows
+/// memory, or an on-disk run whose kept prefixes and grids page in and
+/// out under [`ResidentRun`]'s byte budget. This is the only code that knows
 /// which, so a server — direct or one shard of many — serves a run
 /// bit-identically to the partitions it was written from.
 #[derive(Clone)]
@@ -172,7 +173,9 @@ impl Origin {
     /// Whether producing frame `next < frame_count()` may page it in
     /// beside its predecessor — the frame being served while a read-ahead
     /// runs — without the residency window evicting either. Partitions
-    /// in memory have no window to disturb.
+    /// in memory have no window to disturb. A run is charged both frames'
+    /// raw particle bytes, not their compact window entries: a cold page-in
+    /// holds the whole frame while it bins the grid.
     fn holds_with_predecessor(&self, next: usize) -> bool {
         match self {
             Origin::Memory(_) => true,
@@ -184,21 +187,23 @@ impl Origin {
         }
     }
 
-    /// Frame `frame` extracted at `threshold` into a `dims` volume.
+    /// Frame `frame` extracted at `threshold` into a `dims` volume. A run
+    /// reads only what its window lacks of the frame's kept prefix and
+    /// grid; it never pages in the particles the threshold discards.
     fn extract(&self, frame: u32, threshold: f64, dims: [usize; 3]) -> Fetched {
         let index = frame as usize;
-        let paged_in;
-        let data = match self {
-            Origin::Memory(data) => &data[index],
+        let extracted = match self {
+            Origin::Memory(data) => {
+                HybridFrame::from_partition(&data[index], index, threshold, dims)
+            }
             Origin::Run(run) => {
-                paged_in = run.fetch(index).map_err(|e| {
+                let (extracted, _) = run.hybrid_frame(index, threshold, dims).map_err(|e| {
                     let why = format!("run store failed loading frame {frame}: {e}");
                     Refusal::new(ERR_INTERNAL, why)
                 })?;
-                &paged_in.data
+                extracted
             }
         };
-        let extracted = HybridFrame::from_partition(data, index, threshold, dims);
         Ok(Arc::new(Served::new(extracted)))
     }
 
@@ -303,6 +308,18 @@ impl Handler for Shared {
             self.metrics.add(served_from, 1);
         }
         fetched
+    }
+
+    /// The registry, plus a run's residency window under its
+    /// `store.resident_*` names.
+    fn stats(&self) -> Snapshot {
+        let mut snapshot = self.metrics.snapshot();
+        if let Origin::Run(run) = &self.origin {
+            for (name, value) in run.stats().counters() {
+                snapshot.counters.insert(name.to_string(), value);
+            }
+        }
+        snapshot
     }
 
     /// Queues the hint for the helper, or drops it: the session that
@@ -505,7 +522,9 @@ impl FrameServer {
     }
 
     /// This server's private metrics registry — what a `Stats` reply
-    /// carries ([`Registry::snapshot`]), read in process.
+    /// carries ([`Registry::snapshot`]), read in process. A stored
+    /// server's reply adds its run's residency counters
+    /// ([`accelviz_store::ResidentStats::counters`]).
     pub fn metrics(&self) -> &Registry {
         &self.door.handler().metrics
     }

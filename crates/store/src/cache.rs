@@ -216,9 +216,14 @@ impl<K: Clone + Eq + Hash, V, E: Clone> Cache<K, V, E> {
             let mut g = lock(&self.inner);
             match &outcome {
                 Ok(Ok(value)) => self.admit(&mut g, key, Arc::clone(value)),
-                // Failed or panicked: vacate the key, cache nothing.
+                // Failed or panicked: vacate the key, cache nothing —
+                // unless an `insert` has made it ready meanwhile.
                 _ => {
-                    g.entries.remove(&key);
+                    let ours = matches!(g.entries.get(&key),
+                        Some(Entry::Fetching(p)) if std::ptr::eq(Arc::as_ptr(p), pending));
+                    if ours {
+                        g.entries.remove(&key);
+                    }
                 }
             }
         }
@@ -522,6 +527,32 @@ mod tests {
             assert!(resident(&cache, 1) && !resident(&cache, 0));
             let s = cache.stats();
             assert_eq!((s.entries, s.evictions), (1, 1));
+        }
+    }
+
+    #[test]
+    fn a_failed_fetch_keeps_a_value_inserted_while_it_ran() {
+        // A fetch that fails or panics after an `insert` of its key
+        // leaves the inserted value resident and the books balanced.
+        for panics in [false, true] {
+            let cache = per_byte(10_000);
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                cache.get_or_fetch(0, || {
+                    cache.insert(0, frame(1));
+                    if panics {
+                        panic!("fetch panicked");
+                    }
+                    Err("fetch failed".to_string())
+                })
+            }));
+            assert_eq!(run.is_err(), panics);
+            let s = cache.stats();
+            assert_eq!((s.entries, s.weight), (1, frame(1).len() as u64), "{s:?}");
+            assert_eq!(cache.get(&0).unwrap().len(), frame(1).len());
+            // Evicting it refunds exactly its weight.
+            cache.insert(1, Arc::new(vec![0; 10_000]));
+            let s = cache.stats();
+            assert_eq!((s.entries, s.weight, s.evictions), (1, 10_000, 1), "{s:?}");
         }
     }
 

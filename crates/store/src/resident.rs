@@ -1,40 +1,139 @@
-//! Residency management over an on-disk run: which frames are in memory.
+//! Residency management over an on-disk run: what of each frame is in
+//! memory.
 //!
 //! A [`ResidentRun`] keeps every frame's octree resident (node blobs are
 //! tiny — 88 bytes per node — and reading them eagerly doubles as a
-//! fail-fast checksum pass over all directory metadata) while particle
-//! arrays, the bulk of a run, page in on demand and page out under an
-//! explicit byte budget. The window is a [`Cache`] keyed by frame index
-//! and weighed in particle bytes, so the whole pipeline shares one
-//! eviction policy.
+//! fail-fast pass over all directory metadata: checksums and the store
+//! invariant). Of a frame's particles it keeps what extraction uses: the
+//! frame's density grid, binned when the frame is first read, and the
+//! longest kept prefix asked of it since — so after a frame's first read,
+//! "discarded particles are never read from disk" (§2.3). The window is
+//! a [`Cache`] keyed by frame index and weighed in the bytes an entry
+//! holds, prefix records plus grid cells, so the whole pipeline shares
+//! one eviction policy.
 //!
-//! Loads run outside every lock: distinct cold frames page in
+//! A request is one of three things, each counted:
+//! - *cold*: the frame is not resident. Every chunk is read and verified
+//!   once, the grid is binned from them, and only the asked prefix is
+//!   kept, copied out of the read.
+//! - *extension*: the entry holds a shorter prefix, or a grid at other
+//!   dims. Only the records beyond the held prefix are read; a grid at
+//!   new dims needs the whole frame, so it reads the rest of it.
+//! - *warm*: the entry holds what was asked. Nothing is read.
+//!
+//! An entry holds one grid, at the dims last asked for: a run serves
+//! one `volume_dims` efficiently. Servers at different dims that share
+//! one run replace each other's grids, and each switch re-reads the
+//! records beyond the held prefix and bins again.
+//!
+//! Loads run outside the window's lock: distinct cold frames page in
 //! concurrently, a warm hit never waits behind another frame's disk
-//! read, and concurrent fetches of the *same* cold frame coalesce onto
-//! one load. A fetch that joined another caller's load read nothing
-//! itself and reports `warm: true, bytes_loaded: 0`.
+//! read, and concurrent requests of the *same* cold frame coalesce onto
+//! one load. A coalesced request that wanted a longer prefix than the
+//! load kept extends it. Extensions of one frame take turns, so an entry
+//! only grows while it is resident, and a request that waited on another
+//! extension reads only what that one did not.
 
 use crate::cache::{Cache, Lookup};
 use crate::run::RunStore;
+use accelviz_beam::io::BYTES_PER_PARTICLE;
+use accelviz_beam::particle::Particle;
+use accelviz_core::hybrid::HybridFrame;
+use accelviz_octree::density::DensityGrid;
+use accelviz_octree::extraction::kept_prefix;
 use accelviz_octree::node::Octree;
 use accelviz_octree::plots::PlotType;
-use accelviz_octree::sorted_store::PartitionedData;
+use accelviz_octree::sorted_store::{checked_store_order, PartitionedData};
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// A run file plus an in-memory residency window over its frames.
 pub struct ResidentRun {
     store: RunStore,
     /// Every frame's octree and plot type, always resident.
     trees: Vec<(Octree, PlotType)>,
+    /// Every frame's leaves in store order, checked at open.
+    store_orders: Vec<Vec<u32>>,
+    /// One turn at extending each frame's entry.
+    extending: Vec<Mutex<()>>,
     budget_bytes: u64,
-    /// Resident particle data by frame index. A failed load travels to
-    /// its coalesced waiters as the `io::Error`'s kind and message.
-    resident: Cache<u32, PartitionedData, (io::ErrorKind, String)>,
+    /// What is held of each frame, by frame index. A failed load travels
+    /// to its coalesced waiters as the `io::Error`'s kind and message.
+    window: Cache<u32, Held, (io::ErrorKind, String)>,
     cold_loads: AtomicU64,
+    prefix_extensions: AtomicU64,
     warm_hits: AtomicU64,
+    grids_binned: AtomicU64,
+}
+
+/// What the window holds of one frame.
+struct Held {
+    particles: Kept,
+    /// The frame binned at the dims last asked for; `None` while only
+    /// [`ResidentRun::fetch`] has asked.
+    grid: Option<Arc<DensityGrid>>,
+}
+
+/// A held prefix of a frame's density-sorted particles.
+#[derive(Clone)]
+enum Kept {
+    /// Fewer than all of them.
+    Prefix(Vec<Particle>),
+    /// All of them, as the frame's store: what [`ResidentRun::fetch`]
+    /// shares.
+    Whole(Arc<PartitionedData>),
+}
+
+impl Held {
+    fn particles(&self) -> &[Particle] {
+        match &self.particles {
+            Kept::Prefix(prefix) => prefix,
+            Kept::Whole(data) => data.particles(),
+        }
+    }
+
+    /// What the window charges: prefix records plus grid cells.
+    fn weight(&self) -> u64 {
+        let cells = self.grid.as_ref().map_or(0, |g| g.data().len() as u64);
+        self.particles().len() as u64 * BYTES_PER_PARTICLE + cells * 4
+    }
+
+    /// Whether this entry answers a request for `want` records and, when
+    /// `dims` is given, a grid at those dims.
+    fn holds(&self, want: u64, dims: Option<[usize; 3]>) -> bool {
+        self.particles().len() as u64 >= want && self.has_grid(dims)
+    }
+
+    /// Whether this entry holds a grid at `dims`, if any are asked for.
+    fn has_grid(&self, dims: Option<[usize; 3]>) -> bool {
+        dims.is_none_or(|d| self.grid.as_ref().is_some_and(|g| g.dims() == d))
+    }
+}
+
+/// One frame's kept prefix and grid, as [`ResidentRun::frame`] returns
+/// them.
+pub struct Paged {
+    held: Arc<Held>,
+    /// Whether this request read nothing from disk.
+    pub warm: bool,
+    /// Particle bytes this request read from disk (0 when warm).
+    pub bytes_loaded: u64,
+}
+
+impl Paged {
+    /// The held prefix of the frame's density-sorted particles: at least
+    /// the records asked for, perhaps more.
+    pub fn prefix(&self) -> &[Particle] {
+        self.held.particles()
+    }
+
+    /// The whole frame binned at the dims asked for.
+    pub fn grid(&self) -> &DensityGrid {
+        let grid = self.held.grid.as_deref();
+        grid.expect("ResidentRun::frame returns a binned grid")
+    }
 }
 
 /// Result of fetching one frame's partitioned data.
@@ -44,7 +143,7 @@ pub struct Fetch {
     /// Whether this fetch read nothing from disk: the frame was resident,
     /// or another caller's in-flight load of it was joined.
     pub warm: bool,
-    /// Bytes read from disk for this fetch (0 when warm).
+    /// Particle bytes read from disk for this fetch (0 when warm).
     pub bytes_loaded: u64,
 }
 
@@ -53,14 +152,18 @@ pub struct Fetch {
 pub struct ResidentStats {
     /// Frames currently resident.
     pub resident_frames: usize,
-    /// Particle bytes currently resident.
+    /// Bytes the window holds: kept prefixes plus grids.
     pub resident_bytes: u64,
     /// The configured residency budget.
     pub budget_bytes: u64,
-    /// Fetches that had to read from disk.
+    /// Requests that read a whole frame that was not resident.
     pub cold_loads: u64,
-    /// Fetches satisfied from memory.
+    /// Requests that read only the records beyond a held prefix.
+    pub prefix_extensions: u64,
+    /// Requests answered without reading.
     pub warm_hits: u64,
+    /// Density grids binned, each from a whole frame.
+    pub grids_binned: u64,
     /// Frames evicted to stay under budget.
     pub evictions: u64,
     /// Checksum-verified chunks read from disk so far.
@@ -69,23 +172,54 @@ pub struct ResidentStats {
     pub bytes_read: u64,
 }
 
+impl ResidentStats {
+    /// The counters, under the registry names a stored server's `Stats`
+    /// reply carries them by.
+    pub fn counters(&self) -> [(&'static str, u64); 7] {
+        [
+            ("store.resident_loads", self.cold_loads),
+            ("store.resident_extensions", self.prefix_extensions),
+            ("store.resident_warm_hits", self.warm_hits),
+            ("store.resident_grids_binned", self.grids_binned),
+            ("store.resident_evictions", self.evictions),
+            ("store.resident_chunks_read", self.chunks_read),
+            ("store.resident_bytes_read", self.bytes_read),
+        ]
+    }
+}
+
+fn invalid_input(message: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidInput, message)
+}
+
 impl ResidentRun {
-    /// Opens a run file with a particle-residency budget of
-    /// `budget_bytes`. All octrees are loaded (and checksum-verified)
-    /// eagerly; particle data stays on disk until fetched.
+    /// Opens a run file with a residency budget of `budget_bytes`. All
+    /// octrees are loaded, checksum-verified and checked against their
+    /// frame's particle count eagerly; particle data stays on disk until
+    /// asked for.
     pub fn open(path: &Path, budget_bytes: u64) -> io::Result<ResidentRun> {
         let store = RunStore::open(path)?;
         let mut trees = Vec::with_capacity(store.frame_count());
+        let mut store_orders = Vec::with_capacity(store.frame_count());
         for i in 0..store.frame_count() {
-            trees.push(store.read_tree(i)?);
+            let (tree, plot) = store.read_tree(i)?;
+            let order = checked_store_order(&tree, store.particle_count(i)).map_err(|e| {
+                io::Error::new(io::ErrorKind::InvalidData, format!("frame {i}: {e}"))
+            })?;
+            trees.push((tree, plot));
+            store_orders.push(order);
         }
         Ok(ResidentRun {
+            extending: store_orders.iter().map(|_| Mutex::new(())).collect(),
             store,
             trees,
+            store_orders,
             budget_bytes,
-            resident: Cache::new(budget_bytes, PartitionedData::particle_file_bytes),
+            window: Cache::new(budget_bytes, Held::weight),
             cold_loads: AtomicU64::new(0),
+            prefix_extensions: AtomicU64::new(0),
             warm_hits: AtomicU64::new(0),
+            grids_binned: AtomicU64::new(0),
         })
     }
 
@@ -112,53 +246,199 @@ impl ResidentRun {
             .sum()
     }
 
-    /// Fetches frame `i`, reading and checksum-verifying its chunks if it
-    /// is not resident, after evicting least-recently-used frames until
-    /// the residency budget has room for it. The just-fetched frame is
-    /// never evicted, so a single frame larger than the whole budget
-    /// still serves (the budget is then transiently exceeded).
+    /// Frame `i`'s first `kept` particles (or more) and its density grid
+    /// at `dims`: what [`HybridFrame::from_parts`] extracts from, with
+    /// `kept` the [`kept_prefix`] of [`ResidentRun::tree`]. Reads what the window does not hold (see
+    /// the [module docs](self)), after evicting least-recently-used
+    /// frames until the budget has room. The frame just paged is never
+    /// evicted, so one larger than the whole budget still serves.
+    pub fn frame(&self, i: usize, kept: u64, dims: [usize; 3]) -> io::Result<Paged> {
+        self.page(i, Some(kept), Some(dims))
+    }
+
+    /// Frame `i` extracted at `threshold` beside its grid at `dims`:
+    /// [`ResidentRun::frame`] of the [`kept_prefix`], then
+    /// [`HybridFrame::from_parts`] — bit-identical to
+    /// [`HybridFrame::from_partition`] of the frame in memory. The
+    /// [`Paged`] says what the read cost.
+    pub fn hybrid_frame(
+        &self,
+        i: usize,
+        threshold: f64,
+        dims: [usize; 3],
+    ) -> io::Result<(HybridFrame, Paged)> {
+        self.key(i)?;
+        let ((tree, plot), order) = (&self.trees[i], &self.store_orders[i]);
+        let paged = self.frame(i, kept_prefix(tree, order, threshold), dims)?;
+        let grid = paged.grid().clone();
+        let frame = HybridFrame::from_parts(tree, order, *plot, paged.prefix(), grid, i, threshold);
+        Ok((frame, paged))
+    }
+
+    /// Frame `i` whole, as its partitioned store: the prefix of all its
+    /// particles, through the same window as [`ResidentRun::frame`].
     pub fn fetch(&self, i: usize) -> io::Result<Fetch> {
-        let key = u32::try_from(i)
+        let paged = self.page(i, None, None)?;
+        let Kept::Whole(data) = &paged.held.particles else {
+            unreachable!("a prefix of every record is kept whole")
+        };
+        Ok(Fetch {
+            data: Arc::clone(data),
+            warm: paged.warm,
+            bytes_loaded: paged.bytes_loaded,
+        })
+    }
+
+    fn key(&self, i: usize) -> io::Result<u32> {
+        u32::try_from(i)
             .ok()
             .filter(|_| i < self.frame_count())
-            .ok_or_else(|| {
-                io::Error::new(io::ErrorKind::InvalidInput, "frame index out of range")
-            })?;
-        let (loaded, lookup) = self.resident.get_or_fetch(key, || {
-            let particles = self
-                .store
-                .load_particles(i)
-                .map_err(|e| (e.kind(), e.to_string()))?;
-            let (tree, plot) = &self.trees[i];
-            PartitionedData::from_sorted_parts(tree.clone(), particles, *plot)
+            .ok_or_else(|| invalid_input("frame index out of range".to_string()))
+    }
+
+    /// The one window lookup: `want` records of frame `i` (all of them
+    /// if `None`) and, when `dims` is given, its grid at those dims.
+    fn page(&self, i: usize, want: Option<u64>, dims: Option<[usize; 3]>) -> io::Result<Paged> {
+        let key = self.key(i)?;
+        let count = self.store.particle_count(i);
+        let want = want.unwrap_or(count);
+        if want > count {
+            let why = format!("prefix of {want} records asked of frame {i}'s {count}");
+            return Err(invalid_input(why));
+        }
+        let (held, lookup) = self.window.get_or_fetch(key, || {
+            self.cold(i, want, dims)
                 .map(Arc::new)
-                .map_err(|e| (io::ErrorKind::InvalidData, e))
+                .map_err(|e| (e.kind(), e.to_string()))
         });
-        let data = loaded.map_err(|(kind, message)| io::Error::new(kind, message))?;
-        let warm = lookup != Lookup::Fetched;
-        let (counter, bytes_loaded) = if warm {
-            (&self.warm_hits, 0)
+        let held = held.map_err(|(kind, message)| io::Error::new(kind, message))?;
+        let (held, bytes_loaded) = if lookup == Lookup::Fetched {
+            self.cold_loads.fetch_add(1, Ordering::Relaxed);
+            (held, count * BYTES_PER_PARTICLE)
+        } else if held.holds(want, dims) {
+            (held, 0)
         } else {
-            (&self.cold_loads, data.particle_file_bytes())
+            // Extend what is held now: an extension this one waited on
+            // may already have read what it asks.
+            let _turn = self.extending[i].lock().unwrap_or_else(|e| e.into_inner());
+            let held = self.window.get(&key).unwrap_or(held);
+            if held.holds(want, dims) {
+                (held, 0)
+            } else {
+                let (extended, bytes) = self.extend(i, &held, want, dims)?;
+                let extended = Arc::new(extended);
+                self.window.insert(key, Arc::clone(&extended));
+                if bytes > 0 {
+                    self.prefix_extensions.fetch_add(1, Ordering::Relaxed);
+                }
+                (extended, bytes)
+            }
         };
-        counter.fetch_add(1, Ordering::Relaxed);
-        Ok(Fetch {
-            data,
-            warm,
+        if bytes_loaded == 0 {
+            self.warm_hits.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(Paged {
+            held,
+            warm: bytes_loaded == 0,
             bytes_loaded,
         })
     }
 
+    /// Frame `i` paged in: every chunk read once, the grid binned from
+    /// them when `dims` asks for one, `want` records kept.
+    fn cold(&self, i: usize, want: u64, dims: Option<[usize; 3]>) -> io::Result<Held> {
+        let particles = self.store.load_particles(i)?;
+        let grid = dims.map(|d| self.bin(i, &particles, d));
+        self.keep(i, particles, want, grid)
+    }
+
+    /// `held` grown to `want` records and, if `dims` asks for a grid it
+    /// lacks, re-binned — reading only the records beyond its prefix.
+    /// Returns the new entry and the particle bytes read.
+    fn extend(
+        &self,
+        i: usize,
+        held: &Held,
+        want: u64,
+        dims: Option<[usize; 3]>,
+    ) -> io::Result<(Held, u64)> {
+        let have = held.particles();
+        let held_len = have.len() as u64;
+        let rebin = !held.has_grid(dims);
+        // Binning needs the whole frame.
+        let through = if rebin {
+            self.store.particle_count(i)
+        } else {
+            want
+        };
+        if through == held_len {
+            // A whole frame in hand, binned anew: nothing to read.
+            let grid = dims.map(|d| self.bin(i, have, d));
+            let particles = held.particles.clone();
+            return Ok((Held { particles, grid }, 0));
+        }
+        let rest = self.store.load_range(i, held_len..through)?;
+        let mut particles = Vec::with_capacity(through as usize);
+        particles.extend_from_slice(have);
+        particles.extend_from_slice(&rest);
+        let grid = match dims {
+            Some(d) if rebin => Some(self.bin(i, &particles, d)),
+            _ => held.grid.clone(),
+        };
+        let bytes = rest.len() as u64 * BYTES_PER_PARTICLE;
+        Ok((self.keep(i, particles, want.max(held_len), grid)?, bytes))
+    }
+
+    /// Frame `i` binned at `dims` from all of its `particles`.
+    fn bin(&self, i: usize, particles: &[Particle], dims: [usize; 3]) -> Arc<DensityGrid> {
+        self.grids_binned.fetch_add(1, Ordering::Relaxed);
+        let (tree, plot) = &self.trees[i];
+        Arc::new(DensityGrid::from_particles(
+            particles,
+            *plot,
+            tree.bounds,
+            dims,
+        ))
+    }
+
+    /// The entry for frame `i` keeping the first `want` of `particles`
+    /// (which hold at least that many) beside `grid`. A strict prefix is
+    /// copied out, so the entry never carries the read's capacity.
+    fn keep(
+        &self,
+        i: usize,
+        particles: Vec<Particle>,
+        want: u64,
+        grid: Option<Arc<DensityGrid>>,
+    ) -> io::Result<Held> {
+        let particles = if want < self.store.particle_count(i) {
+            let exact = particles.len() as u64 == want;
+            Kept::Prefix(match exact {
+                true => particles,
+                false => particles[..want as usize].to_vec(),
+            })
+        } else {
+            let (tree, plot) = &self.trees[i];
+            let data = PartitionedData::from_sorted_parts(tree.clone(), particles, *plot)
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+            Kept::Whole(Arc::new(data))
+        };
+        Ok(Held { particles, grid })
+    }
+
     /// Current residency counters.
     pub fn stats(&self) -> ResidentStats {
-        let held = self.resident.stats();
+        let held = self.window.stats();
         let (chunks_read, bytes_read) = self.store.io_stats();
+        let count = |c: &AtomicU64| c.load(Ordering::Relaxed);
         ResidentStats {
             resident_frames: held.entries,
             resident_bytes: held.weight,
             budget_bytes: self.budget_bytes,
-            cold_loads: self.cold_loads.load(Ordering::Relaxed),
-            warm_hits: self.warm_hits.load(Ordering::Relaxed),
+            cold_loads: count(&self.cold_loads),
+            prefix_extensions: count(&self.prefix_extensions),
+            warm_hits: count(&self.warm_hits),
+            grids_binned: count(&self.grids_binned),
             evictions: held.evictions,
             chunks_read,
             bytes_read,

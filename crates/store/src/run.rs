@@ -37,6 +37,7 @@ use accelviz_octree::sorted_store::PartitionedData;
 use accelviz_octree::store_io::{read_node_file, write_node_file};
 use std::fs::File;
 use std::io::{self, Write};
+use std::ops::Range;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -56,7 +57,7 @@ const MAX_TABLE_ENTRIES: u64 = 1 << 28;
 pub use crate::fnv1a64;
 use crate::fnv1a64_x4;
 
-/// Chunks [`RunStore::load_particles`] reads and verifies per group.
+/// Chunks [`RunStore::load_range`] reads and verifies per group.
 const CHECKSUM_LANES: usize = 4;
 
 /// Rounds a requested chunk size up to a positive multiple of the
@@ -395,7 +396,7 @@ impl RunStore {
     }
 
     /// `(chunks_read, bytes_read)` so far: the particle chunks
-    /// [`RunStore::load_prefix`] has read, and their bytes plus the
+    /// [`RunStore::load_range`] has read, and their bytes plus the
     /// node blobs [`RunStore::read_tree`] has read. The header and tables
     /// read once by [`RunStore::open`] are not counted.
     pub fn io_stats(&self) -> (u64, u64) {
@@ -427,46 +428,68 @@ impl RunStore {
     /// Frame `i`'s first `n` particles — the kept prefix of a threshold
     /// extraction when `n` is
     /// [`kept_prefix_tree`](accelviz_octree::extraction::kept_prefix_tree)
-    /// of the frame's tree. Only the chunks covering those records are
-    /// read, four to a group: read the group, hash its chunks side by side
-    /// ([`fnv1a64_x4`]), compare every hash with its table entry, and only
-    /// then decode the group's records. An `n` past the frame's particle
-    /// count is `InvalidInput`, refused before anything is sized.
+    /// of the frame's tree: [`RunStore::load_range`] from record 0.
     pub fn load_prefix(&self, i: usize, n: u64) -> io::Result<Vec<Particle>> {
+        self.load_range(i, 0..n)
+    }
+
+    /// Frame `i`'s records `records.start..records.end`. Only the chunks
+    /// covering those records are read, four to a group: read the group,
+    /// hash its chunks side by side ([`fnv1a64_x4`]), compare every hash
+    /// with its table entry, and only then decode the group's records. So
+    /// a reader holding a prefix extends it by the chunks beyond it alone
+    /// (the chunk its last record ends in is read again when that record
+    /// ends mid-chunk). An empty range reads nothing; a reversed range or
+    /// one past the frame's particle count is `InvalidInput`, refused
+    /// before anything is sized.
+    pub fn load_range(&self, i: usize, records: Range<u64>) -> io::Result<Vec<Particle>> {
         let d = &self.frames[i];
-        if n > d.particle_count {
+        let Range { start, end } = records;
+        if start > end || end > d.particle_count {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 format!(
-                    "prefix of {n} records asked of frame {i}'s {}",
+                    "records {start}..{end} asked of frame {i}'s {}",
                     d.particle_count
                 ),
             ));
         }
-        // Bytes of records still to decode. The frame's chunks cover
-        // exactly its `particle_count` records (checked at open), so the
-        // walk to the first chunk that reaches `want` stays in the table.
-        let mut want = n * BYTES_PER_PARTICLE;
-        let first = d.first_chunk as usize;
-        let mut end = first;
-        let mut reached = 0;
-        while reached < want {
-            reached += self.chunks[end].len;
-            end += 1;
+        if start == end {
+            return Ok(Vec::new());
         }
-        let chunks = &self.chunks[first..end];
+        // Byte offsets within the frame. The frame's chunks cover exactly
+        // its `particle_count` records (checked at open), so both walks
+        // stay in the table.
+        let (lo, hi) = (start * BYTES_PER_PARTICLE, end * BYTES_PER_PARTICLE);
+        let mut begin = d.first_chunk as usize;
+        let mut at = 0;
+        while at + self.chunks[begin].len <= lo {
+            at += self.chunks[begin].len;
+            begin += 1;
+        }
+        // Bytes of the first chunk before the range, then bytes of
+        // records still to decode.
+        let mut skip = lo - at;
+        let mut want = hi - lo;
+        let mut end_chunk = begin;
+        while at < hi {
+            at += self.chunks[end_chunk].len;
+            end_chunk += 1;
+        }
+        let chunks = &self.chunks[begin..end_chunk];
         // One scratch buffer per load, one group wide, sized from these
         // chunks' own table entries (each checked against the file length
         // at open) — never from the header's `chunk_bytes`, which is only
         // a claim.
         let largest = chunks.iter().map(|c| c.len).max().unwrap_or(0);
         let mut scratch = vec![0u8; CHECKSUM_LANES * largest as usize];
-        // Room for the `n` records those entries hold, and never more than
+        // Room for the records those entries hold, and never more than
         // the file could: two entries may name the same bytes.
-        let mut particles = Vec::with_capacity(n.min(self.src.len / BYTES_PER_PARTICLE) as usize);
+        let capacity = (end - start).min(self.src.len / BYTES_PER_PARTICLE);
+        let mut particles = Vec::with_capacity(capacity as usize);
         for (group, ci) in chunks
             .chunks(CHECKSUM_LANES)
-            .zip((first..).step_by(CHECKSUM_LANES))
+            .zip((begin..).step_by(CHECKSUM_LANES))
         {
             // A ragged last group leaves its spare lanes empty.
             let mut lanes: [&[u8]; CHECKSUM_LANES] = [&[]; CHECKSUM_LANES];
@@ -485,8 +508,12 @@ impl RunStore {
                     return Err(bad(format!("chunk {ci} of frame {i} failed checksum")));
                 }
             }
-            // The last chunk read may run past the prefix.
+            // The first chunk read may start before the range, the last
+            // may run past it.
             for bytes in &lanes[..group.len()] {
+                let from = skip.min(bytes.len() as u64);
+                skip -= from;
+                let bytes = &bytes[from as usize..];
                 let kept = &bytes[..bytes.len().min(want as usize)];
                 want -= kept.len() as u64;
                 particles.extend(kept.as_chunks().0.iter().map(Particle::from_le_bytes));
@@ -772,6 +799,38 @@ mod tests {
         for n in [1_001, 1 << 40, u64::MAX] {
             let err = store.load_prefix(0, n).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "n = {n}");
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_range_reads_the_chunks_it_touches_and_no_others() {
+        // 86 records to a chunk, 1_000 records in 12 chunks.
+        let frames = build_frames(1, 1_000);
+        let path = scratch("range-edges");
+        write_run_file(&path, &frames, 4_096).unwrap();
+        let store = RunStore::open(&path).unwrap();
+        let all = frames[0].particles();
+        for (start, end, chunks) in [
+            (0, 0, 0),
+            (500, 500, 0),
+            (0, 86, 1),
+            (86, 87, 1),
+            (85, 87, 2),
+            (100, 400, 4),
+            (86, 1_000, 11),
+            (999, 1_000, 1),
+            (1_000, 1_000, 0),
+        ] {
+            let before = store.io_stats().0;
+            let got = store.load_range(0, start..end).unwrap();
+            assert_eq!(got, &all[start as usize..end as usize], "{start}..{end}");
+            let read = store.io_stats().0 - before;
+            assert_eq!(read, chunks, "chunks read for {start}..{end}");
+        }
+        for (start, end) in [(2, 1), (0, 1_001), (1_001, 1_001)] {
+            let err = store.load_range(0, start..end).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{start}..{end}");
         }
         let _ = std::fs::remove_file(&path);
     }

@@ -5,19 +5,20 @@
 //! viewer steps through frames, warm frames display instantaneously, and
 //! cold frames stream from disk — except here the disk path is real
 //! (checksum-verified positioned chunk reads), not a latency model.
-//! Residency is delegated to [`ResidentRun`]; this adapter only converts
-//! fetches into hybrid frames and load reports.
+//! Residency and extraction are delegated to [`ResidentRun`]; this
+//! adapter only picks each frame's threshold and turns what the window
+//! read into load reports.
 
 use crate::resident::ResidentRun;
 use accelviz_core::hybrid::HybridFrame;
 use accelviz_core::viewer::{FrameLoad, FrameSource};
-use accelviz_octree::extraction::threshold_for_budget;
+use accelviz_octree::extraction::threshold_for_budget_tree;
 use std::io;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Serves hybrid frames straight out of a run file, paging particle data
-/// in and out under [`ResidentRun`]'s byte budget.
+/// Serves hybrid frames straight out of a run file, paging kept prefixes
+/// and grids in and out under [`ResidentRun`]'s byte budget.
 pub struct StoredRunSource {
     run: Arc<ResidentRun>,
     point_budget: usize,
@@ -53,16 +54,19 @@ impl FrameSource for StoredRunSource {
 
     fn load(&mut self, index: usize) -> io::Result<(Arc<HybridFrame>, FrameLoad)> {
         let started = Instant::now();
-        let fetch = self.run.fetch(index)?;
-        let threshold = threshold_for_budget(&fetch.data, self.point_budget);
-        let frame = HybridFrame::from_partition(&fetch.data, index, threshold, self.volume_dims);
+        if index >= self.run.frame_count() {
+            let why = format!("frame {index} of {}", self.run.frame_count());
+            return Err(io::Error::new(io::ErrorKind::InvalidInput, why));
+        }
+        let threshold = threshold_for_budget_tree(&self.run.tree(index).0, self.point_budget);
+        let (frame, paged) = self.run.hybrid_frame(index, threshold, self.volume_dims)?;
         Ok((
             Arc::new(frame),
             FrameLoad {
-                cache_hit: fetch.warm,
-                bytes_loaded: fetch.bytes_loaded,
+                cache_hit: paged.warm,
+                bytes_loaded: paged.bytes_loaded,
                 seconds: started.elapsed().as_secs_f64(),
-                texture_resident: fetch.warm,
+                texture_resident: paged.warm,
                 degraded: false,
                 partial: false,
             },
@@ -76,6 +80,7 @@ mod tests {
     use crate::run::write_run_file;
     use accelviz_beam::distribution::Distribution;
     use accelviz_octree::builder::{partition, BuildParams};
+    use accelviz_octree::extraction::threshold_for_budget;
     use accelviz_octree::plots::PlotType;
     use accelviz_octree::sorted_store::PartitionedData;
 
@@ -91,7 +96,8 @@ mod tests {
             std::env::temp_dir().join(format!("accelviz-source-match-{}", std::process::id()));
         write_run_file(&path, &frames, 4_096).unwrap();
 
-        // Budget of one frame: every forward step is a cold load.
+        // A budget of one frame's particles, and every forward step is to
+        // a frame not yet read: a cold load.
         let run = Arc::new(ResidentRun::open(&path, 700 * 48).unwrap());
         let mut source = StoredRunSource::new(run, 200, [8, 8, 8]);
         assert_eq!(source.frame_count(), 3);
@@ -107,6 +113,9 @@ mod tests {
         let (_, load) = source.load(2).unwrap();
         assert!(load.cache_hit);
         assert_eq!(load.bytes_loaded, 0);
+        // Past the end is an error, not a panic.
+        let err = source.load(3).expect_err("no frame 3");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -141,11 +141,16 @@ fn a_residency_budget_of_one_frame_is_never_read_ahead() {
         let (ahead, misses) = if reads_ahead { (n - 1, 2) } else { (0, n) };
         assert_eq!(count(&server, CTR_READAHEAD_FETCHES), ahead, "{budget}");
         assert_eq!(count(&server, CTR_CACHE_MISSES), misses, "{budget}");
-        // One page-in per extraction, whoever ran it: read-ahead moves
-        // page-ins ahead of their requests, it does not add any. Without
-        // it, page-ins are requests.
+        // One window request per extraction, whoever ran it: read-ahead
+        // moves requests ahead of their sessions, it does not add any.
+        // Each frame is paged in once: it is new to the window when first
+        // asked, and the last hint's frame 0 is still held — the window
+        // keeps frames as their grid and kept prefix — so it is not read
+        // again.
         let stats = run.stats();
-        assert_eq!(stats.cold_loads, misses + ahead, "{budget}: {stats:?}");
+        let requests = stats.cold_loads + stats.prefix_extensions + stats.warm_hits;
+        assert_eq!(requests, misses + ahead, "{budget}: {stats:?}");
+        assert_eq!(stats.cold_loads, n, "{budget}: {stats:?}");
         assert!(stats.resident_bytes <= budget, "{budget}: {stats:?}");
         drop(client);
         server.shutdown();

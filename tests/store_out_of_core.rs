@@ -13,7 +13,7 @@ use accelviz::octree::sorted_store::PartitionedData;
 use accelviz::serve::stats::{CTR_FRAMES_SERVED, CTR_FRAME_BYTES_RAW, CTR_FRAME_BYTES_WIRE};
 use accelviz::serve::wire::{encode_frame, CHECKSUM_BYTES, HEADER_BYTES};
 use accelviz::serve::{Client, ClientConfig, FrameServer, ServerConfig};
-use accelviz::store::run::write_run_file;
+use accelviz::store::run::{round_chunk_bytes, write_run_file};
 use accelviz::store::ResidentRun;
 use std::path::PathBuf;
 use std::sync::{Arc, Barrier};
@@ -87,20 +87,24 @@ fn stored_server_serves_a_run_bigger_than_its_residency_budget() {
         }
     }
 
-    // The residency layer did real paging under its budget.
+    // The residency layer did real paging under its budget. It weighs a
+    // frame as its grid plus its kept prefix: at +Inf that is more than
+    // one raw frame, so revisits re-page; at 2.5 it is a fraction of one,
+    // so the budget of two raw frames holds more than two.
     let rs = run.stats();
     assert!(rs.resident_bytes <= rs.budget_bytes);
     assert!(
-        rs.resident_frames <= 2,
-        "budget admits two frames, {} resident",
-        rs.resident_frames
+        rs.resident_frames > 2,
+        "compact frames: more than two resident, {rs:?}"
     );
     assert!(
         rs.cold_loads > FRAMES as u64,
         "revisits must re-page: {rs:?}"
     );
     assert!(rs.evictions >= 1, "an over-budget run must evict: {rs:?}");
+    // A cold load reads the whole frame once and bins it once.
     assert!(rs.bytes_read >= rs.cold_loads * PARTICLES as u64 * PARTICLE_BYTES);
+    assert_eq!(rs.grids_binned, rs.cold_loads, "{rs:?}");
 
     // The v2 session moved compressed frame payloads.
     let stats = client.stats().unwrap();
@@ -154,7 +158,8 @@ fn stored_server_counts_the_v2_bytes_its_clients_receive() {
 
 /// Four sessions ask for the same cold frame at four thresholds at once:
 /// four distinct extraction-cache keys, so nothing above the residency
-/// window can coalesce them — the window itself pages the frame in once.
+/// window can coalesce them — the window itself pages the frame in once
+/// and bins it once.
 #[test]
 fn four_thresholds_of_one_cold_frame_page_it_in_once() {
     let frames = build_frames();
@@ -162,6 +167,7 @@ fn four_thresholds_of_one_cold_frame_page_it_in_once() {
     write_run_file(&path, &frames, 4_096).unwrap();
 
     let run = Arc::new(ResidentRun::open(&path, u64::MAX).unwrap());
+    let at_open = run.stats();
     let config = ServerConfig::default();
     let dims = config.volume_dims;
     let server = FrameServer::spawn_loopback(Arc::clone(&run), config).unwrap();
@@ -181,8 +187,53 @@ fn four_thresholds_of_one_cold_frame_page_it_in_once() {
             });
         }
     });
+    // One page-in and one grid. The other three read nothing, or — when
+    // they asked more than the prefix the page-in kept — only the records
+    // beyond it: extensions take turns, so between them they read the
+    // frame's chunks at most once more, plus the one chunk each may share
+    // with the prefix it extends. Re-reading a whole frame per request
+    // would read four frames' chunks.
     let rs = run.stats();
-    assert_eq!((rs.cold_loads, rs.warm_hits), (1, 3), "{rs:?}");
+    assert_eq!((rs.cold_loads, rs.grids_binned), (1, 1), "{rs:?}");
+    let requests = rs.cold_loads + rs.prefix_extensions + rs.warm_hits;
+    assert_eq!(requests, 4, "{rs:?}");
+    let frame_chunks = (PARTICLES as u64 * PARTICLE_BYTES).div_ceil(round_chunk_bytes(4_096));
+    let read = rs.chunks_read - at_open.chunks_read;
+    assert!(
+        read <= 2 * frame_chunks + rs.prefix_extensions,
+        "{read} chunks of a {frame_chunks}-chunk frame: {rs:?}"
+    );
+
+    server.shutdown();
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A stored server's `Stats` reply carries its residency window's
+/// counters under their `store.resident_*` names, equal to the run's own.
+#[test]
+fn a_stored_servers_stats_reply_carries_the_windows_counters() {
+    let frames = build_frames();
+    let path = run_path("wire-counters");
+    write_run_file(&path, &frames, 4_096).unwrap();
+
+    let budget = 2 * PARTICLES as u64 * PARTICLE_BYTES;
+    let run = Arc::new(ResidentRun::open(&path, budget).unwrap());
+    let server = FrameServer::spawn_loopback(Arc::clone(&run), ServerConfig::default()).unwrap();
+    let mut client = Client::connect_with(server.addr(), ClientConfig::no_retry()).unwrap();
+
+    // No two requests in a row step by one frame at one threshold, so no
+    // read-ahead runs behind the reply. Three page-ins, and frame 3 asked
+    // again for its whole prefix: one extension.
+    for (frame, threshold) in [(3, 0.25), (0, 2.5), (3, f64::INFINITY), (5, 2.5)] {
+        client.fetch(frame, threshold).unwrap();
+    }
+    let stats = client.stats().unwrap();
+    let rs = run.stats();
+    assert_eq!((rs.cold_loads, rs.prefix_extensions), (3, 1), "{rs:?}");
+    for (name, value) in rs.counters() {
+        assert_eq!(stats.counter(name), value, "{name}");
+    }
+    assert_eq!(stats.counter("store.resident_loads"), rs.cold_loads);
 
     server.shutdown();
     let _ = std::fs::remove_file(&path);
