@@ -210,8 +210,10 @@ impl ViewerSession {
         )
     }
 
-    /// Renders the current state.
-    pub fn render(&self, fb: &mut Framebuffer) -> SceneStats {
+    /// Renders the current state. The source is told first, so a remote
+    /// one fetches ahead while the frame is drawn.
+    pub fn render(&mut self, fb: &mut Framebuffer) -> SceneStats {
+        self.source.drawing();
         let mut span = accelviz_trace::span("session.render_frame");
         let cam = self.camera(fb.width() as f64 / fb.height() as f64);
         let stats = render_hybrid_frame(

@@ -24,8 +24,9 @@ pub struct FrameLoad {
     pub cache_hit: bool,
     /// Bytes read from disk (0 on a hit).
     pub bytes_loaded: u64,
-    /// Modeled latency to display the frame: disk read (on miss) plus any
-    /// texture re-upload.
+    /// Latency to display the frame. A local source models it: disk read
+    /// (on miss) plus any texture re-upload. A remote source measures it:
+    /// what the viewer waited in `load` (0 for a resident frame).
     pub seconds: f64,
     /// Whether the frame's volume texture was still resident in video
     /// memory.
@@ -56,6 +57,11 @@ pub trait FrameSource: Send {
     /// `index` must be `< frame_count()`. Local sources are infallible;
     /// remote sources surface transport errors here.
     fn load(&mut self, index: usize) -> io::Result<(Arc<HybridFrame>, FrameLoad)>;
+
+    /// The viewer starts drawing the frame the last `load` returned: time
+    /// a remote source can spend fetching the frame it expects to be
+    /// asked for next. Local sources have nothing to do.
+    fn drawing(&mut self) {}
 }
 
 /// The in-memory frame series backing the paper's desktop viewer: frames

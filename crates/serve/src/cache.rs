@@ -18,8 +18,8 @@
 
 use crate::frontdoor::Shape;
 use crate::lod::{chunk_budget, plan_frame_chunks};
-use crate::protocol::Refusal;
-use crate::wire::encode_frame_v2;
+use crate::protocol::{Refusal, RESP_FRAME, RESP_FRAME_CHUNK};
+use crate::wire::{encode_frame_v2, Sealed};
 use accelviz_core::hybrid::HybridFrame;
 use accelviz_store::cache::Cache;
 use std::borrow::Cow;
@@ -57,19 +57,21 @@ impl CacheKey {
     }
 }
 
-/// One cached frame and the encodings already made from it. Every
-/// session that sends this entry — coalesced on its fetch or hitting it
-/// later — shares them, so a frame costs one extraction *and* one
-/// encoding per shape however many clients ask. Both encoders are
-/// deterministic: the bytes held are the bytes a fresh encode would give.
+/// One cached frame and the encodings already made from it, each sealed
+/// in its reply envelope. Every session that sends this entry —
+/// coalesced on its fetch or hitting it later — shares them, so a frame
+/// costs one extraction, one encoding per shape *and* one envelope
+/// checksum per reply however many clients ask: a send is a write. Both
+/// encoders are deterministic: the bytes held are the bytes a fresh
+/// encode would give.
 pub struct Served {
     frame: HybridFrame,
-    /// `encode_frame_v2(frame)`: the payload and the raw (v1) length it
-    /// stands for.
-    v2: OnceLock<(Vec<u8>, u64)>,
+    /// `encode_frame_v2(frame)` sealed as a frame reply, and the raw
+    /// (v1) length it stands for.
+    v2: OnceLock<(Sealed, u64)>,
     /// The chunk records of the first budget a progressive session asked
-    /// for, with that budget.
-    chunks: OnceLock<(u64, Vec<Vec<u8>>)>,
+    /// for, each sealed as a chunk reply, with that budget.
+    chunks: OnceLock<(u64, Vec<Sealed>)>,
 }
 
 impl Served {
@@ -87,29 +89,40 @@ impl Served {
         &self.frame
     }
 
-    /// The frame's v2 payload and raw length, encoded by the first
-    /// caller and shared from then on.
-    pub fn v2(&self) -> &(Vec<u8>, u64) {
-        self.v2.get_or_init(|| encode_frame_v2(&self.frame))
+    /// The frame's v2 reply and raw length, encoded and sealed by the
+    /// first caller and shared from then on.
+    pub fn v2(&self) -> &(Sealed, u64) {
+        self.v2.get_or_init(|| {
+            let (payload, raw_len) = encode_frame_v2(&self.frame);
+            (Sealed::new(RESP_FRAME, payload), raw_len)
+        })
     }
 
     /// The frame's progressive records under `budget` (already resolved
-    /// by [`chunk_budget`]). The first budget asked for is planned once
-    /// and kept; any other is planned for its caller alone.
-    pub fn chunks(&self, budget: u64) -> Cow<'_, [Vec<u8>]> {
+    /// by [`chunk_budget`]), sealed as chunk replies. The first budget
+    /// asked for is planned once and kept; any other is planned for its
+    /// caller alone.
+    pub fn chunks(&self, budget: u64) -> Cow<'_, [Sealed]> {
         let (kept_budget, kept) = self.kept_chunks(budget);
         if *kept_budget == budget {
             Cow::Borrowed(kept)
         } else {
-            Cow::Owned(plan_frame_chunks(&self.frame, budget))
+            Cow::Owned(self.sealed_chunks(budget))
         }
     }
 
     /// The records this entry keeps and their budget: `budget`'s, planned
     /// here, when nobody asked before.
-    fn kept_chunks(&self, budget: u64) -> &(u64, Vec<Vec<u8>>) {
-        let plan = || (budget, plan_frame_chunks(&self.frame, budget));
-        self.chunks.get_or_init(plan)
+    fn kept_chunks(&self, budget: u64) -> &(u64, Vec<Sealed>) {
+        self.chunks
+            .get_or_init(|| (budget, self.sealed_chunks(budget)))
+    }
+
+    fn sealed_chunks(&self, budget: u64) -> Vec<Sealed> {
+        plan_frame_chunks(&self.frame, budget)
+            .into_iter()
+            .map(|record| Sealed::new(RESP_FRAME_CHUNK, record))
+            .collect()
     }
 
     /// Fills whichever encoding this entry keeps for a reply of `shape`,
@@ -129,9 +142,12 @@ impl Served {
     /// been encoded from it. A router weighs its entries with this, after
     /// filling the v2 payload.
     pub fn held_bytes(&self) -> u64 {
-        let payload = self.v2.get().map_or(0, |(payload, _)| payload.len());
+        let payload = self
+            .v2
+            .get()
+            .map_or(0, |(sealed, _)| sealed.payload().len());
         let records = self.chunks.get().map_or(0, |(_, records)| {
-            records.iter().map(|record| record.len()).sum()
+            records.iter().map(|record| record.payload().len()).sum()
         });
         self.frame.total_bytes() + (payload + records) as u64
     }
@@ -211,7 +227,7 @@ mod tests {
     fn concurrent_senders_of_one_entry_share_one_encoding() {
         let served = Served::new(hybrid(0, 2_000));
         let start = std::sync::Barrier::new(8);
-        let payloads: Vec<&(Vec<u8>, u64)> = std::thread::scope(|s| {
+        let payloads: Vec<&(Sealed, u64)> = std::thread::scope(|s| {
             let senders: Vec<_> = (0..8)
                 .map(|_| {
                     s.spawn(|| {
@@ -225,7 +241,37 @@ mod tests {
         for payload in &payloads {
             assert!(std::ptr::eq(*payload, payloads[0]), "one shared encoding");
         }
-        assert_eq!(*payloads[0], encode_frame_v2(served.frame()));
+        let (sealed, raw_len) = payloads[0];
+        assert_eq!(
+            (sealed.payload().to_vec(), *raw_len),
+            encode_frame_v2(served.frame())
+        );
+    }
+
+    /// A cached send writes exactly what framing the payload afresh
+    /// writes, for a plain reply and for a chunk record alike.
+    #[test]
+    fn a_cached_send_writes_the_envelope_a_fresh_write_would() {
+        use crate::wire::write_envelope;
+        let served = Served::new(hybrid(0, 2_000));
+        let fresh = |kind, payload: &[u8]| {
+            let mut buf = Vec::new();
+            write_envelope(&mut buf, kind, payload).unwrap();
+            buf
+        };
+        let cached = |sealed: &Sealed| {
+            let mut buf = Vec::new();
+            let n = sealed.write_to(&mut buf).unwrap();
+            assert_eq!(n as usize, buf.len());
+            buf
+        };
+        let (reply, _) = served.v2();
+        assert_eq!(cached(reply), fresh(RESP_FRAME, reply.payload()));
+        let records = served.chunks(2_048);
+        assert!(records.len() > 1);
+        for record in records.iter() {
+            assert_eq!(cached(record), fresh(RESP_FRAME_CHUNK, record.payload()));
+        }
     }
 
     #[test]
@@ -234,12 +280,15 @@ mod tests {
         let (small, large) = (2_048, 16_384);
         let first = served.chunks(small);
         assert!(matches!(first, Cow::Borrowed(_)));
-        assert_eq!(*first, plan_frame_chunks(served.frame(), small)[..]);
+        let payloads = |records: &[Sealed]| -> Vec<Vec<u8>> {
+            records.iter().map(|r| r.payload().to_vec()).collect()
+        };
+        assert_eq!(payloads(&first), plan_frame_chunks(served.frame(), small));
         let again = served.chunks(small);
         assert!(std::ptr::eq(first.as_ptr(), again.as_ptr()), "kept");
         let other = served.chunks(large);
         assert!(matches!(other, Cow::Owned(_)), "not kept");
-        assert_eq!(*other, plan_frame_chunks(served.frame(), large)[..]);
+        assert_eq!(payloads(&other), plan_frame_chunks(served.frame(), large));
         assert_ne!(first.len(), other.len());
     }
 
@@ -249,13 +298,12 @@ mod tests {
         let bare = served.held_bytes();
         served.prefill(Shape::Plain);
         let with_payload = served.held_bytes();
-        assert_eq!(with_payload, bare + served.v2().0.len() as u64);
+        assert_eq!(with_payload, bare + served.v2().0.payload().len() as u64);
         // 0 is "server default", resolved before planning.
         served.prefill(Shape::Progressive { chunk_bytes: 0 });
         let default_plan = plan_frame_chunks(served.frame(), chunk_budget(0));
-        assert!(
-            matches!(served.chunks(chunk_budget(0)), Cow::Borrowed(kept) if *kept == default_plan[..])
-        );
+        assert!(matches!(served.chunks(chunk_budget(0)), Cow::Borrowed(kept)
+            if kept.iter().map(Sealed::payload).eq(default_plan.iter().map(Vec::as_slice))));
         // A second budget is nobody's to keep: nothing is planned for it.
         let full = served.held_bytes();
         served.prefill(Shape::Progressive { chunk_bytes: 2_048 });
@@ -268,9 +316,9 @@ mod tests {
         let served = Served::new(hybrid(0, 500));
         let bare = served.held_bytes();
         assert_eq!(bare, served.frame().total_bytes());
-        let payload = served.v2().0.len() as u64;
+        let payload = served.v2().0.payload().len() as u64;
         assert_eq!(served.held_bytes(), bare + payload);
-        let records: usize = served.chunks(4_096).iter().map(Vec::len).sum();
+        let records: usize = served.chunks(4_096).iter().map(|r| r.payload().len()).sum();
         assert_eq!(served.held_bytes(), bare + payload + records as u64);
     }
 }

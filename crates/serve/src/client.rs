@@ -10,11 +10,19 @@
 //! paced by a [`RetryPolicy`]; when retries are exhausted,
 //! [`RemoteFrames`] degrades to its most recent resident frame (flagged
 //! [`FrameLoad::degraded`]) so the viewer keeps rendering instead of
-//! freezing. Retries, reconnects, and degraded loads are counted on the
-//! global [`accelviz_trace`] registry under the `client.*` names below.
+//! freezing. Retries, reconnects, degraded loads and speculative fetches
+//! are counted on the global [`accelviz_trace`] registry under the
+//! `client.*` names below.
+//!
+//! Overlap: a stepping [`RemoteFrames`] fetches the next frame on a
+//! helper thread while the viewer draws the current one. The [`Client`]
+//! itself moves to the helper with that request and back with its reply,
+//! so the connection stays strictly request/reply under one retry loop.
 
+use crate::cache::CacheKey;
 use crate::error::{Result, ServeError};
 use crate::fault::{FaultScript, FaultyTransport};
+use crate::frontdoor::successor;
 use crate::lod::ProgressiveAssembler;
 use crate::protocol::{
     read_chunk_reply, read_response, write_request, ChunkReply, FrameInfo, Request, Response,
@@ -28,14 +36,15 @@ use accelviz_trace::registry::Snapshot;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// A frame fetch outcome: the frame and what it cost.
+type FetchOutcome = Result<(HybridFrame, FetchMetrics)>;
 
 /// A progressive fetch outcome: the final result, plus — on failure —
 /// the renderable partial frame the stream reached and what it cost.
-type ProgressiveFetch = (
-    Result<(HybridFrame, FetchMetrics)>,
-    Option<(HybridFrame, FetchMetrics)>,
-);
+type ProgressiveFetch = (FetchOutcome, Option<(HybridFrame, FetchMetrics)>);
 
 /// Global-registry counter: requests retried after a transient failure.
 pub const CTR_CLIENT_RETRIES: &str = "client.retries";
@@ -53,6 +62,14 @@ pub const CTR_CLIENT_REFINE_CHUNKS: &str = "client.refine_chunks";
 /// frame after a progressive stream failed past the renderable coarse
 /// head (the [`FrameLoad::partial`] degradation).
 pub const CTR_CLIENT_REFINE_PARTIAL: &str = "client.refine_partial_frames";
+/// Global-registry counter: speculative fetches [`RemoteFrames`] started.
+pub const CTR_CLIENT_SPECULATIVE_FETCHES: &str = "client.speculative_fetches";
+/// Global-registry counter: speculative fetches whose frame a load took.
+pub const CTR_CLIENT_SPECULATIVE_USED: &str = "client.speculative_used";
+/// Global-registry counter: speculative fetches discarded — the next load
+/// asked for another frame, the fetch failed, or the source was dropped
+/// first.
+pub const CTR_CLIENT_SPECULATIVE_UNUSED: &str = "client.speculative_unused";
 
 /// What one frame fetch actually cost on the wire — the measured numbers
 /// the `TransferModel` predicts analytically.
@@ -393,6 +410,21 @@ impl Client {
         }
     }
 
+    /// Fetches one frame the way [`RemoteFrames`] loads it: plain, or
+    /// progressively under `progressive`'s chunk budget, with the partial
+    /// frame a failed stream left behind.
+    fn fetch_for_load(
+        &mut self,
+        frame: u32,
+        threshold: f64,
+        progressive: Option<u64>,
+    ) -> ProgressiveFetch {
+        match progressive {
+            Some(budget) => self.fetch_progressive_inner(frame, threshold, budget),
+            None => (self.fetch(frame, threshold), None),
+        }
+    }
+
     /// Fetches the service's metrics snapshot: a server's registry (a
     /// stored server's with its run's `store.resident_*` counters), or a
     /// router's merged with its reachable shards'.
@@ -548,8 +580,29 @@ fn response_name(r: &Response) -> &'static str {
 /// it hands back its most recently displayed resident frame flagged
 /// [`FrameLoad::degraded`], so the viewer keeps rendering something
 /// honest rather than freezing.
+///
+/// Speculation: once `load(n)` follows `load(n − 1)` (the server's own
+/// read-ahead rule, looping at the end of the catalog), the source
+/// expects `n + 1` next, and when the viewer starts drawing frame `n`
+/// ([`FrameSource::drawing`]) it fetches `n + 1` on a helper thread, so
+/// the socket wait and the decode of the next frame overlap the drawing
+/// of this one. The connection travels with the speculative request and
+/// comes back with its result: requests stay strictly request/reply on
+/// the one connection, under the one retry loop, and at most one is in
+/// flight. The next load takes the result when it asks for that frame;
+/// otherwise it waits for the speculation and fetches on demand. A
+/// speculative frame enters the resident set only when a load asks for
+/// it, and a failed speculation is discarded silently — the demand fetch
+/// runs its own retries and degradation ladder, so speculation never
+/// yields a degraded or partial load. Nothing is fetched ahead after a
+/// first load, a jump or a degraded load, when the successor is resident
+/// already, or for a viewer that loads without drawing.
 pub struct RemoteFrames {
-    client: Client,
+    /// The connection; `None` exactly while a speculation holds it.
+    client: Option<Client>,
+    /// What the handshake advertised. Kept here: asking the connection
+    /// would wait for a running speculation.
+    frame_count: usize,
     threshold: f64,
     /// Up to `max_resident` frames by index, LRU; filled by `get` + `insert`
     /// (a failed fetch carries a partial frame and a non-`Clone` error).
@@ -557,11 +610,22 @@ pub struct RemoteFrames {
     /// The frame `load` last returned in full (the most recently used
     /// resident one): the stale fallback.
     last: Option<Arc<HybridFrame>>,
+    /// The frame the previous `load` asked for: what the next one is a
+    /// successor of, or not.
+    asked: Option<u32>,
+    /// The frame the last load expects to be asked for next: what
+    /// [`FrameSource::drawing`] fetches ahead.
+    expected: Option<u32>,
+    /// The running speculation: its frame, and the helper thread that
+    /// holds the connection until it returns it with the fetch's result.
+    ahead: Option<(u32, JoinHandle<(Client, FetchOutcome)>)>,
+    /// A joined speculation no load has taken yet: its frame and result.
+    settled: Option<(u32, FetchOutcome)>,
     /// `Some(chunk budget)` switches cold loads to progressive fetches
     /// (0 = server default); the degradation ladder then prefers a
     /// partial rendition of the requested frame over a stale one.
     progressive: Option<u64>,
-    /// Wire bytes received across all fetches.
+    /// Wire bytes received across all fetches, speculative ones included.
     pub bytes_fetched: u64,
     /// Loads answered with a stale resident frame after retries were
     /// exhausted.
@@ -577,10 +641,15 @@ impl RemoteFrames {
     pub fn new(client: Client, threshold: f64, max_resident: usize) -> RemoteFrames {
         assert!(max_resident > 0, "need room for at least the current frame");
         RemoteFrames {
-            client,
+            frame_count: client.frame_count(),
+            client: Some(client),
             threshold,
             resident: Cache::new(max_resident as u64, |_| 1),
             last: None,
+            asked: None,
+            expected: None,
+            ahead: None,
+            settled: None,
             progressive: None,
             bytes_fetched: 0,
             degraded_loads: 0,
@@ -593,19 +662,61 @@ impl RemoteFrames {
     /// bit-identical to a plain fetch, so the resident set and the
     /// session above are unaffected — but when a stream dies past its
     /// renderable head, the viewer gets the requested frame at partial
-    /// refinement ([`FrameLoad::partial`]) instead of a stale one.
+    /// refinement ([`FrameLoad::partial`]) instead of a stale one. A
+    /// speculation streams its frame whole and shows no partial.
     pub fn progressive(mut self, chunk_bytes: u64) -> RemoteFrames {
         self.progressive = Some(chunk_bytes);
         self
     }
 
-    /// The connection, e.g. to pull server stats mid-session.
+    /// The connection, e.g. to pull server stats mid-session. A running
+    /// speculation is joined first; its result waits for the load that
+    /// asks for its frame.
     pub fn client(&mut self) -> &mut Client {
-        &mut self.client
+        if let Some((frame, helper)) = self.ahead.take() {
+            let (client, fetched) = helper
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            self.client = Some(client);
+            self.settled = Some((frame, fetched));
+        }
+        self.client
+            .as_mut()
+            .expect("the connection is home once no speculation runs")
     }
 
-    /// The stale-frame fallback: most recently used resident frame.
-    fn fallback(&mut self) -> Option<(Arc<HybridFrame>, FrameLoad)> {
+    /// What the speculation fetched for `key`, if it was for `key` and
+    /// succeeded. Whatever else it settled to — another frame, a failure
+    /// — is discarded.
+    fn speculated(&mut self, key: u32) -> Option<(HybridFrame, FetchMetrics)> {
+        self.client();
+        match self.settled.take()? {
+            (frame, Ok(fetched)) if frame == key => {
+                accelviz_trace::global().add(CTR_CLIENT_SPECULATIVE_USED, 1);
+                Some(fetched)
+            }
+            (_, fetched) => {
+                if let Ok((_, metrics)) = fetched {
+                    self.bytes_fetched += metrics.wire_bytes;
+                }
+                accelviz_trace::global().add(CTR_CLIENT_SPECULATIVE_UNUSED, 1);
+                None
+            }
+        }
+    }
+
+    /// The frame to fetch ahead once `key` is drawn: its successor when
+    /// `key` continued a stride-1 step from `previous` and the successor
+    /// is not resident.
+    fn expect_successor(&mut self, previous: Option<u32>, key: u32) {
+        let at = |frame| CacheKey::new(frame, self.threshold);
+        self.expected = successor(previous.map(at), at(key), self.frame_count)
+            .filter(|next| !self.resident.contains(next));
+    }
+
+    /// The stale-frame fallback: most recently used resident frame,
+    /// after `waited` seconds of failing fetches.
+    fn fallback(&mut self, waited: f64) -> Option<(Arc<HybridFrame>, FrameLoad)> {
         let frame = self.last.clone()?;
         self.degraded_loads += 1;
         accelviz_trace::global().add(CTR_CLIENT_DEGRADED, 1);
@@ -614,7 +725,7 @@ impl RemoteFrames {
             FrameLoad {
                 cache_hit: true,
                 bytes_loaded: 0,
-                seconds: 0.0,
+                seconds: waited,
                 texture_resident: true,
                 degraded: true,
                 partial: false,
@@ -625,13 +736,19 @@ impl RemoteFrames {
 
 impl FrameSource for RemoteFrames {
     fn frame_count(&self) -> usize {
-        self.client.frame_count()
+        self.frame_count
     }
 
+    /// `FrameLoad::seconds` is what the viewer waited here: 0 for a
+    /// resident frame, the join for a speculative one, the fetch — after
+    /// any speculation it waited out — for a demand one.
     fn load(&mut self, index: usize) -> io::Result<(Arc<HybridFrame>, FrameLoad)> {
         let key = index as u32;
+        let previous = self.asked.replace(key);
+        self.expected = None;
         if let Some(frame) = self.resident.get(&key) {
             self.last = Some(Arc::clone(&frame));
+            self.expect_successor(previous, key);
             let load = FrameLoad {
                 cache_hit: true,
                 bytes_loaded: 0,
@@ -642,46 +759,41 @@ impl FrameSource for RemoteFrames {
             };
             return Ok((frame, load));
         }
-        let fetched = match self.progressive {
-            Some(budget) => {
-                match self
-                    .client
-                    .fetch_progressive_inner(key, self.threshold, budget)
-                {
-                    (Ok(r), _) => Ok(r),
-                    // The stream died but got past its renderable head:
-                    // hand the viewer the *requested* frame at partial
-                    // refinement. Not cached — the next visit refetches
-                    // toward the full frame.
-                    (Err(_), Some((partial, metrics))) => {
-                        self.partial_loads += 1;
-                        self.bytes_fetched += metrics.wire_bytes;
-                        accelviz_trace::global().add(CTR_CLIENT_REFINE_PARTIAL, 1);
-                        return Ok((
-                            Arc::new(partial),
-                            FrameLoad {
-                                cache_hit: false,
-                                bytes_loaded: metrics.wire_bytes,
-                                seconds: metrics.seconds,
-                                texture_resident: false,
-                                degraded: true,
-                                partial: true,
-                            },
-                        ));
-                    }
-                    (Err(e), None) => Err(e),
-                }
+        let t0 = Instant::now();
+        let (fetched, partial) = match self.speculated(key) {
+            Some(fetched) => (Ok(fetched), None),
+            None => {
+                let (threshold, progressive) = (self.threshold, self.progressive);
+                self.client().fetch_for_load(key, threshold, progressive)
             }
-            None => self.client.fetch(key, self.threshold),
         };
-        let (frame, metrics) = match fetched {
-            Ok(r) => r,
-            Err(e) => {
+        let (frame, metrics) = match (fetched, partial) {
+            (Ok(r), _) => r,
+            // The stream died but got past its renderable head: hand the
+            // viewer the *requested* frame at partial refinement. Not
+            // cached — the next visit refetches toward the full frame.
+            (Err(_), Some((partial, metrics))) => {
+                self.partial_loads += 1;
+                self.bytes_fetched += metrics.wire_bytes;
+                accelviz_trace::global().add(CTR_CLIENT_REFINE_PARTIAL, 1);
+                return Ok((
+                    Arc::new(partial),
+                    FrameLoad {
+                        cache_hit: false,
+                        bytes_loaded: metrics.wire_bytes,
+                        seconds: t0.elapsed().as_secs_f64(),
+                        texture_resident: false,
+                        degraded: true,
+                        partial: true,
+                    },
+                ));
+            }
+            (Err(e), None) => {
                 // Retries (if configured) are exhausted. Degrade to the
                 // most recent resident frame if we have one; a session
                 // with no resident frame yet has nothing to show and the
                 // error must surface.
-                return match self.fallback() {
+                return match self.fallback(t0.elapsed().as_secs_f64()) {
                     Some(degraded) => Ok(degraded),
                     None => Err(io::Error::from(e)),
                 };
@@ -691,14 +803,52 @@ impl FrameSource for RemoteFrames {
         self.resident.insert(key, Arc::clone(&frame));
         self.last = Some(Arc::clone(&frame));
         self.bytes_fetched += metrics.wire_bytes;
+        self.expect_successor(previous, key);
         let load = FrameLoad {
             cache_hit: false,
             bytes_loaded: metrics.wire_bytes,
-            seconds: metrics.seconds,
+            seconds: t0.elapsed().as_secs_f64(),
             texture_resident: false,
             degraded: false,
             partial: false,
         };
         Ok((frame, load))
+    }
+
+    /// Starts fetching the expected frame on a helper thread, unless a
+    /// speculation is outstanding. The connection goes with the request.
+    fn drawing(&mut self) {
+        if self.ahead.is_some() || self.settled.is_some() {
+            return;
+        }
+        let Some(next) = self.expected.take() else {
+            return;
+        };
+        let mut client = self.client.take().expect("no speculation holds it");
+        let (threshold, progressive) = (self.threshold, self.progressive);
+        accelviz_trace::global().add(CTR_CLIENT_SPECULATIVE_FETCHES, 1);
+        let helper = std::thread::spawn(move || {
+            let (fetched, _partial) = client.fetch_for_load(next, threshold, progressive);
+            (client, fetched)
+        });
+        self.ahead = Some((next, helper));
+    }
+}
+
+impl Drop for RemoteFrames {
+    /// Joins a running speculation — never detaches it — so no helper
+    /// thread outlives the source. The join is bounded by the client's
+    /// timeouts and retry policy.
+    fn drop(&mut self) {
+        let outstanding = match self.ahead.take() {
+            Some((_, helper)) => {
+                let _ = helper.join();
+                true
+            }
+            None => self.settled.take().is_some(),
+        };
+        if outstanding {
+            accelviz_trace::global().add(CTR_CLIENT_SPECULATIVE_UNUSED, 1);
+        }
     }
 }

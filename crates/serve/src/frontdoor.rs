@@ -41,10 +41,10 @@ use crate::cache::{CacheKey, Fetched, Served};
 use crate::error::ServeError;
 use crate::lod::chunk_budget;
 use crate::protocol::{
-    read_request, write_chunk, write_response, FrameInfo, Refusal, Request, Response,
-    ERR_BAD_REQUEST, ERR_BAD_THRESHOLD, ERR_BUSY, ERR_INTERNAL, ERR_NO_SUCH_FRAME, RESP_FRAME,
+    read_request, write_response, FrameInfo, Refusal, Request, Response, ERR_BAD_REQUEST,
+    ERR_BAD_THRESHOLD, ERR_BUSY, ERR_INTERNAL, ERR_NO_SUCH_FRAME,
 };
-use crate::wire::{write_envelope, V2};
+use crate::wire::V2;
 use accelviz_trace::registry::{Registry, Snapshot};
 use std::io::{self, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
@@ -466,8 +466,10 @@ struct Session {
 /// The frame a session that asked for `last` and now asks for `now` will
 /// probably ask for next: `now + 1` when `now` is `last + 1` at the same
 /// threshold, indices modulo the catalog (a looping playback steps from
-/// the last frame to frame 0). Forward, stride 1 only.
-fn successor(last: Option<CacheKey>, now: CacheKey, frame_count: usize) -> Option<u32> {
+/// the last frame to frame 0). Forward, stride 1 only. The one read-ahead
+/// rule on both sides of the link: the door hints its origin with it, and
+/// [`crate::client::RemoteFrames`] speculates with it.
+pub(crate) fn successor(last: Option<CacheKey>, now: CacheKey, frame_count: usize) -> Option<u32> {
     let count = u32::try_from(frame_count).ok().filter(|&count| count > 1)?;
     let last = last.filter(|last| last.threshold_bits == now.threshold_bits)?;
     ((last.frame + 1) % count == now.frame).then_some((now.frame + 1) % count)
@@ -623,23 +625,23 @@ fn checked_frame<H: Handler>(
     Ok(served)
 }
 
-/// Writes one full frame reply: the v2 payload the cached entry holds,
-/// encoded by whoever needed it first — a read-ahead, a coalesced
-/// neighbour, or this send. The codec is deterministic, so a router's
-/// bytes match what a direct server of the same data writes. Raw and
-/// wire sizes are both counted, per send, so the stats expose the live
-/// compression ratio.
+/// Writes one full frame reply: the sealed v2 envelope the cached entry
+/// holds, encoded and hashed by whoever needed it first — a read-ahead, a
+/// coalesced neighbour, or this send — so the send itself is a write. The
+/// codec is deterministic, so a router's bytes match what a direct server
+/// of the same data writes. Raw and wire sizes are both counted, per
+/// send, so the stats expose the live compression ratio.
 fn send_frame<H: Handler, S: Write>(
     handler: &H,
     served: &Served,
     stream: &mut S,
 ) -> crate::error::Result<(u64, bool)> {
     let mut span = accelviz_trace::span(H::NAMES.span_send);
-    let (payload, raw_len) = served.v2();
+    let (reply, raw_len) = served.v2();
     let metrics = handler.metrics();
     metrics.add(H::NAMES.frame_bytes_raw, *raw_len);
-    metrics.add(H::NAMES.frame_bytes_wire, payload.len() as u64);
-    let bytes = write_envelope(stream, RESP_FRAME, payload)?;
+    metrics.add(H::NAMES.frame_bytes_wire, reply.payload().len() as u64);
+    let bytes = reply.write_to(stream)?;
     span.arg("bytes", bytes as f64);
     Ok((bytes, true))
 }
@@ -662,7 +664,7 @@ fn send_chunks<H: Handler, S: Write>(
     };
     let mut bytes = 0u64;
     for record in records.iter() {
-        bytes += write_chunk(stream, record)?;
+        bytes += record.write_to(stream)?;
     }
     let metrics = handler.metrics();
     metrics.add(H::NAMES.lod_requests, 1);

@@ -33,7 +33,8 @@
 //!   protocol dispatcher, one stop (DESIGN.md §13).
 //! - [`client`] — [`client::Client`] and [`client::RemoteFrames`], a
 //!   [`accelviz_core::viewer::FrameSource`] so a `ViewerSession` runs
-//!   unmodified against a remote server.
+//!   unmodified against a remote server, fetching frame n + 1 on its one
+//!   connection while frame n is drawn.
 //! - [`stats`] — the `serve.*` metric names. A `Stats` reply carries
 //!   the answering service's whole registry as one
 //!   [`accelviz_trace::registry::Snapshot`].

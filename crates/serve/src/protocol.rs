@@ -379,11 +379,6 @@ pub enum ChunkReply {
     },
 }
 
-/// Writes one progressive chunk envelope; returns wire bytes written.
-pub fn write_chunk<W: Write>(w: &mut W, record: &[u8]) -> Result<u64> {
-    write_envelope(w, RESP_FRAME_CHUNK, record)
-}
-
 /// Reads one reply envelope of a progressive stream; returns the reply
 /// and its wire bytes. Any kind other than a chunk or an in-band error
 /// means the stream lost framing and is a structured failure.
@@ -445,7 +440,7 @@ mod tests {
     #[test]
     fn chunk_replies_roundtrip_and_reject_foreign_kinds() {
         let mut buf = Vec::new();
-        write_chunk(&mut buf, b"record bytes").unwrap();
+        write_envelope(&mut buf, RESP_FRAME_CHUNK, b"record bytes").unwrap();
         let (reply, wire) = read_chunk_reply(&mut buf.as_slice()).unwrap();
         assert_eq!(reply, ChunkReply::Chunk(b"record bytes".to_vec()));
         assert_eq!(wire as usize, buf.len());

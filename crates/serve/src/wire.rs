@@ -80,20 +80,66 @@ pub fn write_envelope_v<W: Write>(
     kind: u8,
     payload: &[u8],
 ) -> Result<u64> {
+    let header = envelope_header(version, kind, payload);
+    write_parts(w, &header, payload, envelope_checksum(&header, payload))
+}
+
+/// The 16 header bytes of an envelope carrying `payload`.
+fn envelope_header(version: u16, kind: u8, payload: &[u8]) -> [u8; 16] {
     let mut header = [0u8; 16];
     header[0..4].copy_from_slice(&MAGIC);
     header[4..6].copy_from_slice(&version.to_le_bytes());
     header[6] = kind;
     header[7] = 0;
     header[8..16].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+    header
+}
 
-    // fnv1a64(header ++ payload), chained without concatenating.
-    let hash = fnv1a64_update(fnv1a64(&header), payload);
-    w.write_all(&header)?;
+/// `fnv1a64(header ++ payload)`, chained without concatenating.
+fn envelope_checksum(header: &[u8; 16], payload: &[u8]) -> u64 {
+    fnv1a64_update(fnv1a64(header), payload)
+}
+
+fn write_parts<W: Write>(w: &mut W, header: &[u8; 16], payload: &[u8], hash: u64) -> Result<u64> {
+    w.write_all(header)?;
     w.write_all(payload)?;
     w.write_all(&hash.to_le_bytes())?;
     w.flush()?;
     Ok(HEADER_BYTES + payload.len() as u64 + CHECKSUM_BYTES)
+}
+
+/// A payload framed once as a [`V2`] envelope of one kind, checksum
+/// included: the form a cached reply keeps, so that every send of it is
+/// a write and hashes nothing. [`Sealed::write_to`] writes exactly the
+/// bytes [`write_envelope`] writes for the same kind and payload.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Sealed {
+    header: [u8; 16],
+    payload: Vec<u8>,
+    checksum: u64,
+}
+
+impl Sealed {
+    /// Frames `payload` as an envelope of `kind`, hashing it once.
+    pub fn new(kind: u8, payload: Vec<u8>) -> Sealed {
+        let header = envelope_header(V2, kind, &payload);
+        let checksum = envelope_checksum(&header, &payload);
+        Sealed {
+            header,
+            payload,
+            checksum,
+        }
+    }
+
+    /// The payload, as a reader of the envelope gets it.
+    pub fn payload(&self) -> &[u8] {
+        &self.payload
+    }
+
+    /// Writes the envelope; returns the wire bytes written.
+    pub fn write_to<W: Write>(&self, w: &mut W) -> Result<u64> {
+        write_parts(w, &self.header, &self.payload, self.checksum)
+    }
 }
 
 /// Reads exactly `buf.len()` bytes, reporting a short stream as

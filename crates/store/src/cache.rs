@@ -149,6 +149,14 @@ impl<K: Clone + Eq + Hash, V, E: Clone> Cache<K, V, E> {
         lock(&self.inner).touch(key)
     }
 
+    /// Whether a value is resident under `key`; its recency is untouched.
+    pub fn contains(&self, key: &K) -> bool {
+        matches!(
+            lock(&self.inner).entries.get(key),
+            Some(Entry::Ready { .. })
+        )
+    }
+
     /// Makes `value` the resident, most recently used value under `key`,
     /// evicting least recently used values until the budget holds.
     pub fn insert(&self, key: K, value: Arc<V>) {
@@ -379,6 +387,16 @@ mod tests {
         // Eviction refunds what admission charged.
         let held = (frame(0).len() + frame(2).len()) as u64;
         assert_eq!(cache.stats().weight, held);
+    }
+
+    #[test]
+    fn contains_leaves_the_recency_order_alone() {
+        let cache = per_byte(2 * frame(2).len() as u64);
+        cache.insert(0, frame(0));
+        cache.insert(1, frame(1));
+        assert!(cache.contains(&0) && !cache.contains(&2));
+        cache.insert(2, frame(2)); // key 0 is still the oldest: evicted
+        assert!(!cache.contains(&0) && cache.contains(&1));
     }
 
     #[test]
