@@ -1,6 +1,6 @@
 //! The 6-D phase-space particle and coordinate selectors.
 
-use accelviz_math::Vec3;
+use accelviz_math::{ReadError, Reader, Vec3};
 
 /// One of the six phase-space coordinates stored per particle.
 ///
@@ -62,6 +62,20 @@ impl PhaseCoord {
     /// The coordinate a [`PhaseCoord::code`] names; `None` past the six.
     pub fn from_code(code: u8) -> Option<PhaseCoord> {
         PhaseCoord::ALL.get(usize::from(code)).copied()
+    }
+
+    /// Reads a plot type's three axes as [`PhaseCoord::code`] bytes, the
+    /// way node blobs and wire frame headers store them. A byte past the
+    /// six is `invalid(byte)`.
+    pub fn read_axes<E: From<ReadError>>(
+        r: &mut Reader<'_>,
+        invalid: impl Fn(u8) -> E,
+    ) -> Result<[PhaseCoord; 3], E> {
+        let mut axis = || {
+            let code = r.u8()?;
+            PhaseCoord::from_code(code).ok_or_else(|| invalid(code))
+        };
+        Ok([axis()?, axis()?, axis()?])
     }
 }
 

@@ -2,6 +2,7 @@
 //! particle octree.
 
 use crate::ray::Ray;
+use crate::reader::{ReadError, Reader};
 use crate::vec3::Vec3;
 
 /// An axis-aligned bounding box given by inclusive min/max corners.
@@ -21,6 +22,15 @@ impl Aabb {
             "Aabb min must not exceed max: {min} vs {max}"
         );
         Aabb { min, max }
+    }
+
+    /// Reads a box as six little-endian `f64`s, `min` then `max`, as
+    /// every format stores one. The corners are not checked: a format that
+    /// needs an ordered, finite box checks the result.
+    pub fn read(r: &mut Reader<'_>) -> Result<Aabb, ReadError> {
+        let min = Vec3::new(r.f64()?, r.f64()?, r.f64()?);
+        let max = Vec3::new(r.f64()?, r.f64()?, r.f64()?);
+        Ok(Aabb { min, max })
     }
 
     /// The empty box (inverted bounds); `union`-ing points into it grows it.

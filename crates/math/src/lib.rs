@@ -4,9 +4,10 @@
 //! every other crate in the reproduction of *"Advanced Visualization
 //! Technology for Terascale Particle Accelerator Simulations"* (SC 2002):
 //! 3-/4-component vectors, 4×4 matrices, quaternions, axis-aligned bounding
-//! boxes, rays, RGBA colors, interpolation kernels, and the statistics
+//! boxes, rays, RGBA colors, interpolation kernels, the statistics
 //! helpers used by the benchmark harness (correlation, regression,
-//! histograms).
+//! histograms), and the bounded [`Reader`] every decoder reads its input
+//! through.
 //!
 //! All physics-facing types use `f64`; color-facing types use `f32`, which
 //! mirrors the double-precision simulation / single-precision framebuffer
@@ -20,6 +21,7 @@ pub mod interp;
 pub mod mat4;
 pub mod quat;
 pub mod ray;
+pub mod reader;
 pub mod stats;
 pub mod vec3;
 pub mod vec4;
@@ -30,6 +32,7 @@ pub use interp::{catmull_rom, lerp, sample_grid, smoothstep, trilinear};
 pub use mat4::Mat4;
 pub use quat::Quat;
 pub use ray::Ray;
+pub use reader::{ReadError, Reader};
 pub use stats::{Histogram, LinearFit, OnlineStats};
 pub use vec3::{Axis, Vec3};
 pub use vec4::Vec4;

@@ -12,8 +12,8 @@ use crate::node::{Node, Octree};
 use crate::plots::PlotType;
 use crate::sorted_store::PartitionedData;
 use accelviz_beam::particle::PhaseCoord;
-use accelviz_math::{Aabb, Vec3};
-use std::io::{self, Read, Write};
+use accelviz_math::{Aabb, Reader};
+use std::io::{self, Write};
 
 /// Magic bytes of the node file.
 pub const NODE_MAGIC: [u8; 8] = *b"AVIZNODE";
@@ -22,7 +22,7 @@ pub const NODE_MAGIC: [u8; 8] = *b"AVIZNODE";
 const NODE_HEADER_BYTES: usize = 72;
 /// Serialized size of one node record.
 const NODE_RECORD_BYTES: usize = 88;
-/// Nodes moved per I/O call by the chunked paths (≈ 90 KiB per call).
+/// Nodes staged per write call by [`write_node_file`] (≈ 90 KiB a call).
 const IO_CHUNK_NODES: usize = 1_024;
 
 /// Writes the node file. Records are staged through a bounded buffer so
@@ -68,70 +68,39 @@ pub fn write_node_file<W: Write>(data: &PartitionedData, w: &mut W) -> io::Resul
     Ok(())
 }
 
-/// Reads the node file: the octree plus the plot type.
-///
-/// Consumption is exact (header + `n_nodes` records, nothing more) and
-/// reads are sized: one header read, then bulk reads of up to
-/// `IO_CHUNK_NODES` records. A plain `BufReader` would be wrong here —
-/// it over-reads past the node records, and callers stream node files
-/// out of larger containers (the run store) where trailing bytes belong
-/// to someone else.
-pub fn read_node_file<R: Read>(r: &mut R) -> io::Result<(Octree, PlotType)> {
-    let mut header = [0u8; NODE_HEADER_BYTES];
-    r.read_exact(&mut header)?;
-    if header[..8] != NODE_MAGIC {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "bad node-file magic",
-        ));
+/// Reads a node blob from the front of `bytes`: the octree plus the plot
+/// type. `bytes` is left at what follows the last node record — the run
+/// store reads node blobs out of a larger file, where the bytes after one
+/// belong to someone else. A node count the bytes cannot hold is refused
+/// before anything is sized from it.
+pub fn read_node_file(bytes: &mut &[u8]) -> io::Result<(Octree, PlotType)> {
+    let mut r = Reader::new(bytes);
+    if r.array()? != NODE_MAGIC {
+        return Err(invalid("bad node-file magic"));
     }
-    let n_nodes = u64::from_le_bytes(header[8..16].try_into().unwrap());
-    if n_nodes > (1 << 32) {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "implausible node count",
-        ));
-    }
-    let max_depth = u32::from_le_bytes(header[16..20].try_into().unwrap());
+    let n_nodes = r.u64()?;
+    let max_depth = r.u32()?;
     let plot = PlotType {
-        coords: [
-            coord_from_code(header[20])?,
-            coord_from_code(header[21])?,
-            coord_from_code(header[22])?,
-        ],
+        coords: PhaseCoord::read_axes(&mut r, |_| invalid("bad coord code"))?,
     };
-    let bounds = aabb_from_bytes(&header[24..72])?;
-    // `n_nodes` is only the header's claim: reserve one I/O chunk and let
-    // the vector grow with the records that actually arrive.
-    let mut nodes = Vec::with_capacity((n_nodes as usize).min(IO_CHUNK_NODES));
-    let mut buf = vec![0u8; (n_nodes as usize).min(IO_CHUNK_NODES) * NODE_RECORD_BYTES];
-    let mut remaining = n_nodes as usize;
-    while remaining > 0 {
-        let n = remaining.min(IO_CHUNK_NODES);
-        let bytes = &mut buf[..n * NODE_RECORD_BYTES];
-        r.read_exact(bytes)?;
-        for rec in bytes.chunks_exact(NODE_RECORD_BYTES) {
-            let nb = aabb_from_bytes(&rec[..48])?;
-            let depth = u32::from_le_bytes(rec[48..52].try_into().unwrap());
-            let first_child = u32::from_le_bytes(rec[52..56].try_into().unwrap());
-            let mut node = Node::leaf(nb, depth);
-            node.count = u64::from_le_bytes(rec[56..64].try_into().unwrap());
-            node.offset = u64::from_le_bytes(rec[64..72].try_into().unwrap());
-            node.len = u64::from_le_bytes(rec[72..80].try_into().unwrap());
-            node.density = f64::from_bits(u64::from_le_bytes(rec[80..88].try_into().unwrap()));
-            if first_child != u32::MAX {
-                if first_child as u64 + 7 >= n_nodes {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "child pointer out of range",
-                    ));
-                }
-                node.set_children(first_child);
+    r.u8()?; // padding
+    let bounds = checked_bounds(&mut r)?;
+    let nodes = r.vec(n_nodes, NODE_RECORD_BYTES, |r| {
+        let mut node = Node::leaf(checked_bounds(r)?, r.u32()?);
+        let first_child = r.u32()?;
+        node.count = r.u64()?;
+        node.offset = r.u64()?;
+        node.len = r.u64()?;
+        node.density = r.f64()?;
+        if first_child != u32::MAX {
+            if u64::from(first_child) + 7 >= n_nodes {
+                return Err(invalid("child pointer out of range"));
             }
-            nodes.push(node);
+            node.set_children(first_child);
         }
-        remaining -= n;
-    }
+        Ok(node)
+    })?;
+    *bytes = r.rest();
     Ok((
         Octree {
             nodes,
@@ -142,24 +111,17 @@ pub fn read_node_file<R: Read>(r: &mut R) -> io::Result<(Octree, PlotType)> {
     ))
 }
 
-fn coord_from_code(b: u8) -> io::Result<PhaseCoord> {
-    PhaseCoord::from_code(b)
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad coord code"))
+fn invalid(msg: &'static str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
-fn aabb_from_bytes(b: &[u8]) -> io::Result<Aabb> {
-    debug_assert_eq!(b.len(), 48);
-    let mut v = [0.0f64; 6];
-    for (i, x) in v.iter_mut().enumerate() {
-        *x = f64::from_le_bytes(b[i * 8..(i + 1) * 8].try_into().unwrap());
+/// A box as [`Aabb::read`] reads it, refused unless ordered and finite.
+fn checked_bounds(r: &mut Reader<'_>) -> io::Result<Aabb> {
+    let b = Aabb::read(r)?;
+    if b.is_empty() || !b.min.is_finite() || !b.max.is_finite() {
+        return Err(invalid("corrupt bounds"));
     }
-    if v[0] > v[3] || v[1] > v[4] || v[2] > v[5] || v.iter().any(|x| !x.is_finite()) {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "corrupt bounds"));
-    }
-    Ok(Aabb::new(
-        Vec3::new(v[0], v[1], v[2]),
-        Vec3::new(v[3], v[4], v[5]),
-    ))
+    Ok(b)
 }
 
 #[cfg(test)]
@@ -171,23 +133,6 @@ mod tests {
     fn build(n: usize) -> PartitionedData {
         let ps = Distribution::default_beam().sample(n, 11);
         partition(&ps, PlotType::X_PX_Y, BuildParams::default())
-    }
-
-    /// A reader wrapper counting consumed bytes and read calls — each
-    /// call here is what a syscall would be on a real fd.
-    struct CountingReader<R> {
-        inner: R,
-        bytes: u64,
-        reads: u64,
-    }
-
-    impl<R: Read> Read for CountingReader<R> {
-        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-            let n = self.inner.read(buf)?;
-            self.bytes += n as u64;
-            self.reads += 1;
-            Ok(n)
-        }
     }
 
     #[test]
@@ -206,24 +151,11 @@ mod tests {
         write_node_file(&data, &mut node_file).unwrap();
         // Trailing bytes that belong to "someone else" in a container.
         node_file.extend_from_slice(b"TRAILERDATA");
-        let mut counting = CountingReader {
-            inner: node_file.as_slice(),
-            bytes: 0,
-            reads: 0,
-        };
-        let (tree, _) = read_node_file(&mut counting).unwrap();
+        let mut rest = node_file.as_slice();
+        let (tree, _) = read_node_file(&mut rest).unwrap();
         assert_eq!(tree.nodes.len(), data.tree().nodes.len());
         // Exact consumption: the trailer is untouched.
-        assert_eq!(counting.bytes, node_file.len() as u64 - 11);
-        // Sized reads: header + one bulk read per 1 Ki nodes.
-        let expected_reads = 1 + (tree.nodes.len() as u64).div_ceil(1_024);
-        assert!(
-            counting.reads <= expected_reads,
-            "node read used {} calls for {} nodes",
-            counting.reads,
-            tree.nodes.len()
-        );
-        assert!(counting.reads >= 2);
+        assert_eq!(rest, b"TRAILERDATA");
     }
 
     #[test]
@@ -264,13 +196,6 @@ mod tests {
         let data = build(500);
         let mut node_file = Vec::new();
         write_node_file(&data, &mut node_file).unwrap();
-        // Bad magic.
-        let mut bad = node_file.clone();
-        bad[0] ^= 0xFF;
-        assert!(read_node_file(&mut bad.as_slice()).is_err());
-        // Truncated.
-        let cut = &node_file[..node_file.len() - 10];
-        assert!(read_node_file(&mut &cut[..]).is_err());
         // Corrupt bounds (min > max).
         let mut swapped = node_file.clone();
         // Root bounds start at offset 24; swap min.x with max.x.

@@ -377,8 +377,7 @@ impl Client {
                 };
                 // A replayed stream restarts at seq 0; records already
                 // spliced are skipped, not re-applied.
-                let rec = accelviz_store::progressive::decode_record(&record)
-                    .map_err(|e| ServeError::Corrupt(e.to_string()))?;
+                let rec = accelviz_store::progressive::decode_record(&record)?;
                 if rec.seq < asm.next_seq() {
                     continue;
                 }

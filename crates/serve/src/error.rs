@@ -4,9 +4,10 @@
 //! errors, framing corruption, protocol violations, and errors the server
 //! reports back in-band — is a variant here. Corrupt input must surface as
 //! an error, never a panic: the decode paths are written against this
-//! enum and the corruption tests in `tests/wire_corruption.rs` hold them
-//! to it.
+//! enum and `tests/decoders_total.rs` holds them to it.
 
+use accelviz_math::ReadError;
+use accelviz_store::codec::CodecError;
 use std::fmt;
 use std::io;
 
@@ -125,6 +126,23 @@ impl ServeError {
 impl From<io::Error> for ServeError {
     fn from(e: io::Error) -> ServeError {
         ServeError::Io(e)
+    }
+}
+
+/// A payload read past its end, or with bytes left over, is corrupt.
+impl From<ReadError> for ServeError {
+    fn from(e: ReadError) -> ServeError {
+        ServeError::Corrupt(match e.wanted {
+            0 => format!("{} trailing bytes after payload", e.have),
+            _ => format!("payload overrun: {e}"),
+        })
+    }
+}
+
+/// A codec block or progressive record that does not decode is corrupt.
+impl From<CodecError> for ServeError {
+    fn from(e: CodecError) -> ServeError {
+        ServeError::Corrupt(e.to_string())
     }
 }
 

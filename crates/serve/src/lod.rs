@@ -40,10 +40,11 @@
 use crate::error::{Result, ServeError};
 use crate::wire::{
     put_columns, put_grid, put_trailer, read_columns, read_grid, verify_trailer, Cells,
-    FrameHeader, PayloadReader, PayloadWriter,
+    FrameHeader, PayloadWriter,
 };
 use accelviz_beam::particle::Particle;
 use accelviz_core::hybrid::HybridFrame;
+use accelviz_math::Reader;
 use accelviz_octree::density::DensityGrid;
 use accelviz_octree::extraction::align_cuts;
 use accelviz_store::progressive::{
@@ -229,17 +230,15 @@ impl ProgressiveAssembler {
     /// stream completed (and the reassembled frame verified against the
     /// v1 trailer).
     pub fn accept(&mut self, record_bytes: &[u8]) -> Result<bool> {
-        let rec = decode_record(record_bytes).map_err(|e| ServeError::Corrupt(e.to_string()))?;
+        let rec = decode_record(record_bytes)?;
         self.accept_record(rec)
     }
 
     /// [`accept`](ProgressiveAssembler::accept) for a record the caller
     /// already decoded (and checksummed) — e.g. to read its `seq` first.
     pub fn accept_record(&mut self, rec: Record) -> Result<bool> {
-        self.records
-            .accept(&rec)
-            .map_err(|e| ServeError::Corrupt(e.to_string()))?;
-        let mut r = PayloadReader::new(&rec.payload);
+        self.records.accept(&rec)?;
+        let mut r = Reader::new(&rec.payload);
         match rec.kind {
             RECORD_COARSE => {
                 self.header = Some(FrameHeader::read(&mut r)?);
@@ -280,7 +279,7 @@ impl ProgressiveAssembler {
     /// Splices one point range; the range must start exactly where the
     /// resident points end (contiguity is what makes replay and splice
     /// order provable).
-    fn apply_slice(&mut self, r: &mut PayloadReader<'_>) -> Result<()> {
+    fn apply_slice(&mut self, r: &mut Reader<'_>) -> Result<()> {
         let start = r.u64()? as usize;
         let len = r.u64()? as usize;
         if start != self.points.len() {

@@ -9,10 +9,11 @@
 
 use crate::error::{Result, ServeError};
 use crate::wire::{
-    decode_frame_v2, encode_frame_v2, read_envelope, read_envelope_within, write_envelope,
-    PayloadReader, PayloadWriter,
+    decode_frame_v2, encode_frame_v2, read_envelope, read_envelope_within, read_str,
+    write_envelope, PayloadWriter,
 };
 use accelviz_core::hybrid::HybridFrame;
+use accelviz_math::Reader;
 use accelviz_trace::hist::{LogHistogram, LATENCY_BUCKETS};
 use accelviz_trace::registry::Snapshot;
 use std::collections::BTreeMap;
@@ -209,7 +210,7 @@ pub fn write_request<W: Write>(w: &mut W, req: &Request) -> Result<u64> {
 /// [`MAX_REQUEST_PAYLOAD`]) and decodes it.
 pub fn read_request<R: Read>(r: &mut R) -> Result<Request> {
     let env = read_envelope_within(r, MAX_REQUEST_PAYLOAD)?;
-    let mut p = PayloadReader::new(&env.payload);
+    let mut p = Reader::new(&env.payload);
     let req = match env.kind {
         REQ_HELLO => Request::Hello { version: p.u16()? },
         REQ_LIST => Request::ListFrames,
@@ -286,31 +287,30 @@ pub fn write_response<W: Write>(w: &mut W, resp: &Response) -> Result<u64> {
 pub fn read_response<R: Read>(r: &mut R) -> Result<(Response, u64)> {
     let env = read_envelope(r)?;
     let wire_bytes = env.wire_bytes();
-    let mut p = PayloadReader::new(&env.payload);
+    let mut p = Reader::new(&env.payload);
     let resp = match env.kind {
         RESP_HELLO_ACK => Response::HelloAck {
             version: p.u16()?,
             frame_count: p.u32()?,
         },
         RESP_LIST => {
-            let n = p.u32()? as usize;
-            let mut frames = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                frames.push(FrameInfo {
+            // Frame, step, particles and threshold an entry.
+            let n = p.u32()?;
+            Response::FrameList(p.vec(n.into(), 28, |p| -> Result<FrameInfo> {
+                Ok(FrameInfo {
                     frame: p.u32()?,
                     step: p.u64()?,
                     particles: p.u64()?,
                     default_threshold: p.f64()?,
-                });
-            }
-            Response::FrameList(frames)
+                })
+            })?)
         }
         RESP_FRAME => {
             let frame = decode_frame_v2(&env.payload)?;
             return Ok((Response::Frame(frame), wire_bytes));
         }
         RESP_STATS => Response::Stats(Snapshot {
-            counters: read_table(&mut p, 8, PayloadReader::u64)?,
+            counters: read_table(&mut p, 8, |p| Ok(p.u64()?))?,
             histograms: read_table(&mut p, 8 * LATENCY_BUCKETS, |p| {
                 let mut hist = LogHistogram::default();
                 for count in &mut hist.counts {
@@ -321,7 +321,7 @@ pub fn read_response<R: Read>(r: &mut R) -> Result<(Response, u64)> {
         }),
         RESP_ERROR => Response::Error {
             code: p.u16()?,
-            message: p.str()?,
+            message: read_str(&mut p)?,
         },
         other => return Err(ServeError::UnknownKind(other)),
     };
@@ -335,21 +335,21 @@ pub fn read_response<R: Read>(r: &mut R) -> Result<(Response, u64)> {
 /// name not strictly after its predecessor (unsorted or repeated) is
 /// corrupt: a table decodes to exactly the map that encoded it.
 fn read_table<'a, T>(
-    p: &mut PayloadReader<'a>,
+    p: &mut Reader<'a>,
     value_bytes: usize,
-    mut value: impl FnMut(&mut PayloadReader<'a>) -> Result<T>,
+    mut value: impl FnMut(&mut Reader<'a>) -> Result<T>,
 ) -> Result<BTreeMap<String, T>> {
-    let n = p.u32()? as usize;
+    let claimed = p.u32()?;
     // Every entry is at least a 4-byte name length and its value.
-    if n > p.remaining() / (4 + value_bytes) {
-        return Err(ServeError::Corrupt(format!(
-            "stats table declares {n} entries, {} bytes follow",
-            p.remaining()
-        )));
-    }
+    let n = p.count(claimed.into(), 4 + value_bytes).map_err(|e| {
+        ServeError::Corrupt(format!(
+            "stats table declares {claimed} entries, {} bytes follow",
+            e.have
+        ))
+    })?;
     let mut table: BTreeMap<String, T> = BTreeMap::new();
     for _ in 0..n {
-        let name = p.str()?;
+        let name = read_str(p)?;
         if table
             .last_key_value()
             .is_some_and(|(last, _)| *last >= name)
@@ -388,10 +388,10 @@ pub fn read_chunk_reply<R: Read>(r: &mut R) -> Result<(ChunkReply, u64)> {
     match env.kind {
         RESP_FRAME_CHUNK => Ok((ChunkReply::Chunk(env.payload), wire_bytes)),
         RESP_ERROR => {
-            let mut p = PayloadReader::new(&env.payload);
+            let mut p = Reader::new(&env.payload);
             let reply = ChunkReply::Error {
                 code: p.u16()?,
-                message: p.str()?,
+                message: read_str(&mut p)?,
             };
             p.finish()?;
             Ok((reply, wire_bytes))

@@ -22,10 +22,10 @@
 use crate::error::{Result, ServeError};
 use accelviz_beam::particle::{Particle, PhaseCoord};
 use accelviz_core::hybrid::HybridFrame;
-use accelviz_math::{Aabb, Vec3};
+use accelviz_math::{Aabb, Reader};
 use accelviz_octree::density::DensityGrid;
 use accelviz_octree::plots::PlotType;
-use accelviz_store::codec::{decode_f32s, decode_f64s, encode_f32s, encode_f64s};
+use accelviz_store::codec::{encode_f32s, encode_f64s, read_f32s, read_f64s};
 use accelviz_store::{fnv1a64_update, Fnv1a64Sink};
 use std::io::{Read, Write};
 use std::ops::Range;
@@ -176,17 +176,18 @@ pub fn read_envelope<R: Read>(r: &mut R) -> Result<Envelope> {
 pub fn read_envelope_within<R: Read>(r: &mut R, max_payload: u64) -> Result<Envelope> {
     let mut header = [0u8; 16];
     read_exact_or_truncated(r, &mut header)?;
-
-    let magic: [u8; 4] = header[0..4].try_into().unwrap();
+    let mut h = Reader::new(&header);
+    let magic = h.array()?;
     if magic != MAGIC {
         return Err(ServeError::BadMagic(magic));
     }
-    let version = u16::from_le_bytes(header[4..6].try_into().unwrap());
+    let version = h.u16()?;
     if version != V2 {
         return Err(ServeError::UnsupportedVersion(version));
     }
-    let kind = header[6];
-    let len = u64::from_le_bytes(header[8..16].try_into().unwrap());
+    let kind = h.u8()?;
+    h.u8()?; // reserved
+    let len = h.u64()?;
     if len > max_payload {
         return Err(ServeError::Corrupt(format!(
             "declared payload of {len} bytes exceeds the {max_payload} limit"
@@ -206,7 +207,7 @@ pub fn read_envelope_within<R: Read>(r: &mut R, max_payload: u64) -> Result<Enve
     }
     let mut trailer = [0u8; 8];
     read_exact_or_truncated(r, &mut trailer)?;
-    let expected = u64::from_le_bytes(trailer);
+    let expected = Reader::new(&trailer).u64()?;
 
     let actual = fnv1a64_update(fnv1a64(&header), &payload);
     if actual != expected {
@@ -329,105 +330,15 @@ impl<S: PayloadSink> PayloadWriter<S> {
     }
 }
 
-/// Strict little-endian payload cursor: every overrun is
-/// [`ServeError::Corrupt`].
-pub struct PayloadReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
+/// The payload cursor: [`accelviz_math::Reader`], whose overruns and
+/// leftover bytes are [`ServeError::Corrupt`].
+pub use accelviz_math::Reader as PayloadReader;
 
-impl<'a> PayloadReader<'a> {
-    /// A cursor over `buf`.
-    pub fn new(buf: &'a [u8]) -> PayloadReader<'a> {
-        PayloadReader { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.buf.len() - self.pos < n {
-            return Err(ServeError::Corrupt(format!(
-                "payload overrun: wanted {n} bytes at offset {}, have {}",
-                self.pos,
-                self.buf.len() - self.pos
-            )));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    /// Reads one byte.
-    pub fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Reads a `u16`, little-endian.
-    pub fn u16(&mut self) -> Result<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    /// Reads a `u32`, little-endian.
-    pub fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    /// Reads a `u64`, little-endian.
-    pub fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// Reads an `f32`, little-endian.
-    pub fn f32(&mut self) -> Result<f32> {
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    /// Reads an `f64`, little-endian.
-    pub fn f64(&mut self) -> Result<f64> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// Length-prefixed UTF-8 string.
-    pub fn str(&mut self) -> Result<String> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| ServeError::Corrupt("string is not UTF-8".into()))
-    }
-
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// The unconsumed tail of the payload — handed to self-describing
-    /// sub-decoders (the `accelviz-store` codec blocks) that report how
-    /// far they read, which the caller then [`advance`]s past.
-    ///
-    /// [`advance`]: PayloadReader::advance
-    pub fn rest(&self) -> &'a [u8] {
-        &self.buf[self.pos..]
-    }
-
-    /// Skips `n` bytes a sub-decoder already consumed.
-    pub fn advance(&mut self, n: usize) -> Result<()> {
-        self.take(n).map(|_| ())
-    }
-
-    /// Errors unless every payload byte was consumed.
-    pub fn finish(self) -> Result<()> {
-        if self.pos != self.buf.len() {
-            return Err(ServeError::Corrupt(format!(
-                "{} trailing bytes after payload",
-                self.buf.len() - self.pos
-            )));
-        }
-        Ok(())
-    }
-}
-
-/// The phase coordinate a plot-code byte names.
-fn coord_from_code(b: u8) -> Result<PhaseCoord> {
-    PhaseCoord::from_code(b)
-        .ok_or_else(|| ServeError::Corrupt(format!("invalid phase-coord code {b}")))
+/// Reads a length-prefixed UTF-8 string.
+pub(crate) fn read_str(r: &mut Reader<'_>) -> Result<String> {
+    let len = r.u32()? as usize;
+    String::from_utf8(r.take(len)?.to_vec())
+        .map_err(|_| ServeError::Corrupt("string is not UTF-8".into()))
 }
 
 fn put_aabb<S: PayloadSink>(w: &mut PayloadWriter<S>, b: &Aabb) {
@@ -436,16 +347,6 @@ fn put_aabb<S: PayloadSink>(w: &mut PayloadWriter<S>, b: &Aabb) {
         w.put_f64(v.y);
         w.put_f64(v.z);
     }
-}
-
-fn read_aabb(r: &mut PayloadReader<'_>) -> Result<Aabb> {
-    let min = Vec3::new(r.f64()?, r.f64()?, r.f64()?);
-    let max = Vec3::new(r.f64()?, r.f64()?, r.f64()?);
-    Ok(Aabb { min, max })
-}
-
-fn le_f64(bytes: &[u8]) -> f64 {
-    f64::from_le_bytes(bytes[..8].try_into().unwrap())
 }
 
 // The frame codec. A hybrid frame goes out in three shapes — the v1
@@ -482,16 +383,14 @@ impl FrameHeader {
     /// Reads a header. A compressed payload can be far smaller than the
     /// points it carries, so the point count is capped by what the
     /// *decoded* frame could occupy, not by the bytes left.
-    pub(crate) fn read(r: &mut PayloadReader<'_>) -> Result<FrameHeader> {
+    pub(crate) fn read(r: &mut Reader<'_>) -> Result<FrameHeader> {
         let step = r.u64()? as usize;
         let plot = PlotType {
-            coords: [
-                coord_from_code(r.u8()?)?,
-                coord_from_code(r.u8()?)?,
-                coord_from_code(r.u8()?)?,
-            ],
+            coords: PhaseCoord::read_axes(r, |b| {
+                ServeError::Corrupt(format!("invalid phase-coord code {b}"))
+            })?,
         };
-        let bounds = read_aabb(r)?;
+        let bounds = Aabb::read(r)?;
         let threshold = r.f64()?;
         let discarded = r.u64()?;
         let points = r.u64()?;
@@ -544,20 +443,11 @@ pub(crate) fn put_columns(w: &mut PayloadWriter, frame: &HybridFrame, range: Ran
     w.put_bytes(&encode_f64s(&frame.point_densities[range]));
 }
 
-/// Reads one codec block of `expect` `f64`s from the reader's tail.
-fn read_f64_block(r: &mut PayloadReader<'_>, expect: usize) -> Result<Vec<f64>> {
-    let mut pos = 0;
-    let values =
-        decode_f64s(r.rest(), &mut pos, expect).map_err(|e| ServeError::Corrupt(e.to_string()))?;
-    r.advance(pos)?;
-    Ok(values)
-}
-
 /// Reads the column blocks of points `[start, start + len)` of a frame
 /// of `total` points, written by [`put_columns`]. A range that does not
 /// fit in `total` is refused before any block is decoded.
 pub(crate) fn read_columns(
-    r: &mut PayloadReader<'_>,
+    r: &mut Reader<'_>,
     start: usize,
     len: usize,
     total: usize,
@@ -569,9 +459,9 @@ pub(crate) fn read_columns(
     }
     let mut cols = Vec::with_capacity(6);
     for _ in 0..6 {
-        cols.push(read_f64_block(r, len)?);
+        cols.push(read_f64s(r, len)?);
     }
-    let densities = read_f64_block(r, len)?;
+    let densities = read_f64s(r, len)?;
     let points = (0..len)
         .map(|i| {
             Particle::from_array([
@@ -605,7 +495,7 @@ pub(crate) fn put_grid<S: PayloadSink>(w: &mut PayloadWriter<S>, grid: &DensityG
 
 /// Reads a grid written by [`put_grid`]. The cell count is capped by what
 /// the decoded grid could occupy before anything is sized from it.
-pub(crate) fn read_grid(r: &mut PayloadReader<'_>, cells: Cells) -> Result<DensityGrid> {
+pub(crate) fn read_grid(r: &mut Reader<'_>, cells: Cells) -> Result<DensityGrid> {
     let dims = [r.u64()? as usize, r.u64()? as usize, r.u64()? as usize];
     if dims.contains(&0) {
         return Err(ServeError::Corrupt("grid dims must be positive".into()));
@@ -619,20 +509,10 @@ pub(crate) fn read_grid(r: &mut PayloadReader<'_>, cells: Cells) -> Result<Densi
                 "declared grid {dims:?} exceeds the decoded-payload limit"
             ))
         })?;
-    let bounds = read_aabb(r)?;
+    let bounds = Aabb::read(r)?;
     let data = match cells {
-        Cells::Raw => r
-            .take(n_cells * 4)?
-            .chunks_exact(4)
-            .map(|b| f32::from_le_bytes(b.try_into().unwrap()))
-            .collect(),
-        Cells::Packed => {
-            let mut pos = 0;
-            let values = decode_f32s(r.rest(), &mut pos, n_cells)
-                .map_err(|e| ServeError::Corrupt(e.to_string()))?;
-            r.advance(pos)?;
-            values
-        }
+        Cells::Raw => r.f32s(n_cells as u64)?,
+        Cells::Packed => read_f32s(r, n_cells)?,
     };
     Ok(DensityGrid::from_raw(bounds, dims, data))
 }
@@ -658,7 +538,7 @@ pub(crate) fn put_trailer(w: &mut PayloadWriter, frame: &HybridFrame) -> u64 {
 /// Reads a trailer and checks `frame` against it: the decoded frame's v1
 /// encoding must be exactly the bytes the encoder hashed, so a codec or
 /// splice defect fails loudly instead of rendering subtly wrong.
-pub(crate) fn verify_trailer(r: &mut PayloadReader<'_>, frame: &HybridFrame) -> Result<()> {
+pub(crate) fn verify_trailer(r: &mut Reader<'_>, frame: &HybridFrame) -> Result<()> {
     let raw_len = r.u64()?;
     let raw_fnv = r.u64()?;
     let (len, fnv) = v1_digest(frame);
@@ -695,15 +575,11 @@ pub fn encode_frame(frame: &HybridFrame) -> Vec<u8> {
 /// Decodes a v1 payload. The result compares equal (bit-identical
 /// fields) to the frame that was encoded.
 pub fn decode_frame(payload: &[u8]) -> Result<HybridFrame> {
-    let mut r = PayloadReader::new(payload);
+    let mut r = Reader::new(payload);
     let header = FrameHeader::read(&mut r)?;
-    let n = header.points;
-    let points = r
-        .take(n * 48)?
-        .chunks_exact(48)
-        .map(|p| Particle::from_array(std::array::from_fn(|c| le_f64(&p[8 * c..]))))
-        .collect();
-    let point_densities = r.take(n * 8)?.chunks_exact(8).map(le_f64).collect();
+    let n = header.points as u64;
+    let points = r.records(n, Particle::from_le_bytes)?;
+    let point_densities = r.f64s(n)?;
     let grid = read_grid(&mut r, Cells::Raw)?;
     r.finish()?;
     Ok(header.frame(points, point_densities, grid))
@@ -736,7 +612,7 @@ pub fn encode_frame_v2(frame: &HybridFrame) -> (Vec<u8>, u64) {
 /// Decodes an AVWF v2 frame payload, then verifies it against its
 /// trailer.
 pub fn decode_frame_v2(payload: &[u8]) -> Result<HybridFrame> {
-    let mut r = PayloadReader::new(payload);
+    let mut r = Reader::new(payload);
     let header = FrameHeader::read(&mut r)?;
     let (points, point_densities) = read_columns(&mut r, 0, header.points, header.points)?;
     let grid = read_grid(&mut r, Cells::Packed)?;
@@ -749,6 +625,7 @@ pub fn decode_frame_v2(payload: &[u8]) -> Result<HybridFrame> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use accelviz_math::Vec3;
 
     #[test]
     fn envelope_roundtrips() {
@@ -785,9 +662,14 @@ mod tests {
     fn payload_reader_rejects_overrun_and_trailing() {
         let mut r = PayloadReader::new(&[1, 2, 3]);
         assert_eq!(r.u8().unwrap(), 1);
-        assert!(matches!(r.u64(), Err(ServeError::Corrupt(_))));
-        let r = PayloadReader::new(&[1, 2, 3]);
-        assert!(matches!(r.finish(), Err(ServeError::Corrupt(_))));
+        match ServeError::from(r.u64().unwrap_err()) {
+            ServeError::Corrupt(msg) => assert!(msg.contains("payload overrun"), "{msg}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        match ServeError::from(PayloadReader::new(&[1, 2, 3]).finish().unwrap_err()) {
+            ServeError::Corrupt(msg) => assert!(msg.contains("3 trailing bytes"), "{msg}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
     }
 
     #[test]
@@ -796,7 +678,7 @@ mod tests {
         w.put_str("x–px–y"); // non-ASCII on purpose
         let bytes = w.into_bytes();
         let mut r = PayloadReader::new(&bytes);
-        assert_eq!(r.str().unwrap(), "x–px–y");
+        assert_eq!(read_str(&mut r).unwrap(), "x–px–y");
         r.finish().unwrap();
     }
 
@@ -804,7 +686,7 @@ mod tests {
     fn only_v2_envelopes_are_read() {
         let mut buf = Vec::new();
         write_envelope(&mut buf, 0x03, b"payload").unwrap();
-        assert_eq!(u16::from_le_bytes(buf[4..6].try_into().unwrap()), V2);
+        assert_eq!(PayloadReader::new(&buf[4..6]).u16().unwrap(), V2);
         for bad in [0u16, 1, V2 + 1, 99] {
             let mut buf = Vec::new();
             write_envelope_v(&mut buf, bad, 0x01, b"x").unwrap();
@@ -898,53 +780,5 @@ mod tests {
         frame.grid = DensityGrid::from_raw(frame.bounds, [1, 1, 1], vec![0.0]);
         let (payload, _) = encode_frame_v2(&frame);
         assert_eq!(decode_frame_v2(&payload).unwrap(), frame);
-    }
-
-    #[test]
-    fn v2_bitflips_are_caught_by_the_decoded_checksum() {
-        // The envelope checksum already rejects wire damage; this drives
-        // the *inner* guarantee — a flipped payload byte must never
-        // produce a silently wrong frame even when handed straight to the
-        // payload decoder.
-        let (payload, _) = encode_frame_v2(&sample_frame(64));
-        for at in [
-            0,
-            9,
-            80,
-            payload.len() / 2,
-            payload.len() - 9,
-            payload.len() - 1,
-        ] {
-            let mut bad = payload.clone();
-            bad[at] ^= 0x10;
-            assert!(
-                decode_frame_v2(&bad).is_err(),
-                "flip at {at} decoded silently"
-            );
-        }
-    }
-
-    #[test]
-    fn v2_truncation_is_structured() {
-        let (payload, _) = encode_frame_v2(&sample_frame(32));
-        for keep in [0, 1, 8, 60, payload.len() / 2, payload.len() - 1] {
-            match decode_frame_v2(&payload[..keep]) {
-                Err(ServeError::Corrupt(_)) => {}
-                other => panic!("cut at {keep} gave {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn v2_rejects_implausible_counts_before_allocating() {
-        let (payload, _) = encode_frame_v2(&sample_frame(4));
-        let mut bad = payload.clone();
-        // The point count sits after step(8) + plot(3) + bounds(48) +
-        // threshold(8) + discarded(8) = 75 bytes.
-        bad[75..83].copy_from_slice(&u64::MAX.to_le_bytes());
-        match decode_frame_v2(&bad) {
-            Err(ServeError::Corrupt(msg)) => assert!(msg.contains("point count"), "{msg}"),
-            other => panic!("expected Corrupt, got {other:?}"),
-        }
     }
 }

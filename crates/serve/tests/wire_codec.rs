@@ -1,7 +1,7 @@
-//! Wire-codec hardening: property-tested roundtrips plus corruption
-//! handling. The contract under test: any `HybridFrame` survives
-//! encode → decode bit-identically, and any damaged stream produces a
-//! structured [`ServeError`] — never a panic.
+//! Wire-codec roundtrips, property-tested: any `HybridFrame` survives
+//! encode → decode bit-identically. Envelope verdicts that name a
+//! variant are pinned here; that damaged input of every kind is an error
+//! and never a panic is `tests/decoders_total.rs`.
 
 use accelviz_beam::particle::Particle;
 use accelviz_core::hybrid::HybridFrame;
@@ -89,75 +89,11 @@ proptest! {
     }
 
     #[test]
-    fn truncation_anywhere_is_a_structured_error(frame in arb_frame(), cut in 0.0..1.0f64) {
-        let mut buf = Vec::new();
-        write_response(&mut buf, &Response::Frame(frame)).unwrap();
-        // Cut the stream at a proportional point strictly before the end.
-        let keep = ((buf.len() - 1) as f64 * cut) as usize;
-        let result = read_envelope(&mut &buf[..keep]);
-        prop_assert!(
-            matches!(result, Err(ServeError::Truncated { .. })),
-            "cut at {}/{} gave {:?}", keep, buf.len(), result
-        );
-    }
-
-    #[test]
     fn v2_frame_payloads_roundtrip_bit_identically(frame in arb_frame()) {
         let (payload, raw_len) = encode_frame_v2(&frame);
         prop_assert_eq!(raw_len as usize, encode_frame(&frame).len());
         let decoded = decode_frame_v2(&payload).expect("well-formed v2 payload must decode");
         prop_assert_eq!(decoded, frame);
-    }
-
-    #[test]
-    fn v2_truncation_anywhere_is_a_structured_error(frame in arb_frame(), cut in 0.0..1.0f64) {
-        let (payload, _) = encode_frame_v2(&frame);
-        let keep = ((payload.len() - 1) as f64 * cut) as usize;
-        match decode_frame_v2(&payload[..keep]) {
-            Err(ServeError::Corrupt(_)) | Err(ServeError::Truncated { .. }) => {}
-            other => return Err(TestCaseError::fail(format!(
-                "v2 cut at {keep}/{} gave {other:?}", payload.len()
-            ))),
-        }
-    }
-
-    #[test]
-    fn v2_payload_bitflips_never_decode_silently(frame in arb_frame(), at in 0.0..1.0f64) {
-        // Straight at the v2 payload codec, no envelope checksum in the
-        // way: a flipped byte must never decode to a *different* frame —
-        // it surfaces as a structured error (truncated/corrupt blocks, or
-        // the trailing checksum over the decoded frame), except when the
-        // flip lands in a bitpack block's dead padding bits, where the
-        // identical frame decoding back is correct.
-        let (payload, _) = encode_frame_v2(&frame);
-        let mut bad = payload.clone();
-        let idx = ((payload.len() - 1) as f64 * at) as usize;
-        bad[idx] ^= 0x40;
-        match decode_frame_v2(&bad) {
-            Err(ServeError::Corrupt(_)) | Err(ServeError::Truncated { .. }) => {}
-            Ok(decoded) => prop_assert_eq!(decoded, frame),
-            Err(other) => return Err(TestCaseError::fail(format!(
-                "v2 bitflip at {idx} gave unexpected error {other:?}"
-            ))),
-        }
-    }
-
-    #[test]
-    fn payload_bitflips_never_decode_silently(frame in arb_frame(), at in 0.0..1.0f64) {
-        let payload = encode_frame(&frame);
-        if payload.is_empty() {
-            return Ok(());
-        }
-        let mut buf = Vec::new();
-        write_envelope(&mut buf, 0x83, &payload).unwrap();
-        // Flip one payload byte (past the 16-byte header).
-        let idx = 16 + ((payload.len() - 1) as f64 * at) as usize;
-        buf[idx] ^= 0x40;
-        let result = read_envelope(&mut buf.as_slice());
-        prop_assert!(
-            matches!(result, Err(ServeError::ChecksumMismatch { .. })),
-            "bitflip at {idx} gave {result:?}"
-        );
     }
 }
 

@@ -31,6 +31,7 @@
 
 use accelviz_beam::io::BYTES_PER_PARTICLE;
 use accelviz_beam::particle::Particle;
+use accelviz_math::Reader;
 use accelviz_octree::node::Octree;
 use accelviz_octree::plots::PlotType;
 use accelviz_octree::sorted_store::PartitionedData;
@@ -51,8 +52,6 @@ pub const DEFAULT_CHUNK_BYTES: u64 = 65_520;
 const HEADER_BYTES: u64 = 24;
 const FRAME_DIR_BYTES: u64 = 48;
 const CHUNK_DIR_BYTES: u64 = 24;
-/// Upper bound on plausible frame/chunk counts (header-corruption guard).
-const MAX_TABLE_ENTRIES: u64 = 1 << 28;
 
 pub use crate::fnv1a64;
 use crate::fnv1a64_x4;
@@ -207,10 +206,6 @@ fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
-fn u64_at(buf: &[u8], off: usize) -> u64 {
-    u64::from_le_bytes(buf[off..off + 8].try_into().unwrap())
-}
-
 /// Random-access bytes of an open run file. The length is captured at
 /// open and every read is checked against it before anything is
 /// allocated or read, so an offset or length taken from the file's own
@@ -283,52 +278,50 @@ impl RunStore {
         let src = ChunkSource::open(path)?;
         let file_len = src.len;
         let header = src.read_at(0, HEADER_BYTES as usize)?;
-        if header[..8] != RUN_MAGIC {
+        let mut r = Reader::new(&header);
+        if r.array()? != RUN_MAGIC {
             return Err(bad("bad run-file magic"));
         }
-        let version = u32::from_le_bytes(header[8..12].try_into().unwrap());
+        let version = r.u32()?;
         if version != RUN_VERSION {
             return Err(bad(format!("unsupported run-format version {version}")));
         }
-        let frame_count = u64::from(u32::from_le_bytes(header[12..16].try_into().unwrap()));
-        let chunk_bytes = u64_at(&header, 16);
+        let frame_count = u64::from(r.u32()?);
+        let chunk_bytes = r.u64()?;
         if chunk_bytes == 0 || !chunk_bytes.is_multiple_of(BYTES_PER_PARTICLE) {
             return Err(bad(format!(
                 "chunk size {chunk_bytes} is not a record multiple"
             )));
         }
-        if frame_count > MAX_TABLE_ENTRIES {
-            return Err(bad(format!("implausible frame count {frame_count}")));
-        }
 
         let dir_bytes = frame_count * FRAME_DIR_BYTES;
         let dir = src.read_at(HEADER_BYTES, dir_bytes as usize)?;
+        let mut r = Reader::new(&dir);
         let mut frames = Vec::with_capacity(frame_count as usize);
-        for i in 0..frame_count as usize {
-            let b = i * FRAME_DIR_BYTES as usize;
+        for _ in 0..frame_count {
             frames.push(FrameDir {
-                node_off: u64_at(&dir, b),
-                node_len: u64_at(&dir, b + 8),
-                node_fnv: u64_at(&dir, b + 16),
-                first_chunk: u64_at(&dir, b + 24),
-                n_chunks: u64_at(&dir, b + 32),
-                particle_count: u64_at(&dir, b + 40),
+                node_off: r.u64()?,
+                node_len: r.u64()?,
+                node_fnv: r.u64()?,
+                first_chunk: r.u64()?,
+                n_chunks: r.u64()?,
+                particle_count: r.u64()?,
             });
         }
 
         let count_off = HEADER_BYTES + dir_bytes;
-        let chunk_count = u64_at(&src.read_at(count_off, 8)?, 0);
-        if chunk_count > MAX_TABLE_ENTRIES {
-            return Err(bad(format!("implausible chunk count {chunk_count}")));
-        }
-        let table = src.read_at(count_off + 8, (chunk_count * CHUNK_DIR_BYTES) as usize)?;
+        let chunk_count = Reader::new(&src.read_at(count_off, 8)?).u64()?;
+        // Both tables are read before anything is sized from their counts,
+        // and `read_at` refuses a read past the end of the file.
+        let table_bytes = chunk_count.saturating_mul(CHUNK_DIR_BYTES);
+        let table = src.read_at(count_off + 8, table_bytes as usize)?;
+        let mut r = Reader::new(&table);
         let mut chunks = Vec::with_capacity(chunk_count as usize);
-        for i in 0..chunk_count as usize {
-            let b = i * CHUNK_DIR_BYTES as usize;
+        for i in 0..chunk_count {
             let c = ChunkDir {
-                off: u64_at(&table, b),
-                len: u64_at(&table, b + 8),
-                fnv: u64_at(&table, b + 16),
+                off: r.u64()?,
+                len: r.u64()?,
+                fnv: r.u64()?,
             };
             if c.len > chunk_bytes || !c.len.is_multiple_of(BYTES_PER_PARTICLE) {
                 return Err(bad(format!("chunk {i} has invalid length {}", c.len)));

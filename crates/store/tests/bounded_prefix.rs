@@ -2,8 +2,8 @@
 //! by the count a caller asks for: `RunStore::load_prefix` refuses a count
 //! past the frame before it sizes anything. Alone in its test binary, one
 //! read at a time, so the counting allocator sees only the read under
-//! test (`tests/common/alloc.rs`, the same instrument as `accelviz-octree`'s
-//! `bounded_reservations.rs`).
+//! test (`tests/common/alloc.rs`, the same instrument as the root
+//! package's `decoders_total.rs`).
 
 use accelviz_beam::distribution::Distribution;
 use accelviz_octree::builder::{partition, BuildParams};

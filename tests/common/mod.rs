@@ -1,6 +1,7 @@
 //! Helpers shared by the serving suites (`mod common;` in a test file
-//! pulls them in): the frame data they serve, and replies compared as
-//! raw bytes. A suite may use only some of them.
+//! pulls them in): the frame data they serve, replies compared as raw
+//! bytes, and the seed of a seeded plan. A suite may use only some of
+//! them.
 #![allow(dead_code)]
 
 use accelviz::beam::distribution::Distribution;
@@ -21,6 +22,16 @@ pub fn stores(n: usize, particles: usize) -> Vec<PartitionedData> {
             partition(&ps, PlotType::XYZ, BuildParams::default())
         })
         .collect()
+}
+
+/// The seed of a suite's seeded plan: `ACCELVIZ_CHAOS_SEED` when it is
+/// set to a number (CI runs the seeded suites under two fixed values),
+/// otherwise the suite's own `default`.
+pub fn chaos_seed(default: u64) -> u64 {
+    std::env::var("ACCELVIZ_CHAOS_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(default)
 }
 
 /// Sends `req` and returns the raw bytes of the whole reply, read off

@@ -29,18 +29,14 @@ use accelviz::serve::protocol::{write_response, Response};
 use accelviz::serve::stats::{CTR_FRAMES_SERVED, CTR_HANDLER_PANICS};
 use accelviz::serve::wire::V2;
 use accelviz::serve::{Client, ClientConfig, FrameServer, RemoteFrames, RetryPolicy, ServerConfig};
-use common::stores;
+use common::{chaos_seed, stores};
 use std::sync::Arc;
 use std::time::Duration;
 
 const FRAMES: usize = 12;
 
-fn chaos_seed() -> u64 {
-    std::env::var("ACCELVIZ_CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(20_260_806)
-}
+/// This suite's seed when `ACCELVIZ_CHAOS_SEED` is unset.
+const DEFAULT_SEED: u64 = 20_260_806;
 
 fn fast_retry(seed: u64) -> ClientConfig {
     ClientConfig {
@@ -186,7 +182,10 @@ fn a_jump_discards_the_speculation_and_loads_the_frame_asked_for() {
 fn a_cut_speculative_reply_leaves_the_next_load_genuine() {
     let (server, reference) = serve();
     let (at, len) = offset_of_reply(&server, 2, None);
-    for config in [fast_retry(chaos_seed()), ClientConfig::no_retry()] {
+    for config in [
+        fast_retry(chaos_seed(DEFAULT_SEED)),
+        ClientConfig::no_retry(),
+    ] {
         let cut = FaultEvent {
             direction: FaultDirection::Read,
             at_byte: at + len / 2,
@@ -213,7 +212,10 @@ fn a_cut_speculative_stream_shows_no_partial() {
     let (at, len) = offset_of_reply(&server, 2, Some(budget));
     let head = lod::plan_frame_chunks(&reference[2], budget)[0].len() as u64 + 24;
     assert!(head < len * 3 / 4, "the cut must fall past the head");
-    for config in [fast_retry(chaos_seed()), ClientConfig::no_retry()] {
+    for config in [
+        fast_retry(chaos_seed(DEFAULT_SEED)),
+        ClientConfig::no_retry(),
+    ] {
         let cut = FaultEvent {
             direction: FaultDirection::Read,
             at_byte: at + len * 3 / 4,
@@ -285,7 +287,7 @@ fn stats_mid_playback_waits_for_the_speculation_and_keeps_it() {
 /// every frame bit-identical, no load degraded, no handler panic.
 #[test]
 fn a_speculating_playback_survives_a_seeded_chaos_plan() {
-    let seed = chaos_seed();
+    let seed = chaos_seed(DEFAULT_SEED);
     let (server, reference) = serve();
     let (span, _) = offset_of_reply(&server, FRAMES as u32 - 1, None);
     let fetches_before = global(CTR_CLIENT_SPECULATIVE_FETCHES);

@@ -28,18 +28,14 @@ use accelviz::serve::{
     Client, ClientConfig, FaultPlan, FrameServer, RemoteFrames, RetryPolicy, ServeError,
     ServerConfig,
 };
-use common::stores;
+use common::{chaos_seed, stores};
 use std::sync::Arc;
 use std::time::Duration;
 
 const FRAMES: usize = 5;
 
-fn chaos_seed() -> u64 {
-    std::env::var("ACCELVIZ_CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(20_260_806)
-}
+/// This suite's seed when `ACCELVIZ_CHAOS_SEED` is unset.
+const DEFAULT_SEED: u64 = 20_260_806;
 
 fn fast_retry(seed: u64) -> ClientConfig {
     ClientConfig {
@@ -54,7 +50,7 @@ fn fast_retry(seed: u64) -> ClientConfig {
 /// counters, with zero handler panics server-side.
 #[test]
 fn chaos_session_delivers_frames_bit_identical_to_fault_free_run() {
-    let seed = chaos_seed();
+    let seed = chaos_seed(DEFAULT_SEED);
     let server = FrameServer::spawn_loopback(stores(FRAMES, 800), ServerConfig::default()).unwrap();
 
     // Fault-free reference run, and the measured reply volume that
@@ -137,7 +133,7 @@ fn sharded_chaos_session_delivers_bit_identical_frames() {
     use accelviz::serve::router::CTR_ROUTER_HANDLER_PANICS;
     use accelviz::serve::{RouterConfig, ShardedFrameService};
 
-    let seed = chaos_seed();
+    let seed = chaos_seed(DEFAULT_SEED);
     let service = ShardedFrameService::spawn_loopback_replicated(
         stores(FRAMES, 800),
         2,
@@ -287,7 +283,7 @@ fn retries_disabled_fails_fast_like_the_old_client() {
 /// — instead of erroring, and the viewer session keeps rendering it.
 #[test]
 fn exhausted_retries_degrade_to_a_stale_resident_frame() {
-    let seed = chaos_seed();
+    let seed = chaos_seed(DEFAULT_SEED);
     let server = FrameServer::spawn_loopback(stores(3, 800), ServerConfig::default()).unwrap();
     let addr = server.addr();
 
@@ -345,7 +341,7 @@ fn exhausted_retries_degrade_to_a_stale_resident_frame() {
 /// client untouched; a retrying client gets in once the slot frees.
 #[test]
 fn connection_cap_sheds_with_err_busy_and_serves_the_rest() {
-    let seed = chaos_seed();
+    let seed = chaos_seed(DEFAULT_SEED);
     let config = ServerConfig {
         max_connections: 1,
         ..ServerConfig::default()

@@ -30,17 +30,13 @@ use accelviz::serve::wire::{encode_frame, encode_frame_v2, write_envelope_v, V2}
 use accelviz::serve::{
     Client, ClientConfig, FrameServer, RemoteFrames, RetryPolicy, ServeError, ServerConfig,
 };
-use common::stores;
+use common::{chaos_seed, stores};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-fn chaos_seed() -> u64 {
-    std::env::var("ACCELVIZ_CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(20_260_807)
-}
+/// This suite's seed when `ACCELVIZ_CHAOS_SEED` is unset.
+const DEFAULT_SEED: u64 = 20_260_807;
 
 /// Direct server: every (frame, threshold, budget) cell of the matrix
 /// refines to the bit-identical full fetch, the first chunk undercuts
@@ -157,7 +153,7 @@ fn fig1_frame_compresses_2x_and_leads_with_under_a_quarter() {
 #[test]
 fn chaos_progressive_session_refines_bit_identically() {
     let frames = 5usize;
-    let seed = chaos_seed();
+    let seed = chaos_seed(DEFAULT_SEED);
     let server = FrameServer::spawn_loopback(stores(frames, 800), ServerConfig::default()).unwrap();
 
     // Fault-free reference pass, measuring the progressive reply volume
