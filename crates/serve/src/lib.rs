@@ -24,9 +24,10 @@
 //!   `accelviz-store`'s one coalescing LRU: a server's extractions, a
 //!   router's fetched frames.
 //! - [`server`] — [`server::FrameServer`], which extracts frames from
-//!   one [`server::Origin`] (partitions in memory or a run file), and
-//!   the `serve.*` counters, behind one front door. `Origin::layout` is
-//!   the one place a run is spread across shards.
+//!   one [`server::Origin`] — a residency window over a run file, or
+//!   one seeded with partitions in memory — and the `serve.*` counters,
+//!   behind one front door. `Origin::layout` is the one place an origin
+//!   is spread across shards, and every shard shares it whole.
 //! - `frontdoor` — everything the server and the router share: one
 //!   blocking accept loop with accept-error backoff, admission with
 //!   in-band shedding, one thread-per-connection session loop, one

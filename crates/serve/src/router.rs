@@ -150,14 +150,14 @@ const UPSTREAM_IDLE: usize = 4;
 /// (preference-ordered, primary first) and which *local* index each of
 /// those shards knows it by. Built once from a [`ShardSpec`], a frame
 /// count, and a replication factor — by [`Origin::layout`], which also
-/// provisions the (possibly overlapping) slices from it — then kept by
-/// the router to route requests and fall through replicas on failure.
+/// hands every shard the one origin — then kept by the router to route
+/// requests and fall through replicas on failure.
 ///
 /// ```
 /// use accelviz_core::shard::ShardSpec;
 /// use accelviz_serve::ShardMap;
 ///
-/// let map = ShardMap::sliced_replicated(&ShardSpec::new(2), 6, 1);
+/// let map = ShardMap::shared_replicated(&ShardSpec::new(2), 6, 1);
 /// assert_eq!(map.frame_count(), 6);
 /// assert_eq!(map.replication(), 1);
 /// let (shard, _local) = map.locate(4).expect("frame 4 exists");
@@ -166,7 +166,7 @@ const UPSTREAM_IDLE: usize = 4;
 /// assert!(map.locate(6).is_none());
 ///
 /// // At replication 2 every frame lives on two shards.
-/// let map = ShardMap::sliced_replicated(&ShardSpec::new(3), 6, 2);
+/// let map = ShardMap::shared_replicated(&ShardSpec::new(3), 6, 2);
 /// assert_eq!(map.replication(), 2);
 /// assert_eq!(map.replicas(0).expect("frame 0 exists").len(), 2);
 /// ```
@@ -184,9 +184,11 @@ impl ShardMap {
     /// factor: each shard holds every frame whose top-`replication`
     /// rendezvous owner set includes it, packed in ascending global
     /// order, so global frame `g` is that shard's `rank(g)`-th local
-    /// frame. This is how [`Origin::layout`] spreads partitions held in
-    /// memory. `replication` is clamped to the shard count; zero is
-    /// rejected by the underlying [`ShardSpec::owners`].
+    /// frame; the router relabels such a shard's steps with the global
+    /// index. No origin is laid out this way ([`Origin::layout`] shares);
+    /// this stays public only because the benchmark harness names it.
+    /// `replication` is clamped to the shard count; zero is rejected by
+    /// the underlying [`ShardSpec::owners`].
     pub fn sliced_replicated(spec: &ShardSpec, frame_count: usize, replication: usize) -> ShardMap {
         let mut next_local = vec![0u32; spec.shards()];
         let replicas = (0..frame_count)
@@ -212,7 +214,7 @@ impl ShardMap {
     /// N servers sharing one run file): routing preference still
     /// follows the rendezvous replica set, but a frame's local index on
     /// every replica is its global index. This is how [`Origin::layout`]
-    /// spreads a run.
+    /// spreads every origin.
     pub fn shared_replicated(spec: &ShardSpec, frame_count: usize, replication: usize) -> ShardMap {
         let replicas = (0..frame_count)
             .map(|g| {
@@ -258,17 +260,6 @@ impl ShardMap {
     /// outside the catalog.
     pub fn replicas(&self, g: u32) -> Option<&[(u32, u32)]> {
         self.replicas.get(g as usize).map(|set| set.as_slice())
-    }
-
-    /// The global frames shard `s` holds a replica of (primary or
-    /// fallback), ascending — under a sliced map, shard `s`'s slice.
-    pub fn frames_owned_by(&self, s: usize) -> Vec<usize> {
-        self.replicas
-            .iter()
-            .enumerate()
-            .filter(|(_, set)| set.iter().any(|&(shard, _)| shard as usize == s))
-            .map(|(g, _)| g)
-            .collect()
     }
 }
 
@@ -543,10 +534,11 @@ impl RouterShared {
                     if idx > 0 {
                         self.metrics.add(CTR_ROUTER_REPLICA_FAILOVERS, 1);
                     }
-                    // A sliced shard only knows its local numbering; the
-                    // run-wide convention (what a direct server of the
-                    // unsliced data bakes in, and what the merged catalog
-                    // advertises) is `step == global index`.
+                    // A shard under a hand-built sliced map only knows its
+                    // local numbering; the run-wide convention (what a
+                    // direct server of the unsliced data bakes in, and
+                    // what the merged catalog advertises) is
+                    // `step == global index`.
                     decoded.step = frame as usize;
                     return Ok(decoded);
                 }
@@ -592,7 +584,7 @@ impl RouterShared {
 ///         partition(&ps, PlotType::XYZ, BuildParams::default())
 ///     })
 ///     .collect();
-/// // Three frames sliced over two shards, each frame on one of them.
+/// // Three frames over two shards, each frame routed to one of them.
 /// let (map, origins) = Origin::from(data).layout(2, 1).unwrap();
 /// let shards: Vec<_> = origins
 ///     .into_iter()
@@ -724,7 +716,7 @@ impl FrameRouter {
     /// inherit the dead one's verdict, or the router would keep
     /// fast-failing a healthy server until a cooldown elapsed. The
     /// merged catalog is kept, so the replacement must serve the same
-    /// frame slice. Errors when `shard` is out of range.
+    /// frames. Errors when `shard` is out of range.
     pub fn set_shard_addr(&self, shard: usize, addr: SocketAddr) -> io::Result<()> {
         let upstream = self.shared().upstreams.get(shard).ok_or_else(|| {
             invalid_input(format!(
@@ -809,8 +801,9 @@ fn merge_catalogs(map: &ShardMap, upstreams: &[Arc<Upstream>]) -> io::Result<Vec
     Ok(merged)
 }
 
-/// A whole sharded deployment in one handle: N loopback shard servers,
-/// each owning its rendezvous slice of the catalog, fronted by a
+/// A whole sharded deployment in one handle: N loopback shard servers
+/// over one origin, each the preferred owner of its rendezvous share of
+/// the catalog, fronted by a
 /// [`FrameRouter`] — the test, example, and single-host topology. For a
 /// distributed deployment, spawn [`FrameServer`]s where the data lives
 /// and wire a [`FrameRouter::spawn`] to their addresses instead.
@@ -850,9 +843,9 @@ pub struct ShardedFrameService {
     /// `None` marks a shard killed by [`ShardedFrameService::kill_shard`]
     /// and not yet reinstated.
     shards: Vec<Option<FrameServer>>,
-    /// What the whole service serves, kept so
+    /// Each shard's origin, kept so
     /// [`ShardedFrameService::reinstate_shard`] can rebuild a shard.
-    origin: Origin,
+    origins: Vec<Origin>,
     shard_config: ServerConfig,
     router: FrameRouter,
 }
@@ -869,17 +862,16 @@ impl ShardedFrameService {
         shard_config: ServerConfig,
         router_config: RouterConfig,
     ) -> io::Result<ShardedFrameService> {
-        let origin = origin.into();
-        let (map, origins) = origin.layout(shards, replication)?;
+        let (map, origins) = origin.into().layout(shards, replication)?;
         let servers = origins
-            .into_iter()
-            .map(|shard| FrameServer::spawn_loopback(shard, shard_config))
+            .iter()
+            .map(|shard| FrameServer::spawn_loopback(shard.clone(), shard_config))
             .collect::<io::Result<Vec<_>>>()?;
         let addrs = servers.iter().map(|s| s.addr()).collect();
         let router = FrameRouter::spawn("127.0.0.1:0", addrs, map, router_config)?;
         Ok(ShardedFrameService {
             shards: servers.into_iter().map(Some).collect(),
-            origin,
+            origins,
             shard_config,
             router,
         })
@@ -933,8 +925,9 @@ impl ShardedFrameService {
     /// frames (bit-identical, fresh address) and repoints the router's
     /// pool at it — which also resets the shard's breaker, per
     /// [`FrameRouter::set_shard_addr`]. A no-op when the shard is alive;
-    /// `InvalidInput` when `i` is out of range. Only shard `i`'s own
-    /// origin is rebuilt, from the map the router routes by.
+    /// `InvalidInput` when `i` is out of range. The new server shares
+    /// the service's one window, and with it every frame and grid the
+    /// window already holds.
     pub fn reinstate_shard(&mut self, i: usize) -> io::Result<()> {
         let n = self.shards.len();
         let out_of_range = || invalid_input(format!("shard {i} out of range ({n} shards)"));
@@ -942,8 +935,7 @@ impl ShardedFrameService {
         if slot.is_some() {
             return Ok(());
         }
-        let origin = self.origin.shard(&self.router.shared().map, i);
-        let server = FrameServer::spawn_loopback(origin, self.shard_config)?;
+        let server = FrameServer::spawn_loopback(self.origins[i].clone(), self.shard_config)?;
         self.router.set_shard_addr(i, server.addr())?;
         *slot = Some(server);
         Ok(())
@@ -997,11 +989,7 @@ mod tests {
             assert_eq!(local, seen[shard], "locals are dense and ascending");
             seen[shard] += 1;
         }
-        let total: u32 = seen.iter().sum();
-        assert_eq!(total, 50);
-        for (s, &count) in seen.iter().enumerate() {
-            assert_eq!(map.frames_owned_by(s).len(), count as usize);
-        }
+        assert_eq!(seen.iter().sum::<u32>(), 50);
     }
 
     #[test]

@@ -7,11 +7,11 @@
 //! acceptor thread, one session thread per admitted connection running a
 //! strict request/reply loop, one dispatcher answering every request.
 //! The server owns the *partitioned* data — the density-sorted stores
-//! produced by preprocessing, in memory or in a run file (one
-//! [`Origin`]) — and extracts hybrid frames on demand at
-//! whatever threshold a client dials, which is exactly the paper's
-//! split: preprocessing near the simulation, compact hybrid frames
-//! shipped to the desktop.
+//! produced by preprocessing, behind one residency window whether they
+//! are still in memory or already in a run file (one [`Origin`]) — and
+//! extracts hybrid frames on demand at whatever threshold a client
+//! dials, which is exactly the paper's split: preprocessing near the
+//! simulation, compact hybrid frames shipped to the desktop.
 //!
 //! Protection: the server sheds rather than degrades. Past
 //! [`ServerConfig::max_connections`] a new connection gets one in-band
@@ -41,9 +41,10 @@
 //! counting *requests*.
 //!
 //! Scale-out: N of these servers can sit behind one
-//! [`crate::router::FrameRouter`], each owning a rendezvous-hashed slice
-//! of the catalog — clients speak the identical protocol to the router
-//! and cannot tell the difference (`crate::router`).
+//! [`crate::router::FrameRouter`], all over one origin, each the
+//! preferred owner of a rendezvous-hashed share of the catalog — clients
+//! speak the identical protocol to the router and cannot tell the
+//! difference (`crate::router`).
 
 use crate::cache::{CacheKey, CoalescingCache, Fetched, Lookup, Served};
 use crate::frontdoor::{
@@ -58,9 +59,8 @@ use crate::stats::{
     CTR_READAHEAD_HINTS, CTR_REQUESTS, CTR_SHED_CONNECTIONS, CTR_SHED_EXTRACTIONS, HIST_LATENCY,
 };
 use accelviz_beam::io::BYTES_PER_PARTICLE;
-use accelviz_core::hybrid::HybridFrame;
 use accelviz_core::shard::ShardSpec;
-use accelviz_octree::extraction::{threshold_for_budget, threshold_for_budget_tree};
+use accelviz_octree::extraction::threshold_for_budget_tree;
 use accelviz_octree::sorted_store::PartitionedData;
 use accelviz_store::ResidentRun;
 use accelviz_trace::registry::{Registry, Snapshot};
@@ -112,108 +112,66 @@ impl Default for ServerConfig {
     }
 }
 
-/// Where a run's frames live: the preprocessed partitions held in
-/// memory, or an on-disk run whose kept prefixes and grids page in and
-/// out under [`ResidentRun`]'s byte budget. This is the only code that knows
-/// which, so a server — direct or one shard of many — serves a run
-/// bit-identically to the partitions it was written from.
+/// Where a run's frames live: one [`ResidentRun`] window, paging from a
+/// run file or seeded with partitions in memory. Every frame is extracted
+/// from the window, so a server — direct or one shard of many — serves a
+/// run bit-identically to the partitions it was written from.
 #[derive(Clone)]
-pub enum Origin {
-    /// Every frame's partitioned store, in frame order.
-    Memory(Vec<PartitionedData>),
-    /// Frames paged in on demand from an `accelviz-store` run file.
-    Run(Arc<ResidentRun>),
+pub struct Origin {
+    run: Arc<ResidentRun>,
+    /// Under [`Origin::layout`], whether this shard holds a replica of
+    /// each frame: the only frames a router asks it for, so the only ones
+    /// it reads ahead. `None` reads ahead every frame.
+    owned: Option<Arc<[bool]>>,
 }
 
 impl From<Vec<PartitionedData>> for Origin {
     fn from(data: Vec<PartitionedData>) -> Origin {
-        Origin::Memory(data)
+        Origin::from(Arc::new(ResidentRun::from_memory(data)))
     }
 }
 
 impl From<Arc<ResidentRun>> for Origin {
     fn from(run: Arc<ResidentRun>) -> Origin {
-        Origin::Run(run)
+        Origin { run, owned: None }
     }
 }
 
 impl Origin {
-    fn frame_count(&self) -> usize {
-        match self {
-            Origin::Memory(data) => data.len(),
-            Origin::Run(run) => run.frame_count(),
-        }
+    /// Whether to read frame `next < frame_count()` ahead: this shard
+    /// holds a replica of it, and the window can page it in beside its
+    /// predecessor — the frame being served meanwhile — without evicting
+    /// either. Both frames are charged their raw particle bytes, not
+    /// their compact window entries: a cold page-in holds the whole frame
+    /// while it bins the grid. A window seeded from memory is unbounded.
+    fn reads_ahead(&self, next: usize) -> bool {
+        let run = &self.run;
+        let current = (next + run.frame_count() - 1) % run.frame_count();
+        let bytes = |i| run.particle_count(i).saturating_mul(BYTES_PER_PARTICLE);
+        let room = bytes(current).saturating_add(bytes(next)) <= run.stats().budget_bytes;
+        room && self.owned.as_ref().is_none_or(|owned| owned[next])
     }
 
-    /// The frame catalog. A run answers from directory metadata and the
-    /// always-resident octrees — no particle I/O.
-    fn frame_infos(&self, point_budget: usize) -> Vec<FrameInfo> {
-        match self {
-            Origin::Memory(data) => data
-                .iter()
-                .enumerate()
-                .map(|(i, d)| FrameInfo {
-                    frame: i as u32,
-                    step: i as u64,
-                    particles: d.particles().len() as u64,
-                    default_threshold: threshold_for_budget(d, point_budget),
-                })
-                .collect(),
-            Origin::Run(run) => (0..run.frame_count())
-                .map(|i| FrameInfo {
-                    frame: i as u32,
-                    step: i as u64,
-                    particles: run.particle_count(i),
-                    default_threshold: threshold_for_budget_tree(&run.tree(i).0, point_budget),
-                })
-                .collect(),
-        }
-    }
-
-    /// Whether producing frame `next < frame_count()` may page it in
-    /// beside its predecessor — the frame being served while a read-ahead
-    /// runs — without the residency window evicting either. Partitions
-    /// in memory have no window to disturb. A run is charged both frames'
-    /// raw particle bytes, not their compact window entries: a cold page-in
-    /// holds the whole frame while it bins the grid.
-    fn holds_with_predecessor(&self, next: usize) -> bool {
-        match self {
-            Origin::Memory(_) => true,
-            Origin::Run(run) => {
-                let current = (next + run.frame_count() - 1) % run.frame_count();
-                let bytes = |i| run.particle_count(i).saturating_mul(BYTES_PER_PARTICLE);
-                bytes(current).saturating_add(bytes(next)) <= run.stats().budget_bytes
-            }
-        }
-    }
-
-    /// Frame `frame` extracted at `threshold` into a `dims` volume. A run
-    /// reads only what its window lacks of the frame's kept prefix and
-    /// grid; it never pages in the particles the threshold discards.
+    /// Frame `frame` extracted at `threshold` into a `dims` volume, from
+    /// what the window holds of the frame's kept prefix and grid: it
+    /// reads only what the window lacks, and never the particles the
+    /// threshold discards.
     fn extract(&self, frame: u32, threshold: f64, dims: [usize; 3]) -> Fetched {
         let index = frame as usize;
-        let extracted = match self {
-            Origin::Memory(data) => {
-                HybridFrame::from_partition(&data[index], index, threshold, dims)
-            }
-            Origin::Run(run) => {
-                let (extracted, _) = run.hybrid_frame(index, threshold, dims).map_err(|e| {
-                    let why = format!("run store failed loading frame {frame}: {e}");
-                    Refusal::new(ERR_INTERNAL, why)
-                })?;
-                extracted
-            }
-        };
+        let (extracted, _) = self.run.hybrid_frame(index, threshold, dims).map_err(|e| {
+            let why = format!("run store failed loading frame {frame}: {e}");
+            Refusal::new(ERR_INTERNAL, why)
+        })?;
         Ok(Arc::new(Served::new(extracted)))
     }
 
     /// Spreads this origin over `shards` shards, each frame on
-    /// `replication` of them: the [`ShardMap`] a router routes by, and
-    /// shard `s`'s own origin at index `s`. Partitions in memory are
-    /// sliced ([`ShardMap::sliced_replicated`]); a run is read whole by
-    /// every shard ([`ShardMap::shared_replicated`]). `InvalidInput` for
-    /// zero shards or zero replication; `replication` above `shards`
-    /// clamps. [`crate::router::FrameRouter`]'s example wires a router.
+    /// `replication` of them: the [`ShardMap`] a router routes by
+    /// ([`ShardMap::shared_replicated`]), and at index `s` shard `s`'s
+    /// origin: the one window, read ahead where `s` holds a replica.
+    /// `InvalidInput` for zero shards or zero replication; `replication`
+    /// above `shards` clamps. [`crate::router::FrameRouter`]'s example
+    /// wires a router.
     pub fn layout(&self, shards: usize, replication: usize) -> io::Result<(ShardMap, Vec<Origin>)> {
         if shards == 0 {
             return Err(invalid_input("a sharded service needs at least one shard"));
@@ -223,25 +181,15 @@ impl Origin {
                 "a sharded service needs a replication factor of at least 1",
             ));
         }
-        let (spec, count) = (ShardSpec::new(shards), self.frame_count());
-        let map = match self {
-            Origin::Memory(_) => ShardMap::sliced_replicated(&spec, count, replication),
-            Origin::Run(_) => ShardMap::shared_replicated(&spec, count, replication),
-        };
-        let origins = (0..shards).map(|s| self.shard(&map, s)).collect();
+        let spec = ShardSpec::new(shards);
+        let map = ShardMap::shared_replicated(&spec, self.run.frame_count(), replication);
+        let holds = |s, g| map.replicas(g).into_iter().flatten().any(|&(o, _)| o == s);
+        let origins = (0..shards as u32).map(|s| Origin {
+            run: Arc::clone(&self.run),
+            owned: Some((0..map.frame_count() as u32).map(|g| holds(s, g)).collect()),
+        });
+        let origins = origins.collect();
         Ok((map, origins))
-    }
-
-    /// Shard `s`'s origin under a map [`Origin::layout`] made from this
-    /// origin: its frames in local-index order.
-    pub(crate) fn shard(&self, map: &ShardMap, s: usize) -> Origin {
-        match self {
-            Origin::Memory(data) => {
-                let frames = map.frames_owned_by(s).into_iter();
-                Origin::Memory(frames.map(|g| data[g].clone()).collect())
-            }
-            Origin::Run(run) => Origin::Run(Arc::clone(run)),
-        }
     }
 }
 
@@ -283,11 +231,20 @@ impl Handler for Shared {
     }
 
     fn frame_count(&self) -> usize {
-        self.origin.frame_count()
+        self.origin.run.frame_count()
     }
 
+    /// From particle counts and the always-resident octrees: no I/O.
     fn catalog(&self) -> Vec<FrameInfo> {
-        self.origin.frame_infos(self.config.point_budget)
+        let (run, budget) = (&self.origin.run, self.config.point_budget);
+        (0..run.frame_count())
+            .map(|i| FrameInfo {
+                frame: i as u32,
+                step: i as u64,
+                particles: run.particle_count(i),
+                default_threshold: threshold_for_budget_tree(&run.tree(i).0, budget),
+            })
+            .collect()
     }
 
     fn frame(&self, frame: u32, threshold: f64) -> Fetched {
@@ -310,12 +267,13 @@ impl Handler for Shared {
         fetched
     }
 
-    /// The registry, plus a run's residency window under its
-    /// `store.resident_*` names.
+    /// The registry, plus a paged window's counters under their
+    /// `store.resident_*` names. A window seeded from memory never pages,
+    /// so its server's reply is the registry alone.
     fn stats(&self) -> Snapshot {
         let mut snapshot = self.metrics.snapshot();
-        if let Origin::Run(run) = &self.origin {
-            for (name, value) in run.stats().counters() {
+        if self.origin.run.pages() {
+            for (name, value) in self.origin.run.stats().counters() {
                 snapshot.counters.insert(name.to_string(), value);
             }
         }
@@ -409,7 +367,8 @@ impl Shared {
     /// resident, then fill the encoding the session will ask for. Never
     /// at a demand request's expense — without a free extraction permit,
     /// or room in the residency window for this frame beside the one
-    /// being served, the hint is dropped.
+    /// being served, or a replica of it on this shard, the hint is
+    /// dropped.
     fn speculate(&self, hint: ReadAhead) {
         let _span = accelviz_trace::span("serve.readahead");
         let ReadAhead {
@@ -420,7 +379,7 @@ impl Shared {
         if let Some(resident) = self.cache.get(&CacheKey::new(frame, threshold)) {
             return resident.prefill(shape);
         }
-        let room = self.origin.holds_with_predecessor(frame as usize);
+        let room = self.origin.reads_ahead(frame as usize);
         let Some(permit) = room.then(|| try_extraction_permit(self)).flatten() else {
             self.metrics.add(CTR_READAHEAD_DROPPED, 1);
             return;
@@ -458,10 +417,11 @@ pub struct FrameServer {
 }
 
 impl FrameServer {
-    /// Binds `addr` and starts serving `origin`'s frames: partitions in
-    /// memory (`Vec<PartitionedData>`, served in index order; frame `i`'s
-    /// step is `i`), or an out-of-core run (`Arc<ResidentRun>`, of which
-    /// only the run's budget worth of particle data is ever in memory).
+    /// Binds `addr` and starts serving `origin`'s frames, frame `i` at
+    /// step `i`: an out-of-core run (`Arc<ResidentRun>`, of which only
+    /// the run's budget worth of particle data is ever in memory), or
+    /// partitions in memory (`Vec<PartitionedData>`, in index order),
+    /// which seed a window of their own.
     pub fn spawn(
         addr: &str,
         origin: impl Into<Origin>,
@@ -573,6 +533,7 @@ mod tests {
     use crate::frontdoor::Shape;
     use crate::wire::encode_frame_v2;
     use accelviz_beam::distribution::Distribution;
+    use accelviz_core::hybrid::HybridFrame;
     use accelviz_octree::builder::{partition, BuildParams};
     use accelviz_octree::plots::PlotType;
 
@@ -697,27 +658,43 @@ mod tests {
         shared.stop_helper(helper);
     }
 
-    /// A fetch that panics on the helper's thread (here: a frame past the
-    /// catalog, which the door never hints) vacates its key and costs
-    /// that hint only.
+    /// A fetch that panics on the helper's thread (here: binning into a
+    /// grid with no cells, which a config never asks for) vacates its key
+    /// and costs that hint only.
     #[test]
     fn a_panicking_speculative_fetch_takes_down_neither_the_helper_nor_the_key() {
-        let (shared, helper) = started(2, ServerConfig::default());
-        shared.read_ahead(hint(7));
-        // Queued behind the doomed hint once the helper has taken that.
+        let config = ServerConfig {
+            volume_dims: [0, 1, 1],
+            ..ServerConfig::default()
+        };
+        let (shared, helper) = started(2, config);
+        let count = |name| shared.metrics.counter(name);
+        shared.read_ahead(hint(1));
+        // A hint finds the slot free only once the helper has taken the
+        // one before it: three admitted means the helper outlived the
+        // first hint's panic.
         wait_until(|| {
-            shared.read_ahead(hint(1));
-            shared.metrics.counter(CTR_READAHEAD_FETCHES) == 1
+            shared.read_ahead(hint(0));
+            count(CTR_READAHEAD_HINTS) - count(CTR_READAHEAD_DROPPED) == 3
         });
-        assert_eq!(building(&shared), 0, "the doomed fetch's permit came back");
+        shared.stop_helper(helper);
+        assert_eq!(count(CTR_READAHEAD_FETCHES), 0);
+        assert_eq!(
+            building(&shared),
+            0,
+            "the doomed fetches' permits came back"
+        );
         let doomed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = shared.frame(7, f64::INFINITY);
+            let _ = shared.frame(1, f64::INFINITY);
         }));
         assert!(
             doomed.is_err(),
             "the key is vacant: a demand fetch runs, and panics itself"
         );
-        shared.stop_helper(helper);
+        // A frame past the catalog, which the door never asks for, is a
+        // refusal, not a panic.
+        let past = shared.frame(7, f64::INFINITY).err().expect("no frame 7");
+        assert_eq!(past.code, ERR_INTERNAL, "{past:?}");
     }
 
     /// Stop with one hint in flight and one queued: the one in flight

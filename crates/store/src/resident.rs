@@ -1,5 +1,4 @@
-//! Residency management over an on-disk run: what of each frame is in
-//! memory.
+//! Residency management over a run: what of each frame is in memory.
 //!
 //! A [`ResidentRun`] keeps every frame's octree resident (node blobs are
 //! tiny — 88 bytes per node — and reading them eagerly doubles as a
@@ -33,6 +32,11 @@
 //! load kept extends it. Extensions of one frame take turns, so an entry
 //! only grows while it is resident, and a request that waited on another
 //! extension reads only what that one did not.
+//!
+//! A run already in memory ([`ResidentRun::from_memory`]) is the same
+//! window seeded with every frame whole, with no file behind it and so no
+//! bound on its budget: nothing is evicted or read, a frame's first
+//! request at some dims bins its grid, and every later one is warm.
 
 use crate::cache::{Cache, Lookup};
 use crate::run::RunStore;
@@ -49,13 +53,17 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// A run file plus an in-memory residency window over its frames.
+/// A run's frames behind an in-memory residency window: paged in from a
+/// run file, or seeded with frames already in memory.
 pub struct ResidentRun {
-    store: RunStore,
+    /// The run file; `None` for a window seeded from memory.
+    store: Option<RunStore>,
     /// Every frame's octree and plot type, always resident.
     trees: Vec<(Octree, PlotType)>,
-    /// Every frame's leaves in store order, checked at open.
+    /// Every frame's leaves in store order, checked once.
     store_orders: Vec<Vec<u32>>,
+    /// Every frame's particle count.
+    counts: Vec<u64>,
     /// One turn at extending each frame's entry.
     extending: Vec<Mutex<()>>,
     budget_bytes: u64,
@@ -209,18 +217,57 @@ impl ResidentRun {
             trees.push((tree, plot));
             store_orders.push(order);
         }
-        Ok(ResidentRun {
+        let counts = (0..trees.len()).map(|i| store.particle_count(i)).collect();
+        let run = ResidentRun::new(Some(store), trees, store_orders, counts, budget_bytes);
+        Ok(run)
+    }
+
+    /// A run over frames already in memory, in frame order: the window
+    /// seeded with each frame whole (see the [module docs](self)). A
+    /// frame's store order is its [`PartitionedData::sorted_leaves`].
+    pub fn from_memory(frames: Vec<PartitionedData>) -> ResidentRun {
+        let trees = frames.iter().map(|d| (d.tree().clone(), d.plot()));
+        let orders = frames.iter().map(|d| d.sorted_leaves().to_vec());
+        let counts = frames.iter().map(|d| d.particles().len() as u64);
+        let (trees, orders, counts) = (trees.collect(), orders.collect(), counts.collect());
+        let run = ResidentRun::new(None, trees, orders, counts, u64::MAX);
+        for (i, data) in frames.into_iter().enumerate() {
+            let particles = Kept::Whole(Arc::new(data));
+            let held = Held {
+                particles,
+                grid: None,
+            };
+            run.window.insert(i as u32, Arc::new(held));
+        }
+        run
+    }
+
+    /// A run over every frame's metadata, with an empty window.
+    fn new(
+        store: Option<RunStore>,
+        trees: Vec<(Octree, PlotType)>,
+        store_orders: Vec<Vec<u32>>,
+        counts: Vec<u64>,
+        budget_bytes: u64,
+    ) -> ResidentRun {
+        ResidentRun {
             extending: store_orders.iter().map(|_| Mutex::new(())).collect(),
             store,
             trees,
             store_orders,
+            counts,
             budget_bytes,
             window: Cache::new(budget_bytes, Held::weight),
             cold_loads: AtomicU64::new(0),
             prefix_extensions: AtomicU64::new(0),
             warm_hits: AtomicU64::new(0),
             grids_binned: AtomicU64::new(0),
-        })
+        }
+    }
+
+    /// Whether frames page in from a run file, unlike a seeded window.
+    pub fn pages(&self) -> bool {
+        self.store.is_some()
     }
 
     /// Number of frames in the run.
@@ -233,17 +280,15 @@ impl ResidentRun {
         &self.trees[i]
     }
 
-    /// Particle count of frame `i` (directory metadata, no fetch).
+    /// Particle count of frame `i` (metadata, no fetch).
     pub fn particle_count(&self, i: usize) -> u64 {
-        self.store.particle_count(i)
+        self.counts[i]
     }
 
     /// Total particle bytes across the run — compare against
     /// [`ResidentStats::budget_bytes`] to see how out-of-core a run is.
     pub fn total_particle_bytes(&self) -> u64 {
-        (0..self.frame_count())
-            .map(|i| self.store.frame_bytes(i))
-            .sum()
+        self.counts.iter().map(|c| c * BYTES_PER_PARTICLE).sum()
     }
 
     /// Frame `i`'s first `kept` particles (or more) and its density grid
@@ -289,6 +334,12 @@ impl ResidentRun {
         })
     }
 
+    /// The run file, which a seeded window never asks for: it evicts nothing.
+    fn store(&self) -> io::Result<&RunStore> {
+        let seeded = || invalid_input("a run seeded from memory has no file to read".to_string());
+        self.store.as_ref().ok_or_else(seeded)
+    }
+
     fn key(&self, i: usize) -> io::Result<u32> {
         u32::try_from(i)
             .ok()
@@ -300,7 +351,7 @@ impl ResidentRun {
     /// if `None`) and, when `dims` is given, its grid at those dims.
     fn page(&self, i: usize, want: Option<u64>, dims: Option<[usize; 3]>) -> io::Result<Paged> {
         let key = self.key(i)?;
-        let count = self.store.particle_count(i);
+        let count = self.counts[i];
         let want = want.unwrap_or(count);
         if want > count {
             let why = format!("prefix of {want} records asked of frame {i}'s {count}");
@@ -347,7 +398,7 @@ impl ResidentRun {
     /// Frame `i` paged in: every chunk read once, the grid binned from
     /// them when `dims` asks for one, `want` records kept.
     fn cold(&self, i: usize, want: u64, dims: Option<[usize; 3]>) -> io::Result<Held> {
-        let particles = self.store.load_particles(i)?;
+        let particles = self.store()?.load_particles(i)?;
         let grid = dims.map(|d| self.bin(i, &particles, d));
         self.keep(i, particles, want, grid)
     }
@@ -366,18 +417,14 @@ impl ResidentRun {
         let held_len = have.len() as u64;
         let rebin = !held.has_grid(dims);
         // Binning needs the whole frame.
-        let through = if rebin {
-            self.store.particle_count(i)
-        } else {
-            want
-        };
+        let through = if rebin { self.counts[i] } else { want };
         if through == held_len {
             // A whole frame in hand, binned anew: nothing to read.
             let grid = dims.map(|d| self.bin(i, have, d));
             let particles = held.particles.clone();
             return Ok((Held { particles, grid }, 0));
         }
-        let rest = self.store.load_range(i, held_len..through)?;
+        let rest = self.store()?.load_range(i, held_len..through)?;
         let mut particles = Vec::with_capacity(through as usize);
         particles.extend_from_slice(have);
         particles.extend_from_slice(&rest);
@@ -411,7 +458,7 @@ impl ResidentRun {
         want: u64,
         grid: Option<Arc<DensityGrid>>,
     ) -> io::Result<Held> {
-        let particles = if want < self.store.particle_count(i) {
+        let particles = if want < self.counts[i] {
             let exact = particles.len() as u64 == want;
             Kept::Prefix(match exact {
                 true => particles,
@@ -429,7 +476,7 @@ impl ResidentRun {
     /// Current residency counters.
     pub fn stats(&self) -> ResidentStats {
         let held = self.window.stats();
-        let (chunks_read, bytes_read) = self.store.io_stats();
+        let (chunks_read, bytes_read) = self.store.as_ref().map_or((0, 0), RunStore::io_stats);
         let count = |c: &AtomicU64| c.load(Ordering::Relaxed);
         ResidentStats {
             resident_frames: held.entries,
@@ -452,6 +499,7 @@ mod tests {
     use crate::run::write_run_file;
     use accelviz_beam::distribution::Distribution;
     use accelviz_octree::builder::{partition, BuildParams};
+    use accelviz_octree::extraction::threshold_for_budget;
     use std::sync::Barrier;
 
     fn frames(n_frames: usize, particles_each: usize) -> Vec<PartitionedData> {
@@ -468,6 +516,47 @@ mod tests {
             std::env::temp_dir().join(format!("accelviz-resident-{name}-{}", std::process::id()));
         write_run_file(&path, &frames(n_frames, particles_each), 4_096).unwrap();
         path
+    }
+
+    #[test]
+    fn a_window_seeded_from_memory_extracts_like_the_partitions_and_never_reads() {
+        let data = frames(3, 600);
+        let expected = data.clone();
+        let seeded: Vec<*const Particle> = data.iter().map(|d| d.particles().as_ptr()).collect();
+        let run = ResidentRun::from_memory(data);
+        let dims = [8, 8, 8];
+        for _pass in 0..2 {
+            for (i, d) in expected.iter().enumerate() {
+                for t in [f64::INFINITY, threshold_for_budget(d, 150), 0.0] {
+                    let (got, paged) = run.hybrid_frame(i, t, dims).unwrap();
+                    assert!(paged.warm && paged.bytes_loaded == 0, "frame {i} at {t}");
+                    let want = HybridFrame::from_partition(d, i, t, dims);
+                    assert_eq!(got, want, "frame {i} at {t}");
+                }
+            }
+        }
+        let s = run.stats();
+        assert_eq!(s.grids_binned, 3, "each frame binned once: {s:?}");
+        assert_eq!((s.cold_loads, s.bytes_read, s.evictions), (0, 0, 0));
+        for (i, &particles) in seeded.iter().enumerate() {
+            let first = run.fetch(i).unwrap();
+            assert_eq!(
+                first.data.particles().as_ptr(),
+                particles,
+                "no particle copied"
+            );
+            assert!(Arc::ptr_eq(&first.data, &run.fetch(i).unwrap().data));
+        }
+    }
+
+    #[test]
+    fn a_window_seeded_with_no_frames_is_an_empty_run() {
+        let run = ResidentRun::from_memory(vec![]);
+        assert_eq!((run.frame_count(), run.total_particle_bytes()), (0, 0));
+        let err = run.fetch(0).err().expect("no such frame");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        let s = run.stats();
+        assert_eq!((s.resident_frames, s.cold_loads, s.bytes_read), (0, 0, 0));
     }
 
     #[test]

@@ -745,15 +745,14 @@ fn prober_reinstates_a_shard_that_returns_on_its_old_address() {
 }
 
 /// `spawn_loopback_replicated` provisioning is sound: at replication 2
-/// each shard's slice is exactly the frames whose replica set includes
-/// it, in ascending global order — so every replica serves bytes
-/// identical to the primary's.
+/// every shard a frame's replica set names serves it under the local
+/// index the map routes by — so every replica serves bytes identical to
+/// the primary's.
 #[test]
-fn replicated_slices_serve_identical_bytes_from_every_replica() {
+fn every_replica_serves_identical_bytes() {
     let data = stores(6, 800);
     let reference = reference_frames(&data);
-    let spec = ShardSpec::new(3);
-    let map = ShardMap::sliced_replicated(&spec, 6, 2);
+    let (map, _) = Origin::from(data.clone()).layout(3, 2).unwrap();
     let mut service = ShardedFrameService::spawn_loopback_replicated(
         data,
         3,
@@ -772,10 +771,8 @@ fn replicated_slices_serve_identical_bytes_from_every_replica() {
                 ClientConfig::no_retry(),
             )
             .unwrap();
-            let (mut frame, _) = direct.fetch(local, f64::INFINITY).unwrap();
-            // A sliced shard labels steps locally; undo the relabeling
-            // the router normally performs.
-            frame.step = g as usize;
+            let (frame, _) = direct.fetch(local, f64::INFINITY).unwrap();
+            assert_eq!(frame.step, g as usize, "shards serve global steps");
             assert_eq!(
                 frame, reference[g as usize],
                 "shard {shard} local {local} differs from global frame {g}"

@@ -1,9 +1,10 @@
-//! The differential oracle: one run, from memory or from its run file
-//! paged under a residency budget of one and a half frames, in four
-//! deployments each — a direct server, and a router over 1 shard, over 2
-//! shards, and over 3 shards at replication 2 — and a client that cannot
-//! tell which of the eight it talks to. This is the one place where
-//! byte-equality across deployments is asserted.
+//! The differential oracle: one run, in a window seeded from memory or
+//! in a window over its run file paged under a residency budget of one
+//! and a half frames, in four deployments each — a direct server, and a
+//! router over 1 shard, over 2 shards, and over 3 shards at replication
+//! 2 — and a client that cannot tell which of the eight it talks to.
+//! This is the one place where byte-equality across deployments is
+//! asserted.
 //!
 //! Each seed's script is drawn from the proptest shim's `TestRng`: `Hello`
 //! at versions 0 to 2, `ListFrames` (often a fresh socket's first
@@ -238,19 +239,17 @@ impl Service {
 
     /// The checks on a whole run, with killed instances' counters summed
     /// in: a direct server read ahead exactly when its origin holds two
-    /// frames at once (memory does, the budgeted run does not), every
-    /// shard served a frame, and every 3×2 router failed over to a
-    /// replica and opened a breaker.
+    /// frames at once (the seeded window does, the budgeted file window
+    /// does not), every shard served a frame, and every 3×2 router failed
+    /// over to a replica and opened a breaker.
     fn check_counters(&self) {
         match &self.deployment {
             Deployment::Direct {
-                origin,
-                server,
-                read_ahead,
+                server, read_ahead, ..
             } => {
                 let fetched = read_ahead + server.metrics().counter(CTR_READAHEAD_FETCHES);
-                let memory = matches!(origin, Origin::Memory(_));
-                assert_eq!(fetched > 0, memory, "{fetched} frames read ahead");
+                let seeded = self.name.starts_with("seeded window");
+                assert_eq!(fetched > 0, seeded, "{fetched} frames read ahead");
             }
             Deployment::Sharded {
                 service,
@@ -358,8 +357,8 @@ fn four_deployments_of_one_run_answer_a_seeded_session_byte_for_byte() {
     write_run_file(&path, &data, 4_096).unwrap();
     // One and a half frames of particles: never two frames resident.
     let budget = 3 * PARTICLES as u64 * BYTES_PER_PARTICLE / 2;
-    let memory = || Origin::from(data.clone());
-    let run = || Origin::from(Arc::new(ResidentRun::open(&path, budget).unwrap()));
+    let seeded = || Origin::from(data.clone());
+    let file = || Origin::from(Arc::new(ResidentRun::open(&path, budget).unwrap()));
     let config = server_config();
     // A router cache of no bytes holds the newest frame only, so requests
     // keep reaching the shards after a kill.
@@ -367,7 +366,8 @@ fn four_deployments_of_one_run_answer_a_seeded_session_byte_for_byte() {
         cache_bytes: 0,
         ..RouterConfig::default()
     };
-    let origins: [(&str, &dyn Fn() -> Origin); 2] = [("memory", &memory), ("run", &run)];
+    let origins: [(&str, &dyn Fn() -> Origin); 2] =
+        [("seeded window", &seeded), ("file window", &file)];
     let mut services = Vec::new();
     for (kind, origin) in origins {
         let direct = origin();
