@@ -7,13 +7,16 @@
 //! after `failure_threshold` consecutive upstream failures the shard's
 //! breaker trips [`BreakerState::Open`] and subsequent requests
 //! fast-fail in microseconds (skipping straight to the next replica, or
-//! to the degraded path when no replica remains). After
-//! `open_cooldown`, the first arrival is admitted as a single
-//! [`Admission::Trial`] ([`BreakerState::HalfOpen`]); its success
-//! closes the breaker, its failure re-opens it for another cooldown.
-//! The background [`crate::health`] prober drives the same state
-//! machine from its `Stats` pings, so a recovering shard is reinstated
-//! even when no client traffic is probing it.
+//! to the degraded path when no replica remains).
+//!
+//! Open is a latch with no clock: it lasts until the breaker hears one
+//! success. No client request is ever handed to an ejected shard to
+//! find out whether it recovered — that is the background
+//! [`crate::health`] prober's job, whose bounded `Stats` pings are the
+//! one automatic way back in (a request admitted before the trip that
+//! succeeds late closes it too). An operator repoint
+//! (`FrameRouter::set_shard_addr`, and `reinstate_shard` through it)
+//! [`CircuitBreaker::reset`]s the breaker outright.
 //!
 //! The breaker is deliberately *pessimistic about consecutive failures
 //! only*: one success resets the count, so a shard that answers most
@@ -22,25 +25,20 @@
 //! on the `router.breaker_*` counters.
 
 use std::sync::{Mutex, MutexGuard};
-use std::time::{Duration, Instant};
 
-/// When a shard's breaker trips and how long it stays tripped.
+/// When a shard's breaker trips.
 #[derive(Clone, Copy, Debug)]
 pub struct BreakerConfig {
     /// Consecutive upstream failures (requests or probes) that trip the
-    /// breaker from Closed to Open. One success resets the count.
+    /// breaker from Closed to Open. One success resets the count, and
+    /// closes an Open breaker.
     pub failure_threshold: u32,
-    /// How long an Open breaker fast-fails before admitting a single
-    /// half-open trial. A failure while Open (from a request admitted
-    /// before the trip) refreshes this window.
-    pub open_cooldown: Duration,
 }
 
 impl Default for BreakerConfig {
     fn default() -> BreakerConfig {
         BreakerConfig {
             failure_threshold: 3,
-            open_cooldown: Duration::from_millis(500),
         }
     }
 }
@@ -50,10 +48,9 @@ impl Default for BreakerConfig {
 pub enum BreakerState {
     /// Requests flow; consecutive failures are being counted.
     Closed,
-    /// Requests fast-fail without touching the shard.
+    /// Requests fast-fail without touching the shard until one success
+    /// (a probe, as a rule) closes the breaker.
     Open,
-    /// One trial request is probing whether the shard recovered.
-    HalfOpen,
 }
 
 /// What `admit` decided for one request.
@@ -61,29 +58,22 @@ pub enum BreakerState {
 pub enum Admission {
     /// Breaker closed: proceed normally.
     Allow,
-    /// Breaker half-open and this caller won the single trial slot; its
-    /// `on_success`/`on_failure` report decides the next state.
-    Trial,
-    /// Breaker open (or a trial is already in flight): fail fast
-    /// without touching the shard.
+    /// Breaker open: fail fast without touching the shard.
     FastFail,
 }
 
 /// A state transition worth a counter increment.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Transition {
-    /// Closed or HalfOpen → Open: the shard was ejected.
+    /// Closed → Open: the shard was ejected.
     Opened,
-    /// Open → HalfOpen: the cooldown elapsed and a trial was admitted.
-    HalfOpened,
-    /// Open or HalfOpen → Closed: the shard was reinstated.
+    /// Open → Closed: the shard was reinstated.
     Closed,
 }
 
 enum State {
     Closed { consecutive_failures: u32 },
-    Open { until: Instant },
-    HalfOpen { trial_started: Option<Instant> },
+    Open,
 }
 
 /// One shard's circuit breaker. Thread-safe; every method is a short
@@ -95,7 +85,7 @@ pub struct CircuitBreaker {
 }
 
 impl CircuitBreaker {
-    /// A closed breaker with the given trip thresholds.
+    /// A closed breaker with the given trip threshold.
     pub fn new(config: BreakerConfig) -> CircuitBreaker {
         CircuitBreaker {
             config,
@@ -109,95 +99,44 @@ impl CircuitBreaker {
     pub fn state(&self) -> BreakerState {
         match *lock(&self.state) {
             State::Closed { .. } => BreakerState::Closed,
-            State::Open { .. } => BreakerState::Open,
-            State::HalfOpen { .. } => BreakerState::HalfOpen,
+            State::Open => BreakerState::Open,
         }
     }
 
-    /// Decides whether one request arriving at `now` may proceed. Open
-    /// breakers at or past their cooldown admit exactly one
-    /// [`Admission::Trial`]; a trial whose owner never reports back
-    /// (e.g. an isolated panic) is abandoned once *more* than another
-    /// cooldown has passed, so the breaker cannot wedge in HalfOpen
-    /// forever. The caller supplies the clock, so the state machine is
-    /// a pure function of the instants it is shown.
-    pub fn admit(&self, now: Instant) -> (Admission, Option<Transition>) {
-        let mut state = lock(&self.state);
-        match *state {
-            State::Closed { .. } => (Admission::Allow, None),
-            State::Open { until } if now >= until => {
-                *state = State::HalfOpen {
-                    trial_started: Some(now),
-                };
-                (Admission::Trial, Some(Transition::HalfOpened))
-            }
-            State::Open { .. } => (Admission::FastFail, None),
-            State::HalfOpen { trial_started } => match trial_started {
-                Some(started) if now.duration_since(started) <= self.config.open_cooldown => {
-                    (Admission::FastFail, None)
-                }
-                // No trial in flight (or the previous one was abandoned):
-                // this caller takes the slot.
-                _ => {
-                    *state = State::HalfOpen {
-                        trial_started: Some(now),
-                    };
-                    (Admission::Trial, None)
-                }
-            },
+    /// Decides whether one request may proceed: every request while
+    /// Closed, none while Open.
+    pub fn admit(&self) -> Admission {
+        match *lock(&self.state) {
+            State::Closed { .. } => Admission::Allow,
+            State::Open => Admission::FastFail,
         }
     }
 
     /// Reports a successful upstream operation (request or probe): the
     /// breaker closes from any state and the failure count resets.
     pub fn on_success(&self) -> Option<Transition> {
-        let mut state = lock(&self.state);
-        let was_closed = matches!(*state, State::Closed { .. });
-        *state = State::Closed {
-            consecutive_failures: 0,
-        };
-        if was_closed {
-            None
-        } else {
-            Some(Transition::Closed)
-        }
+        self.reset()
     }
 
-    /// Reports an upstream operation that failed at `now`. Closed
-    /// breakers count it (and trip at the threshold); a failed half-open
-    /// trial re-opens; a failure reported while already Open (a request
-    /// admitted before the trip) refreshes the cooldown window.
-    pub fn on_failure(&self, now: Instant) -> Option<Transition> {
+    /// Reports a failed upstream operation. Closed breakers count it and
+    /// trip at the threshold; an Open breaker stays Open.
+    pub fn on_failure(&self) -> Option<Transition> {
         let mut state = lock(&self.state);
-        match *state {
-            State::Closed {
-                consecutive_failures,
-            } => {
-                let failures = consecutive_failures + 1;
-                if failures >= self.config.failure_threshold {
-                    *state = State::Open {
-                        until: now + self.config.open_cooldown,
-                    };
-                    Some(Transition::Opened)
-                } else {
-                    *state = State::Closed {
-                        consecutive_failures: failures,
-                    };
-                    None
-                }
-            }
-            State::HalfOpen { .. } => {
-                *state = State::Open {
-                    until: now + self.config.open_cooldown,
-                };
-                Some(Transition::Opened)
-            }
-            State::Open { .. } => {
-                *state = State::Open {
-                    until: now + self.config.open_cooldown,
-                };
-                None
-            }
+        let State::Closed {
+            consecutive_failures,
+        } = *state
+        else {
+            return None;
+        };
+        let failures = consecutive_failures + 1;
+        if failures >= self.config.failure_threshold {
+            *state = State::Open;
+            Some(Transition::Opened)
+        } else {
+            *state = State::Closed {
+                consecutive_failures: failures,
+            };
+            None
         }
     }
 
@@ -228,22 +167,17 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 mod tests {
     use super::*;
 
-    const COOLDOWN: Duration = Duration::from_millis(30);
-    const NS: Duration = Duration::from_nanos(1);
-
     fn fast() -> BreakerConfig {
         BreakerConfig {
             failure_threshold: 3,
-            open_cooldown: COOLDOWN,
         }
     }
 
-    /// A breaker whose third consecutive failure landed at `t0`, so it
-    /// is Open until exactly `t0 + COOLDOWN`.
-    fn tripped(t0: Instant) -> CircuitBreaker {
+    /// A breaker whose third consecutive failure tripped it.
+    fn tripped() -> CircuitBreaker {
         let b = CircuitBreaker::new(fast());
         for _ in 0..3 {
-            b.on_failure(t0);
+            b.on_failure();
         }
         assert_eq!(b.state(), BreakerState::Open);
         b
@@ -251,104 +185,53 @@ mod tests {
 
     #[test]
     fn trips_open_after_consecutive_failures_and_fast_fails() {
-        let t0 = Instant::now();
         let b = CircuitBreaker::new(fast());
         assert_eq!(b.state(), BreakerState::Closed);
-        assert_eq!(b.on_failure(t0), None);
-        assert_eq!(b.on_failure(t0), None);
-        assert_eq!(b.on_failure(t0), Some(Transition::Opened));
+        assert_eq!(b.on_failure(), None);
+        assert_eq!(b.on_failure(), None);
+        assert_eq!(b.on_failure(), Some(Transition::Opened));
         assert_eq!(b.state(), BreakerState::Open);
-        assert_eq!(b.admit(t0), (Admission::FastFail, None));
+        assert_eq!(b.admit(), Admission::FastFail);
     }
 
     #[test]
     fn one_success_resets_the_failure_count() {
-        let t0 = Instant::now();
         let b = CircuitBreaker::new(fast());
-        b.on_failure(t0);
-        b.on_failure(t0);
+        b.on_failure();
+        b.on_failure();
         assert_eq!(b.on_success(), None, "closed stays closed");
         // The count restarted: two more failures do not trip.
-        b.on_failure(t0);
-        assert_eq!(b.on_failure(t0), None);
+        b.on_failure();
+        assert_eq!(b.on_failure(), None);
         assert_eq!(b.state(), BreakerState::Closed);
     }
 
+    /// Open is a latch: no number of admissions or failures lets a
+    /// request through or counts as a second trip, and one success —
+    /// a probe's, as a rule — closes it.
     #[test]
-    fn cooldown_admits_one_trial_then_success_closes() {
-        let t0 = Instant::now();
-        let b = tripped(t0);
-        let later = t0 + COOLDOWN + NS;
-        assert_eq!(
-            b.admit(later),
-            (Admission::Trial, Some(Transition::HalfOpened))
-        );
-        // A second arrival while the trial is in flight fast-fails.
-        assert_eq!(b.admit(later).0, Admission::FastFail);
+    fn open_is_a_latch_that_one_success_releases() {
+        let b = tripped();
+        for _ in 0..1000 {
+            assert_eq!(b.admit(), Admission::FastFail);
+            assert_eq!(b.on_failure(), None, "an Open breaker trips once");
+            assert_eq!(b.state(), BreakerState::Open);
+        }
         assert_eq!(b.on_success(), Some(Transition::Closed));
         assert_eq!(b.state(), BreakerState::Closed);
-        assert_eq!(b.admit(later).0, Admission::Allow);
-    }
-
-    #[test]
-    fn the_cooldown_ends_exactly_at_its_boundary() {
-        let t0 = Instant::now();
-        let b = tripped(t0);
-        assert_eq!(b.admit(t0 + COOLDOWN - NS).0, Admission::FastFail);
-        assert_eq!(b.admit(t0 + COOLDOWN).0, Admission::Trial);
-    }
-
-    #[test]
-    fn failed_trial_reopens_for_another_cooldown() {
-        let t0 = Instant::now();
-        let b = tripped(t0);
-        let trial = t0 + COOLDOWN;
-        assert_eq!(b.admit(trial).0, Admission::Trial);
-        assert_eq!(b.on_failure(trial), Some(Transition::Opened));
-        assert_eq!(b.state(), BreakerState::Open);
-        assert_eq!(b.admit(trial + COOLDOWN - NS).0, Admission::FastFail);
-        // ...and the next cooldown admits a fresh trial.
-        assert_eq!(b.admit(trial + COOLDOWN).0, Admission::Trial);
-    }
-
-    #[test]
-    fn abandoned_trial_is_reclaimed_only_past_a_full_cooldown() {
-        let t0 = Instant::now();
-        let b = tripped(t0);
-        let trial = t0 + COOLDOWN;
-        assert_eq!(b.admit(trial).0, Admission::Trial);
-        // The trial's owner vanishes without reporting. A full cooldown
-        // later the slot is still its own; one nanosecond past that it is
-        // reclaimed instead of wedging HalfOpen.
-        assert_eq!(b.admit(trial + COOLDOWN).0, Admission::FastFail);
-        assert_eq!(
-            b.admit(trial + COOLDOWN + NS),
-            (Admission::Trial, None),
-            "a reclaimed slot is not a second Open → HalfOpen transition"
-        );
-        assert_eq!(b.state(), BreakerState::HalfOpen);
+        assert_eq!(b.admit(), Admission::Allow);
+        // ...with a clean count: the next trip takes the whole threshold.
+        assert_eq!(b.on_failure(), None);
+        assert_eq!(b.on_failure(), None);
+        assert_eq!(b.on_failure(), Some(Transition::Opened));
     }
 
     #[test]
     fn reset_closes_from_any_state() {
-        let t0 = Instant::now();
-        let b = tripped(t0);
+        let b = tripped();
         assert_eq!(b.reset(), Some(Transition::Closed));
         assert_eq!(b.state(), BreakerState::Closed);
         assert_eq!(b.reset(), None, "already closed");
-        assert_eq!(b.admit(t0).0, Admission::Allow);
-    }
-
-    #[test]
-    fn open_failure_refreshes_the_cooldown() {
-        let t0 = Instant::now();
-        let b = tripped(t0);
-        // A straggler admitted before the trip reports its failure two
-        // thirds of the way through: the cooldown restarts from there, so
-        // at the original deadline the breaker is still fully open.
-        let straggler = t0 + Duration::from_millis(20);
-        assert_eq!(b.on_failure(straggler), None);
-        assert_eq!(b.admit(t0 + COOLDOWN).0, Admission::FastFail);
-        assert_eq!(b.admit(straggler + COOLDOWN).0, Admission::Trial);
+        assert_eq!(b.admit(), Admission::Allow);
     }
 }

@@ -89,10 +89,13 @@ pub(crate) struct CounterNames {
     pub(crate) span_lod_send: &'static str,
 }
 
-/// How a service starts a thread it can run without:
-/// `std::thread::Builder::spawn` ([`spawn_thread`]) in production; a test
-/// passes one that refuses, which is how the OS under `pids.max` /
-/// `RLIMIT_NPROC` behaves and `std::thread::spawn` would panic on.
+/// How a service starts a thread: `std::thread::Builder::spawn`
+/// ([`spawn_thread`]) in production; a test passes one that refuses,
+/// which is how the OS under `pids.max` / `RLIMIT_NPROC` behaves and
+/// `std::thread::spawn` would panic on. A refused session or read-ahead
+/// thread costs that connection or that read-ahead; a refused prober
+/// fails the router's spawn, which has no other way to reinstate a
+/// shard.
 pub(crate) type Spawn = fn(Box<dyn FnOnce() + Send>) -> io::Result<JoinHandle<()>>;
 
 /// The production [`Spawn`].

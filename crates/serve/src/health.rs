@@ -1,17 +1,24 @@
-//! Background shard health probing for the router.
+//! Background shard health probing for the router — the one automatic
+//! way an ejected shard gets back in.
 //!
 //! The circuit breakers in [`crate::breaker`] learn about shard death
-//! from request traffic — but a shard with no live requests routed at
-//! it (its frames all cached, or its breaker open) would otherwise
-//! never be observed recovering. The crate-internal `Prober` closes
-//! that loop: a
-//! single background thread walks every shard on a seeded-jitter
+//! from request traffic, but an Open breaker is a latch with no clock:
+//! no client request is ever handed to an ejected shard to find out
+//! whether it recovered. The crate-internal `Prober` closes that loop:
+//! a single background thread walks every shard on a seeded-jitter
 //! interval and issues the cheapest genuine round trip the protocol has
 //! — connect, `Hello`, `Stats` — with tight timeouts and no retries.
 //! Each verdict is reported back to the router, which feeds the shard's
 //! breaker: a successful ping closes an open breaker (reinstating the
 //! shard with no operator in the loop), a failed ping counts toward
-//! tripping it even before any client request pays the discovery cost.
+//! tripping it before any client request pays the discovery cost. A
+//! shard that accepts connections but never answers is ejected by these
+//! short-timeout pings, not by clients' 30 s reads.
+//!
+//! `probe_interval: Duration::ZERO` (what tests use for deterministic
+//! counters) switches the prober off, and leaves an operator repoint as
+//! the only way back in: `FrameRouter::set_shard_addr`, or
+//! `ShardedFrameService::reinstate_shard` through it.
 //!
 //! The interval is jittered deterministically per `probe_seed` so a
 //! fleet of routers probing shared shards does not synchronize into a
@@ -19,7 +26,9 @@
 //! [`crate::retry`], and just as replayable.
 
 use crate::client::{Client, ClientConfig};
+use crate::frontdoor::Spawn;
 use crate::retry::unit_draw;
+use std::io;
 use std::net::SocketAddr;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -30,7 +39,8 @@ use std::time::Duration;
 pub struct HealthConfig {
     /// Base pause between probe rounds (each round pings every shard).
     /// `Duration::ZERO` disables probing entirely — breakers then learn
-    /// only from request traffic and `set_shard_addr`.
+    /// of death only from request traffic, and an ejected shard is back
+    /// only through `set_shard_addr` or `reinstate_shard`.
     pub probe_interval: Duration,
     /// Fraction by which each round's pause is stretched, drawn
     /// deterministically from `probe_seed` — e.g. `0.2` spreads rounds
@@ -100,23 +110,25 @@ pub(crate) struct Prober {
 }
 
 impl Prober {
-    /// Spawns the probe loop, or returns `None` when `probe_interval`
-    /// is zero (probing disabled).
+    /// Starts the probe loop through `spawn`, or returns `None` when
+    /// `probe_interval` is zero (probing disabled). A thread the OS
+    /// refuses is the caller's error, not a panic.
     pub(crate) fn spawn(
         config: HealthConfig,
         shard_count: usize,
         addr_of: impl Fn(usize) -> SocketAddr + Send + 'static,
         on_verdict: impl Fn(usize, bool) + Send + 'static,
-    ) -> Option<Prober> {
+        spawn: Spawn,
+    ) -> io::Result<Option<Prober>> {
         if config.probe_interval.is_zero() {
-            return None;
+            return Ok(None);
         }
         let stop = Arc::new(StopFlag {
             stopped: Mutex::new(false),
             cv: Condvar::new(),
         });
         let flag = Arc::clone(&stop);
-        let handle = std::thread::spawn(move || {
+        let handle = spawn(Box::new(move || {
             let mut tick = 0u64;
             loop {
                 // Sleep first so a freshly spawned router (whose shards
@@ -142,11 +154,11 @@ impl Prober {
                     on_verdict(shard, ok);
                 }
             }
-        });
-        Some(Prober {
+        }))?;
+        Ok(Some(Prober {
             handle: Some(handle),
             stop,
-        })
+        }))
     }
 
     /// Stops the loop and joins the thread.
@@ -169,6 +181,7 @@ impl Drop for Prober {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frontdoor::spawn_thread;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
@@ -221,7 +234,9 @@ mod tests {
             probe_interval: Duration::ZERO,
             ..HealthConfig::default()
         };
-        assert!(Prober::spawn(config, 1, |_| "127.0.0.1:1".parse().unwrap(), |_, _| {}).is_none());
+        let addr = |_| "127.0.0.1:1".parse().unwrap();
+        let prober = Prober::spawn(config, 1, addr, |_, _| {}, spawn_thread);
+        assert!(prober.unwrap().is_none());
     }
 
     #[test]
@@ -244,7 +259,9 @@ mod tests {
                 assert!(ok, "loopback server must answer the ping");
                 seen.fetch_add(1, Ordering::SeqCst);
             },
+            spawn_thread,
         )
+        .unwrap()
         .expect("interval is nonzero");
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while verdicts.load(Ordering::SeqCst) < 2 && std::time::Instant::now() < deadline {

@@ -47,10 +47,11 @@
 //!   client's retry policy is the only backoff), and aggregated `Stats`.
 //! - [`breaker`] — per-shard circuit breakers on the upstream leg, so a
 //!   dead shard fast-fails in microseconds instead of costing a dial per
-//!   request.
+//!   request; Open is a latch with no clock, released by one success.
 //! - [`health`] — the background prober that pings every shard with
-//!   cheap `Stats` round trips on a seeded-jitter interval and
-//!   reinstates recovered shards with no operator in the loop.
+//!   cheap `Stats` round trips on a seeded-jitter interval: it ejects a
+//!   hung shard on short timeouts and is the one automatic way a
+//!   recovered shard is reinstated, with no operator in the loop.
 //! - [`retry`] — the deterministic backoff policy behind the client's
 //!   reconnect-and-replay resilience.
 //! - [`fault`] — seeded, scheduled fault injection for chaos testing

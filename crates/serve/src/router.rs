@@ -42,13 +42,15 @@
 //! [`FrameRouter::set_shard_addr`] repoints its pool at a replacement),
 //! the same requests simply succeed again. A shard that answers
 //! `ERR_BUSY` is *alive*: its breaker hears a success and the walk moves
-//! on to the next replica.
+//! on to the next replica. An ejected shard gets no client request: its
+//! breaker is a latch that the background prober ([`crate::health`])
+//! releases with one answered ping, or an operator repoint resets.
 
 use crate::breaker::{Admission, BreakerConfig, BreakerState, CircuitBreaker, Transition};
 use crate::cache::{CacheKey, CoalescingCache, Fetched, Lookup, Served};
 use crate::client::{Client, ClientConfig};
 use crate::error::ServeError;
-use crate::frontdoor::{spawn_thread, CounterNames, DoorConfig, FrontDoor, Handler};
+use crate::frontdoor::{spawn_thread, CounterNames, DoorConfig, FrontDoor, Handler, Spawn};
 use crate::health::{HealthConfig, Prober};
 use crate::protocol::{FrameInfo, Refusal, ERR_BUSY, ERR_INTERNAL};
 use crate::server::{FrameServer, Origin, ServerConfig};
@@ -119,15 +121,12 @@ pub const CTR_ROUTER_FRAME_BYTES_RAW: &str = "router.frame_bytes_raw";
 /// Registry counter: frame payload bytes the router actually wrote to
 /// clients (compressed under AVWF v2).
 pub const CTR_ROUTER_FRAME_BYTES_WIRE: &str = "router.frame_bytes_wire";
-/// Registry counter: breaker trips (Closed or HalfOpen → Open) — a
-/// shard was ejected from routing until it proves itself again.
+/// Registry counter: breaker trips (Closed → Open) — a shard was
+/// ejected from routing until a probe hears it answer again.
 pub const CTR_ROUTER_BREAKER_OPEN: &str = "router.breaker_open";
-/// Registry counter: breaker cooldowns that elapsed into a half-open
-/// trial (Open → HalfOpen).
-pub const CTR_ROUTER_BREAKER_HALF_OPEN: &str = "router.breaker_half_open";
-/// Registry counter: breaker reinstatements (Open or HalfOpen →
-/// Closed), whether from a successful trial, a successful probe, or a
-/// `set_shard_addr` reset.
+/// Registry counter: breaker reinstatements (Open → Closed), whether
+/// from a successful probe, a late success of a request admitted before
+/// the trip, or a `set_shard_addr` reset.
 pub const CTR_ROUTER_BREAKER_CLOSED: &str = "router.breaker_closed";
 /// Registry counter: attempts an open breaker rejected in microseconds
 /// instead of dialing a shard it already knows is down.
@@ -284,10 +283,10 @@ pub struct RouterConfig {
     /// are counted under `router.shed_connections`, answered one in-band
     /// `ERR_BUSY`, and closed.
     pub max_connections: usize,
-    /// When a shard's circuit breaker trips and how long it cools down.
+    /// When a shard's circuit breaker trips.
     pub breaker: BreakerConfig,
-    /// The background health prober's pacing (zero interval disables
-    /// it).
+    /// The background health prober's pacing — the one automatic way an
+    /// ejected shard gets back in (zero interval disables it).
     pub health: HealthConfig,
 }
 
@@ -325,7 +324,6 @@ impl Upstream {
     fn note(&self, transition: Option<Transition>) {
         let counter = match transition {
             Some(Transition::Opened) => CTR_ROUTER_BREAKER_OPEN,
-            Some(Transition::HalfOpened) => CTR_ROUTER_BREAKER_HALF_OPEN,
             Some(Transition::Closed) => CTR_ROUTER_BREAKER_CLOSED,
             None => return,
         };
@@ -341,7 +339,7 @@ impl Upstream {
             self.breaker.on_success()
         } else {
             lock(&self.idle).clear();
-            self.breaker.on_failure(Instant::now())
+            self.breaker.on_failure()
         });
     }
 
@@ -350,16 +348,13 @@ impl Upstream {
     /// `op` on a pooled or freshly dialed client — once, no backoff
     /// inside — then the verdict to the breaker and, on failure, one
     /// upstream error to the counters. A well-formed `ERR_BUSY` is an
-    /// error for the caller but a *live* shard for the breaker (it also
-    /// releases a half-open trial slot): load must not eject a healthy
-    /// shard and move its load onto its replicas.
+    /// error for the caller but a *live* shard for the breaker: load must
+    /// not eject a healthy shard and move its load onto its replicas.
     fn call<T>(
         &self,
         op: impl Fn(&mut Client) -> crate::error::Result<T>,
     ) -> Option<crate::error::Result<T>> {
-        let (admission, transition) = self.breaker.admit(Instant::now());
-        self.note(transition);
-        if admission == Admission::FastFail {
+        if self.breaker.admit() == Admission::FastFail {
             self.metrics.add(CTR_ROUTER_BREAKER_FAST_FAILS, 1);
             return None;
         }
@@ -489,9 +484,9 @@ impl Handler for RouterShared {
     /// count) instead of failing the reply, and a shard whose breaker is
     /// open is skipped outright (a `router.breaker_fast_fails` count) —
     /// one dead shard must not add a connect timeout to every `Stats`
-    /// round trip. Stats hops feed the breakers like any other upstream
-    /// traffic, so a `Stats` poll doubles as a half-open trial once the
-    /// cooldown elapses.
+    /// round trip. Stats hops to a Closed shard feed its breaker like any
+    /// other upstream traffic; an Open shard is skipped until the prober
+    /// reinstates it.
     fn stats(&self) -> Snapshot {
         let mut total = Snapshot::default();
         for upstream in &self.upstreams {
@@ -614,13 +609,26 @@ impl FrameRouter {
     /// `map`. Fails fast — with an error, not a degraded catalog — when
     /// the shard set's length disagrees with the map (which has at least
     /// one shard), any shard is unreachable at spawn (one attempt each:
-    /// shards come up before their router), or a shard advertises fewer
-    /// frames than the map routes to it.
+    /// shards come up before their router), a shard advertises fewer
+    /// frames than the map routes to it, or the OS refuses the prober's
+    /// thread — without it an ejected shard would never be reinstated.
     pub fn spawn(
         addr: &str,
         shards: Vec<SocketAddr>,
         map: ShardMap,
         config: RouterConfig,
+    ) -> io::Result<FrameRouter> {
+        FrameRouter::spawn_inner(addr, shards, map, config, spawn_thread)
+    }
+
+    /// `spawn_prober` starts the prober's thread; a refusal is the
+    /// router's error.
+    fn spawn_inner(
+        addr: &str,
+        shards: Vec<SocketAddr>,
+        map: ShardMap,
+        config: RouterConfig,
+        spawn_prober: Spawn,
     ) -> io::Result<FrameRouter> {
         if shards.len() != map.shard_count() {
             return Err(invalid_input(format!(
@@ -678,7 +686,8 @@ impl FrameRouter {
                     verdicts.metrics.add(counter, 1);
                     verdicts.upstreams[i].report(ok);
                 },
-            )
+                spawn_prober,
+            )?
         };
         Ok(FrameRouter { door, prober })
     }
@@ -714,7 +723,7 @@ impl FrameRouter {
     /// connections to the old address are dropped, and the shard's
     /// circuit breaker is reset to Closed: a replacement shard must not
     /// inherit the dead one's verdict, or the router would keep
-    /// fast-failing a healthy server until a cooldown elapsed. The
+    /// fast-failing a healthy server until a probe answered. The
     /// merged catalog is kept, so the replacement must serve the same
     /// frames. Errors when `shard` is out of range.
     pub fn set_shard_addr(&self, shard: usize, addr: SocketAddr) -> io::Result<()> {
@@ -990,6 +999,32 @@ mod tests {
             seen[shard] += 1;
         }
         assert_eq!(seen.iter().sum::<u32>(), 50);
+    }
+
+    /// The OS refusing the prober's thread is the router's error, not a
+    /// panic and not a router that could never reinstate a shard; with
+    /// probing off no thread is asked for.
+    #[test]
+    fn a_refused_prober_thread_is_the_routers_error() {
+        let refuse: Spawn = |_body| Err(io::Error::from(io::ErrorKind::WouldBlock));
+        let shard = FrameServer::spawn_loopback(Vec::new(), ServerConfig::default()).unwrap();
+        let map = || ShardMap::shared_replicated(&ShardSpec::new(1), 0, 1);
+        let spawn = |config| {
+            FrameRouter::spawn_inner("127.0.0.1:0", vec![shard.addr()], map(), config, refuse)
+        };
+        let err = spawn(RouterConfig::default()).map(|_| ()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
+        let unprobed = RouterConfig {
+            health: HealthConfig {
+                probe_interval: Duration::ZERO,
+                ..HealthConfig::default()
+            },
+            ..RouterConfig::default()
+        };
+        let router = spawn(unprobed).expect("probing off asks for no thread");
+        assert!(router.prober.is_none());
+        router.shutdown();
+        shard.shutdown();
     }
 
     #[test]

@@ -26,7 +26,6 @@ use accelviz::serve::router::{
 use accelviz::serve::{
     BreakerConfig, BreakerState, Client, RouterConfig, ServerConfig, ShardedFrameService,
 };
-use std::time::Duration;
 
 fn main() {
     // Eight frames of a 40k-particle beam: the catalog to protect.
@@ -64,7 +63,6 @@ fn main() {
             cache_bytes: 1,
             breaker: BreakerConfig {
                 failure_threshold: 1,
-                open_cooldown: Duration::from_secs(60),
             },
             ..RouterConfig::default()
         },

@@ -9,7 +9,8 @@
 //! failover transitions land on the router's counters, and the
 //! background prober both discovers death
 //! without client traffic and reinstates a shard that comes back on its
-//! old address with no operator in the loop.
+//! old address with no operator in the loop — the one way back in, so no
+//! client request is ever handed to a shard it ejected.
 
 mod common;
 
@@ -54,16 +55,14 @@ fn reference_frames(data: &[PartitionedData]) -> Vec<accelviz::core::hybrid::Hyb
 
 /// The chaos-test router tuning: a 1-byte cache so every request pays
 /// the upstream hop (nothing hides behind the router cache), a
-/// hair-trigger breaker with a cooldown longer than any test phase
-/// (no half-open trial fires mid-scenario unless a test wants one), and
-/// the prober off for deterministic counters — the prober gets its own
-/// tests.
+/// hair-trigger breaker, and the prober off for deterministic counters —
+/// the prober gets its own tests. With the prober off, only a
+/// reinstatement closes a tripped breaker.
 fn chaos_router() -> RouterConfig {
     RouterConfig {
         cache_bytes: 1,
         breaker: BreakerConfig {
             failure_threshold: 1,
-            open_cooldown: Duration::from_secs(120),
         },
         health: HealthConfig {
             probe_interval: Duration::ZERO,
@@ -586,7 +585,6 @@ fn an_idle_gap_is_redialed_without_an_error_or_a_verdict() {
     let router = RouterConfig {
         breaker: BreakerConfig {
             failure_threshold: 1,
-            ..BreakerConfig::default()
         },
         health: HealthConfig {
             probe_interval: Duration::ZERO,
@@ -639,7 +637,6 @@ fn prober_trips_the_breaker_without_client_traffic() {
             cache_bytes: 1,
             breaker: BreakerConfig {
                 failure_threshold: 2,
-                open_cooldown: Duration::from_secs(120),
             },
             health: HealthConfig {
                 probe_interval: Duration::from_millis(20),
@@ -693,9 +690,6 @@ fn prober_reinstates_a_shard_that_returns_on_its_old_address() {
             cache_bytes: 1,
             breaker: BreakerConfig {
                 failure_threshold: 1,
-                // Short cooldown: recovery may also arrive via a
-                // half-open trial; either road must lead back to Closed.
-                open_cooldown: Duration::from_millis(200),
             },
             health: HealthConfig {
                 probe_interval: Duration::from_millis(20),
@@ -721,8 +715,7 @@ fn prober_reinstates_a_shard_that_returns_on_its_old_address() {
     // The shard returns on the very same port.
     let revived = respawn_on(victim_addr, &slices[1]);
 
-    // No operator action: probing (or a half-open trial fed by it)
-    // must reinstate the shard on its own.
+    // No operator action: probing must reinstate the shard on its own.
     let deadline = Instant::now() + Duration::from_secs(10);
     while router.breaker_state(1) != BreakerState::Closed && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(10));
@@ -742,6 +735,88 @@ fn prober_reinstates_a_shard_that_returns_on_its_old_address() {
     router.shutdown();
     shard0.shutdown();
     revived.shutdown();
+}
+
+/// An ejected shard gets no client request. The victim accepts
+/// connections but never answers (a listener nobody accepts from), so
+/// every request handed to it would stall a whole upstream read. Probes
+/// eject it; after that, over four more failed probes, every fetch of
+/// its primary frames is served by the replica at once and not one
+/// upstream attempt fails: the prober, not a client, finds out whether
+/// the shard came back. The probes' 1 s timeout leaves second-long gaps
+/// between their failures, in which a breaker that reopened on a clock
+/// would hand a client request to the hung shard.
+#[test]
+fn an_ejected_hung_shard_gets_no_client_request() {
+    let data = stores(FRAMES, 800);
+    let reference = reference_frames(&data);
+    let service = ShardedFrameService::spawn_loopback_replicated(
+        data,
+        3,
+        2,
+        ServerConfig::default(),
+        RouterConfig {
+            cache_bytes: 1,
+            health: HealthConfig {
+                probe_interval: Duration::from_millis(20),
+                probe_timeout: Duration::from_secs(1),
+                probe_seed: 606,
+                ..HealthConfig::default()
+            },
+            ..RouterConfig::default()
+        },
+    )
+    .unwrap();
+    let spec = ShardSpec::new(3);
+    let primaries = |shard| (0..FRAMES as u32).filter(move |&f| spec.owner_of(f) == shard);
+    let victim = (0..3).max_by_key(|&s| primaries(s).count()).unwrap();
+    let doomed: Vec<u32> = primaries(victim).collect();
+    assert!(doomed.len() >= 2, "alternate frames past the 1-byte cache");
+
+    let hung = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let router = service.router();
+    router
+        .set_shard_addr(victim, hung.local_addr().unwrap())
+        .unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while router.breaker_state(victim) != BreakerState::Open && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    assert_eq!(router.breaker_state(victim), BreakerState::Open);
+
+    let rm = router.metrics();
+    let errors = rm.counter(CTR_ROUTER_UPSTREAM_ERRORS);
+    let probe_fails = rm.counter(CTR_ROUTER_PROBE_FAIL);
+    let impatient = ClientConfig {
+        read_timeout: Some(Duration::from_secs(2)),
+        ..ClientConfig::no_retry()
+    };
+    let mut client = Client::connect_with(service.addr(), impatient).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    for &f in doomed.iter().cycle() {
+        if rm.counter(CTR_ROUTER_PROBE_FAIL) >= probe_fails + 4 || Instant::now() >= deadline {
+            break;
+        }
+        let t0 = Instant::now();
+        let fetched = client.fetch(f, f64::INFINITY);
+        let elapsed = t0.elapsed();
+        let (got, _) = fetched.unwrap_or_else(|e| panic!("frame {f} after {elapsed:?}: {e}"));
+        assert_eq!(got, reference[f as usize], "frame {f} differs");
+        assert!(
+            elapsed < Duration::from_millis(250),
+            "frame {f} took {elapsed:?}: a client request reached the ejected shard"
+        );
+    }
+    assert!(rm.counter(CTR_ROUTER_PROBE_FAIL) >= probe_fails + 4);
+    assert_eq!(
+        rm.counter(CTR_ROUTER_UPSTREAM_ERRORS),
+        errors,
+        "no upstream attempt may go to an ejected shard"
+    );
+    assert_eq!(router.breaker_state(victim), BreakerState::Open);
+    drop(client);
+    drop(hung);
+    service.shutdown();
 }
 
 /// `spawn_loopback_replicated` provisioning is sound: at replication 2
