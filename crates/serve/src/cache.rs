@@ -9,12 +9,18 @@
 //! animation ask for the same `(frame, threshold)` pairs over and over,
 //! so each service keeps its most recent frames keyed exactly that way,
 //! each as a [`Served`]: the frame beside the wire bytes already made
-//! from it, so a hit is a write, not an encode. LRU under a weight budget
-//! — "1 per entry" on the server (`ServerConfig::cache_capacity`), bytes
-//! held on the router (`RouterConfig::cache_bytes`). Coalescing, the
-//! budget rule and what a refused or panicking fetch leaves behind are
-//! the cache's own rules ([`accelviz_store::cache`]); here the error a
-//! fetch shares with its waiters is a [`Refusal`].
+//! from it, so a hit is a write, not an encode.
+//!
+//! One unit on both services: LRU under a byte budget, each entry weighed
+//! on admission by what it holds ([`Served::held_bytes`]). The fetch fills
+//! the encoding its request's shape asks for before the entry is
+//! admitted, so the budget bounds frame plus payload. The budget is
+//! `ServerConfig::cache_bytes` on a server and `RouterConfig::cache_bytes`
+//! on a router; both default to [`DEFAULT_CACHE_BYTES`]. Coalescing, the
+//! budget rule (0 holds the newest entry only) and what a refused or
+//! panicking fetch leaves behind are the cache's own rules
+//! ([`accelviz_store::cache`]); here the error a fetch shares with its
+//! waiters is a [`Refusal`].
 
 use crate::frontdoor::Shape;
 use crate::lod::{chunk_budget, plan_frame_chunks};
@@ -26,6 +32,12 @@ use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
 
 pub use accelviz_store::cache::Lookup;
+
+/// Both services' default frame-cache budget: 128 MiB of frames and their
+/// encodings. A viewer's loop of `view_remote`-sized frames (≈ 1.6 MiB
+/// each with their payload) fits many times over, so it is extracted and
+/// encoded once however often it is stepped through.
+pub const DEFAULT_CACHE_BYTES: u64 = 128 << 20;
 
 /// Cache key: frame index plus the exact threshold bits. Using `to_bits`
 /// sidesteps float equality — a client re-requesting the same dialed
@@ -139,8 +151,8 @@ impl Served {
     }
 
     /// Bytes this entry holds right now: the frame plus whatever has
-    /// been encoded from it. A router weighs its entries with this, after
-    /// filling the v2 payload.
+    /// been encoded from it. Both services weigh their entries with this,
+    /// after filling the encoding the fetching request's shape asks for.
     pub fn held_bytes(&self) -> u64 {
         let payload = self
             .v2
@@ -177,9 +189,10 @@ mod tests {
         Arc::new(Served::new(hybrid(step, 100)))
     }
 
-    /// The server's weighing: a budget of `n` is `n` entries.
-    fn per_entry(n: u64) -> CoalescingCache {
-        CoalescingCache::new(n, |_| 1)
+    /// Both services' weighing, at their default budget: room for many
+    /// of these small frames.
+    fn weighed() -> CoalescingCache {
+        CoalescingCache::new(DEFAULT_CACHE_BYTES, Served::held_bytes)
     }
 
     /// Whether `key` is resident: a lookup whose fetch must not run.
@@ -194,7 +207,7 @@ mod tests {
 
     #[test]
     fn distinct_thresholds_are_distinct_entries() {
-        let cache = per_entry(4);
+        let cache = weighed();
         let _ = cache.get_or_fetch(CacheKey::new(0, 0.25), || Ok(frame(0)));
         let (_, lookup) = cache.get_or_fetch(CacheKey::new(0, 0.5), || Ok(frame(0)));
         assert_eq!(
@@ -210,7 +223,7 @@ mod tests {
     #[test]
     fn negative_zero_threshold_shares_the_positive_zero_slot() {
         assert_eq!(CacheKey::new(3, -0.0), CacheKey::new(3, 0.0));
-        let cache = per_entry(4);
+        let cache = weighed();
         let _ = cache.get_or_fetch(CacheKey::new(0, 0.0), || Ok(frame(0)));
         let (_, lookup) = cache.get_or_fetch(CacheKey::new(0, -0.0), || panic!("same slot"));
         assert_eq!(

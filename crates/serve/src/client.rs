@@ -22,7 +22,7 @@
 use crate::cache::CacheKey;
 use crate::error::{Result, ServeError};
 use crate::fault::{FaultScript, FaultyTransport};
-use crate::frontdoor::successor;
+use crate::frontdoor::{spawn_thread, successor, Spawn};
 use crate::lod::ProgressiveAssembler;
 use crate::protocol::{
     read_chunk_reply, read_response, write_request, ChunkReply, FrameInfo, Request, Response,
@@ -35,7 +35,7 @@ use accelviz_store::cache::Cache;
 use accelviz_trace::registry::Snapshot;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -595,7 +595,8 @@ fn response_name(r: &Response) -> &'static str {
 /// runs its own retries and degradation ladder, so speculation never
 /// yields a degraded or partial load. Nothing is fetched ahead after a
 /// first load, a jump or a degraded load, when the successor is resident
-/// already, or for a viewer that loads without drawing.
+/// already, for a viewer that loads without drawing, or when the OS
+/// refuses the helper thread — the connection then never leaves home.
 pub struct RemoteFrames {
     /// The connection; `None` exactly while a speculation holds it.
     client: Option<Client>,
@@ -617,13 +618,15 @@ pub struct RemoteFrames {
     expected: Option<u32>,
     /// The running speculation: its frame, and the helper thread that
     /// holds the connection until it returns it with the fetch's result.
-    ahead: Option<(u32, JoinHandle<(Client, FetchOutcome)>)>,
+    ahead: Option<(u32, Helper)>,
     /// A joined speculation no load has taken yet: its frame and result.
     settled: Option<(u32, FetchOutcome)>,
     /// `Some(chunk budget)` switches cold loads to progressive fetches
     /// (0 = server default); the degradation ladder then prefers a
     /// partial rendition of the requested frame over a stale one.
     progressive: Option<u64>,
+    /// How a speculation's helper thread is started.
+    spawn: Spawn,
     /// Wire bytes received across all fetches, speculative ones included.
     pub bytes_fetched: u64,
     /// Loads answered with a stale resident frame after retries were
@@ -650,6 +653,7 @@ impl RemoteFrames {
             ahead: None,
             settled: None,
             progressive: None,
+            spawn: spawn_thread,
             bytes_fetched: 0,
             degraded_loads: 0,
             partial_loads: 0,
@@ -673,9 +677,7 @@ impl RemoteFrames {
     /// asks for its frame.
     pub fn client(&mut self) -> &mut Client {
         if let Some((frame, helper)) = self.ahead.take() {
-            let (client, fetched) = helper
-                .join()
-                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            let (client, fetched) = helper.join();
             self.client = Some(client);
             self.settled = Some((frame, fetched));
         }
@@ -815,7 +817,9 @@ impl FrameSource for RemoteFrames {
     }
 
     /// Starts fetching the expected frame on a helper thread, unless a
-    /// speculation is outstanding. The connection goes with the request.
+    /// speculation is outstanding. The connection goes with the request
+    /// once the thread runs; a refused thread is no speculation, and the
+    /// connection stays here.
     fn drawing(&mut self) {
         if self.ahead.is_some() || self.settled.is_some() {
             return;
@@ -823,14 +827,43 @@ impl FrameSource for RemoteFrames {
         let Some(next) = self.expected.take() else {
             return;
         };
-        let mut client = self.client.take().expect("no speculation holds it");
         let (threshold, progressive) = (self.threshold, self.progressive);
+        let (lend, borrowed) = mpsc::channel::<Client>();
+        let (reply, replied) = mpsc::channel();
+        let started = (self.spawn)(Box::new(move || {
+            if let Ok(mut client) = borrowed.recv() {
+                let (fetched, _partial) = client.fetch_for_load(next, threshold, progressive);
+                let _ = reply.send((client, fetched));
+            }
+        }));
+        let Ok(thread) = started else {
+            return;
+        };
+        let client = self.client.take().expect("no speculation holds it");
+        lend.send(client)
+            .expect("the helper waits for the connection");
         accelviz_trace::global().add(CTR_CLIENT_SPECULATIVE_FETCHES, 1);
-        let helper = std::thread::spawn(move || {
-            let (fetched, _partial) = client.fetch_for_load(next, threshold, progressive);
-            (client, fetched)
-        });
-        self.ahead = Some((next, helper));
+        self.ahead = Some((next, Helper { thread, replied }));
+    }
+}
+
+/// A running speculation's thread and the channel it hands the connection
+/// back on, with the fetch's result.
+struct Helper {
+    thread: JoinHandle<()>,
+    replied: mpsc::Receiver<(Client, FetchOutcome)>,
+}
+
+impl Helper {
+    /// Waits for the connection and the result; a panic in the fetch
+    /// resumes here.
+    fn join(self) -> (Client, FetchOutcome) {
+        if let Err(panic) = self.thread.join() {
+            std::panic::resume_unwind(panic);
+        }
+        self.replied
+            .recv()
+            .expect("a helper that returned has replied")
     }
 }
 
@@ -841,7 +874,7 @@ impl Drop for RemoteFrames {
     fn drop(&mut self) {
         let outstanding = match self.ahead.take() {
             Some((_, helper)) => {
-                let _ = helper.join();
+                let _ = helper.thread.join();
                 true
             }
             None => self.settled.take().is_some(),
@@ -849,5 +882,50 @@ impl Drop for RemoteFrames {
         if outstanding {
             accelviz_trace::global().add(CTR_CLIENT_SPECULATIVE_UNUSED, 1);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::server::{FrameServer, ServerConfig};
+    use accelviz_beam::distribution::Distribution;
+    use accelviz_octree::builder::{partition, BuildParams};
+    use accelviz_octree::plots::PlotType;
+    use accelviz_octree::sorted_store::PartitionedData;
+
+    /// The OS refusing the speculation's thread costs the speculation, not
+    /// the viewer: a drawing playback steps bit-identically on the one
+    /// connection, which stays usable, and nothing is counted as fetched
+    /// ahead.
+    #[test]
+    fn a_refused_speculation_thread_costs_speculation_not_the_connection() {
+        let refuse: Spawn = |_body| Err(io::Error::from(io::ErrorKind::WouldBlock));
+        let data: Vec<PartitionedData> = (0..4u64)
+            .map(|i| {
+                let ps = Distribution::default_beam().sample(800, i + 1);
+                partition(&ps, PlotType::XYZ, BuildParams::default())
+            })
+            .collect();
+        let config = ServerConfig::default();
+        let server = FrameServer::spawn_loopback(data.clone(), config).unwrap();
+        let client = Client::connect(server.addr()).unwrap();
+        let mut remote = RemoteFrames::new(client, f64::INFINITY, 2);
+        remote.spawn = refuse;
+        let fetches = || accelviz_trace::global().counter(CTR_CLIENT_SPECULATIVE_FETCHES);
+        let before = fetches();
+        for (i, d) in data.iter().enumerate().cycle().take(2 * data.len()) {
+            let (got, load) = remote.load(i).unwrap();
+            let want = HybridFrame::from_partition(d, i, f64::INFINITY, config.volume_dims);
+            assert_eq!(*got, want, "frame {i}");
+            assert!(!load.degraded);
+            remote.drawing();
+            assert!(remote.ahead.is_none() && remote.client.is_some());
+        }
+        assert_eq!(fetches(), before, "nothing was fetched ahead");
+        let served = remote.client().stats().unwrap();
+        assert_eq!(served.counter("serve.frames_served"), 2 * data.len() as u64);
+        drop(remote);
+        server.shutdown();
     }
 }

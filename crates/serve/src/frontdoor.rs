@@ -89,11 +89,12 @@ pub(crate) struct CounterNames {
     pub(crate) span_lod_send: &'static str,
 }
 
-/// How a service starts a thread: `std::thread::Builder::spawn`
+/// How a service or a remote source starts a thread: `std::thread::Builder::spawn`
 /// ([`spawn_thread`]) in production; a test passes one that refuses,
 /// which is how the OS under `pids.max` / `RLIMIT_NPROC` behaves and
-/// `std::thread::spawn` would panic on. A refused session or read-ahead
-/// thread costs that connection or that read-ahead; a refused prober
+/// `std::thread::spawn` would panic on. A refused session, read-ahead or
+/// speculation thread costs that connection, that read-ahead or that
+/// speculation (`RemoteFrames` keeps its connection); a refused prober
 /// fails the router's spawn, which has no other way to reinstate a
 /// shard.
 pub(crate) type Spawn = fn(Box<dyn FnOnce() + Send>) -> io::Result<JoinHandle<()>>;
@@ -140,8 +141,10 @@ pub(crate) trait Handler: Send + Sync + 'static {
     fn catalog(&self) -> Vec<FrameInfo>;
 
     /// Frame `frame < frame_count()` at a non-NaN `threshold`, or why it
-    /// cannot be had right now. Hit/miss accounting is the origin's.
-    fn frame(&self, frame: u32, threshold: f64) -> Fetched;
+    /// cannot be had right now. Hit/miss accounting is the origin's. A
+    /// fetch fills the encoding `shape` asks for before its entry is
+    /// cached ([`Served::prefill`]), so the entry is weighed with it.
+    fn frame(&self, frame: u32, threshold: f64, shape: Shape) -> Fetched;
 
     /// The session about to be answered is stepping and will probably
     /// ask for `hint` next. Called on the session's thread, with the
@@ -613,7 +616,7 @@ fn checked_frame<H: Handler>(
     }
     let key = CacheKey::new(frame, threshold);
     session.last_frame = Some(key);
-    let served = handler.frame(frame, key.threshold())?;
+    let served = handler.frame(frame, key.threshold(), shape)?;
     // The hint goes out with this frame in hand — whatever producing the
     // successor evicts, it is not what this request is about to read —
     // and before it is sent, so the successor is produced while this
@@ -679,7 +682,7 @@ fn send_chunks<H: Handler, S: Write>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::CoalescingCache;
+    use crate::cache::{CoalescingCache, DEFAULT_CACHE_BYTES};
     use crate::fault::{FaultDirection, FaultEvent, FaultKind, FaultPlan, FaultyTransport};
     use crate::protocol::{read_response, write_request};
     use accelviz_beam::distribution::Distribution;
@@ -736,7 +739,7 @@ mod tests {
             panic!("scripted handler panic")
         }
 
-        fn frame(&self, frame: u32, threshold: f64) -> Fetched {
+        fn frame(&self, frame: u32, threshold: f64, _shape: Shape) -> Fetched {
             let fetch = || {
                 if !self.fetched_before.swap(true, Ordering::SeqCst) {
                     panic!("scripted fetch panic");
@@ -772,7 +775,7 @@ mod tests {
             metrics: Registry::new(),
             entered: Mutex::new(entered_tx),
             gate: Mutex::new(gate_rx),
-            cache: CoalescingCache::new(4, |_| 1),
+            cache: CoalescingCache::new(DEFAULT_CACHE_BYTES, Served::held_bytes),
             fetched_before: AtomicBool::new(false),
         });
         let config = DoorConfig {
@@ -994,7 +997,7 @@ mod tests {
             Vec::new()
         }
 
-        fn frame(&self, _frame: u32, threshold: f64) -> Fetched {
+        fn frame(&self, _frame: u32, threshold: f64, _shape: Shape) -> Fetched {
             Ok(tiny_frame(threshold))
         }
 

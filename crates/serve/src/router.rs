@@ -47,10 +47,10 @@
 //! releases with one answered ping, or an operator repoint resets.
 
 use crate::breaker::{Admission, BreakerConfig, BreakerState, CircuitBreaker, Transition};
-use crate::cache::{CacheKey, CoalescingCache, Fetched, Lookup, Served};
+use crate::cache::{CacheKey, CoalescingCache, Fetched, Lookup, Served, DEFAULT_CACHE_BYTES};
 use crate::client::{Client, ClientConfig};
 use crate::error::ServeError;
-use crate::frontdoor::{spawn_thread, CounterNames, DoorConfig, FrontDoor, Handler, Spawn};
+use crate::frontdoor::{spawn_thread, CounterNames, DoorConfig, FrontDoor, Handler, Shape, Spawn};
 use crate::health::{HealthConfig, Prober};
 use crate::protocol::{FrameInfo, Refusal, ERR_BUSY, ERR_INTERNAL};
 use crate::server::{FrameServer, Origin, ServerConfig};
@@ -267,12 +267,14 @@ impl ShardMap {
 pub struct RouterConfig {
     /// Byte budget for the router's frame cache (the herd-coalescing
     /// layer), LRU by the bytes each entry holds on admission: the
-    /// decoded frame ([`HybridFrame::total_bytes`]) plus its v2 payload.
-    /// Frames vary by orders of magnitude with threshold and grid dims,
-    /// so the budget counts bytes rather than entries; a frame larger
-    /// than the whole budget is still admitted (to serve its coalesced
-    /// waiters) and becomes the next eviction victim, so 0 holds the
-    /// newest frame only.
+    /// decoded frame ([`HybridFrame::total_bytes`]) plus the encoding its
+    /// request's shape asked for ([`Served::held_bytes`]), weighed as a
+    /// server weighs its own ([`ServerConfig::cache_bytes`]), with the
+    /// same default ([`DEFAULT_CACHE_BYTES`]). Frames vary by orders of
+    /// magnitude with threshold and grid dims, so the budget counts bytes
+    /// rather than entries; a frame larger than the whole budget is still
+    /// admitted (to serve its coalesced waiters) and becomes the next
+    /// eviction victim, so 0 holds the newest frame only.
     pub cache_bytes: u64,
     /// Bound on any single blocking read from a client; `None` waits
     /// forever.
@@ -293,7 +295,7 @@ pub struct RouterConfig {
 impl Default for RouterConfig {
     fn default() -> RouterConfig {
         RouterConfig {
-            cache_bytes: 128 << 20,
+            cache_bytes: DEFAULT_CACHE_BYTES,
             read_timeout: Some(Duration::from_secs(30)),
             write_timeout: Some(Duration::from_secs(30)),
             max_connections: 256,
@@ -457,14 +459,15 @@ impl Handler for RouterShared {
     /// Resolves the decoded frame through the router cache: one upstream
     /// fetch per herd, always a *full* frame — a progressive request is
     /// re-chunked by the door from the same cached frame a plain one
-    /// sends. The v2 payload is encoded inside the fetch, before
-    /// admission, so the entry is weighed with it and
-    /// [`RouterConfig::cache_bytes`] bounds what the cache really holds.
-    fn frame(&self, frame: u32, threshold: f64) -> Fetched {
+    /// sends. The encoding `shape` asks for is made inside the fetch,
+    /// before admission, as a server makes it, so the entry is weighed
+    /// with it and [`RouterConfig::cache_bytes`] bounds what the cache
+    /// really holds.
+    fn frame(&self, frame: u32, threshold: f64, shape: Shape) -> Fetched {
         let key = CacheKey::new(frame, threshold);
         let (fetched, lookup) = self.cache.get_or_fetch(key, || {
             let served = Served::new(self.fetch_replicated(frame, threshold)?);
-            served.v2();
+            served.prefill(shape);
             Ok(Arc::new(served))
         });
         match lookup {
@@ -855,6 +858,7 @@ pub struct ShardedFrameService {
     /// Each shard's origin, kept so
     /// [`ShardedFrameService::reinstate_shard`] can rebuild a shard.
     origins: Vec<Origin>,
+    /// The caller's shard config at a cache budget of 0.
     shard_config: ServerConfig,
     router: FrameRouter,
 }
@@ -864,6 +868,13 @@ impl ShardedFrameService {
     /// [`Origin::layout`] spreads it at `replication`, plus the fronting
     /// router, and fails as that does. With `replication >= 2` a single
     /// shard kill costs zero degraded frames.
+    ///
+    /// Every shard runs `shard_config` with its `cache_bytes` set to 0, so
+    /// it holds only the frame it is sending: the router caches every
+    /// frame a shard sends, under the same `(frame, threshold)` key and
+    /// with its own budget, so a shard's cache could only hit what the
+    /// router had already evicted, while holding entries its clients never
+    /// ask for again.
     pub fn spawn_loopback_replicated(
         origin: impl Into<Origin>,
         shards: usize,
@@ -872,6 +883,10 @@ impl ShardedFrameService {
         router_config: RouterConfig,
     ) -> io::Result<ShardedFrameService> {
         let (map, origins) = origin.into().layout(shards, replication)?;
+        let shard_config = ServerConfig {
+            cache_bytes: 0,
+            ..shard_config
+        };
         let servers = origins
             .iter()
             .map(|shard| FrameServer::spawn_loopback(shard.clone(), shard_config))

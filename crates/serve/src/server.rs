@@ -1,8 +1,9 @@
 //! The multi-client frame server.
 //!
 //! A [`FrameServer`] is the frame origin behind one `crate::frontdoor`:
-//! one [`CoalescingCache`] of extractions and one per-server metrics
-//! [`Registry`] (counters under the `serve.*` names in [`crate::stats`]).
+//! one [`CoalescingCache`] of extractions, weighed in bytes like the
+//! router's ([`crate::cache`]), and one per-server metrics [`Registry`]
+//! (counters under the `serve.*` names in [`crate::stats`]).
 //! The door owns the connection lifecycle and the protocol — one
 //! acceptor thread, one session thread per admitted connection running a
 //! strict request/reply loop, one dispatcher answering every request.
@@ -46,9 +47,9 @@
 //! speak the identical protocol to the router and cannot tell the
 //! difference (`crate::router`).
 
-use crate::cache::{CacheKey, CoalescingCache, Fetched, Lookup, Served};
+use crate::cache::{CacheKey, CoalescingCache, Fetched, Lookup, Served, DEFAULT_CACHE_BYTES};
 use crate::frontdoor::{
-    spawn_thread, CountGuard, CounterNames, DoorConfig, FrontDoor, Handler, ReadAhead, Spawn,
+    spawn_thread, CountGuard, CounterNames, DoorConfig, FrontDoor, Handler, ReadAhead, Shape, Spawn,
 };
 use crate::protocol::{FrameInfo, Refusal, ERR_BUSY, ERR_INTERNAL};
 use crate::router::{invalid_input, ShardMap};
@@ -75,8 +76,14 @@ use std::time::Duration;
 /// Server tuning knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct ServerConfig {
-    /// Extractions the shared cache holds.
-    pub cache_capacity: usize,
+    /// Byte budget of the shared frame cache: LRU by what each entry
+    /// holds on admission, the frame plus the encoding its request's shape
+    /// asked for ([`Served::held_bytes`]). The router weighs its cache the
+    /// same way ([`crate::router::RouterConfig::cache_bytes`]), and both
+    /// default to [`DEFAULT_CACHE_BYTES`]. 0 holds the newest frame only,
+    /// which is what a shard behind a router is given
+    /// ([`crate::router::ShardedFrameService`]).
+    pub cache_bytes: u64,
     /// Resolution of the density volume in served frames.
     pub volume_dims: [usize; 3],
     /// Point budget behind the catalog's suggested threshold.
@@ -101,7 +108,7 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
-            cache_capacity: 8,
+            cache_bytes: DEFAULT_CACHE_BYTES,
             volume_dims: [16, 16, 16],
             point_budget: 1_000,
             read_timeout: Some(Duration::from_secs(30)),
@@ -247,11 +254,11 @@ impl Handler for Shared {
             .collect()
     }
 
-    fn frame(&self, frame: u32, threshold: f64) -> Fetched {
+    fn frame(&self, frame: u32, threshold: f64, shape: Shape) -> Fetched {
         let mut span = accelviz_trace::span("serve.extract");
         span.arg("frame", frame as f64);
         span.arg("threshold", threshold);
-        let (fetched, lookup) = self.lookup(frame, threshold, None);
+        let (fetched, lookup) = self.lookup(frame, threshold, shape, None);
         span.arg("cache_hit", (lookup != Lookup::Fetched) as u64 as f64);
         // A refusal served nothing: it is counted where it was refused
         // (`serve.shed_extractions`), never as a hit or a miss. A request
@@ -304,7 +311,7 @@ impl Shared {
         let shared = Arc::new(Shared {
             origin,
             config,
-            cache: CoalescingCache::new(config.cache_capacity as u64, |_| 1),
+            cache: CoalescingCache::new(config.cache_bytes, Served::held_bytes),
             metrics: Registry::new(),
             building_extractions: AtomicUsize::new(0),
             hints: Mutex::new(Some(tx)),
@@ -328,7 +335,8 @@ impl Shared {
 
     /// The one cache lookup, for demand and speculative callers alike.
     /// On a miss the fetch is one fresh extraction under an extraction
-    /// permit — so load shedding and a run's page-in never
+    /// permit, encoded as `shape` asks before it is admitted, so the entry
+    /// is weighed with its payload — and load shedding and a run's page-in never
     /// touch a request the cache can answer or coalesce; those are cheap
     /// and always admitted, and serving them must not churn the
     /// residency window. A demand caller passes no permit and takes one
@@ -339,6 +347,7 @@ impl Shared {
         &self,
         frame: u32,
         threshold: f64,
+        shape: Shape,
         permit: Option<CountGuard<'_>>,
     ) -> (Fetched, Lookup) {
         self.cache
@@ -354,6 +363,7 @@ impl Shared {
                 let served = self
                     .origin
                     .extract(frame, threshold, self.config.volume_dims)?;
+                served.prefill(shape);
                 // Counted before the entry is published: whoever is served
                 // from it can already read that it was fetched ahead.
                 if speculative {
@@ -384,7 +394,9 @@ impl Shared {
             self.metrics.add(CTR_READAHEAD_DROPPED, 1);
             return;
         };
-        if let (Ok(served), _) = self.lookup(frame, threshold, Some(permit)) {
+        // An entry this hint coalesced onto was filled for its fetcher's
+        // shape, which need not be this session's.
+        if let (Ok(served), _) = self.lookup(frame, threshold, shape, Some(permit)) {
             served.prefill(shape);
         }
     }
@@ -530,7 +542,6 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 mod tests {
     use super::*;
     use crate::client::Client;
-    use crate::frontdoor::Shape;
     use crate::wire::encode_frame_v2;
     use accelviz_beam::distribution::Distribution;
     use accelviz_core::hybrid::HybridFrame;
@@ -606,7 +617,7 @@ mod tests {
         shared.speculate(hint(1));
         assert_eq!(count(CTR_READAHEAD_FETCHES), 1);
         assert_eq!(building(&shared), 0, "the permit came back");
-        let served = shared.frame(1, f64::INFINITY).unwrap();
+        let served = shared.frame(1, f64::INFINITY, Shape::Plain).unwrap();
         let encoded_ahead = served.held_bytes() - served.frame().total_bytes();
         assert_eq!(
             encoded_ahead,
@@ -653,7 +664,7 @@ mod tests {
         assert_eq!(count(CTR_SHED_EXTRACTIONS), 0, "nothing was refused");
         drop(held);
         // The demand request for the same frame is served, as a miss.
-        assert!(shared.frame(1, f64::INFINITY).is_ok());
+        assert!(shared.frame(1, f64::INFINITY, Shape::Plain).is_ok());
         assert_eq!((count(CTR_CACHE_HITS), count(CTR_CACHE_MISSES)), (0, 1));
         shared.stop_helper(helper);
     }
@@ -685,7 +696,7 @@ mod tests {
             "the doomed fetches' permits came back"
         );
         let doomed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = shared.frame(1, f64::INFINITY);
+            let _ = shared.frame(1, f64::INFINITY, Shape::Plain);
         }));
         assert!(
             doomed.is_err(),
@@ -693,7 +704,10 @@ mod tests {
         );
         // A frame past the catalog, which the door never asks for, is a
         // refusal, not a panic.
-        let past = shared.frame(7, f64::INFINITY).err().expect("no frame 7");
+        let past = shared
+            .frame(7, f64::INFINITY, Shape::Plain)
+            .err()
+            .expect("no frame 7");
         assert_eq!(past.code, ERR_INTERNAL, "{past:?}");
     }
 

@@ -3,6 +3,9 @@
 //! encoded, the bytes it receives are exactly what a cold server sends,
 //! `serve.cache_hits` / `serve.cache_misses` keep counting requests, and a
 //! run whose residency budget cannot hold two frames is never read ahead.
+//! Beside it, the frame cache's byte budget: a viewer's loop that fits is
+//! extracted and encoded once, and a shard behind a router holds only the
+//! frame it is sending.
 //!
 //! No test here waits on the clock: ordering comes from the
 //! `serve.readahead_*` counters (`serve.readahead_fetches` moves before a
@@ -18,7 +21,9 @@ use accelviz::serve::stats::{
     CTR_READAHEAD_HINTS, CTR_SHED_EXTRACTIONS,
 };
 use accelviz::serve::wire::V2;
-use accelviz::serve::{Client, ClientConfig, FrameServer, ServerConfig};
+use accelviz::serve::{
+    Client, ClientConfig, FrameServer, RouterConfig, ServerConfig, ShardedFrameService,
+};
 use accelviz::store::run::write_run_file;
 use accelviz::store::ResidentRun;
 use common::{raw_reply, stores};
@@ -112,10 +117,10 @@ fn a_residency_budget_of_one_frame_is_never_read_ahead() {
     let path = std::env::temp_dir().join(format!("accelviz-readahead-{}", std::process::id()));
     write_run_file(&path, &stores(FRAMES, PARTICLES), 4_096).unwrap();
     let frame_bytes = PARTICLES as u64 * 48;
-    // One extraction at a time in the cache, so every step needs its
-    // frame's particles.
+    // A zero budget holds the newest extraction only, so every step needs
+    // its frame's particles.
     let config = ServerConfig {
-        cache_capacity: 1,
+        cache_bytes: 0,
         ..ServerConfig::default()
     };
     // Every hint is settled before the next request: taken up (the fetch
@@ -135,7 +140,7 @@ fn a_residency_budget_of_one_frame_is_never_read_ahead() {
             client.fetch(k as u32, 2.5).unwrap();
         }
         // The last step's hint as well: its successor is frame 0, which
-        // the one-entry cache no longer holds.
+        // the zero-budget cache no longer holds.
         let n = FRAMES as u64;
         wait_for(&server, settled(reads_ahead), n - 1);
         let (ahead, misses) = if reads_ahead { (n - 1, 2) } else { (0, n) };
@@ -245,4 +250,76 @@ fn shutdown_mid_step_is_prompt() {
     server.shutdown();
     assert!(t0.elapsed() < Duration::from_secs(2), "{:?}", t0.elapsed());
     assert!(client.fetch(4, 2.5).is_err(), "the server is gone");
+}
+
+/// Frames in a viewer's loop: `view_remote`'s series length.
+const LOOP: usize = 12;
+
+/// A viewer cycling a 12-frame stored run on the default config pays for
+/// each frame once: after the first cycle the byte-weighed cache holds
+/// the whole loop, so two more cycles neither miss nor read anything
+/// ahead, and every frame is bit-identical to local extraction.
+#[test]
+fn a_default_server_extracts_and_encodes_a_viewers_loop_once() {
+    let data = stores(LOOP, PARTICLES);
+    let path = std::env::temp_dir().join(format!("accelviz-loop-{}", std::process::id()));
+    write_run_file(&path, &data, 4_096).unwrap();
+    // A window of a third of the run, as the viewer workload opens it: the
+    // frame cache, not the window, is what must absorb the revisits.
+    let run_bytes = std::fs::metadata(&path).unwrap().len();
+    let run = Arc::new(ResidentRun::open(&path, run_bytes / 3).unwrap());
+    let config = ServerConfig::default();
+    let server = FrameServer::spawn_loopback(Arc::clone(&run), config).unwrap();
+    let mut client = Client::connect_with(server.addr(), ClientConfig::no_retry()).unwrap();
+    let produced = || count(&server, CTR_CACHE_MISSES) + count(&server, CTR_READAHEAD_FETCHES);
+    let mut after_first_cycle = 0;
+    for cycle in 0..3 {
+        for (k, d) in data.iter().enumerate() {
+            let (got, _) = client.fetch(k as u32, 2.5).unwrap();
+            let want = HybridFrame::from_partition(d, k, 2.5, config.volume_dims);
+            assert_eq!(got, want, "cycle {cycle}, frame {k}");
+        }
+        if cycle == 0 {
+            after_first_cycle = produced();
+            assert_eq!(after_first_cycle, LOOP as u64, "each frame produced once");
+        }
+    }
+    assert_eq!(
+        produced() - after_first_cycle,
+        0,
+        "the loop is resident after one cycle"
+    );
+    drop(client);
+    server.shutdown();
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A shard behind a router holds only the frame it is sending: with the
+/// router's cache at one byte, fetching a frame the router has evicted
+/// goes back to the shard, and is a miss there too.
+#[test]
+fn a_frame_the_router_evicted_is_a_shard_miss() {
+    let router = RouterConfig {
+        cache_bytes: 1,
+        ..RouterConfig::default()
+    };
+    let service = ShardedFrameService::spawn_loopback_replicated(
+        stores(FRAMES, PARTICLES),
+        1,
+        1,
+        ServerConfig::default(),
+        router,
+    )
+    .unwrap();
+    let mut client = Client::connect_with(service.addr(), ClientConfig::no_retry()).unwrap();
+    // Different thresholds, so no step: the shard is never read ahead.
+    client.fetch(0, 2.5).unwrap();
+    client.fetch(1, 1.5).unwrap();
+    let misses = count(service.shard(0), CTR_CACHE_MISSES);
+    assert_eq!(misses, 2);
+    client.fetch(0, 2.5).unwrap();
+    assert_eq!(count(service.shard(0), CTR_CACHE_MISSES), misses + 1);
+    assert_eq!(count(service.shard(0), CTR_CACHE_HITS), 0);
+    drop(client);
+    service.shutdown();
 }

@@ -10,6 +10,7 @@ use accelviz::core::hybrid::HybridFrame;
 use accelviz::octree::builder::{partition, BuildParams};
 use accelviz::octree::plots::PlotType;
 use accelviz::octree::sorted_store::PartitionedData;
+use accelviz::serve::cache::Served;
 use accelviz::serve::stats::{CTR_FRAMES_SERVED, CTR_FRAME_BYTES_RAW, CTR_FRAME_BYTES_WIRE};
 use accelviz::serve::wire::{encode_frame, CHECKSUM_BYTES, HEADER_BYTES};
 use accelviz::serve::{Client, ClientConfig, FrameServer, ServerConfig};
@@ -55,14 +56,27 @@ fn stored_server_serves_a_run_bigger_than_its_residency_budget() {
         run.total_particle_bytes()
     );
 
-    // A two-entry extraction cache, so revisiting frames cannot be
-    // absorbed above the residency layer — stale frames must re-page
-    // from disk.
+    // A frame cache that holds two of these frames whole and not three,
+    // so revisiting frames cannot be absorbed above the residency layer —
+    // stale frames must re-page from disk. An entry weighs its frame plus
+    // the v2 payload a plain fetch fills before admission.
+    let dims = ServerConfig::default().volume_dims;
+    let weights: Vec<u64> = frames
+        .iter()
+        .enumerate()
+        .map(|(i, d)| {
+            let served = Served::new(HybridFrame::from_partition(d, i, f64::INFINITY, dims));
+            served.v2();
+            served.held_bytes()
+        })
+        .collect();
+    let heaviest = *weights.iter().max().unwrap();
+    let lightest = *weights.iter().min().unwrap();
+    assert!(3 * lightest > 2 * heaviest, "{weights:?}");
     let config = ServerConfig {
-        cache_capacity: 2,
+        cache_bytes: 2 * heaviest,
         ..ServerConfig::default()
     };
-    let dims = config.volume_dims;
     let server = FrameServer::spawn_loopback(Arc::clone(&run), config).unwrap();
     let mut client = Client::connect_with(server.addr(), ClientConfig::no_retry()).unwrap();
 
