@@ -24,7 +24,8 @@
 //! transition is surfaced as a [`Transition`] so the router can land it
 //! on the `router.breaker_*` counters.
 
-use std::sync::{Mutex, MutexGuard};
+use crate::lock;
+use std::sync::Mutex;
 
 /// When a shard's breaker trips.
 #[derive(Clone, Copy, Debug)]
@@ -155,12 +156,6 @@ impl CircuitBreaker {
             Some(Transition::Closed)
         }
     }
-}
-
-/// Locks, ignoring poison: a panicked holder leaves nothing half-updated
-/// that the next holder could trip over.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 #[cfg(test)]

@@ -1,23 +1,22 @@
-//! The one front door: accept loop, admission, session loop, protocol
-//! dispatch and stop.
+//! The one front door: open, accept loop, admission, session loop,
+//! protocol dispatch and stop.
 //!
-//! [`crate::server::FrameServer`] and [`crate::router::FrameRouter`]
-//! answer the same protocol and differ only in where a frame comes from,
-//! so both hand a [`Handler`] — a frame origin plus a table of counter
-//! names — to a [`FrontDoor`], which owns everything between the
-//! listening socket and that origin:
+//! [`crate::server::FrameServer`] and [`crate::router::FrameRouter`] are
+//! one [`Service`] over two origins, and each runs it behind a
+//! [`FrontDoor`], which owns everything between the listening socket and
+//! the service's frames:
 //!
 //! - **Accept.** One thread blocks in `accept`; repeated failures (fd
 //!   exhaustion) are counted and cooled down with [`AcceptBackoff`]
 //!   instead of hot-spinning.
 //! - **Admission.** One OS thread per admitted connection, at most
-//!   [`DoorConfig::max_connections`] of them. Past the cap — or when the
+//!   [`ServiceConfig::max_connections`] of them. Past the cap — or when the
 //!   OS refuses a thread — the arrival is counted and handed to a small
 //!   bounded pool that answers one in-band `ERR_BUSY` and closes, so a
 //!   connect flood cannot mint threads.
 //! - **Session.** Read request → shutdown check → in-flight guard →
 //!   `catch_unwind(dispatch)` → counters → latency histogram. A panicking
-//!   handler costs its client one `ERR_INTERNAL`; the connection and the
+//!   request costs its client one `ERR_INTERNAL`; the connection and the
 //!   listener survive. Malformed framing gets `ERR_BAD_REQUEST`, then a
 //!   close (stream sync is gone).
 //! - **Protocol.** [`dispatch`] is the only code that answers a
@@ -29,23 +28,25 @@
 //! - **Read-ahead.** The door sees each session's request stream, so it
 //!   is the one place that can tell a viewer is stepping: a frame request
 //!   for `n` that follows one for `n − 1` at the same threshold hands the
-//!   origin a [`ReadAhead`] hint for `n + 1` *before* `n` is sent.
-//!   What an origin does with it is its own business
-//!   ([`Handler::read_ahead`]).
+//!   service a [`ReadAhead`] hint for `n + 1` *before* `n` is sent.
+//!   What comes of it is the service's business
+//!   ([`Service::read_ahead`]).
 //! - **Stop.** Flag, unpark, one connection to the door's own address
 //!   (so a blocked `accept` returns and sees the flag), join the
-//!   acceptor, then wait (bounded by [`DRAIN_TIMEOUT`]) for replies
-//!   already being computed or written.
+//!   acceptor, wait (bounded by [`DRAIN_TIMEOUT`]) for replies already
+//!   being computed or written, then join the service's read-ahead
+//!   helper.
 
 use crate::cache::{CacheKey, Fetched, Served};
 use crate::error::ServeError;
 use crate::lod::chunk_budget;
 use crate::protocol::{
-    read_request, write_response, FrameInfo, Refusal, Request, Response, ERR_BAD_REQUEST,
-    ERR_BAD_THRESHOLD, ERR_BUSY, ERR_INTERNAL, ERR_NO_SUCH_FRAME,
+    read_request, write_response, Refusal, Request, Response, ERR_BAD_REQUEST, ERR_BAD_THRESHOLD,
+    ERR_BUSY, ERR_INTERNAL, ERR_NO_SUCH_FRAME,
 };
+use crate::service::{FrameOrigin, Service, ServiceConfig};
 use crate::wire::V2;
-use accelviz_trace::registry::{Registry, Snapshot};
+use accelviz_trace::registry::Registry;
 use std::io::{self, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -61,33 +62,6 @@ const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// The in-band message a shed connection gets with its `ERR_BUSY`.
 const SHED_CONNECTION_MSG: &str = "server at connection capacity; retry after ~100 ms";
-
-/// The registry keys and span names a door counts under — one table per
-/// handler, so the server's sessions land on `serve.*` and the router's
-/// on `router.*`.
-pub(crate) struct CounterNames {
-    pub(crate) requests: &'static str,
-    pub(crate) bytes_sent: &'static str,
-    pub(crate) frames_served: &'static str,
-    pub(crate) shed_connections: &'static str,
-    pub(crate) accept_errors: &'static str,
-    pub(crate) handler_panics: &'static str,
-    /// Histogram of request service time.
-    pub(crate) latency: &'static str,
-    /// What served frames would occupy as raw v1 payloads.
-    pub(crate) frame_bytes_raw: &'static str,
-    /// Frame payload bytes actually written.
-    pub(crate) frame_bytes_wire: &'static str,
-    pub(crate) lod_requests: &'static str,
-    pub(crate) lod_chunks: &'static str,
-    pub(crate) lod_bytes_wire: &'static str,
-    /// Span around one dispatched request.
-    pub(crate) span_request: &'static str,
-    /// Span around encoding and writing one full frame.
-    pub(crate) span_send: &'static str,
-    /// Span around planning one progressive stream.
-    pub(crate) span_lod_send: &'static str,
-}
 
 /// How a service or a remote source starts a thread: `std::thread::Builder::spawn`
 /// ([`spawn_thread`]) in production; a test passes one that refuses,
@@ -123,55 +97,6 @@ pub(crate) struct ReadAhead {
     pub(crate) shape: Shape,
 }
 
-/// What stands behind a door: a frame origin. The door owns the protocol
-/// ([`dispatch`]); a handler only says what frames exist and produces one
-/// on demand.
-pub(crate) trait Handler: Send + Sync + 'static {
-    /// Where this handler's sessions are counted.
-    const NAMES: CounterNames;
-
-    /// The registry [`Handler::NAMES`] index into.
-    fn metrics(&self) -> &Registry;
-
-    /// Frames in the catalog; requests for an index at or past this are
-    /// refused before [`Handler::frame`] is asked.
-    fn frame_count(&self) -> usize;
-
-    /// The catalog a `ListFrames` reply carries.
-    fn catalog(&self) -> Vec<FrameInfo>;
-
-    /// Frame `frame < frame_count()` at a non-NaN `threshold`, or why it
-    /// cannot be had right now. Hit/miss accounting is the origin's. A
-    /// fetch fills the encoding `shape` asks for before its entry is
-    /// cached ([`Served::prefill`]), so the entry is weighed with it.
-    fn frame(&self, frame: u32, threshold: f64, shape: Shape) -> Fetched;
-
-    /// The session about to be answered is stepping and will probably
-    /// ask for `hint` next. Called on the session's thread, with the
-    /// current frame in hand and its reply not yet written, so it must
-    /// not block; an origin with nothing to overlap ignores it.
-    fn read_ahead(&self, _hint: ReadAhead) {}
-
-    /// The snapshot a `Stats` reply carries: this handler's registry,
-    /// unless the origin has more to add.
-    fn stats(&self) -> Snapshot {
-        self.metrics().snapshot()
-    }
-}
-
-/// The per-listener settings a door enforces.
-pub(crate) struct DoorConfig {
-    /// Bound on any single blocking read from a client; `None` waits
-    /// forever.
-    pub(crate) read_timeout: Option<Duration>,
-    /// Same bound for writes.
-    pub(crate) write_timeout: Option<Duration>,
-    /// Connections (and so session threads) served concurrently.
-    pub(crate) max_connections: usize,
-    /// Starts each session thread; a refusal sheds the connection.
-    pub(crate) spawn: Spawn,
-}
-
 /// Decrements a shared gauge on drop, panic or not.
 pub(crate) struct CountGuard<'a>(pub(crate) &'a AtomicUsize);
 
@@ -189,43 +114,56 @@ impl Drop for CountGuard<'_> {
 }
 
 /// What the acceptor, the shed pool and every session thread share.
-struct Door<H> {
-    handler: Arc<H>,
-    config: DoorConfig,
+struct Door<O> {
+    service: Arc<Service<O>>,
     shutdown: AtomicBool,
     active_connections: AtomicUsize,
     inflight_requests: AtomicUsize,
 }
 
-/// A bound, accepting listener serving `H`. Dropping it (or calling
-/// [`FrontDoor::close`]) stops it.
-pub(crate) struct FrontDoor<H: Handler> {
-    door: Arc<Door<H>>,
+/// A running service: a bound, accepting listener and the service behind
+/// it. Dropping it (or calling [`FrontDoor::close`]) stops both.
+pub(crate) struct FrontDoor<O: FrameOrigin> {
+    door: Arc<Door<O>>,
     addr: SocketAddr,
     accept: Option<JoinHandle<()>>,
+    /// The service's read-ahead helper; `None` over an origin that does
+    /// not read ahead, when the OS refused the thread (the service then
+    /// serves without read-ahead), and once it is joined.
+    helper: Option<JoinHandle<()>>,
 }
 
-impl<H: Handler> FrontDoor<H> {
-    /// Binds `addr` and starts accepting clients for `handler`.
-    pub(crate) fn open(addr: &str, handler: Arc<H>, config: DoorConfig) -> io::Result<Self> {
+impl<O: FrameOrigin> FrontDoor<O> {
+    /// Binds `addr` and starts serving `origin`'s frames, counting into
+    /// `metrics`.
+    pub(crate) fn open(
+        addr: &str,
+        origin: O,
+        metrics: Arc<Registry>,
+        config: ServiceConfig,
+    ) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
+        let (service, helper) = Service::start(origin, metrics, config);
         let door = Arc::new(Door {
-            handler,
-            config,
+            service,
             shutdown: AtomicBool::new(false),
             active_connections: AtomicUsize::new(0),
             inflight_requests: AtomicUsize::new(0),
         });
-        let accept = {
-            let door = Arc::clone(&door);
-            std::thread::Builder::new().spawn(move || accept_loop(door, listener))?
-        };
-        Ok(FrontDoor {
-            door,
-            addr,
-            accept: Some(accept),
-        })
+        let acceptor = Arc::clone(&door);
+        match std::thread::Builder::new().spawn(move || accept_loop(acceptor, listener)) {
+            Ok(accept) => Ok(FrontDoor {
+                door,
+                addr,
+                accept: Some(accept),
+                helper,
+            }),
+            Err(e) => {
+                door.service.stop_helper(helper);
+                Err(e)
+            }
+        }
     }
 
     /// The address clients connect to.
@@ -233,19 +171,24 @@ impl<H: Handler> FrontDoor<H> {
         self.addr
     }
 
-    /// The state behind the door.
-    pub(crate) fn handler(&self) -> &H {
-        &self.door.handler
+    /// The service behind the door.
+    pub(crate) fn service(&self) -> &Service<O> {
+        &self.door.service
     }
 
-    /// Stops accepting, joins the acceptor, and lets replies already
-    /// being computed or written reach their clients (bounded by
-    /// [`DRAIN_TIMEOUT`]). Requests that arrive after the flag is up are
-    /// dropped at the request boundary. Idempotent.
+    /// Stops accepting, joins the acceptor, lets replies already being
+    /// computed or written reach their clients (bounded by
+    /// [`DRAIN_TIMEOUT`]), then joins the read-ahead helper. Requests that
+    /// arrive after the flag is up are dropped at the request boundary.
+    /// Idempotent.
     pub(crate) fn close(&mut self) {
-        let Some(accept) = self.accept.take() else {
-            return;
-        };
+        if let Some(accept) = self.accept.take() {
+            self.stop_accepting(accept);
+        }
+        self.door.service.stop_helper(self.helper.take());
+    }
+
+    fn stop_accepting(&self, accept: JoinHandle<()>) {
         self.door.shutdown.store(true, Ordering::SeqCst);
         // The acceptor is in one of two waits and each gets its wake, so
         // an idle door stops now, not at the next connection. An error
@@ -270,7 +213,7 @@ impl<H: Handler> FrontDoor<H> {
     }
 }
 
-impl<H: Handler> Drop for FrontDoor<H> {
+impl<O: FrameOrigin> Drop for FrontDoor<O> {
     fn drop(&mut self) {
         self.close();
     }
@@ -294,7 +237,7 @@ impl ShedPool {
     /// pinning the pool and bounds how long stop can block on it.
     const MAX_WAIT: Duration = Duration::from_secs(1);
 
-    fn start<H: Handler>(door: &Arc<Door<H>>) -> ShedPool {
+    fn start<O: FrameOrigin>(door: &Arc<Door<O>>) -> ShedPool {
         let (tx, rx) = mpsc::sync_channel::<TcpStream>(Self::QUEUE);
         let rx = Arc::new(Mutex::new(rx));
         let workers = (0..Self::WORKERS)
@@ -313,7 +256,7 @@ impl ShedPool {
                         if door.shutdown.load(Ordering::SeqCst) {
                             continue; // stopping: just close it
                         }
-                        answer_shed(&door.config, stream);
+                        answer_shed(&door.service.config, stream);
                     })
                     .ok()
             })
@@ -346,7 +289,7 @@ impl Drop for ShedPool {
 /// request (its Hello) so the close after the reply is clean — closing
 /// with unread inbound data would RST the socket and the client would
 /// never see the reply — then send `ERR_BUSY` and drop the stream.
-fn answer_shed(config: &DoorConfig, mut stream: TcpStream) {
+fn answer_shed(config: &ServiceConfig, mut stream: TcpStream) {
     let cap = |t: Option<Duration>| Some(t.unwrap_or(ShedPool::MAX_WAIT).min(ShedPool::MAX_WAIT));
     let _ = stream.set_read_timeout(cap(config.read_timeout));
     let _ = stream.set_write_timeout(cap(config.write_timeout));
@@ -363,11 +306,11 @@ fn answer_shed(config: &DoorConfig, mut stream: TcpStream) {
 /// Admits one accepted connection onto its own session thread, or sheds
 /// it: at the connection cap, and when the OS refuses the thread (EAGAIN
 /// under `pids.max` / `RLIMIT_NPROC`) — `std::thread::spawn` would panic
-/// there and take the acceptor with it, hence [`DoorConfig::spawn`].
-fn admit<H: Handler>(door: &Arc<Door<H>>, shed: &ShedPool, stream: TcpStream) {
-    let shed_connections = H::NAMES.shed_connections;
-    if door.active_connections.load(Ordering::SeqCst) >= door.config.max_connections {
-        door.handler.metrics().add(shed_connections, 1);
+/// there and take the acceptor with it, hence [`ServiceConfig::spawn`].
+fn admit<O: FrameOrigin>(door: &Arc<Door<O>>, shed: &ShedPool, stream: TcpStream) {
+    let shed_connections = O::NAMES.shed_connections;
+    if door.active_connections.load(Ordering::SeqCst) >= door.service.config.max_connections {
+        door.service.metrics.add(shed_connections, 1);
         shed.offer(stream);
         return;
     }
@@ -376,7 +319,7 @@ fn admit<H: Handler>(door: &Arc<Door<H>>, shed: &ShedPool, stream: TcpStream) {
     // closure, still leaves it here to be answered.
     let slot = Arc::new(Mutex::new(Some(stream)));
     let (session_door, session_slot) = (Arc::clone(door), Arc::clone(&slot));
-    let spawned = (door.config.spawn)(Box::new(move || {
+    let spawned = (door.service.config.spawn)(Box::new(move || {
         let _guard = CountGuard(&session_door.active_connections);
         let stream = session_slot.lock().ok().and_then(|mut s| s.take());
         if let Some(stream) = stream {
@@ -385,7 +328,7 @@ fn admit<H: Handler>(door: &Arc<Door<H>>, shed: &ShedPool, stream: TcpStream) {
     }));
     if spawned.is_err() {
         door.active_connections.fetch_sub(1, Ordering::SeqCst);
-        door.handler.metrics().add(shed_connections, 1);
+        door.service.metrics.add(shed_connections, 1);
         if let Some(stream) = slot.lock().ok().and_then(|mut s| s.take()) {
             shed.offer(stream);
         }
@@ -428,7 +371,7 @@ impl AcceptBackoff {
 /// The accept loop: block in `accept`, look at the stop flag, admit. The
 /// connection [`FrontDoor::close`] makes to end the block is dropped at
 /// the flag, before admission, so it is neither a session nor a shed.
-fn accept_loop<H: Handler>(door: Arc<Door<H>>, listener: TcpListener) {
+fn accept_loop<O: FrameOrigin>(door: Arc<Door<O>>, listener: TcpListener) {
     let shed = ShedPool::start(&door);
     let mut backoff = AcceptBackoff::default();
     loop {
@@ -444,7 +387,7 @@ fn accept_loop<H: Handler>(door: Arc<Door<H>>, listener: TcpListener) {
             Err(_) => {
                 // EMFILE and friends: count it and cool down instead of
                 // hot-spinning on a failing accept. `close` unparks.
-                door.handler.metrics().add(H::NAMES.accept_errors, 1);
+                door.service.metrics.add(O::NAMES.accept_errors, 1);
                 std::thread::park_timeout(backoff.on_error());
             }
         }
@@ -452,13 +395,13 @@ fn accept_loop<H: Handler>(door: Arc<Door<H>>, listener: TcpListener) {
     // ShedPool::drop joins its workers (bounded by MAX_WAIT).
 }
 
-fn serve_connection<H: Handler>(door: &Door<H>, stream: TcpStream) {
+fn serve_connection<O: FrameOrigin>(door: &Door<O>, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     // A stalled or byte-dribbling client must not pin this thread
     // forever: a timed-out read/write surfaces as an Io error in the
     // session and the connection is dropped.
-    let _ = stream.set_read_timeout(door.config.read_timeout);
-    let _ = stream.set_write_timeout(door.config.write_timeout);
+    let _ = stream.set_read_timeout(door.service.config.read_timeout);
+    let _ = stream.set_write_timeout(door.service.config.write_timeout);
     session(door, stream);
 }
 
@@ -482,8 +425,8 @@ pub(crate) fn successor(last: Option<CacheKey>, now: CacheKey, frame_count: usiz
 }
 
 /// One connection's strict request/reply loop.
-fn session<H: Handler, S: Read + Write>(door: &Door<H>, mut stream: S) {
-    let metrics = door.handler.metrics();
+fn session<O: FrameOrigin, S: Read + Write>(door: &Door<O>, mut stream: S) {
+    let metrics = &door.service.metrics;
     let mut session = Session { last_frame: None };
     loop {
         let req = match read_request(&mut stream) {
@@ -511,13 +454,13 @@ fn session<H: Handler, S: Read + Write>(door: &Door<H>, mut stream: S) {
         // Panic isolation: a poisoned request must not take the
         // connection (let alone the listener) down with it.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            dispatch(&*door.handler, req, &mut stream, &mut session)
+            dispatch(&door.service, req, &mut stream, &mut session)
         }));
         let (bytes, served_frame) = match outcome {
             Ok(Ok(r)) => r,
             Ok(Err(_)) => return, // client went away mid-reply
             Err(_panic) => {
-                metrics.add(H::NAMES.handler_panics, 1);
+                metrics.add(O::NAMES.handler_panics, 1);
                 let reply = Response::Error {
                     code: ERR_INTERNAL,
                     message: "internal error serving this request; the connection survives"
@@ -529,25 +472,25 @@ fn session<H: Handler, S: Read + Write>(door: &Door<H>, mut stream: S) {
                 }
             }
         };
-        metrics.add(H::NAMES.requests, 1);
-        metrics.add(H::NAMES.bytes_sent, bytes);
+        metrics.add(O::NAMES.requests, 1);
+        metrics.add(O::NAMES.bytes_sent, bytes);
         if served_frame {
-            metrics.add(H::NAMES.frames_served, 1);
+            metrics.add(O::NAMES.frames_served, 1);
         }
-        metrics.record_seconds(H::NAMES.latency, t0.elapsed().as_secs_f64());
+        metrics.record_seconds(O::NAMES.latency, t0.elapsed().as_secs_f64());
     }
 }
 
-/// Answers one request from `handler`'s frames; returns (wire bytes
+/// Answers one request from `service`'s frames; returns (wire bytes
 /// written, was a frame reply). An `Err` means the client went away
 /// mid-reply.
-fn dispatch<H: Handler, S: Write>(
-    handler: &H,
+fn dispatch<O: FrameOrigin, S: Write>(
+    service: &Service<O>,
     req: Request,
     stream: &mut S,
     session: &mut Session,
 ) -> crate::error::Result<(u64, bool)> {
-    let _span = accelviz_trace::span(H::NAMES.span_request);
+    let _span = accelviz_trace::span(O::NAMES.span_request);
     let reply = match req {
         // Every reply is framed at v2 from the first byte; a client
         // that cannot speak it is told so in-band and may say Hello again.
@@ -557,13 +500,13 @@ fn dispatch<H: Handler, S: Write>(
         )),
         Request::Hello { .. } => Response::HelloAck {
             version: V2,
-            frame_count: handler.frame_count() as u32,
+            frame_count: service.origin.frame_count() as u32,
         },
-        Request::ListFrames => Response::FrameList(handler.catalog()),
-        Request::Stats => Response::Stats(handler.stats()),
+        Request::ListFrames => Response::FrameList(service.origin.catalog()),
+        Request::Stats => Response::Stats(service.origin.stats(&service.metrics)),
         Request::RequestFrame { frame, threshold } => {
-            match checked_frame(handler, session, frame, threshold, Shape::Plain) {
-                Ok(served) => return send_frame(handler, &served, stream),
+            match checked_frame(service, session, frame, threshold, Shape::Plain) {
+                Ok(served) => return send_frame(service, &served, stream),
                 Err(refusal) => refusal.into(),
             }
         }
@@ -573,8 +516,8 @@ fn dispatch<H: Handler, S: Write>(
             chunk_bytes,
         } => {
             let shape = Shape::Progressive { chunk_bytes };
-            match checked_frame(handler, session, frame, threshold, shape) {
-                Ok(served) => return send_chunks(handler, &served, chunk_bytes, stream),
+            match checked_frame(service, session, frame, threshold, shape) {
+                Ok(served) => return send_chunks(service, &served, chunk_bytes, stream),
                 Err(refusal) => refusal.into(),
             }
         }
@@ -582,13 +525,13 @@ fn dispatch<H: Handler, S: Write>(
     Ok((write_response(stream, &reply)?, false))
 }
 
-/// Validates a frame request, tells the origin when it continues a step
+/// Validates a frame request, tells the service when it continues a step
 /// sequence, and asks it for the frame at the threshold its cache key
 /// stands for (`-0.0` is asked as `0.0`). A progressive and a plain request
 /// for the same `(frame, threshold)` resolve to the same cached entry;
 /// only the wire shape differs after.
-fn checked_frame<H: Handler>(
-    handler: &H,
+fn checked_frame<O: FrameOrigin>(
+    service: &Service<O>,
     session: &mut Session,
     frame: u32,
     threshold: f64,
@@ -607,7 +550,7 @@ fn checked_frame<H: Handler>(
             format!("threshold must not be NaN, got {threshold}"),
         ));
     }
-    let available = handler.frame_count();
+    let available = service.origin.frame_count();
     if frame as usize >= available {
         return Err(Refusal::new(
             ERR_NO_SUCH_FRAME,
@@ -616,13 +559,13 @@ fn checked_frame<H: Handler>(
     }
     let key = CacheKey::new(frame, threshold);
     session.last_frame = Some(key);
-    let served = handler.frame(frame, key.threshold(), shape)?;
+    let served = service.frame(frame, key.threshold(), shape)?;
     // The hint goes out with this frame in hand — whatever producing the
     // successor evicts, it is not what this request is about to read —
     // and before it is sent, so the successor is produced while this
     // frame is written, decoded and drawn.
     if let Some(next) = successor(last_frame, key, available) {
-        handler.read_ahead(ReadAhead {
+        service.read_ahead(ReadAhead {
             frame: next,
             threshold: key.threshold(),
             shape,
@@ -637,16 +580,16 @@ fn checked_frame<H: Handler>(
 /// codec is deterministic, so a router's bytes match what a direct server
 /// of the same data writes. Raw and wire sizes are both counted, per
 /// send, so the stats expose the live compression ratio.
-fn send_frame<H: Handler, S: Write>(
-    handler: &H,
+fn send_frame<O: FrameOrigin, S: Write>(
+    service: &Service<O>,
     served: &Served,
     stream: &mut S,
 ) -> crate::error::Result<(u64, bool)> {
-    let mut span = accelviz_trace::span(H::NAMES.span_send);
+    let mut span = accelviz_trace::span(O::NAMES.span_send);
     let (reply, raw_len) = served.v2();
-    let metrics = handler.metrics();
-    metrics.add(H::NAMES.frame_bytes_raw, *raw_len);
-    metrics.add(H::NAMES.frame_bytes_wire, reply.payload().len() as u64);
+    let metrics = &service.metrics;
+    metrics.add(O::NAMES.frame_bytes_raw, *raw_len);
+    metrics.add(O::NAMES.frame_bytes_wire, reply.payload().len() as u64);
     let bytes = reply.write_to(stream)?;
     span.arg("bytes", bytes as f64);
     Ok((bytes, true))
@@ -656,14 +599,14 @@ fn send_frame<H: Handler, S: Write>(
 /// (frame, budget), so the records a routed session sees are identical to
 /// a direct server's — and the records the cached entry keeps are the
 /// ones a fresh plan would give.
-fn send_chunks<H: Handler, S: Write>(
-    handler: &H,
+fn send_chunks<O: FrameOrigin, S: Write>(
+    service: &Service<O>,
     served: &Served,
     chunk_bytes: u64,
     stream: &mut S,
 ) -> crate::error::Result<(u64, bool)> {
     let records = {
-        let mut span = accelviz_trace::span(H::NAMES.span_lod_send);
+        let mut span = accelviz_trace::span(O::NAMES.span_lod_send);
         let records = served.chunks(chunk_budget(chunk_bytes));
         span.arg("chunks", records.len() as f64);
         records
@@ -672,64 +615,75 @@ fn send_chunks<H: Handler, S: Write>(
     for record in records.iter() {
         bytes += record.write_to(stream)?;
     }
-    let metrics = handler.metrics();
-    metrics.add(H::NAMES.lod_requests, 1);
-    metrics.add(H::NAMES.lod_chunks, records.len() as u64);
-    metrics.add(H::NAMES.lod_bytes_wire, bytes);
+    let metrics = &service.metrics;
+    metrics.add(O::NAMES.lod_requests, 1);
+    metrics.add(O::NAMES.lod_chunks, records.len() as u64);
+    metrics.add(O::NAMES.lod_bytes_wire, bytes);
     Ok((bytes, true))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::{CoalescingCache, DEFAULT_CACHE_BYTES};
+    use crate::cache::DEFAULT_CACHE_BYTES;
+    use crate::client::Client;
     use crate::fault::{FaultDirection, FaultEvent, FaultKind, FaultPlan, FaultyTransport};
-    use crate::protocol::{read_response, write_request};
+    use crate::protocol::{read_response, write_request, FrameInfo};
+    use crate::server::{ServerConfig, Window};
+    use crate::service::{counter_names, CounterNames};
+    use crate::stats::*;
     use accelviz_beam::distribution::Distribution;
     use accelviz_core::hybrid::HybridFrame;
     use accelviz_octree::builder::{partition, BuildParams};
     use accelviz_octree::plots::PlotType;
+    use accelviz_trace::registry::{Registry, Snapshot};
 
-    fn tiny_frame(threshold: f64) -> Arc<Served> {
+    fn tiny_frame(threshold: f64) -> HybridFrame {
         let ps = Distribution::default_beam().sample(50, 1);
         let data = partition(&ps, PlotType::XYZ, BuildParams::default());
-        let frame = HybridFrame::from_partition(&data, 0, threshold, [2, 2, 2]);
-        Arc::new(Served::new(frame))
+        HybridFrame::from_partition(&data, 0, threshold, [2, 2, 2])
     }
 
-    /// An origin of one frame behind the shared cache: the catalog
-    /// panics, `Stats` reports that it has entered and then parks until
-    /// the test lets it answer, and the first fetch of the frame panics.
+    /// The state of a service over `origin`, with no read-ahead helper:
+    /// hints go to `hints`, when given.
+    fn unstarted<O: FrameOrigin>(
+        origin: O,
+        hints: Option<mpsc::SyncSender<ReadAhead>>,
+    ) -> Arc<Service<O>> {
+        let metrics = Arc::new(Registry::new());
+        Arc::new(Service::new(
+            origin,
+            metrics,
+            config(1, spawn_thread),
+            hints,
+        ))
+    }
+
+    /// A service's config: `max_connections` sessions, started by `spawn`.
+    fn config(max_connections: usize, spawn: Spawn) -> ServiceConfig {
+        ServiceConfig {
+            cache_bytes: DEFAULT_CACHE_BYTES,
+            permits: usize::MAX,
+            read_timeout: Some(Duration::from_secs(10)),
+            write_timeout: Some(Duration::from_secs(10)),
+            max_connections,
+            spawn,
+            spawn_helper: spawn_thread,
+        }
+    }
+
+    /// An origin of one frame: the catalog panics, `Stats` reports that
+    /// it has entered and then parks until the test lets it answer, and
+    /// the first fetch of the frame panics.
     struct Fake {
-        metrics: Registry,
         entered: Mutex<mpsc::Sender<()>>,
         gate: Mutex<mpsc::Receiver<()>>,
-        cache: CoalescingCache,
         fetched_before: AtomicBool,
     }
 
-    impl Handler for Fake {
-        const NAMES: CounterNames = CounterNames {
-            requests: "fake.requests",
-            bytes_sent: "fake.bytes_sent",
-            frames_served: "fake.frames_served",
-            shed_connections: "fake.shed_connections",
-            accept_errors: "fake.accept_errors",
-            handler_panics: "fake.handler_panics",
-            latency: "fake.request_latency",
-            frame_bytes_raw: "fake.frame_bytes_raw",
-            frame_bytes_wire: "fake.frame_bytes_wire",
-            lod_requests: "fake.lod_requests",
-            lod_chunks: "fake.lod_chunks",
-            lod_bytes_wire: "fake.lod_bytes_wire",
-            span_request: "fake.request",
-            span_send: "fake.send",
-            span_lod_send: "fake.lod_send",
-        };
-
-        fn metrics(&self) -> &Registry {
-            &self.metrics
-        }
+    impl FrameOrigin for Fake {
+        const NAMES: CounterNames = counter_names!("fake");
+        const READS_AHEAD: bool = false;
 
         fn frame_count(&self) -> usize {
             1
@@ -739,19 +693,14 @@ mod tests {
             panic!("scripted handler panic")
         }
 
-        fn frame(&self, frame: u32, threshold: f64, _shape: Shape) -> Fetched {
-            let fetch = || {
-                if !self.fetched_before.swap(true, Ordering::SeqCst) {
-                    panic!("scripted fetch panic");
-                }
-                Ok(tiny_frame(threshold))
-            };
-            self.cache
-                .get_or_fetch(CacheKey::new(frame, threshold), fetch)
-                .0
+        fn fetch(&self, _frame: u32, threshold: f64) -> Result<HybridFrame, Refusal> {
+            if !self.fetched_before.swap(true, Ordering::SeqCst) {
+                panic!("scripted fetch panic");
+            }
+            Ok(tiny_frame(threshold))
         }
 
-        fn stats(&self) -> Snapshot {
+        fn stats(&self, _own: &Registry) -> Snapshot {
             self.entered.lock().unwrap().send(()).unwrap();
             self.gate.lock().unwrap().recv().unwrap();
             Snapshot::default()
@@ -771,20 +720,14 @@ mod tests {
     ) -> (FrontDoor<Fake>, mpsc::Receiver<()>, mpsc::Sender<()>) {
         let (entered_tx, entered_rx) = mpsc::channel();
         let (gate_tx, gate_rx) = mpsc::channel();
-        let fake = Arc::new(Fake {
-            metrics: Registry::new(),
+        let fake = Fake {
             entered: Mutex::new(entered_tx),
             gate: Mutex::new(gate_rx),
-            cache: CoalescingCache::new(DEFAULT_CACHE_BYTES, Served::held_bytes),
             fetched_before: AtomicBool::new(false),
-        });
-        let config = DoorConfig {
-            read_timeout: Some(Duration::from_secs(10)),
-            write_timeout: Some(Duration::from_secs(10)),
-            max_connections,
-            spawn,
         };
-        let door = FrontDoor::open(addr, fake, config).unwrap();
+        let metrics = Arc::new(Registry::new());
+        let config = config(max_connections, spawn);
+        let door = FrontDoor::open(addr, fake, metrics, config).unwrap();
         (door, entered_rx, gate_tx)
     }
 
@@ -819,7 +762,7 @@ mod tests {
             let reply = ask(&mut shed, Request::Hello { version: 2 }).unwrap();
             assert_eq!(error_code(reply), ERR_BUSY);
         }
-        let metrics = door.handler().metrics();
+        let metrics = &door.service().metrics;
         assert_eq!(metrics.counter(Fake::NAMES.shed_connections), 5);
         ask(&mut admitted, Request::Hello { version: 2 }).unwrap();
     }
@@ -834,7 +777,7 @@ mod tests {
             let mut stream = connect(&door);
             let reply = ask(&mut stream, Request::Hello { version: 2 }).unwrap();
             assert_eq!(error_code(reply), ERR_BUSY);
-            let metrics = door.handler().metrics();
+            let metrics = &door.service().metrics;
             assert_eq!(metrics.counter(Fake::NAMES.shed_connections), shed_so_far);
         }
         assert_eq!(door.door.active_connections.load(Ordering::SeqCst), 0);
@@ -848,7 +791,7 @@ mod tests {
         assert_eq!(error_code(reply), ERR_INTERNAL);
         let reply = ask(&mut stream, Request::Hello { version: 2 }).unwrap();
         assert!(matches!(reply, Response::HelloAck { version: V2, .. }));
-        let metrics = door.handler().metrics();
+        let metrics = &door.service().metrics;
         assert_eq!(metrics.counter(Fake::NAMES.handler_panics), 1);
     }
 
@@ -867,7 +810,7 @@ mod tests {
         let mut second = connect(&door);
         let reply = ask(&mut second, wanted).unwrap();
         assert!(matches!(reply, Response::Frame(_)), "got {reply:?}");
-        let metrics = door.handler().metrics();
+        let metrics = &door.service().metrics;
         assert_eq!(metrics.counter(Fake::NAMES.handler_panics), 1);
     }
 
@@ -898,13 +841,7 @@ mod tests {
         };
         let cut = write_response(&mut io::sink(), &ack).unwrap() + 20;
         let door = Door {
-            handler: Arc::new(Stepper::default()),
-            config: DoorConfig {
-                read_timeout: None,
-                write_timeout: None,
-                max_connections: 1,
-                spawn: spawn_thread,
-            },
+            service: unstarted(Stepper, None),
             shutdown: AtomicBool::new(false),
             active_connections: AtomicUsize::new(0),
             inflight_requests: AtomicUsize::new(0),
@@ -916,7 +853,7 @@ mod tests {
             kind: FaultKind::Truncate,
         }]);
         session(&door, FaultyTransport::new(server, plan.script()));
-        let metrics = door.handler.metrics();
+        let metrics = &door.service.metrics;
         let count = |name| metrics.counter(name);
         assert_eq!(count(Fake::NAMES.requests), 1, "the Hello only");
         assert_eq!(count(Fake::NAMES.frames_served), 0);
@@ -956,7 +893,7 @@ mod tests {
             entered.recv().unwrap(); // this session is inside stats()
         }
         let counters = |door: &FrontDoor<Fake>| {
-            let metrics = door.handler().metrics();
+            let metrics = &door.service().metrics;
             (
                 metrics.counter(Fake::NAMES.shed_connections),
                 metrics.counter(Fake::NAMES.requests),
@@ -970,24 +907,16 @@ mod tests {
         assert_eq!(counters(&door), before);
     }
 
-    /// An origin of [`Stepper::FRAMES`] frames that records the hints it
-    /// is handed.
-    #[derive(Default)]
-    struct Stepper {
-        metrics: Registry,
-        hints: Mutex<Vec<ReadAhead>>,
-    }
+    /// An origin of [`Stepper::FRAMES`] frames that reads ahead.
+    struct Stepper;
 
     impl Stepper {
         const FRAMES: u32 = 5;
     }
 
-    impl Handler for Stepper {
+    impl FrameOrigin for Stepper {
         const NAMES: CounterNames = Fake::NAMES;
-
-        fn metrics(&self) -> &Registry {
-            &self.metrics
-        }
+        const READS_AHEAD: bool = true;
 
         fn frame_count(&self) -> usize {
             Stepper::FRAMES as usize
@@ -997,23 +926,24 @@ mod tests {
             Vec::new()
         }
 
-        fn frame(&self, _frame: u32, threshold: f64, _shape: Shape) -> Fetched {
+        fn fetch(&self, _frame: u32, threshold: f64) -> Result<HybridFrame, Refusal> {
             Ok(tiny_frame(threshold))
         }
 
-        fn read_ahead(&self, hint: ReadAhead) {
-            self.hints.lock().unwrap().push(hint);
+        fn stats(&self, own: &Registry) -> Snapshot {
+            own.snapshot()
         }
     }
 
-    /// The hints one session's `requests` produce, in order.
+    /// The hints one session's `requests` hand the service, in order.
     fn hints_of(requests: &[Request]) -> Vec<ReadAhead> {
-        let origin = Stepper::default();
+        let (tx, rx) = mpsc::sync_channel(requests.len());
+        let service = unstarted(Stepper, Some(tx));
         let mut session = Session { last_frame: None };
         for &req in requests {
-            dispatch(&origin, req, &mut io::sink(), &mut session).unwrap();
+            dispatch(&*service, req, &mut io::sink(), &mut session).unwrap();
         }
-        origin.hints.into_inner().unwrap()
+        rx.try_iter().collect()
     }
 
     fn plain(frame: u32, threshold: f64) -> Request {
@@ -1137,5 +1067,44 @@ mod tests {
         closer.join().unwrap();
         // Nothing new is admitted on the drained connection.
         assert!(ask(&mut stream, Request::Hello { version: 2 }).is_err());
+    }
+
+    /// The OS refusing the helper thread costs read-ahead, not the
+    /// server: a stepping session is served bit-identically, every hint
+    /// counted as dropped.
+    #[test]
+    fn a_refused_helper_thread_costs_read_ahead_not_the_server() {
+        let refuse: Spawn = |_body| Err(io::Error::from(io::ErrorKind::WouldBlock));
+        let data: Vec<_> = (0..4u64)
+            .map(|i| {
+                let ps = Distribution::default_beam().sample(800, i + 1);
+                partition(&ps, PlotType::XYZ, BuildParams::default())
+            })
+            .collect();
+        let config = ServerConfig::default();
+        let window = Window {
+            origin: data.clone().into(),
+            config,
+        };
+        let metrics = Arc::new(Registry::new());
+        let server = FrontDoor::open("127.0.0.1:0", window, metrics, config.service(refuse))
+            .expect("the server starts without its helper");
+        assert!(server.helper.is_none());
+        let mut client = Client::connect(server.addr()).unwrap();
+        for (i, d) in data.iter().enumerate() {
+            let (got, _) = client.fetch(i as u32, f64::INFINITY).unwrap();
+            let want = HybridFrame::from_partition(d, i, f64::INFINITY, config.volume_dims);
+            assert_eq!(got, want, "frame {i}");
+        }
+        let count = |name| server.service().metrics.counter(name);
+        assert_eq!(
+            (count(CTR_READAHEAD_HINTS), count(CTR_READAHEAD_DROPPED)),
+            (3, 3)
+        );
+        assert_eq!(
+            (count(CTR_READAHEAD_FETCHES), count(CTR_CACHE_MISSES)),
+            (0, 4)
+        );
+        drop(client);
     }
 }

@@ -23,15 +23,20 @@
 //! - [`cache`] — the frame cache key `(frame, threshold)` over
 //!   `accelviz-store`'s one coalescing LRU: a server's extractions, a
 //!   router's fetched frames.
-//! - [`server`] — [`server::FrameServer`], which extracts frames from
-//!   one [`server::Origin`] — a residency window over a run file, or
-//!   one seeded with partitions in memory — and the `serve.*` counters,
-//!   behind one front door. `Origin::layout` is the one place an origin
-//!   is spread across shards, and every shard shares it whole.
-//! - `frontdoor` — everything the server and the router share: one
-//!   blocking accept loop with accept-error backoff, admission with
-//!   in-band shedding, one thread-per-connection session loop, one
-//!   protocol dispatcher, one stop (DESIGN.md §13).
+//! - `service` — the one frame service, generic over where frames come
+//!   from: the frame cache and its hit / miss / coalesced ledger, fetch
+//!   permits and shedding, read-ahead, and the `<role>.*` counter names
+//!   (DESIGN.md §13). A server and a router are this service over two
+//!   origins.
+//! - [`server`] — [`server::FrameServer`], the service over one
+//!   [`server::Origin`] — a residency window over a run file, or one
+//!   seeded with partitions in memory — counting under `serve.*`.
+//!   `Origin::layout` is the one place an origin is spread across
+//!   shards, and every shard shares it whole.
+//! - `frontdoor` — how a service is run: one blocking accept loop with
+//!   accept-error backoff, admission with in-band shedding, one
+//!   thread-per-connection session loop, one protocol dispatcher, one
+//!   stop.
 //! - [`client`] — [`client::Client`] and [`client::RemoteFrames`], a
 //!   [`accelviz_core::viewer::FrameSource`] so a `ViewerSession` runs
 //!   unmodified against a remote server, fetching frame n + 1 on its one
@@ -40,11 +45,11 @@
 //!   the answering service's whole registry as one
 //!   [`accelviz_trace::registry::Snapshot`].
 //! - [`router`] — the scale-out layer: [`router::ShardedFrameService`]
-//!   and [`router::FrameRouter`], one AVWF front door over N shard
-//!   servers with rendezvous-hashed (optionally replicated) frame
-//!   ownership, pooled upstream connections, cross-shard herd
-//!   coalescing, one walk over a frame's replicas per request (the
-//!   client's retry policy is the only backoff), and aggregated `Stats`.
+//!   and [`router::FrameRouter`], the service over a replica set of N
+//!   shard servers with rendezvous-hashed (optionally replicated) frame
+//!   ownership, pooled upstream connections, one walk over a frame's
+//!   replicas per request (the client's retry policy is the only
+//!   backoff), and aggregated `Stats`.
 //! - [`breaker`] — per-shard circuit breakers on the upstream leg, so a
 //!   dead shard fast-fails in microseconds instead of costing a dial per
 //!   request; Open is a latch with no clock, released by one success.
@@ -78,6 +83,7 @@ pub mod protocol;
 pub mod retry;
 pub mod router;
 pub mod server;
+mod service;
 pub mod stats;
 pub mod wire;
 
@@ -92,3 +98,9 @@ pub use health::HealthConfig;
 pub use retry::RetryPolicy;
 pub use router::{FrameRouter, RouterConfig, ShardMap, ShardedFrameService};
 pub use server::{FrameServer, Origin, ServerConfig};
+
+/// Locks, ignoring poison: a panicked holder leaves nothing half-updated
+/// that the next holder could trip over.
+pub(crate) fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}

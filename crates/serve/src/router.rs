@@ -4,9 +4,10 @@
 //! one terascale run to many concurrent dashboards means spreading the
 //! frame catalog over N shard servers ([`crate::server::FrameServer`]s)
 //! and putting a router in front that clients cannot tell from a single
-//! big server. The same `crate::frontdoor` serves both, protocol
-//! included, so the router is only a different frame *origin* and this
-//! module is routing only:
+//! big server. A router is the same frame service as a server
+//! (`crate::service`: door, protocol, frame cache, ledger) over a
+//! different frame *origin*, the replica set (`Replicas`), so this module
+//! is routing only:
 //!
 //! - the catalog is the merged one: every shard's local catalog stitched
 //!   back into global frame order at spawn time;
@@ -19,15 +20,16 @@
 //!   `serve.*` snapshot, so one poll of the router reads the whole
 //!   service.
 //!
-//! Herd coalescing: decoded frames sit in the same
-//! [`crate::cache::CoalescingCache`] a server keeps its extractions in,
-//! each beside its re-encoded v2 payload and budgeted by the bytes of
-//! both — a thundering herd of M clients on one cold frame costs one
-//! upstream fetch (and therefore at most one extraction on the owning
-//! shard) and one encode, and an upstream *failure* is shared with every
-//! coalesced waiter but never cached, so a shard coming back is observed
-//! on the very next request. The router ignores the door's read-ahead
+//! Herd coalescing: decoded frames sit in the service's frame cache, as a
+//! server's extractions do, each beside its re-encoded v2 payload and
+//! budgeted by the bytes of both — a thundering herd of M clients on one
+//! cold frame costs one upstream fetch (and therefore at most one
+//! extraction on the owning shard) and one encode, and an upstream
+//! *failure* is shared with every coalesced waiter but never cached, so a
+//! shard coming back is observed on the very next request. The replica
+//! set does not read ahead, so a router runs no helper and counts no
 //! hints: its upstream failure policy is settled for demand traffic only.
+//! Nor does it limit fetches in flight: its shards shed for it.
 //!
 //! Failure semantics (the PR 5 degradation model, one hop out): the
 //! router walks a frame's replicas once per request and never sleeps;
@@ -47,20 +49,21 @@
 //! releases with one answered ping, or an operator repoint resets.
 
 use crate::breaker::{Admission, BreakerConfig, BreakerState, CircuitBreaker, Transition};
-use crate::cache::{CacheKey, CoalescingCache, Fetched, Lookup, Served, DEFAULT_CACHE_BYTES};
+use crate::cache::DEFAULT_CACHE_BYTES;
 use crate::client::{Client, ClientConfig};
 use crate::error::ServeError;
-use crate::frontdoor::{spawn_thread, CounterNames, DoorConfig, FrontDoor, Handler, Shape, Spawn};
+use crate::frontdoor::{spawn_thread, FrontDoor, Spawn};
 use crate::health::{HealthConfig, Prober};
+use crate::lock;
 use crate::protocol::{FrameInfo, Refusal, ERR_BUSY, ERR_INTERNAL};
 use crate::server::{FrameServer, Origin, ServerConfig};
+use crate::service::{counter_names, CounterNames, FrameOrigin, ServiceConfig};
 use accelviz_core::hybrid::HybridFrame;
 use accelviz_core::shard::ShardSpec;
 use accelviz_trace::registry::{Registry, Snapshot};
 use std::io;
 use std::net::SocketAddr;
-use std::sync::Arc;
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Registry counter: requests the router handled, across all clients
@@ -268,8 +271,9 @@ pub struct RouterConfig {
     /// Byte budget for the router's frame cache (the herd-coalescing
     /// layer), LRU by the bytes each entry holds on admission: the
     /// decoded frame ([`HybridFrame::total_bytes`]) plus the encoding its
-    /// request's shape asked for ([`Served::held_bytes`]), weighed as a
-    /// server weighs its own ([`ServerConfig::cache_bytes`]), with the
+    /// request's shape asked for
+    /// ([`crate::cache::Served::held_bytes`]), weighed as a server weighs
+    /// its own ([`ServerConfig::cache_bytes`]), with the
     /// same default ([`DEFAULT_CACHE_BYTES`]). Frames vary by orders of
     /// magnitude with threshold and grid dims, so the budget counts bytes
     /// rather than entries; a frame larger than the whole budget is still
@@ -301,6 +305,22 @@ impl Default for RouterConfig {
             max_connections: 256,
             breaker: BreakerConfig::default(),
             health: HealthConfig::default(),
+        }
+    }
+}
+
+impl RouterConfig {
+    /// The service a router runs under this config: no limit on fetches
+    /// in flight, since the shards shed for it.
+    fn service(&self) -> ServiceConfig {
+        ServiceConfig {
+            cache_bytes: self.cache_bytes,
+            permits: usize::MAX,
+            read_timeout: self.read_timeout,
+            write_timeout: self.write_timeout,
+            max_connections: self.max_connections,
+            spawn: spawn_thread,
+            spawn_helper: spawn_thread,
         }
     }
 }
@@ -416,37 +436,24 @@ pub(crate) fn invalid_input(why: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidInput, why.into())
 }
 
-/// The state every session of one router shares.
-struct RouterShared {
+/// A router's frame origin: the replica set — where every frame lives,
+/// the merged catalog, and one [`Upstream`] per shard.
+pub(crate) struct Replicas {
     map: ShardMap,
     catalog: Vec<FrameInfo>,
     upstreams: Vec<Arc<Upstream>>,
-    cache: CoalescingCache,
+    /// The router's registry (`router.*`).
     metrics: Arc<Registry>,
 }
 
-impl Handler for RouterShared {
+impl FrameOrigin for Replicas {
+    /// A router's lookup opens no span of its own: its misses show as the
+    /// upstream client's `serve.fetch` spans.
     const NAMES: CounterNames = CounterNames {
-        requests: CTR_ROUTER_REQUESTS,
-        bytes_sent: CTR_ROUTER_BYTES_SENT,
-        frames_served: CTR_ROUTER_FRAMES_SERVED,
-        shed_connections: CTR_ROUTER_SHED_CONNECTIONS,
-        accept_errors: CTR_ROUTER_ACCEPT_ERRORS,
-        handler_panics: CTR_ROUTER_HANDLER_PANICS,
-        latency: HIST_ROUTER_LATENCY,
-        frame_bytes_raw: CTR_ROUTER_FRAME_BYTES_RAW,
-        frame_bytes_wire: CTR_ROUTER_FRAME_BYTES_WIRE,
-        lod_requests: CTR_ROUTER_LOD_REQUESTS,
-        lod_chunks: CTR_ROUTER_LOD_CHUNKS,
-        lod_bytes_wire: CTR_ROUTER_LOD_BYTES_WIRE,
-        span_request: "router.request",
-        span_send: "router.send",
-        span_lod_send: "router.lod_send",
+        span_lookup: None,
+        ..counter_names!("router")
     };
-
-    fn metrics(&self) -> &Registry {
-        &self.metrics
-    }
+    const READS_AHEAD: bool = false;
 
     fn frame_count(&self) -> usize {
         self.catalog.len()
@@ -456,53 +463,6 @@ impl Handler for RouterShared {
         self.catalog.clone()
     }
 
-    /// Resolves the decoded frame through the router cache: one upstream
-    /// fetch per herd, always a *full* frame — a progressive request is
-    /// re-chunked by the door from the same cached frame a plain one
-    /// sends. The encoding `shape` asks for is made inside the fetch,
-    /// before admission, as a server makes it, so the entry is weighed
-    /// with it and [`RouterConfig::cache_bytes`] bounds what the cache
-    /// really holds.
-    fn frame(&self, frame: u32, threshold: f64, shape: Shape) -> Fetched {
-        let key = CacheKey::new(frame, threshold);
-        let (fetched, lookup) = self.cache.get_or_fetch(key, || {
-            let served = Served::new(self.fetch_replicated(frame, threshold)?);
-            served.prefill(shape);
-            Ok(Arc::new(served))
-        });
-        match lookup {
-            Lookup::Hit => self.metrics.add(CTR_ROUTER_CACHE_HITS, 1),
-            Lookup::Coalesced => {
-                self.metrics.add(CTR_ROUTER_CACHE_HITS, 1);
-                self.metrics.add(CTR_ROUTER_COALESCED, 1)
-            }
-            Lookup::Fetched => self.metrics.add(CTR_ROUTER_CACHE_MISSES, 1),
-        };
-        fetched
-    }
-
-    /// Merges every reachable shard's `Stats` snapshot with the router's
-    /// own, taken after the walk so the reply counts it; a shard that
-    /// cannot answer contributes zeros (and an `router.upstream_errors`
-    /// count) instead of failing the reply, and a shard whose breaker is
-    /// open is skipped outright (a `router.breaker_fast_fails` count) —
-    /// one dead shard must not add a connect timeout to every `Stats`
-    /// round trip. Stats hops to a Closed shard feed its breaker like any
-    /// other upstream traffic; an Open shard is skipped until the prober
-    /// reinstates it.
-    fn stats(&self) -> Snapshot {
-        let mut total = Snapshot::default();
-        for upstream in &self.upstreams {
-            if let Some(Ok(shard)) = upstream.call(|c| c.stats()) {
-                total.merge(&shard);
-            }
-        }
-        total.merge(&self.metrics.snapshot());
-        total
-    }
-}
-
-impl RouterShared {
     /// One logical frame fetch: one walk over the frame's replicas in
     /// preference order, never a wait. A breaker that fast-fails is
     /// skipped in microseconds, a failed attempt (transport or `ERR_BUSY`)
@@ -514,7 +474,7 @@ impl RouterShared {
     /// transient), else `ERR_BUSY`, the one code a client's ladder — the
     /// one backoff and the one deadline — replays. A busy replica is
     /// alive, so its `ERR_BUSY` outranks a dead replica's error.
-    fn fetch_replicated(&self, frame: u32, threshold: f64) -> Result<HybridFrame, Refusal> {
+    fn fetch(&self, frame: u32, threshold: f64) -> Result<HybridFrame, Refusal> {
         let replicas = self.map.replicas(frame);
         let replicas = replicas.expect("the door refuses frames outside the catalog");
         let mut failed = None;
@@ -563,6 +523,26 @@ impl RouterShared {
         self.metrics.add(CTR_ROUTER_UPSTREAM_RETRIES, 1);
         Err(Refusal::new(ERR_BUSY, format!("{why}; retry shortly")))
     }
+
+    /// Merges every reachable shard's `Stats` snapshot with the router's
+    /// own, taken after the walk so the reply counts it; a shard that
+    /// cannot answer contributes zeros (and an `router.upstream_errors`
+    /// count) instead of failing the reply, and a shard whose breaker is
+    /// open is skipped outright (a `router.breaker_fast_fails` count) —
+    /// one dead shard must not add a connect timeout to every `Stats`
+    /// round trip. Stats hops to a Closed shard feed its breaker like any
+    /// other upstream traffic; an Open shard is skipped until the prober
+    /// reinstates it.
+    fn stats(&self, own: &Registry) -> Snapshot {
+        let mut total = Snapshot::default();
+        for upstream in &self.upstreams {
+            if let Some(Ok(shard)) = upstream.call(|c| c.stats()) {
+                total.merge(&shard);
+            }
+        }
+        total.merge(&own.snapshot());
+        total
+    }
 }
 
 /// A running shard router: binds its own listener, speaks the unchanged
@@ -602,7 +582,7 @@ impl RouterShared {
 /// shards.into_iter().for_each(FrameServer::shutdown);
 /// ```
 pub struct FrameRouter {
-    door: FrontDoor<RouterShared>,
+    door: FrontDoor<Replicas>,
     prober: Option<Prober>,
 }
 
@@ -656,38 +636,28 @@ impl FrameRouter {
             })
             .collect();
         let catalog = merge_catalogs(&map, &upstreams)?;
-        let shared = Arc::new(RouterShared {
+        let replicas = Replicas {
             map,
             catalog,
             upstreams,
-            cache: CoalescingCache::new(config.cache_bytes, Served::held_bytes),
-            metrics,
-        });
-        let door = FrontDoor::open(
-            addr,
-            Arc::clone(&shared),
-            DoorConfig {
-                read_timeout: config.read_timeout,
-                write_timeout: config.write_timeout,
-                max_connections: config.max_connections,
-                spawn: spawn_thread,
-            },
-        )?;
+            metrics: Arc::clone(&metrics),
+        };
+        let door = FrontDoor::open(addr, replicas, metrics, config.service())?;
         let prober = {
-            let addrs = Arc::clone(&shared);
-            let verdicts = shared;
+            let addrs = door.service().origin.upstreams.clone();
+            let verdicts = addrs.clone();
             Prober::spawn(
                 config.health,
-                verdicts.upstreams.len(),
-                move |i| *lock(&addrs.upstreams[i].addr),
+                addrs.len(),
+                move |i| *lock(&addrs[i].addr),
                 move |i, ok| {
                     let counter = if ok {
                         CTR_ROUTER_PROBE_OK
                     } else {
                         CTR_ROUTER_PROBE_FAIL
                     };
-                    verdicts.metrics.add(counter, 1);
-                    verdicts.upstreams[i].report(ok);
+                    verdicts[i].metrics.add(counter, 1);
+                    verdicts[i].report(ok);
                 },
                 spawn_prober,
             )?
@@ -695,8 +665,8 @@ impl FrameRouter {
         Ok(FrameRouter { door, prober })
     }
 
-    fn shared(&self) -> &RouterShared {
-        self.door.handler()
+    fn replicas(&self) -> &Replicas {
+        &self.door.service().origin
     }
 
     /// The address clients connect to.
@@ -706,19 +676,19 @@ impl FrameRouter {
 
     /// Shards this router routes over.
     pub fn shard_count(&self) -> usize {
-        self.shared().map.shard_count()
+        self.replicas().map.shard_count()
     }
 
     /// The merged catalog served to `ListFrames`, in global frame order.
     pub fn catalog(&self) -> &[FrameInfo] {
-        &self.shared().catalog
+        &self.replicas().catalog
     }
 
     /// The router's private metrics registry — every `router.*` counter
     /// documented in this module. A `Stats` reply carries it merged with
     /// the shards' snapshots.
     pub fn metrics(&self) -> &Registry {
-        &self.shared().metrics
+        &self.door.service().metrics
     }
 
     /// Repoints shard `shard`'s upstream pool at `addr` — the failover
@@ -730,7 +700,7 @@ impl FrameRouter {
     /// merged catalog is kept, so the replacement must serve the same
     /// frames. Errors when `shard` is out of range.
     pub fn set_shard_addr(&self, shard: usize, addr: SocketAddr) -> io::Result<()> {
-        let upstream = self.shared().upstreams.get(shard).ok_or_else(|| {
+        let upstream = self.replicas().upstreams.get(shard).ok_or_else(|| {
             invalid_input(format!(
                 "shard {shard} out of range ({} shards)",
                 self.shard_count()
@@ -745,28 +715,22 @@ impl FrameRouter {
     /// Shard `shard`'s current circuit-breaker state, for dashboards
     /// and tests. Panics when `shard` is out of range.
     pub fn breaker_state(&self, shard: usize) -> BreakerState {
-        self.shared().upstreams[shard].breaker.state()
+        self.replicas().upstreams[shard].breaker.state()
     }
 
-    /// Stops accepting, joins the acceptor, and drains in-flight replies
-    /// for at most a second — the same stop a server runs.
-    pub fn shutdown(mut self) {
-        self.stop();
-    }
-
-    fn stop(&mut self) {
-        // Stop probing first: a dying deployment's shards going away
-        // must not race verdicts into the breakers mid-shutdown.
-        if let Some(mut prober) = self.prober.take() {
-            prober.shutdown();
-        }
-        self.door.close();
+    /// Stops probing, then stops accepting, joins the acceptor, and
+    /// drains in-flight replies for at most a second — the same stop a
+    /// server runs.
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
 impl Drop for FrameRouter {
     fn drop(&mut self) {
-        self.stop();
+        // Stop probing before the service: a dying deployment's shards
+        // going away must not race verdicts into the breakers.
+        self.prober.take();
     }
 }
 
@@ -990,12 +954,6 @@ impl ShardedFrameService {
             shard.shutdown();
         }
     }
-}
-
-/// Locks, ignoring poison: a panicked holder leaves nothing half-updated
-/// that the next holder could trip over.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 #[cfg(test)]

@@ -12,10 +12,15 @@ pub const CTR_REQUESTS: &str = "serve.requests";
 pub const CTR_FRAMES_SERVED: &str = "serve.frames_served";
 /// Registry counter: payload + framing bytes written to clients.
 pub const CTR_BYTES_SENT: &str = "serve.bytes_sent";
-/// Registry counter: frame requests answered from the extraction cache.
+/// Registry counter: frame requests answered from the extraction cache
+/// (including coalesced waiters).
 pub const CTR_CACHE_HITS: &str = "serve.cache_hits";
 /// Registry counter: frame requests that ran a fresh extraction.
 pub const CTR_CACHE_MISSES: &str = "serve.cache_misses";
+/// Registry counter: frame requests that coalesced into an extraction
+/// already in flight (a subset of `serve.cache_hits` — the herd collapse
+/// at work).
+pub const CTR_COALESCED: &str = "serve.coalesced_fetches";
 /// Registry histogram: request service-time distribution.
 pub const HIST_LATENCY: &str = "serve.request_latency";
 /// Registry counter: connections refused at the connection cap (the

@@ -27,6 +27,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// How [`Cache::get_or_fetch`] answered a lookup.
@@ -68,8 +69,7 @@ struct Pending<V, E> {
     /// Waiters that have taken the `settled` lock: the fetcher publishes
     /// under that lock, so a fetch still running that counts `n` here
     /// will hand its outcome to all `n`.
-    #[cfg(test)]
-    parked: std::sync::atomic::AtomicUsize,
+    parked: AtomicUsize,
 }
 
 enum Entry<V, E> {
@@ -157,6 +157,16 @@ impl<K: Clone + Eq + Hash, V, E: Clone> Cache<K, V, E> {
         )
     }
 
+    /// Lookups parked on `key`'s fetch in flight: each is answered
+    /// [`Lookup::Coalesced`] with its outcome, unless the fetch panics.
+    /// 0 when no fetch of `key` is in flight.
+    pub fn parked(&self, key: &K) -> usize {
+        match lock(&self.inner).entries.get(key) {
+            Some(Entry::Fetching(p)) => p.parked.load(Ordering::SeqCst),
+            _ => 0,
+        }
+    }
+
     /// Makes `value` the resident, most recently used value under `key`,
     /// evicting least recently used values until the budget holds.
     pub fn insert(&self, key: K, value: Arc<V>) {
@@ -184,8 +194,7 @@ impl<K: Clone + Eq + Hash, V, E: Clone> Cache<K, V, E> {
                         let p = Arc::new(Pending {
                             settled: Mutex::new(None),
                             cv: Condvar::new(),
-                            #[cfg(test)]
-                            parked: Default::default(),
+                            parked: AtomicUsize::new(0),
                         });
                         g.entries
                             .insert(key.clone(), Entry::Fetching(Arc::clone(&p)));
@@ -196,10 +205,7 @@ impl<K: Clone + Eq + Hash, V, E: Clone> Cache<K, V, E> {
             };
             // Wait outside every lock for the in-flight fetch.
             let mut settled = lock(&pending.settled);
-            #[cfg(test)]
-            pending
-                .parked
-                .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            pending.parked.fetch_add(1, Ordering::SeqCst);
             while settled.is_none() {
                 settled = pending.cv.wait(settled).unwrap_or_else(|e| e.into_inner());
             }
@@ -315,14 +321,6 @@ mod tests {
             Err("residency check".to_string())
         });
         !fetched
-    }
-
-    /// Waiters parked on `key`'s in-flight fetch.
-    fn parked(cache: &TestCache, key: u32) -> usize {
-        match lock(&cache.inner).entries.get(&key) {
-            Some(Entry::Fetching(p)) => p.parked.load(Ordering::SeqCst),
-            _ => 0,
-        }
     }
 
     #[test]
@@ -497,7 +495,7 @@ mod tests {
         let first = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             cache.get_or_fetch(0, || {
                 gate.wait();
-                while parked(cache, 0) == 0 {
+                while cache.parked(&0) == 0 {
                     std::thread::yield_now();
                 }
                 first()
