@@ -53,8 +53,10 @@ use accelviz_store::progressive::{
 };
 
 /// Default refinement-chunk budget in bytes when the client asks for the
-/// server default.
-pub const DEFAULT_CHUNK_BYTES: u64 = 64 * 1024;
+/// server default. It sizes the first chunk, which is mostly points, so
+/// it is a share of a whole frame: a fig-1 v2 frame is ~220 KB, and a
+/// 32 KiB budget keeps its first chunk under a sixth of it.
+pub const DEFAULT_CHUNK_BYTES: u64 = 32 * 1024;
 /// Smallest honored chunk budget: below this the per-record framing
 /// overhead dominates the payload.
 pub const MIN_CHUNK_BYTES: u64 = 1024;

@@ -590,8 +590,9 @@ pub fn decode_frame(payload: &[u8]) -> Result<HybridFrame> {
 /// Layout: the frame header (step, plot codes, bounds, threshold,
 /// discarded, point count), seven self-describing codec blocks (six
 /// `f64` point columns and the point densities), the grid dims and
-/// bounds, one `f32` codec block for the grid cells, and finally the
-/// trailer: length and FNV-1a 64 of the frame's *v1 encoding*. The
+/// bounds, one `f32` codec block for the grid cells — delta-varint with
+/// runs of repeated cells as one token, so a grid costs what it holds
+/// rather than a byte per cell — and finally the trailer: length and FNV-1a 64 of the frame's *v1 encoding*. The
 /// trailer is over the decoded content, not the compressed bytes:
 /// [`decode_frame_v2`] re-encodes what it decoded and must land on these
 /// exact bytes, so any codec defect is caught end-to-end rather than

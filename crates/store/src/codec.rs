@@ -7,14 +7,19 @@
 //!   pathological inputs: the auto-selecting encoders fall back to it
 //!   whenever a "compressed" form would be larger than raw.
 //! - [`CODEC_DELTA_VARINT`] — for `f32` density grids: consecutive-cell
-//!   deltas, zigzag-mapped, LEB128-varint coded. Grids are quantized
-//!   particle counts, so an `INT` sub-mode deltas the integer values
-//!   directly (a zero cell costs one byte); anything else — non-integral,
-//!   non-finite, or a negative zero, whose bits are not `+0.0`'s — uses
-//!   the `BITS` sub-mode, which deltas the raw IEEE bit patterns. A cell
-//!   is `INT` only if its bits equal the bits of its integer, so every
-//!   stream round-trips bit-exactly: NaN payloads, ±Inf and `-0.0`
-//!   included.
+//!   deltas, zigzag-mapped, LEB128-varint coded, and a run of repeated
+//!   cells (a zero delta — in a count grid, almost always empty space) as
+//!   one two-byte token, `0x00` then *k* more repeats (0–255), so up to
+//!   256 cells per token. A non-zero delta's varint never starts with
+//!   `0x00`, so the token is unambiguous. Grids are quantized particle
+//!   counts, so an `INT` sub-mode deltas the integer values directly;
+//!   anything else — non-integral, non-finite, or a negative zero, whose
+//!   bits are not `+0.0`'s — uses the `BITS` sub-mode, which deltas the
+//!   raw IEEE bit patterns. Both carry runs. A cell is `INT` only if its
+//!   bits equal the bits of its integer, so every stream round-trips
+//!   bit-exactly: NaN payloads, ±Inf and `-0.0` included. A payload byte
+//!   decodes to at most 128 cells (512 bytes), and a declared count above
+//!   that is refused before anything is allocated.
 //! - [`CODEC_BITPACK`] — for `f64` streams (halo point coordinates and
 //!   the sorted per-point densities): XOR against the previous value's
 //!   bit pattern, then blocks of 64 residuals packed at the block's
@@ -35,18 +40,20 @@ use std::fmt;
 
 /// Codec id: passthrough little-endian bytes.
 pub const CODEC_RAW: u8 = 0;
-/// Codec id: delta + zigzag + varint over `f32` cells.
+/// Codec id: delta + zigzag + varint over `f32` cells, with runs of
+/// repeated cells as one token.
 pub const CODEC_DELTA_VARINT: u8 = 1;
 /// Codec id: XOR-delta + 64-value block bitpacking over `f64` bit
 /// patterns.
 pub const CODEC_BITPACK: u8 = 2;
 
 /// Delta-varint sub-mode: values are exact small non-negative integers,
-/// deltas run over the integers themselves.
-const MODE_INT: u8 = 0;
+/// deltas run over the integers themselves. Sub-modes 0 and 1 were the
+/// streams without run tokens; they are refused as unknown.
+const MODE_INT: u8 = 2;
 /// Delta-varint sub-mode: deltas run over raw IEEE-754 bit patterns
 /// (the non-finite-safe path).
-const MODE_BITS: u8 = 1;
+const MODE_BITS: u8 = 3;
 
 /// Largest integer the `INT` sub-mode stores: beyond 2^24 an `f32` can
 /// no longer represent every integer exactly.
@@ -104,8 +111,7 @@ pub type Result<T> = std::result::Result<T, CodecError>;
 // ---------------------------------------------------------------------
 
 /// Appends `v` as an LEB128 varint (1–10 bytes). Inline: the one-byte
-/// case (every zero cell and small delta of a count grid) is one compare
-/// and one push.
+/// case (every small delta of a count grid) is one compare and one push.
 #[inline]
 pub fn put_uvarint(buf: &mut Vec<u8>, mut v: u64) {
     while v >= 0x80 {
@@ -115,8 +121,7 @@ pub fn put_uvarint(buf: &mut Vec<u8>, mut v: u64) {
     buf.push(v as u8);
 }
 
-/// Reads an LEB128 varint. Inline: the one-byte case (every zero cell
-/// and small delta of a count grid) is one compare.
+/// Reads an LEB128 varint. Inline: the one-byte case is one compare.
 #[inline(always)]
 pub fn get_uvarint(r: &mut Reader<'_>) -> Result<u64> {
     match r.u8()? {
@@ -287,8 +292,15 @@ fn get_block<'a>(r: &mut Reader<'a>, expect: usize) -> Result<(u8, &'a [u8])> {
 }
 
 // ---------------------------------------------------------------------
-// f32 streams (density grids): delta + zigzag + varint.
+// f32 streams (density grids): delta + zigzag + varint, runs of repeats.
 // ---------------------------------------------------------------------
+
+/// Cells one run token carries at most: the first, and up to 255 more.
+const RUN_MAX: usize = 256;
+
+/// Cells a payload byte can decode to at most: a two-byte run token of
+/// [`RUN_MAX`] cells.
+const CELLS_PER_BYTE: u64 = (RUN_MAX / 2) as u64;
 
 /// The integer an `INT`-mode cell stores, if `v` is one: a non-negative
 /// integer no larger than [`INT_MODE_MAX`] whose bits are exactly the
@@ -307,66 +319,129 @@ fn int_cell(v: f32) -> Option<u32> {
     ((i as f32).to_bits() == bits).then_some(i)
 }
 
-fn delta_varint_encode_f32(values: &[f32]) -> Vec<u8> {
+/// How many cells at the start of `cells` have the bit pattern `bits`.
+/// Whole groups of 8 are compared at once, without a branch per cell.
+#[inline(always)]
+fn run_len(cells: &[f32], bits: u32) -> usize {
+    let mut n = 0;
+    for group in cells.chunks_exact(8) {
+        if group.iter().fold(0, |diff, c| diff | (c.to_bits() ^ bits)) != 0 {
+            break;
+        }
+        n += 8;
+    }
+    n + cells[n..]
+        .iter()
+        .take_while(|c| c.to_bits() == bits)
+        .count()
+}
+
+/// Appends the tokens of `values` to `out`, each cell's value given by
+/// `value`: a run of `n` cells equal to the one before (a zero delta) is
+/// `0x00, n - 1` per [`RUN_MAX`] cells, any other cell the zigzag varint
+/// of its delta, which never starts with `0x00`. `None` as soon as
+/// `value` refuses a cell. The stream starts after a value of 0, whose
+/// bits are `+0.0`'s in both sub-modes.
+#[inline(always)]
+fn put_delta_runs(
+    out: &mut Vec<u8>,
+    values: &[f32],
+    value: impl Fn(f32) -> Option<i64>,
+) -> Option<()> {
+    let (mut prev, mut prev_bits) = (0i64, 0u32);
+    let mut i = 0;
+    while let Some(&v) = values.get(i) {
+        let bits = v.to_bits();
+        if bits == prev_bits {
+            let mut n = run_len(&values[i..], bits);
+            i += n;
+            while n > 0 {
+                let k = n.min(RUN_MAX);
+                out.extend_from_slice(&[0, (k - 1) as u8]);
+                n -= k;
+            }
+            continue;
+        }
+        let iv = value(v)?;
+        put_uvarint(out, zigzag(iv - prev));
+        (prev, prev_bits) = (iv, bits);
+        i += 1;
+    }
+    Some(())
+}
+
+fn delta_run_encode_f32(values: &[f32]) -> Vec<u8> {
     // The INT sub-mode applies only when every value is an exact small
     // non-negative integer — the natural state of a count grid. One NaN,
     // Inf, negative, negative-zero or fractional cell drops the whole
     // stream to BITS, where deltas run over bit patterns and nothing is
     // ever rounded. The stream is written as INT in the same pass that
     // checks it and rewritten as BITS from the first cell that fails.
-    // Every cell costs at least a byte.
-    let mut out = Vec::with_capacity(values.len() + 1);
+    // Equal bits are a zero delta in either sub-mode, so both code runs.
+    // A mostly empty count grid codes to well under a byte per cell.
+    let mut out = Vec::with_capacity(values.len() / 4 + 16);
     out.push(MODE_INT);
-    let mut prev: i64 = 0;
-    for &v in values {
-        let Some(i) = int_cell(v) else {
-            out.clear();
-            out.push(MODE_BITS);
-            let mut prev: i64 = 0;
-            for &v in values {
-                let iv = i64::from(v.to_bits());
-                put_uvarint(&mut out, zigzag(iv - prev));
-                prev = iv;
-            }
-            return out;
-        };
-        let iv = i64::from(i);
-        put_uvarint(&mut out, zigzag(iv - prev));
-        prev = iv;
+    if put_delta_runs(&mut out, values, |v| int_cell(v).map(i64::from)).is_none() {
+        out.clear();
+        out.push(MODE_BITS);
+        put_delta_runs(&mut out, values, |v| Some(i64::from(v.to_bits())));
     }
     out
 }
 
-/// Decodes `count` delta varints, handing each running value to `cell`,
-/// which turns it into a value or refuses it.
+/// Decodes `count` cells of delta tokens, handing each running value to
+/// `cell`, which turns it into a value or refuses it. A run repeats the
+/// last value, which `cell` has already passed (or the starting `+0.0`).
 #[inline(always)]
-fn delta_chain(
+fn delta_runs(
     r: &mut Reader<'_>,
     count: usize,
-    values: &mut Vec<f32>,
     cell: impl Fn(i64) -> Result<f32>,
-) -> Result<()> {
-    let mut prev: i64 = 0;
-    for _ in 0..count {
-        let iv = prev
-            .checked_add(unzigzag(get_uvarint(r)?))
+) -> Result<Vec<f32>> {
+    // Every cell starts empty (`+0.0`), so a run of empty cells — most of
+    // a sparse volume — is only a step forward.
+    let mut values = vec![0.0f32; count];
+    let (mut at, mut prev, mut last) = (0, 0i64, 0.0f32);
+    while at < count {
+        let delta = match r.u8()? {
+            0 => {
+                let n = 1 + usize::from(r.u8()?);
+                let left = count - at;
+                if n > left {
+                    return Err(CodecError::Corrupt(format!(
+                        "a run of {n} cells passes the {left} left"
+                    )));
+                }
+                if last.to_bits() != 0 {
+                    values[at..at + n].fill(last);
+                }
+                at += n;
+                continue;
+            }
+            b if b < 0x80 => u64::from(b),
+            b => uvarint_tail(r, b)?,
+        };
+        prev = prev
+            .checked_add(unzigzag(delta))
             .ok_or_else(|| CodecError::Corrupt("delta chain overflows".into()))?;
-        prev = iv;
-        values.push(cell(iv)?);
+        last = cell(prev)?;
+        values[at] = last;
+        at += 1;
     }
-    Ok(())
+    Ok(values)
 }
 
-fn delta_varint_decode_f32(payload: &[u8], count: usize) -> Result<Vec<f32>> {
+fn delta_run_decode_f32(payload: &[u8], count: usize) -> Result<Vec<f32>> {
     let mut r = Reader::new(payload);
     let mode = r.u8()?;
-    // `count` is the peer's word; a varint is at least a byte per value.
-    let count = r.count(count as u64, 1).map_err(|e| {
-        CodecError::Corrupt(format!("{count} varints cannot fit in {} bytes", e.have))
-    })?;
-    let mut values = Vec::with_capacity(count);
-    match mode {
-        MODE_INT => delta_chain(&mut r, count, &mut values, |iv| {
+    // `count` is the peer's word; a payload byte decodes to at most
+    // `CELLS_PER_BYTE` cells.
+    r.count((count as u64).div_ceil(CELLS_PER_BYTE), 1)
+        .map_err(|e| {
+            CodecError::Corrupt(format!("{count} cells cannot fit in {} bytes", e.have))
+        })?;
+    let values = match mode {
+        MODE_INT => delta_runs(&mut r, count, |iv| {
             if iv < 0 || iv > INT_MODE_MAX as i64 {
                 return Err(CodecError::Corrupt(format!(
                     "INT-mode value {iv} out of range"
@@ -374,7 +449,7 @@ fn delta_varint_decode_f32(payload: &[u8], count: usize) -> Result<Vec<f32>> {
             }
             Ok(iv as f32)
         })?,
-        MODE_BITS => delta_chain(&mut r, count, &mut values, |iv| {
+        MODE_BITS => delta_runs(&mut r, count, |iv| {
             if iv < 0 || iv > i64::from(u32::MAX) {
                 return Err(CodecError::Corrupt(format!(
                     "BITS-mode pattern {iv} exceeds u32"
@@ -382,16 +457,12 @@ fn delta_varint_decode_f32(payload: &[u8], count: usize) -> Result<Vec<f32>> {
             }
             Ok(f32::from_bits(iv as u32))
         })?,
-        // The first varint is read (and may fail) before the sub-mode is
-        // refused, as a per-cell check would.
-        other if count > 0 => {
-            get_uvarint(&mut r)?;
+        other => {
             return Err(CodecError::Corrupt(format!(
                 "unknown delta-varint sub-mode {other}"
-            )));
+            )))
         }
-        _ => {}
-    }
+    };
     if r.remaining() != 0 {
         return Err(CodecError::Corrupt(format!(
             "{} trailing bytes after delta stream",
@@ -412,7 +483,7 @@ pub fn encode_f32s_as(codec: u8, values: &[f32]) -> Result<Vec<u8>> {
             }
             raw
         }
-        CODEC_DELTA_VARINT => delta_varint_encode_f32(values),
+        CODEC_DELTA_VARINT => delta_run_encode_f32(values),
         other => {
             return Err(CodecError::Corrupt(format!(
                 "codec {other} cannot carry f32 streams"
@@ -441,7 +512,7 @@ pub fn read_f32s(r: &mut Reader<'_>, expect: usize) -> Result<Vec<f32>> {
     let (codec, payload) = get_block(r, expect)?;
     match codec {
         CODEC_RAW => raw_values(payload, expect, "f32", Reader::f32s),
-        CODEC_DELTA_VARINT => delta_varint_decode_f32(payload, expect),
+        CODEC_DELTA_VARINT => delta_run_decode_f32(payload, expect),
         other => Err(CodecError::Corrupt(format!("unknown f32 codec {other}"))),
     }
 }
@@ -798,13 +869,110 @@ mod tests {
             bitpack_decode_f64(&packed, 66),
             Err(CodecError::Corrupt(_))
         ));
-        // Mode byte + one zero-delta byte per value.
-        let varints = [MODE_INT, 0, 0, 0];
-        assert_eq!(delta_varint_decode_f32(&varints, 3).unwrap(), vec![0.0; 3]);
+        // Mode byte + one 256-cell run token: 128 cells a byte.
+        let runs = [MODE_INT, 0, 255];
+        assert_eq!(delta_run_decode_f32(&runs, 256).unwrap(), vec![0.0; 256]);
         assert!(matches!(
-            delta_varint_decode_f32(&varints, 4),
-            Err(CodecError::Corrupt(_))
+            delta_run_decode_f32(&runs, 257),
+            Err(CodecError::Corrupt(why)) if why.contains("cannot fit")
         ));
+    }
+
+    /// The payload `encode_f32s_as(CODEC_DELTA_VARINT, ..)` writes, and
+    /// checks that it decodes back bit for bit.
+    fn delta_payload(values: &[f32]) -> Vec<u8> {
+        let enc = encode_f32s_as(CODEC_DELTA_VARINT, values).unwrap();
+        let mut pos = 0;
+        let back = decode_f32s(&enc, &mut pos, values.len()).unwrap();
+        assert_eq!(bits32(&back), bits32(values));
+        let mut r = Reader::new(&enc);
+        get_block(&mut r, values.len()).unwrap().1.to_vec()
+    }
+
+    #[test]
+    fn runs_longer_than_a_token_take_one_token_per_256_cells() {
+        for (run, tokens) in [
+            (1, vec![0, 0]),
+            (256, vec![0, 255]),
+            (257, vec![0, 255, 0, 0]),
+            (513, vec![0, 255, 0, 255, 0, 0]),
+        ] {
+            // 3, then `run` more threes, then 7.
+            let mut values = vec![3.0f32; 1 + run];
+            values.push(7.0);
+            let mut want = vec![MODE_INT, 6];
+            want.extend(tokens);
+            want.push(8);
+            assert_eq!(delta_payload(&values), want, "a run of {run}");
+        }
+    }
+
+    #[test]
+    fn a_run_at_the_start_repeats_zero_and_a_run_at_the_end_closes_the_stream() {
+        let mut values = vec![0.0f32; 300];
+        values.push(2.0);
+        assert_eq!(delta_payload(&values), [MODE_INT, 0, 255, 0, 43, 4]);
+        assert_eq!(delta_payload(&[4.0, 4.0, 4.0]), [MODE_INT, 8, 0, 1]);
+        assert_eq!(delta_payload(&[0.0]), [MODE_INT, 0, 0]);
+    }
+
+    #[test]
+    fn a_run_past_the_declared_count_is_corrupt() {
+        // One cell, then a run of 10 where 4 are left.
+        let payload = [MODE_INT, 2, 0, 9];
+        assert_eq!(
+            delta_run_decode_f32(&payload, 5),
+            Err(CodecError::Corrupt(
+                "a run of 10 cells passes the 4 left".into()
+            ))
+        );
+        assert_eq!(delta_run_decode_f32(&payload, 11).unwrap(), vec![1.0; 11]);
+    }
+
+    #[test]
+    fn nan_payload_and_negative_zero_runs_stay_bit_exact_in_bits_mode() {
+        let nan = f32::from_bits(0x7fc0_0001);
+        let mut values = vec![1.5f32];
+        values.extend([nan; 300]);
+        values.extend([-0.0; 40]);
+        values.extend([f32::from_bits(0xffc0_0002); 3]);
+        values.extend([0.0; 600]);
+        let payload = delta_payload(&values);
+        assert_eq!(payload[0], MODE_BITS);
+        assert!(payload.len() < 40, "runs must collapse: {}", payload.len());
+        assert_eq!(bits32(&roundtrip_f32(&values)), bits32(&values));
+    }
+
+    #[test]
+    fn isolated_equal_pairs_never_cost_more_than_raw() {
+        // Every other cell repeats the one before: each repeat is a
+        // two-byte token where its zero delta was one byte.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let small: Vec<f32> = (0..2000).map(|i| (i / 2 % 2) as f32).collect();
+        let wide: Vec<f32> = (0..2000)
+            .map(|i| (i / 2 * 7919 % 16_777_216) as f32)
+            .collect();
+        let pairs: Vec<u64> = (0..1000).map(|_| next()).collect();
+        let noise: Vec<f32> = (0..2000)
+            .map(|i| f32::from_bits(pairs[i / 2] as u32))
+            .collect();
+        for (name, values) in [("small", small), ("wide", wide), ("noise", noise)] {
+            let raw = encode_f32s_as(CODEC_RAW, &values).unwrap();
+            let enc = encode_f32s(&values);
+            assert!(
+                enc.len() <= raw.len(),
+                "{name}: {} > {}",
+                enc.len(),
+                raw.len()
+            );
+            assert_eq!(bits32(&roundtrip_f32(&values)), bits32(&values), "{name}");
+        }
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! partitioning:
 //!
 //! - [`codec`] — pure, zero-dependency compression for the hybrid frame's
-//!   payloads: delta+zigzag+varint for quantized density grids, XOR
-//!   bitpacking for halo point columns, raw passthrough as the safety
-//!   net. The serve layer's AVWF v2 frame encoding is built from these
+//!   payloads: delta+zigzag+varint for quantized density grids, with a
+//!   run of repeated cells (empty space) as one token, XOR bitpacking for
+//!   halo point columns, raw passthrough as the safety net. The serve layer's AVWF v2 frame encoding is built from these
 //!   blocks.
 //! - [`run`] / [`resident`] / [`source`] — the on-disk run format
 //!   (chunked, checksummed, one file per time series) read through

@@ -1,18 +1,19 @@
 //! The serial kernels against their byte-at-a-time originals.
 //!
-//! `fnv1a64_update` folds zero runs, the delta-varint codec has one-byte
-//! fast paths and one sub-mode dispatch per stream, and the bitpack codec
-//! writes into its block and reads 8 bytes at a time. None of that may
-//! change a hash, an encoded byte, a decoded value or a decode verdict.
-//! The `oracle` module below holds the simple kernels those replaced,
-//! kept as they were, and every seeded case here must agree with them:
+//! `fnv1a64_update` folds zero runs, the delta-varint codec finds runs 8
+//! cells at a time and fills them whole, and the bitpack codec writes
+//! into its block and reads 8 bytes at a time. None of that may change a
+//! hash, an encoded byte, a decoded value or a decode verdict. The
+//! `oracle` module below holds simple kernels — FNV-1a and bitpack as
+//! they were before their fast paths, and a reference of the run-coded
+//! delta stream that encodes a cell and decodes a byte at a time — and
+//! every seeded case here must agree with them:
 //!
 //! - FNV-1a over zero runs of every length 0–70 at every offset mod 8,
 //!   all-zero, zero-free and random streams, chains split inside a zero
 //!   run, and [`Fnv1a64Sink`] fed in pieces of every size;
 //! - the encoded bytes of both codecs on count grids, specials, ramps and
-//!   noise — except a `-0.0` among integral cells, which the oracle
-//!   encodes as `+0.0` and which is asserted on its own;
+//!   noise;
 //! - decode results, bit for bit, and error verdicts, variant and
 //!   message, on valid, truncated, bit-flipped and count-inflated blocks.
 
@@ -22,7 +23,8 @@ use accelviz_store::codec::{
 };
 use accelviz_store::{fnv1a64, fnv1a64_update, Fnv1a64Sink};
 
-/// The kernels as they were before the fast paths, verbatim.
+/// FNV-1a and bitpack as they were before the fast paths, verbatim, and
+/// the run-coded delta stream one cell and one byte at a time.
 mod oracle {
     use accelviz_store::codec::CodecError;
 
@@ -38,9 +40,11 @@ mod oracle {
         hash
     }
 
-    const MODE_INT: u8 = 0;
-    const MODE_BITS: u8 = 1;
+    const MODE_INT: u8 = 2;
+    const MODE_BITS: u8 = 3;
     const INT_MODE_MAX: f32 = 16_777_216.0;
+    /// Cells one run token carries at most.
+    const RUN_MAX: usize = 256;
 
     pub fn put_uvarint(buf: &mut Vec<u8>, mut v: u64) {
         while v >= 0x80 {
@@ -71,6 +75,12 @@ mod oracle {
                 return Err(CodecError::Corrupt("varint longer than 10 bytes".into()));
             }
         }
+    }
+
+    fn byte(buf: &[u8], pos: usize) -> Result<u8> {
+        buf.get(pos)
+            .copied()
+            .ok_or(CodecError::Truncated { needed: 1, at: pos })
     }
 
     fn zigzag(v: i64) -> u64 {
@@ -191,73 +201,107 @@ mod oracle {
         }
     }
 
-    pub fn delta_varint_encode_f32(values: &[f32]) -> Vec<u8> {
-        let int_ok = values
-            .iter()
-            .all(|&v| v.is_finite() && (0.0..=INT_MODE_MAX).contains(&v) && v.fract() == 0.0);
-        let mut out = Vec::with_capacity(values.len() / 2 + 1);
-        if int_ok {
-            out.push(MODE_INT);
-            let mut prev: i64 = 0;
-            for &v in values {
-                let iv = v as i64;
-                put_uvarint(&mut out, zigzag(iv - prev));
-                prev = iv;
+    /// A cell the INT sub-mode holds: a non-negative whole number up to
+    /// 2^24 with a clear sign bit, so `-0.0` is not one.
+    fn is_int(v: f32) -> bool {
+        v.is_finite()
+            && (0.0..=INT_MODE_MAX).contains(&v)
+            && v.fract() == 0.0
+            && v.is_sign_positive()
+    }
+
+    /// One cell at a time: a cell equal to the one before extends the
+    /// pending run, which is written out when a different cell comes, when
+    /// it reaches `RUN_MAX`, or at the end.
+    pub fn delta_run_encode_f32(values: &[f32]) -> Vec<u8> {
+        let int_ok = values.iter().all(|&v| is_int(v));
+        let mut out = vec![if int_ok { MODE_INT } else { MODE_BITS }];
+        let mut prev: i64 = 0;
+        let mut run = 0usize;
+        for &v in values {
+            let iv = if int_ok {
+                v as i64
+            } else {
+                i64::from(v.to_bits())
+            };
+            if iv == prev {
+                run += 1;
+                if run == RUN_MAX {
+                    out.extend([0, (run - 1) as u8]);
+                    run = 0;
+                }
+                continue;
             }
-        } else {
-            out.push(MODE_BITS);
-            let mut prev: i64 = 0;
-            for &v in values {
-                let iv = i64::from(v.to_bits());
-                put_uvarint(&mut out, zigzag(iv - prev));
-                prev = iv;
+            if run > 0 {
+                out.extend([0, (run - 1) as u8]);
+                run = 0;
             }
+            put_uvarint(&mut out, zigzag(iv - prev));
+            prev = iv;
+        }
+        if run > 0 {
+            out.extend([0, (run - 1) as u8]);
         }
         out
     }
 
-    pub fn delta_varint_decode_f32(payload: &[u8], count: usize) -> Result<Vec<f32>> {
-        let mut pos = 0usize;
-        let mode = *payload
-            .first()
-            .ok_or(CodecError::Truncated { needed: 1, at: 0 })?;
-        pos += 1;
-        if count > payload.len() - 1 {
+    /// The value a running `iv` stands for in `mode`, or why it cannot.
+    fn cell(mode: u8, iv: i64) -> Result<f32> {
+        if mode == MODE_INT {
+            if iv < 0 || iv > INT_MODE_MAX as i64 {
+                return Err(CodecError::Corrupt(format!(
+                    "INT-mode value {iv} out of range"
+                )));
+            }
+            Ok(iv as f32)
+        } else {
+            if iv < 0 || iv > i64::from(u32::MAX) {
+                return Err(CodecError::Corrupt(format!(
+                    "BITS-mode pattern {iv} exceeds u32"
+                )));
+            }
+            Ok(f32::from_bits(iv as u32))
+        }
+    }
+
+    /// One byte at a time: `0x00` and the byte after it are a run of
+    /// repeats of the last value, any other first byte starts a varint.
+    pub fn delta_run_decode_f32(payload: &[u8], count: usize) -> Result<Vec<f32>> {
+        let mode = byte(payload, 0)?;
+        let mut pos = 1;
+        let body = payload.len() - 1;
+        if count > body.saturating_mul(RUN_MAX / 2) {
             return Err(CodecError::Corrupt(format!(
-                "{count} varints cannot fit in {} bytes",
-                payload.len() - 1
+                "{count} cells cannot fit in {body} bytes"
             )));
         }
-        let mut values = Vec::with_capacity(count);
+        if mode != MODE_INT && mode != MODE_BITS {
+            return Err(CodecError::Corrupt(format!(
+                "unknown delta-varint sub-mode {mode}"
+            )));
+        }
+        let mut values = Vec::new();
         let mut prev: i64 = 0;
-        for _ in 0..count {
+        while values.len() < count {
+            if byte(payload, pos)? == 0 {
+                let n = 1 + usize::from(byte(payload, pos + 1)?);
+                pos += 2;
+                let left = count - values.len();
+                if n > left {
+                    return Err(CodecError::Corrupt(format!(
+                        "a run of {n} cells passes the {left} left"
+                    )));
+                }
+                for _ in 0..n {
+                    values.push(cell(mode, prev)?);
+                }
+                continue;
+            }
             let iv = prev
                 .checked_add(unzigzag(get_uvarint(payload, &mut pos)?))
                 .ok_or_else(|| CodecError::Corrupt("delta chain overflows".into()))?;
             prev = iv;
-            match mode {
-                MODE_INT => {
-                    if iv < 0 || iv > INT_MODE_MAX as i64 {
-                        return Err(CodecError::Corrupt(format!(
-                            "INT-mode value {iv} out of range"
-                        )));
-                    }
-                    values.push(iv as f32);
-                }
-                MODE_BITS => {
-                    if iv < 0 || iv > i64::from(u32::MAX) {
-                        return Err(CodecError::Corrupt(format!(
-                            "BITS-mode pattern {iv} exceeds u32"
-                        )));
-                    }
-                    values.push(f32::from_bits(iv as u32));
-                }
-                other => {
-                    return Err(CodecError::Corrupt(format!(
-                        "unknown delta-varint sub-mode {other}"
-                    )))
-                }
-            }
+            values.push(cell(mode, iv)?);
         }
         if pos != payload.len() {
             return Err(CodecError::Corrupt(format!(
@@ -604,6 +648,12 @@ fn f32_streams(rng: &mut Mix) -> Vec<Vec<f32>> {
             grid[rng.below(n as u64) as usize] = rng.below(40) as f32;
         }
         streams.push(grid.clone());
+        // Mostly empty space: runs longer than one token.
+        let mut sparse = vec![0.0f32; n * 3];
+        for _ in 0..n / 97 + 1 {
+            sparse[rng.below(n as u64 * 3) as usize] = 1.0 + rng.below(3) as f32;
+        }
+        streams.push(sparse);
         // Counts with big jumps: multi-byte varints.
         streams.push(
             (0..n)
@@ -621,24 +671,25 @@ fn f32_streams(rng: &mut Mix) -> Vec<Vec<f32>> {
         streams.push((0..n).map(|_| f32::from_bits(rng.next() as u32)).collect());
         // A smooth ramp.
         streams.push((0..n).map(|i| i as f32 * 0.01 - 1.0).collect());
+        // Runs of NaN payloads and negative zeros: BITS-mode runs.
+        streams.push(
+            (0..n)
+                .map(|i| match i / 70 % 3 {
+                    0 => f32::from_bits(0x7fc0_0001),
+                    1 => -0.0,
+                    _ => (i / 70) as f32,
+                })
+                .collect(),
+        );
     }
     streams
-}
-
-/// Whether the oracle's INT test admits `values` although one of them is
-/// `-0.0`: the one case its bytes (and its roundtrip) were wrong.
-fn negative_zero_in_int_stream(values: &[f32]) -> bool {
-    values.iter().any(|v| v.to_bits() == 0x8000_0000)
-        && values
-            .iter()
-            .all(|&v| v.is_finite() && (0.0..=16_777_216.0).contains(&v) && v.fract() == 0.0)
 }
 
 #[test]
 fn delta_varint_bytes_and_verdicts_match_the_oracle() {
     let mut rng = Mix(5);
     for (s, values) in f32_streams(&mut rng).iter().enumerate() {
-        let payload = oracle::delta_varint_encode_f32(values);
+        let payload = oracle::delta_run_encode_f32(values);
         assert_eq!(
             encode_f32s_as(CODEC_DELTA_VARINT, values).unwrap(),
             block(CODEC_DELTA_VARINT, values.len(), &payload),
@@ -647,7 +698,7 @@ fn delta_varint_bytes_and_verdicts_match_the_oracle() {
         for (i, (bytes, count)) in damaged(&payload, values.len(), &mut rng).iter().enumerate() {
             assert_eq!(
                 decode32(bytes, *count),
-                bits32(oracle::delta_varint_decode_f32(bytes, *count)),
+                bits32(oracle::delta_run_decode_f32(bytes, *count)),
                 "stream {s}, case {i}: {} bytes, count {count}",
                 bytes.len()
             );
@@ -657,60 +708,59 @@ fn delta_varint_bytes_and_verdicts_match_the_oracle() {
 
 #[test]
 fn delta_varint_payloads_of_every_shape_decode_alike() {
-    // Random bytes under both sub-modes and an unknown one: overlong and
-    // overflowing varints, chains that overflow or leave the range.
+    // Random bytes under both sub-modes, an old one and any other: run
+    // tokens of every length, overlong and overflowing varints, chains
+    // that overflow or leave the range, counts short of and past the
+    // cells the tokens hold.
     let mut rng = Mix(6);
     for case in 0..3_000 {
         let n = rng.below(24) as usize;
-        let mut payload = vec![rng.below(3) as u8];
+        let mode = match rng.below(6) {
+            0 => rng.next() as u8,
+            1 => rng.below(2) as u8,
+            m => 2 + (m % 2) as u8,
+        };
+        let mut payload = vec![mode];
+        let mut cells = 0;
         for _ in 0..n {
-            match rng.below(4) {
+            match rng.below(5) {
                 0 => payload.push(rng.below(0x80) as u8),
                 1 => oracle::put_uvarint(&mut payload, rng.next()),
                 2 => payload.extend(std::iter::repeat_n(0xff, rng.below(12) as usize)),
+                3 => {
+                    let k = rng.next() as u8;
+                    payload.extend([0, k]);
+                    cells += usize::from(k);
+                }
                 _ => payload.push(rng.next() as u8),
             }
+            cells += 1;
         }
-        let count = rng.below(n as u64 + 2) as usize;
+        let count = rng.below(cells as u64 + 2) as usize;
         assert_eq!(
             decode32(&payload, count),
-            bits32(oracle::delta_varint_decode_f32(&payload, count)),
+            bits32(oracle::delta_run_decode_f32(&payload, count)),
             "case {case}: {payload:?}, count {count}"
         );
     }
 }
 
 #[test]
-fn a_negative_zero_among_integral_cells_now_roundtrips() {
+fn a_negative_zero_among_integral_cells_sends_the_stream_to_bits() {
     for values in [
         vec![1.0f32, -0.0, 2.0],
         vec![-0.0],
         vec![0.0, -0.0, 0.0, 7.0],
+        vec![-0.0; 600],
     ] {
-        assert!(negative_zero_in_int_stream(&values));
         let enc = encode_f32s_as(CODEC_DELTA_VARINT, &values).unwrap();
+        let payload = oracle::delta_run_encode_f32(&values);
+        assert_eq!(payload[0], 3, "{values:?} is a BITS stream");
+        assert_eq!(enc, block(CODEC_DELTA_VARINT, values.len(), &payload));
         let mut pos = 0;
-        let back = bits32(decode_f32s(&enc, &mut pos, values.len()));
         let want: Vec<u32> = values.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(back, Ok(want.clone()), "{values:?}");
-        // The oracle wrote it as INT and lost the sign.
-        let old = oracle::delta_varint_encode_f32(&values);
-        assert_ne!(
-            bits32(oracle::delta_varint_decode_f32(&old, values.len())),
-            Ok(want)
-        );
+        assert_eq!(bits32(decode_f32s(&enc, &mut pos, values.len())), Ok(want));
     }
-    // Any other stream with a `-0.0` was BITS already: no byte moves.
-    let values = [0.5f32, -0.0, 2.0];
-    assert!(!negative_zero_in_int_stream(&values));
-    assert_eq!(
-        encode_f32s_as(CODEC_DELTA_VARINT, &values).unwrap(),
-        block(
-            CODEC_DELTA_VARINT,
-            3,
-            &oracle::delta_varint_encode_f32(&values)
-        )
-    );
 }
 
 /// `f64` streams of the shapes point columns take.

@@ -24,7 +24,7 @@ use accelviz::core::viewer::FrameSource;
 use accelviz::octree::builder::{partition, BuildParams};
 use accelviz::octree::extraction::threshold_for_budget;
 use accelviz::octree::plots::PlotType;
-use accelviz::serve::lod::{plan_frame_chunks, ProgressiveAssembler};
+use accelviz::serve::lod::{plan_frame_chunks, ProgressiveAssembler, DEFAULT_CHUNK_BYTES};
 use accelviz::serve::{Client, FrameServer, RemoteFrames, ServerConfig};
 
 fn main() {
@@ -47,7 +47,7 @@ fn main() {
 
     // The chunk plan, walked offline: each record splices into the
     // assembler exactly as it would arriving over TCP.
-    let budget = 64 * 1024u64;
+    let budget = DEFAULT_CHUNK_BYTES;
     let records = plan_frame_chunks(&frame, budget);
     let wan = TransferModel::wide_area();
     println!(

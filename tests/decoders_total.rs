@@ -101,8 +101,9 @@ const ROWS: &[Row] = &[
         name: "f32 codec block",
         encodings: f32_blocks,
         decode: f32_block,
-        // DELTA_VARINT: a 4-byte cell per varint byte.
-        expansion: 4,
+        // DELTA_VARINT: a two-byte run token is up to 256 cells, so a
+        // payload byte decodes to at most 128 four-byte cells: 512.
+        expansion: 512,
     },
     Row {
         name: "f64 codec block",
@@ -447,17 +448,25 @@ fn records(rng: &mut Mix) -> Vec<Vec<u8>> {
         .collect()
 }
 
-/// Grids (DELTA_VARINT) and noise (RAW).
+/// Grids (DELTA_VARINT) and noise (RAW), and a mostly empty volume whose
+/// runs decode to more than [`SLACK`], so the row's expansion bound is
+/// what holds its peak.
 fn f32_blocks(rng: &mut Mix) -> Vec<Vec<u8>> {
     let grid: Vec<f32> = (0..300)
         .map(|_| (rng.below(5) * rng.below(9)) as f32)
         .collect();
     let noise: Vec<f32> = (0..40).map(|_| f32::from_bits(rng.next() as u32)).collect();
     let fractions: Vec<f32> = (0..90).map(|i| i as f32 * 0.25).collect();
+    let mut empty = vec![0.0f32; SLACK / 4 + 40_000];
+    for _ in 0..24 {
+        let at = rng.below(empty.len());
+        empty[at] = 1.0 + rng.below(8) as f32;
+    }
     vec![
         encode_f32s(&grid),
         encode_f32s(&noise),
         encode_f32s(&fractions),
+        encode_f32s(&empty),
     ]
 }
 

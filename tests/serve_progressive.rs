@@ -30,9 +30,10 @@ use accelviz::serve::wire::{encode_frame, encode_frame_v2, write_envelope_v, V2}
 use accelviz::serve::{
     Client, ClientConfig, FrameServer, RemoteFrames, RetryPolicy, ServeError, ServerConfig,
 };
+use accelviz::store::codec::encode_f32s;
 use common::{chaos_seed, stores};
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// This suite's seed when `ACCELVIZ_CHAOS_SEED` is unset.
@@ -101,31 +102,40 @@ fn progressive_refines_bit_identical_to_full_fetch_direct() {
     server.shutdown();
 }
 
-/// The two size bars of the compressed wire and the progressive stream,
-/// on a figure-1-shaped frame: a halo beam in `X_PX_Y`, a 64³ grid, one
-/// particle in 25 kept as points. The v2 frame is at least 2× smaller than
-/// v1, and at the server's default chunk budget the first progressive
-/// chunk is under a quarter of the full v2 frame. The grid compresses and
-/// the points barely do, so both bars tighten as particles are added
-/// (ratio 3.79 at 10 000, 3.19 at 50 000, 2.76 at 100 000), and the test
-/// uses the 100 000 of the harness's fig-1 beams, which record the same
-/// two numbers as `wire.v2_ratio` and `lod.first_chunk_fraction`. The halo
-/// develops for 10 cells instead of the harness's 40: the bars move by
-/// under 1 % and a debug build takes 1.4 s instead of 4.3 s.
+/// A figure-1-shaped frame: a halo beam in `X_PX_Y`, a 64³ grid, one
+/// particle in 25 kept as points, from the 100 000 particles of the
+/// harness's fig-1 beams. The halo develops for 10 cells instead of the
+/// harness's 40: the bars below move by 2–5 % and a debug build takes
+/// 1.4 s instead of 4.3 s. Built once for the tests that measure it.
+fn fig1_frame() -> &'static HybridFrame {
+    static FRAME: OnceLock<HybridFrame> = OnceLock::new();
+    FRAME.get_or_init(|| {
+        const PARTICLES: usize = 100_000;
+        const CELLS: usize = 10;
+        let mut sim = BeamSimulation::new(BeamConfig::halo_study(PARTICLES, 11));
+        for _ in 0..32 * CELLS {
+            sim.step();
+        }
+        let data = partition(sim.particles(), PlotType::X_PX_Y, BuildParams::default());
+        let threshold = threshold_for_budget(&data, PARTICLES / 25);
+        HybridFrame::from_partition(&data, 0, threshold, [64, 64, 64])
+    })
+}
+
+/// The two size bars of the compressed wire and the progressive stream
+/// on [`fig1_frame`]: the v2 frame is at least 2× smaller than v1, and at
+/// the server's default chunk budget the first progressive chunk is under
+/// a quarter of the full v2 frame. The grid ships at its content's size
+/// and the points barely compress, so the ratio falls as particles are
+/// added (25.4 at 10 000, 8.97 at 50 000, 5.57 at 100 000) while the first
+/// chunk's share falls with them (0.52, 0.31, 0.145): a frame of few
+/// points is mostly its first chunk. The harness's fig-1 beams record the
+/// same two numbers as `wire.v2_ratio` and `lod.first_chunk_fraction`.
 #[test]
 fn fig1_frame_compresses_2x_and_leads_with_under_a_quarter() {
-    const PARTICLES: usize = 100_000;
-    const CELLS: usize = 10;
-    let mut sim = BeamSimulation::new(BeamConfig::halo_study(PARTICLES, 11));
-    for _ in 0..32 * CELLS {
-        sim.step();
-    }
-    let data = partition(sim.particles(), PlotType::X_PX_Y, BuildParams::default());
-    let threshold = threshold_for_budget(&data, PARTICLES / 25);
-    let frame = HybridFrame::from_partition(&data, 0, threshold, [64, 64, 64]);
-
-    let v1 = encode_frame(&frame);
-    let (v2, _) = encode_frame_v2(&frame);
+    let frame = fig1_frame();
+    let v1 = encode_frame(frame);
+    let (v2, _) = encode_frame_v2(frame);
     let ratio = v1.len() as f64 / v2.len() as f64;
     assert!(
         ratio >= 2.0,
@@ -134,7 +144,7 @@ fn fig1_frame_compresses_2x_and_leads_with_under_a_quarter() {
         v1.len()
     );
 
-    let records = lod::plan_frame_chunks(&frame, lod::DEFAULT_CHUNK_BYTES);
+    let records = lod::plan_frame_chunks(frame, lod::DEFAULT_CHUNK_BYTES);
     let fraction = records[0].len() as f64 / v2.len() as f64;
     assert!(
         fraction < 0.25,
@@ -142,6 +152,27 @@ fn fig1_frame_compresses_2x_and_leads_with_under_a_quarter() {
         records[0].len(),
         100.0 * fraction,
         v2.len()
+    );
+}
+
+/// A grid ships at the size of what it holds: on [`fig1_frame`] (94 % of
+/// its cells empty) the grid block of a v2 frame costs at most 4 B per
+/// occupied cell, plus a two-byte run token per 256 cells and the block's
+/// header. The frame measures 1.7 B per occupied cell; a codec that
+/// spends a byte on every empty cell measures 16.
+#[test]
+fn fig1_grid_block_costs_what_its_occupied_cells_hold() {
+    const PER_OCCUPIED: usize = 4;
+    const PER_256_CELLS: usize = 2;
+    const HEADER: usize = 16;
+    let cells = fig1_frame().grid.data();
+    let occupied = cells.iter().filter(|c| **c != 0.0).count();
+    let block = encode_f32s(cells).len();
+    let bound = PER_OCCUPIED * occupied + PER_256_CELLS * cells.len().div_ceil(256) + HEADER;
+    assert!(
+        block <= bound,
+        "grid block {block} B for {occupied} occupied of {} cells: bound {bound} B",
+        cells.len()
     );
 }
 
