@@ -4,17 +4,23 @@
 //!
 //! Producing a frame is the expensive part of answering a frame request:
 //! an extraction on a server (walk the density-sorted store, bin the
-//! volume), an upstream fetch on the router — and then its encoding, which
-//! costs more than the extraction. Clients stepping through the same
+//! volume) and then its encoding, which costs more than the extraction;
+//! an upstream fetch on the router. Clients stepping through the same
 //! animation ask for the same `(frame, threshold)` pairs over and over,
 //! so each service keeps its most recent frames keyed exactly that way,
-//! each as a [`Served`]: the frame beside the wire bytes already made
-//! from it, so a hit is a write, not an encode.
+//! each as a [`Served`]: on a server the frame beside the wire bytes
+//! already made from it, on a router the shard's reply as it was read, so
+//! a hit is a write, not an encode. A router's entry decodes its frame
+//! only when a progressive request needs records planned from it; that
+//! decode can fail, and a fetch whose decode fails is refused, never
+//! cached.
 //!
 //! One unit on both services: LRU under a byte budget, each entry weighed
 //! on admission by what it holds ([`Served::held_bytes`]). The fetch fills
 //! the encoding its request's shape asks for before the entry is
-//! admitted, so the budget bounds frame plus payload. The budget is
+//! admitted, so the budget bounds what the entry holds: frame plus
+//! payload on a server, the payload (and a frame only once decoded) on a
+//! router. The budget is
 //! `ServerConfig::cache_bytes` on a server and `RouterConfig::cache_bytes`
 //! on a router; both default to [`DEFAULT_CACHE_BYTES`]. Coalescing, the
 //! budget rule (0 holds the newest entry only) and what a refused or
@@ -24,8 +30,8 @@
 
 use crate::frontdoor::Shape;
 use crate::lod::{chunk_budget, plan_frame_chunks};
-use crate::protocol::{Refusal, RESP_FRAME, RESP_FRAME_CHUNK};
-use crate::wire::{encode_frame_v2, Sealed};
+use crate::protocol::{Refusal, ERR_INTERNAL, RESP_FRAME, RESP_FRAME_CHUNK};
+use crate::wire::{decode_frame_v2, encode_frame_v2, Sealed};
 use accelviz_core::hybrid::HybridFrame;
 use accelviz_store::cache::Cache;
 use std::borrow::Cow;
@@ -76,10 +82,18 @@ impl CacheKey {
 /// checksum per reply however many clients ask: a send is a write. Both
 /// encoders are deterministic: the bytes held are the bytes a fresh
 /// encode would give.
+///
+/// A server's entry starts from its extracted frame ([`Served::new`]); a
+/// router's from the shard's reply as read (`Served::forwarded`), which
+/// it sends on byte for byte. Such an entry's frame is decoded only if a
+/// progressive session asks for records planned from it.
 pub struct Served {
-    frame: HybridFrame,
-    /// `encode_frame_v2(frame)` sealed as a frame reply, and the raw
-    /// (v1) length it stands for.
+    /// The frame: given, or decoded from the v2 reply by the first caller
+    /// that needs it — once, and a reply that does not decode stays
+    /// refused.
+    frame: OnceLock<Result<HybridFrame, Refusal>>,
+    /// `encode_frame_v2(frame)` sealed as a frame reply, or the shard's
+    /// reply as read; and the raw (v1) length it stands for.
     v2: OnceLock<(Sealed, u64)>,
     /// The chunk records of the first budget a progressive session asked
     /// for, each sealed as a chunk reply, with that budget.
@@ -90,22 +104,50 @@ impl Served {
     /// `frame`, nothing encoded yet.
     pub fn new(frame: HybridFrame) -> Served {
         Served {
-            frame,
+            frame: OnceLock::from(Ok(frame)),
             v2: OnceLock::new(),
             chunks: OnceLock::new(),
         }
     }
 
-    /// The frame itself.
-    pub fn frame(&self) -> &HybridFrame {
-        &self.frame
+    /// A frame `reply` read whole, its envelope checksum verified, and the
+    /// raw length its trailer promises ([`crate::wire::FramePeek`]): sent
+    /// as it was read, nothing decoded yet.
+    pub(crate) fn forwarded(reply: Sealed, raw_len: u64) -> Served {
+        Served {
+            frame: OnceLock::new(),
+            v2: OnceLock::from((reply, raw_len)),
+            chunks: OnceLock::new(),
+        }
+    }
+
+    /// The frame itself, decoded from the reply on a forwarded entry's
+    /// first call, or why the reply does not decode to the frame its
+    /// trailer promises.
+    pub fn frame(&self) -> Result<&HybridFrame, Refusal> {
+        let decoded = self.frame.get_or_init(|| {
+            let (reply, _) = self
+                .v2
+                .get()
+                .expect("an entry holds its frame or its reply");
+            decode_frame_v2(reply.payload()).map_err(|e| {
+                Refusal::new(
+                    ERR_INTERNAL,
+                    format!("the frame reply does not decode: {e}"),
+                )
+            })
+        });
+        decoded.as_ref().map_err(Refusal::clone)
     }
 
     /// The frame's v2 reply and raw length, encoded and sealed by the
     /// first caller and shared from then on.
     pub fn v2(&self) -> &(Sealed, u64) {
         self.v2.get_or_init(|| {
-            let (payload, raw_len) = encode_frame_v2(&self.frame);
+            let frame = self
+                .frame()
+                .expect("an entry without a reply holds its frame");
+            let (payload, raw_len) = encode_frame_v2(frame);
             (Sealed::new(RESP_FRAME, payload), raw_len)
         })
     }
@@ -113,47 +155,46 @@ impl Served {
     /// The frame's progressive records under `budget` (already resolved
     /// by [`chunk_budget`]), sealed as chunk replies. The first budget
     /// asked for is planned once and kept; any other is planned for its
-    /// caller alone.
-    pub fn chunks(&self, budget: u64) -> Cow<'_, [Sealed]> {
-        let (kept_budget, kept) = self.kept_chunks(budget);
-        if *kept_budget == budget {
+    /// caller alone. Refused when a forwarded frame does not decode.
+    pub fn chunks(&self, budget: u64) -> Result<Cow<'_, [Sealed]>, Refusal> {
+        let (kept_budget, kept) = self.kept_chunks(budget)?;
+        Ok(if *kept_budget == budget {
             Cow::Borrowed(kept)
         } else {
-            Cow::Owned(self.sealed_chunks(budget))
-        }
+            Cow::Owned(sealed_chunks(self.frame()?, budget))
+        })
     }
 
     /// The records this entry keeps and their budget: `budget`'s, planned
     /// here, when nobody asked before.
-    fn kept_chunks(&self, budget: u64) -> &(u64, Vec<Sealed>) {
-        self.chunks
-            .get_or_init(|| (budget, self.sealed_chunks(budget)))
-    }
-
-    fn sealed_chunks(&self, budget: u64) -> Vec<Sealed> {
-        plan_frame_chunks(&self.frame, budget)
-            .into_iter()
-            .map(|record| Sealed::new(RESP_FRAME_CHUNK, record))
-            .collect()
+    fn kept_chunks(&self, budget: u64) -> Result<&(u64, Vec<Sealed>), Refusal> {
+        let frame = self.frame()?;
+        Ok(self
+            .chunks
+            .get_or_init(|| (budget, sealed_chunks(frame, budget))))
     }
 
     /// Fills whichever encoding this entry keeps for a reply of `shape`,
-    /// unless it is filled already.
-    pub(crate) fn prefill(&self, shape: Shape) {
+    /// unless it is filled already; refused when that needs a forwarded
+    /// frame that does not decode.
+    pub(crate) fn prefill(&self, shape: Shape) -> Result<(), Refusal> {
         match shape {
             Shape::Plain => {
                 self.v2();
             }
             Shape::Progressive { chunk_bytes } => {
-                self.kept_chunks(chunk_budget(chunk_bytes));
+                self.kept_chunks(chunk_budget(chunk_bytes))?;
             }
         }
+        Ok(())
     }
 
-    /// Bytes this entry holds right now: the frame plus whatever has
-    /// been encoded from it. Both services weigh their entries with this,
-    /// after filling the encoding the fetching request's shape asks for.
+    /// Bytes this entry holds right now: the frame once it is decoded (or
+    /// was given), plus whatever has been encoded from it or read. Both
+    /// services weigh their entries with this, after filling the encoding
+    /// the fetching request's shape asks for.
     pub fn held_bytes(&self) -> u64 {
+        let frame = self.frame.get().and_then(|f| f.as_ref().ok());
         let payload = self
             .v2
             .get()
@@ -161,8 +202,16 @@ impl Served {
         let records = self.chunks.get().map_or(0, |(_, records)| {
             records.iter().map(|record| record.payload().len()).sum()
         });
-        self.frame.total_bytes() + (payload + records) as u64
+        frame.map_or(0, HybridFrame::total_bytes) + (payload + records) as u64
     }
+}
+
+/// `frame`'s records under `budget`, each sealed as a chunk reply.
+fn sealed_chunks(frame: &HybridFrame, budget: u64) -> Vec<Sealed> {
+    plan_frame_chunks(frame, budget)
+        .into_iter()
+        .map(|record| Sealed::new(RESP_FRAME_CHUNK, record))
+        .collect()
 }
 
 /// What a frame lookup yields: the shared entry, or why there is none.
@@ -174,7 +223,7 @@ pub type CoalescingCache = Cache<CacheKey, Served, Refusal>;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::ERR_INTERNAL;
+    use crate::wire::{read_sealed, MAX_PAYLOAD};
     use accelviz_beam::distribution::Distribution;
     use accelviz_octree::builder::{partition, BuildParams};
     use accelviz_octree::plots::PlotType;
@@ -257,7 +306,7 @@ mod tests {
         let (sealed, raw_len) = payloads[0];
         assert_eq!(
             (sealed.payload().to_vec(), *raw_len),
-            encode_frame_v2(served.frame())
+            encode_frame_v2(served.frame().unwrap())
         );
     }
 
@@ -280,7 +329,7 @@ mod tests {
         };
         let (reply, _) = served.v2();
         assert_eq!(cached(reply), fresh(RESP_FRAME, reply.payload()));
-        let records = served.chunks(2_048);
+        let records = served.chunks(2_048).unwrap();
         assert!(records.len() > 1);
         for record in records.iter() {
             assert_eq!(cached(record), fresh(RESP_FRAME_CHUNK, record.payload()));
@@ -291,17 +340,18 @@ mod tests {
     fn the_first_chunk_budget_is_kept_and_any_other_is_planned_per_call() {
         let served = Served::new(hybrid(0, 2_000));
         let (small, large) = (2_048, 16_384);
-        let first = served.chunks(small);
+        let first = served.chunks(small).unwrap();
         assert!(matches!(first, Cow::Borrowed(_)));
         let payloads = |records: &[Sealed]| -> Vec<Vec<u8>> {
             records.iter().map(|r| r.payload().to_vec()).collect()
         };
-        assert_eq!(payloads(&first), plan_frame_chunks(served.frame(), small));
-        let again = served.chunks(small);
+        let frame = served.frame().unwrap();
+        assert_eq!(payloads(&first), plan_frame_chunks(frame, small));
+        let again = served.chunks(small).unwrap();
         assert!(std::ptr::eq(first.as_ptr(), again.as_ptr()), "kept");
-        let other = served.chunks(large);
+        let other = served.chunks(large).unwrap();
         assert!(matches!(other, Cow::Owned(_)), "not kept");
-        assert_eq!(payloads(&other), plan_frame_chunks(served.frame(), large));
+        assert_eq!(payloads(&other), plan_frame_chunks(frame, large));
         assert_ne!(first.len(), other.len());
     }
 
@@ -309,29 +359,91 @@ mod tests {
     fn prefill_fills_the_shapes_slot_once() {
         let served = Served::new(hybrid(0, 500));
         let bare = served.held_bytes();
-        served.prefill(Shape::Plain);
+        served.prefill(Shape::Plain).unwrap();
         let with_payload = served.held_bytes();
         assert_eq!(with_payload, bare + served.v2().0.payload().len() as u64);
         // 0 is "server default", resolved before planning.
-        served.prefill(Shape::Progressive { chunk_bytes: 0 });
-        let default_plan = plan_frame_chunks(served.frame(), chunk_budget(0));
-        assert!(matches!(served.chunks(chunk_budget(0)), Cow::Borrowed(kept)
-            if kept.iter().map(Sealed::payload).eq(default_plan.iter().map(Vec::as_slice))));
+        served
+            .prefill(Shape::Progressive { chunk_bytes: 0 })
+            .unwrap();
+        let default_plan = plan_frame_chunks(served.frame().unwrap(), chunk_budget(0));
+        assert!(
+            matches!(served.chunks(chunk_budget(0)).unwrap(), Cow::Borrowed(kept)
+            if kept.iter().map(Sealed::payload).eq(default_plan.iter().map(Vec::as_slice)))
+        );
         // A second budget is nobody's to keep: nothing is planned for it.
         let full = served.held_bytes();
-        served.prefill(Shape::Progressive { chunk_bytes: 2_048 });
+        served
+            .prefill(Shape::Progressive { chunk_bytes: 2_048 })
+            .unwrap();
         assert_eq!(served.held_bytes(), full);
-        assert!(matches!(served.chunks(2_048), Cow::Owned(_)));
+        assert!(matches!(served.chunks(2_048).unwrap(), Cow::Owned(_)));
     }
 
     #[test]
     fn held_bytes_grow_by_exactly_what_is_encoded() {
         let served = Served::new(hybrid(0, 500));
         let bare = served.held_bytes();
-        assert_eq!(bare, served.frame().total_bytes());
+        assert_eq!(bare, served.frame().unwrap().total_bytes());
         let payload = served.v2().0.payload().len() as u64;
         assert_eq!(served.held_bytes(), bare + payload);
-        let records: usize = served.chunks(4_096).iter().map(|r| r.payload().len()).sum();
+        let records = served.chunks(4_096).unwrap();
+        let records: usize = records.iter().map(|r| r.payload().len()).sum();
         assert_eq!(served.held_bytes(), bare + payload + records as u64);
+    }
+
+    /// `served`'s frame reply as a router reads it off the socket.
+    fn as_read(served: &Served) -> (Sealed, u64) {
+        let (reply, raw_len) = served.v2();
+        let mut wire = Vec::new();
+        reply.write_to(&mut wire).unwrap();
+        (
+            read_sealed(&mut wire.as_slice(), MAX_PAYLOAD).unwrap(),
+            *raw_len,
+        )
+    }
+
+    /// A forwarded entry sends the reply it was given byte for byte and
+    /// weighs only those bytes; its frame is decoded once, for records,
+    /// which are the records a server's entry plans.
+    #[test]
+    fn a_forwarded_entry_is_decoded_only_for_records() {
+        let server = Served::new(hybrid(0, 2_000));
+        let (reply, raw_len) = as_read(&server);
+        let forwarded = Served::forwarded(reply.clone(), raw_len);
+        assert_eq!(forwarded.held_bytes(), reply.payload().len() as u64);
+        forwarded.prefill(Shape::Plain).unwrap();
+        assert_eq!(forwarded.v2(), &(reply.clone(), raw_len), "sent as read");
+        assert_eq!(forwarded.held_bytes(), reply.payload().len() as u64);
+        let records = forwarded.chunks(4_096).unwrap();
+        assert!(records.iter().eq(server.chunks(4_096).unwrap().iter()));
+        let frame = forwarded.frame().unwrap();
+        assert!(
+            std::ptr::eq(frame, forwarded.frame().unwrap()),
+            "decoded once"
+        );
+        assert_eq!(frame, server.frame().unwrap());
+        let records: usize = records.iter().map(|r| r.payload().len()).sum();
+        let held = frame.total_bytes() + (reply.payload().len() + records) as u64;
+        assert_eq!(forwarded.held_bytes(), held);
+    }
+
+    /// A reply whose envelope is sound but whose frame fails its trailer
+    /// can still be sent — the client's decode refuses it — but has no
+    /// records: a progressive prefill is refused, every time, and the
+    /// entry weighs its bytes only.
+    #[test]
+    fn a_forwarded_frame_that_does_not_decode_is_refused_records() {
+        let (reply, raw_len) = as_read(&Served::new(hybrid(0, 500)));
+        let mut payload = reply.payload().to_vec();
+        let last = payload.len() - 1;
+        payload[last] ^= 1; // the trailer's hash
+        let forwarded = Served::forwarded(Sealed::new(RESP_FRAME, payload), raw_len);
+        assert!(forwarded.prefill(Shape::Plain).is_ok());
+        for _ in 0..2 {
+            let refused = forwarded.prefill(Shape::Progressive { chunk_bytes: 0 });
+            assert_eq!(refused.unwrap_err().code, ERR_INTERNAL);
+        }
+        assert_eq!(forwarded.held_bytes(), reply.payload().len() as u64);
     }
 }

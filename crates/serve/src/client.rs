@@ -25,10 +25,11 @@ use crate::fault::{FaultScript, FaultyTransport};
 use crate::frontdoor::{spawn_thread, successor, Spawn};
 use crate::lod::ProgressiveAssembler;
 use crate::protocol::{
-    read_chunk_reply, read_response, write_request, ChunkReply, FrameInfo, Request, Response,
+    read_chunk_reply, read_response, response_of, write_request, ChunkReply, FrameInfo, Request,
+    Response, RESP_FRAME,
 };
 use crate::retry::RetryPolicy;
-use crate::wire::V2;
+use crate::wire::{decode_frame_v2, read_sealed, Sealed, MAX_PAYLOAD, V2};
 use accelviz_core::hybrid::HybridFrame;
 use accelviz_core::viewer::{FrameLoad, FrameSource};
 use accelviz_store::cache::Cache;
@@ -239,9 +240,6 @@ pub struct Client {
     frame_count: u32,
     stats: ClientStats,
     ever_connected: bool,
-    /// Wire bytes of the most recent successful reply (attempts that
-    /// failed partway do not count — their bytes never became a frame).
-    last_wire_bytes: u64,
 }
 
 impl Client {
@@ -267,7 +265,6 @@ impl Client {
             frame_count: 0,
             stats: ClientStats::default(),
             ever_connected: false,
-            last_wire_bytes: 0,
         };
         // The initial connect gets the same retry treatment as any later
         // operation: a server still coming up is a transient condition.
@@ -296,28 +293,43 @@ impl Client {
     /// Fetches one frame at one threshold, measuring the transfer
     /// (retries and reconnects included in the measured seconds).
     pub fn fetch(&mut self, frame: u32, threshold: f64) -> Result<(HybridFrame, FetchMetrics)> {
+        self.fetch_reply(frame, threshold, |reply| decode_frame_v2(reply.payload()))
+    }
+
+    /// Fetches one frame at one threshold as its reply envelope, read
+    /// whole and checksum-verified, and makes of it what `finish` does.
+    /// `finish` runs inside the retry loop, so a reply it refuses (a frame
+    /// that does not decode, say) reconnects and replays like any other
+    /// corrupt read.
+    pub(crate) fn fetch_reply<T>(
+        &mut self,
+        frame: u32,
+        threshold: f64,
+        finish: impl Fn(Sealed) -> Result<T>,
+    ) -> Result<(T, FetchMetrics)> {
         // The wire-transfer span of the pipeline trace: request write to
-        // decoded reply, as seen from the viewer side.
+        // finished reply, as seen from the viewer side.
         let mut span = accelviz_trace::span("serve.fetch");
         span.arg("frame", frame as f64);
         span.arg("threshold", threshold);
         let t0 = Instant::now();
-        let resp = self.call(Request::RequestFrame { frame, threshold })?;
-        let seconds = t0.elapsed().as_secs_f64();
-        match resp {
-            Response::Frame(f) => {
-                let wire_bytes = self.last_wire_bytes;
-                span.arg("wire_bytes", wire_bytes as f64);
-                Ok((
-                    f,
-                    FetchMetrics {
-                        wire_bytes,
-                        seconds,
-                    },
-                ))
+        let req = Request::RequestFrame { frame, threshold };
+        let (value, wire_bytes) = self.retry_loop(self.retry_for(&req), |t| {
+            write_request(t, &req)?;
+            let reply = read_sealed(t, MAX_PAYLOAD)?;
+            if reply.kind() != RESP_FRAME {
+                return Err(unexpected("Frame", &response_of(&reply.into())?));
             }
-            other => Err(unexpected("Frame", &other)),
-        }
+            let wire_bytes = reply.wire_bytes();
+            Ok((finish(reply)?, wire_bytes))
+        })?;
+        span.arg("wire_bytes", wire_bytes as f64);
+        let seconds = t0.elapsed().as_secs_f64();
+        let metrics = FetchMetrics {
+            wire_bytes,
+            seconds,
+        };
+        Ok((value, metrics))
     }
 
     /// Fetches one frame progressively: a coarse renderable head first,
@@ -397,7 +409,6 @@ impl Client {
         span.arg("wire_bytes", wire_bytes as f64);
         match result {
             Ok(()) => {
-                self.last_wire_bytes = wire_bytes;
                 let frame = asm.into_frame().expect("completed stream has a frame");
                 (Ok((frame, metrics)), None)
             }
@@ -439,16 +450,14 @@ impl Client {
     /// `ERR_BUSY` is retried with backoff like any transient failure;
     /// non-retryable remote errors pass straight through.
     fn call(&mut self, req: Request) -> Result<Response> {
-        let (resp, wire_bytes) = self.retry_loop(self.retry_for(&req), move |t| {
+        self.retry_loop(self.retry_for(&req), move |t| {
             write_request(t, &req)?;
-            let (resp, wire_bytes) = read_response(t)?;
+            let (resp, _) = read_response(t)?;
             if let Response::Error { code, message } = resp {
                 return Err(ServeError::Remote { code, message });
             }
-            Ok((resp, wire_bytes))
-        })?;
-        self.last_wire_bytes = wire_bytes;
-        Ok(resp)
+            Ok(resp)
+        })
     }
 
     /// Opens a fresh transport and re-runs the `Hello` handshake. An ack

@@ -598,7 +598,8 @@ fn send_frame<O: FrameOrigin, S: Write>(
 /// Streams one frame coarse-to-fine. The planner is a pure function of
 /// (frame, budget), so the records a routed session sees are identical to
 /// a direct server's — and the records the cached entry keeps are the
-/// ones a fresh plan would give.
+/// ones a fresh plan would give. An entry whose forwarded frame does not
+/// decode has no records: the session gets that refusal in-band.
 fn send_chunks<O: FrameOrigin, S: Write>(
     service: &Service<O>,
     served: &Served,
@@ -607,7 +608,10 @@ fn send_chunks<O: FrameOrigin, S: Write>(
 ) -> crate::error::Result<(u64, bool)> {
     let records = {
         let mut span = accelviz_trace::span(O::NAMES.span_lod_send);
-        let records = served.chunks(chunk_budget(chunk_bytes));
+        let records = match served.chunks(chunk_budget(chunk_bytes)) {
+            Ok(records) => records,
+            Err(refusal) => return Ok((write_response(stream, &refusal.into())?, false)),
+        };
         span.arg("chunks", records.len() as f64);
         records
     };
@@ -693,11 +697,11 @@ mod tests {
             panic!("scripted handler panic")
         }
 
-        fn fetch(&self, _frame: u32, threshold: f64) -> Result<HybridFrame, Refusal> {
+        fn fetch(&self, _frame: u32, threshold: f64) -> Result<Served, Refusal> {
             if !self.fetched_before.swap(true, Ordering::SeqCst) {
                 panic!("scripted fetch panic");
             }
-            Ok(tiny_frame(threshold))
+            Ok(Served::new(tiny_frame(threshold)))
         }
 
         fn stats(&self, _own: &Registry) -> Snapshot {
@@ -926,8 +930,8 @@ mod tests {
             Vec::new()
         }
 
-        fn fetch(&self, _frame: u32, threshold: f64) -> Result<HybridFrame, Refusal> {
-            Ok(tiny_frame(threshold))
+        fn fetch(&self, _frame: u32, threshold: f64) -> Result<Served, Refusal> {
+            Ok(Served::new(tiny_frame(threshold)))
         }
 
         fn stats(&self, own: &Registry) -> Snapshot {

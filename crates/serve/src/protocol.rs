@@ -10,7 +10,7 @@
 use crate::error::{Result, ServeError};
 use crate::wire::{
     decode_frame_v2, encode_frame_v2, read_envelope, read_envelope_within, read_str,
-    write_envelope, PayloadWriter,
+    write_envelope, Envelope, PayloadWriter,
 };
 use accelviz_core::hybrid::HybridFrame;
 use accelviz_math::Reader;
@@ -286,7 +286,11 @@ pub fn write_response<W: Write>(w: &mut W, resp: &Response) -> Result<u64> {
 /// fatal belongs to the caller.
 pub fn read_response<R: Read>(r: &mut R) -> Result<(Response, u64)> {
     let env = read_envelope(r)?;
-    let wire_bytes = env.wire_bytes();
+    Ok((response_of(&env)?, env.wire_bytes()))
+}
+
+/// Decodes the response `env` carries.
+pub(crate) fn response_of(env: &Envelope) -> Result<Response> {
     let mut p = Reader::new(&env.payload);
     let resp = match env.kind {
         RESP_HELLO_ACK => Response::HelloAck {
@@ -305,10 +309,7 @@ pub fn read_response<R: Read>(r: &mut R) -> Result<(Response, u64)> {
                 })
             })?)
         }
-        RESP_FRAME => {
-            let frame = decode_frame_v2(&env.payload)?;
-            return Ok((Response::Frame(frame), wire_bytes));
-        }
+        RESP_FRAME => return Ok(Response::Frame(decode_frame_v2(&env.payload)?)),
         RESP_STATS => Response::Stats(Snapshot {
             counters: read_table(&mut p, 8, |p| Ok(p.u64()?))?,
             histograms: read_table(&mut p, 8 * LATENCY_BUCKETS, |p| {
@@ -326,7 +327,7 @@ pub fn read_response<R: Read>(r: &mut R) -> Result<(Response, u64)> {
         other => return Err(ServeError::UnknownKind(other)),
     };
     p.finish()?;
-    Ok((resp, wire_bytes))
+    Ok(resp)
 }
 
 /// Reads one name-sorted table of a `Stats` reply: `u32 n`, then `n` ×

@@ -20,11 +20,23 @@
 //!   `serve.*` snapshot, so one poll of the router reads the whole
 //!   service.
 //!
-//! Herd coalescing: decoded frames sit in the service's frame cache, as a
-//! server's extractions do, each beside its re-encoded v2 payload and
-//! budgeted by the bytes of both — a thundering herd of M clients on one
-//! cold frame costs one upstream fetch (and therefore at most one
-//! extraction on the owning shard) and one encode, and an upstream
+//! Forwarding: a frame is the shard's reply as read. Its envelope
+//! checksum is verified once, on the upstream read, and the router keeps
+//! the reply ([`crate::wire::Sealed`]) and writes those bytes to every
+//! client: it decodes, relabels, re-encodes and hashes nothing. It reads
+//! only the header's step — a reply for another step than the one asked
+//! is the shard's fault, and the walk moves on — and the trailer's raw
+//! length, for `router.frame_bytes_raw`; the trailer's hash is verified
+//! end to end, at the client. So every replica must serve global frame
+//! `g` as step `g`, which [`FrameRouter::spawn`] checks against the
+//! shards' catalogs. A progressive request decodes the cached reply once
+//! and plans its records from it (`crate::cache::Served`).
+//!
+//! Herd coalescing: forwarded replies sit in the service's frame cache,
+//! as a server's extractions do, budgeted by their bytes (and a decoded
+//! frame's, once a progressive session has asked for one) — a thundering
+//! herd of M clients on one cold frame costs one upstream fetch (and
+//! therefore at most one extraction on the owning shard), and an upstream
 //! *failure* is shared with every coalesced waiter but never cached, so a
 //! shard coming back is observed on the very next request. The replica
 //! set does not read ahead, so a router runs no helper and counts no
@@ -49,7 +61,7 @@
 //! releases with one answered ping, or an operator repoint resets.
 
 use crate::breaker::{Admission, BreakerConfig, BreakerState, CircuitBreaker, Transition};
-use crate::cache::DEFAULT_CACHE_BYTES;
+use crate::cache::{Served, DEFAULT_CACHE_BYTES};
 use crate::client::{Client, ClientConfig};
 use crate::error::ServeError;
 use crate::frontdoor::{spawn_thread, FrontDoor, Spawn};
@@ -58,7 +70,7 @@ use crate::lock;
 use crate::protocol::{FrameInfo, Refusal, ERR_BUSY, ERR_INTERNAL};
 use crate::server::{FrameServer, Origin, ServerConfig};
 use crate::service::{counter_names, CounterNames, FrameOrigin, ServiceConfig};
-use accelviz_core::hybrid::HybridFrame;
+use crate::wire::{FramePeek, Sealed};
 use accelviz_core::shard::ShardSpec;
 use accelviz_trace::registry::{Registry, Snapshot};
 use std::io;
@@ -186,9 +198,10 @@ impl ShardMap {
     /// factor: each shard holds every frame whose top-`replication`
     /// rendezvous owner set includes it, packed in ascending global
     /// order, so global frame `g` is that shard's `rank(g)`-th local
-    /// frame; the router relabels such a shard's steps with the global
-    /// index. No origin is laid out this way ([`Origin::layout`] shares);
-    /// this stays public only because the benchmark harness names it.
+    /// frame. No origin is laid out this way ([`Origin::layout`] shares),
+    /// and a router refuses such a map at spawn, since it forwards the
+    /// steps a shard writes; this stays public only as the locator the
+    /// benchmark harness calls.
     /// `replication` is clamped to the shard count; zero is rejected by
     /// the underlying [`ShardSpec::owners`].
     pub fn sliced_replicated(spec: &ShardSpec, frame_count: usize, replication: usize) -> ShardMap {
@@ -270,8 +283,8 @@ impl ShardMap {
 pub struct RouterConfig {
     /// Byte budget for the router's frame cache (the herd-coalescing
     /// layer), LRU by the bytes each entry holds on admission: the
-    /// decoded frame ([`HybridFrame::total_bytes`]) plus the encoding its
-    /// request's shape asked for
+    /// shard's reply payload, plus the decoded frame and its records once
+    /// a progressive request asked for them
     /// ([`crate::cache::Served::held_bytes`]), weighed as a server weighs
     /// its own ([`ServerConfig::cache_bytes`]), with the
     /// same default ([`DEFAULT_CACHE_BYTES`]). Frames vary by orders of
@@ -436,6 +449,22 @@ pub(crate) fn invalid_input(why: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidInput, why.into())
 }
 
+/// A shard's `reply` to a request for global frame `frame`, kept as it
+/// was read, to be written to every client that asks: nothing is decoded
+/// or re-encoded. Only its header's step and its trailer's raw length are
+/// read ([`FramePeek`]); a reply that names another step is the shard's
+/// fault, and the walk moves on to the next replica.
+fn forwarded(reply: Sealed, frame: u32) -> crate::error::Result<Served> {
+    let peek = FramePeek::read(reply.payload())?;
+    if peek.step != u64::from(frame) {
+        return Err(ServeError::Corrupt(format!(
+            "the reply for frame {frame} carries step {}",
+            peek.step
+        )));
+    }
+    Ok(Served::forwarded(reply, peek.raw_len))
+}
+
 /// A router's frame origin: the replica set — where every frame lives,
 /// the merged catalog, and one [`Upstream`] per shard.
 pub(crate) struct Replicas {
@@ -474,31 +503,26 @@ impl FrameOrigin for Replicas {
     /// transient), else `ERR_BUSY`, the one code a client's ladder — the
     /// one backoff and the one deadline — replays. A busy replica is
     /// alive, so its `ERR_BUSY` outranks a dead replica's error.
-    fn fetch(&self, frame: u32, threshold: f64) -> Result<HybridFrame, Refusal> {
+    fn fetch(&self, frame: u32, threshold: f64) -> Result<Served, Refusal> {
         let replicas = self.map.replicas(frame);
         let replicas = replicas.expect("the door refuses frames outside the catalog");
         let mut failed = None;
         for (idx, &(shard, local)) in replicas.iter().enumerate() {
             let t0 = Instant::now();
             let upstream = &self.upstreams[shard as usize];
-            let Some(result) = upstream.call(|c| c.fetch(local, threshold)) else {
+            let forward = |reply| forwarded(reply, frame);
+            let Some(result) = upstream.call(|c| c.fetch_reply(local, threshold, forward)) else {
                 continue;
             };
             self.metrics.add(CTR_ROUTER_UPSTREAM_FETCHES, 1);
             self.metrics
                 .record_seconds(HIST_ROUTER_UPSTREAM_LATENCY, t0.elapsed().as_secs_f64());
             match result {
-                Ok((mut decoded, _metrics)) => {
+                Ok((served, _metrics)) => {
                     if idx > 0 {
                         self.metrics.add(CTR_ROUTER_REPLICA_FAILOVERS, 1);
                     }
-                    // A shard under a hand-built sliced map only knows its
-                    // local numbering; the run-wide convention (what a
-                    // direct server of the unsliced data bakes in, and
-                    // what the merged catalog advertises) is
-                    // `step == global index`.
-                    decoded.step = frame as usize;
-                    return Ok(decoded);
+                    return Ok(served);
                 }
                 Err(e) => {
                     if failed.as_ref().is_none_or(|(_, _, kept)| !is_busy(kept)) {
@@ -593,8 +617,10 @@ impl FrameRouter {
     /// the shard set's length disagrees with the map (which has at least
     /// one shard), any shard is unreachable at spawn (one attempt each:
     /// shards come up before their router), a shard advertises fewer
-    /// frames than the map routes to it, or the OS refuses the prober's
-    /// thread — without it an ejected shard would never be reinstated.
+    /// frames than the map routes to it or a step other than the global
+    /// frame the map routes to a local index (replies are forwarded as
+    /// the shard writes them), or the OS refuses the prober's thread —
+    /// without it an ejected shard would never be reinstated.
     pub fn spawn(
         addr: &str,
         shards: Vec<SocketAddr>,
@@ -735,12 +761,15 @@ impl Drop for FrameRouter {
 }
 
 /// Fetches every shard's catalog and stitches the merged global catalog:
-/// entry `g` comes from its *primary* owner's local slot, relabeled with
-/// the global index (`frame = g`, `step = g` — the run-wide convention a
-/// direct server of the unsliced data would report). Every fallback
-/// replica's local index is validated against its shard's catalog too —
-/// a replica that cannot actually serve its frames would otherwise only
-/// be discovered during a failover, the worst possible moment.
+/// entry `g` comes from its *primary* owner's local slot (`frame = g`,
+/// `step = g` — the run-wide convention a direct server of the unsliced
+/// data reports). Every replica's local index is validated against its
+/// shard's catalog — a replica that cannot actually serve its frames
+/// would otherwise only be discovered during a failover, the worst
+/// possible moment — and so is the step it advertises there, which must
+/// be `g`: the router forwards replies as the shard writes them, so a
+/// shard that numbers its frames locally is refused here, by shard and
+/// frame.
 fn merge_catalogs(map: &ShardMap, upstreams: &[Arc<Upstream>]) -> io::Result<Vec<FrameInfo>> {
     let mut shard_catalogs = Vec::with_capacity(upstreams.len());
     for (i, upstream) in upstreams.iter().enumerate() {
@@ -757,13 +786,20 @@ fn merge_catalogs(map: &ShardMap, upstreams: &[Arc<Upstream>]) -> io::Result<Vec
         for &(shard, local) in replicas {
             let (shard, local) = (shard as usize, local as usize);
             let advertised = shard_catalogs[shard].len();
-            if local >= advertised {
-                let why = format!(
+            let why = match shard_catalogs[shard].get(local) {
+                None => format!(
                     "shard {shard} advertises {advertised} frames but the map routes global \
                      frame {g} to its local index {local}"
-                );
-                return Err(io::Error::new(io::ErrorKind::InvalidData, why));
-            }
+                ),
+                Some(entry) if entry.step != g as u64 => format!(
+                    "shard {shard} numbers its local frame {local} step {}, but the map routes \
+                     global frame {g} there: replies are forwarded as the shard writes them, \
+                     so a replica must serve frame {g} as step {g}",
+                    entry.step
+                ),
+                Some(_) => continue,
+            };
+            return Err(io::Error::new(io::ErrorKind::InvalidData, why));
         }
         let (shard, local) = (replicas[0].0 as usize, replicas[0].1 as usize);
         let entry = &shard_catalogs[shard][local];
@@ -959,6 +995,233 @@ impl ShardedFrameService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frontdoor::Shape;
+    use crate::lod::chunk_budget;
+    use crate::protocol::{read_response, write_request, Request};
+    use crate::server::Window;
+    use crate::wire::{read_sealed, MAX_PAYLOAD, V2};
+    use accelviz_beam::distribution::Distribution;
+    use accelviz_core::hybrid::HybridFrame;
+    use accelviz_octree::builder::{partition, BuildParams};
+    use accelviz_octree::plots::PlotType;
+    use accelviz_octree::sorted_store::PartitionedData;
+    use accelviz_store::progressive::decode_record;
+    use std::net::TcpStream;
+
+    fn stores(n: usize) -> Vec<PartitionedData> {
+        (0..n)
+            .map(|i| {
+                let ps = Distribution::default_beam().sample(800, i as u64 + 1);
+                partition(&ps, PlotType::XYZ, BuildParams::default())
+            })
+            .collect()
+    }
+
+    /// One shard over `data`, as a sharded service lays it out, and a
+    /// router in front of it.
+    fn routed(data: Vec<PartitionedData>) -> (FrameServer, FrameRouter) {
+        let (map, origins) = Origin::from(data).layout(1, 1).unwrap();
+        let config = ServerConfig::default();
+        let shard = FrameServer::spawn_loopback(origins[0].clone(), config).unwrap();
+        let addrs = vec![shard.addr()];
+        let router = FrameRouter::spawn("127.0.0.1:0", addrs, map, RouterConfig::default());
+        (shard, router.unwrap())
+    }
+
+    /// The bytes `addr` answers `req` with on a fresh session: its one
+    /// envelope, or every envelope of a progressive stream.
+    fn reply_bytes(addr: SocketAddr, req: Request) -> Vec<u8> {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        write_request(&mut stream, &Request::Hello { version: V2 }).unwrap();
+        read_response(&mut stream).unwrap();
+        write_request(&mut stream, &req).unwrap();
+        let mut wire = Vec::new();
+        loop {
+            let reply = read_sealed(&mut stream, MAX_PAYLOAD).unwrap();
+            reply.write_to(&mut wire).unwrap();
+            let last = match req {
+                Request::RequestFrameProgressive { .. } => {
+                    let record = decode_record(reply.payload()).unwrap();
+                    record.seq + 1 == record.total
+                }
+                _ => true,
+            };
+            if last {
+                return wire;
+            }
+        }
+    }
+
+    /// A routed frame is the shard's reply byte for byte, and the router's
+    /// entry holds those bytes and no frame: nothing was decoded.
+    #[test]
+    fn a_plain_fetch_forwards_the_shards_reply_undecoded() {
+        let (shard, router) = routed(stores(3));
+        let t = f64::INFINITY;
+        let req = Request::RequestFrame {
+            frame: 2,
+            threshold: t,
+        };
+        let routed = reply_bytes(router.addr(), req);
+        assert_eq!(routed, reply_bytes(shard.addr(), req), "the shard's bytes");
+        let entry = router.door.service().frame(2, t, Shape::Plain).unwrap();
+        assert_eq!(router.metrics().counter(CTR_ROUTER_CACHE_HITS), 1);
+        let (reply, raw_len) = entry.v2();
+        assert_eq!(reply.wire_bytes(), routed.len() as u64);
+        assert_eq!(
+            entry.held_bytes(),
+            reply.payload().len() as u64,
+            "undecoded"
+        );
+        let frame = HybridFrame::from_partition(&stores(3)[2], 2, t, [16, 16, 16]);
+        assert_eq!(*raw_len, crate::wire::encode_frame(&frame).len() as u64);
+        router.shutdown();
+        shard.shutdown();
+    }
+
+    /// A progressive fetch through a router decodes the forwarded frame
+    /// once, keeps it and its records, and sends the records a direct
+    /// server sends.
+    #[test]
+    fn a_progressive_fetch_through_a_router_decodes_once() {
+        let (shard, router) = routed(stores(3));
+        let direct = FrameServer::spawn_loopback(stores(3), ServerConfig::default()).unwrap();
+        let t = f64::INFINITY;
+        let chunk_bytes = 2_048;
+        let req = Request::RequestFrameProgressive {
+            frame: 1,
+            threshold: t,
+            chunk_bytes,
+        };
+        let routed = reply_bytes(router.addr(), req);
+        assert_eq!(routed, reply_bytes(direct.addr(), req), "a direct server's");
+        assert_eq!(routed, reply_bytes(router.addr(), req), "and again, a hit");
+        let shape = Shape::Progressive { chunk_bytes };
+        let entry = router.door.service().frame(1, t, shape).unwrap();
+        let frame = entry.frame().unwrap();
+        assert!(std::ptr::eq(frame, entry.frame().unwrap()), "decoded once");
+        let records = entry.chunks(chunk_budget(chunk_bytes)).unwrap();
+        assert!(matches!(records, std::borrow::Cow::Borrowed(_)), "kept");
+        let records: usize = records.iter().map(|r| r.payload().len()).sum();
+        let payload = entry.v2().0.payload().len();
+        let held = frame.total_bytes() + (payload + records) as u64;
+        assert_eq!(entry.held_bytes(), held);
+        let counted = |name| router.metrics().counter(name);
+        let ledger = (
+            counted(CTR_ROUTER_CACHE_MISSES),
+            counted(CTR_ROUTER_CACHE_HITS),
+        );
+        assert_eq!(ledger, (1, 2));
+        router.shutdown();
+        shard.shutdown();
+        direct.shutdown();
+    }
+
+    /// A map that routes a global frame to a shard's local index of
+    /// another step — the sliced layout over shards that share the run —
+    /// is refused at spawn, naming the shard and the frame: replies are
+    /// forwarded, so nothing could relabel them.
+    #[test]
+    fn a_locally_numbered_map_is_refused_at_spawn() {
+        const FRAMES: usize = 6;
+        let (_, origins) = Origin::from(stores(FRAMES)).layout(3, 1).unwrap();
+        let config = ServerConfig::default();
+        let shards: Vec<_> = origins
+            .into_iter()
+            .map(|origin| FrameServer::spawn_loopback(origin, config).unwrap())
+            .collect();
+        let addrs = shards.iter().map(FrameServer::addr).collect();
+        let sliced = ShardMap::sliced_replicated(&ShardSpec::new(3), FRAMES, 1);
+        let (g, (shard, local)) = (0..FRAMES as u32)
+            .map(|g| (g, sliced.locate(g).unwrap()))
+            .find(|&(g, (_, local))| local != g)
+            .expect("a sliced map numbers some frame locally");
+        let spawned = FrameRouter::spawn("127.0.0.1:0", addrs, sliced, RouterConfig::default());
+        let err = spawned.map(drop).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let why = err.to_string();
+        let named = format!("shard {shard} numbers its local frame {local} step {local}");
+        assert!(why.contains(&named), "{why}");
+        assert!(why.contains(&format!("global frame {g} there")), "{why}");
+        shards.into_iter().for_each(FrameServer::shutdown);
+    }
+
+    /// A shard whose catalog is right but whose frames carry the step
+    /// after the one asked for.
+    struct Mislabelled(Window);
+
+    impl FrameOrigin for Mislabelled {
+        const NAMES: CounterNames = Window::NAMES;
+        const READS_AHEAD: bool = false;
+
+        fn frame_count(&self) -> usize {
+            self.0.frame_count()
+        }
+
+        fn catalog(&self) -> Vec<FrameInfo> {
+            self.0.catalog()
+        }
+
+        fn fetch(&self, frame: u32, threshold: f64) -> Result<Served, Refusal> {
+            let mut wrong = self.0.fetch(frame, threshold)?.frame()?.clone();
+            wrong.step += 1;
+            Ok(Served::new(wrong))
+        }
+
+        fn stats(&self, own: &Registry) -> Snapshot {
+            own.snapshot()
+        }
+    }
+
+    /// A reply for the wrong step is a shard fault: the walk falls
+    /// through to the next replica, and the client gets the right frame.
+    #[test]
+    fn a_reply_for_the_wrong_step_falls_through_to_the_replica() {
+        const FRAMES: usize = 6;
+        let data = stores(FRAMES);
+        let config = ServerConfig::default();
+        let bad = Window {
+            origin: Origin::from(data.clone()),
+            config,
+        };
+        let metrics = Arc::new(Registry::new());
+        let bad = FrontDoor::open(
+            "127.0.0.1:0",
+            Mislabelled(bad),
+            metrics,
+            config.service(spawn_thread),
+        );
+        let bad = bad.unwrap();
+        let good = FrameServer::spawn_loopback(data.clone(), config).unwrap();
+        let spec = ShardSpec::new(2);
+        let map = ShardMap::shared_replicated(&spec, FRAMES, 2);
+        let g = (0..FRAMES as u32)
+            .find(|&g| spec.owner_of(g) == 0)
+            .expect("shard 0 is some frame's primary");
+        let addrs = vec![bad.addr(), good.addr()];
+        let router =
+            FrameRouter::spawn("127.0.0.1:0", addrs, map, RouterConfig::default()).unwrap();
+        let mut client = Client::connect_with(router.addr(), ClientConfig::no_retry()).unwrap();
+        let (frame, _) = client.fetch(g, f64::INFINITY).unwrap();
+        let want = HybridFrame::from_partition(
+            &data[g as usize],
+            g as usize,
+            f64::INFINITY,
+            config.volume_dims,
+        );
+        assert_eq!(frame, want);
+        let counted = |name| router.metrics().counter(name);
+        assert_eq!(
+            counted(CTR_ROUTER_UPSTREAM_ERRORS),
+            1,
+            "the mislabelled reply"
+        );
+        assert_eq!(counted(CTR_ROUTER_REPLICA_FAILOVERS), 1);
+        drop(client);
+        router.shutdown();
+        good.shutdown();
+        drop(bad);
+    }
 
     #[test]
     fn sliced_map_ranks_local_indices_per_shard() {

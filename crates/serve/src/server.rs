@@ -35,13 +35,12 @@
 //! speak the identical protocol to the router and cannot tell the
 //! difference (`crate::router`).
 
-use crate::cache::DEFAULT_CACHE_BYTES;
+use crate::cache::{Served, DEFAULT_CACHE_BYTES};
 use crate::frontdoor::{spawn_thread, FrontDoor, Spawn};
 use crate::protocol::{FrameInfo, Refusal, ERR_INTERNAL};
 use crate::router::{invalid_input, ShardMap};
 use crate::service::{counter_names, CounterNames, FrameOrigin, ServiceConfig};
 use accelviz_beam::io::BYTES_PER_PARTICLE;
-use accelviz_core::hybrid::HybridFrame;
 use accelviz_core::shard::ShardSpec;
 use accelviz_octree::extraction::threshold_for_budget_tree;
 use accelviz_octree::sorted_store::PartitionedData;
@@ -199,7 +198,7 @@ impl FrameOrigin for Window {
     /// from what the window holds of the frame's kept prefix and grid: it
     /// reads only what the window lacks, and never the particles the
     /// threshold discards.
-    fn fetch(&self, frame: u32, threshold: f64) -> Result<HybridFrame, Refusal> {
+    fn fetch(&self, frame: u32, threshold: f64) -> Result<Served, Refusal> {
         let run = &self.origin.run;
         let (extracted, _) = run
             .hybrid_frame(frame as usize, threshold, self.config.volume_dims)
@@ -207,7 +206,7 @@ impl FrameOrigin for Window {
                 let why = format!("run store failed loading frame {frame}: {e}");
                 Refusal::new(ERR_INTERNAL, why)
             })?;
-        Ok(extracted)
+        Ok(Served::new(extracted))
     }
 
     /// Whether to read frame `next` ahead: this shard holds a replica of

@@ -36,7 +36,6 @@ use crate::cache::{CacheKey, CoalescingCache, Fetched, Lookup, Served};
 use crate::frontdoor::{CountGuard, ReadAhead, Shape, Spawn};
 use crate::lock;
 use crate::protocol::{FrameInfo, Refusal, ERR_BUSY};
-use accelviz_core::hybrid::HybridFrame;
 use accelviz_trace::registry::{Registry, Snapshot};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -135,8 +134,9 @@ pub(crate) trait FrameOrigin: Send + Sync + 'static {
     fn catalog(&self) -> Vec<FrameInfo>;
 
     /// Frame `frame`, inside the catalog, at a non-NaN `threshold` — the
-    /// one its cache key stands for — or why it cannot be had right now.
-    fn fetch(&self, frame: u32, threshold: f64) -> Result<HybridFrame, Refusal>;
+    /// one its cache key stands for — as the entry the cache will hold,
+    /// or why it cannot be had right now.
+    fn fetch(&self, frame: u32, threshold: f64) -> Result<Served, Refusal>;
 
     /// Whether the helper may produce frame `next` now; asked only when
     /// [`FrameOrigin::READS_AHEAD`] and `next` is not cached.
@@ -312,8 +312,8 @@ impl<O: FrameOrigin> Service<O> {
                         "extraction capacity reached; retry after ~100 ms",
                     ));
                 };
-                let served = Served::new(self.origin.fetch(frame, threshold)?);
-                served.prefill(shape);
+                let served = self.origin.fetch(frame, threshold)?;
+                served.prefill(shape)?;
                 // Counted before the entry is published: whoever is served
                 // from it can already read that it was fetched ahead.
                 if speculative {
@@ -336,7 +336,8 @@ impl<O: FrameOrigin> Service<O> {
             shape,
         } = hint;
         if let Some(resident) = self.cache.get(&CacheKey::new(frame, threshold)) {
-            return resident.prefill(shape);
+            let _ = resident.prefill(shape);
+            return;
         }
         let room = self.origin.reads_ahead(frame);
         let Some(permit) = room.then(|| self.try_permit()).flatten() else {
@@ -346,7 +347,7 @@ impl<O: FrameOrigin> Service<O> {
         // An entry this hint coalesced onto was filled for its fetcher's
         // shape, which need not be this session's.
         if let (Ok(served), _) = self.lookup(frame, threshold, shape, Some(permit)) {
-            served.prefill(shape);
+            let _ = served.prefill(shape);
         }
     }
 
@@ -385,6 +386,7 @@ mod tests {
     use crate::stats::*;
     use crate::wire::encode_frame_v2;
     use accelviz_beam::distribution::Distribution;
+    use accelviz_core::hybrid::HybridFrame;
     use accelviz_octree::builder::{partition, BuildParams};
     use accelviz_octree::plots::PlotType;
     use accelviz_octree::sorted_store::PartitionedData;
@@ -573,16 +575,16 @@ mod tests {
             Vec::new()
         }
 
-        fn fetch(&self, frame: u32, threshold: f64) -> Result<HybridFrame, Refusal> {
+        fn fetch(&self, frame: u32, threshold: f64) -> Result<Served, Refusal> {
             lock(&self.entered).send(()).unwrap();
             lock(&self.gate).recv().unwrap();
             let data = &stores(1)[0];
-            Ok(HybridFrame::from_partition(
+            Ok(Served::new(HybridFrame::from_partition(
                 data,
                 frame as usize,
                 threshold,
                 [2, 2, 2],
-            ))
+            )))
         }
 
         fn stats(&self, own: &Registry) -> Snapshot {
@@ -670,11 +672,9 @@ mod tests {
         assert_eq!(count(CTR_READAHEAD_FETCHES), 1);
         assert_eq!(building(&service), 0, "the permit came back");
         let served = service.frame(1, f64::INFINITY, Shape::Plain).unwrap();
-        let encoded_ahead = served.held_bytes() - served.frame().total_bytes();
-        assert_eq!(
-            encoded_ahead,
-            encode_frame_v2(served.frame()).0.len() as u64
-        );
+        let frame = served.frame().unwrap();
+        let encoded_ahead = served.held_bytes() - frame.total_bytes();
+        assert_eq!(encoded_ahead, encode_frame_v2(frame).0.len() as u64);
         // The request is a hit; the speculative fetch was never a miss.
         assert_eq!((count(CTR_CACHE_HITS), count(CTR_CACHE_MISSES)), (1, 0));
         // A hint for a resident frame fetches nothing and drops nothing.
@@ -772,8 +772,7 @@ mod tests {
                 let _ = service.cache.get_or_fetch(key, || {
                     entered_tx.send(()).unwrap();
                     release_rx.recv().unwrap();
-                    let frame = service.origin.fetch(1, f64::INFINITY)?;
-                    Ok(Arc::new(Served::new(frame)))
+                    Ok(Arc::new(service.origin.fetch(1, f64::INFINITY)?))
                 });
             });
             entered_rx.recv().unwrap();

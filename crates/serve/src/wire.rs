@@ -46,7 +46,7 @@ pub const CHECKSUM_BYTES: u64 = 8;
 /// paper's ~100 MB frames but small enough to reject garbage lengths
 /// before allocating.
 pub const MAX_PAYLOAD: u64 = 1 << 30;
-/// What [`read_envelope`] reserves for a payload up front, whatever the
+/// What [`read_sealed`] reserves for a payload up front, whatever the
 /// header declares; beyond it the buffer grows as bytes arrive.
 const PAYLOAD_FIRST_RESERVE: u64 = 64 << 10;
 
@@ -63,6 +63,16 @@ impl Envelope {
     /// Total bytes this envelope occupies on the wire.
     pub fn wire_bytes(&self) -> u64 {
         HEADER_BYTES + self.payload.len() as u64 + CHECKSUM_BYTES
+    }
+}
+
+/// The kind and payload of an envelope read whole.
+impl From<Sealed> for Envelope {
+    fn from(sealed: Sealed) -> Envelope {
+        Envelope {
+            kind: sealed.kind(),
+            payload: sealed.payload,
+        }
     }
 }
 
@@ -111,7 +121,8 @@ fn write_parts<W: Write>(w: &mut W, header: &[u8; 16], payload: &[u8], hash: u64
 /// A payload framed once as a [`V2`] envelope of one kind, checksum
 /// included: the form a cached reply keeps, so that every send of it is
 /// a write and hashes nothing. [`Sealed::write_to`] writes exactly the
-/// bytes [`write_envelope`] writes for the same kind and payload.
+/// bytes [`write_envelope`] writes for the same kind and payload — or,
+/// for an envelope [`read_sealed`] read, exactly the bytes it read.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Sealed {
     header: [u8; 16],
@@ -134,6 +145,16 @@ impl Sealed {
     /// The payload, as a reader of the envelope gets it.
     pub fn payload(&self) -> &[u8] {
         &self.payload
+    }
+
+    /// The message kind.
+    pub fn kind(&self) -> u8 {
+        self.header[6]
+    }
+
+    /// Total bytes this envelope occupies on the wire.
+    pub fn wire_bytes(&self) -> u64 {
+        HEADER_BYTES + self.payload.len() as u64 + CHECKSUM_BYTES
     }
 
     /// Writes the envelope; returns the wire bytes written.
@@ -174,6 +195,16 @@ pub fn read_envelope<R: Read>(r: &mut R) -> Result<Envelope> {
 /// through this with a request-sized bound
 /// ([`crate::protocol::MAX_REQUEST_PAYLOAD`]).
 pub fn read_envelope_within<R: Read>(r: &mut R, max_payload: u64) -> Result<Envelope> {
+    read_sealed(r, max_payload).map(Envelope::from)
+}
+
+/// The one envelope reader: reads and validates one envelope — magic,
+/// version ([`V2`] only), `max_payload` bound, and checksum, in that
+/// order — and keeps it as read, checksum included, so that writing it
+/// on ([`Sealed::write_to`]) is a copy that hashes nothing. A header that
+/// declares more than `max_payload` bytes is [`ServeError::Corrupt`]
+/// before a single payload byte is read.
+pub fn read_sealed<R: Read>(r: &mut R, max_payload: u64) -> Result<Sealed> {
     let mut header = [0u8; 16];
     read_exact_or_truncated(r, &mut header)?;
     let mut h = Reader::new(&header);
@@ -185,7 +216,7 @@ pub fn read_envelope_within<R: Read>(r: &mut R, max_payload: u64) -> Result<Enve
     if version != V2 {
         return Err(ServeError::UnsupportedVersion(version));
     }
-    let kind = h.u8()?;
+    h.u8()?; // kind: any byte frames; the protocol judges it
     h.u8()?; // reserved
     let len = h.u64()?;
     if len > max_payload {
@@ -209,11 +240,15 @@ pub fn read_envelope_within<R: Read>(r: &mut R, max_payload: u64) -> Result<Enve
     read_exact_or_truncated(r, &mut trailer)?;
     let expected = Reader::new(&trailer).u64()?;
 
-    let actual = fnv1a64_update(fnv1a64(&header), &payload);
+    let actual = envelope_checksum(&header, &payload);
     if actual != expected {
         return Err(ServeError::ChecksumMismatch { expected, actual });
     }
-    Ok(Envelope { kind, payload })
+    Ok(Sealed {
+        header,
+        payload,
+        checksum: expected,
+    })
 }
 
 /// Where a [`PayloadWriter`]'s bytes go.
@@ -623,6 +658,39 @@ pub fn decode_frame_v2(payload: &[u8]) -> Result<HybridFrame> {
     Ok(frame)
 }
 
+/// What a v2 frame payload says of itself without being decoded: the
+/// step its header carries and the raw (v1) length its trailer promises.
+/// A router reads this much of a shard's reply and forwards the rest
+/// unread; the trailer's hash is checked where the frame is decoded.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct FramePeek {
+    /// The frame's step, from its header.
+    pub step: u64,
+    /// The length of the frame's v1 encoding, from its trailer.
+    pub raw_len: u64,
+}
+
+impl FramePeek {
+    /// Reads the header and the trailer of a v2 frame `payload` (as
+    /// [`encode_frame_v2`] writes it); the columns and the grid between
+    /// them are skipped, not decoded. A payload too short to hold the
+    /// header and the 16-byte trailer is [`ServeError::Corrupt`].
+    pub fn read(payload: &[u8]) -> Result<FramePeek> {
+        let mut r = Reader::new(payload);
+        let header = FrameHeader::read(&mut r)?;
+        // Whatever is left past the trailer's 16 bytes is the body; a
+        // shorter rest overruns in the reads below.
+        r.advance(r.remaining().saturating_sub(16))?;
+        let raw_len = r.u64()?;
+        r.u64()?; // the trailer's hash, checked by the decoder
+        r.finish()?;
+        Ok(FramePeek {
+            step: header.step as u64,
+            raw_len,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -772,6 +840,42 @@ mod tests {
         ] {
             let raw = encode_frame(&frame);
             assert_eq!(v1_digest(&frame), (raw.len() as u64, fnv1a64(&raw)));
+        }
+    }
+
+    /// What the one reader reads is what it writes back: the envelope,
+    /// byte for byte, and its `Envelope` view is `read_envelope`'s.
+    #[test]
+    fn a_sealed_read_writes_back_the_bytes_it_read() {
+        let mut wire = Vec::new();
+        write_envelope(&mut wire, 0x83, b"forwarded payload").unwrap();
+        let sealed = read_sealed(&mut wire.as_slice(), MAX_PAYLOAD).unwrap();
+        assert_eq!(
+            (sealed.kind(), sealed.wire_bytes()),
+            (0x83, wire.len() as u64)
+        );
+        let mut again = Vec::new();
+        sealed.write_to(&mut again).unwrap();
+        assert_eq!(again, wire);
+        let env = read_envelope(&mut wire.as_slice()).unwrap();
+        assert_eq!(Envelope::from(sealed), env);
+    }
+
+    /// The peek reads a v2 payload's step and raw length without
+    /// decoding it; a payload too short for the 83-byte header and the
+    /// 16-byte trailer is corrupt. (What lies between them is not read:
+    /// the decoder judges it.)
+    #[test]
+    fn a_peek_reads_the_step_and_the_raw_length_only() {
+        let frame = sample_frame(40);
+        let (payload, raw_len) = encode_frame_v2(&frame);
+        let peek = FramePeek::read(&payload).unwrap();
+        assert_eq!(peek, FramePeek { step: 11, raw_len });
+        for cut in [0, 8, 82, 83 + 15] {
+            match FramePeek::read(&payload[..cut]) {
+                Err(ServeError::Corrupt(_)) => {}
+                other => panic!("cut at {cut}: {other:?}"),
+            }
         }
     }
 

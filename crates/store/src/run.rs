@@ -37,7 +37,7 @@ use accelviz_octree::plots::PlotType;
 use accelviz_octree::sorted_store::PartitionedData;
 use accelviz_octree::store_io::{read_node_file, write_node_file};
 use std::fs::File;
-use std::io::{self, Write};
+use std::io::{self, BufWriter, Write};
 use std::ops::Range;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -190,13 +190,15 @@ pub fn write_run<W: Write>(
     Ok(off)
 }
 
-/// Writes `frames` to a run file at `path` (create/truncate).
+/// Writes `frames` to a run file at `path` (create/truncate), through a
+/// buffer: the directories go out a `u64` at a time, and each would
+/// otherwise be its own `write` call.
 pub fn write_run_file(
     path: &Path,
     frames: &[PartitionedData],
     chunk_bytes: u64,
 ) -> io::Result<u64> {
-    let mut f = File::create(path)?;
+    let mut f = BufWriter::new(File::create(path)?);
     let n = write_run(&mut f, frames, chunk_bytes)?;
     f.flush()?;
     Ok(n)
@@ -694,6 +696,18 @@ mod tests {
         let written = write_run(&mut bytes, &frames, 4_096).unwrap();
         assert_eq!((written, bytes.len()), (147_632, 147_632));
         assert_eq!(fnv1a64(&bytes), 0xf8f4_a25b_a52b_c5d4);
+    }
+
+    /// The buffered file writer puts down exactly the pinned bytes.
+    #[test]
+    fn a_run_file_holds_exactly_what_write_run_writes() {
+        let frames = build_frames(3, 1_000);
+        let mut bytes = Vec::new();
+        let written = write_run(&mut bytes, &frames, 4_096).unwrap();
+        let path = scratch("buffered");
+        assert_eq!(write_run_file(&path, &frames, 4_096).unwrap(), written);
+        assert_eq!(std::fs::read(&path).unwrap(), bytes);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -35,7 +35,7 @@ use accelviz::serve::protocol::{
     read_request, read_response, write_request, write_response, FrameInfo, Request, Response,
 };
 use accelviz::serve::wire::{
-    decode_frame, decode_frame_v2, encode_frame, encode_frame_v2, write_envelope,
+    decode_frame, decode_frame_v2, encode_frame, encode_frame_v2, write_envelope, FramePeek,
 };
 use accelviz::store::codec::{decode_f32s, decode_f64s, encode_f32s, encode_f64s};
 use accelviz::store::progressive::{
@@ -163,6 +163,14 @@ const ROWS: &[Row] = &[
         // bytes and parsed.
         expansion: 4,
     },
+    Row {
+        name: "v2 frame peek",
+        encodings: v2_frames,
+        decode: v2_peek,
+        // The peek sizes nothing; its check decodes the frame as the
+        // v2 frame row does.
+        expansion: 1024,
+    },
 ];
 
 #[test]
@@ -223,6 +231,11 @@ fn line_sets_are_total() {
 #[test]
 fn run_files_are_total() {
     check(&ROWS[11]);
+}
+
+#[test]
+fn v2_frame_peeks_are_total() {
+    check(&ROWS[12]);
 }
 
 /// Runs every mutation of `row` and fails with the first few that
@@ -644,6 +657,21 @@ fn v1_frame(bytes: &[u8]) -> Result<(), String> {
 fn v2_frame(bytes: &[u8]) -> Result<(), String> {
     // An `Ok` passed the trailer over the decoded frame.
     decode_frame_v2(bytes).map(drop).map_err(|e| e.to_string())
+}
+
+/// A router's read of a reply it forwards: the step and the raw length,
+/// nothing decoded.
+fn v2_peek(bytes: &[u8]) -> Result<(), String> {
+    let peek = FramePeek::read(bytes).map_err(|e| e.to_string())?;
+    // Where the whole payload decodes, the peek read what the decoder did.
+    if let Ok(frame) = decode_frame_v2(bytes) {
+        let decoded = FramePeek {
+            step: frame.step as u64,
+            raw_len: encode_frame(&frame).len() as u64,
+        };
+        assert_eq!(peek, decoded, "a peek disagreed with the decoder");
+    }
+    Ok(())
 }
 
 fn record(bytes: &[u8]) -> Result<(), String> {
