@@ -839,12 +839,13 @@ impl FrameSource for RemoteFrames {
         let (threshold, progressive) = (self.threshold, self.progressive);
         let (lend, borrowed) = mpsc::channel::<Client>();
         let (reply, replied) = mpsc::channel();
-        let started = (self.spawn)(Box::new(move || {
+        let speculate = Box::new(move || {
             if let Ok(mut client) = borrowed.recv() {
                 let (fetched, _partial) = client.fetch_for_load(next, threshold, progressive);
                 let _ = reply.send((client, fetched));
             }
-        }));
+        });
+        let started = (self.spawn)(SPECULATION_THREAD, speculate);
         let Ok(thread) = started else {
             return;
         };
@@ -855,6 +856,9 @@ impl FrameSource for RemoteFrames {
         self.ahead = Some((next, Helper { thread, replied }));
     }
 }
+
+/// The name of a speculation's thread.
+pub(crate) const SPECULATION_THREAD: &str = "client-spec";
 
 /// A running speculation's thread and the channel it hands the connection
 /// back on, with the fetch's result.
@@ -909,7 +913,7 @@ mod tests {
     /// ahead.
     #[test]
     fn a_refused_speculation_thread_costs_speculation_not_the_connection() {
-        let refuse: Spawn = |_body| Err(io::Error::from(io::ErrorKind::WouldBlock));
+        let refuse: Spawn = |_role, _body| Err(io::Error::from(io::ErrorKind::WouldBlock));
         let data: Vec<PartitionedData> = (0..4u64)
             .map(|i| {
                 let ps = Distribution::default_beam().sample(800, i + 1);

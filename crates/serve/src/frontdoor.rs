@@ -8,17 +8,19 @@
 //!
 //! - **Accept.** One thread blocks in `accept`; repeated failures (fd
 //!   exhaustion) are counted and cooled down with [`AcceptBackoff`]
-//!   instead of hot-spinning.
+//!   instead of hot-spinning. The door's threads are `<role>-accept`,
+//!   `-session` and `-shed` ([`spawn_thread`]); the service starts none.
 //! - **Admission.** One OS thread per admitted connection, at most
 //!   [`ServiceConfig::max_connections`] of them. Past the cap — or when the
 //!   OS refuses a thread — the arrival is counted and handed to a small
 //!   bounded pool that answers one in-band `ERR_BUSY` and closes, so a
 //!   connect flood cannot mint threads.
 //! - **Session.** Read request → shutdown check → in-flight guard →
-//!   `catch_unwind(dispatch)` → counters → latency histogram. A panicking
-//!   request costs its client one `ERR_INTERNAL`; the connection and the
-//!   listener survive. Malformed framing gets `ERR_BAD_REQUEST`, then a
-//!   close (stream sync is gone).
+//!   `catch_unwind(dispatch)` → counters → latency histogram → the
+//!   request's read-ahead, if it stepped. A panicking request costs its
+//!   client one `ERR_INTERNAL`; the connection and the listener survive.
+//!   Malformed framing gets `ERR_BAD_REQUEST`, then a close (stream sync
+//!   is gone).
 //! - **Protocol.** [`dispatch`] is the only code that answers a
 //!   [`Request`]: the version check, validation, one send path per reply
 //!   shape (each ships what the cached [`Served`] entry holds), the chunk
@@ -27,15 +29,15 @@
 //!   by construction.
 //! - **Read-ahead.** The door sees each session's request stream, so it
 //!   is the one place that can tell a viewer is stepping: a frame request
-//!   for `n` that follows one for `n − 1` at the same threshold hands the
-//!   service a [`ReadAhead`] hint for `n + 1` *before* `n` is sent.
-//!   What comes of it is the service's business
-//!   ([`Service::read_ahead`]).
+//!   for `n` that follows one for `n − 1` at the same threshold leaves a
+//!   [`ReadAhead`] hint for `n + 1` in its session, which runs it
+//!   ([`Service::read_ahead`]) once `n` is written and counted, outside
+//!   the in-flight guard, before it reads again.
 //! - **Stop.** Flag, unpark, one connection to the door's own address
 //!   (so a blocked `accept` returns and sees the flag), join the
-//!   acceptor, wait (bounded by [`DRAIN_TIMEOUT`]) for replies already
-//!   being computed or written, then join the service's read-ahead
-//!   helper.
+//!   acceptor, then wait (bounded by [`DRAIN_TIMEOUT`]) for replies
+//!   already being computed or written — not for a read-ahead, which a
+//!   session that sees the flag no longer starts.
 
 use crate::cache::{CacheKey, Fetched, Served};
 use crate::error::ServeError;
@@ -63,19 +65,24 @@ const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 /// The in-band message a shed connection gets with its `ERR_BUSY`.
 const SHED_CONNECTION_MSG: &str = "server at connection capacity; retry after ~100 ms";
 
-/// How a service or a remote source starts a thread: `std::thread::Builder::spawn`
-/// ([`spawn_thread`]) in production; a test passes one that refuses,
+/// How a door, a router or a remote source starts a thread named for its
+/// role: [`spawn_thread`] in production; a test passes one that refuses,
 /// which is how the OS under `pids.max` / `RLIMIT_NPROC` behaves and
-/// `std::thread::spawn` would panic on. A refused session, read-ahead or
-/// speculation thread costs that connection, that read-ahead or that
-/// speculation (`RemoteFrames` keeps its connection); a refused prober
-/// fails the router's spawn, which has no other way to reinstate a
-/// shard.
-pub(crate) type Spawn = fn(Box<dyn FnOnce() + Send>) -> io::Result<JoinHandle<()>>;
+/// `std::thread::spawn` would panic on. A refused session or speculation
+/// thread costs that connection or that speculation (`RemoteFrames` keeps
+/// its connection); a refused prober fails the router's spawn, which has
+/// no other way to reinstate a shard.
+pub(crate) type Spawn = fn(&'static str, Box<dyn FnOnce() + Send>) -> io::Result<JoinHandle<()>>;
 
-/// The production [`Spawn`].
-pub(crate) fn spawn_thread(body: Box<dyn FnOnce() + Send>) -> io::Result<JoinHandle<()>> {
-    std::thread::Builder::new().spawn(body)
+/// The production [`Spawn`] and the crate's one thread builder: `body`
+/// runs on a thread named `role`, which must fit Linux's 15 bytes.
+pub(crate) fn spawn_thread(
+    role: &'static str,
+    body: Box<dyn FnOnce() + Send>,
+) -> io::Result<JoinHandle<()>> {
+    std::thread::Builder::new()
+        .name(role.to_owned())
+        .spawn(body)
 }
 
 /// The reply shape a frame request asked for — what a read-ahead should
@@ -115,7 +122,7 @@ impl Drop for CountGuard<'_> {
 
 /// What the acceptor, the shed pool and every session thread share.
 struct Door<O> {
-    service: Arc<Service<O>>,
+    service: Service<O>,
     shutdown: AtomicBool,
     active_connections: AtomicUsize,
     inflight_requests: AtomicUsize,
@@ -127,10 +134,6 @@ pub(crate) struct FrontDoor<O: FrameOrigin> {
     door: Arc<Door<O>>,
     addr: SocketAddr,
     accept: Option<JoinHandle<()>>,
-    /// The service's read-ahead helper; `None` over an origin that does
-    /// not read ahead, when the OS refused the thread (the service then
-    /// serves without read-ahead), and once it is joined.
-    helper: Option<JoinHandle<()>>,
 }
 
 impl<O: FrameOrigin> FrontDoor<O> {
@@ -144,26 +147,20 @@ impl<O: FrameOrigin> FrontDoor<O> {
     ) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let (service, helper) = Service::start(origin, metrics, config);
         let door = Arc::new(Door {
-            service,
+            service: Service::new(origin, metrics, config),
             shutdown: AtomicBool::new(false),
             active_connections: AtomicUsize::new(0),
             inflight_requests: AtomicUsize::new(0),
         });
         let acceptor = Arc::clone(&door);
-        match std::thread::Builder::new().spawn(move || accept_loop(acceptor, listener)) {
-            Ok(accept) => Ok(FrontDoor {
-                door,
-                addr,
-                accept: Some(accept),
-                helper,
-            }),
-            Err(e) => {
-                door.service.stop_helper(helper);
-                Err(e)
-            }
-        }
+        let accept = Box::new(move || accept_loop(acceptor, listener));
+        let accept = spawn_thread(O::NAMES.thread_accept, accept)?;
+        Ok(FrontDoor {
+            door,
+            addr,
+            accept: Some(accept),
+        })
     }
 
     /// The address clients connect to.
@@ -176,16 +173,15 @@ impl<O: FrameOrigin> FrontDoor<O> {
         &self.door.service
     }
 
-    /// Stops accepting, joins the acceptor, lets replies already being
+    /// Stops accepting, joins the acceptor, and lets replies already being
     /// computed or written reach their clients (bounded by
-    /// [`DRAIN_TIMEOUT`]), then joins the read-ahead helper. Requests that
-    /// arrive after the flag is up are dropped at the request boundary.
+    /// [`DRAIN_TIMEOUT`]). Requests that arrive after the flag is up are
+    /// dropped at the request boundary, and no read-ahead starts after it.
     /// Idempotent.
     pub(crate) fn close(&mut self) {
         if let Some(accept) = self.accept.take() {
             self.stop_accepting(accept);
         }
-        self.door.service.stop_helper(self.helper.take());
     }
 
     fn stop_accepting(&self, accept: JoinHandle<()>) {
@@ -246,19 +242,18 @@ impl ShedPool {
                 let door = Arc::clone(door);
                 // A refused worker thread only thins the pool: offers
                 // still queue for the workers that did start, or drop.
-                std::thread::Builder::new()
-                    .spawn(move || loop {
-                        let next = match rx.lock() {
-                            Ok(guard) => guard.recv(),
-                            Err(_) => break,
-                        };
-                        let Ok(stream) = next else { break };
-                        if door.shutdown.load(Ordering::SeqCst) {
-                            continue; // stopping: just close it
-                        }
-                        answer_shed(&door.service.config, stream);
-                    })
-                    .ok()
+                let worker = Box::new(move || loop {
+                    let next = match rx.lock() {
+                        Ok(guard) => guard.recv(),
+                        Err(_) => break,
+                    };
+                    let Ok(stream) = next else { break };
+                    if door.shutdown.load(Ordering::SeqCst) {
+                        continue; // stopping: just close it
+                    }
+                    answer_shed(&door.service.config, stream);
+                });
+                spawn_thread(O::NAMES.thread_shed, worker).ok()
             })
             .collect();
         ShedPool {
@@ -319,13 +314,14 @@ fn admit<O: FrameOrigin>(door: &Arc<Door<O>>, shed: &ShedPool, stream: TcpStream
     // closure, still leaves it here to be answered.
     let slot = Arc::new(Mutex::new(Some(stream)));
     let (session_door, session_slot) = (Arc::clone(door), Arc::clone(&slot));
-    let spawned = (door.service.config.spawn)(Box::new(move || {
+    let body = Box::new(move || {
         let _guard = CountGuard(&session_door.active_connections);
         let stream = session_slot.lock().ok().and_then(|mut s| s.take());
         if let Some(stream) = stream {
             serve_connection(&session_door, stream);
         }
-    }));
+    });
+    let spawned = (door.service.config.spawn)(O::NAMES.thread_session, body);
     if spawned.is_err() {
         door.active_connections.fetch_sub(1, Ordering::SeqCst);
         door.service.metrics.add(shed_connections, 1);
@@ -406,10 +402,14 @@ fn serve_connection<O: FrameOrigin>(door: &Door<O>, stream: TcpStream) {
 }
 
 /// What one connection's requests leave behind for its next one.
+#[derive(Default)]
 struct Session {
     /// The session's last frame request (plain or progressive), unless
     /// it was malformed: what the next one is a successor of, or not.
     last_frame: Option<CacheKey>,
+    /// The read-ahead the request being answered asks for, when it
+    /// stepped: run once its reply is written, before the next read.
+    hint: Option<ReadAhead>,
 }
 
 /// The frame a session that asked for `last` and now asks for `now` will
@@ -424,10 +424,11 @@ pub(crate) fn successor(last: Option<CacheKey>, now: CacheKey, frame_count: usiz
     ((last.frame + 1) % count == now.frame).then_some((now.frame + 1) % count)
 }
 
-/// One connection's strict request/reply loop.
+/// One connection's strict request/reply loop. A request that stepped is
+/// followed by its read-ahead, while the client decodes and draws.
 fn session<O: FrameOrigin, S: Read + Write>(door: &Door<O>, mut stream: S) {
     let metrics = &door.service.metrics;
-    let mut session = Session { last_frame: None };
+    let mut session = Session::default();
     loop {
         let req = match read_request(&mut stream) {
             Ok(req) => req,
@@ -450,7 +451,7 @@ fn session<O: FrameOrigin, S: Read + Write>(door: &Door<O>, mut stream: S) {
             return;
         }
         let t0 = Instant::now();
-        let _inflight = CountGuard::enter(&door.inflight_requests);
+        let inflight = CountGuard::enter(&door.inflight_requests);
         // Panic isolation: a poisoned request must not take the
         // connection (let alone the listener) down with it.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -478,6 +479,13 @@ fn session<O: FrameOrigin, S: Read + Write>(door: &Door<O>, mut stream: S) {
             metrics.add(O::NAMES.frames_served, 1);
         }
         metrics.record_seconds(O::NAMES.latency, t0.elapsed().as_secs_f64());
+        // The reply is out: what follows is no request `close` drains.
+        drop(inflight);
+        if let Some(hint) = session.hint.take() {
+            if !door.shutdown.load(Ordering::SeqCst) {
+                door.service.read_ahead(hint);
+            }
+        }
     }
 }
 
@@ -525,9 +533,9 @@ fn dispatch<O: FrameOrigin, S: Write>(
     Ok((write_response(stream, &reply)?, false))
 }
 
-/// Validates a frame request, tells the service when it continues a step
-/// sequence, and asks it for the frame at the threshold its cache key
-/// stands for (`-0.0` is asked as `0.0`). A progressive and a plain request
+/// Validates a frame request, asks the service for the frame at the
+/// threshold its cache key stands for, and leaves the session its
+/// read-ahead when it continues a step sequence (`-0.0` is asked as `0.0`). A progressive and a plain request
 /// for the same `(frame, threshold)` resolve to the same cached entry;
 /// only the wire shape differs after.
 fn checked_frame<O: FrameOrigin>(
@@ -560,17 +568,11 @@ fn checked_frame<O: FrameOrigin>(
     let key = CacheKey::new(frame, threshold);
     session.last_frame = Some(key);
     let served = service.frame(frame, key.threshold(), shape)?;
-    // The hint goes out with this frame in hand — whatever producing the
-    // successor evicts, it is not what this request is about to read —
-    // and before it is sent, so the successor is produced while this
-    // frame is written, decoded and drawn.
-    if let Some(next) = successor(last_frame, key, available) {
-        service.read_ahead(ReadAhead {
-            frame: next,
-            threshold: key.threshold(),
-            shape,
-        });
-    }
+    session.hint = successor(last_frame, key, available).map(|next| ReadAhead {
+        frame: next,
+        threshold: key.threshold(),
+        shape,
+    });
     Ok(served)
 }
 
@@ -630,10 +632,9 @@ fn send_chunks<O: FrameOrigin, S: Write>(
 mod tests {
     use super::*;
     use crate::cache::DEFAULT_CACHE_BYTES;
-    use crate::client::Client;
     use crate::fault::{FaultDirection, FaultEvent, FaultKind, FaultPlan, FaultyTransport};
     use crate::protocol::{read_response, write_request, FrameInfo};
-    use crate::server::{ServerConfig, Window};
+    use crate::server::Window;
     use crate::service::{counter_names, CounterNames};
     use crate::stats::*;
     use accelviz_beam::distribution::Distribution;
@@ -648,19 +649,10 @@ mod tests {
         HybridFrame::from_partition(&data, 0, threshold, [2, 2, 2])
     }
 
-    /// The state of a service over `origin`, with no read-ahead helper:
-    /// hints go to `hints`, when given.
-    fn unstarted<O: FrameOrigin>(
-        origin: O,
-        hints: Option<mpsc::SyncSender<ReadAhead>>,
-    ) -> Arc<Service<O>> {
+    /// The state of a service over `origin`, with no door.
+    fn unstarted<O: FrameOrigin>(origin: O) -> Service<O> {
         let metrics = Arc::new(Registry::new());
-        Arc::new(Service::new(
-            origin,
-            metrics,
-            config(1, spawn_thread),
-            hints,
-        ))
+        Service::new(origin, metrics, config(1, spawn_thread))
     }
 
     /// A service's config: `max_connections` sessions, started by `spawn`.
@@ -672,7 +664,6 @@ mod tests {
             write_timeout: Some(Duration::from_secs(10)),
             max_connections,
             spawn,
-            spawn_helper: spawn_thread,
         }
     }
 
@@ -775,7 +766,7 @@ mod tests {
     /// `ERR_BUSY`, counted, the slot returned — and costs nothing else.
     #[test]
     fn a_refused_session_thread_sheds_its_connection_in_band() {
-        let refuse: Spawn = |_body| Err(io::Error::from(io::ErrorKind::WouldBlock));
+        let refuse: Spawn = |_role, _body| Err(io::Error::from(io::ErrorKind::WouldBlock));
         let (door, _entered, _gate) = open_at("127.0.0.1:0", 4, refuse);
         for shed_so_far in 1..=3 {
             let mut stream = connect(&door);
@@ -845,7 +836,7 @@ mod tests {
         };
         let cut = write_response(&mut io::sink(), &ack).unwrap() + 20;
         let door = Door {
-            service: unstarted(Stepper, None),
+            service: unstarted(Stepper),
             shutdown: AtomicBool::new(false),
             active_connections: AtomicUsize::new(0),
             inflight_requests: AtomicUsize::new(0),
@@ -939,15 +930,16 @@ mod tests {
         }
     }
 
-    /// The hints one session's `requests` hand the service, in order.
+    /// The hints one session's `requests` leave it, in order.
     fn hints_of(requests: &[Request]) -> Vec<ReadAhead> {
-        let (tx, rx) = mpsc::sync_channel(requests.len());
-        let service = unstarted(Stepper, Some(tx));
-        let mut session = Session { last_frame: None };
+        let service = unstarted(Stepper);
+        let mut session = Session::default();
+        let mut hints = Vec::new();
         for &req in requests {
-            dispatch(&*service, req, &mut io::sink(), &mut session).unwrap();
+            dispatch(&service, req, &mut io::sink(), &mut session).unwrap();
+            hints.extend(session.hint.take());
         }
-        rx.try_iter().collect()
+        hints
     }
 
     fn plain(frame: u32, threshold: f64) -> Request {
@@ -1073,42 +1065,147 @@ mod tests {
         assert!(ask(&mut stream, Request::Hello { version: 2 }).is_err());
     }
 
-    /// The OS refusing the helper thread costs read-ahead, not the
-    /// server: a stepping session is served bit-identically, every hint
-    /// counted as dropped.
+    /// An origin of [`Doomed::FRAMES`] frames that reads ahead, whose
+    /// first fetch of its last frame panics.
+    struct Doomed {
+        fetched_last: AtomicBool,
+    }
+
+    impl Doomed {
+        const FRAMES: u32 = 3;
+    }
+
+    impl FrameOrigin for Doomed {
+        const NAMES: CounterNames = Window::NAMES;
+        const READS_AHEAD: bool = true;
+
+        fn frame_count(&self) -> usize {
+            Doomed::FRAMES as usize
+        }
+
+        fn catalog(&self) -> Vec<FrameInfo> {
+            Vec::new()
+        }
+
+        fn fetch(&self, frame: u32, threshold: f64) -> Result<Served, Refusal> {
+            if frame == Doomed::FRAMES - 1 && !self.fetched_last.swap(true, Ordering::SeqCst) {
+                panic!("scripted read-ahead panic");
+            }
+            Ok(Served::new(tiny_frame(threshold)))
+        }
+
+        fn reads_ahead(&self, _next: u32) -> bool {
+            true
+        }
+
+        fn stats(&self, own: &Registry) -> Snapshot {
+            own.snapshot()
+        }
+    }
+
+    /// A read-ahead whose fetch panics costs that hint only: its session
+    /// writes no byte for it and counts no handler panic, the key is
+    /// vacant, and the session serves on — the frame it then asks for is
+    /// a demand miss that succeeds.
     #[test]
-    fn a_refused_helper_thread_costs_read_ahead_not_the_server() {
-        let refuse: Spawn = |_body| Err(io::Error::from(io::ErrorKind::WouldBlock));
-        let data: Vec<_> = (0..4u64)
-            .map(|i| {
-                let ps = Distribution::default_beam().sample(800, i + 1);
-                partition(&ps, PlotType::XYZ, BuildParams::default())
-            })
-            .collect();
-        let config = ServerConfig::default();
-        let window = Window {
-            origin: data.clone().into(),
-            config,
+    fn a_panicking_read_ahead_costs_its_hint_only() {
+        let origin = Doomed {
+            fetched_last: AtomicBool::new(false),
         };
         let metrics = Arc::new(Registry::new());
-        let server = FrontDoor::open("127.0.0.1:0", window, metrics, config.service(refuse))
-            .expect("the server starts without its helper");
-        assert!(server.helper.is_none());
-        let mut client = Client::connect(server.addr()).unwrap();
-        for (i, d) in data.iter().enumerate() {
-            let (got, _) = client.fetch(i as u32, f64::INFINITY).unwrap();
-            let want = HybridFrame::from_partition(d, i, f64::INFINITY, config.volume_dims);
-            assert_eq!(got, want, "frame {i}");
+        let door =
+            FrontDoor::open("127.0.0.1:0", origin, metrics, config(4, spawn_thread)).unwrap();
+        let mut stream = TcpStream::connect(door.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        // Frame 1 after frame 0 hints the doomed frame 2, whose read-ahead
+        // runs before this session reads its next request: the reply to
+        // that request is the next thing on the socket.
+        for frame in 0..Doomed::FRAMES {
+            let reply = ask(&mut stream, plain(frame, 0.5)).unwrap();
+            assert!(
+                matches!(reply, Response::Frame(_)),
+                "frame {frame}: {reply:?}"
+            );
         }
-        let count = |name| server.service().metrics.counter(name);
+        // Frame 2's read-ahead, of frame 0, is done once this is answered.
+        ask(&mut stream, Request::Hello { version: V2 }).unwrap();
+        let count = |name| door.service().metrics.counter(name);
+        assert_eq!(count(CTR_HANDLER_PANICS), 0);
+        assert_eq!(count(CTR_REQUESTS), 4);
         assert_eq!(
-            (count(CTR_READAHEAD_HINTS), count(CTR_READAHEAD_DROPPED)),
-            (3, 3)
+            (count(CTR_READAHEAD_HINTS), count(CTR_READAHEAD_FETCHES)),
+            (2, 0),
+            "frame 2's read-ahead died, frame 0 was resident"
         );
-        assert_eq!(
-            (count(CTR_READAHEAD_FETCHES), count(CTR_CACHE_MISSES)),
-            (0, 4)
-        );
-        drop(client);
+        assert_eq!(count(CTR_READAHEAD_DROPPED), 0);
+        assert_eq!((count(CTR_CACHE_MISSES), count(CTR_CACHE_HITS)), (3, 0));
+    }
+
+    /// Every thread the crate starts carries its role's name, short
+    /// enough for Linux to keep whole; an origin's fetch runs on a
+    /// server's session and a prober's verdict on the router's prober.
+    #[test]
+    fn every_thread_is_named_for_its_role() {
+        use crate::client::SPECULATION_THREAD;
+        use crate::health::{HealthConfig, Prober, PROBER_THREAD};
+        use crate::router::Replicas;
+        let names = [Window::NAMES, Replicas::NAMES];
+        let roles = names
+            .iter()
+            .flat_map(|n| [n.thread_accept, n.thread_session, n.thread_shed]);
+        for role in roles.chain([PROBER_THREAD, SPECULATION_THREAD]) {
+            assert!(role.len() <= 15, "{role} is cut short by the kernel");
+        }
+
+        let (tx, names) = mpsc::channel();
+        let origin = Named(Mutex::new(tx.clone()));
+        let metrics = Arc::new(Registry::new());
+        let door =
+            FrontDoor::open("127.0.0.1:0", origin, metrics, config(4, spawn_thread)).unwrap();
+        let mut stream = TcpStream::connect(door.addr()).unwrap();
+        ask(&mut stream, plain(0, 0.5)).unwrap();
+        assert_eq!(names.recv().unwrap().as_deref(), Some("serve-session"));
+
+        let health = HealthConfig {
+            probe_interval: Duration::from_millis(1),
+            ..HealthConfig::default()
+        };
+        let addr = door.addr();
+        let verdict = move |_shard, _ok| {
+            let _ = tx.send(std::thread::current().name().map(str::to_owned));
+        };
+        let prober = Prober::spawn(health, 1, move |_| addr, verdict, spawn_thread);
+        let prober = prober.unwrap().expect("the interval is not zero");
+        assert_eq!(names.recv().unwrap().as_deref(), Some("router-prober"));
+        drop(prober);
+    }
+
+    /// An origin of one frame whose fetch reports the name of the thread
+    /// it runs on.
+    struct Named(Mutex<mpsc::Sender<Option<String>>>);
+
+    impl FrameOrigin for Named {
+        const NAMES: CounterNames = Window::NAMES;
+        const READS_AHEAD: bool = false;
+
+        fn frame_count(&self) -> usize {
+            1
+        }
+
+        fn catalog(&self) -> Vec<FrameInfo> {
+            Vec::new()
+        }
+
+        fn fetch(&self, _frame: u32, threshold: f64) -> Result<Served, Refusal> {
+            let name = std::thread::current().name().map(str::to_owned);
+            self.0.lock().unwrap().send(name).unwrap();
+            Ok(Served::new(tiny_frame(threshold)))
+        }
+
+        fn stats(&self, own: &Registry) -> Snapshot {
+            own.snapshot()
+        }
     }
 }

@@ -93,6 +93,9 @@ pub fn probe(addr: SocketAddr, timeout: Duration) -> bool {
     }
 }
 
+/// The name of the prober's thread.
+pub(crate) const PROBER_THREAD: &str = "router-prober";
+
 /// Wakes the prober loop out of its inter-round sleep at shutdown.
 struct StopFlag {
     stopped: Mutex<bool>,
@@ -128,7 +131,7 @@ impl Prober {
             cv: Condvar::new(),
         });
         let flag = Arc::clone(&stop);
-        let handle = spawn(Box::new(move || {
+        let probe_loop = Box::new(move || {
             let mut tick = 0u64;
             loop {
                 // Sleep first so a freshly spawned router (whose shards
@@ -154,7 +157,8 @@ impl Prober {
                     on_verdict(shard, ok);
                 }
             }
-        }))?;
+        });
+        let handle = spawn(PROBER_THREAD, probe_loop)?;
         Ok(Some(Prober {
             handle: Some(handle),
             stop,

@@ -333,7 +333,6 @@ impl RouterConfig {
             write_timeout: self.write_timeout,
             max_connections: self.max_connections,
             spawn: spawn_thread,
-            spawn_helper: spawn_thread,
         }
     }
 }
@@ -1185,12 +1184,7 @@ mod tests {
             config,
         };
         let metrics = Arc::new(Registry::new());
-        let bad = FrontDoor::open(
-            "127.0.0.1:0",
-            Mislabelled(bad),
-            metrics,
-            config.service(spawn_thread),
-        );
+        let bad = FrontDoor::open("127.0.0.1:0", Mislabelled(bad), metrics, config.service());
         let bad = bad.unwrap();
         let good = FrameServer::spawn_loopback(data.clone(), config).unwrap();
         let spec = ShardSpec::new(2);
@@ -1242,7 +1236,7 @@ mod tests {
     /// probing off no thread is asked for.
     #[test]
     fn a_refused_prober_thread_is_the_routers_error() {
-        let refuse: Spawn = |_body| Err(io::Error::from(io::ErrorKind::WouldBlock));
+        let refuse: Spawn = |_role, _body| Err(io::Error::from(io::ErrorKind::WouldBlock));
         let shard = FrameServer::spawn_loopback(Vec::new(), ServerConfig::default()).unwrap();
         let map = || ShardMap::shared_replicated(&ShardSpec::new(1), 0, 1);
         let spawn = |config| {

@@ -22,10 +22,10 @@
 //! drains in-flight replies at shutdown (`crate::frontdoor`).
 //!
 //! Read-ahead: the window is the origin that reads ahead. When a session
-//! steps through the series, the service's helper produces the successor
-//! — page-in, extraction, and the encoding the session will ask for —
-//! while the current frame is sent, decoded and drawn, counted under
-//! `serve.readahead_*`. The window vetoes a frame when the run's residency
+//! steps through the series, that session produces the successor —
+//! page-in, extraction, and the encoding it will ask for — once the
+//! current frame is written, while its client decodes and draws it,
+//! counted under `serve.readahead_*`. The window vetoes a frame when the run's residency
 //! budget cannot hold the particles of the current frame and the next
 //! together, and, on a shard, a frame it holds no replica of.
 //!
@@ -36,7 +36,7 @@
 //! difference (`crate::router`).
 
 use crate::cache::{Served, DEFAULT_CACHE_BYTES};
-use crate::frontdoor::{spawn_thread, FrontDoor, Spawn};
+use crate::frontdoor::{spawn_thread, FrontDoor};
 use crate::protocol::{FrameInfo, Refusal, ERR_INTERNAL};
 use crate::router::{invalid_input, ShardMap};
 use crate::service::{counter_names, CounterNames, FrameOrigin, ServiceConfig};
@@ -99,7 +99,7 @@ impl Default for ServerConfig {
 
 impl ServerConfig {
     /// The service a server runs under this config.
-    pub(crate) fn service(&self, spawn_helper: Spawn) -> ServiceConfig {
+    pub(crate) fn service(&self) -> ServiceConfig {
         ServiceConfig {
             cache_bytes: self.cache_bytes,
             permits: self.max_inflight_extractions,
@@ -107,7 +107,6 @@ impl ServerConfig {
             write_timeout: self.write_timeout,
             max_connections: self.max_connections,
             spawn: spawn_thread,
-            spawn_helper,
         }
     }
 }
@@ -238,11 +237,12 @@ impl FrameOrigin for Window {
     }
 }
 
-/// A running frame server. Dropping it (or calling
+/// A running frame server: an acceptor, two workers that answer shed
+/// connections, and one thread per admitted session, which also runs its
+/// session's read-ahead. Dropping it (or calling
 /// [`FrameServer::shutdown`]) stops the acceptor — woken by a connection
-/// to its own address, so an *idle* server shuts down promptly too —
-/// drains in-flight replies for at most a second, then joins the
-/// read-ahead helper.
+/// to its own address, so an *idle* server shuts down promptly too — and
+/// drains in-flight replies for at most a second.
 pub struct FrameServer {
     door: FrontDoor<Window>,
 }
@@ -263,7 +263,7 @@ impl FrameServer {
             config,
         };
         let metrics = Arc::new(Registry::new());
-        let door = FrontDoor::open(addr, window, metrics, config.service(spawn_thread))?;
+        let door = FrontDoor::open(addr, window, metrics, config.service())?;
         Ok(FrameServer { door })
     }
 
@@ -298,8 +298,9 @@ impl FrameServer {
         &self.door.service().metrics
     }
 
-    /// Stops accepting connections, joins the acceptor, drains in-flight
-    /// replies for at most a second, and joins the read-ahead helper.
+    /// Stops accepting connections, joins the acceptor, and drains
+    /// in-flight replies for at most a second. A session's read-ahead is
+    /// no reply: it is not waited for, and none starts after the stop.
     pub fn shutdown(self) {
         drop(self);
     }

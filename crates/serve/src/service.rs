@@ -19,31 +19,32 @@
 //!   under `<role>.shed_extractions` only. Hits and coalesced waiters
 //!   never need one. The limit is the role's: a server's
 //!   `max_inflight_extractions`, none for a router, whose shards shed.
-//! - **Read-ahead.** Over an origin that reads ahead, one helper thread
-//!   produces the frame a stepping session will ask for next through the
-//!   same lookup, and gives way to everything: a 1-slot queue whose
-//!   overflow is dropped, a `try` permit, the origin's veto
+//! - **Read-ahead.** Over an origin that reads ahead, the session that
+//!   stepped produces the frame it will probably ask for next, after its
+//!   reply is written and before it reads again, through the same lookup
+//!   ([`Service::read_ahead`]). It gives way to everything: one read-ahead
+//!   fetch per service at a time (a hint that finds one running is
+//!   dropped), a `try` permit, the origin's veto
 //!   ([`FrameOrigin::reads_ahead`]), and its own `<role>.readahead_*`
 //!   counters, so hits and misses keep counting *requests*. Over one that
-//!   does not, there is no helper and a hint is neither counted nor
-//!   queued.
+//!   does not, a hint is neither counted nor run.
 //!
-//! The door (`crate::frontdoor`) opens and stops a service. Every counter
-//! and span a role counts under is `<role>.<name>`, from the one
-//! [`CounterNames`] per role that [`counter_names!`] builds.
+//! The service owns no thread: the door (`crate::frontdoor`) runs it on
+//! its sessions. Every counter and span a role counts under is
+//! `<role>.<name>`, and every thread its door starts is `<role>-<name>`,
+//! from the one [`CounterNames`] per role that [`counter_names!`] builds.
 
 use crate::cache::{CacheKey, CoalescingCache, Fetched, Lookup, Served};
 use crate::frontdoor::{CountGuard, ReadAhead, Shape, Spawn};
-use crate::lock;
 use crate::protocol::{FrameInfo, Refusal, ERR_BUSY};
 use accelviz_trace::registry::{Registry, Snapshot};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// The registry keys and span names one role counts under, each
-/// `<role>.<name>`: a server's sessions land on `serve.*` and a router's
+/// `<role>.<name>`, and the names of the threads its door starts, each
+/// `<role>-<name>`: a server's sessions land on `serve.*` and a router's
 /// on `router.*`. Built by [`counter_names!`].
 pub(crate) struct CounterNames {
     pub(crate) requests: &'static str,
@@ -78,12 +79,19 @@ pub(crate) struct CounterNames {
     /// Span around one frame request's cache lookup, its fetch included;
     /// `None` opens none.
     pub(crate) span_lookup: Option<&'static str>,
-    /// Span around one hint on the read-ahead helper.
+    /// Span around one hint's read-ahead, on the session that stepped.
     pub(crate) span_readahead: &'static str,
+    /// The door's accept loop.
+    pub(crate) thread_accept: &'static str,
+    /// One admitted connection's session.
+    pub(crate) thread_session: &'static str,
+    /// A worker that answers shed connections.
+    pub(crate) thread_shed: &'static str,
 }
 
 /// The [`CounterNames`] of role `$role`: every name is `$role` joined to
-/// its suffix by `concat!`, so a role's table is a `const`.
+/// its suffix by `concat!`, so a role's table is a `const`. A thread name
+/// must fit Linux's 15 bytes, which a role of up to 7 bytes does.
 macro_rules! counter_names {
     ($role:literal) => {
         $crate::service::CounterNames {
@@ -111,6 +119,9 @@ macro_rules! counter_names {
             span_lod_send: concat!($role, ".lod_send"),
             span_lookup: Some(concat!($role, ".extract")),
             span_readahead: concat!($role, ".readahead"),
+            thread_accept: concat!($role, "-accept"),
+            thread_session: concat!($role, "-session"),
+            thread_shed: concat!($role, "-shed"),
         }
     };
 }
@@ -123,7 +134,7 @@ pub(crate) trait FrameOrigin: Send + Sync + 'static {
     /// Where the service over this origin counts.
     const NAMES: CounterNames;
 
-    /// Whether the service runs a read-ahead helper for this origin.
+    /// Whether a stepping session reads ahead over this origin.
     const READS_AHEAD: bool;
 
     /// Frames in the catalog; a request for one at or past this is
@@ -138,7 +149,7 @@ pub(crate) trait FrameOrigin: Send + Sync + 'static {
     /// or why it cannot be had right now.
     fn fetch(&self, frame: u32, threshold: f64) -> Result<Served, Refusal>;
 
-    /// Whether the helper may produce frame `next` now; asked only when
+    /// Whether a read-ahead may produce frame `next` now; asked only when
     /// [`FrameOrigin::READS_AHEAD`] and `next` is not cached.
     fn reads_ahead(&self, _next: u32) -> bool {
         false
@@ -165,12 +176,9 @@ pub(crate) struct ServiceConfig {
     pub(crate) max_connections: usize,
     /// Starts each session thread; a refusal sheds the connection.
     pub(crate) spawn: Spawn,
-    /// Starts the read-ahead helper; a refusal costs read-ahead, not the
-    /// service.
-    pub(crate) spawn_helper: Spawn,
 }
 
-/// What every session of one service, and its read-ahead helper, share.
+/// What every session of one service shares.
 pub(crate) struct Service<O> {
     pub(crate) origin: O,
     cache: CoalescingCache,
@@ -179,49 +187,21 @@ pub(crate) struct Service<O> {
     pub(crate) config: ServiceConfig,
     /// Fetches running now, each holding a permit.
     fetching: AtomicUsize,
-    /// The helper's queue: one slot, so a hint finds room or is dropped.
-    /// `None` once the service is stopping — which is also how the helper
-    /// learns of it — and throughout over an origin that does not read
-    /// ahead.
-    hints: Mutex<Option<mpsc::SyncSender<ReadAhead>>>,
+    /// Read-ahead fetches running now: 0 or 1.
+    fetching_ahead: AtomicUsize,
 }
 
 impl<O: FrameOrigin> Service<O> {
-    /// The state of a service over `origin`, counting into `metrics`,
-    /// that queues hints on `hints`.
-    pub(crate) fn new(
-        origin: O,
-        metrics: Arc<Registry>,
-        config: ServiceConfig,
-        hints: Option<mpsc::SyncSender<ReadAhead>>,
-    ) -> Service<O> {
+    /// The state of a service over `origin`, counting into `metrics`.
+    pub(crate) fn new(origin: O, metrics: Arc<Registry>, config: ServiceConfig) -> Service<O> {
         Service {
             origin,
             cache: CoalescingCache::new(config.cache_bytes, Served::held_bytes),
             metrics,
             config,
             fetching: AtomicUsize::new(0),
-            hints: Mutex::new(hints),
+            fetching_ahead: AtomicUsize::new(0),
         }
-    }
-
-    /// The service's state and, when the origin reads ahead and
-    /// `spawn_helper` does not refuse, its running read-ahead helper. A
-    /// refused helper takes the queue's receiving end with it, so every
-    /// hint finds the queue closed and is dropped.
-    pub(crate) fn start(
-        origin: O,
-        metrics: Arc<Registry>,
-        config: ServiceConfig,
-    ) -> (Arc<Service<O>>, Option<JoinHandle<()>>) {
-        let (tx, rx) = mpsc::sync_channel(1);
-        let hints = O::READS_AHEAD.then_some(tx);
-        let service = Arc::new(Service::new(origin, metrics, config, hints));
-        let helper = O::READS_AHEAD.then(|| {
-            let service = Arc::clone(&service);
-            (config.spawn_helper)(Box::new(move || read_ahead_loop(&service, rx))).ok()
-        });
-        (service, helper.flatten())
     }
 
     /// Frame `frame < frame_count()` at a non-NaN `threshold`, cached as
@@ -240,7 +220,7 @@ impl<O: FrameOrigin> Service<O> {
         }
         // A shed request reached no origin: it is counted where it was
         // refused, never as a hit or a miss. A request answered from an
-        // entry the helper produced, or is producing, is a hit.
+        // entry a read-ahead produced, or is producing, is a hit.
         match lookup {
             None => {}
             Some(Lookup::Fetched) => {
@@ -257,29 +237,19 @@ impl<O: FrameOrigin> Service<O> {
         fetched
     }
 
-    /// The session about to be answered is stepping and will probably ask
-    /// for `hint` next: queue it for the helper, or drop it — the session
-    /// that brought it is waiting for its own frame. An origin that does
-    /// not read ahead ignores it, uncounted.
+    /// The session just answered is stepping and will probably ask for
+    /// `hint` next: produce it now, on that session, before it reads its
+    /// next request. A panicking fetch has vacated its key by the time it
+    /// unwinds to here (the cache's rule) and costs that one hint: the
+    /// session, which has already answered, serves on. An origin that
+    /// does not read ahead ignores the hint, uncounted.
     pub(crate) fn read_ahead(&self, hint: ReadAhead) {
         if !O::READS_AHEAD {
             return;
         }
         self.metrics.add(O::NAMES.readahead_hints, 1);
-        let hints = lock(&self.hints);
-        if hints.as_ref().is_none_or(|tx| tx.try_send(hint).is_err()) {
-            self.metrics.add(O::NAMES.readahead_dropped, 1);
-        }
-    }
-
-    /// Closes the hint queue and joins the helper: the hint it is running
-    /// finishes (a fetch others may have coalesced onto is never
-    /// abandoned), a queued one is discarded.
-    pub(crate) fn stop_helper(&self, helper: Option<JoinHandle<()>>) {
-        *lock(&self.hints) = None;
-        if let Some(helper) = helper {
-            let _ = helper.join();
-        }
+        let run = std::panic::AssertUnwindSafe(|| self.speculate(hint));
+        let _ = std::panic::catch_unwind(run);
     }
 
     /// The one cache lookup, for demand and speculative callers alike:
@@ -288,8 +258,8 @@ impl<O: FrameOrigin> Service<O> {
     /// permit, encoded as `shape` asks before it is admitted, so the entry
     /// is weighed with its payload — and shedding and an origin's work
     /// never touch a request the cache can answer or coalesce. A demand
-    /// caller passes no permit and takes one there, or is shed; the helper
-    /// brings its own, taken *before* the key can be marked in flight, so
+    /// caller passes no permit and takes one there, or is shed; a
+    /// read-ahead brings its own, taken *before* the key can be marked in flight, so
     /// a demand request never coalesces onto a fetch that is then dropped
     /// for want of one.
     fn lookup(
@@ -324,10 +294,11 @@ impl<O: FrameOrigin> Service<O> {
         (fetched, (!shed).then_some(lookup))
     }
 
-    /// One hint, on the helper's thread: produce the frame unless it is
-    /// resident, then fill the encoding the session will ask for. Never
-    /// at a demand request's expense — without a free permit, or the
-    /// origin's leave, the hint is dropped.
+    /// One hint: produce the frame unless it is resident, then fill the
+    /// encoding the session will ask for. Never at a demand request's
+    /// expense, and one fetch per service at a time — while another
+    /// read-ahead fetches, or without the origin's leave or a free permit,
+    /// the hint is dropped.
     fn speculate(&self, hint: ReadAhead) {
         let _span = accelviz_trace::span(O::NAMES.span_readahead);
         let ReadAhead {
@@ -339,6 +310,13 @@ impl<O: FrameOrigin> Service<O> {
             let _ = resident.prefill(shape);
             return;
         }
+        let claim =
+            (self.fetching_ahead).compare_exchange(0, 1, Ordering::SeqCst, Ordering::SeqCst);
+        if claim.is_err() {
+            self.metrics.add(O::NAMES.readahead_dropped, 1);
+            return;
+        }
+        let _ahead = CountGuard(&self.fetching_ahead);
         let room = self.origin.reads_ahead(frame);
         let Some(permit) = room.then(|| self.try_permit()).flatten() else {
             self.metrics.add(O::NAMES.readahead_dropped, 1);
@@ -362,24 +340,9 @@ impl<O: FrameOrigin> Service<O> {
     }
 }
 
-/// The helper thread: runs queued hints until the queue closes. A
-/// panicking fetch has vacated its key by the time it unwinds to here
-/// (the cache's rule) and costs that one hint, not the helper.
-fn read_ahead_loop<O: FrameOrigin>(service: &Service<O>, hints: mpsc::Receiver<ReadAhead>) {
-    while let Ok(hint) = hints.recv() {
-        // Stopping: what is still queued is nobody's next frame.
-        if lock(&service.hints).is_none() {
-            break;
-        }
-        let run = std::panic::AssertUnwindSafe(|| service.speculate(hint));
-        let _ = std::panic::catch_unwind(run);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frontdoor::spawn_thread;
     use crate::protocol::ERR_INTERNAL;
     use crate::router::Replicas;
     use crate::server::{Origin, ServerConfig, Window};
@@ -390,6 +353,7 @@ mod tests {
     use accelviz_octree::builder::{partition, BuildParams};
     use accelviz_octree::plots::PlotType;
     use accelviz_octree::sorted_store::PartitionedData;
+    use std::sync::Barrier;
 
     fn stores(n: usize) -> Vec<PartitionedData> {
         (0..n)
@@ -400,16 +364,11 @@ mod tests {
             .collect()
     }
 
-    /// A server's state over `stores(frames)` with a running helper, no
-    /// door.
-    fn started(
-        frames: usize,
-        config: ServerConfig,
-    ) -> (Arc<Service<Window>>, Option<JoinHandle<()>>) {
+    /// A server's state over `stores(frames)`, no door.
+    fn started(frames: usize, config: ServerConfig) -> Service<Window> {
         let origin = Origin::from(stores(frames));
         let window = Window { origin, config };
-        let metrics = Arc::new(Registry::new());
-        Service::start(window, metrics, config.service(spawn_thread))
+        Service::new(window, Arc::new(Registry::new()), config.service())
     }
 
     fn hint(frame: u32) -> ReadAhead {
@@ -548,11 +507,12 @@ mod tests {
         assert_eq!(router.span_lookup, None, "a router's lookup opens no span");
     }
 
-    /// One frame behind a gate: its fetch says it has entered, then waits
-    /// to be let through. Counts as a server, or as a router.
+    /// One frame behind a gate: its fetch meets the test at `entered`,
+    /// then waits at `gate` to be let through. Counts as a server, or as a
+    /// router.
     struct Gated<const ROUTER: bool> {
-        entered: Mutex<mpsc::Sender<()>>,
-        gate: Mutex<mpsc::Receiver<()>>,
+        entered: Barrier,
+        gate: Barrier,
     }
 
     impl<const ROUTER: bool> FrameOrigin for Gated<ROUTER> {
@@ -576,8 +536,8 @@ mod tests {
         }
 
         fn fetch(&self, frame: u32, threshold: f64) -> Result<Served, Refusal> {
-            lock(&self.entered).send(()).unwrap();
-            lock(&self.gate).recv().unwrap();
+            self.entered.wait();
+            self.gate.wait();
             let data = &stores(1)[0];
             Ok(Served::new(HybridFrame::from_partition(
                 data,
@@ -587,32 +547,38 @@ mod tests {
             )))
         }
 
+        fn reads_ahead(&self, _next: u32) -> bool {
+            true
+        }
+
         fn stats(&self, own: &Registry) -> Snapshot {
             own.snapshot()
         }
+    }
+
+    /// A service over a gated origin of either role.
+    fn gated<const ROUTER: bool>() -> Service<Gated<ROUTER>> {
+        let origin = Gated::<ROUTER> {
+            entered: Barrier::new(2),
+            gate: Barrier::new(2),
+        };
+        let config = ServerConfig::default().service();
+        Service::new(origin, Arc::new(Registry::new()), config)
     }
 
     /// `HERD` requests for one cold frame, all held on its one gated
     /// fetch: one miss, and every other request a hit that coalesced.
     fn a_herd_costs_one_fetch<const ROUTER: bool>() {
         const HERD: usize = 6;
-        let (entered_tx, entered_rx) = mpsc::channel();
-        let (gate_tx, gate_rx) = mpsc::channel();
-        let origin = Gated::<ROUTER> {
-            entered: Mutex::new(entered_tx),
-            gate: Mutex::new(gate_rx),
-        };
-        let metrics = Arc::new(Registry::new());
-        let config = ServerConfig::default().service(spawn_thread);
-        let service = Service::new(origin, metrics, config, None);
+        let service = gated::<ROUTER>();
         let key = CacheKey::new(0, 0.5);
         std::thread::scope(|s| {
             let ask = || s.spawn(|| service.frame(0, 0.5, Shape::Plain).is_ok());
             let fetcher = ask();
-            entered_rx.recv().unwrap(); // the one fetch is running
+            service.origin.entered.wait(); // the one fetch is running
             let waiters: Vec<_> = (1..HERD).map(|_| ask()).collect();
             wait_until(|| service.cache.parked(&key) == HERD - 1);
-            gate_tx.send(()).unwrap();
+            service.origin.gate.wait();
             for request in std::iter::once(fetcher).chain(waiters) {
                 assert!(request.join().unwrap(), "every request gets the frame");
             }
@@ -645,13 +611,55 @@ mod tests {
         a_herd_costs_one_fetch::<true>();
     }
 
+    /// Two stepping sessions hint while the first one's read-ahead fetch
+    /// is held in its origin: that fetch is the only one, and the second
+    /// hint is dropped, neither shed nor waiting.
+    #[test]
+    fn one_read_ahead_fetch_runs_at_a_time() {
+        let service = gated::<false>();
+        let (entered, gate) = (&service.origin.entered, &service.origin.gate);
+        let at = |threshold| ReadAhead {
+            frame: 0,
+            threshold,
+            shape: Shape::Plain,
+        };
+        let count = |name| service.metrics.counter(name);
+        std::thread::scope(|s| {
+            let first = s.spawn(|| service.read_ahead(at(0.5)));
+            entered.wait(); // the first session's fetch is running
+            s.spawn(|| service.read_ahead(at(0.25))).join().unwrap();
+            assert_eq!(
+                (count(CTR_READAHEAD_FETCHES), count(CTR_READAHEAD_DROPPED)),
+                (0, 1)
+            );
+            gate.wait();
+            first.join().unwrap();
+        });
+        assert_eq!(
+            (count(CTR_READAHEAD_HINTS), count(CTR_READAHEAD_FETCHES)),
+            (2, 1)
+        );
+        assert_eq!(count(CTR_SHED_EXTRACTIONS), 0, "nothing was refused");
+        assert!(service.cache.get(&CacheKey::new(0, 0.5)).is_some());
+        assert!(service.cache.get(&CacheKey::new(0, 0.25)).is_none());
+        // The next hint finds no read-ahead running, and fetches.
+        std::thread::scope(|s| {
+            let next = s.spawn(|| service.read_ahead(at(0.25)));
+            entered.wait();
+            gate.wait();
+            next.join().unwrap();
+        });
+        assert_eq!(count(CTR_READAHEAD_FETCHES), 2);
+        assert_eq!(building(&service), 0, "every permit came back");
+    }
+
     #[test]
     fn fetch_permits_are_bounded_and_returned() {
         let config = ServerConfig {
             max_inflight_extractions: 2,
             ..ServerConfig::default()
         };
-        let (service, helper) = started(0, config);
+        let service = started(0, config);
         let a = service.try_permit();
         let b = service.try_permit();
         assert!(a.is_some() && b.is_some());
@@ -661,12 +669,11 @@ mod tests {
             service.try_permit().is_some(),
             "a dropped permit frees a slot"
         );
-        service.stop_helper(helper);
     }
 
     #[test]
     fn a_speculative_fetch_is_encoded_ahead_and_then_hit() {
-        let (service, helper) = started(3, ServerConfig::default());
+        let service = started(3, ServerConfig::default());
         let count = |name| service.metrics.counter(name);
         service.speculate(hint(1));
         assert_eq!(count(CTR_READAHEAD_FETCHES), 1);
@@ -683,14 +690,13 @@ mod tests {
             (count(CTR_READAHEAD_FETCHES), count(CTR_READAHEAD_DROPPED)),
             (1, 0)
         );
-        // The same through the queue, on the helper's thread.
+        // The same as a counted hint.
         service.read_ahead(hint(2));
-        wait_until(|| count(CTR_READAHEAD_FETCHES) == 2);
         assert_eq!(
-            (count(CTR_READAHEAD_HINTS), count(CTR_READAHEAD_DROPPED)),
-            (1, 0)
+            (count(CTR_READAHEAD_HINTS), count(CTR_READAHEAD_FETCHES)),
+            (1, 2)
         );
-        service.stop_helper(helper);
+        assert_eq!(count(CTR_READAHEAD_DROPPED), 0);
     }
 
     #[test]
@@ -699,47 +705,47 @@ mod tests {
             max_inflight_extractions: 2,
             ..ServerConfig::default()
         };
-        let (service, helper) = started(2, config);
+        let service = started(2, config);
         let held = [service.try_permit(), service.try_permit()];
         assert!(held.iter().all(Option::is_some));
         service.read_ahead(hint(1));
         let count = |name| service.metrics.counter(name);
-        wait_until(|| count(CTR_READAHEAD_DROPPED) == 1);
-        assert_eq!(count(CTR_READAHEAD_FETCHES), 0);
+        assert_eq!(
+            (count(CTR_READAHEAD_FETCHES), count(CTR_READAHEAD_DROPPED)),
+            (0, 1)
+        );
         assert_eq!(count(CTR_SHED_EXTRACTIONS), 0, "nothing was refused");
         drop(held);
         // The demand request for the same frame is served, as a miss.
         assert!(service.frame(1, f64::INFINITY, Shape::Plain).is_ok());
         assert_eq!((count(CTR_CACHE_HITS), count(CTR_CACHE_MISSES)), (0, 1));
-        service.stop_helper(helper);
     }
 
-    /// A fetch that panics on the helper's thread (here: binning into a
-    /// grid with no cells, which a config never asks for) vacates its key
-    /// and costs that hint only.
+    /// A read-ahead whose fetch panics (here: binning into a grid with no
+    /// cells, which a config never asks for) vacates its key, returns its
+    /// permit and its claim, and costs that hint only: the next one runs.
     #[test]
-    fn a_panicking_speculative_fetch_takes_down_neither_the_helper_nor_the_key() {
+    fn a_panicking_read_ahead_takes_down_neither_the_next_hint_nor_the_key() {
         let config = ServerConfig {
             volume_dims: [0, 1, 1],
             ..ServerConfig::default()
         };
-        let (service, helper) = started(2, config);
+        let service = started(2, config);
         let count = |name| service.metrics.counter(name);
         service.read_ahead(hint(1));
-        // A hint finds the slot free only once the helper has taken the
-        // one before it: three admitted means the helper outlived the
-        // first hint's panic.
-        wait_until(|| {
-            service.read_ahead(hint(0));
-            count(CTR_READAHEAD_HINTS) - count(CTR_READAHEAD_DROPPED) == 3
-        });
-        service.stop_helper(helper);
-        assert_eq!(count(CTR_READAHEAD_FETCHES), 0);
+        service.read_ahead(hint(0));
+        assert_eq!(count(CTR_READAHEAD_HINTS), 2);
+        assert_eq!(
+            (count(CTR_READAHEAD_FETCHES), count(CTR_READAHEAD_DROPPED)),
+            (0, 0),
+            "both hints ran their fetch, and neither finished it"
+        );
         assert_eq!(
             building(&service),
             0,
             "the doomed fetches' permits came back"
         );
+        assert_eq!(service.fetching_ahead.load(Ordering::SeqCst), 0);
         let doomed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _ = service.frame(1, f64::INFINITY, Shape::Plain);
         }));
@@ -754,46 +760,5 @@ mod tests {
             .err()
             .expect("no frame 7");
         assert_eq!(past.code, ERR_INTERNAL, "{past:?}");
-    }
-
-    /// Stop with one hint in flight and one queued: the one in flight
-    /// finishes (here it has coalesced onto a fetch this test holds open),
-    /// the queued one is discarded, and the helper is gone on return.
-    #[test]
-    fn stop_finishes_the_hint_in_flight_and_discards_the_queued_one() {
-        let (service, helper) = started(3, ServerConfig::default());
-        let (entered_tx, entered_rx) = mpsc::channel();
-        let (release_tx, release_rx) = mpsc::channel::<()>();
-        std::thread::scope(|s| {
-            // A demand-side fetch of frame 1, parked inside its fetch.
-            let service = &*service;
-            s.spawn(move || {
-                let key = CacheKey::new(1, f64::INFINITY);
-                let _ = service.cache.get_or_fetch(key, || {
-                    entered_tx.send(()).unwrap();
-                    release_rx.recv().unwrap();
-                    Ok(Arc::new(service.origin.fetch(1, f64::INFINITY)?))
-                });
-            });
-            entered_rx.recv().unwrap();
-            service.read_ahead(hint(1)); // in flight: coalesces onto the parked fetch
-            let count = |name| service.metrics.counter(name);
-            // Once a second hint finds the slot free the helper has taken
-            // the first; a third then finds the slot full.
-            wait_until(|| {
-                service.read_ahead(hint(2));
-                count(CTR_READAHEAD_HINTS) - count(CTR_READAHEAD_DROPPED) == 2
-            });
-            let stopper = s.spawn(move || service.stop_helper(helper));
-            wait_until(|| lock(&service.hints).is_none());
-            release_tx.send(()).unwrap();
-            stopper.join().unwrap();
-            assert_eq!(count(CTR_READAHEAD_FETCHES), 0, "frame 2 was never fetched");
-            assert!(service
-                .cache
-                .get(&CacheKey::new(2, f64::INFINITY))
-                .is_none());
-        });
-        assert_eq!(Arc::strong_count(&service), 1, "the helper thread is gone");
     }
 }

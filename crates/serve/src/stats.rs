@@ -29,16 +29,17 @@ pub const CTR_SHED_CONNECTIONS: &str = "serve.shed_connections";
 /// Registry counter: frame requests refused at the in-flight extraction
 /// limit (in-band `ERR_BUSY`; the connection stays usable).
 pub const CTR_SHED_EXTRACTIONS: &str = "serve.shed_extractions";
-/// Registry counter: read-ahead hints the door handed the server — frame
-/// requests that continued a forward step sequence.
+/// Registry counter: read-ahead hints a session ran once its reply was
+/// written — frame requests that continued a forward step sequence.
 pub const CTR_READAHEAD_HINTS: &str = "serve.readahead_hints";
-/// Registry counter: extractions the read-ahead helper ran (each one a
-/// page-in, extraction and encode that a later request finds done).
+/// Registry counter: extractions a stepping session ran ahead, before
+/// reading its next request (each one a page-in, extraction and encode
+/// that a later request finds done).
 /// Never also a `serve.cache_misses`: that counts requests.
 pub const CTR_READAHEAD_FETCHES: &str = "serve.readahead_fetches";
-/// Registry counter: hints dropped unserved — the helper's one-slot
-/// queue was full (or the helper absent), no extraction permit was free,
-/// or the run's residency budget cannot hold two frames. Never also a
+/// Registry counter: hints dropped unserved — another session's
+/// read-ahead fetch was running (one per server at a time), no extraction
+/// permit was free, or the run's residency budget cannot hold two frames. Never also a
 /// `serve.shed_extractions`: nothing was refused to anyone.
 pub const CTR_READAHEAD_DROPPED: &str = "serve.readahead_dropped";
 /// Registry counter: `accept(2)` failures on the listener (fd

@@ -7,10 +7,10 @@
 //! extracted and encoded once, and a shard behind a router holds only the
 //! frame it is sending.
 //!
-//! No test here waits on the clock: ordering comes from the
-//! `serve.readahead_*` counters (`serve.readahead_fetches` moves before a
-//! speculative entry is published, so whoever observes the count can rely
-//! on the fetch having started).
+//! No test here waits on the clock or spins on a counter: ordering comes
+//! from the session itself, which runs a step's read-ahead after writing
+//! the step's reply and before reading its next request, so by the time a
+//! client's next reply arrives the read-ahead before it is done.
 
 mod common;
 
@@ -38,13 +38,6 @@ fn count(server: &FrameServer, name: &str) -> u64 {
     server.metrics().counter(name)
 }
 
-/// Spins until `name` reaches `value`: a wait on the helper's progress.
-fn wait_for(server: &FrameServer, name: &str, value: u64) {
-    while count(server, name) < value {
-        std::thread::yield_now();
-    }
-}
-
 /// A session that steps through the whole series is a miss twice — the
 /// frame it starts on and the one that makes it a sequence — and a hit
 /// from then on, every frame bit-identical to local extraction, each
@@ -56,11 +49,8 @@ fn a_stepping_session_misses_twice_and_then_hits_read_ahead_entries() {
     let server = FrameServer::spawn_loopback(data.clone(), config).unwrap();
     let mut client = Client::connect_with(server.addr(), ClientConfig::no_retry()).unwrap();
     for (k, d) in data.iter().enumerate() {
-        if k >= 2 {
-            // The hint for `k` went out before `k - 1` was answered; its
-            // fetch is running or done, so this request coalesces or hits.
-            wait_for(&server, CTR_READAHEAD_FETCHES, k as u64 - 1);
-        }
+        // From `k = 2` on, frame `k` was read ahead after `k - 1` was
+        // written and before this request was read: a hit.
         let (got, _) = client.fetch(k as u32, 2.5).unwrap();
         let want = HybridFrame::from_partition(d, k, 2.5, config.volume_dims);
         assert_eq!(got, want, "frame {k}");
@@ -69,17 +59,18 @@ fn a_stepping_session_misses_twice_and_then_hits_read_ahead_entries() {
     assert_eq!(count(&server, CTR_CACHE_MISSES), 2);
     assert_eq!(count(&server, CTR_CACHE_HITS), n - 2);
     assert_eq!(count(&server, CTR_READAHEAD_FETCHES), n - 2);
-    // Each hint found the helper's one slot free: the helper had taken
-    // the one before it.
+    // Each hint found no read-ahead running: the one before it finished
+    // before its session read the request that made this one.
     assert_eq!(count(&server, CTR_READAHEAD_DROPPED), 0);
     assert_eq!(count(&server, CTR_SHED_EXTRACTIONS), 0);
     // Looping on is a step too, and its successors (frames 0 and 1) are
-    // resident: hinted, never fetched again.
+    // resident: hinted, never fetched again. The `Stats` request is read
+    // after the last hint's read-ahead, and its reply counts the same
+    // requests.
     client.fetch(0, 2.5).unwrap();
+    let wire = client.stats().unwrap();
     assert_eq!(count(&server, CTR_READAHEAD_HINTS), n);
     assert_eq!(count(&server, CTR_READAHEAD_FETCHES), n - 2);
-    // The `Stats` reply counts the same requests.
-    let wire = client.stats().unwrap();
     assert_eq!(
         (wire.counter(CTR_CACHE_HITS), wire.counter(CTR_CACHE_MISSES)),
         (n - 1, 2)
@@ -89,7 +80,7 @@ fn a_stepping_session_misses_twice_and_then_hits_read_ahead_entries() {
 }
 
 /// Sessions that do not step forward one frame at a time at one
-/// threshold never reach the helper.
+/// threshold never read ahead.
 #[test]
 fn sessions_that_do_not_step_hint_nothing() {
     let server =
@@ -123,26 +114,22 @@ fn a_residency_budget_of_one_frame_is_never_read_ahead() {
         cache_bytes: 0,
         ..ServerConfig::default()
     };
-    // Every hint is settled before the next request: taken up (the fetch
-    // has started) or dropped.
-    let settled = |reads_ahead| match reads_ahead {
-        true => CTR_READAHEAD_FETCHES,
-        false => CTR_READAHEAD_DROPPED,
-    };
+    // Every hint is settled, fetched or dropped, before its session reads
+    // the next request.
     for (budget, reads_ahead) in [(frame_bytes, false), (2 * frame_bytes, true)] {
         let run = Arc::new(ResidentRun::open(&path, budget).unwrap());
         let server = FrameServer::spawn_loopback(Arc::clone(&run), config).unwrap();
         let mut client = Client::connect_with(server.addr(), ClientConfig::no_retry()).unwrap();
-        for k in 0..FRAMES as u64 {
-            if k >= 2 {
-                wait_for(&server, settled(reads_ahead), k - 1);
-            }
-            client.fetch(k as u32, 2.5).unwrap();
+        for k in 0..FRAMES as u32 {
+            client.fetch(k, 2.5).unwrap();
         }
-        // The last step's hint as well: its successor is frame 0, which
-        // the zero-budget cache no longer holds.
+        // The last step's hint as well, whose successor is frame 0, which
+        // the zero-budget cache no longer holds: it is settled by the time
+        // the next request is answered.
+        client.stats().unwrap();
         let n = FRAMES as u64;
-        wait_for(&server, settled(reads_ahead), n - 1);
+        let dropped = if reads_ahead { 0 } else { n - 1 };
+        assert_eq!(count(&server, CTR_READAHEAD_DROPPED), dropped, "{budget}");
         let (ahead, misses) = if reads_ahead { (n - 1, 2) } else { (0, n) };
         assert_eq!(count(&server, CTR_READAHEAD_FETCHES), ahead, "{budget}");
         assert_eq!(count(&server, CTR_CACHE_MISSES), misses, "{budget}");
@@ -173,7 +160,7 @@ fn session(server: &FrameServer) -> TcpStream {
 }
 
 /// Byte parity: whatever shape a session asks in, the reply it gets from
-/// an entry the helper produced (and encoded) ahead of it is, byte for
+/// an entry its read-ahead produced (and encoded) is, byte for
 /// byte, the reply a fresh server gives the same request cold.
 #[test]
 fn replies_from_read_ahead_entries_equal_cold_replies_byte_for_byte() {
@@ -204,7 +191,6 @@ fn replies_from_read_ahead_entries_equal_cold_replies_byte_for_byte() {
         let mut stepping = session(&ahead);
         raw_reply(&mut stepping, stepped(0));
         raw_reply(&mut stepping, stepped(1));
-        wait_for(&ahead, CTR_READAHEAD_FETCHES, 1);
         let misses = count(&ahead, CTR_CACHE_MISSES);
         let from_ahead = [
             raw_reply(&mut stepping, stepped(2)),
@@ -235,9 +221,9 @@ fn replies_from_read_ahead_entries_equal_cold_replies_byte_for_byte() {
     }
 }
 
-/// Stopping a server whose helper is busy and whose queue is occupied is
-/// as bounded as stopping an idle one (the deterministic version, with
-/// the in-flight fetch held open, is a unit test beside the helper).
+/// Stopping a server while a stepping session reads ahead is as bounded
+/// as stopping an idle one: the drain waits for replies, not for a
+/// read-ahead.
 #[test]
 fn shutdown_mid_step_is_prompt() {
     let server =
