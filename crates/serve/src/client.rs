@@ -334,7 +334,7 @@ impl Client {
 
     /// Fetches one frame progressively: a coarse renderable head first,
     /// then refinement records, reassembled and verified against the
-    /// frame's v1 trailer — the returned frame is bit-identical to what
+    /// frame's trailer — the returned frame is bit-identical to what
     /// [`Client::fetch`] returns for the same request. `chunk_bytes` is
     /// the requested chunk budget (0 lets the server choose).
     ///

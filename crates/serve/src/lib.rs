@@ -12,8 +12,9 @@
 //!
 //! - [`wire`] — the envelope framing and the one [`HybridFrame`] codec:
 //!   the compressed AVWF v2 encoding every session speaks, built from
-//!   `accelviz-store`'s codec blocks, and the raw v1 encoding its
-//!   trailer hashes.
+//!   `accelviz-store`'s codec blocks, whose trailer hashes the frame's
+//!   header, columns and cells in FNV-1a lanes, and the raw v1 encoding
+//!   whose length the trailer promises.
 //! - [`protocol`] — `Hello` / `ListFrames` / `RequestFrame` / `Stats`
 //!   requests and their replies, including structured errors.
 //! - [`lod`] — progressive multi-resolution streaming: the

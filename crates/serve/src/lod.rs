@@ -22,14 +22,16 @@
 //! 2. **Refinement deltas** (`RECORD_DELTA`) — contiguous point ranges
 //!    that splice onto the resident partial frame, in store order.
 //! 3. **Final tail** (`RECORD_FINAL`) — the full-resolution grid plus
-//!    the length and FNV-1a 64 of the frame's *v1 encoding*. The
-//!    assembler re-encodes the spliced frame and must land on those
-//!    exact bytes, so any splice defect — a wrong range, a damaged
-//!    block, a grid swap — fails loudly instead of rendering subtly
-//!    wrong. This is the same end-to-end discipline as
-//!    [`decode_frame_v2`](crate::wire::decode_frame_v2), which is why
-//!    a fully-refined progressive
-//!    frame is bit-identical to a full v2 fetch.
+//!    the v2 trailer ([`encode_frame_v2`](crate::wire::encode_frame_v2)):
+//!    the frame's v1 length and a hash of its header, column and cell
+//!    lanes. The planner's column chains run on slice by slice, and so
+//!    do the assembler's as each slice is spliced in; at the tail it
+//!    hashes the full grid and must land on the same words, so any splice
+//!    defect — a wrong range, a damaged block, a grid swap — fails loudly
+//!    instead of rendering subtly wrong. This is the same end-to-end
+//!    discipline as [`decode_frame_v2`](crate::wire::decode_frame_v2),
+//!    which is why a fully-refined progressive frame is bit-identical to
+//!    a full v2 fetch.
 //!
 //! Planning is a pure function of `(frame, chunk budget)` — no clocks,
 //! no randomness — so a router that re-chunks a cached frame produces
@@ -40,7 +42,7 @@
 use crate::error::{Result, ServeError};
 use crate::wire::{
     put_columns, put_grid, put_trailer, read_columns, read_grid, verify_trailer, Cells,
-    FrameHeader, PayloadWriter,
+    ColumnChains, FrameHeader, PayloadWriter,
 };
 use accelviz_beam::particle::Particle;
 use accelviz_core::hybrid::HybridFrame;
@@ -100,11 +102,17 @@ fn density_runs(densities: &[f64]) -> Vec<usize> {
 }
 
 /// Encodes one contiguous point range `[start, start + len)` of the
-/// frame: start, length, then its columns.
-fn put_point_slice(w: &mut PayloadWriter, frame: &HybridFrame, start: usize, len: usize) {
+/// frame: start, length, then its columns, which `columns` goes on over.
+fn put_point_slice(
+    w: &mut PayloadWriter,
+    frame: &HybridFrame,
+    start: usize,
+    len: usize,
+    columns: &mut ColumnChains,
+) {
     w.put_u64(start as u64);
     w.put_u64(len as u64);
-    put_columns(w, frame, start..start + len);
+    put_columns(w, frame, start..start + len, columns);
 }
 
 /// Plans the chunk sequence for `frame` under a `chunk_bytes` budget
@@ -120,16 +128,18 @@ pub fn plan_frame_chunks(frame: &HybridFrame, chunk_bytes: u64) -> Vec<Vec<u8>> 
 
     let total = (cuts.len() + 1) as u32;
     let mut records = Vec::with_capacity(total as usize);
+    let header = FrameHeader::of(frame);
+    let mut columns = ColumnChains::default();
 
     // Coarse head: header, downsampled grid, first point slice.
     let mut w = PayloadWriter::new();
-    FrameHeader::put(&mut w, frame);
+    header.put(&mut w);
     put_grid(
         &mut w,
         &frame.grid.downsample(COARSE_GRID_FACTOR),
         Cells::Packed,
     );
-    put_point_slice(&mut w, frame, 0, cuts[0]);
+    put_point_slice(&mut w, frame, 0, cuts[0], &mut columns);
     records.push(encode_record(&Record {
         kind: RECORD_COARSE,
         seq: 0,
@@ -140,7 +150,7 @@ pub fn plan_frame_chunks(frame: &HybridFrame, chunk_bytes: u64) -> Vec<Vec<u8>> 
     // Refinement deltas: the suffix slices between consecutive cuts.
     for (i, pair) in cuts.windows(2).enumerate() {
         let mut w = PayloadWriter::new();
-        put_point_slice(&mut w, frame, pair[0], pair[1] - pair[0]);
+        put_point_slice(&mut w, frame, pair[0], pair[1] - pair[0], &mut columns);
         records.push(encode_record(&Record {
             kind: RECORD_DELTA,
             seq: (i + 1) as u32,
@@ -149,10 +159,10 @@ pub fn plan_frame_chunks(frame: &HybridFrame, chunk_bytes: u64) -> Vec<Vec<u8>> 
         }));
     }
 
-    // Final tail: the full-resolution grid and the v1 trailer.
+    // Final tail: the full-resolution grid and the trailer.
     let mut w = PayloadWriter::new();
     put_grid(&mut w, &frame.grid, Cells::Packed);
-    put_trailer(&mut w, frame);
+    put_trailer(&mut w, &header, &columns, &frame.grid);
     records.push(encode_record(&Record {
         kind: RECORD_FINAL,
         seq: total - 1,
@@ -182,6 +192,8 @@ pub struct ProgressiveAssembler {
     header: Option<FrameHeader>,
     points: Vec<Particle>,
     point_densities: Vec<f64>,
+    /// The trailer's column chains over the points spliced so far.
+    columns: ColumnChains,
     coarse_grid: Option<DensityGrid>,
     final_frame: Option<HybridFrame>,
 }
@@ -200,6 +212,7 @@ impl ProgressiveAssembler {
             header: None,
             points: Vec::new(),
             point_densities: Vec::new(),
+            columns: ColumnChains::default(),
             coarse_grid: None,
             final_frame: None,
         }
@@ -230,7 +243,7 @@ impl ProgressiveAssembler {
 
     /// Validates and applies one encoded record. Returns `true` when the
     /// stream completed (and the reassembled frame verified against the
-    /// v1 trailer).
+    /// trailer).
     pub fn accept(&mut self, record_bytes: &[u8]) -> Result<bool> {
         let rec = decode_record(record_bytes)?;
         self.accept_record(rec)
@@ -262,15 +275,14 @@ impl ProgressiveAssembler {
                     )));
                 }
                 let grid = read_grid(&mut r, Cells::Packed)?;
-                let frame = header.frame(
+                // The splice-correctness proof: the spliced columns and
+                // the full grid must hash to the words the planner wrote.
+                verify_trailer(&mut r, &header, &self.columns, &grid)?;
+                self.final_frame = Some(header.frame(
                     std::mem::take(&mut self.points),
                     std::mem::take(&mut self.point_densities),
                     grid,
-                );
-                // The splice-correctness proof: the reassembled frame's
-                // v1 encoding must be the exact bytes the planner hashed.
-                verify_trailer(&mut r, &frame)?;
-                self.final_frame = Some(frame);
+                ));
             }
             _ => unreachable!("RecordAssembler admits only known kinds"),
         }
@@ -290,7 +302,8 @@ impl ProgressiveAssembler {
                 self.points.len()
             )));
         }
-        let (points, densities) = read_columns(r, start, len, self.total_points())?;
+        let (points, densities) =
+            read_columns(r, start, len, self.total_points(), &mut self.columns)?;
         self.points.extend(points);
         self.point_densities.extend(densities);
         Ok(())
@@ -458,7 +471,7 @@ mod tests {
         // Splice correctness end-to-end: swap the final record of one
         // frame into another frame's stream. Records themselves are
         // valid, and the difference (one point) is resident *before* the
-        // final record arrives — the v1 trailer must catch the mismatch
+        // final record arrives — the trailer must catch the mismatch
         // between the promised frame and the spliced one.
         let a = sample_frame(210, [8, 8, 8]);
         let mut b = sample_frame(210, [8, 8, 8]);

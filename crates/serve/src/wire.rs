@@ -10,8 +10,14 @@
 //! 7      1    reserved, must be 0
 //! 8      8    payload length, little-endian u64
 //! 16     n    payload
-//! 16+n   8    FNV-1a 64 checksum over header + payload
+//! 16+n   8    checksum: FNV-1a 64 over the header's 16 bytes, chained
+//!             on over the 8 little-endian bytes of fnv1a64_lanes(payload)
 //! ```
+//!
+//! `fnv1a64_lanes` (from `accelviz-store`) cuts the payload into four
+//! quarters of `⌈n/4⌉` bytes, hashes them side by side as four FNV-1a 64
+//! chains, and returns FNV-1a 64 of the four hashes' little-endian bytes:
+//! one pass at four bytes per multiply latency instead of one.
 //!
 //! All integers are little-endian, matching the on-disk formats
 //! (`accelviz-store`'s run file and `accelviz-beam::io`), and plot types
@@ -26,8 +32,8 @@ use accelviz_math::{Aabb, Reader};
 use accelviz_octree::density::DensityGrid;
 use accelviz_octree::plots::PlotType;
 use accelviz_store::codec::{encode_f32s, encode_f64s, read_f32s, read_f64s};
-use accelviz_store::{fnv1a64_update, Fnv1a64Sink};
-use std::io::{Read, Write};
+use accelviz_store::{fnv1a64_cell_lanes, fnv1a64_lanes, fnv1a64_update, fnv1a64_x4_update};
+use std::io::{IoSlice, Read, Write};
 use std::ops::Range;
 
 /// FNV-1a 64-bit hash — the envelope checksum, and the store's.
@@ -105,15 +111,31 @@ fn envelope_header(version: u16, kind: u8, payload: &[u8]) -> [u8; 16] {
     header
 }
 
-/// `fnv1a64(header ++ payload)`, chained without concatenating.
+/// The envelope checksum: [`fnv1a64`] of the header, chained on over the
+/// little-endian bytes of the payload's [`fnv1a64_lanes`].
 fn envelope_checksum(header: &[u8; 16], payload: &[u8]) -> u64 {
-    fnv1a64_update(fnv1a64(header), payload)
+    fnv1a64_update(fnv1a64(header), &fnv1a64_lanes(payload).to_le_bytes())
 }
 
+/// Writes header, payload and checksum as one vectored write, looping
+/// over partial writes: on a `TCP_NODELAY` socket one envelope is then
+/// one syscall, not three.
 fn write_parts<W: Write>(w: &mut W, header: &[u8; 16], payload: &[u8], hash: u64) -> Result<u64> {
-    w.write_all(header)?;
-    w.write_all(payload)?;
-    w.write_all(&hash.to_le_bytes())?;
+    let checksum = hash.to_le_bytes();
+    let mut parts = [
+        IoSlice::new(header),
+        IoSlice::new(payload),
+        IoSlice::new(&checksum),
+    ];
+    let mut left = &mut parts[..];
+    while !left.is_empty() {
+        match w.write_vectored(left) {
+            Ok(0) => return Err(std::io::Error::from(std::io::ErrorKind::WriteZero).into()),
+            Ok(n) => IoSlice::advance_slices(&mut left, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
+        }
+    }
     w.flush()?;
     Ok(HEADER_BYTES + payload.len() as u64 + CHECKSUM_BYTES)
 }
@@ -251,32 +273,15 @@ pub fn read_sealed<R: Read>(r: &mut R, max_payload: u64) -> Result<Sealed> {
     })
 }
 
-/// Where a [`PayloadWriter`]'s bytes go.
-pub trait PayloadSink {
-    /// Appends `bytes`.
-    fn put(&mut self, bytes: &[u8]);
-}
-
-/// The payload itself.
-impl PayloadSink for Vec<u8> {
-    fn put(&mut self, bytes: &[u8]) {
-        self.extend_from_slice(bytes);
-    }
-}
-
-/// Only the payload's length and FNV-1a 64: a digest of bytes never held.
-impl PayloadSink for Fnv1a64Sink {
-    fn put(&mut self, bytes: &[u8]) {
-        self.write(bytes);
-    }
-}
-
-/// Little-endian payload builder, over a buffer by default or any
-/// [`PayloadSink`].
+/// Little-endian payload builder.
 #[derive(Default)]
-pub struct PayloadWriter<S = Vec<u8>> {
-    sink: S,
+pub struct PayloadWriter {
+    buf: Vec<u8>,
 }
+
+/// Values per batch in [`PayloadWriter::put_f32s`] and
+/// [`PayloadWriter::put_f64s`].
+const PUT_BATCH: usize = 128;
 
 impl PayloadWriter {
     /// An empty payload.
@@ -286,47 +291,41 @@ impl PayloadWriter {
 
     /// The finished payload bytes.
     pub fn into_bytes(self) -> Vec<u8> {
-        self.sink
+        self.buf
     }
-}
 
-/// Values per batch in [`PayloadWriter::put_f32s`] and
-/// [`PayloadWriter::put_f64s`].
-const PUT_BATCH: usize = 128;
-
-impl<S: PayloadSink> PayloadWriter<S> {
     /// Appends one byte.
     pub fn put_u8(&mut self, v: u8) {
-        self.sink.put(&[v]);
+        self.buf.push(v);
     }
 
     /// Appends a `u16`, little-endian.
     pub fn put_u16(&mut self, v: u16) {
-        self.sink.put(&v.to_le_bytes());
+        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a `u32`, little-endian.
     pub fn put_u32(&mut self, v: u32) {
-        self.sink.put(&v.to_le_bytes());
+        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a `u64`, little-endian.
     pub fn put_u64(&mut self, v: u64) {
-        self.sink.put(&v.to_le_bytes());
+        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends an `f32`, little-endian.
     pub fn put_f32(&mut self, v: f32) {
-        self.sink.put(&v.to_le_bytes());
+        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends an `f64`, little-endian.
     pub fn put_f64(&mut self, v: f64) {
-        self.sink.put(&v.to_le_bytes());
+        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends `f32`s, little-endian: the bytes of a [`put_f32`] per
-    /// value, handed to the sink a batch at a time.
+    /// value, staged and appended a batch at a time.
     ///
     /// [`put_f32`]: PayloadWriter::put_f32
     pub(crate) fn put_f32s(&mut self, vs: &[f32]) {
@@ -335,12 +334,12 @@ impl<S: PayloadSink> PayloadWriter<S> {
             for (b, v) in batch.chunks_exact_mut(4).zip(chunk) {
                 b.copy_from_slice(&v.to_le_bytes());
             }
-            self.sink.put(&batch[..4 * chunk.len()]);
+            self.buf.extend_from_slice(&batch[..4 * chunk.len()]);
         }
     }
 
     /// Appends `f64`s, little-endian: the bytes of a [`put_f64`] per
-    /// value, handed to the sink a batch at a time.
+    /// value, staged and appended a batch at a time.
     ///
     /// [`put_f64`]: PayloadWriter::put_f64
     pub(crate) fn put_f64s(&mut self, vs: &[f64]) {
@@ -349,19 +348,19 @@ impl<S: PayloadSink> PayloadWriter<S> {
             for (b, v) in batch.chunks_exact_mut(8).zip(chunk) {
                 b.copy_from_slice(&v.to_le_bytes());
             }
-            self.sink.put(&batch[..8 * chunk.len()]);
+            self.buf.extend_from_slice(&batch[..8 * chunk.len()]);
         }
     }
 
     /// Length-prefixed UTF-8 string.
     pub fn put_str(&mut self, s: &str) {
         self.put_u32(s.len() as u32);
-        self.sink.put(s.as_bytes());
+        self.buf.extend_from_slice(s.as_bytes());
     }
 
     /// Appends pre-encoded bytes verbatim (self-describing codec blocks).
     pub fn put_bytes(&mut self, bytes: &[u8]) {
-        self.sink.put(bytes);
+        self.buf.extend_from_slice(bytes);
     }
 }
 
@@ -376,7 +375,7 @@ pub(crate) fn read_str(r: &mut Reader<'_>) -> Result<String> {
         .map_err(|_| ServeError::Corrupt("string is not UTF-8".into()))
 }
 
-fn put_aabb<S: PayloadSink>(w: &mut PayloadWriter<S>, b: &Aabb) {
+fn put_aabb(w: &mut PayloadWriter, b: &Aabb) {
     for v in [b.min, b.max] {
         w.put_f64(v.x);
         w.put_f64(v.y);
@@ -385,9 +384,18 @@ fn put_aabb<S: PayloadSink>(w: &mut PayloadWriter<S>, b: &Aabb) {
 }
 
 // The frame codec. A hybrid frame goes out in three shapes — the v1
-// payload (the trailer's hash input), the v2 payload, and the progressive
-// records — and all three are sequences of the pieces below: a header,
-// point columns, a grid, and the trailer that proves the decoded frame.
+// payload, the v2 payload, and the progressive records — and all three
+// are sequences of the pieces below: a header, point columns, a grid, and
+// (v2 and progressive) the trailer that proves the decoded frame.
+
+/// Bytes of the header [`FrameHeader::put`] writes: step, three plot
+/// codes, bounds, threshold, discarded, point count.
+const HEADER_BYTES_V1: u64 = 8 + 3 + 48 + 8 + 8 + 8;
+/// Bytes of a grid's dims and bounds.
+const GRID_HEAD_BYTES: u64 = 24 + 48;
+/// Bytes of one point in the v1 payload: six `f64` coordinates and its
+/// `f64` density.
+const POINT_BYTES_V1: u64 = 56;
 
 /// The fields every encoding of a frame opens with: step, plot codes,
 /// bounds, threshold, discarded, and the point count.
@@ -403,16 +411,28 @@ pub(crate) struct FrameHeader {
 }
 
 impl FrameHeader {
-    /// Writes `frame`'s header.
-    pub(crate) fn put<S: PayloadSink>(w: &mut PayloadWriter<S>, frame: &HybridFrame) {
-        w.put_u64(frame.step as u64);
-        for c in frame.plot.coords {
+    /// `frame`'s header.
+    pub(crate) fn of(frame: &HybridFrame) -> FrameHeader {
+        FrameHeader {
+            step: frame.step,
+            plot: frame.plot,
+            bounds: frame.bounds,
+            threshold: frame.threshold,
+            discarded: frame.discarded,
+            points: frame.points.len(),
+        }
+    }
+
+    /// Writes the header.
+    pub(crate) fn put(&self, w: &mut PayloadWriter) {
+        w.put_u64(self.step as u64);
+        for c in self.plot.coords {
             w.put_u8(c.code());
         }
-        put_aabb(w, &frame.bounds);
-        w.put_f64(frame.threshold);
-        w.put_u64(frame.discarded);
-        w.put_u64(frame.points.len() as u64);
+        put_aabb(w, &self.bounds);
+        w.put_f64(self.threshold);
+        w.put_u64(self.discarded);
+        w.put_u64(self.points as u64);
     }
 
     /// Reads a header. A compressed payload can be far smaller than the
@@ -464,45 +484,80 @@ impl FrameHeader {
     }
 }
 
-/// Writes points `range` of `frame` column by column: the six coordinate
-/// columns, then the densities, each one `f64` codec block.
-pub(crate) fn put_columns(w: &mut PayloadWriter, frame: &HybridFrame, range: Range<usize>) {
-    let points = &frame.points[range.clone()];
-    let mut col = vec![0.0f64; points.len()];
-    for c in 0..6 {
-        for (slot, p) in col.iter_mut().zip(points) {
-            *slot = p.to_array()[c];
-        }
-        w.put_bytes(&encode_f64s(&col));
+/// The trailer's column lanes: one FNV-1a 64 chain per column — the six
+/// coordinates, then the densities — over the little-endian bytes of
+/// every point so far. A column cut into progressive slices continues
+/// its chain slice by slice, so a frame's chains do not depend on how
+/// it was cut.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct ColumnChains([u64; 7]);
+
+impl Default for ColumnChains {
+    fn default() -> ColumnChains {
+        ColumnChains([fnv1a64(&[]); 7])
     }
-    w.put_bytes(&encode_f64s(&frame.point_densities[range]));
+}
+
+impl ColumnChains {
+    /// Continues the chains over the next points, four columns at a time
+    /// ([`fnv1a64_x4_update`]). The spare fourth lane of the second group
+    /// repeats the densities, since an empty lane would leave the other
+    /// three to run one at a time, and its hash is dropped.
+    fn extend(&mut self, coords: &[Vec<f64>; 6], densities: &[f64]) {
+        let h = &mut self.0;
+        let [x, px, y, py, z, pz] = coords.each_ref().map(Vec::as_slice);
+        let first = fnv1a64_x4_update([h[0], h[1], h[2], h[3]], [x, px, y, py]);
+        let second = fnv1a64_x4_update([h[4], h[5], h[6], h[6]], [z, pz, densities, densities]);
+        h[..4].copy_from_slice(&first);
+        h[4..].copy_from_slice(&second[..3]);
+    }
+}
+
+/// Writes points `range` of `frame` column by column: the six coordinate
+/// columns, then the densities, each one `f64` codec block. `columns`
+/// goes on over the same points while each column is in hand.
+pub(crate) fn put_columns(
+    w: &mut PayloadWriter,
+    frame: &HybridFrame,
+    range: Range<usize>,
+    columns: &mut ColumnChains,
+) {
+    let points = &frame.points[range.clone()];
+    let coords: [Vec<f64>; 6] =
+        std::array::from_fn(|c| points.iter().map(|p| p.to_array()[c]).collect());
+    let densities = &frame.point_densities[range];
+    for col in &coords {
+        w.put_bytes(&encode_f64s(col));
+    }
+    w.put_bytes(&encode_f64s(densities));
+    columns.extend(&coords, densities);
 }
 
 /// Reads the column blocks of points `[start, start + len)` of a frame
-/// of `total` points, written by [`put_columns`]. A range that does not
-/// fit in `total` is refused before any block is decoded.
+/// of `total` points, written by [`put_columns`], and goes on with
+/// `columns` over them. A range that does not fit in `total` is refused
+/// before any block is decoded.
 pub(crate) fn read_columns(
     r: &mut Reader<'_>,
     start: usize,
     len: usize,
     total: usize,
+    columns: &mut ColumnChains,
 ) -> Result<(Vec<Particle>, Vec<f64>)> {
     if start.checked_add(len).is_none_or(|end| end > total) {
         return Err(ServeError::Corrupt(format!(
             "point range of {len} from {start} exceeds the declared {total} points"
         )));
     }
-    let mut cols = Vec::with_capacity(6);
-    for _ in 0..6 {
-        cols.push(read_f64s(r, len)?);
+    let mut coords: [Vec<f64>; 6] = Default::default();
+    for col in &mut coords {
+        *col = read_f64s(r, len)?;
     }
     let densities = read_f64s(r, len)?;
+    columns.extend(&coords, &densities);
+    let [x, px, y, py, z, pz] = &coords;
     let points = (0..len)
-        .map(|i| {
-            Particle::from_array([
-                cols[0][i], cols[1][i], cols[2][i], cols[3][i], cols[4][i], cols[5][i],
-            ])
-        })
+        .map(|i| Particle::from_array([x[i], px[i], y[i], py[i], z[i], pz[i]]))
         .collect();
     Ok((points, densities))
 }
@@ -516,12 +571,17 @@ pub(crate) enum Cells {
     Packed,
 }
 
-/// Writes a grid: dims, bounds, then its cells as `cells` says.
-pub(crate) fn put_grid<S: PayloadSink>(w: &mut PayloadWriter<S>, grid: &DensityGrid, cells: Cells) {
+/// Writes a grid's dims and bounds.
+fn put_grid_head(w: &mut PayloadWriter, grid: &DensityGrid) {
     for d in grid.dims() {
         w.put_u64(d as u64);
     }
     put_aabb(w, grid.bounds());
+}
+
+/// Writes a grid: dims, bounds, then its cells as `cells` says.
+pub(crate) fn put_grid(w: &mut PayloadWriter, grid: &DensityGrid, cells: Cells) {
+    put_grid_head(w, grid);
     match cells {
         Cells::Raw => w.put_f32s(grid.data()),
         Cells::Packed => w.put_bytes(&encode_f32s(grid.data())),
@@ -552,58 +612,74 @@ pub(crate) fn read_grid(r: &mut Reader<'_>, cells: Cells) -> Result<DensityGrid>
     Ok(DensityGrid::from_raw(bounds, dims, data))
 }
 
-/// `(length, FNV-1a 64)` of `frame`'s v1 encoding, streamed through
-/// [`put_v1`] into a digest: `fnv1a64(&encode_frame(frame))` without the
-/// buffer.
-fn v1_digest(frame: &HybridFrame) -> (u64, u64) {
-    let mut w = PayloadWriter::<Fnv1a64Sink>::default();
-    put_v1(&mut w, frame);
-    w.sink.finish()
+/// The trailer's two words for a frame of `header`, column chains
+/// `columns` and `grid`: the length of the frame's v1 encoding, counted
+/// from its points and cells, and FNV-1a 64 over the little-endian bytes
+/// of twelve lane hashes taken from the frame's own data — [`fnv1a64`]
+/// of the header with the grid's dims and bounds, the seven column
+/// chains, and the grid's four [`fnv1a64_cell_lanes`].
+fn trailer(header: &FrameHeader, columns: &ColumnChains, grid: &DensityGrid) -> (u64, u64) {
+    let mut head = PayloadWriter::new();
+    header.put(&mut head);
+    put_grid_head(&mut head, grid);
+    let mut lanes = PayloadWriter::new();
+    lanes.put_u64(fnv1a64(&head.into_bytes()));
+    for hash in columns.0.into_iter().chain(fnv1a64_cell_lanes(grid.data())) {
+        lanes.put_u64(hash);
+    }
+    let cells = grid.data().len() as u64;
+    let raw_len =
+        HEADER_BYTES_V1 + POINT_BYTES_V1 * header.points as u64 + GRID_HEAD_BYTES + 4 * cells;
+    (raw_len, fnv1a64(&lanes.into_bytes()))
 }
 
-/// Writes the trailer: the length and FNV-1a 64 of `frame`'s v1
-/// encoding. Returns that length.
-pub(crate) fn put_trailer(w: &mut PayloadWriter, frame: &HybridFrame) -> u64 {
-    let (raw_len, raw_fnv) = v1_digest(frame);
+/// Writes the trailer of the frame `header`, `columns` and `grid`
+/// describe (see [`encode_frame_v2`]). Returns its v1 length.
+pub(crate) fn put_trailer(
+    w: &mut PayloadWriter,
+    header: &FrameHeader,
+    columns: &ColumnChains,
+    grid: &DensityGrid,
+) -> u64 {
+    let (raw_len, hash) = trailer(header, columns, grid);
     w.put_u64(raw_len);
-    w.put_u64(raw_fnv);
+    w.put_u64(hash);
     raw_len
 }
 
-/// Reads a trailer and checks `frame` against it: the decoded frame's v1
-/// encoding must be exactly the bytes the encoder hashed, so a codec or
-/// splice defect fails loudly instead of rendering subtly wrong.
-pub(crate) fn verify_trailer(r: &mut Reader<'_>, frame: &HybridFrame) -> Result<()> {
+/// Reads a trailer and checks the decoded frame against it: the decoder
+/// must hold exactly what the encoder held, so a codec or splice defect
+/// fails loudly instead of rendering subtly wrong.
+pub(crate) fn verify_trailer(
+    r: &mut Reader<'_>,
+    header: &FrameHeader,
+    columns: &ColumnChains,
+    grid: &DensityGrid,
+) -> Result<()> {
     let raw_len = r.u64()?;
-    let raw_fnv = r.u64()?;
-    let (len, fnv) = v1_digest(frame);
-    if len != raw_len || fnv != raw_fnv {
+    let raw_hash = r.u64()?;
+    let (len, hash) = trailer(header, columns, grid);
+    if (len, hash) != (raw_len, raw_hash) {
         return Err(ServeError::Corrupt(format!(
-            "frame re-encodes to {len} bytes (fnv {fnv:#018x}), trailer promised {raw_len} \
-             (fnv {raw_fnv:#018x})"
+            "frame digests to {len} bytes (hash {hash:#018x}), trailer promised {raw_len} \
+             (hash {raw_hash:#018x})"
         )));
     }
     Ok(())
 }
 
-/// The v1 layout, written once for both of its consumers: the header,
-/// every point as six raw `f64`s, the raw `f64` densities, and the grid
-/// with raw cells.
-fn put_v1<S: PayloadSink>(w: &mut PayloadWriter<S>, frame: &HybridFrame) {
-    FrameHeader::put(w, frame);
+/// Encodes a [`HybridFrame`] as the v1 payload: the header, every point
+/// as six raw `f64`s, the raw `f64` densities, and the grid with raw
+/// cells. No session sends it; its length is what the v2 trailer
+/// promises, and the compression ratio's numerator.
+pub fn encode_frame(frame: &HybridFrame) -> Vec<u8> {
+    let mut w = PayloadWriter::new();
+    FrameHeader::of(frame).put(&mut w);
     for p in &frame.points {
         w.put_f64s(&p.to_array());
     }
     w.put_f64s(&frame.point_densities);
-    put_grid(w, &frame.grid, Cells::Raw);
-}
-
-/// Encodes a [`HybridFrame`] as the v1 payload: the header, every point
-/// as six raw `f64`s, the raw `f64` densities, and the grid with raw
-/// cells. No session sends it; it is what the v2 trailer hashes.
-pub fn encode_frame(frame: &HybridFrame) -> Vec<u8> {
-    let mut w = PayloadWriter::new();
-    put_v1(&mut w, frame);
+    put_grid(&mut w, &frame.grid, Cells::Raw);
     w.into_bytes()
 }
 
@@ -622,26 +698,40 @@ pub fn decode_frame(payload: &[u8]) -> Result<HybridFrame> {
 
 /// Encodes a [`HybridFrame`] as the AVWF v2 compressed payload.
 ///
-/// Layout: the frame header (step, plot codes, bounds, threshold,
-/// discarded, point count), seven self-describing codec blocks (six
-/// `f64` point columns and the point densities), the grid dims and
-/// bounds, one `f32` codec block for the grid cells — delta-varint with
-/// runs of repeated cells as one token, so a grid costs what it holds
-/// rather than a byte per cell — and finally the trailer: length and FNV-1a 64 of the frame's *v1 encoding*. The
-/// trailer is over the decoded content, not the compressed bytes:
-/// [`decode_frame_v2`] re-encodes what it decoded and must land on these
-/// exact bytes, so any codec defect is caught end-to-end rather than
-/// trusted.
+/// Layout:
+/// - the frame header: step, plot codes, bounds, threshold, discarded,
+///   point count;
+/// - seven self-describing codec blocks: six `f64` point columns and the
+///   point densities;
+/// - the grid's dims and bounds, then one `f32` codec block for its
+///   cells — delta-varint with runs of repeated cells as one token, so a
+///   grid costs what it holds rather than a byte per cell;
+/// - the 16-byte trailer: the length of the frame's [`encode_frame`]
+///   encoding, counted from its points and cells, and FNV-1a 64 over the
+///   little-endian bytes of twelve lane hashes: [`fnv1a64`] of the header
+///   with the grid's dims and bounds (the v1 bytes that are neither
+///   points nor cells), one FNV-1a 64 per column over its little-endian
+///   values (x, px, y, py, z, pz, density), and the grid's four
+///   `fnv1a64_cell_lanes`: FNV-1a 64 of each quarter of `⌈cells/4⌉`
+///   cells' little-endian bytes.
+///
+/// The trailer is over the decoded content, not the compressed bytes:
+/// [`decode_frame_v2`] hashes what it decoded, column by column as it
+/// decodes them, and must land on the same words, so a codec defect is
+/// caught end to end rather than trusted. Nothing is re-encoded to check
+/// it: every lane is hashed from the frame's own columns and cells.
 ///
 /// Returns `(payload, raw_len)` where `raw_len` is the size the same
 /// frame occupies under [`encode_frame`] — the numerator of the
 /// compression ratio the server's stats report.
 pub fn encode_frame_v2(frame: &HybridFrame) -> (Vec<u8>, u64) {
+    let header = FrameHeader::of(frame);
     let mut w = PayloadWriter::new();
-    FrameHeader::put(&mut w, frame);
-    put_columns(&mut w, frame, 0..frame.points.len());
+    header.put(&mut w);
+    let mut columns = ColumnChains::default();
+    put_columns(&mut w, frame, 0..frame.points.len(), &mut columns);
     put_grid(&mut w, &frame.grid, Cells::Packed);
-    let raw_len = put_trailer(&mut w, frame);
+    let raw_len = put_trailer(&mut w, &header, &columns, &frame.grid);
     (w.into_bytes(), raw_len)
 }
 
@@ -650,12 +740,13 @@ pub fn encode_frame_v2(frame: &HybridFrame) -> (Vec<u8>, u64) {
 pub fn decode_frame_v2(payload: &[u8]) -> Result<HybridFrame> {
     let mut r = Reader::new(payload);
     let header = FrameHeader::read(&mut r)?;
-    let (points, point_densities) = read_columns(&mut r, 0, header.points, header.points)?;
+    let mut columns = ColumnChains::default();
+    let (points, point_densities) =
+        read_columns(&mut r, 0, header.points, header.points, &mut columns)?;
     let grid = read_grid(&mut r, Cells::Packed)?;
-    let frame = header.frame(points, point_densities, grid);
-    verify_trailer(&mut r, &frame)?;
+    verify_trailer(&mut r, &header, &columns, &grid)?;
     r.finish()?;
-    Ok(frame)
+    Ok(header.frame(points, point_densities, grid))
 }
 
 /// What a v2 frame payload says of itself without being decoded: the
@@ -825,8 +916,11 @@ mod tests {
         assert_eq!(encode_frame(&decoded), encode_frame(&frame));
     }
 
+    /// The trailer's length is counted from the frame's points and
+    /// cells, never encoded: it must still be the v1 encoding's length,
+    /// which the compression ratio in the stats reads.
     #[test]
-    fn the_v1_digest_is_the_hash_of_the_v1_bytes() {
+    fn the_trailer_length_is_the_v1_length() {
         let mut empty = sample_frame(0);
         empty.grid = DensityGrid::from_raw(empty.bounds, [1, 1, 1], vec![0.0]);
         let mut dense = sample_frame(300);
@@ -838,8 +932,67 @@ mod tests {
             empty,
             dense,
         ] {
-            let raw = encode_frame(&frame);
-            assert_eq!(v1_digest(&frame), (raw.len() as u64, fnv1a64(&raw)));
+            let (payload, raw_len) = encode_frame_v2(&frame);
+            assert_eq!(raw_len, encode_frame(&frame).len() as u64);
+            assert_eq!(FramePeek::read(&payload).unwrap().raw_len, raw_len);
+        }
+    }
+
+    /// A writer that takes one to three bytes a call, across the
+    /// boundaries between the slices of a vectored write.
+    struct Trickle {
+        got: Vec<u8>,
+        calls: usize,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.calls += 1;
+            let mut take = 1 + self.calls % 3;
+            let before = self.got.len();
+            for buf in bufs {
+                let n = take.min(buf.len());
+                self.got.extend_from_slice(&buf[..n]);
+                take -= n;
+            }
+            Ok(self.got.len() - before)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// An envelope leaves in one vectored write that resumes after every
+    /// partial write: a writer taking one to three bytes a call still
+    /// receives exactly the envelope's bytes.
+    #[test]
+    fn partial_writes_deliver_the_whole_envelope() {
+        for payload in [&b""[..], b"x", b"partially written payload"] {
+            let mut whole = Vec::new();
+            write_envelope(&mut whole, 0x83, payload).unwrap();
+            let mut trickle = Trickle {
+                got: Vec::new(),
+                calls: 0,
+            };
+            let n = write_envelope_v(&mut trickle, V2, 0x83, payload).unwrap();
+            assert_eq!(
+                (trickle.got.as_slice(), n),
+                (whole.as_slice(), whole.len() as u64)
+            );
+            let mut trickle = Trickle {
+                got: Vec::new(),
+                calls: 0,
+            };
+            Sealed::new(0x83, payload.to_vec())
+                .write_to(&mut trickle)
+                .unwrap();
+            assert_eq!(trickle.got, whole);
+            assert!(trickle.calls >= whole.len() / 3);
         }
     }
 

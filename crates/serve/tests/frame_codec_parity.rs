@@ -3,9 +3,11 @@
 //! trailer codec, and must be exactly the bytes the standalone encoders
 //! produced. The reference below is a verbatim copy of those encoders and
 //! decoders (`encode_frame_v2`, `decode_frame_v2`, `plan_frame_chunks`,
-//! `ProgressiveAssembler::accept`) and the helpers they called. Damaged
-//! input must get the same verdict from both sides: `Ok` with the same
-//! frame, or `Err`.
+//! `ProgressiveAssembler::accept`) and the helpers they called, except
+//! for the trailer: [`reference::trailer`] is the lane definition computed
+//! serially over materialised column and cell bytes. Damaged input must
+//! get the same verdict from both sides: `Ok` with the same frame, or
+//! `Err`.
 
 use accelviz_beam::particle::{Particle, PhaseCoord};
 use accelviz_core::hybrid::HybridFrame;
@@ -78,8 +80,9 @@ mod reference {
         Ok(Aabb { min, max })
     }
 
-    /// The v1 payload: the trailer's hash input, and how frames are
-    /// compared here (bit patterns, so NaN payloads compare too).
+    /// The v1 payload: its length is the trailer's first word, and it is
+    /// how frames are compared here (bit patterns, so NaN payloads
+    /// compare too).
     pub fn encode_frame(frame: &HybridFrame) -> Vec<u8> {
         let mut w = PayloadWriter::new();
         w.put_u64(frame.step as u64);
@@ -111,9 +114,63 @@ mod reference {
         w.into_bytes()
     }
 
+    /// The trailer, one byte string and one serial hash at a time: the
+    /// v1 length, and `fnv1a64` over the little-endian bytes of twelve
+    /// lane hashes — the header with the grid's dims and bounds, each of
+    /// the seven columns (x, px, y, py, z, pz, density), and each quarter
+    /// of `⌈cells/4⌉` cells.
+    pub fn trailer(frame: &HybridFrame) -> (u64, u64) {
+        let mut head = PayloadWriter::new();
+        head.put_u64(frame.step as u64);
+        for c in frame.plot.coords {
+            head.put_u8(coord_code(c));
+        }
+        put_aabb(&mut head, &frame.bounds);
+        head.put_f64(frame.threshold);
+        head.put_u64(frame.discarded);
+        head.put_u64(frame.points.len() as u64);
+        for d in frame.grid.dims() {
+            head.put_u64(d as u64);
+        }
+        put_aabb(&mut head, frame.grid.bounds());
+        let mut lanes = vec![fnv1a64(&head.into_bytes())];
+
+        let mut columns: Vec<Vec<u8>> = (0..6)
+            .map(|c| {
+                let mut bytes = Vec::new();
+                for p in &frame.points {
+                    bytes.extend_from_slice(&p.to_array()[c].to_le_bytes());
+                }
+                bytes
+            })
+            .collect();
+        let mut densities = Vec::new();
+        for d in &frame.point_densities {
+            densities.extend_from_slice(&d.to_le_bytes());
+        }
+        columns.push(densities);
+        lanes.extend(columns.iter().map(|bytes| fnv1a64(bytes)));
+
+        let cells = frame.grid.data();
+        let mut cell_bytes = Vec::new();
+        for v in cells {
+            cell_bytes.extend_from_slice(&v.to_le_bytes());
+        }
+        let q = cells.len().div_ceil(4);
+        for k in 0..4 {
+            let (from, to) = ((k * q).min(cells.len()), ((k + 1) * q).min(cells.len()));
+            lanes.push(fnv1a64(&cell_bytes[4 * from..4 * to]));
+        }
+
+        let mut folded = Vec::new();
+        for hash in lanes {
+            folded.extend_from_slice(&hash.to_le_bytes());
+        }
+        (encode_frame(frame).len() as u64, fnv1a64(&folded))
+    }
+
     pub fn encode_frame_v2(frame: &HybridFrame) -> (Vec<u8>, u64) {
-        let raw = encode_frame(frame);
-        let raw_fnv = fnv1a64(&raw);
+        let (raw_len, raw_fnv) = trailer(frame);
 
         let mut w = PayloadWriter::new();
         w.put_u64(frame.step as u64);
@@ -142,9 +199,9 @@ mod reference {
         put_aabb(&mut w, frame.grid.bounds());
         w.put_bytes(&encode_f32s(frame.grid.data()));
 
-        w.put_u64(raw.len() as u64);
+        w.put_u64(raw_len);
         w.put_u64(raw_fnv);
-        (w.into_bytes(), raw.len() as u64)
+        (w.into_bytes(), raw_len)
     }
 
     fn read_f64_block(r: &mut PayloadReader<'_>, expect: usize) -> Result<Vec<f64>> {
@@ -224,13 +281,11 @@ mod reference {
             threshold,
             discarded,
         };
-        let reencoded = encode_frame(&frame);
-        if reencoded.len() as u64 != raw_len || fnv1a64(&reencoded) != raw_fnv {
+        let (len, fnv) = trailer(&frame);
+        if len != raw_len || fnv != raw_fnv {
             return Err(ServeError::Corrupt(format!(
-                "decoded frame re-encodes to {} bytes (fnv {:#018x}), trailer promised {raw_len} \
-                 (fnv {raw_fnv:#018x})",
-                reencoded.len(),
-                fnv1a64(&reencoded)
+                "decoded frame digests to {len} bytes (fnv {fnv:#018x}), trailer promised \
+                 {raw_len} (fnv {raw_fnv:#018x})"
             )));
         }
         Ok(frame)
@@ -300,7 +355,7 @@ mod reference {
         let cuts = align_cuts(&runs, chunk_points);
         debug_assert_eq!(cuts.last().copied(), Some(frame.points.len()));
 
-        let raw = encode_frame(frame);
+        let (raw_len, raw_fnv) = trailer(frame);
         let total = (cuts.len() + 1) as u32;
         let mut records = Vec::with_capacity(total as usize);
 
@@ -335,11 +390,11 @@ mod reference {
             }));
         }
 
-        // Final tail: the full-resolution grid and the v1 trailer.
+        // Final tail: the full-resolution grid and the trailer.
         let mut w = PayloadWriter::new();
         put_grid(&mut w, &frame.grid);
-        w.put_u64(raw.len() as u64);
-        w.put_u64(fnv1a64(&raw));
+        w.put_u64(raw_len);
+        w.put_u64(raw_fnv);
         records.push(encode_record(&Record {
             kind: RECORD_FINAL,
             seq: total - 1,
@@ -449,13 +504,11 @@ mod reference {
                         threshold: header.threshold,
                         discarded: header.discarded,
                     };
-                    let reencoded = encode_frame(&frame);
-                    if reencoded.len() as u64 != raw_len || fnv1a64(&reencoded) != raw_fnv {
+                    let (len, fnv) = trailer(&frame);
+                    if len != raw_len || fnv != raw_fnv {
                         return Err(ServeError::Corrupt(format!(
-                            "reassembled frame re-encodes to {} bytes (fnv {:#018x}), trailer \
-                             promised {raw_len} (fnv {raw_fnv:#018x})",
-                            reencoded.len(),
-                            fnv1a64(&reencoded)
+                            "reassembled frame digests to {len} bytes (fnv {fnv:#018x}), \
+                             trailer promised {raw_len} (fnv {raw_fnv:#018x})"
                         )));
                     }
                     self.final_frame = Some(frame);

@@ -28,8 +28,11 @@
 //! bit-identity arguments compose across store and wire.
 //! [`fnv1a64_x4`] is the same function over four inputs at a time, for
 //! the run writer and the page-in path, which have many chunks to hash at
-//! once; [`Fnv1a64Sink`] is the same function over a stream of pieces,
-//! for a digest of bytes that are never assembled in one buffer.
+//! once; [`fnv1a64_x4_update`] continues four chains over columns of
+//! `f64`s where they lie, and [`fnv1a64_cell_lanes`] hashes a grid's
+//! cells in four lanes the same way; [`fnv1a64_lanes`] is the bulk
+//! checksum of one buffer in four lanes, which seals wire envelopes and
+//! progressive records.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -109,60 +112,6 @@ pub fn fnv1a64_update(mut hash: u64, bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Bytes a [`Fnv1a64Sink`] stages before hashing them.
-const SINK_BYTES: usize = 4096;
-
-/// A streaming [`fnv1a64`] that also counts its input: write any
-/// sequence of pieces, and [`finish`](Fnv1a64Sink::finish) returns the
-/// length and hash of their concatenation without ever holding it.
-/// Pieces are staged in a small buffer and hashed a buffer at a time
-/// through [`fnv1a64_update`], so small writes (one `f32` at a time) still
-/// fold zero runs.
-pub struct Fnv1a64Sink {
-    hash: u64,
-    len: u64,
-    buf: [u8; SINK_BYTES],
-    fill: usize,
-}
-
-impl Default for Fnv1a64Sink {
-    fn default() -> Fnv1a64Sink {
-        Fnv1a64Sink {
-            hash: FNV_OFFSET,
-            len: 0,
-            buf: [0; SINK_BYTES],
-            fill: 0,
-        }
-    }
-}
-
-impl Fnv1a64Sink {
-    /// An empty stream: `finish()` is `(0, fnv1a64(b""))`.
-    pub fn new() -> Fnv1a64Sink {
-        Fnv1a64Sink::default()
-    }
-
-    /// Appends `bytes` to the stream.
-    pub fn write(&mut self, mut bytes: &[u8]) {
-        self.len += bytes.len() as u64;
-        while !bytes.is_empty() {
-            let n = bytes.len().min(SINK_BYTES - self.fill);
-            self.buf[self.fill..self.fill + n].copy_from_slice(&bytes[..n]);
-            self.fill += n;
-            bytes = &bytes[n..];
-            if self.fill == SINK_BYTES {
-                self.hash = fnv1a64_update(self.hash, &self.buf);
-                self.fill = 0;
-            }
-        }
-    }
-
-    /// `(length, fnv1a64)` of everything written.
-    pub fn finish(self) -> (u64, u64) {
-        (self.len, fnv1a64_update(self.hash, &self.buf[..self.fill]))
-    }
-}
-
 /// [`fnv1a64`] of four byte strings at once: `fnv1a64_x4(l)[k] ==
 /// fnv1a64(l[k])`. One FNV-1a chain is serial — every byte waits for the
 /// previous byte's multiply — so a single hash runs at the multiplier's
@@ -183,6 +132,151 @@ pub fn fnv1a64_x4(lanes: [&[u8]; 4]) -> [u64; 4] {
         *hash = fnv1a64_update(*hash, &lane[common..]);
     }
     h
+}
+
+/// One FNV-1a step: `hash` over one more byte.
+#[inline(always)]
+fn fnv_step(hash: u64, byte: u8) -> u64 {
+    (hash ^ u64::from(byte)).wrapping_mul(FNV_PRIME)
+}
+
+/// A fixed-width value that a lane hashes as its little-endian bytes, in
+/// place: columns and cells are read where they lie, never copied into
+/// a byte buffer first.
+trait LaneWord: Copy {
+    /// Bytes per value.
+    const BYTES: u64;
+    /// The OR of the value's bit patterns: zero exactly when every byte
+    /// is.
+    fn any_bits(self) -> u64;
+    /// `hash` continued over the value's little-endian bytes, given its
+    /// [`any_bits`](LaneWord::any_bits).
+    fn hash_into(self, hash: u64, any_bits: u64) -> u64;
+}
+
+impl LaneWord for f64 {
+    const BYTES: u64 = 8;
+    fn any_bits(self) -> u64 {
+        self.to_bits()
+    }
+    fn hash_into(self, hash: u64, _: u64) -> u64 {
+        self.to_le_bytes().into_iter().fold(hash, fnv_step)
+    }
+}
+
+impl LaneWord for f32 {
+    const BYTES: u64 = 4;
+    fn any_bits(self) -> u64 {
+        u64::from(self.to_bits())
+    }
+    fn hash_into(self, hash: u64, _: u64) -> u64 {
+        self.to_le_bytes().into_iter().fold(hash, fnv_step)
+    }
+}
+
+/// Four `f32`s as one 16-byte word: the unit a grid's cells are hashed
+/// in, so that a lane tests for empty space once per four cells.
+impl LaneWord for [f32; 4] {
+    const BYTES: u64 = 16;
+    fn any_bits(self) -> u64 {
+        u64::from(self.iter().fold(0, |any, v| any | v.to_bits()))
+    }
+    fn hash_into(self, mut hash: u64, any_bits: u64) -> u64 {
+        // A count below 256 is an `f32` whose two low bytes are zero, and
+        // a zero byte's step is `h ^ 0 == h` then one multiply: when all
+        // four cells are such counts (or empty), each costs one multiply
+        // by `FNV_PRIME^2` and two byte steps instead of four.
+        if any_bits & 0xffff == 0 {
+            for v in self {
+                let [_, _, b2, b3] = v.to_le_bytes();
+                hash = fnv_step(fnv_step(hash.wrapping_mul(PRIME_POW2[1]), b2), b3);
+            }
+            return hash;
+        }
+        self.into_iter().fold(hash, |hash, v| {
+            v.to_le_bytes().into_iter().fold(hash, fnv_step)
+        })
+    }
+}
+
+/// One word of one lane: a zero word only counts (`zeros`), a non-zero
+/// word first folds the count in and then hashes its bytes.
+#[inline(always)]
+fn lane_step<W: LaneWord>(hash: &mut u64, zeros: &mut u64, word: W) {
+    let any_bits = word.any_bits();
+    if any_bits == 0 {
+        *zeros += W::BYTES;
+        return;
+    }
+    *hash = word.hash_into(fold_zeros(*hash, *zeros), any_bits);
+    *zeros = 0;
+}
+
+/// Continues four FNV-1a 64 chains, each over the little-endian bytes of
+/// its lane's words. Zero words fold as in [`fnv1a64_update`]. The lanes
+/// advance together over their shortest common length and each tail
+/// finishes on its own, so an empty lane leaves the other three to run
+/// one at a time.
+fn chains_x4<W: LaneWord>(hashes: [u64; 4], lanes: [&[W]; 4]) -> [u64; 4] {
+    let common = lanes.iter().map(|lane| lane.len()).min().unwrap_or(0);
+    let [a, b, c, d] = lanes.map(|lane| &lane[..common]);
+    let [mut h0, mut h1, mut h2, mut h3] = hashes;
+    let [mut z0, mut z1, mut z2, mut z3] = [0u64; 4];
+    for (((&a, &b), &c), &d) in a.iter().zip(b).zip(c).zip(d) {
+        lane_step(&mut h0, &mut z0, a);
+        lane_step(&mut h1, &mut z1, b);
+        lane_step(&mut h2, &mut z2, c);
+        lane_step(&mut h3, &mut z3, d);
+    }
+    let mut out = [h0, h1, h2, h3];
+    for ((hash, mut zeros), lane) in out.iter_mut().zip([z0, z1, z2, z3]).zip(lanes) {
+        for &word in &lane[common..] {
+            lane_step(hash, &mut zeros, word);
+        }
+        *hash = fold_zeros(*hash, zeros);
+    }
+    out
+}
+
+/// Continues four FNV-1a 64 chains over four `f64` columns, read where
+/// they lie: `fnv1a64_x4_update(h, c)[k]` is `fnv1a64_update(h[k], ..)`
+/// over the little-endian bytes of `c[k]`'s values, so a column hashed in
+/// slices chains to the hash of the whole column. Give all four lanes
+/// the same length: an empty lane leaves the other three to run one at a
+/// time.
+pub fn fnv1a64_x4_update(hashes: [u64; 4], columns: [&[f64]; 4]) -> [u64; 4] {
+    chains_x4(hashes, columns)
+}
+
+/// `items` cut into four contiguous quarters of `⌈len/4⌉` items each;
+/// the last quarters are shorter, or empty, when four does not divide
+/// `len`.
+fn quarters<T>(items: &[T]) -> [&[T]; 4] {
+    let q = items.len().div_ceil(4);
+    std::array::from_fn(|k| &items[(k * q).min(items.len())..((k + 1) * q).min(items.len())])
+}
+
+/// The four lane hashes of a grid's cells: [`fnv1a64`] of the
+/// little-endian bytes of each of the four quarters of `⌈len/4⌉` cells,
+/// hashed side by side, four cells to a word, so that empty space costs
+/// one test per four cells and one multiply per run.
+pub fn fnv1a64_cell_lanes(cells: &[f32]) -> [u64; 4] {
+    let split = quarters(cells).map(|quarter| quarter.as_chunks::<4>());
+    let hashes = chains_x4([FNV_OFFSET; 4], split.map(|(words, _)| words));
+    chains_x4(hashes, split.map(|(_, tail)| tail))
+}
+
+/// The bulk checksum: `bytes` cut into four quarters of `⌈len/4⌉` bytes,
+/// hashed side by side ([`fnv1a64_x4`]), then [`fnv1a64`] of the four
+/// hashes' little-endian bytes. It runs at four bytes per multiply
+/// latency where [`fnv1a64`] runs at one; the wire envelope and the
+/// progressive record seal their payloads with it.
+pub fn fnv1a64_lanes(bytes: &[u8]) -> u64 {
+    let mut folded = [0u8; 32];
+    for (out, hash) in folded.chunks_exact_mut(8).zip(fnv1a64_x4(quarters(bytes))) {
+        out.copy_from_slice(&hash.to_le_bytes());
+    }
+    fnv1a64(&folded)
 }
 
 #[cfg(test)]

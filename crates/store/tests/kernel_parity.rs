@@ -10,8 +10,8 @@
 //! every seeded case here must agree with them:
 //!
 //! - FNV-1a over zero runs of every length 0–70 at every offset mod 8,
-//!   all-zero, zero-free and random streams, chains split inside a zero
-//!   run, and [`Fnv1a64Sink`] fed in pieces of every size;
+//!   all-zero, zero-free and random streams, and chains split inside a
+//!   zero run;
 //! - the encoded bytes of both codecs on count grids, specials, ramps and
 //!   noise;
 //! - decode results, bit for bit, and error verdicts, variant and
@@ -21,7 +21,7 @@ use accelviz_store::codec::{
     decode_f32s, decode_f64s, encode_f32s_as, encode_f64s_as, CodecError, CODEC_BITPACK,
     CODEC_DELTA_VARINT,
 };
-use accelviz_store::{fnv1a64, fnv1a64_update, Fnv1a64Sink};
+use accelviz_store::{fnv1a64, fnv1a64_update};
 
 /// FNV-1a and bitpack as they were before the fast paths, verbatim, and
 /// the run-coded delta stream one cell and one byte at a time.
@@ -524,38 +524,6 @@ fn chains_split_inside_a_zero_run_hash_as_one_stream() {
         );
         assert_eq!(fnv1a64(&bytes), whole, "case {case}");
     }
-}
-
-#[test]
-fn the_sink_is_the_hash_of_what_it_was_fed() {
-    let mut rng = Mix(4);
-    for case in 0..200 {
-        // Pieces of the sizes a payload writer hands over — single
-        // values, batches, whole blocks — mostly zero or not.
-        let mut sink = Fnv1a64Sink::new();
-        let mut fed = Vec::new();
-        for _ in 0..rng.below(400) {
-            let n = match rng.below(4) {
-                0 => 4,
-                1 => 8,
-                2 => rng.below(1_100) as usize,
-                _ => rng.below(9_000) as usize,
-            };
-            let piece = if rng.below(3) == 0 {
-                rng.bytes(n)
-            } else {
-                vec![0u8; n]
-            };
-            sink.write(&piece);
-            fed.extend_from_slice(&piece);
-        }
-        assert_eq!(
-            sink.finish(),
-            (fed.len() as u64, oracle::fnv1a64_update(OFFSET_BASIS, &fed)),
-            "case {case}"
-        );
-    }
-    assert_eq!(Fnv1a64Sink::new().finish(), (0, OFFSET_BASIS));
 }
 
 // ---------------------------------------------------------------------

@@ -20,6 +20,11 @@
 //! `ACCELVIZ_CHAOS_SEED` (CI runs this file under both of its seeds);
 //! a failure names the row, the mutation and the seed. New formats add
 //! their row to [`ROWS`].
+//!
+//! Beside the table, single flips aimed where the checksums look — each
+//! quarter of an envelope's payload, each block and trailer field of a
+//! v2 frame, a progressive record's body — must each be refused as a
+//! checksum mismatch or as corrupt, never accepted and never a panic.
 
 use accelviz::beam::distribution::Distribution;
 use accelviz::beam::io::{read_snapshot, snapshot_to_vec};
@@ -31,13 +36,15 @@ use accelviz::math::{Aabb, Vec3};
 use accelviz::octree::density::DensityGrid;
 use accelviz::octree::plots::PlotType;
 use accelviz::octree::store_io::{read_node_file, write_node_file};
+use accelviz::serve::error::ServeError;
 use accelviz::serve::protocol::{
     read_request, read_response, write_request, write_response, FrameInfo, Request, Response,
 };
 use accelviz::serve::wire::{
-    decode_frame, decode_frame_v2, encode_frame, encode_frame_v2, write_envelope, FramePeek,
+    decode_frame, decode_frame_v2, encode_frame, encode_frame_v2, read_envelope, write_envelope,
+    FramePeek,
 };
-use accelviz::store::codec::{decode_f32s, decode_f64s, encode_f32s, encode_f64s};
+use accelviz::store::codec::{decode_f32s, decode_f64s, encode_f32s, encode_f64s, CodecError};
 use accelviz::store::progressive::{
     decode_record, encode_record, Record, RECORD_COARSE, RECORD_DELTA, RECORD_FINAL,
 };
@@ -240,6 +247,132 @@ fn v2_frame_peeks_are_total() {
 
 /// Runs every mutation of `row` and fails with the first few that
 /// panicked or allocated past the bound.
+/// `decode` of `input` under `catch_unwind`: a panic fails the test, and
+/// so does anything but the refusal `refused` accepts.
+fn refuses<T, E: std::fmt::Debug>(
+    what: &str,
+    input: &[u8],
+    decode: impl Fn(&[u8]) -> Result<T, E>,
+    refused: impl Fn(&E) -> bool,
+) {
+    match catch_unwind(AssertUnwindSafe(|| decode(input))) {
+        Err(_) => panic!("{what}: panicked"),
+        Ok(Ok(_)) => panic!("{what}: accepted"),
+        Ok(Err(e)) => assert!(refused(&e), "{what}: refused as {e:?}"),
+    }
+}
+
+/// `bytes` with the byte at `at` flipped.
+fn flipped(bytes: &[u8], at: usize) -> Vec<u8> {
+    let mut bad = bytes.to_vec();
+    bad[at] ^= 0x41;
+    bad
+}
+
+fn checksum_or_corrupt(e: &ServeError) -> bool {
+    matches!(
+        e,
+        ServeError::ChecksumMismatch { .. } | ServeError::Corrupt(_)
+    )
+}
+
+#[test]
+fn a_flip_in_any_quarter_of_an_envelope_is_refused() {
+    let mut rng = Mix(chaos_seed(20_261_017) ^ fnv("envelope quarters"));
+    for len in [0usize, 1, 3, 5, 4_097] {
+        let payload: Vec<u8> = (0..len).map(|_| rng.next() as u8).collect();
+        let mut wire = Vec::new();
+        write_envelope(&mut wire, 0x83, &payload).unwrap();
+        let read = |bytes: &[u8]| read_envelope(&mut &bytes[..]);
+        assert_eq!(read(&wire).unwrap().payload, payload);
+        // One byte inside each non-empty quarter of ⌈len/4⌉ bytes, and
+        // the first and last bytes of the checksum itself.
+        let q = len.div_ceil(4);
+        let mut at: Vec<usize> = (0..4)
+            .map(|k| k * q + rng.below(q))
+            .filter(|&i| i < len)
+            .map(|i| 16 + i)
+            .collect();
+        at.extend([16 + len, 16 + len + 7]);
+        for at in at {
+            refuses(
+                &format!("{len}-byte payload flipped at {at}"),
+                &flipped(&wire, at),
+                read,
+                checksum_or_corrupt,
+            );
+        }
+    }
+}
+
+#[test]
+fn a_flip_in_any_block_or_trailer_field_of_a_v2_frame_is_refused() {
+    let mut rng = Mix(chaos_seed(20_261_017) ^ fnv("v2 frame blocks"));
+    for frame in [
+        frame(&mut rng, 70, [4, 3, 2]),
+        frame(&mut rng, 300, [9, 8, 7]),
+    ] {
+        let (payload, _) = encode_frame_v2(&frame);
+        // The blocks as the encoder laid them out: the 83-byte header,
+        // seven column blocks, the grid's 72-byte head and its cells,
+        // and the trailer's two words.
+        let mut columns: Vec<Vec<f64>> = (0..6)
+            .map(|c| frame.points.iter().map(|p| p.to_array()[c]).collect())
+            .collect();
+        columns.push(frame.point_densities.clone());
+        let mut blocks = Vec::new();
+        let mut at = 83;
+        for col in &columns {
+            let len = encode_f64s(col).len();
+            blocks.push((format!("column block at {at}"), at, len));
+            at += len;
+        }
+        at += 72;
+        let cells = encode_f32s(frame.grid.data()).len();
+        blocks.push((format!("grid block at {at}"), at, cells));
+        at += cells;
+        blocks.push(("trailer length".into(), at, 8));
+        blocks.push(("trailer hash".into(), at + 8, 8));
+        assert_eq!(at + 16, payload.len(), "block layout");
+        for (what, start, len) in blocks {
+            for at in [start, start + len / 2, start + len - 1] {
+                refuses(
+                    &format!("{what} flipped at {at}"),
+                    &flipped(&payload, at),
+                    decode_frame_v2,
+                    checksum_or_corrupt,
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn a_flip_in_a_record_body_is_refused() {
+    let mut rng = Mix(chaos_seed(20_261_017) ^ fnv("record body"));
+    let record = encode_record(&Record {
+        kind: RECORD_DELTA,
+        seq: 1,
+        total: 3,
+        payload: (0..4_097).map(|_| rng.next() as u8).collect(),
+    });
+    for at in [
+        0,
+        5,
+        17,
+        17 + rng.below(4_097),
+        record.len() - 9,
+        record.len() - 1,
+    ] {
+        refuses(
+            &format!("record flipped at {at}"),
+            &flipped(&record, at),
+            decode_record,
+            |e| matches!(e, CodecError::Corrupt(_)),
+        );
+    }
+}
+
 fn check(row: &Row) {
     // One row at a time: the allocation counters are process-wide.
     static ONE_ROW: Mutex<()> = Mutex::new(());
