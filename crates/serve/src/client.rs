@@ -318,7 +318,7 @@ impl Client {
             write_request(t, &req)?;
             let reply = read_sealed(t, MAX_PAYLOAD)?;
             if reply.kind() != RESP_FRAME {
-                return Err(unexpected("Frame", &response_of(&reply.into())?));
+                return Err(unexpected("Frame", &response_of(&reply)?));
             }
             let wire_bytes = reply.wire_bytes();
             Ok((finish(reply)?, wire_bytes))
@@ -574,7 +574,6 @@ fn response_name(r: &Response) -> &'static str {
     match r {
         Response::HelloAck { .. } => "HelloAck",
         Response::FrameList(_) => "FrameList",
-        Response::Frame(_) => "Frame",
         Response::Stats(_) => "Stats",
         Response::Error { .. } => "Error",
     }

@@ -511,7 +511,7 @@ fn dispatch<O: FrameOrigin, S: Write>(
             frame_count: service.origin.frame_count() as u32,
         },
         Request::ListFrames => Response::FrameList(service.origin.catalog()),
-        Request::Stats => Response::Stats(service.origin.stats(&service.metrics)),
+        Request::Stats => Response::Stats(service.stats()),
         Request::RequestFrame { frame, threshold } => {
             match checked_frame(service, session, frame, threshold, Shape::Plain) {
                 Ok(served) => return send_frame(service, &served, stream),
@@ -633,10 +633,10 @@ mod tests {
     use super::*;
     use crate::cache::DEFAULT_CACHE_BYTES;
     use crate::fault::{FaultDirection, FaultEvent, FaultKind, FaultPlan, FaultyTransport};
-    use crate::protocol::{read_response, write_request, FrameInfo};
+    use crate::protocol::{read_response, write_request, FrameInfo, RESP_FRAME};
     use crate::server::Window;
-    use crate::service::{counter_names, CounterNames};
-    use crate::stats::*;
+    use crate::stats::{counter_names, CounterNames, SERVE};
+    use crate::wire::{decode_frame_v2, read_sealed, MAX_PAYLOAD};
     use accelviz_beam::distribution::Distribution;
     use accelviz_core::hybrid::HybridFrame;
     use accelviz_octree::builder::{partition, BuildParams};
@@ -739,6 +739,19 @@ mod tests {
         read_response(stream).map(|(reply, _)| reply)
     }
 
+    /// Asks for a frame and reads the reply: `Ok` if it is a frame that
+    /// decodes, else the reply's in-band error code.
+    fn ask_frame(stream: &mut TcpStream, frame: u32, threshold: f64) -> Result<(), u16> {
+        write_request(stream, &plain(frame, threshold)).unwrap();
+        let reply = read_sealed(stream, MAX_PAYLOAD).unwrap();
+        if reply.kind() == RESP_FRAME {
+            decode_frame_v2(reply.payload()).unwrap();
+            return Ok(());
+        }
+        let reply = crate::protocol::response_of(&reply).unwrap();
+        Err(error_code(reply))
+    }
+
     fn error_code(reply: Response) -> u16 {
         match reply {
             Response::Error { code, .. } => code,
@@ -796,15 +809,10 @@ mod tests {
     #[test]
     fn a_panicking_fetch_does_not_wedge_its_key() {
         let (door, _entered, _gate) = open(4);
-        let wanted = Request::RequestFrame {
-            frame: 0,
-            threshold: 1.0,
-        };
         let mut first = connect(&door);
-        assert_eq!(error_code(ask(&mut first, wanted).unwrap()), ERR_INTERNAL);
+        assert_eq!(ask_frame(&mut first, 0, 1.0), Err(ERR_INTERNAL));
         let mut second = connect(&door);
-        let reply = ask(&mut second, wanted).unwrap();
-        assert!(matches!(reply, Response::Frame(_)), "got {reply:?}");
+        assert_eq!(ask_frame(&mut second, 0, 1.0), Ok(()));
         let metrics = &door.service().metrics;
         assert_eq!(metrics.counter(Fake::NAMES.handler_panics), 1);
     }
@@ -1123,24 +1131,26 @@ mod tests {
         // runs before this session reads its next request: the reply to
         // that request is the next thing on the socket.
         for frame in 0..Doomed::FRAMES {
-            let reply = ask(&mut stream, plain(frame, 0.5)).unwrap();
-            assert!(
-                matches!(reply, Response::Frame(_)),
-                "frame {frame}: {reply:?}"
-            );
+            assert_eq!(ask_frame(&mut stream, frame, 0.5), Ok(()), "frame {frame}");
         }
         // Frame 2's read-ahead, of frame 0, is done once this is answered.
         ask(&mut stream, Request::Hello { version: V2 }).unwrap();
         let count = |name| door.service().metrics.counter(name);
-        assert_eq!(count(CTR_HANDLER_PANICS), 0);
-        assert_eq!(count(CTR_REQUESTS), 4);
+        // The session counts a request once its reply is written, so the
+        // hello may not be counted yet when its reply is read.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while count(SERVE.requests) != 4 {
+            assert!(Instant::now() < deadline, "the hello was never counted");
+            std::thread::yield_now();
+        }
+        assert_eq!(count(SERVE.handler_panics), 0);
         assert_eq!(
-            (count(CTR_READAHEAD_HINTS), count(CTR_READAHEAD_FETCHES)),
+            (count(SERVE.readahead_hints), count(SERVE.readahead_fetches)),
             (2, 0),
             "frame 2's read-ahead died, frame 0 was resident"
         );
-        assert_eq!(count(CTR_READAHEAD_DROPPED), 0);
-        assert_eq!((count(CTR_CACHE_MISSES), count(CTR_CACHE_HITS)), (3, 0));
+        assert_eq!(count(SERVE.readahead_dropped), 0);
+        assert_eq!((count(SERVE.cache_misses), count(SERVE.cache_hits)), (3, 0));
     }
 
     /// Every thread the crate starts carries its role's name, short
@@ -1165,7 +1175,7 @@ mod tests {
         let door =
             FrontDoor::open("127.0.0.1:0", origin, metrics, config(4, spawn_thread)).unwrap();
         let mut stream = TcpStream::connect(door.addr()).unwrap();
-        ask(&mut stream, plain(0, 0.5)).unwrap();
+        ask_frame(&mut stream, 0, 0.5).unwrap();
         assert_eq!(names.recv().unwrap().as_deref(), Some("serve-session"));
 
         let health = HealthConfig {

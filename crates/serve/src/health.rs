@@ -42,10 +42,6 @@ pub struct HealthConfig {
     /// of death only from request traffic, and an ejected shard is back
     /// only through `set_shard_addr` or `reinstate_shard`.
     pub probe_interval: Duration,
-    /// Fraction by which each round's pause is stretched, drawn
-    /// deterministically from `probe_seed` — e.g. `0.2` spreads rounds
-    /// over `[interval, 1.2 * interval)`.
-    pub probe_jitter: f64,
     /// Connect/read/write bound on one ping; a dead-but-routable shard
     /// costs at most this long per round.
     pub probe_timeout: Duration,
@@ -57,7 +53,6 @@ impl Default for HealthConfig {
     fn default() -> HealthConfig {
         HealthConfig {
             probe_interval: Duration::from_millis(500),
-            probe_jitter: 0.2,
             probe_timeout: Duration::from_secs(2),
             probe_seed: 0,
         }
@@ -65,13 +60,17 @@ impl Default for HealthConfig {
 }
 
 impl HealthConfig {
+    /// Fraction by which each round's pause is stretched, drawn
+    /// deterministically from `probe_seed`: rounds spread over
+    /// `[interval, 1.2 * interval)`.
+    pub const PROBE_JITTER: f64 = 0.2;
+
     /// The jittered pause before probe round `tick`: pure in
     /// `(probe_seed, tick)`, so a probing schedule is replayable.
     pub fn interval_for(&self, tick: u64) -> Duration {
         let u = unit_draw(self.probe_seed, tick);
-        Duration::from_secs_f64(
-            self.probe_interval.as_secs_f64() * (1.0 + self.probe_jitter.max(0.0) * u),
-        )
+        let stretch = 1.0 + HealthConfig::PROBE_JITTER * u;
+        Duration::from_secs_f64(self.probe_interval.as_secs_f64() * stretch)
     }
 }
 
@@ -192,7 +191,6 @@ mod tests {
     fn jittered_intervals_are_deterministic_and_bounded() {
         let config = HealthConfig {
             probe_interval: Duration::from_millis(100),
-            probe_jitter: 0.5,
             probe_seed: 42,
             ..HealthConfig::default()
         };
@@ -202,7 +200,7 @@ mod tests {
             let d = config.interval_for(tick);
             assert_eq!(d, again.interval_for(tick), "pure in (seed, tick)");
             assert!(d >= Duration::from_millis(100));
-            assert!(d < Duration::from_millis(150));
+            assert!(d < Duration::from_millis(120));
             if d != config.interval_for(0) {
                 distinct = true;
             }

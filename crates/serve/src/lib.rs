@@ -26,9 +26,8 @@
 //!   router's fetched frames.
 //! - `service` — the one frame service, generic over where frames come
 //!   from: the frame cache and its hit / miss / coalesced ledger, fetch
-//!   permits and shedding, read-ahead, and the `<role>.*` counter names
-//!   (DESIGN.md §13). A server and a router are this service over two
-//!   origins.
+//!   permits and shedding, and read-ahead (DESIGN.md §13). A server and a
+//!   router are this service over two origins.
 //! - [`server`] — [`server::FrameServer`], the service over one
 //!   [`server::Origin`] — a residency window over a run file, or one
 //!   seeded with partitions in memory — counting under `serve.*`.
@@ -42,9 +41,10 @@
 //!   [`accelviz_core::viewer::FrameSource`] so a `ViewerSession` runs
 //!   unmodified against a remote server, fetching frame n + 1 on its one
 //!   connection while frame n is drawn.
-//! - [`stats`] — the `serve.*` metric names. A `Stats` reply carries
-//!   the answering service's whole registry as one
-//!   [`accelviz_trace::registry::Snapshot`].
+//! - [`stats`] — the names each role counts under, one
+//!   [`stats::CounterNames`] table per role ([`stats::SERVE`],
+//!   [`stats::ROUTER`]). A `Stats` reply carries the answering service's
+//!   whole registry as one [`accelviz_trace::registry::Snapshot`].
 //! - [`router`] — the scale-out layer: [`router::ShardedFrameService`]
 //!   and [`router::FrameRouter`], the service over a replica set of N
 //!   shard servers with rendezvous-hashed (optionally replicated) frame

@@ -8,11 +8,7 @@
 //! kill an interactive session.
 
 use crate::error::{Result, ServeError};
-use crate::wire::{
-    decode_frame_v2, encode_frame_v2, read_envelope, read_envelope_within, read_str,
-    write_envelope, Envelope, PayloadWriter,
-};
-use accelviz_core::hybrid::HybridFrame;
+use crate::wire::{read_envelope, read_sealed, read_str, write_envelope, PayloadWriter, Sealed};
 use accelviz_math::Reader;
 use accelviz_trace::hist::{LogHistogram, LATENCY_BUCKETS};
 use accelviz_trace::registry::Snapshot;
@@ -36,7 +32,9 @@ pub const REQ_FRAME_PROGRESSIVE: u8 = 0x05;
 pub const RESP_HELLO_ACK: u8 = 0x81;
 /// Response kind: frame catalog.
 pub const RESP_LIST: u8 = 0x82;
-/// Response kind: an encoded hybrid frame.
+/// Response kind: an encoded hybrid frame — an AVWF v2 payload
+/// ([`crate::wire::decode_frame_v2`]), sent from a service's frame cache
+/// as sealed and read as one ([`crate::wire::read_sealed`]).
 pub const RESP_FRAME: u8 = 0x83;
 /// Response kind: metrics snapshot — every counter, then every
 /// histogram, each table sorted by name.
@@ -118,10 +116,8 @@ pub enum Request {
     },
 }
 
-/// A server-to-client message.
-// A frame is the reply that matters, moved once to its caller; boxing it
-// would cost every frame an allocation to keep the rarer replies small.
-#[allow(clippy::large_enum_variant)]
+/// A server-to-client message other than a frame ([`RESP_FRAME`]) or a
+/// progressive record ([`ChunkReply`]).
 #[derive(Clone, Debug, PartialEq)]
 pub enum Response {
     /// Handshake accepted.
@@ -133,8 +129,6 @@ pub enum Response {
     },
     /// The frame catalog.
     FrameList(Vec<FrameInfo>),
-    /// One hybrid frame.
-    Frame(HybridFrame),
     /// The service's metrics registry: a server's own, or a router's
     /// merged with every reachable shard's.
     Stats(Snapshot),
@@ -209,9 +203,9 @@ pub fn write_request<W: Write>(w: &mut W, req: &Request) -> Result<u64> {
 /// Reads one request envelope (payload bounded by
 /// [`MAX_REQUEST_PAYLOAD`]) and decodes it.
 pub fn read_request<R: Read>(r: &mut R) -> Result<Request> {
-    let env = read_envelope_within(r, MAX_REQUEST_PAYLOAD)?;
-    let mut p = Reader::new(&env.payload);
-    let req = match env.kind {
+    let env = read_sealed(r, MAX_REQUEST_PAYLOAD)?;
+    let mut p = Reader::new(env.payload());
+    let req = match env.kind() {
         REQ_HELLO => Request::Hello { version: p.u16()? },
         REQ_LIST => Request::ListFrames,
         REQ_FRAME => Request::RequestFrame {
@@ -230,8 +224,7 @@ pub fn read_request<R: Read>(r: &mut R) -> Result<Request> {
     Ok(req)
 }
 
-/// Writes one response; returns wire bytes written. Frame payloads go
-/// out compressed.
+/// Writes one response; returns wire bytes written.
 pub fn write_response<W: Write>(w: &mut W, resp: &Response) -> Result<u64> {
     let mut p = PayloadWriter::new();
     let kind = match resp {
@@ -252,10 +245,6 @@ pub fn write_response<W: Write>(w: &mut W, resp: &Response) -> Result<u64> {
                 p.put_f64(f.default_threshold);
             }
             RESP_LIST
-        }
-        Response::Frame(frame) => {
-            let (payload, _raw) = encode_frame_v2(frame);
-            return write_envelope(w, RESP_FRAME, &payload);
         }
         Response::Stats(snapshot) => {
             p.put_u32(snapshot.counters.len() as u32);
@@ -283,16 +272,17 @@ pub fn write_response<W: Write>(w: &mut W, resp: &Response) -> Result<u64> {
 
 /// Reads one response envelope and decodes it. An in-band
 /// [`Response::Error`] is returned as `Ok` — deciding whether that is
-/// fatal belongs to the caller.
+/// fatal belongs to the caller. A frame reply is no [`Response`]: it is
+/// [`ServeError::UnknownKind`] here.
 pub fn read_response<R: Read>(r: &mut R) -> Result<(Response, u64)> {
     let env = read_envelope(r)?;
     Ok((response_of(&env)?, env.wire_bytes()))
 }
 
 /// Decodes the response `env` carries.
-pub(crate) fn response_of(env: &Envelope) -> Result<Response> {
-    let mut p = Reader::new(&env.payload);
-    let resp = match env.kind {
+pub(crate) fn response_of(env: &Sealed) -> Result<Response> {
+    let mut p = Reader::new(env.payload());
+    let resp = match env.kind() {
         RESP_HELLO_ACK => Response::HelloAck {
             version: p.u16()?,
             frame_count: p.u32()?,
@@ -309,7 +299,6 @@ pub(crate) fn response_of(env: &Envelope) -> Result<Response> {
                 })
             })?)
         }
-        RESP_FRAME => return Ok(Response::Frame(decode_frame_v2(&env.payload)?)),
         RESP_STATS => Response::Stats(Snapshot {
             counters: read_table(&mut p, 8, |p| Ok(p.u64()?))?,
             histograms: read_table(&mut p, 8 * LATENCY_BUCKETS, |p| {
@@ -386,10 +375,10 @@ pub enum ChunkReply {
 pub fn read_chunk_reply<R: Read>(r: &mut R) -> Result<(ChunkReply, u64)> {
     let env = read_envelope(r)?;
     let wire_bytes = env.wire_bytes();
-    match env.kind {
-        RESP_FRAME_CHUNK => Ok((ChunkReply::Chunk(env.payload), wire_bytes)),
+    match env.kind() {
+        RESP_FRAME_CHUNK => Ok((ChunkReply::Chunk(env.into_payload()), wire_bytes)),
         RESP_ERROR => {
-            let mut p = Reader::new(&env.payload);
+            let mut p = Reader::new(env.payload());
             let reply = ChunkReply::Error {
                 code: p.u16()?,
                 message: read_str(&mut p)?,
@@ -539,7 +528,7 @@ mod tests {
     fn stats_payload(snapshot: &Snapshot) -> Vec<u8> {
         let mut buf = Vec::new();
         write_response(&mut buf, &Response::Stats(snapshot.clone())).unwrap();
-        read_envelope(&mut buf.as_slice()).unwrap().payload
+        read_envelope(&mut buf.as_slice()).unwrap().into_payload()
     }
 
     fn corrupt_message(envelope: &[u8]) -> String {

@@ -22,13 +22,13 @@ pub(crate) fn unit_draw(seed: u64, n: u64) -> f64 {
 /// When and how often the client retries a failed request.
 ///
 /// A transient failure on attempt `n` (zero-based) sleeps
-/// `min(max_delay, base_delay * multiplier^n) * (1 + jitter * u_n)`
+/// `min(max_delay, base_delay * MULTIPLIER^n) * (1 + JITTER * u_n)`
 /// where `u_n ∈ [0, 1)` is drawn deterministically from `seed` and `n`.
 /// Retries stop when `max_attempts` have been made or when the elapsed
 /// time plus the next delay would exceed `budget`.
 ///
-/// With `multiplier >= 1 + jitter` the schedule is monotonically
-/// non-decreasing — the defaults satisfy this.
+/// Since [`RetryPolicy::MULTIPLIER`] ≥ 1 + [`RetryPolicy::JITTER`], the
+/// schedule is monotonically non-decreasing.
 #[derive(Clone, Copy, Debug)]
 pub struct RetryPolicy {
     /// Total attempts allowed, including the first (so `1` means never
@@ -38,10 +38,6 @@ pub struct RetryPolicy {
     pub base_delay: Duration,
     /// Upper bound on any single pre-jitter delay.
     pub max_delay: Duration,
-    /// Exponential growth factor between consecutive delays.
-    pub multiplier: f64,
-    /// Jitter fraction: each delay is stretched by up to `jitter * 100` %.
-    pub jitter: f64,
     /// Seed for the deterministic jitter sequence.
     pub seed: u64,
     /// Total wall-clock allowance for retrying one operation; once the
@@ -56,8 +52,6 @@ impl Default for RetryPolicy {
             max_attempts: 5,
             base_delay: Duration::from_millis(100),
             max_delay: Duration::from_secs(5),
-            multiplier: 2.0,
-            jitter: 0.5,
             seed: 0,
             budget: Duration::from_secs(30),
         }
@@ -65,6 +59,11 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
+    /// Exponential growth factor between consecutive delays.
+    pub const MULTIPLIER: f64 = 2.0;
+    /// Jitter fraction: each delay is stretched by up to 50 %.
+    pub const JITTER: f64 = 0.5;
+
     /// A policy that differs from the default only in its jitter seed —
     /// handy for tests that want distinct but reproducible schedules.
     pub fn seeded(seed: u64) -> RetryPolicy {
@@ -81,8 +80,6 @@ impl RetryPolicy {
             max_attempts: 8,
             base_delay: Duration::from_millis(2),
             max_delay: Duration::from_millis(50),
-            multiplier: 2.0,
-            jitter: 0.5,
             seed,
             budget: Duration::from_secs(10),
         }
@@ -92,10 +89,10 @@ impl RetryPolicy {
     /// Pure: same policy and attempt always give the same answer.
     pub fn delay_for(&self, attempt: u32) -> Duration {
         let exp = self.base_delay.as_secs_f64().max(0.0)
-            * self.multiplier.max(1.0).powi(attempt.min(64) as i32);
+            * RetryPolicy::MULTIPLIER.powi(attempt.min(64) as i32);
         let capped = exp.min(self.max_delay.as_secs_f64());
         let u = unit_draw(self.seed, u64::from(attempt));
-        Duration::from_secs_f64(capped * (1.0 + self.jitter.max(0.0) * u))
+        Duration::from_secs_f64(capped * (1.0 + RetryPolicy::JITTER * u))
     }
 
     /// This policy reseeded for one request for `frame` at `threshold`:
@@ -170,7 +167,11 @@ mod tests {
         let total: Duration = s.iter().sum();
         assert!(total <= p.budget);
         for d in &s {
-            assert!(*d <= Duration::from_secs_f64(p.max_delay.as_secs_f64() * (1.0 + p.jitter)));
+            assert!(
+                *d <= Duration::from_secs_f64(
+                    p.max_delay.as_secs_f64() * (1.0 + RetryPolicy::JITTER)
+                )
+            );
         }
     }
 

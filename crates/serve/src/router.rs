@@ -17,7 +17,8 @@
 //!   circuit breaker every path that talks to the shard reports to;
 //! - `Stats` answers with the router's own `router.*` registry
 //!   ([`FrameRouter::metrics`]) merged with every reachable shard's
-//!   `serve.*` snapshot, so one poll of the router reads the whole
+//!   `Stats` snapshot — its `serve.*` registry, and from one shard the
+//!   window they share — so one poll of the router reads the whole
 //!   service.
 //!
 //! Forwarding: a frame is the shard's reply as read. Its envelope
@@ -69,7 +70,8 @@ use crate::health::{HealthConfig, Prober};
 use crate::lock;
 use crate::protocol::{FrameInfo, Refusal, ERR_BUSY, ERR_INTERNAL};
 use crate::server::{FrameServer, Origin, ServerConfig};
-use crate::service::{counter_names, CounterNames, FrameOrigin, ServiceConfig};
+use crate::service::{FrameOrigin, ServiceConfig};
+use crate::stats::{CounterNames, ROUTER};
 use crate::wire::{FramePeek, Sealed};
 use accelviz_core::shard::ShardSpec;
 use accelviz_trace::registry::{Registry, Snapshot};
@@ -78,23 +80,6 @@ use std::net::SocketAddr;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Registry counter: requests the router handled, across all clients
-/// and kinds.
-pub const CTR_ROUTER_REQUESTS: &str = "router.requests";
-/// Registry counter: frame replies the router sent downstream.
-pub const CTR_ROUTER_FRAMES_SERVED: &str = "router.frames_served";
-/// Registry counter: payload + framing bytes the router wrote to
-/// clients.
-pub const CTR_ROUTER_BYTES_SENT: &str = "router.bytes_sent";
-/// Registry counter: frame requests answered from the router's frame
-/// cache (including coalesced waiters).
-pub const CTR_ROUTER_CACHE_HITS: &str = "router.cache_hits";
-/// Registry counter: frame requests that went upstream to a shard.
-pub const CTR_ROUTER_CACHE_MISSES: &str = "router.cache_misses";
-/// Registry counter: frame requests that coalesced into an upstream
-/// fetch already in flight (a subset of `router.cache_hits` — the herd
-/// collapse at work).
-pub const CTR_ROUTER_COALESCED: &str = "router.coalesced_fetches";
 /// Registry counter: upstream fetches the router started (each one
 /// costs the owning shard at most one extraction).
 pub const CTR_ROUTER_UPSTREAM_FETCHES: &str = "router.upstream_fetches";
@@ -109,33 +94,6 @@ pub const CTR_ROUTER_UPSTREAM_RETRIES: &str = "router.upstream_retries";
 /// in-band (`ERR_BUSY` or `ERR_INTERNAL`); for stats aggregation it is a
 /// zero contribution.
 pub const CTR_ROUTER_UPSTREAM_ERRORS: &str = "router.upstream_errors";
-/// Registry counter: connections shed at the router's connection cap —
-/// answered one in-band `ERR_BUSY` from a bounded pool and closed,
-/// exactly as a shard server sheds.
-pub const CTR_ROUTER_SHED_CONNECTIONS: &str = "router.shed_connections";
-/// Registry counter: `accept(2)` failures on the router listener.
-pub const CTR_ROUTER_ACCEPT_ERRORS: &str = "router.accept_errors";
-/// Registry counter: request handlers that panicked and were isolated
-/// (the client got `ERR_INTERNAL`; the listener survived).
-pub const CTR_ROUTER_HANDLER_PANICS: &str = "router.handler_panics";
-/// Registry histogram: router request service time, including the
-/// upstream hop for cache misses.
-pub const HIST_ROUTER_LATENCY: &str = "router.request_latency";
-/// Registry counter: progressive (LOD) frame requests the router served
-/// by fetching the full frame upstream and re-chunking it locally.
-pub const CTR_ROUTER_LOD_REQUESTS: &str = "router.lod_requests";
-/// Registry counter: progressive chunk records the router wrote.
-pub const CTR_ROUTER_LOD_CHUNKS: &str = "router.lod_chunks";
-/// Registry counter: wire bytes of the progressive chunk envelopes the
-/// router wrote.
-pub const CTR_ROUTER_LOD_BYTES_WIRE: &str = "router.lod_bytes_wire";
-/// Registry counter: what the frames the router served would have
-/// occupied as raw v1 payloads (the twin of `serve.frame_bytes_raw`, on
-/// the client-facing leg).
-pub const CTR_ROUTER_FRAME_BYTES_RAW: &str = "router.frame_bytes_raw";
-/// Registry counter: frame payload bytes the router actually wrote to
-/// clients (compressed under AVWF v2).
-pub const CTR_ROUTER_FRAME_BYTES_WIRE: &str = "router.frame_bytes_wire";
 /// Registry counter: breaker trips (Closed → Open) — a shard was
 /// ejected from routing until a probe hears it answer again.
 pub const CTR_ROUTER_BREAKER_OPEN: &str = "router.breaker_open";
@@ -475,12 +433,7 @@ pub(crate) struct Replicas {
 }
 
 impl FrameOrigin for Replicas {
-    /// A router's lookup opens no span of its own: its misses show as the
-    /// upstream client's `serve.fetch` spans.
-    const NAMES: CounterNames = CounterNames {
-        span_lookup: None,
-        ..counter_names!("router")
-    };
+    const NAMES: CounterNames = ROUTER;
     const READS_AHEAD: bool = false;
 
     fn frame_count(&self) -> usize {
@@ -709,9 +662,9 @@ impl FrameRouter {
         &self.replicas().catalog
     }
 
-    /// The router's private metrics registry — every `router.*` counter
-    /// documented in this module. A `Stats` reply carries it merged with
-    /// the shards' snapshots.
+    /// The router's private metrics registry: its [`ROUTER`] table and
+    /// the `CTR_ROUTER_*` counters documented in this module. A `Stats`
+    /// reply carries it merged with the shards' snapshots.
     pub fn metrics(&self) -> &Registry {
         &self.door.service().metrics
     }
@@ -969,13 +922,15 @@ impl ShardedFrameService {
         &self.router
     }
 
-    /// The router's registry merged with every *live* shard's — what a
-    /// client reads with a `Stats` request through the router (which
-    /// likewise counts a dead shard as zeros), read in process.
+    /// The router's registry merged with every *live* shard's
+    /// [`FrameServer::stats`] — what a client reads with a `Stats` request
+    /// through the router (which likewise counts a dead shard as zeros),
+    /// read in process. The shards' one window is in it once, from
+    /// shard 0 while it lives.
     pub fn stats(&self) -> Snapshot {
         let mut total = self.router.metrics().snapshot();
         for shard in self.shards.iter().flatten() {
-            total.merge(&shard.metrics().snapshot());
+            total.merge(&shard.stats());
         }
         total
     }
@@ -1064,7 +1019,7 @@ mod tests {
         let routed = reply_bytes(router.addr(), req);
         assert_eq!(routed, reply_bytes(shard.addr(), req), "the shard's bytes");
         let entry = router.door.service().frame(2, t, Shape::Plain).unwrap();
-        assert_eq!(router.metrics().counter(CTR_ROUTER_CACHE_HITS), 1);
+        assert_eq!(router.metrics().counter(ROUTER.cache_hits), 1);
         let (reply, raw_len) = entry.v2();
         assert_eq!(reply.wire_bytes(), routed.len() as u64);
         assert_eq!(
@@ -1106,10 +1061,7 @@ mod tests {
         let held = frame.total_bytes() + (payload + records) as u64;
         assert_eq!(entry.held_bytes(), held);
         let counted = |name| router.metrics().counter(name);
-        let ledger = (
-            counted(CTR_ROUTER_CACHE_MISSES),
-            counted(CTR_ROUTER_CACHE_HITS),
-        );
+        let ledger = (counted(ROUTER.cache_misses), counted(ROUTER.cache_hits));
         assert_eq!(ledger, (1, 2));
         router.shutdown();
         shard.shutdown();

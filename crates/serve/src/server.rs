@@ -9,8 +9,8 @@
 //! preprocessing near the simulation, compact hybrid frames shipped to the
 //! desktop. The door, the protocol, the byte-weighed frame cache
 //! ([`crate::cache`]) and its ledger are the service's, as they are a
-//! router's; the server counts under `serve.*` ([`crate::stats`]) in a
-//! private [`Registry`].
+//! router's; the server counts under `serve.*` ([`crate::stats::SERVE`])
+//! in a private [`Registry`].
 //!
 //! Protection: the server sheds rather than degrades. Past
 //! [`ServerConfig::max_connections`] a new connection gets one in-band
@@ -39,7 +39,8 @@ use crate::cache::{Served, DEFAULT_CACHE_BYTES};
 use crate::frontdoor::{spawn_thread, FrontDoor};
 use crate::protocol::{FrameInfo, Refusal, ERR_INTERNAL};
 use crate::router::{invalid_input, ShardMap};
-use crate::service::{counter_names, CounterNames, FrameOrigin, ServiceConfig};
+use crate::service::{FrameOrigin, ServiceConfig};
+use crate::stats::{CounterNames, SERVE};
 use accelviz_beam::io::BYTES_PER_PARTICLE;
 use accelviz_core::shard::ShardSpec;
 use accelviz_octree::extraction::threshold_for_budget_tree;
@@ -122,6 +123,10 @@ pub struct Origin {
     /// each frame: the only frames a router asks it for, so the only ones
     /// it reads ahead. `None` reads ahead every frame.
     owned: Option<Arc<[bool]>>,
+    /// Whether a `Stats` reply over this origin carries the window's
+    /// counters: false on shards 1.. of a layout, whose shared window
+    /// shard 0 reports.
+    reports_window: bool,
 }
 
 impl From<Vec<PartitionedData>> for Origin {
@@ -132,7 +137,11 @@ impl From<Vec<PartitionedData>> for Origin {
 
 impl From<Arc<ResidentRun>> for Origin {
     fn from(run: Arc<ResidentRun>) -> Origin {
-        Origin { run, owned: None }
+        Origin {
+            run,
+            owned: None,
+            reports_window: true,
+        }
     }
 }
 
@@ -140,7 +149,9 @@ impl Origin {
     /// Spreads this origin over `shards` shards, each frame on
     /// `replication` of them: the [`ShardMap`] a router routes by
     /// ([`ShardMap::shared_replicated`]), and at index `s` shard `s`'s
-    /// origin: the one window, read ahead where `s` holds a replica.
+    /// origin: the one window, read ahead where `s` holds a replica and
+    /// reported by shard 0 alone, so a router's merged `Stats` counts it
+    /// once.
     /// `InvalidInput` for zero shards or zero replication; `replication`
     /// above `shards` clamps. [`crate::router::FrameRouter`]'s example
     /// wires a router.
@@ -159,6 +170,7 @@ impl Origin {
         let origins = (0..shards as u32).map(|s| Origin {
             run: Arc::clone(&self.run),
             owned: Some((0..map.frame_count() as u32).map(|g| holds(s, g)).collect()),
+            reports_window: s == 0,
         });
         let origins = origins.collect();
         Ok((map, origins))
@@ -173,7 +185,7 @@ pub(crate) struct Window {
 }
 
 impl FrameOrigin for Window {
-    const NAMES: CounterNames = counter_names!("serve");
+    const NAMES: CounterNames = SERVE;
     const READS_AHEAD: bool = true;
 
     fn frame_count(&self) -> usize {
@@ -223,12 +235,13 @@ impl FrameOrigin for Window {
     }
 
     /// The registry, plus a paged window's counters under their
-    /// `store.resident_*` names. A window seeded from memory never pages,
-    /// so its server's reply is the registry alone.
+    /// `store.resident_*` names, unless another shard of the layout
+    /// reports them. A window seeded from memory never pages, so its
+    /// server's reply is the registry alone.
     fn stats(&self, own: &Registry) -> Snapshot {
         let mut snapshot = own.snapshot();
         let run = &self.origin.run;
-        if run.pages() {
+        if run.pages() && self.origin.reports_window {
             for (name, value) in run.stats().counters() {
                 snapshot.counters.insert(name.to_string(), value);
             }
@@ -290,12 +303,18 @@ impl FrameServer {
         self.door.addr()
     }
 
-    /// This server's private metrics registry — what a `Stats` reply
-    /// carries ([`Registry::snapshot`]), read in process. A stored
-    /// server's reply adds its run's residency counters
-    /// ([`accelviz_store::ResidentStats::counters`]).
+    /// This server's private metrics registry, counting under
+    /// [`crate::stats::SERVE`].
     pub fn metrics(&self) -> &Registry {
         &self.door.service().metrics
+    }
+
+    /// What a `Stats` reply from this server carries, read in process:
+    /// its registry's snapshot, plus its run's residency counters
+    /// ([`accelviz_store::ResidentStats::counters`]) when its window pages
+    /// from a file and no other shard of its layout reports it.
+    pub fn stats(&self) -> Snapshot {
+        self.door.service().stats()
     }
 
     /// Stops accepting connections, joins the acceptor, and drains

@@ -32,100 +32,17 @@
 //! The service owns no thread: the door (`crate::frontdoor`) runs it on
 //! its sessions. Every counter and span a role counts under is
 //! `<role>.<name>`, and every thread its door starts is `<role>-<name>`,
-//! from the one [`CounterNames`] per role that [`counter_names!`] builds.
+//! from its role's one [`CounterNames`] table ([`crate::stats::SERVE`],
+//! [`crate::stats::ROUTER`]).
 
 use crate::cache::{CacheKey, CoalescingCache, Fetched, Lookup, Served};
 use crate::frontdoor::{CountGuard, ReadAhead, Shape, Spawn};
 use crate::protocol::{FrameInfo, Refusal, ERR_BUSY};
+use crate::stats::CounterNames;
 use accelviz_trace::registry::{Registry, Snapshot};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// The registry keys and span names one role counts under, each
-/// `<role>.<name>`, and the names of the threads its door starts, each
-/// `<role>-<name>`: a server's sessions land on `serve.*` and a router's
-/// on `router.*`. Built by [`counter_names!`].
-pub(crate) struct CounterNames {
-    pub(crate) requests: &'static str,
-    pub(crate) bytes_sent: &'static str,
-    pub(crate) frames_served: &'static str,
-    pub(crate) shed_connections: &'static str,
-    pub(crate) accept_errors: &'static str,
-    pub(crate) handler_panics: &'static str,
-    /// Histogram of request service time.
-    pub(crate) latency: &'static str,
-    /// What served frames would occupy as raw v1 payloads.
-    pub(crate) frame_bytes_raw: &'static str,
-    /// Frame payload bytes actually written.
-    pub(crate) frame_bytes_wire: &'static str,
-    pub(crate) lod_requests: &'static str,
-    pub(crate) lod_chunks: &'static str,
-    pub(crate) lod_bytes_wire: &'static str,
-    pub(crate) cache_hits: &'static str,
-    pub(crate) cache_misses: &'static str,
-    /// Hits that waited on a fetch already in flight.
-    pub(crate) coalesced_fetches: &'static str,
-    pub(crate) shed_extractions: &'static str,
-    pub(crate) readahead_hints: &'static str,
-    pub(crate) readahead_fetches: &'static str,
-    pub(crate) readahead_dropped: &'static str,
-    /// Span around one dispatched request.
-    pub(crate) span_request: &'static str,
-    /// Span around encoding and writing one full frame.
-    pub(crate) span_send: &'static str,
-    /// Span around planning one progressive stream.
-    pub(crate) span_lod_send: &'static str,
-    /// Span around one frame request's cache lookup, its fetch included;
-    /// `None` opens none.
-    pub(crate) span_lookup: Option<&'static str>,
-    /// Span around one hint's read-ahead, on the session that stepped.
-    pub(crate) span_readahead: &'static str,
-    /// The door's accept loop.
-    pub(crate) thread_accept: &'static str,
-    /// One admitted connection's session.
-    pub(crate) thread_session: &'static str,
-    /// A worker that answers shed connections.
-    pub(crate) thread_shed: &'static str,
-}
-
-/// The [`CounterNames`] of role `$role`: every name is `$role` joined to
-/// its suffix by `concat!`, so a role's table is a `const`. A thread name
-/// must fit Linux's 15 bytes, which a role of up to 7 bytes does.
-macro_rules! counter_names {
-    ($role:literal) => {
-        $crate::service::CounterNames {
-            requests: concat!($role, ".requests"),
-            bytes_sent: concat!($role, ".bytes_sent"),
-            frames_served: concat!($role, ".frames_served"),
-            shed_connections: concat!($role, ".shed_connections"),
-            accept_errors: concat!($role, ".accept_errors"),
-            handler_panics: concat!($role, ".handler_panics"),
-            latency: concat!($role, ".request_latency"),
-            frame_bytes_raw: concat!($role, ".frame_bytes_raw"),
-            frame_bytes_wire: concat!($role, ".frame_bytes_wire"),
-            lod_requests: concat!($role, ".lod_requests"),
-            lod_chunks: concat!($role, ".lod_chunks"),
-            lod_bytes_wire: concat!($role, ".lod_bytes_wire"),
-            cache_hits: concat!($role, ".cache_hits"),
-            cache_misses: concat!($role, ".cache_misses"),
-            coalesced_fetches: concat!($role, ".coalesced_fetches"),
-            shed_extractions: concat!($role, ".shed_extractions"),
-            readahead_hints: concat!($role, ".readahead_hints"),
-            readahead_fetches: concat!($role, ".readahead_fetches"),
-            readahead_dropped: concat!($role, ".readahead_dropped"),
-            span_request: concat!($role, ".request"),
-            span_send: concat!($role, ".send"),
-            span_lod_send: concat!($role, ".lod_send"),
-            span_lookup: Some(concat!($role, ".extract")),
-            span_readahead: concat!($role, ".readahead"),
-            thread_accept: concat!($role, "-accept"),
-            thread_session: concat!($role, "-session"),
-            thread_shed: concat!($role, "-shed"),
-        }
-    };
-}
-pub(crate) use counter_names;
 
 /// Where a service's frames come from. The service asks its origin for
 /// the catalog, for a frame on a cache miss, and for the `Stats` reply;
@@ -156,7 +73,8 @@ pub(crate) trait FrameOrigin: Send + Sync + 'static {
     }
 
     /// The snapshot a `Stats` reply carries, given the service's own
-    /// registry.
+    /// registry: the one definition of that reply, read in process as
+    /// [`Service::stats`].
     fn stats(&self, own: &Registry) -> Snapshot;
 }
 
@@ -202,6 +120,11 @@ impl<O: FrameOrigin> Service<O> {
             fetching: AtomicUsize::new(0),
             fetching_ahead: AtomicUsize::new(0),
         }
+    }
+
+    /// What a `Stats` reply from this service carries.
+    pub(crate) fn stats(&self) -> Snapshot {
+        self.origin.stats(&self.metrics)
     }
 
     /// Frame `frame < frame_count()` at a non-NaN `threshold`, cached as
@@ -346,7 +269,7 @@ mod tests {
     use crate::protocol::ERR_INTERNAL;
     use crate::router::Replicas;
     use crate::server::{Origin, ServerConfig, Window};
-    use crate::stats::*;
+    use crate::stats::SERVE;
     use crate::wire::encode_frame_v2;
     use accelviz_beam::distribution::Distribution;
     use accelviz_core::hybrid::HybridFrame;
@@ -388,123 +311,6 @@ mod tests {
 
     fn building<O: FrameOrigin>(service: &Service<O>) -> usize {
         service.fetching.load(Ordering::SeqCst)
-    }
-
-    /// The names operators read, and OPERATIONS.md's tables, are the
-    /// names each role's door and ledger count under.
-    #[test]
-    fn each_roles_derived_names_are_its_public_names() {
-        use crate::router::*;
-        let serve = Window::NAMES;
-        let router = Replicas::NAMES;
-        let pairs = [
-            (
-                serve.requests,
-                CTR_REQUESTS,
-                router.requests,
-                CTR_ROUTER_REQUESTS,
-            ),
-            (
-                serve.bytes_sent,
-                CTR_BYTES_SENT,
-                router.bytes_sent,
-                CTR_ROUTER_BYTES_SENT,
-            ),
-            (
-                serve.frames_served,
-                CTR_FRAMES_SERVED,
-                router.frames_served,
-                CTR_ROUTER_FRAMES_SERVED,
-            ),
-            (
-                serve.shed_connections,
-                CTR_SHED_CONNECTIONS,
-                router.shed_connections,
-                CTR_ROUTER_SHED_CONNECTIONS,
-            ),
-            (
-                serve.accept_errors,
-                CTR_ACCEPT_ERRORS,
-                router.accept_errors,
-                CTR_ROUTER_ACCEPT_ERRORS,
-            ),
-            (
-                serve.handler_panics,
-                CTR_HANDLER_PANICS,
-                router.handler_panics,
-                CTR_ROUTER_HANDLER_PANICS,
-            ),
-            (
-                serve.latency,
-                HIST_LATENCY,
-                router.latency,
-                HIST_ROUTER_LATENCY,
-            ),
-            (
-                serve.frame_bytes_raw,
-                CTR_FRAME_BYTES_RAW,
-                router.frame_bytes_raw,
-                CTR_ROUTER_FRAME_BYTES_RAW,
-            ),
-            (
-                serve.frame_bytes_wire,
-                CTR_FRAME_BYTES_WIRE,
-                router.frame_bytes_wire,
-                CTR_ROUTER_FRAME_BYTES_WIRE,
-            ),
-            (
-                serve.lod_requests,
-                CTR_LOD_REQUESTS,
-                router.lod_requests,
-                CTR_ROUTER_LOD_REQUESTS,
-            ),
-            (
-                serve.lod_chunks,
-                CTR_LOD_CHUNKS,
-                router.lod_chunks,
-                CTR_ROUTER_LOD_CHUNKS,
-            ),
-            (
-                serve.lod_bytes_wire,
-                CTR_LOD_BYTES_WIRE,
-                router.lod_bytes_wire,
-                CTR_ROUTER_LOD_BYTES_WIRE,
-            ),
-            (
-                serve.cache_hits,
-                CTR_CACHE_HITS,
-                router.cache_hits,
-                CTR_ROUTER_CACHE_HITS,
-            ),
-            (
-                serve.cache_misses,
-                CTR_CACHE_MISSES,
-                router.cache_misses,
-                CTR_ROUTER_CACHE_MISSES,
-            ),
-            (
-                serve.coalesced_fetches,
-                CTR_COALESCED,
-                router.coalesced_fetches,
-                CTR_ROUTER_COALESCED,
-            ),
-        ];
-        for (serve_name, serve_const, router_name, router_const) in pairs {
-            assert_eq!(serve_name, serve_const);
-            assert_eq!(router_name, router_const);
-        }
-        // Counted by a server only: a router neither sheds a fetch nor
-        // reads ahead.
-        for (name, public) in [
-            (serve.shed_extractions, CTR_SHED_EXTRACTIONS),
-            (serve.readahead_hints, CTR_READAHEAD_HINTS),
-            (serve.readahead_fetches, CTR_READAHEAD_FETCHES),
-            (serve.readahead_dropped, CTR_READAHEAD_DROPPED),
-        ] {
-            assert_eq!(name, public);
-        }
-        assert_eq!(serve.span_lookup, Some("serve.extract"));
-        assert_eq!(router.span_lookup, None, "a router's lookup opens no span");
     }
 
     /// One frame behind a gate: its fetch meets the test at `entered`,
@@ -629,17 +435,20 @@ mod tests {
             entered.wait(); // the first session's fetch is running
             s.spawn(|| service.read_ahead(at(0.25))).join().unwrap();
             assert_eq!(
-                (count(CTR_READAHEAD_FETCHES), count(CTR_READAHEAD_DROPPED)),
+                (
+                    count(SERVE.readahead_fetches),
+                    count(SERVE.readahead_dropped)
+                ),
                 (0, 1)
             );
             gate.wait();
             first.join().unwrap();
         });
         assert_eq!(
-            (count(CTR_READAHEAD_HINTS), count(CTR_READAHEAD_FETCHES)),
+            (count(SERVE.readahead_hints), count(SERVE.readahead_fetches)),
             (2, 1)
         );
-        assert_eq!(count(CTR_SHED_EXTRACTIONS), 0, "nothing was refused");
+        assert_eq!(count(SERVE.shed_extractions), 0, "nothing was refused");
         assert!(service.cache.get(&CacheKey::new(0, 0.5)).is_some());
         assert!(service.cache.get(&CacheKey::new(0, 0.25)).is_none());
         // The next hint finds no read-ahead running, and fetches.
@@ -649,7 +458,7 @@ mod tests {
             gate.wait();
             next.join().unwrap();
         });
-        assert_eq!(count(CTR_READAHEAD_FETCHES), 2);
+        assert_eq!(count(SERVE.readahead_fetches), 2);
         assert_eq!(building(&service), 0, "every permit came back");
     }
 
@@ -676,27 +485,30 @@ mod tests {
         let service = started(3, ServerConfig::default());
         let count = |name| service.metrics.counter(name);
         service.speculate(hint(1));
-        assert_eq!(count(CTR_READAHEAD_FETCHES), 1);
+        assert_eq!(count(SERVE.readahead_fetches), 1);
         assert_eq!(building(&service), 0, "the permit came back");
         let served = service.frame(1, f64::INFINITY, Shape::Plain).unwrap();
         let frame = served.frame().unwrap();
         let encoded_ahead = served.held_bytes() - frame.total_bytes();
         assert_eq!(encoded_ahead, encode_frame_v2(frame).0.len() as u64);
         // The request is a hit; the speculative fetch was never a miss.
-        assert_eq!((count(CTR_CACHE_HITS), count(CTR_CACHE_MISSES)), (1, 0));
+        assert_eq!((count(SERVE.cache_hits), count(SERVE.cache_misses)), (1, 0));
         // A hint for a resident frame fetches nothing and drops nothing.
         service.speculate(hint(1));
         assert_eq!(
-            (count(CTR_READAHEAD_FETCHES), count(CTR_READAHEAD_DROPPED)),
+            (
+                count(SERVE.readahead_fetches),
+                count(SERVE.readahead_dropped)
+            ),
             (1, 0)
         );
         // The same as a counted hint.
         service.read_ahead(hint(2));
         assert_eq!(
-            (count(CTR_READAHEAD_HINTS), count(CTR_READAHEAD_FETCHES)),
+            (count(SERVE.readahead_hints), count(SERVE.readahead_fetches)),
             (1, 2)
         );
-        assert_eq!(count(CTR_READAHEAD_DROPPED), 0);
+        assert_eq!(count(SERVE.readahead_dropped), 0);
     }
 
     #[test]
@@ -711,14 +523,17 @@ mod tests {
         service.read_ahead(hint(1));
         let count = |name| service.metrics.counter(name);
         assert_eq!(
-            (count(CTR_READAHEAD_FETCHES), count(CTR_READAHEAD_DROPPED)),
+            (
+                count(SERVE.readahead_fetches),
+                count(SERVE.readahead_dropped)
+            ),
             (0, 1)
         );
-        assert_eq!(count(CTR_SHED_EXTRACTIONS), 0, "nothing was refused");
+        assert_eq!(count(SERVE.shed_extractions), 0, "nothing was refused");
         drop(held);
         // The demand request for the same frame is served, as a miss.
         assert!(service.frame(1, f64::INFINITY, Shape::Plain).is_ok());
-        assert_eq!((count(CTR_CACHE_HITS), count(CTR_CACHE_MISSES)), (0, 1));
+        assert_eq!((count(SERVE.cache_hits), count(SERVE.cache_misses)), (0, 1));
     }
 
     /// A read-ahead whose fetch panics (here: binning into a grid with no
@@ -734,9 +549,12 @@ mod tests {
         let count = |name| service.metrics.counter(name);
         service.read_ahead(hint(1));
         service.read_ahead(hint(0));
-        assert_eq!(count(CTR_READAHEAD_HINTS), 2);
+        assert_eq!(count(SERVE.readahead_hints), 2);
         assert_eq!(
-            (count(CTR_READAHEAD_FETCHES), count(CTR_READAHEAD_DROPPED)),
+            (
+                count(SERVE.readahead_fetches),
+                count(SERVE.readahead_dropped)
+            ),
             (0, 0),
             "both hints ran their fetch, and neither finished it"
         );

@@ -56,32 +56,6 @@ pub const MAX_PAYLOAD: u64 = 1 << 30;
 /// header declares; beyond it the buffer grows as bytes arrive.
 const PAYLOAD_FIRST_RESERVE: u64 = 64 << 10;
 
-/// One framed message: its kind byte and raw payload.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Envelope {
-    /// Message kind (request kinds are `0x0_`, responses `0x8_`).
-    pub kind: u8,
-    /// The message payload, still encoded.
-    pub payload: Vec<u8>,
-}
-
-impl Envelope {
-    /// Total bytes this envelope occupies on the wire.
-    pub fn wire_bytes(&self) -> u64 {
-        HEADER_BYTES + self.payload.len() as u64 + CHECKSUM_BYTES
-    }
-}
-
-/// The kind and payload of an envelope read whole.
-impl From<Sealed> for Envelope {
-    fn from(sealed: Sealed) -> Envelope {
-        Envelope {
-            kind: sealed.kind(),
-            payload: sealed.payload,
-        }
-    }
-}
-
 /// Writes one envelope at [`V2`]; returns the wire bytes written.
 pub fn write_envelope<W: Write>(w: &mut W, kind: u8, payload: &[u8]) -> Result<u64> {
     write_envelope_v(w, V2, kind, payload)
@@ -169,6 +143,11 @@ impl Sealed {
         &self.payload
     }
 
+    /// The payload, kept and no longer framed.
+    pub fn into_payload(self) -> Vec<u8> {
+        self.payload
+    }
+
     /// The message kind.
     pub fn kind(&self) -> u8 {
         self.header[6]
@@ -205,19 +184,10 @@ fn read_exact_or_truncated<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<()> {
     Ok(())
 }
 
-/// Reads and validates one envelope: magic, version ([`V2`] only),
-/// length bound, and checksum, in that order.
-pub fn read_envelope<R: Read>(r: &mut R) -> Result<Envelope> {
-    read_envelope_within(r, MAX_PAYLOAD)
-}
-
-/// [`read_envelope`] with a caller-chosen payload bound: a header that
-/// declares more than `max_payload` bytes is [`ServeError::Corrupt`]
-/// before a single payload byte is read. The server side reads requests
-/// through this with a request-sized bound
-/// ([`crate::protocol::MAX_REQUEST_PAYLOAD`]).
-pub fn read_envelope_within<R: Read>(r: &mut R, max_payload: u64) -> Result<Envelope> {
-    read_sealed(r, max_payload).map(Envelope::from)
+/// [`read_sealed`] at the largest payload any peer may declare,
+/// [`MAX_PAYLOAD`].
+pub fn read_envelope<R: Read>(r: &mut R) -> Result<Sealed> {
+    read_sealed(r, MAX_PAYLOAD)
 }
 
 /// The one envelope reader: reads and validates one envelope — magic,
@@ -793,8 +763,8 @@ mod tests {
         let n = write_envelope(&mut buf, 0x03, b"hello payload").unwrap();
         assert_eq!(n as usize, buf.len());
         let env = read_envelope(&mut buf.as_slice()).unwrap();
-        assert_eq!(env.kind, 0x03);
-        assert_eq!(env.payload, b"hello payload");
+        assert_eq!(env.kind(), 0x03);
+        assert_eq!(env.payload(), b"hello payload");
         assert_eq!(env.wire_bytes(), n);
     }
 
@@ -803,8 +773,8 @@ mod tests {
         let mut buf = Vec::new();
         write_envelope(&mut buf, 0x01, b"").unwrap();
         let env = read_envelope(&mut buf.as_slice()).unwrap();
-        assert_eq!(env.kind, 0x01);
-        assert!(env.payload.is_empty());
+        assert_eq!(env.kind(), 0x01);
+        assert!(env.payload().is_empty());
     }
 
     #[test]
@@ -997,7 +967,7 @@ mod tests {
     }
 
     /// What the one reader reads is what it writes back: the envelope,
-    /// byte for byte, and its `Envelope` view is `read_envelope`'s.
+    /// byte for byte, and `read_envelope` reads the same envelope.
     #[test]
     fn a_sealed_read_writes_back_the_bytes_it_read() {
         let mut wire = Vec::new();
@@ -1011,7 +981,7 @@ mod tests {
         sealed.write_to(&mut again).unwrap();
         assert_eq!(again, wire);
         let env = read_envelope(&mut wire.as_slice()).unwrap();
-        assert_eq!(Envelope::from(sealed), env);
+        assert_eq!(sealed, env);
     }
 
     /// The peek reads a v2 payload's step and raw length without

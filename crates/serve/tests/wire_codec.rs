@@ -9,9 +9,10 @@ use accelviz_math::{Aabb, Vec3};
 use accelviz_octree::density::DensityGrid;
 use accelviz_octree::plots::PlotType;
 use accelviz_serve::error::ServeError;
-use accelviz_serve::protocol::{read_response, write_response, Response};
+use accelviz_serve::protocol::RESP_FRAME;
 use accelviz_serve::wire::{
-    decode_frame, decode_frame_v2, encode_frame, encode_frame_v2, read_envelope, write_envelope,
+    decode_frame, decode_frame_v2, encode_frame, encode_frame_v2, read_envelope, read_sealed,
+    write_envelope, Sealed, MAX_PAYLOAD,
 };
 use proptest::prelude::*;
 
@@ -78,14 +79,13 @@ proptest! {
     #[test]
     fn frame_responses_roundtrip_through_envelopes(frame in arb_frame()) {
         let mut buf = Vec::new();
-        let written = write_response(&mut buf, &Response::Frame(frame.clone())).unwrap();
+        let sealed = Sealed::new(RESP_FRAME, encode_frame_v2(&frame).0);
+        let written = sealed.write_to(&mut buf).unwrap();
         prop_assert_eq!(written as usize, buf.len());
-        let (resp, wire_bytes) = read_response(&mut buf.as_slice()).unwrap();
-        prop_assert_eq!(wire_bytes as usize, buf.len());
-        match resp {
-            Response::Frame(decoded) => prop_assert_eq!(decoded, frame),
-            other => return Err(TestCaseError::fail(format!("expected Frame, got {other:?}"))),
-        }
+        let reply = read_sealed(&mut buf.as_slice(), MAX_PAYLOAD).unwrap();
+        prop_assert_eq!(reply.wire_bytes() as usize, buf.len());
+        prop_assert_eq!(reply.kind(), RESP_FRAME);
+        prop_assert_eq!(decode_frame_v2(reply.payload()).unwrap(), frame);
     }
 
     #[test]

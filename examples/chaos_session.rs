@@ -24,7 +24,7 @@ use accelviz::octree::builder::{partition, BuildParams};
 use accelviz::octree::plots::PlotType;
 use accelviz::render::framebuffer::Framebuffer;
 use accelviz::serve::client::{FaultyConnector, TcpConnector};
-use accelviz::serve::stats::{CTR_HANDLER_PANICS, CTR_SHED_CONNECTIONS, CTR_SHED_EXTRACTIONS};
+use accelviz::serve::stats::SERVE;
 use accelviz::serve::{
     Client, ClientConfig, FaultPlan, FrameServer, RemoteFrames, RetryPolicy, ServerConfig,
 };
@@ -121,9 +121,9 @@ fn main() {
     );
     println!(
         "  server side  : {} handler panics, {} shed connections, {} shed extractions",
-        server.metrics().counter(CTR_HANDLER_PANICS),
-        server.metrics().counter(CTR_SHED_CONNECTIONS),
-        server.metrics().counter(CTR_SHED_EXTRACTIONS),
+        server.metrics().counter(SERVE.handler_panics),
+        server.metrics().counter(SERVE.shed_connections),
+        server.metrics().counter(SERVE.shed_extractions),
     );
 
     // Render the last (chaos-delivered) frame so the trace, if enabled,

@@ -28,7 +28,7 @@ use accelviz::octree::builder::{partition, BuildParams};
 use accelviz::octree::extraction::threshold_for_budget;
 use accelviz::octree::plots::PlotType;
 use accelviz::render::framebuffer::Framebuffer;
-use accelviz::serve::stats::{CTR_CACHE_MISSES, CTR_READAHEAD_FETCHES};
+use accelviz::serve::stats::SERVE;
 use accelviz::serve::{Client, FrameServer, RemoteFrames, ServerConfig};
 use accelviz::store::run::{write_run_file, DEFAULT_CHUNK_BYTES};
 use accelviz::store::ResidentRun;
@@ -125,7 +125,7 @@ fn run(path: &Path, seconds: f64) -> Report {
     }
     let produced = || {
         let m = server.metrics();
-        m.counter(CTR_CACHE_MISSES) + m.counter(CTR_READAHEAD_FETCHES)
+        m.counter(SERVE.cache_misses) + m.counter(SERVE.readahead_fetches)
     };
     let (produced0, cpu0, t0) = (produced(), process_cpu_seconds(), Instant::now());
     let mut op_ms = Vec::new();

@@ -18,11 +18,8 @@ use accelviz::beam::distribution::Distribution;
 use accelviz::core::shard::ShardSpec;
 use accelviz::octree::builder::{partition, BuildParams};
 use accelviz::octree::plots::PlotType;
-use accelviz::serve::router::{
-    CTR_ROUTER_CACHE_HITS, CTR_ROUTER_CACHE_MISSES, CTR_ROUTER_COALESCED, CTR_ROUTER_REQUESTS,
-    CTR_ROUTER_UPSTREAM_FETCHES,
-};
-use accelviz::serve::stats::{CTR_CACHE_HITS, CTR_CACHE_MISSES, CTR_FRAMES_SERVED};
+use accelviz::serve::router::CTR_ROUTER_UPSTREAM_FETCHES;
+use accelviz::serve::stats::{ROUTER, SERVE};
 use accelviz::serve::{Client, RouterConfig, ServerConfig, ShardedFrameService};
 
 fn main() {
@@ -79,23 +76,23 @@ fn main() {
     let merged = client.stats().expect("stats");
     println!(
         "\nmerged shard stats: {} frames served, cache {} hits / {} misses",
-        merged.counter(CTR_FRAMES_SERVED),
-        merged.counter(CTR_CACHE_HITS),
-        merged.counter(CTR_CACHE_MISSES),
+        merged.counter(SERVE.frames_served),
+        merged.counter(SERVE.cache_hits),
+        merged.counter(SERVE.cache_misses),
     );
     for s in 0..service.shard_count() {
         println!(
             "  shard {s}: {} frames served",
-            service.shard(s).metrics().counter(CTR_FRAMES_SERVED)
+            service.shard(s).metrics().counter(SERVE.frames_served)
         );
     }
     println!(
         "router: {} requests, {} upstream fetches, {} cache hits / {} misses, {} coalesced",
-        merged.counter(CTR_ROUTER_REQUESTS),
+        merged.counter(ROUTER.requests),
         merged.counter(CTR_ROUTER_UPSTREAM_FETCHES),
-        merged.counter(CTR_ROUTER_CACHE_HITS),
-        merged.counter(CTR_ROUTER_CACHE_MISSES),
-        merged.counter(CTR_ROUTER_COALESCED),
+        merged.counter(ROUTER.cache_hits),
+        merged.counter(ROUTER.cache_misses),
+        merged.counter(ROUTER.coalesced_fetches),
     );
     println!(
         "session moved {:.2} MB over one connection; each shard only \

@@ -123,7 +123,7 @@ const ROWS: &[Row] = &[
         name: "reply",
         encodings: replies,
         decode: reply,
-        // A frame reply is a v2 frame.
+        // A catalog or a stats table expands by less than this.
         expansion: 1024,
     },
     Row {
@@ -137,7 +137,7 @@ const ROWS: &[Row] = &[
         name: "envelope",
         encodings: reply_envelopes,
         decode: envelope,
-        // The payload of a frame reply is a v2 frame.
+        // The reply row's bound: an envelope carries a reply.
         expansion: 1024,
     },
     Row {
@@ -284,7 +284,7 @@ fn a_flip_in_any_quarter_of_an_envelope_is_refused() {
         let mut wire = Vec::new();
         write_envelope(&mut wire, 0x83, &payload).unwrap();
         let read = |bytes: &[u8]| read_envelope(&mut &bytes[..]);
-        assert_eq!(read(&wire).unwrap().payload, payload);
+        assert_eq!(read(&wire).unwrap().payload(), payload);
         // One byte inside each non-empty quarter of ⌈len/4⌉ bytes, and
         // the first and last bytes of the checksum itself.
         let q = len.div_ceil(4);
@@ -666,7 +666,6 @@ fn reply_envelopes(rng: &mut Mix) -> Vec<Vec<u8>> {
             frame_count: 12,
         },
         Response::FrameList(list),
-        Response::Frame(frame(rng, 20, [2, 2, 2])),
         Response::Stats(Snapshot {
             counters,
             histograms,

@@ -8,9 +8,7 @@ mod common;
 use accelviz::core::hybrid::HybridFrame;
 use accelviz::core::session::{SessionOp, ViewerSession};
 use accelviz::octree::extraction::threshold_for_budget;
-use accelviz::serve::stats::{
-    CTR_CACHE_HITS, CTR_CACHE_MISSES, CTR_FRAMES_SERVED, CTR_REQUESTS, HIST_LATENCY,
-};
+use accelviz::serve::stats::SERVE;
 use accelviz::serve::{Client, FrameServer, RemoteFrames, ServeError, ServerConfig};
 use common::stores;
 use std::sync::Arc;
@@ -24,7 +22,7 @@ use std::time::{Duration, Instant};
 /// before the count; the assertion that follows still decides the test.
 fn wait_for_frames_served(server: &FrameServer, n: u64) {
     let deadline = Instant::now() + Duration::from_secs(10);
-    while server.metrics().counter(CTR_FRAMES_SERVED) < n && Instant::now() < deadline {
+    while server.metrics().counter(SERVE.frames_served) < n && Instant::now() < deadline {
         std::thread::yield_now();
     }
 }
@@ -128,14 +126,14 @@ fn concurrent_clients_share_the_extraction_cache() {
     // must have absorbed the overlap.
     wait_for_frames_served(&server, (n_clients * 4) as u64);
     let stats = server.metrics().snapshot();
-    assert_eq!(stats.counter(CTR_FRAMES_SERVED), (n_clients * 4) as u64);
+    assert_eq!(stats.counter(SERVE.frames_served), (n_clients * 4) as u64);
     assert_eq!(
-        stats.counter(CTR_CACHE_MISSES),
+        stats.counter(SERVE.cache_misses),
         4,
         "one extraction per distinct pair"
     );
-    assert_eq!(stats.counter(CTR_CACHE_HITS), (n_clients * 4 - 4) as u64);
-    assert!(stats.counter(CTR_CACHE_HITS) > 0);
+    assert_eq!(stats.counter(SERVE.cache_hits), (n_clients * 4 - 4) as u64);
+    assert!(stats.counter(SERVE.cache_hits) > 0);
 
     // The served frames also match a local reference extraction.
     let reference = HybridFrame::from_partition(&local[0], 0, thresholds[0], config.volume_dims);
@@ -154,14 +152,14 @@ fn stats_counters_are_shared_across_connections() {
     b.fetch(0, t).unwrap(); // second connection, same pair: a cache hit
     wait_for_frames_served(&server, 2);
     let stats = b.stats().unwrap();
-    assert_eq!(stats.counter(CTR_FRAMES_SERVED), 2);
-    assert_eq!(stats.counter(CTR_CACHE_HITS), 1);
-    assert_eq!(stats.counter(CTR_CACHE_MISSES), 1);
+    assert_eq!(stats.counter(SERVE.frames_served), 2);
+    assert_eq!(stats.counter(SERVE.cache_hits), 1);
+    assert_eq!(stats.counter(SERVE.cache_misses), 1);
     // 2 hellos + 2 fetches; the snapshot is taken before the stats
     // request itself is counted.
-    assert_eq!(stats.counter(CTR_REQUESTS), 4);
-    let latency = stats.histogram(HIST_LATENCY).unwrap_or_default();
-    assert_eq!(latency.total(), stats.counter(CTR_REQUESTS));
+    assert_eq!(stats.counter(SERVE.requests), 4);
+    let latency = stats.histogram(SERVE.latency).unwrap_or_default();
+    assert_eq!(latency.total(), stats.counter(SERVE.requests));
     drop(a);
     drop(b);
     server.shutdown();

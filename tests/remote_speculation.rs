@@ -26,7 +26,7 @@ use accelviz::serve::client::{
 use accelviz::serve::fault::{FaultDirection, FaultEvent, FaultKind, FaultPlan, FaultScript};
 use accelviz::serve::lod;
 use accelviz::serve::protocol::{write_response, Response};
-use accelviz::serve::stats::{CTR_FRAMES_SERVED, CTR_HANDLER_PANICS};
+use accelviz::serve::stats::SERVE;
 use accelviz::serve::wire::V2;
 use accelviz::serve::{Client, ClientConfig, FrameServer, RemoteFrames, RetryPolicy, ServerConfig};
 use common::{chaos_seed, stores};
@@ -134,7 +134,7 @@ fn a_drawing_playback_fetches_each_frame_once_ahead_of_its_load() {
     let used = global(CTR_CLIENT_SPECULATIVE_USED) - used_before;
     assert!(used >= 10, "{used} speculative frames used");
     drop(session);
-    let served = server.metrics().counter(CTR_FRAMES_SERVED);
+    let served = server.metrics().counter(SERVE.frames_served);
     assert!(served <= FRAMES as u64 + 1, "{served} frame requests");
     server.shutdown();
 }
@@ -151,7 +151,7 @@ fn loads_without_drawing_fetch_nothing_ahead() {
         assert_eq!(&*got, want);
     }
     let stats = remote.client().stats().unwrap();
-    assert_eq!(stats.counter(CTR_FRAMES_SERVED), 4);
+    assert_eq!(stats.counter(SERVE.frames_served), 4);
     server.shutdown();
 }
 
@@ -170,7 +170,7 @@ fn a_jump_discards_the_speculation_and_loads_the_frame_asked_for() {
     // 0 and 1 on demand, 2 and 3 speculatively, 7 on demand — and no
     // speculation after a jump.
     let stats = remote.client().stats().unwrap();
-    assert_eq!(stats.counter(CTR_FRAMES_SERVED), 5);
+    assert_eq!(stats.counter(SERVE.frames_served), 5);
     server.shutdown();
 }
 
@@ -269,14 +269,14 @@ fn stats_mid_playback_waits_for_the_speculation_and_keeps_it() {
     load_genuine(&mut remote, 1, &reference);
     let stats = remote.client().stats().unwrap();
     assert_eq!(
-        stats.counter(CTR_FRAMES_SERVED),
+        stats.counter(SERVE.frames_served),
         3,
         "0, 1 and speculative 2"
     );
     load_genuine(&mut remote, 2, &reference);
     let stats = remote.client().stats().unwrap();
     assert_eq!(
-        stats.counter(CTR_FRAMES_SERVED),
+        stats.counter(SERVE.frames_served),
         4,
         "frame 2 was not fetched again; 3 was speculated"
     );
@@ -309,6 +309,6 @@ fn a_speculating_playback_survives_a_seeded_chaos_plan() {
     );
     assert!(global(CTR_CLIENT_SPECULATIVE_FETCHES) - fetches_before >= FRAMES as u64);
     assert!(remote.client().client_stats().retries >= 1);
-    assert_eq!(server.metrics().counter(CTR_HANDLER_PANICS), 0);
+    assert_eq!(server.metrics().counter(SERVE.handler_panics), 0);
     server.shutdown();
 }

@@ -7,7 +7,7 @@
 mod common;
 
 use accelviz::serve::protocol::{read_response, write_request, Request, Response, ERR_BUSY};
-use accelviz::serve::stats::{CTR_HANDLER_PANICS, CTR_SHED_CONNECTIONS};
+use accelviz::serve::stats::SERVE;
 use accelviz::serve::{Client, ClientConfig, FrameServer, ServerConfig};
 use common::stores;
 use std::io::{Read, Write};
@@ -79,7 +79,7 @@ fn two_hundred_clients_fetch_bit_identical_frames() {
             "a storm client saw a frame differing from the reference"
         );
     }
-    assert_eq!(server.metrics().counter(CTR_HANDLER_PANICS), 0);
+    assert_eq!(server.metrics().counter(SERVE.handler_panics), 0);
     server.shutdown();
 }
 
@@ -144,7 +144,7 @@ fn connect_flood_past_the_cap_is_shed_without_thread_growth() {
     // Counted, not silently dropped — every arrival shows on the shed
     // counter even when the bounded answer queue was full.
     assert_eq!(
-        server.metrics().counter(CTR_SHED_CONNECTIONS),
+        server.metrics().counter(SERVE.shed_connections),
         FLOOD as u64,
         "every shed arrival must be counted"
     );

@@ -24,7 +24,7 @@ use accelviz::serve::router::{
     CTR_ROUTER_PROBE_FAIL, CTR_ROUTER_PROBE_OK, CTR_ROUTER_REPLICA_FAILOVERS,
     CTR_ROUTER_UPSTREAM_ERRORS, CTR_ROUTER_UPSTREAM_RETRIES,
 };
-use accelviz::serve::stats::{CTR_FRAMES_SERVED, CTR_REQUESTS};
+use accelviz::serve::stats::SERVE;
 use accelviz::serve::{
     BreakerConfig, BreakerState, Client, ClientConfig, FrameRouter, FrameServer, HealthConfig,
     Origin, RemoteFrames, RetryPolicy, RouterConfig, ServeError, ServerConfig, ShardMap,
@@ -530,7 +530,7 @@ fn a_stale_pool_does_not_eject_a_restarted_shard() {
     // coalescing) force overlapping upstream calls, hence more dials.
     let pooled = || {
         let m = rig.shard1.metrics();
-        m.counter(CTR_REQUESTS) - m.counter(CTR_FRAMES_SERVED) - 1
+        m.counter(SERVE.requests) - m.counter(SERVE.frames_served) - 1
     };
     const HERD: usize = 6;
     let mut viewers: Vec<Client> = (0..HERD)
@@ -603,9 +603,9 @@ fn an_idle_gap_is_redialed_without_an_error_or_a_verdict() {
 
     std::thread::sleep(idle);
     let polled = viewer.stats().unwrap();
-    let frames_served = polled.counter(CTR_FRAMES_SERVED);
+    let frames_served = polled.counter(SERVE.frames_served);
     assert_eq!(frames_served, 6, "a shard was polled as zeros");
-    assert_eq!(frames_served, service.stats().counter(CTR_FRAMES_SERVED));
+    assert_eq!(frames_served, service.stats().counter(SERVE.frames_served));
 
     std::thread::sleep(idle);
     // A fresh threshold: the router cache cannot answer this one.
@@ -642,7 +642,6 @@ fn prober_trips_the_breaker_without_client_traffic() {
                 probe_interval: Duration::from_millis(20),
                 probe_timeout: Duration::from_millis(500),
                 probe_seed: 404,
-                ..HealthConfig::default()
             },
             ..RouterConfig::default()
         },
@@ -695,7 +694,6 @@ fn prober_reinstates_a_shard_that_returns_on_its_old_address() {
                 probe_interval: Duration::from_millis(20),
                 probe_timeout: Duration::from_millis(500),
                 probe_seed: 505,
-                ..HealthConfig::default()
             },
             ..RouterConfig::default()
         },
@@ -761,7 +759,6 @@ fn an_ejected_hung_shard_gets_no_client_request() {
                 probe_interval: Duration::from_millis(20),
                 probe_timeout: Duration::from_secs(1),
                 probe_seed: 606,
-                ..HealthConfig::default()
             },
             ..RouterConfig::default()
         },

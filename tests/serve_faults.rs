@@ -20,10 +20,7 @@ use accelviz::core::session::{SessionOp, ViewerSession};
 use accelviz::render::framebuffer::Framebuffer;
 use accelviz::serve::client::{FaultyConnector, TcpConnector};
 use accelviz::serve::protocol::ERR_BUSY;
-use accelviz::serve::stats::{
-    CTR_FRAME_BYTES_RAW, CTR_FRAME_BYTES_WIRE, CTR_HANDLER_PANICS, CTR_REQUESTS,
-    CTR_SHED_CONNECTIONS, CTR_SHED_EXTRACTIONS,
-};
+use accelviz::serve::stats::{ROUTER, SERVE};
 use accelviz::serve::{
     Client, ClientConfig, FaultPlan, FrameServer, RemoteFrames, RetryPolicy, ServeError,
     ServerConfig,
@@ -92,8 +89,8 @@ fn chaos_session_delivers_frames_bit_identical_to_fault_free_run() {
     // what the same frames cost raw.
     let stats = remote.client().stats().unwrap();
     let (wire, raw) = (
-        stats.counter(CTR_FRAME_BYTES_WIRE),
-        stats.counter(CTR_FRAME_BYTES_RAW),
+        stats.counter(SERVE.frame_bytes_wire),
+        stats.counter(SERVE.frame_bytes_raw),
     );
     assert!(
         wire < raw,
@@ -116,7 +113,7 @@ fn chaos_session_delivers_frames_bit_identical_to_fault_free_run() {
     assert_eq!(remote.degraded_loads, 0);
 
     // No injected fault may escalate into a server-side handler panic.
-    assert_eq!(server.metrics().counter(CTR_HANDLER_PANICS), 0);
+    assert_eq!(server.metrics().counter(SERVE.handler_panics), 0);
     server.shutdown();
 }
 
@@ -130,7 +127,6 @@ fn chaos_session_delivers_frames_bit_identical_to_fault_free_run() {
 /// [`ShardedFrameService`]: accelviz::serve::ShardedFrameService
 #[test]
 fn sharded_chaos_session_delivers_bit_identical_frames() {
-    use accelviz::serve::router::CTR_ROUTER_HANDLER_PANICS;
     use accelviz::serve::{RouterConfig, ShardedFrameService};
 
     let seed = chaos_seed(DEFAULT_SEED);
@@ -183,15 +179,9 @@ fn sharded_chaos_session_delivers_bit_identical_frames() {
         "chaos must have forced reconnects: {cs:?}"
     );
 
-    assert_eq!(
-        service
-            .router()
-            .metrics()
-            .counter(CTR_ROUTER_HANDLER_PANICS),
-        0
-    );
+    assert_eq!(service.router().metrics().counter(ROUTER.handler_panics), 0);
     for s in 0..service.shard_count() {
-        assert_eq!(service.shard(s).metrics().counter(CTR_HANDLER_PANICS), 0);
+        assert_eq!(service.shard(s).metrics().counter(SERVE.handler_panics), 0);
     }
     service.shutdown();
 }
@@ -240,7 +230,7 @@ fn server_side_chaos_is_survivable() {
     assert!(fired.delays >= 1, "no delay fired: {fired:?}");
     assert!(fired.truncations >= 1, "no truncation fired: {fired:?}");
     assert!(fired.disconnects >= 1, "no disconnect fired: {fired:?}");
-    assert_eq!(server.metrics().counter(CTR_HANDLER_PANICS), 0);
+    assert_eq!(server.metrics().counter(SERVE.handler_panics), 0);
     server.shutdown();
 }
 
@@ -361,7 +351,7 @@ fn connection_cap_sheds_with_err_busy_and_serves_the_rest() {
             other.map(|_| "a client")
         ),
     }
-    assert!(server.metrics().counter(CTR_SHED_CONNECTIONS) >= 1);
+    assert!(server.metrics().counter(SERVE.shed_connections) >= 1);
 
     // The admitted client never noticed.
     let (frame, _) = admitted.fetch(0, f64::INFINITY).unwrap();
@@ -396,10 +386,10 @@ fn extraction_limit_sheds_fresh_extractions_in_band() {
         }
         other => panic!("expected ERR_BUSY shed, got {other:?}"),
     }
-    assert!(server.metrics().counter(CTR_SHED_EXTRACTIONS) >= 1);
+    assert!(server.metrics().counter(SERVE.shed_extractions) >= 1);
 
     // The same connection keeps serving non-extraction requests.
     assert_eq!(client.list_frames().unwrap().len(), 1);
-    assert!(client.stats().unwrap().counter(CTR_REQUESTS) >= 1);
+    assert!(client.stats().unwrap().counter(SERVE.requests) >= 1);
     server.shutdown();
 }

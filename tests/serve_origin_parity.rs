@@ -33,10 +33,11 @@ use accelviz::octree::sorted_store::PartitionedData;
 use accelviz::serve::lod::ProgressiveAssembler;
 use accelviz::serve::protocol::{
     read_chunk_reply, read_response, ChunkReply, FrameInfo, Request, Response, ERR_BAD_REQUEST,
+    RESP_FRAME,
 };
 use accelviz::serve::router::{CTR_ROUTER_BREAKER_OPEN, CTR_ROUTER_REPLICA_FAILOVERS};
-use accelviz::serve::stats::{CTR_FRAMES_SERVED, CTR_READAHEAD_FETCHES};
-use accelviz::serve::wire::V2;
+use accelviz::serve::stats::SERVE;
+use accelviz::serve::wire::{decode_frame_v2, read_sealed, MAX_PAYLOAD, V2};
 use accelviz::serve::{FrameServer, Origin, RouterConfig, ServerConfig, ShardedFrameService};
 use accelviz::store::run::write_run_file;
 use accelviz::store::ResidentRun;
@@ -210,7 +211,7 @@ impl Service {
             } => {
                 let fresh = FrameServer::spawn_loopback(origin.clone(), server_config());
                 let old = std::mem::replace(server, fresh.unwrap());
-                *read_ahead += old.metrics().counter(CTR_READAHEAD_FETCHES);
+                *read_ahead += old.metrics().counter(SERVE.readahead_fetches);
                 old.shutdown();
                 self.redial();
             }
@@ -220,7 +221,7 @@ impl Service {
                 served,
             } => {
                 if (0..service.shard_count()).all(|i| service.shard_alive(i)) {
-                    served[shard] += service.shard(shard).metrics().counter(CTR_FRAMES_SERVED);
+                    served[shard] += service.shard(shard).metrics().counter(SERVE.frames_served);
                     service.kill_shard(shard);
                 }
             }
@@ -247,7 +248,7 @@ impl Service {
             Deployment::Direct {
                 server, read_ahead, ..
             } => {
-                let fetched = read_ahead + server.metrics().counter(CTR_READAHEAD_FETCHES);
+                let fetched = read_ahead + server.metrics().counter(SERVE.readahead_fetches);
                 let seeded = self.name.starts_with("seeded window");
                 assert_eq!(fetched > 0, seeded, "{fetched} frames read ahead");
             }
@@ -258,7 +259,7 @@ impl Service {
             } => {
                 for (i, killed) in served.iter().enumerate() {
                     let live = service.shard_alive(i).then(|| service.shard(i).metrics());
-                    let live = live.map_or(0, |m| m.counter(CTR_FRAMES_SERVED));
+                    let live = live.map_or(0, |m| m.counter(SERVE.frames_served));
                     assert!(killed + live > 0, "shard {i} served no frame");
                 }
                 if *replication == 2 {
@@ -283,10 +284,10 @@ impl Service {
 fn decoded_frame(req: Request, reply: &[u8]) -> Option<HybridFrame> {
     let mut bytes = reply;
     match req {
-        Request::RequestFrame { .. } => match read_response(&mut bytes).unwrap().0 {
-            Response::Frame(frame) => Some(frame),
-            _ => None,
-        },
+        Request::RequestFrame { .. } => {
+            let reply = read_sealed(&mut bytes, MAX_PAYLOAD).unwrap();
+            (reply.kind() == RESP_FRAME).then(|| decode_frame_v2(reply.payload()).unwrap())
+        }
         Request::RequestFrameProgressive { .. } => {
             let mut assembler = ProgressiveAssembler::new();
             while !bytes.is_empty() {

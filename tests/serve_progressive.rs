@@ -23,10 +23,12 @@ use accelviz::serve::fault::{FaultDirection, FaultEvent, FaultKind, FaultPlan};
 use accelviz::serve::lod;
 use accelviz::serve::protocol::{
     read_request, read_response, write_request, write_response, Request, Response, ERR_BAD_REQUEST,
-    REQ_HELLO,
+    REQ_HELLO, RESP_FRAME,
 };
-use accelviz::serve::stats::{CTR_CACHE_HITS, CTR_LOD_CHUNKS, CTR_LOD_REQUESTS};
-use accelviz::serve::wire::{encode_frame, encode_frame_v2, write_envelope_v, V2};
+use accelviz::serve::stats::SERVE;
+use accelviz::serve::wire::{
+    decode_frame_v2, encode_frame, encode_frame_v2, read_sealed, write_envelope_v, MAX_PAYLOAD, V2,
+};
 use accelviz::serve::{
     Client, ClientConfig, FrameServer, RemoteFrames, RetryPolicy, ServeError, ServerConfig,
 };
@@ -92,11 +94,11 @@ fn progressive_refines_bit_identical_to_full_fetch_direct() {
     // Observability: progressive traffic is counted, and the shared
     // extraction cache served both request kinds (no double builds).
     let reg = server.metrics();
-    assert!(reg.counter(CTR_LOD_REQUESTS) >= 12);
-    assert!(reg.counter(CTR_LOD_CHUNKS) >= 2 * reg.counter(CTR_LOD_REQUESTS));
+    assert!(reg.counter(SERVE.lod_requests) >= 12);
+    assert!(reg.counter(SERVE.lod_chunks) >= 2 * reg.counter(SERVE.lod_requests));
     let stats = client.stats().unwrap();
     assert!(
-        stats.counter(CTR_CACHE_HITS) >= 12,
+        stats.counter(SERVE.cache_hits) >= 12,
         "progressive refetches must hit the same cache entries: {stats:?}"
     );
     server.shutdown();
@@ -334,9 +336,10 @@ fn hello_below_v2_is_refused_in_band_and_the_connection_serves_on() {
         frame: 0,
         threshold: f64::INFINITY,
     };
-    let Response::Frame(raw) = ask(&mut stream, fetch) else {
-        panic!("expected a frame");
-    };
+    write_request(&mut stream, &fetch).unwrap();
+    let reply = read_sealed(&mut stream, MAX_PAYLOAD).unwrap();
+    assert_eq!(reply.kind(), RESP_FRAME, "expected a frame");
+    let raw = decode_frame_v2(reply.payload()).unwrap();
     let (via_client, _) = Client::connect(server.addr())
         .unwrap()
         .fetch(0, f64::INFINITY)

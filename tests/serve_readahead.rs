@@ -16,10 +16,7 @@ mod common;
 
 use accelviz::core::hybrid::HybridFrame;
 use accelviz::serve::protocol::{Request, RESP_ERROR};
-use accelviz::serve::stats::{
-    CTR_CACHE_HITS, CTR_CACHE_MISSES, CTR_READAHEAD_DROPPED, CTR_READAHEAD_FETCHES,
-    CTR_READAHEAD_HINTS, CTR_SHED_EXTRACTIONS,
-};
+use accelviz::serve::stats::SERVE;
 use accelviz::serve::wire::V2;
 use accelviz::serve::{
     Client, ClientConfig, FrameServer, RouterConfig, ServerConfig, ShardedFrameService,
@@ -56,23 +53,26 @@ fn a_stepping_session_misses_twice_and_then_hits_read_ahead_entries() {
         assert_eq!(got, want, "frame {k}");
     }
     let n = FRAMES as u64;
-    assert_eq!(count(&server, CTR_CACHE_MISSES), 2);
-    assert_eq!(count(&server, CTR_CACHE_HITS), n - 2);
-    assert_eq!(count(&server, CTR_READAHEAD_FETCHES), n - 2);
+    assert_eq!(count(&server, SERVE.cache_misses), 2);
+    assert_eq!(count(&server, SERVE.cache_hits), n - 2);
+    assert_eq!(count(&server, SERVE.readahead_fetches), n - 2);
     // Each hint found no read-ahead running: the one before it finished
     // before its session read the request that made this one.
-    assert_eq!(count(&server, CTR_READAHEAD_DROPPED), 0);
-    assert_eq!(count(&server, CTR_SHED_EXTRACTIONS), 0);
+    assert_eq!(count(&server, SERVE.readahead_dropped), 0);
+    assert_eq!(count(&server, SERVE.shed_extractions), 0);
     // Looping on is a step too, and its successors (frames 0 and 1) are
     // resident: hinted, never fetched again. The `Stats` request is read
     // after the last hint's read-ahead, and its reply counts the same
     // requests.
     client.fetch(0, 2.5).unwrap();
     let wire = client.stats().unwrap();
-    assert_eq!(count(&server, CTR_READAHEAD_HINTS), n);
-    assert_eq!(count(&server, CTR_READAHEAD_FETCHES), n - 2);
+    assert_eq!(count(&server, SERVE.readahead_hints), n);
+    assert_eq!(count(&server, SERVE.readahead_fetches), n - 2);
     assert_eq!(
-        (wire.counter(CTR_CACHE_HITS), wire.counter(CTR_CACHE_MISSES)),
+        (
+            wire.counter(SERVE.cache_hits),
+            wire.counter(SERVE.cache_misses)
+        ),
         (n - 1, 2)
     );
     drop(client);
@@ -95,8 +95,8 @@ fn sessions_that_do_not_step_hint_nothing() {
     for (frame, threshold) in [(0, 1.0), (1, 1.5), (3, 1.5), (2, 1.5)] {
         client.fetch(frame, threshold).unwrap();
     }
-    assert_eq!(count(&server, CTR_READAHEAD_HINTS), 0);
-    assert_eq!(count(&server, CTR_CACHE_MISSES), 7);
+    assert_eq!(count(&server, SERVE.readahead_hints), 0);
+    assert_eq!(count(&server, SERVE.cache_misses), 7);
     drop(client);
     server.shutdown();
 }
@@ -129,10 +129,10 @@ fn a_residency_budget_of_one_frame_is_never_read_ahead() {
         client.stats().unwrap();
         let n = FRAMES as u64;
         let dropped = if reads_ahead { 0 } else { n - 1 };
-        assert_eq!(count(&server, CTR_READAHEAD_DROPPED), dropped, "{budget}");
+        assert_eq!(count(&server, SERVE.readahead_dropped), dropped, "{budget}");
         let (ahead, misses) = if reads_ahead { (n - 1, 2) } else { (0, n) };
-        assert_eq!(count(&server, CTR_READAHEAD_FETCHES), ahead, "{budget}");
-        assert_eq!(count(&server, CTR_CACHE_MISSES), misses, "{budget}");
+        assert_eq!(count(&server, SERVE.readahead_fetches), ahead, "{budget}");
+        assert_eq!(count(&server, SERVE.cache_misses), misses, "{budget}");
         // One window request per extraction, whoever ran it: read-ahead
         // moves requests ahead of their sessions, it does not add any.
         // Each frame is paged in once: it is new to the window when first
@@ -191,13 +191,13 @@ fn replies_from_read_ahead_entries_equal_cold_replies_byte_for_byte() {
         let mut stepping = session(&ahead);
         raw_reply(&mut stepping, stepped(0));
         raw_reply(&mut stepping, stepped(1));
-        let misses = count(&ahead, CTR_CACHE_MISSES);
+        let misses = count(&ahead, SERVE.cache_misses);
         let from_ahead = [
             raw_reply(&mut stepping, stepped(2)),
             raw_reply(&mut stepping, other(2)),
         ];
         assert_eq!(
-            count(&ahead, CTR_CACHE_MISSES),
+            count(&ahead, SERVE.cache_misses),
             misses,
             "case {i}: frame 2 came from the read-ahead entry"
         );
@@ -208,7 +208,7 @@ fn replies_from_read_ahead_entries_equal_cold_replies_byte_for_byte() {
             raw_reply(&mut fresh, stepped(2)),
             raw_reply(&mut fresh, other(2)),
         ];
-        assert_eq!(count(&cold, CTR_READAHEAD_HINTS), 0);
+        assert_eq!(count(&cold, SERVE.readahead_hints), 0);
         assert_ne!(
             from_ahead[0][6], RESP_ERROR,
             "case {i}: a frame, not an error"
@@ -257,7 +257,7 @@ fn a_default_server_extracts_and_encodes_a_viewers_loop_once() {
     let config = ServerConfig::default();
     let server = FrameServer::spawn_loopback(Arc::clone(&run), config).unwrap();
     let mut client = Client::connect_with(server.addr(), ClientConfig::no_retry()).unwrap();
-    let produced = || count(&server, CTR_CACHE_MISSES) + count(&server, CTR_READAHEAD_FETCHES);
+    let produced = || count(&server, SERVE.cache_misses) + count(&server, SERVE.readahead_fetches);
     let mut after_first_cycle = 0;
     for cycle in 0..3 {
         for (k, d) in data.iter().enumerate() {
@@ -301,11 +301,11 @@ fn a_frame_the_router_evicted_is_a_shard_miss() {
     // Different thresholds, so no step: the shard is never read ahead.
     client.fetch(0, 2.5).unwrap();
     client.fetch(1, 1.5).unwrap();
-    let misses = count(service.shard(0), CTR_CACHE_MISSES);
+    let misses = count(service.shard(0), SERVE.cache_misses);
     assert_eq!(misses, 2);
     client.fetch(0, 2.5).unwrap();
-    assert_eq!(count(service.shard(0), CTR_CACHE_MISSES), misses + 1);
-    assert_eq!(count(service.shard(0), CTR_CACHE_HITS), 0);
+    assert_eq!(count(service.shard(0), SERVE.cache_misses), misses + 1);
+    assert_eq!(count(service.shard(0), SERVE.cache_hits), 0);
     drop(client);
     service.shutdown();
 }

@@ -8,7 +8,7 @@ mod common;
 use accelviz::serve::protocol::{
     read_response, Request, Response, ERR_BAD_REQUEST, ERR_BAD_THRESHOLD, ERR_INTERNAL,
 };
-use accelviz::serve::stats::{CTR_CACHE_HITS, CTR_CACHE_MISSES, CTR_HANDLER_PANICS, CTR_REQUESTS};
+use accelviz::serve::stats::SERVE;
 use accelviz::serve::wire::{MAGIC, V2};
 use accelviz::serve::{
     Client, ClientConfig, FrameServer, RouterConfig, ServeError, ServerConfig, ShardedFrameService,
@@ -133,7 +133,7 @@ fn nan_thresholds_are_rejected_in_band() {
     // Rejected requests never reach the extraction cache.
     let stats = client.stats().unwrap();
     assert_eq!(
-        stats.counter(CTR_CACHE_MISSES),
+        stats.counter(SERVE.cache_misses),
         1,
         "only the threshold-1.0 extraction"
     );
@@ -171,13 +171,13 @@ fn panicking_handler_is_isolated_to_err_internal() {
         Err(ServeError::Remote { code, .. }) => assert_eq!(code, ERR_INTERNAL),
         other => panic!("expected in-band ERR_INTERNAL, got {other:?}"),
     }
-    assert_eq!(server.metrics().counter(CTR_HANDLER_PANICS), 1);
+    assert_eq!(server.metrics().counter(SERVE.handler_panics), 1);
 
     // The same connection still answers cheap requests...
     assert_eq!(client.list_frames().unwrap().len(), 1);
     // ...and the listener still admits fresh clients.
     let mut second = Client::connect_with(server.addr(), ClientConfig::no_retry()).unwrap();
-    assert!(second.stats().unwrap().counter(CTR_REQUESTS) >= 1);
+    assert!(second.stats().unwrap().counter(SERVE.requests) >= 1);
     server.shutdown();
 }
 
@@ -190,11 +190,11 @@ fn negative_zero_threshold_hits_the_positive_zero_cache_slot() {
     assert_eq!(a, b);
     let stats = client.stats().unwrap();
     assert_eq!(
-        stats.counter(CTR_CACHE_MISSES),
+        stats.counter(SERVE.cache_misses),
         1,
         "-0.0 must reuse the 0.0 extraction"
     );
-    assert_eq!(stats.counter(CTR_CACHE_HITS), 1);
+    assert_eq!(stats.counter(SERVE.cache_hits), 1);
     server.shutdown();
 }
 

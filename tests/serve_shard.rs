@@ -9,18 +9,14 @@ mod common;
 use accelviz::core::shard::ShardSpec;
 use accelviz::core::viewer::FrameSource;
 use accelviz::serve::protocol::ERR_BUSY;
-use accelviz::serve::router::{
-    CTR_ROUTER_CACHE_HITS, CTR_ROUTER_CACHE_MISSES, CTR_ROUTER_COALESCED,
-    CTR_ROUTER_SHED_CONNECTIONS, CTR_ROUTER_UPSTREAM_ERRORS, CTR_ROUTER_UPSTREAM_FETCHES,
-};
-use accelviz::serve::stats::{
-    CTR_BYTES_SENT, CTR_CACHE_MISSES, CTR_FRAMES_SERVED, CTR_FRAME_BYTES_RAW, CTR_FRAME_BYTES_WIRE,
-    CTR_READAHEAD_FETCHES, HIST_LATENCY,
-};
+use accelviz::serve::router::{CTR_ROUTER_UPSTREAM_ERRORS, CTR_ROUTER_UPSTREAM_FETCHES};
+use accelviz::serve::stats::{ROUTER, SERVE};
 use accelviz::serve::{
     Client, ClientConfig, FrameRouter, FrameServer, Origin, RemoteFrames, RetryPolicy,
     RouterConfig, ServeError, ServerConfig, ShardMap, ShardedFrameService,
 };
+use accelviz::store::run::write_run_file;
+use accelviz::store::ResidentRun;
 use common::stores;
 use std::io;
 use std::sync::{Arc, Barrier};
@@ -148,19 +144,19 @@ fn thundering_herd_collapses_to_one_upstream_extraction_per_shard() {
     for s in 0..2 {
         let m = service.shard(s).metrics();
         assert_eq!(
-            m.counter(CTR_FRAMES_SERVED),
+            m.counter(SERVE.frames_served),
             1,
             "shard {s} answered more than one upstream fetch"
         );
-        assert_eq!(m.counter(CTR_CACHE_MISSES), 1);
+        assert_eq!(m.counter(SERVE.cache_misses), 1);
     }
     // And the router's ledger shows the collapse: 2 upstream fetches, 30
     // requests absorbed by coalescing or the cache.
     let rm = service.router().metrics();
     assert_eq!(rm.counter(CTR_ROUTER_UPSTREAM_FETCHES), 2);
-    assert_eq!(rm.counter(CTR_ROUTER_CACHE_MISSES), 2);
-    assert_eq!(rm.counter(CTR_ROUTER_CACHE_HITS), (HERD - 2) as u64);
-    assert!(rm.counter(CTR_ROUTER_COALESCED) <= (HERD - 2) as u64);
+    assert_eq!(rm.counter(ROUTER.cache_misses), 2);
+    assert_eq!(rm.counter(ROUTER.cache_hits), (HERD - 2) as u64);
+    assert!(rm.counter(ROUTER.coalesced_fetches) <= (HERD - 2) as u64);
     service.shutdown();
 }
 
@@ -270,28 +266,78 @@ fn stats_through_the_router_aggregate_the_shards() {
     client.fetch(0, f64::INFINITY).unwrap();
 
     let wire = client.stats().unwrap();
-    assert_eq!(wire.counter(CTR_FRAMES_SERVED), FRAMES as u64);
+    assert_eq!(wire.counter(SERVE.frames_served), FRAMES as u64);
     // Each frame was extracted once on its shard — for the router's
     // request (a miss), or ahead of it: the router's pooled connection to
     // a shard is one session, and where that shard's local indices
     // ascend one by one the shard reads ahead of the router. Misses count
     // requests, so a read-ahead extraction is counted on its own.
     let read_ahead: u64 = (0..service.shard_count())
-        .map(|i| service.shard(i).metrics().counter(CTR_READAHEAD_FETCHES))
+        .map(|i| service.shard(i).metrics().counter(SERVE.readahead_fetches))
         .sum();
-    assert_eq!(wire.counter(CTR_CACHE_MISSES) + read_ahead, FRAMES as u64);
-    assert!(wire.counter(CTR_BYTES_SENT) > 0);
-    assert!(wire.histogram(HIST_LATENCY).unwrap_or_default().total() > 0);
+    assert_eq!(wire.counter(SERVE.cache_misses) + read_ahead, FRAMES as u64);
+    assert!(wire.counter(SERVE.bytes_sent) > 0);
+    assert!(wire.histogram(SERVE.latency).unwrap_or_default().total() > 0);
     assert!(
-        wire.counter(CTR_FRAME_BYTES_WIRE) < wire.counter(CTR_FRAME_BYTES_RAW),
+        wire.counter(SERVE.frame_bytes_wire) < wire.counter(SERVE.frame_bytes_raw),
         "v2 shard hops must compress"
     );
 
     let local = service.stats();
-    for name in [CTR_FRAMES_SERVED, CTR_CACHE_MISSES, CTR_FRAME_BYTES_RAW] {
+    for name in [
+        SERVE.frames_served,
+        SERVE.cache_misses,
+        SERVE.frame_bytes_raw,
+    ] {
         assert_eq!(local.counter(name), wire.counter(name), "{name}");
     }
     service.shutdown();
+}
+
+/// The shards of one layout share its window: the router's `Stats` reply,
+/// and the same sum read in process, count that window once.
+#[test]
+fn a_window_shared_by_shards_is_counted_once() {
+    const SHARED: usize = 6;
+    let tag = std::process::id();
+    let path = std::env::temp_dir().join(format!("accelviz-shared-window-{tag}"));
+    write_run_file(&path, &stores(SHARED, 800), 4_096).unwrap();
+    let run = Arc::new(ResidentRun::open(&path, u64::MAX).unwrap());
+    let mut service = ShardedFrameService::spawn_loopback_replicated(
+        Arc::clone(&run),
+        3,
+        1,
+        ServerConfig::default(),
+        RouterConfig::default(),
+    )
+    .unwrap();
+    let mut client = Client::connect_with(service.addr(), ClientConfig::no_retry()).unwrap();
+    for f in 0..SHARED as u32 {
+        client.fetch(f, f64::INFINITY).unwrap();
+    }
+    // A shard answers the router's `Stats` hop on the session that
+    // fetched, once the read-ahead its last frame started is done: after
+    // one reply, nothing pages in.
+    client.stats().unwrap();
+    let loads = run.stats().cold_loads;
+    assert!(loads > 0);
+    let wire = client.stats().unwrap();
+    assert_eq!(wire.counter("store.resident_loads"), loads, "{wire:?}");
+    let local = service.stats();
+    assert_eq!(local.counter("store.resident_loads"), loads, "{local:?}");
+
+    // Shard 0 reports the window: while it is down, neither sum holds the
+    // window's counters, and they come back whole when it is reinstated.
+    service.kill_shard(0);
+    let wire = client.stats().unwrap();
+    assert_eq!(wire.counter("store.resident_loads"), 0, "{wire:?}");
+    assert_eq!(service.stats().counter("store.resident_loads"), 0);
+    service.reinstate_shard(0).unwrap();
+    let wire = client.stats().unwrap();
+    assert_eq!(wire.counter("store.resident_loads"), loads, "{wire:?}");
+    assert_eq!(service.stats().counter("store.resident_loads"), loads);
+    service.shutdown();
+    let _ = std::fs::remove_file(&path);
 }
 
 /// A router at its connection cap sheds exactly like a server: the
@@ -320,7 +366,7 @@ fn router_at_its_connection_cap_answers_err_busy_in_band() {
         Ok(_) => panic!("the second client was admitted past the cap"),
     }
     let router = service.router().metrics();
-    assert_eq!(router.counter(CTR_ROUTER_SHED_CONNECTIONS), 1);
+    assert_eq!(router.counter(ROUTER.shed_connections), 1);
 
     admitted.fetch(1, f64::INFINITY).unwrap();
     service.shutdown();

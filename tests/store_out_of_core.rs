@@ -11,7 +11,7 @@ use accelviz::octree::builder::{partition, BuildParams};
 use accelviz::octree::plots::PlotType;
 use accelviz::octree::sorted_store::PartitionedData;
 use accelviz::serve::cache::Served;
-use accelviz::serve::stats::{CTR_FRAMES_SERVED, CTR_FRAME_BYTES_RAW, CTR_FRAME_BYTES_WIRE};
+use accelviz::serve::stats::SERVE;
 use accelviz::serve::wire::{encode_frame, CHECKSUM_BYTES, HEADER_BYTES};
 use accelviz::serve::{Client, ClientConfig, FrameServer, ServerConfig};
 use accelviz::store::run::{round_chunk_bytes, write_run_file};
@@ -123,8 +123,8 @@ fn stored_server_serves_a_run_bigger_than_its_residency_budget() {
     // The v2 session moved compressed frame payloads.
     let stats = client.stats().unwrap();
     let (wire, raw) = (
-        stats.counter(CTR_FRAME_BYTES_WIRE),
-        stats.counter(CTR_FRAME_BYTES_RAW),
+        stats.counter(SERVE.frame_bytes_wire),
+        stats.counter(SERVE.frame_bytes_raw),
     );
     assert!(
         wire < raw,
@@ -162,9 +162,9 @@ fn stored_server_counts_the_v2_bytes_its_clients_receive() {
     }
 
     let stats = client.stats().unwrap();
-    assert_eq!(stats.counter(CTR_FRAME_BYTES_WIRE), wire);
-    assert_eq!(stats.counter(CTR_FRAME_BYTES_RAW), raw);
-    assert_eq!(stats.counter(CTR_FRAMES_SERVED), FRAMES as u64);
+    assert_eq!(stats.counter(SERVE.frame_bytes_wire), wire);
+    assert_eq!(stats.counter(SERVE.frame_bytes_raw), raw);
+    assert_eq!(stats.counter(SERVE.frames_served), FRAMES as u64);
 
     server.shutdown();
     let _ = std::fs::remove_file(&path);

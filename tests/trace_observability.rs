@@ -11,10 +11,7 @@ use accelviz::octree::builder::{partition, BuildParams};
 use accelviz::octree::extraction::threshold_for_budget;
 use accelviz::octree::plots::PlotType;
 use accelviz::serve::router::{CTR_ROUTER_BREAKER_OPEN, CTR_ROUTER_UPSTREAM_ERRORS};
-use accelviz::serve::stats::{
-    CTR_CACHE_HITS, CTR_CACHE_MISSES, CTR_FRAMES_SERVED, CTR_READAHEAD_HINTS, CTR_REQUESTS,
-    HIST_LATENCY,
-};
+use accelviz::serve::stats::SERVE;
 use accelviz::serve::{
     Client, ClientConfig, FrameServer, RouterConfig, ServerConfig, ShardedFrameService,
 };
@@ -28,7 +25,7 @@ use std::time::{Duration, Instant};
 /// it lands just after the reply is on the wire.
 fn settle(reg: &Registry, requests: u64) {
     let deadline = Instant::now() + Duration::from_secs(5);
-    while reg.histogram(HIST_LATENCY).unwrap_or_default().total() != requests {
+    while reg.histogram(SERVE.latency).unwrap_or_default().total() != requests {
         assert!(Instant::now() < deadline, "request counters never settled");
         std::thread::yield_now();
     }
@@ -55,16 +52,19 @@ fn registry_cache_counts_match_wire_stats_and_cache_counters() {
     let wire = client.stats().unwrap();
     assert_eq!(wire, local);
     assert_eq!(
-        wire.counter(CTR_CACHE_MISSES),
+        wire.counter(SERVE.cache_misses),
         2,
         "two distinct extractions"
     );
-    assert_eq!(wire.counter(CTR_CACHE_HITS), 2, "each refetched once");
-    assert_eq!(wire.counter(CTR_FRAMES_SERVED), 4);
+    assert_eq!(wire.counter(SERVE.cache_hits), 2, "each refetched once");
+    assert_eq!(wire.counter(SERVE.frames_served), 4);
 
     // The Stats request lands in the registry after its reply.
     settle(reg, 6);
-    assert_eq!(reg.counter(CTR_REQUESTS), wire.counter(CTR_REQUESTS) + 1);
+    assert_eq!(
+        reg.counter(SERVE.requests),
+        wire.counter(SERVE.requests) + 1
+    );
 
     server.shutdown();
 }
@@ -78,12 +78,12 @@ fn two_servers_in_one_process_keep_separate_metrics() {
     ca.fetch(0, f64::INFINITY).unwrap();
     // The counter bump trails the reply slightly; poll for it.
     let deadline = Instant::now() + Duration::from_secs(5);
-    while a.metrics().counter(CTR_FRAMES_SERVED) != 2 {
+    while a.metrics().counter(SERVE.frames_served) != 2 {
         assert!(Instant::now() < deadline, "frame counter never settled");
         std::thread::yield_now();
     }
     assert_eq!(
-        b.metrics().counter(CTR_FRAMES_SERVED),
+        b.metrics().counter(SERVE.frames_served),
         0,
         "server B saw no traffic"
     );
@@ -122,7 +122,7 @@ fn breaker_and_read_ahead_counters_are_readable_over_the_wire() {
     client.fetch(0, 2.5).unwrap();
     client.fetch(1, 2.5).unwrap();
     let wire = client.stats().unwrap();
-    assert!(wire.counter(CTR_READAHEAD_HINTS) > 0, "{wire:?}");
+    assert!(wire.counter(SERVE.readahead_hints) > 0, "{wire:?}");
     server.shutdown();
 }
 
