@@ -16,17 +16,18 @@
 //! cached.
 //!
 //! One unit on both services: LRU under a byte budget, each entry weighed
-//! on admission by what it holds ([`Served::held_bytes`]). The fetch fills
+//! on admission by what it holds ([`Served::held_bytes`]), with one-touch
+//! frames capped at a tenth of it ([`ONE_TOUCH_DIVISOR`]). The fetch fills
 //! the encoding its request's shape asks for before the entry is
 //! admitted, so the budget bounds what the entry holds: frame plus
 //! payload on a server, the payload (and a frame only once decoded) on a
 //! router. The budget is
 //! `ServerConfig::cache_bytes` on a server and `RouterConfig::cache_bytes`
 //! on a router; both default to [`DEFAULT_CACHE_BYTES`]. Coalescing, the
-//! budget rule (0 holds the newest entry only) and what a refused or
-//! panicking fetch leaves behind are the cache's own rules
-//! ([`accelviz_store::cache`]); here the error a fetch shares with its
-//! waiters is a [`Refusal`].
+//! budget rule (0 holds the newest entry only), the one-touch rule and
+//! what a refused or panicking fetch leaves behind are the cache's own
+//! rules ([`accelviz_store::cache`]); here the error a fetch shares with
+//! its waiters is a [`Refusal`].
 
 use crate::frontdoor::Shape;
 use crate::lod::{chunk_budget, plan_frame_chunks};
@@ -44,6 +45,15 @@ pub use accelviz_store::cache::Lookup;
 /// each with their payload) fits many times over, so it is extracted and
 /// encoded once however often it is stepped through.
 pub const DEFAULT_CACHE_BYTES: u64 = 128 << 20;
+
+/// A frame cache's one-touch entries — frames produced for a `(frame,
+/// threshold)` with no history, not asked for since — weigh at most its
+/// budget over this: a tenth. A scientist dialling thresholds makes a
+/// frame per dial that nobody asks for twice; a viewer's loop comes round
+/// again, is remembered, and is admitted whole
+/// ([`accelviz_store::cache`]). A read-ahead product stops being one-touch
+/// when its request hits it.
+pub const ONE_TOUCH_DIVISOR: u64 = 10;
 
 /// Cache key: frame index plus the exact threshold bits. Using `to_bits`
 /// sidesteps float equality — a client re-requesting the same dialed

@@ -245,11 +245,12 @@ pub struct RouterConfig {
     /// a progressive request asked for them
     /// ([`crate::cache::Served::held_bytes`]), weighed as a server weighs
     /// its own ([`ServerConfig::cache_bytes`]), with the
-    /// same default ([`DEFAULT_CACHE_BYTES`]). Frames vary by orders of
-    /// magnitude with threshold and grid dims, so the budget counts bytes
-    /// rather than entries; a frame larger than the whole budget is still
-    /// admitted (to serve its coalesced waiters) and becomes the next
-    /// eviction victim, so 0 holds the newest frame only.
+    /// same default ([`DEFAULT_CACHE_BYTES`]) and the same one-touch cap
+    /// (a tenth, [`crate::cache::ONE_TOUCH_DIVISOR`]). Frames vary by
+    /// orders of magnitude with threshold and grid dims, so the budget
+    /// counts bytes rather than entries; a frame larger than the whole
+    /// budget is still admitted and becomes the next eviction victim, so
+    /// 0 holds the newest frame only.
     pub cache_bytes: u64,
     /// Bound on any single blocking read from a client; `None` waits
     /// forever.

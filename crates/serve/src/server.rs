@@ -57,7 +57,9 @@ use std::time::Duration;
 pub struct ServerConfig {
     /// Byte budget of the shared frame cache: LRU by what each entry
     /// holds on admission, the frame plus the encoding its request's shape
-    /// asked for ([`crate::cache::Served::held_bytes`]). The router weighs
+    /// asked for ([`crate::cache::Served::held_bytes`]), with frames asked
+    /// for once capped at a tenth of it
+    /// ([`crate::cache::ONE_TOUCH_DIVISOR`]). The router weighs
     /// its cache the same way ([`crate::router::RouterConfig::cache_bytes`]),
     /// and both default to [`DEFAULT_CACHE_BYTES`]. 0 holds the newest
     /// frame only, which is what a shard behind a router is given

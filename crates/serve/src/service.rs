@@ -9,11 +9,14 @@
 //! reply; the service owns the rest:
 //!
 //! - **The frame cache and its ledger.** One [`CoalescingCache`] weighed
-//!   in bytes; a fetch fills the encoding its request's shape asks for
-//!   before the entry is admitted ([`Served::prefill`]). A request is
-//!   counted by how the cache answered it, whatever the fetch returned: a
-//!   miss ran the fetch, a hit found the entry, and a coalesced waiter —
-//!   a hit as well — shared a fetch in flight.
+//!   in bytes, its one-touch frames capped at a tenth of the budget
+//!   ([`ONE_TOUCH_DIVISOR`]); a fetch fills the encoding its request's
+//!   shape asks for before the entry is admitted ([`Served::prefill`]). A
+//!   request is counted by how the cache answered it, whatever the fetch
+//!   returned: a miss ran the fetch, a hit found the entry, and a
+//!   coalesced waiter — a hit as well — shared a fetch in flight. What the
+//!   cache holds is copied to the registry after each request and each
+//!   read-ahead ([`Service::count_occupancy`]).
 //! - **Fetch permits.** A miss takes a permit before it fetches; past the
 //!   limit it is shed with `ERR_BUSY` on its live connection and counted
 //!   under `<role>.shed_extractions` only. Hits and coalesced waiters
@@ -35,13 +38,14 @@
 //! from its role's one [`CounterNames`] table ([`crate::stats::SERVE`],
 //! [`crate::stats::ROUTER`]).
 
-use crate::cache::{CacheKey, CoalescingCache, Fetched, Lookup, Served};
+use crate::cache::{CacheKey, CoalescingCache, Fetched, Lookup, Served, ONE_TOUCH_DIVISOR};
 use crate::frontdoor::{CountGuard, ReadAhead, Shape, Spawn};
+use crate::lock;
 use crate::protocol::{FrameInfo, Refusal, ERR_BUSY};
 use crate::stats::CounterNames;
 use accelviz_trace::registry::{Registry, Snapshot};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Where a service's frames come from. The service asks its origin for
@@ -107,6 +111,11 @@ pub(crate) struct Service<O> {
     fetching: AtomicUsize,
     /// Read-ahead fetches running now: 0 or 1.
     fetching_ahead: AtomicUsize,
+    /// Whether a fetch ran since the cache's occupancy was last copied to
+    /// the registry: only a fetch admits or evicts.
+    fetched_since_counted: AtomicBool,
+    /// Held while the cache's occupancy is copied to the registry.
+    counting_occupancy: Mutex<()>,
 }
 
 impl<O: FrameOrigin> Service<O> {
@@ -114,11 +123,14 @@ impl<O: FrameOrigin> Service<O> {
     pub(crate) fn new(origin: O, metrics: Arc<Registry>, config: ServiceConfig) -> Service<O> {
         Service {
             origin,
-            cache: CoalescingCache::new(config.cache_bytes, Served::held_bytes),
+            cache: CoalescingCache::new(config.cache_bytes, Served::held_bytes)
+                .with_one_touch_cap(config.cache_bytes / ONE_TOUCH_DIVISOR),
             metrics,
             config,
             fetching: AtomicUsize::new(0),
             fetching_ahead: AtomicUsize::new(0),
+            fetched_since_counted: AtomicBool::new(false),
+            counting_occupancy: Mutex::new(()),
         }
     }
 
@@ -173,6 +185,27 @@ impl<O: FrameOrigin> Service<O> {
         self.metrics.add(O::NAMES.readahead_hints, 1);
         let run = std::panic::AssertUnwindSafe(|| self.speculate(hint));
         let _ = std::panic::catch_unwind(run);
+        self.count_occupancy();
+    }
+
+    /// Copies what the frame cache holds, and its one-touch evictions so
+    /// far, to the registry, where a `Stats` reply reads them, if a fetch
+    /// ran since the last copy. Run after each request and each
+    /// read-ahead, which are all that fetch; one copy at a time, so the
+    /// last one made is of the newest state.
+    pub(crate) fn count_occupancy(&self) {
+        if !self.fetched_since_counted.swap(false, Ordering::SeqCst) {
+            return;
+        }
+        let _one_at_a_time = lock(&self.counting_occupancy);
+        let (held, names) = (self.cache.stats(), O::NAMES);
+        for (name, value) in [
+            (names.cache_held_bytes, held.weight),
+            (names.cache_entries, held.entries as u64),
+            (names.cache_one_touch_evictions, held.one_touch_evictions),
+        ] {
+            self.metrics.set(name, value);
+        }
     }
 
     /// The one cache lookup, for demand and speculative callers alike:
@@ -214,6 +247,9 @@ impl<O: FrameOrigin> Service<O> {
                 }
                 Ok(Arc::new(served))
             });
+        if lookup == Lookup::Fetched {
+            self.fetched_since_counted.store(true, Ordering::SeqCst);
+        }
         (fetched, (!shed).then_some(lookup))
     }
 
@@ -460,6 +496,50 @@ mod tests {
         });
         assert_eq!(count(SERVE.readahead_fetches), 2);
         assert_eq!(building(&service), 0, "every permit came back");
+    }
+
+    /// Frames at fresh thresholds are held up to a tenth of the budget; a
+    /// frame asked for twice is held beside them and hits; and the
+    /// occupancy the registry reads is the cache's.
+    #[test]
+    fn fresh_thresholds_hold_a_tenth_of_the_budget() {
+        // Every dial is above every node's density: each frame is all
+        // points, so all weigh the same.
+        let dial = |i: u32| f64::MAX / f64::from(i + 2);
+        let probe = started(1, ServerConfig::default());
+        let one = probe.frame(0, dial(0), Shape::Plain).unwrap().held_bytes();
+        let config = ServerConfig {
+            cache_bytes: 40 * one,
+            ..ServerConfig::default()
+        };
+        let service = started(1, config);
+        let twice = dial(0);
+        for _ in 0..2 {
+            service.frame(0, twice, Shape::Plain).unwrap();
+        }
+        for i in 1..=40 {
+            assert_eq!(
+                service
+                    .frame(0, dial(i), Shape::Plain)
+                    .unwrap()
+                    .held_bytes(),
+                one
+            );
+        }
+        let held = service.cache.stats();
+        assert_eq!((held.entries, held.weight), (5, 5 * one), "{held:?}");
+        assert_eq!(
+            (held.one_touch_weight, held.one_touch_evictions),
+            (4 * one, 36)
+        );
+        let (_, lookup) = service.lookup(0, twice, Shape::Plain, None);
+        assert_eq!(lookup, Some(Lookup::Hit));
+
+        service.count_occupancy();
+        let count = |name| service.metrics.counter(name);
+        assert_eq!(count(SERVE.cache_held_bytes), 5 * one);
+        assert_eq!(count(SERVE.cache_entries), 5);
+        assert_eq!(count(SERVE.cache_one_touch_evictions), 36);
     }
 
     #[test]

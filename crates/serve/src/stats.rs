@@ -59,6 +59,14 @@ pub struct CounterNames {
     /// Counter: frame requests that waited on a fetch already in flight
     /// and shared its outcome (a subset of `cache_hits`).
     pub coalesced_fetches: &'static str,
+    /// Level: bytes the frame cache holds, as its entries were weighed on
+    /// admission.
+    pub cache_held_bytes: &'static str,
+    /// Level: entries the frame cache holds.
+    pub cache_entries: &'static str,
+    /// Counter: one-touch entries — frames nobody had asked for, not asked
+    /// for again — evicted past the frame cache's one-touch cap.
+    pub cache_one_touch_evictions: &'static str,
     /// Counter: misses refused at the fetch-permit limit (in-band
     /// `ERR_BUSY`; the connection stays usable). A server's only: a
     /// router's shards shed for it.
@@ -113,6 +121,9 @@ macro_rules! counter_names {
             cache_hits: concat!($role, ".cache_hits"),
             cache_misses: concat!($role, ".cache_misses"),
             coalesced_fetches: concat!($role, ".coalesced_fetches"),
+            cache_held_bytes: concat!($role, ".cache_held_bytes"),
+            cache_entries: concat!($role, ".cache_entries"),
+            cache_one_touch_evictions: concat!($role, ".cache_one_touch_evictions"),
             shed_extractions: concat!($role, ".shed_extractions"),
             readahead_hints: concat!($role, ".readahead_hints"),
             readahead_fetches: concat!($role, ".readahead_fetches"),
@@ -167,6 +178,9 @@ mod tests {
             cache_hits,
             cache_misses,
             coalesced_fetches,
+            cache_held_bytes,
+            cache_entries,
+            cache_one_touch_evictions,
             shed_extractions,
             readahead_hints,
             readahead_fetches,
@@ -196,6 +210,9 @@ mod tests {
             cache_hits,
             cache_misses,
             coalesced_fetches,
+            cache_held_bytes,
+            cache_entries,
+            cache_one_touch_evictions,
             shed_extractions,
             readahead_hints,
             readahead_fetches,
@@ -232,6 +249,9 @@ mod tests {
             "serve.cache_hits",
             "serve.cache_misses",
             "serve.coalesced_fetches",
+            "serve.cache_held_bytes",
+            "serve.cache_entries",
+            "serve.cache_one_touch_evictions",
             "serve.shed_extractions",
             "serve.readahead_hints",
             "serve.readahead_fetches",
@@ -260,6 +280,9 @@ mod tests {
             "router.cache_hits",
             "router.cache_misses",
             "router.coalesced_fetches",
+            "router.cache_held_bytes",
+            "router.cache_entries",
+            "router.cache_one_touch_evictions",
             "router.shed_extractions",
             "router.readahead_hints",
             "router.readahead_fetches",

@@ -20,15 +20,34 @@
 //! them becomes the new fetcher): no outcome of one request can park the
 //! requests behind it.
 //!
-//! Budget: a value heavier than the whole budget is still admitted — it
-//! must be resident to serve its coalesced waiters — and is simply the
-//! next eviction victim. A zero budget is that rule applied to every
-//! value: the cache holds exactly the newest one.
+//! Budget: a value heavier than the whole budget is still admitted and
+//! is simply the next eviction victim. A zero budget is that rule
+//! applied to every value: the cache holds exactly the newest one.
+//! (Coalesced waiters do not need it: they get the fetch's outcome from
+//! the fetch itself.) What the rule keeps is the newest value until the
+//! next admission — such as a read-ahead product heavier than the
+//! one-touch cap, which must still be held when its request arrives.
+//!
+//! One-touch entries: a value [`Cache::get_or_fetch`] produced for a key
+//! with no history is *one-touch* until its first hit. A cache built
+//! [`Cache::with_one_touch_cap`] lets its one-touch entries weigh at most
+//! the cap together (2Q's probation queue, Johnson & Shasha 1994):
+//! eviction stays LRU over all entries, but past the cap the oldest
+//! one-touch entries go first, each leaving its key, without its value,
+//! in a history of the last [`REMEMBERED_KEYS`]. A fetch of a remembered
+//! key, and every [`Cache::insert`], admits an ordinary entry. A cache
+//! from [`Cache::new`] gives one-touch entries the whole budget, which is
+//! plain LRU, and remembers nothing.
 
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+
+/// Keys a cache with a one-touch cap remembers of the one-touch entries
+/// it evicted past the cap: enough for a loop far longer than any cap
+/// holds, at a few dozen bytes a key.
+pub const REMEMBERED_KEYS: usize = 4_096;
 
 /// How [`Cache::get_or_fetch`] answered a lookup.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -49,8 +68,13 @@ pub struct CacheStats {
     pub entries: usize,
     /// Their summed weight.
     pub weight: u64,
-    /// Values evicted so far to stay under budget.
+    /// Values evicted so far to stay under budget or under the one-touch
+    /// cap.
     pub evictions: u64,
+    /// Summed weight of the resident one-touch values.
+    pub one_touch_weight: u64,
+    /// Of `evictions`, the one-touch values evicted past the cap.
+    pub one_touch_evictions: u64,
 }
 
 /// How an in-flight fetch ended, as its waiters see it.
@@ -77,8 +101,11 @@ enum Entry<V, E> {
         value: Arc<V>,
         /// What `weigh` said on admission — the amount eviction refunds.
         weight: u64,
-        /// This entry's key in `Inner::order`.
+        /// This entry's key in `Inner::order`, and in `Inner::one_touch`
+        /// while it is one-touch.
         tick: u64,
+        /// Produced for a key with no history, and not hit since.
+        one_touch: bool,
     },
     Fetching(Arc<Pending<V, E>>),
 }
@@ -87,25 +114,88 @@ struct Inner<K, V, E> {
     /// Summed weight of the `Ready` entries.
     weight: u64,
     evictions: u64,
-    /// The last recency tick handed out.
+    /// The last tick handed out, to `order` and `remembered` alike.
     tick: u64,
     /// Recency order over *ready* keys, oldest tick first. Fetching keys
     /// are not listed and therefore cannot be evicted mid-fetch.
     order: BTreeMap<u64, K>,
     entries: HashMap<K, Entry<V, E>>,
+    /// The one-touch keys of `order`, under the same ticks.
+    one_touch: BTreeMap<u64, K>,
+    /// Summed weight of the one-touch entries.
+    one_touch_weight: u64,
+    one_touch_evictions: u64,
+    /// Keys evicted past the one-touch cap, oldest tick first; at most
+    /// [`REMEMBERED_KEYS`].
+    remembered: BTreeMap<u64, K>,
+    /// The tick each key of `remembered` is listed under.
+    remembered_ticks: HashMap<K, u64>,
 }
 
 impl<K: Clone + Eq + Hash, V, E> Inner<K, V, E> {
-    /// The ready value under `key`, now the most recently used.
+    /// The ready value under `key`, now the most recently used, and no
+    /// longer one-touch.
     fn touch(&mut self, key: &K) -> Option<Arc<V>> {
-        let Some(Entry::Ready { value, tick, .. }) = self.entries.get_mut(key) else {
+        let Some(Entry::Ready {
+            value,
+            weight,
+            tick,
+            one_touch,
+        }) = self.entries.get_mut(key)
+        else {
             return None;
         };
         self.order.remove(tick);
+        if std::mem::take(one_touch) {
+            self.one_touch.remove(tick);
+            self.one_touch_weight -= *weight;
+        }
         self.tick += 1;
         *tick = self.tick;
         self.order.insert(self.tick, key.clone());
         Some(Arc::clone(value))
+    }
+
+    /// Takes whatever `key` maps to out of the map, and a ready entry out
+    /// of both orders and the weights it was charged to.
+    fn remove(&mut self, key: &K) {
+        if let Some(Entry::Ready {
+            weight,
+            tick,
+            one_touch,
+            ..
+        }) = self.entries.remove(key)
+        {
+            self.weight -= weight;
+            self.order.remove(&tick);
+            if one_touch {
+                self.one_touch_weight -= weight;
+                self.one_touch.remove(&tick);
+            }
+        }
+    }
+
+    /// Lists `key`, a one-touch entry's and so not listed yet (its fetch
+    /// forgot it), as evicted past the one-touch cap, forgetting the
+    /// oldest remembered key when the history is full.
+    fn remember(&mut self, key: K) {
+        self.tick += 1;
+        self.remembered.insert(self.tick, key.clone());
+        self.remembered_ticks.insert(key, self.tick);
+        if self.remembered.len() > REMEMBERED_KEYS {
+            if let Some((_, oldest)) = self.remembered.pop_first() {
+                self.remembered_ticks.remove(&oldest);
+            }
+        }
+    }
+
+    /// Whether `key` was remembered; it is not any more.
+    fn forget(&mut self, key: &K) -> bool {
+        let Some(tick) = self.remembered_ticks.remove(key) else {
+            return false;
+        };
+        self.remembered.remove(&tick);
+        true
     }
 }
 
@@ -113,16 +203,20 @@ impl<K: Clone + Eq + Hash, V, E> Inner<K, V, E> {
 /// coalescing. See the [module docs](self).
 pub struct Cache<K, V, E> {
     budget: u64,
+    /// What the one-touch entries may weigh together.
+    one_touch_cap: u64,
     weigh: fn(&V) -> u64,
     inner: Mutex<Inner<K, V, E>>,
 }
 
 impl<K: Clone + Eq + Hash, V, E: Clone> Cache<K, V, E> {
     /// A cache whose resident values weigh at most `budget` in total,
-    /// each weighed once, on admission, by `weigh`.
+    /// each weighed once, on admission, by `weigh`: plain LRU, one-touch
+    /// values included.
     pub fn new(budget: u64, weigh: fn(&V) -> u64) -> Cache<K, V, E> {
         Cache {
             budget,
+            one_touch_cap: u64::MAX,
             weigh,
             inner: Mutex::new(Inner {
                 weight: 0,
@@ -130,7 +224,22 @@ impl<K: Clone + Eq + Hash, V, E: Clone> Cache<K, V, E> {
                 tick: 0,
                 order: BTreeMap::new(),
                 entries: HashMap::new(),
+                one_touch: BTreeMap::new(),
+                one_touch_weight: 0,
+                one_touch_evictions: 0,
+                remembered: BTreeMap::new(),
+                remembered_ticks: HashMap::new(),
             }),
+        }
+    }
+
+    /// This cache, its one-touch values weighing at most `cap` together
+    /// (the newest is held whatever it weighs). See the
+    /// [module docs](self).
+    pub fn with_one_touch_cap(self, cap: u64) -> Cache<K, V, E> {
+        Cache {
+            one_touch_cap: cap,
+            ..self
         }
     }
 
@@ -141,6 +250,8 @@ impl<K: Clone + Eq + Hash, V, E: Clone> Cache<K, V, E> {
             entries: g.order.len(),
             weight: g.weight,
             evictions: g.evictions,
+            one_touch_weight: g.one_touch_weight,
+            one_touch_evictions: g.one_touch_evictions,
         }
     }
 
@@ -168,9 +279,10 @@ impl<K: Clone + Eq + Hash, V, E: Clone> Cache<K, V, E> {
     }
 
     /// Makes `value` the resident, most recently used value under `key`,
-    /// evicting least recently used values until the budget holds.
+    /// an ordinary one, evicting least recently used values until the
+    /// budget holds.
     pub fn insert(&self, key: K, value: Arc<V>) {
-        self.admit(&mut lock(&self.inner), key, value);
+        self.admit(&mut lock(&self.inner), key, value, false);
     }
 
     /// Returns the value for `key`, running `fetch` when it is neither
@@ -229,7 +341,10 @@ impl<K: Clone + Eq + Hash, V, E: Clone> Cache<K, V, E> {
         {
             let mut g = lock(&self.inner);
             match &outcome {
-                Ok(Ok(value)) => self.admit(&mut g, key, Arc::clone(value)),
+                Ok(Ok(value)) => {
+                    let one_touch = !g.forget(&key);
+                    self.admit(&mut g, key, Arc::clone(value), one_touch);
+                }
                 // Failed or panicked: vacate the key, cache nothing —
                 // unless an `insert` has made it ready meanwhile.
                 _ => {
@@ -250,34 +365,45 @@ impl<K: Clone + Eq + Hash, V, E: Clone> Cache<K, V, E> {
         outcome.unwrap_or_else(|panic| std::panic::resume_unwind(panic))
     }
 
-    /// Replaces whatever `key` maps to with `value`, evicting from the
-    /// old end of `order` first. The newcomer is listed only afterwards,
-    /// so it can never evict itself.
-    fn admit(&self, g: &mut Inner<K, V, E>, key: K, value: Arc<V>) {
-        if let Some(Entry::Ready { weight, tick, .. }) = g.entries.remove(&key) {
-            g.weight -= weight;
-            g.order.remove(&tick);
-        }
+    /// Replaces whatever `key` maps to with `value`. A `one_touch`
+    /// newcomer first evicts the oldest one-touch entries past the cap,
+    /// remembering their keys; then any newcomer evicts from the old end
+    /// of `order` until the budget holds. The newcomer is listed only
+    /// afterwards, so it can never evict itself.
+    fn admit(&self, g: &mut Inner<K, V, E>, key: K, value: Arc<V>, one_touch: bool) {
+        g.remove(&key);
         let incoming = (self.weigh)(&value);
+        while one_touch && g.one_touch_weight.saturating_add(incoming) > self.one_touch_cap {
+            let Some((_, victim)) = g.one_touch.pop_first() else {
+                break;
+            };
+            g.remove(&victim);
+            g.evictions += 1;
+            g.one_touch_evictions += 1;
+            g.remember(victim);
+        }
         while g.weight + incoming > self.budget {
             let Some((_, victim)) = g.order.pop_first() else {
                 break;
             };
-            if let Some(Entry::Ready { weight, .. }) = g.entries.remove(&victim) {
-                g.weight -= weight;
-                g.evictions += 1;
-            }
+            g.remove(&victim);
+            g.evictions += 1;
         }
         g.tick += 1;
         let tick = g.tick;
         g.order.insert(tick, key.clone());
         g.weight += incoming;
+        if one_touch {
+            g.one_touch.insert(tick, key.clone());
+            g.one_touch_weight += incoming;
+        }
         g.entries.insert(
             key,
             Entry::Ready {
                 value,
                 weight: incoming,
                 tick,
+                one_touch,
             },
         );
     }
@@ -404,7 +530,7 @@ mod tests {
         let (got, _) = cache.get_or_fetch(0, || Ok(Arc::clone(&big)));
         assert!(Arc::ptr_eq(&got.unwrap(), &big));
         // Still resident: the just-inserted frame is never its own
-        // eviction victim, so its coalesced waiters are served.
+        // eviction victim, so it is held until the next admission.
         let (again, _) = cache.get_or_fetch(0, || panic!("resident"));
         assert!(Arc::ptr_eq(&again.unwrap(), &big));
         // The next distinct insert evicts it.

@@ -371,3 +371,55 @@ fn router_at_its_connection_cap_answers_err_busy_in_band() {
     admitted.fetch(1, f64::INFINITY).unwrap();
     service.shutdown();
 }
+
+/// A router under fresh thresholds — a scientist dialling the extraction
+/// threshold, each dial a frame nobody asks for twice — holds at most a
+/// tenth of its frame cache's budget of such frames, plus the newest; a
+/// frame asked for twice still hits.
+#[test]
+fn a_router_under_fresh_thresholds_holds_a_tenth_of_its_budget() {
+    const DIALS: usize = 200;
+    let router = RouterConfig::default();
+    let cap = router.cache_bytes / 10;
+    let service = ShardedFrameService::spawn_loopback_replicated(
+        stores(FRAMES, 4_000),
+        3,
+        2,
+        ServerConfig::default(),
+        router,
+    )
+    .unwrap();
+    let mut client = Client::connect_with(service.addr(), ClientConfig::no_retry()).unwrap();
+    // Every dial is above every node's density, so each frame is all
+    // points, and each is a distinct cache key.
+    let dial = |i: usize| f64::MAX / (i + 1) as f64;
+    let (mut received, mut largest) = (0, 0);
+    for i in 0..DIALS {
+        let (_, fetched) = client.fetch((i % FRAMES) as u32, dial(i)).unwrap();
+        received += fetched.wire_bytes;
+        largest = largest.max(fetched.wire_bytes);
+    }
+    // What the frames weigh together is well past the cap: a router that
+    // kept them all would hold it twice over.
+    assert!(received > 2 * cap, "{received} B received");
+    let wire = client.stats().unwrap();
+    let held = wire.counter(ROUTER.cache_held_bytes);
+    assert!(held <= cap + largest, "{held} B held");
+    assert!(
+        wire.counter(ROUTER.cache_entries) < DIALS as u64,
+        "{wire:?}"
+    );
+    assert!(
+        wire.counter(ROUTER.cache_one_touch_evictions) > 0,
+        "{wire:?}"
+    );
+    assert_eq!(service.stats().counter(ROUTER.cache_held_bytes), held);
+
+    // One more dial, asked for twice: the second request hits.
+    let hits = || service.router().metrics().counter(ROUTER.cache_hits);
+    let before = hits();
+    client.fetch(0, dial(DIALS)).unwrap();
+    client.fetch(0, dial(DIALS)).unwrap();
+    assert_eq!(hits(), before + 1);
+    service.shutdown();
+}
