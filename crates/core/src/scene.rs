@@ -12,7 +12,7 @@ use accelviz_math::Rgba;
 use accelviz_octree::density::DensityGrid;
 use accelviz_render::camera::Camera;
 use accelviz_render::framebuffer::Framebuffer;
-use accelviz_render::points::{keep_point, PointStyle};
+use accelviz_render::points::{keep_point, splat, PointStyle};
 use accelviz_render::rasterizer::{draw_triangle_strips, flat_shader, RasterOptions};
 use accelviz_render::shading::{shade_tube_fragment, Material};
 use accelviz_render::texture::tube_bump_map;
@@ -60,8 +60,9 @@ pub fn grid_view(g: &DensityGrid) -> GridView<'_> {
 /// Renders a hybrid frame. The volume pass uses the pair's volume TF; the
 /// point pass draws each particle with probability equal to the point
 /// TF's fraction at its node density (the "three out of every four
-/// points" rule), evaluated with the same deterministic hash as the
-/// plain point renderer.
+/// points" rule), evaluated with [`keep_point`]'s deterministic hash, and
+/// splats each kept point with the style's falloff through the one point
+/// splatter, [`splat`].
 pub fn render_hybrid_frame(
     fb: &mut Framebuffer,
     camera: &Camera,
@@ -81,8 +82,8 @@ pub fn render_hybrid_frame(
     if mode != RenderMode::VolumeOnly {
         let mut span = accelviz_trace::span("render.points_pass");
         let positions = frame.point_positions();
-        let (w, h) = (fb.width(), fb.height());
-        let projector = camera.projector(w, h);
+        let projector = camera.projector(fb.width(), fb.height());
+        let (size, depth) = (point_style.size_px, point_style.write_depth);
         for (i, &p) in positions.iter().enumerate() {
             let fraction = tfs.point.fraction(frame.point_densities[i]);
             // Also honor any global subsample in the style.
@@ -90,33 +91,9 @@ pub fn render_hybrid_frame(
             if keep < 1.0 && !keep_point(i as u64, keep) {
                 continue;
             }
-            let Some((px, py, z)) = projector.to_pixel(p) else {
-                continue;
-            };
-            if !(-1.0..=1.0).contains(&z) {
-                continue;
+            if splat(fb, &projector, p, size, depth, |d2| point_style.falloff(d2)).is_some() {
+                stats.points_drawn += 1;
             }
-            // Single-pixel splat at the paper's working scale; bigger
-            // sizes go through the full splatter.
-            let radius = point_style.size_px.max(0.5);
-            let x0 = (px - radius).floor().max(0.0) as isize;
-            let y0 = (py - radius).floor().max(0.0) as isize;
-            let x1 = ((px + radius).ceil() as isize).min(w as isize - 1);
-            let y1 = ((py + radius).ceil() as isize).min(h as isize - 1);
-            for y in y0.max(0)..=y1.max(-1) {
-                for x in x0.max(0)..=x1.max(-1) {
-                    let dx = x as f64 + 0.5 - px;
-                    let dy = y as f64 + 0.5 - py;
-                    let d2 = (dx * dx + dy * dy) / (radius * radius);
-                    if d2 > 1.0 {
-                        continue;
-                    }
-                    let falloff = (1.0 - d2).sqrt() as f32;
-                    let c = point_style.color.with_alpha(point_style.color.a * falloff);
-                    fb.blend_fragment(x as usize, y as usize, z as f32, c, point_style.write_depth);
-                }
-            }
-            stats.points_drawn += 1;
         }
         if span.is_active() {
             span.arg("points_drawn", stats.points_drawn as f64);
@@ -171,8 +148,9 @@ impl PointAttribute {
 /// Renders the point part of a hybrid frame with per-point colors computed
 /// *at draw time* from `attribute` through `palette` (a map from the
 /// attribute value, normalized to its observed [min, max], to a color).
-/// Returns the points drawn. This is the dynamic-recoloring path that the
-/// precomputed volume representation cannot offer.
+/// Returns the points drawn, each splatted flat by the one point splatter
+/// ([`splat`]). This is the dynamic-recoloring path that the precomputed
+/// volume representation cannot offer.
 pub fn render_points_by_attribute(
     fb: &mut Framebuffer,
     camera: &Camera,
@@ -195,34 +173,13 @@ pub fn render_points_by_attribute(
             (lo.min(v), hi.max(v))
         });
     let span = (hi - lo).max(1e-300);
-    let (w, h) = (fb.width(), fb.height());
-    let projector = camera.projector(w, h);
+    let projector = camera.projector(fb.width(), fb.height());
     let mut drawn = 0;
-    for (i, &pos) in positions.iter().enumerate() {
-        let Some((px, py, z)) = projector.to_pixel(pos) else {
-            continue;
-        };
-        if !(-1.0..=1.0).contains(&z) {
-            continue;
+    for (&pos, &value) in positions.iter().zip(&values) {
+        let color = palette((value - lo) / span);
+        if splat(fb, &projector, pos, size_px, false, |_| color).is_some() {
+            drawn += 1;
         }
-        let color = palette((values[i] - lo) / span);
-        let r = size_px.max(0.5);
-        let x0 = (px - r).floor().max(0.0) as isize;
-        let y0 = (py - r).floor().max(0.0) as isize;
-        let x1 = ((px + r).ceil() as isize).min(w as isize - 1);
-        let y1 = ((py + r).ceil() as isize).min(h as isize - 1);
-        for y in y0.max(0)..=y1.max(-1) {
-            for x in x0.max(0)..=x1.max(-1) {
-                let dx = x as f64 + 0.5 - px;
-                let dy = y as f64 + 0.5 - py;
-                let d2 = (dx * dx + dy * dy) / (r * r);
-                if d2 > 1.0 {
-                    continue;
-                }
-                fb.blend_fragment(x as usize, y as usize, z as f32, color, false);
-            }
-        }
-        drawn += 1;
     }
     drawn
 }

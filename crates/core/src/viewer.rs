@@ -184,7 +184,8 @@ impl FrameCache {
     /// Prefetches the frames around `current` (the keyboard-stepping
     /// workflow of §2.5 almost always moves to a neighbor), warming the
     /// cache in both directions up to `radius`. Returns the number of
-    /// frames actually loaded. Never evicts the current frame.
+    /// frames actually loaded. Never evicts the current frame: the
+    /// prefetch stops at the first load that would.
     pub fn prefetch_window(&self, current: usize, radius: usize) -> usize {
         let n = self.frame_count();
         if n == 0 {
@@ -192,15 +193,19 @@ impl FrameCache {
         }
         let mut loaded = 0;
         // Touch the current frame first so it is the most-recently-used
-        // and survives the prefetch evictions.
-        self.step_to(current.min(n - 1));
+        // and only frames older than it are evicted to make room.
+        let keep = current.min(n - 1);
+        self.step_to(keep);
         for d in 1..=radius {
             for idx in [current.checked_sub(d), Some(current + d)]
                 .into_iter()
                 .flatten()
+                .filter(|&idx| idx < n)
             {
-                if idx < n && !self.step_to_internal(idx, true).cache_hit {
-                    loaded += 1;
+                match self.step_to_internal(idx, Some(keep)) {
+                    None => return loaded,
+                    Some(load) if !load.cache_hit => loaded += 1,
+                    Some(_) => {}
                 }
             }
         }
@@ -210,10 +215,15 @@ impl FrameCache {
     /// Steps the viewer to `frame`, loading from "disk" if needed and
     /// binding its volume texture.
     pub fn step_to(&self, frame: usize) -> FrameLoad {
-        self.step_to_internal(frame, false)
+        self.step_to_internal(frame, None)
+            .expect("only a prefetch declines a load")
     }
 
-    fn step_to_internal(&self, frame: usize, prefetch: bool) -> FrameLoad {
+    /// Steps to `frame`; a prefetch (`keep` is the frame it must keep
+    /// resident) is uncounted, and declines with `None` a load that would
+    /// evict `keep`.
+    fn step_to_internal(&self, frame: usize, keep: Option<usize>) -> Option<FrameLoad> {
+        let prefetch = keep.is_some();
         let mut g = lock(&self.inner);
         assert!(frame < g.frames.len(), "frame {frame} out of range");
         let (total, tex) = g.frames[frame];
@@ -230,6 +240,9 @@ impl FrameCache {
                 (true, 0, 0.0)
             }
             None => {
+                if keep.is_some_and(|keep| g.load_evicts(total, keep)) {
+                    return None;
+                }
                 // Evict LRU frames until the new one fits.
                 while g.resident_bytes + total > g.memory_budget && !g.resident.is_empty() {
                     let victim = g.resident.remove(0);
@@ -256,14 +269,28 @@ impl FrameCache {
             None => false,
         };
 
-        FrameLoad {
+        Some(FrameLoad {
             cache_hit,
             bytes_loaded,
             seconds,
             texture_resident,
             degraded: false,
             partial: false,
-        }
+        })
+    }
+}
+
+impl Inner {
+    /// Whether loading `bytes` more would evict frame `keep`: evicting
+    /// every frame older than it would not make room.
+    fn load_evicts(&self, bytes: u64, keep: usize) -> bool {
+        let older: u64 = self
+            .resident
+            .iter()
+            .take_while(|&&f| f != keep)
+            .map(|&f| self.frames[f].0)
+            .sum();
+        self.resident_bytes - older + bytes > self.memory_budget
     }
 }
 
@@ -365,6 +392,21 @@ mod tests {
         }
         // Prefetch loads don't pollute the hit/miss statistics.
         assert_eq!(cache.misses(), 1, "only the explicit step_to(4) missed");
+    }
+
+    /// Ten 100 MB frames fit the 1 GB budget: a prefetch of ten
+    /// neighbours loads nine, the tenth would evict the current frame.
+    #[test]
+    fn prefetch_never_evicts_the_current_frame() {
+        let cache = FrameCache::paper_desktop(paper_frames(20));
+        cache.step_to(10);
+        assert_eq!(cache.prefetch_window(10, 5), 9);
+        assert_eq!(cache.resident_count(), 10);
+        assert!(cache.step_to(10).cache_hit, "the current frame is resident");
+        assert!(
+            !cache.step_to(15).cache_hit,
+            "the farthest was never loaded"
+        );
     }
 
     #[test]

@@ -9,6 +9,7 @@
 
 use crate::camera::Camera;
 use crate::framebuffer::Framebuffer;
+use crate::points::splat;
 use crate::rasterizer::{draw_triangle_strips, FragmentShader, RasterOptions, Vertex};
 use accelviz_math::{Rgba, Vec3};
 
@@ -62,8 +63,9 @@ impl DisplayList {
     }
 
     /// Replays the list: rasterizes every strip through `shader` and
-    /// splats every point. Returns (triangles, fragments) like the direct
-    /// path — replay must produce the identical image.
+    /// splats every point in its flat colour ([`splat`]). Returns
+    /// (triangles, fragments) like the direct path — replay must produce
+    /// the identical image.
     pub fn replay(
         &self,
         fb: &mut Framebuffer,
@@ -73,35 +75,10 @@ impl DisplayList {
         point_size_px: f64,
     ) -> (usize, usize) {
         let (tris, mut frags) = draw_triangle_strips(fb, camera, &self.strips, shader, opts);
-        let (w, h) = (fb.width(), fb.height());
-        let projector = camera.projector(w, h);
+        let projector = camera.projector(fb.width(), fb.height());
+        let size = point_size_px;
         for &(pos, color) in &self.points {
-            if let Some((px, py, z)) = projector.to_pixel(pos) {
-                if !(-1.0..=1.0).contains(&z) {
-                    continue;
-                }
-                let r = point_size_px.max(0.5);
-                let x0 = (px - r).floor().max(0.0) as isize;
-                let y0 = (py - r).floor().max(0.0) as isize;
-                let x1 = ((px + r).ceil() as isize).min(w as isize - 1);
-                let y1 = ((py + r).ceil() as isize).min(h as isize - 1);
-                for y in y0.max(0)..=y1.max(-1) {
-                    for x in x0.max(0)..=x1.max(-1) {
-                        let dx = x as f64 + 0.5 - px;
-                        let dy = y as f64 + 0.5 - py;
-                        if dx * dx + dy * dy <= r * r {
-                            fb.blend_fragment(
-                                x as usize,
-                                y as usize,
-                                z as f32,
-                                color,
-                                opts.write_depth,
-                            );
-                            frags += 1;
-                        }
-                    }
-                }
-            }
+            frags += splat(fb, &projector, pos, size, opts.write_depth, |_| color).unwrap_or(0);
         }
         (tris, frags)
     }

@@ -14,7 +14,7 @@
 //!   path).
 //! - [`volume`] — ray-cast volume rendering of a density grid through a
 //!   transfer function (the 3-D-texture volume rendering path).
-//! - [`points`] — point splatting with transfer-function-driven
+//! - [`points`] — the one point splatter, with transfer-function-driven
 //!   subsampling (the point-rendering path of the hybrid method).
 //! - [`texture`] — 2-D textures incl. the tube bump-map and halo maps of
 //!   the self-orienting surfaces.
@@ -44,7 +44,7 @@ pub mod volume;
 pub use camera::Camera;
 pub use displaylist::DisplayList;
 pub use framebuffer::Framebuffer;
-pub use points::{splat_points, PointStyle};
+pub use points::PointStyle;
 pub use rasterizer::{draw_triangle, draw_triangle_strips, Vertex};
 pub use texmem::TextureMemory;
 pub use texture::Texture2;

@@ -457,7 +457,6 @@ fn session<O: FrameOrigin, S: Read + Write>(door: &Door<O>, mut stream: S) {
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             dispatch(&door.service, req, &mut stream, &mut session)
         }));
-        door.service.count_occupancy();
         let (bytes, served_frame) = match outcome {
             Ok(Ok(r)) => r,
             Ok(Err(_)) => return, // client went away mid-reply

@@ -923,16 +923,17 @@ impl ShardedFrameService {
         &self.router
     }
 
-    /// The router's registry merged with every *live* shard's
-    /// [`FrameServer::stats`] — what a client reads with a `Stats` request
-    /// through the router (which likewise counts a dead shard as zeros),
-    /// read in process. The shards' one window is in it once, from
+    /// The router's registry and frame-cache levels merged with every
+    /// *live* shard's [`FrameServer::stats`] — what a client reads with a
+    /// `Stats` request through the router (which likewise counts a dead
+    /// shard as zeros), read in process. The shards' one window is in it once, from
     /// shard 0 while it lives.
     pub fn stats(&self) -> Snapshot {
         let mut total = self.router.metrics().snapshot();
         for shard in self.shards.iter().flatten() {
             total.merge(&shard.stats());
         }
+        self.router.door.service().put_cache_levels(&mut total);
         total
     }
 

@@ -15,8 +15,8 @@
 //!   request is counted by how the cache answered it, whatever the fetch
 //!   returned: a miss ran the fetch, a hit found the entry, and a
 //!   coalesced waiter — a hit as well — shared a fetch in flight. What the
-//!   cache holds is copied to the registry after each request and each
-//!   read-ahead ([`Service::count_occupancy`]).
+//!   cache holds is read when a `Stats` reply is composed
+//!   ([`Service::stats`]), never copied into the registry.
 //! - **Fetch permits.** A miss takes a permit before it fetches; past the
 //!   limit it is shed with `ERR_BUSY` on its live connection and counted
 //!   under `<role>.shed_extractions` only. Hits and coalesced waiters
@@ -40,12 +40,11 @@
 
 use crate::cache::{CacheKey, CoalescingCache, Fetched, Lookup, Served, ONE_TOUCH_DIVISOR};
 use crate::frontdoor::{CountGuard, ReadAhead, Shape, Spawn};
-use crate::lock;
 use crate::protocol::{FrameInfo, Refusal, ERR_BUSY};
 use crate::stats::CounterNames;
 use accelviz_trace::registry::{Registry, Snapshot};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Where a service's frames come from. The service asks its origin for
@@ -111,11 +110,6 @@ pub(crate) struct Service<O> {
     fetching: AtomicUsize,
     /// Read-ahead fetches running now: 0 or 1.
     fetching_ahead: AtomicUsize,
-    /// Whether a fetch ran since the cache's occupancy was last copied to
-    /// the registry: only a fetch admits or evicts.
-    fetched_since_counted: AtomicBool,
-    /// Held while the cache's occupancy is copied to the registry.
-    counting_occupancy: Mutex<()>,
 }
 
 impl<O: FrameOrigin> Service<O> {
@@ -129,14 +123,30 @@ impl<O: FrameOrigin> Service<O> {
             config,
             fetching: AtomicUsize::new(0),
             fetching_ahead: AtomicUsize::new(0),
-            fetched_since_counted: AtomicBool::new(false),
-            counting_occupancy: Mutex::new(()),
         }
     }
 
-    /// What a `Stats` reply from this service carries.
+    /// What a `Stats` reply from this service carries: its origin's reply,
+    /// with what the frame cache holds as it is now.
     pub(crate) fn stats(&self) -> Snapshot {
-        self.origin.stats(&self.metrics)
+        let mut snapshot = self.origin.stats(&self.metrics);
+        self.put_cache_levels(&mut snapshot);
+        snapshot
+    }
+
+    /// Puts what the frame cache holds now, and its one-touch evictions so
+    /// far, into `snapshot` under the role's names: levels read from the
+    /// cache when a reply is composed, the way a window reports
+    /// `store.resident_*`.
+    pub(crate) fn put_cache_levels(&self, snapshot: &mut Snapshot) {
+        let (held, names) = (self.cache.stats(), O::NAMES);
+        for (name, value) in [
+            (names.cache_held_bytes, held.weight),
+            (names.cache_entries, held.entries as u64),
+            (names.cache_one_touch_evictions, held.one_touch_evictions),
+        ] {
+            snapshot.counters.insert(name.to_string(), value);
+        }
     }
 
     /// Frame `frame < frame_count()` at a non-NaN `threshold`, cached as
@@ -185,27 +195,6 @@ impl<O: FrameOrigin> Service<O> {
         self.metrics.add(O::NAMES.readahead_hints, 1);
         let run = std::panic::AssertUnwindSafe(|| self.speculate(hint));
         let _ = std::panic::catch_unwind(run);
-        self.count_occupancy();
-    }
-
-    /// Copies what the frame cache holds, and its one-touch evictions so
-    /// far, to the registry, where a `Stats` reply reads them, if a fetch
-    /// ran since the last copy. Run after each request and each
-    /// read-ahead, which are all that fetch; one copy at a time, so the
-    /// last one made is of the newest state.
-    pub(crate) fn count_occupancy(&self) {
-        if !self.fetched_since_counted.swap(false, Ordering::SeqCst) {
-            return;
-        }
-        let _one_at_a_time = lock(&self.counting_occupancy);
-        let (held, names) = (self.cache.stats(), O::NAMES);
-        for (name, value) in [
-            (names.cache_held_bytes, held.weight),
-            (names.cache_entries, held.entries as u64),
-            (names.cache_one_touch_evictions, held.one_touch_evictions),
-        ] {
-            self.metrics.set(name, value);
-        }
     }
 
     /// The one cache lookup, for demand and speculative callers alike:
@@ -247,9 +236,6 @@ impl<O: FrameOrigin> Service<O> {
                 }
                 Ok(Arc::new(served))
             });
-        if lookup == Lookup::Fetched {
-            self.fetched_since_counted.store(true, Ordering::SeqCst);
-        }
         (fetched, (!shed).then_some(lookup))
     }
 
@@ -499,8 +485,8 @@ mod tests {
     }
 
     /// Frames at fresh thresholds are held up to a tenth of the budget; a
-    /// frame asked for twice is held beside them and hits; and the
-    /// occupancy the registry reads is the cache's.
+    /// frame asked for twice is held beside them and hits; and the levels
+    /// a `Stats` reply carries are the cache's.
     #[test]
     fn fresh_thresholds_hold_a_tenth_of_the_budget() {
         // Every dial is above every node's density: each frame is all
@@ -535,8 +521,8 @@ mod tests {
         let (_, lookup) = service.lookup(0, twice, Shape::Plain, None);
         assert_eq!(lookup, Some(Lookup::Hit));
 
-        service.count_occupancy();
-        let count = |name| service.metrics.counter(name);
+        let stats = service.stats();
+        let count = |name| stats.counter(name);
         assert_eq!(count(SERVE.cache_held_bytes), 5 * one);
         assert_eq!(count(SERVE.cache_entries), 5);
         assert_eq!(count(SERVE.cache_one_touch_evictions), 36);

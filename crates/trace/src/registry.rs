@@ -205,18 +205,6 @@ impl Registry {
         }
     }
 
-    /// Sets counter `name` to `value`: a level reported beside the
-    /// counts, such as what a cache holds right now.
-    pub fn set(&self, name: &str, value: u64) {
-        let counters = &mut self.lock().metrics.counters;
-        match counters.get_mut(name) {
-            Some(v) => *v = value,
-            None => {
-                counters.insert(name.to_string(), value);
-            }
-        }
-    }
-
     /// Current value of counter `name` (zero if never touched).
     pub fn counter(&self, name: &str) -> u64 {
         self.lock().metrics.counter(name)
@@ -507,16 +495,6 @@ mod tests {
         reg.set_gauge("mem", 10.0);
         reg.set_gauge("mem", 4.0);
         assert_eq!(reg.gauge("mem"), Some(4.0));
-    }
-
-    #[test]
-    fn a_set_counter_keeps_the_last_value_and_rides_in_the_snapshot() {
-        let reg = Registry::new();
-        reg.set("held", 10);
-        reg.set("held", 4);
-        reg.add("held", 1);
-        assert_eq!(reg.counter("held"), 5);
-        assert_eq!(reg.snapshot().counter("held"), 5);
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! End-to-end observability: the wire `Stats` reply must be the serve
-//! metrics registry itself, and a trace captured across the whole
+//! End-to-end observability: the wire `Stats` reply must be what the
+//! server reports in process (its metrics registry, and its frame cache's
+//! levels), and a trace captured across the whole
 //! pipeline must export as valid, monotonic Chrome trace-event JSON.
 
 mod common;
@@ -43,11 +44,11 @@ fn registry_cache_counts_match_wire_stats_and_cache_counters() {
         client.fetch(1, f64::INFINITY).unwrap();
     }
 
-    // Quiescent after the hello and four fetches, the registry...
+    // Quiescent after the hello and four fetches, the server's stats...
     let reg = server.metrics();
     settle(reg, 5);
-    let local = reg.snapshot();
-    // ...is exactly what the `Stats` reply carries: the reply is taken
+    let local = server.stats();
+    // ...are exactly what the `Stats` reply carries: the reply is taken
     // before the Stats request itself is counted.
     let wire = client.stats().unwrap();
     assert_eq!(wire, local);
@@ -57,6 +58,7 @@ fn registry_cache_counts_match_wire_stats_and_cache_counters() {
         "two distinct extractions"
     );
     assert_eq!(wire.counter(SERVE.cache_hits), 2, "each refetched once");
+    assert_eq!(wire.counter(SERVE.cache_entries), 2, "both held");
     assert_eq!(wire.counter(SERVE.frames_served), 4);
 
     // The Stats request lands in the registry after its reply.
